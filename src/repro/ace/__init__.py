@@ -11,6 +11,7 @@ from .bounds import (
     seq3_nested_bounds,
 )
 from .fileset import FileSet, build_fileset
+from .index import SpaceIndex
 from .phase1 import count_skeletons, generate_skeletons
 from .phase2 import count_parameterizations, parameter_choices, parameterize
 from .phase3 import add_persistence_points, count_persistence_variants, persistence_choices
@@ -37,6 +38,7 @@ __all__ = [
     "count_persistence_variants",
     "resolve_dependencies",
     "AceSynthesizer",
+    "SpaceIndex",
     "GenerationStats",
     "generate_workloads",
     "group_siblings",

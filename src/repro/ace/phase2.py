@@ -10,7 +10,7 @@ used earlier in the workload, so only one of the pair is kept (paper §5.2).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Tuple
 
 from ..workload.operations import Operation, OpKind, WriteRange
 from .bounds import Bounds
@@ -31,6 +31,10 @@ RANGES: Dict[str, Tuple[int, int]] = {
     WriteRange.OVERLAP_END: (BASE_FILE_SIZE - WRITE_SIZE, WRITE_SIZE),
     WriteRange.OVERLAP_EXTEND: (BASE_FILE_SIZE - WRITE_SIZE // 2, WRITE_SIZE),
 }
+
+
+#: Operations taking two paths, whose argument orders can be symmetric.
+TWO_PATH_OPS = frozenset((OpKind.LINK, OpKind.RENAME, OpKind.SYMLINK))
 
 
 def range_for(range_name: str) -> Tuple[int, int]:
@@ -81,12 +85,19 @@ def parameter_choices(op_name: str, fileset: FileSet, bounds: Bounds) -> List[Op
     elif op_name == OpKind.FPUNCH:
         for path in files:
             choices.append(Operation(OpKind.FPUNCH, (path, WRITE_SIZE, WRITE_SIZE)))
-    elif op_name in (OpKind.LINK, OpKind.RENAME, OpKind.SYMLINK):
+    elif op_name in TWO_PATH_OPS:
         for src, dst in itertools.permutations(files, 2):
             choices.append(Operation(op_name, (src, dst)))
     else:
         raise ValueError(f"phase 2 does not know how to parameterize {op_name!r}")
     return choices
+
+
+def op_paths(op: Operation) -> FrozenSet[str]:
+    """The paths one operation names (xattr names are not paths)."""
+    return frozenset(
+        arg for arg in op.args if isinstance(arg, str) and not arg.startswith("user.")
+    )
 
 
 def _used_paths(ops: Sequence[Operation]) -> set:
@@ -98,20 +109,26 @@ def _used_paths(ops: Sequence[Operation]) -> set:
     return used
 
 
-def _is_symmetric_duplicate(op: Operation, earlier: Sequence[Operation]) -> bool:
+def is_symmetric_half(op: Operation, used) -> bool:
     """True for the discarded half of a symmetric pair (paper's link example).
 
-    For two-path operations whose arguments have not been used earlier in the
-    workload, the two argument orders are equivalent; only the lexicographically
-    ordered one is kept.
+    For two-path operations whose arguments are not among ``used`` — the
+    paths earlier operations of the workload named — the two argument orders
+    are equivalent; only the lexicographically ordered one is kept.
     """
-    if op.op not in (OpKind.LINK, OpKind.RENAME, OpKind.SYMLINK):
+    if op.op not in TWO_PATH_OPS:
         return False
     src, dst = str(op.args[0]), str(op.args[1])
-    used = _used_paths(earlier)
     if src in used or dst in used:
         return False
     return src > dst
+
+
+def _is_symmetric_duplicate(op: Operation, earlier: Sequence[Operation]) -> bool:
+    """:func:`is_symmetric_half` against the paths ``earlier`` used."""
+    if op.op not in TWO_PATH_OPS:  # the generator's hot path: skip collecting paths
+        return False
+    return is_symmetric_half(op, _used_paths(earlier))
 
 
 def parameterize(skeleton: Skeleton, fileset: FileSet, bounds: Bounds) -> Iterator[List[Operation]]:

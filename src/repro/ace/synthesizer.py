@@ -13,6 +13,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from ..workload.workload import Workload
 from .bounds import Bounds
 from .fileset import FileSet, build_fileset
+from .index import SpaceIndex
 from .phase1 import count_skeletons, generate_skeletons
 from .phase2 import count_parameterizations, parameterize
 from .phase3 import add_persistence_points, count_persistence_variants
@@ -44,6 +45,14 @@ class AceSynthesizer:
         self.bounds = bounds
         self.fileset: FileSet = build_fileset(bounds)
         self.stats = GenerationStats()
+        self._index: Optional[SpaceIndex] = None
+
+    @property
+    def index(self) -> SpaceIndex:
+        """The exact space index, built (and its memo filled) on first use."""
+        if self._index is None:
+            self._index = SpaceIndex(self.bounds, self.fileset)
+        return self._index
 
     # ------------------------------------------------------------------ generation
 
@@ -77,29 +86,47 @@ class AceSynthesizer:
                     if limit is not None and produced >= limit:
                         return
 
+    def workload_at(self, position: int,
+                    required_ops: Optional[Sequence[str]] = None) -> Workload:
+        """The workload :meth:`generate` yields at ``position`` (0-based), built directly.
+
+        Equal to ``list(generate(required_ops))[position]`` — same operations,
+        same name — without enumerating the workloads before it.  Raises
+        :class:`IndexError` outside ``range(count(required_ops))``.
+        """
+        return self.index.workload_at(position, required_ops)
+
+    def _sample_positions(self, count: int, stride: Optional[int] = None,
+                          required_ops: Optional[Sequence[str]] = None,
+                          max_stride: int = 2000) -> range:
+        """Positions (in :meth:`generate`'s order) a sample of ``count`` takes."""
+        if count <= 0:
+            return range(0)
+        if stride is None:
+            estimated = max(self.estimate_count(required_ops), 1)
+            stride = min(max(estimated // count, 1), max(max_stride, 1))
+        return range(0, self.count(required_ops), stride)[:count]
+
     def sample_stream(self, count: int, stride: Optional[int] = None,
                       required_ops: Optional[Sequence[str]] = None,
                       max_stride: int = 2000) -> Iterator[Workload]:
         """Lazily yield ``count`` workloads deterministically spread over the space.
 
-        Sampling takes every ``stride``-th generated workload; when no stride
-        is given one is estimated from the space size so the samples cover the
-        whole space rather than just its beginning.  ``max_stride`` bounds the
-        generation work for the multi-million-workload seq-3 spaces (a larger
-        value spreads the sample wider at the cost of generation time).
+        Sampling takes every ``stride``-th workload of :meth:`generate`'s
+        order, unranked directly (:meth:`workload_at`), so the cost follows
+        the sample, not the space.  When no stride is given one is derived
+        from :meth:`estimate_count`; ``max_stride`` caps it, which confines
+        the sample of a multi-million-workload seq-3 space to its first
+        ``count * max_stride`` positions (a larger value spreads it wider).
+        A space with fewer than ``count`` stride positions yields those it
+        has.  ``stats.final`` counts the workloads materialised.
         """
-        if count <= 0:
-            return
-        if stride is None:
-            estimated = max(self.estimate_count(required_ops), 1)
-            stride = min(max(estimated // count, 1), max(max_stride, 1))
-        produced = 0
-        for position, workload in enumerate(self.generate(required_ops)):
-            if position % stride == 0:
-                yield workload
-                produced += 1
-                if produced >= count:
-                    return
+        stats = GenerationStats()
+        self.stats = stats
+        for position in self._sample_positions(count, stride, required_ops, max_stride):
+            workload = self.workload_at(position, required_ops)
+            stats.final += 1
+            yield workload
 
     def sample(self, count: int, stride: Optional[int] = None,
                required_ops: Optional[Sequence[str]] = None,
@@ -146,18 +173,28 @@ class AceSynthesizer:
     # ------------------------------------------------------------------ counting
 
     def count(self, required_ops: Optional[Sequence[str]] = None) -> int:
-        """Exact number of final workloads (consumes the generator)."""
-        total = 0
-        for _ in self.generate(required_ops):
-            total += 1
-        return total
+        """Exact number of final workloads (from the space index, in milliseconds)."""
+        return self.index.count(required_ops)
+
+    def stream_size(self, limit: Optional[int] = None, sample: bool = False,
+                    required_ops: Optional[Sequence[str]] = None) -> int:
+        """How many workloads :meth:`stream` yields for the same (positive) ``limit``."""
+        if limit is not None and sample:
+            return len(self._sample_positions(limit, required_ops=required_ops))
+        total = self.count(required_ops)
+        return total if limit is None else min(limit, total)
 
     def estimate_count(self, required_ops: Optional[Sequence[str]] = None) -> int:
-        """Fast analytic estimate (before symmetry elimination and phase-4 drops).
+        """The stride basis of :meth:`sample_stream`: a lower-biased size estimate.
 
-        This is the product of per-position parameter and persistence choices
-        summed over skeletons — the quantity §5.2 uses when discussing how the
-        workload space grows as bounds are relaxed.
+        Per skeleton, the plain product of per-position parameter choices
+        (no symmetry elimination, no phase-4 drops) times the persistence
+        variants of one *representative* parameterization.  The
+        representative is the first one — a top-level file, which has the
+        fewest fsync targets — so the estimate usually falls short of the
+        exact :meth:`count` (seq-3-data: 10 668 672 vs 21 249 536).  It is
+        kept exactly as it is because the sample stride, and with it every
+        pinned sample, derives from it; use :meth:`count` for the size.
         """
         total = 0
         for skeleton in generate_skeletons(self.bounds, required_ops):
@@ -172,7 +209,12 @@ class AceSynthesizer:
         return total
 
     def phase_counts(self) -> Dict[str, int]:
-        """Per-phase counts for a Figure-4 style funnel (analytic where possible)."""
+        """Per-phase counts for a Figure-4 style funnel.
+
+        Phases 1–3 are analytic (plain products; phase 3 on the representative
+        parameterization of :meth:`estimate_count`); the phase-4 entry is the
+        exact final count from the space index.
+        """
         skeletons = count_skeletons(self.bounds)
         parameterized = 0
         with_persistence = 0
@@ -187,6 +229,7 @@ class AceSynthesizer:
             "phase1_skeletons": skeletons,
             "phase2_parameterized": parameterized,
             "phase3_with_persistence": with_persistence,
+            "phase4_final": self.count(),
         }
 
 

@@ -289,7 +289,8 @@ def _print_progress(event) -> None:
     """Chunk-level progress: done/total, throughput, and an ETA when knowable.
 
     Durable runs register the full chunk census upfront, so their events
-    carry totals (and hence an ETA); streaming runs report rates only.
+    carry chunk and workload totals; streaming campaigns size their workload
+    total from the ACE space index.  Either way there is an ETA.
     """
     chunks = f"{event.chunks_done}"
     if event.chunks_total is not None:

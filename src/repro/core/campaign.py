@@ -123,6 +123,7 @@ class B3Campaign:
             spine_spill_dir=config.spine_spill_dir,
         )
         self._harness: Optional[CrashMonkey] = None
+        self._synthesizer: Optional[AceSynthesizer] = None
         #: engine bookkeeping of the most recent :meth:`run` (chunk stats, wall clock)
         self.last_run: Optional[EngineRun] = None
 
@@ -139,11 +140,22 @@ class B3Campaign:
 
     # ------------------------------------------------------------------ workload supply
 
+    @property
+    def synthesizer(self) -> AceSynthesizer:
+        """The campaign's ACE synthesizer (one, so its space index is built once)."""
+        if self._synthesizer is None:
+            self._synthesizer = AceSynthesizer(self.bounds)
+        return self._synthesizer
+
     def iter_workloads(self) -> Iterator[Workload]:
         """Stream the workloads this campaign will test (never materialized)."""
-        synthesizer = AceSynthesizer(self.bounds)
-        return synthesizer.stream(limit=self.config.max_workloads,
-                                  sample=self.config.sample)
+        return self.synthesizer.stream(limit=self.config.max_workloads,
+                                       sample=self.config.sample)
+
+    def workloads_total(self) -> int:
+        """How many workloads :meth:`iter_workloads` yields, from the space index."""
+        return self.synthesizer.stream_size(limit=self.config.max_workloads,
+                                            sample=self.config.sample)
 
     def generate_workloads(self) -> List[Workload]:
         """Materialize the campaign's workloads (prefer :meth:`iter_workloads`)."""
@@ -193,13 +205,20 @@ class B3Campaign:
         ones are dropped from testing but surfaced in the result's
         ``invalid_workloads`` count (never silently swallowed), which also
         keeps a bad hand-supplied workload from aborting the whole run.
+
+        With a ``progress`` callback on an ACE-supplied run, events carry
+        ``workloads_total`` (hence an ETA), sized from the space index; runs
+        without a callback never compute it.
         """
         source = workloads if workloads is not None else self.iter_workloads()
+        total = (self.workloads_total()
+                 if progress is not None and workloads is None else None)
         adapter = CrashMonkeyAdapter(self.fs_name)
         label = self.bounds.label or f"seq-{self.bounds.seq_length}"
         with contextlib.ExitStack() as stack:
             spec = self._run_spec(stack)
-            run = self._engine(progress, spec).run(adapter.adapt_stream(source), label=label)
+            run = self._engine(progress, spec).run(adapter.adapt_stream(source), label=label,
+                                                   workloads_total=total)
         run.result.invalid_workloads = adapter.invalid_workloads
         self.last_run = run
         return run.result

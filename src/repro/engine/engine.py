@@ -50,9 +50,11 @@ class ProgressEvent:
     generated: int
     elapsed_seconds: float
     chunk: ChunkStats
-    #: total chunks/workloads of the whole campaign, when known upfront (the
-    #: durable runner registers the full chunk census before dispatching;
-    #: streaming runs leave these ``None`` — the space is never materialized)
+    #: total chunks/workloads of the whole campaign, when known upfront: the
+    #: durable runner registers the full chunk census before dispatching; a
+    #: streaming campaign knows only ``workloads_total`` (sized from the ACE
+    #: space index, the space is never materialized) and leaves
+    #: ``chunks_total`` ``None``
     chunks_total: Optional[int] = None
     workloads_total: Optional[int] = None
     #: workloads completed in this session (== ``workloads_done`` except on a
@@ -138,10 +140,16 @@ class CampaignEngine:
                                   key=lambda workload: workload.family_key())
         return chunked(timed, self.chunk_size)
 
-    def run(self, workloads: Iterable[Workload], label: str = "") -> EngineRun:
-        """Stream ``workloads`` through the backend; chunking is the engine's."""
+    def run(self, workloads: Iterable[Workload], label: str = "",
+            workloads_total: Optional[int] = None) -> EngineRun:
+        """Stream ``workloads`` through the backend; chunking is the engine's.
+
+        ``workloads_total``, when the caller knows the stream's length without
+        materializing it, reaches the progress events (done/total and ETA).
+        """
         timed = TimedIterator(workloads)
-        run = self._execute(enumerate(self._chunked(timed)), label, timed)
+        run = self._execute(enumerate(self._chunked(timed)), label, timed,
+                            workloads_total=workloads_total)
         run.result.generation_seconds = timed.seconds
         if getattr(self.backend, "overlaps_generation", False):
             # Workers keep testing while the dispatch thread pulls from the

@@ -1111,13 +1111,27 @@ class AbstractFileSystem:
 
     def _replay_log(self, entries: List[dict]) -> None:
         for entry in entries:
-            kind = entry.get("kind", "inode")
-            if kind == "inode":
-                self._apply_inode_entry(entry)
-            elif kind == "journal_commit":
-                self._apply_journal_commit(entry)
-            else:
-                raise RecoveryError(f"unknown log entry kind {kind!r}", fs_type=self.fs_type)
+            try:
+                self._apply_log_entry(entry)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                # A torn log block can still parse: its first sectors are the
+                # new entry, the rest an older one's, and the splice happens
+                # to be JSON.  What it decodes to is untrusted — a missing or
+                # garbled field fails recovery, it does not crash the mount.
+                raise RecoveryError(
+                    f"log replay: malformed log entry ({type(exc).__name__}: {exc})",
+                    fs_type=self.fs_type,
+                    detail="log entry decodes but lacks or garbles required fields",
+                ) from exc
+
+    def _apply_log_entry(self, entry: dict) -> None:
+        kind = entry.get("kind", "inode")
+        if kind == "inode":
+            self._apply_inode_entry(entry)
+        elif kind == "journal_commit":
+            self._apply_journal_commit(entry)
+        else:
+            raise RecoveryError(f"unknown log entry kind {kind!r}", fs_type=self.fs_type)
 
     def _strict_name_removal(self) -> bool:
         """Whether replay fails when a recorded removal has no matching entry."""

@@ -265,6 +265,14 @@ class TestCampaignServiceCommands:
         assert CampaignResult.from_dict(payload).workloads_tested == 12
         assert payload["derived"]["workloads_tested"] == 12
 
+    def test_progress_on_a_plain_campaign_prints_totals_and_eta(self, capsys):
+        assert main(["campaign", "--progress", "--patched", *self.CAMPAIGN]) == 0
+        err = capsys.readouterr().err
+        # No state store, no census: the total comes from the ACE space index.
+        assert "chunk 1: 4/12 workloads" in err
+        assert "chunk 3: 12/12 workloads" in err
+        assert "ETA" in err
+
     def test_progress_flag_reports_throughput_on_a_fresh_run(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
         assert main(["campaign", "--durable", "--state-db", db, "--progress",

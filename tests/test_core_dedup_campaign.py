@@ -120,6 +120,35 @@ class TestCampaign:
         assert result.workloads_tested == 1
         assert result.failing_workloads == 1
 
+    @pytest.mark.parametrize("limit, sample, expected", [
+        (None, False, 465), (50, False, 50), (40, True, 40), (1000, True, 465),
+    ])
+    def test_progress_events_carry_the_workload_total(self, limit, sample, expected):
+        config = CampaignConfig(fs_name="btrfs", bounds=seq1_bounds(), max_workloads=limit,
+                                sample=sample, device_blocks=SMALL_DEVICE_BLOCKS,
+                                bugs=BugConfig.none())
+        events = []
+        result = B3Campaign(config).run(progress=events.append)
+        assert result.workloads_tested == expected
+        assert {event.workloads_total for event in events} == {expected}
+        assert events[-1].workloads_done == expected
+        assert events[-1].eta_seconds == 0.0
+        assert all(event.chunks_total is None for event in events)
+
+    def test_the_total_is_sized_only_for_a_progress_callback(self, monkeypatch):
+        from repro.ace import AceSynthesizer
+
+        monkeypatch.setattr(AceSynthesizer, "stream_size",
+                            lambda *a, **k: pytest.fail("sized the space for nobody"))
+        config = CampaignConfig(fs_name="btrfs", bounds=seq1_bounds(), max_workloads=10,
+                                device_blocks=SMALL_DEVICE_BLOCKS)
+        campaign = B3Campaign(config)
+        assert campaign.run().workloads_tested == 10
+        # Supplied workloads are not the campaign's space: no total either.
+        events = []
+        campaign.run(campaign.generate_workloads(), progress=events.append)
+        assert [event.workloads_total for event in events] == [None]
+
     def test_summary_and_describe(self):
         result = quick_campaign("btrfs", seq_length=1, max_workloads=10, bugs=BugConfig.none())
         assert "workloads" in result.summary()

@@ -164,3 +164,37 @@ def test_session_field_outside_scalar_fields_is_caught():
     findings = repro_lint.check_result_fields_are_accounted(trees)
     assert len(findings) == 1
     assert "`b` is not in SCALAR_FIELDS" in findings[0][2]
+
+
+def test_index_building_a_workload_without_phase4_is_caught():
+    check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
+    hand_rolled = (
+        "def workload_at(self, position):\n"
+        "    ops = self.ops_at(position)\n"
+        "    return Workload(ops=[creat('foo')] + ops, name='x')\n"
+    )
+    findings = check(_trees(**{"ace/index.py": hand_rolled}))
+    assert len(findings) == 1 and "resolve_dependencies" in findings[0][2]
+    through_phase4 = (
+        "def workload_at(self, position):\n"
+        "    return Workload(ops=resolve_dependencies(self.ops_at(position)), name='x')\n"
+    )
+    assert check(_trees(**{"ace/index.py": through_phase4})) == []
+    # The generator itself is the other (original) definition and may build them.
+    assert check(_trees(**{"ace/synthesizer.py": hand_rolled})) == []
+
+
+def test_sample_stream_striding_the_generator_is_caught():
+    check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
+    strided = (
+        "class AceSynthesizer:\n"
+        "    def sample_stream(self, count, stride):\n"
+        "        for position, workload in enumerate(self.generate()):\n"
+        "            if position % stride == 0:\n"
+        "                yield workload\n"
+        "    def stream(self, limit=None):\n"
+        "        return self.generate(limit=limit)\n"
+    )
+    findings = check(_trees(**{"ace/synthesizer.py": strided}))
+    assert len(findings) == 1 and "sample_stream" in findings[0][2]
+    assert findings[0][1] == 3

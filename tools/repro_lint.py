@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Six invariants, each protecting a guarantee a past change was built on:
+Seven invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -44,6 +44,14 @@ Six invariants, each protecting a guarantee a past change was built on:
    A reference to a slab chunk (``_chunk``/``_chunks``/``.obj``) or a raw
    ``bytearray`` in that module means a spill file (or the pickle buffer
    building it) can capture — or worse, alias — a live slab arena.
+
+7. **The ACE space index has one definition of phase-4 output, and sampling
+   never strides the space.**  ``ace/index.py`` may construct a ``Workload``
+   only with ``ops=resolve_dependencies(...)`` over the operation list it
+   unranked — dependency set-up written a second time would drift from
+   ``generate()`` and silently move every pinned sample.  And
+   ``AceSynthesizer.sample_stream`` must not call ``self.generate(``: the
+   index exists so that a sample costs O(sample), not O(space).
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -380,6 +388,50 @@ def check_spill_never_references_slab_chunks(trees: Dict[Path, ast.Module]) -> L
     return findings
 
 
+# ------------------------------------------- rule 7: ACE index vs the generator
+
+
+def _is_call_to(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and _call_name(node)[1] == name
+
+
+def check_ace_index_reuses_phase4_and_sampling_unranks(
+        trees: Dict[Path, ast.Module]) -> List[Finding]:
+    """``ace/index.py`` builds workloads only via ``resolve_dependencies``;
+    ``sample_stream`` never iterates ``self.generate(``."""
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        if path.parent != SRC_ROOT / "ace":
+            continue
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        if path.name == "index.py":
+            for node in ast.walk(tree):
+                if not _is_call_to(node, "Workload"):
+                    continue
+                ops = next((kw.value for kw in node.keywords if kw.arg == "ops"),
+                           node.args[0] if node.args else None)
+                if not _is_call_to(ops, "resolve_dependencies"):
+                    findings.append(Finding(
+                        relative, node.lineno,
+                        "ace/index.py constructs a Workload whose ops are not "
+                        "`resolve_dependencies(...)` of the unranked operation "
+                        "list — phase-4 output has one definition",
+                    ))
+        elif path.name == "synthesizer.py":
+            for func in ast.walk(tree):
+                if not (isinstance(func, ast.FunctionDef) and func.name == "sample_stream"):
+                    continue
+                for node in ast.walk(func):
+                    if _is_call_to(node, "generate") and _call_name(node)[0] == "self":
+                        findings.append(Finding(
+                            relative, node.lineno,
+                            "sample_stream iterates self.generate(...) — "
+                            "sampling unranks through the space index, it "
+                            "never strides the whole space",
+                        ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -399,6 +451,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_planners_have_soundness_coverage(trees))
     findings.extend(check_analysis_does_not_import_harness(trees))
     findings.extend(check_spill_never_references_slab_chunks(trees))
+    findings.extend(check_ace_index_reuses_phase4_and_sampling_unranks(trees))
     return findings
 
 
