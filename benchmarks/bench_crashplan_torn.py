@@ -5,8 +5,10 @@ its bounded tear budget on commit-critical (superblock/checkpoint/log) blocks
 first.  This benchmark shows (a) how ``torn_bound`` controls the scenario
 blow-up on top of the reorder plan, (b) that the torn states buy real
 coverage: the missing-flush-before-FUA bug is invisible to both prefix and
-reorder and found by torn, and (c) that cross-checkpoint dedup measurably
-reduces constructed states on flush-free windows.
+reorder and found by torn, (c) that cross-checkpoint dedup measurably
+reduces constructed states on flush-free windows, and (d) how many of the
+torn plan's states are *distinct*: byte-identical states of one checkpoint
+are mounted and checked once, with the same reports as mounting them all.
 
 Runs with tiny bounds so it doubles as the CI regression smoke next to the
 fig3 and reorder benchmarks.
@@ -125,3 +127,60 @@ def test_cross_checkpoint_dedup_reduces_constructed_states():
     # Dedup drops the double-counted duplicates but never a distinct finding.
     assert {r.group_key() for r in on.bug_reports} == {r.group_key() for r in off.bug_reports}
     assert len(on.bug_reports) < len(off.bug_reports)
+
+
+def _always_mount(harness, workload):
+    """Reference loop (lives here, not in ``src/``): every planner scenario
+    is constructed, mounted and checked on its own."""
+    profile = harness.profile(workload)
+    generator = CrashStateGenerator(profile, planner=harness.planner)
+    scenarios = 0
+    reports = set()
+    for scenario in generator.scenario_plan():
+        state = generator._construct(generator._record_for(scenario.checkpoint_id), scenario)
+        scenarios += 1
+        found = harness.checker.check(profile, state)
+        if found:
+            reports.add((state.checkpoint_id, state.scenario_id,
+                         tuple((m.check, m.consequence, m.path, m.actual) for m in found)))
+    return scenarios, reports
+
+
+def test_distinct_states_are_mounted_once_with_identical_reports():
+    rows = []
+    for label, fs_name, bug, text in (
+        ("fua", "f2fs", "missing_flush_before_fua", FUA_WORKLOAD),
+        ("fua-wide", "f2fs", "missing_flush_before_fua", FUA_WIDE_WORKLOAD),
+        ("dedup", "ext4", "falloc_keep_size_fdatasync", DEDUP_WORKLOAD),
+    ):
+        workload = parse_workload(text, name=label)
+        # Cross-checkpoint dedup off: the reference enumerates the plain plan.
+        harness = CrashMonkey(fs_name, bugs=BugConfig.only(bug), crash_plan="torn",
+                              device_blocks=BENCH_DEVICE_BLOCKS, dedup_scenarios=False)
+        harness.profile(workload)  # warm the prefix cache: both sides then resume from it
+        start = time.perf_counter()
+        result = harness.test_workload(workload)
+        with_memo = time.perf_counter() - start
+        start = time.perf_counter()
+        scenarios, reference_reports = _always_mount(harness, workload)
+        without_memo = time.perf_counter() - start
+
+        mounted = result.scenarios_tested - result.memoized_scenarios
+        rows.append((label, result.scenarios_tested, mounted, result.memoized_scenarios,
+                     f"{with_memo * 1000:.2f} ms", f"{without_memo * 1000:.2f} ms"))
+        assert result.scenarios_tested == scenarios
+        if fs_name == "f2fs":
+            # Checkpoint chunks are zero-padded envelopes: cuts inside the
+            # padding repeat the baseline.  (The ext4 workload flushes at
+            # every persistence point — empty windows, one state each — so
+            # nothing can repeat there and memoized reads 0.)
+            assert result.memoized_scenarios > 0, f"{label}: some torn states must repeat"
+        reports = {
+            (r.checkpoint_id, r.scenario,
+             tuple((m.check, m.consequence, m.path, m.actual) for m in r.mismatches))
+            for r in result.bug_reports
+        }
+        assert reports == reference_reports, label
+    print_table("distinct states under the torn plan (mounted once each)", rows,
+                ("workload", "scenarios", "mounted", "memoized",
+                 "wall clock", "always-mount wall clock"))

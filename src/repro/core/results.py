@@ -68,6 +68,7 @@ class CampaignResult:
                 "report_groups": len(self.grouped_reports()),
                 "deduped_scenarios": self.deduped_scenarios,
                 "cross_deduped_scenarios": self.cross_deduped_scenarios,
+                "memoized_scenarios": self.memoized_scenarios,
                 "prefix_hits": self.prefix_hits,
                 "replay_hits": self.replay_hits,
             },
@@ -97,6 +98,7 @@ class CampaignResult:
                 "report_groups": len(self.grouped_reports()),
                 "deduped_scenarios": self.deduped_scenarios,
                 "cross_deduped_scenarios": self.cross_deduped_scenarios,
+                "memoized_scenarios": self.memoized_scenarios,
             },
         }
 
@@ -195,6 +197,17 @@ class CampaignResult:
         """Scenarios skipped because an earlier workload already tested them."""
         return sum(result.cross_deduped_scenarios for result in self.results)
 
+    @property
+    def scenarios_tested(self) -> int:
+        """Crash scenarios given a verdict (mounted or memoized)."""
+        return sum(result.scenarios_tested for result in self.results)
+
+    @property
+    def memoized_scenarios(self) -> int:
+        """Tested scenarios that took the verdict of a byte-identical state
+        of their checkpoint instead of a mount and check run of their own."""
+        return sum(result.memoized_scenarios for result in self.results)
+
     def recording_seconds_saved(self) -> float:
         """Recording-phase seconds prefix sharing avoided (summed over workers).
 
@@ -282,7 +295,9 @@ class CampaignResult:
             f"{self.prefix_ops_reused} ops and {self.prefix_writes_reused} writes reused, "
             f"{self.recording_seconds_saved():.2f}s saved; "
             f"dedup: {self.deduped_scenarios} within-workload + "
-            f"{self.cross_deduped_scenarios} cross-workload scenarios skipped"
+            f"{self.cross_deduped_scenarios} cross-workload scenarios skipped, "
+            f"{self.scenarios_tested - self.memoized_scenarios} crash states mounted + "
+            f"{self.memoized_scenarios} memoized of {self.scenarios_tested} tested"
         )
 
     def replay_summary(self) -> str:
@@ -305,7 +320,7 @@ class CampaignResult:
 
     def describe(self) -> str:
         lines = [self.summary()]
-        if self.prefix_hits or self.cross_deduped_scenarios:
+        if self.prefix_hits or self.cross_deduped_scenarios or self.memoized_scenarios:
             lines.append(self.recording_summary())
         if self.replay_hits:
             lines.append(self.replay_summary())

@@ -29,6 +29,7 @@ from .recorder import WorkloadProfile, WorkloadRecorder
 from .replayer import (
     CrashState,
     CrashStateGenerator,
+    CrashVerdict,
     SharedReplayCache,
     default_share_replay,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "WorkloadRecorder",
     "CrashState",
     "CrashStateGenerator",
+    "CrashVerdict",
     "SharedReplayCache",
     "default_share_replay",
     "CrashPlanner",

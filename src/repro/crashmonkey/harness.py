@@ -282,11 +282,20 @@ class CrashMonkey:
                 result.crash_state_overlay_bytes, crash_state.overlay_bytes
             )
 
-            check_start = time.perf_counter()
-            mismatches, check_timings = self.checker.check_timed(profile, crash_state)
-            result.check_seconds += time.perf_counter() - check_start
-            for name, seconds in check_timings.items():
-                result.check_timings[name] = result.check_timings.get(name, 0.0) + seconds
+            if crash_state.is_twin:
+                # Byte-identical to a state of this checkpoint already
+                # checked against the same oracle and tracker view: its
+                # verdict is this state's verdict.
+                mismatches = crash_state.verdict.mismatches
+                result.memoized_scenarios += 1
+            else:
+                check_start = time.perf_counter()
+                mismatches, check_timings = self.checker.check_timed(profile, crash_state)
+                result.check_seconds += time.perf_counter() - check_start
+                for name, seconds in check_timings.items():
+                    result.check_timings[name] = (
+                        result.check_timings.get(name, 0.0) + seconds)
+                crash_state.verdict.mismatches = mismatches
             result.scenarios_tested += 1
 
             if mismatches:

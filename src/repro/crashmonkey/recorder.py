@@ -38,12 +38,13 @@ requirement).
 from __future__ import annotations
 
 import io
-import os
 import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..envflags import env_default_on
+from ..errors import SpillMissError
 from ..fs.bugs import BugConfig
 from ..fs.registry import get_fs_class, models, resolve_fs_name
 from ..storage.block import DEFAULT_DEVICE_BLOCKS
@@ -139,9 +140,7 @@ def default_share_prefixes() -> bool:
     keep sharing on, so ``REPRO_NO_SHARE_PREFIXES=0`` does not silently
     disable it.
     """
-    return os.environ.get("REPRO_NO_SHARE_PREFIXES", "").strip().lower() in (
-        "", "0", "false", "no", "off",
-    )
+    return env_default_on("REPRO_NO_SHARE_PREFIXES")
 
 
 @dataclass
@@ -314,29 +313,38 @@ class WorkloadRecorder:
         start = time.perf_counter()
         prefix_keys = workload.prefix_keys()
         reused = self._longest_cached_prefix(prefix_keys)
-        if reused < 0:
+        node = None
+        if reused >= 0:
+            # Nodes past the divergence point belong to the previous
+            # workload's suffix; the spine is a single path, so they are
+            # dropped.
+            self._truncate_spine(reused + 1)
+            try:
+                node = self._fetch(self._spine[reused])
+            except SpillMissError:
+                # The node's spill file is gone or torn.  The spine is only a
+                # cache: record this workload from scratch, as on a cold one.
+                pass
+        if node is None:
             # Cold cache: build the root (mkfs base + mount) and freeze it.
             self._truncate_spine(0)
-            self._spine = [self._remember(self._make_root_node(prefix_keys[0], start))]
+            node = self._make_root_node(prefix_keys[0], start)
+            self._spine = [self._remember(node)]
             reused = 0
             shared = False
             seconds_saved = 0.0
+            reused_writes = 0
         else:
             shared = True
             seconds_saved = self._spine[reused].elapsed
+            reused_writes = self._spine[reused].write_requests
             self.prefix_hits += 1
             self.prefix_ops_reused += reused
-            self.prefix_seconds_saved += seconds_saved
-        # Nodes past the divergence point belong to the previous workload's
-        # suffix; the spine is a single path, so they are dropped.
-        self._truncate_spine(reused + 1)
-        slot = self._spine[reused]
-        base_elapsed = slot.elapsed
-        reused_writes = slot.write_requests if shared else 0
-        if shared:
             self.prefix_writes_reused += reused_writes
+            self.prefix_seconds_saved += seconds_saved
+        base_elapsed = self._spine[reused].elapsed
 
-        run = self._resume_from(self._fetch(slot))
+        run = self._resume_from(node)
 
         def on_persistence(op, index):
             checkpoint_id = run.recording_device.mark_checkpoint()

@@ -23,14 +23,14 @@ plan additionally explores crashes that lose bounded subsets of the in-flight
 from __future__ import annotations
 
 import hashlib
-import os
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.audit import audit_report
 from ..analysis.mechanisms import AnalysisCursor, MechanismReport
-from ..errors import HarnessError, UnmountableError
+from ..envflags import env_default_on
+from ..errors import HarnessError, SpillMissError, UnmountableError
 from ..fs import fsck
 from ..fs.registry import get_fs_class
 from ..storage.cow_device import CowDevice
@@ -40,6 +40,27 @@ from .crashplan import CrashPlanner, CrashScenario, CrossWorkloadCache, PrefixPl
 from .oracle import Oracle
 from .recorder import WorkloadProfile
 from .tracker import TrackerView
+
+if TYPE_CHECKING:
+    from .report import Mismatch
+
+
+@dataclass
+class CrashVerdict:
+    """What mounting and checking one distinct crash-state content concluded.
+
+    One verdict is shared by the state that was mounted (the representative)
+    and every later state of the same checkpoint whose device content is
+    byte-identical to it (its twins).  Recovery and every check read only
+    the device, the checkpoint's oracle and its tracker view, so equal
+    content at one checkpoint means an equal verdict by construction.
+    """
+
+    #: whether recovery mounted the representative
+    mountable: bool
+    #: the check pipeline's findings on the representative, filed by the
+    #: harness once it has checked it and read back for each twin
+    mismatches: Optional[List["Mismatch"]] = None
 
 
 @dataclass
@@ -60,9 +81,18 @@ class CrashState:
     mount_seconds: float = 0.0
     fsck_seconds: float = 0.0
     overlay_bytes: int = 0
+    #: verdict slot shared with the byte-identical states of this checkpoint
+    verdict: Optional[CrashVerdict] = None
+    #: True when an earlier state of this checkpoint with byte-identical
+    #: device content was already mounted: this state carries its own
+    #: scenario and device but was neither mounted nor fsck'ed, and the
+    #: representative's verdict stands for it
+    is_twin: bool = False
 
     @property
     def mountable(self) -> bool:
+        if self.is_twin:
+            return self.verdict.mountable
         return self.fs is not None
 
     @property
@@ -72,6 +102,12 @@ class CrashState:
 
     def describe(self) -> str:
         tag = "" if self.scenario_id == "prefix" else f" [{self.scenario_id}]"
+        if self.is_twin:
+            outcome = "mounted" if self.mountable else "UNMOUNTABLE"
+            return (
+                f"crash state @ {self.checkpoint_id}{tag}: byte-identical to an "
+                f"already-checked state of this checkpoint ({outcome})"
+            )
         if self.mountable:
             return (
                 f"crash state @ {self.checkpoint_id}{tag}: mounted, "
@@ -112,9 +148,7 @@ def default_share_replay() -> bool:
     keep sharing on, so ``REPRO_NO_SHARE_REPLAY=0`` does not silently
     disable it.
     """
-    return os.environ.get("REPRO_NO_SHARE_REPLAY", "").strip().lower() in (
-        "", "0", "false", "no", "off",
-    )
+    return env_default_on("REPRO_NO_SHARE_REPLAY")
 
 
 def _requests_match(a: IORequest, b: IORequest) -> bool:
@@ -304,7 +338,12 @@ class SharedReplayCache:
             while self._trail and self._trail[-1].index > shared:
                 self.spine_store.drop(self._trail.pop().key)
             if self._trail:
-                node = self._fetch(self._trail[-1])
+                try:
+                    node = self._fetch(self._trail[-1])
+                except SpillMissError:
+                    # Spill file gone or torn: the trail is only a cache, so
+                    # this build starts from scratch like a divergent stream.
+                    pass
         if node is None:
             for slot in self._trail:
                 self.spine_store.drop(slot.key)
@@ -494,6 +533,28 @@ def _tracker_view_digest(view: Optional[TrackerView]) -> str:
     renames = tuple((r.src, r.dst, r.ino, r.op_index) for r in view.renames)
     canonical = repr((files, dirs, renames))
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
+
+
+class _VerdictMemo:
+    """Verdicts of the distinct crash-state contents seen at one checkpoint.
+
+    Every scenario of a checkpoint derives from the same ``record.stable``
+    fork plus a subset of ``record.window``'s writes (the baseline is
+    ``stable`` plus all of them), so two scenario devices are byte-identical
+    iff the visible content of the window's written blocks is equal.  The
+    key is exactly that content — never the scenario's shape — and the memo
+    holds keys and verdicts only, never a device or a mounted fs.
+    """
+
+    def __init__(self, record: _CheckpointRecord):
+        self.blocks = sorted(
+            {request.block for request in record.window if request.is_write}
+        )
+        self.verdicts: Dict[Tuple[bytes, ...], CrashVerdict] = {}
+
+    def key(self, device: CowDevice) -> Tuple[bytes, ...]:
+        """Content of the window's blocks as ``device`` exposes them."""
+        return tuple([bytes(device.read_block(block)) for block in self.blocks])
 
 
 class CrashStateGenerator:
@@ -737,7 +798,11 @@ class CrashStateGenerator:
         return device
 
     def _construct(self, record: _CheckpointRecord,
-                   scenario: Optional[CrashScenario]) -> CrashState:
+                   scenario: Optional[CrashScenario],
+                   memo: Optional[_VerdictMemo] = None) -> CrashState:
+        """Build ``scenario``'s device and mount it — unless ``memo`` already
+        holds the verdict of a byte-identical device, in which case the state
+        comes back as that verdict's twin, unmounted.  The only mount site."""
         oracle = self.profile.oracles.get(record.checkpoint_id)
         crash_point = oracle.crash_point if oracle else f"checkpoint {record.checkpoint_id}"
 
@@ -751,6 +816,13 @@ class CrashStateGenerator:
             overlay_bytes=device.overlay_bytes(),
         )
         state.replay_seconds = time.perf_counter() - replay_start
+
+        if memo is not None:
+            key = memo.key(device)
+            known = memo.verdicts.get(key)
+            if known is not None:
+                state.verdict, state.is_twin = known, True
+                return state
 
         mount_start = time.perf_counter()
         fs = self.fs_class(device, self.profile.bugs)
@@ -767,6 +839,9 @@ class CrashStateGenerator:
                 state.fsck_report = report
                 state.fsck_recovered_fs = repaired_fs
                 state.fsck_seconds = time.perf_counter() - fsck_start
+        state.verdict = CrashVerdict(mountable=state.fs is not None)
+        if memo is not None:
+            memo.verdicts[key] = state.verdict
         return state
 
     # ------------------------------------------------------------------ public API
@@ -803,6 +878,15 @@ class CrashStateGenerator:
         adds new expectations necessarily changes the digest of its *later*
         checkpoints (new operations mean new recorded writes or a new oracle),
         so only byte-identical re-tests are ever skipped.
+
+        Within one checkpoint, scenarios whose devices are byte-identical
+        (a tear inside the zero padding of a short log entry equals the
+        baseline; two drops can equal each other) are mounted once: the
+        first is the representative, each repeat is yielded as its twin
+        (``is_twin``, own scenario/device/``overlay_bytes``, zero mount and
+        fsck seconds) sharing the representative's :class:`CrashVerdict`.
+        Twins are still yielded — they count as tested and report under
+        their own scenario id — so nothing downstream changes.
         """
         if checkpoint_ids is None:
             checkpoint_ids = self.profile.checkpoints()
@@ -831,8 +915,11 @@ class CrashStateGenerator:
                     1 for _ in self.planner.scenarios(checkpoint_id, record.window)
                 )
                 continue
+            # One memo per checkpoint, never wider: the oracle and tracker
+            # view the verdict depends on are per checkpoint.
+            memo = _VerdictMemo(record)
             for scenario in self.planner.scenarios(checkpoint_id, record.window):
-                yield self._construct(record, scenario)
+                yield self._construct(record, scenario, memo)
 
     def _first_cross_sighting(self, record: _CheckpointRecord,
                               checkpoint_id: int) -> bool:

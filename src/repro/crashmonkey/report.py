@@ -124,15 +124,6 @@ class Mismatch:
         )
 
 
-#: Legacy ordering used to pick the "primary" consequence of a report (most
-#: severe first).  Kept for backwards compatibility; :class:`Severity` is the
-#: public API and this tuple is derived from it.
-_SEVERITY = tuple(
-    severity.consequence for severity in sorted(Severity)
-    if severity is not Severity.HARNESS_ERROR
-)
-
-
 @dataclass
 class BugReport:
     """A crash-consistency violation found at one crash point of one workload."""
@@ -254,7 +245,8 @@ class CrashTestResult:
     #: were all skipped by cross-checkpoint dedup still counts as tested —
     #: its byte-identical states were checked at an earlier checkpoint)
     checkpoints_tested: int = 0
-    #: crash scenarios actually constructed and checked; equals
+    #: crash scenarios constructed and given a verdict (by a mount and a
+    #: check run, or by an identical state's — see ``memoized_scenarios``); equals
     #: ``checkpoints_tested`` under the prefix plan with dedup disabled,
     #: larger when a reordering plan enumerates several states per
     #: checkpoint, smaller when dedup skips repeat checkpoints
@@ -270,6 +262,13 @@ class CrashTestResult:
     #: scenarios_tested + deduped_scenarios + cross_deduped_scenarios is the
     #: full planner enumeration
     cross_deduped_scenarios: int = 0
+    #: tested scenarios whose crash state was byte-identical to an earlier
+    #: scenario of the same checkpoint and took that state's verdict instead
+    #: of a mount and a check run of their own (included in
+    #: ``scenarios_tested``: scenarios_tested - memoized_scenarios states
+    #: were actually mounted).  A function of the recorded stream and the
+    #: plan only, hence canonical.
+    memoized_scenarios: int = 0
     bug_reports: List[BugReport] = field(default_factory=list)
     #: timing breakdown in seconds: profile / replay / mount / fsck / check.
     #: ``replay_seconds`` covers only crash-state *construction* (the paper's
@@ -362,7 +361,7 @@ class CrashTestResult:
     #: extending the round-trip fails loudly instead of silently dropping it
     SCALAR_FIELDS: ClassVar[Tuple[str, ...]] = (
         "fs_type", "fs_model", "checkpoints_tested", "scenarios_tested",
-        "deduped_scenarios", "cross_deduped_scenarios",
+        "deduped_scenarios", "cross_deduped_scenarios", "memoized_scenarios",
         "profile_seconds", "replay_seconds", "mount_seconds", "fsck_seconds",
         "check_seconds", "replayed_write_requests",
         "recorded_requests", "recorded_bytes", "crash_state_overlay_bytes",

@@ -57,6 +57,9 @@ class ChunkStats:
     #: crash scenarios this chunk skipped via the worker's cross-workload
     #: dedup cache
     cross_deduped_scenarios: int = 0
+    #: tested scenarios of this chunk that took the verdict of a
+    #: byte-identical crash state of their checkpoint (no mount, no checks)
+    memoized_scenarios: int = 0
 
 
 @dataclass
@@ -86,6 +89,10 @@ class ChunkOutcome:
     def cross_deduped_scenarios(self) -> int:
         return sum(result.cross_deduped_scenarios for result in self.results)
 
+    @property
+    def memoized_scenarios(self) -> int:
+        return sum(result.memoized_scenarios for result in self.results)
+
     def stats(self) -> ChunkStats:
         """This outcome without its result payload."""
         return ChunkStats(
@@ -97,6 +104,7 @@ class ChunkOutcome:
             prefix_hits=self.prefix_hits,
             replay_hits=self.replay_hits,
             cross_deduped_scenarios=self.cross_deduped_scenarios,
+            memoized_scenarios=self.memoized_scenarios,
         )
 
 

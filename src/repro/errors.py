@@ -25,6 +25,15 @@ class InvalidBlockError(StorageError):
     """A read or write addressed a block outside the device."""
 
 
+class SpillMissError(StorageError):
+    """A spilled spine node is gone.
+
+    Its spill file could not be written (full disk) or did not read back
+    intact (truncated, torn, checksum mismatch).  Spines are caches: their
+    owners answer a miss by dropping the spine and rebuilding from scratch.
+    """
+
+
 class FileSystemError(ReproError):
     """Base class for POSIX-style errors raised by the simulated file systems.
 

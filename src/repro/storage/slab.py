@@ -23,9 +23,9 @@ everywhere; profiles and crash states are byte-for-byte identical either way
 
 from __future__ import annotations
 
-import os
 from typing import List
 
+from ..envflags import env_default_on
 from .block import BLOCK_SIZE
 
 #: First chunk holds this many blocks; each subsequent chunk doubles, up to
@@ -44,9 +44,7 @@ def slabs_enabled() -> bool:
     "unset" spellings (empty, ``0``, ``false``, ``no``, ``off``) keep slabs
     on, so ``REPRO_NO_SLABS=0`` does not silently disable them.
     """
-    return os.environ.get("REPRO_NO_SLABS", "").strip().lower() in (
-        "", "0", "false", "no", "off",
-    )
+    return env_default_on("REPRO_NO_SLABS")
 
 
 class BlockSlab:

@@ -23,12 +23,16 @@ as a standing invariant.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
+import struct
 import tempfile
+import zlib
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional
 
+from ..errors import SpillMissError
 from .block import materialize_payload
 
 #: Default resident budget: generous enough that seq-1/seq-2 campaigns never
@@ -39,6 +43,10 @@ DEFAULT_SPINE_MEMORY_BUDGET = 256 * 1024 * 1024
 #: Environment override for the default budget (integer bytes).  Explicit
 #: constructor arguments always win; the variable only moves the default.
 SPINE_BUDGET_ENV = "REPRO_SPINE_BUDGET"
+
+#: Spill-file frame: payload length and crc32, little-endian, then the
+#: pickled payload.  A short, torn or bit-flipped file fails one of the two.
+_FRAME = struct.Struct("<II")
 
 
 def default_spine_memory_budget() -> int:
@@ -86,7 +94,8 @@ def freeze_overlay(device) -> Dict[int, bytes]:
 
 
 class _Entry:
-    """One stored node: resident, spilled to ``path``, or both."""
+    """One stored node: resident, spilled to ``path``, both — or, after a
+    failed spill write or an unreadable spill file, neither (lost)."""
 
     __slots__ = ("kind", "nbytes", "node", "path")
 
@@ -139,6 +148,9 @@ class SpineStore:
         self.spilled_bytes = 0
         #: count of nodes read back from disk
         self.rehydrations = 0
+        #: count of nodes lost to a failed spill write or an unreadable
+        #: spill file (each surfaces as one :class:`SpillMissError`)
+        self.lost = 0
 
     # -- codecs --------------------------------------------------------------
 
@@ -179,10 +191,18 @@ class SpineStore:
         after rehydration, which may evict colder entries — or, under a
         zero/tiny budget, the entry just fetched; that is safe because the
         caller holds the returned reference and entries are immutable.
+
+        Raises :class:`SpillMissError` when the node was lost: its spill
+        write failed, or its spill file no longer reads back intact.
         """
         entry = self._entries[key]
         self._entries.move_to_end(key)
         if entry.node is None:
+            if entry.path is None:
+                raise SpillMissError(
+                    f"spine node {key} was lost (spill write failed or spill "
+                    "file unreadable)"
+                )
             node = self._rehydrate(entry)
             entry.node = node
             self.resident_bytes += entry.nbytes
@@ -201,10 +221,8 @@ class SpineStore:
         if entry.node is not None:
             self.resident_bytes -= entry.nbytes
         if entry.path is not None:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(entry.path)
-            except OSError:
-                pass
 
     def clear(self) -> None:
         """Drop every stored node (telemetry counters are preserved)."""
@@ -248,22 +266,58 @@ class SpineStore:
             self.peak_resident_bytes = self.resident_bytes
 
     def _evict(self, key: int, entry: _Entry) -> None:
+        """Release an entry's resident node, spilling it first if needed.
+
+        A failed spill write (full disk, vanished directory) loses the node
+        instead of raising: eviction runs in the middle of a recording or a
+        build, and a spine is a cache.  The loss surfaces as a
+        :class:`SpillMissError` from the next :meth:`get` of that key.
+        """
         if entry.path is None:
             freeze, _ = self._codecs[entry.kind]
-            payload = freeze(entry.node)
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            path = os.path.join(self._spill_root(), f"{self._prefix}-{key}.node")
-            with open(path, "wb") as handle:
-                handle.write(blob)
-            entry.path = path
-            self.spills += 1
-            self.spilled_bytes += len(blob)
+            blob = pickle.dumps(freeze(entry.node), protocol=pickle.HIGHEST_PROTOCOL)
+            try:
+                entry.path = self._write_spill_file(key, blob)
+            except OSError:
+                self.lost += 1
+            else:
+                self.spills += 1
+                self.spilled_bytes += len(blob)
         entry.node = None
         self.resident_bytes -= entry.nbytes
 
+    def _write_spill_file(self, key: int, blob: bytes) -> str:
+        """Write a framed blob so the final name only ever holds a whole file."""
+        path = os.path.join(self._spill_root(), f"{self._prefix}-{key}.node")
+        scratch = path + ".tmp"
+        try:
+            with open(scratch, "wb") as handle:
+                handle.write(_FRAME.pack(len(blob), zlib.crc32(blob)))
+                handle.write(blob)
+            os.replace(scratch, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                os.unlink(scratch)
+            raise
+        return path
+
     def _rehydrate(self, entry: _Entry) -> Any:
-        with open(entry.path, "rb") as handle:
-            payload = pickle.load(handle)
+        """Read a spilled node back, verifying the frame before unpickling."""
+        try:
+            with open(entry.path, "rb") as handle:
+                header = handle.read(_FRAME.size)
+                blob = handle.read()
+            length, crc = _FRAME.unpack(header)
+            if len(blob) != length or zlib.crc32(blob) != crc:
+                raise ValueError("length/crc mismatch")
+            payload = pickle.loads(blob)
+        except (OSError, EOFError, ValueError, struct.error,
+                pickle.UnpicklingError) as exc:
+            path, entry.path = entry.path, None
+            self.lost += 1
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+            raise SpillMissError(f"spill file {path} is unreadable: {exc}") from exc
         _, thaw = self._codecs[entry.kind]
         self.rehydrations += 1
         return thaw(payload)

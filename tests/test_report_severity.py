@@ -1,11 +1,25 @@
-"""Severity ordering: the public ``Severity`` API and the legacy ``_SEVERITY`` tuple."""
+"""Severity ordering: the public ``Severity`` API."""
 
 import pytest
 
 from repro.crashmonkey import BugReport, Mismatch, Severity
-from repro.crashmonkey.report import _SEVERITY, HARNESS_ERROR
+from repro.crashmonkey.report import HARNESS_ERROR
 from repro.fs import Consequence
 from repro.workload import parse_workload
+
+
+#: The paper's Table-1 consequence classes, most severe first — written out
+#: here so a reordering of the enum fails a test instead of moving silently.
+TABLE1_MOST_SEVERE_FIRST = (
+    Consequence.UNMOUNTABLE,
+    Consequence.DIR_UNREMOVABLE,
+    Consequence.ATOMICITY,
+    Consequence.FILE_MISSING,
+    Consequence.DATA_LOSS,
+    Consequence.WRONG_SIZE,
+    Consequence.CORRUPTION,
+    Consequence.DATA_INCONSISTENCY,
+)
 
 
 def _mismatch(consequence, path="p", check="read"):
@@ -31,14 +45,13 @@ class TestSeverityOrdering:
         assert ordered[1] == Consequence.UNMOUNTABLE
         assert ordered[-1] == Consequence.DATA_INCONSISTENCY
 
-    def test_severity_agrees_with_legacy_tuple(self):
-        """The old ``_SEVERITY`` tuple and the new API rank identically."""
-        assert list(_SEVERITY) == [
+    def test_severity_ranks_the_table1_classes_in_the_pinned_order(self):
+        assert [
             severity.consequence for severity in sorted(Severity)
             if severity is not Severity.HARNESS_ERROR
-        ]
-        for index, consequence in enumerate(_SEVERITY):
-            for later in _SEVERITY[index + 1:]:
+        ] == list(TABLE1_MOST_SEVERE_FIRST)
+        for index, consequence in enumerate(TABLE1_MOST_SEVERE_FIRST):
+            for later in TABLE1_MOST_SEVERE_FIRST[index + 1:]:
                 assert Severity.of(consequence) < Severity.of(later)
 
     def test_every_consequence_class_has_a_severity(self):
@@ -96,10 +109,9 @@ class TestBugReportPrimary:
         ])
         assert report.consequence == HARNESS_ERROR
 
-    def test_legacy_tuple_ordering_matches_primary_choice(self):
-        """Walking the legacy tuple and taking min() over Severity agree."""
-        mismatches = [_mismatch(consequence) for consequence in reversed(_SEVERITY)]
-        report = _report(mismatches)
-        found = {mismatch.consequence for mismatch in mismatches}
-        legacy_choice = next(c for c in _SEVERITY if c in found)
-        assert report.consequence == legacy_choice
+    def test_pinned_ordering_matches_primary_choice(self):
+        """Walking the pinned order and taking min() over Severity agree."""
+        for size in range(1, len(TABLE1_MOST_SEVERE_FIRST) + 1):
+            present = TABLE1_MOST_SEVERE_FIRST[-size:]
+            report = _report([_mismatch(consequence) for consequence in reversed(present)])
+            assert report.consequence == present[0]

@@ -198,3 +198,52 @@ def test_sample_stream_striding_the_generator_is_caught():
     findings = check(_trees(**{"ace/synthesizer.py": strided}))
     assert len(findings) == 1 and "sample_stream" in findings[0][2]
     assert findings[0][1] == 3
+
+
+def test_a_second_mount_site_in_crashmonkey_is_caught():
+    check = repro_lint.check_single_mount_site_and_twins_not_rechecked
+    rogue = (
+        "class CrashStateGenerator:\n"
+        "    def _construct(self, record, scenario, memo=None):\n"
+        "        fs = self.fs_class(device, bugs)\n"
+        "        fs.mount()\n"
+        "    def generate_unmemoized(self, record, scenario):\n"
+        "        fs = self.fs_class(device, bugs)\n"
+        "        fs.mount()\n"
+    )
+    findings = check(_trees(**{"crashmonkey/replayer.py": rogue}))
+    assert [f[1] for f in findings] == [6, 7]
+    assert all("_construct" in f[2] for f in findings)
+    # A same-named method of another class, or another file, is no mount site.
+    elsewhere = "class Helper:\n    def _construct(self, fs):\n        fs.mount()\n"
+    assert len(check(_trees(**{"crashmonkey/checker.py": elsewhere}))) == 1
+    assert len(check(_trees(**{"crashmonkey/replayer.py": elsewhere}))) == 1
+    # The recorder mounts the recording device, never a crash state; other
+    # packages (fs/fsck.py repairs by remounting) are out of scope.
+    assert check(_trees(**{"crashmonkey/recorder.py": elsewhere})) == []
+    assert check(_trees(**{"fs/fsck.py": elsewhere})) == []
+
+
+def test_harness_checking_a_twin_is_caught():
+    check = repro_lint.check_single_mount_site_and_twins_not_rechecked
+    loop = (
+        "def test_workload(self, workload):\n"
+        "    for crash_state in states:\n"
+        "        if crash_state.is_twin:\n"
+        "            mismatches = crash_state.verdict.mismatches\n"
+        "        else:\n"
+        "            mismatches, timings = self.checker.check_timed(profile, crash_state)\n"
+    )
+    assert check(_trees(**{"crashmonkey/harness.py": loop})) == []
+    negated = loop.replace("if crash_state.is_twin:", "if not crash_state.is_twin:")
+    findings = check(_trees(**{"crashmonkey/harness.py": negated}))
+    assert len(findings) == 1 and "is_twin" in findings[0][2] and findings[0][1] == 6
+    unguarded = (
+        "def test_workload(self, workload):\n"
+        "    for crash_state in states:\n"
+        "        mismatches, timings = self.checker.check_timed(profile, crash_state)\n"
+    )
+    assert len(check(_trees(**{"crashmonkey/harness.py": unguarded}))) == 1
+    on_the_twin_side = loop.replace("mismatches = crash_state.verdict.mismatches",
+                                    "self.checker.check_timed(profile, crash_state)")
+    assert [f[1] for f in check(_trees(**{"crashmonkey/harness.py": on_the_twin_side}))] == [4]

@@ -14,6 +14,9 @@ The guarantees this file pins, in the order the spill layer makes them:
   rehydrations of the same slot (the aliasing regression), and a cleared
   replay cache behaves exactly like a freshly built one (the stale-flags
   regression).
+* **Fault tolerance** — a truncated, torn or bit-flipped spill file and a
+  failed spill write (full disk) are one typed miss, which both spines
+  answer by rebuilding from scratch: identical results, never an exception.
 * **Durability** — a SIGKILLed spilling campaign resumes to canonically
   identical results whether its spill directory survived the crash or was
   deleted (spill files are session-scoped scratch, never durable state).
@@ -22,18 +25,22 @@ The guarantees this file pins, in the order the spill layer makes them:
   as an unbudgeted run.
 """
 
+import errno
 import os
 import signal
 import sys
+import zlib
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds, seq3_data_bounds
+from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds, seq3_data_bounds
 from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.engine import HarnessSpec, run_campaign
+from repro.errors import SpillMissError
 from repro.storage import BLOCK_SIZE, SpineStore, default_spine_memory_budget
+from repro.storage import spill as spill_module
 from repro.storage.spill import DEFAULT_SPINE_MEMORY_BUDGET, SPINE_BUDGET_ENV
 from repro.workload import parse_workload
 
@@ -229,6 +236,150 @@ def test_spilled_campaign_matches_across_backends():
         assert result.canonical_dict() == reference, f"budget,processes={key}"
     assert runs[(0, 1)].spine_spills > 0
     assert runs[(0, 1)].spine_peak_resident_bytes == 0
+
+
+# ------------------------------------------------------------------ fault tolerance
+
+
+def _truncate_half(path):
+    os.truncate(path, os.path.getsize(path) // 2)
+
+
+def _truncate_empty(path):
+    os.truncate(path, 0)
+
+
+def _flip_a_payload_bit(path):
+    with open(path, "r+b") as handle:
+        handle.seek(os.path.getsize(path) // 2)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0x40]))
+
+
+CORRUPTIONS = [_truncate_half, _truncate_empty, _flip_a_payload_bit, os.unlink]
+
+
+def _fail_spill_writes(monkeypatch, failing_calls):
+    """Make the spill module's n-th ``open(..., "wb")`` hit a full disk
+    mid-write (after the frame header, so a partial file exists)."""
+    calls = {"n": 0}
+
+    class _FullDisk:
+        def __init__(self, handle):
+            self._handle = handle
+            self._writes = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def write(self, data):
+            self._writes += 1
+            if self._writes > 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return self._handle.write(data)
+
+    def flaky_open(path, mode="r", *args, **kwargs):
+        handle = open(path, mode, *args, **kwargs)
+        if "w" in mode:
+            calls["n"] += 1
+            if calls["n"] in failing_calls:
+                return _FullDisk(handle)
+        return handle
+
+    monkeypatch.setattr(spill_module, "open", flaky_open, raising=False)
+    return calls
+
+
+class TestSpillFaults:
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    def test_unreadable_spill_file_is_one_typed_miss(self, tmp_path, corrupt):
+        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
+        key = store.put("plain", {"payload": "x" * 256}, 100)
+        (name,) = os.listdir(tmp_path)
+        corrupt(str(tmp_path / name))
+        with pytest.raises(SpillMissError):
+            store.get(key)
+        assert store.lost == 1 and store.rehydrations == 0
+        # The node stays lost (no retry against a file known to be bad), the
+        # bad file is gone, and dropping the key is still clean.
+        with pytest.raises(SpillMissError):
+            store.get(key)
+        assert os.listdir(tmp_path) == []
+        store.drop(key)
+        assert len(store) == 0 and store.resident_bytes == 0
+
+    def test_failed_spill_write_loses_the_node_without_raising(self, tmp_path,
+                                                              monkeypatch):
+        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
+        _fail_spill_writes(monkeypatch, failing_calls={1})
+        lost_key = store.put("plain", {"n": 1}, 100)  # must not raise
+        assert (store.lost, store.spills, store.spilled_bytes) == (1, 0, 0)
+        assert store.resident_bytes == 0, "the budget holds even when the disk is full"
+        assert os.listdir(tmp_path) == [], "no partial or scratch file is left behind"
+        with pytest.raises(SpillMissError):
+            store.get(lost_key)
+        # The disk recovers: later nodes spill and rehydrate normally.
+        kept_key = store.put("plain", {"n": 2}, 100)
+        assert store.get(kept_key) == {"n": 2}
+        assert (store.lost, store.spills) == (1, 1)
+
+    def test_spill_files_are_framed_and_written_whole(self, tmp_path):
+        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
+        store.put("plain", {"n": 1}, 100)
+        (name,) = os.listdir(tmp_path)
+        assert name.endswith(".node")
+        blob = (tmp_path / name).read_bytes()
+        length, crc = spill_module._FRAME.unpack(blob[:spill_module._FRAME.size])
+        assert length == len(blob) - spill_module._FRAME.size
+        assert crc == zlib.crc32(blob[spill_module._FRAME.size:])
+
+
+@pytest.mark.parametrize("corrupt", [_truncate_half, _flip_a_payload_bit],
+                         ids=lambda f: f.__name__)
+def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monkeypatch,
+                                                                  corrupt):
+    """A zero-budget seq-2 family survives its own medicine.
+
+    Between two siblings every spill file on disk is damaged (so the next
+    sibling's prefix node *and* replay-trail node are both unreadable), and
+    later one spill write of each spine hits a full disk.  Both spines must
+    answer by rebuilding from scratch: the results are canonically identical
+    to an unspilled run and nothing raises out of ``test_workload``.
+    """
+    family = list(AceSynthesizer(seq2_bounds()).stream(limit=36))
+    plain = CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="reorder")
+    reference = [plain.test_workload(w).canonical_dict() for w in family]
+    assert any(r["bug_reports"] for r in reference)
+
+    spill_dir = tmp_path / "spill"
+    faulty = CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="reorder",
+                         share_prefixes=True, share_replay=True,
+                         spine_memory_budget=0, spine_spill_dir=str(spill_dir))
+    store = faulty.spine_store
+    results = []
+    for position, workload in enumerate(family):
+        if position == 12:
+            damaged = sorted(os.listdir(spill_dir))
+            assert damaged and all(name.endswith(".node") for name in damaged)
+            for name in damaged:
+                corrupt(str(spill_dir / name))
+        if position == 24:
+            writes = _fail_spill_writes(monkeypatch, failing_calls={1, 2, 5})
+        results.append(faulty.test_workload(workload))
+
+    assert [r.canonical_dict() for r in results] == reference
+    assert writes["n"] > 5, "the injected write faults must have been reached"
+    # Both fault kinds were hit, on both spines: the damaged files cost one
+    # recorder miss and one replay miss, the failed writes at least one more.
+    assert store.lost >= 3
+    assert not results[12].prefix_shared and not results[12].replay_shared
+    # ... and the caches recover: siblings after a miss share prefixes again.
+    assert results[13].prefix_shared and results[-1].prefix_shared
+    assert not [name for name in os.listdir(spill_dir) if name.endswith(".tmp")]
 
 
 # ------------------------------------------------------------------ cache regressions

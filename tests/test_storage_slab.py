@@ -19,7 +19,6 @@ from repro.storage import (
     IORequest,
     iter_until_checkpoint,
     pad_block,
-    slabs_enabled,
     split_at_checkpoint,
 )
 from repro.storage.slab import MAX_CHUNK_BLOCKS, MIN_CHUNK_BLOCKS
@@ -81,16 +80,6 @@ class TestBlockSlab:
         slab = BlockSlab()
         assert slab.filled_bytes() == 0
         assert slab.allocated_bytes() == 0
-
-
-def test_slabs_enabled_env_gate(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_SLABS", raising=False)
-    assert slabs_enabled()
-    for benign in ("", "0", "false", "no", "off"):
-        monkeypatch.setenv("REPRO_NO_SLABS", benign)
-        assert slabs_enabled(), benign
-    monkeypatch.setenv("REPRO_NO_SLABS", "1")
-    assert not slabs_enabled()
 
 
 # --------------------------------------------------------------------------- pad_block

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Seven invariants, each protecting a guarantee a past change was built on:
+Eight invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -52,6 +52,16 @@ Seven invariants, each protecting a guarantee a past change was built on:
    ``generate()`` and silently move every pinned sample.  And
    ``AceSynthesizer.sample_stream`` must not call ``self.generate(``: the
    index exists so that a sample costs O(sample), not O(space).
+
+8. **One mount site, and twins are never re-checked.**  Within
+   ``crashmonkey/`` a crash-state device is mounted (``fs_class(...)`` /
+   ``.mount()``) only inside ``CrashStateGenerator._construct`` — the one
+   place that consults the per-checkpoint verdict memo first, so a second
+   mount site would silently re-pay for states already known equal.
+   (``recorder.py`` mounts the live *recording* device while profiling,
+   never a crash state, and is exempt.)  And ``harness.py`` may call
+   ``check_timed`` only on the not-a-twin side of an ``is_twin`` test: a
+   twin has no mounted fs, its verdict is its representative's.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -432,6 +442,68 @@ def check_ace_index_reuses_phase4_and_sampling_unranks(
     return findings
 
 
+# ------------------------------------- rule 8: one mount site, twins not re-checked
+
+
+#: where crash states are mounted: (file, class, method)
+MOUNT_SITE = ("replayer.py", "CrashStateGenerator", "_construct")
+
+
+def _mentions_is_twin(node: ast.AST) -> bool:
+    return any(isinstance(sub, ast.Attribute) and sub.attr == "is_twin"
+               for sub in ast.walk(node))
+
+
+def _guarded_against_twins(call: ast.Call, parents: Dict[ast.AST, ast.AST]) -> bool:
+    """Whether ``call`` sits on the not-a-twin side of an ``is_twin`` test."""
+    child: ast.AST = call
+    while child in parents:
+        parent = parents[child]
+        if isinstance(parent, ast.If) and _mentions_is_twin(parent.test):
+            negated = isinstance(parent.test, ast.UnaryOp) and isinstance(parent.test.op, ast.Not)
+            on_twin_side = child in parent.orelse if negated else child in parent.body
+            if child is not parent.test and not on_twin_side:
+                return True
+        child = parent
+    return False
+
+
+def check_single_mount_site_and_twins_not_rechecked(
+        trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        if SRC_ROOT / "crashmonkey" not in path.parents or path.name == "recorder.py":
+            continue
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        parents = {child: parent for parent in ast.walk(tree)
+                   for child in ast.iter_child_nodes(parent)}
+        allowed: Set[ast.AST] = set()
+        if path.name == MOUNT_SITE[0]:
+            for cls in ast.walk(tree):
+                if isinstance(cls, ast.ClassDef) and cls.name == MOUNT_SITE[1]:
+                    for func in cls.body:
+                        if isinstance(func, ast.FunctionDef) and func.name == MOUNT_SITE[2]:
+                            allowed = set(ast.walk(func))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node)[1]
+            if name in ("mount", "fs_class") and node not in allowed:
+                findings.append(Finding(
+                    relative, node.lineno,
+                    f"`{name}(...)` outside CrashStateGenerator._construct — crash "
+                    "states are mounted in one place, behind the verdict memo",
+                ))
+            elif (name == "check_timed" and path.name == "harness.py"
+                    and not _guarded_against_twins(node, parents)):
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "harness calls check_timed without an `is_twin` guard — a twin "
+                    "has no mounted fs; it takes its representative's verdict",
+                ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -452,6 +524,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_analysis_does_not_import_harness(trees))
     findings.extend(check_spill_never_references_slab_chunks(trees))
     findings.extend(check_ace_index_reuses_phase4_and_sampling_unranks(trees))
+    findings.extend(check_single_mount_site_and_twins_not_rechecked(trees))
     return findings
 
 
