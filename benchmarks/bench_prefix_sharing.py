@@ -13,6 +13,12 @@ This benchmark measures a seq-2 ACE sibling family and asserts:
   cost lever), with every sibling's io_log byte-for-byte identical,
 * fresh writes are sublinear in sibling count: the family's shared prefix is
   paid once, not once per sibling,
+* told each sibling's successor, the recorder freezes at most one spine node
+  per executed operation — and far fewer than freeze-every-depth recording —
+  without losing a single prefix hit,
+* a sibling family inherits verdicts: the crash states of the shared
+  prefix's persistence points are mounted and checked by the first sibling
+  that reaches them, not by every one,
 * cross-workload dedup on top skips the repeat crash states the shared
   prefix re-reaches, with constructed + skipped == the full enumeration.
 
@@ -47,10 +53,12 @@ def _seq2_family():
     raise AssertionError("no seq-2 link family of the expected size found")
 
 
-def _record_family(family, share_prefixes):
+def _record_family(family, share_prefixes, lookahead=False):
     recorder = WorkloadRecorder("logfs", device_blocks=BENCH_DEVICE_BLOCKS,
                                 share_prefixes=share_prefixes)
-    profiles = [recorder.profile(workload) for workload in family]
+    successors = family[1:] + [None] if lookahead else [None] * len(family)
+    profiles = [recorder.profile(workload, upcoming=upcoming)
+                for workload, upcoming in zip(family, successors)]
     fresh = sum(profile.fresh_write_requests for profile in profiles)
     return recorder, profiles, fresh
 
@@ -111,6 +119,58 @@ def test_fresh_writes_are_sublinear_in_sibling_count():
     )
     assert reductions == sorted(reductions), "reduction must grow with family size"
     assert reductions[-1] > reductions[0], "sharing must amortize across siblings"
+
+
+def test_lookahead_freezes_no_more_than_it_executes_and_keeps_every_hit():
+    family = _seq2_family()
+    every_depth, eager_profiles, _ = _record_family(family, True)
+    lookahead, profiles, _ = _record_family(family, True, lookahead=True)
+    executed = sum(len(workload.ops) - profile.prefix_ops_reused
+                   for workload, profile in zip(family, profiles))
+    print_table(
+        f"one-workload lookahead over the family ({len(family)} siblings)",
+        [
+            ("operations executed", executed),
+            ("spine freezes (every depth)", every_depth.spine_freezes),
+            ("spine freezes (lookahead)", lookahead.spine_freezes),
+            ("prefix hits", f"{lookahead.prefix_hits}/{len(family)}"),
+            ("ops reused", lookahead.prefix_ops_reused),
+        ],
+        headers=("metric", "value"),
+    )
+    for told, untold in zip(profiles, eager_profiles):
+        assert told.io_log == untold.io_log, told.workload.display_name()
+    assert lookahead.spine_freezes <= executed
+    assert lookahead.spine_freezes < every_depth.spine_freezes
+    assert (lookahead.prefix_hits, lookahead.prefix_ops_reused, lookahead.prefix_writes_reused) \
+        == (every_depth.prefix_hits, every_depth.prefix_ops_reused,
+            every_depth.prefix_writes_reused)
+
+
+def test_a_sibling_family_inherits_verdicts():
+    family = _seq2_family()
+    harness = CrashMonkey("logfs", device_blocks=BENCH_DEVICE_BLOCKS)
+    results = harness.test_workloads(family)
+    tested = sum(result.scenarios_tested for result in results)
+    inherited = sum(result.inherited_verdicts for result in results)
+    memoized = sum(result.memoized_scenarios for result in results)
+    print_table(
+        "inherited verdicts over the family",
+        [
+            ("crash states tested", tested),
+            ("mounted + checked", tested - inherited - memoized),
+            ("inherited from an earlier sibling", inherited),
+            ("share inherited", f"{inherited / tested:.0%}"),
+        ],
+        headers=("metric", "value"),
+    )
+    assert inherited >= 1, "siblings re-reach the shared prefix's persistence points"
+    # Inheritance changes who mounts a state, never what is reported.
+    reference = CrashMonkey("logfs", device_blocks=BENCH_DEVICE_BLOCKS, share_replay=False)
+    expected = reference.test_workloads(family)
+    assert [result.canonical_dict() for result in results] \
+        == [result.canonical_dict() for result in expected]
+    assert sum(result.inherited_verdicts for result in expected) == 0
 
 
 def test_cross_workload_dedup_skips_repeat_states_of_the_family():

@@ -69,6 +69,7 @@ class CampaignResult:
                 "deduped_scenarios": self.deduped_scenarios,
                 "cross_deduped_scenarios": self.cross_deduped_scenarios,
                 "memoized_scenarios": self.memoized_scenarios,
+                "inherited_verdicts": self.inherited_verdicts,
                 "prefix_hits": self.prefix_hits,
                 "replay_hits": self.replay_hits,
             },
@@ -199,7 +200,7 @@ class CampaignResult:
 
     @property
     def scenarios_tested(self) -> int:
-        """Crash scenarios given a verdict (mounted or memoized)."""
+        """Crash scenarios given a verdict (mounted, memoized or inherited)."""
         return sum(result.scenarios_tested for result in self.results)
 
     @property
@@ -207,6 +208,18 @@ class CampaignResult:
         """Tested scenarios that took the verdict of a byte-identical state
         of their checkpoint instead of a mount and check run of their own."""
         return sum(result.memoized_scenarios for result in self.results)
+
+    @property
+    def inherited_verdicts(self) -> int:
+        """Tested scenarios that took the verdict an earlier workload filed
+        for the same state of a shared checkpoint record (session telemetry:
+        it depends on which workloads shared a harness and a replay trail)."""
+        return sum(result.inherited_verdicts for result in self.results)
+
+    @property
+    def mounted_scenarios(self) -> int:
+        """Tested scenarios that were really mounted and checked."""
+        return self.scenarios_tested - self.memoized_scenarios - self.inherited_verdicts
 
     def recording_seconds_saved(self) -> float:
         """Recording-phase seconds prefix sharing avoided (summed over workers).
@@ -296,7 +309,8 @@ class CampaignResult:
             f"{self.recording_seconds_saved():.2f}s saved; "
             f"dedup: {self.deduped_scenarios} within-workload + "
             f"{self.cross_deduped_scenarios} cross-workload scenarios skipped, "
-            f"{self.scenarios_tested - self.memoized_scenarios} crash states mounted + "
+            f"{self.mounted_scenarios} crash states mounted + "
+            f"{self.inherited_verdicts} inherited + "
             f"{self.memoized_scenarios} memoized of {self.scenarios_tested} tested"
         )
 

@@ -15,6 +15,7 @@ POSIX-ish API and the block-device write stream.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import replace
 from typing import Iterable, Iterator, List, Optional, Sequence
@@ -231,8 +232,15 @@ class CrashMonkey:
         self.last_mechanism_report = report
         return report
 
-    def test_workload(self, workload: Workload) -> CrashTestResult:
-        """Run the full record → replay → check pipeline on one workload."""
+    def test_workload(self, workload: Workload,
+                      upcoming: Optional[Workload] = None) -> CrashTestResult:
+        """Run the full record → replay → check pipeline on one workload.
+
+        ``upcoming`` is the workload tested next, when the caller knows it
+        (:meth:`test_stream` does); the recorder uses it to freeze only the
+        prefix snapshots that workload can resume from.  Results do not
+        depend on it.
+        """
         workload.validate()
         result = CrashTestResult(
             workload=workload, fs_type=self.fs_name, fs_model=self.fs_model
@@ -242,7 +250,7 @@ class CrashMonkey:
         spilled_bytes_before = store.spilled_bytes
         rehydrations_before = store.rehydrations
 
-        profile = self.recorder.profile(workload)
+        profile = self.recorder.profile(workload, upcoming=upcoming)
         result.profile_seconds = profile.profile_seconds
         result.recorded_requests = len(profile.io_log)
         result.recorded_bytes = profile.recorded_bytes
@@ -287,7 +295,10 @@ class CrashMonkey:
                 # checked against the same oracle and tracker view: its
                 # verdict is this state's verdict.
                 mismatches = crash_state.verdict.mismatches
-                result.memoized_scenarios += 1
+                if crash_state.inherited:
+                    result.inherited_verdicts += 1
+                else:
+                    result.memoized_scenarios += 1
             else:
                 check_start = time.perf_counter()
                 mismatches, check_timings = self.checker.check_timed(profile, crash_state)
@@ -362,9 +373,15 @@ class CrashMonkey:
         profile run copies the recorder's pristine image (the re-mkfs step),
         so no state leaks between workloads.  This is what the execution
         engine's long-lived per-worker harnesses rely on.
+
+        The stream is read one workload ahead: each workload is tested
+        knowing its successor, which is what lets the recorder skip the
+        prefix snapshots the successor would drop unread.
         """
-        for workload in workloads:
-            yield self.test_workload(workload)
+        current, ahead = itertools.tee(workloads)
+        next(ahead, None)
+        for workload, upcoming in itertools.zip_longest(current, ahead):
+            yield self.test_workload(workload, upcoming=upcoming)
 
     def test_workloads(self, workloads) -> List[CrashTestResult]:
         """Test a batch of workloads, returning one result per workload."""

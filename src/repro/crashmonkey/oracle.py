@@ -1,12 +1,12 @@
 """Oracles.
 
-At each persistence point CrashMonkey captures a reference image — the
-*oracle* — by safely unmounting the file system, so it records the state the
-file system would reach if every in-memory change so far were durably
-persisted.  For the simulated file systems, the logical state of the mounted
-file system at that moment is exactly that reference, so the oracle is a
-snapshot of ``fs.logical_state()`` (plus the inode → paths index the checker
-uses to follow renames).
+At each persistence point the profiler captures a reference — the *oracle*:
+the state the file system would reach if every in-memory change so far were
+durably persisted.  The paper's CrashMonkey gets it from a safe unmount; for
+the simulated file systems the logical state of the mounted file system at
+that moment is exactly that reference, so the oracle is a snapshot of
+``fs.logical_state()`` (plus the inode → paths index the checker uses to
+follow renames) and the recording run is never unmounted.
 """
 
 from __future__ import annotations

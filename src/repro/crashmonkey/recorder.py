@@ -16,13 +16,12 @@ Prefix-shared recording
 ACE's B3 bound emits huge *sibling families*: workloads that differ only in
 their last operation or persistence point.  Re-running mkfs and every shared
 prefix operation per sibling makes the recording phase quadratic in the
-family size, so the recorder keeps a **workload trie spine**: after every
-operation of the most recently profiled workload it freezes a
-:class:`_PrefixNode` — an O(1) chained-overlay :class:`CowDevice` fork plus a
-serialized snapshot of the in-memory file-system, tracker and recording
-state.  The
-next workload resumes from the deepest node on its longest shared prefix and
-records only its own suffix.  The resulting ``io_log`` (and oracles, tracker
+family size, so the recorder keeps a **workload trie spine**: after an
+operation of the workload being profiled it freezes a :class:`_PrefixNode` —
+an O(1) chained-overlay :class:`CowDevice` fork plus a serialized snapshot of
+the in-memory file-system, tracker and recording state.  The next workload
+resumes from the deepest node on its longest shared prefix and records only
+its own suffix.  The resulting ``io_log`` (and oracles, tracker
 views, checkpoints) is byte-for-byte identical to from-scratch recording —
 execution is deterministic and the frozen state *is* the state the from-
 scratch run would have reached — the shared prefix writes are just performed
@@ -33,6 +32,12 @@ path through the trie is enough to record every shared prefix exactly once
 for a prefix-ordered stream; an out-of-order stream merely falls back to
 recording from scratch (the cache is an optimization, never a correctness
 requirement).
+
+A caller that knows the *upcoming* workload (``CrashMonkey.test_stream``
+peeks one ahead) passes it to :meth:`WorkloadRecorder.profile`; nodes are
+then frozen only along the operation prefix the two workloads share — the
+only nodes the upcoming workload's resume does not drop unread.  Without
+that knowledge every depth is frozen.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import io
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..envflags import env_default_on
 from ..errors import SpillMissError
@@ -196,6 +201,15 @@ class _SpineSlot:
     key: int
 
 
+def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
+    """Number of leading operations two ``prefix_keys()`` tuples agree on."""
+    depth = 0
+    limit = min(len(keys), len(other)) - 1
+    while depth < limit and keys[depth + 1] == other[depth + 1]:
+        depth += 1
+    return depth
+
+
 class _LiveRun:
     """The mutable state of one in-progress recording run."""
 
@@ -265,6 +279,8 @@ class WorkloadRecorder:
         self.prefix_writes_reused = 0
         #: recording seconds saved by resuming instead of re-running prefixes
         self.prefix_seconds_saved = 0.0
+        #: spine nodes frozen (roots included) across all profiles
+        self.spine_freezes = 0
 
     def _make_pristine_image(self) -> BlockDevice:
         device = BlockDevice(self.device_blocks, name=f"{self.fs_name}-pristine")
@@ -273,10 +289,17 @@ class WorkloadRecorder:
 
     # ------------------------------------------------------------------ public API
 
-    def profile(self, workload: Workload) -> WorkloadProfile:
-        """Run ``workload`` once, recording I/O, oracles, and persisted sets."""
+    def profile(self, workload: Workload,
+                upcoming: Optional[Workload] = None) -> WorkloadProfile:
+        """Run ``workload`` once, recording I/O, oracles, and persisted sets.
+
+        ``upcoming`` is the workload the caller will profile next, when it
+        knows: the spine then keeps only the nodes that workload can resume
+        from.  It never changes the returned profile, and a wrong guess
+        costs the next profile its cache hit, nothing else.
+        """
         if self.share_prefixes:
-            return self._profile_shared(workload)
+            return self._profile_shared(workload, upcoming)
         return self._profile_from_scratch(workload)
 
     def clear_prefix_cache(self) -> None:
@@ -309,9 +332,14 @@ class WorkloadRecorder:
 
     # ------------------------------------------------------------------ prefix shared
 
-    def _profile_shared(self, workload: Workload) -> WorkloadProfile:
+    def _profile_shared(self, workload: Workload,
+                        upcoming: Optional[Workload]) -> WorkloadProfile:
         start = time.perf_counter()
         prefix_keys = workload.prefix_keys()
+        # Deepest node worth freezing: the upcoming workload's resume keeps
+        # the spine up to its shared prefix with this one and drops the rest.
+        keep_depth = (len(workload.ops) if upcoming is None
+                      else _shared_depth(prefix_keys, upcoming.prefix_keys()))
         reused = self._longest_cached_prefix(prefix_keys)
         node = None
         if reused >= 0:
@@ -365,11 +393,12 @@ class WorkloadRecorder:
         def after_operation(op, index):
             nonlocal exec_seconds
             exec_seconds += time.perf_counter() - op_start
-            self._spine.append(self._remember(
-                self._freeze(run, depth=index + 1, op=op,
-                             prefix_key=prefix_keys[index + 1],
-                             elapsed=base_elapsed + exec_seconds)
-            ))
+            if index < keep_depth:
+                self._spine.append(self._remember(
+                    self._freeze(run, depth=index + 1, op=op,
+                                 prefix_key=prefix_keys[index + 1],
+                                 elapsed=base_elapsed + exec_seconds)
+                ))
 
         run.executor.run(workload, on_persistence=on_persistence,
                          before_operation=before_operation,
@@ -387,11 +416,7 @@ class WorkloadRecorder:
         """
         if not self._spine:
             return -1
-        depth = 0
-        limit = min(len(prefix_keys), len(self._spine)) - 1
-        while depth < limit and self._spine[depth + 1].prefix_key == prefix_keys[depth + 1]:
-            depth += 1
-        return depth
+        return _shared_depth(prefix_keys, [slot.prefix_key for slot in self._spine])
 
     # ------------------------------------------------------------------ spine spill
 
@@ -403,6 +428,7 @@ class WorkloadRecorder:
             + sum(request.size_bytes() for request in node.log)
         )
         key = self.spine_store.put("prefix", node, nbytes)
+        self.spine_freezes += 1
         return _SpineSlot(prefix_key=node.prefix_key,
                           write_requests=node.write_requests,
                           elapsed=node.elapsed, key=key)
@@ -522,11 +548,9 @@ class WorkloadRecorder:
     def _finish(self, run: _LiveRun, workload: Workload, base_image: BlockDevice,
                 start: float, *, reused_ops: int, reused_writes: int,
                 seconds_saved: float, shared: bool) -> WorkloadProfile:
-        # Stop recording before the safe unmount: the unmount's I/O is not part
-        # of any crash state (every crash point precedes it).
-        run.recording_device.pause()
-        if run.fs.mounted:
-            run.fs.unmount(safe=True)
+        # The run's fork is simply dropped, still mounted: every crash point
+        # precedes the end of the workload, so nothing an unmount would write
+        # could reach a crash state.
         return WorkloadProfile(
             workload=workload,
             fs_name=self.fs_name,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..analysis.audit import audit_report
@@ -51,15 +51,18 @@ class CrashVerdict:
 
     One verdict is shared by the state that was mounted (the representative)
     and every later state of the same checkpoint whose device content is
-    byte-identical to it (its twins).  Recovery and every check read only
-    the device, the checkpoint's oracle and its tracker view, so equal
-    content at one checkpoint means an equal verdict by construction.
+    byte-identical to it (its twins) — later in the same workload's pass, or
+    in the pass of a sibling workload that shares the checkpoint record and
+    its expectation objects.  Recovery and every check read only the device,
+    the checkpoint's oracle and its tracker view, so equal content at one
+    checkpoint means an equal verdict by construction.
     """
 
     #: whether recovery mounted the representative
     mountable: bool
     #: the check pipeline's findings on the representative, filed by the
-    #: harness once it has checked it and read back for each twin
+    #: harness once it has checked it and read back for each twin.  ``None``
+    #: until filed: such a verdict is never handed to another workload
     mismatches: Optional[List["Mismatch"]] = None
 
 
@@ -88,6 +91,10 @@ class CrashState:
     #: scenario and device but was neither mounted nor fsck'ed, and the
     #: representative's verdict stands for it
     is_twin: bool = False
+    #: twin whose representative was mounted and checked by an *earlier
+    #: workload* sharing this checkpoint's record (how often that happens
+    #: depends on what the replay trail still holds: session telemetry)
+    inherited: bool = False
 
     @property
     def mountable(self) -> bool:
@@ -117,6 +124,49 @@ class CrashState:
         return f"crash state @ {self.checkpoint_id}{tag}: UNMOUNTABLE ({detail})"
 
 
+class _VerdictMemo:
+    """Verdicts of the distinct crash-state contents seen at one checkpoint.
+
+    Every scenario of a checkpoint derives from the same ``record.stable``
+    fork plus a subset of ``record.window``'s writes (the baseline is
+    ``stable`` plus all of them), so two scenario devices are byte-identical
+    iff the visible content of the window's written blocks is equal.  The
+    key is exactly that content — never the scenario's shape — and the memo
+    holds keys and verdicts only, never a device or a mounted fs.
+
+    The memo lives on its :class:`_CheckpointRecord`, so it is shared by
+    exactly the workloads that share the record: siblings resuming the
+    replay trail.  A verdict also depends on the checkpoint's oracle and
+    tracker view, so the memo remembers the two *objects* it was filled
+    under and starts over when handed any others (:meth:`verdicts_under`);
+    prefix-shared recording gives siblings the same objects, and anything
+    that rebuilt them — a spilled spine node, from-scratch recording —
+    gives new ones.
+    """
+
+    def __init__(self, window: Tuple[IORequest, ...]):
+        self.blocks = sorted({request.block for request in window if request.is_write})
+        self._oracle: Optional[Oracle] = None
+        self._view: Optional[TrackerView] = None
+        self._verdicts: Dict[Tuple[bytes, ...], CrashVerdict] = {}
+
+    def key(self, device: CowDevice) -> Tuple[bytes, ...]:
+        """Content of the window's blocks as ``device`` exposes them."""
+        return tuple([bytes(device.read_block(block)) for block in self.blocks])
+
+    def verdicts_under(self, oracle: Optional[Oracle], view: Optional[TrackerView]
+                       ) -> Dict[Tuple[bytes, ...], CrashVerdict]:
+        """The verdicts filed under exactly these expectation objects.
+
+        Other expectations get a new, empty table rather than a cleared one:
+        a pass still filing into the table it was handed cannot leak a
+        verdict to a workload holding different expectations.
+        """
+        if oracle is not self._oracle or view is not self._view:
+            self._oracle, self._view, self._verdicts = oracle, view, {}
+        return self._verdicts
+
+
 @dataclass(frozen=True)
 class _CheckpointRecord:
     """Forks and in-flight window captured at one checkpoint marker."""
@@ -134,6 +184,12 @@ class _CheckpointRecord:
     #: any planner can reach at this checkpoint.  None when no cross-workload
     #: cache is attached (the digest is only needed for its keys).
     state_digest: Optional[str] = None
+    #: verdicts of this checkpoint's crash states; born and dropped with the
+    #: record, so a record rebuilt after a spill or a trail miss starts empty
+    memo: _VerdictMemo = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "memo", _VerdictMemo(self.window))
 
 
 def default_share_replay() -> bool:
@@ -535,28 +591,6 @@ def _tracker_view_digest(view: Optional[TrackerView]) -> str:
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
 
 
-class _VerdictMemo:
-    """Verdicts of the distinct crash-state contents seen at one checkpoint.
-
-    Every scenario of a checkpoint derives from the same ``record.stable``
-    fork plus a subset of ``record.window``'s writes (the baseline is
-    ``stable`` plus all of them), so two scenario devices are byte-identical
-    iff the visible content of the window's written blocks is equal.  The
-    key is exactly that content — never the scenario's shape — and the memo
-    holds keys and verdicts only, never a device or a mounted fs.
-    """
-
-    def __init__(self, record: _CheckpointRecord):
-        self.blocks = sorted(
-            {request.block for request in record.window if request.is_write}
-        )
-        self.verdicts: Dict[Tuple[bytes, ...], CrashVerdict] = {}
-
-    def key(self, device: CowDevice) -> Tuple[bytes, ...]:
-        """Content of the window's blocks as ``device`` exposes them."""
-        return tuple([bytes(device.read_block(block)) for block in self.blocks])
-
-
 class CrashStateGenerator:
     """Builds and mounts crash states from a workload profile."""
 
@@ -799,10 +833,18 @@ class CrashStateGenerator:
 
     def _construct(self, record: _CheckpointRecord,
                    scenario: Optional[CrashScenario],
-                   memo: Optional[_VerdictMemo] = None) -> CrashState:
-        """Build ``scenario``'s device and mount it — unless ``memo`` already
-        holds the verdict of a byte-identical device, in which case the state
-        comes back as that verdict's twin, unmounted.  The only mount site."""
+                   fresh: Optional[set] = None) -> CrashState:
+        """Build ``scenario``'s device and mount it — unless ``record.memo``
+        already holds the verdict of a byte-identical device, in which case
+        the state comes back as that verdict's twin, unmounted.  The only
+        mount site.
+
+        ``fresh`` is the calling pass's set of content keys it has already
+        given a verdict (``None`` = always mount).  A key in it is a state of
+        this pass; a memo entry outside it was left by an earlier workload
+        and is taken only once its findings are filed — a representative
+        nobody checked is mounted and checked again, never trusted.
+        """
         oracle = self.profile.oracles.get(record.checkpoint_id)
         crash_point = oracle.crash_point if oracle else f"checkpoint {record.checkpoint_id}"
 
@@ -817,11 +859,15 @@ class CrashStateGenerator:
         )
         state.replay_seconds = time.perf_counter() - replay_start
 
-        if memo is not None:
-            key = memo.key(device)
-            known = memo.verdicts.get(key)
-            if known is not None:
+        if fresh is not None:
+            verdicts = record.memo.verdicts_under(
+                oracle, self.profile.tracker_views.get(record.checkpoint_id))
+            key = record.memo.key(device)
+            known = verdicts.get(key)
+            if known is not None and (key in fresh or known.mismatches is not None):
                 state.verdict, state.is_twin = known, True
+                state.inherited = key not in fresh
+                fresh.add(key)
                 return state
 
         mount_start = time.perf_counter()
@@ -840,8 +886,9 @@ class CrashStateGenerator:
                 state.fsck_recovered_fs = repaired_fs
                 state.fsck_seconds = time.perf_counter() - fsck_start
         state.verdict = CrashVerdict(mountable=state.fs is not None)
-        if memo is not None:
-            memo.verdicts[key] = state.verdict
+        if fresh is not None:
+            verdicts[key] = state.verdict
+            fresh.add(key)
         return state
 
     # ------------------------------------------------------------------ public API
@@ -887,6 +934,12 @@ class CrashStateGenerator:
         fsck seconds) sharing the representative's :class:`CrashVerdict`.
         Twins are still yielded — they count as tested and report under
         their own scenario id — so nothing downstream changes.
+
+        The verdicts are kept on the checkpoint record, so a sibling
+        workload that resumed the replay trail and re-reaches the same
+        record under the same oracle and tracker view objects gets its
+        states back as twins too (``inherited``) — provided the earlier
+        workload's consumer filed what it found.
         """
         if checkpoint_ids is None:
             checkpoint_ids = self.profile.checkpoints()
@@ -915,11 +968,9 @@ class CrashStateGenerator:
                     1 for _ in self.planner.scenarios(checkpoint_id, record.window)
                 )
                 continue
-            # One memo per checkpoint, never wider: the oracle and tracker
-            # view the verdict depends on are per checkpoint.
-            memo = _VerdictMemo(record)
+            fresh: set = set()
             for scenario in self.planner.scenarios(checkpoint_id, record.window):
-                yield self._construct(record, scenario, memo)
+                yield self._construct(record, scenario, fresh)
 
     def _first_cross_sighting(self, record: _CheckpointRecord,
                               checkpoint_id: int) -> bool:

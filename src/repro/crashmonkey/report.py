@@ -246,7 +246,8 @@ class CrashTestResult:
     #: its byte-identical states were checked at an earlier checkpoint)
     checkpoints_tested: int = 0
     #: crash scenarios constructed and given a verdict (by a mount and a
-    #: check run, or by an identical state's — see ``memoized_scenarios``); equals
+    #: check run, or by an identical state's — see ``memoized_scenarios`` and
+    #: ``inherited_verdicts``); equals
     #: ``checkpoints_tested`` under the prefix plan with dedup disabled,
     #: larger when a reordering plan enumerates several states per
     #: checkpoint, smaller when dedup skips repeat checkpoints
@@ -263,12 +264,19 @@ class CrashTestResult:
     #: full planner enumeration
     cross_deduped_scenarios: int = 0
     #: tested scenarios whose crash state was byte-identical to an earlier
-    #: scenario of the same checkpoint and took that state's verdict instead
-    #: of a mount and a check run of their own (included in
-    #: ``scenarios_tested``: scenarios_tested - memoized_scenarios states
-    #: were actually mounted).  A function of the recorded stream and the
-    #: plan only, hence canonical.
+    #: scenario of the same checkpoint *in this workload's own pass* and
+    #: took that state's verdict instead of a mount and a check run of
+    #: their own (included in ``scenarios_tested``).  A function of the
+    #: recorded stream and the plan only, hence canonical.
     memoized_scenarios: int = 0
+    #: tested scenarios that took the verdict an *earlier workload* filed
+    #: for the byte-identical state of the same checkpoint record, under
+    #: the same oracle and tracker view objects (included in
+    #: ``scenarios_tested``: scenarios_tested - memoized_scenarios -
+    #: inherited_verdicts states were actually mounted).  Depends on what
+    #: the replay trail still held (spill budget, chunk -> worker
+    #: assignment), hence session telemetry.
+    inherited_verdicts: int = 0
     bug_reports: List[BugReport] = field(default_factory=list)
     #: timing breakdown in seconds: profile / replay / mount / fsck / check.
     #: ``replay_seconds`` covers only crash-state *construction* (the paper's
@@ -362,6 +370,7 @@ class CrashTestResult:
     SCALAR_FIELDS: ClassVar[Tuple[str, ...]] = (
         "fs_type", "fs_model", "checkpoints_tested", "scenarios_tested",
         "deduped_scenarios", "cross_deduped_scenarios", "memoized_scenarios",
+        "inherited_verdicts",
         "profile_seconds", "replay_seconds", "mount_seconds", "fsck_seconds",
         "check_seconds", "replayed_write_requests",
         "recorded_requests", "recorded_bytes", "crash_state_overlay_bytes",
@@ -388,6 +397,7 @@ class CrashTestResult:
         "prefix_shared", "prefix_ops_reused", "prefix_writes_reused",
         "prefix_seconds_saved",
         "replay_shared", "replay_writes_reused", "replay_seconds_saved",
+        "inherited_verdicts",
         "spine_resident_bytes", "spine_peak_resident_bytes",
         "spine_spilled_bytes", "spine_spills", "spine_rehydrations",
     )

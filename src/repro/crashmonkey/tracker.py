@@ -16,10 +16,9 @@ persisted *at that point*.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..fs.inode import FileState
@@ -132,10 +131,15 @@ class PersistenceTracker:
                 self._track_msync_range(path, int(op.args[1]), int(op.args[2]), checkpoint_id)
             else:
                 self._track_path(path, checkpoint_id, datasync=True)
+        # Tracking mutates the live records in place, so the view takes its
+        # own copy of each record and of the two containers a record holds
+        # (every other field is immutable).
         self._views[checkpoint_id] = TrackerView(
             checkpoint_id=checkpoint_id,
-            files=copy.deepcopy(self._files),
-            dirs=copy.deepcopy(self._dirs),
+            files={ino: replace(record, persisted_paths=set(record.persisted_paths))
+                   for ino, record in self._files.items()},
+            dirs={ino: replace(record, children=dict(record.children))
+                  for ino, record in self._dirs.items()},
             renames=list(self._renames),
         )
 

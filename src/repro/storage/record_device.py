@@ -159,7 +159,8 @@ class RecordingDevice:
         ``counts[i]`` is the number of writes between marker ``i`` and its
         predecessor (or the start of the log for the first marker).  Zero
         counts are kept.  Writes after the last marker belong to no
-        persistence point (e.g. the paused unmount) and are never counted;
+        persistence point (operations after the last persistence op) and
+        are never counted;
         previously a *non-empty* tail was appended as a phantom interval
         while an empty one was silently dropped.
 

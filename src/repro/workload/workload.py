@@ -18,21 +18,43 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
 from .operations import Operation
 
 
-def _hash_operation(hasher, op: Operation) -> None:
-    """Feed one operation's canonical JSON into an incremental digest.
+#: canonical payload per operation, keyed on the ``repr`` of its fields.
+#: ``repr`` rather than the operation itself: ``1``, ``1.0`` and ``True``
+#: compare (and hash) equal but serialize to different JSON, so ``==``-equal
+#: operations must not share an entry.  ACE draws every workload from a few
+#: hundred distinct operations, so sibling families hit this on every op.
+_OPERATION_PAYLOADS: Dict[str, bytes] = {}
+#: entries kept before the memo starts over (bounds a process fed arbitrary
+#: hand-written workloads; an ACE campaign stays far below it)
+_OPERATION_PAYLOAD_LIMIT = 1 << 14
 
-    A length-prefixed separator keeps operation boundaries unambiguous, so
+
+def _operation_payload(op: Operation) -> bytes:
+    """One operation's canonical JSON, length-framed, serialized once.
+
+    The length prefix keeps operation boundaries unambiguous, so
     concatenations that merely *render* the same can never collide.
     """
-    payload = json.dumps(op.to_json(), sort_keys=True).encode("utf-8")
-    hasher.update(f"{len(payload)}:".encode("ascii"))
-    hasher.update(payload)
+    key = repr((op.op, op.args, op.kwargs, op.dependency))
+    payload = _OPERATION_PAYLOADS.get(key)
+    if payload is None:
+        body = json.dumps(op.to_json(), sort_keys=True).encode("utf-8")
+        payload = f"{len(body)}:".encode("ascii") + body
+        if len(_OPERATION_PAYLOADS) >= _OPERATION_PAYLOAD_LIMIT:
+            _OPERATION_PAYLOADS.clear()
+        _OPERATION_PAYLOADS[key] = payload
+    return payload
+
+
+def _hash_operation(hasher, op: Operation) -> None:
+    """Feed one operation's framed canonical JSON into an incremental digest."""
+    hasher.update(_operation_payload(op))
 
 
 @dataclass

@@ -122,3 +122,44 @@ class TestRenameObservation:
     def test_view_for_unknown_checkpoint_is_empty(self, tracker):
         view = tracker.view_at(42)
         assert view.files == {} and view.dirs == {} and view.renames == []
+
+
+class TestViewsAreFrozen:
+    def test_mutating_the_live_tracker_never_changes_a_taken_view(self, fs, tracker):
+        """A view owns its records: every in-place update tracking makes
+        afterwards (paths added, entries rebound, renames appended, fields
+        reassigned) leaves it exactly as it was captured."""
+        import copy
+
+        fs.mkdir("A")
+        fs.creat("A/foo")
+        fs.write("A/foo", 0, b"x" * 100)
+        fs.setxattr("A/foo", "user.attr1", b"v1")
+        fs.symlink("A/foo", "A/sym")
+        fs.sync()
+        tracker.on_persistence(ops.sync(), 0, 1)
+        view = tracker.view_at(1)
+        captured = copy.deepcopy(view)
+        assert view.files and view.dirs
+
+        # Same inodes, new names / sizes / entries / xattrs, then a rename.
+        fs.link("A/foo", "A/bar")
+        fs.write("A/foo", 100, b"y" * 50)
+        fs.setxattr("A/foo", "user.attr1", b"v2")
+        fs.creat("A/new")
+        tracker.before_operation(ops.rename("A/new", "A/newer"), 5)
+        fs.rename("A/new", "A/newer")
+        fs.msync("A/foo", 0, 150)
+        tracker.on_persistence(ops.msync("A/foo", 0, 150), 6, 2)
+        fs.sync()
+        tracker.on_persistence(ops.sync(), 7, 3)
+        assert tracker.view_at(3) != captured, "the live tracker did move on"
+
+        assert view == captured
+        # Not even the containers are shared with the live records.
+        for ino, record in view.files.items():
+            assert record is not tracker._files[ino]
+            assert record.persisted_paths is not tracker._files[ino].persisted_paths
+        for ino, record in view.dirs.items():
+            assert record is not tracker._dirs[ino]
+            assert record.children is not tracker._dirs[ino].children

@@ -318,8 +318,8 @@ class TestCorruptStreamIsNeverAPass:
                               crash_plan=crash_plan)
         real_profile = harness.recorder.profile
 
-        def truncated(workload):
-            profile = real_profile(workload)
+        def truncated(workload, upcoming=None):
+            profile = real_profile(workload, upcoming=upcoming)
             # Drop the tail of the recording: the last persistence point's
             # marker never made it into the stream, but the oracle for it
             # exists — an internally inconsistent recording.

@@ -16,13 +16,15 @@ Covers the three guarantees the subsystem makes:
 
 import pytest
 
-from repro.ace import AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds
+from repro.ace import (AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds,
+                       seq2_bounds)
 from repro.core import B3Campaign, CampaignConfig
 from repro.crashmonkey import CrashMonkey, CrossWorkloadCache, WorkloadRecorder
 from repro.engine import HarnessSpec, chunked_affine, run_campaign
 from repro.fs import BugConfig
 from repro.workload import parse_workload
-from repro.workload.operations import creat, write
+from repro.workload.operations import creat, sync, write
+from repro.workload.workload import Workload
 
 from conftest import SMALL_DEVICE_BLOCKS
 
@@ -125,6 +127,84 @@ def test_shared_profiles_are_independent_of_each_other():
     shared.profile(parse_workload(SIBLING_B, name="B"))
     assert first.io_log == log_before
     assert first.oracles == oracles_before
+
+
+# --------------------------------------------------------------------------- lookahead
+
+ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
+
+
+def _seq2_run():
+    """A contiguous run of the seq-2 space: a few whole sibling families."""
+    return list(AceSynthesizer(seq2_bounds()).stream(limit=150))
+
+
+def _upcoming(kind, workload, true_next):
+    """What the caller claims comes next: right, wrong, or nothing."""
+    if kind == "next":
+        return true_next
+    if kind == "unrelated":
+        return parse_workload("mkdir lookahead-unrelated\nsync", name="unrelated")
+    if kind == "extension":
+        return Workload(ops=list(workload.ops) + [creat("lookahead-extension"), sync()],
+                        name="extension")
+    return None
+
+
+@pytest.mark.parametrize("kind", ["next", "unrelated", "extension", "none"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_no_lookahead_can_change_a_profile(fs_name, kind):
+    """Whatever ``upcoming`` claims, the profile is the from-scratch one."""
+    shared, scratch = _recorders(fs_name)
+    workloads = list(AceSynthesizer(seq1_bounds()).stream())
+    if fs_name == "logfs":
+        workloads += _seq2_run()
+    for workload, true_next in zip(workloads, workloads[1:] + [None]):
+        _assert_profiles_equal(
+            shared.profile(workload, upcoming=_upcoming(kind, workload, true_next)),
+            scratch.profile(workload),
+            context=f"{fs_name} {kind} {workload.display_name()}",
+        )
+    if kind != "unrelated":
+        assert shared.prefix_hits > len(workloads) // 2
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_true_lookahead_keeps_every_hit_and_freezes_less(fs_name):
+    """Told the real next workload, the spine drops only nodes nobody reads:
+    every profile reuses exactly what freeze-every-depth recording reuses."""
+    every_depth, _ = _recorders(fs_name)
+    lookahead, _ = _recorders(fs_name)
+    workloads = list(AceSynthesizer(seq1_bounds()).stream()) + _seq2_run()
+    for workload, true_next in zip(workloads, workloads[1:] + [None]):
+        told = lookahead.profile(workload, upcoming=true_next)
+        untold = every_depth.profile(workload)
+        assert ((told.prefix_shared, told.prefix_ops_reused, told.prefix_writes_reused)
+                == (untold.prefix_shared, untold.prefix_ops_reused,
+                    untold.prefix_writes_reused)), workload.display_name()
+    assert lookahead.prefix_hits == every_depth.prefix_hits == len(workloads) - 1
+    executed = sum(len(w.ops) for w in workloads) - every_depth.prefix_ops_reused
+    assert every_depth.spine_freezes == executed + 1   # one per executed op + the root
+    assert lookahead.spine_freezes < every_depth.spine_freezes // 2
+
+
+def test_test_stream_hands_each_workload_its_successor(monkeypatch):
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS)
+    workloads = _seq2_run()[:12]
+    seen = []
+    real_profile = harness.recorder.profile
+
+    def spying(workload, upcoming=None):
+        seen.append((workload, upcoming))
+        return real_profile(workload, upcoming=upcoming)
+
+    monkeypatch.setattr(harness.recorder, "profile", spying)
+    results = list(harness.test_stream(iter(workloads)))
+    assert [r.workload for r in results] == workloads
+    assert seen == list(zip(workloads, workloads[1:] + [None]))
+    # A direct call knows no successor.
+    harness.test_workload(workloads[0])
+    assert seen[-1] == (workloads[0], None)
 
 
 # --------------------------------------------------------------------------- campaign parity
@@ -297,7 +377,6 @@ class TestInvalidWorkloadSurfacing:
     def test_adapt_all_counts_and_records_drops(self):
         adapter = CrashMonkeyAdapter()
         good = parse_workload("creat foo\nfsync foo", name="good")
-        from repro.workload.workload import Workload
         bad = Workload(ops=[creat("x")], name="bad")  # no persistence point
         assert adapter.adapt_all([good, bad, good]) == [good, good]
         assert adapter.invalid_workloads == 1
@@ -305,7 +384,6 @@ class TestInvalidWorkloadSurfacing:
         assert "persistence" in adapter.dropped[0][1]
 
     def test_campaign_surfaces_dropped_workloads(self):
-        from repro.workload.workload import Workload
         good = parse_workload("creat foo\nfsync foo", name="good")
         bad = Workload(ops=[creat("x"), write("x", 0, 10)], name="bad")
         config = CampaignConfig(fs_name="btrfs", bugs=BugConfig.none(),

@@ -166,6 +166,23 @@ def test_session_field_outside_scalar_fields_is_caught():
     assert "`b` is not in SCALAR_FIELDS" in findings[0][2]
 
 
+def test_residency_dependent_counter_outside_session_fields_is_caught():
+    source = (
+        "class CrashTestResult:\n"
+        "    SCALAR_FIELDS = ('memoized_scenarios', 'inherited_verdicts')\n"
+        "    SESSION_FIELDS = ()\n"
+        "    memoized_scenarios: int = 0\n"
+        "    inherited_verdicts: int = 0\n"
+    )
+    findings = repro_lint.check_result_fields_are_accounted(
+        _trees(**{"crashmonkey/report.py": source}))
+    assert len(findings) == 1
+    assert "`inherited_verdicts`" in findings[0][2] and "SESSION_FIELDS" in findings[0][2]
+    fixed = source.replace("SESSION_FIELDS = ()", "SESSION_FIELDS = ('inherited_verdicts',)")
+    assert repro_lint.check_result_fields_are_accounted(
+        _trees(**{"crashmonkey/report.py": fixed})) == []
+
+
 def test_index_building_a_workload_without_phase4_is_caught():
     check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
     hand_rolled = (
@@ -204,7 +221,7 @@ def test_a_second_mount_site_in_crashmonkey_is_caught():
     check = repro_lint.check_single_mount_site_and_twins_not_rechecked
     rogue = (
         "class CrashStateGenerator:\n"
-        "    def _construct(self, record, scenario, memo=None):\n"
+        "    def _construct(self, record, scenario, fresh=None):\n"
         "        fs = self.fs_class(device, bugs)\n"
         "        fs.mount()\n"
         "    def generate_unmemoized(self, record, scenario):\n"

@@ -11,13 +11,18 @@ file pins:
   such mode in ``src/``) reports, apart from the new counter.
 * **The key is content, exactly** — key equality iff the two scenario
   devices are ``content_equal`` (Hypothesis, random windows and scenarios).
-* **Accounting** — ``mounted + memoized == scenarios_tested`` per workload
-  and per campaign; nothing is memoized under the prefix plan.
+* **Accounting** — ``mounted + memoized + inherited == scenarios_tested``
+  per workload and per campaign; nothing is memoized under the prefix plan.
 * **Scope** — a verdict never crosses a checkpoint boundary.
 * **Unmountable twins** — report UNMOUNTABLE under their own scenario id
   while fsck runs once.
 * **Schedules** — serial, process-pool and SIGKILL-resumed durable
   campaigns agree on the counter.
+* **Inheritance** — the memo lives on the checkpoint record, so a sibling
+  that shares the record *and* the oracle / tracker view objects takes the
+  verdicts the earlier workload filed: same reports as a harness that cannot
+  inherit, a rebuilt oracle or view forces a recompute, an unfiled verdict
+  is never taken, and the count is session telemetry, not a canonical field.
 """
 
 import functools
@@ -31,7 +36,7 @@ from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey import CrashMonkey, CrashStateGenerator
 from repro.crashmonkey.crashplan import CrashScenario
-from repro.crashmonkey.replayer import _CheckpointRecord, _VerdictMemo
+from repro.crashmonkey.replayer import _CheckpointRecord
 from repro.crashmonkey.report import BugReport, CrashTestResult
 from repro.fs import fsck
 from repro.fs.bugs import BugConfig, Consequence
@@ -49,6 +54,12 @@ MULTI_STATE_PLANS = ["reorder", "torn", "mechanism"]
 #: baseline and every tear inside the in-flight log entries' zero padding
 #: are byte-identical, unmountable states
 UNMOUNTABLE_WORKLOAD = "creat foo\ncreat bar\nfsync foo\nrename bar foo\nfsync foo"
+
+
+#: the inheritance tests assert that verdicts *are* inherited, which needs
+#: both spines on and resident whatever the environment's defaults say (the
+#: CI lanes flip them: REPRO_NO_SHARE_*, REPRO_SPINE_BUDGET)
+SHARING = dict(share_prefixes=True, share_replay=True, spine_memory_budget=1 << 28)
 
 
 def _without_counter(canonical: dict) -> dict:
@@ -173,7 +184,7 @@ def test_key_equality_iff_scenario_devices_are_content_equal(data):
     record = _CheckpointRecord(checkpoint_id=1, baseline=baseline.snapshot(),
                                stable=stable.snapshot(), window=window)
     generator = _device_builder()
-    memo = _VerdictMemo(record)
+    memo = record.memo
     devices = [generator._scenario_device(record, scenario) for scenario in (first, second)]
     keys = [memo.key(device) for device in devices]
     assert (keys[0] == keys[1]) == devices[0].content_equal(devices[1])
@@ -185,32 +196,38 @@ def test_key_equality_iff_scenario_devices_are_content_equal(data):
 # --------------------------------------------------------------- (3) accounting
 
 
+@pytest.mark.parametrize("sample", [True, False], ids=["sampled", "contiguous"])
 @pytest.mark.parametrize("plan", ["prefix"] + MULTI_STATE_PLANS)
-def test_mounted_plus_memoized_is_scenarios_tested(plan, monkeypatch):
+def test_mounted_plus_memoized_plus_inherited_is_scenarios_tested(plan, sample, monkeypatch):
     mounts = []
     original = CrashStateGenerator._construct
 
-    def counting(self, record, scenario, memo=None):
-        state = original(self, record, scenario, memo)
+    def counting(self, record, scenario, fresh=None):
+        state = original(self, record, scenario, fresh)
         mounts.append(not state.is_twin)
         return state
 
     monkeypatch.setattr(CrashStateGenerator, "_construct", counting)
-    workloads = list(AceSynthesizer(seq2_bounds()).stream(limit=40, sample=True))
+    workloads = list(AceSynthesizer(seq2_bounds()).stream(limit=40, sample=sample))
     campaign = B3Campaign(CampaignConfig(fs_name="flashfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                                         crash_plan=plan))
+                                         crash_plan=plan, **SHARING))
     result = campaign.run(workloads=workloads)
     per_workload = 0
     for outcome in result.results:
         assert 0 <= outcome.memoized_scenarios <= outcome.scenarios_tested
+        assert 0 <= outcome.inherited_verdicts <= outcome.scenarios_tested
         per_workload += outcome.memoized_scenarios
     assert result.memoized_scenarios == per_workload
     assert result.scenarios_tested == len(mounts)
-    assert sum(mounts) + result.memoized_scenarios == result.scenarios_tested
+    assert (sum(mounts) + result.memoized_scenarios + result.inherited_verdicts
+            == result.scenarios_tested)
+    assert result.mounted_scenarios == sum(mounts)
     assert result.canonical_dict()["derived"]["memoized_scenarios"] == per_workload
+    if not sample:
+        assert result.inherited_verdicts > 0, "adjacent siblings re-reach shared checkpoints"
     if plan == "prefix":
         assert result.memoized_scenarios == 0, "one state per checkpoint: nothing repeats"
-    else:
+    elif sample:
         assert result.memoized_scenarios > 0
         assert f"{result.memoized_scenarios} memoized of {result.scenarios_tested} tested" \
             in result.describe()
@@ -311,3 +328,137 @@ def test_serial_pool_and_resumed_durable_campaigns_agree_on_the_counter(tmp_path
         assert result.memoized_scenarios == serial.memoized_scenarios, name
         assert sorted(r.memoized_scenarios for r in result.results) == sorted(per_workload), name
         assert result.canonical_dict() == serial.canonical_dict(), name
+
+
+# --------------------------------------------------------------- (7) inheritance across siblings
+
+#: three siblings sharing "creat foo; write; fsync foo" — checkpoint 1 is one
+#: record, one oracle and one tracker view for all of them
+SIBLINGS = [
+    "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar",
+    "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz",
+    "creat foo\nwrite foo 0 8192\nfsync foo\nrename foo qux\nsync",
+]
+
+
+def _report_dicts(results):
+    return [[report.to_dict() for report in result.bug_reports] for result in results]
+
+
+@pytest.mark.parametrize("plan", ["prefix", "torn"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_reports_equal_those_of_a_harness_that_cannot_inherit(fs_name, plan):
+    """Without a replay trail no two workloads ever share a record, so
+    ``share_replay=False`` is the no-inheritance reference."""
+    workloads = list(AceSynthesizer(seq1_bounds()).stream())
+    if fs_name == "logfs":
+        workloads += list(AceSynthesizer(seq2_bounds()).stream(limit=150))
+    inheriting = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
+                             **SHARING)
+    reference = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
+                            share_replay=False)
+    results = inheriting.test_workloads(workloads)
+    expected = reference.test_workloads(workloads)
+    assert _report_dicts(results) == _report_dicts(expected)
+    assert [r.canonical_dict() for r in results] == [r.canonical_dict() for r in expected]
+    assert sum(r.inherited_verdicts for r in expected) == 0
+    if fs_name == "logfs":
+        assert sum(r.inherited_verdicts for r in results) > 0
+        assert any(r.inherited_verdicts and r.bug_reports for r in results), \
+            "the comparison must cover an inherited failing state"
+
+
+def _checked_pass(harness, text, name, *, file_verdicts=True, rebuild=None):
+    """One workload's states through a generator on the harness's own trail,
+    optionally without filing what the checker found, optionally with
+    checkpoint 1's oracle / tracker view swapped for an equal new object."""
+    profile = harness.recorder.profile(parse_workload(text, name=name))
+    if rebuild == "oracle":
+        profile.oracles[1] = replace(profile.oracles[1])
+    elif rebuild == "view":
+        profile.tracker_views[1] = replace(profile.tracker_views[1])
+    generator = CrashStateGenerator(profile, planner=harness.planner,
+                                    replay_cache=harness.replay_cache)
+    states = []
+    for state in generator.generate_scenarios():
+        if file_verdicts and not state.is_twin:
+            state.verdict.mismatches = harness.checker.check(profile, state)
+        states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("plan", ["prefix", "torn"])
+def test_a_sibling_inherits_exactly_the_shared_checkpoints_filed_verdicts(plan):
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
+                          **SHARING)
+    first = _checked_pass(harness, SIBLINGS[0], "a")
+    assert not any(state.inherited for state in first)
+    second = _checked_pass(harness, SIBLINGS[1], "b")
+    shared = [state for state in second if state.checkpoint_id == 1]
+    own = [state for state in second if state.checkpoint_id == 2]
+    assert shared and own
+    assert all(state.is_twin for state in shared)
+    assert any(state.inherited for state in shared)
+    assert not any(state.inherited for state in own), "checkpoint 2 is b's own record"
+    # Only the first state of each distinct content is inherited; its repeats
+    # within b's pass are b's own twins, exactly as without inheritance.
+    seen = set()
+    for state, reference in zip(shared, [s for s in first if s.checkpoint_id == 1]):
+        assert state.scenario_id == reference.scenario_id
+        assert state.verdict is reference.verdict
+        assert state.inherited == (id(state.verdict) not in seen)
+        seen.add(id(state.verdict))
+
+
+@pytest.mark.parametrize("rebuild", ["oracle", "view"])
+def test_a_rebuilt_oracle_or_view_forces_a_recompute(rebuild):
+    """Equal content is not enough: a thawed spine node hands the sibling new
+    expectation objects, and the memo is only trusted under the identical
+    ones it was filled under."""
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, **SHARING)
+    _checked_pass(harness, SIBLINGS[0], "a")
+    second = _checked_pass(harness, SIBLINGS[1], "b", rebuild=rebuild)
+    assert second[0].checkpoint_id == 1
+    assert not second[0].is_twin and second[0].mount_seconds > 0
+    # The recompute refilled the memo under b's objects: c, which holds the
+    # originals again, must not see b's verdicts either.
+    third = _checked_pass(harness, SIBLINGS[2], "c")
+    assert not third[0].is_twin
+
+
+def test_an_unfiled_verdict_is_mounted_again_never_inherited():
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn",
+                          **SHARING)
+    unchecked = _checked_pass(harness, SIBLINGS[0], "a", file_verdicts=False)
+    assert any(state.is_twin for state in unchecked), "twins within a pass need no filing"
+    second = _checked_pass(harness, SIBLINGS[1], "b")
+    assert not any(state.inherited for state in second)
+    assert not second[0].is_twin and second[0].mount_seconds > 0
+    assert all(state.verdict.mismatches is not None for state in second)
+    third = _checked_pass(harness, SIBLINGS[2], "c")
+    assert third[0].inherited and third[0].verdict is second[0].verdict
+
+
+def test_inherited_verdicts_are_session_telemetry_across_schedules(tmp_path):
+    """Serial, pooled and zero-budget (every spine node spilled, so every
+    oracle and record is rebuilt) campaigns inherit different amounts and
+    agree on everything canonical."""
+    config = CampaignConfig(fs_name="logfs", device_blocks=SMALL_DEVICE_BLOCKS,
+                            bounds=seq2_bounds(), max_workloads=120, chunk_size=8, **SHARING)
+    serial = B3Campaign(config).run()
+    pooled = B3Campaign(replace(config, processes=2)).run()
+    spilled = B3Campaign(replace(config, spine_memory_budget=0,
+                                 spine_spill_dir=str(tmp_path / "spill"))).run()
+    assert serial.inherited_verdicts > 0
+    assert spilled.spine_rehydrations > 0
+    assert spilled.inherited_verdicts < serial.inherited_verdicts
+    for name, result in (("pool", pooled), ("spilled", spilled)):
+        assert result.canonical_dict() == serial.canonical_dict(), name
+        assert _report_dicts(result.results) == _report_dicts(serial.results), name
+    assert "inherited_verdicts" in CrashTestResult.SESSION_FIELDS
+    assert "inherited_verdicts" not in serial.results[0].canonical_dict()
+    assert "inherited_verdicts" not in serial.canonical_dict()["derived"]
+    for result in serial.results:
+        mounted = result.scenarios_tested - result.memoized_scenarios - result.inherited_verdicts
+        assert mounted >= 0
+    assert f"{serial.inherited_verdicts} inherited" in serial.describe()

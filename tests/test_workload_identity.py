@@ -114,3 +114,29 @@ def test_family_key_ignores_persistence_placement(ops):
         spread.append(Operation(OpKind.FSYNC, ("foo",)))
     with_persistence = Workload(ops=spread + [Operation(OpKind.SYNC, ())])
     assert with_persistence.family_key() == Workload(ops=core).family_key()
+
+
+def test_equal_but_json_distinct_operations_never_share_a_key():
+    """``1``, ``1.0`` and ``True`` compare and hash equal, so the operations
+    do too — but they serialize differently, and the per-operation payload
+    memo must key them apart in whichever order they are first seen."""
+    import hashlib
+    import json
+
+    variants = [Operation(OpKind.TRUNCATE, ("foo", size)) for size in (1, 1.0, True)]
+    variants += [Operation(OpKind.FALLOC, ("foo", 0, 1), (("keep_size", flag),))
+                 for flag in (1, 1.0, True)]
+    variants += [Operation(OpKind.TRUNCATE, ("foo", zero)) for zero in (0, 0.0, -0.0, False)]
+    assert variants[0] == variants[1] == variants[2]
+
+    def reference_key(op):
+        payload = json.dumps(op.to_json(), sort_keys=True).encode("utf-8")
+        return hashlib.sha1(f"{len(payload)}:".encode("ascii") + payload).hexdigest()[:16]
+
+    for ordering in (variants, variants[::-1]):
+        for op in ordering:
+            workload = Workload(ops=[op])
+            assert workload.prefix_key() == reference_key(op)
+            assert workload.prefix_keys()[1] == reference_key(op)
+            assert workload.family_key() == reference_key(op)
+    assert len({Workload(ops=[op]).prefix_key() for op in variants}) == len(variants)

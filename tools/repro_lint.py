@@ -24,7 +24,10 @@ Eight invariants, each protecting a guarantee a past change was built on:
    structured payloads serialized explicitly; ``SESSION_FIELDS`` must be a
    subset of ``SCALAR_FIELDS``.  Adding a counter without classifying it as
    canonical-vs-session telemetry fails here instead of silently dropping
-   it from the store.
+   it from the store.  Counters known to depend on what a spine still held
+   (``inherited_verdicts``: a spill or a pool split changes it) must be
+   session telemetry — in ``canonical_dict()`` they would make serial,
+   pooled and spilled runs of one campaign compare unequal.
 
 4. **Every planner in the registry has soundness coverage.**  Each name in
    ``PLAN_NAMES`` (crashplan.py's registry) must be referenced by the
@@ -56,12 +59,14 @@ Eight invariants, each protecting a guarantee a past change was built on:
 8. **One mount site, and twins are never re-checked.**  Within
    ``crashmonkey/`` a crash-state device is mounted (``fs_class(...)`` /
    ``.mount()``) only inside ``CrashStateGenerator._construct`` — the one
-   place that consults the per-checkpoint verdict memo first, so a second
-   mount site would silently re-pay for states already known equal.
-   (``recorder.py`` mounts the live *recording* device while profiling,
-   never a crash state, and is exempt.)  And ``harness.py`` may call
-   ``check_timed`` only on the not-a-twin side of an ``is_twin`` test: a
-   twin has no mounted fs, its verdict is its representative's.
+   place that consults the checkpoint record's verdict memo first (filled
+   by this workload's pass or inherited from a sibling that shares the
+   record and its oracle / tracker view objects), so a second mount site
+   would silently re-pay for states already known equal.  (``recorder.py``
+   mounts the live *recording* device while profiling, never a crash
+   state, and is exempt.)  And ``harness.py`` may call ``check_timed`` only
+   on the not-a-twin side of an ``is_twin`` test: a twin has no mounted fs,
+   its verdict is its representative's — whichever workload mounted it.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -98,6 +103,10 @@ BYTES_ALLOWLIST = {"block.py"}
 
 #: CrashTestResult fields serialized explicitly rather than via SCALAR_FIELDS
 STRUCTURED_RESULT_FIELDS = {"workload", "bug_reports", "check_timings"}
+
+#: CrashTestResult counters that depend on spine residency (spill budget,
+#: chunk -> worker assignment) and therefore must stay out of canonical_dict
+RESIDENCY_DEPENDENT_FIELDS = {"inherited_verdicts"}
 
 #: slab internals the spill module must never reach for (rule 6): the chunk
 #: list of a BlockSlab and the ``.obj`` backdoor from a memoryview to its
@@ -266,6 +275,13 @@ def check_result_fields_are_accounted(trees: Dict[Path, ast.Module]) -> List[Fin
             relative, session_line,
             f"SESSION_FIELDS entry `{name}` is not in SCALAR_FIELDS — "
             "session telemetry must still round-trip through to_dict",
+        ))
+    for name in sorted((RESIDENCY_DEPENDENT_FIELDS & set(fields)) - session):
+        findings.append(Finding(
+            relative, session_line,
+            f"`{name}` depends on what the spines still hold and must be in "
+            "SESSION_FIELDS — in canonical_dict() it breaks serial == pool == "
+            "spilled",
         ))
     return findings
 
