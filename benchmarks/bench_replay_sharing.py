@@ -25,7 +25,7 @@ from itertools import islice
 
 from repro.ace import AceSynthesizer, group_siblings, seq2_bounds
 from repro.crashmonkey import CrashMonkey
-from repro.storage import BLOCK_SIZE, BlockDevice, CowDevice
+from repro.storage import BLOCK_SIZE, BlockDevice, CowDevice, pad_block
 
 from conftest import BENCH_DEVICE_BLOCKS, print_table
 
@@ -123,15 +123,14 @@ def test_global_dedup_cache_skips_more_than_private_worker_caches(tmp_path):
     )
 
 
-def test_slab_reads_are_zero_copy_and_byte_identical(monkeypatch):
+def test_slab_reads_are_zero_copy_and_byte_identical():
     blocks = BENCH_DEVICE_BLOCKS
     payload = b"\xabwrite-payload" * 64  # sub-block: takes the slab path
 
-    def build(env_value):
-        monkeypatch.setenv("REPRO_NO_SLABS", env_value)
+    def build(data):
         device = CowDevice(BlockDevice(num_blocks=blocks))
         for block in range(blocks):
-            device.write_block(block, payload)
+            device.write_block(block, data)
         return device
 
     def read_throughput(device):
@@ -143,8 +142,10 @@ def test_slab_reads_are_zero_copy_and_byte_identical(monkeypatch):
         seconds = time.perf_counter() - start
         return total / seconds / (1 << 20), seconds
 
-    slab_device = build("")
-    bytes_device = build("1")
+    slab_device = build(payload)
+    # The reference: a full-block payload bypasses the slab and is held as
+    # the caller's own per-block bytes object.
+    bytes_device = build(bytes(pad_block(payload)))
 
     # Byte-identical representation...
     assert all(slab_device.read_block(b) == bytes_device.read_block(b)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import List, Optional
 
 from ..ace.bounds import (
@@ -36,14 +37,16 @@ from ..ace.bounds import (
     seq3_nested_bounds,
 )
 from ..ace.synthesizer import AceSynthesizer
-from ..core.campaign import B3Campaign, CampaignConfig
+from ..core.campaign import B3Campaign
 from ..core.known_bugs import all_bugs, get_bug
 from ..core.study import analyze
 from ..crashmonkey.checks import DEFAULT_REGISTRY
 from ..crashmonkey.crashplan import PLAN_NAMES, describe_planners, make_planner
 from ..crashmonkey.harness import CrashMonkey
+from ..errors import CampaignDriftError
 from ..fs.bugs import BugConfig
 from ..fs.registry import available_filesystems
+from ..options import EXECUTION, CampaignConfig, HarnessSpec, positive_int
 from ..service import (
     CampaignRequest,
     CampaignService,
@@ -59,20 +62,6 @@ _BOUND_PRESETS = {
     "seq-3-metadata": seq3_metadata_bounds,
     "seq-3-nested": seq3_nested_bounds,
 }
-
-
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return number
-
-
-def _nonnegative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return number
 
 
 def _positive_float(value: str) -> float:
@@ -119,90 +108,32 @@ def _print_check_registry() -> int:
     return 0
 
 
-def _add_recording_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--share-prefixes", dest="share_prefixes", action="store_true",
-                        default=None,
-                        help="record shared ACE-sibling operation prefixes once and "
-                             "resume each sibling from an O(1) snapshot fork "
-                             "(default; profiles are byte-for-byte identical either way)")
-    parser.add_argument("--no-share-prefixes", dest="share_prefixes", action="store_false",
-                        help="record every workload from scratch (mkfs + full prefix "
-                             "re-run per workload)")
-    parser.add_argument("--share-replay", dest="share_replay", action="store_true",
-                        default=None,
-                        help="resume each workload's crash-state build from the cached "
-                             "cursor fork on its recorded stream's shared sibling prefix "
-                             "(default; crash states are byte-for-byte identical either way)")
-    parser.add_argument("--no-share-replay", dest="share_replay", action="store_false",
-                        help="replay every workload's crash states from scratch")
-    parser.add_argument("--cross-workload-dedup", action="store_true", default=False,
-                        help="skip crash states already tested by an earlier workload "
-                             "with byte-identical state and expectations (identical "
-                             "recurring states across ACE siblings are counted once; "
-                             "raw report counts drop accordingly)")
-    parser.add_argument("--global-dedup-cache", metavar="PATH", default=None,
-                        help="disk-backed sighting database shared by every worker, "
-                             "promoting --cross-workload-dedup to campaign-global under "
-                             "a process pool (pool campaigns auto-provision a temporary "
-                             "one when unset)")
-    parser.add_argument("--spine-memory-budget", type=_nonnegative_int, default=None,
-                        metavar="BYTES",
-                        help="resident-byte budget for the cached trie spines (prefix "
-                             "recording + replay trail); frozen nodes beyond it spill "
-                             "to disk and rehydrate transparently with byte-identical "
-                             "results (0 spills everything; default: generous, or the "
-                             "REPRO_SPINE_BUDGET environment variable)")
-    parser.add_argument("--spine-spill-dir", metavar="PATH", default=None,
-                        help="directory for spilled spine nodes (default: a private "
-                             "temporary directory; durable campaigns keep one beside "
-                             "the state database)")
+def _option_overrides() -> dict:
+    """What only this layer knows about the schema's flags: the registries
+    their values are validated against."""
+    return {
+        "fs_name": {"choices": _fs_choices()},
+        "crash_plan": {"choices": list(PLAN_NAMES)},
+        "checks": {"type": _check_list},
+        "skip_checks": {"type": _check_list},
+    }
 
 
-def _add_crash_plan_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--crash-plan", choices=list(PLAN_NAMES), default="prefix",
-                        help="crash scenarios per persistence point: 'prefix' tests the "
-                             "fully-persisted state, 'reorder' also drops bounded subsets "
-                             "of in-flight (post-flush, non-FUA) writes, 'torn' "
-                             "additionally tears in-flight writes at 512-byte sector "
-                             "granularity (metadata-tagged blocks first), 'mechanism' "
-                             "statically infers the trace's persistence mechanisms and "
-                             "tests representative states per mechanism epoch (falling "
-                             "back to 'torn' wherever no mechanism is inferable)")
+def _add_option_args(parser: argparse.ArgumentParser, schema=CampaignConfig) -> None:
+    """The schema's flagged options, plus the switches that list their registries."""
+    schema.add_arguments(parser, **_option_overrides())
     parser.add_argument("--list-planners", action="store_true",
                         help="list the registered crash planners and exit")
-    parser.add_argument("--reorder-bound", type=_positive_int, default=2, metavar="N",
-                        help="reorder/torn plans: max blocks deviating from the baseline "
-                             "per scenario (default: 2)")
-    parser.add_argument("--torn-bound", type=_positive_int, default=2, metavar="N",
-                        help="torn plan: max in-flight writes torn per checkpoint, "
-                             "commit-area blocks first (default: 2)")
+    parser.add_argument("--list-checks", action="store_true",
+                        help="list the registered consistency checks and exit")
 
 
 def _add_campaign_space_args(parser: argparse.ArgumentParser) -> None:
     """The campaign-shaped argument surface shared by ``campaign`` and ``submit``."""
-    parser.add_argument("--filesystem", "-f", default="btrfs", choices=_fs_choices())
     parser.add_argument("--preset", choices=sorted(_BOUND_PRESETS), default="seq-1")
     parser.add_argument("--seq-length", type=int, default=1)
-    parser.add_argument("--limit", type=int, default=None)
-    parser.add_argument("--sample", action="store_true",
-                        help="spread --limit workloads over the whole space")
     parser.add_argument("--patched", action="store_true")
-    parser.add_argument("--processes", "-j", type=_positive_int, default=1,
-                        help="worker processes for the engine's process-pool backend")
-    parser.add_argument("--chunk-size", type=_positive_int, default=None,
-                        help="workloads per dispatched chunk (default: engine default)")
-    _add_crash_plan_args(parser)
-    _add_recording_args(parser)
-    _add_check_selection_args(parser)
-
-
-def _add_check_selection_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--checks", type=_check_list, default=None, metavar="A,B",
-                        help="comma-separated consistency checks to run (default: all)")
-    parser.add_argument("--skip-checks", type=_check_list, default=None, metavar="C,D",
-                        help="comma-separated consistency checks to skip")
-    parser.add_argument("--list-checks", action="store_true",
-                        help="list the registered consistency checks and exit")
+    _add_option_args(parser)
 
 
 def cmd_study(args) -> int:
@@ -221,7 +152,7 @@ def cmd_generate(args) -> int:
     bounds = _bounds_from_args(args)
     synthesizer = AceSynthesizer(bounds)
     count = 0
-    for workload in synthesizer.generate(limit=args.limit):
+    for workload in synthesizer.generate(limit=args.max_workloads):
         count += 1
         if args.print_workloads:
             print(f"# {workload.display_name()}")
@@ -244,16 +175,7 @@ def cmd_test(args) -> int:
     with open(args.workload, "r", encoding="utf-8") as handle:
         text = handle.read()
     workload = parse_workload(text, name=args.workload)
-    harness = CrashMonkey(args.filesystem, bugs=_bugs_from_args(args),
-                          checks=args.checks, skip_checks=args.skip_checks or (),
-                          crash_plan=args.crash_plan, reorder_bound=args.reorder_bound,
-                          torn_bound=args.torn_bound,
-                          share_prefixes=args.share_prefixes,
-                          share_replay=args.share_replay,
-                          cross_workload_dedup=args.cross_workload_dedup,
-                          global_dedup_cache=args.global_dedup_cache,
-                          spine_memory_budget=args.spine_memory_budget,
-                          spine_spill_dir=args.spine_spill_dir)
+    harness = HarnessSpec.from_args(args, bugs=_bugs_from_args(args)).build()
     result = harness.test_workload(workload)
     print(result.summary())
     for report in result.bug_reports:
@@ -263,26 +185,8 @@ def cmd_test(args) -> int:
 
 def _campaign_config(args) -> CampaignConfig:
     """Build a :class:`CampaignConfig` from campaign-shaped CLI arguments."""
-    return CampaignConfig(
-        fs_name=args.filesystem,
-        bugs=_bugs_from_args(args),
-        bounds=_bounds_from_args(args),
-        max_workloads=args.limit,
-        sample=args.sample,
-        checks=args.checks,
-        skip_checks=args.skip_checks or (),
-        crash_plan=args.crash_plan,
-        reorder_bound=args.reorder_bound,
-        torn_bound=args.torn_bound,
-        share_prefixes=args.share_prefixes,
-        share_replay=args.share_replay,
-        cross_workload_dedup=args.cross_workload_dedup,
-        global_dedup_cache=args.global_dedup_cache,
-        spine_memory_budget=args.spine_memory_budget,
-        spine_spill_dir=args.spine_spill_dir,
-        processes=args.processes,
-        chunk_size=args.chunk_size,
-    )
+    return CampaignConfig.from_args(args, bugs=_bugs_from_args(args),
+                                    bounds=_bounds_from_args(args))
 
 
 def _print_progress(event) -> None:
@@ -425,9 +329,11 @@ def cmd_status(args) -> int:
 
 
 def cmd_resume(args) -> int:
-    runner = DurableCampaignRunner.from_db(
-        args.state_db, args.campaign_id, processes=args.processes
-    )
+    # The execution flags default to "not given": only what this session
+    # typed replaces what the campaign was created with.
+    execution = {option.name: getattr(args, option.name)
+                 for option in fields(CampaignConfig) if hasattr(args, option.name)}
+    runner = DurableCampaignRunner.from_db(args.state_db, args.campaign_id, **execution)
     try:
         result = runner.run(progress=_print_progress if args.progress else None)
     finally:
@@ -483,7 +389,7 @@ def cmd_analyze(args) -> int:
     with open(args.workload, "r", encoding="utf-8") as handle:
         text = handle.read()
     workload = parse_workload(text, name=args.workload)
-    harness = CrashMonkey(args.filesystem, bugs=_bugs_from_args(args))
+    harness = CrashMonkey(args.fs_name, bugs=_bugs_from_args(args))
     profile = harness.profile(workload)
     report = audit_report(
         analyze_io_log(profile.io_log, fs_name=harness.fs_name), profile.io_log
@@ -559,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate = sub.add_parser("generate", help="generate ACE workloads")
     generate.add_argument("--preset", choices=sorted(_BOUND_PRESETS), default=None)
     generate.add_argument("--seq-length", type=int, default=1)
-    generate.add_argument("--limit", type=int, default=None)
+    CampaignConfig.add_arguments(generate, only=("max_workloads",))
     generate.add_argument("--print-workloads", action="store_true")
 
     sub.add_parser("list-checks", help="list the registered consistency checks")
@@ -567,11 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     test = sub.add_parser("test", help="run one workload file through CrashMonkey")
     test.add_argument("workload", nargs="?", default=None,
                       help="path to a workload-language file")
-    test.add_argument("--filesystem", "-f", default="btrfs", choices=_fs_choices())
     test.add_argument("--patched", action="store_true", help="test the patched (bug-free) file system")
-    _add_crash_plan_args(test)
-    _add_recording_args(test)
-    _add_check_selection_args(test)
+    _add_option_args(test, HarnessSpec)
 
     campaign = sub.add_parser("campaign", help="generate and test a bounded workload space")
     _add_campaign_space_args(campaign)
@@ -605,11 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="drain a state store's campaign queue, "
                                          "tenant-fairly, over a shared worker fleet")
     serve.add_argument("--state-db", metavar="PATH", required=True)
-    serve.add_argument("--processes", "-j", type=_positive_int, default=1,
-                       help="shared worker-fleet size every campaign slice runs on")
-    serve.add_argument("--slice-chunks", type=_positive_int, default=4,
+    CampaignConfig.add_arguments(serve, only=("processes",))
+    serve.add_argument("--slice-chunks", type=positive_int, default=4,
                        help="chunks per scheduling slice (the fairness quantum)")
-    serve.add_argument("--max-slices", type=_positive_int, default=None,
+    serve.add_argument("--max-slices", type=positive_int, default=None,
                        help="stop after N slices (default: drain the queue)")
     serve.add_argument("--progress", action="store_true",
                        help="print a progress line per completed chunk")
@@ -631,9 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "durable campaign")
     resume.add_argument("--state-db", metavar="PATH", required=True)
     resume.add_argument("campaign_id")
-    resume.add_argument("--processes", "-j", type=_positive_int, default=None,
-                        help="worker processes for this session (default: the "
-                             "campaign's own configuration)")
+    CampaignConfig.add_arguments(resume, tag=EXECUTION, default=argparse.SUPPRESS)
     resume.add_argument("--progress", action="store_true",
                         help="print a progress line per completed chunk")
 
@@ -649,11 +549,10 @@ def build_parser() -> argparse.ArgumentParser:
              "(no crash states are run)",
     )
     analyze_cmd.add_argument("workload", help="path to a workload-language file")
-    analyze_cmd.add_argument("--filesystem", "-f", default="btrfs", choices=_fs_choices())
     analyze_cmd.add_argument("--patched", action="store_true",
                              help="record against the patched (bug-free) file system")
-    analyze_cmd.add_argument("--reorder-bound", type=_positive_int, default=2, metavar="N")
-    analyze_cmd.add_argument("--torn-bound", type=_positive_int, default=2, metavar="N")
+    HarnessSpec.add_arguments(analyze_cmd, only=("fs_name", "reorder_bound", "torn_bound"),
+                              **_option_overrides())
     analyze_cmd.add_argument("--json-out", metavar="PATH", default=None,
                              help="also write the report and scenario counts as JSON")
 
@@ -695,7 +594,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         for line in describe_planners():
             print(line)
         return 0
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except CampaignDriftError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

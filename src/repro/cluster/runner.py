@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 from ..core.results import CampaignResult
 from ..engine.backends import make_backend
 from ..engine.engine import CampaignEngine, ChunkStats, EngineRun
-from ..engine.spec import HarnessSpec
+from ..options import HarnessSpec
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
 from ..workload.workload import Workload

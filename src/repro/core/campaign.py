@@ -17,8 +17,8 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from dataclasses import replace
+from typing import Iterable, Iterator, List, Optional
 
 from ..ace.adapter import CrashMonkeyAdapter
 from ..ace.bounds import Bounds, seq1_bounds, seq2_bounds
@@ -26,73 +26,11 @@ from ..ace.synthesizer import AceSynthesizer
 from ..crashmonkey.harness import CrashMonkey
 from ..engine.backends import SerialBackend, make_backend
 from ..engine.engine import DEFAULT_CHUNK_SIZE, CampaignEngine, EngineRun, ProgressCallback
-from ..engine.spec import HarnessSpec
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
+from ..options import CampaignConfig, HarnessSpec
 from ..workload.workload import Workload
 from .results import CampaignResult
-
-
-@dataclass
-class CampaignConfig:
-    """Configuration of one testing campaign."""
-
-    fs_name: str = "btrfs"
-    bugs: Optional[BugConfig] = None
-    bounds: Optional[Bounds] = None
-    #: cap on the number of generated workloads to test (None = exhaustive)
-    max_workloads: Optional[int] = None
-    #: spread the tested workloads over the whole space instead of taking a prefix
-    sample: bool = False
-    device_blocks: int = 4096
-    only_last_checkpoint: bool = False
-    #: consistency checks to run, by registered name (None = all registered)
-    checks: Optional[Sequence[str]] = None
-    #: consistency checks to skip, by registered name
-    skip_checks: Sequence[str] = ()
-    #: crash-scenario plan per persistence point ("prefix", "reorder" or "torn")
-    crash_plan: str = "prefix"
-    #: reorder-plan bound: blocks allowed to deviate per scenario
-    reorder_bound: int = 2
-    #: torn-plan bound: in-flight writes (metadata-tagged first) torn per checkpoint
-    torn_bound: int = 2
-    #: skip crash states at checkpoints that provably repeat an earlier one
-    dedup_scenarios: bool = True
-    #: record shared ACE-sibling operation prefixes once per worker and chunk
-    #: prefix-affinely (profiles stay byte-for-byte identical either way);
-    #: None follows the recorder's default (on, unless REPRO_NO_SHARE_PREFIXES
-    #: is set in the environment)
-    share_prefixes: Optional[bool] = None
-    #: resume each workload's crash-state build from the cached cursor fork
-    #: on its recorded stream's shared sibling prefix (crash states stay
-    #: byte-for-byte identical either way); None follows the replayer's
-    #: default (on, unless REPRO_NO_SHARE_REPLAY is set in the environment)
-    share_replay: Optional[bool] = None
-    #: skip crash states already tested by an earlier workload on the same
-    #: worker (byte-identical states + expectations); identical recurring
-    #: states are counted once, so raw report counts drop accordingly
-    cross_workload_dedup: bool = False
-    #: path to a disk-backed sighting database shared by all workers,
-    #: promoting cross-workload dedup to campaign-global under a pool backend
-    #: (None with processes > 1 auto-provisions a temporary one per run)
-    global_dedup_cache: Optional[str] = None
-    #: run the static mechanism analysis over every recorded stream; None
-    #: enables it exactly when ``crash_plan == "mechanism"``, True forces it
-    #: alongside an exhaustive plan (overhead measurement without pruning)
-    analyze_mechanisms: Optional[bool] = None
-    #: resident-byte budget for each worker harness's trie spines; frozen
-    #: nodes beyond it spill to disk and rehydrate transparently (results
-    #: are byte-for-byte identical either way); None follows the spill
-    #: store's default (generous, REPRO_SPINE_BUDGET can lower it)
-    spine_memory_budget: Optional[int] = None
-    #: directory spilled spine nodes are written to, shared by every worker
-    #: (None = a private temporary directory per worker; the durable runner
-    #: provisions one beside the campaign state database)
-    spine_spill_dir: Optional[str] = None
-    #: worker processes; 1 = serial in-process, >1 = process-pool backend
-    processes: int = 1
-    #: workloads per dispatched chunk (None = engine default)
-    chunk_size: Optional[int] = None
 
 
 class B3Campaign:
@@ -103,25 +41,9 @@ class B3Campaign:
         self.fs_name = resolve_fs_name(config.fs_name)
         self.fs_model = models(self.fs_name)
         self.bounds = config.bounds if config.bounds is not None else seq2_bounds()
-        self.spec = HarnessSpec(
-            fs_name=self.fs_name,
-            bugs=config.bugs,
-            device_blocks=config.device_blocks,
-            only_last_checkpoint=config.only_last_checkpoint,
-            checks=tuple(config.checks) if config.checks is not None else None,
-            skip_checks=tuple(config.skip_checks),
-            crash_plan=config.crash_plan,
-            reorder_bound=config.reorder_bound,
-            torn_bound=config.torn_bound,
-            dedup_scenarios=config.dedup_scenarios,
-            share_prefixes=config.share_prefixes,
-            share_replay=config.share_replay,
-            cross_workload_dedup=config.cross_workload_dedup,
-            global_dedup_cache=config.global_dedup_cache,
-            analyze_mechanisms=config.analyze_mechanisms,
-            spine_memory_budget=config.spine_memory_budget,
-            spine_spill_dir=config.spine_spill_dir,
-        )
+        #: what workers build their harnesses from (execution backends ship
+        #: this, never the campaign's bounds or fleet size)
+        self.spec = config.harness_spec()
         self._harness: Optional[CrashMonkey] = None
         self._synthesizer: Optional[AceSynthesizer] = None
         #: engine bookkeeping of the most recent :meth:`run` (chunk stats, wall clock)

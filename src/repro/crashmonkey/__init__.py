@@ -31,7 +31,6 @@ from .replayer import (
     CrashStateGenerator,
     CrashVerdict,
     SharedReplayCache,
-    default_share_replay,
 )
 from .report import BugReport, CrashTestResult, Mismatch, Severity
 from .tracker import PersistenceTracker, TrackedDir, TrackedFile, TrackerView
@@ -53,7 +52,6 @@ __all__ = [
     "CrashStateGenerator",
     "CrashVerdict",
     "SharedReplayCache",
-    "default_share_replay",
     "CrashPlanner",
     "CrashScenario",
     "CrossWorkloadCache",

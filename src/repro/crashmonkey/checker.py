@@ -30,9 +30,6 @@ class CheckPipeline:
     Args:
         checks: names of checks to run, in registry order (None = all).
         skip_checks: names of checks to skip (applied after ``checks``).
-        run_write_checks: legacy toggle; ``False`` adds ``"write"`` to the
-            skip set (kept for the old ``AutoChecker(run_write_checks=...)``
-            construction sites).
         registry: the registry to resolve names against (defaults to the
             process-wide :data:`DEFAULT_REGISTRY`).
 
@@ -42,14 +39,9 @@ class CheckPipeline:
 
     def __init__(self, checks: Optional[Sequence[str]] = None,
                  skip_checks: Iterable[str] = (),
-                 run_write_checks: bool = True,
                  registry: Optional[CheckRegistry] = None):
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        skipped = set(skip_checks)
-        if not run_write_checks:
-            skipped.add("write")
-        self.checks = self.registry.select(checks, skipped)
-        self.run_write_checks = any(check.name == "write" for check in self.checks)
+        self.checks = self.registry.select(checks, skip_checks)
         # Pre-resolved dispatch plan for the hot loop: one attribute lookup
         # per pipeline instead of three per check per crash state.
         self._plan = [(check.run, check.name, check.requires_mount)
@@ -122,5 +114,5 @@ class CheckPipeline:
 
 
 #: Backwards-compatible name: the monolithic AutoChecker class became the
-#: pipeline façade.  ``AutoChecker(run_write_checks=False)`` still works.
+#: pipeline façade.
 AutoChecker = CheckPipeline

@@ -18,13 +18,13 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import replace
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional
 
 from ..analysis.mechanisms import MechanismReport
 from ..errors import HarnessError
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
-from ..storage.block import DEFAULT_DEVICE_BLOCKS
+from ..options import HarnessSpec
 from ..storage.spill import SpineStore
 from ..workload.workload import Workload
 from .checker import CheckPipeline
@@ -35,123 +35,32 @@ from .crashplan import (
     make_planner,
 )
 from .recorder import WorkloadProfile, WorkloadRecorder
-from .replayer import CrashStateGenerator, SharedReplayCache, default_share_replay
+from .replayer import CrashStateGenerator, SharedReplayCache
 from .report import HARNESS_ERROR, BugReport, CrashTestResult, Mismatch
 
 
 class CrashMonkey:
     """Crash-test workloads against one simulated file system."""
 
-    def __init__(self, fs_name: str, bugs: Optional[BugConfig] = None,
-                 device_blocks: int = DEFAULT_DEVICE_BLOCKS,
-                 only_last_checkpoint: bool = False,
-                 run_write_checks: bool = True,
-                 checks: Optional[Sequence[str]] = None,
-                 skip_checks: Iterable[str] = (),
-                 crash_plan: str = "prefix",
-                 reorder_bound: int = 2,
-                 torn_bound: int = 2,
-                 dedup_scenarios: bool = True,
-                 share_prefixes: Optional[bool] = None,
-                 share_replay: Optional[bool] = None,
-                 cross_workload_dedup: bool = False,
-                 global_dedup_cache: Optional[str] = None,
-                 dedup_scope: Optional[str] = None,
-                 analyze_mechanisms: Optional[bool] = None,
-                 spine_memory_budget: Optional[int] = None,
-                 spine_spill_dir: Optional[str] = None,
-                 kernel_version: str = "4.16"):
+    def __init__(self, fs_name: Optional[str] = None, bugs: Optional[BugConfig] = None, *,
+                 spec: Optional[HarnessSpec] = None, **options):
+        """Build the harness ``spec`` describes, with ``options`` replaced.
+
+        The options are the fields of :class:`~repro.options.HarnessSpec`
+        (each documents itself there); ``CrashMonkey("logfs", torn_bound=1)``
+        is shorthand for ``replace(HarnessSpec(), fs_name="logfs",
+        torn_bound=1)``, and a name that is no field raises ``TypeError``.
         """
-        Args:
-            fs_name: simulator or real file-system name ("logfs" or "btrfs", ...).
-            bugs: bug configuration for the simulated file system.  Defaults to
-                every mechanism applicable to the file system (the unpatched
-                kernels the paper tested).
-            only_last_checkpoint: when True, only the final persistence point
-                is crash-tested.  This mirrors the paper's testing strategy of
-                running seq-1 before seq-2 before seq-3, which makes earlier
-                crash points redundant.
-            run_write_checks: legacy toggle for the write checks; equivalent
-                to putting ``"write"`` in ``skip_checks``.
-            checks: names of registered checks to run (None = all).
-            skip_checks: names of registered checks to skip.
-            crash_plan: crash-scenario plan per persistence point: "prefix"
-                (one fully-persisted state, the classic model), "reorder"
-                (additionally drop bounded subsets of in-flight writes), or
-                "torn" (reorder plus sector-granular torn in-flight writes).
-            reorder_bound: for the reorder/torn plans, the maximum number of
-                blocks whose content may deviate from the baseline per
-                scenario.
-            torn_bound: for the torn plan, the maximum number of in-flight
-                writes (metadata-tagged blocks first) torn per checkpoint.
-            dedup_scenarios: skip constructing/checking crash states at a
-                checkpoint that provably repeats an earlier one (same stable
-                fork, window, and expectations — recurs whenever no flush or
-                write intervenes between persistence points).
-            share_prefixes: record shared ACE-sibling operation prefixes once
-                and resume each sibling's profile from an O(1) snapshot fork
-                (profiles stay byte-for-byte identical to from-scratch
-                recording; this only changes how fast they are produced).
-                ``None`` follows the recorder's default (on, unless the
-                ``REPRO_NO_SHARE_PREFIXES`` environment variable is set).
-            share_replay: resume each workload's one-pass crash-state build
-                from the deepest cached cursor fork on its recorded stream's
-                shared sibling prefix, instead of re-applying every shared
-                write (crash states stay byte-for-byte identical to
-                from-scratch construction; this only changes how fast they
-                are built).  ``None`` follows :func:`default_share_replay`
-                (on, unless the ``REPRO_NO_SHARE_REPLAY`` environment
-                variable is set).
-            cross_workload_dedup: additionally skip crash states at
-                checkpoints whose states *and* expectations are byte-identical
-                to ones already tested by an earlier workload of this
-                harness's lifetime (ACE siblings re-reaching the shared
-                prefix's persistence points).  Identical recurring states are
-                then counted once — raw report counts drop accordingly.
-            global_dedup_cache: path to a disk-backed (sqlite) sighting cache
-                shared by every harness pointed at it.  With
-                ``cross_workload_dedup`` enabled this promotes the dedup
-                scope from harness-lifetime (per pool worker) to
-                campaign-global: a checkpoint first tested by *any* worker is
-                skipped by all of them.  Ignored when ``cross_workload_dedup``
-                is off.
-            dedup_scope: campaign identifier scoping the disk-backed sighting
-                cache.  When given alongside ``global_dedup_cache`` the
-                sightings are kept in a durable, campaign-scoped table (the
-                campaign state database), so a resumed campaign sees exactly
-                the sightings its own completed chunks produced — resumable
-                ``cross_workload_dedup`` stops being history-dependent.
-                Ignored without ``global_dedup_cache``.
-            analyze_mechanisms: run the static mechanism analysis over each
-                recorded stream (journal-commit / checkpoint-generation
-                inference) while building crash states.  ``None`` enables it
-                exactly when the crash planner consumes the report (the
-                ``mechanism`` plan); forcing ``True`` on an exhaustive plan
-                measures analysis overhead without changing the plan.
-            spine_memory_budget: resident-byte budget shared by both trie
-                spines (the recorder's prefix cache and the replay trail).
-                Frozen nodes beyond the budget spill to disk and rehydrate
-                transparently; results are byte-for-byte identical either
-                way.  ``None`` follows
-                :func:`~repro.storage.spill.default_spine_memory_budget`
-                (generous — seq-1/seq-2 campaigns never spill unless the
-                ``REPRO_SPINE_BUDGET`` environment variable lowers it).
-            spine_spill_dir: directory for spilled spine nodes.  ``None``
-                uses a private temporary directory; campaigns pass a
-                per-campaign directory (the durable runner keeps it beside
-                the state database) so every worker spills to one place.
-            kernel_version: label attached to bug reports.
-        """
-        self.fs_name = resolve_fs_name(fs_name)
+        if fs_name is not None:
+            options["fs_name"] = fs_name
+        if bugs is not None:
+            options["bugs"] = bugs
+        spec = replace(spec if spec is not None else HarnessSpec(), **options)
+        #: the options this harness was built from — the one place they live
+        self.spec = spec
+        self.fs_name = resolve_fs_name(spec.fs_name)
         self.fs_model = models(self.fs_name)
-        self.bugs = bugs if bugs is not None else BugConfig.all_for(self.fs_name)
-        self.only_last_checkpoint = only_last_checkpoint
-        self.crash_plan = crash_plan
-        self.reorder_bound = reorder_bound
-        self.torn_bound = torn_bound
-        self.dedup_scenarios = dedup_scenarios
-        self.cross_workload_dedup = cross_workload_dedup
-        self.analyze_mechanisms = analyze_mechanisms
+        self.bugs = spec.bugs if spec.bugs is not None else BugConfig.all_for(self.fs_name)
         #: mechanism report inferred for the most recently tested workload
         #: (None until a workload ran with analysis enabled)
         self.last_mechanism_report: Optional[MechanismReport] = None
@@ -160,41 +69,33 @@ class CrashMonkey:
         # report) is re-attached by the generator before each workload's
         # scenarios are enumerated.  Building it here fails fast on a bad
         # plan name or bound.
-        self.planner = make_planner(crash_plan, reorder_bound, torn_bound)
-        self.kernel_version = kernel_version
+        self.planner = make_planner(spec.crash_plan, spec.reorder_bound, spec.torn_bound)
         #: one budgeted spill store serves both trie spines, so "resident
         #: spine bytes" is a single number the budget actually bounds
-        self.spine_store = SpineStore(memory_budget=spine_memory_budget,
-                                      spill_dir=spine_spill_dir,
+        self.spine_store = SpineStore(memory_budget=spec.spine_memory_budget,
+                                      spill_dir=spec.spine_spill_dir,
                                       name=self.fs_name)
-        self.recorder = WorkloadRecorder(self.fs_name, self.bugs, device_blocks=device_blocks,
-                                         share_prefixes=share_prefixes,
+        self.recorder = WorkloadRecorder(self.fs_name, self.bugs,
+                                         device_blocks=spec.device_blocks,
+                                         share_prefixes=spec.share_prefixes,
                                          spine_store=self.spine_store)
-        #: resolved value (the recorder applies the None -> default rule)
-        self.share_prefixes = self.recorder.share_prefixes
-        #: resolved value for shared crash-state replay
-        self.share_replay = (default_share_replay() if share_replay is None
-                             else share_replay)
         #: replay-trie spine shared by every workload this harness tests
         self.replay_cache = (SharedReplayCache(spine_store=self.spine_store)
-                             if self.share_replay else None)
+                             if spec.share_replay else None)
         #: cache of (crash states, expectations) keys; harness-lifetime and
         #: in-memory by default, campaign-global and disk-backed when a
-        #: ``global_dedup_cache`` path is given.  One fixed fs/bugs/planner
-        #: per harness (and per campaign) keeps its sightings sound.
-        self.global_dedup_cache = global_dedup_cache if cross_workload_dedup else None
-        self.dedup_scope = (dedup_scope if cross_workload_dedup
-                            and global_dedup_cache is not None else None)
-        if not cross_workload_dedup:
+        #: ``global_dedup_cache`` path is given (durable and campaign-scoped
+        #: with a ``dedup_scope`` too).  One fixed fs/bugs/planner per
+        #: harness (and per campaign) keeps its sightings sound.
+        if not spec.cross_workload_dedup:
             self.cross_cache = None
-        elif global_dedup_cache is not None and dedup_scope is not None:
-            self.cross_cache = ScopedDedupCache(global_dedup_cache, dedup_scope)
-        elif global_dedup_cache is not None:
-            self.cross_cache = GlobalDedupCache(global_dedup_cache)
-        else:
+        elif spec.global_dedup_cache is None:
             self.cross_cache = CrossWorkloadCache()
-        self.checker = CheckPipeline(checks=checks, skip_checks=skip_checks,
-                                     run_write_checks=run_write_checks)
+        elif spec.dedup_scope is None:
+            self.cross_cache = GlobalDedupCache(spec.global_dedup_cache)
+        else:
+            self.cross_cache = ScopedDedupCache(spec.global_dedup_cache, spec.dedup_scope)
+        self.checker = CheckPipeline(checks=spec.checks, skip_checks=spec.skip_checks)
 
     # ------------------------------------------------------------------ public API
 
@@ -262,14 +163,14 @@ class CrashMonkey:
         result.prefix_seconds_saved = profile.prefix_seconds_saved
 
         checkpoints = profile.checkpoints()
-        if self.only_last_checkpoint and checkpoints:
+        if self.spec.only_last_checkpoint and checkpoints:
             checkpoints = [checkpoints[-1]]
 
         generator = CrashStateGenerator(profile, planner=self.planner,
-                                        dedup_scenarios=self.dedup_scenarios,
+                                        dedup_scenarios=self.spec.dedup_scenarios,
                                         cross_cache=self.cross_cache,
                                         replay_cache=self.replay_cache,
-                                        analyze=self.analyze_mechanisms)
+                                        analyze=self.spec.analyze_mechanisms)
         result.checkpoints_tested = len(checkpoints)
         scenario_iter = generator.generate_scenarios(checkpoints)
         while True:
@@ -319,7 +220,7 @@ class CrashMonkey:
                         checkpoint_id=crash_state.checkpoint_id,
                         crash_point=crash_state.crash_point,
                         mismatches=[replace(m, scenario=scenario_id) for m in mismatches],
-                        kernel_version=self.kernel_version,
+                        kernel_version=self.spec.kernel_version,
                         scenario=scenario_id,
                     )
                 )
@@ -353,7 +254,7 @@ class CrashMonkey:
             path="",
             expected="recorded stream replayable at every selected persistence point",
             actual=str(exc),
-            scenario=self.crash_plan,
+            scenario=self.spec.crash_plan,
         )
         return BugReport(
             workload=workload,
@@ -362,8 +263,8 @@ class CrashMonkey:
             checkpoint_id=-1,
             crash_point="crash-state generation failed",
             mismatches=[mismatch],
-            kernel_version=self.kernel_version,
-            scenario=self.crash_plan,
+            kernel_version=self.spec.kernel_version,
+            scenario=self.spec.crash_plan,
         )
 
     def test_stream(self, workloads) -> "Iterator[CrashTestResult]":

@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..envflags import env_default_on
 from ..errors import SpillMissError
 from ..fs.bugs import BugConfig
 from ..fs.registry import get_fs_class, models, resolve_fs_name
@@ -133,21 +132,6 @@ def _thaw_fs(payload: bytes, device):
     return unpickler.load()
 
 
-def default_share_prefixes() -> bool:
-    """Default for ``share_prefixes`` when callers pass ``None``.
-
-    Prefix sharing is on by default; setting ``REPRO_NO_SHARE_PREFIXES=1``
-    flips the default to from-scratch recording.  The CI test matrix uses
-    this to keep the reference recording path — the one the prefix-shared
-    profiles are parity-proven against — covered by the full tier-1 suite.
-    Explicit ``share_prefixes=True/False`` arguments always win.  The
-    conventional "unset" spellings (empty, ``0``, ``false``, ``no``, ``off``)
-    keep sharing on, so ``REPRO_NO_SHARE_PREFIXES=0`` does not silently
-    disable it.
-    """
-    return env_default_on("REPRO_NO_SHARE_PREFIXES")
-
-
 @dataclass
 class _PrefixNode:
     """Frozen recording state after executing one more prefix operation.
@@ -227,7 +211,7 @@ class WorkloadRecorder:
 
     def __init__(self, fs_name: str, bugs: Optional[BugConfig] = None,
                  device_blocks: int = DEFAULT_DEVICE_BLOCKS, strict: bool = False,
-                 share_prefixes: Optional[bool] = None,
+                 share_prefixes: bool = True,
                  spine_store: Optional[SpineStore] = None):
         """
         Args:
@@ -236,8 +220,7 @@ class WorkloadRecorder:
                 previously profiled workload, instead of re-running mkfs and
                 the prefix operations.  Profiles are byte-for-byte identical
                 either way; disabling trades recording speed for a recorder
-                with no state between ``profile`` calls.  ``None`` follows
-                :func:`default_share_prefixes`.
+                with no state between ``profile`` calls.
             spine_store: budgeted spill store for the frozen trie spine.
                 Pass the harness-wide store so recorder and replay spines
                 share one resident budget; ``None`` builds a private store
@@ -250,8 +233,7 @@ class WorkloadRecorder:
         self.bugs = bugs if bugs is not None else BugConfig.all_for(self.fs_name)
         self.device_blocks = device_blocks
         self.strict = strict
-        self.share_prefixes = (default_share_prefixes() if share_prefixes is None
-                               else share_prefixes)
+        self.share_prefixes = share_prefixes
         # The initial file-system state is the same for every workload (B3's
         # fourth bound): a small, freshly formatted image, created once and
         # reused as the base of every profile run.

@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tupl
 
 from ..analysis.audit import audit_report
 from ..analysis.mechanisms import AnalysisCursor, MechanismReport
-from ..envflags import env_default_on
 from ..errors import HarnessError, SpillMissError, UnmountableError
 from ..fs import fsck
 from ..fs.registry import get_fs_class
@@ -190,21 +189,6 @@ class _CheckpointRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "memo", _VerdictMemo(self.window))
-
-
-def default_share_replay() -> bool:
-    """Default for ``share_replay`` when callers pass ``None``.
-
-    Replay sharing is on by default; setting ``REPRO_NO_SHARE_REPLAY=1``
-    flips the default to from-scratch crash-state construction.  The CI test
-    matrix uses this to keep the reference construction path — the one the
-    shared builds are parity-proven against — covered by the full tier-1
-    suite.  Explicit ``share_replay=True/False`` arguments always win.  The
-    conventional "unset" spellings (empty, ``0``, ``false``, ``no``, ``off``)
-    keep sharing on, so ``REPRO_NO_SHARE_REPLAY=0`` does not silently
-    disable it.
-    """
-    return env_default_on("REPRO_NO_SHARE_REPLAY")
 
 
 def _requests_match(a: IORequest, b: IORequest) -> bool:

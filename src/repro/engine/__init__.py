@@ -6,6 +6,7 @@ workloads stream from the synthesizer through chunked dispatch onto an
 worker) and aggregate incrementally into a :class:`CampaignResult`.
 """
 
+from ..options import HarnessSpec
 from .backends import (
     ChunkOutcome,
     ExecutionBackend,
@@ -21,7 +22,6 @@ from .engine import (
     ProgressEvent,
     run_campaign,
 )
-from .spec import HarnessSpec
 from .stream import TimedIterator, chunked, chunked_affine
 
 __all__ = [

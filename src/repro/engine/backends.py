@@ -28,8 +28,8 @@ from typing import Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from ..crashmonkey.harness import CrashMonkey
 from ..crashmonkey.report import CrashTestResult
+from ..options import HarnessSpec
 from ..workload.workload import Workload
-from .spec import HarnessSpec
 
 #: Indexed chunk: (position in the stream, workloads).
 IndexedChunk = Tuple[int, List[Workload]]

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from ..core.results import CampaignResult
-from ..crashmonkey.recorder import default_share_prefixes
 from ..fs.registry import models, resolve_fs_name
+from ..options import HarnessSpec
 from ..workload.workload import Workload
 from .backends import (
     ChunkOutcome,
@@ -31,8 +31,7 @@ from .backends import (
     SerialBackend,
     make_backend,
 )
-from .spec import HarnessSpec
-from .stream import TimedIterator, chunked, chunked_affine
+from .stream import TimedIterator, chunked_affine
 
 #: Default chunk size: large enough to amortize dispatch, small enough for
 #: balanced progress reporting and bounded in-flight memory.
@@ -101,44 +100,35 @@ class CampaignEngine:
     def __init__(self, spec: HarnessSpec,
                  backend: Optional[ExecutionBackend] = None,
                  chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 progress: Optional[ProgressCallback] = None,
-                 preserve_order: bool = True,
-                 prefix_affine: Optional[bool] = None):
+                 progress: Optional[ProgressCallback] = None):
         """
         Args:
             spec: how workers build their harnesses.
             backend: execution strategy; defaults to :class:`SerialBackend`.
             chunk_size: workloads per dispatched chunk.
             progress: called after every completed chunk.
-            preserve_order: reassemble results into input-stream order after
-                unordered completion, so serial and parallel runs return
-                identical orderings.
-            prefix_affine: cut chunk boundaries at ACE sibling-family
-                boundaries (equal :meth:`Workload.family_key` runs stay in
-                one chunk), so a pool worker's prefix cache and cross-workload
-                dedup cache see a family's shared prefix together instead of
-                split across workers.  Never reorders the stream.  ``None``
-                (the default) follows ``spec.share_prefixes``.
         """
         self.spec = spec
         self.backend = backend if backend is not None else SerialBackend()
         self.chunk_size = chunk_size
         self.progress = progress
-        self.preserve_order = preserve_order
-        if prefix_affine is None:
-            prefix_affine = (default_share_prefixes() if spec.share_prefixes is None
-                             else spec.share_prefixes)
-        self.prefix_affine = prefix_affine
         self.fs_name = resolve_fs_name(spec.fs_name)
         self.fs_model = models(self.fs_name)
 
     # ------------------------------------------------------------------ running
 
     def _chunked(self, timed: TimedIterator):
-        if self.prefix_affine:
-            return chunked_affine(timed, self.chunk_size,
-                                  key=lambda workload: workload.family_key())
-        return chunked(timed, self.chunk_size)
+        """Cut the stream into chunks at ACE sibling-family boundaries.
+
+        Runs of equal :meth:`Workload.family_key` stay in one chunk, so a
+        pool worker's prefix cache and cross-workload dedup cache see a
+        family's shared prefix together instead of split across workers.
+        The stream is never reordered, and the layout depends on it and
+        ``chunk_size`` alone — which is what lets a durable campaign resume
+        under any execution options and still find its own chunks.
+        """
+        return chunked_affine(timed, self.chunk_size,
+                              key=lambda workload: workload.family_key())
 
     def run(self, workloads: Iterable[Workload], label: str = "",
             workloads_total: Optional[int] = None) -> EngineRun:
@@ -215,8 +205,7 @@ class CampaignEngine:
             result.ingest_many(outcome.results)
             stats = outcome.stats()
             run.chunks.append(stats)
-            if self.preserve_order:
-                chunk_results.append(outcome.results)
+            chunk_results.append(outcome.results)
             if self.progress is not None:
                 self.progress(
                     ProgressEvent(
@@ -233,15 +222,14 @@ class CampaignEngine:
                 )
         run.wall_clock_seconds = time.perf_counter() - start
         order = sorted(range(len(run.chunks)), key=lambda pos: run.chunks[pos].index)
-        if self.preserve_order:
-            # Reassemble completion-ordered chunks back into stream order, so
-            # result.results corresponds positionally to the input workloads
-            # whichever backend ran them.
-            result.results = [
-                test_result
-                for pos in order
-                for test_result in chunk_results[pos]
-            ]
+        # Reassemble completion-ordered chunks back into stream order, so
+        # result.results corresponds positionally to the input workloads
+        # whichever backend ran them.
+        result.results = [
+            test_result
+            for pos in order
+            for test_result in chunk_results[pos]
+        ]
         run.chunks = [run.chunks[pos] for pos in order]
         return run
 

@@ -105,5 +105,13 @@ class HarnessError(ReproError):
     """CrashMonkey / ACE harness misuse (e.g. replaying before recording)."""
 
 
+class CampaignDriftError(ReproError, ValueError):
+    """A stored campaign was asked to continue under a different identity.
+
+    Identity options (see :mod:`repro.options`) decide the campaign's result;
+    continuing under another value would silently mix two campaigns.
+    """
+
+
 class WorkloadError(ReproError):
     """A workload is malformed or cannot be executed."""

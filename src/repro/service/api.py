@@ -11,11 +11,8 @@ produce and consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from ..ace.bounds import Bounds
-from ..core.campaign import CampaignConfig
-from ..fs.bugs import BugConfig
+from ..options import CampaignConfig
 
 #: Campaign lifecycle states in the state store.
 QUEUED = "queued"
@@ -35,98 +32,11 @@ CHUNK_STATES = (PENDING, PROCESSING, CHUNK_DONE)
 
 # --------------------------------------------------------------------- config codec
 
-
-def config_to_dict(config: CampaignConfig) -> dict:
-    """JSON-ready encoding of a :class:`CampaignConfig`.
-
-    The state store persists this with the campaign so a resume session (or
-    another process entirely) rebuilds an identical engine — same bounds,
-    same crash plan, same sharing/dedup switches — without the submitter
-    still being around.
-    """
-    bounds = config.bounds
-    return {
-        "fs_name": config.fs_name,
-        "bugs": None if config.bugs is None else sorted(config.bugs.enabled),
-        "bounds": None if bounds is None else {
-            "seq_length": bounds.seq_length,
-            "operations": list(bounds.operations),
-            "num_top_files": bounds.num_top_files,
-            "num_dirs": bounds.num_dirs,
-            "files_per_dir": bounds.files_per_dir,
-            "nested": bounds.nested,
-            "write_ranges": list(bounds.write_ranges),
-            "persistence_ops": list(bounds.persistence_ops),
-            "allow_unpersisted": bounds.allow_unpersisted,
-            "device_blocks": bounds.device_blocks,
-            "label": bounds.label,
-        },
-        "max_workloads": config.max_workloads,
-        "sample": config.sample,
-        "device_blocks": config.device_blocks,
-        "only_last_checkpoint": config.only_last_checkpoint,
-        "checks": None if config.checks is None else list(config.checks),
-        "skip_checks": list(config.skip_checks),
-        "crash_plan": config.crash_plan,
-        "reorder_bound": config.reorder_bound,
-        "torn_bound": config.torn_bound,
-        "dedup_scenarios": config.dedup_scenarios,
-        "share_prefixes": config.share_prefixes,
-        "share_replay": config.share_replay,
-        "cross_workload_dedup": config.cross_workload_dedup,
-        "global_dedup_cache": config.global_dedup_cache,
-        "analyze_mechanisms": config.analyze_mechanisms,
-        "spine_memory_budget": config.spine_memory_budget,
-        "spine_spill_dir": config.spine_spill_dir,
-        "processes": config.processes,
-        "chunk_size": config.chunk_size,
-    }
-
-
-def config_from_dict(payload: dict) -> CampaignConfig:
-    """Inverse of :func:`config_to_dict`."""
-    bounds_payload = payload.get("bounds")
-    bounds: Optional[Bounds] = None
-    if bounds_payload is not None:
-        bounds = Bounds(
-            seq_length=bounds_payload["seq_length"],
-            operations=tuple(bounds_payload["operations"]),
-            num_top_files=bounds_payload["num_top_files"],
-            num_dirs=bounds_payload["num_dirs"],
-            files_per_dir=bounds_payload["files_per_dir"],
-            nested=bounds_payload["nested"],
-            write_ranges=tuple(bounds_payload["write_ranges"]),
-            persistence_ops=tuple(bounds_payload["persistence_ops"]),
-            allow_unpersisted=bounds_payload["allow_unpersisted"],
-            device_blocks=bounds_payload["device_blocks"],
-            label=bounds_payload.get("label", ""),
-        )
-    bugs_payload = payload.get("bugs")
-    checks = payload.get("checks")
-    return CampaignConfig(
-        fs_name=payload["fs_name"],
-        bugs=None if bugs_payload is None else BugConfig(frozenset(bugs_payload)),
-        bounds=bounds,
-        max_workloads=payload.get("max_workloads"),
-        sample=payload.get("sample", False),
-        device_blocks=payload.get("device_blocks", 4096),
-        only_last_checkpoint=payload.get("only_last_checkpoint", False),
-        checks=None if checks is None else tuple(checks),
-        skip_checks=tuple(payload.get("skip_checks", ())),
-        crash_plan=payload.get("crash_plan", "prefix"),
-        reorder_bound=payload.get("reorder_bound", 2),
-        torn_bound=payload.get("torn_bound", 2),
-        dedup_scenarios=payload.get("dedup_scenarios", True),
-        share_prefixes=payload.get("share_prefixes"),
-        share_replay=payload.get("share_replay"),
-        cross_workload_dedup=payload.get("cross_workload_dedup", False),
-        global_dedup_cache=payload.get("global_dedup_cache"),
-        analyze_mechanisms=payload.get("analyze_mechanisms"),
-        spine_memory_budget=payload.get("spine_memory_budget"),
-        spine_spill_dir=payload.get("spine_spill_dir"),
-        processes=payload.get("processes", 1),
-        chunk_size=payload.get("chunk_size"),
-    )
+#: The state store persists a campaign's configuration as the schema's own
+#: JSON codec writes it, so a resume session (or another process entirely)
+#: rebuilds an identical engine without the submitter still being around.
+config_to_dict = CampaignConfig.to_dict
+config_from_dict = CampaignConfig.from_dict
 
 
 # ------------------------------------------------------------------------- requests

@@ -12,9 +12,11 @@ a campaign survives the death of the process running it:
   Registration happens in the same generation pass that dispatches work
   (register, then claim-or-skip, chunk by chunk), and a session that hits
   its slice quota keeps draining the stream so the census still completes —
-  from then on totals are served from the store.  Chunking stays
-  prefix-affine, so a resumed session keeps whole ACE sibling families on
-  one worker and loses none of the prefix/replay sharing.
+  from then on totals are served from the store.  Chunking is always
+  family-affine and depends on the stream and ``chunk_size`` alone, so a
+  session resumed under any execution options (worker count, sharing
+  switches, spine budget) finds the same chunks, keeps whole ACE sibling
+  families on one worker and loses none of the prefix/replay sharing.
 * **Crash recovery.**  Every session starts with
   :meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash` (orphaned
   ``processing`` chunks go back to ``pending``), skips chunks already
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import json
 import os
 import shutil
 import signal
@@ -72,13 +75,12 @@ def chunk_identity(chunk: List[Workload]) -> str:
 def default_campaign_id(tenant: str, config: CampaignConfig) -> str:
     """Deterministic id for ad-hoc durable runs (CLI ``campaign --durable``).
 
-    Derived from tenant + full config, so re-invoking the same command
-    resumes the same campaign instead of starting a parallel twin.
+    Derived from tenant + the config's identity options, so re-invoking the
+    same command — under any execution options — resumes the same campaign
+    instead of starting a parallel twin.
     """
-    import json
-
     digest = hashlib.sha1(
-        (tenant + "\x00" + json.dumps(config_to_dict(config), sort_keys=True)).encode("utf-8")
+        (tenant + "\x00" + json.dumps(config.identity(), sort_keys=True)).encode("utf-8")
     ).hexdigest()
     return f"dur-{digest[:12]}"
 
@@ -87,18 +89,16 @@ class DurableCampaignRunner:
     """Run a campaign against a state store; resumable, exactly-once chunks."""
 
     def __init__(self, config: CampaignConfig, state_db: "CampaignStateDB | str",
-                 campaign_id: Optional[str] = None, tenant: str = "default",
-                 processes: Optional[int] = None):
+                 campaign_id: Optional[str] = None, tenant: str = "default"):
         """
         Args:
-            config: the campaign to run (persisted verbatim in the store).
+            config: the campaign to run.  Its identity options must match
+                the stored campaign's when ``campaign_id`` already exists;
+                its execution options are this session's own.
             state_db: a :class:`CampaignStateDB` or a path to open one at.
             campaign_id: store key; defaults to a deterministic digest of
-                tenant + config so identical invocations resume each other.
-            processes: worker-fleet size override for *this* session (the
-                service schedules many campaigns onto one shared fleet);
-                ``None`` follows ``config.processes``.  Only the persisted
-                config determines campaign identity.
+                tenant + config identity so identical invocations resume
+                each other.
         """
         self.config = config
         self.tenant = tenant
@@ -109,7 +109,6 @@ class DurableCampaignRunner:
             self.db = CampaignStateDB(state_db)
             self._owns_db = True
         self.campaign_id = campaign_id or default_campaign_id(tenant, config)
-        self.processes = processes if processes is not None else config.processes
         self._campaign = B3Campaign(config)
         #: audit trail of the most recent :meth:`run` session
         self.last_session: Optional[SessionStats] = None
@@ -117,13 +116,18 @@ class DurableCampaignRunner:
 
     @classmethod
     def from_db(cls, state_db: "CampaignStateDB | str", campaign_id: str,
-                processes: Optional[int] = None) -> "DurableCampaignRunner":
-        """Rebuild a runner purely from the store (the resume/service path)."""
+                **execution) -> "DurableCampaignRunner":
+        """Rebuild a runner purely from the store (the resume/service path).
+
+        ``execution`` replaces stored execution options for this session
+        (the service puts every campaign on its one shared fleet with
+        ``processes=``); an identity option here is refused when the session
+        runs, like any other drift.
+        """
         db = state_db if isinstance(state_db, CampaignStateDB) else CampaignStateDB(state_db)
         row = db.campaign_row(campaign_id)
-        config = api.config_from_dict(db.load_config(campaign_id))
-        runner = cls(config, db, campaign_id=campaign_id, tenant=row["tenant"],
-                     processes=processes)
+        config = replace(api.config_from_dict(db.load_config(campaign_id)), **execution)
+        runner = cls(config, db, campaign_id=campaign_id, tenant=row["tenant"])
         runner._owns_db = not isinstance(state_db, CampaignStateDB)
         return runner
 
@@ -138,7 +142,7 @@ class DurableCampaignRunner:
                       else DEFAULT_CHUNK_SIZE)
         return CampaignEngine(
             spec,
-            backend=make_backend(self.processes),
+            backend=make_backend(self.config.processes),
             chunk_size=chunk_size,
             progress=progress,
         )

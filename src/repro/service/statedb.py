@@ -11,7 +11,7 @@ in flight when the previous session died.
 Five tables:
 
 * ``campaigns`` — one row per submitted campaign: tenant, label, the full
-  serialized :class:`~repro.core.campaign.CampaignConfig` (so any process can
+  serialized :class:`~repro.options.CampaignConfig` (so any process can
   rebuild an identical engine), lifecycle status and accumulated timing.
 * ``chunks`` — the campaign's deterministic chunk census.  Each chunk moves
   ``pending -> processing -> done``; :meth:`recover_from_crash` moves
@@ -50,6 +50,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from ..core.results import CampaignResult
 from ..crashmonkey.report import CrashTestResult
 from ..engine.backends import ChunkOutcome
+from ..errors import CampaignDriftError
 from . import api
 
 _SCHEMA = """
@@ -135,9 +136,12 @@ class CampaignStateDB:
                         label: str = "", fs_name: str = "", fs_model: str = "") -> bool:
         """Register a campaign; True when newly created.
 
-        Re-registering an existing id is the resume path and is only legal
-        with an identical configuration — a changed config would silently
-        mix results from two different campaigns, so it raises instead.
+        Re-registering an existing id is the resume path.  The session may
+        bring its own execution options (worker count, sharing switches,
+        spine budget: proven unable to change the result), but an identity
+        option that differs would silently mix results from two different
+        campaigns, so it raises :class:`~repro.errors.CampaignDriftError`.
+        The stored row keeps the configuration the campaign was created with.
         """
         config_json = json.dumps(config, sort_keys=True)
         cursor = self._conn.execute(
@@ -148,14 +152,20 @@ class CampaignStateDB:
         )
         if cursor.rowcount == 1:
             return True
-        existing = self._conn.execute(
-            "SELECT config_json FROM campaigns WHERE campaign_id = ?", (campaign_id,)
-        ).fetchone()
-        if existing[0] != config_json:
-            raise ValueError(
-                f"campaign {campaign_id!r} already exists with a different "
-                f"configuration; resuming requires an identical config"
-            )
+        stored = self.load_config(campaign_id)
+        if stored != config:
+            # Decoded then re-encoded, so a payload written before a field
+            # existed (missing key) or by the tri-state era (null) compares
+            # as the field's default.
+            created, asked = (api.config_from_dict(payload).identity()
+                              for payload in (stored, config))
+            for name, value in created.items():
+                if value != asked[name]:
+                    raise CampaignDriftError(
+                        f"campaign {campaign_id!r} was created with {name}={value!r}, "
+                        f"this run asks for {asked[name]!r} — a different campaign; "
+                        f"resume it as created, or pick another campaign id"
+                    )
         return False
 
     def campaign_exists(self, campaign_id: str) -> bool:

@@ -35,7 +35,7 @@ from .io_request import (
 )
 from .record_device import RecordingDevice
 from .replay import replay_requests, replay_until_checkpoint
-from .slab import BlockSlab, slabs_enabled
+from .slab import BlockSlab
 from .spill import (
     DEFAULT_SPINE_MEMORY_BUDGET,
     SpineStore,
@@ -55,7 +55,6 @@ __all__ = [
     "split_blocks",
     "BlockDevice",
     "BlockSlab",
-    "slabs_enabled",
     "DEFAULT_SPINE_MEMORY_BUDGET",
     "SpineStore",
     "default_spine_memory_budget",

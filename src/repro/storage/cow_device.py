@@ -16,9 +16,8 @@ incremental crash-state construction cheap — it forks a snapshot at every
 persistence point of the recorded stream.
 
 Short (sub-block) writes are zero-padded into a per-device :class:`BlockSlab`
-arena when slabs are enabled (the default; see ``REPRO_NO_SLABS``), so the
-overlay holds read-only ``memoryview`` slots of contiguous storage instead of
-one heap-allocated ``bytes`` object per block.
+arena, so the overlay holds read-only ``memoryview`` slots of contiguous
+storage instead of one heap-allocated ``bytes`` object per block.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from ..errors import InvalidBlockError
 from .block import BLOCK_SIZE, ZERO_BLOCK, Payload, compose_torn_block, pad_block
 from .block_device import BlockDevice
-from .slab import BlockSlab, slabs_enabled
+from .slab import BlockSlab
 
 #: When a snapshot's frozen chain grows past this many layers the next fork
 #: compacts it into a single layer.  Chains only grow by forking, so this
@@ -59,7 +58,6 @@ class CowDevice:
         self._chain_index: Dict[int, Payload] = {}
         #: this device's private, mutable top overlay.
         self._overlay: Dict[int, Payload] = {}
-        self._use_slabs = slabs_enabled()
         self._slab: Optional[BlockSlab] = None
         self.writes = 0
         self.reads = 0
@@ -96,9 +94,9 @@ class CowDevice:
         return self.base.read_block(block)
 
     def _pad(self, data) -> Payload:
-        """Pad a write payload to one block, into the slab when enabled."""
+        """Pad a write payload to one block; a short one goes into the slab."""
         length = len(data)
-        if length == BLOCK_SIZE or length == 0 or not self._use_slabs:
+        if length == BLOCK_SIZE or length == 0:
             return pad_block(data)
         if self._slab is None:
             self._slab = BlockSlab()
@@ -172,7 +170,6 @@ class CowDevice:
         clone = CowDevice(self.base, name=name or f"{self.name}-snap")
         clone._chain = self._chain
         clone._chain_index = self._chain_index
-        clone._use_slabs = self._use_slabs
         return clone
 
     def _merged_overlay(self) -> Dict[int, Payload]:

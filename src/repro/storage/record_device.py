@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .block import BLOCK_SIZE, Payload, pad_block
 from .io_request import IOFlag, IOKind, IORequest
-from .slab import BlockSlab, slabs_enabled
+from .slab import BlockSlab
 
 
 class RecordingDevice:
@@ -30,7 +30,6 @@ class RecordingDevice:
         self._log: List[IORequest] = []
         self._seq = 0
         self._checkpoints = 0
-        self._use_slabs = slabs_enabled()
         self._slab: Optional[BlockSlab] = None
         self.recording = True
 
@@ -44,9 +43,9 @@ class RecordingDevice:
         return self.target.read_block(block)
 
     def _capture(self, data) -> Payload:
-        """Pad a write payload to one block exactly once, in the slab when enabled."""
+        """Pad a write payload to one block exactly once; a short one goes into the slab."""
         length = len(data)
-        if length == BLOCK_SIZE or length == 0 or not self._use_slabs:
+        if length == BLOCK_SIZE or length == 0:
             return pad_block(data)
         if self._slab is None:
             self._slab = BlockSlab()

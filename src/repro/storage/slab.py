@@ -15,17 +15,12 @@ Chunks are never resized once a view has been handed out (resizing an
 exported ``bytearray`` raises ``BufferError``), so the arena grows by
 allocating fresh chunks — geometrically, to keep small devices (a crash
 state that mounts and writes three blocks) from paying a megabyte up front.
-
-Set ``REPRO_NO_SLABS=1`` to fall back to per-block ``bytes`` objects
-everywhere; profiles and crash states are byte-for-byte identical either way
-(the CI matrix keeps the reference path covered).
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..envflags import env_default_on
 from .block import BLOCK_SIZE
 
 #: First chunk holds this many blocks; each subsequent chunk doubles, up to
@@ -33,18 +28,6 @@ from .block import BLOCK_SIZE
 #: amortize allocation quickly.
 MIN_CHUNK_BLOCKS = 8
 MAX_CHUNK_BLOCKS = 256
-
-
-def slabs_enabled() -> bool:
-    """Default for slab-backed payload storage.
-
-    Slabs are on by default; setting ``REPRO_NO_SLABS=1`` flips every device
-    constructed afterwards to per-block ``bytes`` payloads (the reference
-    representation the slab path is parity-proven against).  The conventional
-    "unset" spellings (empty, ``0``, ``false``, ``no``, ``off``) keep slabs
-    on, so ``REPRO_NO_SLABS=0`` does not silently disable them.
-    """
-    return env_default_on("REPRO_NO_SLABS")
 
 
 class BlockSlab:

@@ -454,9 +454,8 @@ class TestRegistry:
 
 class TestPipelineSelection:
     def test_run_write_checks_false_maps_to_skip(self):
-        pipeline = AutoChecker(run_write_checks=False)
+        pipeline = AutoChecker(skip_checks=("write",))
         assert "write" not in pipeline.check_names
-        assert not pipeline.run_write_checks
 
     def test_default_pipeline_runs_everything(self):
         assert CheckPipeline().check_names == tuple(DEFAULT_REGISTRY.names())

@@ -552,8 +552,8 @@ class TestCrashPlanThroughTheEngine:
         spec = HarnessSpec(fs_name="f2fs", crash_plan="reorder", reorder_bound=3,
                            device_blocks=SMALL_DEVICE_BLOCKS)
         rebuilt = pickle.loads(pickle.dumps(spec)).build()
-        assert rebuilt.crash_plan == "reorder"
-        assert rebuilt.reorder_bound == 3
+        assert rebuilt.spec.crash_plan == "reorder"
+        assert rebuilt.spec.reorder_bound == 3
 
     def test_pool_workers_rebuild_the_reorder_planner(self):
         spec = HarnessSpec(fs_name="f2fs", bugs=BugConfig.only("fsync_no_flush"),
@@ -580,7 +580,7 @@ class TestCrashPlanThroughTheEngine:
         campaign = B3Campaign(config)
         assert campaign.spec.crash_plan == "reorder"
         assert campaign.spec.reorder_bound == 1
-        assert campaign.harness.crash_plan == "reorder"
+        assert campaign.harness.spec.crash_plan == "reorder"
 
     def test_torn_spec_pickles_and_rebuilds_the_planner(self):
         spec = HarnessSpec(fs_name="f2fs", crash_plan="torn", reorder_bound=3,
@@ -590,7 +590,7 @@ class TestCrashPlanThroughTheEngine:
         assert isinstance(rebuilt.planner, TornWritePlanner)
         assert rebuilt.planner.bound == 3
         assert rebuilt.planner.torn_bound == 4
-        assert rebuilt.dedup_scenarios is False
+        assert rebuilt.spec.dedup_scenarios is False
 
     def test_pool_workers_rebuild_the_torn_planner(self):
         spec = HarnessSpec(fs_name="f2fs", bugs=BugConfig.only("missing_flush_before_fua"),

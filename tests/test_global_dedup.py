@@ -99,7 +99,6 @@ class TestHarnessGlobalDedup:
                               cross_workload_dedup=False,
                               global_dedup_cache=str(tmp_path / "s.sqlite"))
         assert harness.cross_cache is None
-        assert harness.global_dedup_cache is None
 
 
 # --------------------------------------------------------------------------- campaign scope
@@ -151,7 +150,7 @@ class TestCampaignGlobalDedup:
         ))
         campaign.run()
         assert campaign.spec.global_dedup_cache is None
-        assert campaign.harness.global_dedup_cache is None
+        assert not isinstance(campaign.harness.cross_cache, GlobalDedupCache)
 
 
 # --------------------------------------------------------------------------- CLI

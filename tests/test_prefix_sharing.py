@@ -361,14 +361,6 @@ class TestPrefixAffineChunking:
         assert sum(stats.prefix_hits for stats in run.chunks) == run.result.prefix_hits
         assert run.result.prefix_hits > 0
 
-    def test_sharing_off_uses_plain_fixed_size_chunks(self):
-        workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=20))
-        spec = HarnessSpec(fs_name="btrfs", bugs=BugConfig.none(),
-                           device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=False)
-        run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
-        assert [stats.workloads for stats in run.chunks] == [8, 8, 4]
-        assert run.result.prefix_hits == 0
-
 
 # --------------------------------------------------------------------------- adapter surfacing
 

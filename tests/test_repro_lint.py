@@ -264,3 +264,75 @@ def test_harness_checking_a_twin_is_caught():
     on_the_twin_side = loop.replace("mismatches = crash_state.verdict.mismatches",
                                     "self.checker.check_timed(profile, crash_state)")
     assert [f[1] for f in check(_trees(**{"crashmonkey/harness.py": on_the_twin_side}))] == [4]
+
+
+# ----------------------------------------------------- rule 9: options are spelt once
+
+SCHEMA = (
+    "class HarnessSpec:\n"
+    "    fs_name: str = option('btrfs', 'fs', flags=('--filesystem', '-f'))\n"
+    "    torn_bound: int = option(2, 'torn', flags=('--torn-bound',))\n"
+    "    share_replay: bool = option(True, 'replay', flags=('--share-replay',))\n"
+    "    kernel_version: str = option('4.16', 'label')\n"
+)
+
+
+def _options_findings(**sources):
+    return repro_lint.check_options_are_spelt_once(
+        _trees(**{"options.py": SCHEMA, **sources}))
+
+
+def test_the_real_schema_is_what_rule_nine_reads():
+    trees = repro_lint.parse_tree()
+    names, flags = repro_lint._option_schema(trees[repro_lint.SRC_ROOT / "options.py"])
+    assert {"fs_name", "torn_bound", "processes", "bounds"} <= names
+    assert {"--filesystem", "-f", "--torn-bound", "-j", "--limit"} <= flags
+
+
+def test_a_hand_written_schema_flag_is_caught():
+    rogue = "def build(parser):\n    parser.add_argument('--torn-bound', type=int, default=2)\n"
+    findings = _options_findings(**{"cli/main.py": rogue})
+    assert len(findings) == 1 and "`--torn-bound`" in findings[0][2]
+    # Short spellings count; flags the schema does not own are the CLI's business.
+    assert len(_options_findings(**{"cli/main.py": rogue.replace("--torn-bound", "-f")})) == 1
+    assert _options_findings(**{"cli/main.py": rogue.replace("--torn-bound", "--progress")}) == []
+    # The schema module itself is where the flags are spelt.
+    assert repro_lint.check_options_are_spelt_once(
+        _trees(**{"options.py": SCHEMA + rogue})) == []
+
+
+def test_a_keyword_by_keyword_copy_of_the_options_is_caught():
+    copy = (
+        "def build(self):\n"
+        "    return CrashMonkey(fs_name=self.fs_name, torn_bound=self.torn_bound,\n"
+        "                       share_replay=config.share_replay)\n"
+    )
+    findings = _options_findings(**{"engine/spec.py": copy})
+    assert len(findings) == 1 and "fs_name, torn_bound, share_replay" in findings[0][2]
+    # Two copied keywords, renamed ones, and non-schema ones are ordinary calls.
+    fine = (
+        "def build(self, spec):\n"
+        "    a = Recorder(fs_name=spec.fs_name, torn_bound=spec.torn_bound, store=self.store)\n"
+        "    b = Store(budget=spec.torn_bound, name=spec.fs_name, replay=spec.share_replay)\n"
+        "    return Config(fs_name=fs_name, torn_bound=torn_bound, share_replay=share_replay)\n"
+    )
+    assert _options_findings(**{"crashmonkey/harness.py": fine}) == []
+
+
+def test_an_undeclared_environment_option_is_caught():
+    for read in (
+        "flag = os.environ.get('REPRO_NO_SLABS', '')\n",
+        "flag = os.environ['REPRO_NO_SLABS']\n",
+        "flag = os.getenv('REPRO_NO_SLABS')\n",
+        "GATE = 'REPRO_NO_SLABS'\nflag = os.environ.get(GATE)\n",
+    ):
+        findings = _options_findings(**{"storage/slab.py": "import os\n" + read})
+        assert len(findings) == 1 and "`REPRO_NO_SLABS`" in findings[0][2], read
+    allowed = (
+        "import os\n"
+        "SELFCRASH_ENV = 'REPRO_SELFCRASH_AFTER_CHUNKS'\n"
+        "a = os.environ.get('REPRO_SPINE_BUDGET', '')\n"
+        "b = os.environ.get(SELFCRASH_ENV, '0')\n"
+        "c = os.environ.get('TMPDIR')\n"
+    )
+    assert _options_findings(**{"service/runner.py": allowed}) == []

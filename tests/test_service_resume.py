@@ -25,12 +25,12 @@ from repro.service.runner import SELFCRASH_ENV
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _config(processes: int = 1) -> CampaignConfig:
+def _config(**options) -> CampaignConfig:
     # A slice of seq-2 with real bug reports in it, so resume identity
     # covers report reconstruction, not just counters.
     return CampaignConfig(fs_name="btrfs", bounds=seq2_bounds(),
                           max_workloads=40, sample=True,
-                          chunk_size=4, processes=processes)
+                          chunk_size=4, **options)
 
 
 @pytest.fixture(scope="module")
@@ -253,4 +253,7 @@ def test_default_campaign_id_is_config_deterministic():
     a = default_campaign_id("alice", _config())
     assert a == default_campaign_id("alice", _config())
     assert a != default_campaign_id("bob", _config())
-    assert a != default_campaign_id("alice", _config(processes=2))
+    # Execution options are not identity: the same campaign under another
+    # worker count resumes itself; another bound is another campaign.
+    assert a == default_campaign_id("alice", _config(processes=2))
+    assert a != default_campaign_id("alice", _config(torn_bound=1))

@@ -274,16 +274,6 @@ def test_describe_omits_replay_line_without_hits():
     assert "trail hits" not in run.result.describe()
 
 
-def test_harness_follows_the_share_replay_gate(monkeypatch):
-    """The spellings are pinned in test_envflags; this is the call site:
-    the harness follows the gate when share_replay is None, and explicit
-    arguments always win."""
-    monkeypatch.setenv("REPRO_NO_SHARE_REPLAY", "1")
-    assert CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS).replay_cache is None
-    assert CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                       share_replay=True).replay_cache is not None
-
-
 # ------------------------------------------------------------------ CLI
 
 

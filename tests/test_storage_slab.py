@@ -21,6 +21,7 @@ from repro.storage import (
     pad_block,
     split_at_checkpoint,
 )
+from repro.storage.block import SECTOR_SIZE
 from repro.storage.slab import MAX_CHUNK_BLOCKS, MIN_CHUNK_BLOCKS
 
 
@@ -124,13 +125,15 @@ def _fill_device(device):
 
 
 class TestDeviceSlabParity:
-    def test_visible_bytes_identical_with_slabs_on_and_off(self, monkeypatch):
-        states = {}
-        for setting in ("", "1"):
-            monkeypatch.setenv("REPRO_NO_SLABS", setting)
-            device = _fill_device(CowDevice(BlockDevice(num_blocks=16)))
-            states[setting] = [bytes(device.read_block(b)) for b in range(16)]
-        assert states[""] == states["1"]
+    def test_visible_bytes_identical_with_slabs_on_and_off(self):
+        """The slab-backed overlay shows what per-block ``pad_block`` payloads
+        (the representation with no slab at all) would."""
+        device = _fill_device(CowDevice(BlockDevice(num_blocks=16)))
+        reference = [bytes(pad_block(b""))] * 16
+        reference[0] = bytes(pad_block(b"first-again"))
+        reference[1] = bytes(pad_block(b"second"))
+        reference[2] = bytes(pad_block(b"t" * SECTOR_SIZE))  # one sector of the torn write
+        assert [bytes(device.read_block(b)) for b in range(16)] == reference
 
     def test_reads_return_padded_block_sized_payloads(self):
         device = CowDevice(BlockDevice(num_blocks=8))

@@ -57,8 +57,8 @@ UNMOUNTABLE_WORKLOAD = "creat foo\ncreat bar\nfsync foo\nrename bar foo\nfsync f
 
 
 #: the inheritance tests assert that verdicts *are* inherited, which needs
-#: both spines on and resident whatever the environment's defaults say (the
-#: CI lanes flip them: REPRO_NO_SHARE_*, REPRO_SPINE_BUDGET)
+#: both spines on and resident whatever the environment's budget says (the
+#: spill CI lane sets REPRO_SPINE_BUDGET)
 SHARING = dict(share_prefixes=True, share_replay=True, spine_memory_budget=1 << 28)
 
 
@@ -76,7 +76,7 @@ def always_mount_reference(harness: CrashMonkey, workload) -> CrashTestResult:
     planner scenario is constructed, mounted and checked on its own."""
     profile = harness.recorder.profile(workload)
     generator = CrashStateGenerator(profile, planner=harness.planner,
-                                    analyze=harness.analyze_mechanisms)
+                                    analyze=harness.spec.analyze_mechanisms)
     result = CrashTestResult(workload=workload, fs_type=harness.fs_name,
                              fs_model=harness.fs_model)
     result.recorded_requests = len(profile.io_log)
@@ -98,7 +98,7 @@ def always_mount_reference(harness: CrashMonkey, workload) -> CrashTestResult:
                 workload=workload, fs_type=harness.fs_name, fs_model=harness.fs_model,
                 checkpoint_id=state.checkpoint_id, crash_point=state.crash_point,
                 mismatches=[replace(m, scenario=state.scenario_id) for m in mismatches],
-                kernel_version=harness.kernel_version, scenario=state.scenario_id,
+                kernel_version=harness.spec.kernel_version, scenario=state.scenario_id,
             ))
     for checkpoint_id in checkpoints:
         generator._count_mechanism_window(generator._record_for(checkpoint_id).window)

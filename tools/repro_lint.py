@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Eight invariants, each protecting a guarantee a past change was built on:
+Nine invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -67,6 +67,17 @@ Eight invariants, each protecting a guarantee a past change was built on:
    state, and is exempt.)  And ``harness.py`` may call ``check_timed`` only
    on the not-a-twin side of an ``is_twin`` test: a twin has no mounted fs,
    its verdict is its representative's — whichever workload mounted it.
+
+9. **Options are spelt once.**  ``options.py`` declares every option as one
+   dataclass field carrying its default, help, CLI flag and identity /
+   execution tag; the harness constructor, the JSON codec, the argparse
+   groups and the resume check are derived from the fields.  Outside that
+   module nothing may re-spell one: no ``add_argument`` of a schema field's
+   flag, no call copying three or more ``name=<expr>.name`` schema-field
+   keywords (the hand-copy pattern that let five copies drift), and no
+   ``os.environ`` read of a ``REPRO_*`` name beyond the box resource limit
+   and the fault hook — an environment variable is an option with no
+   declaration at all.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -520,6 +531,98 @@ def check_single_mount_site_and_twins_not_rechecked(
     return findings
 
 
+# ------------------------------------------------- rule 9: options are spelt once
+
+
+#: the module that declares the options, and the call that declares one
+OPTIONS_MODULE = "options.py"
+OPTION_DECLARATOR = "option"
+
+#: environment variables that are not options: a box resource limit and the
+#: durable runner's fault-injection hook
+ALLOWED_ENV_VARS = {"REPRO_SPINE_BUDGET", "REPRO_SELFCRASH_AFTER_CHUNKS"}
+
+#: a call copying this many ``name=<expr>.name`` schema keywords is a hand copy
+HAND_COPY_THRESHOLD = 3
+
+
+def _option_schema(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
+    """(field names, CLI flags) declared by ``name: T = option(...)`` fields."""
+    names: Set[str] = set()
+    flags: Set[str] = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and _is_call_to(node.value, OPTION_DECLARATOR)):
+            continue
+        names.add(node.target.id)
+        for keyword in node.value.keywords:
+            if keyword.arg == "flags":
+                flags.update(el.value for el in ast.walk(keyword.value)
+                             if isinstance(el, ast.Constant) and isinstance(el.value, str))
+    return names, flags
+
+
+def _env_var_read(node: ast.AST, constants: Dict[str, str]) -> str:
+    """The variable name ``node`` reads from the environment, if it is such a read."""
+    key = None
+    if isinstance(node, ast.Call) and node.args:
+        receiver, attr = _call_name(node)
+        if (receiver, attr) in {("environ", "get"), ("os", "getenv")}:
+            key = node.args[0]
+    elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "environ"):
+        key = node.slice
+    if isinstance(key, ast.Name):
+        return constants.get(key.id, "")
+    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+        return key.value
+    return ""
+
+
+def check_options_are_spelt_once(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    schema_path = SRC_ROOT / OPTIONS_MODULE
+    names, flags = _option_schema(trees[schema_path])
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        if path == schema_path:
+            continue
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        constants = {
+            target.id: node.value.value
+            for node in tree.body if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            variable = _env_var_read(node, constants)
+            if variable.startswith("REPRO_") and variable not in ALLOWED_ENV_VARS:
+                findings.append(Finding(
+                    relative, node.lineno,
+                    f"environment read of `{variable}` — an env var is an option with "
+                    f"no declaration; declare a field in {OPTIONS_MODULE} instead",
+                ))
+            if not isinstance(node, ast.Call):
+                continue
+            if _call_name(node)[1] == "add_argument":
+                for arg in node.args:
+                    if isinstance(arg, ast.Constant) and arg.value in flags:
+                        findings.append(Finding(
+                            relative, node.lineno,
+                            f"add_argument(`{arg.value}`) re-spells a schema flag — derive "
+                            f"it with `add_arguments` from {OPTIONS_MODULE}",
+                        ))
+            copied = [kw.arg for kw in node.keywords
+                      if kw.arg in names and isinstance(kw.value, ast.Attribute)
+                      and kw.value.attr == kw.arg]
+            if len(copied) >= HAND_COPY_THRESHOLD:
+                findings.append(Finding(
+                    relative, node.lineno,
+                    f"call hand-copies schema options ({', '.join(copied)}) keyword by "
+                    f"keyword — pass the spec, or loop over `dataclasses.fields()`",
+                ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -541,6 +644,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_spill_never_references_slab_chunks(trees))
     findings.extend(check_ace_index_reuses_phase4_and_sampling_unranks(trees))
     findings.extend(check_single_mount_site_and_twins_not_rechecked(trees))
+    findings.extend(check_options_are_spelt_once(trees))
     return findings
 
 
