@@ -30,7 +30,6 @@ shared replay trie can snapshot it at flush/checkpoint barriers) and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -57,11 +56,7 @@ def _first_sector(data) -> bytes:
 
 
 def _decode_block_json(data) -> Optional[dict]:
-    raw = data if isinstance(data, bytes) else bytes(data)
-    try:
-        payload = json.loads(raw.rstrip(b"\x00").decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
+    payload = layout.decode_block(data)  # shared with every mount: read-only
     return payload if isinstance(payload, dict) else None
 
 

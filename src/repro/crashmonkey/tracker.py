@@ -16,12 +16,11 @@ persisted *at that point*.
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..fs.inode import FileState
+from ..fs.inode import FileState, content_sha1
 from ..workload.operations import Operation, OpKind
 
 
@@ -42,7 +41,7 @@ class TrackedFile:
     datasync_only: bool = False
 
     def data_hash(self) -> str:
-        return hashlib.sha1(self.expected_data).hexdigest()
+        return content_sha1(self.expected_data)
 
     def expected_description(self) -> str:
         if self.ftype == "symlink":

@@ -20,6 +20,7 @@ instead.
 
 from __future__ import annotations
 
+from sys import getsizeof
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import (
@@ -38,6 +39,10 @@ from ..storage.block import BLOCK_SIZE, blocks_needed
 from . import layout
 from .bugs import BugConfig
 from .inode import ROOT_INO, FileState, FileType, Inode, NamespaceOp
+from .memo import BoundedMemo
+
+#: normalised paths by the path string they were derived from
+_NORMALIZED = BoundedMemo("normalized-paths", 48 << 10)
 
 
 class AbstractFileSystem:
@@ -178,14 +183,25 @@ class AbstractFileSystem:
 
     # ------------------------------------------------------------------ path helpers
 
+    # Every operation normalises its path argument once, at the top, and hands
+    # the result to the ``*_normalized`` helpers; the plain-named helpers take
+    # a path as the caller spelt it.
+
     @staticmethod
     def _normalize(path: str) -> str:
-        path = (path or "").strip().strip("/")
-        parts = [part for part in path.split("/") if part not in ("", ".")]
-        return "/".join(parts)
+        normalized = _NORMALIZED.get(path)
+        if normalized is None:
+            text = path or ""
+            normalized = "/".join(
+                part for part in text.strip().strip("/").split("/") if part not in ("", ".")
+            )
+            _NORMALIZED.put(path, normalized, getsizeof(text) + getsizeof(normalized))
+        return normalized
 
     def _lookup(self, path: str) -> Optional[int]:
-        path = self._normalize(path)
+        return self._lookup_normalized(self._normalize(path))
+
+    def _lookup_normalized(self, path: str) -> Optional[int]:
         if path == "":
             return ROOT_INO
         ino = ROOT_INO
@@ -199,20 +215,22 @@ class AbstractFileSystem:
         return ino
 
     def _get_inode(self, path: str) -> Inode:
-        ino = self._lookup(path)
+        return self._get_inode_normalized(self._normalize(path), path)
+
+    def _get_inode_normalized(self, path: str, spelt: str) -> Inode:
+        ino = self._lookup_normalized(path)
         if ino is None or ino not in self.inodes:
-            raise FsNoEntryError(f"no such file or directory: {path!r}")
+            raise FsNoEntryError(f"no such file or directory: {spelt!r}")
         return self.inodes[ino]
 
-    def _parent_of(self, path: str) -> Tuple[Inode, str]:
-        path = self._normalize(path)
+    def _parent_of_normalized(self, path: str) -> Tuple[Inode, str]:
         if path == "":
             raise FsInvalidArgumentError("the root directory has no parent")
         if "/" in path:
             parent_path, name = path.rsplit("/", 1)
         else:
             parent_path, name = "", path
-        parent_ino = self._lookup(parent_path)
+        parent_ino = self._lookup_normalized(parent_path)
         if parent_ino is None:
             raise FsNoEntryError(f"no such directory: {parent_path!r}")
         parent = self.inodes[parent_ino]
@@ -259,11 +277,11 @@ class AbstractFileSystem:
     # ------------------------------------------------------------------ change tracking
 
     def _record_ns(self, kind: str, path: str, ino: int, cause: str, counterpart: Optional[str] = None) -> None:
+        """Journal a namespace change; both paths arrive normalised."""
         self._ns_seq += 1
         self._namespace_ops.append(
-            NamespaceOp(kind=kind, path=self._normalize(path), ino=ino, cause=cause,
-                        counterpart=self._normalize(counterpart) if counterpart else None,
-                        seq=self._ns_seq)
+            NamespaceOp(kind=kind, path=path, ino=ino, cause=cause,
+                        counterpart=counterpart or None, seq=self._ns_seq)
         )
 
     def _record_data_op(self, ino: int, **op) -> None:
@@ -304,18 +322,21 @@ class AbstractFileSystem:
     def creat(self, path: str) -> int:
         """Create an empty regular file (like ``open(path, O_CREAT)`` + close)."""
         self._require_mounted()
-        parent, name = self._parent_of(path)
+        return self._creat_normalized(self._normalize(path), path)
+
+    def _creat_normalized(self, path: str, spelt: str) -> int:
+        parent, name = self._parent_of_normalized(path)
         if name in parent.children:
             existing = self.inodes[parent.children[name]]
             if existing.is_dir:
-                raise FsIsADirectoryError(f"{path!r} is a directory")
+                raise FsIsADirectoryError(f"{spelt!r} is a directory")
             return existing.ino
         ino = self._alloc_ino()
         inode = Inode(ino, FileType.FILE)
         inode.dirty_metadata = True
         self.inodes[ino] = inode
         self._add_entry(parent, name, ino)
-        self._record_ns("add", self._normalize(path), ino, "creat")
+        self._record_ns("add", path, ino, "creat")
         return ino
 
     def mkdir(self, path: str, parents: bool = False) -> int:
@@ -325,9 +346,9 @@ class AbstractFileSystem:
             prefix = ""
             for part in path.split("/")[:-1]:
                 prefix = f"{prefix}/{part}" if prefix else part
-                if self._lookup(prefix) is None:
+                if self._lookup_normalized(prefix) is None:
                     self.mkdir(prefix)
-        parent, name = self._parent_of(path)
+        parent, name = self._parent_of_normalized(path)
         if name in parent.children:
             raise FsExistsError(f"{path!r} already exists")
         ino = self._alloc_ino()
@@ -340,7 +361,8 @@ class AbstractFileSystem:
 
     def symlink(self, target: str, linkpath: str) -> int:
         self._require_mounted()
-        parent, name = self._parent_of(linkpath)
+        normalized = self._normalize(linkpath)
+        parent, name = self._parent_of_normalized(normalized)
         if name in parent.children:
             raise FsExistsError(f"{linkpath!r} already exists")
         ino = self._alloc_ino()
@@ -350,26 +372,29 @@ class AbstractFileSystem:
         inode.dirty_metadata = True
         self.inodes[ino] = inode
         self._add_entry(parent, name, ino)
-        self._record_ns("add", linkpath, ino, "symlink")
+        self._record_ns("add", normalized, ino, "symlink")
         return ino
 
     def link(self, src: str, dst: str) -> None:
         """Create a hard link ``dst`` pointing at the inode of ``src``."""
         self._require_mounted()
-        inode = self._get_inode(src)
+        src_normalized = self._normalize(src)
+        dst_normalized = self._normalize(dst)
+        inode = self._get_inode_normalized(src_normalized, src)
         if inode.is_dir:
             raise FsIsADirectoryError("hard links to directories are not allowed")
-        parent, name = self._parent_of(dst)
+        parent, name = self._parent_of_normalized(dst_normalized)
         if name in parent.children:
             raise FsExistsError(f"{dst!r} already exists")
         inode.nlink += 1
         inode.dirty_metadata = True
         self._add_entry(parent, name, inode.ino)
-        self._record_ns("add", dst, inode.ino, "link", counterpart=self._normalize(src))
+        self._record_ns("add", dst_normalized, inode.ino, "link", counterpart=src_normalized)
 
     def unlink(self, path: str) -> None:
         self._require_mounted()
-        parent, name = self._parent_of(path)
+        normalized = self._normalize(path)
+        parent, name = self._parent_of_normalized(normalized)
         if name not in parent.children:
             raise FsNoEntryError(f"no such file: {path!r}")
         ino = parent.children[name]
@@ -377,7 +402,7 @@ class AbstractFileSystem:
         if inode is None:
             # Stale directory entry (buggy recovery): drop the entry itself.
             self._remove_entry(parent, name)
-            self._record_ns("remove", path, ino, "unlink")
+            self._record_ns("remove", normalized, ino, "unlink")
             return
         if inode.is_dir:
             raise FsIsADirectoryError(f"{path!r} is a directory; use rmdir")
@@ -386,14 +411,14 @@ class AbstractFileSystem:
         inode.dirty_metadata = True
         if inode.nlink <= 0:
             self.inodes.pop(ino, None)
-        self._record_ns("remove", path, ino, "unlink")
+        self._record_ns("remove", normalized, ino, "unlink")
 
     def rmdir(self, path: str) -> None:
         self._require_mounted()
         path = self._normalize(path)
         if path == "":
             raise FsInvalidArgumentError("cannot remove the root directory")
-        parent, name = self._parent_of(path)
+        parent, name = self._parent_of_normalized(path)
         if name not in parent.children:
             raise FsNoEntryError(f"no such directory: {path!r}")
         ino = parent.children[name]
@@ -418,9 +443,9 @@ class AbstractFileSystem:
         self._require_mounted()
         src = self._normalize(src)
         dst = self._normalize(dst)
-        inode = self._get_inode(src)
-        src_parent, src_name = self._parent_of(src)
-        dst_parent, dst_name = self._parent_of(dst)
+        inode = self._get_inode_normalized(src, src)
+        src_parent, src_name = self._parent_of_normalized(src)
+        dst_parent, dst_name = self._parent_of_normalized(dst)
         if dst == src:
             return
         replaced_ino: Optional[int] = None
@@ -453,12 +478,12 @@ class AbstractFileSystem:
     # ------------------------------------------------------------------ data operations
 
     def _get_file_for_write(self, path: str, create: bool = True) -> Inode:
-        ino = self._lookup(path)
+        normalized = self._normalize(path)
+        ino = self._lookup_normalized(normalized)
         if ino is None:
             if not create:
                 raise FsNoEntryError(f"no such file: {path!r}")
-            self.creat(path)
-            ino = self._lookup(path)
+            ino = self._creat_normalized(normalized, path)
         inode = self.inodes[ino]
         if inode.is_dir:
             raise FsIsADirectoryError(f"{path!r} is a directory")
@@ -616,16 +641,17 @@ class AbstractFileSystem:
         return inode.xattrs[name]
 
     def stat(self, path: str) -> FileState:
-        inode = self._get_inode(path)
-        return FileState.from_inode(self._normalize(path), inode)
+        normalized = self._normalize(path)
+        return FileState.from_inode(normalized, self._get_inode_normalized(normalized, path))
 
     def lookup_state(self, path: str) -> Optional[FileState]:
-        ino = self._lookup(path)
-        if ino is None or ino not in self.inodes:
+        normalized = self._normalize(path)
+        inode = self.inodes.get(self._lookup_normalized(normalized))
+        if inode is None:
             # A directory entry pointing at a missing inode (possible after a
             # buggy recovery) reads as nonexistent, like a stale dentry would.
             return None
-        return FileState.from_inode(self._normalize(path), self.inodes[ino])
+        return FileState.from_inode(normalized, inode)
 
     def logical_state(self) -> Dict[str, FileState]:
         """Observable state of every path (the oracle's and checker's view)."""
@@ -670,10 +696,7 @@ class AbstractFileSystem:
 
     def _device_write(self, block: int, data: bytes, *, metadata: bool, tag: str,
                       fua: bool = False) -> None:
-        try:
-            self.device.write_block(block, data, metadata=metadata, fua=fua, tag=tag)
-        except TypeError:
-            self.device.write_block(block, data)
+        self.device.write_block(block, data, metadata=metadata, fua=fua, tag=tag)
 
     def _device_flush(self, *, sync: bool = False) -> None:
         """Issue a cache-flush barrier to the device.
@@ -682,13 +705,7 @@ class AbstractFileSystem:
         crash planners treat writes after the last flush as in-flight (they
         may be lost or reordered by a crash).
         """
-        flush = getattr(self.device, "flush", None)
-        if flush is None:
-            return
-        try:
-            flush(sync=sync)
-        except TypeError:
-            flush()
+        self.device.flush(sync=sync)
 
     def _load_data_from_extents(self, inode: Inode) -> None:
         """Rebuild the in-memory data of ``inode`` from its on-disk block map."""
@@ -819,7 +836,7 @@ class AbstractFileSystem:
         if "/" not in path:
             return path
         parent_path, name = path.rsplit("/", 1)
-        parent_ino = self._lookup(parent_path)
+        parent_ino = self._lookup_normalized(parent_path)
         if parent_ino is None:
             return path
         committed = sorted(self._committed_paths.get(parent_ino, set()))
@@ -830,11 +847,14 @@ class AbstractFileSystem:
     def _parent_chain(self, path: str) -> List[dict]:
         """Ancestor directories of ``path`` as ``{"path", "ino"}`` records."""
         chain: List[dict] = []
-        parts = self._normalize(path).split("/")[:-1]
         prefix = ""
-        for part in parts:
+        ino: Optional[int] = ROOT_INO
+        # One walk down from the root: each step is what looking the prefix
+        # up from scratch would resolve to.
+        for part in self._normalize(path).split("/")[:-1]:
             prefix = f"{prefix}/{part}" if prefix else part
-            ino = self._lookup(prefix)
+            directory = self.inodes.get(ino)
+            ino = directory.children.get(part) if directory is not None and directory.is_dir else None
             chain.append({"path": prefix, "ino": ino if ino is not None else 0})
         return chain
 
@@ -1188,7 +1208,7 @@ class AbstractFileSystem:
         # bug fail replay), then additions.
         for removed in entry.get("names_remove", []):
             removed = self._normalize(removed)
-            target_ino = self._lookup(removed)
+            target_ino = self._lookup_normalized(removed)
             if target_ino is None:
                 if self._strict_name_removal():
                     raise RecoveryError(
@@ -1199,7 +1219,7 @@ class AbstractFileSystem:
                     )
                 continue
             try:
-                parent, name = self._parent_of(removed)
+                parent, name = self._parent_of_normalized(removed)
             except (FsNoEntryError, FsInvalidArgumentError, FsNotADirectoryError):
                 continue
             self._remove_entry(parent, name)

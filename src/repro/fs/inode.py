@@ -14,8 +14,25 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional
 
+from .memo import BoundedMemo
 
 ROOT_INO = 1
+
+#: SHA-1 hex digests by the exact content they are digests of.  The key is
+#: the content, not a digest of it: no digest wide enough to be sound is
+#: cheaper than the SHA-1 it would save, while probing with a ``bytes`` key
+#: costs its (cached) hash and one compare.  Entries are charged their full
+#: key, so the table holds a few dozen small files and skips large ones.
+_CONTENT_SHA1 = BoundedMemo("content-sha1", 128 << 10)
+
+
+def content_sha1(data: bytes) -> str:
+    """SHA-1 hex digest of file content, computed once per distinct content."""
+    digest = _CONTENT_SHA1.get(data)
+    if digest is None:
+        digest = hashlib.sha1(data).hexdigest()
+        _CONTENT_SHA1.put(data, digest, len(data) + len(digest))
+    return digest
 
 
 class FileType(str, Enum):
@@ -99,7 +116,7 @@ class Inode:
         return self.ftype is FileType.SYMLINK
 
     def data_hash(self) -> str:
-        return hashlib.sha1(bytes(self.data)).hexdigest()
+        return content_sha1(bytes(self.data))
 
     def to_meta(self) -> dict:
         """Serializable metadata view (no file data; data lives in data blocks)."""

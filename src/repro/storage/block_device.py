@@ -48,8 +48,13 @@ class BlockDevice:
         self.reads += 1
         return self._blocks.get(block, ZERO_BLOCK)
 
-    def write_block(self, block: int, data: bytes) -> None:
-        """Write one block, padding short payloads with zeroes."""
+    def write_block(self, block: int, data: bytes, *, metadata: bool = False,
+                    fua: bool = False, tag: str = "") -> None:
+        """Write one block, padding short payloads with zeroes.
+
+        The annotations are the recording wrapper's; a plain device accepts
+        and ignores them, so a file system issues one call shape to any device.
+        """
         self._check_block(block)
         self.writes += 1
         self._blocks[block] = pad_block(data)
@@ -59,7 +64,7 @@ class BlockDevice:
         self._check_block(block)
         self._blocks.pop(block, None)
 
-    def flush(self) -> None:
+    def flush(self, *, sync: bool = False) -> None:
         """Persist outstanding writes.  A no-op for the RAM device."""
         self.flushes += 1
 

@@ -107,7 +107,9 @@ class CowDevice:
         self.reads += 1
         return self._visible_block(block)
 
-    def write_block(self, block: int, data) -> None:
+    def write_block(self, block: int, data, *, metadata: bool = False,
+                    fua: bool = False, tag: str = "") -> None:
+        # Annotations accepted and ignored, as on BlockDevice.
         self._check_block(block)
         self.writes += 1
         self._overlay[block] = self._pad(data)
@@ -130,7 +132,7 @@ class CowDevice:
         self._check_block(block)
         self._overlay[block] = ZERO_BLOCK
 
-    def flush(self) -> None:
+    def flush(self, *, sync: bool = False) -> None:
         self.flushes += 1
 
     # -- snapshot management -------------------------------------------------

@@ -7,8 +7,9 @@ recovered state, per file system.
 
 import pytest
 
-from repro.fs import BugConfig, get_fs_class
-from repro.storage import BLOCK_SIZE, replay_until_checkpoint
+from repro.fs import BugConfig, get_fs_class, layout
+from repro.storage import (BLOCK_SIZE, BlockDevice, CowDevice, RecordingDevice,
+                           replay_until_checkpoint)
 
 from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
 
@@ -179,3 +180,96 @@ def test_sync_survives_an_exhausted_log_area(fs_name, bugs):
     fs.sync()                                    # must not raise or recurse
     assert fs.next_log_block == layout.LOG_START
     fs.unmount(safe=True)
+
+
+# --------------------------------------------------------------------------- device contract
+
+
+class ReadLoggingDevice(CowDevice):
+    """A snapshot that remembers which blocks were read from it."""
+
+    def __init__(self, base, name="readlog"):
+        super().__init__(base, name=name)
+        self.blocks_read = []
+
+    def read_block(self, block):
+        self.blocks_read.append(block)
+        return super().read_block(block)
+
+
+def mount_logging_reads(fs_name, image, bugs):
+    device = ReadLoggingDevice.from_overlay(image.base, image.overlay_delta())
+    fs = get_fs_class(fs_name)(device, bugs)
+    fs.mount()
+    return fs, device
+
+
+class TestRecoveryReadsEachBlockOnce:
+    """A recovery scan decodes a record from the header block it already
+    read: no block is fetched twice, so ``device.reads`` counts the distinct
+    blocks recovery touched."""
+
+    @pytest.mark.parametrize("fs_name, area_start", [
+        ("logfs", layout.SEGMENT_START),   # LSW segment records
+        ("flashfs", layout.LOG_START),     # plain log entries
+    ])
+    def test_log_replay(self, fs_name, area_start):
+        fs, recording, base = make_mounted_fs(fs_name, BugConfig.none())
+        fs.creat("kept")
+        fs.write("kept", 0, b"k" * BLOCK_SIZE)
+        fs.sync()
+        for name in ("one", "two", "three"):
+            fs.creat(name)
+            fs.write(name, 0, name.encode() * 1000)
+            fs.fsync(name)
+        recovered, device = mount_logging_reads(fs_name, recording.target, BugConfig.none())
+        assert recovered.recovery_ran and recovered.exists("three")
+        assert sum(1 for block in device.blocks_read
+                   if area_start <= block < area_start + 16) >= 3
+        assert device.reads == len(device.blocks_read) == len(set(device.blocks_read))
+
+    def test_incomplete_commit_falls_back_to_the_previous_checkpoint(self):
+        bugs = BugConfig.only("missing_flush_before_fua")
+        fs, recording, base = make_mounted_fs("flashfs", bugs)
+        fs.creat("first")
+        fs.sync()                                   # generation 2, area B
+        stale = recording.target.read_block(layout.CHECKPOINT_A_START)  # generation 1
+        fs.creat("second")
+        fs.sync()                                   # generation 3, area A
+        # The crash dropped the in-flight checkpoint block under the FUA
+        # superblock that commits it: the block still holds generation 1.
+        recording.target.write_block(layout.CHECKPOINT_A_START, stale)
+        recovered, device = mount_logging_reads("flashfs", recording.target, bugs)
+        assert recovered.generation == 2 and recovered.recovery_ran
+        assert recovered.exists("first") and recovered.exists("second")
+        assert layout.CHECKPOINT_B_START in device.blocks_read
+        assert device.reads == len(device.blocks_read) == len(set(device.blocks_read))
+
+
+def test_a_type_error_inside_the_device_is_not_mistaken_for_a_plain_device():
+    """File systems used to probe for annotation support by catching
+    ``TypeError`` and re-issuing the write bare — which also swallowed a
+    genuine one and recorded the write stripped of its FUA / metadata / tag."""
+
+    class Broken(RecordingDevice):
+        def write_block(self, block, data, **annotations):
+            if annotations.get("tag") == "log":
+                raise TypeError("a bug inside the device")
+            super().write_block(block, data, **annotations)
+
+    pristine = BlockDevice(SMALL_DEVICE_BLOCKS)
+    fs_class = get_fs_class("flashfs")
+    fs_class.mkfs(pristine, BugConfig.none())
+    fs = fs_class(Broken(CowDevice(pristine)), BugConfig.none())
+    fs.mount()
+    fs.creat("foo")
+    with pytest.raises(TypeError, match="a bug inside the device"):
+        fs.fsync("foo")
+
+
+@pytest.mark.parametrize("device_class", [BlockDevice, CowDevice])
+def test_plain_devices_accept_and_ignore_the_recording_annotations(device_class):
+    device = BlockDevice(8) if device_class is BlockDevice else CowDevice(BlockDevice(8))
+    device.write_block(3, b"x", metadata=True, fua=True, tag="superblock")
+    device.flush(sync=True)
+    assert bytes(device.read_block(3)[:1]) == b"x" and device.flushes == 1

@@ -336,3 +336,56 @@ def test_an_undeclared_environment_option_is_caught():
         "c = os.environ.get('TMPDIR')\n"
     )
     assert _options_findings(**{"service/runner.py": allowed}) == []
+
+
+# ------------------------------------- rule 10: one decode site, one hash site
+
+
+def test_a_second_decode_site_in_fs_is_caught():
+    findings = repro_lint.check_fs_decodes_and_hashes_in_one_place(_trees(**{
+        "fs/layout.py": (
+            "import json\n"
+            "def decode_json(text):\n"
+            "    return json.loads(text)\n"
+            "def read_summary(device):\n"
+            "    return json.loads(device.read_block(7))\n"
+        ),
+        "fs/fsck.py": "from json import loads\ndef peek(raw):\n    return loads(raw)\n",
+        "service/statedb.py": "import json\ndef load(row):\n    return json.loads(row)\n",
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/fs/fsck.py", 3), ("src/repro/fs/layout.py", 5)]
+    assert all("json.loads" in message for _, _, message in findings)
+
+
+def test_a_second_hash_site_in_fs_is_caught():
+    findings = repro_lint.check_fs_decodes_and_hashes_in_one_place(_trees(**{
+        "fs/inode.py": (
+            "import hashlib\n"
+            "def content_sha1(data):\n"
+            "    return hashlib.sha1(data).hexdigest()\n"
+            "class Inode:\n"
+            "    def data_hash(self):\n"
+            "        return hashlib.sha1(bytes(self.data)).hexdigest()\n"
+        ),
+    }))
+    assert [(line, "hashlib.sha1" in message) for _, line, message in findings] == [(6, True)]
+
+
+def test_probing_a_device_by_type_error_is_caught():
+    findings = repro_lint.check_fs_decodes_and_hashes_in_one_place(_trees(**{
+        "fs/base.py": (
+            "class Fs:\n"
+            "    def _device_write(self, block, data, tag):\n"
+            "        try:\n"
+            "            self.device.write_block(block, data, tag=tag)\n"
+            "        except TypeError:\n"
+            "            self.device.write_block(block, data)\n"
+            "    def _replay(self, entries):\n"
+            "        try:\n"
+            "            self._apply(entries)\n"
+            "        except (KeyError, TypeError):\n"
+            "            raise RuntimeError('malformed entry')\n"
+        ),
+    }))
+    assert [(line, "except TypeError" in message) for _, line, message in findings] == [(4, True)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Nine invariants, each protecting a guarantee a past change was built on:
+Ten invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -78,6 +78,17 @@ Nine invariants, each protecting a guarantee a past change was built on:
    ``os.environ`` read of a ``REPRO_*`` name beyond the box resource limit
    and the fault hook — an environment variable is an option with no
    declaration at all.
+
+10. **One decode site, one hash site, no capability probing.**  Under
+    ``fs/`` on-disk text becomes structure in exactly one function —
+    ``layout.decode_json``, which memoises on a digest of the text — and file
+    content becomes a SHA-1 in exactly one — ``inode.content_sha1``, which
+    memoises on the content.  A second ``json.loads`` or ``hashlib.sha1(``
+    is a path that re-derives per mount what the memo already holds (and a
+    second place to get the read-only contract wrong).  And no ``except
+    TypeError`` may wrap a device call: every device accepts the recording
+    annotations, so a ``TypeError`` there is a bug to surface, not a plain
+    device to retry bare.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -623,6 +634,58 @@ def check_options_are_spelt_once(trees: Dict[Path, ast.Module]) -> List[Finding]
     return findings
 
 
+# ------------------------------------- rule 10: one decode site, one hash site
+
+
+#: under fs/: the call, and the (file, function) that alone may make it
+SINGLE_SITE_CALLS = {
+    ("json", "loads"): ("layout.py", "decode_json"),
+    ("hashlib", "sha1"): ("inode.py", "content_sha1"),
+}
+
+#: the block-device surface a file system drives
+DEVICE_METHODS = {"read_block", "write_block", "write_sectors", "discard_block", "flush"}
+
+
+def _catches_type_error(handler: ast.ExceptHandler) -> bool:
+    caught = handler.type
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(isinstance(name, ast.Name) and name.id == "TypeError" for name in names)
+
+
+def check_fs_decodes_and_hashes_in_one_place(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        if path.parent != SRC_ROOT / "fs":
+            continue
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        for (module, name), (filename, function) in SINGLE_SITE_CALLS.items():
+            site: Set[ast.AST] = set()
+            if path.name == filename:
+                for func in ast.walk(tree):
+                    if isinstance(func, ast.FunctionDef) and func.name == function:
+                        site = set(ast.walk(func))
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Call) and node not in site
+                        and _call_name(node) in {(module, name), ("", name)}):
+                    findings.append(Finding(
+                        relative, node.lineno,
+                        f"`{module}.{name}(...)` outside {filename}:{function} — the "
+                        "file-system model decodes and hashes in one memoised place",
+                    ))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Try) and any(map(_catches_type_error, node.handlers))):
+                continue
+            for call in (sub for stmt in node.body for sub in ast.walk(stmt)):
+                if isinstance(call, ast.Call) and _call_name(call)[1] in DEVICE_METHODS:
+                    findings.append(Finding(
+                        relative, call.lineno,
+                        f"`{_call_name(call)[1]}(...)` inside `except TypeError` — devices "
+                        "take one call shape; a TypeError there is a bug, not a capability",
+                    ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -645,6 +708,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_ace_index_reuses_phase4_and_sampling_unranks(trees))
     findings.extend(check_single_mount_site_and_twins_not_rechecked(trees))
     findings.extend(check_options_are_spelt_once(trees))
+    findings.extend(check_fs_decodes_and_hashes_in_one_place(trees))
     return findings
 
 
