@@ -6,7 +6,9 @@ durably persisted.  The paper's CrashMonkey gets it from a safe unmount; for
 the simulated file systems the logical state of the mounted file system at
 that moment is exactly that reference, so the oracle is a snapshot of
 ``fs.logical_state()`` (plus the inode → paths index the checker uses to
-follow renames) and the recording run is never unmounted.
+follow renames) and the recording run is never unmounted.  The recorder walks
+the tree once per persistence point and hands the same dict to the tracker
+and to the oracle, which adopts it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ class Oracle:
 
     @classmethod
     def capture(cls, fs, checkpoint_id: int, crash_point: str) -> "Oracle":
-        return cls(checkpoint_id=checkpoint_id, crash_point=crash_point, state=dict(fs.logical_state()))
+        return cls(checkpoint_id=checkpoint_id, crash_point=crash_point, state=fs.logical_state())
 
     # -- queries -------------------------------------------------------------------
 

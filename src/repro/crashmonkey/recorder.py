@@ -18,12 +18,14 @@ their last operation or persistence point.  Re-running mkfs and every shared
 prefix operation per sibling makes the recording phase quadratic in the
 family size, so the recorder keeps a **workload trie spine**: after an
 operation of the workload being profiled it freezes a :class:`_PrefixNode` —
-an O(1) chained-overlay :class:`CowDevice` fork plus a serialized snapshot of
-the in-memory file-system, tracker and recording state.  The next workload
-resumes from the deepest node on its longest shared prefix and records only
-its own suffix.  The resulting ``io_log`` (and oracles, tracker
+an O(1) chained-overlay :class:`CowDevice` fork plus a *fork* of the
+in-memory file system and of the tracker (``AbstractFileSystem.fork`` /
+``PersistenceTracker.fork``: live objects with private copies of exactly what
+operations mutate; bytes exist only if the spine store spills the node).  The
+next workload forks the deepest node on its longest shared prefix again and
+records only its own suffix.  The resulting ``io_log`` (and oracles, tracker
 views, checkpoints) is byte-for-byte identical to from-scratch recording —
-execution is deterministic and the frozen state *is* the state the from-
+execution is deterministic and the forked state *is* the state the from-
 scratch run would have reached — the shared prefix writes are just performed
 once instead of once per sibling.
 
@@ -42,13 +44,12 @@ that knowledge every depth is frozen.
 
 from __future__ import annotations
 
-import io
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SpillMissError
+from ..fs.base import AbstractFileSystem
 from ..fs.bugs import BugConfig
 from ..fs.registry import get_fs_class, models, resolve_fs_name
 from ..storage.block import DEFAULT_DEVICE_BLOCKS
@@ -103,43 +104,14 @@ class WorkloadProfile:
         return total - self.prefix_writes_reused
 
 
-#: Persistent-id tag standing in for the live recording device inside a
-#: frozen file-system blob; thawing substitutes the sibling's own fresh
-#: :class:`RecordingDevice` for it.
-_FS_DEVICE_SLOT = "prefix-node-device"
-
-
-def _freeze_fs(fs, device) -> bytes:
-    """Serialize the mounted fs, replacing its device with a placeholder.
-
-    Pickle (with a persistent id for the device) rather than ``deepcopy``:
-    freezing happens after *every* operation of every profiled workload, and
-    the C pickler is several times cheaper than recursive Python copying —
-    this is what keeps the trie overhead well under the prefix re-run cost
-    it avoids.
-    """
-    buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-    pickler.persistent_id = lambda obj: _FS_DEVICE_SLOT if obj is device else None
-    pickler.dump(fs)
-    return buffer.getvalue()
-
-
-def _thaw_fs(payload: bytes, device):
-    """Rebuild a frozen fs, attaching ``device`` where the placeholder was."""
-    unpickler = pickle.Unpickler(io.BytesIO(payload))
-    unpickler.persistent_load = lambda pid: device
-    return unpickler.load()
-
-
 @dataclass
 class _PrefixNode:
     """Frozen recording state after executing one more prefix operation.
 
     Node ``i`` of the spine captures the complete state a from-scratch run
     reaches right after executing ``ops[:i]``: the storage (an O(1) CoW
-    fork), the recorded stream so far, and serialized snapshots of every
-    piece of mutable in-memory state (file system, tracker records, executor
+    fork), the recorded stream so far, and detached forks of every piece of
+    mutable in-memory state (file system, tracker records, executor
     counters).  Oracles and tracker views captured so far are shared, not
     copied — they are frozen at capture time and never mutated afterwards.
     """
@@ -154,16 +126,18 @@ class _PrefixNode:
     device: CowDevice
     log: Tuple[IORequest, ...]
     checkpoints: int
-    #: pickled mounted fs with the device replaced by _FS_DEVICE_SLOT
-    fs_state: bytes
-    #: :meth:`PersistenceTracker.freeze_state` snapshot
-    tracker_state: Tuple
+    #: fork of the mounted fs, attached to no device
+    fs: AbstractFileSystem
+    #: fork of the tracker, observing no fs
+    tracker: PersistenceTracker
     oracles: Dict[int, Oracle]
     executed: int
     skipped: int
     persistence_count: int
     #: write requests in ``log`` (what a resume inherits without re-recording)
     write_requests: int
+    #: payload bytes of those write requests
+    recorded_bytes: int
     #: recording wall-clock seconds spent from run start to this node
     elapsed: float
 
@@ -204,6 +178,13 @@ class _LiveRun:
         self.tracker = tracker
         self.oracles = oracles
         self.executor = executor
+
+    def on_persistence(self, op: Operation, index: int) -> None:
+        """Mark the checkpoint and capture its expectations from one tree walk."""
+        checkpoint_id = self.recording_device.mark_checkpoint()
+        state = self.fs.logical_state()
+        self.tracker.on_persistence(op, index, checkpoint_id, state)
+        self.oracles[checkpoint_id] = Oracle(checkpoint_id, op.describe(), state)
 
 
 class WorkloadRecorder:
@@ -252,6 +233,11 @@ class WorkloadRecorder:
         #: the trie spine: always-resident stubs along the previous
         #: workload's op path; the full nodes live in :attr:`spine_store`
         self._spine: List[_SpineSlot] = []
+        #: the last ``upcoming`` workload and its ``prefix_keys()``, so the
+        #: keys are hashed once when that same object arrives to be profiled
+        #: (one entry here, not a memo on each ``Workload``: the campaign
+        #: retains its inputs, and their keys with them)
+        self._lookahead: Tuple[Optional[Workload], Tuple[str, ...]] = (None, ())
         # -- prefix-sharing accounting (campaign-lifetime totals) ------------
         #: profiles that resumed from the cache instead of re-running mkfs
         self.prefix_hits = 0
@@ -301,13 +287,7 @@ class WorkloadRecorder:
         oracles: Dict[int, Oracle] = {}
         executor = WorkloadExecutor(fs, strict=self.strict)
         run = _LiveRun(recording_device, fs, tracker, oracles, executor)
-
-        def on_persistence(op, index):
-            checkpoint_id = recording_device.mark_checkpoint()
-            tracker.on_persistence(op, index, checkpoint_id)
-            oracles[checkpoint_id] = Oracle.capture(fs, checkpoint_id, op.describe())
-
-        executor.run(workload, on_persistence=on_persistence,
+        executor.run(workload, on_persistence=run.on_persistence,
                      before_operation=tracker.before_operation)
         return self._finish(run, workload, base_image, start, reused_ops=0,
                             reused_writes=0, seconds_saved=0.0, shared=False)
@@ -317,11 +297,15 @@ class WorkloadRecorder:
     def _profile_shared(self, workload: Workload,
                         upcoming: Optional[Workload]) -> WorkloadProfile:
         start = time.perf_counter()
-        prefix_keys = workload.prefix_keys()
+        expected, prefix_keys = self._lookahead
+        if workload is not expected:
+            prefix_keys = workload.prefix_keys()
         # Deepest node worth freezing: the upcoming workload's resume keeps
         # the spine up to its shared prefix with this one and drops the rest.
-        keep_depth = (len(workload.ops) if upcoming is None
-                      else _shared_depth(prefix_keys, upcoming.prefix_keys()))
+        keep_depth = len(workload.ops)
+        if upcoming is not None:
+            self._lookahead = (upcoming, upcoming.prefix_keys())
+            keep_depth = _shared_depth(prefix_keys, self._lookahead[1])
         reused = self._longest_cached_prefix(prefix_keys)
         node = None
         if reused >= 0:
@@ -356,11 +340,6 @@ class WorkloadRecorder:
 
         run = self._resume_from(node)
 
-        def on_persistence(op, index):
-            checkpoint_id = run.recording_device.mark_checkpoint()
-            run.tracker.on_persistence(op, index, checkpoint_id)
-            run.oracles[checkpoint_id] = Oracle.capture(run.fs, checkpoint_id, op.describe())
-
         # Only op execution counts towards a node's `elapsed` (what a resume
         # reports as saved): a from-scratch re-run of the prefix would pay
         # the execution, never the spine-freeze overhead.
@@ -382,7 +361,7 @@ class WorkloadRecorder:
                                  elapsed=base_elapsed + exec_seconds)
                 ))
 
-        run.executor.run(workload, on_persistence=on_persistence,
+        run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
                          after_operation=after_operation, start_index=reused)
         return self._finish(run, workload, self._shared_base, start,
@@ -404,11 +383,7 @@ class WorkloadRecorder:
 
     def _remember(self, node: _PrefixNode) -> _SpineSlot:
         """Hand a frozen node to the spine store, keeping a resident stub."""
-        nbytes = (
-            len(node.fs_state)
-            + node.device.overlay_bytes()
-            + sum(request.size_bytes() for request in node.log)
-        )
+        nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
         key = self.spine_store.put("prefix", node, nbytes)
         self.spine_freezes += 1
         return _SpineSlot(prefix_key=node.prefix_key,
@@ -426,23 +401,13 @@ class WorkloadRecorder:
         del self._spine[length:]
 
     def _freeze_prefix_payload(self, node: _PrefixNode) -> dict:
-        """Flatten a trie node to a picklable dict (slab views → bytes)."""
-        return {
-            "depth": node.depth,
-            "op": node.op,
-            "prefix_key": node.prefix_key,
-            "overlay": freeze_overlay(node.device),
-            "log": tuple(flatten_requests(node.log)),
-            "checkpoints": node.checkpoints,
-            "fs_state": node.fs_state,
-            "tracker_state": node.tracker_state,
-            "oracles": node.oracles,
-            "executed": node.executed,
-            "skipped": node.skipped,
-            "persistence_count": node.persistence_count,
-            "write_requests": node.write_requests,
-            "elapsed": node.elapsed,
-        }
+        """Flatten a trie node to a picklable dict (slab views → bytes).
+
+        The forks go in as they are: a spill file is the one place a node's
+        file system and tracker exist as bytes.
+        """
+        return {**vars(node), "device": freeze_overlay(node.device),
+                "log": tuple(flatten_requests(node.log))}
 
     def _thaw_prefix_payload(self, payload: dict) -> _PrefixNode:
         """Rebuild a trie node from its spilled payload.
@@ -455,25 +420,9 @@ class WorkloadRecorder:
         """
         if self._shared_base is None:
             self._shared_base = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        depth = payload["depth"]
-        device = CowDevice.from_overlay(self._shared_base, payload["overlay"],
-                                        name=f"prefix-{depth}")
-        return _PrefixNode(
-            depth=depth,
-            op=payload["op"],
-            prefix_key=payload["prefix_key"],
-            device=device,
-            log=payload["log"],
-            checkpoints=payload["checkpoints"],
-            fs_state=payload["fs_state"],
-            tracker_state=payload["tracker_state"],
-            oracles=payload["oracles"],
-            executed=payload["executed"],
-            skipped=payload["skipped"],
-            persistence_count=payload["persistence_count"],
-            write_requests=payload["write_requests"],
-            elapsed=payload["elapsed"],
-        )
+        device = CowDevice.from_overlay(self._shared_base, payload["device"],
+                                        name=f"prefix-{payload['depth']}")
+        return _PrefixNode(**{**payload, "device": device})
 
     def _make_root_node(self, prefix_key: str, start: float) -> _PrefixNode:
         """Format-and-mount once: the trie root every workload shares."""
@@ -492,33 +441,34 @@ class WorkloadRecorder:
     def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
                 prefix_key: str, elapsed: float) -> _PrefixNode:
         """Capture the live run as an immutable trie node (O(1) device fork)."""
-        log = run.recording_device.log
+        device = run.recording_device
         return _PrefixNode(
             depth=depth,
             op=op,
             prefix_key=prefix_key,
-            device=run.recording_device.target.snapshot(name=f"prefix-{depth}"),
-            log=log,
-            checkpoints=run.recording_device.num_checkpoints,
-            fs_state=_freeze_fs(run.fs, run.recording_device),
-            tracker_state=run.tracker.freeze_state(),
+            device=device.target.snapshot(name=f"prefix-{depth}"),
+            log=device.log,
+            checkpoints=device.num_checkpoints,
+            fs=run.fs.fork(None),
+            tracker=run.tracker.fork(None),
             oracles=dict(run.oracles),
             executed=run.executor.executed,
             skipped=run.executor.skipped,
             persistence_count=run.executor.persistence_count,
-            write_requests=sum(1 for request in log if request.is_write),
+            write_requests=device.write_requests,
+            recorded_bytes=device.recorded_bytes(),
             elapsed=elapsed,
         )
 
     def _resume_from(self, node: _PrefixNode) -> _LiveRun:
-        """Thaw a trie node into a fresh, independent live recording run."""
+        """Fork a trie node into a fresh, independent live recording run."""
         recording_device = RecordingDevice(
             node.device.snapshot(name="workload-cow"), name="wrapper0"
         )
-        recording_device.restore_log(node.log, node.checkpoints)
-        fs = _thaw_fs(node.fs_state, recording_device)
-        tracker = PersistenceTracker(fs)
-        tracker.restore_state(node.tracker_state)
+        recording_device.restore_log(node.log, node.checkpoints,
+                                     node.write_requests, node.recorded_bytes)
+        fs = node.fs.fork(recording_device)
+        tracker = node.tracker.fork(fs)
         executor = WorkloadExecutor(fs, strict=self.strict)
         executor.executed = node.executed
         executor.skipped = node.skipped
@@ -539,7 +489,7 @@ class WorkloadRecorder:
             fs_model=self.fs_model,
             bugs=self.bugs,
             base_image=base_image,
-            io_log=tuple(run.recording_device.log),
+            io_log=run.recording_device.log,
             oracles=run.oracles,
             tracker_views=run.tracker.views(),
             num_checkpoints=run.recording_device.num_checkpoints,

@@ -562,7 +562,7 @@ def _tracker_view_digest(view: Optional[TrackerView]) -> str:
         (
             ino, f.ftype, tuple(sorted(f.persisted_paths)), f.expected_data,
             f.size, f.nlink, f.allocated_blocks, tuple(f.xattrs),
-            f.symlink_target, f.datasync_only,
+            f.symlink_target, False,  # a retired field; kept so persisted keys do not move
         )
         for ino, f in sorted(view.files.items())
     )

@@ -16,10 +16,10 @@ persisted *at that point*.
 
 from __future__ import annotations
 
-import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..fs.base import normalize_path
 from ..fs.inode import FileState, content_sha1
 from ..workload.operations import Operation, OpKind
 
@@ -38,7 +38,13 @@ class TrackedFile:
     xattrs: Tuple = ()
     symlink_target: Optional[str] = None
     last_checkpoint: int = 0
-    datasync_only: bool = False
+
+    def clone(self) -> "TrackedFile":
+        """An independent copy: ``persisted_paths`` is the one mutable field."""
+        twin = object.__new__(TrackedFile)
+        twin.__dict__.update(self.__dict__)
+        twin.persisted_paths = set(self.persisted_paths)
+        return twin
 
     def data_hash(self) -> str:
         return content_sha1(self.expected_data)
@@ -67,6 +73,13 @@ class TrackedDir:
     children: Dict[str, int] = field(default_factory=dict)
     xattrs: Tuple = ()
     last_checkpoint: int = 0
+
+    def clone(self) -> "TrackedDir":
+        """An independent copy: ``children`` is the one mutable field."""
+        twin = object.__new__(TrackedDir)
+        twin.__dict__.update(self.__dict__)
+        twin.children = dict(self.children)
+        return twin
 
     def expected_description(self) -> str:
         return f"dir {self.path!r} entries={sorted(self.children)}"
@@ -113,34 +126,43 @@ class PersistenceTracker:
             if state is not None:
                 ino = state.ino
             if state is not None and state.ftype == "file":
-                self._renames.append(RenameRecord(src=self._norm(src), dst=self._norm(dst),
+                self._renames.append(RenameRecord(src=normalize_path(src),
+                                                  dst=normalize_path(dst),
                                                   ino=ino, op_index=index))
 
-    def on_persistence(self, op: Operation, index: int, checkpoint_id: int) -> None:
-        """Update the persisted set right after a persistence op completed."""
+    def on_persistence(self, op: Operation, index: int, checkpoint_id: int,
+                       states: Optional[Dict[str, FileState]] = None) -> None:
+        """Update the persisted set right after a persistence op completed.
+
+        ``states`` is the ``fs.logical_state()`` the caller captured at this
+        point (the recorder shares one walk with the oracle); everything
+        tracked is read from it, so the tree is not walked again.
+        """
+        if states is None:
+            states = self.fs.logical_state()
         if op.op == OpKind.SYNC:
-            self._track_everything(checkpoint_id)
-        elif op.op in (OpKind.FSYNC,):
-            self._track_path(str(op.args[0]), checkpoint_id, datasync=False)
-        elif op.op in (OpKind.FDATASYNC,):
-            self._track_path(str(op.args[0]), checkpoint_id, datasync=True)
+            self._track_everything(states, checkpoint_id)
+        elif op.op == OpKind.FSYNC:
+            self._track_path(states, str(op.args[0]), checkpoint_id, all_paths=True)
+        elif op.op == OpKind.FDATASYNC:
+            self._track_path(states, str(op.args[0]), checkpoint_id, all_paths=False)
         elif op.op == OpKind.MSYNC:
             path = str(op.args[0])
             if len(op.args) >= 3:
-                self._track_msync_range(path, int(op.args[1]), int(op.args[2]), checkpoint_id)
+                self._track_msync_range(states, path, int(op.args[1]), int(op.args[2]),
+                                        checkpoint_id)
             else:
-                self._track_path(path, checkpoint_id, datasync=True)
+                self._track_path(states, path, checkpoint_id, all_paths=False)
         # Tracking mutates the live records in place, so the view takes its
-        # own copy of each record and of the two containers a record holds
-        # (every other field is immutable).
-        self._views[checkpoint_id] = TrackerView(
-            checkpoint_id=checkpoint_id,
-            files={ino: replace(record, persisted_paths=set(record.persisted_paths))
-                   for ino, record in self._files.items()},
-            dirs={ino: replace(record, children=dict(record.children))
-                  for ino, record in self._dirs.items()},
-            renames=list(self._renames),
-        )
+        # own copy of each record.
+        self._views[checkpoint_id] = TrackerView(checkpoint_id, *self._clone_records())
+
+    def _clone_records(self) -> Tuple[Dict[int, TrackedFile], Dict[int, TrackedDir],
+                                      List[RenameRecord]]:
+        """Private copies of the live records (rename records are never mutated)."""
+        return ({ino: record.clone() for ino, record in self._files.items()},
+                {ino: record.clone() for ino, record in self._dirs.items()},
+                list(self._renames))
 
     def view_at(self, checkpoint_id: int) -> TrackerView:
         if checkpoint_id in self._views:
@@ -152,61 +174,48 @@ class PersistenceTracker:
     def views(self) -> Dict[int, TrackerView]:
         return dict(self._views)
 
-    # ------------------------------------------------------------------ freeze/thaw
+    # ------------------------------------------------------------------ fork
 
-    def freeze_state(self) -> Tuple:
-        """Opaque snapshot of the live tracking state (plus shared views).
+    def fork(self, fs) -> "PersistenceTracker":
+        """An independent tracker observing ``fs`` from this one's state on.
 
-        The live records (``_files``/``_dirs``/``_renames``) are serialized
-        because tracking mutates them in place (pickle is several times
-        cheaper than deep-copying, and freezing happens per operation of
-        every profiled workload); the per-checkpoint views are shared
-        because they are frozen at capture time and never touched again.
-        Together with :meth:`restore_state` this lets prefix-shared
-        profiling fork the tracker at an operation boundary.
+        The live records are cloned because tracking mutates them in place;
+        the per-checkpoint views are shared because they are frozen at
+        capture time and never touched again.  This is what lets
+        prefix-shared profiling branch the tracker at an operation boundary
+        (a spine node holds a detached fork, ``fs=None``).
         """
-        blob = pickle.dumps((self._files, self._dirs, self._renames),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        return (blob, dict(self._views))
-
-    def restore_state(self, state: Tuple) -> None:
-        """Adopt a :meth:`freeze_state` snapshot (thawing a private copy)."""
-        blob, views = state
-        self._files, self._dirs, self._renames = pickle.loads(blob)
-        self._views = dict(views)
+        twin = PersistenceTracker(fs)
+        twin._files, twin._dirs, twin._renames = self._clone_records()
+        twin._views = dict(self._views)
+        return twin
 
     # ------------------------------------------------------------------ tracking helpers
 
-    @staticmethod
-    def _norm(path: str) -> str:
-        return "/".join(part for part in path.strip("/").split("/") if part and part != ".")
-
-    def _track_everything(self, checkpoint_id: int) -> None:
-        state = self.fs.logical_state()
+    def _track_everything(self, states: Dict[str, FileState], checkpoint_id: int) -> None:
         seen_files: Set[int] = set()
-        for path, file_state in state.items():
+        for path, state in states.items():
             if path == "":
                 continue
-            if file_state.ftype == "dir":
-                self._track_dir_state(path, file_state, checkpoint_id)
-            elif file_state.ino not in seen_files:
-                seen_files.add(file_state.ino)
-                self._track_file_state(path, file_state, checkpoint_id,
-                                        all_paths=True, datasync=False)
+            if state.ftype == "dir":
+                self._track_dir_state(states, path, state, checkpoint_id)
+            elif state.ino not in seen_files:
+                seen_files.add(state.ino)
+                self._track_file_state(states, path, state, checkpoint_id, all_paths=True)
 
-    def _track_path(self, path: str, checkpoint_id: int, datasync: bool) -> None:
-        path = self._norm(path)
-        state = self.fs.lookup_state(path)
+    def _track_path(self, states: Dict[str, FileState], path: str, checkpoint_id: int,
+                    *, all_paths: bool) -> None:
+        path = normalize_path(path)
+        state = states.get(path)
         if state is None:
             return
         if state.ftype == "dir":
-            self._track_dir_state(path, state, checkpoint_id)
+            self._track_dir_state(states, path, state, checkpoint_id)
         else:
-            self._track_file_state(path, state, checkpoint_id, all_paths=not datasync,
-                                    datasync=datasync)
+            self._track_file_state(states, path, state, checkpoint_id, all_paths=all_paths)
 
-    def _track_file_state(self, path: str, state: FileState, checkpoint_id: int,
-                          *, all_paths: bool, datasync: bool) -> None:
+    def _track_file_state(self, states: Dict[str, FileState], path: str, state: FileState,
+                          checkpoint_id: int, *, all_paths: bool) -> None:
         record = self._files.get(state.ino)
         if record is None:
             record = TrackedFile(ino=state.ino, ftype=state.ftype)
@@ -216,7 +225,9 @@ class PersistenceTracker:
             # An fsync persists the inode together with all of its current
             # names; names it *used* to have (e.g. before a rename) are no
             # longer expected to survive, so the set is replaced, not merged.
-            record.persisted_paths = set(self.fs.paths_of_inode(path))
+            record.persisted_paths = {
+                bound for bound, other in states.items() if other.ino == state.ino
+            }
         record.persisted_paths.add(path)
         if state.ftype == "file":
             record.expected_data = self.fs.read(path)
@@ -226,12 +237,12 @@ class PersistenceTracker:
         record.xattrs = state.xattrs
         record.symlink_target = state.symlink_target
         record.last_checkpoint = checkpoint_id
-        record.datasync_only = datasync and record.last_checkpoint == checkpoint_id and not record.persisted_paths
 
-    def _track_msync_range(self, path: str, offset: int, length: int, checkpoint_id: int) -> None:
+    def _track_msync_range(self, states: Dict[str, FileState], path: str, offset: int,
+                           length: int, checkpoint_id: int) -> None:
         """Ranged msync: only the synced byte range of the data is guaranteed."""
-        path = self._norm(path)
-        state = self.fs.lookup_state(path)
+        path = normalize_path(path)
+        state = states.get(path)
         if state is None or state.ftype != "file":
             return
         record = self._files.get(state.ino)
@@ -258,25 +269,23 @@ class PersistenceTracker:
         record.xattrs = state.xattrs
         record.last_checkpoint = checkpoint_id
 
-    def _track_dir_state(self, path: str, state: FileState, checkpoint_id: int) -> None:
+    def _track_dir_state(self, states: Dict[str, FileState], path: str, state: FileState,
+                         checkpoint_id: int) -> None:
         record = self._dirs.get(state.ino)
         if record is None:
             record = TrackedDir(ino=state.ino, path=path)
             self._dirs[state.ino] = record
         record.path = path
-        children: Dict[str, int] = {}
-        for child in state.children:
-            child_path = f"{path}/{child}" if path else child
-            child_state = self.fs.lookup_state(child_path)
-            children[child] = child_state.ino if child_state is not None else 0
-        record.children = children
+        bound = {child: states.get(f"{path}/{child}" if path else child)
+                 for child in state.children}
+        # An entry whose inode is missing reads as nonexistent: bound to 0.
+        record.children = {child: child_state.ino if child_state is not None else 0
+                           for child, child_state in bound.items()}
         record.xattrs = state.xattrs
         record.last_checkpoint = checkpoint_id
         # Persisting a directory also persists its symlink entries' targets
         # (the dentry effectively *is* the target), so track those too.
-        for child in state.children:
-            child_path = f"{path}/{child}" if path else child
-            child_state = self.fs.lookup_state(child_path)
+        for child_state in bound.values():
             if child_state is not None and child_state.ftype == "symlink":
-                self._track_file_state(child_path, child_state, checkpoint_id,
-                                        all_paths=False, datasync=False)
+                self._track_file_state(states, child_state.path, child_state, checkpoint_id,
+                                       all_paths=False)

@@ -45,6 +45,19 @@ from .memo import BoundedMemo
 _NORMALIZED = BoundedMemo("normalized-paths", 48 << 10)
 
 
+def normalize_path(path: str) -> str:
+    """The one spelling a path is filed under: by the file system, by the
+    oracle's ``logical_state()`` keys and by the persisted-set tracker."""
+    normalized = _NORMALIZED.get(path)
+    if normalized is None:
+        text = path or ""
+        normalized = "/".join(
+            part for part in text.strip().strip("/").split("/") if part not in ("", ".")
+        )
+        _NORMALIZED.put(path, normalized, getsizeof(text) + getsizeof(normalized))
+    return normalized
+
+
 class AbstractFileSystem:
     """Base class for the simulated file systems."""
 
@@ -130,6 +143,44 @@ class AbstractFileSystem:
             self._write_superblock(superblock)
         self.mounted = False
 
+    def fork(self, device) -> "AbstractFileSystem":
+        """An independent copy of the in-memory state, attached to ``device``.
+
+        Copies exactly the containers operations mutate in place; everything
+        else is rebound or written once, so the twin shares it.  The list is
+        complete for every subclass: ``tests/test_fs_fork.py`` walks ``vars()``
+        and fails on a mutable object reachable from both sides.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        twin.device = device
+        twin.inodes = {ino: inode.clone() for ino, inode in self.inodes.items()}
+        twin.allocator = layout.DataAllocator(self.allocator.device_blocks,
+                                              self.allocator.next_block)
+        twin._committed_attrs = dict(self._committed_attrs)
+        twin._committed_paths = {ino: set(paths) for ino, paths in self._committed_paths.items()}
+        twin._namespace_ops = list(self._namespace_ops)
+        twin._data_ops = {ino: list(ops) for ino, ops in self._data_ops.items()}
+        twin._logged_inos = set(self._logged_inos)
+        return twin
+
+    def fork_bytes(self) -> int:
+        """What a spine store is charged for holding a fork of this state.
+
+        File data plus a fixed charge per record (inode, committed attrs,
+        journalled op) and per entry (name, extent, xattr, committed path):
+        never below the fork's pickled length, which is what a spill writes,
+        and within twice it (the charges are fitted to the seq-1 and seq-2
+        spaces; ``tests/test_fs_fork.py`` pins both bounds).
+        """
+        inodes = self.inodes.values()
+        records = (len(self.inodes) + len(self._committed_attrs) + len(self._namespace_ops)
+                   + sum(map(len, self._data_ops.values())))
+        entries = (sum(len(i.children) + len(i.block_map) + len(i.xattrs) for i in inodes)
+                   + sum(map(len, self._committed_paths.values())))
+        return (768 + sum(len(name) + 3 for name in self.bugs.enabled)
+                + sum(len(i.data) for i in inodes) + 96 * records + 32 * entries)
+
     # -- layout hooks (subclasses reroute these to their own on-disk areas) --
 
     def _read_superblock(self) -> layout.Superblock:
@@ -187,16 +238,7 @@ class AbstractFileSystem:
     # the result to the ``*_normalized`` helpers; the plain-named helpers take
     # a path as the caller spelt it.
 
-    @staticmethod
-    def _normalize(path: str) -> str:
-        normalized = _NORMALIZED.get(path)
-        if normalized is None:
-            text = path or ""
-            normalized = "/".join(
-                part for part in text.strip().strip("/").split("/") if part not in ("", ".")
-            )
-            _NORMALIZED.put(path, normalized, getsizeof(text) + getsizeof(normalized))
-        return normalized
+    _normalize = staticmethod(normalize_path)
 
     def _lookup(self, path: str) -> Optional[int]:
         return self._lookup_normalized(self._normalize(path))

@@ -186,18 +186,26 @@ class FileState:
 
     @classmethod
     def from_inode(cls, path: str, inode: Inode) -> "FileState":
-        return cls(
+        # Every walk, oracle and check builds one per path, and the generated
+        # frozen ``__init__`` pays an ``object.__setattr__`` per field: fill
+        # the instance dict directly instead.
+        ftype = inode.ftype
+        xattrs = inode.xattrs
+        state = object.__new__(cls)
+        state.__dict__.update(
             path=path,
-            ftype=inode.ftype.value,
+            ftype=ftype.value,
             size=inode.size,
             nlink=inode.nlink,
             allocated_blocks=inode.allocated_blocks,
-            data_hash=inode.data_hash() if inode.is_file else "",
-            children=tuple(sorted(inode.children)) if inode.is_dir else (),
-            xattrs=tuple(sorted((k, v.decode("latin-1")) for k, v in inode.xattrs.items())),
+            data_hash=inode.data_hash() if ftype is FileType.FILE else "",
+            children=tuple(sorted(inode.children)) if ftype is FileType.DIR else (),
+            xattrs=tuple(sorted((k, v.decode("latin-1")) for k, v in xattrs.items()))
+            if xattrs else (),
             symlink_target=inode.symlink_target,
             ino=inode.ino,
         )
+        return state
 
     def describe(self) -> str:
         if self.ftype == FileType.DIR.value:

@@ -30,6 +30,10 @@ class RecordingDevice:
         self._log: List[IORequest] = []
         self._seq = 0
         self._checkpoints = 0
+        #: write requests in the log, and their payload bytes, kept as the
+        #: log grows so nobody rescans it per operation
+        self.write_requests = 0
+        self._recorded_bytes = 0
         self._slab: Optional[BlockSlab] = None
         self.recording = True
 
@@ -72,6 +76,8 @@ class RecordingDevice:
         if fua:
             flags = flags + (IOFlag.FUA,)
         self._seq += 1
+        self.write_requests += 1
+        self._recorded_bytes += len(payload)
         self._log.append(
             IORequest(
                 seq=self._seq,
@@ -127,8 +133,11 @@ class RecordingDevice:
         self._log.clear()
         self._seq = 0
         self._checkpoints = 0
+        self.write_requests = 0
+        self._recorded_bytes = 0
 
-    def restore_log(self, log: Sequence[IORequest], checkpoints: int) -> None:
+    def restore_log(self, log: Sequence[IORequest], checkpoints: int,
+                    write_requests: int, recorded_bytes: int) -> None:
         """Seed the recorder with an already-recorded stream.
 
         Used by prefix-shared profiling: a run resumed from a cached prefix
@@ -139,6 +148,8 @@ class RecordingDevice:
         self._log = list(log)
         self._seq = self._log[-1].seq if self._log else 0
         self._checkpoints = checkpoints
+        self.write_requests = write_requests
+        self._recorded_bytes = recorded_bytes
 
     # -- introspection -----------------------------------------------------------
 
@@ -178,7 +189,7 @@ class RecordingDevice:
 
     def recorded_bytes(self) -> int:
         """Total payload bytes recorded (write requests only)."""
-        return sum(request.size_bytes() for request in self._log)
+        return self._recorded_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -74,3 +74,46 @@ class TestProfiling:
     def test_default_bug_config_is_all_applicable(self):
         recorder = WorkloadRecorder("f2fs", device_blocks=SMALL_DEVICE_BLOCKS)
         assert len(recorder.bugs) > 0
+
+
+def test_a_persistence_point_walks_the_tree_once(monkeypatch):
+    """One ``logical_state()`` per persistence point serves the tracker and the
+    oracle; the tracker resolves nothing through the file system again."""
+    from repro.crashmonkey.recorder import _LiveRun
+    from repro.fs.base import AbstractFileSystem
+
+    calls = []
+
+    def counted(name):
+        real = getattr(AbstractFileSystem, name)
+
+        def method(fs, *args):
+            calls.append(name)
+            return real(fs, *args)
+
+        return method
+
+    for name in ("logical_state", "lookup_state", "paths_of_inode", "_walk", "_paths_of"):
+        monkeypatch.setattr(AbstractFileSystem, name, counted(name))
+    points = []
+    real_point = _LiveRun.on_persistence
+
+    def observed_point(run, op, index):
+        del calls[:]
+        real_point(run, op, index)
+        points.append((op.op, sorted(calls)))
+
+    monkeypatch.setattr(_LiveRun, "on_persistence", observed_point)
+    text = ("mkdir A\ncreat A/foo\nwrite A/foo 0 8192\nlink A/foo A/bar\nsymlink A/foo A/sym\n"
+            "fsync A/foo\nfdatasync A/bar\nfsync A\nmwrite A/foo 0 4096\nmsync A/foo 0 4096\nsync")
+    for share_prefixes in (True, False):
+        recorder = WorkloadRecorder("btrfs", BugConfig.none(), device_blocks=SMALL_DEVICE_BLOCKS,
+                                    share_prefixes=share_prefixes)
+        del points[:]
+        profile = _profile(recorder, text)
+        assert [kind for kind, _ in points] == ["fsync", "fdatasync", "fsync", "msync", "sync"]
+        assert all(made == ["_walk", "logical_state"] for _, made in points), points
+        # ... and the oracle adopted the very states the tracker read.
+        record = next(iter(profile.tracker_views[1].files.values()))
+        assert record.persisted_paths == {"A/foo", "A/bar"}
+        assert profile.oracles[1].state["A/foo"].ino == record.ino

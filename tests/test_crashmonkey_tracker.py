@@ -79,6 +79,39 @@ class TestFsyncTracking:
         assert symlinks and symlinks[0].symlink_target == "target"
 
 
+class TestPathSpelling:
+    """The tracker files a path under the spelling the file system resolves it
+    to — the key the oracle's state and the recovered tree use."""
+
+    def test_padded_paths_are_filed_under_the_normalised_spelling(self, fs, tracker):
+        fs.mkdir("A")
+        fs.creat("A/foo")
+        fs.write("A/foo", 0, b"x" * 10)
+        fs.fsync(" A/foo ")
+        tracker.on_persistence(ops.fsync(" A/foo "), 0, 1)
+        fs.fdatasync("/A/./foo ")
+        tracker.on_persistence(ops.fdatasync("/A/./foo "), 1, 2)
+        fs.msync(" A//foo", 0, 10)
+        tracker.on_persistence(ops.msync(" A//foo", 0, 10), 2, 3)
+        fs.fsync(" A")
+        tracker.on_persistence(ops.fsync(" A"), 3, 4)
+        for checkpoint in (1, 2, 3, 4):
+            record = next(iter(tracker.view_at(checkpoint).files.values()))
+            assert record.persisted_paths == {"A/foo"}, checkpoint
+        assert [record.path for record in tracker.view_at(4).dirs.values()] == ["A"]
+        assert set(fs.logical_state()) >= {"A", "A/foo"}
+
+    def test_padded_rename_is_recorded_under_the_normalised_spelling(self, fs, tracker):
+        fs.creat("foo")
+        tracker.before_operation(ops.rename(" foo", "bar "), 1)
+        fs.rename(" foo", "bar ")
+        fs.fsync("bar")
+        tracker.on_persistence(ops.fsync("bar"), 2, 1)
+        rename = tracker.view_at(1).renames[0]
+        assert (rename.src, rename.dst) == ("foo", "bar")
+        assert fs.exists(rename.dst) and not fs.exists(rename.src)
+
+
 class TestRangedMsync:
     def test_only_synced_range_updates_the_expectation(self, fs, tracker):
         fs.creat("foo")

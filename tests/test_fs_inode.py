@@ -1,5 +1,7 @@
 """Inode and FileState structures."""
 
+import pytest
+
 from repro.fs.inode import FileState, FileType, Inode, NamespaceOp, ROOT_INO
 
 
@@ -90,6 +92,45 @@ class TestFileState:
         a = FileState(path="x", ftype="file", size=4, data_hash="h")
         b = FileState(path="x", ftype="file", size=4, data_hash="h")
         assert a == b
+
+    def test_from_inode_builds_what_the_constructor_builds(self):
+        """``from_inode`` fills the instance without ``__init__``: the result
+        must be indistinguishable — ``==``, ``hash``, ``repr``, pickle, frozen."""
+        import dataclasses
+        import pickle
+
+        inode = Inode(7, FileType.FILE)
+        inode.data = bytearray(b"hello")
+        inode.size = 5
+        inode.nlink = 2
+        inode.allocated_blocks = 1
+        inode.xattrs = {"user.b": b"2", "user.a": b"1"}
+        built = FileState.from_inode("A/foo", inode)
+        spelt = FileState(path="A/foo", ftype="file", size=5, nlink=2, allocated_blocks=1,
+                          data_hash="aaf4c61ddcc5e8a2dabede0f3b482cd9aea9434d",
+                          xattrs=(("user.a", "1"), ("user.b", "2")), ino=7)
+        assert built == spelt and hash(built) == hash(spelt)
+        assert hash(built) == hash(dataclasses.astuple(spelt))
+        assert repr(built) == repr(spelt) == (
+            "FileState(path='A/foo', ftype='file', size=5, nlink=2, allocated_blocks=1, "
+            "data_hash='aaf4c61ddcc5e8a2dabede0f3b482cd9aea9434d', children=(), "
+            "xattrs=(('user.a', '1'), ('user.b', '2')), symlink_target=None, ino=7)")
+        assert vars(built) == vars(spelt) and list(vars(built)) == list(vars(spelt))
+        assert pickle.loads(pickle.dumps(built)) == spelt
+        assert built.describe() == "file A/foo size=5 nlink=2 blocks=1 sha1=aaf4c61ddcc5"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            built.size = 6
+
+        directory = Inode(2, FileType.DIR)
+        directory.children = {"zeta": 9, "alpha": 8}
+        directory.size = 2
+        assert FileState.from_inode("A", directory) == FileState(
+            path="A", ftype="dir", size=2, children=("alpha", "zeta"), ino=2)
+        link = Inode(3, FileType.SYMLINK)
+        link.symlink_target = "A/foo"
+        link.size = 5
+        assert FileState.from_inode("l", link) == FileState(
+            path="l", ftype="symlink", size=5, symlink_target="A/foo", ino=3)
 
 
 def test_namespace_op_defaults():

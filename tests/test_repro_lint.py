@@ -389,3 +389,54 @@ def test_probing_a_device_by_type_error_is_caught():
         ),
     }))
     assert [(line, "except TypeError" in message) for _, line, message in findings] == [(4, True)]
+
+
+# ---------------------------------------------- rule 11: one serialisation site
+
+
+def test_a_second_pickling_module_is_caught():
+    findings = repro_lint.check_snapshots_serialise_in_one_place(_trees(**{
+        "storage/spill.py": "import pickle\ndef evict(node):\n    return pickle.dumps(node)\n",
+        "crashmonkey/recorder.py": (
+            "import io\n"
+            "import pickle\n"
+            "def _freeze_fs(fs):\n"
+            "    return pickle.dumps(fs)\n"
+        ),
+        "crashmonkey/tracker.py": "from pickle import dumps, loads\n",
+        "engine/backends.py": "import os, pickle\n",
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/crashmonkey/recorder.py", 2), ("src/repro/crashmonkey/tracker.py", 1),
+        ("src/repro/engine/backends.py", 1)]
+    assert all("pickle" in message for _, _, message in findings)
+
+
+def test_a_deep_copy_of_forked_state_is_caught():
+    source = "import copy\ndef snapshot(fs):\n    return copy.deepcopy(fs)\n"
+    findings = repro_lint.check_snapshots_serialise_in_one_place(_trees(**{
+        "fs/base.py": source,
+        "crashmonkey/checks/write.py": "from copy import deepcopy\nstate = deepcopy({})\n",
+        "core/results.py": source,
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/crashmonkey/checks/write.py", 2), ("src/repro/fs/base.py", 3)]
+    assert all("deepcopy" in message for _, _, message in findings)
+
+
+def test_tracker_records_copied_through_dataclasses_replace_are_caught():
+    source = (
+        "from dataclasses import replace\n"
+        "import dataclasses\n"
+        "def view(files, dirs, path):\n"
+        "    files = {ino: replace(r, persisted_paths=set(r.persisted_paths))\n"
+        "             for ino, r in files.items()}\n"
+        "    dirs = {ino: dataclasses.replace(r) for ino, r in dirs.items()}\n"
+        "    return files, dirs, path.replace('//', '/')\n"
+    )
+    findings = repro_lint.check_snapshots_serialise_in_one_place(_trees(**{
+        "crashmonkey/tracker.py": source,
+        "crashmonkey/crashplan.py": source,
+    }))
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/crashmonkey/tracker.py", 4), ("src/repro/crashmonkey/tracker.py", 6)]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Ten invariants, each protecting a guarantee a past change was built on:
+Eleven invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -89,6 +89,17 @@ Ten invariants, each protecting a guarantee a past change was built on:
     TypeError`` may wrap a device call: every device accepts the recording
     annotations, so a ``TypeError`` there is a bug to surface, not a plain
     device to retry bare.
+
+11. **Snapshots serialise in one place.**  A spine node holds live forks
+    (``AbstractFileSystem.fork`` / ``PersistenceTracker.fork``); the only
+    bytes are the ones ``storage/spill.py`` writes when a node is evicted.
+    So under ``src/repro/`` only that module imports ``pickle`` — a second
+    importer is a snapshot layer paying a serialise-and-parse round trip for
+    a copy that never leaves the process.  And the copies stay the cheap,
+    explicit ones: no ``copy.deepcopy`` under ``crashmonkey/`` or ``fs/``,
+    and ``tracker.py`` clones its records with their ``clone()`` methods,
+    never ``dataclasses.replace`` (a full re-``__init__`` per record per
+    persistence point).
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -686,6 +697,51 @@ def check_fs_decodes_and_hashes_in_one_place(trees: Dict[Path, ast.Module]) -> L
     return findings
 
 
+# ---------------------------------------------- rule 11: one serialisation site
+
+
+#: the one module under src/repro that may turn a snapshot into bytes
+PICKLE_MODULE = Path("storage") / "spill.py"
+
+#: packages whose state copies are structural forks, never generic deep copies
+FORKED_PACKAGES = {"crashmonkey", "fs"}
+
+
+def check_snapshots_serialise_in_one_place(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        forked = not FORKED_PACKAGES.isdisjoint(path.relative_to(SRC_ROOT).parts)
+        tracker = path.parent.name == "crashmonkey" and path.name == "tracker.py"
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                           else [node.module or ""])
+                if "pickle" in modules and path != SRC_ROOT / PICKLE_MODULE:
+                    findings.append(Finding(
+                        relative, node.lineno,
+                        f"`pickle` imported outside {PICKLE_MODULE} — snapshots are forks; "
+                        "only a spill file holds one as bytes",
+                    ))
+                continue
+            if not isinstance(node, ast.Call):
+                continue
+            receiver, name = _call_name(node)
+            if forked and name == "deepcopy" and receiver in ("", "copy"):
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "`copy.deepcopy(...)` of recorder / file-system state — fork it "
+                    "(copy exactly what operations mutate) instead",
+                ))
+            if tracker and name == "replace" and receiver in ("", "dataclasses"):
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "`dataclasses.replace(...)` in the tracker — records are copied "
+                    "with their `clone()` methods",
+                ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -709,6 +765,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_single_mount_site_and_twins_not_rechecked(trees))
     findings.extend(check_options_are_spelt_once(trees))
     findings.extend(check_fs_decodes_and_hashes_in_one_place(trees))
+    findings.extend(check_snapshots_serialise_in_one_place(trees))
     return findings
 
 
