@@ -1,7 +1,7 @@
 """Test-cluster simulation: scheduling, parallel execution, and cost models."""
 
 from .cost import CostModel
-from .runner import ClusterRunner, ClusterRunResult, VmStats
+from .runner import ClusterRunner, ClusterRunResult
 from .scheduler import (
     ClusterSpec,
     DeploymentEstimate,
@@ -20,6 +20,5 @@ __all__ = [
     "estimate_campaign_hours",
     "ClusterRunner",
     "ClusterRunResult",
-    "VmStats",
     "CostModel",
 ]

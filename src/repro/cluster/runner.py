@@ -27,23 +27,12 @@ from .scheduler import ClusterSpec, estimate_campaign_hours, partition
 
 
 @dataclass
-class VmStats:
-    """Timing of one simulated VM's batch."""
-
-    vm_id: int
-    workloads: int
-    seconds: float
-    failing_workloads: int
-    #: which engine worker ran the batch ("serial" or "pid-<n>")
-    worker: str = "serial"
-
-
-@dataclass
 class ClusterRunResult:
     """Outcome of a (simulated) cluster run."""
 
     campaign: CampaignResult
-    vm_stats: List[VmStats] = field(default_factory=list)
+    #: one entry per simulated VM's batch, ``index`` being the VM
+    vm_stats: List[ChunkStats] = field(default_factory=list)
     spec: ClusterSpec = field(default_factory=ClusterSpec)
 
     @property
@@ -105,16 +94,6 @@ class ClusterRunner:
 
         return ClusterRunResult(
             campaign=run.result,
-            vm_stats=[self._vm_stats(stats) for stats in run.chunks],
+            vm_stats=run.chunks,
             spec=self.spec,
-        )
-
-    @staticmethod
-    def _vm_stats(stats: ChunkStats) -> VmStats:
-        return VmStats(
-            vm_id=stats.index,
-            workloads=stats.workloads,
-            seconds=stats.seconds,
-            failing_workloads=stats.failing_workloads,
-            worker=stats.worker,
         )

@@ -13,12 +13,18 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..crashmonkey.report import BugReport, CrashTestResult
+from ..crashmonkey.report import (
+    PHASE_FIELDS,
+    BugReport,
+    CrashTestResult,
+    RollUps,
+    roll_up,
+)
 from .dedup import KnownBugDatabase, ReportGroup, deduplicate, group_reports
 
 
 @dataclass
-class CampaignResult:
+class CampaignResult(RollUps):
     """Aggregated outcome of one testing campaign."""
 
     fs_name: str
@@ -43,6 +49,24 @@ class CampaignResult:
 
     # -- serialization (campaign state store / --json-out) -----------------------
 
+    def _derived(self, session: bool) -> dict:
+        """The headline aggregates both payloads repeat for summary-only readers."""
+        groups = self.grouped_reports()
+        derived = {
+            "workloads_tested": self.workloads_tested,
+            "crash_points_tested": self.crash_points_tested,
+            "failing_workloads": self.failing_workloads,
+            "raw_reports": sum(len(group) for group in groups),
+            "report_groups": len(groups),
+            "deduped_scenarios": self.deduped_scenarios,
+            "cross_deduped_scenarios": self.cross_deduped_scenarios,
+            "memoized_scenarios": self.memoized_scenarios,
+        }
+        if session:
+            derived.update(inherited_verdicts=self.inherited_verdicts,
+                           prefix_hits=self.prefix_hits, replay_hits=self.replay_hits)
+        return derived
+
     def to_dict(self) -> dict:
         """JSON-ready view of the full campaign outcome.
 
@@ -60,26 +84,14 @@ class CampaignResult:
             "testing_seconds": self.testing_seconds,
             "invalid_workloads": self.invalid_workloads,
             "results": [result.to_dict() for result in self.results],
-            "derived": {
-                "workloads_tested": self.workloads_tested,
-                "crash_points_tested": self.crash_points_tested,
-                "failing_workloads": self.failing_workloads,
-                "raw_reports": len(self.all_reports()),
-                "report_groups": len(self.grouped_reports()),
-                "deduped_scenarios": self.deduped_scenarios,
-                "cross_deduped_scenarios": self.cross_deduped_scenarios,
-                "memoized_scenarios": self.memoized_scenarios,
-                "inherited_verdicts": self.inherited_verdicts,
-                "prefix_hits": self.prefix_hits,
-                "replay_hits": self.replay_hits,
-            },
+            "derived": self._derived(session=True),
         }
 
     def canonical_dict(self) -> dict:
         """Schedule-invariant view: what was tested, not how the run went.
 
-        Drops wall-clock timings and the sharing telemetry (see
-        :attr:`CrashTestResult.SESSION_FIELDS`) — those depend on harness
+        Drops wall-clock timings and every counter tagged ``SESSION`` (see
+        :func:`~repro.crashmonkey.report.counter`) — those depend on harness
         lifetimes, so an interrupted-and-resumed campaign or a different
         chunk->worker assignment legitimately reports different values.
         Everything that remains is identical across schedules; the
@@ -91,16 +103,7 @@ class CampaignResult:
             "label": self.label,
             "invalid_workloads": self.invalid_workloads,
             "results": [result.canonical_dict() for result in self.results],
-            "derived": {
-                "workloads_tested": self.workloads_tested,
-                "crash_points_tested": self.crash_points_tested,
-                "failing_workloads": self.failing_workloads,
-                "raw_reports": len(self.all_reports()),
-                "report_groups": len(self.grouped_reports()),
-                "deduped_scenarios": self.deduped_scenarios,
-                "cross_deduped_scenarios": self.cross_deduped_scenarios,
-                "memoized_scenarios": self.memoized_scenarios,
-            },
+            "derived": self._derived(session=False),
         }
 
     @classmethod
@@ -116,105 +119,13 @@ class CampaignResult:
         )
 
     # -- aggregation ------------------------------------------------------------
+    # Every counter's campaign-wide aggregate (``crash_points_tested``,
+    # ``prefix_hits``, ``spine_spills``, ...) is an attribute through
+    # :class:`RollUps`; seconds are CPU time summed across workers, not wall clock.
 
     @property
     def workloads_tested(self) -> int:
         return len(self.results)
-
-    @property
-    def crash_points_tested(self) -> int:
-        return sum(result.checkpoints_tested for result in self.results)
-
-    @property
-    def failing_workloads(self) -> int:
-        return sum(1 for result in self.results if not result.passed)
-
-    # -- prefix-shared recording / dedup accounting -------------------------------
-
-    @property
-    def prefix_hits(self) -> int:
-        """Workloads whose profile resumed from a worker's prefix cache."""
-        return sum(1 for result in self.results if result.prefix_shared)
-
-    @property
-    def prefix_ops_reused(self) -> int:
-        """Operations inherited from shared prefixes instead of re-executed."""
-        return sum(result.prefix_ops_reused for result in self.results)
-
-    @property
-    def prefix_writes_reused(self) -> int:
-        """Write requests inherited from shared prefixes across the campaign."""
-        return sum(result.prefix_writes_reused for result in self.results)
-
-    @property
-    def replay_hits(self) -> int:
-        """Workloads whose crash-state build resumed from a replay trail."""
-        return sum(1 for result in self.results if result.replay_shared)
-
-    @property
-    def replayed_write_requests(self) -> int:
-        """Write requests actually applied while constructing crash states."""
-        return sum(result.replayed_write_requests for result in self.results)
-
-    @property
-    def replay_writes_reused(self) -> int:
-        """Write requests inherited from shared replay trails campaign-wide."""
-        return sum(result.replay_writes_reused for result in self.results)
-
-    @property
-    def spine_spills(self) -> int:
-        """Spine nodes spilled to disk across every worker harness."""
-        return sum(result.spine_spills for result in self.results)
-
-    @property
-    def spine_spilled_bytes(self) -> int:
-        """Bytes of spine nodes written to spill directories campaign-wide."""
-        return sum(result.spine_spilled_bytes for result in self.results)
-
-    @property
-    def spine_rehydrations(self) -> int:
-        """Spilled spine nodes read back from disk campaign-wide."""
-        return sum(result.spine_rehydrations for result in self.results)
-
-    @property
-    def spine_peak_resident_bytes(self) -> int:
-        """Highest resident spine byte count any worker harness reached.
-
-        Bounded by the configured ``spine_memory_budget`` (per harness, so
-        per worker under a pool backend).
-        """
-        return max(
-            (result.spine_peak_resident_bytes for result in self.results),
-            default=0,
-        )
-
-    @property
-    def deduped_scenarios(self) -> int:
-        """Scenarios skipped by within-workload cross-checkpoint dedup."""
-        return sum(result.deduped_scenarios for result in self.results)
-
-    @property
-    def cross_deduped_scenarios(self) -> int:
-        """Scenarios skipped because an earlier workload already tested them."""
-        return sum(result.cross_deduped_scenarios for result in self.results)
-
-    @property
-    def scenarios_tested(self) -> int:
-        """Crash scenarios given a verdict (mounted, memoized or inherited)."""
-        return sum(result.scenarios_tested for result in self.results)
-
-    @property
-    def memoized_scenarios(self) -> int:
-        """Tested scenarios that took the verdict of a byte-identical state
-        of their checkpoint instead of a mount and check run of their own."""
-        return sum(result.memoized_scenarios for result in self.results)
-
-    @property
-    def inherited_verdicts(self) -> int:
-        """Tested scenarios that took the verdict an earlier workload filed
-        for the same state of a shared checkpoint record (session telemetry:
-        it depends on which workloads shared a harness and a replay trail)."""
-        return sum(result.inherited_verdicts for result in self.results)
 
     @property
     def mounted_scenarios(self) -> int:
@@ -222,12 +133,8 @@ class CampaignResult:
         return self.scenarios_tested - self.memoized_scenarios - self.inherited_verdicts
 
     def recording_seconds_saved(self) -> float:
-        """Recording-phase seconds prefix sharing avoided (summed over workers).
-
-        Like :meth:`phase_seconds` this is CPU time summed across workers,
-        not wall clock.
-        """
-        return sum(result.prefix_seconds_saved for result in self.results)
+        """Recording-phase seconds prefix sharing avoided (summed over workers)."""
+        return roll_up(self.results, "prefix_seconds_saved")
 
     def replay_seconds_saved(self) -> float:
         """Construction-phase seconds shared replay avoided (summed over workers).
@@ -235,7 +142,7 @@ class CampaignResult:
         The trie-hit component of the replay phase; ``phase_seconds()``'s
         replay component is the fresh-build part actually paid.
         """
-        return sum(result.replay_seconds_saved for result in self.results)
+        return roll_up(self.results, "replay_seconds_saved")
 
     def all_reports(self) -> List[BugReport]:
         reports: List[BugReport] = []
@@ -269,12 +176,7 @@ class CampaignResult:
         sum to the CPU time spent testing, summed over workers; under a
         parallel backend that exceeds ``testing_seconds``, which is wall
         clock."""
-        profile = sum(result.profile_seconds for result in self.results)
-        replay = sum(result.replay_seconds for result in self.results)
-        mount = sum(result.mount_seconds for result in self.results)
-        fsck = sum(result.fsck_seconds for result in self.results)
-        check = sum(result.check_seconds for result in self.results)
-        return profile, replay, mount, fsck, check
+        return tuple(roll_up(self.results, name) for name in PHASE_FIELDS)
 
     def check_timings(self) -> Dict[str, float]:
         """Per-check wall-clock attribution summed across every workload.
@@ -288,15 +190,18 @@ class CampaignResult:
                 totals[name] = totals.get(name, 0.0) + seconds
         return totals
 
-    def summary(self) -> str:
-        groups = self.grouped_reports()
+    def summary(self, groups: Optional[List[ReportGroup]] = None) -> str:
+        """The headline line; ``groups`` spares a caller that already grouped."""
+        if groups is None:
+            groups = self.grouped_reports()
         invalid = (f" (+{self.invalid_workloads} invalid dropped)"
                    if self.invalid_workloads else "")
         return (
             f"campaign {self.label or '-'} on {self.fs_model}: "
             f"{self.workloads_tested} workloads{invalid}, "
             f"{self.crash_points_tested} crash points, "
-            f"{self.failing_workloads} failing workloads, {len(self.all_reports())} raw reports, "
+            f"{self.failing_workloads} failing workloads, "
+            f"{sum(len(group) for group in groups)} raw reports, "
             f"{len(groups)} report groups, "
             f"{self.generation_seconds:.2f}s generation + {self.testing_seconds:.2f}s testing"
         )
@@ -333,7 +238,8 @@ class CampaignResult:
         )
 
     def describe(self) -> str:
-        lines = [self.summary()]
+        groups = self.grouped_reports()
+        lines = [self.summary(groups)]
         if self.prefix_hits or self.cross_deduped_scenarios or self.memoized_scenarios:
             lines.append(self.recording_summary())
         if self.replay_hits:
@@ -341,6 +247,6 @@ class CampaignResult:
         if self.spine_spills or self.spine_rehydrations:
             lines.append(self.spine_summary())
         lines.append("report groups:")
-        for group in self.grouped_reports():
+        for group in groups:
             lines.append("  " + group.describe())
         return "\n".join(lines)

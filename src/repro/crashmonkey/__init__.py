@@ -13,12 +13,9 @@ from .crashplan import (
     PLAN_NAMES,
     CrashPlanner,
     CrashScenario,
-    CrossWorkloadCache,
-    GlobalDedupCache,
     MechanismPlanner,
     PrefixPlanner,
     ReorderPlanner,
-    ScopedDedupCache,
     TornWritePlanner,
     describe_planners,
     make_planner,
@@ -33,6 +30,7 @@ from .replayer import (
     SharedReplayCache,
 )
 from .report import BugReport, CrashTestResult, Mismatch, Severity
+from .sightings import CrossWorkloadCache, GlobalDedupCache, ScopedDedupCache
 from .tracker import PersistenceTracker, TrackedDir, TrackedFile, TrackerView
 
 __all__ = [

@@ -28,15 +28,11 @@ from ..options import HarnessSpec
 from ..storage.spill import SpineStore
 from ..workload.workload import Workload
 from .checker import CheckPipeline
-from .crashplan import (
-    CrossWorkloadCache,
-    GlobalDedupCache,
-    ScopedDedupCache,
-    make_planner,
-)
+from .crashplan import make_planner
 from .recorder import WorkloadProfile, WorkloadRecorder
 from .replayer import CrashStateGenerator, SharedReplayCache
-from .report import HARNESS_ERROR, BugReport, CrashTestResult, Mismatch
+from .report import GENERATOR, HARNESS_ERROR, PROFILE, BugReport, CrashTestResult, Mismatch
+from .sightings import open_sighting_store
 
 
 class CrashMonkey:
@@ -82,34 +78,23 @@ class CrashMonkey:
         #: replay-trie spine shared by every workload this harness tests
         self.replay_cache = (SharedReplayCache(spine_store=self.spine_store)
                              if spec.share_replay else None)
-        #: cache of (crash states, expectations) keys; harness-lifetime and
-        #: in-memory by default, campaign-global and disk-backed when a
-        #: ``global_dedup_cache`` path is given (durable and campaign-scoped
-        #: with a ``dedup_scope`` too).  One fixed fs/bugs/planner per
-        #: harness (and per campaign) keeps its sightings sound.
-        if not spec.cross_workload_dedup:
-            self.cross_cache = None
-        elif spec.global_dedup_cache is None:
-            self.cross_cache = CrossWorkloadCache()
-        elif spec.dedup_scope is None:
-            self.cross_cache = GlobalDedupCache(spec.global_dedup_cache)
-        else:
-            self.cross_cache = ScopedDedupCache(spec.global_dedup_cache, spec.dedup_scope)
+        #: store of (crash states, expectations) sightings, None unless
+        #: cross-workload dedup is on.  One fixed fs/bugs/planner per harness
+        #: (and per campaign) keeps its sightings sound.
+        self.cross_cache = open_sighting_store(spec)
         self.checker = CheckPipeline(checks=spec.checks, skip_checks=spec.skip_checks)
 
     # ------------------------------------------------------------------ public API
 
     def begin_chunk(self, index: int) -> None:
-        """Tell the durable sighting cache which engine chunk is running.
+        """Tell the sighting store which engine chunk is running.
 
-        Sightings are stamped with the chunk that produced them so crash
-        recovery can discard the ones from chunks that never completed
+        The durable store stamps sightings with the chunk that produced them
+        so crash recovery can discard the ones from chunks that never completed
         (:meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash`).
-        A no-op for the in-memory and unscoped caches.
         """
-        set_chunk = getattr(self.cross_cache, "set_chunk", None)
-        if set_chunk is not None:
-            set_chunk(index)
+        if self.cross_cache is not None:
+            self.cross_cache.set_chunk(index)
 
     def profile(self, workload: Workload) -> WorkloadProfile:
         """Phase 1 only: profile the workload and return the recording."""
@@ -152,15 +137,9 @@ class CrashMonkey:
         rehydrations_before = store.rehydrations
 
         profile = self.recorder.profile(workload, upcoming=upcoming)
-        result.profile_seconds = profile.profile_seconds
+        for name in CrashTestResult.GATHERED[PROFILE]:
+            setattr(result, name, getattr(profile, name))
         result.recorded_requests = len(profile.io_log)
-        result.recorded_bytes = profile.recorded_bytes
-        result.executed_ops = profile.executed_ops
-        result.skipped_ops = profile.skipped_ops
-        result.prefix_shared = profile.prefix_shared
-        result.prefix_ops_reused = profile.prefix_ops_reused
-        result.prefix_writes_reused = profile.prefix_writes_reused
-        result.prefix_seconds_saved = profile.prefix_seconds_saved
 
         checkpoints = profile.checkpoints()
         if self.spec.only_last_checkpoint and checkpoints:
@@ -226,16 +205,8 @@ class CrashMonkey:
                 )
         # The one-pass incremental build is replay work shared by every state.
         result.replay_seconds += generator.build_seconds
-        result.replayed_write_requests = generator.replayed_write_requests
-        result.deduped_scenarios = generator.deduped_scenarios
-        result.cross_deduped_scenarios = generator.cross_deduped_scenarios
-        result.replay_shared = generator.replay_shared
-        result.replay_writes_reused = generator.replay_writes_reused
-        result.replay_seconds_saved = generator.replay_seconds_saved
-        result.mechanism_checkpoints = generator.mechanism_checkpoints
-        result.mechanism_fallback_checkpoints = generator.mechanism_fallback_checkpoints
-        result.mechanism_demoted_checkpoints = generator.mechanism_demoted_checkpoints
-        result.audit_demotions = generator.audit_demotions
+        for name in CrashTestResult.GATHERED[GENERATOR]:
+            setattr(result, name, getattr(generator, name))
         # Spine-spill telemetry: gauges read the store's current/high-water
         # state, the counters are this workload's deltas.
         result.spine_resident_bytes = store.resident_bytes

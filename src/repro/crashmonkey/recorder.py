@@ -83,15 +83,11 @@ class WorkloadProfile:
     skipped_ops: int = 0
     recorded_bytes: int = 0
     workload_overlay_bytes: int = 0
-    #: True when this profile resumed from the recorder's prefix cache
-    #: (even a depth-0 resume skips the per-workload mkfs image copy + mount)
+    # Prefix-sharing accounting, gathered by name into the ``CrashTestResult``
+    # fields of the same names (each is documented where it is declared).
     prefix_shared: bool = False
-    #: operations inherited from the shared prefix instead of re-executed
     prefix_ops_reused: int = 0
-    #: write requests inherited from the shared prefix instead of re-recorded
     prefix_writes_reused: int = 0
-    #: recording seconds the prefix reuse avoided (the cached wall clock the
-    #: original run spent reaching the resume point)
     prefix_seconds_saved: float = 0.0
 
     def checkpoints(self) -> List[int]:

@@ -35,9 +35,10 @@ from ..fs.registry import get_fs_class
 from ..storage.cow_device import CowDevice
 from ..storage.io_request import IORequest
 from ..storage.spill import SpineStore, flatten_requests, freeze_overlay
-from .crashplan import CrashPlanner, CrashScenario, CrossWorkloadCache, PrefixPlanner
+from .crashplan import CrashPlanner, CrashScenario, PrefixPlanner
 from .oracle import Oracle
 from .recorder import WorkloadProfile
+from .sightings import SightingStore
 from .tracker import TrackerView
 
 if TYPE_CHECKING:
@@ -581,7 +582,7 @@ class CrashStateGenerator:
     def __init__(self, profile: WorkloadProfile, run_fsck_on_failure: bool = True,
                  planner: Optional[CrashPlanner] = None,
                  dedup_scenarios: bool = True,
-                 cross_cache: Optional[CrossWorkloadCache] = None,
+                 cross_cache: Optional[SightingStore] = None,
                  replay_cache: Optional[SharedReplayCache] = None,
                  analyze: Optional[bool] = None):
         self.profile = profile
@@ -597,16 +598,6 @@ class CrashStateGenerator:
         #: the inferred mechanism report (populated by the build when
         #: :attr:`analyze` is on)
         self.mechanism_report: Optional[MechanismReport] = None
-        #: checkpoints planned via an inferred mechanism vs delegated to the
-        #: exhaustive fallback (mechanism planner only; deterministic per
-        #: workload — counted before any dedup skipping)
-        self.mechanism_checkpoints = 0
-        self.mechanism_fallback_checkpoints = 0
-        #: the subset of fallback checkpoints the contract auditor caused
-        #: (windows whose explaining evidence was demoted)
-        self.mechanism_demoted_checkpoints = 0
-        #: evidence claims the contract auditor demoted for this workload
-        self.audit_demotions = 0
         #: skip constructing/checking a checkpoint's scenarios when an earlier
         #: checkpoint provably yields the same states and expectations
         self.dedup_scenarios = dedup_scenarios
@@ -617,23 +608,17 @@ class CrashStateGenerator:
         #: replay-trie spine resuming the one-pass build from the deepest
         #: cursor fork on the recorded stream's shared sibling prefix
         self.replay_cache = replay_cache
-        #: write requests applied to devices so far (one per recorded write
-        #: for the single cursor pass, plus the re-applied window writes of
-        #: each non-baseline scenario)
+        # Counters the harness gathers by name; each is documented where it is
+        # declared, on the ``CrashTestResult`` field of the same name.
+        self.mechanism_checkpoints = 0
+        self.mechanism_fallback_checkpoints = 0
+        self.mechanism_demoted_checkpoints = 0
+        self.audit_demotions = 0
         self.replayed_write_requests = 0
-        #: True when the build resumed from the shared replay trail
         self.replay_shared = False
-        #: write requests inherited from the shared trail instead of replayed
         self.replay_writes_reused = 0
-        #: build seconds the trail resume avoided (the cached wall clock a
-        #: from-scratch build spends reaching the resume point)
         self.replay_seconds_saved = 0.0
-        #: scenarios skipped by cross-checkpoint dedup (each one would have
-        #: constructed, mounted and checked a state identical to one already
-        #: tested — and double-counted its bug reports)
         self.deduped_scenarios = 0
-        #: scenarios skipped because an earlier *workload* already tested the
-        #: byte-identical crash states against identical expectations
         self.cross_deduped_scenarios = 0
         #: wall-clock seconds of the one-pass incremental build
         self.build_seconds = 0.0
@@ -900,8 +885,8 @@ class CrashStateGenerator:
         only double-count the same bug reports.  Skipped scenarios are
         counted in :attr:`deduped_scenarios`.
 
-        With a :class:`CrossWorkloadCache` attached, the same argument is
-        applied *across workloads*: a checkpoint whose recorded stream prefix
+        With a sighting store attached, the same argument is applied
+        *across workloads*: a checkpoint whose recorded stream prefix
         (hence every reachable crash state), oracle and tracker view all
         digest-match one tested by an earlier workload — an ACE sibling
         sharing the prefix — is skipped and counted in

@@ -3,14 +3,17 @@
 The output of CrashMonkey is a bug report per failing crash point: which
 workload, which crash point, which file system, what was expected (from the
 oracle) and what was actually found in the recovered crash state (paper
-Figure 2's "Output").
+Figure 2's "Output").  The per-workload :class:`CrashTestResult` carrying
+those reports is also where every per-workload counter is declared, once,
+with its canonical/session tag and its roll-up rule (see :func:`counter`).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import ClassVar, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..fs.bugs import Consequence
 from ..workload.workload import Workload
@@ -234,119 +237,206 @@ class BugReport:
         return "\n".join(lines)
 
 
-@dataclass
+# ------------------------------------------------------------------- counters
+
+#: a function of the workload, the file system and the plan alone: identical
+#: on every schedule, so ``canonical_dict()`` keeps it
+CANONICAL = "canonical"
+#: how this session happened to run — wall clock, and whatever depends on
+#: which workloads shared a harness or on what a spine still held (chunk ->
+#: worker assignment under a pool, session boundaries under a durable resume,
+#: the spill budget): ``canonical_dict()`` drops it
+SESSION = "session"
+
+#: how a chunk or a campaign aggregates a counter over its results
+SUM, MAX, COUNT = "sum", "max", "count"
+_ROLLUPS = {
+    SUM: sum,
+    MAX: lambda values: max(values, default=0),
+    COUNT: lambda values: sum(1 for value in values if value),
+}
+
+#: producers the harness gathers same-named attributes from
+PROFILE, GENERATOR = "profile", "generator"
+
+
+def counter(help: str, *, tag: str = CANONICAL, rollup: str = SUM,
+            aggregate: Optional[str] = None, source: Optional[str] = None,
+            default: Any = 0):
+    """Declare one per-workload counter: a field whose metadata holds the rest.
+
+    The JSON codec, ``canonical_dict()``'s filter, the harness's by-name
+    gather and every campaign / chunk aggregate are derived from these
+    declarations: adding a counter is one field plus the line that increments
+    it.  ``tag`` says whether ``canonical_dict()`` keeps it, ``rollup`` how a
+    chunk or a campaign aggregates it, ``aggregate`` the aggregate's name
+    where history chose another than the field's, and ``source`` the producer
+    (``PROFILE`` / ``GENERATOR``) whose attribute of the same name the
+    harness copies — none for the counters the harness computes itself.
+    """
+    if tag not in (CANONICAL, SESSION) or rollup not in _ROLLUPS or not help:
+        raise ValueError(f"counter needs help, a tag and a roll-up rule: {tag!r}, {rollup!r}")
+    return field(default=default, metadata={
+        "help": help, "tag": tag, "rollup": rollup, "aggregate": aggregate, "source": source,
+    })
+
+
+def counted(cls):
+    """``@dataclass`` plus what its ``counter`` fields derive, computed once."""
+    cls = dataclass(cls)
+    declared = [f for f in fields(cls) if "rollup" in f.metadata]
+    #: every counter, in declaration order (the codec's scalar keys)
+    cls.COUNTERS = tuple(f.name for f in declared)
+    #: the counters ``canonical_dict()`` drops
+    cls.SESSION_FIELDS = tuple(f.name for f in declared if f.metadata["tag"] == SESSION)
+    #: counter -> roll-up rule, and aggregate name -> counter
+    cls.ROLLUPS = {f.name: f.metadata["rollup"] for f in declared}
+    cls.AGGREGATES = {f.metadata["aggregate"] or f.name: f.name for f in declared}
+    #: producer -> the counters gathered from it by name
+    cls.GATHERED = {
+        source: tuple(f.name for f in declared if f.metadata["source"] == source)
+        for source in (PROFILE, GENERATOR)
+    }
+    return cls
+
+
+@counted
 class CrashTestResult:
-    """Result of running CrashMonkey on one workload."""
+    """Result of running CrashMonkey on one workload.
+
+    What was tested on what (``workload``, ``fs_type``, ``fs_model``), the
+    structured payloads (``bug_reports``, ``check_timings``), and the
+    counters — each declared once, see :func:`counter`.
+    """
 
     workload: Workload
     fs_type: str
     fs_model: str
-    #: persistence points selected for testing (a checkpoint whose scenarios
-    #: were all skipped by cross-checkpoint dedup still counts as tested —
-    #: its byte-identical states were checked at an earlier checkpoint)
-    checkpoints_tested: int = 0
-    #: crash scenarios constructed and given a verdict (by a mount and a
-    #: check run, or by an identical state's — see ``memoized_scenarios`` and
-    #: ``inherited_verdicts``); equals
-    #: ``checkpoints_tested`` under the prefix plan with dedup disabled,
-    #: larger when a reordering plan enumerates several states per
-    #: checkpoint, smaller when dedup skips repeat checkpoints
-    scenarios_tested: int = 0
-    #: scenarios skipped because an earlier checkpoint already tested the
-    #: byte-identical state against identical expectations (cross-checkpoint
-    #: dedup on flush-free windows); scenarios_tested + deduped_scenarios is
-    #: the full planner enumeration
-    deduped_scenarios: int = 0
-    #: scenarios skipped because an earlier *workload* in the campaign (an
-    #: ACE sibling sharing this workload's prefix) already tested the
-    #: byte-identical crash states against identical expectations;
-    #: scenarios_tested + deduped_scenarios + cross_deduped_scenarios is the
-    #: full planner enumeration
-    cross_deduped_scenarios: int = 0
-    #: tested scenarios whose crash state was byte-identical to an earlier
-    #: scenario of the same checkpoint *in this workload's own pass* and
-    #: took that state's verdict instead of a mount and a check run of
-    #: their own (included in ``scenarios_tested``).  A function of the
-    #: recorded stream and the plan only, hence canonical.
-    memoized_scenarios: int = 0
-    #: tested scenarios that took the verdict an *earlier workload* filed
-    #: for the byte-identical state of the same checkpoint record, under
-    #: the same oracle and tracker view objects (included in
-    #: ``scenarios_tested``: scenarios_tested - memoized_scenarios -
-    #: inherited_verdicts states were actually mounted).  Depends on what
-    #: the replay trail still held (spill budget, chunk -> worker
-    #: assignment), hence session telemetry.
-    inherited_verdicts: int = 0
+    checkpoints_tested: int = counter(
+        "persistence points selected for testing (a checkpoint whose scenarios were all skipped "
+        "by cross-checkpoint dedup still counts as tested — its byte-identical states were "
+        "checked at an earlier checkpoint)", aggregate="crash_points_tested")
+    scenarios_tested: int = counter(
+        "crash scenarios constructed and given a verdict (by a mount and a check run, or by an "
+        "identical state's — see ``memoized_scenarios`` and ``inherited_verdicts``); equals "
+        "``checkpoints_tested`` under the prefix plan with dedup disabled, larger when a "
+        "reordering plan enumerates several states per checkpoint, smaller when dedup skips "
+        "repeat checkpoints")
+    deduped_scenarios: int = counter(
+        "scenarios skipped because an earlier checkpoint already tested the byte-identical state "
+        "against identical expectations (cross-checkpoint dedup on flush-free windows: each one "
+        "would have constructed, mounted and checked a state identical to one already tested — "
+        "and double-counted its bug reports); scenarios_tested + deduped_scenarios is the full "
+        "planner enumeration", source=GENERATOR)
+    cross_deduped_scenarios: int = counter(
+        "scenarios skipped because an earlier *workload* in the campaign (an ACE sibling sharing "
+        "this workload's prefix) already tested the byte-identical crash states against identical "
+        "expectations; scenarios_tested + deduped_scenarios + cross_deduped_scenarios is the full "
+        "planner enumeration", source=GENERATOR)
+    memoized_scenarios: int = counter(
+        "tested scenarios whose crash state was byte-identical to an earlier scenario of the same "
+        "checkpoint *in this workload's own pass* and took that state's verdict instead of a "
+        "mount and a check run of their own (included in ``scenarios_tested``).  A function of "
+        "the recorded stream and the plan only, hence canonical.")
+    inherited_verdicts: int = counter(
+        "tested scenarios that took the verdict an *earlier workload* filed for the "
+        "byte-identical state of the same checkpoint record, under the same oracle and tracker "
+        "view objects (included in ``scenarios_tested``: scenarios_tested - memoized_scenarios - "
+        "inherited_verdicts states were actually mounted).  Depends on what the replay trail "
+        "still held (spill budget, chunk -> worker assignment), hence session telemetry.",
+        tag=SESSION)
     bug_reports: List[BugReport] = field(default_factory=list)
-    #: timing breakdown in seconds: profile / replay / mount / fsck / check.
-    #: ``replay_seconds`` covers only crash-state *construction* (the paper's
-    #: §6.3 replay phase); mounting (recovery) and fsck are attributed
-    #: separately instead of being lumped into replay.
-    profile_seconds: float = 0.0
-    replay_seconds: float = 0.0
-    mount_seconds: float = 0.0
-    fsck_seconds: float = 0.0
-    check_seconds: float = 0.0
-    #: write requests replayed onto crash-state devices for this workload
-    #: (linear in the recorded log under the incremental builder)
-    replayed_write_requests: int = 0
+    # Timing breakdown, the §6.3 phases: profile / replay / mount / fsck / check.
+    profile_seconds: float = counter(
+        "seconds spent profiling the workload (recording its block I/O, oracles and persisted "
+        "set)", tag=SESSION, source=PROFILE, default=0.0)
+    replay_seconds: float = counter(
+        "seconds spent on crash-state *construction* only (the paper's §6.3 replay phase: the "
+        "one-pass incremental build plus each state's own writes); mounting (recovery) and fsck "
+        "are attributed separately instead of being lumped into replay", tag=SESSION, default=0.0)
+    mount_seconds: float = counter(
+        "seconds spent mounting crash states (the file system's recovery)",
+        tag=SESSION, default=0.0)
+    fsck_seconds: float = counter(
+        "seconds spent in fsck on crash states that failed to mount", tag=SESSION, default=0.0)
+    check_seconds: float = counter(
+        "seconds spent running the consistency checks on mounted crash states",
+        tag=SESSION, default=0.0)
+    replayed_write_requests: int = counter(
+        "write requests replayed onto crash-state devices for this workload: one per recorded "
+        "write for the single cursor pass, plus the re-applied window writes of each non-baseline "
+        "scenario (linear in the recorded log under the incremental builder)",
+        tag=SESSION, source=GENERATOR)
     #: per-check wall-clock attribution, check name -> seconds (summed over
     #: every crash point tested for this workload)
     check_timings: Dict[str, float] = field(default_factory=dict)
-    #: resource accounting (paper §6.5)
-    recorded_requests: int = 0
-    recorded_bytes: int = 0
-    crash_state_overlay_bytes: int = 0
-    executed_ops: int = 0
-    skipped_ops: int = 0
-    #: prefix-shared recording accounting: True when the profile resumed from
-    #: the recorder's shared-prefix cache instead of re-running mkfs + prefix
-    prefix_shared: bool = False
-    #: operations inherited from the shared prefix instead of re-executed
-    prefix_ops_reused: int = 0
-    #: write requests inherited from the shared prefix (recorded_requests
-    #: still counts them: the io_log is identical to from-scratch recording)
-    prefix_writes_reused: int = 0
-    #: recording seconds the prefix reuse avoided for this workload
-    prefix_seconds_saved: float = 0.0
-    #: shared-replay accounting: True when the crash-state build resumed from
-    #: the replay trail instead of re-applying the shared stream prefix
-    replay_shared: bool = False
-    #: write requests inherited from the shared replay trail
-    #: (``replayed_write_requests`` counts only the fresh ones)
-    replay_writes_reused: int = 0
-    #: build seconds the trail resume avoided for this workload; together
-    #: with ``replay_seconds`` (the fresh-build component actually paid)
-    #: this splits construction time into trie-hit vs fresh-replay parts
-    replay_seconds_saved: float = 0.0
-    #: mechanism-planner accounting: checkpoints whose crash window was
-    #: collapsed to representative states by an inferred mechanism, and
-    #: checkpoints where the planner fell back to the exhaustive torn plan.
-    #: Counted from the recorded stream before any dedup decision, so both
-    #: are schedule-invariant (canonical) rather than session telemetry.
-    mechanism_checkpoints: int = 0
-    mechanism_fallback_checkpoints: int = 0
-    #: the subset of fallback checkpoints caused by the contract auditor
-    #: demoting a reasoner's claim (exhaustive coverage, audit-attributed)
-    mechanism_demoted_checkpoints: int = 0
-    #: evidence claims the contract auditor demoted for this workload's
-    #: report (0 on a correct file system; >= 1 whenever a reference bug
-    #: breaks a claimed mechanism contract)
-    audit_demotions: int = 0
-    #: spine-spill telemetry (session, not canonical: how much spilled
-    #: depends on the budget and on which workloads shared a harness).
-    #: Bytes of frozen spine nodes resident in the harness's spill store
-    #: after this workload
-    spine_resident_bytes: int = 0
-    #: high-water mark of resident spine bytes over the harness's lifetime
-    #: (bounded by the configured budget)
-    spine_peak_resident_bytes: int = 0
-    #: bytes of spine nodes written to the spill directory for this workload
-    spine_spilled_bytes: int = 0
-    #: spine nodes spilled to disk while testing this workload
-    spine_spills: int = 0
-    #: spilled spine nodes read back from disk while testing this workload
-    spine_rehydrations: int = 0
+    # Resource accounting (paper §6.5).
+    recorded_requests: int = counter("block I/O requests in the workload's recorded log")
+    recorded_bytes: int = counter("payload bytes of the recorded write requests", source=PROFILE)
+    crash_state_overlay_bytes: int = counter(
+        "largest copy-on-write overlay any one crash state of this workload held over the shared "
+        "base image", rollup=MAX)
+    executed_ops: int = counter("workload operations the executor ran", source=PROFILE)
+    skipped_ops: int = counter(
+        "workload operations the executor skipped because the file system refused them",
+        source=PROFILE)
+    prefix_shared: bool = counter(
+        "prefix-shared recording accounting: True when the profile resumed from the recorder's "
+        "shared-prefix cache instead of re-running mkfs + prefix (even a depth-0 resume skips the "
+        "per-workload mkfs image copy + mount)",
+        tag=SESSION, rollup=COUNT, aggregate="prefix_hits", source=PROFILE, default=False)
+    prefix_ops_reused: int = counter(
+        "operations inherited from the shared prefix instead of re-executed",
+        tag=SESSION, source=PROFILE)
+    prefix_writes_reused: int = counter(
+        "write requests inherited from the shared prefix (recorded_requests still counts them: "
+        "the io_log is identical to from-scratch recording)", tag=SESSION, source=PROFILE)
+    prefix_seconds_saved: float = counter(
+        "recording seconds the prefix reuse avoided for this workload (the cached wall clock the "
+        "original run spent reaching the resume point)", tag=SESSION, source=PROFILE, default=0.0)
+    replay_shared: bool = counter(
+        "shared-replay accounting: True when the crash-state build resumed from the replay trail "
+        "instead of re-applying the shared stream prefix",
+        tag=SESSION, rollup=COUNT, aggregate="replay_hits", source=GENERATOR, default=False)
+    replay_writes_reused: int = counter(
+        "write requests inherited from the shared replay trail (``replayed_write_requests`` "
+        "counts only the fresh ones)", tag=SESSION, source=GENERATOR)
+    replay_seconds_saved: float = counter(
+        "build seconds the trail resume avoided for this workload (the cached wall clock a "
+        "from-scratch build spends reaching the resume point); together with ``replay_seconds`` "
+        "(the fresh-build component actually paid) this splits construction time into trie-hit vs "
+        "fresh-replay parts", tag=SESSION, source=GENERATOR, default=0.0)
+    # Mechanism-planner accounting.  Counted from the recorded stream before
+    # any dedup decision, so these are schedule-invariant (canonical) rather
+    # than session telemetry.
+    mechanism_checkpoints: int = counter(
+        "checkpoints whose crash window was collapsed to representative states by an inferred "
+        "mechanism", source=GENERATOR)
+    mechanism_fallback_checkpoints: int = counter(
+        "checkpoints where the mechanism planner fell back to the exhaustive torn plan",
+        source=GENERATOR)
+    mechanism_demoted_checkpoints: int = counter(
+        "the subset of fallback checkpoints caused by the contract auditor demoting a reasoner's "
+        "claim (exhaustive coverage, audit-attributed)", source=GENERATOR)
+    audit_demotions: int = counter(
+        "evidence claims the contract auditor demoted for this workload's report (0 on a correct "
+        "file system; >= 1 whenever a reference bug breaks a claimed mechanism contract)",
+        source=GENERATOR)
+    # Spine-spill telemetry (session, not canonical: how much spilled depends
+    # on the budget and on which workloads shared a harness).
+    spine_resident_bytes: int = counter(
+        "bytes of frozen spine nodes resident in the harness's spill store after this workload",
+        tag=SESSION, rollup=MAX)
+    spine_peak_resident_bytes: int = counter(
+        "high-water mark of resident spine bytes over the harness's lifetime (bounded by the "
+        "configured ``spine_memory_budget`` — per harness, so per worker under a pool backend)",
+        tag=SESSION, rollup=MAX)
+    spine_spilled_bytes: int = counter(
+        "bytes of spine nodes written to the spill directory for this workload", tag=SESSION)
+    spine_spills: int = counter(
+        "spine nodes spilled to disk while testing this workload", tag=SESSION)
+    spine_rehydrations: int = counter(
+        "spilled spine nodes read back from disk while testing this workload", tag=SESSION)
 
     @property
     def passed(self) -> bool:
@@ -354,88 +444,45 @@ class CrashTestResult:
 
     @property
     def total_seconds(self) -> float:
-        return (self.profile_seconds + self.replay_seconds + self.mount_seconds
-                + self.fsck_seconds + self.check_seconds)
+        return sum(getattr(self, name) for name in PHASE_FIELDS)
 
     def consequences(self) -> Tuple[str, ...]:
         return tuple(sorted({report.consequence for report in self.bug_reports}))
 
     # -- serialization (campaign state store / --json-out) -------------------
 
-    #: scalar fields copied verbatim by the JSON round-trip; every field
-    #: except the three with structured payloads (workload, bug_reports,
-    #: check_timings) must appear here — ``test_report_serialization``
-    #: asserts the list matches the dataclass, so adding a counter without
-    #: extending the round-trip fails loudly instead of silently dropping it
-    SCALAR_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "fs_type", "fs_model", "checkpoints_tested", "scenarios_tested",
-        "deduped_scenarios", "cross_deduped_scenarios", "memoized_scenarios",
-        "inherited_verdicts",
-        "profile_seconds", "replay_seconds", "mount_seconds", "fsck_seconds",
-        "check_seconds", "replayed_write_requests",
-        "recorded_requests", "recorded_bytes", "crash_state_overlay_bytes",
-        "executed_ops", "skipped_ops",
-        "prefix_shared", "prefix_ops_reused", "prefix_writes_reused",
-        "prefix_seconds_saved",
-        "replay_shared", "replay_writes_reused", "replay_seconds_saved",
-        "mechanism_checkpoints", "mechanism_fallback_checkpoints",
-        "mechanism_demoted_checkpoints", "audit_demotions",
-        "spine_resident_bytes", "spine_peak_resident_bytes",
-        "spine_spilled_bytes", "spine_spills", "spine_rehydrations",
-    )
-
-    #: fields that describe *how this session happened to run*, not what was
-    #: tested: wall-clock timings, and the prefix/replay sharing telemetry,
-    #: which depends on which workloads shared a harness (chunk -> worker
-    #: assignment under a pool, session boundaries under a durable resume).
-    #: ``canonical_dict`` drops these so "same campaign" can be compared
-    #: across schedules; everything else — reports, scenario and dedup
-    #: counts, recorded profiles — is schedule-invariant.
-    SESSION_FIELDS: ClassVar[Tuple[str, ...]] = (
-        "profile_seconds", "replay_seconds", "mount_seconds", "fsck_seconds",
-        "check_seconds", "replayed_write_requests",
-        "prefix_shared", "prefix_ops_reused", "prefix_writes_reused",
-        "prefix_seconds_saved",
-        "replay_shared", "replay_writes_reused", "replay_seconds_saved",
-        "inherited_verdicts",
-        "spine_resident_bytes", "spine_peak_resident_bytes",
-        "spine_spilled_bytes", "spine_spills", "spine_rehydrations",
-    )
-
     def to_dict(self) -> dict:
-        payload = {name: getattr(self, name) for name in self.SCALAR_FIELDS}
+        payload = {name: getattr(self, name) for name in self.COUNTERS}
         payload["workload"] = self.workload.to_json()
+        payload["fs_type"] = self.fs_type
+        payload["fs_model"] = self.fs_model
         payload["bug_reports"] = [report.to_dict() for report in self.bug_reports]
         payload["check_timings"] = dict(self.check_timings)
         return payload
 
     def canonical_dict(self) -> dict:
-        """``to_dict`` minus session-dependent telemetry (see SESSION_FIELDS).
+        """``to_dict`` minus everything tagged ``SESSION`` (and the timings).
 
         Two runs of the same campaign — uninterrupted, resumed after a
         crash, serial or pooled — agree on this payload.
         """
         payload = self.to_dict()
         for name in self.SESSION_FIELDS:
-            payload.pop(name, None)
-        payload.pop("check_timings", None)
+            del payload[name]
+        del payload["check_timings"]
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CrashTestResult":
-        result = cls(
+        """Inverse of :meth:`to_dict`; a counter the payload lacks keeps its default."""
+        return cls(
             workload=Workload.from_json(payload["workload"]),
             fs_type=payload["fs_type"],
             fs_model=payload["fs_model"],
             bug_reports=[BugReport.from_dict(r) for r in payload.get("bug_reports", [])],
             check_timings=dict(payload.get("check_timings", {})),
+            **{name: payload[name] for name in cls.COUNTERS if name in payload},
         )
-        for name in cls.SCALAR_FIELDS:
-            if name in ("fs_type", "fs_model"):
-                continue
-            if name in payload:
-                setattr(result, name, payload[name])
-        return result
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -447,3 +494,49 @@ class CrashTestResult:
             f"({self.checkpoints_tested} crash points{scenarios}, "
             f"{len(self.bug_reports)} bug report(s), {self.total_seconds * 1000:.1f} ms)"
         )
+
+
+#: the §6.3 phases, in reporting order: their sum is the time spent testing
+PHASE_FIELDS = ("profile_seconds", "replay_seconds", "mount_seconds",
+                "fsck_seconds", "check_seconds")
+
+
+def _record_of(results: Sequence[CrashTestResult]) -> type:
+    """The class whose declarations govern ``results`` (a subclass may add counters)."""
+    return type(results[0]) if results else CrashTestResult
+
+
+def roll_up(results: Sequence[CrashTestResult], name: str):
+    """Counter ``name`` aggregated over ``results`` by its declared rule."""
+    rule = _record_of(results).ROLLUPS[name]
+    return _ROLLUPS[rule](map(attrgetter(name), results))
+
+
+class RollUps:
+    """Mixin for a holder of ``results``: every aggregate is an attribute.
+
+    ``holder.cross_deduped_scenarios``, ``holder.prefix_hits``, ... — one per
+    declared counter, under its ``aggregate`` name, computed on access.
+    """
+
+    results: List[CrashTestResult]
+
+    def __getattr__(self, name: str):
+        # Reached only for names normal lookup missed.  Reads ``__dict__``
+        # directly: pickle and deepcopy probe a half-built instance, where
+        # ``self.results`` would land here again and recurse forever.
+        results = self.__dict__.get("results")
+        if results is not None:
+            counter_name = _record_of(results).AGGREGATES.get(name)
+            if counter_name is not None:
+                return roll_up(results, counter_name)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    @property
+    def failing_workloads(self) -> int:
+        return sum(1 for result in self.results if not result.passed)
+
+    def roll_ups(self) -> Dict[str, Any]:
+        """Every aggregate by name (what a chunk keeps once its results are gone)."""
+        return {aggregate: roll_up(self.results, name)
+                for aggregate, name in _record_of(self.results).AGGREGATES.items()}

@@ -23,11 +23,11 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Protocol, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from ..crashmonkey.harness import CrashMonkey
-from ..crashmonkey.report import CrashTestResult
+from ..crashmonkey.report import CrashTestResult, RollUps
 from ..options import HarnessSpec
 from ..workload.workload import Workload
 
@@ -48,22 +48,22 @@ class ChunkStats:
     seconds: float
     failing_workloads: int
     worker: str
-    #: workloads in this chunk whose profile resumed from the worker's
-    #: prefix cache (prefix-affine chunking keeps this high for ACE streams)
-    prefix_hits: int = 0
-    #: workloads in this chunk whose crash-state build resumed from the
-    #: worker's shared replay trail
-    replay_hits: int = 0
-    #: crash scenarios this chunk skipped via the worker's cross-workload
-    #: dedup cache
-    cross_deduped_scenarios: int = 0
-    #: tested scenarios of this chunk that took the verdict of a
-    #: byte-identical crash state of their checkpoint (no mount, no checks)
-    memoized_scenarios: int = 0
+    #: every counter's aggregate over the chunk, by aggregate name
+    #: (:meth:`~repro.crashmonkey.report.RollUps.roll_ups`); each reads as an
+    #: attribute too: ``stats.prefix_hits``, ``stats.memoized_scenarios``, ...
+    totals: Dict[str, Any] = field(default_factory=dict, repr=False)
+
+    def __getattr__(self, name: str):
+        # ``__dict__`` directly: unpickling probes an instance with no fields yet.
+        try:
+            return self.__dict__["totals"][name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
 
 
 @dataclass
-class ChunkOutcome:
+class ChunkOutcome(RollUps):
     """Results and real timing of one tested chunk."""
 
     index: int
@@ -73,26 +73,6 @@ class ChunkOutcome:
     #: identifier of the worker that ran the chunk ("serial" or "pid-<n>")
     worker: str = "serial"
 
-    @property
-    def failing_workloads(self) -> int:
-        return sum(1 for result in self.results if not result.passed)
-
-    @property
-    def prefix_hits(self) -> int:
-        return sum(1 for result in self.results if result.prefix_shared)
-
-    @property
-    def replay_hits(self) -> int:
-        return sum(1 for result in self.results if result.replay_shared)
-
-    @property
-    def cross_deduped_scenarios(self) -> int:
-        return sum(result.cross_deduped_scenarios for result in self.results)
-
-    @property
-    def memoized_scenarios(self) -> int:
-        return sum(result.memoized_scenarios for result in self.results)
-
     def stats(self) -> ChunkStats:
         """This outcome without its result payload."""
         return ChunkStats(
@@ -101,10 +81,7 @@ class ChunkOutcome:
             seconds=self.seconds,
             failing_workloads=self.failing_workloads,
             worker=self.worker,
-            prefix_hits=self.prefix_hits,
-            replay_hits=self.replay_hits,
-            cross_deduped_scenarios=self.cross_deduped_scenarios,
-            memoized_scenarios=self.memoized_scenarios,
+            totals=self.roll_ups(),
         )
 
 

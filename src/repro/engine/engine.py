@@ -196,6 +196,7 @@ class CampaignEngine:
         result = CampaignResult(fs_name=self.fs_name, fs_model=self.fs_model, label=label)
         run = EngineRun(result=result)
         chunk_results: List[List] = []  # completion-ordered, parallel to run.chunks
+        failing = failing_offset  # running tally: a rescan per event would be quadratic
         start = time.perf_counter()
         for outcome in self.backend.execute(self.spec, stream):
             if on_outcome is not None:
@@ -204,6 +205,7 @@ class CampaignEngine:
                 on_outcome(outcome)
             result.ingest_many(outcome.results)
             stats = outcome.stats()
+            failing += stats.failing_workloads
             run.chunks.append(stats)
             chunk_results.append(outcome.results)
             if self.progress is not None:
@@ -211,7 +213,7 @@ class CampaignEngine:
                     ProgressEvent(
                         chunks_done=len(run.chunks) + chunks_done_offset,
                         workloads_done=result.workloads_tested + workloads_done_offset,
-                        failing_workloads=result.failing_workloads + failing_offset,
+                        failing_workloads=failing,
                         generated=source.count if source is not None else result.workloads_tested,
                         elapsed_seconds=time.perf_counter() - start,
                         chunk=stats,

@@ -4,7 +4,7 @@ A crash-recovery tester that loses days of campaign progress to a harness
 crash has missed its own point.  ``CampaignStateDB`` makes campaign runs
 durable the same way the paper's filesystems make data durable: every
 completed chunk of work is committed to a sqlite database (WAL, the same
-discipline as :class:`~repro.crashmonkey.crashplan.GlobalDedupCache`) before
+discipline as :class:`~repro.crashmonkey.sightings.GlobalDedupCache`) before
 anyone hears about it, and a fresh session recovers by resetting whatever was
 in flight when the previous session died.
 
@@ -27,7 +27,7 @@ Five tables:
   session) can never double-count reports or scenario totals.
 * ``dedup_sightings`` — the durable cross-workload dedup cache, scoped per
   campaign and stamped with the chunk that registered each sighting (written
-  by :class:`~repro.crashmonkey.crashplan.ScopedDedupCache`, same DDL).
+  by :class:`~repro.crashmonkey.sightings.ScopedDedupCache`, same DDL).
   Keeping it in this file makes the sighting set exactly as durable as the
   chunk ledger, so resumed ``--cross-workload-dedup`` campaigns stop being
   history-dependent; :meth:`recover_from_crash` purges sightings from chunks
@@ -402,10 +402,10 @@ class CampaignStateDB:
                     outcome.worker,
                     outcome.failing_workloads,
                     sum(len(result.bug_reports) for result in results),
-                    sum(result.checkpoints_tested for result in results),
-                    sum(result.scenarios_tested for result in results),
-                    sum(result.deduped_scenarios for result in results),
-                    sum(result.cross_deduped_scenarios for result in results),
+                    outcome.crash_points_tested,
+                    outcome.scenarios_tested,
+                    outcome.deduped_scenarios,
+                    outcome.cross_deduped_scenarios,
                     outcome.prefix_hits,
                     outcome.replay_hits,
                     sum(result.total_seconds for result in results),
@@ -550,21 +550,5 @@ class CampaignStateDB:
             "LEFT JOIN chunks k ON k.campaign_id = c.campaign_id AND k.status = 'done' "
             "GROUP BY c.tenant ORDER BY c.tenant",
         ).fetchall()
-        usage = []
-        for row in rows:
-            usage.append(api.TenantUsage(
-                tenant=row[0],
-                campaigns=row[1],
-                chunks=row[2],
-                workloads=row[3],
-                failing_workloads=row[4],
-                raw_reports=row[5],
-                crash_points=row[6],
-                scenarios_tested=row[7],
-                deduped_scenarios=row[8],
-                cross_deduped_scenarios=row[9],
-                prefix_hits=row[10],
-                replay_hits=row[11],
-                worker_seconds=row[12],
-            ))
-        return usage
+        # The SELECT lists its columns in ``TenantUsage``'s field order.
+        return [api.TenantUsage(*row) for row in rows]

@@ -11,6 +11,7 @@ from repro.cluster import (
     estimate_deployment,
     partition,
 )
+from repro.engine import ChunkStats
 from repro.fs import BugConfig
 
 from conftest import SMALL_DEVICE_BLOCKS
@@ -75,6 +76,8 @@ class TestClusterRunner:
         result = runner.run(workloads, num_vms=4, label="seq-1-sample")
         assert result.campaign.workloads_tested == 12
         assert len(result.vm_stats) == 4
+        assert all(isinstance(stats, ChunkStats) for stats in result.vm_stats)
+        assert [stats.index for stats in result.vm_stats] == [0, 1, 2, 3]
         assert sum(stats.workloads for stats in result.vm_stats) == 12
         assert result.wall_clock_seconds > 0
         assert result.campaign.failing_workloads == 0
@@ -85,6 +88,9 @@ class TestClusterRunner:
         result = runner.run(workloads, num_vms=2)
         assert sum(stats.failing_workloads for stats in result.vm_stats) == \
             result.campaign.failing_workloads
+        # A VM's statistics are its chunk's: every roll-up, not a hand-picked few.
+        assert sum(stats.crash_points_tested for stats in result.vm_stats) == \
+            result.campaign.crash_points_tested > 0
 
     def test_projection_to_cluster_scale(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(10)

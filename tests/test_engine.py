@@ -7,6 +7,7 @@ from repro.cluster import ClusterRunner, partition
 from repro.core import B3Campaign, CampaignConfig, quick_campaign
 from repro.engine import (
     CampaignEngine,
+    ChunkStats,
     HarnessSpec,
     ProcessPoolBackend,
     SerialBackend,
@@ -248,6 +249,7 @@ class TestClusterFacade:
         runner = ClusterRunner("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, processes=2)
         result = runner.run(workloads, num_vms=4)
         assert len(result.vm_stats) == 4
+        assert all(isinstance(stats, ChunkStats) for stats in result.vm_stats)
         assert all(stats.seconds > 0 for stats in result.vm_stats)
         # Real measurements from a pool are wall clocks of distinct batches,
         # not one elapsed time divided evenly.

@@ -23,15 +23,21 @@ def _failing_result() -> CrashTestResult:
 
 def test_scalar_fields_match_the_dataclass():
     # Every dataclass field is either structured (handled explicitly by
-    # to_dict) or listed in SCALAR_FIELDS — a new counter that is neither
-    # would silently vanish in the state store, so fail loudly here instead.
-    structured = {"workload", "bug_reports", "check_timings"}
+    # to_dict) or a declared counter — the codec's scalar keys are derived
+    # from the declarations, so nothing can be a field and miss the store
+    # (tests/test_telemetry.py pins the declarations themselves).
+    structured = {"workload", "fs_type", "fs_model", "bug_reports", "check_timings"}
     declared = {f.name for f in dataclasses.fields(CrashTestResult)} - structured
-    assert set(CrashTestResult.SCALAR_FIELDS) == declared
+    assert set(CrashTestResult.COUNTERS) == declared
+    assert set(run_workload_text("btrfs", "creat foo\nfsync foo\n").to_dict()) == (
+        declared | structured)
 
 
 def test_session_fields_are_scalar_fields():
-    assert set(CrashTestResult.SESSION_FIELDS) <= set(CrashTestResult.SCALAR_FIELDS)
+    assert set(CrashTestResult.SESSION_FIELDS) < set(CrashTestResult.COUNTERS)
+    assert set(CrashTestResult.SESSION_FIELDS) == {
+        f.name for f in dataclasses.fields(CrashTestResult)
+        if f.metadata.get("tag") == "session"}
 
 
 def test_mismatch_round_trip():

@@ -67,11 +67,13 @@ def test_tobytes_in_storage_is_caught():
 def test_unaccounted_result_field_is_caught():
     trees = repro_lint.parse_tree()
     path = repro_lint.SRC_ROOT / "crashmonkey" / "report.py"
-    result = repro_lint._class_def(trees[path], "CrashTestResult")
-    # Seed a new annotated field the serialization tuples don't know about.
+    result = next(node for node in ast.walk(trees[path])
+                  if isinstance(node, ast.ClassDef) and node.name == "CrashTestResult")
+    # Seed a new field with a default that is no counter(...) declaration.
     result.body.append(ast.parse("sneaky_counter: int = 0").body[0])
     findings = repro_lint.check_result_fields_are_accounted(trees)
-    assert any("sneaky_counter" in f[2] for f in findings)
+    assert len(findings) == 1
+    assert "sneaky_counter" in findings[0][2] and "counter(" in findings[0][2]
 
 
 def test_unreferenced_planner_is_caught(tmp_path):
@@ -154,33 +156,60 @@ def test_slab_internals_outside_spill_are_fine():
         _trees(**{"storage/slab.py": source})) == []
 
 
-def test_session_field_outside_scalar_fields_is_caught():
-    trees = _trees(**{"crashmonkey/report.py": (
-        "class CrashTestResult:\n"
-        "    SCALAR_FIELDS = ('a',)\n"
-        "    SESSION_FIELDS = ('b',)\n"
-        "    a: int = 0\n"
-    )})
-    findings = repro_lint.check_result_fields_are_accounted(trees)
+_RESULT_CLASS = (
+    "class CrashTestResult:\n"
+    "    workload: Workload\n"
+    "    bug_reports: List[BugReport] = field(default_factory=list)\n"
+    "    memoized_scenarios: int = counter('twins of this pass')\n"
+    "    inherited_verdicts: int = counter('twins of an earlier pass', tag=SESSION)\n"
+)
+
+
+def test_counter_with_a_computed_tag_is_caught():
+    check = repro_lint.check_result_fields_are_accounted
+    assert check(_trees(**{"crashmonkey/report.py": _RESULT_CLASS})) == []
+    computed = _RESULT_CLASS + "    spills: int = counter('spills', tag=pick_tag())\n"
+    findings = check(_trees(**{"crashmonkey/report.py": computed}))
     assert len(findings) == 1
-    assert "`b` is not in SCALAR_FIELDS" in findings[0][2]
+    assert "CrashTestResult.spills" in findings[0][2] and "literally" in findings[0][2]
 
 
 def test_residency_dependent_counter_outside_session_fields_is_caught():
-    source = (
-        "class CrashTestResult:\n"
-        "    SCALAR_FIELDS = ('memoized_scenarios', 'inherited_verdicts')\n"
-        "    SESSION_FIELDS = ()\n"
-        "    memoized_scenarios: int = 0\n"
-        "    inherited_verdicts: int = 0\n"
-    )
+    canonical = _RESULT_CLASS.replace(", tag=SESSION", "")
     findings = repro_lint.check_result_fields_are_accounted(
-        _trees(**{"crashmonkey/report.py": source}))
+        _trees(**{"crashmonkey/report.py": canonical}))
     assert len(findings) == 1
-    assert "`inherited_verdicts`" in findings[0][2] and "SESSION_FIELDS" in findings[0][2]
-    fixed = source.replace("SESSION_FIELDS = ()", "SESSION_FIELDS = ('inherited_verdicts',)")
-    assert repro_lint.check_result_fields_are_accounted(
-        _trees(**{"crashmonkey/report.py": fixed})) == []
+    assert "`inherited_verdicts`" in findings[0][2] and "SESSION" in findings[0][2]
+    explicit = _RESULT_CLASS.replace("tag=SESSION", "tag=CANONICAL")
+    assert len(repro_lint.check_result_fields_are_accounted(
+        _trees(**{"crashmonkey/report.py": explicit}))) == 1
+
+
+def test_a_hand_written_roll_up_is_caught():
+    check = repro_lint.check_result_fields_are_accounted
+    by_hand = (
+        "def memoized(self):\n"
+        "    return sum(r.memoized_scenarios for r in self.results)\n"
+        "def hits(results):\n"
+        "    return sum(1 for result in results if result.inherited_verdicts)\n"
+        "def peak(results):\n"
+        "    return max([r.memoized_scenarios for r in results], default=0)\n"
+    )
+    findings = check(_trees(**{"crashmonkey/report.py": _RESULT_CLASS,
+                               "core/results.py": by_hand}))
+    assert [(f[0], f[1]) for f in findings] == [
+        ("src/repro/core/results.py", 2), ("src/repro/core/results.py", 4),
+        ("src/repro/core/results.py", 6)]
+    assert "`memoized_scenarios`" in findings[0][2] and "roll_up" in findings[0][2]
+    # The registry's home may; sums over anything that is no declared counter may.
+    fine = (
+        "def cpu(results):\n"
+        "    return sum(result.total_seconds for result in results)\n"
+        "def through_the_registry(results):\n"
+        "    return roll_up(results, 'memoized_scenarios')\n"
+    )
+    assert check(_trees(**{"crashmonkey/report.py": _RESULT_CLASS + by_hand,
+                           "core/results.py": fine})) == []
 
 
 def test_index_building_a_workload_without_phase4_is_caught():

@@ -149,7 +149,7 @@ def test_digest_mode_change_resets_the_trail():
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
 
-    from repro.crashmonkey.crashplan import CrossWorkloadCache
+    from repro.crashmonkey.sightings import CrossWorkloadCache
     digesting = CrashStateGenerator(profile, replay_cache=cache,
                                     cross_cache=CrossWorkloadCache())
     records = digesting._ensure_built()

@@ -392,7 +392,7 @@ def test_clear_restores_the_freshly_constructed_state():
     digest mode of builds it no longer remembered.  Clearing must restore
     every matching field a fresh cache starts with.
     """
-    from repro.crashmonkey.crashplan import CrossWorkloadCache
+    from repro.crashmonkey.sightings import CrossWorkloadCache
 
     recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
                                 share_prefixes=True)

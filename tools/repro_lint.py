@@ -19,15 +19,17 @@ Eleven invariants, each protecting a guarantee a past change was built on:
    copy.  Only ``block.py`` — the one module whose *job* is materializing
    padded/torn payloads — may call ``bytes``.
 
-3. **Every ``CrashTestResult`` field is accounted.**  Each dataclass field
-   must appear in ``SCALAR_FIELDS`` (round-tripped) or be one of the
-   structured payloads serialized explicitly; ``SESSION_FIELDS`` must be a
-   subset of ``SCALAR_FIELDS``.  Adding a counter without classifying it as
-   canonical-vs-session telemetry fails here instead of silently dropping
-   it from the store.  Counters known to depend on what a spine still held
-   (``inherited_verdicts``: a spill or a pool split changes it) must be
-   session telemetry — in ``canonical_dict()`` they would make serial,
-   pooled and spilled runs of one campaign compare unequal.
+3. **Every ``CrashTestResult`` counter is declared once.**  A field with a
+   default is a ``counter(...)`` call carrying its help, a literal
+   ``CANONICAL`` / ``SESSION`` tag and its roll-up rule (structured payloads
+   are ``field(default_factory=...)``); codec, ``canonical_dict()``, gather
+   and aggregates derive from it, so a plain ``x: int = 0`` would silently
+   vanish from the state store.  Counters known to depend on what a spine
+   still held (``inherited_verdicts``: a spill or a pool split changes it)
+   must be tagged ``SESSION`` — in ``canonical_dict()`` they would make
+   serial, pooled and spilled runs of one campaign compare unequal.  And
+   outside ``report.py`` nothing aggregates one by hand: no ``sum(r.<counter>
+   for r in ...)`` / ``max(...)`` — ``roll_up`` applies the declared rule.
 
 4. **Every planner in the registry has soundness coverage.**  Each name in
    ``PLAN_NAMES`` (crashplan.py's registry) must be referenced by the
@@ -134,8 +136,10 @@ CANONICAL_ROOTS = ("canonical_dict",)
 #: the one storage module allowed to materialize bytes (padding / tearing)
 BYTES_ALLOWLIST = {"block.py"}
 
-#: CrashTestResult fields serialized explicitly rather than via SCALAR_FIELDS
-STRUCTURED_RESULT_FIELDS = {"workload", "bug_reports", "check_timings"}
+#: where CrashTestResult declares its counters, how, and with which tags
+RESULT_MODULE = Path("crashmonkey") / "report.py"
+COUNTER_DECLARATOR = "counter"
+COUNTER_TAGS = {"CANONICAL", "SESSION"}
 
 #: CrashTestResult counters that depend on spine residency (spill budget,
 #: chunk -> worker assignment) and therefore must stay out of canonical_dict
@@ -253,69 +257,62 @@ def check_storage_stays_zero_copy(trees: Dict[Path, ast.Module]) -> List[Finding
 # -------------------------------------------------------- rule 3: result fields
 
 
-def _class_def(tree: ast.Module, name: str) -> ast.ClassDef:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    raise LookupError(name)
-
-
-def _tuple_literal(class_node: ast.ClassDef, attribute: str) -> Tuple[Set[str], int]:
-    for node in class_node.body:
-        targets = []
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            targets, value = [node.target.id], node.value
-        elif isinstance(node, ast.Assign):
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            value = node.value
-        if attribute in targets and isinstance(value, ast.Tuple):
-            return (
-                {el.value for el in value.elts if isinstance(el, ast.Constant)},
-                node.lineno,
-            )
-    raise LookupError(attribute)
+def _hand_roll_up(node: ast.AST, counters: Dict[str, Tuple[str, int]]) -> str:
+    """The counter a ``sum(... for x in ...)`` / ``max(...)`` call aggregates by hand."""
+    if not (isinstance(node, ast.Call) and _call_name(node) in {("", "sum"), ("", "max")}
+            and node.args and isinstance(node.args[0], (ast.GeneratorExp, ast.ListComp))):
+        return ""
+    variables = {gen.target.id for gen in node.args[0].generators
+                 if isinstance(gen.target, ast.Name)}
+    return next((sub.attr for sub in ast.walk(node.args[0])
+                 if isinstance(sub, ast.Attribute) and sub.attr in counters
+                 and isinstance(sub.value, ast.Name) and sub.value.id in variables), "")
 
 
 def check_result_fields_are_accounted(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    path = SRC_ROOT / "crashmonkey" / "report.py"
+    path = SRC_ROOT / RESULT_MODULE
     relative = str(path.relative_to(REPO_ROOT))
-    result = _class_def(trees[path], "CrashTestResult")
-    fields = {}
-    for node in result.body:
-        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            annotation = ast.dump(node.annotation)
-            if "ClassVar" not in annotation:
-                fields[node.target.id] = node.lineno
-    scalar, _ = _tuple_literal(result, "SCALAR_FIELDS")
-    session, session_line = _tuple_literal(result, "SESSION_FIELDS")
-
     findings: List[Finding] = []
-    for name, line in fields.items():
-        if name not in scalar and name not in STRUCTURED_RESULT_FIELDS:
+    tags: Dict[str, Tuple[str, int]] = {}  # declared counter -> (tag, line)
+    result = next(node for node in ast.walk(trees[path])
+                  if isinstance(node, ast.ClassDef) and node.name == "CrashTestResult")
+    for node in result.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and node.value is not None and "ClassVar" not in ast.dump(node.annotation)):
+            continue
+        if _is_call_to(node.value, "field") and any(
+                kw.arg == "default_factory" for kw in node.value.keywords):
+            continue  # a structured payload, serialized explicitly
+        keywords = (node.value.keywords if _is_call_to(node.value, COUNTER_DECLARATOR)
+                    else None)
+        tag = next((kw.value for kw in keywords or () if kw.arg == "tag"), None)
+        literal = "CANONICAL" if tag is None else getattr(tag, "id", "")
+        if keywords is None or literal not in COUNTER_TAGS:
             findings.append(Finding(
-                relative, line,
-                f"CrashTestResult.{name} is in neither SCALAR_FIELDS nor the "
-                "structured serialization set — it would silently vanish "
-                "from the state store",
+                relative, node.lineno,
+                f"CrashTestResult.{node.target.id} must be declared `counter(help, "
+                "tag=<CANONICAL or SESSION, spelt literally>, rollup=...)` — "
+                "undeclared, it would silently vanish from the state store and "
+                "from every roll-up",
             ))
-    for name in sorted(scalar - set(fields) - STRUCTURED_RESULT_FIELDS):
-        findings.append(Finding(
-            relative, 1,
-            f"SCALAR_FIELDS names `{name}` which is not a CrashTestResult field",
-        ))
-    for name in sorted(session - scalar):
-        findings.append(Finding(
-            relative, session_line,
-            f"SESSION_FIELDS entry `{name}` is not in SCALAR_FIELDS — "
-            "session telemetry must still round-trip through to_dict",
-        ))
-    for name in sorted((RESIDENCY_DEPENDENT_FIELDS & set(fields)) - session):
-        findings.append(Finding(
-            relative, session_line,
-            f"`{name}` depends on what the spines still hold and must be in "
-            "SESSION_FIELDS — in canonical_dict() it breaks serial == pool == "
-            "spilled",
-        ))
+        else:
+            tags[node.target.id] = (literal, node.lineno)
+    for name in sorted(RESIDENCY_DEPENDENT_FIELDS & set(tags)):
+        if tags[name][0] != "SESSION":
+            findings.append(Finding(
+                relative, tags[name][1],
+                f"`{name}` depends on what the spines still hold and must be tagged "
+                "SESSION — in canonical_dict() it breaks serial == pool == spilled",
+            ))
+    for other, tree in trees.items():
+        for node in ast.walk(tree) if other != path else ():
+            name = _hand_roll_up(node, tags)
+            if name:
+                findings.append(Finding(
+                    str(other.relative_to(REPO_ROOT)), node.lineno,
+                    f"hand-written roll-up of `{name}` — `roll_up` and the RollUps "
+                    "attributes apply the rule the counter declares",
+                ))
     return findings
 
 
