@@ -18,11 +18,11 @@ class AtomicityCheck:
     description = "a rename may not leave the same inode visible at both names"
 
     def run(self, ctx: CheckContext) -> List[Mismatch]:
-        fs, oracle = ctx.fs, ctx.oracle
+        oracle = ctx.oracle
         mismatches: List[Mismatch] = []
         for rename in ctx.view.renames:
-            src_state = fs.lookup_state(rename.src)
-            dst_state = fs.lookup_state(rename.dst)
+            src_state = ctx.lookup(rename.src)
+            dst_state = ctx.lookup(rename.dst)
             if src_state is None or dst_state is None:
                 continue
             if src_state.ftype != "file" or src_state.ino != dst_state.ino:

@@ -15,14 +15,19 @@ pipeline or any construction site.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, runtime_checkable
 
+from ...fs.inode import FileState
 from ..oracle import Oracle
 from ..recorder import WorkloadProfile
 from ..replayer import CrashState
 from ..report import Mismatch
 from ..tracker import TrackerView
+
+
+#: "not looked up yet", as distinct from "looked up: no such path" (``None``)
+_UNRESOLVED = object()
 
 
 @dataclass
@@ -33,17 +38,39 @@ class CheckContext:
     AutoChecker works from: which files were explicitly persisted (the
     tracker view), their expected state (the oracle), and their actual state
     (the mounted crash state).
+
+    The read-only checks ask the context, not the file system, what the
+    recovered tree holds: :meth:`lookup` and :meth:`names_of` resolve each
+    path, and walk the tree, once per crash state however many checks ask.
+    That is sound because nothing changes the tree before the last reader is
+    done — the one check that does (``write``) is pinned last and works on
+    :attr:`fs` itself.
     """
 
     profile: WorkloadProfile
     crash_state: CrashState
     oracle: Oracle
     view: TrackerView
+    _states: Dict[str, Optional[FileState]] = field(default_factory=dict, repr=False)
+    _names: Optional[Dict[int, List[str]]] = field(default=None, repr=False)
 
     @property
     def fs(self):
         """The mounted crash-state file system (None when unmountable)."""
         return self.crash_state.fs
+
+    def lookup(self, path: str) -> Optional[FileState]:
+        """``fs.lookup_state(path)`` as the crash state was recovered."""
+        state = self._states.get(path, _UNRESOLVED)
+        if state is _UNRESOLVED:
+            state = self._states[path] = self.crash_state.fs.lookup_state(path)
+        return state
+
+    def names_of(self, ino: int) -> List[str]:
+        """Every recovered path bound to ``ino`` (``fs.paths_of_inode`` by number)."""
+        if self._names is None:
+            self._names = self.crash_state.fs.paths_by_inode()
+        return self._names.get(ino, [])
 
 
 @runtime_checkable

@@ -24,10 +24,10 @@ class DirectoryCheck:
     description = "entries persisted by a directory fsync must exist after recovery"
 
     def run(self, ctx: CheckContext) -> List[Mismatch]:
-        fs, oracle = ctx.fs, ctx.oracle
+        oracle = ctx.oracle
         mismatches: List[Mismatch] = []
         for record in ctx.view.dirs.values():
-            crash_dir = fs.lookup_state(record.path)
+            crash_dir = ctx.lookup(record.path)
             oracle_dir = oracle.lookup(record.path)
             if crash_dir is None:
                 if oracle_dir is not None:

@@ -30,7 +30,7 @@ class HardLinkCountCheck:
     description = "recovered link counts must match the directory entries referencing the inode"
 
     def run(self, ctx: CheckContext) -> List[Mismatch]:
-        fs, oracle = ctx.fs, ctx.oracle
+        oracle = ctx.oracle
         mismatches: List[Mismatch] = []
         seen_inodes = set()
         for record in ctx.view.files.values():
@@ -39,10 +39,10 @@ class HardLinkCountCheck:
             seen_inodes.add(record.ino)
             candidates = sorted(set(record.persisted_paths) | set(oracle.paths_of_ino(record.ino)))
             for path in candidates:
-                state = fs.lookup_state(path)
+                state = ctx.lookup(path)
                 if state is None or state.ino != record.ino or state.ftype != "file":
                     continue
-                names = fs.paths_of_inode(path)
+                names = ctx.names_of(state.ino)
                 if state.nlink != len(names):
                     mismatches.append(
                         Mismatch(

@@ -12,17 +12,16 @@ from typing import List, Optional
 
 from ...fs.bugs import Consequence
 from ...fs.inode import FileState
-from ..oracle import Oracle
 from ..report import Mismatch
 from ..tracker import TrackedFile
 from .base import CheckContext, register
 
 
-def describe_paths(fs, paths) -> str:
+def describe_paths(ctx: CheckContext, paths) -> str:
     """Summarize the observed state of every candidate path."""
     parts = []
     for path in paths:
-        state = fs.lookup_state(path)
+        state = ctx.lookup(path)
         parts.append(state.describe() if state is not None else f"{path}: missing")
     return "; ".join(parts) if parts else "no candidate paths exist"
 
@@ -38,11 +37,12 @@ class ReadCheck:
     def run(self, ctx: CheckContext) -> List[Mismatch]:
         mismatches: List[Mismatch] = []
         for record in ctx.view.files.values():
-            mismatches.extend(self._check_file_record(ctx.fs, ctx.oracle, record))
+            mismatches.extend(self._check_file_record(ctx, record))
         return mismatches
 
-    def _check_file_record(self, fs, oracle: Oracle, record: TrackedFile) -> List[Mismatch]:
+    def _check_file_record(self, ctx: CheckContext, record: TrackedFile) -> List[Mismatch]:
         mismatches: List[Mismatch] = []
+        oracle = ctx.oracle
         oracle_paths = oracle.paths_of_ino(record.ino)
 
         # Content survival: the persisted content must be reachable somewhere,
@@ -52,7 +52,7 @@ class ReadCheck:
             survived = False
             any_present = False
             for path in candidates:
-                state = fs.lookup_state(path)
+                state = ctx.lookup(path)
                 if state is None:
                     continue
                 any_present = True
@@ -78,22 +78,22 @@ class ReadCheck:
                         consequence=consequence,
                         path=", ".join(sorted(record.persisted_paths)) or oracle_paths[0],
                         expected=f"persisted content reachable: {record.expected_description()}",
-                        actual=describe_paths(fs, candidates),
+                        actual=describe_paths(ctx, candidates),
                     )
                 )
 
         # Per-path checks: each explicitly persisted name must show either the
         # persisted state or the oracle state.
         for path in sorted(record.persisted_paths):
-            mismatch = self._check_persisted_path(fs, oracle, record, path)
+            mismatch = self._check_persisted_path(ctx, record, path)
             if mismatch is not None:
                 mismatches.append(mismatch)
         return mismatches
 
-    def _check_persisted_path(self, fs, oracle: Oracle, record: TrackedFile,
+    def _check_persisted_path(self, ctx: CheckContext, record: TrackedFile,
                               path: str) -> Optional[Mismatch]:
-        crash_state = fs.lookup_state(path)
-        oracle_state = oracle.lookup(path)
+        crash_state = ctx.lookup(path)
+        oracle_state = ctx.oracle.lookup(path)
 
         if crash_state is None and oracle_state is None:
             return None  # both agree the name is gone

@@ -26,10 +26,10 @@ class DirXattrCheck:
     description = "xattrs of persisted directories must match the old or the new set"
 
     def run(self, ctx: CheckContext) -> List[Mismatch]:
-        fs, oracle = ctx.fs, ctx.oracle
+        oracle = ctx.oracle
         mismatches: List[Mismatch] = []
         for record in ctx.view.dirs.values():
-            crash_dir = fs.lookup_state(record.path)
+            crash_dir = ctx.lookup(record.path)
             if crash_dir is None or crash_dir.ftype != "dir" or crash_dir.ino != record.ino:
                 continue  # missing/replaced directories are the directory check's business
             allowed = {tuple(record.xattrs)}

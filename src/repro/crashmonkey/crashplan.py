@@ -365,6 +365,16 @@ class MechanismPlanner(CrashPlanner):
 
     def classify_window(self, window: Sequence[IORequest]) -> str:
         """Which pruning (if any) applies to a checkpoint's in-flight window."""
+        return self.classified(window)[0]
+
+    def classified(self, window: Sequence[IORequest]) -> Tuple[str, Optional[tuple]]:
+        """The window's kind and, when that is ``mechanism``, its decomposition.
+
+        What :meth:`scenarios` enumerates from.  A caller that also wants the
+        kind (the generator counts kinds per checkpoint) calls this once and
+        hands the pair to :meth:`scenarios`, so each window's payloads are
+        parsed once.
+        """
         by_block = ReorderPlanner._droppable_by_block(window)
         if not by_block:
             if any(
@@ -375,16 +385,16 @@ class MechanismPlanner(CrashPlanner):
                 # The window's writes are the FUA-committed replica pair:
                 # one representative state per replica-set transition, which
                 # is the baseline itself.
-                return self.WINDOW_REPLICA
-            return self.WINDOW_EMPTY
+                return self.WINDOW_REPLICA, None
+            return self.WINDOW_EMPTY, None
         report = self._report
         if report is None or not (report.has_mechanisms or report.demotions):
-            return self.WINDOW_EXHAUSTIVE
-        parts = self._decompose(window)
+            return self.WINDOW_EXHAUSTIVE, None
+        parts = self._decompose(by_block)
         if parts is None:
             if self._touches_demoted(by_block, report):
-                return self.WINDOW_DEMOTED
-            return self.WINDOW_EXHAUSTIVE
+                return self.WINDOW_DEMOTED, None
+            return self.WINDOW_EXHAUSTIVE, None
         entries, chunks, segments, summaries, _ = parts
         for component, mechanism in (
             (entries, "journal-commit"),
@@ -394,9 +404,9 @@ class MechanismPlanner(CrashPlanner):
         ):
             if component and not report.evidence_for(mechanism):
                 if report.demoted_for(mechanism):
-                    return self.WINDOW_DEMOTED
-                return self.WINDOW_EXHAUSTIVE
-        return self.WINDOW_MECHANISM
+                    return self.WINDOW_DEMOTED, None
+                return self.WINDOW_EXHAUSTIVE, None
+        return self.WINDOW_MECHANISM, parts
 
     def _touches_demoted(self, by_block: Dict[int, List[IORequest]],
                          report: MechanismReport) -> bool:
@@ -415,11 +425,11 @@ class MechanismPlanner(CrashPlanner):
 
     @staticmethod
     def _decompose(
-        window: Sequence[IORequest],
+        by_block: Dict[int, List[IORequest]],
     ) -> Optional[Tuple[List[List[IORequest]], List[IORequest],
                         List[List[IORequest]], List[IORequest],
                         List[Tuple[int, List[IORequest]]]]]:
-        """Split the droppable writes into (journal entries, checkpoint
+        """Split the droppable writes (by block) into (journal entries, checkpoint
         chunks, segment records, segment summaries, data blocks); ``None``
         when any write defies attribution.
 
@@ -434,7 +444,6 @@ class MechanismPlanner(CrashPlanner):
         """
         from ..fs import layout
 
-        by_block = ReorderPlanner._droppable_by_block(window)
         journal: List[IORequest] = []
         chunk_headers: List[Tuple[dict, IORequest]] = []
         segment: List[IORequest] = []
@@ -506,9 +515,10 @@ class MechanismPlanner(CrashPlanner):
 
     # ------------------------------------------------------------ enumeration
 
-    def scenarios(self, checkpoint_id: int,
-                  window: Sequence[IORequest]) -> Iterator[CrashScenario]:
-        kind = self.classify_window(window)
+    def scenarios(self, checkpoint_id: int, window: Sequence[IORequest],
+                  classified: Optional[Tuple[str, Optional[tuple]]] = None
+                  ) -> Iterator[CrashScenario]:
+        kind, parts = classified if classified is not None else self.classified(window)
         if kind in (self.WINDOW_EXHAUSTIVE, self.WINDOW_DEMOTED):
             # Never silently under-test: unattributed windows, workloads
             # with no inferred mechanism, and windows whose evidence the
@@ -527,7 +537,7 @@ class MechanismPlanner(CrashPlanner):
         )
         if kind in (self.WINDOW_EMPTY, self.WINDOW_REPLICA):
             return
-        entries, chunks, records, _summaries, data = self._decompose(window)
+        entries, chunks, records, _summaries, data = parts
         for position, entry in enumerate(entries):
             first = entry[0]
             yield CrashScenario(

@@ -171,9 +171,9 @@ class CrashMonkey:
             )
 
             if crash_state.is_twin:
-                # Byte-identical to a state of this checkpoint already
-                # checked against the same oracle and tracker view: its
-                # verdict is this state's verdict.
+                # Recovery cannot tell it from a state of this checkpoint
+                # already checked against the same oracle and tracker view:
+                # that state's verdict is this state's verdict.
                 mismatches = crash_state.verdict.mismatches
                 if crash_state.inherited:
                     result.inherited_verdicts += 1

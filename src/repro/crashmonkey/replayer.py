@@ -25,14 +25,16 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property, partial
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.audit import audit_report
 from ..analysis.mechanisms import AnalysisCursor, MechanismReport
 from ..errors import HarnessError, SpillMissError, UnmountableError
 from ..fs import fsck
 from ..fs.registry import get_fs_class
-from ..storage.cow_device import CowDevice
+from ..storage.block import BLOCK_SIZE, compose_torn_block, pad_block
+from ..storage.cow_device import CowDevice, ReadLog
 from ..storage.io_request import IORequest
 from ..storage.spill import SpineStore, flatten_requests, freeze_overlay
 from .crashplan import CrashPlanner, CrashScenario, PrefixPlanner
@@ -45,25 +47,41 @@ if TYPE_CHECKING:
     from .report import Mismatch
 
 
-@dataclass
+@dataclass(eq=False)
 class CrashVerdict:
-    """What mounting and checking one distinct crash-state content concluded.
+    """What mounting and checking one crash state concluded.
 
     One verdict is shared by the state that was mounted (the representative)
-    and every later state of the same checkpoint whose device content is
-    byte-identical to it (its twins) — later in the same workload's pass, or
-    in the pass of a sibling workload that shares the checkpoint record and
-    its expectation objects.  Recovery and every check read only the device,
-    the checkpoint's oracle and its tracker view, so equal content at one
-    checkpoint means an equal verdict by construction.
+    and every later state of the same checkpoint that makes recovery and the
+    checks read the same bytes (its twins) — later in the same workload's
+    pass, or in the pass of a sibling workload that shares the checkpoint
+    record and its expectation objects.  Recovery and every check are
+    deterministic functions of the device blocks they read, the checkpoint's
+    oracle and its tracker view, so equal reads at one checkpoint mean an
+    equal verdict by construction.
     """
 
     #: whether recovery mounted the representative
     mountable: bool
-    #: the check pipeline's findings on the representative, filed by the
-    #: harness once it has checked it and read back for each twin.  ``None``
-    #: until filed: such a verdict is never handed to another workload
-    mismatches: Optional[List["Mismatch"]] = None
+    #: the window blocks mounting, fsck and the checks read from the representative;
+    #: complete, and sealed, once :attr:`mismatches` is filed.  ``None`` for a
+    #: state constructed outside any memo
+    reads: Optional[ReadLog] = None
+    _mismatches: Optional[List["Mismatch"]] = None
+
+    @property
+    def mismatches(self) -> Optional[List["Mismatch"]]:
+        """The check pipeline's findings on the representative, filed by the
+        harness once it has checked it and read back for each twin.  ``None``
+        until filed: such a verdict is never handed to another workload, and
+        nothing is compared against its reads."""
+        return self._mismatches
+
+    @mismatches.setter
+    def mismatches(self, found: List["Mismatch"]) -> None:
+        self._mismatches = found
+        if self.reads is not None:
+            self.reads.seal()
 
 
 @dataclass
@@ -72,7 +90,9 @@ class CrashState:
 
     checkpoint_id: int
     crash_point: str
-    device: CowDevice
+    #: builds the device realizing the scenario; run on the first read of
+    #: :attr:`device`, which a twin never needs
+    build_device: Callable[[], CowDevice] = field(repr=False)
     fs: Optional[object] = None                #: mounted file system, if recovery succeeded
     mount_error: Optional[UnmountableError] = None
     fsck_report: Optional[fsck.FsckReport] = None
@@ -83,18 +103,26 @@ class CrashState:
     replay_seconds: float = 0.0
     mount_seconds: float = 0.0
     fsck_seconds: float = 0.0
+    #: ``device.overlay_bytes()`` as constructed (before any mount wrote to it)
     overlay_bytes: int = 0
-    #: verdict slot shared with the byte-identical states of this checkpoint
+    #: verdict slot shared with the read-equivalent states of this checkpoint
     verdict: Optional[CrashVerdict] = None
-    #: True when an earlier state of this checkpoint with byte-identical
-    #: device content was already mounted: this state carries its own
-    #: scenario and device but was neither mounted nor fsck'ed, and the
-    #: representative's verdict stands for it
+    #: True when an earlier state of this checkpoint that agrees with this
+    #: one on every block its recovery and checks read was already mounted:
+    #: this state carries its own scenario but was neither built, mounted nor
+    #: fsck'ed, and the representative's verdict stands for it
     is_twin: bool = False
     #: twin whose representative was mounted and checked by an *earlier
     #: workload* sharing this checkpoint's record (how often that happens
     #: depends on what the replay trail still holds: session telemetry)
     inherited: bool = False
+    _device: Optional[CowDevice] = field(default=None, init=False, repr=False)
+
+    @property
+    def device(self) -> CowDevice:
+        if self._device is None:
+            self._device = self.build_device()
+        return self._device
 
     @property
     def mountable(self) -> bool:
@@ -112,7 +140,7 @@ class CrashState:
         if self.is_twin:
             outcome = "mounted" if self.mountable else "UNMOUNTABLE"
             return (
-                f"crash state @ {self.checkpoint_id}{tag}: byte-identical to an "
+                f"crash state @ {self.checkpoint_id}{tag}: read-equivalent to an "
                 f"already-checked state of this checkpoint ({outcome})"
             )
         if self.mountable:
@@ -124,15 +152,79 @@ class CrashState:
         return f"crash state @ {self.checkpoint_id}{tag}: UNMOUNTABLE ({detail})"
 
 
-class _VerdictMemo:
-    """Verdicts of the distinct crash-state contents seen at one checkpoint.
+#: a crash state's content key: what it holds in each of the window's blocks
+ContentKey = Tuple[bytes, ...]
 
-    Every scenario of a checkpoint derives from the same ``record.stable``
-    fork plus a subset of ``record.window``'s writes (the baseline is
-    ``stable`` plus all of them), so two scenario devices are byte-identical
-    iff the visible content of the window's written blocks is equal.  The
-    key is exactly that content — never the scenario's shape — and the memo
-    holds keys and verdicts only, never a device or a mounted fs.
+
+class _VerdictTable:
+    """The verdicts filed under one oracle and one tracker view.
+
+    ``exact`` maps a representative's full content key to its verdict.  Once
+    a representative's findings are filed, its verdict is also indexed under
+    *what it read*: the positions (in the key) of the window blocks in its
+    read log, and its content at those positions.  A later state that agrees
+    with it there made recovery take the same first read, hence the same
+    branch, hence the same second read ... hence the same verdict — whatever
+    it holds in the blocks nobody looked at.  The restricted keys share their
+    ``bytes`` with the exact one, so the index costs tuples, not content.
+    """
+
+    def __init__(self, positions: Dict[int, int]):
+        self._positions = positions
+        self.exact: Dict[ContentKey, CrashVerdict] = {}
+        #: read positions -> content at those positions -> verdict
+        self._by_reads: Dict[Tuple[int, ...], Dict[ContentKey, CrashVerdict]] = {}
+        #: representatives mounted but not yet indexed by their reads
+        self._unindexed: List[Tuple[ContentKey, CrashVerdict]] = []
+
+    def file(self, key: ContentKey, verdict: CrashVerdict) -> None:
+        self.exact[key] = verdict
+        self._unindexed.append((key, verdict))
+
+    def find(self, key: ContentKey, fresh: Set[CrashVerdict]) -> Optional[CrashVerdict]:
+        """The verdict that stands for a state with content ``key``, if any.
+
+        ``fresh`` holds the verdicts the calling pass has itself produced or
+        already taken.  A byte-identical representative is trusted when it is
+        one of those or its findings are filed; a merely read-equivalent one
+        only once they are filed, because the checks' reads are part of what
+        it must agree on and an unfiled log may not hold them yet.
+        """
+        verdict = self.exact.get(key)
+        if verdict is not None:
+            return verdict if verdict in fresh or verdict.mismatches is not None else None
+        if self._unindexed:
+            self._index_filed()
+        for positions, filed in self._by_reads.items():
+            verdict = filed.get(tuple([key[position] for position in positions]))
+            if verdict is not None:
+                return verdict
+        return None
+
+    def _index_filed(self) -> None:
+        unfiled = []
+        for key, verdict in self._unindexed:
+            if verdict.mismatches is None:
+                unfiled.append((key, verdict))
+                continue
+            positions = tuple(sorted(self._positions[block] for block in verdict.reads.blocks))
+            verdict.reads = None  # sealed and projected: the set has served
+            self._by_reads.setdefault(positions, {}).setdefault(
+                tuple([key[position] for position in positions]), verdict)
+        self._unindexed = unfiled
+
+
+class _VerdictMemo:
+    """Verdicts of the distinct crash states seen at one checkpoint.
+
+    Every scenario of a checkpoint derives from the same ``stable`` fork plus
+    a subset of ``window``'s writes (the baseline is ``stable`` plus all of
+    them), so two scenario devices are byte-identical iff the visible content
+    of the window's written blocks is equal, and every other block is shared.
+    The key is exactly that content — never the scenario's shape — and
+    :meth:`fold` computes it from ``stable`` and the scenario alone, so a
+    state that turns out to be a twin never builds a device.  The memo holds
+    keys and verdicts only, never a scenario device or a mounted fs.
 
     The memo lives on its :class:`_CheckpointRecord`, so it is shared by
     exactly the workloads that share the record: siblings resuming the
@@ -144,18 +236,62 @@ class _VerdictMemo:
     gives new ones.
     """
 
-    def __init__(self, window: Tuple[IORequest, ...]):
-        self.blocks = sorted({request.block for request in window if request.is_write})
+    def __init__(self, stable: CowDevice, window: Tuple[IORequest, ...]):
+        self._stable = stable
+        self._writes = [request for request in window if request.is_write]
+        self.blocks = sorted({request.block for request in self._writes})
+        #: where each window block sits in a key
+        self.positions = {block: position for position, block in enumerate(self.blocks)}
+        #: block-sized ``bytes`` of each window write (by seq) and of
+        #: ``stable``'s content of each window block (by block): built on
+        #: first use, then shared by every key that contains them
+        self._payloads: Dict[int, bytes] = {}
+        self._prior: Dict[int, bytes] = {}
+        #: window blocks ``stable`` already holds in its overlay
+        self._overlaid = frozenset(block for block in self.blocks if stable.modifies(block))
         self._oracle: Optional[Oracle] = None
         self._view: Optional[TrackerView] = None
-        self._verdicts: Dict[Tuple[bytes, ...], CrashVerdict] = {}
+        self._table = _VerdictTable(self.positions)
 
-    def key(self, device: CowDevice) -> Tuple[bytes, ...]:
-        """Content of the window's blocks as ``device`` exposes them."""
+    def key(self, device: CowDevice) -> ContentKey:
+        """Content of the window's blocks as ``device`` exposes them: what the
+        key *is*.  The generator never calls this — :meth:`fold` gets the same
+        tuple without a device — the tests hold the two against each other."""
         return tuple([bytes(device.read_block(block)) for block in self.blocks])
 
+    def _prior_content(self, block: int) -> bytes:
+        content = self._prior.get(block)
+        if content is None:
+            content = self._prior[block] = bytes(self._stable.read_block(block))
+        return content
+
+    def fold(self, scenario: Optional[CrashScenario]) -> Tuple[ContentKey, int]:
+        """``key(device)`` and ``device.overlay_bytes()`` of the device that
+        realizes ``scenario``, without building it."""
+        dropped = scenario.dropped_seqs if scenario is not None else ()
+        torn = dict(scenario.torn) if scenario is not None and scenario.torn else {}
+        content: Dict[int, bytes] = {}
+        for request in self._writes:
+            seq = request.seq
+            if seq in dropped:
+                continue
+            sectors = torn.get(seq)
+            if sectors is None:
+                payload = self._payloads.get(seq)
+                if payload is None:
+                    payload = self._payloads[seq] = bytes(pad_block(request.data))
+            else:
+                block = request.block
+                payload = bytes(compose_torn_block(
+                    request.data, content.get(block) or self._prior_content(block), sectors))
+            content[request.block] = payload
+        key = tuple([content.get(block) or self._prior_content(block) for block in self.blocks])
+        overlay_blocks = self._stable.overlay_blocks() + sum(
+            1 for block in content if block not in self._overlaid)
+        return key, overlay_blocks * BLOCK_SIZE
+
     def verdicts_under(self, oracle: Optional[Oracle], view: Optional[TrackerView]
-                       ) -> Dict[Tuple[bytes, ...], CrashVerdict]:
+                       ) -> _VerdictTable:
         """The verdicts filed under exactly these expectation objects.
 
         Other expectations get a new, empty table rather than a cleared one:
@@ -163,8 +299,9 @@ class _VerdictMemo:
         verdict to a workload holding different expectations.
         """
         if oracle is not self._oracle or view is not self._view:
-            self._oracle, self._view, self._verdicts = oracle, view, {}
-        return self._verdicts
+            self._oracle, self._view = oracle, view
+            self._table = _VerdictTable(self.positions)
+        return self._table
 
 
 @dataclass(frozen=True)
@@ -184,12 +321,13 @@ class _CheckpointRecord:
     #: any planner can reach at this checkpoint.  None when no cross-workload
     #: cache is attached (the digest is only needed for its keys).
     state_digest: Optional[str] = None
-    #: verdicts of this checkpoint's crash states; born and dropped with the
-    #: record, so a record rebuilt after a spill or a trail miss starts empty
-    memo: _VerdictMemo = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "memo", _VerdictMemo(self.window))
+    @cached_property
+    def memo(self) -> _VerdictMemo:
+        """Verdicts of this checkpoint's crash states; born with the record's
+        first scenario and dropped with the record, so a record rebuilt after
+        a spill or a trail miss starts empty."""
+        return _VerdictMemo(self.stable, self.window)
 
 
 def _requests_match(a: IORequest, b: IORequest) -> bool:
@@ -750,11 +888,15 @@ class CrashStateGenerator:
         if attach is not None:
             attach(self.mechanism_report)
 
-    def _count_mechanism_window(self, window: Tuple[IORequest, ...]) -> None:
-        classify = getattr(self.planner, "classify_window", None)
+    def _count_mechanism_window(self, window: Tuple[IORequest, ...]) -> Optional[tuple]:
+        """Classify ``window`` once: count its kind, and return what the
+        planner's ``scenarios`` enumerates from (``None`` for planners that
+        do not classify)."""
+        classify = getattr(self.planner, "classified", None)
         if classify is None:
-            return
-        kind = classify(window)
+            return None
+        classified = classify(window)
+        kind = classified[0]
         if kind == "demoted":
             # Audit-driven fallback: exhaustive coverage, attributed to the
             # auditor rather than to a failure of attribution.
@@ -764,6 +906,7 @@ class CrashStateGenerator:
             self.mechanism_fallback_checkpoints += 1
         elif kind != "empty":
             self.mechanism_checkpoints += 1
+        return classified
 
     def _record_for(self, checkpoint_id: int) -> _CheckpointRecord:
         record = self._ensure_built().get(checkpoint_id)
@@ -802,15 +945,15 @@ class CrashStateGenerator:
 
     def _construct(self, record: _CheckpointRecord,
                    scenario: Optional[CrashScenario],
-                   fresh: Optional[set] = None) -> CrashState:
+                   fresh: Optional[Set[CrashVerdict]] = None) -> CrashState:
         """Build ``scenario``'s device and mount it — unless ``record.memo``
-        already holds the verdict of a byte-identical device, in which case
-        the state comes back as that verdict's twin, unmounted.  The only
-        mount site.
+        already holds the verdict of a state recovery cannot tell from it, in
+        which case the state comes back as that verdict's twin: no device, no
+        mount.  The only mount site.
 
-        ``fresh`` is the calling pass's set of content keys it has already
-        given a verdict (``None`` = always mount).  A key in it is a state of
-        this pass; a memo entry outside it was left by an earlier workload
+        ``fresh`` is the calling pass's set of verdicts it has produced or
+        taken so far (``None`` = always mount).  A verdict in it belongs to a
+        state of this pass; one outside it was left by an earlier workload
         and is taken only once its findings are filed — a representative
         nobody checked is mounted and checked again, never trusted.
         """
@@ -818,35 +961,43 @@ class CrashStateGenerator:
         crash_point = oracle.crash_point if oracle else f"checkpoint {record.checkpoint_id}"
 
         replay_start = time.perf_counter()
-        device = self._scenario_device(record, scenario)
+        key, overlay_bytes = record.memo.fold(scenario)
         state = CrashState(
             checkpoint_id=record.checkpoint_id,
             crash_point=crash_point,
-            device=device,
+            build_device=partial(self._scenario_device, record, scenario),
             scenario=scenario,
-            overlay_bytes=device.overlay_bytes(),
+            overlay_bytes=overlay_bytes,
         )
         state.replay_seconds = time.perf_counter() - replay_start
 
+        reads = None
         if fresh is not None:
             verdicts = record.memo.verdicts_under(
                 oracle, self.profile.tracker_views.get(record.checkpoint_id))
-            key = record.memo.key(device)
-            known = verdicts.get(key)
-            if known is not None and (key in fresh or known.mismatches is not None):
+            known = verdicts.find(key, fresh)
+            if known is not None:
                 state.verdict, state.is_twin = known, True
-                state.inherited = key not in fresh
-                fresh.add(key)
+                state.inherited = known not in fresh
+                fresh.add(known)
                 return state
+            reads = ReadLog(record.memo.positions)
 
+        replay_start = time.perf_counter()
+        device = state.device
+        device.read_log = reads
         mount_start = time.perf_counter()
+        state.replay_seconds += mount_start - replay_start
         fs = self.fs_class(device, self.profile.bugs)
         try:
-            fs.mount()
+            fs.mount(inspect=True)
             state.fs = fs
             state.mount_seconds = time.perf_counter() - mount_start
         except UnmountableError as exc:
-            state.mount_error = exc
+            # Without its traceback: that holds this frame, whose ``state``
+            # holds the error — a cycle that keeps the record, the device and
+            # the half-mounted fs alive until the collector happens by.
+            state.mount_error = exc.with_traceback(None)
             state.mount_seconds = time.perf_counter() - mount_start
             if self.run_fsck_on_failure:
                 fsck_start = time.perf_counter()
@@ -854,10 +1005,10 @@ class CrashStateGenerator:
                 state.fsck_report = report
                 state.fsck_recovered_fs = repaired_fs
                 state.fsck_seconds = time.perf_counter() - fsck_start
-        state.verdict = CrashVerdict(mountable=state.fs is not None)
+        state.verdict = CrashVerdict(mountable=state.fs is not None, reads=reads)
         if fresh is not None:
-            verdicts[key] = state.verdict
-            fresh.add(key)
+            verdicts.file(key, state.verdict)
+            fresh.add(state.verdict)
         return state
 
     # ------------------------------------------------------------------ public API
@@ -895,14 +1046,19 @@ class CrashStateGenerator:
         checkpoints (new operations mean new recorded writes or a new oracle),
         so only byte-identical re-tests are ever skipped.
 
-        Within one checkpoint, scenarios whose devices are byte-identical
-        (a tear inside the zero padding of a short log entry equals the
-        baseline; two drops can equal each other) are mounted once: the
-        first is the representative, each repeat is yielded as its twin
-        (``is_twin``, own scenario/device/``overlay_bytes``, zero mount and
-        fsck seconds) sharing the representative's :class:`CrashVerdict`.
-        Twins are still yielded — they count as tested and report under
-        their own scenario id — so nothing downstream changes.
+        Within one checkpoint, scenarios recovery cannot tell apart — the
+        same bytes (a tear inside the zero padding of a short log entry
+        equals the baseline), or bytes that differ only in blocks neither
+        recovery nor a check read (a lost segment summary) — are mounted
+        once: the first is the representative, each later one is yielded as
+        its twin (``is_twin``, own scenario and ``overlay_bytes``, no device
+        until someone reads it, zero mount and fsck seconds) sharing the
+        representative's :class:`CrashVerdict`.  Twins are still yielded —
+        they count as tested and report under their own scenario id — so
+        nothing downstream changes.  A representative stands for states that
+        are not byte-identical to it only once the consumer has filed its
+        findings (``state.verdict.mismatches = ...``), which seals its read
+        log.
 
         The verdicts are kept on the checkpoint record, so a sibling
         workload that resumed the replay trail and re-reaches the same
@@ -917,14 +1073,14 @@ class CrashStateGenerator:
         tested: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for checkpoint_id in checkpoint_ids:
             record = self._record_for(checkpoint_id)
-            self._count_mechanism_window(record.window)
+            classified = self._count_mechanism_window(record.window)
+            # ``scenarios`` arguments; a planner that classifies takes its answer back
+            plan = (checkpoint_id, record.window) + ((classified,) if classified else ())
             if self.dedup_scenarios:
                 key = (id(record.stable), tuple(r.seq for r in record.window))
                 twin = tested.get(key)
                 if twin is not None and self._checkpoints_equivalent(twin, checkpoint_id):
-                    self.deduped_scenarios += sum(
-                        1 for _ in self.planner.scenarios(checkpoint_id, record.window)
-                    )
+                    self.deduped_scenarios += sum(1 for _ in self.planner.scenarios(*plan))
                     continue
                 # Remember the *latest* checkpoint tested for this fork/window:
                 # expectations drift monotonically with the workload, so the
@@ -933,12 +1089,10 @@ class CrashStateGenerator:
             if self.cross_cache is not None and not self._first_cross_sighting(
                 record, checkpoint_id
             ):
-                self.cross_deduped_scenarios += sum(
-                    1 for _ in self.planner.scenarios(checkpoint_id, record.window)
-                )
+                self.cross_deduped_scenarios += sum(1 for _ in self.planner.scenarios(*plan))
                 continue
-            fresh: set = set()
-            for scenario in self.planner.scenarios(checkpoint_id, record.window):
+            fresh: Set[CrashVerdict] = set()
+            for scenario in self.planner.scenarios(*plan):
                 yield self._construct(record, scenario, fresh)
 
     def _first_cross_sighting(self, record: _CheckpointRecord,

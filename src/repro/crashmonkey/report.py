@@ -334,13 +334,16 @@ class CrashTestResult:
         "expectations; scenarios_tested + deduped_scenarios + cross_deduped_scenarios is the full "
         "planner enumeration", source=GENERATOR)
     memoized_scenarios: int = counter(
-        "tested scenarios whose crash state was byte-identical to an earlier scenario of the same "
-        "checkpoint *in this workload's own pass* and took that state's verdict instead of a "
-        "mount and a check run of their own (included in ``scenarios_tested``).  A function of "
-        "the recorded stream and the plan only, hence canonical.")
+        "tested scenarios whose crash state agreed with an earlier scenario of the same checkpoint "
+        "*in this workload's own pass* on every block that state's recovery and checks read "
+        "(byte-identical or not), and took its verdict instead of a device, a mount and a check "
+        "run of their own (included in ``scenarios_tested``).  Per pass, every state of a "
+        "read-equivalence class but the first: a function of the recorded stream and the plan "
+        "only, hence canonical.")
     inherited_verdicts: int = counter(
-        "tested scenarios that took the verdict an *earlier workload* filed for the "
-        "byte-identical state of the same checkpoint record, under the same oracle and tracker "
+        "tested scenarios that were the first of their read-equivalence class in this workload's "
+        "pass and took the verdict an *earlier workload* filed for a state of that class at the "
+        "same checkpoint record, under the same oracle and tracker "
         "view objects (included in ``scenarios_tested``: scenarios_tested - memoized_scenarios - "
         "inherited_verdicts states were actually mounted).  Depends on what the replay trail "
         "still held (spill budget, chunk -> worker assignment), hence session telemetry.",
@@ -365,7 +368,8 @@ class CrashTestResult:
     replayed_write_requests: int = counter(
         "write requests replayed onto crash-state devices for this workload: one per recorded "
         "write for the single cursor pass, plus the re-applied window writes of each non-baseline "
-        "scenario (linear in the recorded log under the incremental builder)",
+        "scenario whose device was really built — a state that took another's verdict builds "
+        "none (linear in the recorded log under the incremental builder)",
         tag=SESSION, source=GENERATOR)
     #: per-check wall-clock attribution, check name -> seconds (summed over
     #: every crash point tested for this workload)

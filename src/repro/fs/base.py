@@ -33,6 +33,7 @@ from ..errors import (
     FsNotADirectoryError,
     FsNotEmptyError,
     FsNotMountedError,
+    FsReadOnlyError,
     RecoveryError,
 )
 from ..storage.block import BLOCK_SIZE, blocks_needed
@@ -81,6 +82,9 @@ class AbstractFileSystem:
         self._ns_seq = 0
         self._data_ops: Dict[int, List[dict]] = {}
         self._logged_inos: Set[int] = set()
+        #: mounted with ``inspect=True``: the committed tables above were not
+        #: built, so nothing that reads them (fsync, fdatasync, msync) may run
+        self._inspect_only = False
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -95,9 +99,21 @@ class AbstractFileSystem:
         fs.mounted = False
         return fs
 
-    def mount(self) -> None:
-        """Mount the device, running recovery if it was not cleanly unmounted."""
+    def mount(self, *, inspect: bool = False) -> None:
+        """Mount the device, running recovery if it was not cleanly unmounted.
+
+        ``inspect=True`` is the mount of a crash state that will be looked
+        at, probed with namespace operations and thrown away: it skips what
+        only a later persistence operation would read — the commit tables (a
+        walk and a ``to_meta()`` per inode; they cannot be built lazily
+        instead, because the ``write`` check changes the tree before anything
+        would ask for them) and a dirty-superblock write that would put back
+        the bytes already there.  fsync, fdatasync and msync raise on such a
+        mount until a ``sync()`` has rebuilt the tables.
+        """
         superblock = self._read_superblock()
+        # What the dirty-superblock write below would put there is there already.
+        marked_dirty = not superblock.clean_unmount and superblock.fs_type == self.fs_type
         if superblock.fs_type and superblock.fs_type != self.fs_type:
             raise RecoveryError(
                 f"device is formatted as {superblock.fs_type!r}, not {self.fs_type!r}",
@@ -116,6 +132,7 @@ class AbstractFileSystem:
             # recover from the newest checkpoint that *is* valid — like F2FS
             # picking between its two checkpoint packs by version.
             payload, superblock = self._fallback_checkpoint(superblock)
+            marked_dirty = False
         self.generation = superblock.generation
         self._load_meta(payload)
         self.recovery_ran = False
@@ -124,14 +141,20 @@ class AbstractFileSystem:
             if entries:
                 self._replay_log(entries)
                 self.recovery_ran = True
-        self._reset_commit_tracking()
+        if inspect:
+            self._committed_attrs, self._committed_paths = {}, {}
+            self._start_commit_epoch()
+            self._inspect_only = True
+        else:
+            self._reset_commit_tracking()
         self._reset_log_cursor()
         self.mounted = True
         # Mark the file system dirty on disk, exactly like a kernel mount does;
         # crash states therefore always require recovery.
         superblock.clean_unmount = False
         superblock.fs_type = self.fs_type
-        self._write_superblock(superblock)
+        if not (inspect and marked_dirty):
+            self._write_superblock(superblock)
 
     def unmount(self, safe: bool = True) -> None:
         """Unmount.  A *safe* unmount flushes everything and marks the image clean."""
@@ -228,9 +251,16 @@ class AbstractFileSystem:
         superblock.fs_type = self.fs_type
         return superblock
 
-    def _require_mounted(self) -> None:
+    def _require_mounted(self, *, persisting: bool = False) -> None:
+        """Every operation starts here; the per-file persistence operations
+        pass ``persisting=True`` because they read the commit tables."""
         if not self.mounted:
             raise FsNotMountedError(f"{self.fs_type} is not mounted")
+        if persisting and self._inspect_only:
+            raise FsReadOnlyError(
+                f"{self.fs_type} is mounted for inspection: the commit tables a "
+                "persistence operation reads were never built (sync() builds them)"
+            )
 
     # ------------------------------------------------------------------ path helpers
 
@@ -290,6 +320,17 @@ class AbstractFileSystem:
                 paths.append(path)
         return sorted(paths)
 
+    def paths_by_inode(self) -> Dict[int, List[str]]:
+        """:meth:`paths_of_inode` of every reachable inode at once, keyed by
+        inode number, from one walk."""
+        names: Dict[int, List[str]] = {}
+        for path, ino in self._walk():
+            names.setdefault(ino, []).append(path)
+        for paths in names.values():
+            paths.sort()
+        names[ROOT_INO] = [""]
+        return names
+
     def _walk(self) -> Iterable[Tuple[str, int]]:
         """Yield ``(path, ino)`` for every entry reachable from the root."""
         stack: List[Tuple[str, int]] = [("", ROOT_INO)]
@@ -306,10 +347,6 @@ class AbstractFileSystem:
                 for name, child in sorted(inode.children.items()):
                     child_path = f"{path}/{name}" if path else name
                     stack.append((child_path, child))
-
-    def _path_of_dir(self, ino: int) -> str:
-        paths = self._paths_of(ino)
-        return paths[0] if paths else ""
 
     def _alloc_ino(self) -> int:
         ino = self.next_ino
@@ -348,6 +385,11 @@ class AbstractFileSystem:
         for path, ino in self._walk():
             self._committed_paths.setdefault(ino, set()).add(path)
         self._committed_paths.setdefault(ROOT_INO, set()).add("")
+        self._start_commit_epoch()
+        self._inspect_only = False
+
+    def _start_commit_epoch(self) -> None:
+        """Empty the journals of what changed since the last commit."""
         self._namespace_ops = []
         self._data_ops = {}
         self._logged_inos = set()
@@ -850,14 +892,15 @@ class AbstractFileSystem:
 
     # ------------------------------------------------------------------ fsync-log machinery
 
-    def _other_removals_from_parents(self, inode: Inode) -> List[str]:
+    def _other_removals_from_parents(self, inode: Inode,
+                                     names: Dict[int, List[str]]) -> List[str]:
         """Committed directory entries removed from the inode's parent dirs.
 
         These are the "directory deletion items" a btrfs-style fsync drags
         into the log.  Only used by buggy configurations.
         """
         parent_dirs: Set[str] = set()
-        for path in self._paths_of(inode.ino):
+        for path in names.get(inode.ino, ()):
             parent = path.rsplit("/", 1)[0] if "/" in path else ""
             parent_dirs.add(parent)
         removals: List[str] = []
@@ -912,17 +955,19 @@ class AbstractFileSystem:
             return list(ops)
         return [op for op in ops if op.get("kind") in kinds]
 
-    def _build_log_entry(self, inode: Inode, *, datasync: bool = False,
+    def _build_log_entry(self, inode: Inode, names: Dict[int, List[str]], *,
+                         datasync: bool = False,
                          msync_range: Optional[Tuple[int, int]] = None,
                          embed_children: bool = False) -> dict:
         """Build the log entry an fsync of ``inode`` writes.
 
-        The base implementation is the *correct* behaviour; subclasses apply
-        bug mechanisms by overriding :meth:`_apply_entry_bugs`.
+        ``names`` is :meth:`paths_by_inode` of the tree being logged.  The
+        base implementation is the *correct* behaviour; subclasses apply bug
+        mechanisms by overriding :meth:`_apply_entry_bugs`.
         """
         committed = self._committed_attrs.get(inode.ino, {})
         committed_paths = self._committed_paths.get(inode.ino, set())
-        current_paths = self._paths_of(inode.ino)
+        current_paths = names.get(inode.ino, [])
 
         # Callers (the concrete persistence operations) are responsible for
         # flushing whatever data they intend to persist before building the
@@ -990,15 +1035,16 @@ class AbstractFileSystem:
             committed_children = committed.get("children", {}) if committed else {}
             entry["committed_children_count"] = len(committed_children)
 
-        entry = self._apply_entry_bugs(entry, inode, datasync=datasync, msync_range=msync_range)
-        return entry
+        return self._apply_entry_bugs(entry, inode, names, datasync=datasync,
+                                      msync_range=msync_range)
 
-    def _apply_entry_bugs(self, entry: dict, inode: Inode, *, datasync: bool,
-                          msync_range: Optional[Tuple[int, int]]) -> dict:
+    def _apply_entry_bugs(self, entry: dict, inode: Inode, names: Dict[int, List[str]], *,
+                          datasync: bool, msync_range: Optional[Tuple[int, int]]) -> dict:
         """Hook for concrete file systems to inject bug mechanisms."""
         return entry
 
-    def _collect_recursive_targets(self, inode: Inode) -> List[Inode]:
+    def _collect_recursive_targets(self, inode: Inode,
+                                   names: Dict[int, List[str]]) -> List[Inode]:
         """Inodes that must be logged together with ``inode`` for correctness.
 
         If a path now bound to ``inode`` (or about to be dropped from one of
@@ -1015,9 +1061,10 @@ class AbstractFileSystem:
                 seen.add(ino)
                 targets.append(self.inodes[ino])
 
-        candidate_paths: Set[str] = set(self._paths_of(inode.ino))
+        own_paths = names.get(inode.ino, [])
+        candidate_paths: Set[str] = set(own_paths)
         if inode.is_dir:
-            dir_path = self._path_of_dir(inode.ino)
+            dir_path = own_paths[0] if own_paths else ""
             for name in inode.children:
                 candidate_paths.add(f"{dir_path}/{name}" if dir_path else name)
         for path in candidate_paths:
@@ -1025,7 +1072,7 @@ class AbstractFileSystem:
                 if other_ino == inode.ino or other_ino in seen:
                     continue
                 if path in paths and other_ino in self.inodes:
-                    if path not in self._paths_of(other_ino):
+                    if path not in names.get(other_ino, ()):
                         _add_target(other_ino)
 
         if inode.is_dir:
@@ -1034,16 +1081,16 @@ class AbstractFileSystem:
             # the stale source entry (rename atomicity).
             for child_ino in inode.children.values():
                 committed = self._committed_paths.get(child_ino, set())
-                if committed and committed - set(self._paths_of(child_ino)):
+                if committed and committed - set(names.get(child_ino, ())):
                     _add_target(child_ino)
             # Inodes whose committed name lives in this directory but which
             # were renamed elsewhere since the commit must be logged at their
             # new location, or persisting the directory would lose them.
-            dir_prefixes = set(self._paths_of(inode.ino)) | self._committed_paths.get(inode.ino, set())
+            dir_prefixes = set(own_paths) | self._committed_paths.get(inode.ino, set())
             for other_ino, committed in self._committed_paths.items():
                 if other_ino == inode.ino or other_ino not in self.inodes:
                     continue
-                current = set(self._paths_of(other_ino))
+                current = names.get(other_ino, ())
                 for path in committed:
                     parent = path.rsplit("/", 1)[0] if "/" in path else ""
                     if parent in dir_prefixes and path not in current:
@@ -1123,14 +1170,18 @@ class AbstractFileSystem:
         if not self._skip_commit_barrier():
             self._device_flush()
         entries: List[dict] = []
+        # Logging writes the device and the commit tables, never the tree:
+        # one walk names every inode for every entry built below.
+        names = self.paths_by_inode()
         if recurse and not self._skip_recursive_logging():
-            for target in self._collect_recursive_targets(inode):
-                target_entry = self._build_log_entry(target, embed_children=target.is_dir)
+            for target in self._collect_recursive_targets(inode, names):
+                target_entry = self._build_log_entry(target, names, embed_children=target.is_dir)
                 self._append_log_entry(target_entry)
                 self._update_committed_for_entry(target_entry)
                 entries.append(target_entry)
         entry = self._build_log_entry(
-            inode, datasync=datasync, msync_range=msync_range, embed_children=embed_children
+            inode, names, datasync=datasync, msync_range=msync_range,
+            embed_children=embed_children,
         )
         self._append_log_entry(entry)
         self._update_committed_for_entry(entry)

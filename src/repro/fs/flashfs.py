@@ -8,7 +8,7 @@ bugs and the rename-of-parent-directory bug.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..storage.block import blocks_needed
 from .inode import Inode
@@ -25,7 +25,7 @@ class FlashFS(LogFS):
     uses_segment_area = False
 
     def fdatasync(self, path: str) -> None:
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         if (
             self.bugs.is_enabled("falloc_keep_size_fdatasync")
@@ -54,9 +54,10 @@ class FlashFS(LogFS):
         ]
         return bool(keep_ops)
 
-    def _apply_entry_bugs(self, entry: dict, inode: Inode, *, datasync: bool,
-                          msync_range: Optional[Tuple[int, int]]) -> dict:
-        entry = super()._apply_entry_bugs(entry, inode, datasync=datasync, msync_range=msync_range)
+    def _apply_entry_bugs(self, entry: dict, inode: Inode, names: Dict[int, List[str]], *,
+                          datasync: bool, msync_range: Optional[Tuple[int, int]]) -> dict:
+        entry = super()._apply_entry_bugs(entry, inode, names, datasync=datasync,
+                                          msync_range=msync_range)
         bugs = self.bugs
 
         if inode.is_file and bugs.is_enabled("fzero_keep_size_wrong_size"):

@@ -12,7 +12,7 @@ log entry records or how replay applies it (see :mod:`repro.fs.bugs`).
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import FsNoSpaceError
 from ..storage.block import BLOCK_SIZE, blocks_needed
@@ -92,21 +92,21 @@ class LogFS(AbstractFileSystem):
 
     def fsync(self, path: str) -> None:
         """Persist one file or directory via the fsync log."""
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         self._flush_for_persist(inode)
         self._log_inode(inode, embed_children=inode.is_dir)
 
     def fdatasync(self, path: str) -> None:
         """Persist a file's data (and size) via the fsync log."""
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         self._flush_for_persist(inode, datasync=True)
         self._log_inode(inode, datasync=True)
 
     def msync(self, path: str, offset: int = 0, length: Optional[int] = None) -> None:
         """Persist an mmap'ed range of a file."""
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         if length is None:
             length = max(inode.size - offset, 0)
@@ -169,8 +169,8 @@ class LogFS(AbstractFileSystem):
             # directory item count, leaving a phantom entry behind.
             parent.size += 1
 
-    def _apply_entry_bugs(self, entry: dict, inode: Inode, *, datasync: bool,
-                          msync_range: Optional[Tuple[int, int]]) -> dict:
+    def _apply_entry_bugs(self, entry: dict, inode: Inode, names: Dict[int, List[str]], *,
+                          datasync: bool, msync_range: Optional[Tuple[int, int]]) -> dict:
         bugs = self.bugs
         committed = self._committed_attrs.get(inode.ino, {}) or {}
         committed_paths = self._committed_paths.get(inode.ino, set())
@@ -228,7 +228,7 @@ class LogFS(AbstractFileSystem):
                 entry["extents"] = {}
 
         if bugs.is_enabled("rename_dest_not_logged"):
-            removals = self._other_removals_from_parents(inode)
+            removals = self._other_removals_from_parents(inode, names)
             if removals:
                 merged = list(entry["names_remove"])
                 for path in removals:
@@ -237,7 +237,7 @@ class LogFS(AbstractFileSystem):
                 entry["names_remove"] = merged
 
         if bugs.is_enabled("rename_source_not_removed"):
-            entry["extra_adds"] = self._cross_directory_additions(inode)
+            entry["extra_adds"] = self._cross_directory_additions(inode, names)
 
         if bugs.is_enabled("unlink_recreate_replay_fail"):
             duplicated = list(entry["names_remove"])
@@ -273,11 +273,11 @@ class LogFS(AbstractFileSystem):
                     return True
         return False
 
-    def _cross_directory_additions(self, inode: Inode) -> list:
+    def _cross_directory_additions(self, inode: Inode, names: Dict[int, List[str]]) -> list:
         """Committed inodes moved *into* the fsynced inode's directories from
         elsewhere since the last commit (their source removal is not logged)."""
         parent_dirs: Set[str] = set()
-        for path in self._paths_of(inode.ino):
+        for path in names.get(inode.ino, ()):
             parent_dirs.add(path.rsplit("/", 1)[0] if "/" in path else "")
         additions = []
         for op in self._namespace_ops:

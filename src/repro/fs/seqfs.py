@@ -43,7 +43,7 @@ class SeqFS(AbstractFileSystem):
     # ------------------------------------------------------------------ persistence
 
     def fsync(self, path: str) -> None:
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         if inode.is_file:
             self._flush_inode_data(inode)
@@ -51,7 +51,7 @@ class SeqFS(AbstractFileSystem):
         self._journal_commit(focus=inode, datasync=False)
 
     def fdatasync(self, path: str) -> None:
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         if inode.is_file:
             if (
@@ -66,7 +66,7 @@ class SeqFS(AbstractFileSystem):
         self._journal_commit(focus=inode, datasync=True)
 
     def msync(self, path: str, offset: int = 0, length: Optional[int] = None) -> None:
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         if inode.is_file:
             self._flush_inode_data(inode)

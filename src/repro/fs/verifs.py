@@ -22,13 +22,13 @@ class VeriFS(AbstractFileSystem):
     fs_type = "verifs"
 
     def fsync(self, path: str) -> None:
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         self._get_inode(path)  # validate the path, as the real call would
         # The verified path simply commits the whole tree.
         self.sync()
 
     def fdatasync(self, path: str) -> None:
-        self._require_mounted()
+        self._require_mounted(persisting=True)
         inode = self._get_inode(path)
         if not inode.is_file:
             self.sync()
@@ -40,7 +40,8 @@ class VeriFS(AbstractFileSystem):
     def msync(self, path: str, offset: int = 0, length: Optional[int] = None) -> None:
         self.fdatasync(path)
 
-    def _apply_entry_bugs(self, entry: dict, inode: Inode, *, datasync: bool, msync_range) -> dict:
+    def _apply_entry_bugs(self, entry: dict, inode: Inode, names, *, datasync: bool,
+                          msync_range) -> dict:
         if (
             datasync
             and inode.is_file

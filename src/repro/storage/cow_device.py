@@ -22,9 +22,9 @@ storage instead of one heap-allocated ``bytes`` object per block.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Container, Dict, Iterator, Optional, Set, Tuple
 
-from ..errors import InvalidBlockError
+from ..errors import HarnessError, InvalidBlockError
 from .block import BLOCK_SIZE, ZERO_BLOCK, Payload, compose_torn_block, pad_block
 from .block_device import BlockDevice
 from .slab import BlockSlab
@@ -34,6 +34,37 @@ from .slab import BlockSlab
 #: bounds the read-path lookup cost without ever copying on the common
 #: few-persistence-points-per-workload case.
 CHAIN_COMPACT_THRESHOLD = 32
+
+
+class ReadLog:
+    """Which of the watched blocks were read through a device, until sealed.
+
+    The replayer hangs one on a crash state's device before mounting it,
+    watching the blocks in which the checkpoint's crash states can differ:
+    recovery, fsck and the checks are deterministic functions of the bytes
+    they read, so the logged blocks are exactly what the state's verdict
+    depends on.  Once the verdict is filed the log is sealed, and a later read
+    through the device raises — it would be a dependency the verdict's twins
+    were never compared on.
+    """
+
+    __slots__ = ("watched", "blocks", "sealed")
+
+    def __init__(self, watched: Container[int]) -> None:
+        self.watched = watched
+        self.blocks: Set[int] = set()
+        self.sealed = False
+
+    def note(self, block: int) -> None:
+        if self.sealed:
+            raise HarnessError(
+                f"block {block} read through a crash-state device after its verdict was filed"
+            )
+        if block in self.watched:
+            self.blocks.add(block)
+
+    def seal(self) -> None:
+        self.sealed = True
 
 
 class CowDevice:
@@ -59,6 +90,9 @@ class CowDevice:
         #: this device's private, mutable top overlay.
         self._overlay: Dict[int, Payload] = {}
         self._slab: Optional[BlockSlab] = None
+        #: when set, every :meth:`read_block` is noted in it (the base
+        #: fall-through included: the read is logged here, not on the base)
+        self.read_log: Optional[ReadLog] = None
         self.writes = 0
         self.reads = 0
         self.flushes = 0
@@ -105,6 +139,8 @@ class CowDevice:
     def read_block(self, block: int) -> Payload:
         self._check_block(block)
         self.reads += 1
+        if self.read_log is not None:
+            self.read_log.note(block)
         return self._visible_block(block)
 
     def write_block(self, block: int, data, *, metadata: bool = False,
@@ -228,6 +264,10 @@ class CowDevice:
         if not self._overlay:
             return len(self._chain_index)
         return len(self._chain_index.keys() | self._overlay.keys())
+
+    def modifies(self, block: int) -> bool:
+        """Whether ``block`` is in the overlay, i.e. counted by :meth:`overlay_blocks`."""
+        return block in self._overlay or block in self._chain_index
 
     def overlay_layers(self) -> int:
         """Number of overlay layers (frozen chain + the mutable top)."""

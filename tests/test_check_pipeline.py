@@ -538,6 +538,9 @@ class _StubFS:
             return []
         return self._links.get(state.ino, [path])
 
+    def paths_by_inode(self):
+        return {state.ino: self.paths_of_inode(path) for path, state in self._states.items()}
+
 
 class _StubCrashState:
     """Pairs a stub fs with the mountable flag the pipeline consults."""

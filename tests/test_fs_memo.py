@@ -97,10 +97,10 @@ def campaign_observations(fs_name: str, plan: str, cold: bool, monkeypatch):
     mounted = []
     real_mount = AbstractFileSystem.mount
 
-    def observed_mount(fs):
+    def observed_mount(fs, *args, **kwargs):
         if cold:
             forget_everything()
-        real_mount(fs)
+        real_mount(fs, *args, **kwargs)
         mounted.append((copy.deepcopy(fs._serialize_meta()), fs.logical_state()))
 
     with monkeypatch.context() as patch:

@@ -469,3 +469,62 @@ def test_tracker_records_copied_through_dataclasses_replace_are_caught():
     }))
     assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/tracker.py", 4), ("src/repro/crashmonkey/tracker.py", 6)]
+
+
+# ------------------------------------------- rule 12: verdicts depend on logged reads only
+
+
+def test_a_read_only_check_touching_the_file_system_is_caught():
+    source = (
+        "class SizeCheck:\n"
+        "    def run(self, ctx):\n"
+        "        return [] if ctx.fs.lookup_state('foo') else ['missing']\n"
+    )
+    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"crashmonkey/checks/size.py": source}))
+    assert len(flagged) == 1 and "ctx.lookup" in flagged[0][2]
+    for allowed in ("write.py", "mount.py"):
+        assert repro_lint.check_verdicts_depend_on_logged_reads_only(
+            _trees(**{f"crashmonkey/checks/{allowed}": source})) == []
+    through_the_context = source.replace("ctx.fs.lookup_state", "ctx.lookup")
+    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"crashmonkey/checks/size.py": through_the_context})) == []
+
+
+def test_a_device_read_behind_the_read_log_is_caught():
+    source = (
+        "def scan(device):\n"
+        "    return [data for _, data in device.written_blocks()]\n"
+    )
+    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"fs/layout.py": source}))
+    assert len(flagged) == 1 and "read_block" in flagged[0][2]
+    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"storage/spill.py": source})) == []
+    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"fs/layout.py": "def scan(device):\n    return device.read_block(0)\n"})) == []
+
+
+def test_an_inspection_mount_outside_the_mount_site_is_caught():
+    elsewhere = (
+        "def peek(fs_class, device):\n"
+        "    fs = fs_class(device)\n"
+        "    fs.mount(inspect=True)\n"
+        "    return fs\n"
+    )
+    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"fs/fsck.py": elsewhere}))
+    assert len(flagged) == 1 and "inspection mount" in flagged[0][2]
+    at_the_site = (
+        "class CrashStateGenerator:\n"
+        "    def _construct(self, record, scenario):\n"
+        "        fs = self.fs_class(record)\n"
+        "        fs.mount(inspect=True)\n"
+        "    def generate(self, record):\n"
+        "        self.fs_class(record).mount(inspect=True)\n"
+    )
+    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"crashmonkey/replayer.py": at_the_site}))
+    assert [line for _, line, _ in flagged] == [6]
+    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
+        _trees(**{"fs/fsck.py": elsewhere.replace("inspect=True", "")})) == []

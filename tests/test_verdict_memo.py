@@ -1,16 +1,27 @@
-"""Content-addressed crash-state verdicts: one mount + check per distinct state.
+"""Read-addressed crash-state verdicts: one mount + check per distinct recovery.
 
-Within one checkpoint the generator mounts each *distinct* device content
-once; a scenario whose device is byte-identical to an earlier one of the same
-checkpoint is yielded as its twin and takes that state's verdict.  What this
-file pins:
+Within one checkpoint the generator mounts each state recovery can *tell
+apart* once; a scenario that agrees with an earlier, checked one of the same
+checkpoint on every block its recovery and checks read — byte-identical or
+not — is yielded as its twin, without a device, and takes that state's
+verdict.  What this file pins:
 
 * **Differential parity** — over the full seq-1 space of all four file
   systems under every multi-state plan, ``test_workload`` reports exactly
   what an always-mount loop (written here, as a test helper — there is no
   such mode in ``src/``) reports, apart from the new counter.
 * **The key is content, exactly** — key equality iff the two scenario
-  devices are ``content_equal`` (Hypothesis, random windows and scenarios).
+  devices are ``content_equal`` (Hypothesis, random windows and scenarios);
+  the key and ``overlay_bytes`` folded from the scenario alone are those of
+  the built device, for every scenario of full seq-1; a twin's device is
+  built on first read and is the eager one.
+* **Reads, exactly** — a state that differs only where nobody looked is a
+  twin; a device read after the verdict was filed raises; an inspection
+  mount refuses fsync; the checks' cached lookups are the live ones.
+* **Seeded-unsound variants** — an incomplete read log, a key blind to
+  tears, equivalence against an unfiled representative and a pass that
+  forgets which verdicts it already took are each rejected by the tests
+  above.
 * **Accounting** — ``mounted + memoized + inherited == scenarios_tested``
   per workload and per campaign; nothing is memoized under the prefix plan.
 * **Scope** — a verdict never crosses a checkpoint boundary.
@@ -36,9 +47,11 @@ from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey import CrashMonkey, CrashStateGenerator
 from repro.crashmonkey.crashplan import CrashScenario
-from repro.crashmonkey.replayer import _CheckpointRecord
+from repro.crashmonkey.replayer import _CheckpointRecord, _VerdictMemo, _VerdictTable
 from repro.crashmonkey.report import BugReport, CrashTestResult
-from repro.fs import fsck
+from repro.errors import FsReadOnlyError, HarnessError
+from repro.fs import fsck, get_fs_class
+from repro.fs.base import AbstractFileSystem
 from repro.fs.bugs import BugConfig, Consequence
 from repro.service.runner import DurableCampaignRunner
 from repro.storage import BLOCK_SIZE, BlockDevice, CowDevice, IOKind, IORequest
@@ -109,9 +122,7 @@ def always_mount_reference(harness: CrashMonkey, workload) -> CrashTestResult:
     return result
 
 
-@pytest.mark.parametrize("plan", MULTI_STATE_PLANS)
-@pytest.mark.parametrize("fs_name", ALL_FS)
-def test_memoized_results_equal_the_always_mount_loop_on_full_seq1(fs_name, plan):
+def assert_memoized_equals_always_mount(fs_name, plan):
     # Cross-checkpoint dedup skips whole checkpoints before any state exists;
     # it is off on both sides so the reference loop stays the plain planner
     # enumeration (the accounting tests below run with it on).
@@ -127,6 +138,13 @@ def test_memoized_results_equal_the_always_mount_loop_on_full_seq1(fs_name, plan
             _without_counter(expected.canonical_dict()), workload.display_name()
         memoized += result.memoized_scenarios
         reports += len(result.bug_reports)
+    return memoized, reports
+
+
+@pytest.mark.parametrize("plan", MULTI_STATE_PLANS)
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_memoized_results_equal_the_always_mount_loop_on_full_seq1(fs_name, plan):
+    memoized, reports = assert_memoized_equals_always_mount(fs_name, plan)
     if fs_name != "verifs":  # bug-free and envelope-free: no reports, no repeats
         assert reports > 0, "the comparison must cover failing states"
         if plan != "reorder" or fs_name == "flashfs":
@@ -191,6 +209,220 @@ def test_key_equality_iff_scenario_devices_are_content_equal(data):
     # The baseline scenario is the same equivalence relation's third point.
     base_device = generator._scenario_device(record, None)
     assert (keys[0] == memo.key(base_device)) == devices[0].content_equal(base_device)
+    # What the generator really uses: key and overlay size folded from the
+    # scenario alone, no device built.
+    for scenario, device in ((first, devices[0]), (second, devices[1]), (None, base_device)):
+        assert memo.fold(scenario) == (memo.key(device), device.overlay_bytes())
+
+
+@pytest.mark.parametrize("plan", MULTI_STATE_PLANS)
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_folded_key_and_overlay_bytes_are_the_built_devices_on_full_seq1(fs_name, plan):
+    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan)
+    compared = torn = 0
+    for workload in AceSynthesizer(seq1_bounds()).stream():
+        profile = harness.recorder.profile(workload)
+        generator = CrashStateGenerator(profile, planner=harness.planner,
+                                        analyze=harness.spec.analyze_mechanisms)
+        for scenario in generator.scenario_plan():
+            record = generator._record_for(scenario.checkpoint_id)
+            device = generator._scenario_device(record, scenario)
+            assert record.memo.fold(scenario) == \
+                (record.memo.key(device), device.overlay_bytes()), \
+                (workload.display_name(), scenario.scenario_id)
+            compared += 1
+            torn += bool(scenario.torn)
+    assert compared > 400
+    if fs_name != "verifs":  # every verifs commit is sealed: nothing in flight to tear
+        assert (torn > 0) == (plan != "reorder")
+
+
+# --------------------------------------------------------------- (2b) reads, exactly
+
+
+def _filed_pass(harness, text, name="filed"):
+    """One workload's states, each representative checked and filed at once —
+    what ``test_workload`` does — plus the generator and profile behind them."""
+    profile = harness.recorder.profile(parse_workload(text, name=name))
+    generator = CrashStateGenerator(profile, planner=harness.planner)
+    states = []
+    for state in generator.generate_scenarios():
+        if not state.is_twin:
+            state.verdict.mismatches = harness.checker.check(profile, state)
+        states.append(state)
+    return states, generator, profile
+
+
+def test_a_state_that_differs_only_where_nobody_looked_is_a_twin():
+    """logfs appends its record, seals it, then rewrites the segment-usage
+    summary — a block recovery never reads.  A crash that loses the summary
+    is another device and the same recovery."""
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
+    states, generator, _ = _filed_pass(harness, SIBLINGS[0])
+    record = generator._record_for(1)
+    assert {request.tag for request in record.window} == {"segment", "segment_summary"}
+    summary = next(r for r in record.window if r.tag == "segment_summary")
+    baseline, lost_summary = states[0], next(
+        s for s in states if s.scenario.dropped_seqs == (summary.seq,))
+    assert not baseline.is_twin and lost_summary.is_twin
+    assert lost_summary.verdict is baseline.verdict
+    assert not lost_summary.device.content_equal(baseline.device)
+    assert record.memo.fold(lost_summary.scenario)[0] != record.memo.fold(None)[0]
+    assert "read-equivalent" in lost_summary.describe()
+    # ... whereas losing the record itself is a recovery of its own.
+    segment = next(r for r in record.window if r.tag == "segment")
+    lost_record = next(s for s in states if s.scenario.dropped_seqs == (segment.seq,))
+    assert not lost_record.is_twin and lost_record.verdict is not baseline.verdict
+    # Only a *filed* representative is compared on its reads: the same pass
+    # without filing finds byte-identical twins alone.
+    unfiled = list(CrashStateGenerator(generator.profile, planner=harness.planner)
+                   .generate_scenarios())
+    assert sum(s.is_twin for s in unfiled) < sum(s.is_twin for s in states)
+    assert not next(s for s in unfiled if s.scenario.dropped_seqs == (summary.seq,)).is_twin
+
+
+@pytest.mark.parametrize("fs_name", ["logfs", "flashfs"])
+def test_a_twin_builds_no_device_until_asked_and_then_the_eager_one(fs_name, monkeypatch):
+    built = []
+    original = CrashStateGenerator._scenario_device
+
+    def counting(self, record, scenario):
+        built.append(scenario)
+        return original(self, record, scenario)
+
+    monkeypatch.setattr(CrashStateGenerator, "_scenario_device", counting)
+    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
+    states, generator, _ = _filed_pass(harness, SIBLINGS[0])
+    twins = [state for state in states if state.is_twin]
+    assert len(twins) > len(states) // 3
+    assert len(built) == len(states) - len(twins), "one device per mounted state, none per twin"
+    for twin in twins:
+        record = generator._record_for(twin.checkpoint_id)
+        eager = original(generator, record, twin.scenario)
+        assert twin.device.content_equal(eager)
+        assert twin.device is twin.device, "built once"
+        assert twin.overlay_bytes == eager.overlay_bytes()
+        assert twin.device.read_log is None, "nobody mounts a twin: nothing to log"
+    assert len(built) == len(states), "... plus one per explicit .device read"
+
+
+def test_a_device_read_after_the_verdict_was_filed_is_caught():
+    """The read log is what twins are compared on, so it has to be complete
+    when the verdict is filed: a check (or anything else) that reads the
+    device later raises instead of adding a dependency nobody compared."""
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
+    profile = harness.recorder.profile(parse_workload(SIBLINGS[0], name="late"))
+    generator = CrashStateGenerator(profile, planner=harness.planner)
+    state = next(generator.generate_scenarios())
+    assert state.verdict.reads.blocks, "the mount read the device"
+    state.device.read_block(0)                        # before filing: logged, fine
+    state.verdict.mismatches = harness.checker.check(profile, state)
+    with pytest.raises(HarnessError, match="after its verdict was filed"):
+        state.device.read_block(0)
+    with pytest.raises(HarnessError, match="after its verdict was filed"):
+        state.fs._load_data_from_extents(next(
+            inode for inode in state.fs.inodes.values() if inode.block_map))
+    # Outside any memo (``generate``: always mount) there is no log to keep complete.
+    free = generator.generate(1)
+    assert free.verdict.reads is None and free.device.read_log is None
+    free.verdict.mismatches = []
+    free.device.read_block(0)
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_a_persistence_operation_on_an_inspection_mount_raises(fs_name):
+    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS)
+    profile = harness.recorder.profile(parse_workload(SIBLINGS[0], name="inspect"))
+    fs = CrashStateGenerator(profile).generate(1).fs
+    assert fs.mounted and fs.exists("foo")
+    fs.creat("probe")                                 # namespace and data operations work
+    fs.write("probe", 0, b"x" * 100)
+    for persist in (lambda: fs.fsync("foo"), lambda: fs.fdatasync("foo"),
+                    lambda: fs.msync("foo"), lambda: fs.fsync("probe")):
+        with pytest.raises(FsReadOnlyError, match="mounted for inspection"):
+            persist()
+    # A full sync reads no commit table and rebuilds both: from then on the
+    # mount is an ordinary one.
+    fs.sync()
+    fs.fsync("probe")
+    assert fs.committed_paths(fs._lookup("probe")) == {"probe"}
+    # An ordinary mount of the same image tracks commits from the start.
+    plain = get_fs_class(harness.fs_name)(CrashStateGenerator(profile).generate(1).device,
+                                          profile.bugs)
+    plain.mount()
+    plain.fsync("foo")
+
+
+def test_an_inspection_mount_leaves_an_already_dirty_superblock_alone():
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS)
+    profile = harness.recorder.profile(parse_workload(SIBLINGS[0], name="dirty"))
+    generator = CrashStateGenerator(profile)
+    fs_class = get_fs_class("logfs")
+    untouched, rewritten = (generator.generate(1).device.snapshot() for _ in range(2))
+    before = untouched.writes
+    fs_class(untouched, profile.bugs).mount(inspect=True)
+    fs_class(rewritten, profile.bugs).mount()
+    assert untouched.writes == before and rewritten.writes == before + 1
+    assert untouched.content_equal(rewritten), "the skipped write would have changed nothing"
+    # A clean image is marked dirty by either mount.
+    clean = BlockDevice(SMALL_DEVICE_BLOCKS)
+    fs_class.mkfs(clean)
+    inspected = CowDevice(clean)
+    fs_class(inspected).mount(inspect=True)
+    assert inspected.writes == 1
+
+
+def _damaged_tree(fs_name):
+    """A mounted fs whose tree holds what only a buggy recovery leaves: an
+    entry whose inode is gone, a directory linked under two names, and a
+    file with a stale link count."""
+    device = BlockDevice(SMALL_DEVICE_BLOCKS)
+    fs_class = get_fs_class(fs_name)
+    fs_class.mkfs(device)
+    fs = fs_class(device)
+    fs.mount()
+    fs.mkdir("A")
+    fs.mkdir("A/sub")
+    fs.creat("A/sub/deep")
+    fs.creat("A/foo")
+    fs.write("A/foo", 0, b"f" * 5000)
+    fs.link("A/foo", "bar")
+    fs.symlink("A/foo", "sym")
+    fs.mkdir("B")
+    root, a, b = fs.inodes[1], fs.inodes[fs._lookup("A")], fs.inodes[fs._lookup("B")]
+    b.children["dangling"] = 9999                     # name present, inode missing
+    root.children["ghost"] = 9998
+    b.children["sub-again"] = a.children["sub"]       # one directory, two names
+    fs.inodes[fs._lookup("bar")].nlink = 5            # stale link count
+    return fs
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_cached_check_lookups_are_the_live_ones_on_a_damaged_tree(fs_name):
+    from repro.crashmonkey.checks import CheckContext
+
+    class _State:
+        def __init__(self, fs):
+            self.fs = fs
+
+    fs = _damaged_tree(fs_name)
+    ctx = CheckContext(profile=None, crash_state=_State(fs), oracle=None, view=None)
+    paths = ["", "A", "A/foo", "bar", "sym", "B", "B/dangling", "ghost", "B/sub-again",
+             "B/sub-again/deep", "A/sub/deep", "A/sub", "missing", "A/missing/x", "/A//foo/"]
+    for _ in range(2):                                # second round: every answer is cached
+        for path in paths:
+            assert ctx.lookup(path) == fs.lookup_state(path), path
+    for path in paths:
+        state = fs.lookup_state(path)
+        if state is not None:
+            assert ctx.names_of(state.ino) == fs.paths_of_inode(path), path
+    assert ctx.lookup("B/dangling") is None and ctx.names_of(9999) == []
+    assert ctx.names_of(fs._lookup("A/sub")) == ["A/sub", "B/sub-again"]
+    assert ctx.names_of(fs._lookup("bar")) == ["A/foo", "bar"]
+    # The cache is the state as recovered: what the write check does to the
+    # tree afterwards is, by design, invisible through it.
+    fs.unlink("bar")
+    assert ctx.lookup("bar") is not None and fs.lookup_state("bar") is None
 
 
 # --------------------------------------------------------------- (3) accounting
@@ -277,7 +509,11 @@ def test_twin_of_an_unmountable_state_reports_under_its_own_id(monkeypatch):
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
     profile = harness.profile(workload)
     generator = CrashStateGenerator(profile, planner=harness.planner)
-    states = list(generator.generate_scenarios())
+    states = []
+    for state in generator.generate_scenarios():
+        if not state.is_twin:  # file it, as the harness does: later states may take it
+            state.verdict.mismatches = harness.checker.check(profile, state)
+        states.append(state)
     twins = [s for s in states if s.is_twin and not s.mountable]
     assert len(twins) > 5, "tears inside the padding must repeat the unmountable baseline"
     for twin in twins:
@@ -439,11 +675,11 @@ def test_an_unfiled_verdict_is_mounted_again_never_inherited():
     assert third[0].inherited and third[0].verdict is second[0].verdict
 
 
-def test_inherited_verdicts_are_session_telemetry_across_schedules(tmp_path):
+def assert_schedules_agree_on_everything_canonical(tmp_path, plan):
     """Serial, pooled and zero-budget (every spine node spilled, so every
     oracle and record is rebuilt) campaigns inherit different amounts and
     agree on everything canonical."""
-    config = CampaignConfig(fs_name="logfs", device_blocks=SMALL_DEVICE_BLOCKS,
+    config = CampaignConfig(fs_name="logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
                             bounds=seq2_bounds(), max_workloads=120, chunk_size=8, **SHARING)
     serial = B3Campaign(config).run()
     pooled = B3Campaign(replace(config, processes=2)).run()
@@ -462,3 +698,86 @@ def test_inherited_verdicts_are_session_telemetry_across_schedules(tmp_path):
         mounted = result.scenarios_tested - result.memoized_scenarios - result.inherited_verdicts
         assert mounted >= 0
     assert f"{serial.inherited_verdicts} inherited" in serial.describe()
+    return serial
+
+
+def test_inherited_verdicts_are_session_telemetry_across_schedules(tmp_path):
+    assert_schedules_agree_on_everything_canonical(tmp_path, "prefix")
+
+
+def test_memoized_scenarios_is_the_same_however_much_was_inherited(tmp_path):
+    """Under a multi-state plan a pass both inherits and memoizes.  The first
+    state of a read-equivalence class in a pass is mounted or inherited,
+    every later one is memoized — so the canonical counter does not move with
+    what the trail happened to hold."""
+    serial = assert_schedules_agree_on_everything_canonical(tmp_path, "torn")
+    assert serial.memoized_scenarios > 0
+    assert any(r.inherited_verdicts and r.memoized_scenarios for r in serial.results)
+
+
+# --------------------------------------------------------------- (8) seeded-unsound variants
+
+# A proof harness that cannot fail proves nothing: each variant below breaks
+# one thing the twins' soundness rests on, and a test above must object.
+
+
+def test_a_read_log_that_misses_the_data_reads_is_caught(monkeypatch):
+    """Recovery reads metadata *and* file data; a log of the metadata reads
+    alone calls two states equivalent that differ in a torn data block."""
+    real = AbstractFileSystem._load_data_from_extents
+
+    def unlogged(fs, inode):
+        log = getattr(fs.device, "read_log", None)
+        if log is None:
+            return real(fs, inode)
+        fs.device.read_log = None
+        try:
+            return real(fs, inode)
+        finally:
+            fs.device.read_log = log
+
+    monkeypatch.setattr(AbstractFileSystem, "_load_data_from_extents", unlogged)
+    with pytest.raises(AssertionError):
+        assert_memoized_equals_always_mount("flashfs", "torn")
+
+
+def test_a_key_fold_that_ignores_tears_is_caught(monkeypatch):
+    real = _VerdictMemo.fold
+    monkeypatch.setattr(
+        _VerdictMemo, "fold",
+        lambda memo, scenario: real(memo, scenario and replace(scenario, torn=())))
+    with pytest.raises(AssertionError):
+        assert_memoized_equals_always_mount("flashfs", "torn")
+
+
+def test_equivalence_against_an_unfiled_representative_is_caught(monkeypatch):
+    """In ``test_workload`` every representative is filed before the next
+    state exists, so only a consumer that does not file can tell: it must
+    never be handed a verdict nobody filled in."""
+    def index_everything(table):
+        for key, verdict in table._unindexed:
+            positions = tuple(sorted(table._positions[block] for block in verdict.reads.blocks
+                                     if block in table._positions))
+            table._by_reads.setdefault(positions, {}).setdefault(
+                tuple(key[position] for position in positions), verdict)
+        table._unindexed = []
+
+    test_an_unfiled_verdict_is_mounted_again_never_inherited()
+    monkeypatch.setattr(_VerdictTable, "_index_filed", index_everything)
+    with pytest.raises(AssertionError):
+        test_an_unfiled_verdict_is_mounted_again_never_inherited()
+
+
+def test_counting_a_second_twin_of_an_inherited_verdict_as_inherited_is_caught(
+        monkeypatch, tmp_path):
+    original = CrashStateGenerator._construct
+
+    def forgetful(self, record, scenario, fresh=None):
+        state = original(self, record, scenario, fresh)
+        if state.inherited:
+            fresh.discard(state.verdict)  # ... so its next twin looks inherited too
+        return state
+
+    monkeypatch.setattr(CrashStateGenerator, "_construct", forgetful)
+    with pytest.raises(AssertionError):
+        assert_schedules_agree_on_everything_canonical(tmp_path, "torn")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Eleven invariants, each protecting a guarantee a past change was built on:
+Twelve invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -102,6 +102,20 @@ Eleven invariants, each protecting a guarantee a past change was built on:
     and ``tracker.py`` clones its records with their ``clone()`` methods,
     never ``dataclasses.replace`` (a full re-``__init__`` per record per
     persistence point).
+
+12. **A verdict depends on exactly what the read log holds.**  A crash
+    state's verdict is shared with every state that agrees with it on the
+    blocks its recovery and checks *read*, so the read log must be complete
+    and the checks must see the state as recovery left it.  Under ``fs/`` a
+    device is read only through ``read_block`` — the one call the log hangs
+    on; ``written_blocks`` / ``overlay_delta`` and friends would read behind
+    its back.  Inside ``crashmonkey/checks/`` only ``write.py`` (which
+    mutates the recovered tree, last) and ``mount.py`` may reach for the
+    file system itself: every other check asks ``ctx.lookup`` /
+    ``ctx.names_of``, which answer from one resolution per state.  And
+    ``mount(inspect=...)`` — the mount that builds no commit tables — is
+    spelt only at the mount site of invariant 8: anywhere else it would hand
+    out a file system on which fsync cannot work.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -495,6 +509,18 @@ def check_ace_index_reuses_phase4_and_sampling_unranks(
 MOUNT_SITE = ("replayer.py", "CrashStateGenerator", "_construct")
 
 
+def _mount_site_nodes(path: Path, tree: ast.Module) -> Set[ast.AST]:
+    """Every AST node inside the mount site, when ``path`` is its file."""
+    if path.name != MOUNT_SITE[0]:
+        return set()
+    return {sub
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == MOUNT_SITE[1]
+            for func in cls.body
+            if isinstance(func, ast.FunctionDef) and func.name == MOUNT_SITE[2]
+            for sub in ast.walk(func)}
+
+
 def _mentions_is_twin(node: ast.AST) -> bool:
     return any(isinstance(sub, ast.Attribute) and sub.attr == "is_twin"
                for sub in ast.walk(node))
@@ -523,13 +549,7 @@ def check_single_mount_site_and_twins_not_rechecked(
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
         parents = {child: parent for parent in ast.walk(tree)
                    for child in ast.iter_child_nodes(parent)}
-        allowed: Set[ast.AST] = set()
-        if path.name == MOUNT_SITE[0]:
-            for cls in ast.walk(tree):
-                if isinstance(cls, ast.ClassDef) and cls.name == MOUNT_SITE[1]:
-                    for func in cls.body:
-                        if isinstance(func, ast.FunctionDef) and func.name == MOUNT_SITE[2]:
-                            allowed = set(ast.walk(func))
+        allowed = _mount_site_nodes(path, tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -739,6 +759,53 @@ def check_snapshots_serialise_in_one_place(trees: Dict[Path, ast.Module]) -> Lis
     return findings
 
 
+# ------------------------------------- rule 12: verdicts depend on logged reads only
+
+
+#: device calls that read content without passing the read log
+UNLOGGED_DEVICE_READS = {"written_blocks", "used_blocks", "content_equal", "overlay_delta",
+                         "materialize", "_visible_block", "_merged_overlay"}
+
+#: check modules that may use the recovered file system directly; ``base.py``
+#: is where ``CheckContext`` wraps it
+FS_TOUCHING_CHECKS = {"write.py", "mount.py", "base.py"}
+
+
+def check_verdicts_depend_on_logged_reads_only(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        in_fs = path.parent == SRC_ROOT / "fs"
+        in_checks = path.parent == SRC_ROOT / "crashmonkey" / "checks"
+        site = _mount_site_nodes(path, tree)
+        for node in ast.walk(tree):
+            if (in_checks and path.name not in FS_TOUCHING_CHECKS
+                    and isinstance(node, ast.Attribute) and node.attr == "fs"):
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "a read-only check reaches for `.fs` — ask `ctx.lookup(path)` / "
+                    "`ctx.names_of(ino)`; only write.py and mount.py touch the file system",
+                ))
+            if not isinstance(node, ast.Call):
+                continue
+            name = _call_name(node)[1]
+            if in_fs and name in UNLOGGED_DEVICE_READS:
+                findings.append(Finding(
+                    relative, node.lineno,
+                    f"`{name}(...)` under fs/ — a file system reads its device through "
+                    "`read_block` only, so a crash state's read log is complete",
+                ))
+            if (name == "mount" and node not in site
+                    and any(keyword.arg == "inspect" for keyword in node.keywords)):
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "`mount(inspect=...)` outside CrashStateGenerator._construct — an "
+                    "inspection mount builds no commit tables; only a crash state that is "
+                    "checked and dropped may have one",
+                ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -763,6 +830,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_options_are_spelt_once(trees))
     findings.extend(check_fs_decodes_and_hashes_in_one_place(trees))
     findings.extend(check_snapshots_serialise_in_one_place(trees))
+    findings.extend(check_verdicts_depend_on_logged_reads_only(trees))
     return findings
 
 
