@@ -11,7 +11,7 @@ Two claims about the pluggable pipeline refactor:
   than 5% to checking the full seq-1 space compared to a monolithic checker:
   the same check bodies called in a straight line with no registry, no
   selection and no timing attribution, which is exactly what the pre-refactor
-  ``AutoChecker.check`` did.
+  monolithic checker did.
 
 The overhead measurement excludes the destructive write check so the same
 pre-built crash states can be re-checked across rounds (the write check's

@@ -11,7 +11,7 @@ replay and checking are comparatively cheap.
 import statistics
 
 from repro.ace import AceSynthesizer, seq2_bounds
-from repro.crashmonkey import AutoChecker, CrashStateGenerator, WorkloadRecorder
+from repro.crashmonkey import CheckPipeline, CrashStateGenerator, WorkloadRecorder
 from repro.workload import parse_workload
 
 from conftest import BENCH_DEVICE_BLOCKS, make_harness, print_table
@@ -57,7 +57,7 @@ def test_fig3_autochecker_phase(benchmark):
     recorder = WorkloadRecorder("btrfs", device_blocks=BENCH_DEVICE_BLOCKS)
     profile = recorder.profile(parse_workload(WORKLOAD, name="phase-bench"))
     crash_state = CrashStateGenerator(profile).generate(3)
-    checker = AutoChecker()
+    checker = CheckPipeline()
     mismatches = benchmark(checker.check, profile, crash_state)
     assert isinstance(mismatches, list)
 

@@ -13,7 +13,7 @@ Run with::
 """
 
 from repro.ace import Bounds
-from repro.cluster import ClusterRunner, ClusterSpec
+from repro.cluster import ClusterSpec, run_on_cluster
 from repro.core import B3Campaign, CampaignConfig
 from repro.workload import OpKind
 
@@ -39,8 +39,8 @@ def main() -> int:
         print("  *", group.describe())
 
     print("\nRunning the same workloads partitioned across 8 simulated VMs...")
-    runner = ClusterRunner("f2fs", spec=ClusterSpec(nodes=2, vms_per_node=4), device_blocks=4096)
-    cluster_result = runner.run(workloads, num_vms=8, label="falloc-focus")
+    cluster_result = run_on_cluster(config, workloads, ClusterSpec(nodes=2, vms_per_node=4),
+                                    num_vms=8, label="falloc-focus")
     print(cluster_result.summary())
     per_vm = ", ".join(str(stats.workloads) for stats in cluster_result.vm_stats)
     print(f"workloads per VM: {per_vm}")

@@ -13,7 +13,7 @@ Run with::
     python examples/reproduce_figure1.py
 """
 
-from repro.crashmonkey import AutoChecker, CrashStateGenerator, WorkloadRecorder
+from repro.crashmonkey import CheckPipeline, CrashStateGenerator, WorkloadRecorder
 from repro.fs import BugConfig
 from repro.workload import parse_workload
 
@@ -41,7 +41,7 @@ def run(label: str, bugs) -> None:
 
     # Phase 2 + 3: build each crash state, remount, and check it.
     generator = CrashStateGenerator(profile)
-    checker = AutoChecker()
+    checker = CheckPipeline()
     for crash_state in generator.generate_all():
         print(f"\ncrash state after persistence point #{crash_state.checkpoint_id} "
               f"({crash_state.crash_point}):")

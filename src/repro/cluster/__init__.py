@@ -1,7 +1,7 @@
 """Test-cluster simulation: scheduling, parallel execution, and cost models."""
 
 from .cost import CostModel
-from .runner import ClusterRunner, ClusterRunResult
+from .runner import ClusterRunResult, run_on_cluster
 from .scheduler import (
     ClusterSpec,
     DeploymentEstimate,
@@ -18,7 +18,7 @@ __all__ = [
     "DeploymentEstimate",
     "estimate_deployment",
     "estimate_campaign_hours",
-    "ClusterRunner",
+    "run_on_cluster",
     "ClusterRunResult",
     "CostModel",
 ]

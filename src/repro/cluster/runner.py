@@ -1,9 +1,8 @@
 """Parallel campaign execution.
 
 Runs workload batches the way the paper's cluster does — many independent
-CrashMonkey instances, each with its own devices and file-system instance.
-The runner is a façade over the execution engine (:mod:`repro.engine`): the
-scheduler's :func:`partition` produces one batch per simulated VM, the engine
+CrashMonkey instances, each with its own devices and file-system instance:
+the scheduler's :func:`partition` produces one batch per simulated VM, the engine
 dispatches those batches onto a serial or process-pool backend (one long-lived
 harness per worker), and each VM's ``seconds`` is the wall clock measured
 inside the worker that ran its batch — not a uniform share of the pool's
@@ -18,10 +17,8 @@ from typing import List, Optional, Sequence
 
 from ..core.results import CampaignResult
 from ..engine.backends import make_backend
-from ..engine.engine import CampaignEngine, ChunkStats, EngineRun
+from ..engine.engine import CampaignEngine, ChunkStats
 from ..options import HarnessSpec
-from ..fs.bugs import BugConfig
-from ..fs.registry import models, resolve_fs_name
 from ..workload.workload import Workload
 from .scheduler import ClusterSpec, estimate_campaign_hours, partition
 
@@ -55,45 +52,16 @@ class ClusterRunResult:
         )
 
 
-class ClusterRunner:
-    """Executes a workload set partitioned into VM-sized batches."""
+def run_on_cluster(spec: HarnessSpec, workloads: Sequence[Workload],
+                   cluster: ClusterSpec = ClusterSpec(), *, processes: int = 1,
+                   num_vms: Optional[int] = None, label: str = "") -> ClusterRunResult:
+    """Test ``workloads`` under ``spec``, partitioned into VM-sized batches.
 
-    def __init__(self, fs_name: str, bugs: Optional[BugConfig] = None,
-                 spec: ClusterSpec = ClusterSpec(), device_blocks: int = 4096,
-                 only_last_checkpoint: bool = False, processes: int = 1):
-        """
-        Args:
-            processes: number of OS processes to use.  ``1`` (default) runs the
-                batches sequentially in-process, which is the most portable
-                mode; larger values use the engine's process-pool backend.
-        """
-        self.fs_name = resolve_fs_name(fs_name)
-        self.fs_model = models(self.fs_name)
-        self.bugs = bugs
-        self.spec = spec
-        self.device_blocks = device_blocks
-        self.only_last_checkpoint = only_last_checkpoint
-        self.processes = max(1, processes)
-        self.harness_spec = HarnessSpec(
-            fs_name=self.fs_name,
-            bugs=bugs,
-            device_blocks=device_blocks,
-            only_last_checkpoint=only_last_checkpoint,
-        )
-
-    def run(self, workloads: Sequence[Workload], num_vms: Optional[int] = None,
-            label: str = "") -> ClusterRunResult:
-        num_vms = num_vms if num_vms is not None else min(self.spec.total_vms, max(len(workloads), 1))
-        batches = partition(workloads, num_vms)
-
-        engine = CampaignEngine(
-            self.harness_spec,
-            backend=make_backend(self.processes),
-        )
-        run: EngineRun = engine.run_batches(batches, label=label)
-
-        return ClusterRunResult(
-            campaign=run.result,
-            vm_stats=run.chunks,
-            spec=self.spec,
-        )
+    ``processes=1`` runs the batches sequentially in-process, which is the
+    most portable mode; larger values use the engine's process-pool backend.
+    """
+    if num_vms is None:
+        num_vms = min(cluster.total_vms, max(len(workloads), 1))
+    engine = CampaignEngine(spec, backend=make_backend(max(1, processes)))
+    run = engine.run_indexed(enumerate(partition(workloads, num_vms)), label=label)
+    return ClusterRunResult(campaign=run.result, vm_stats=run.chunks, spec=cluster)

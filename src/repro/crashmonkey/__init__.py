@@ -1,6 +1,6 @@
 """CrashMonkey — record/replay crash testing with automatic checking."""
 
-from .checker import AutoChecker, CheckPipeline
+from .checker import CheckPipeline
 from .checks import (
     DEFAULT_REGISTRY,
     LEGACY_CHECKS,
@@ -23,19 +23,15 @@ from .crashplan import (
 from .harness import CrashMonkey
 from .oracle import Oracle
 from .recorder import WorkloadProfile, WorkloadRecorder
-from .replayer import (
-    CrashState,
-    CrashStateGenerator,
-    CrashVerdict,
-    SharedReplayCache,
-)
+from .replay_cache import SharedReplayCache
+from .replayer import CrashStateGenerator
 from .report import BugReport, CrashTestResult, Mismatch, Severity
 from .sightings import CrossWorkloadCache, GlobalDedupCache, ScopedDedupCache
 from .tracker import PersistenceTracker, TrackedDir, TrackedFile, TrackerView
+from .verdicts import CrashState, CrashVerdict
 
 __all__ = [
     "CrashMonkey",
-    "AutoChecker",
     "CheckPipeline",
     "Check",
     "CheckContext",

@@ -1,16 +1,11 @@
 """The check pipeline (CrashMonkey phase 3).
 
-What used to be a monolithic ``AutoChecker`` class is now a thin façade over
-the pluggable check registry (:mod:`repro.crashmonkey.checks`): the pipeline
-resolves a selection of named checks against a registry, runs them in
-registry order against each crash state, and attributes wall-clock time to
-every check it ran.
-
-``AutoChecker`` remains as an alias so existing call sites keep working; the
-semantics of the default pipeline (all registered checks) are a strict
-superset of the monolith's: the five legacy checks produce byte-for-byte the
-same mismatches in the same order, followed by whatever the newer checks
-find.
+The paper's automatic checker, as a pipeline over the pluggable check
+registry (:mod:`repro.crashmonkey.checks`): it resolves a selection of named
+checks against a registry, runs them in registry order against each crash
+state, and attributes wall-clock time to every check it ran.  The five legacy
+checks produce byte-for-byte the mismatches of the original monolithic
+checker, in the same order, followed by whatever the newer checks find.
 """
 
 from __future__ import annotations
@@ -20,8 +15,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .checks import DEFAULT_REGISTRY, CheckContext, CheckRegistry
 from .recorder import WorkloadProfile
-from .replayer import CrashState
 from .report import HARNESS_ERROR, Mismatch
+from .verdicts import CrashState
 
 
 class CheckPipeline:
@@ -111,8 +106,3 @@ class CheckPipeline:
             if found:
                 mismatches.extend(found)
         return mismatches, timings
-
-
-#: Backwards-compatible name: the monolithic AutoChecker class became the
-#: pipeline façade.
-AutoChecker = CheckPipeline

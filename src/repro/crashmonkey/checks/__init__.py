@@ -12,7 +12,7 @@ Importing this package registers the built-in checks with
 7. ``write`` — the recovered file system must accept creates and removals.
 
 ``mount``/``read``/``directory``/``atomicity``/``write`` reproduce the
-monolithic AutoChecker byte-for-byte; ``hardlink`` and ``xattr`` are oracles
+original monolithic checker byte-for-byte; ``hardlink`` and ``xattr`` are oracles
 the monolith never ran.  ``write`` is *destructive* (its probes create and
 remove files in the recovered state), so it must stay last: read-only checks
 registered after it would observe a mutated file system.
@@ -36,7 +36,7 @@ from .links import HardLinkCountCheck
 from .xattrs import DirXattrCheck
 from .write import WriteCheck
 
-#: Names of the checks that reproduce the legacy monolithic AutoChecker.
+#: Names of the checks that reproduce the original monolithic checker.
 LEGACY_CHECKS = ("mount", "read", "directory", "atomicity", "write")
 
 __all__ = [

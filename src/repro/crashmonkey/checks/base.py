@@ -21,7 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence,
 from ...fs.inode import FileState
 from ..oracle import Oracle
 from ..recorder import WorkloadProfile
-from ..replayer import CrashState
+from ..verdicts import CrashState
 from ..report import Mismatch
 from ..tracker import TrackerView
 
@@ -35,7 +35,7 @@ class CheckContext:
     """Everything a check may inspect for one crash point.
 
     The context bundles the three pieces of information the paper's
-    AutoChecker works from: which files were explicitly persisted (the
+    automatic checker works from: which files were explicitly persisted (the
     tracker view), their expected state (the oracle), and their actual state
     (the mounted crash state).
 
@@ -94,8 +94,8 @@ class CheckRegistry:
     """Ordered, name-keyed registry of checks.
 
     Registration order is execution order, which keeps the pipeline's output
-    deterministic and lets the five legacy checks reproduce the monolithic
-    AutoChecker's mismatch ordering exactly.
+    deterministic and lets the five legacy checks reproduce the original
+    monolithic checker's mismatch ordering exactly.
     """
 
     def __init__(self) -> None:

@@ -1,7 +1,7 @@
 """Directory checks: entries persisted by a directory fsync must exist.
 
 An entry is only still expected if the oracle says it was not legitimately
-removed.  For backwards compatibility with the monolithic AutoChecker these
+removed.  For backwards compatibility with the original monolithic checker these
 mismatches carry ``check="read"`` — they are read-side failures of persisted
 directory state — while the check itself is selectable as ``directory``.
 """

@@ -1,6 +1,6 @@
 """Hard-link count consistency check (new in the pluggable pipeline).
 
-The monolithic AutoChecker compared sizes, hashes, block counts and xattrs
+The original monolithic checker compared sizes, hashes, block counts and xattrs
 but never an inode's *link count*, so a recovery that loses (or resurrects) a
 directory entry while leaving ``nlink`` stale went unnoticed as long as the
 surviving name read back correctly.  A stale link count is a real

@@ -1,6 +1,6 @@
 """Directory xattr persistence check (new in the pluggable pipeline).
 
-The monolithic AutoChecker compared xattrs of persisted *files* (as part of
+The original monolithic checker compared xattrs of persisted *files* (as part of
 its full-state read check) but never looked at the extended attributes of
 persisted *directories* — the tracker did not even record them.  A directory
 fsync persists the directory inode, so its xattrs at that point are part of

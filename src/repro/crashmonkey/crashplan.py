@@ -100,6 +100,25 @@ class CrashPlanner:
         """
         raise NotImplementedError
 
+    #: whether the generator should infer a mechanism report for this planner
+    consumes_report = False
+
+    def attach_report(self, report: Optional[MechanismReport]) -> None:
+        """Take the current workload's inferred report, before enumeration.
+
+        The harness tests workloads sequentially, so a single planner
+        instance carries one workload's report at a time.
+        """
+
+    def classified(self, window: Sequence[IORequest]) -> Optional[Tuple[str, Optional[tuple]]]:
+        """The window's kind and decomposition; ``None`` = does not classify."""
+        return None
+
+    def classify_window(self, window: Sequence[IORequest]) -> Optional[str]:
+        """Which pruning (if any) applies to a checkpoint's in-flight window."""
+        classified = self.classified(window)
+        return classified[0] if classified is not None else None
+
 
 class PrefixPlanner(CrashPlanner):
     """The paper's crash model: everything recorded before the marker landed."""
@@ -329,6 +348,7 @@ class MechanismPlanner(CrashPlanner):
     """
 
     name = "mechanism"
+    consumes_report = True
 
     #: window classifications (``classify_window`` return values)
     WINDOW_EMPTY = "empty"
@@ -342,13 +362,8 @@ class MechanismPlanner(CrashPlanner):
         self._report: Optional[MechanismReport] = None
 
     def attach_report(self, report: Optional[MechanismReport]) -> None:
-        """Attach the current workload's inferred report (before enumeration).
-
-        The harness tests workloads sequentially, so a single planner
-        instance carries one workload's report at a time.  ``None`` — or a
-        report with no inferred mechanism — switches every checkpoint of the
-        workload to the exhaustive fallback.
-        """
+        """``None`` — or a report with no inferred mechanism — switches every
+        checkpoint of the workload to the exhaustive fallback."""
         self._report = report
 
     # ------------------------------------------------------------ classification
@@ -362,10 +377,6 @@ class MechanismPlanner(CrashPlanner):
         WriteClass.SUPERBLOCK: "replicated-metadata",
         WriteClass.REPLICA: "replicated-metadata",
     }
-
-    def classify_window(self, window: Sequence[IORequest]) -> str:
-        """Which pruning (if any) applies to a checkpoint's in-flight window."""
-        return self.classified(window)[0]
 
     def classified(self, window: Sequence[IORequest]) -> Tuple[str, Optional[tuple]]:
         """The window's kind and, when that is ``mechanism``, its decomposition.
@@ -538,30 +549,19 @@ class MechanismPlanner(CrashPlanner):
         if kind in (self.WINDOW_EMPTY, self.WINDOW_REPLICA):
             return
         entries, chunks, records, _summaries, data = parts
-        for position, entry in enumerate(entries):
-            first = entry[0]
-            yield CrashScenario(
-                checkpoint_id=checkpoint_id,
-                plan=self.name,
-                dropped_seqs=(first.seq,),
-                description=(
-                    f"journal epoch: commit entry {position + 1}/{len(entries)} "
-                    f"never persisted (recovery's log scan stops at block "
-                    f"{first.block})"
-                ),
-            )
-        for position, record in enumerate(records):
-            first = record[0]
-            yield CrashScenario(
-                checkpoint_id=checkpoint_id,
-                plan=self.name,
-                dropped_seqs=(first.seq,),
-                description=(
-                    f"LSW epoch: segment record {position + 1}/{len(records)} "
-                    f"never persisted (recovery's lsn scan stops at block "
-                    f"{first.block})"
-                ),
-            )
+        for unit, scan, units in (("journal epoch: commit entry", "log", entries),
+                                  ("LSW epoch: segment record", "lsn", records)):
+            for position, blocks in enumerate(units):
+                first = blocks[0]
+                yield CrashScenario(
+                    checkpoint_id=checkpoint_id,
+                    plan=self.name,
+                    dropped_seqs=(first.seq,),
+                    description=(
+                        f"{unit} {position + 1}/{len(units)} never persisted "
+                        f"(recovery's {scan} scan stops at block {first.block})"
+                    ),
+                )
         # Segment summaries contribute nothing: recovery rebuilds segment
         # usage from the record scan and never reads the summary block, so
         # every drop/rewrite/tear of it recovers identically to the baseline.

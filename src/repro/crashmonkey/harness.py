@@ -6,7 +6,7 @@ Given a workload and a target file system, :class:`CrashMonkey`:
 2. constructs a crash state per persistence point by replaying the recorded
    I/O onto a snapshot of the initial image,
 3. mounts each crash state (running the file system's recovery) and runs the
-   AutoChecker against the matching oracle,
+   check pipeline against the matching oracle,
 4. emits a bug report for every crash point whose checks fail.
 
 The harness is black box with respect to the file system: it only uses the
@@ -30,7 +30,8 @@ from ..workload.workload import Workload
 from .checker import CheckPipeline
 from .crashplan import make_planner
 from .recorder import WorkloadProfile, WorkloadRecorder
-from .replayer import CrashStateGenerator, SharedReplayCache
+from .replay_cache import SharedReplayCache
+from .replayer import CrashStateGenerator
 from .report import GENERATOR, HARNESS_ERROR, PROFILE, BugReport, CrashTestResult, Mismatch
 from .sightings import open_sighting_store
 

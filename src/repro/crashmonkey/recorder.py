@@ -48,7 +48,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..errors import SpillMissError
 from ..fs.base import AbstractFileSystem
 from ..fs.bugs import BugConfig
 from ..fs.registry import get_fs_class, models, resolve_fs_name
@@ -57,7 +56,7 @@ from ..storage.block_device import BlockDevice
 from ..storage.cow_device import CowDevice
 from ..storage.io_request import IORequest
 from ..storage.record_device import RecordingDevice
-from ..storage.spill import SpineStore, flatten_requests, freeze_overlay
+from ..storage.spill import Spine, SpineStore
 from ..workload.executor import WorkloadExecutor
 from ..workload.operations import Operation
 from ..workload.workload import Workload
@@ -138,23 +137,6 @@ class _PrefixNode:
     elapsed: float
 
 
-@dataclass
-class _SpineSlot:
-    """The always-resident stub of one spine node.
-
-    Holds exactly the fields the recorder reads without rehydrating the
-    node — prefix matching (:meth:`WorkloadRecorder._longest_cached_prefix`)
-    and reuse accounting never touch the heavyweight state, so a fully
-    spilled spine still matches prefixes at dict-probe cost.
-    """
-
-    prefix_key: str
-    write_requests: int
-    elapsed: float
-    #: retrieval key of the full :class:`_PrefixNode` in the spine store
-    key: int
-
-
 def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
     """Number of leading operations two ``prefix_keys()`` tuples agree on."""
     depth = 0
@@ -215,20 +197,17 @@ class WorkloadRecorder:
         # fourth bound): a small, freshly formatted image, created once and
         # reused as the base of every profile run.
         self._pristine_image = self._make_pristine_image()
-        #: shared base of every prefix-shared profile; CowDevice never writes
-        #: through to its base, so one copy serves the whole campaign
-        self._shared_base: Optional[BlockDevice] = None
         #: budgeted node store; frozen spine nodes live here and spill to
         #: disk when the resident budget is exceeded
         self.spine_store = spine_store if spine_store is not None else SpineStore(
             name=f"{self.fs_name}-prefix"
         )
-        self.spine_store.register_codec(
-            "prefix", self._freeze_prefix_payload, self._thaw_prefix_payload
-        )
-        #: the trie spine: always-resident stubs along the previous
-        #: workload's op path; the full nodes live in :attr:`spine_store`
-        self._spine: List[_SpineSlot] = []
+        #: the trie spine: the :class:`_PrefixNode` after each operation of
+        #: the previous workload, stubbed by its ``prefix_key``.  Its base is
+        #: the shared base image of every prefix-shared profile — CowDevice
+        #: never writes through to its base, so one copy serves the campaign
+        self._spine = Spine(self.spine_store)
+        self._spine.base = self._pristine_image.copy(name=f"{self.fs_name}-base")
         #: the last ``upcoming`` workload and its ``prefix_keys()``, so the
         #: keys are hashed once when that same object arrives to be profiled
         #: (one entry here, not a memo on each ``Workload``: the campaign
@@ -268,7 +247,7 @@ class WorkloadRecorder:
 
     def clear_prefix_cache(self) -> None:
         """Drop the cached trie spine (frees the snapshots it holds)."""
-        self._truncate_spine(0)
+        self._spine.truncate(0)
 
     # ------------------------------------------------------------------ from scratch
 
@@ -285,8 +264,7 @@ class WorkloadRecorder:
         run = _LiveRun(recording_device, fs, tracker, oracles, executor)
         executor.run(workload, on_persistence=run.on_persistence,
                      before_operation=tracker.before_operation)
-        return self._finish(run, workload, base_image, start, reused_ops=0,
-                            reused_writes=0, seconds_saved=0.0, shared=False)
+        return self._finish(run, workload, base_image, start, resumed=None)
 
     # ------------------------------------------------------------------ prefix shared
 
@@ -302,37 +280,22 @@ class WorkloadRecorder:
         if upcoming is not None:
             self._lookahead = (upcoming, upcoming.prefix_keys())
             keep_depth = _shared_depth(prefix_keys, self._lookahead[1])
-        reused = self._longest_cached_prefix(prefix_keys)
-        node = None
-        if reused >= 0:
-            # Nodes past the divergence point belong to the previous
-            # workload's suffix; the spine is a single path, so they are
-            # dropped.
-            self._truncate_spine(reused + 1)
-            try:
-                node = self._fetch(self._spine[reused])
-            except SpillMissError:
-                # The node's spill file is gone or torn.  The spine is only a
-                # cache: record this workload from scratch, as on a cold one.
-                pass
-        if node is None:
-            # Cold cache: build the root (mkfs base + mount) and freeze it.
-            self._truncate_spine(0)
-            node = self._make_root_node(prefix_keys[0], start)
-            self._spine = [self._remember(node)]
-            reused = 0
-            shared = False
-            seconds_saved = 0.0
-            reused_writes = 0
-        else:
-            shared = True
-            seconds_saved = self._spine[reused].elapsed
-            reused_writes = self._spine[reused].write_requests
+        # Nodes past the divergence point belong to the previous workload's
+        # suffix; the spine is a single path, so they are dropped — as is a
+        # node whose spill file is gone or torn, in favour of its parent.
+        self._spine.truncate(_shared_depth(prefix_keys, self._spine.stubs) + 1)
+        resumed = self._spine.deepest()
+        if resumed is not None:
+            node = resumed
             self.prefix_hits += 1
-            self.prefix_ops_reused += reused
-            self.prefix_writes_reused += reused_writes
-            self.prefix_seconds_saved += seconds_saved
-        base_elapsed = self._spine[reused].elapsed
+            self.prefix_ops_reused += node.depth
+            self.prefix_writes_reused += node.write_requests
+            self.prefix_seconds_saved += node.elapsed
+        else:
+            # Cold cache: build the root (mkfs base + mount) and freeze it.
+            node = self._make_root_node(prefix_keys[0], start)
+            self._remember(node)
+        base_elapsed = node.elapsed
 
         run = self._resume_from(node)
 
@@ -351,81 +314,24 @@ class WorkloadRecorder:
             nonlocal exec_seconds
             exec_seconds += time.perf_counter() - op_start
             if index < keep_depth:
-                self._spine.append(self._remember(
-                    self._freeze(run, depth=index + 1, op=op,
-                                 prefix_key=prefix_keys[index + 1],
-                                 elapsed=base_elapsed + exec_seconds)
-                ))
+                self._remember(self._freeze(run, depth=index + 1, op=op,
+                                            prefix_key=prefix_keys[index + 1],
+                                            elapsed=base_elapsed + exec_seconds))
 
         run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
-                         after_operation=after_operation, start_index=reused)
-        return self._finish(run, workload, self._shared_base, start,
-                            reused_ops=reused, reused_writes=reused_writes,
-                            seconds_saved=seconds_saved, shared=shared)
+                         after_operation=after_operation, start_index=node.depth)
+        return self._finish(run, workload, self._spine.base, start, resumed)
 
-    def _longest_cached_prefix(self, prefix_keys: Tuple[str, ...]) -> int:
-        """Deepest spine index matching the workload's prefix keys (-1 = cold).
-
-        The spine is matched on :meth:`Workload.prefix_key` digests — the
-        same content identity the property tests pin down — so the matcher
-        and the documented identity contract cannot drift apart.
-        """
-        if not self._spine:
-            return -1
-        return _shared_depth(prefix_keys, [slot.prefix_key for slot in self._spine])
-
-    # ------------------------------------------------------------------ spine spill
-
-    def _remember(self, node: _PrefixNode) -> _SpineSlot:
-        """Hand a frozen node to the spine store, keeping a resident stub."""
+    def _remember(self, node: _PrefixNode) -> None:
+        """Append a frozen node to the spine, sized by what it pins."""
         nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
-        key = self.spine_store.put("prefix", node, nbytes)
+        self._spine.push(node, nbytes, stub=node.prefix_key)
         self.spine_freezes += 1
-        return _SpineSlot(prefix_key=node.prefix_key,
-                          write_requests=node.write_requests,
-                          elapsed=node.elapsed, key=key)
-
-    def _fetch(self, slot: _SpineSlot) -> _PrefixNode:
-        """Rehydrate a slot's full node (a disk read only if it spilled)."""
-        return self.spine_store.get(slot.key)
-
-    def _truncate_spine(self, length: int) -> None:
-        """Drop spine nodes past ``length``, releasing their stored state."""
-        for slot in self._spine[length:]:
-            self.spine_store.drop(slot.key)
-        del self._spine[length:]
-
-    def _freeze_prefix_payload(self, node: _PrefixNode) -> dict:
-        """Flatten a trie node to a picklable dict (slab views → bytes).
-
-        The forks go in as they are: a spill file is the one place a node's
-        file system and tracker exist as bytes.
-        """
-        return {**vars(node), "device": freeze_overlay(node.device),
-                "log": tuple(flatten_requests(node.log))}
-
-    def _thaw_prefix_payload(self, payload: dict) -> _PrefixNode:
-        """Rebuild a trie node from its spilled payload.
-
-        The device is reconstructed over the campaign's shared base image;
-        :meth:`CowDevice.from_overlay` is the exact inverse of the frozen
-        overlay delta, so the rehydrated node is content-identical to the
-        one that spilled (the tier-1 parity tests replay the full seq-1
-        space with a zero budget to prove it).
-        """
-        if self._shared_base is None:
-            self._shared_base = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        device = CowDevice.from_overlay(self._shared_base, payload["device"],
-                                        name=f"prefix-{payload['depth']}")
-        return _PrefixNode(**{**payload, "device": device})
 
     def _make_root_node(self, prefix_key: str, start: float) -> _PrefixNode:
         """Format-and-mount once: the trie root every workload shares."""
-        if self._shared_base is None:
-            self._shared_base = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        cow = CowDevice(self._shared_base, name="workload-cow")
-        recording_device = RecordingDevice(cow)
+        recording_device = RecordingDevice(CowDevice(self._spine.base, name="workload-cow"))
         fs = self.fs_class(recording_device, self.bugs)
         fs.mount()
         tracker = PersistenceTracker(fs)
@@ -474,8 +380,9 @@ class WorkloadRecorder:
     # ------------------------------------------------------------------ finish
 
     def _finish(self, run: _LiveRun, workload: Workload, base_image: BlockDevice,
-                start: float, *, reused_ops: int, reused_writes: int,
-                seconds_saved: float, shared: bool) -> WorkloadProfile:
+                start: float, resumed: Optional[_PrefixNode]) -> WorkloadProfile:
+        """The profile of a finished run; ``resumed`` is the cached node it
+        started from, ``None`` for a run that formatted and mounted itself."""
         # The run's fork is simply dropped, still mounted: every crash point
         # precedes the end of the workload, so nothing an unmount would write
         # could reach a crash state.
@@ -494,8 +401,8 @@ class WorkloadRecorder:
             skipped_ops=run.executor.skipped,
             recorded_bytes=run.recording_device.recorded_bytes(),
             workload_overlay_bytes=run.recording_device.target.overlay_bytes(),
-            prefix_shared=shared,
-            prefix_ops_reused=reused_ops,
-            prefix_writes_reused=reused_writes,
-            prefix_seconds_saved=seconds_saved,
+            prefix_shared=resumed is not None,
+            prefix_ops_reused=resumed.depth if resumed else 0,
+            prefix_writes_reused=resumed.write_requests if resumed else 0,
+            prefix_seconds_saved=resumed.elapsed if resumed else 0.0,
         )

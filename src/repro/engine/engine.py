@@ -151,12 +151,6 @@ class CampaignEngine:
             )
         return run
 
-    def run_batches(self, batches: Iterable[List[Workload]], label: str = "") -> EngineRun:
-        """Run pre-partitioned batches (e.g. the scheduler's per-VM split) as-is."""
-        run = self._execute(enumerate(batches), label, source=None)
-        run.result.testing_seconds = run.wall_clock_seconds
-        return run
-
     def run_indexed(self, chunks: Iterable[IndexedChunk], label: str = "",
                     on_outcome: Optional[OutcomeCallback] = None,
                     chunks_total: Optional[int] = None,

@@ -169,7 +169,7 @@ class Inode:
 class FileState:
     """Logical, comparison-friendly view of one path in a file system.
 
-    This is what the oracle stores and what the AutoChecker compares: the
+    This is what the oracle stores and what the check pipeline compares: the
     observable state of a persisted file or directory.
     """
 

@@ -1,39 +1,51 @@
-"""Disk spill for frozen trie-spine nodes under a resident-memory budget.
+"""Cached spines under a resident-memory budget: store, spine, serialiser.
 
-The prefix-shared recorder and the shared replay cache each pin one frozen
-node per operation / flush barrier: a ``CowDevice`` fork, pickled fs and
-tracker state, and a slice of the recorded log.  At seq-1 and seq-2 depths
-that is cheap; at seq-3 (and the planned drift workloads) the cached spines
-start competing with live crash states for RAM.
+The prefix-shared recorder and the shared replay cache each keep one cached
+path of frozen nodes — one per operation / flush barrier — made of live
+objects: ``CowDevice`` forks, file-system and tracker forks, slices of the
+recorded log.  At seq-1 and seq-2 depths that is cheap; at seq-3 the cached
+spines start competing with live crash states for RAM.
 
-A :class:`SpineStore` keeps the hot tail of both spines resident in an LRU
-bounded by a byte budget and spills cold nodes to a per-campaign directory.
-Spilled nodes rehydrate transparently on access and are parity-proven
-byte-for-byte identical to never-spilled nodes (the tier-1 suite replays the
-full seq-1 space of every simulated file system with a zero budget).
-
-Serialization discipline: nodes reference slab-backed ``memoryview``
-payloads, which can neither be pickled nor allowed to escape to disk holding
-a reference to their backing arena.  Codecs therefore flatten every payload
-through :func:`~.block.materialize_payload` (the one sanctioned copy point)
-before handing the store a picklable dict — this module itself never touches
-a slab chunk or a raw ``bytearray``, which ``tools/repro_lint.py`` enforces
-as a standing invariant.
+* :class:`SpineStore` keeps the hot tail of every spine resident in an LRU
+  bounded by a byte budget and spills cold nodes to a per-campaign directory.
+  Spilled nodes rehydrate transparently on access and are parity-proven
+  identical to never-spilled nodes (the tier-1 suite replays the full seq-1
+  space of every simulated file system with a zero budget).
+* :class:`Spine` is the one cached path both owners hold: always-resident
+  *stubs* (whatever the owner matches prefixes on) beside the store keys of
+  the full nodes, the only caller of the store's ``put`` / ``get`` / ``drop``.
+* The serialiser pickles the node object itself.  It knows two *storage*
+  types and nothing of what a node means: a ``CowDevice`` is written as its
+  merged overlay delta and thawed over the base image the owning spine
+  supplies, and an ``IORequest`` is written with its payload flattened
+  through :func:`~.block.materialize_payload` (the one sanctioned copy point
+  — a slab-backed ``memoryview`` can neither be pickled nor allowed to reach
+  disk holding its arena).  Pickle's own memo keeps the node's identity
+  topology: two references to one device thaw as one device.  What must not
+  ride through a spill is declared by the node types themselves
+  (``__reduce__`` / ``__getstate__``).  This module never touches a slab
+  chunk or a raw ``bytearray``, which ``tools/repro_lint.py`` enforces.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copyreg
+import io
 import os
 import pickle
 import struct
 import tempfile
 import zlib
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import replace
+from typing import Any, List, Optional
 
 from ..errors import SpillMissError
 from .block import materialize_payload
+from .block_device import BlockDevice
+from .cow_device import CowDevice
+from .io_request import IORequest
 
 #: Default resident budget: generous enough that seq-1/seq-2 campaigns never
 #: spill (their whole spines fit comfortably), so behavior and performance
@@ -66,41 +78,54 @@ def default_spine_memory_budget() -> int:
     return max(0, value)
 
 
-def flatten_requests(requests) -> List[Any]:
-    """Copy a sequence of IORequests, flattening slab payloads to ``bytes``.
+class _BaseImage:
+    """Stands in a spill file for "the base image of the owning spine".
 
-    Requests whose payloads are already ``bytes`` (or ``None``) are reused
-    as-is — frozen dataclasses are immutable, so sharing them is safe.  The
-    flattened twins content-compare equal to the originals (``IORequest``
-    equality is content-based across representations), so replay, hashing,
-    and dedup are unaffected.
+    Pickled by reference, like any class; :class:`_Thaw` answers the lookup
+    with the base the fetching spine supplies, so a spill file never holds a
+    base image and a thawed device sits on the campaign's shared one.
     """
-    from dataclasses import replace
-
-    flattened = []
-    for request in requests:
-        if isinstance(request.data, memoryview):
-            request = replace(request, data=materialize_payload(request.data))
-        flattened.append(request)
-    return flattened
 
 
-def freeze_overlay(device) -> Dict[int, bytes]:
-    """A picklable merged overlay delta for a ``CowDevice`` snapshot."""
-    return {
-        block: materialize_payload(data)
-        for block, data in device.overlay_delta().items()
-    }
+def _reduce_device(device: CowDevice):
+    overlay = {block: materialize_payload(data)
+               for block, data in device.overlay_delta().items()}
+    return CowDevice.from_overlay, (_BaseImage, overlay, device.name)
+
+
+def _reduce_request(request: IORequest):
+    if isinstance(request.data, memoryview):
+        request = replace(request, data=materialize_payload(request.data))
+    return request.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+
+
+class _Freeze(pickle.Pickler):
+    """Pickles a node as it is, bar the two storage types reduced above."""
+
+    dispatch_table = {**copyreg.dispatch_table,
+                      CowDevice: _reduce_device, IORequest: _reduce_request}
+
+
+class _Thaw(pickle.Unpickler):
+    """Unpickles a node, sitting its devices on ``base``."""
+
+    def __init__(self, file, base: Optional[BlockDevice]):
+        super().__init__(file)
+        self._base = base
+
+    def find_class(self, module: str, name: str):
+        if name == _BaseImage.__name__ and module == __name__:
+            return self._base
+        return super().find_class(module, name)
 
 
 class _Entry:
     """One stored node: resident, spilled to ``path``, both — or, after a
     failed spill write or an unreadable spill file, neither (lost)."""
 
-    __slots__ = ("kind", "nbytes", "node", "path")
+    __slots__ = ("nbytes", "node", "path")
 
-    def __init__(self, kind: str, nbytes: int, node: Any):
-        self.kind = kind
+    def __init__(self, nbytes: int, node: Any):
         self.nbytes = nbytes
         self.node: Optional[Any] = node
         self.path: Optional[str] = None
@@ -109,11 +134,10 @@ class _Entry:
 class SpineStore:
     """Budgeted LRU of frozen spine nodes with transparent disk spill.
 
-    One store serves both spines of a harness (recorder prefixes and replay
-    trail slots) under distinct codec *kinds*; engine pool workers each build
-    their own harness and store but may share one spill directory — file
-    names carry the owning pid and a per-store counter, so they never
-    collide.
+    One store serves both spines of a harness (recorder prefixes and the
+    replay trail); engine pool workers each build their own harness and store
+    but may share one spill directory — file names carry the owning pid and a
+    per-store counter, so they never collide.
 
     Nodes are immutable once stored, which buys two properties: a node
     already on disk re-evicts by just dropping the resident reference (no
@@ -133,7 +157,6 @@ class SpineStore:
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
         SpineStore._instances += 1
         self._prefix = f"{os.getpid()}-{SpineStore._instances}-{name}"
-        self._codecs: Dict[str, Any] = {}
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self._next_key = 0
         #: bytes of node payload currently held resident
@@ -152,40 +175,25 @@ class SpineStore:
         #: spill file (each surfaces as one :class:`SpillMissError`)
         self.lost = 0
 
-    # -- codecs --------------------------------------------------------------
-
-    def register_codec(self, kind: str,
-                       freeze: Callable[[Any], Any],
-                       thaw: Callable[[Any], Any]) -> None:
-        """Teach the store how to (de)serialize nodes of ``kind``.
-
-        ``freeze`` turns a node into a picklable payload (flattening slab
-        views); ``thaw`` rebuilds an equivalent node.  Re-registering a kind
-        replaces its codec — the owning spine re-binds fresh closures per
-        instance.
-        """
-        self._codecs[kind] = (freeze, thaw)
-
     # -- storage -------------------------------------------------------------
 
-    def put(self, kind: str, node: Any, nbytes: int) -> int:
+    def put(self, node: Any, nbytes: int) -> int:
         """Adopt a frozen node, returning its retrieval key.
 
         The node stays resident (and most-recently-used) until the budget
         pushes it out; freezing is lazy — nothing is serialized unless an
         eviction actually happens.
         """
-        if kind not in self._codecs:
-            raise KeyError(f"no codec registered for spine kind {kind!r}")
         key = self._next_key
         self._next_key += 1
-        self._entries[key] = _Entry(kind, max(0, nbytes), node)
+        self._entries[key] = _Entry(max(0, nbytes), node)
         self.resident_bytes += max(0, nbytes)
         self._enforce_budget()
         return key
 
-    def get(self, key: int) -> Any:
-        """Fetch a node, rehydrating from disk if it was spilled.
+    def get(self, key: int, base: Optional[BlockDevice] = None) -> Any:
+        """Fetch a node, rehydrating from disk if it was spilled — its
+        devices then sit on ``base``.
 
         The node becomes most-recently-used.  The budget is re-enforced
         after rehydration, which may evict colder entries — or, under a
@@ -203,7 +211,7 @@ class SpineStore:
                     f"spine node {key} was lost (spill write failed or spill "
                     "file unreadable)"
                 )
-            node = self._rehydrate(entry)
+            node = self._rehydrate(entry, base)
             entry.node = node
             self.resident_bytes += entry.nbytes
             # Re-enforcing may immediately evict the entry just fetched
@@ -274,8 +282,9 @@ class SpineStore:
         :class:`SpillMissError` from the next :meth:`get` of that key.
         """
         if entry.path is None:
-            freeze, _ = self._codecs[entry.kind]
-            blob = pickle.dumps(freeze(entry.node), protocol=pickle.HIGHEST_PROTOCOL)
+            buffer = io.BytesIO()
+            _Freeze(buffer, pickle.HIGHEST_PROTOCOL).dump(entry.node)
+            blob = buffer.getvalue()
             try:
                 entry.path = self._write_spill_file(key, blob)
             except OSError:
@@ -301,7 +310,7 @@ class SpineStore:
             raise
         return path
 
-    def _rehydrate(self, entry: _Entry) -> Any:
+    def _rehydrate(self, entry: _Entry, base: Optional[BlockDevice]) -> Any:
         """Read a spilled node back, verifying the frame before unpickling."""
         try:
             with open(entry.path, "rb") as handle:
@@ -310,7 +319,7 @@ class SpineStore:
             length, crc = _FRAME.unpack(header)
             if len(blob) != length or zlib.crc32(blob) != crc:
                 raise ValueError("length/crc mismatch")
-            payload = pickle.loads(blob)
+            node = _Thaw(io.BytesIO(blob), base).load()
         except (OSError, EOFError, ValueError, struct.error,
                 pickle.UnpicklingError) as exc:
             path, entry.path = entry.path, None
@@ -318,6 +327,60 @@ class SpineStore:
             with contextlib.suppress(OSError):
                 os.unlink(path)
             raise SpillMissError(f"spill file {path} is unreadable: {exc}") from exc
-        _, thaw = self._codecs[entry.kind]
         self.rehydrations += 1
-        return thaw(payload)
+        return node
+
+
+class Spine:
+    """One cached path of frozen nodes over a :class:`SpineStore`.
+
+    Node ``i`` extends node ``i - 1``; the owner matches a new path against
+    :attr:`stubs` — one small always-resident value per node, of the owner's
+    choosing — truncates to the shared prefix and resumes from the deepest
+    node that still reads.  The full nodes live in the store under the shared
+    budget.  A spine is a cache: a node whose spill file was lost reads as
+    ``None`` and costs that node, never a wrong answer.
+    """
+
+    def __init__(self, store: SpineStore):
+        self.store = store
+        #: what a thawed node's devices sit on; the owner sets it before the
+        #: first push and keeps it for as long as the spine holds nodes
+        self.base: Optional[BlockDevice] = None
+        self.stubs: List[Any] = []
+        self._keys: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def push(self, node: Any, nbytes: int, stub: Any) -> None:
+        """Append ``node`` (``nbytes`` of budget) with its resident ``stub``."""
+        self._keys.append(self.store.put(node, nbytes))
+        self.stubs.append(stub)
+
+    def truncate(self, length: int) -> None:
+        """Drop the nodes past ``length``, releasing what the store holds."""
+        for key in self._keys[length:]:
+            self.store.drop(key)
+        del self._keys[length:]
+        del self.stubs[length:]
+
+    def fetch(self, index: int) -> Optional[Any]:
+        """Node ``index`` (a disk read only if it spilled), ``None`` if lost."""
+        try:
+            return self.store.get(self._keys[index], self.base)
+        except SpillMissError:
+            return None
+
+    def deepest(self) -> Optional[Any]:
+        """The deepest node that reads, truncating past it; ``None`` = cold.
+
+        A lost node costs itself: its parent is one operation (one barrier)
+        shallower and resumes almost as much.
+        """
+        while self._keys:
+            node = self.fetch(len(self._keys) - 1)
+            if node is not None:
+                return node
+            self.truncate(len(self._keys) - 1)
+        return None

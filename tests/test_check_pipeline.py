@@ -1,6 +1,6 @@
 """The pluggable check pipeline: registry, selection, parity and new checks.
 
-The parity tests embed the pre-refactor monolithic AutoChecker verbatim as a
+The parity tests embed the pre-refactor monolithic checker verbatim as a
 golden reference (``MonolithicChecker``) and assert that the registry-backed
 pipeline restricted to the five legacy checks reproduces its mismatches
 byte-for-byte — same checks, paths, consequences and order — on the full
@@ -17,7 +17,6 @@ from repro.core import all_bugs
 from repro.crashmonkey import (
     DEFAULT_REGISTRY,
     LEGACY_CHECKS,
-    AutoChecker,
     CheckContext,
     CheckPipeline,
     CheckRegistry,
@@ -37,7 +36,7 @@ from conftest import SMALL_DEVICE_BLOCKS
 
 
 # --------------------------------------------------------------------------- golden
-# The monolithic AutoChecker exactly as it existed before the pipeline
+# The monolithic checker exactly as it existed before the pipeline
 # refactor (kept here as the byte-for-byte parity reference).
 
 
@@ -454,7 +453,7 @@ class TestRegistry:
 
 class TestPipelineSelection:
     def test_run_write_checks_false_maps_to_skip(self):
-        pipeline = AutoChecker(skip_checks=("write",))
+        pipeline = CheckPipeline(skip_checks=("write",))
         assert "write" not in pipeline.check_names
 
     def test_default_pipeline_runs_everything(self):

@@ -1,17 +1,19 @@
 """Cluster scheduling, parallel runner, and cost model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ace import AceSynthesizer, seq1_bounds
 from repro.cluster import (
-    ClusterRunner,
     ClusterSpec,
     CostModel,
     estimate_campaign_hours,
     estimate_deployment,
     partition,
+    run_on_cluster,
 )
-from repro.engine import ChunkStats
+from repro.engine import ChunkStats, HarnessSpec
 from repro.fs import BugConfig
 
 from conftest import SMALL_DEVICE_BLOCKS
@@ -69,11 +71,14 @@ class TestCostModel:
         assert 50 <= cost <= 200  # pure testing time is a fraction of the 48 h rental
 
 
-class TestClusterRunner:
+PATCHED = HarnessSpec(fs_name="btrfs", bugs=BugConfig.none(), device_blocks=SMALL_DEVICE_BLOCKS)
+BUGGY = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
+
+
+class TestRunOnCluster:
     def test_serial_run_matches_direct_testing(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(12)
-        runner = ClusterRunner("btrfs", bugs=BugConfig.none(), device_blocks=SMALL_DEVICE_BLOCKS)
-        result = runner.run(workloads, num_vms=4, label="seq-1-sample")
+        result = run_on_cluster(PATCHED, workloads, num_vms=4, label="seq-1-sample")
         assert result.campaign.workloads_tested == 12
         assert len(result.vm_stats) == 4
         assert all(isinstance(stats, ChunkStats) for stats in result.vm_stats)
@@ -84,18 +89,24 @@ class TestClusterRunner:
 
     def test_buggy_fs_failures_surface_in_vm_stats(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(40)
-        runner = ClusterRunner("btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
-        result = runner.run(workloads, num_vms=2)
+        result = run_on_cluster(BUGGY, workloads, num_vms=2)
         assert sum(stats.failing_workloads for stats in result.vm_stats) == \
             result.campaign.failing_workloads
         # A VM's statistics are its chunk's: every roll-up, not a hand-picked few.
         assert sum(stats.crash_points_tested for stats in result.vm_stats) == \
             result.campaign.crash_points_tested > 0
 
+    def test_every_harness_option_reaches_the_vms(self):
+        workloads = AceSynthesizer(seq1_bounds()).sample(10)
+        prefix = run_on_cluster(BUGGY, workloads, num_vms=2)
+        torn = run_on_cluster(replace(BUGGY, crash_plan="torn", skip_checks=("write",)),
+                              workloads, num_vms=2)
+        assert torn.campaign.scenarios_tested > prefix.campaign.scenarios_tested
+        assert "write" not in torn.campaign.check_timings()
+
     def test_projection_to_cluster_scale(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(10)
-        runner = ClusterRunner("btrfs", bugs=BugConfig.none(), device_blocks=SMALL_DEVICE_BLOCKS)
-        result = runner.run(workloads, num_vms=2)
+        result = run_on_cluster(PATCHED, workloads, num_vms=2)
         projected = result.projected_hours_on_cluster(num_workloads=3_370_000)
         assert projected > 0
         assert "VM batches" in result.summary()

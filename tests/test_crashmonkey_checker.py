@@ -1,7 +1,7 @@
-"""AutoChecker behaviour: the read, write, directory and atomicity checks."""
+"""CheckPipeline behaviour: the read, write, directory and atomicity checks."""
 
 
-from repro.crashmonkey import AutoChecker, CrashStateGenerator, WorkloadRecorder
+from repro.crashmonkey import CheckPipeline, CrashStateGenerator, WorkloadRecorder
 from repro.crashmonkey.report import HARNESS_ERROR
 from repro.fs import BugConfig, Consequence
 from repro.workload import parse_workload
@@ -15,7 +15,7 @@ def _check(text, fs_name="btrfs", bugs=None, checkpoint=None, skip_checks=()):
     generator = CrashStateGenerator(profile)
     checkpoint = checkpoint if checkpoint is not None else profile.checkpoints()[-1]
     crash_state = generator.generate(checkpoint)
-    checker = AutoChecker(skip_checks=skip_checks)
+    checker = CheckPipeline(skip_checks=skip_checks)
     return checker.check(profile, crash_state)
 
 
@@ -142,7 +142,7 @@ class TestCheckerEdgeCases:
         profile = recorder.profile(parse_workload("creat foo\nfsync foo"))
         crash_state = CrashStateGenerator(profile).generate(1)
         crash_state.checkpoint_id = 99  # no oracle/tracker view for this id
-        mismatches = AutoChecker().check(profile, crash_state)
+        mismatches = CheckPipeline().check(profile, crash_state)
         assert len(mismatches) == 1
         assert mismatches[0].check == "pipeline"
         assert mismatches[0].consequence == HARNESS_ERROR
@@ -153,7 +153,7 @@ class TestCheckerEdgeCases:
         profile = recorder.profile(parse_workload("creat foo\nfsync foo"))
         crash_state = CrashStateGenerator(profile).generate(1)
         del profile.tracker_views[1]
-        mismatches = AutoChecker().check(profile, crash_state)
+        mismatches = CheckPipeline().check(profile, crash_state)
         assert len(mismatches) == 1
         assert "tracker view" in mismatches[0].actual
         assert "oracle" not in mismatches[0].actual.split("tracker view")[0]

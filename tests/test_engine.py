@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ace import AceSynthesizer, seq1_bounds
-from repro.cluster import ClusterRunner, partition
+from repro.cluster import partition, run_on_cluster
 from repro.core import B3Campaign, CampaignConfig, quick_campaign
 from repro.engine import (
     CampaignEngine,
@@ -237,8 +237,7 @@ class TestClusterFacade:
         assert partition([], 5) == []
 
     def test_cluster_runner_handles_empty_workload_set(self):
-        runner = ClusterRunner("btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
-        result = runner.run([])
+        result = run_on_cluster(_spec(), [])
         assert result.campaign.workloads_tested == 0
         assert result.vm_stats == []
         assert result.wall_clock_seconds == 0.0
@@ -246,8 +245,7 @@ class TestClusterFacade:
 
     def test_vm_seconds_are_measured_per_batch_not_uniform(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(24)
-        runner = ClusterRunner("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, processes=2)
-        result = runner.run(workloads, num_vms=4)
+        result = run_on_cluster(_spec(), workloads, processes=2, num_vms=4)
         assert len(result.vm_stats) == 4
         assert all(isinstance(stats, ChunkStats) for stats in result.vm_stats)
         assert all(stats.seconds > 0 for stats in result.vm_stats)
@@ -258,8 +256,7 @@ class TestClusterFacade:
 
     def test_cluster_matches_serial_campaign_findings(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(30)
-        runner = ClusterRunner("btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
-        clustered = runner.run(workloads, num_vms=3)
+        clustered = run_on_cluster(_spec(), workloads, num_vms=3)
         direct = run_campaign(_spec(), iter(workloads))
         # VM batches are a round-robin split, so compare after sorting.
         assert sorted(_fingerprint(r) for r in clustered.campaign.results) == \

@@ -528,3 +528,50 @@ def test_an_inspection_mount_outside_the_mount_site_is_caught():
     assert [line for _, line, _ in flagged] == [6]
     assert repro_lint.check_verdicts_depend_on_logged_reads_only(
         _trees(**{"fs/fsck.py": elsewhere.replace("inspect=True", "")})) == []
+
+
+# ------------------------------------- rule 13: one spine, a storage-only serialiser
+
+
+def test_a_store_call_outside_the_spill_module_is_caught():
+    source = (
+        "class Cache:\n"
+        "    def remember(self, node):\n"
+        "        return self.spine_store.put(node, 1)\n"
+        "    def forget(self, store, key):\n"
+        "        store.drop(key)\n"
+        "        return self.spine_store.get(key), self.options.get('budget')\n"
+    )
+    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "crashmonkey/replay_cache.py": source,
+        "storage/spill.py": source,
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/crashmonkey/replay_cache.py", line) for line in (3, 5, 6)]
+    assert all("Spine" in message for _, _, message in findings)
+
+
+def test_a_serialiser_that_imports_a_node_type_is_caught():
+    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "storage/spill.py": (
+            "import pickle\n"
+            "from ..errors import SpillMissError\n"
+            "from ..crashmonkey.replay_cache import _ReplayNode\n"
+            "from .. import fs\n"
+            "import repro.fs.base\n"
+        ),
+        "storage/replay.py": "from ..fs.base import AbstractFileSystem\n",
+    }))
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/storage/spill.py", line) for line in (3, 4, 5)]
+    assert all("storage types only" in message for _, _, message in findings)
+
+
+def test_a_codec_registry_coming_back_is_caught():
+    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "storage/spill.py": "class SpineStore:\n    def register_codec(self, kind): pass\n",
+        "crashmonkey/recorder.py": "def bind(store, codec):\n    store.register_codec(*codec)\n",
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/crashmonkey/recorder.py", 2), ("src/repro/storage/spill.py", 2)]
+    assert all("register_codec" in message for _, _, message in findings)

@@ -16,7 +16,8 @@ The guarantees this file pins, in the order the spill layer makes them:
   regression).
 * **Fault tolerance** — a truncated, torn or bit-flipped spill file and a
   failed spill write (full disk) are one typed miss, which both spines
-  answer by rebuilding from scratch: identical results, never an exception.
+  answer by resuming from the parent node — from scratch when no node
+  reads: identical results, never an exception.
 * **Durability** — a SIGKILLed spilling campaign resumes to canonically
   identical results whether its spill directory survived the crash or was
   deleted (spill files are session-scoped scratch, never durable state).
@@ -53,17 +54,10 @@ SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
 # --------------------------------------------------------------------- store mechanics
 
 
-def _identity_store(memory_budget, spill_dir=None):
-    """A store whose nodes are plain dicts (picklable as-is)."""
-    store = SpineStore(memory_budget=memory_budget, spill_dir=spill_dir)
-    store.register_codec("plain", lambda node: node, lambda payload: payload)
-    return store
-
-
 class TestSpineStore:
     def test_under_budget_nothing_spills(self):
-        store = _identity_store(memory_budget=1024)
-        keys = [store.put("plain", {"n": n}, 100) for n in range(5)]
+        store = SpineStore(memory_budget=1024)
+        keys = [store.put({"n": n}, 100) for n in range(5)]
         assert store.spills == 0
         assert store.resident_bytes == 500
         for n, key in enumerate(keys):
@@ -71,11 +65,11 @@ class TestSpineStore:
         assert store.rehydrations == 0
 
     def test_eviction_is_lru_and_get_refreshes_recency(self):
-        store = _identity_store(memory_budget=250)
-        first = store.put("plain", {"n": 0}, 100)
-        second = store.put("plain", {"n": 1}, 100)
+        store = SpineStore(memory_budget=250)
+        first = store.put({"n": 0}, 100)
+        second = store.put({"n": 1}, 100)
         store.get(first)  # first is now most-recently-used
-        store.put("plain", {"n": 2}, 100)  # over budget: evicts second
+        store.put({"n": 2}, 100)  # over budget: evicts second
         assert store.spills == 1
         # The resident survivors are exactly {first, third}; fetching the
         # evicted node rehydrates from disk.
@@ -84,16 +78,16 @@ class TestSpineStore:
         assert store.rehydrations == rehydrated_before + 1
 
     def test_peak_resident_bytes_respects_the_budget(self):
-        store = _identity_store(memory_budget=300)
+        store = SpineStore(memory_budget=300)
         for n in range(10):
-            store.put("plain", {"n": n}, 100)
-            store.get(store.put("plain", {"m": n}, 50))
+            store.put({"n": n}, 100)
+            store.get(store.put({"m": n}, 50))
         assert store.peak_resident_bytes <= 300
         assert store.resident_bytes <= 300
 
     def test_zero_budget_spills_everything_and_get_still_returns(self):
-        store = _identity_store(memory_budget=0)
-        key = store.put("plain", {"payload": "x" * 64}, 1000)
+        store = SpineStore(memory_budget=0)
+        key = store.put({"payload": "x" * 64}, 1000)
         assert store.resident_bytes == 0
         assert store.spills == 1
         # get() must hand back the node even though enforcement immediately
@@ -102,8 +96,8 @@ class TestSpineStore:
         assert store.resident_bytes == 0
 
     def test_reeviction_reuses_the_spill_file(self):
-        store = _identity_store(memory_budget=0)
-        key = store.put("plain", {"n": 1}, 100)
+        store = SpineStore(memory_budget=0)
+        key = store.put({"n": 1}, 100)
         assert (store.spills, store.rehydrations) == (1, 0)
         spilled_bytes = store.spilled_bytes
         for round_trip in range(1, 4):
@@ -116,8 +110,8 @@ class TestSpineStore:
 
     def test_explicit_spill_dir_is_used_and_drop_removes_files(self, tmp_path):
         spill_dir = str(tmp_path / "spines")
-        store = _identity_store(memory_budget=0, spill_dir=spill_dir)
-        key = store.put("plain", {"n": 1}, 10)
+        store = SpineStore(memory_budget=0, spill_dir=spill_dir)
+        key = store.put({"n": 1}, 10)
         files = os.listdir(spill_dir)
         assert len(files) == 1 and files[0].endswith(".node")
         store.drop(key)
@@ -125,9 +119,9 @@ class TestSpineStore:
         assert len(store) == 0
 
     def test_clear_drops_nodes_but_preserves_counters(self, tmp_path):
-        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
+        store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
         for n in range(3):
-            store.put("plain", {"n": n}, 10)
+            store.put({"n": n}, 10)
         assert store.spills == 3
         store.clear()
         assert len(store) == 0
@@ -135,17 +129,12 @@ class TestSpineStore:
         assert store.spills == 3, "telemetry survives a clear"
         assert [f for f in os.listdir(tmp_path)] == []
 
-    def test_unregistered_kind_is_rejected(self):
-        store = SpineStore(memory_budget=0)
-        with pytest.raises(KeyError, match="no codec"):
-            store.put("mystery", {"n": 1}, 10)
-
     def test_two_stores_share_a_spill_dir_without_collisions(self, tmp_path):
         spill_dir = str(tmp_path)
-        a = _identity_store(memory_budget=0, spill_dir=spill_dir)
-        b = _identity_store(memory_budget=0, spill_dir=spill_dir)
-        key_a = a.put("plain", {"who": "a"}, 10)
-        key_b = b.put("plain", {"who": "b"}, 10)
+        a = SpineStore(memory_budget=0, spill_dir=spill_dir)
+        b = SpineStore(memory_budget=0, spill_dir=spill_dir)
+        key_a = a.put({"who": "a"}, 10)
+        key_b = b.put({"who": "b"}, 10)
         assert len(os.listdir(spill_dir)) == 2
         assert a.get(key_a) == {"who": "a"}
         assert b.get(key_b) == {"who": "b"}
@@ -297,8 +286,8 @@ def _fail_spill_writes(monkeypatch, failing_calls):
 class TestSpillFaults:
     @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
     def test_unreadable_spill_file_is_one_typed_miss(self, tmp_path, corrupt):
-        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
-        key = store.put("plain", {"payload": "x" * 256}, 100)
+        store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
+        key = store.put({"payload": "x" * 256}, 100)
         (name,) = os.listdir(tmp_path)
         corrupt(str(tmp_path / name))
         with pytest.raises(SpillMissError):
@@ -314,22 +303,22 @@ class TestSpillFaults:
 
     def test_failed_spill_write_loses_the_node_without_raising(self, tmp_path,
                                                               monkeypatch):
-        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
+        store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
         _fail_spill_writes(monkeypatch, failing_calls={1})
-        lost_key = store.put("plain", {"n": 1}, 100)  # must not raise
+        lost_key = store.put({"n": 1}, 100)  # must not raise
         assert (store.lost, store.spills, store.spilled_bytes) == (1, 0, 0)
         assert store.resident_bytes == 0, "the budget holds even when the disk is full"
         assert os.listdir(tmp_path) == [], "no partial or scratch file is left behind"
         with pytest.raises(SpillMissError):
             store.get(lost_key)
         # The disk recovers: later nodes spill and rehydrate normally.
-        kept_key = store.put("plain", {"n": 2}, 100)
+        kept_key = store.put({"n": 2}, 100)
         assert store.get(kept_key) == {"n": 2}
         assert (store.lost, store.spills) == (1, 1)
 
     def test_spill_files_are_framed_and_written_whole(self, tmp_path):
-        store = _identity_store(memory_budget=0, spill_dir=str(tmp_path))
-        store.put("plain", {"n": 1}, 100)
+        store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
+        store.put({"n": 1}, 100)
         (name,) = os.listdir(tmp_path)
         assert name.endswith(".node")
         blob = (tmp_path / name).read_bytes()
@@ -401,12 +390,13 @@ def test_clear_restores_the_freshly_constructed_state():
     digesting = CrashStateGenerator(profile, replay_cache=cache,
                                     cross_cache=CrossWorkloadCache())
     digesting._ensure_built()
-    assert cache._trail and cache._hashed
+    assert len(cache._spine) and cache._hashed
 
     cache.clear()
     fresh = SharedReplayCache()
-    for attr in ("_trail", "_log", "_base", "_hashed", "_analyzed"):
+    for attr in ("_log", "_hashed", "_analyzed"):
         assert getattr(cache, attr) == getattr(fresh, attr), attr
+    assert (len(cache._spine), cache._spine.stubs, cache._spine.base) == (0, [], None)
     assert len(cache.spine_store) == 0
     # And a non-digesting build now runs cold instead of matching stale state.
     cold = CrashStateGenerator(profile, replay_cache=cache)
@@ -416,7 +406,9 @@ def test_clear_restores_the_freshly_constructed_state():
 
 def _device_identity_shape(node):
     """Which positions of the node's device walk alias each other."""
-    order = list(SharedReplayCache._node_devices(node))
+    order = [node.cursor, node.stable]
+    for record in node.records.values():
+        order += [record.baseline, record.stable]
     first_seen = {}
     shape = []
     for position, device in enumerate(order):
@@ -439,10 +431,10 @@ def test_rehydrated_nodes_share_no_mutable_state():
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
     assert cache.spine_store.spills > 0
-    slot = cache._trail[-1]
+    deepest = len(cache._spine) - 1
 
-    node1 = cache._fetch(slot)
-    node2 = cache._fetch(slot)
+    node1 = cache._spine.fetch(deepest)
+    node2 = cache._spine.fetch(deepest)
     assert node1 is not node2
     assert node1.records is not node2.records
     assert node1.records.keys() == node2.records.keys()
@@ -461,7 +453,7 @@ def test_rehydrated_nodes_share_no_mutable_state():
     assert node2.records
     # Identity topology (which record forks alias which) is preserved.
     assert _device_identity_shape(node2) == _device_identity_shape(
-        cache._fetch(slot))
+        cache._spine.fetch(deepest))
 
 
 # ------------------------------------------------------------------ durable resume

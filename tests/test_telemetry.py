@@ -364,7 +364,7 @@ def test_progress_events_do_not_rescan_the_campaign(monkeypatch):
     events = []
     engine = CampaignEngine(HarnessSpec(fs_name="btrfs", device_blocks=4096),
                             progress=events.append)
-    run = engine.run_batches([[workload] for workload in workloads])
+    run = engine.run_indexed(enumerate([workload] for workload in workloads))
     assert len(events) == len(workloads) >= 20
     assert [event.failing_workloads for event in events][-1] == run.result.failing_workloads
     tallies = [event.failing_workloads for event in events]

@@ -47,8 +47,9 @@ from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey import CrashMonkey, CrashStateGenerator
 from repro.crashmonkey.crashplan import CrashScenario
-from repro.crashmonkey.replayer import _CheckpointRecord, _VerdictMemo, _VerdictTable
+from repro.crashmonkey.replay_cache import _CheckpointRecord
 from repro.crashmonkey.report import BugReport, CrashTestResult
+from repro.crashmonkey.verdicts import _VerdictMemo, _VerdictTable
 from repro.errors import FsReadOnlyError, HarnessError
 from repro.fs import fsck, get_fs_class
 from repro.fs.base import AbstractFileSystem

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Twelve invariants, each protecting a guarantee a past change was built on:
+Thirteen invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -44,11 +44,11 @@ Twelve invariants, each protecting a guarantee a past change was built on:
    that direction is a layering cycle waiting to happen.
 
 6. **Spill code never holds slab internals.**  ``storage/spill.py`` writes
-   frozen spine nodes to disk; its codecs must flatten slab-backed
-   memoryviews through ``materialize_payload`` before anything is pickled.
-   A reference to a slab chunk (``_chunk``/``_chunks``/``.obj``) or a raw
-   ``bytearray`` in that module means a spill file (or the pickle buffer
-   building it) can capture — or worse, alias — a live slab arena.
+   frozen spine nodes to disk; its two reducers (devices, requests) flatten
+   slab-backed memoryviews through ``materialize_payload`` as the node is
+   pickled.  A reference to a slab chunk (``_chunk``/``_chunks``/``.obj``) or
+   a raw ``bytearray`` in that module means a spill file (or the pickle
+   buffer building it) can capture — or worse, alias — a live slab arena.
 
 7. **The ACE space index has one definition of phase-4 output, and sampling
    never strides the space.**  ``ace/index.py`` may construct a ``Workload``
@@ -94,10 +94,12 @@ Twelve invariants, each protecting a guarantee a past change was built on:
 
 11. **Snapshots serialise in one place.**  A spine node holds live forks
     (``AbstractFileSystem.fork`` / ``PersistenceTracker.fork``); the only
-    bytes are the ones ``storage/spill.py`` writes when a node is evicted.
-    So under ``src/repro/`` only that module imports ``pickle`` — a second
-    importer is a snapshot layer paying a serialise-and-parse round trip for
-    a copy that never leaves the process.  And the copies stay the cheap,
+    bytes are the ones ``storage/spill.py`` writes when a node is evicted —
+    the node object itself, pickled as it is.  So under ``src/repro/`` only
+    that module imports ``pickle`` (a node type says what must not ride
+    along with ``__reduce__`` / ``__getstate__``, which need no import) — a
+    second importer is a snapshot layer paying a serialise-and-parse round
+    trip for a copy that never leaves the process.  And the copies stay the cheap,
     explicit ones: no ``copy.deepcopy`` under ``crashmonkey/`` or ``fs/``,
     and ``tracker.py`` clones its records with their ``clone()`` methods,
     never ``dataclasses.replace`` (a full re-``__init__`` per record per
@@ -116,6 +118,16 @@ Twelve invariants, each protecting a guarantee a past change was built on:
     ``mount(inspect=...)`` — the mount that builds no commit tables — is
     spelt only at the mount site of invariant 8: anywhere else it would hand
     out a file system on which fsync cannot work.
+
+13. **One spine, one serialiser that knows storage only.**  Under
+    ``src/repro/`` a spine store's ``put`` / ``get`` / ``drop`` are called
+    only inside ``storage/spill.py`` — by ``Spine``, the one cached path both
+    the recorder and the replay cache hold — so there is one truncate loop
+    and one answer to a lost node.  ``storage/spill.py`` imports nothing from
+    ``repro.crashmonkey`` or ``repro.fs``: it pickles whatever node it is
+    handed and reduces only ``CowDevice`` and ``IORequest``.  And the name
+    ``register_codec`` does not exist: a per-owner freeze / thaw pair is the
+    hand-written copy of pickle's memo this design deleted.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -806,6 +818,51 @@ def check_verdicts_depend_on_logged_reads_only(trees: Dict[Path, ast.Module]) ->
     return findings
 
 
+# ------------------------------------- rule 13: one spine, a storage-only serialiser
+
+
+#: the store calls only ``Spine`` makes
+SPINE_STORE_CALLS = {"put", "get", "drop"}
+
+#: packages the serialiser must not know
+SPILL_FORBIDDEN_IMPORTS = {"crashmonkey", "fs"}
+
+
+def check_one_spine_and_a_storage_only_serialiser(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        spill = path == SRC_ROOT / PICKLE_MODULE
+        for node in ast.walk(tree):
+            name = getattr(node, "name", None) or getattr(node, "attr", None) \
+                or getattr(node, "id", None)
+            if name == "register_codec":
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "`register_codec` — the spill layer pickles nodes as they are; a node "
+                    "type declares what must not ride with `__reduce__` / `__getstate__`",
+                ))
+            if spill and isinstance(node, (ast.Import, ast.ImportFrom)):
+                # ``from .. import fs`` names the package in ``names``, not ``module``
+                modules = [alias.name for alias in node.names] + [getattr(node, "module", "") or ""]
+                for module in modules:
+                    if not SPILL_FORBIDDEN_IMPORTS.isdisjoint(module.split(".")):
+                        findings.append(Finding(
+                            relative, node.lineno,
+                            f"storage/spill.py imports `{module}` — the serialiser knows "
+                            "storage types only; the node's owner declares the rest",
+                        ))
+            if not spill and isinstance(node, ast.Call):
+                receiver, called = _call_name(node)
+                if called in SPINE_STORE_CALLS and "store" in receiver.lower():
+                    findings.append(Finding(
+                        relative, node.lineno,
+                        f"`{receiver}.{called}(...)` outside storage/spill.py — hold a "
+                        "`Spine` (push / truncate / fetch / deepest) instead",
+                    ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -831,6 +888,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_fs_decodes_and_hashes_in_one_place(trees))
     findings.extend(check_snapshots_serialise_in_one_place(trees))
     findings.extend(check_verdicts_depend_on_logged_reads_only(trees))
+    findings.extend(check_one_spine_and_a_storage_only_serialiser(trees))
     return findings
 
 
