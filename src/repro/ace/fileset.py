@@ -37,10 +37,6 @@ class FileSet:
             parents.append(prefix)
         return parents
 
-    def persistence_targets(self) -> Tuple[str, ...]:
-        """Paths a persistence point may fsync (files and directories)."""
-        return tuple(sorted(set(self.files) | set(self.directories)))
-
 
 #: Conventional names, matching the paper's examples (A/foo, B/bar, ...).
 _TOP_FILE_NAMES = ("foo", "bar", "baz", "qux")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..fs.base import normalize_path
+from ..fs.paths import normalize_path
 from ..fs.inode import FileState, content_sha1
 from ..workload.operations import Operation, OpKind
 

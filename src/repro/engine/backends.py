@@ -99,6 +99,16 @@ class ExecutionBackend(Protocol):
         ...
 
 
+def _test_chunk(harness: CrashMonkey, indexed_chunk: IndexedChunk, worker: str) -> ChunkOutcome:
+    """Test one chunk on ``harness``, timed around the actual testing."""
+    index, chunk = indexed_chunk
+    harness.begin_chunk(index)
+    start = time.perf_counter()
+    results = list(harness.test_stream(chunk))
+    return ChunkOutcome(index=index, results=results,
+                        seconds=time.perf_counter() - start, worker=worker)
+
+
 # --------------------------------------------------------------------------- serial
 
 
@@ -120,16 +130,8 @@ class SerialBackend:
     def execute(self, spec: HarnessSpec,
                 chunks: Iterable[IndexedChunk]) -> Iterator[ChunkOutcome]:
         harness = self._harness_for(spec)
-        for index, chunk in chunks:
-            harness.begin_chunk(index)
-            start = time.perf_counter()
-            results = list(harness.test_stream(chunk))
-            yield ChunkOutcome(
-                index=index,
-                results=results,
-                seconds=time.perf_counter() - start,
-                worker="serial",
-            )
+        for indexed_chunk in chunks:
+            yield _test_chunk(harness, indexed_chunk, "serial")
 
 
 # --------------------------------------------------------------------------- pool
@@ -144,19 +146,9 @@ def _init_worker(spec: HarnessSpec) -> None:
 
 
 def _run_chunk(indexed_chunk: IndexedChunk) -> ChunkOutcome:
-    index, chunk = indexed_chunk
-    harness = _WORKER_HARNESS
-    if harness is None:  # pragma: no cover - initializer always ran
+    if _WORKER_HARNESS is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker harness was not initialized")
-    harness.begin_chunk(index)
-    start = time.perf_counter()
-    results = list(harness.test_stream(chunk))
-    return ChunkOutcome(
-        index=index,
-        results=results,
-        seconds=time.perf_counter() - start,
-        worker=f"pid-{os.getpid()}",
-    )
+    return _test_chunk(_WORKER_HARNESS, indexed_chunk, f"pid-{os.getpid()}")
 
 
 class ProcessPoolBackend:

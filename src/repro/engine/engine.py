@@ -2,7 +2,7 @@
 
 One shared generate → dispatch → check → aggregate path for everything that
 tests workloads in bulk: :class:`~repro.core.campaign.B3Campaign`,
-:class:`~repro.cluster.runner.ClusterRunner`, and the CLI are thin façades
+:func:`~repro.cluster.runner.run_on_cluster`, and the CLI are thin façades
 over this module.
 
 Workloads flow as a *stream*: the engine pulls from the supplied iterable

@@ -17,10 +17,6 @@ class StorageError(ReproError):
     """Errors raised by the block-device substrate."""
 
 
-class OutOfSpaceError(StorageError):
-    """The block device has no free blocks left for an allocation."""
-
-
 class InvalidBlockError(StorageError):
     """A read or write addressed a block outside the device."""
 

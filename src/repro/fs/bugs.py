@@ -62,17 +62,20 @@ class BugMechanism:
         return fs_type in self.fs_types
 
 
+#: the two file systems that share the per-inode fsync log
+_LOG_AND_FLASH = ("logfs", "flashfs")
+
+
 def _mechanisms() -> List[BugMechanism]:
     logfs = ("logfs",)
     flashfs = ("flashfs",)
     seqfs = ("seqfs",)
     verifs = ("verifs",)
-    log_and_flash = ("logfs", "flashfs")
     return [
         # ---------------------------------------------------------------- LogFS
         BugMechanism(
             "rename_dest_not_logged",
-            log_and_flash,
+            _LOG_AND_FLASH,
             "Rename destination not logged",
             "Directory-entry removals caused by rename or unlink are included in "
             "fsync log entries, but the matching additions are not when the moved "
@@ -212,7 +215,7 @@ def _mechanisms() -> List[BugMechanism]:
         ),
         BugMechanism(
             "fsync_parent_committed_name",
-            log_and_flash,
+            _LOG_AND_FLASH,
             "Fsync logs parent directory under its old name",
             "Log entries record ancestor directories by their committed (pre-"
             "rename) names, so a file fsynced after its parent directory was "
@@ -351,6 +354,33 @@ def _mechanisms() -> List[BugMechanism]:
 
 #: Registry of all mechanisms, keyed by bug id.
 MECHANISMS: Dict[str, BugMechanism] = {mech.bug_id: mech for mech in _mechanisms()}
+
+
+#: The steps of the shared commit / replay machinery a mechanism omits: step
+#: -> mechanism id -> the file systems whose code path has the omission (the
+#: per-inode log's is shared, whichever file system the mechanism is
+#: catalogued under).  ``AbstractFileSystem._omits(step)`` is the one reader;
+#: bugs in *what* an entry records live in ``_apply_entry_bugs`` instead.
+OMITTED_STEPS: Dict[str, Dict[str, Tuple[str, ...]]] = {
+    # fsync: the flush that makes the data (and earlier log writes) stable
+    # before the entries that reference them.  The buggy path never flushes
+    # the device cache around the commit, so it omits the seal below too.
+    "commit_barrier": {"fsync_no_flush": ("flashfs",)},
+    # fsync: the flush that seals the appended entries before it returns.
+    # The segment append path fences the file data but not its own records.
+    "commit_seal": {"fsync_no_flush": ("flashfs",), "lsw_unfenced_append": _LOG_AND_FLASH},
+    # fsync: also logging the inodes a rename or an unlink/recreate displaced.
+    "recursive_logging": {"rename_dest_not_logged": _LOG_AND_FLASH,
+                          "unlink_recreate_replay_fail": _LOG_AND_FLASH},
+    # checkpoint (the one commit every file system shares): the cache flush
+    # before the FUA superblock, without which the superblock — durable the
+    # moment it completes — can commit checkpoint blocks still in flight.
+    "flush_before_fua": {"missing_flush_before_fua": ("logfs", "flashfs", "seqfs", "verifs")},
+    # replay: passing over a removal record whose entry is already gone.
+    "tolerate_stale_removal": {"unlink_recreate_replay_fail": _LOG_AND_FLASH},
+    # replay: taking a removed entry off its directory's item count.
+    "uncount_removed_entry": {"dir_replay_wrong_size": _LOG_AND_FLASH},
+}
 
 
 def mechanisms_for(fs_type: str) -> List[BugMechanism]:

@@ -1,9 +1,10 @@
 """FlashFS — an F2FS-like log-structured file system.
 
-FlashFS reuses the per-inode fsync logging of :class:`LogFS` (F2FS likewise
-logs node blocks at fsync and rolls them forward during recovery), but carries
-the F2FS-specific bug mechanisms from the paper: the fallocate/ZERO_RANGE size
-bugs and the rename-of-parent-directory bug.
+FlashFS is the per-inode fsync log of :class:`FsyncLogFS` (F2FS likewise logs
+node blocks at fsync and rolls them forward during recovery) kept in the plain
+log area, which models F2FS packing fsync'd node blocks into its node journal.
+It carries the F2FS-specific bug mechanisms from the paper: the
+fallocate/ZERO_RANGE size bugs and the rename-of-parent-directory bug.
 """
 
 from __future__ import annotations
@@ -11,48 +12,24 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..storage.block import blocks_needed
+from .fsynclogfs import FsyncLogFS
 from .inode import Inode
-from .logfs import LogFS
 
 
-class FlashFS(LogFS):
+class FlashFS(FsyncLogFS):
     """F2FS-like file system with roll-forward node logging."""
 
     fs_type = "flashfs"
 
-    #: F2FS packs fsync'd node blocks into its node journal; FlashFS models
-    #: that with the plain log area rather than LogFS's LSW segment area.
-    uses_segment_area = False
-
     def fdatasync(self, path: str) -> None:
         self._require_mounted(persisting=True)
         inode = self._get_inode(path)
-        if (
-            self.bugs.is_enabled("falloc_keep_size_fdatasync")
-            and inode.is_file
-            and self._fdatasync_would_skip(inode)
-        ):
+        if self._fdatasync_would_skip(inode):
             # The buggy fast path only checks whether the file size changed;
             # a KEEP_SIZE allocation leaves the size untouched, so nothing is
             # written at all and the reserved blocks are lost on a crash.
             return
         super().fdatasync(path)
-
-    def _skip_commit_barrier(self) -> bool:
-        # The buggy path never flushes the device cache around the commit,
-        # leaving the data and the commit record in-flight after fsync.
-        return self.bugs.is_enabled("fsync_no_flush")
-
-    def _fdatasync_would_skip(self, inode: Inode) -> bool:
-        committed = self._committed_attrs.get(inode.ino) or {}
-        committed_size = int(committed.get("size", 0))
-        if inode.size != committed_size:
-            return False
-        keep_ops = [
-            op for op in self._data_ops_since_commit(inode.ino, {"falloc", "fzero"})
-            if op.get("keep_size")
-        ]
-        return bool(keep_ops)
 
     def _apply_entry_bugs(self, entry: dict, inode: Inode, names: Dict[int, List[str]], *,
                           datasync: bool, msync_range: Optional[Tuple[int, int]]) -> dict:

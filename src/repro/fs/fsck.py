@@ -25,7 +25,6 @@ class FsckReport:
     clean: bool
     errors: List[str] = field(default_factory=list)
     repaired: bool = False
-    dropped_log_entries: int = 0
 
     def describe(self) -> str:
         status = "clean" if self.clean else ("repaired" if self.repaired else "errors")
@@ -89,14 +88,21 @@ def repair(fs_class, device, bugs: Optional[BugConfig] = None):
     This mirrors what ``btrfs-check``-style repair effectively does for the
     paper's un-mountable bug: the unreplayable log is zeroed so the file
     system can be mounted from its last checkpoint.  Returns a tuple of the
-    mounted file system and an :class:`FsckReport`.
+    mounted file system (``None`` when the image is beyond repair) and an
+    :class:`FsckReport`.
     """
     report = check_device(device)
-    superblock = layout.read_superblock(device)
-    # Invalidate the log by bumping the generation recorded in the superblock
-    # checkpoint linkage: log entries of the old generation are ignored.
-    superblock.clean_unmount = True
-    layout.write_superblock(device, superblock)
+    try:
+        superblock = layout.read_superblock(device)
+    except CorruptionError:
+        # Nothing to mark clean (``check_device`` recorded why); a file system
+        # that replicates its superblock may still mount from the other copy.
+        pass
+    else:
+        # Invalidate the log by bumping the generation recorded in the superblock
+        # checkpoint linkage: log entries of the old generation are ignored.
+        superblock.clean_unmount = True
+        layout.write_superblock(device, superblock)
     fs = fs_class(device, bugs)
     try:
         fs.mount()

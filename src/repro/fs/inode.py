@@ -80,7 +80,6 @@ class Inode:
         "mmap_ranges",
         "dirty_data",
         "dirty_metadata",
-        "disk_size",
     )
 
     def __init__(self, ino: int, ftype: FileType):
@@ -97,9 +96,6 @@ class Inode:
         self.mmap_ranges: List[tuple] = []
         self.dirty_data = False
         self.dirty_metadata = False
-        #: size as the on-disk inode most recently recorded it; used by the
-        #: direct-I/O path which updates on-disk state eagerly.
-        self.disk_size = 0
 
     # -- convenience -----------------------------------------------------------
 
@@ -142,7 +138,6 @@ class Inode:
         inode.children = dict(meta.get("children", {}))
         inode.xattrs = {k: v.encode("latin-1") for k, v in meta.get("xattrs", {}).items()}
         inode.symlink_target = meta.get("symlink_target")
-        inode.disk_size = inode.size
         return inode
 
     def clone(self) -> "Inode":
@@ -158,7 +153,6 @@ class Inode:
         clone.mmap_ranges = list(self.mmap_ranges)
         clone.dirty_data = self.dirty_data
         clone.dirty_metadata = self.dirty_metadata
-        clone.disk_size = self.disk_size
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -44,50 +44,29 @@ class SeqFS(AbstractFileSystem):
 
     def fsync(self, path: str) -> None:
         self._require_mounted(persisting=True)
-        inode = self._get_inode(path)
-        if inode.is_file:
-            self._flush_inode_data(inode)
-            inode.mmap_ranges = []
-        self._journal_commit(focus=inode, datasync=False)
+        self._journal_commit(focus=self._get_inode(path), datasync=False)
 
     def fdatasync(self, path: str) -> None:
         self._require_mounted(persisting=True)
         inode = self._get_inode(path)
-        if inode.is_file:
-            if (
-                self.bugs.is_enabled("falloc_keep_size_fdatasync")
-                and self._fdatasync_would_skip(inode)
-            ):
-                # The buggy path concludes nothing changed (the size did not
-                # move) and skips the journal commit entirely.
-                return
-            self._flush_inode_data(inode)
-            inode.mmap_ranges = []
+        if self._fdatasync_would_skip(inode):
+            # The buggy path concludes nothing changed (the size did not
+            # move) and skips the journal commit entirely.
+            return
         self._journal_commit(focus=inode, datasync=True)
 
     def msync(self, path: str, offset: int = 0, length: Optional[int] = None) -> None:
         self._require_mounted(persisting=True)
-        inode = self._get_inode(path)
-        if inode.is_file:
-            self._flush_inode_data(inode)
-            inode.mmap_ranges = []
-        self._journal_commit(focus=inode, datasync=True)
+        self._journal_commit(focus=self._get_inode(path), datasync=True)
 
     # ------------------------------------------------------------------ journal
 
-    def _fdatasync_would_skip(self, inode: Inode) -> bool:
-        committed = self._committed_attrs.get(inode.ino) or {}
-        committed_size = int(committed.get("size", 0))
-        if inode.size != committed_size:
-            return False
-        keep_ops = [
-            op for op in self._data_ops_since_commit(inode.ino, {"falloc", "fzero"})
-            if op.get("keep_size")
-        ]
-        return bool(keep_ops)
-
     def _journal_commit(self, focus: Inode, datasync: bool) -> None:
-        """Write a journal transaction carrying the full metadata tree."""
+        """Flush ``focus`` and write a journal transaction carrying the full
+        metadata tree."""
+        if focus.is_file:
+            self._flush_inode_data(focus)
+            focus.mmap_ranges = []
         # Ordered-mode behaviour: data referenced by the metadata being
         # committed is flushed before the commit, so files never recover with
         # a size that points at unwritten (zero) blocks.
@@ -118,8 +97,7 @@ class SeqFS(AbstractFileSystem):
 
         entry = {"kind": "journal_commit", "meta": meta, "datasync": datasync}
         self._append_log_entry(entry)
-        if not self._skip_commit_barrier():
-            self._device_flush(sync=True)
+        self._device_flush(sync=True)
         self._logged_inos.add(focus.ino)
         self._committed_attrs = {
             int(ino): dict(inode_meta) for ino, inode_meta in meta["inodes"].items()

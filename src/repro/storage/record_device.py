@@ -129,13 +129,6 @@ class RecordingDevice:
     def resume(self) -> None:
         self.recording = True
 
-    def clear_log(self) -> None:
-        self._log.clear()
-        self._seq = 0
-        self._checkpoints = 0
-        self.write_requests = 0
-        self._recorded_bytes = 0
-
     def restore_log(self, log: Sequence[IORequest], checkpoints: int,
                     write_requests: int, recorded_bytes: int) -> None:
         """Seed the recorder with an already-recorded stream.

@@ -7,8 +7,9 @@ enabled and (b) leave the very same workload clean when disabled ("patched").
 import pytest
 
 from repro.fs import BugConfig, Consequence, MECHANISMS, get_mechanism, mechanisms_for
+from repro.fs.bugs import OMITTED_STEPS
 
-from conftest import run_workload_text
+from conftest import make_mounted_fs, run_workload_text
 
 
 class TestBugCatalogue:
@@ -327,3 +328,78 @@ class TestMechanismsEndToEnd:
 def test_every_mechanism_is_covered_by_a_workload():
     covered = {bug_id for bug_id, _, _ in MECHANISM_WORKLOADS}
     assert covered == set(MECHANISMS), sorted(set(MECHANISMS) - covered)
+
+
+# ------------------------------------------------------------------ the omitted-steps table
+
+ALL_FS = ("logfs", "flashfs", "seqfs", "verifs")
+LOG_AND_FLASH = {"logfs", "flashfs"}
+
+#: (step, mechanism) -> the file systems that left the step out for it when the
+#: steps were still overridable methods.  FlashFS then inherited LogFS's
+#: overrides, so the logging / replay mechanisms catalogued under logfs alone
+#: act on flashfs too ("off-label"), and the base class keyed the checkpoint
+#: flush off the bug config on every file system.
+OMISSIONS = {
+    ("commit_barrier", "fsync_no_flush"): {"flashfs"},
+    ("commit_seal", "fsync_no_flush"): {"flashfs"},
+    ("commit_seal", "lsw_unfenced_append"): LOG_AND_FLASH,
+    ("recursive_logging", "rename_dest_not_logged"): LOG_AND_FLASH,
+    ("recursive_logging", "unlink_recreate_replay_fail"): LOG_AND_FLASH,
+    ("flush_before_fua", "missing_flush_before_fua"): set(ALL_FS),
+    ("tolerate_stale_removal", "unlink_recreate_replay_fail"): LOG_AND_FLASH,
+    ("uncount_removed_entry", "dir_replay_wrong_size"): LOG_AND_FLASH,
+}
+
+
+def test_every_mechanism_in_the_omitted_steps_table_is_declared():
+    for step, omitters in OMITTED_STEPS.items():
+        assert omitters, step
+        for bug_id, fs_types in omitters.items():
+            assert bug_id in MECHANISMS, (step, bug_id)
+            assert set(fs_types) <= set(ALL_FS), (step, bug_id)
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_a_step_is_omitted_on_exactly_the_file_systems_it_was(fs_name):
+    assert {step for step, _ in OMISSIONS} == set(OMITTED_STEPS)
+    for bug_id in MECHANISMS:
+        fs, _, _ = make_mounted_fs(fs_name, BugConfig.only(bug_id))
+        for step in OMITTED_STEPS:
+            assert fs._omits(step) == (fs_name in OMISSIONS.get((step, bug_id), ())), (step, bug_id)
+    patched, _, _ = make_mounted_fs(fs_name, BugConfig.none())
+    assert not any(patched._omits(step) for step in OMITTED_STEPS)
+
+
+def _flushes_of(fs_name, bug_id, persist):
+    """Cache flushes ``persist(fs)`` issues after a write to a committed file."""
+    fs, recording, _ = make_mounted_fs(fs_name, BugConfig.only(bug_id))
+    fs.creat("foo")
+    fs.sync()
+    fs.write("foo", 0, b"x" * 4096)
+    before = len(recording.log)
+    persist(fs)
+    return sum(1 for request in recording.log[before:] if request.is_flush)
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_an_omitted_barrier_is_missing_from_the_write_stream(fs_name):
+    """The table read off the device: a correct fdatasync and a correct sync
+    issue two flushes each; each omitted barrier is one flush fewer."""
+    for bug_id in ("fsync_no_flush", "lsw_unfenced_append", "missing_flush_before_fua"):
+        omitted = {step for (step, bug), fs_types in OMISSIONS.items()
+                   if bug == bug_id and fs_name in fs_types}
+        assert _flushes_of(fs_name, bug_id, lambda fs: fs.fdatasync("foo")) == \
+            2 - len(omitted & {"commit_barrier", "commit_seal"}), bug_id
+        assert _flushes_of(fs_name, bug_id, lambda fs: fs.sync()) == \
+            2 - len(omitted & {"flush_before_fua"}), bug_id
+
+
+@pytest.mark.parametrize("fs_name", ["logfs", "flashfs"])
+def test_flashfs_replays_the_figure1_log_the_way_logfs_does(fs_name):
+    # ``unlink_recreate_replay_fail`` is catalogued under logfs only; FlashFS
+    # shares the per-inode log, so it must keep failing replay off-label.
+    result = run_workload_text(
+        fs_name, "creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar",
+        bugs=BugConfig.only("unlink_recreate_replay_fail"))
+    assert any(report.consequence == Consequence.UNMOUNTABLE for report in result.bug_reports)

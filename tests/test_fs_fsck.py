@@ -1,7 +1,7 @@
 """Offline checker (fsck) behaviour."""
 
-from repro.fs import BugConfig, LogFS, check_device, repair
-from repro.storage import BlockDevice, replay_until_checkpoint
+from repro.fs import BugConfig, LogFS, SeqFS, check_device, repair
+from repro.storage import BLOCK_SIZE, BlockDevice, replay_until_checkpoint
 
 from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
 
@@ -98,3 +98,27 @@ def test_check_detects_wrong_link_counts():
     report = check_device(recording)
     assert not report.clean
     assert any("nlink" in error for error in report.errors)
+
+
+def _image_with_zeroed_superblock(fs_name):
+    fs, recording, base = make_mounted_fs(fs_name, BugConfig.none())
+    fs.creat("foo")
+    fs.sync()
+    recording.write_block(0, bytes(BLOCK_SIZE))
+    return recording
+
+
+def test_repair_of_an_image_without_a_superblock_reports_instead_of_raising():
+    # The crash-state generator calls repair() from inside its handler for an
+    # un-mountable state: an exception here would end the campaign.
+    repaired_fs, report = repair(LogFS, _image_with_zeroed_superblock("logfs"))
+    assert repaired_fs is None
+    assert not report.clean and not report.repaired
+    assert any("no superblock" in error for error in report.errors)
+    assert any("repair failed" in error for error in report.errors)
+
+
+def test_repair_mounts_a_replicated_superblock_from_the_surviving_copy():
+    repaired_fs, report = repair(SeqFS, _image_with_zeroed_superblock("seqfs"))
+    assert report.repaired
+    assert repaired_fs is not None and repaired_fs.exists("foo")

@@ -273,3 +273,38 @@ def test_plain_devices_accept_and_ignore_the_recording_annotations(device_class)
     device.write_block(3, b"x", metadata=True, fua=True, tag="superblock")
     device.flush(sync=True)
     assert bytes(device.read_block(3)[:1]) == b"x" and device.flushes == 1
+
+
+# ------------------------------------------------------------------ where an fsync logs
+
+#: the on-disk area each per-inode-log file system appends its fsync records to
+FSYNC_LOG_AREA = {
+    "logfs": range(layout.SEGMENT_START, layout.SEGMENT_SUMMARY_BLOCK + 1),
+    "flashfs": range(layout.LOG_START, layout.LOG_START + layout.LOG_BLOCKS),
+}
+
+
+@pytest.mark.parametrize("fs_name", sorted(FSYNC_LOG_AREA))
+def test_an_fsync_logs_only_inside_its_own_area_on_full_seq1(fs_name):
+    """LogFS keeps its log in the segment area and FlashFS in the plain log
+    area — unconditionally, whatever the two share; fails if they swap."""
+    from repro.ace import AceSynthesizer, seq1_bounds
+    from repro.workload.executor import WorkloadExecutor
+    from repro.workload.operations import OpKind
+
+    area, logged = FSYNC_LOG_AREA[fs_name], 0
+    for workload in AceSynthesizer(seq1_bounds()).stream():
+        fs, recording, _ = make_mounted_fs(fs_name)
+        seen = 0
+
+        def check(op, index):
+            nonlocal seen, logged
+            requests, seen = recording.log[seen:], len(recording.log)
+            if op.op not in (OpKind.FSYNC, OpKind.FDATASYNC, OpKind.MSYNC):
+                return
+            records = [r.block for r in requests if r.is_write and r.tag != "data"]
+            assert all(block in area for block in records), (workload.display_name(), index)
+            logged += len(records)
+
+        WorkloadExecutor(fs).run(workload, after_operation=check)
+    assert logged > 0
