@@ -22,7 +22,7 @@ from .engine import (
     ProgressEvent,
     run_campaign,
 )
-from .stream import TimedIterator, chunked, chunked_affine
+from .stream import TimedIterator, chunked_affine
 
 __all__ = [
     "HarnessSpec",
@@ -38,6 +38,5 @@ __all__ = [
     "run_campaign",
     "DEFAULT_CHUNK_SIZE",
     "TimedIterator",
-    "chunked",
     "chunked_affine",
 ]

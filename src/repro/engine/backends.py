@@ -119,12 +119,10 @@ class SerialBackend:
 
     def __init__(self, harness: Optional[CrashMonkey] = None):
         self._harness = harness
-        self._spec: Optional[HarnessSpec] = None
 
     def _harness_for(self, spec: HarnessSpec) -> CrashMonkey:
-        if self._harness is None or (self._spec is not None and self._spec != spec):
+        if self._harness is None or self._harness.spec != spec:
             self._harness = spec.build()
-        self._spec = spec
         return self._harness
 
     def execute(self, spec: HarnessSpec,
@@ -202,9 +200,8 @@ class ProcessPoolBackend:
                     yield future.result()
 
 
-def make_backend(processes: int = 1,
-                 harness: Optional[CrashMonkey] = None) -> ExecutionBackend:
+def make_backend(processes: int = 1) -> ExecutionBackend:
     """Pick the natural backend for a process count."""
     if processes <= 1:
-        return SerialBackend(harness=harness)
+        return SerialBackend()
     return ProcessPoolBackend(processes=processes)

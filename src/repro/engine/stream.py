@@ -30,8 +30,6 @@ class TimedIterator(Iterator[T]):
         self.seconds: float = 0.0
         #: number of items pulled so far
         self.count: int = 0
-        #: True once the source is exhausted
-        self.exhausted: bool = False
 
     def __iter__(self) -> "TimedIterator[T]":
         return self
@@ -40,41 +38,28 @@ class TimedIterator(Iterator[T]):
         start = time.perf_counter()
         try:
             item = next(self._source)
-        except StopIteration:
-            self.exhausted = True
+        finally:
             self.seconds += time.perf_counter() - start
-            raise
-        self.seconds += time.perf_counter() - start
         self.count += 1
         return item
 
 
-def chunked(items: Iterable[T], chunk_size: int) -> Iterator[List[T]]:
-    """Lazily split ``items`` into lists of at most ``chunk_size``."""
-    if chunk_size <= 0:
-        raise ValueError("chunk_size must be positive")
-    chunk: List[T] = []
-    for item in items:
-        chunk.append(item)
-        if len(chunk) >= chunk_size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
+#: how far past ``chunk_size`` :func:`chunked_affine` stretches a chunk to
+#: keep an affinity group whole
+MAX_CHUNK_STRETCH = 4
 
 
 def chunked_affine(items: Iterable[T], chunk_size: int,
-                   key: Callable[[T], object],
-                   max_chunk_size: int = 0) -> Iterator[List[T]]:
-    """Chunk like :func:`chunked` but cut only at affinity-key boundaries.
+                   key: Callable[[T], object]) -> Iterator[List[T]]:
+    """Split ``items`` into lists of about ``chunk_size``, cut only at affinity-key boundaries.
 
     A chunk is flushed once it holds at least ``chunk_size`` items *and* the
     next item starts a new affinity group (``key`` changes between
     consecutive items), so a run of equal-key items — an ACE sibling family,
     whose members share the recording prefixes a worker's prefix cache can
-    reuse — never spans two chunks.  ``max_chunk_size`` (default
-    ``4 * chunk_size``) bounds the stretch: a single group larger than that
-    is split anyway, trading some cache warmth for bounded in-flight memory.
+    reuse — never spans two chunks.  ``MAX_CHUNK_STRETCH * chunk_size``
+    bounds the stretch: a single group larger than that is split anyway,
+    trading some cache warmth for bounded in-flight memory.
 
     Affinity only changes *where* chunk boundaries fall, never the item
     order: concatenating the chunks always reproduces the input stream, so
@@ -82,10 +67,7 @@ def chunked_affine(items: Iterable[T], chunk_size: int,
     """
     if chunk_size <= 0:
         raise ValueError("chunk_size must be positive")
-    if max_chunk_size <= 0:
-        max_chunk_size = 4 * chunk_size
-    if max_chunk_size < chunk_size:
-        raise ValueError("max_chunk_size must be >= chunk_size")
+    max_chunk_size = MAX_CHUNK_STRETCH * chunk_size
     chunk: List[T] = []
     last_key: object = None
     for item in items:

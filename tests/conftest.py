@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from repro.crashmonkey import CrashMonkey
+from repro.crashmonkey.replay_cache import _ReplayNode
+from repro.errors import FileSystemError
 from repro.fs import BugConfig, get_fs_class, resolve_fs_name
 from repro.storage import BlockDevice, CowDevice, RecordingDevice
 from repro.workload import parse_workload
 
 #: Small (sparse) device used throughout the tests: 16 MiB.
 SMALL_DEVICE_BLOCKS = 4096
+
+#: Sibling pair sharing the prefix "creat foo; write foo 0 8192; fsync foo".
+SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
+SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
 
 
 @pytest.fixture
@@ -32,6 +39,68 @@ def make_mounted_fs(fs_name: str, bugs=None, device_blocks: int = SMALL_DEVICE_B
     fs = fs_class(recording, bugs)
     fs.mount()
     return fs, recording, base_image
+
+
+_PATHS = ("foo", "bar", "A", "B", "A/foo", "A/bar", "B/foo")
+
+#: One random operation: (op name, path, secondary path, offset, length).
+op_strategy = st.tuples(
+    st.sampled_from(
+        ["creat", "mkdir", "write", "link", "unlink", "rename", "truncate",
+         "setxattr", "falloc", "fsync", "fdatasync", "sync"]
+    ),
+    st.sampled_from(_PATHS),
+    st.sampled_from(_PATHS),
+    st.integers(min_value=0, max_value=8192),
+    st.integers(min_value=1, max_value=4096),
+)
+
+
+def apply_op(fs, op):
+    """Apply one random op, ignoring POSIX-level rejections."""
+    name, path, other, offset, length = op
+    try:
+        if name == "creat":
+            fs.creat(path)
+        elif name == "mkdir":
+            fs.mkdir(path)
+        elif name == "write":
+            fs.write(path, offset, bytes([offset % 251 + 1]) * length)
+        elif name == "link":
+            fs.link(path, other)
+        elif name == "unlink":
+            fs.unlink(path)
+        elif name == "rename":
+            fs.rename(path, other)
+        elif name == "truncate":
+            fs.truncate(path, length)
+        elif name == "setxattr":
+            fs.setxattr(path, "user.p", b"v")
+        elif name == "falloc":
+            fs.falloc(path, offset, length, keep_size=bool(offset % 2))
+        elif name == "fsync":
+            fs.fsync(path)
+        elif name == "fdatasync":
+            fs.fdatasync(path)
+        elif name == "sync":
+            fs.sync()
+    except FileSystemError:
+        pass
+
+
+def devices_of(node):
+    """A spine node's device references, in a fixed order, duplicates included."""
+    if isinstance(node, _ReplayNode):
+        records = node.records.values()
+        return [node.cursor, node.stable, *(r.baseline for r in records),
+                *(r.stable for r in records)]
+    return [node.device]
+
+
+def topology(devices):
+    """For each reference, the position of the first reference to that object."""
+    first = {}
+    return [first.setdefault(id(device), position) for position, device in enumerate(devices)]
 
 
 def run_workload_text(fs_name: str, text: str, bugs=None, name: str = "test",

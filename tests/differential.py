@@ -1,0 +1,230 @@
+"""One differential harness: the seq-1 space, shared references, seeded-unsound variants.
+
+Every optimisation is admitted the way B3 admits a bounded space: the full
+seq-1 space of all four simulated file systems is tested with and without it,
+the answers must agree, and a deliberately unsound variant must make that
+comparison fail (README, "Differential harnesses").  A variant is a function
+of a ``pytest.MonkeyPatch`` that installs patches; an observer is a generator
+function of one that installs patches, yields what they fill and may finish it
+after the run.  Inside :func:`patched`, :func:`run` is the variant's side,
+computed fresh, while :func:`reference` is served as if nothing were installed.
+Patch through these, never with a test's own ``monkeypatch`` around
+:func:`run`: a run no variant touches is served from the session's cache.
+"""
+
+import contextlib
+import functools
+import itertools
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional
+
+import pytest
+
+from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
+from repro.crashmonkey.recorder import WorkloadRecorder
+from repro.crashmonkey.report import CrashTestResult
+from repro.engine import HarnessSpec, run_campaign
+from repro.fs import resolve_fs_name
+
+from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
+
+ALL_FS = ("logfs", "seqfs", "flashfs", "verifs")
+
+SPACES = {
+    "seq-1": lambda: AceSynthesizer(seq1_bounds()).stream(),
+    #: a contiguous run of the seq-2 space: a few whole sibling families
+    "seq-2": lambda: AceSynthesizer(seq2_bounds()).stream(limit=150),
+    "seq-1+seq-2": lambda: space("seq-1") + space("seq-2"),
+    "seq-2-sample": lambda: AceSynthesizer(seq2_bounds()).sample(20),
+}
+
+
+def space(name: str = "seq-1", limit: Optional[int] = None) -> tuple:
+    """The workloads of ``name`` (its first ``limit``), built once per session."""
+    return _space(name)[:limit]
+
+
+@functools.lru_cache(maxsize=None)
+def _space(name: str) -> tuple:
+    return tuple(SPACES[name]())
+
+
+@dataclass
+class Run:
+    """One harness's results over a space, and what its observer saw."""
+
+    results: List[CrashTestResult]
+    observer: Optional[Callable] = None
+    seen: Any = None
+
+    def total(self, counter: str):
+        return sum(getattr(result, counter) for result in self.results)
+
+
+#: (spec, test, space, limit) -> the session's shared run
+_RUNS: Dict[tuple, Run] = {}
+#: (monkeypatch, variant) of every variant :func:`patched` installed
+_INSTALLED: List[tuple] = []
+
+
+@contextlib.contextmanager
+def patched(variant: Callable):
+    """Install ``variant`` for the block: :func:`run` inside is its side."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        variant(monkeypatch)
+        _INSTALLED.append((monkeypatch, variant))
+        try:
+            yield
+        finally:
+            _INSTALLED.pop()
+
+
+def rejects(variant: Callable, check: Callable, *args, match: Optional[str] = None):
+    """A seeded-unsound ``variant``: ``check(*args)`` must fail while it is installed."""
+    with patched(variant), pytest.raises(AssertionError, match=match):
+        check(*args)
+
+
+def run(fs_name: str, variant: Optional[Callable] = None, **spec) -> Run:
+    """The side under test: a space tested under ``spec`` with ``variant`` installed.
+
+    ``spec`` holds :class:`~repro.options.HarnessSpec` fields plus ``test`` (how
+    one workload is tested: ``harness.test_workload`` unless given), ``observe``,
+    ``space`` and ``limit``.
+    """
+    if variant is not None:
+        with patched(variant):
+            return run(fs_name, **spec)
+    if _INSTALLED:
+        return _execute(*_key(fs_name, **spec))
+    return reference(fs_name, **spec)
+
+
+def reference(fs_name: str, **spec) -> Run:
+    """What a variant is compared against: the session's unpatched run of ``spec``."""
+    key, observe = _key(fs_name, **spec)
+    shared = _RUNS.get(key)
+    if shared is None or observe not in (None, shared.observer):
+        with _uninstalled():
+            shared = _RUNS[key] = _execute(key, observe)
+    return shared
+
+
+def _key(fs_name, *, test=None, observe=None, space="seq-1", limit=None, **options):
+    spec = HarnessSpec(fs_name=resolve_fs_name(fs_name), device_blocks=SMALL_DEVICE_BLOCKS,
+                       **options)
+    return (spec, test, space, limit), observe
+
+
+def _execute(key, observe) -> Run:
+    spec, test, space_name, limit = key
+    harness = spec.build()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        with (contextlib.contextmanager(observe)(monkeypatch) if observe is not None
+              else contextlib.nullcontext()) as seen:
+            results = [harness.test_workload(workload) if test is None else test(harness, workload)
+                       for workload in space(space_name, limit)]
+    return Run(results, observe, seen)
+
+
+@contextlib.contextmanager
+def _uninstalled():
+    """Lift every installed variant for the block, then put each back."""
+    for monkeypatch, _ in reversed(_INSTALLED):
+        monkeypatch.undo()
+    try:
+        yield
+    finally:
+        for monkeypatch, variant in _INSTALLED:
+            variant(monkeypatch)
+
+
+def assert_same(actual: Run, expected: Run, project=CrashTestResult.canonical_dict):
+    """``project`` of every result agrees; a failure names the first workload that does not."""
+    assert len(actual.results) == len(expected.results)
+    for mine, theirs in zip(actual.results, expected.results):
+        assert project(mine) == project(theirs), mine.workload.display_name()
+
+
+# --------------------------------------------------------------- one layer down
+
+
+def recorder(fs_name: str, bugs=None, **options) -> WorkloadRecorder:
+    return WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS, **options)
+
+
+def profiles(fs_name: str, bugs=None):
+    """``(workload, profile)`` for every seq-1 workload, from one recorder."""
+    recording = recorder(fs_name, bugs)
+    for workload in space():
+        yield workload, recording.profile(workload)
+
+
+def executions(fs_name: str, bugs=None):
+    """``(workload, fs, recording device)``: a freshly mounted ``fs_name`` per seq-1 workload."""
+    for workload in space():
+        fs, recording, _ = make_mounted_fs(fs_name, bugs)
+        yield workload, fs, recording
+
+
+def assert_profiles_equal(actual, expected, context=""):
+    assert actual.io_log == expected.io_log, f"io_log {context}"
+    assert actual.checkpoints() == expected.checkpoints(), context
+    assert actual.oracles == expected.oracles, f"oracles {context}"
+    assert actual.tracker_views == expected.tracker_views, f"views {context}"
+    assert actual.num_checkpoints == expected.num_checkpoints, context
+    assert actual.executed_ops == expected.executed_ops, context
+    assert actual.skipped_ops == expected.skipped_ops, context
+    assert actual.recorded_bytes == expected.recorded_bytes, context
+    assert actual.workload_overlay_bytes == expected.workload_overlay_bytes, context
+
+
+def assert_profiles_match(recording: WorkloadRecorder, fs_name: str, bugs=None,
+                          space_name: str = "seq-1", upcoming: Optional[Callable] = None):
+    """Every profile ``recording`` records over the space is the from-scratch one;
+    ``upcoming(workload, true_next)`` is what the caller claims comes next."""
+    workloads = space(space_name)
+    for workload, true_next, expected in zip(workloads, workloads[1:] + (None,),
+                                             _from_scratch(fs_name, bugs, space_name)):
+        claimed = upcoming(workload, true_next) if upcoming is not None else None
+        assert_profiles_equal(recording.profile(workload, upcoming=claimed), expected,
+                              context=f"{fs_name} {workload.display_name()}")
+
+
+@functools.lru_cache(maxsize=1)
+def _from_scratch(fs_name: str, bugs, space_name: str) -> tuple:
+    """The space's from-scratch profiles, recorded unpatched; the last asked for stays."""
+    scratch = recorder(fs_name, bugs, share_prefixes=False)
+    with _uninstalled():
+        profiles = tuple(map(scratch.profile, space(space_name)))
+    assert scratch.prefix_hits == 0
+    return profiles
+
+
+# --------------------------------------------------------------- one layer up
+
+
+#: (spec, processes) -> the session's engine run
+_CAMPAIGNS: Dict[tuple, Any] = {}
+
+
+def campaign(processes: int = 1, **options):
+    """The full seq-1 space through the engine on ``btrfs``: one run per spec and
+    process count per session."""
+    spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS, **options)
+    if (spec, processes) not in _CAMPAIGNS:
+        _CAMPAIGNS[(spec, processes)] = run_campaign(spec, iter(space()), processes=processes,
+                                                     chunk_size=32)
+    return _CAMPAIGNS[(spec, processes)]
+
+
+def assert_campaigns_agree(option: str, values) -> dict:
+    """Under each value of ``option``, serial and pooled: every campaign's
+    ``canonical_dict()`` is the first's.  Results by (value, processes)."""
+    results = {(value, processes): campaign(processes, **{option: value}).result
+               for value, processes in itertools.product(values, (1, 2))}
+    expected = next(iter(results.values())).canonical_dict()
+    assert expected["derived"]["raw_reports"] > 0, "the buggy seq-1 space must produce reports"
+    for key, result in results.items():
+        assert result.canonical_dict() == expected, f"{option},processes={key}"
+    return results

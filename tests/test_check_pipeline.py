@@ -32,7 +32,9 @@ from repro.fs import BugConfig, Consequence
 from repro.fs.inode import FileState
 from repro.workload import parse_workload
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
 
 # --------------------------------------------------------------------------- golden
@@ -489,16 +491,14 @@ class TestPipelineSelection:
 # --------------------------------------------------------------------------- parity
 
 
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 @pytest.mark.parametrize("bugs", [None, BugConfig.none()], ids=["buggy", "patched"])
 def test_legacy_pipeline_matches_monolith_on_full_seq1_space(fs_name, bugs):
     """Byte-for-byte parity on every crash point of the full seq-1 space."""
-    recorder = WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS)
     monolith = MonolithicChecker()
     pipeline = CheckPipeline(checks=LEGACY_CHECKS)
     compared = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        profile = recorder.profile(workload)
+    for workload, profile in differential.profiles(fs_name, bugs):
         for checkpoint_id in profile.checkpoints():
             old = monolith.check(profile, CrashStateGenerator(profile).generate(checkpoint_id))
             new = pipeline.check(profile, CrashStateGenerator(profile).generate(checkpoint_id))

@@ -42,7 +42,9 @@ from repro.storage import (
 )
 from repro.workload import parse_workload
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
 #: Workload hitting the flashfs missing-barrier mechanism: the data and the
 #: fsync commit record stay in flight, so only reordering crash states see it.
@@ -224,14 +226,12 @@ class TestTornWritePlanner:
 # --------------------------------------------------------------------------- parity
 
 
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 @pytest.mark.parametrize("bugs", [None, BugConfig.none()], ids=["buggy", "patched"])
 def test_prefix_states_match_from_scratch_replay_on_full_seq1_space(fs_name, bugs):
     """Incremental construction is byte-for-byte the old per-checkpoint replay."""
-    recorder = WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS)
     compared = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        profile = recorder.profile(workload)
+    for workload, profile in differential.profiles(fs_name, bugs):
         generator = CrashStateGenerator(profile)
         for checkpoint_id in profile.checkpoints():
             legacy = replay_until_checkpoint(profile.base_image, profile.io_log, checkpoint_id)
@@ -312,7 +312,7 @@ class TestBarrierRespect:
                 return request.seq
         raise AssertionError(f"no marker for checkpoint {checkpoint_id}")
 
-    @pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+    @pytest.mark.parametrize("fs_name", ALL_FS)
     def test_on_buggy_filesystems(self, fs_name):
         profile = _profile(fs_name, "creat foo\nwrite foo 0 8192\nfsync foo\nwrite foo 0 4096\nsync")
         self._assert_barriers_respected(profile, bound=2)
@@ -362,7 +362,7 @@ class TestReorderFindsWhatPrefixCannot:
         assert result.scenarios_tested == result.checkpoints_tested
 
     def test_patched_seq1_sample_has_no_reorder_false_positives(self):
-        for fs_name in ("logfs", "seqfs", "flashfs", "verifs"):
+        for fs_name in ALL_FS:
             harness = CrashMonkey(fs_name, bugs=BugConfig.none(),
                                   device_blocks=SMALL_DEVICE_BLOCKS,
                                   crash_plan="reorder", reorder_bound=2)
@@ -438,7 +438,7 @@ class TestTornFindsWhatReorderCannot:
         assert result.passed
 
 
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 def test_patched_full_seq1_space_has_no_torn_false_positives(fs_name):
     """Soundness: correct file systems produce zero torn-plan reports.
 
@@ -446,15 +446,11 @@ def test_patched_full_seq1_space_has_no_torn_false_positives(fs_name):
     every commit-critical block behind a flush or FUA barrier, so the torn
     planner finds nothing to tear and nothing to report.
     """
-    harness = CrashMonkey(fs_name, bugs=BugConfig.none(),
-                          device_blocks=SMALL_DEVICE_BLOCKS,
-                          crash_plan="torn", reorder_bound=2, torn_bound=2)
-    tested = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        result = harness.test_workload(workload)
-        assert result.passed, f"{fs_name}: {workload.display_name()}"
-        tested += 1
-    assert tested > 0
+    patched = differential.run(fs_name, bugs=BugConfig.none(), crash_plan="torn",
+                               reorder_bound=2, torn_bound=2)
+    assert patched.results
+    for result in patched.results:
+        assert result.passed, f"{fs_name}: {result.workload.display_name()}"
 
 
 # --------------------------------------------------------------------------- dedup

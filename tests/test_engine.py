@@ -5,6 +5,7 @@ import pytest
 from repro.ace import AceSynthesizer, seq1_bounds
 from repro.cluster import partition, run_on_cluster
 from repro.core import B3Campaign, CampaignConfig, quick_campaign
+from repro.crashmonkey import CrashMonkey
 from repro.engine import (
     CampaignEngine,
     ChunkStats,
@@ -12,10 +13,10 @@ from repro.engine import (
     ProcessPoolBackend,
     SerialBackend,
     TimedIterator,
-    chunked,
     run_campaign,
 )
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS
 
 
@@ -40,27 +41,18 @@ def _fingerprint(result):
 
 
 class TestStreamHelpers:
-    def test_chunked_splits_lazily(self):
-        chunks = list(chunked(iter(range(10)), 4))
-        assert chunks == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
-
-    def test_chunked_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
-
     def test_timed_iterator_counts_and_times(self):
         timed = TimedIterator(iter(range(5)))
         assert list(timed) == [0, 1, 2, 3, 4]
         assert timed.count == 5
-        assert timed.exhausted
         assert timed.seconds >= 0.0
 
 
 class TestSerialEngine:
     def test_full_seq1_space_matches_direct_harness_run(self):
-        workloads = list(AceSynthesizer(seq1_bounds()).generate())
-        run = run_campaign(_spec(), iter(workloads), label="seq-1")
-        direct = _spec().build().test_workloads(workloads)
+        workloads = differential.space()
+        run = differential.campaign()
+        direct = differential.reference("btrfs").results
         assert [_fingerprint(r) for r in run.result.results] == \
             [_fingerprint(r) for r in direct]
         assert run.result.workloads_tested == len(workloads)
@@ -104,6 +96,15 @@ class TestSerialEngine:
         assert events[-1].failing_workloads == run.result.failing_workloads
         assert all(event.chunk.seconds > 0 for event in events)
 
+    def test_a_backend_built_with_a_harness_runs_the_spec_it_is_handed(self):
+        harness = CrashMonkey(spec=_spec(fs_name="logfs"))
+        chunks = [(0, list(differential.space(limit=3)))]
+        (outcome,) = SerialBackend(harness=harness).execute(_spec(fs_name="seqfs"), chunks)
+        assert {result.fs_type for result in outcome.results} == {"seqfs"}
+        backend = SerialBackend(harness=harness)
+        list(backend.execute(_spec(fs_name="logfs"), chunks))
+        assert backend._harness is harness
+
     def test_empty_stream_yields_empty_result(self):
         run = run_campaign(_spec(), iter(()), label="empty")
         assert run.result.workloads_tested == 0
@@ -113,8 +114,7 @@ class TestSerialEngine:
 
 class TestProcessPoolEngine:
     def test_pool_and_serial_find_identical_bugs_on_full_seq1_space(self):
-        serial = run_campaign(_spec(), AceSynthesizer(seq1_bounds()).generate(),
-                              label="seq-1", processes=1)
+        serial = differential.campaign()
         pooled = run_campaign(_spec(), AceSynthesizer(seq1_bounds()).generate(),
                               label="seq-1", processes=2, chunk_size=48)
         assert serial.result.workloads_tested == pooled.result.workloads_tested

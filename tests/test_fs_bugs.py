@@ -10,6 +10,7 @@ from repro.fs import BugConfig, Consequence, MECHANISMS, get_mechanism, mechanis
 from repro.fs.bugs import OMITTED_STEPS
 
 from conftest import make_mounted_fs, run_workload_text
+from differential import ALL_FS
 
 
 class TestBugCatalogue:
@@ -21,13 +22,13 @@ class TestBugCatalogue:
             assert mechanism.fs_types
 
     def test_mechanisms_for_filters_by_fs(self):
-        for fs_type in ("logfs", "seqfs", "flashfs", "verifs"):
+        for fs_type in ALL_FS:
             for mechanism in mechanisms_for(fs_type):
                 assert mechanism.applies_to(fs_type)
 
     def test_logfs_carries_the_most_mechanisms(self):
         # Matches the paper's observation that btrfs had by far the most bugs.
-        counts = {fs: len(mechanisms_for(fs)) for fs in ("logfs", "seqfs", "flashfs", "verifs")}
+        counts = {fs: len(mechanisms_for(fs)) for fs in ALL_FS}
         assert counts["logfs"] == max(counts.values())
         assert counts["seqfs"] <= 4
 
@@ -332,7 +333,6 @@ def test_every_mechanism_is_covered_by_a_workload():
 
 # ------------------------------------------------------------------ the omitted-steps table
 
-ALL_FS = ("logfs", "flashfs", "seqfs", "verifs")
 LOG_AND_FLASH = {"logfs", "flashfs"}
 
 #: (step, mechanism) -> the file systems that left the step out for it when the

@@ -31,7 +31,6 @@ from enum import Enum
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.ace import AceSynthesizer, seq1_bounds
 from repro.crashmonkey.tracker import PersistenceTracker, TrackedFile
 from repro.fs import BugConfig
 from repro.fs.base import AbstractFileSystem
@@ -39,14 +38,9 @@ from repro.storage import RecordingDevice
 from repro.workload import parse_workload
 from repro.workload.executor import WorkloadExecutor
 
-from conftest import make_mounted_fs
-from test_fs_properties import _apply, _op_strategy
-from test_prefix_sharing import _assert_profiles_equal as assert_profiles_equal
-from test_prefix_sharing import _recorders as recorders
-from test_prefix_sharing import test_shared_profiles_match_from_scratch_on_full_seq1_space \
-    as shared_profiles_match_from_scratch
-
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
+import differential
+from conftest import apply_op, make_mounted_fs, op_strategy
+from differential import ALL_FS
 
 #: attribute -> how many container levels ``fork`` copies before it shares:
 #: what lies below is written once and never mutated in place
@@ -58,10 +52,6 @@ WRITE_ONCE = {
 }
 
 IMMUTABLE = (str, bytes, int, float, bool, type(None), frozenset, Enum)
-
-
-def seq1_workloads():
-    return AceSynthesizer(seq1_bounds()).stream()
 
 
 # ------------------------------------------------------------------ the reference copy
@@ -178,8 +168,7 @@ def test_the_walk_sees_every_kind_of_state():
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_fork_is_an_equal_and_independent_copy_on_full_seq1(fs_name):
     forks = 0
-    for workload in seq1_workloads():
-        fs, recording, _ = make_mounted_fs(fs_name)
+    for workload, fs, recording in differential.executions(fs_name):
         executor = WorkloadExecutor(fs)
         #: every write-once value ever seen, with a copy taken at first sight
         first_seen = {}
@@ -218,11 +207,11 @@ def test_fork_is_an_equal_and_independent_copy_on_full_seq1(fs_name):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(fs_name=st.sampled_from(ALL_FS), patched=st.booleans(),
-       ops=st.lists(_op_strategy, max_size=15))
+       ops=st.lists(op_strategy, max_size=15))
 def test_fork_equals_pickle_on_random_operation_sequences(fs_name, patched, ops):
     fs, _, _ = make_mounted_fs(fs_name, BugConfig.none() if patched else None)
     for op in ops:
-        _apply(fs, op)
+        apply_op(fs, op)
         assert_fork_equals_pickle(fs)
         assert not mutable_objects(fs).keys() & mutable_objects(fs.fork(None)).keys()
 
@@ -233,8 +222,7 @@ def test_fork_equals_pickle_on_random_operation_sequences(fs_name, patched, ops)
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_tracker_fork_and_views_equal_a_pickle_round_trip_on_full_seq1(fs_name):
     views = 0
-    for workload in seq1_workloads():
-        fs, recording, _ = make_mounted_fs(fs_name)
+    for workload, fs, recording in differential.executions(fs_name):
         tracker = PersistenceTracker(fs)
 
         def live_records():
@@ -274,8 +262,7 @@ def test_tracker_fork_and_views_equal_a_pickle_round_trip_on_full_seq1(fs_name):
 @pytest.mark.parametrize("bugs", [None, BugConfig.none()], ids=["buggy", "patched"])
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_charged_bytes_bound_the_pickled_fork_from_above_within_2x(fs_name, bugs):
-    for workload in seq1_workloads():
-        fs, _, _ = make_mounted_fs(fs_name, bugs)
+    for workload, fs, _ in differential.executions(fs_name, bugs):
 
         def check(op, index):
             written = len(pickle.dumps(fs.fork(None), protocol=pickle.HIGHEST_PROTOCOL))
@@ -289,29 +276,31 @@ def test_charged_bytes_bound_the_pickled_fork_from_above_within_2x(fs_name, bugs
 
 
 def fork_sharing(attribute):
-    real_fork = AbstractFileSystem.fork
+    def variant(patch):
+        real_fork = AbstractFileSystem.fork
 
-    def fork(fs, device):
-        twin = real_fork(fs, device)
-        setattr(twin, attribute, dict(getattr(fs, attribute)))
-        return twin
+        def fork(fs, device):
+            twin = real_fork(fs, device)
+            setattr(twin, attribute, dict(getattr(fs, attribute)))
+            return twin
 
-    return fork
+        patch.setattr(AbstractFileSystem, "fork", fork)
+
+    return variant
 
 
 @pytest.mark.parametrize("attribute", ["_committed_paths", "inodes"])
-def test_a_fork_that_shares_what_operations_mutate_is_caught(monkeypatch, attribute):
-    monkeypatch.setattr(AbstractFileSystem, "fork", fork_sharing(attribute))
-    with pytest.raises(AssertionError):
-        test_fork_is_an_equal_and_independent_copy_on_full_seq1("logfs")
+def test_a_fork_that_shares_what_operations_mutate_is_caught(attribute):
+    differential.rejects(fork_sharing(attribute),
+                         test_fork_is_an_equal_and_independent_copy_on_full_seq1, "logfs")
     if attribute == "inodes":
         # Shared committed-path sets happen to be harmless on the seq-1 and
         # seq-2 spaces (only the walk above sees them); shared inodes are not.
-        with pytest.raises(AssertionError):
-            shared_profiles_match_from_scratch("logfs", None)
+        differential.rejects(fork_sharing(attribute), differential.assert_profiles_match,
+                             differential.recorder("logfs"), "logfs")
 
 
-def test_a_tracker_clone_that_shares_persisted_paths_is_caught(monkeypatch):
+def test_a_tracker_clone_that_shares_persisted_paths_is_caught():
     # No seq-1 (or early seq-2) family adds a name to an already persisted
     # inode in place, so the parity is run on a sibling pair that does: the
     # first sibling's ``fdatasync bar`` must not reach the second's record.
@@ -320,11 +309,11 @@ def test_a_tracker_clone_that_shares_persisted_paths_is_caught(monkeypatch):
                 ("fdatasync bar", "fdatasync foo")]
 
     def assert_parity():
-        shared, scratch = recorders("logfs", BugConfig.none())
+        shared = differential.recorder("logfs", BugConfig.none())
+        scratch = differential.recorder("logfs", BugConfig.none(), share_prefixes=False)
         for workload in siblings:
-            assert_profiles_equal(shared.profile(workload), scratch.profile(workload))
+            differential.assert_profiles_equal(shared.profile(workload), scratch.profile(workload))
 
     assert_parity()
-    monkeypatch.setattr(TrackedFile, "clone", copy.copy)
-    with pytest.raises(AssertionError):
-        assert_parity()
+    differential.rejects(lambda patch: patch.setattr(TrackedFile, "clone", copy.copy),
+                         assert_parity)

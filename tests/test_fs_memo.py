@@ -5,8 +5,8 @@ file content → SHA-1, path string → normalised path (plus the serialized
 superblock) — and a cache that cannot be caught lying proves nothing, so:
 
 * **(i) cold vs warm** — the full seq-1 space of all four file systems under
-  ``prefix`` and ``torn``, once with every memo emptied before every mount
-  and once left warm: the same ``canonical_dict()`` per workload and the same
+  ``prefix`` and ``torn``, every memo emptied before every mount, against the
+  session's warm run: the same ``canonical_dict()`` per workload and the same
   ``_serialize_meta()`` + ``logical_state()`` of every mounted file system.
 * **(ii) aliasing** — decoded payloads are handed out shared; the check
   pipeline (the ``write`` check mutates and tears down the recovered tree),
@@ -14,12 +14,13 @@ superblock) — and a cache that cannot be caught lying proves nothing, so:
 * **(iii) content edge cases** — the key is the text, not the block number
   and not the padding.
 * **(iv) eviction** — every test here runs a second time with each memo
-  capped at one entry; charged and measured bytes stay inside the budgets,
-  whose sum stays inside 1 MiB.
+  capped at one entry (for (i) that is the variant compared); charged and
+  measured bytes stay inside the budgets, whose sum stays inside 1 MiB.
 * **(v) seeded-unsound variants** — keying the decode memo on the block
   number, or the data hash on ``(ino, size)``, makes (i) fail.
 """
 
+import contextlib
 import copy
 import hashlib
 import json
@@ -29,7 +30,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ace import AceSynthesizer, seq1_bounds
 from repro.crashmonkey import CrashMonkey, CrashStateGenerator
 from repro.fs import get_fs_class, inode as fs_inode, layout, memo
 from repro.fs.base import AbstractFileSystem
@@ -37,18 +37,9 @@ from repro.storage import BLOCK_SIZE, BlockDevice, CowDevice
 from repro.storage.block import compose_torn_block
 from repro.workload import parse_workload
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS
-
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
-
-#: tables of the seeded-unsound variants; "cold" must empty them too
-VARIANT_TABLES = []
-
-
-def forget_everything():
-    memo.clear_all()
-    for table in VARIANT_TABLES:
-        table.clear()
+from differential import ALL_FS
 
 
 def measured_bytes(value) -> int:
@@ -78,59 +69,71 @@ def assert_memos_within_budget():
         assert measured <= table.budget, (table.name, measured, table.resident)
 
 
+def one_entry(patch):
+    memo.clear_all()
+    patch.setattr(memo, "MAX_ENTRIES", 1)
+
+
 @pytest.fixture(autouse=True, params=["default-capacity", "one-entry"])
-def capacity(request, monkeypatch):
+def capacity(request):
     """(iv): the whole file, a second time with every memo capped at one entry."""
-    if request.param == "one-entry":
-        monkeypatch.setattr(memo, "MAX_ENTRIES", 1)
-    forget_everything()
-    yield request.param
-    assert_memos_within_budget()
-    forget_everything()
+    memo.clear_all()
+    with (differential.patched(one_entry) if request.param == "one-entry"
+          else contextlib.nullcontext()):
+        yield request.param
+        assert_memos_within_budget()
+    memo.clear_all()
 
 
 # ------------------------------------------------------------------ (i) cold vs warm
 
 
-def campaign_observations(fs_name: str, plan: str, cold: bool, monkeypatch):
-    """Results of the full seq-1 space plus what every mount recovered."""
-    mounted = []
+def cold(patch):
+    """Every memo emptied before every mount."""
+    real_mount = AbstractFileSystem.mount
+
+    def forgetful_mount(fs, *args, **kwargs):
+        memo.clear_all()
+        real_mount(fs, *args, **kwargs)
+
+    patch.setattr(AbstractFileSystem, "mount", forgetful_mount)
+
+
+def recovered(patch):
+    """Observer: what every mount recovered, and how full each memo ended."""
+    seen = {"mounts": []}
     real_mount = AbstractFileSystem.mount
 
     def observed_mount(fs, *args, **kwargs):
-        if cold:
-            forget_everything()
         real_mount(fs, *args, **kwargs)
-        mounted.append((copy.deepcopy(fs._serialize_meta()), fs.logical_state()))
+        seen["mounts"].append((copy.deepcopy(fs._serialize_meta()), fs.logical_state()))
 
-    with monkeypatch.context() as patch:
-        patch.setattr(AbstractFileSystem, "mount", observed_mount)
-        harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan)
-        results = [harness.test_workload(workload).canonical_dict()
-                   for workload in AceSynthesizer(seq1_bounds()).stream()]
-    return results, mounted
+    patch.setattr(AbstractFileSystem, "mount", observed_mount)
+    yield seen
+    assert_memos_within_budget()
+    seen["entries"] = [len(table) for table in memo.MEMOS]
 
 
-def assert_cold_equals_warm(fs_name: str, plan: str, monkeypatch):
-    cold_results, cold_mounts = campaign_observations(fs_name, plan, True, monkeypatch)
-    forget_everything()
-    warm_results, warm_mounts = campaign_observations(fs_name, plan, False, monkeypatch)
-    assert len(cold_results) == 465 and len(cold_mounts) > 100
-    assert warm_results == cold_results
-    assert warm_mounts == cold_mounts
-    return warm_results
+def assert_memos_change_nothing(fs_name: str, plan: str, variant=None):
+    warm = differential.reference(fs_name, crash_plan=plan, observe=recovered)
+    other = differential.run(fs_name, variant, crash_plan=plan, observe=recovered)
+    assert len(warm.results) == 465 and len(warm.seen["mounts"]) > 100
+    differential.assert_same(other, warm)
+    assert other.seen["mounts"] == warm.seen["mounts"]
+    return warm
 
 
 @pytest.mark.parametrize("plan", ["prefix", "torn"])
 @pytest.mark.parametrize("fs_name", ALL_FS)
-def test_warm_memos_change_nothing_on_full_seq1(fs_name, plan, capacity, monkeypatch):
-    results = assert_cold_equals_warm(fs_name, plan, monkeypatch)
-    assert_memos_within_budget()
+def test_warm_memos_change_nothing_on_full_seq1(fs_name, plan, capacity):
+    """Cold at the default capacity; warm at the one entry ``capacity`` installed."""
+    warm = assert_memos_change_nothing(fs_name, plan,
+                                       cold if capacity == "default-capacity" else None)
     if fs_name == "logfs" or (plan == "torn" and fs_name != "verifs"):
-        assert any(result["bug_reports"] for result in results), \
+        assert any(result.bug_reports for result in warm.results), \
             "the comparison must cover failing states"
-    if capacity == "default-capacity":
-        assert all(len(table) > 1 for table in memo.MEMOS), "every memo must have been used"
+    assert all(entries > 1 for entries in warm.seen["entries"]), \
+        "every memo must have been used"
 
 
 # ------------------------------------------------------------------ (ii) aliasing
@@ -183,7 +186,7 @@ def test_a_used_mount_leaves_the_shared_payloads_untouched(fs_name):
             if key in decoded_before:
                 assert value == decoded_before[key], "a cached payload was mutated"
         warm = mount_observation(get_fs_class(fs_name), image, profile.bugs)
-        forget_everything()
+        memo.clear_all()
         assert mount_observation(get_fs_class(fs_name), image, profile.bugs) == warm
 
 
@@ -308,40 +311,36 @@ def test_a_memo_evicts_oldest_first_and_never_exceeds_its_budget(capacity):
 # ------------------------------------------------------------------ (v) seeded-unsound variants
 
 
-def test_keying_the_decode_memo_on_the_block_number_is_caught(monkeypatch):
+def read_by_block_number(patch):
     table = {}
-    VARIANT_TABLES.append(table)
     real_read = layout._read_json_block
 
-    def read_by_block_number(device, block):
+    def read(device, block):
         if block not in table:
             table[block] = real_read(device, block)
         return table[block]
 
-    monkeypatch.setattr(layout, "_read_json_block", read_by_block_number)
-    try:
-        with pytest.raises(AssertionError):
-            assert_cold_equals_warm("logfs", "prefix", monkeypatch)
-    finally:
-        VARIANT_TABLES.remove(table)
+    patch.setattr(layout, "_read_json_block", read)
 
 
-def test_keying_the_data_hash_on_ino_and_size_is_caught(monkeypatch):
+def hash_by_ino_and_size(patch):
     table = {}
-    VARIANT_TABLES.append(table)
 
-    def hash_by_ino_and_size(inode):
+    def data_hash(inode):
         key = (inode.ino, len(inode.data))
         if key not in table:
             table[key] = hashlib.sha1(bytes(inode.data)).hexdigest()
         return table[key]
 
-    monkeypatch.setattr(fs_inode.Inode, "data_hash", hash_by_ino_and_size)
-    try:
-        with pytest.raises(AssertionError):
-            assert_cold_equals_warm("logfs", "prefix", monkeypatch)
-    finally:
-        VARIANT_TABLES.remove(table)
+    patch.setattr(fs_inode.Inode, "data_hash", data_hash)
+
+
+def test_keying_the_decode_memo_on_the_block_number_is_caught():
+    differential.rejects(read_by_block_number, assert_memos_change_nothing, "logfs", "prefix")
+
+
+def test_keying_the_data_hash_on_ino_and_size_is_caught():
+    differential.rejects(hash_by_ino_and_size, assert_memos_change_nothing, "logfs", "prefix")
 
 
 def test_the_path_memo_is_keyed_on_the_string_it_normalises():

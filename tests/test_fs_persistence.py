@@ -11,9 +11,9 @@ from repro.fs import BugConfig, get_fs_class, layout
 from repro.storage import (BLOCK_SIZE, BlockDevice, CowDevice, RecordingDevice,
                            replay_until_checkpoint)
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
-
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
+from differential import ALL_FS
 
 
 def crash_and_recover(fs_name, fs, recording, base_image, checkpoint):
@@ -288,13 +288,11 @@ FSYNC_LOG_AREA = {
 def test_an_fsync_logs_only_inside_its_own_area_on_full_seq1(fs_name):
     """LogFS keeps its log in the segment area and FlashFS in the plain log
     area — unconditionally, whatever the two share; fails if they swap."""
-    from repro.ace import AceSynthesizer, seq1_bounds
     from repro.workload.executor import WorkloadExecutor
     from repro.workload.operations import OpKind
 
     area, logged = FSYNC_LOG_AREA[fs_name], 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        fs, recording, _ = make_mounted_fs(fs_name)
+    for workload, fs, recording in differential.executions(fs_name):
         seen = 0
 
         def check(op, index):

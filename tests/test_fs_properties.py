@@ -10,59 +10,11 @@ Two core invariants of the substrate:
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import FileSystemError
 from repro.fs import BugConfig, get_fs_class
 from repro.storage import replay_until_checkpoint
 
-from conftest import make_mounted_fs
-
-FS_NAMES = ("logfs", "seqfs", "flashfs", "verifs")
-
-_PATHS = ("foo", "bar", "A", "B", "A/foo", "A/bar", "B/foo")
-
-#: One random operation: (op name, path, secondary path, offset, length).
-_op_strategy = st.tuples(
-    st.sampled_from(
-        ["creat", "mkdir", "write", "link", "unlink", "rename", "truncate",
-         "setxattr", "falloc", "fsync", "fdatasync", "sync"]
-    ),
-    st.sampled_from(_PATHS),
-    st.sampled_from(_PATHS),
-    st.integers(min_value=0, max_value=8192),
-    st.integers(min_value=1, max_value=4096),
-)
-
-
-def _apply(fs, op):
-    """Apply one random op, ignoring POSIX-level rejections."""
-    name, path, other, offset, length = op
-    try:
-        if name == "creat":
-            fs.creat(path)
-        elif name == "mkdir":
-            fs.mkdir(path)
-        elif name == "write":
-            fs.write(path, offset, bytes([offset % 251 + 1]) * length)
-        elif name == "link":
-            fs.link(path, other)
-        elif name == "unlink":
-            fs.unlink(path)
-        elif name == "rename":
-            fs.rename(path, other)
-        elif name == "truncate":
-            fs.truncate(path, length)
-        elif name == "setxattr":
-            fs.setxattr(path, "user.p", b"v")
-        elif name == "falloc":
-            fs.falloc(path, offset, length, keep_size=bool(offset % 2))
-        elif name == "fsync":
-            fs.fsync(path)
-        elif name == "fdatasync":
-            fs.fdatasync(path)
-        elif name == "sync":
-            fs.sync()
-    except FileSystemError:
-        pass
+from conftest import apply_op, make_mounted_fs, op_strategy
+from differential import ALL_FS
 
 
 def _states_equal(left, right):
@@ -79,11 +31,11 @@ def _states_equal(left, right):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(fs_name=st.sampled_from(FS_NAMES), ops=st.lists(_op_strategy, max_size=15))
+@given(fs_name=st.sampled_from(ALL_FS), ops=st.lists(op_strategy, max_size=15))
 def test_safe_unmount_remount_roundtrip(fs_name, ops):
     fs, recording, base = make_mounted_fs(fs_name, BugConfig.none())
     for op in ops:
-        _apply(fs, op)
+        apply_op(fs, op)
     expected = fs.logical_state()
     fs.unmount(safe=True)
     remounted = get_fs_class(fs_name)(recording, BugConfig.none())
@@ -92,11 +44,11 @@ def test_safe_unmount_remount_roundtrip(fs_name, ops):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(fs_name=st.sampled_from(FS_NAMES), ops=st.lists(_op_strategy, max_size=12))
+@given(fs_name=st.sampled_from(ALL_FS), ops=st.lists(op_strategy, max_size=12))
 def test_crash_after_sync_recovers_synced_state_on_patched_fs(fs_name, ops):
     fs, recording, base = make_mounted_fs(fs_name, BugConfig.none())
     for op in ops:
-        _apply(fs, op)
+        apply_op(fs, op)
     fs.sync()
     checkpoint = recording.mark_checkpoint()
     expected = fs.logical_state()
@@ -109,12 +61,12 @@ def test_crash_after_sync_recovers_synced_state_on_patched_fs(fs_name, ops):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(ops=st.lists(_op_strategy, max_size=12), fs_name=st.sampled_from(FS_NAMES))
+@given(ops=st.lists(op_strategy, max_size=12), fs_name=st.sampled_from(ALL_FS))
 def test_directory_sizes_track_entry_counts_in_memory(ops, fs_name):
     """While mounted, every directory's size equals its number of entries."""
     fs, recording, base = make_mounted_fs(fs_name, BugConfig.none())
     for op in ops:
-        _apply(fs, op)
+        apply_op(fs, op)
     for ino, inode in fs.inodes.items():
         if inode.is_dir:
             assert inode.size == len(inode.children)

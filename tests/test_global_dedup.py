@@ -17,16 +17,14 @@ harness pointed at one path, restoring campaign-global scope under a pool:
 
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.ace import AceSynthesizer, seq1_bounds
+from repro.ace import seq1_bounds
 from repro.core import B3Campaign, CampaignConfig
 from repro.crashmonkey import CrashMonkey, GlobalDedupCache
 from repro.engine import HarnessSpec, run_campaign
 from repro.workload import parse_workload
 
-from conftest import SMALL_DEVICE_BLOCKS
-
-SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
-SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
+import differential
+from conftest import SIBLING_A, SMALL_DEVICE_BLOCKS
 
 
 def _hammer(path, keys):
@@ -115,10 +113,8 @@ def _totals(run):
 
 class TestCampaignGlobalDedup:
     def test_pool_with_shared_database_skips_exactly_what_serial_skips(self, tmp_path):
-        workloads = list(AceSynthesizer(seq1_bounds()).stream())
-        serial_spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                                  cross_workload_dedup=True)
-        serial = run_campaign(serial_spec, iter(workloads), processes=1, chunk_size=32)
+        workloads = differential.space()
+        serial = differential.campaign(cross_workload_dedup=True)
         pool_spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
                                 cross_workload_dedup=True,
                                 global_dedup_cache=str(tmp_path / "s.sqlite"))
@@ -130,11 +126,8 @@ class TestCampaignGlobalDedup:
         assert _totals(serial)[1] > 0, "the sibling space must produce repeats"
 
     def test_pool_campaign_auto_provisions_a_global_database(self):
-        workloads = list(AceSynthesizer(seq1_bounds()).stream())
-        serial = B3Campaign(CampaignConfig(
-            fs_name="btrfs", bounds=seq1_bounds(),
-            device_blocks=SMALL_DEVICE_BLOCKS, cross_workload_dedup=True,
-        )).run(workloads=list(workloads))
+        workloads = differential.space()
+        serial = differential.campaign(cross_workload_dedup=True).result
         pooled = B3Campaign(CampaignConfig(
             fs_name="btrfs", bounds=seq1_bounds(),
             device_blocks=SMALL_DEVICE_BLOCKS, cross_workload_dedup=True,

@@ -35,6 +35,7 @@ from repro.storage import IOKind, IORequest
 from repro.workload import parse_workload
 
 from conftest import SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
 #: Workload exercising both mechanisms on flashfs: a journal commit epoch
 #: (fsync) and a checkpoint generation commit (sync).
@@ -179,7 +180,7 @@ class TestNewFamilyInference:
 
 class TestContractAuditor:
     def test_correct_streams_audit_clean(self):
-        for fs_name in ("logfs", "seqfs", "flashfs", "verifs"):
+        for fs_name in ALL_FS:
             profile = _profile(fs_name, BOTH_MECHANISMS_WORKLOAD,
                                bugs=BugConfig.none())
             report = audit_report(

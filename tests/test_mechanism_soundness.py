@@ -20,19 +20,26 @@ fallbacks, while each of the two contract-violating reference bugs must
 provably *fire* the demotion path — and the demoted (exhaustive-fallback)
 windows must still catch the bug the pruned plan would otherwise miss.
 
+A harness that cannot fail proves nothing: a planner that skips the
+checkpoint-chunk tears, one that drops every data-epoch state, one that keeps
+only the last journal entry's drop, and an auditor that passes every claim
+are each rejected by the lanes above.
+
 Any divergence here means a representative state stopped representing its
 equivalence class — a soundness regression, never an acceptable trade.
 """
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
-from repro.ace.adapter import CrashMonkeyAdapter
+from repro.analysis import audit
+from repro.analysis.mechanisms import AuditVerdict
 from repro.crashmonkey import CrashMonkey
-from repro.crashmonkey.crashplan import PLAN_NAMES
+from repro.crashmonkey.crashplan import PLAN_NAMES, MechanismPlanner
 from repro.fs.bugs import BugConfig
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
 #: seq-2 slice size: large enough to cover every flashfs window shape the
 #: slice's sibling families produce, small enough for CI.
@@ -45,8 +52,6 @@ MIN_SEQ2_REDUCTION = 3.0
 #: lazily-written usage summary), so >= 2x over the torn plan is the bar
 LOGFS_SEQ2_SLICE = 30
 MIN_LOGFS_SEQ2_REDUCTION = 2.0
-
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
 
 #: the two reference bugs that violate a claimed mechanism contract; each
 #: must demonstrably fire the auditor's demotion path on its file system
@@ -65,12 +70,23 @@ def _scenario_count(result):
     return result.scenarios_tested + result.deduped_scenarios
 
 
-def _harnesses(fs_name, bugs=None):
-    mechanism = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
-                            crash_plan="mechanism", bugs=bugs)
-    torn = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
-                       crash_plan="torn", bugs=bugs)
-    return mechanism, torn
+def assert_pruned_finds_what_exhaustive_finds(fs_name, bugs=None, **space):
+    """Per workload: the pruned bug set is the exhaustive one, from no more scenarios."""
+    pruned = differential.run(fs_name, crash_plan="mechanism", bugs=bugs, **space)
+    exhaustive = differential.reference(fs_name, crash_plan="torn", bugs=bugs, **space)
+    assert pruned.results
+    differential.assert_same(pruned, exhaustive, project=_bug_set)
+    for mine, theirs in zip(pruned.results, exhaustive.results):
+        assert _scenario_count(mine) <= _scenario_count(theirs), mine.workload.display_name()
+    return pruned, exhaustive
+
+
+def assert_reduction(pruned, exhaustive, bar):
+    before = sum(map(_scenario_count, exhaustive.results))
+    after = sum(map(_scenario_count, pruned.results))
+    assert before / after >= bar, (
+        f"seq-2 reduction {before / after:.2f}x fell below {bar}x "
+        f"({before} exhaustive vs {after} pruned scenarios)")
 
 
 # ------------------------------------------------------------ registry coverage
@@ -85,10 +101,8 @@ def test_parametrization_covers_the_whole_planner_registry():
 def test_every_registered_planner_runs_a_campaign(plan):
     """Every registry entry drives a real campaign: at least the baseline
     state per persistence point, and never fewer scenarios than prefix."""
-    harness = CrashMonkey("flashfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                          crash_plan=plan)
-    workload = next(AceSynthesizer(seq1_bounds()).stream())
-    result = harness.test_workload(workload)
+    harness = CrashMonkey("flashfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan)
+    result = harness.test_workload(differential.space()[0])
     assert result.checkpoints_tested > 0
     assert _scenario_count(result) >= result.checkpoints_tested
 
@@ -104,43 +118,24 @@ def test_full_seq1_bug_set_is_identical_to_the_exhaustive_plan(fs_name):
     run on the exhaustive fallback — the identity must hold *through* that
     demotion, and every fallback must be one the auditor caused.
     """
-    mechanism, torn = _harnesses(fs_name)
-    tested = fallbacks = demoted = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        exhaustive = torn.test_workload(workload)
-        pruned = mechanism.test_workload(workload)
-        assert _bug_set(pruned) == _bug_set(exhaustive), (
-            f"{fs_name} {workload.display_name()}: pruned bug set diverged"
-        )
-        assert _scenario_count(pruned) <= _scenario_count(exhaustive)
-        fallbacks += pruned.mechanism_fallback_checkpoints
-        demoted += pruned.mechanism_demoted_checkpoints
-        tested += 1
-    assert tested > 0
+    pruned, _ = assert_pruned_finds_what_exhaustive_finds(fs_name)
     # Every fallback is audit-attributed: a window is delegated back to the
     # exhaustive plan only because the auditor demoted its family's claim,
     # never because attribution silently failed.
-    assert fallbacks == demoted
+    assert (pruned.total("mechanism_fallback_checkpoints")
+            == pruned.total("mechanism_demoted_checkpoints"))
 
 
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_correct_filesystems_audit_clean_over_seq1(fs_name):
     """With every reference bug patched out, the auditor demotes nothing and
     no window falls back: each claimed contract survives its audit."""
-    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
-                          crash_plan="mechanism", bugs=BugConfig.none())
-    demotions = fallbacks = tested = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        result = harness.test_workload(workload)
-        assert _bug_set(result) == set(), (
-            f"{fs_name} {workload.display_name()}: patched fs reported a bug"
-        )
-        demotions += result.audit_demotions
-        fallbacks += result.mechanism_fallback_checkpoints
-        tested += 1
-    assert tested > 0
-    assert demotions == 0
-    assert fallbacks == 0
+    patched = differential.run(fs_name, crash_plan="mechanism", bugs=BugConfig.none())
+    for result in patched.results:
+        assert _bug_set(result) == set(), \
+            f"{fs_name} {result.workload.display_name()}: patched fs reported a bug"
+    assert patched.total("audit_demotions") == 0
+    assert patched.total("mechanism_fallback_checkpoints") == 0
 
 
 # --------------------------------------------------------- demotion soundness
@@ -150,48 +145,22 @@ def test_contract_bugs_fire_the_demotion_path_and_stay_caught(fs_name, bug_id):
     """Each contract-violating reference bug must (a) demote its family's
     claim at least once and (b) still be found by the pruned campaign —
     the demoted windows' exhaustive fallback is what finds it."""
-    mechanism, torn = _harnesses(fs_name, bugs=BugConfig.only(bug_id))
-    demotions = demoted_windows = 0
-    pruned_bugs = set()
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        exhaustive = torn.test_workload(workload)
-        pruned = mechanism.test_workload(workload)
-        assert _bug_set(pruned) == _bug_set(exhaustive), (
-            f"{fs_name} {workload.display_name()}: pruned bug set diverged"
-        )
-        demotions += pruned.audit_demotions
-        demoted_windows += pruned.mechanism_demoted_checkpoints
-        pruned_bugs |= _bug_set(pruned)
-    assert demotions >= 1, f"{bug_id} never demoted a claim"
-    assert demoted_windows >= 1, f"{bug_id} never forced a fallback window"
-    assert pruned_bugs, f"{bug_id} was never observed by the pruned campaign"
+    pruned, _ = assert_pruned_finds_what_exhaustive_finds(fs_name, BugConfig.only(bug_id))
+    assert pruned.total("audit_demotions") >= 1, f"{bug_id} never demoted a claim"
+    assert pruned.total("mechanism_demoted_checkpoints") >= 1, \
+        f"{bug_id} never forced a fallback window"
+    assert any(map(_bug_set, pruned.results)), \
+        f"{bug_id} was never observed by the pruned campaign"
 
 
 # ------------------------------------------------------------- seq-2 slices
 
 def test_seq2_slice_bug_set_identity_and_reduction():
     """The seq-2 acceptance bar: same bugs, >= 3x fewer scenarios."""
-    mechanism, torn = _harnesses("flashfs")
-    adapter = CrashMonkeyAdapter(mechanism.fs_name)
-    workloads = list(adapter.adapt_stream(
-        AceSynthesizer(seq2_bounds()).stream(limit=SEQ2_SLICE)
-    ))
-    assert len(workloads) > 0
-    pruned = exhaustive = 0
-    for workload in workloads:
-        exhaustive_result = torn.test_workload(workload)
-        pruned_result = mechanism.test_workload(workload)
-        assert _bug_set(pruned_result) == _bug_set(exhaustive_result), (
-            f"{workload.display_name()}: pruned bug set diverged"
-        )
-        assert pruned_result.mechanism_fallback_checkpoints == 0
-        exhaustive += _scenario_count(exhaustive_result)
-        pruned += _scenario_count(pruned_result)
-    reduction = exhaustive / pruned
-    assert reduction >= MIN_SEQ2_REDUCTION, (
-        f"seq-2 reduction {reduction:.2f}x fell below {MIN_SEQ2_REDUCTION}x "
-        f"({exhaustive} exhaustive vs {pruned} pruned scenarios)"
-    )
+    pruned, exhaustive = assert_pruned_finds_what_exhaustive_finds(
+        "flashfs", space="seq-2", limit=SEQ2_SLICE)
+    assert pruned.total("mechanism_fallback_checkpoints") == 0
+    assert_reduction(pruned, exhaustive, MIN_SEQ2_REDUCTION)
 
 
 def test_logfs_seq2_slice_identity_and_reduction():
@@ -199,40 +168,67 @@ def test_logfs_seq2_slice_identity_and_reduction():
     (the reference bug patched out, every other logfs bug kept), segment
     windows reduce to their baseline and the slice prunes >= 2x."""
     bugs = BugConfig.all_for("logfs").without("lsw_unfenced_append")
-    mechanism, torn = _harnesses("logfs", bugs=bugs)
-    adapter = CrashMonkeyAdapter(mechanism.fs_name)
-    workloads = list(adapter.adapt_stream(
-        AceSynthesizer(seq2_bounds()).stream(limit=LOGFS_SEQ2_SLICE)
-    ))
-    assert len(workloads) > 0
-    pruned = exhaustive = demotions = 0
-    for workload in workloads:
-        exhaustive_result = torn.test_workload(workload)
-        pruned_result = mechanism.test_workload(workload)
-        assert _bug_set(pruned_result) == _bug_set(exhaustive_result), (
-            f"{workload.display_name()}: pruned bug set diverged"
-        )
-        demotions += pruned_result.audit_demotions
-        exhaustive += _scenario_count(exhaustive_result)
-        pruned += _scenario_count(pruned_result)
-    assert demotions == 0
-    reduction = exhaustive / pruned
-    assert reduction >= MIN_LOGFS_SEQ2_REDUCTION, (
-        f"logfs seq-2 reduction {reduction:.2f}x fell below "
-        f"{MIN_LOGFS_SEQ2_REDUCTION}x "
-        f"({exhaustive} exhaustive vs {pruned} pruned scenarios)"
-    )
+    pruned, exhaustive = assert_pruned_finds_what_exhaustive_finds(
+        "logfs", bugs, space="seq-2", limit=LOGFS_SEQ2_SLICE)
+    assert pruned.total("audit_demotions") == 0
+    assert_reduction(pruned, exhaustive, MIN_LOGFS_SEQ2_REDUCTION)
 
 
 @pytest.mark.parametrize("fs_name", ["seqfs", "flashfs"])
 def test_seq2_exhaustive_only_filesystems_also_agree(fs_name):
     """A broader (mechanism-light) seq-2 sample stays divergence-free."""
-    mechanism, torn = _harnesses(fs_name)
-    adapter = CrashMonkeyAdapter(mechanism.fs_name)
-    for workload in adapter.adapt_stream(
-        AceSynthesizer(seq2_bounds()).sample(20)
-    ):
-        assert (_bug_set(mechanism.test_workload(workload))
-                == _bug_set(torn.test_workload(workload))), (
-            f"{fs_name} {workload.display_name()}: pruned bug set diverged"
-        )
+    assert_pruned_finds_what_exhaustive_finds(fs_name, space="seq-2-sample")
+
+
+# ------------------------------------------------------------- seeded-unsound variants
+
+def planner_without(unwanted):
+    """A mechanism planner that never emits the scenarios ``unwanted`` picks."""
+    def variant(patch):
+        real = MechanismPlanner.scenarios
+        patch.setattr(MechanismPlanner, "scenarios", lambda planner, *args: (
+            scenario for scenario in real(planner, *args) if not unwanted(scenario)))
+
+    return variant
+
+
+def decomposed(transform):
+    """A mechanism planner that enumerates ``transform(*parts)`` of each window."""
+    def variant(patch):
+        real = MechanismPlanner._decompose
+        patch.setattr(MechanismPlanner, "_decompose", staticmethod(
+            lambda by_block: (lambda parts: parts and transform(*parts))(real(by_block))))
+
+    return variant
+
+
+def test_a_planner_that_skips_the_chunk_tears_is_caught():
+    variant = planner_without(lambda scenario: scenario.plan == "mechanism" and scenario.torn)
+    differential.rejects(variant, test_full_seq1_bug_set_is_identical_to_the_exhaustive_plan,
+                         "flashfs")
+    differential.rejects(variant, test_seq2_slice_bug_set_identity_and_reduction)
+
+
+def test_a_planner_that_drops_every_data_epoch_state_is_caught():
+    variant = decomposed(lambda entries, chunks, records, summaries, data:
+                         (entries, chunks, records, summaries, []))
+    differential.rejects(variant, test_full_seq1_bug_set_is_identical_to_the_exhaustive_plan,
+                         "flashfs")
+
+
+def test_a_planner_that_keeps_only_the_last_journal_entry_drop_is_caught():
+    variant = decomposed(lambda entries, chunks, records, summaries, data:
+                         (entries[-1:], chunks, records, summaries, data))
+    differential.rejects(variant, test_seq2_slice_bug_set_identity_and_reduction)
+
+
+def test_an_auditor_that_passes_every_claim_is_caught():
+    def variant(patch):
+        patch.setattr(audit, "_audit_evidence",
+                      lambda evidence, *_: AuditVerdict(evidence.mechanism, True, ()))
+
+    differential.rejects(variant, test_full_seq1_bug_set_is_identical_to_the_exhaustive_plan,
+                         "seqfs")
+    for fs_name, bug_id in CONTRACT_BUGS:
+        differential.rejects(variant, test_contract_bugs_fire_the_demotion_path_and_stay_caught,
+                             fs_name, bug_id)

@@ -16,63 +16,37 @@ Covers the three guarantees the subsystem makes:
 
 import pytest
 
-from repro.ace import (AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds,
-                       seq2_bounds)
+from repro.ace import AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds
+from repro.cli.main import main
 from repro.core import B3Campaign, CampaignConfig
-from repro.crashmonkey import CrashMonkey, CrossWorkloadCache, WorkloadRecorder
+from repro.crashmonkey import CrashMonkey, CrossWorkloadCache
 from repro.engine import HarnessSpec, chunked_affine, run_campaign
 from repro.fs import BugConfig
 from repro.workload import parse_workload
 from repro.workload.operations import creat, sync, write
 from repro.workload.workload import Workload
 
-from conftest import SMALL_DEVICE_BLOCKS
-
-#: Sibling pair sharing the prefix "creat foo; write foo 0 8192; fsync foo".
-SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
-SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
+import differential
+from conftest import SIBLING_A, SIBLING_B, SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
 
 def _recorders(fs_name, bugs=None):
-    shared = WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS,
-                              share_prefixes=True)
-    scratch = WorkloadRecorder(fs_name, bugs, device_blocks=SMALL_DEVICE_BLOCKS,
-                               share_prefixes=False)
-    return shared, scratch
-
-
-def _assert_profiles_equal(shared_profile, scratch_profile, context=""):
-    assert shared_profile.io_log == scratch_profile.io_log, f"io_log {context}"
-    assert shared_profile.checkpoints() == scratch_profile.checkpoints(), context
-    assert shared_profile.oracles == scratch_profile.oracles, f"oracles {context}"
-    assert shared_profile.tracker_views == scratch_profile.tracker_views, f"views {context}"
-    assert shared_profile.num_checkpoints == scratch_profile.num_checkpoints, context
-    assert shared_profile.executed_ops == scratch_profile.executed_ops, context
-    assert shared_profile.skipped_ops == scratch_profile.skipped_ops, context
-    assert shared_profile.recorded_bytes == scratch_profile.recorded_bytes, context
-    assert (shared_profile.workload_overlay_bytes
-            == scratch_profile.workload_overlay_bytes), context
+    return (differential.recorder(fs_name, bugs),
+            differential.recorder(fs_name, bugs, share_prefixes=False))
 
 
 # --------------------------------------------------------------------------- recording parity
 
 
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 @pytest.mark.parametrize("bugs", [None, BugConfig.none()], ids=["buggy", "patched"])
 def test_shared_profiles_match_from_scratch_on_full_seq1_space(fs_name, bugs):
     """Byte-for-byte parity over the full seq-1 space (the ISSUE's tentpole bar)."""
-    shared, scratch = _recorders(fs_name, bugs)
-    compared = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        _assert_profiles_equal(
-            shared.profile(workload), scratch.profile(workload),
-            context=f"{fs_name} {workload.display_name()}",
-        )
-        compared += 1
-    assert compared > 0
+    shared = differential.recorder(fs_name, bugs)
+    differential.assert_profiles_match(shared, fs_name, bugs)
     # The whole point: most profiles resumed from the cache.
-    assert shared.prefix_hits > compared // 2
-    assert scratch.prefix_hits == 0
+    assert shared.prefix_hits > len(differential.space()) // 2
 
 
 def test_shared_profile_of_an_exact_prefix_workload_is_fully_inherited():
@@ -82,7 +56,7 @@ def test_shared_profile_of_an_exact_prefix_workload_is_fully_inherited():
     short = parse_workload("creat foo\nfsync foo", name="short")
     shared.profile(long)
     shared_short = shared.profile(short)
-    _assert_profiles_equal(shared_short, scratch.profile(short))
+    differential.assert_profiles_equal(shared_short, scratch.profile(short))
     assert shared_short.fresh_write_requests == 0
     assert shared_short.prefix_ops_reused == len(short.ops)
 
@@ -92,8 +66,8 @@ def test_prefix_cache_survives_divergence_and_reconvergence():
     texts = [SIBLING_A, SIBLING_B, SIBLING_A, "creat other\nsync"]
     for index, text in enumerate(texts):
         workload = parse_workload(text, name=f"wl-{index}")
-        _assert_profiles_equal(shared.profile(workload), scratch.profile(workload),
-                               context=text)
+        differential.assert_profiles_equal(shared.profile(workload), scratch.profile(workload),
+                                           context=text)
     assert shared.prefix_hits == len(texts) - 1
     assert shared.prefix_writes_reused > 0
 
@@ -131,13 +105,6 @@ def test_shared_profiles_are_independent_of_each_other():
 
 # --------------------------------------------------------------------------- lookahead
 
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
-
-
-def _seq2_run():
-    """A contiguous run of the seq-2 space: a few whole sibling families."""
-    return list(AceSynthesizer(seq2_bounds()).stream(limit=150))
-
 
 def _upcoming(kind, workload, true_next):
     """What the caller claims comes next: right, wrong, or nothing."""
@@ -155,18 +122,13 @@ def _upcoming(kind, workload, true_next):
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_no_lookahead_can_change_a_profile(fs_name, kind):
     """Whatever ``upcoming`` claims, the profile is the from-scratch one."""
-    shared, scratch = _recorders(fs_name)
-    workloads = list(AceSynthesizer(seq1_bounds()).stream())
-    if fs_name == "logfs":
-        workloads += _seq2_run()
-    for workload, true_next in zip(workloads, workloads[1:] + [None]):
-        _assert_profiles_equal(
-            shared.profile(workload, upcoming=_upcoming(kind, workload, true_next)),
-            scratch.profile(workload),
-            context=f"{fs_name} {kind} {workload.display_name()}",
-        )
+    shared = differential.recorder(fs_name)
+    space = "seq-1+seq-2" if fs_name == "logfs" else "seq-1"
+    differential.assert_profiles_match(
+        shared, fs_name, space_name=space,
+        upcoming=lambda workload, true_next: _upcoming(kind, workload, true_next))
     if kind != "unrelated":
-        assert shared.prefix_hits > len(workloads) // 2
+        assert shared.prefix_hits > len(differential.space(space)) // 2
 
 
 @pytest.mark.parametrize("fs_name", ALL_FS)
@@ -175,8 +137,8 @@ def test_true_lookahead_keeps_every_hit_and_freezes_less(fs_name):
     every profile reuses exactly what freeze-every-depth recording reuses."""
     every_depth, _ = _recorders(fs_name)
     lookahead, _ = _recorders(fs_name)
-    workloads = list(AceSynthesizer(seq1_bounds()).stream()) + _seq2_run()
-    for workload, true_next in zip(workloads, workloads[1:] + [None]):
+    workloads = differential.space("seq-1+seq-2")
+    for workload, true_next in zip(workloads, workloads[1:] + (None,)):
         told = lookahead.profile(workload, upcoming=true_next)
         untold = every_depth.profile(workload)
         assert ((told.prefix_shared, told.prefix_ops_reused, told.prefix_writes_reused)
@@ -190,7 +152,7 @@ def test_true_lookahead_keeps_every_hit_and_freezes_less(fs_name):
 
 def test_test_stream_hands_each_workload_its_successor(monkeypatch):
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS)
-    workloads = _seq2_run()[:12]
+    workloads = list(differential.space("seq-2", 12))
     seen = []
     real_profile = harness.recorder.profile
 
@@ -210,31 +172,11 @@ def test_test_stream_hands_each_workload_its_successor(monkeypatch):
 # --------------------------------------------------------------------------- campaign parity
 
 
-def _campaign_findings(run):
-    return [
-        (result.workload.display_name(), report.checkpoint_id,
-         report.consequence, report.scenario)
-        for result in run.result.results for report in result.bug_reports
-    ]
-
-
 def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
     """Full seq-1 campaign on buggy logfs: sharing changes speed, not reports."""
-    workloads = list(AceSynthesizer(seq1_bounds()).stream())
-    runs = {}
-    for share in (True, False):
-        for processes in (1, 2):
-            spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                               share_prefixes=share)
-            runs[(share, processes)] = run_campaign(
-                spec, iter(workloads), processes=processes, chunk_size=32
-            )
-    reference = _campaign_findings(runs[(False, 1)])
-    assert reference, "the buggy seq-1 space must produce reports"
-    for key, run in runs.items():
-        assert _campaign_findings(run) == reference, f"share,processes={key}"
-    assert runs[(True, 1)].result.prefix_hits > 0
-    assert runs[(False, 1)].result.prefix_hits == 0
+    results = differential.assert_campaigns_agree("share_prefixes", (False, True))
+    assert results[(True, 1)].prefix_hits > 0
+    assert results[(False, 1)].prefix_hits == 0
 
 
 # --------------------------------------------------------------------------- cross-workload dedup
@@ -299,18 +241,14 @@ class TestCrossWorkloadDedup:
         assert not second.bug_reports
         assert second.cross_deduped_scenarios == first.scenarios_tested
 
-    @pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+    @pytest.mark.parametrize("fs_name", ALL_FS)
     def test_patched_full_seq1_space_stays_silent_with_dedup_and_sharing(self, fs_name):
         """Soundness: dedup + sharing never invent a report on a correct fs."""
-        harness = self._harness(fs_name, bugs=BugConfig.none(), dedup=True,
-                                crash_plan="torn", reorder_bound=2, torn_bound=2)
-        tested = 0
-        for workload in AceSynthesizer(seq1_bounds()).stream():
-            result = harness.test_workload(workload)
-            assert result.passed, f"{fs_name}: {workload.display_name()}"
-            tested += 1
-        assert tested > 0
-        assert harness.recorder.prefix_hits > 0
+        patched = differential.run(fs_name, bugs=BugConfig.none(), cross_workload_dedup=True,
+                                   crash_plan="torn", reorder_bound=2, torn_bound=2)
+        for result in patched.results:
+            assert result.passed, f"{fs_name}: {result.workload.display_name()}"
+        assert patched.total("prefix_shared") > 0
 
     def test_cache_cap_degrades_to_fewer_hits_never_to_skipping(self):
         cache = CrossWorkloadCache(max_entries=1)
@@ -350,8 +288,6 @@ class TestPrefixAffineChunking:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             list(chunked_affine([], 0, key=lambda x: x))
-        with pytest.raises(ValueError):
-            list(chunked_affine([], 4, key=lambda x: x, max_chunk_size=2))
 
     def test_engine_reports_chunk_prefix_hits(self):
         workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=20))
@@ -443,7 +379,6 @@ def test_campaign_result_aggregates_prefix_and_dedup_stats():
 
 class TestCliFlags:
     def test_campaign_accepts_recording_flags(self, capsys):
-        from repro.cli.main import main
         code = main([
             "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
             "--limit", "10", "--patched", "--share-prefixes",
@@ -454,7 +389,6 @@ class TestCliFlags:
         assert out.count("recording:") == 1, "summary line exactly once"
 
     def test_campaign_no_share_prefixes(self, capsys):
-        from repro.cli.main import main
         code = main([
             "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
             "--limit", "10", "--patched", "--no-share-prefixes",
@@ -462,7 +396,6 @@ class TestCliFlags:
         assert code == 0
 
     def test_test_command_accepts_flags(self, tmp_path):
-        from repro.cli.main import main
         workload_file = tmp_path / "wl.wl"
         workload_file.write_text("creat foo\nfsync foo\n")
         assert main(["test", str(workload_file), "--filesystem", "btrfs",

@@ -18,26 +18,15 @@ Covers the guarantees the replay-trie makes:
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
-from repro.crashmonkey.recorder import WorkloadRecorder
+from repro.cli.main import main
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
 from repro.engine import HarnessSpec, run_campaign
 from repro.fs import BugConfig
 from repro.workload import parse_workload
 
-from conftest import SMALL_DEVICE_BLOCKS
-
-#: Sibling pair sharing the prefix "creat foo; write foo 0 8192; fsync foo".
-SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
-SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
-
-
-def _window_fields(window):
-    return [
-        (r.seq, r.kind, r.block, r.flags, r.tag,
-         None if r.data is None else bytes(r.data))
-        for r in window
-    ]
+import differential
+from conftest import SIBLING_A, SIBLING_B, SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
 
 def _assert_records_equal(shared_records, scratch_records, context=""):
@@ -51,30 +40,23 @@ def _assert_records_equal(shared_records, scratch_records, context=""):
                 == scratch.baseline._merged_overlay()), f"baseline {context}@{checkpoint_id}"
         assert (shared.stable._merged_overlay()
                 == scratch.stable._merged_overlay()), f"stable {context}@{checkpoint_id}"
-        assert _window_fields(shared.window) == _window_fields(scratch.window), (
-            f"window {context}@{checkpoint_id}"
-        )
+        assert shared.window == scratch.window, f"window {context}@{checkpoint_id}"
         assert shared.state_digest == scratch.state_digest, f"digest {context}@{checkpoint_id}"
 
 
 # ------------------------------------------------------------------ construction parity
 
 
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 def test_shared_builds_match_from_scratch_on_full_seq1_space(fs_name):
     """Byte-for-byte parity over the full seq-1 space (the tentpole bar)."""
-    recorder = WorkloadRecorder(fs_name, None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
     cache = SharedReplayCache()
     compared = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        profile = recorder.profile(workload)
+    for workload, profile in differential.profiles(fs_name):
         shared = CrashStateGenerator(profile, replay_cache=cache)
         scratch = CrashStateGenerator(profile, replay_cache=None)
-        _assert_records_equal(
-            shared._ensure_built(), scratch._ensure_built(),
-            context=f"{fs_name} {workload.display_name()}",
-        )
+        _assert_records_equal(shared._ensure_built(), scratch._ensure_built(),
+                              context=f"{fs_name} {workload.display_name()}")
         assert not scratch.replay_shared
         compared += 1
     assert compared > 0
@@ -88,8 +70,7 @@ def test_shared_builds_match_from_scratch_on_full_seq1_space(fs_name):
 
 
 def test_resumed_build_replays_only_the_divergent_suffix():
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
+    recorder = differential.recorder("logfs")
     cache = SharedReplayCache()
     first = CrashStateGenerator(recorder.profile(parse_workload(SIBLING_A, name="A")),
                                 replay_cache=cache)
@@ -109,8 +90,7 @@ def test_resumed_build_replays_only_the_divergent_suffix():
 
 def test_exact_prefix_workload_inherits_every_write():
     """A stream that is a prefix of the cached one applies zero new writes."""
-    recorder = WorkloadRecorder("logfs", BugConfig.none(),
-                                device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=True)
+    recorder = differential.recorder("logfs", BugConfig.none())
     cache = SharedReplayCache()
     long_profile = recorder.profile(
         parse_workload("creat foo\nfsync foo\ncreat bar\nfsync bar", name="long"))
@@ -124,8 +104,7 @@ def test_exact_prefix_workload_inherits_every_write():
 
 
 def test_trail_survives_divergence_and_reconvergence():
-    recorder = WorkloadRecorder("seqfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
+    recorder = differential.recorder("seqfs")
     cache = SharedReplayCache()
     texts = [SIBLING_A, SIBLING_B, SIBLING_A, "creat other\nsync"]
     for index, text in enumerate(texts):
@@ -143,13 +122,11 @@ def test_trail_survives_divergence_and_reconvergence():
 
 def test_digest_mode_change_resets_the_trail():
     """A node frozen without a running digest cannot seed a digest build."""
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
+    recorder = differential.recorder("logfs")
     cache = SharedReplayCache()
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
 
-    from repro.crashmonkey.sightings import CrossWorkloadCache
     digesting = CrashStateGenerator(profile, replay_cache=cache,
                                     cross_cache=CrossWorkloadCache())
     records = digesting._ensure_built()
@@ -164,8 +141,7 @@ def test_digest_mode_change_resets_the_trail():
 
 
 def test_clear_forces_a_cold_build():
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
+    recorder = differential.recorder("logfs")
     cache = SharedReplayCache()
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
@@ -178,8 +154,7 @@ def test_clear_forces_a_cold_build():
 
 def test_sharing_works_without_prefix_shared_recording():
     """Content equality (not object identity) is enough to match a prefix."""
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=False)
+    recorder = differential.recorder("logfs", share_prefixes=False)
     cache = SharedReplayCache()
     CrashStateGenerator(recorder.profile(parse_workload(SIBLING_A, name="A")),
                         replay_cache=cache)._ensure_built()
@@ -193,57 +168,25 @@ def test_sharing_works_without_prefix_shared_recording():
 # ------------------------------------------------------------------ harness and campaign parity
 
 
-def _findings(result):
-    return [(report.checkpoint_id, report.consequence, report.scenario)
-            for report in result.bug_reports]
-
-
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 def test_harness_reports_identical_with_sharing_on_and_off(fs_name):
-    shared = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
-                         share_replay=True, crash_plan="torn")
-    scratch = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
-                          share_replay=False, crash_plan="torn")
-    hits = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream(limit=40):
-        a = shared.test_workload(workload)
-        b = scratch.test_workload(workload)
-        assert _findings(a) == _findings(b), workload.display_name()
-        assert a.scenarios_tested == b.scenarios_tested
-        assert not b.replay_shared
-        hits += a.replay_shared
+    shared = differential.run(fs_name, crash_plan="torn")
+    scratch = differential.reference(fs_name, crash_plan="torn", share_replay=False)
+    differential.assert_same(shared, scratch)
+    assert scratch.total("replay_shared") == 0
     if fs_name != "flashfs":
         # flashfs batches writes until its first flush, so short seq-1
         # prefixes rarely contain a resume point; parity above still holds.
-        assert hits > 0
-    assert shared.replay_cache is not None
-    assert scratch.replay_cache is None
+        assert shared.total("replay_shared") > 0
+    assert CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS).replay_cache is not None
+    assert CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
+                       share_replay=False).replay_cache is None
 
 
 def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
-    workloads = list(AceSynthesizer(seq1_bounds()).stream())
-    runs = {}
-    for share in (True, False):
-        for processes in (1, 2):
-            spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                               share_replay=share)
-            runs[(share, processes)] = run_campaign(
-                spec, iter(workloads), processes=processes, chunk_size=32
-            )
-
-    def findings(run):
-        return [
-            (result.workload.display_name(), report.checkpoint_id,
-             report.consequence, report.scenario)
-            for result in run.result.results for report in result.bug_reports
-        ]
-
-    reference = findings(runs[(False, 1)])
-    assert reference, "the buggy seq-1 space must produce reports"
-    for key, run in runs.items():
-        assert findings(run) == reference, f"share,processes={key}"
-    assert runs[(True, 1)].result.replay_hits > 0
-    assert runs[(False, 1)].result.replay_hits == 0
+    results = differential.assert_campaigns_agree("share_replay", (False, True))
+    assert results[(True, 1)].replay_hits > 0
+    assert results[(False, 1)].replay_hits == 0
 
 
 # ------------------------------------------------------------------ accounting
@@ -279,7 +222,6 @@ def test_describe_omits_replay_line_without_hits():
 
 class TestCliFlags:
     def test_campaign_accepts_replay_flags(self, capsys):
-        from repro.cli.main import main
         code = main([
             "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
             "--limit", "10", "--patched", "--share-replay",
@@ -287,14 +229,12 @@ class TestCliFlags:
         assert code == 0
 
     def test_campaign_no_share_replay(self):
-        from repro.cli.main import main
         assert main([
             "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
             "--limit", "10", "--patched", "--no-share-replay",
         ]) == 0
 
     def test_test_command_accepts_replay_flags(self, tmp_path):
-        from repro.cli.main import main
         workload_file = tmp_path / "wl.wl"
         workload_file.write_text("creat foo\nfsync foo\n")
         assert main(["test", str(workload_file), "--filesystem", "btrfs",

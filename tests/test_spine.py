@@ -22,9 +22,8 @@ import os
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
-from repro.crashmonkey.recorder import WorkloadRecorder
+from repro.ace import AceSynthesizer, seq2_bounds
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
 from repro.crashmonkey.replay_cache import _CheckpointRecord, _ReplayNode
 from repro.fs import BugConfig
 from repro.storage import CowDevice, IORequest, SpineStore
@@ -32,10 +31,9 @@ from repro.storage import spill as spill_module
 from repro.storage.spill import Spine
 from repro.workload import parse_workload
 
-from conftest import SMALL_DEVICE_BLOCKS
-from test_prefix_sharing import _assert_profiles_equal as assert_profiles_equal
-
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
+import differential
+from conftest import SMALL_DEVICE_BLOCKS, devices_of, topology
+from differential import ALL_FS
 
 SIBLING_PREFIX = "creat foo\nwrite foo 0 8192\nfsync foo\nmkdir d\nsync\n"
 
@@ -43,25 +41,10 @@ SIBLING_PREFIX = "creat foo\nwrite foo 0 8192\nfsync foo\nmkdir d\nsync\n"
 # ------------------------------------------------------------------ (i) round trip
 
 
-def devices_of(node):
-    """The node's device references, in a fixed order, duplicates included."""
-    if isinstance(node, _ReplayNode):
-        records = node.records.values()
-        return [node.cursor, node.stable, *(r.baseline for r in records),
-                *(r.stable for r in records)]
-    return [node.device]
-
-
 def requests_of(node):
     if isinstance(node, _ReplayNode):
         return [*node.window, *(r for record in node.records.values() for r in record.window)]
     return list(node.log)
-
-
-def topology(devices):
-    """For each reference, the position of the first reference to that object."""
-    first = {}
-    return [first.setdefault(id(device), position) for position, device in enumerate(devices)]
 
 
 def thawed(node, base):
@@ -102,30 +85,21 @@ def assert_thaws_equal(node, base):
         assert copy.tracker.views() == node.tracker.views()
 
 
-def record_pushes(monkeypatch):
-    """Every ``(spine, node)`` pushed from here on."""
+def thawed_pushes(patch):
+    """Observer: after each workload, every node pushed while testing it
+    thaws equal — its records carry their verdict memos by then, which is
+    the state a node is in when a real budget evicts it."""
+    seen = {"prefix": 0, "replay": 0, "slab views": 0, "memos": 0, "shared forks": 0}
     pushed = []
-    real_push = Spine.push
+    real_push, real_test = Spine.push, CrashMonkey.test_workload
 
     def push(spine, node, nbytes, stub):
         pushed.append((spine, node))
         real_push(spine, node, nbytes, stub)
 
-    monkeypatch.setattr(Spine, "push", push)
-    return pushed
-
-
-@pytest.mark.parametrize("fs_name", ALL_FS)
-def test_every_node_of_both_spines_thaws_equal_on_full_seq1(fs_name, monkeypatch):
-    pushed = record_pushes(monkeypatch)
-    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn",
-                          cross_workload_dedup=True, spine_memory_budget=0)
-    seen = {"prefix": 0, "replay": 0, "slab views": 0, "memos": 0, "shared forks": 0}
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        harness.test_workload(workload)
-        # After the workload was tested: its records carry their verdict memos
-        # by now, which is the state a node is in when a real budget evicts it.
-        for spine, node in [*pushed]:   # a copy: the round trip pushes too
+    def test_workload(harness, workload, upcoming=None):
+        result = real_test(harness, workload, upcoming)
+        for spine, node in pushed[:]:   # a copy: the round trip pushes too
             assert_thaws_equal(node, spine.base)
             replay = isinstance(node, _ReplayNode)
             seen["replay" if replay else "prefix"] += 1
@@ -134,16 +108,25 @@ def test_every_node_of_both_spines_thaws_equal_on_full_seq1(fs_name, monkeypatch
                 seen["memos"] += any("memo" in vars(r) for r in node.records.values())
                 seen["shared forks"] += len(set(topology(devices_of(node)))) < len(devices_of(node))
         pushed.clear()
-    assert all(seen.values()), seen
-    assert harness.spine_store.rehydrations > 0
+        return result
+
+    patch.setattr(Spine, "push", push)
+    patch.setattr(CrashMonkey, "test_workload", test_workload)
+    yield seen
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_every_node_of_both_spines_thaws_equal_on_full_seq1(fs_name):
+    run = differential.run(fs_name, observe=thawed_pushes, crash_plan="torn",
+                           cross_workload_dedup=True, spine_memory_budget=0)
+    assert all(run.seen.values()), run.seen
+    assert run.total("spine_rehydrations") > 0
 
 
 def test_a_resumed_walk_gets_its_cursors_back_from_the_stub():
     """The digest and the analysis cursor never reach a spill file; ``begin``
     hands the resumed walk copies of the ones the stub kept."""
-    from repro.crashmonkey.sightings import CrossWorkloadCache
-
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS)
+    recorder = differential.recorder("logfs")
     cache = SharedReplayCache(spine_store=SpineStore(memory_budget=0))
     for text in (SIBLING_PREFIX + "creat bar\nfsync bar", SIBLING_PREFIX + "link foo baz\nsync"):
         generator = CrashStateGenerator(recorder.profile(parse_workload(text)),
@@ -182,24 +165,23 @@ def tear(spill_dir, key):
 def test_a_lost_prefix_node_costs_one_operation(tmp_path):
     ops = "creat foo\nwrite foo 0 8192\nfsync foo\n"
     first, sibling = (parse_workload(ops + last, name=last) for last in ("sync", "fsync foo"))
-    shared = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                              spine_store=SpineStore(memory_budget=0, spill_dir=str(tmp_path)))
-    scratch = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                               share_prefixes=False)
+    shared = differential.recorder(
+        "logfs", spine_store=SpineStore(memory_budget=0, spill_dir=str(tmp_path)))
+    scratch = differential.recorder("logfs", share_prefixes=False)
     shared.profile(first)
     assert len(shared._spine) == 5  # the root and one node per operation
     tear(tmp_path, key=3)           # the node the sibling resumes from
     profile = shared.profile(sibling)
     assert profile.prefix_shared and profile.prefix_ops_reused == 2
     assert shared.spine_store.lost == 1
-    assert_profiles_equal(profile, scratch.profile(sibling))
+    differential.assert_profiles_equal(profile, scratch.profile(sibling))
     # The spine is whole again: the next sibling resumes at depth 3.
     assert shared.profile(first).prefix_ops_reused == 3
     assert shared.spine_store.lost == 1
 
 
 def test_a_lost_replay_node_costs_one_barrier(tmp_path):
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS)
+    recorder = differential.recorder("logfs")
     first, sibling = (recorder.profile(parse_workload(SIBLING_PREFIX + last)) for last in
                       ("creat bar\nfsync bar", "link foo baz\nfsync baz"))
 
@@ -254,34 +236,36 @@ def test_spilled_siblings_dedup_the_same_repeated_checkpoints():
     assert [r.canonical_dict() for r in spilled] == [r.canonical_dict() for r in resident]
 
 
-def test_a_reduce_that_copies_each_device_reference_is_caught(monkeypatch):
+def reduce_copying_each_device(patch):
     def reduce(record):
         return _CheckpointRecord, (
             record.checkpoint_id, record.baseline.snapshot(name=record.baseline.name),
             record.stable.snapshot(name=record.stable.name), record.window,
             record.state_digest)
 
-    monkeypatch.setattr(_CheckpointRecord, "__reduce__", reduce)
-    with pytest.raises(AssertionError):
-        test_spilled_siblings_dedup_the_same_repeated_checkpoints()
-    with pytest.raises(AssertionError):
-        test_every_node_of_both_spines_thaws_equal_on_full_seq1("seqfs", monkeypatch)
+    patch.setattr(_CheckpointRecord, "__reduce__", reduce)
 
 
-def test_a_memo_that_rides_through_a_spill_is_caught(monkeypatch):
-    monkeypatch.delattr(_CheckpointRecord, "__reduce__")
-    with pytest.raises(AssertionError, match="memo"):
-        test_every_node_of_both_spines_thaws_equal_on_full_seq1("logfs", monkeypatch)
+def test_a_reduce_that_copies_each_device_reference_is_caught():
+    differential.rejects(reduce_copying_each_device,
+                         test_spilled_siblings_dedup_the_same_repeated_checkpoints)
+    differential.rejects(reduce_copying_each_device,
+                         test_every_node_of_both_spines_thaws_equal_on_full_seq1, "seqfs")
 
 
-def test_a_truncate_that_forgets_to_drop_is_caught(monkeypatch):
+def test_a_memo_that_rides_through_a_spill_is_caught():
+    differential.rejects(lambda patch: patch.delattr(_CheckpointRecord, "__reduce__"),
+                         test_every_node_of_both_spines_thaws_equal_on_full_seq1, "logfs",
+                         match="memo")
+
+
+def test_a_truncate_that_forgets_to_drop_is_caught():
     def truncate(spine, length):
         del spine._keys[length:]
         del spine.stubs[length:]
 
-    monkeypatch.setattr(Spine, "truncate", truncate)
-    with pytest.raises(AssertionError):
-        test_the_store_holds_the_two_cached_paths_and_nothing_else()
+    differential.rejects(lambda patch: patch.setattr(Spine, "truncate", truncate),
+                         test_the_store_holds_the_two_cached_paths_and_nothing_else)
 
 
 def test_a_request_reducer_that_skips_materialize_payload_writes_nothing(monkeypatch, tmp_path):
@@ -289,7 +273,7 @@ def test_a_request_reducer_that_skips_materialize_payload_writes_nothing(monkeyp
         return IORequest, (request.seq, request.kind, request.block, request.data,
                            request.flags, request.checkpoint_id, request.tag)
 
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS)
+    recorder = differential.recorder("logfs")
     log = recorder.profile(parse_workload(SIBLING_PREFIX + "sync")).io_log
     assert any(isinstance(request.data, memoryview) for request in log)
     store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))

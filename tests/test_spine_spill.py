@@ -26,6 +26,7 @@ The guarantees this file pins, in the order the spill layer makes them:
   as an unbudgeted run.
 """
 
+import dataclasses
 import errno
 import os
 import signal
@@ -34,21 +35,19 @@ import zlib
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds, seq3_data_bounds
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
-from repro.crashmonkey.recorder import WorkloadRecorder
+from repro.ace import seq2_bounds, seq3_data_bounds
+from repro.cli.main import main
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
 from repro.core.campaign import B3Campaign, CampaignConfig
-from repro.engine import HarnessSpec, run_campaign
 from repro.errors import SpillMissError
 from repro.storage import BLOCK_SIZE, SpineStore, default_spine_memory_budget
 from repro.storage import spill as spill_module
 from repro.storage.spill import DEFAULT_SPINE_MEMORY_BUDGET, SPINE_BUDGET_ENV
 from repro.workload import parse_workload
 
-from conftest import SMALL_DEVICE_BLOCKS
-
-SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"
-SIBLING_B = "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz"
+import differential
+from conftest import SIBLING_A, SMALL_DEVICE_BLOCKS, devices_of, topology
+from differential import ALL_FS
 
 
 # --------------------------------------------------------------------- store mechanics
@@ -159,72 +158,32 @@ def test_default_budget_env_gate(monkeypatch):
 # -------------------------------------------------------------------------- parity
 
 
-def _log_fields(log):
-    return [
-        (r.seq, r.kind, r.block, r.flags, r.tag, r.checkpoint_id,
-         None if r.data is None else bytes(r.data))
-        for r in log
-    ]
-
-
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 def test_spilled_profiles_match_unspilled_on_full_seq1_space(fs_name):
     """Prefix-shared recording through a zero budget is invisible."""
-    spilling = WorkloadRecorder(fs_name, None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True,
-                                spine_store=SpineStore(memory_budget=0))
-    plain = WorkloadRecorder(fs_name, None, device_blocks=SMALL_DEVICE_BLOCKS,
-                             share_prefixes=False)
-    compared = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        a = spilling.profile(workload)
-        b = plain.profile(workload)
-        context = f"{fs_name} {workload.display_name()}"
-        assert _log_fields(a.io_log) == _log_fields(b.io_log), context
-        assert a.oracles == b.oracles, context
-        assert a.tracker_views == b.tracker_views, context
-        assert a.num_checkpoints == b.num_checkpoints, context
-        compared += 1
-    assert compared > 0
+    spilling = differential.recorder(fs_name, spine_store=SpineStore(memory_budget=0))
+    differential.assert_profiles_match(spilling, fs_name)
     assert spilling.spine_store.spills > 0, "the budget must actually bite"
     assert spilling.spine_store.rehydrations > 0
 
 
-@pytest.mark.parametrize("fs_name", ["logfs", "seqfs", "flashfs", "verifs"])
+@pytest.mark.parametrize("fs_name", ALL_FS)
 def test_spilled_harness_results_match_unspilled_on_seq1(fs_name):
-    spilling = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS,
-                           spine_memory_budget=0)
-    plain = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS)
-    spilled_any = False
-    for workload in AceSynthesizer(seq1_bounds()).stream(limit=40):
-        a = spilling.test_workload(workload)
-        b = plain.test_workload(workload)
-        assert a.canonical_dict() == b.canonical_dict(), workload.display_name()
-        spilled_any = spilled_any or a.spine_spills > 0
-    assert spilled_any
+    spilling = differential.run(fs_name, spine_memory_budget=0, limit=40)
+    plain = differential.reference(fs_name, limit=40)
+    differential.assert_same(spilling, plain)
+    assert spilling.total("spine_spills") > 0
     if default_spine_memory_budget() == DEFAULT_SPINE_MEMORY_BUDGET:
         # Under the spill-heavy CI lane the env gate tightens the default
         # budget, so the "plain" harness legitimately spills too; parity
         # above is what matters there.
-        assert plain.spine_store.spills == 0, "the default budget must not spill seq-1"
+        assert plain.total("spine_spills") == 0, "the default budget must not spill seq-1"
 
 
 def test_spilled_campaign_matches_across_backends():
-    workloads = list(AceSynthesizer(seq1_bounds()).stream())
-    runs = {}
-    for budget in (None, 0):
-        for processes in (1, 2):
-            spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                               spine_memory_budget=budget)
-            runs[(budget, processes)] = run_campaign(
-                spec, iter(workloads), processes=processes, chunk_size=32
-            ).result
-    reference = runs[(None, 1)].canonical_dict()
-    assert reference["derived"]["raw_reports"] > 0
-    for key, result in runs.items():
-        assert result.canonical_dict() == reference, f"budget,processes={key}"
-    assert runs[(0, 1)].spine_spills > 0
-    assert runs[(0, 1)].spine_peak_resident_bytes == 0
+    results = differential.assert_campaigns_agree("spine_memory_budget", (None, 0))
+    assert results[(0, 1)].spine_spills > 0
+    assert results[(0, 1)].spine_peak_resident_bytes == 0
 
 
 # ------------------------------------------------------------------ fault tolerance
@@ -339,10 +298,9 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
     answer by rebuilding from scratch: the results are canonically identical
     to an unspilled run and nothing raises out of ``test_workload``.
     """
-    family = list(AceSynthesizer(seq2_bounds()).stream(limit=36))
-    plain = CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="reorder")
-    reference = [plain.test_workload(w).canonical_dict() for w in family]
-    assert any(r["bug_reports"] for r in reference)
+    family = differential.space("seq-2", 36)
+    plain = differential.reference("btrfs", crash_plan="reorder", space="seq-2", limit=36)
+    assert any(result.bug_reports for result in plain.results)
 
     spill_dir = tmp_path / "spill"
     faulty = CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="reorder",
@@ -360,7 +318,7 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
             writes = _fail_spill_writes(monkeypatch, failing_calls={1, 2, 5})
         results.append(faulty.test_workload(workload))
 
-    assert [r.canonical_dict() for r in results] == reference
+    differential.assert_same(differential.Run(results), plain)
     assert writes["n"] > 5, "the injected write faults must have been reached"
     # Both fault kinds were hit, on both spines: the damaged files cost one
     # recorder miss and one replay miss, the failed writes at least one more.
@@ -381,10 +339,7 @@ def test_clear_restores_the_freshly_constructed_state():
     digest mode of builds it no longer remembered.  Clearing must restore
     every matching field a fresh cache starts with.
     """
-    from repro.crashmonkey.sightings import CrossWorkloadCache
-
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
+    recorder = differential.recorder("logfs")
     cache = SharedReplayCache()
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     digesting = CrashStateGenerator(profile, replay_cache=cache,
@@ -404,18 +359,6 @@ def test_clear_restores_the_freshly_constructed_state():
     assert not cold.replay_shared
 
 
-def _device_identity_shape(node):
-    """Which positions of the node's device walk alias each other."""
-    order = [node.cursor, node.stable]
-    for record in node.records.values():
-        order += [record.baseline, record.stable]
-    first_seen = {}
-    shape = []
-    for position, device in enumerate(order):
-        shape.append(first_seen.setdefault(id(device), position))
-    return shape
-
-
 def test_rehydrated_nodes_share_no_mutable_state():
     """Regression: two fetches of a spilled slot must not alias dicts.
 
@@ -425,8 +368,7 @@ def test_rehydrated_nodes_share_no_mutable_state():
     preserving the *intra-node* device identity topology the scenario dedup
     key relies on.
     """
-    recorder = WorkloadRecorder("logfs", None, device_blocks=SMALL_DEVICE_BLOCKS,
-                                share_prefixes=True)
+    recorder = differential.recorder("logfs")
     cache = SharedReplayCache(spine_store=SpineStore(memory_budget=0))
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
@@ -452,8 +394,7 @@ def test_rehydrated_nodes_share_no_mutable_state():
     node1.records.clear()
     assert node2.records
     # Identity topology (which record forks alias which) is preserved.
-    assert _device_identity_shape(node2) == _device_identity_shape(
-        cache._spine.fetch(deepest))
+    assert topology(devices_of(node2)) == topology(devices_of(cache._spine.fetch(deepest)))
 
 
 # ------------------------------------------------------------------ durable resume
@@ -468,10 +409,6 @@ def _spill_config() -> CampaignConfig:
 
 @pytest.fixture(scope="module")
 def uninterrupted_spilling():
-    import dataclasses
-
-    from repro.ace import seq2_bounds
-
     config = dataclasses.replace(_spill_config(), bounds=seq2_bounds())
     result = B3Campaign(config).run()
     assert result.failing_workloads > 0
@@ -570,8 +507,6 @@ def test_bounded_seq3_mechanism_campaign_completes_under_budget():
 
 class TestCliFlags:
     def test_zero_budget_and_spill_dir_are_accepted(self, tmp_path):
-        from repro.cli.main import main
-
         workload_file = tmp_path / "wl.wl"
         workload_file.write_text(SIBLING_A + "\n")
         spill_dir = tmp_path / "spines"
@@ -581,15 +516,11 @@ class TestCliFlags:
         assert list(spill_dir.iterdir()), "a zero budget must spill to the dir"
 
     def test_campaign_accepts_a_budget(self):
-        from repro.cli.main import main
-
         assert main(["campaign", "--filesystem", "btrfs", "--preset", "seq-1",
                      "--limit", "10", "--patched",
                      "--spine-memory-budget", "65536"]) == 0
 
     def test_negative_budget_is_rejected(self, capsys):
-        from repro.cli.main import main
-
         with pytest.raises(SystemExit):
             main(["campaign", "--filesystem", "btrfs", "--preset", "seq-1",
                   "--spine-memory-budget", "-1"])

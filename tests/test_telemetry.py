@@ -35,6 +35,8 @@ from repro.engine import CampaignEngine, ChunkOutcome, ChunkStats
 from repro.options import HarnessSpec
 from repro.workload import parse_workload
 
+from differential import ALL_FS
+
 #: what was tested on what, and the structured payloads: the only fields
 #: that are not counters
 STRUCTURED = {"workload", "fs_type", "fs_model", "bug_reports", "check_timings"}
@@ -238,7 +240,7 @@ def test_a_counter_the_payload_predates_loads_as_its_default():
 
 @pytest.fixture(scope="module", params=[
     (fs_name, processes)
-    for fs_name in ("logfs", "seqfs", "flashfs", "verifs") for processes in (1, 2)
+    for fs_name in ALL_FS for processes in (1, 2)
 ], ids=lambda param: f"{param[0]}-j{param[1]}")
 def seq1_run(request):
     fs_name, processes = request.param

@@ -43,10 +43,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
+from repro.ace import AceSynthesizer, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator
-from repro.crashmonkey.crashplan import CrashScenario
+from repro.crashmonkey import CheckContext, CrashMonkey, CrashStateGenerator
+from repro.crashmonkey.crashplan import CrashScenario, make_planner
 from repro.crashmonkey.replay_cache import _CheckpointRecord
 from repro.crashmonkey.report import BugReport, CrashTestResult
 from repro.crashmonkey.verdicts import _VerdictMemo, _VerdictTable
@@ -59,9 +59,10 @@ from repro.storage import BLOCK_SIZE, BlockDevice, CowDevice, IOKind, IORequest
 from repro.storage.block import SECTORS_PER_BLOCK
 from repro.workload import parse_workload
 
-from conftest import SMALL_DEVICE_BLOCKS
+import differential
+from conftest import SIBLING_A, SIBLING_B, SMALL_DEVICE_BLOCKS
+from differential import ALL_FS
 
-ALL_FS = ["logfs", "seqfs", "flashfs", "verifs"]
 MULTI_STATE_PLANS = ["reorder", "torn", "mechanism"]
 
 #: default-bug logfs cannot recover the rename-over at the last fsync: the
@@ -76,10 +77,8 @@ UNMOUNTABLE_WORKLOAD = "creat foo\ncreat bar\nfsync foo\nrename bar foo\nfsync f
 SHARING = dict(share_prefixes=True, share_replay=True, spine_memory_budget=1 << 28)
 
 
-def _without_counter(canonical: dict) -> dict:
-    canonical = dict(canonical)
-    canonical.pop("memoized_scenarios")
-    return canonical
+def _without_counter(result: CrashTestResult) -> dict:
+    return {**result.canonical_dict(), "memoized_scenarios": None}
 
 
 # --------------------------------------------------------------- (1) differential parity
@@ -127,19 +126,11 @@ def assert_memoized_equals_always_mount(fs_name, plan):
     # Cross-checkpoint dedup skips whole checkpoints before any state exists;
     # it is off on both sides so the reference loop stays the plain planner
     # enumeration (the accounting tests below run with it on).
-    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
-                          dedup_scenarios=False)
-    reference = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
-                            dedup_scenarios=False)
-    memoized = reports = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        result = harness.test_workload(workload)
-        expected = always_mount_reference(reference, workload)
-        assert _without_counter(result.canonical_dict()) == \
-            _without_counter(expected.canonical_dict()), workload.display_name()
-        memoized += result.memoized_scenarios
-        reports += len(result.bug_reports)
-    return memoized, reports
+    options = dict(crash_plan=plan, dedup_scenarios=False)
+    memoized = differential.run(fs_name, **options)
+    expected = differential.reference(fs_name, test=always_mount_reference, **options)
+    differential.assert_same(memoized, expected, project=_without_counter)
+    return memoized.total("memoized_scenarios"), sum(len(r.bug_reports) for r in memoized.results)
 
 
 @pytest.mark.parametrize("plan", MULTI_STATE_PLANS)
@@ -219,12 +210,9 @@ def test_key_equality_iff_scenario_devices_are_content_equal(data):
 @pytest.mark.parametrize("plan", MULTI_STATE_PLANS)
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_folded_key_and_overlay_bytes_are_the_built_devices_on_full_seq1(fs_name, plan):
-    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan)
     compared = torn = 0
-    for workload in AceSynthesizer(seq1_bounds()).stream():
-        profile = harness.recorder.profile(workload)
-        generator = CrashStateGenerator(profile, planner=harness.planner,
-                                        analyze=harness.spec.analyze_mechanisms)
+    for workload, profile in differential.profiles(fs_name):
+        generator = CrashStateGenerator(profile, planner=make_planner(plan))
         for scenario in generator.scenario_plan():
             record = generator._record_for(scenario.checkpoint_id)
             device = generator._scenario_device(record, scenario)
@@ -241,17 +229,24 @@ def test_folded_key_and_overlay_bytes_are_the_built_devices_on_full_seq1(fs_name
 # --------------------------------------------------------------- (2b) reads, exactly
 
 
-def _filed_pass(harness, text, name="filed"):
-    """One workload's states, each representative checked and filed at once —
-    what ``test_workload`` does — plus the generator and profile behind them."""
+def _filed_pass(harness, text, name="filed", *, file_verdicts=True, rebuild=None):
+    """One workload's states through a generator on the harness's own trail,
+    each representative checked and filed at once — what ``test_workload``
+    does — unless ``file_verdicts`` is off; ``rebuild`` swaps checkpoint 1's
+    oracle or tracker view for an equal new object.  Plus the generator."""
     profile = harness.recorder.profile(parse_workload(text, name=name))
-    generator = CrashStateGenerator(profile, planner=harness.planner)
+    if rebuild == "oracle":
+        profile.oracles[1] = replace(profile.oracles[1])
+    elif rebuild == "view":
+        profile.tracker_views[1] = replace(profile.tracker_views[1])
+    generator = CrashStateGenerator(profile, planner=harness.planner,
+                                    replay_cache=harness.replay_cache)
     states = []
     for state in generator.generate_scenarios():
-        if not state.is_twin:
+        if file_verdicts and not state.is_twin:
             state.verdict.mismatches = harness.checker.check(profile, state)
         states.append(state)
-    return states, generator, profile
+    return states, generator
 
 
 def test_a_state_that_differs_only_where_nobody_looked_is_a_twin():
@@ -259,7 +254,7 @@ def test_a_state_that_differs_only_where_nobody_looked_is_a_twin():
     summary — a block recovery never reads.  A crash that loses the summary
     is another device and the same recovery."""
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
-    states, generator, _ = _filed_pass(harness, SIBLINGS[0])
+    states, generator = _filed_pass(harness, SIBLINGS[0])
     record = generator._record_for(1)
     assert {request.tag for request in record.window} == {"segment", "segment_summary"}
     summary = next(r for r in record.window if r.tag == "segment_summary")
@@ -293,7 +288,7 @@ def test_a_twin_builds_no_device_until_asked_and_then_the_eager_one(fs_name, mon
 
     monkeypatch.setattr(CrashStateGenerator, "_scenario_device", counting)
     harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
-    states, generator, _ = _filed_pass(harness, SIBLINGS[0])
+    states, generator = _filed_pass(harness, SIBLINGS[0])
     twins = [state for state in states if state.is_twin]
     assert len(twins) > len(states) // 3
     assert len(built) == len(states) - len(twins), "one device per mounted state, none per twin"
@@ -332,8 +327,7 @@ def test_a_device_read_after_the_verdict_was_filed_is_caught():
 
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_a_persistence_operation_on_an_inspection_mount_raises(fs_name):
-    harness = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS)
-    profile = harness.recorder.profile(parse_workload(SIBLINGS[0], name="inspect"))
+    profile = differential.recorder(fs_name).profile(parse_workload(SIBLINGS[0], name="inspect"))
     fs = CrashStateGenerator(profile).generate(1).fs
     assert fs.mounted and fs.exists("foo")
     fs.creat("probe")                                 # namespace and data operations work
@@ -348,15 +342,13 @@ def test_a_persistence_operation_on_an_inspection_mount_raises(fs_name):
     fs.fsync("probe")
     assert fs.committed_paths(fs._lookup("probe")) == {"probe"}
     # An ordinary mount of the same image tracks commits from the start.
-    plain = get_fs_class(harness.fs_name)(CrashStateGenerator(profile).generate(1).device,
-                                          profile.bugs)
+    plain = get_fs_class(fs_name)(CrashStateGenerator(profile).generate(1).device, profile.bugs)
     plain.mount()
     plain.fsync("foo")
 
 
 def test_an_inspection_mount_leaves_an_already_dirty_superblock_alone():
-    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS)
-    profile = harness.recorder.profile(parse_workload(SIBLINGS[0], name="dirty"))
+    profile = differential.recorder("logfs").profile(parse_workload(SIBLINGS[0], name="dirty"))
     generator = CrashStateGenerator(profile)
     fs_class = get_fs_class("logfs")
     untouched, rewritten = (generator.generate(1).device.snapshot() for _ in range(2))
@@ -400,8 +392,6 @@ def _damaged_tree(fs_name):
 
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_cached_check_lookups_are_the_live_ones_on_a_damaged_tree(fs_name):
-    from repro.crashmonkey.checks import CheckContext
-
     class _State:
         def __init__(self, fs):
             self.fs = fs
@@ -571,11 +561,7 @@ def test_serial_pool_and_resumed_durable_campaigns_agree_on_the_counter(tmp_path
 
 #: three siblings sharing "creat foo; write; fsync foo" — checkpoint 1 is one
 #: record, one oracle and one tracker view for all of them
-SIBLINGS = [
-    "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar",
-    "creat foo\nwrite foo 0 8192\nfsync foo\nlink foo baz\nfsync baz",
-    "creat foo\nwrite foo 0 8192\nfsync foo\nrename foo qux\nsync",
-]
+SIBLINGS = [SIBLING_A, SIBLING_B, "creat foo\nwrite foo 0 8192\nfsync foo\nrename foo qux\nsync"]
 
 
 def _report_dicts(results):
@@ -586,51 +572,28 @@ def _report_dicts(results):
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_reports_equal_those_of_a_harness_that_cannot_inherit(fs_name, plan):
     """Without a replay trail no two workloads ever share a record, so
-    ``share_replay=False`` is the no-inheritance reference."""
-    workloads = list(AceSynthesizer(seq1_bounds()).stream())
+    ``share_replay=False`` is the no-inheritance reference — and nothing it
+    reports depends on what it tested before: it may come space by space."""
+    spaces = ["seq-1", "seq-2"] if fs_name == "logfs" else ["seq-1"]
+    inheriting = differential.run(fs_name, space="+".join(spaces), crash_plan=plan, **SHARING)
+    expected = differential.Run([result for space in spaces for result in differential.reference(
+        fs_name, space=space, crash_plan=plan, share_replay=False).results])
+    assert _report_dicts(inheriting.results) == _report_dicts(expected.results)
+    differential.assert_same(inheriting, expected)
+    assert expected.total("inherited_verdicts") == 0
     if fs_name == "logfs":
-        workloads += list(AceSynthesizer(seq2_bounds()).stream(limit=150))
-    inheriting = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
-                             **SHARING)
-    reference = CrashMonkey(fs_name, device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
-                            share_replay=False)
-    results = inheriting.test_workloads(workloads)
-    expected = reference.test_workloads(workloads)
-    assert _report_dicts(results) == _report_dicts(expected)
-    assert [r.canonical_dict() for r in results] == [r.canonical_dict() for r in expected]
-    assert sum(r.inherited_verdicts for r in expected) == 0
-    if fs_name == "logfs":
-        assert sum(r.inherited_verdicts for r in results) > 0
-        assert any(r.inherited_verdicts and r.bug_reports for r in results), \
+        assert inheriting.total("inherited_verdicts") > 0
+        assert any(r.inherited_verdicts and r.bug_reports for r in inheriting.results), \
             "the comparison must cover an inherited failing state"
-
-
-def _checked_pass(harness, text, name, *, file_verdicts=True, rebuild=None):
-    """One workload's states through a generator on the harness's own trail,
-    optionally without filing what the checker found, optionally with
-    checkpoint 1's oracle / tracker view swapped for an equal new object."""
-    profile = harness.recorder.profile(parse_workload(text, name=name))
-    if rebuild == "oracle":
-        profile.oracles[1] = replace(profile.oracles[1])
-    elif rebuild == "view":
-        profile.tracker_views[1] = replace(profile.tracker_views[1])
-    generator = CrashStateGenerator(profile, planner=harness.planner,
-                                    replay_cache=harness.replay_cache)
-    states = []
-    for state in generator.generate_scenarios():
-        if file_verdicts and not state.is_twin:
-            state.verdict.mismatches = harness.checker.check(profile, state)
-        states.append(state)
-    return states
 
 
 @pytest.mark.parametrize("plan", ["prefix", "torn"])
 def test_a_sibling_inherits_exactly_the_shared_checkpoints_filed_verdicts(plan):
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
                           **SHARING)
-    first = _checked_pass(harness, SIBLINGS[0], "a")
+    first, _ = _filed_pass(harness, SIBLINGS[0], "a")
     assert not any(state.inherited for state in first)
-    second = _checked_pass(harness, SIBLINGS[1], "b")
+    second, _ = _filed_pass(harness, SIBLINGS[1], "b")
     shared = [state for state in second if state.checkpoint_id == 1]
     own = [state for state in second if state.checkpoint_id == 2]
     assert shared and own
@@ -653,26 +616,26 @@ def test_a_rebuilt_oracle_or_view_forces_a_recompute(rebuild):
     expectation objects, and the memo is only trusted under the identical
     ones it was filled under."""
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, **SHARING)
-    _checked_pass(harness, SIBLINGS[0], "a")
-    second = _checked_pass(harness, SIBLINGS[1], "b", rebuild=rebuild)
+    _filed_pass(harness, SIBLINGS[0], "a")
+    second, _ = _filed_pass(harness, SIBLINGS[1], "b", rebuild=rebuild)
     assert second[0].checkpoint_id == 1
     assert not second[0].is_twin and second[0].mount_seconds > 0
     # The recompute refilled the memo under b's objects: c, which holds the
     # originals again, must not see b's verdicts either.
-    third = _checked_pass(harness, SIBLINGS[2], "c")
+    third, _ = _filed_pass(harness, SIBLINGS[2], "c")
     assert not third[0].is_twin
 
 
 def test_an_unfiled_verdict_is_mounted_again_never_inherited():
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn",
                           **SHARING)
-    unchecked = _checked_pass(harness, SIBLINGS[0], "a", file_verdicts=False)
+    unchecked, _ = _filed_pass(harness, SIBLINGS[0], "a", file_verdicts=False)
     assert any(state.is_twin for state in unchecked), "twins within a pass need no filing"
-    second = _checked_pass(harness, SIBLINGS[1], "b")
+    second, _ = _filed_pass(harness, SIBLINGS[1], "b")
     assert not any(state.inherited for state in second)
     assert not second[0].is_twin and second[0].mount_seconds > 0
     assert all(state.verdict.mismatches is not None for state in second)
-    third = _checked_pass(harness, SIBLINGS[2], "c")
+    third, _ = _filed_pass(harness, SIBLINGS[2], "c")
     assert third[0].inherited and third[0].verdict is second[0].verdict
 
 
@@ -722,7 +685,7 @@ def test_memoized_scenarios_is_the_same_however_much_was_inherited(tmp_path):
 # one thing the twins' soundness rests on, and a test above must object.
 
 
-def test_a_read_log_that_misses_the_data_reads_is_caught(monkeypatch):
+def unlogged_data_reads(patch):
     """Recovery reads metadata *and* file data; a log of the metadata reads
     alone calls two states equivalent that differ in a torn data block."""
     real = AbstractFileSystem._load_data_from_extents
@@ -737,21 +700,16 @@ def test_a_read_log_that_misses_the_data_reads_is_caught(monkeypatch):
         finally:
             fs.device.read_log = log
 
-    monkeypatch.setattr(AbstractFileSystem, "_load_data_from_extents", unlogged)
-    with pytest.raises(AssertionError):
-        assert_memoized_equals_always_mount("flashfs", "torn")
+    patch.setattr(AbstractFileSystem, "_load_data_from_extents", unlogged)
 
 
-def test_a_key_fold_that_ignores_tears_is_caught(monkeypatch):
+def tear_blind_fold(patch):
     real = _VerdictMemo.fold
-    monkeypatch.setattr(
-        _VerdictMemo, "fold",
-        lambda memo, scenario: real(memo, scenario and replace(scenario, torn=())))
-    with pytest.raises(AssertionError):
-        assert_memoized_equals_always_mount("flashfs", "torn")
+    patch.setattr(_VerdictMemo, "fold",
+                  lambda memo, scenario: real(memo, scenario and replace(scenario, torn=())))
 
 
-def test_equivalence_against_an_unfiled_representative_is_caught(monkeypatch):
+def unfiled_representatives(patch):
     """In ``test_workload`` every representative is filed before the next
     state exists, so only a consumer that does not file can tell: it must
     never be handed a verdict nobody filled in."""
@@ -763,14 +721,10 @@ def test_equivalence_against_an_unfiled_representative_is_caught(monkeypatch):
                 tuple(key[position] for position in positions), verdict)
         table._unindexed = []
 
-    test_an_unfiled_verdict_is_mounted_again_never_inherited()
-    monkeypatch.setattr(_VerdictTable, "_index_filed", index_everything)
-    with pytest.raises(AssertionError):
-        test_an_unfiled_verdict_is_mounted_again_never_inherited()
+    patch.setattr(_VerdictTable, "_index_filed", index_everything)
 
 
-def test_counting_a_second_twin_of_an_inherited_verdict_as_inherited_is_caught(
-        monkeypatch, tmp_path):
+def forgetful_inheritance(patch):
     original = CrashStateGenerator._construct
 
     def forgetful(self, record, scenario, fresh=None):
@@ -779,6 +733,24 @@ def test_counting_a_second_twin_of_an_inherited_verdict_as_inherited_is_caught(
             fresh.discard(state.verdict)  # ... so its next twin looks inherited too
         return state
 
-    monkeypatch.setattr(CrashStateGenerator, "_construct", forgetful)
-    with pytest.raises(AssertionError):
-        assert_schedules_agree_on_everything_canonical(tmp_path, "torn")
+    patch.setattr(CrashStateGenerator, "_construct", forgetful)
+
+
+def test_a_read_log_that_misses_the_data_reads_is_caught():
+    differential.rejects(unlogged_data_reads, assert_memoized_equals_always_mount,
+                         "flashfs", "torn")
+
+
+def test_a_key_fold_that_ignores_tears_is_caught():
+    differential.rejects(tear_blind_fold, assert_memoized_equals_always_mount, "flashfs", "torn")
+
+
+def test_equivalence_against_an_unfiled_representative_is_caught():
+    test_an_unfiled_verdict_is_mounted_again_never_inherited()
+    differential.rejects(unfiled_representatives,
+                         test_an_unfiled_verdict_is_mounted_again_never_inherited)
+
+
+def test_counting_a_second_twin_of_an_inherited_verdict_as_inherited_is_caught(tmp_path):
+    differential.rejects(forgetful_inheritance, assert_schedules_agree_on_everything_canonical,
+                         tmp_path, "torn")
