@@ -19,6 +19,7 @@ probes mutate the recovered file system, which would change later rounds).
 """
 
 import gc
+import math
 import time
 
 from repro.ace import AceSynthesizer, seq1_bounds
@@ -84,10 +85,10 @@ def test_per_check_time_attribution(benchmark):
         rows,
         ("check", "total time", "share"),
     )
-    # Every registered check ran, and the attributed time is consistent with
-    # the phase total measured around the pipeline.
+    # Every registered check ran, and the phase total is the attributed time:
+    # the harness sums the per-check timings rather than reading a second clock.
     assert set(totals) == set(harness.checker.check_names)
-    assert attributed <= check_seconds
+    assert math.isclose(attributed, check_seconds, rel_tol=1e-9)
 
 
 def test_pipeline_overhead_vs_monolithic_checker():

@@ -365,7 +365,7 @@ def _make_replica_reasoner():
 
 
 #: cursor fields that hold mutable/nested state and therefore need explicit
-#: handling in :meth:`AnalysisCursor.copy`, ``to_dict`` and ``from_dict``
+#: handling in :meth:`AnalysisCursor.copy`
 _CURSOR_NESTED_FIELDS = ("fence_edges", "lsw", "replicas")
 
 
@@ -426,29 +426,6 @@ class AnalysisCursor:
         twin.lsw = self.lsw.copy()
         twin.replicas = self.replicas.copy()
         return twin
-
-    def to_dict(self) -> dict:
-        """JSON-serializable snapshot; round-trips through :meth:`from_dict`."""
-        payload = {
-            name: value for name, value in self.__dict__.items()
-            if name not in _CURSOR_NESTED_FIELDS
-        }
-        payload["fence_edges"] = list(self.fence_edges)
-        payload["lsw"] = self.lsw.to_dict()
-        payload["replicas"] = self.replicas.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AnalysisCursor":
-        from .reasoners import LogStructuredWriteReasoner, ReplicatedMetadataReasoner
-        data = dict(payload)
-        lsw = LogStructuredWriteReasoner.from_dict(data.pop("lsw", {}))
-        replicas = ReplicatedMetadataReasoner.from_dict(data.pop("replicas", {}))
-        data["fence_edges"] = list(data.get("fence_edges", []))
-        cursor = cls(**data)
-        cursor.lsw = lsw
-        cursor.replicas = replicas
-        return cursor
 
     # ------------------------------------------------------------------ feeding
 

@@ -25,7 +25,7 @@ actual fence/FUA edges and demotes violated ones to exhaustive windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..fs import layout
 from .mechanisms import MechanismEvidence
@@ -76,20 +76,6 @@ class LogStructuredWriteReasoner:
         })
         twin.claimed_fences = list(self.claimed_fences)
         return twin
-
-    def to_dict(self) -> dict:
-        payload = {
-            name: value for name, value in self.__dict__.items()
-            if name != "claimed_fences"
-        }
-        payload["claimed_fences"] = list(self.claimed_fences)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LogStructuredWriteReasoner":
-        data = dict(payload)
-        data["claimed_fences"] = list(data.get("claimed_fences", []))
-        return cls(**data)
 
     # -- stream events ------------------------------------------------------
 
@@ -196,20 +182,6 @@ class ReplicatedMetadataReasoner:
         })
         twin.claimed_fences = list(self.claimed_fences)
         return twin
-
-    def to_dict(self) -> dict:
-        payload = {
-            name: value for name, value in self.__dict__.items()
-            if name != "claimed_fences"
-        }
-        payload["claimed_fences"] = list(self.claimed_fences)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ReplicatedMetadataReasoner":
-        data = dict(payload)
-        data["claimed_fences"] = list(data.get("claimed_fences", []))
-        return cls(**data)
 
     # -- stream events ------------------------------------------------------
 

@@ -10,9 +10,9 @@ checker, in the same order, followed by whatever the newer checks find.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..clock import now
 from .checks import DEFAULT_REGISTRY, CheckContext, CheckRegistry
 from .recorder import WorkloadProfile
 from .report import HARNESS_ERROR, Mismatch
@@ -56,7 +56,12 @@ class CheckPipeline:
 
     def check_timed(self, profile: WorkloadProfile,
                     crash_state: CrashState) -> Tuple[List[Mismatch], Dict[str, float]]:
-        """Like :meth:`check`, but also return per-check wall-clock seconds."""
+        """Like :meth:`check`, but also return per-check wall-clock seconds.
+
+        The seconds add up to the whole call: the first check run is charged
+        from entry, so the context set-up is attributed too.
+        """
+        prev = now()
         oracle = profile.oracles.get(crash_state.checkpoint_id)
         view = profile.tracker_views.get(crash_state.checkpoint_id)
         if oracle is None or view is None:
@@ -93,16 +98,14 @@ class CheckPipeline:
         # style: each check is charged from the previous clock read to its
         # own, which folds the µs-scale loop overhead into the attribution
         # rather than paying a second read to exclude it).
-        perf = time.perf_counter
         mountable = crash_state.mountable
-        prev = perf()
         for run, name, requires_mount in self._plan:
             if requires_mount and not mountable:
                 continue
             found = run(ctx)
-            now = perf()
-            timings[name] = now - prev
-            prev = now
+            tick = now()
+            timings[name] = tick - prev
+            prev = tick
             if found:
                 mismatches.extend(found)
         return mismatches, timings

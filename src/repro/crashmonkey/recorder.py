@@ -44,10 +44,10 @@ that knowledge every depth is frozen.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..clock import now, span
 from ..fs.base import AbstractFileSystem
 from ..fs.bugs import BugConfig
 from ..fs.registry import get_fs_class, models, resolve_fs_name
@@ -241,9 +241,13 @@ class WorkloadRecorder:
         from.  It never changes the returned profile, and a wrong guess
         costs the next profile its cache hit, nothing else.
         """
-        if self.share_prefixes:
-            return self._profile_shared(workload, upcoming)
-        return self._profile_from_scratch(workload)
+        with span() as clock:
+            if self.share_prefixes:
+                profile = self._profile_shared(workload, upcoming, clock)
+            else:
+                profile = self._profile_from_scratch(workload)
+            profile.profile_seconds = clock.seconds
+        return profile
 
     def clear_prefix_cache(self) -> None:
         """Drop the cached trie spine (frees the snapshots it holds)."""
@@ -252,7 +256,6 @@ class WorkloadRecorder:
     # ------------------------------------------------------------------ from scratch
 
     def _profile_from_scratch(self, workload: Workload) -> WorkloadProfile:
-        start = time.perf_counter()
         base_image = self._pristine_image.copy(name=f"{self.fs_name}-base")
         recording_device = RecordingDevice(CowDevice(base_image, name="workload-cow"))
         fs = self.fs_class(recording_device, self.bugs)
@@ -264,13 +267,12 @@ class WorkloadRecorder:
         run = _LiveRun(recording_device, fs, tracker, oracles, executor)
         executor.run(workload, on_persistence=run.on_persistence,
                      before_operation=tracker.before_operation)
-        return self._finish(run, workload, base_image, start, resumed=None)
+        return self._finish(run, workload, base_image, resumed=None)
 
     # ------------------------------------------------------------------ prefix shared
 
-    def _profile_shared(self, workload: Workload,
-                        upcoming: Optional[Workload]) -> WorkloadProfile:
-        start = time.perf_counter()
+    def _profile_shared(self, workload: Workload, upcoming: Optional[Workload],
+                        clock: span) -> WorkloadProfile:
         expected, prefix_keys = self._lookahead
         if workload is not expected:
             prefix_keys = workload.prefix_keys()
@@ -293,7 +295,7 @@ class WorkloadRecorder:
             self.prefix_seconds_saved += node.elapsed
         else:
             # Cold cache: build the root (mkfs base + mount) and freeze it.
-            node = self._make_root_node(prefix_keys[0], start)
+            node = self._make_root_node(prefix_keys[0], clock)
             self._remember(node)
         base_elapsed = node.elapsed
 
@@ -307,12 +309,12 @@ class WorkloadRecorder:
 
         def before_operation(op, index):
             nonlocal op_start
-            op_start = time.perf_counter()
+            op_start = now()
             run.tracker.before_operation(op, index)
 
         def after_operation(op, index):
             nonlocal exec_seconds
-            exec_seconds += time.perf_counter() - op_start
+            exec_seconds += now() - op_start
             if index < keep_depth:
                 self._remember(self._freeze(run, depth=index + 1, op=op,
                                             prefix_key=prefix_keys[index + 1],
@@ -321,7 +323,7 @@ class WorkloadRecorder:
         run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
                          after_operation=after_operation, start_index=node.depth)
-        return self._finish(run, workload, self._spine.base, start, resumed)
+        return self._finish(run, workload, self._spine.base, resumed)
 
     def _remember(self, node: _PrefixNode) -> None:
         """Append a frozen node to the spine, sized by what it pins."""
@@ -329,8 +331,9 @@ class WorkloadRecorder:
         self._spine.push(node, nbytes, stub=node.prefix_key)
         self.spine_freezes += 1
 
-    def _make_root_node(self, prefix_key: str, start: float) -> _PrefixNode:
-        """Format-and-mount once: the trie root every workload shares."""
+    def _make_root_node(self, prefix_key: str, clock: span) -> _PrefixNode:
+        """Format-and-mount once: the trie root every workload shares;
+        ``clock`` is the profile's, so the root's ``elapsed`` is the run so far."""
         recording_device = RecordingDevice(CowDevice(self._spine.base, name="workload-cow"))
         fs = self.fs_class(recording_device, self.bugs)
         fs.mount()
@@ -338,7 +341,7 @@ class WorkloadRecorder:
         run = _LiveRun(recording_device, fs, tracker, {},
                        WorkloadExecutor(fs, strict=self.strict))
         return self._freeze(run, depth=0, op=None, prefix_key=prefix_key,
-                            elapsed=time.perf_counter() - start)
+                            elapsed=clock.seconds)
 
     def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
                 prefix_key: str, elapsed: float) -> _PrefixNode:
@@ -380,7 +383,7 @@ class WorkloadRecorder:
     # ------------------------------------------------------------------ finish
 
     def _finish(self, run: _LiveRun, workload: Workload, base_image: BlockDevice,
-                start: float, resumed: Optional[_PrefixNode]) -> WorkloadProfile:
+                resumed: Optional[_PrefixNode]) -> WorkloadProfile:
         """The profile of a finished run; ``resumed`` is the cached node it
         started from, ``None`` for a run that formatted and mounted itself."""
         # The run's fork is simply dropped, still mounted: every crash point
@@ -396,7 +399,6 @@ class WorkloadRecorder:
             oracles=run.oracles,
             tracker_views=run.tracker.views(),
             num_checkpoints=run.recording_device.num_checkpoints,
-            profile_seconds=time.perf_counter() - start,
             executed_ops=run.executor.executed,
             skipped_ops=run.executor.skipped,
             recorded_bytes=run.recording_device.recorded_bytes(),

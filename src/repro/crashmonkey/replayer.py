@@ -23,13 +23,13 @@ plan additionally explores crashes that lose bounded subsets of the in-flight
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import replace
 from functools import partial
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from ..analysis.audit import audit_report
 from ..analysis.mechanisms import MechanismReport
+from ..clock import span
 from ..errors import HarnessError, UnmountableError
 from ..fs import fsck
 from ..fs.registry import get_fs_class
@@ -146,76 +146,75 @@ class CrashStateGenerator:
         """
         if self._records is not None:
             return self._records
-        start = time.perf_counter()
-        cache = self.replay_cache
-        log = self.profile.io_log
-        want_hasher = self.cross_cache is not None
-        walk = cache.begin(self.profile, want_hasher, self.analyze) \
-            if cache is not None else None
-        if walk is None:
-            walk = _ReplayNode.root(self.profile, want_hasher, self.analyze)
-        else:
-            self.replay_shared = True
-            self.replay_writes_reused = walk.replayed_writes
-            self.replay_seconds_saved = walk.elapsed
-        base_elapsed = walk.elapsed
-        # The walk owns these four for good; everything else it rebinds.
-        cursor, records, hasher, analysis = (
-            walk.cursor, walk.records, walk.hasher, walk.analysis)
+        with span(self, "build_seconds") as clock:
+            cache = self.replay_cache
+            log = self.profile.io_log
+            want_hasher = self.cross_cache is not None
+            walk = cache.begin(self.profile, want_hasher, self.analyze) \
+                if cache is not None else None
+            if walk is None:
+                walk = _ReplayNode.root(self.profile, want_hasher, self.analyze)
+            else:
+                self.replay_shared = True
+                self.replay_writes_reused = walk.replayed_writes
+                self.replay_seconds_saved = walk.elapsed
+            base_elapsed = walk.elapsed
+            # The walk owns these four for good; everything else it rebinds.
+            cursor, records, hasher, analysis = (
+                walk.cursor, walk.records, walk.hasher, walk.analysis)
 
-        def freeze(fork: CowDevice) -> None:
-            # ``fork`` *is* a frozen cursor fork (the stable state or the
-            # checkpoint baseline): caching it costs no extra device work.
-            walk.index = index + 1
-            walk.elapsed = base_elapsed + time.perf_counter() - start
-            cache.freeze(walk, fork)
+            def freeze(fork: CowDevice) -> None:
+                # ``fork`` *is* a frozen cursor fork (the stable state or the
+                # checkpoint baseline): caching it costs no extra device work.
+                walk.index = index + 1
+                walk.elapsed = base_elapsed + clock.seconds
+                cache.freeze(walk, fork)
 
-        for index in range(walk.index, len(log)):
-            request = log[index]
-            if analysis is not None:
-                analysis.feed(request)
-            if request.is_write:
-                if request.block is None or request.data is None:
-                    raise HarnessError(
-                        f"malformed write request in recorded stream: {request!r}"
+            for index in range(walk.index, len(log)):
+                request = log[index]
+                if analysis is not None:
+                    analysis.feed(request)
+                if request.is_write:
+                    if request.block is None or request.data is None:
+                        raise HarnessError(
+                            f"malformed write request in recorded stream: {request!r}"
+                        )
+                    cursor.write_block(request.block, request.data)
+                    self.replayed_write_requests += 1
+                    walk.replayed_writes += 1
+                    walk.window += (request,)
+                    if hasher is not None:
+                        flags = ",".join(flag.value for flag in request.flags)
+                        hasher.update(f"w:{request.block}:{flags}:{request.tag}:".encode("utf-8"))
+                        hasher.update(request.data)
+                elif request.is_flush:
+                    # Everything before the barrier is durable: fork the stable
+                    # state and start a fresh in-flight window.
+                    walk.stable = cursor.snapshot(name="replay-stable")
+                    walk.window = ()
+                    if hasher is not None:
+                        hasher.update(b"f:")
+                    if cache is not None:
+                        freeze(walk.stable)
+                elif request.is_checkpoint and request.checkpoint_id is not None:
+                    baseline = cursor.snapshot(name=f"crash-{request.checkpoint_id}")
+                    records[request.checkpoint_id] = _CheckpointRecord(
+                        checkpoint_id=request.checkpoint_id,
+                        baseline=baseline,
+                        stable=walk.stable,
+                        window=walk.window,
+                        state_digest=hasher.hexdigest() if hasher is not None else None,
                     )
-                cursor.write_block(request.block, request.data)
-                self.replayed_write_requests += 1
-                walk.replayed_writes += 1
-                walk.window += (request,)
-                if hasher is not None:
-                    flags = ",".join(flag.value for flag in request.flags)
-                    hasher.update(f"w:{request.block}:{flags}:{request.tag}:".encode("utf-8"))
-                    hasher.update(request.data)
-            elif request.is_flush:
-                # Everything before the barrier is durable: fork the stable
-                # state and start a fresh in-flight window.
-                walk.stable = cursor.snapshot(name="replay-stable")
-                walk.window = ()
-                if hasher is not None:
-                    hasher.update(b"f:")
-                if cache is not None:
-                    freeze(walk.stable)
-            elif request.is_checkpoint and request.checkpoint_id is not None:
-                baseline = cursor.snapshot(name=f"crash-{request.checkpoint_id}")
-                records[request.checkpoint_id] = _CheckpointRecord(
-                    checkpoint_id=request.checkpoint_id,
-                    baseline=baseline,
-                    stable=walk.stable,
-                    window=walk.window,
-                    state_digest=hasher.hexdigest() if hasher is not None else None,
-                )
-                if cache is not None:
-                    freeze(baseline)
-        self._records = records
-        if analysis is not None:
-            # Second static pass: the contract auditor re-checks every claim
-            # against the stream's actual fence/FUA edges and demotes violated
-            # ones before any planner consumes the report.
-            report = analysis.finish(self.profile.fs_name)
-            self.mechanism_report = audit_report(report, self.profile.io_log)
-            self.audit_demotions = self.mechanism_report.demotions
-        self.build_seconds = time.perf_counter() - start
+                    if cache is not None:
+                        freeze(baseline)
+            self._records = records
+            if analysis is not None:
+                # Second static pass: the contract auditor re-checks every claim
+                # against the stream's actual fence/FUA edges and demotes violated
+                # ones before any planner consumes the report.
+                report = analysis.finish(self.profile.fs_name)
+                self.mechanism_report = audit_report(report, self.profile.io_log)
+                self.audit_demotions = self.mechanism_report.demotions
         return records
 
     def _attach_planner_report(self) -> None:
@@ -298,16 +297,14 @@ class CrashStateGenerator:
         oracle = self.profile.oracles.get(record.checkpoint_id)
         crash_point = oracle.crash_point if oracle else f"checkpoint {record.checkpoint_id}"
 
-        replay_start = time.perf_counter()
-        key, overlay_bytes = record.memo.fold(scenario)
         state = CrashState(
             checkpoint_id=record.checkpoint_id,
             crash_point=crash_point,
             build_device=partial(self._scenario_device, record, scenario),
             scenario=scenario,
-            overlay_bytes=overlay_bytes,
         )
-        state.replay_seconds = time.perf_counter() - replay_start
+        with span(state, "replay_seconds"):
+            key, state.overlay_bytes = record.memo.fold(scenario)
 
         reads = None
         if fresh is not None:
@@ -321,28 +318,23 @@ class CrashStateGenerator:
                 return state
             reads = ReadLog(record.memo.positions)
 
-        replay_start = time.perf_counter()
-        device = state.device
-        device.read_log = reads
-        mount_start = time.perf_counter()
-        state.replay_seconds += mount_start - replay_start
-        fs = self.fs_class(device, self.profile.bugs)
-        try:
-            fs.mount(inspect=True)
-            state.fs = fs
-            state.mount_seconds = time.perf_counter() - mount_start
-        except UnmountableError as exc:
-            # Without its traceback: that holds this frame, whose ``state``
-            # holds the error — a cycle that keeps the record, the device and
-            # the half-mounted fs alive until the collector happens by.
-            state.mount_error = exc.with_traceback(None)
-            state.mount_seconds = time.perf_counter() - mount_start
-            if self.run_fsck_on_failure:
-                fsck_start = time.perf_counter()
-                repaired_fs, report = fsck.repair(self.fs_class, device, self.profile.bugs)
-                state.fsck_report = report
-                state.fsck_recovered_fs = repaired_fs
-                state.fsck_seconds = time.perf_counter() - fsck_start
+        with span(state, "replay_seconds"):
+            device = state.device
+            device.read_log = reads
+        with span(state, "mount_seconds"):
+            fs = self.fs_class(device, self.profile.bugs)
+            try:
+                fs.mount(inspect=True)
+                state.fs = fs
+            except UnmountableError as exc:
+                # Without its traceback: that holds this frame, whose ``state``
+                # holds the error — a cycle that keeps the record, the device
+                # and the half-mounted fs alive until the collector happens by.
+                state.mount_error = exc.with_traceback(None)
+        if state.mount_error is not None and self.run_fsck_on_failure:
+            with span(state, "fsck_seconds"):
+                state.fsck_recovered_fs, state.fsck_report = fsck.repair(
+                    self.fs_class, device, self.profile.bugs)
         state.verdict = CrashVerdict(mountable=state.fs is not None, reads=reads)
         if fresh is not None:
             verdicts.file(key, state.verdict)

@@ -21,11 +21,11 @@ share of the pool's elapsed time.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
+from ..clock import span
 from ..crashmonkey.harness import CrashMonkey
 from ..crashmonkey.report import CrashTestResult, RollUps
 from ..options import HarnessSpec
@@ -103,10 +103,9 @@ def _test_chunk(harness: CrashMonkey, indexed_chunk: IndexedChunk, worker: str) 
     """Test one chunk on ``harness``, timed around the actual testing."""
     index, chunk = indexed_chunk
     harness.begin_chunk(index)
-    start = time.perf_counter()
-    results = list(harness.test_stream(chunk))
-    return ChunkOutcome(index=index, results=results,
-                        seconds=time.perf_counter() - start, worker=worker)
+    with span() as clock:
+        results = list(harness.test_stream(chunk))
+        return ChunkOutcome(index=index, results=results, seconds=clock.seconds, worker=worker)
 
 
 # --------------------------------------------------------------------------- serial

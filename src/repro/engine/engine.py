@@ -15,10 +15,10 @@ timing measured inside the worker that ran it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
+from ..clock import span
 from ..core.results import CampaignResult
 from ..fs.registry import models, resolve_fs_name
 from ..options import HarnessSpec
@@ -141,7 +141,7 @@ class CampaignEngine:
         run = self._execute(enumerate(self._chunked(timed)), label, timed,
                             workloads_total=workloads_total)
         run.result.generation_seconds = timed.seconds
-        if getattr(self.backend, "overlaps_generation", False):
+        if self.backend.overlaps_generation:
             # Workers keep testing while the dispatch thread pulls from the
             # generator, so generation costs no extra wall clock.
             run.result.testing_seconds = run.wall_clock_seconds
@@ -191,32 +191,29 @@ class CampaignEngine:
         run = EngineRun(result=result)
         chunk_results: List[List] = []  # completion-ordered, parallel to run.chunks
         failing = failing_offset  # running tally: a rescan per event would be quadratic
-        start = time.perf_counter()
-        for outcome in self.backend.execute(self.spec, stream):
-            if on_outcome is not None:
-                # Persistence hook: runs before aggregation and progress so a
-                # durable campaign commits the chunk before reporting it.
-                on_outcome(outcome)
-            result.ingest_many(outcome.results)
-            stats = outcome.stats()
-            failing += stats.failing_workloads
-            run.chunks.append(stats)
-            chunk_results.append(outcome.results)
-            if self.progress is not None:
-                self.progress(
-                    ProgressEvent(
+        with span(run, "wall_clock_seconds") as clock:
+            for outcome in self.backend.execute(self.spec, stream):
+                if on_outcome is not None:
+                    # Persistence hook: runs before aggregation and progress so a
+                    # durable campaign commits the chunk before reporting it.
+                    on_outcome(outcome)
+                result.ingest_many(outcome.results)
+                stats = outcome.stats()
+                failing += stats.failing_workloads
+                run.chunks.append(stats)
+                chunk_results.append(outcome.results)
+                if self.progress is not None:
+                    self.progress(ProgressEvent(
                         chunks_done=len(run.chunks) + chunks_done_offset,
                         workloads_done=result.workloads_tested + workloads_done_offset,
                         failing_workloads=failing,
                         generated=source.count if source is not None else result.workloads_tested,
-                        elapsed_seconds=time.perf_counter() - start,
+                        elapsed_seconds=clock.seconds,
                         chunk=stats,
                         chunks_total=chunks_total,
                         workloads_total=workloads_total,
                         session_workloads=result.workloads_tested,
-                    )
-                )
-        run.wall_clock_seconds = time.perf_counter() - start
+                    ))
         order = sorted(range(len(run.chunks)), key=lambda pos: run.chunks[pos].index)
         # Reassemble completion-ordered chunks back into stream order, so
         # result.results corresponds positionally to the input workloads

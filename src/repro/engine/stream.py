@@ -9,8 +9,9 @@ the paper's 3.37M.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Iterator, List, TypeVar
+
+from ..clock import span
 
 T = TypeVar("T")
 
@@ -35,11 +36,8 @@ class TimedIterator(Iterator[T]):
         return self
 
     def __next__(self) -> T:
-        start = time.perf_counter()
-        try:
+        with span(self, "seconds"):
             item = next(self._source)
-        finally:
-            self.seconds += time.perf_counter() - start
         self.count += 1
         return item
 

@@ -104,8 +104,8 @@ class HarnessSpec:
                "seq-2 before seq-3 strategy makes earlier ones redundant)")
     checks: Optional[Tuple[str, ...]] = option(
         None, "comma-separated consistency checks to run, by registered name (default: "
-              "all; a custom check must be registered at import time of a module pool "
-              "workers also import)", flags=("--checks",), metavar="A,B", coerce=tuple)
+              "all; a custom check must be registered by a module the pool workers "
+              "also import)", flags=("--checks",), metavar="A,B", coerce=tuple)
     skip_checks: Tuple[str, ...] = option(
         (), "comma-separated consistency checks to skip", flags=("--skip-checks",),
         metavar="C,D", coerce=tuple)

@@ -1,5 +1,7 @@
 """Offline checker (fsck) behaviour."""
 
+import copy
+
 from repro.fs import BugConfig, LogFS, SeqFS, check_device, repair
 from repro.storage import BLOCK_SIZE, BlockDevice, replay_until_checkpoint
 
@@ -72,7 +74,9 @@ def test_check_detects_dangling_directory_entries():
     from repro.fs import layout
 
     superblock = layout.read_superblock(recording)
-    payload = layout.read_checkpoint(recording, superblock)
+    untouched = recording.target.snapshot(name="untouched")
+    # A decoded checkpoint is the decode memo's shared object: copy it first.
+    payload = copy.deepcopy(layout.read_checkpoint(recording, superblock))
     for meta in payload["inodes"].values():
         if meta["ftype"] == "dir" and meta["children"]:
             meta["children"]["ghost"] = 9999
@@ -80,6 +84,10 @@ def test_check_detects_dangling_directory_entries():
     report = check_device(recording)
     assert not report.clean
     assert any("missing inode" in error for error in report.errors)
+    # The untouched image still decodes to what it holds.
+    reread = layout.read_checkpoint(untouched, superblock)
+    assert not any("ghost" in meta["children"]
+                   for meta in reread["inodes"].values() if meta["ftype"] == "dir")
 
 
 def test_check_detects_wrong_link_counts():
@@ -90,7 +98,8 @@ def test_check_detects_wrong_link_counts():
     from repro.fs import layout
 
     superblock = layout.read_superblock(recording)
-    payload = layout.read_checkpoint(recording, superblock)
+    untouched = recording.target.snapshot(name="untouched")
+    payload = copy.deepcopy(layout.read_checkpoint(recording, superblock))
     for meta in payload["inodes"].values():
         if meta["ftype"] == "file":
             meta["nlink"] = 1  # should be 2
@@ -98,6 +107,8 @@ def test_check_detects_wrong_link_counts():
     report = check_device(recording)
     assert not report.clean
     assert any("nlink" in error for error in report.errors)
+    reread = layout.read_checkpoint(untouched, superblock)
+    assert [meta["nlink"] for meta in reread["inodes"].values() if meta["ftype"] == "file"] == [2]
 
 
 def _image_with_zeroed_superblock(fs_name):

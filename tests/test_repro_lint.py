@@ -575,3 +575,51 @@ def test_a_codec_registry_coming_back_is_caught():
     assert sorted((path, line) for path, line, _ in findings) == [
         ("src/repro/crashmonkey/recorder.py", 2), ("src/repro/storage/spill.py", 2)]
     assert all("register_codec" in message for _, _, message in findings)
+
+
+# ---------------------------------------------------------------- rule 14: one clock
+
+
+def test_the_repo_clock_behind_a_call_chain_is_caught():
+    trees = _trees(**{"core/results.py": (
+        "from ..clock import span\n"
+        "from .. import clock\n"
+        "class R:\n"
+        "    def canonical_dict(self):\n"
+        "        return self._timed_payload()\n"
+        "    def _timed_payload(self):\n"
+        "        with span(self, 'payload_seconds'):\n"
+        "            return {'at': clock.now()}\n"
+    )})
+    findings = repro_lint.check_canonical_paths_are_clock_free(trees)
+    assert [(line, "canonical_dict -> _timed_payload" in message)
+            for _, line, message in findings] == [(7, True), (8, True)]
+    assert "`span`" in findings[0][2] and "`clock.now`" in findings[1][2]
+
+
+def test_a_clock_read_outside_clock_py_is_caught():
+    check = repro_lint.check_durations_come_from_one_clock
+    findings = check(_trees(**{
+        "engine/engine.py": (
+            "import time\n"
+            "def run(self):\n"
+            "    start = time.perf_counter()\n"
+            "    time.sleep(0)\n"
+        ),
+        "crashmonkey/checker.py": "from time import perf_counter\n",
+        "service/service.py": "from ..clock import now, span\nstart = now()\n",
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/crashmonkey/checker.py", 1),
+        ("src/repro/engine/engine.py", 1), ("src/repro/engine/engine.py", 3)]
+    assert all("repro.clock" in message for _, _, message in findings)
+    assert any("`time.perf_counter()`" in message for _, _, message in findings)
+
+
+def test_clock_py_itself_lints_clean():
+    trees = repro_lint.parse_tree()
+    clock = {path: tree for path, tree in trees.items()
+             if path == repro_lint.SRC_ROOT / "clock.py"}
+    assert len(clock) == 1
+    assert repro_lint.check_durations_come_from_one_clock(clock) == []
+    assert repro_lint.check_durations_come_from_one_clock(trees) == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Thirteen invariants, each protecting a guarantee a past change was built on:
+Fourteen invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -10,7 +10,10 @@ Thirteen invariants, each protecting a guarantee a past change was built on:
    walks the call graph (name-resolved across the ``src/repro`` tree, an
    over-approximation that errs toward flagging) from every
    ``canonical_dict`` definition and rejects reachable ``time.time``,
-   ``time.perf_counter``, ``time.monotonic``, ``datetime.now`` и co.
+   ``time.perf_counter``, ``time.monotonic``, ``datetime.now`` и co. — and
+   the repo's own clock, ``now`` / ``span`` bare or ``clock.``-qualified
+   (the walk follows function names only, so it would step over the
+   ``span`` class and the ``now`` alias without them).
 
 2. **No ``bytes(...)`` copies in storage hot paths.**  Crash-state
    construction is zero-copy: recorded payloads live in shared slabs and
@@ -129,6 +132,14 @@ Thirteen invariants, each protecting a guarantee a past change was built on:
     ``register_codec`` does not exist: a per-owner freeze / thaw pair is the
     hand-written copy of pickle's memo this design deleted.
 
+14. **One clock.**  Every duration ``repro`` reports is read from
+    ``repro/clock.py`` — ``now`` or a ``span`` charging a timing field — so
+    which clock is read, and whether a raising block is charged, is decided
+    in one place.  Under ``src/repro/`` no other module imports ``time``
+    (``import time`` / ``from time import ...``) or calls
+    ``time.perf_counter`` / ``time.time`` / ``time.monotonic`` /
+    ``time.process_time``.
+
 Run from the repo root (CI runs it next to ruff):
 
     python tools/repro_lint.py
@@ -154,6 +165,11 @@ WALL_CLOCK_CALLS = {
     ("datetime", "now"),
     ("datetime", "utcnow"),
     ("date", "today"),
+    # the repo's own clock (rule 14), imported bare or as a module
+    ("", "now"),
+    ("", "span"),
+    ("clock", "now"),
+    ("clock", "span"),
 }
 
 #: serialization entry points whose transitive callees must be clock-free
@@ -241,7 +257,7 @@ def check_canonical_paths_are_clock_free(trees: Dict[Path, ast.Module]) -> List[
             if (receiver, attr) in WALL_CLOCK_CALLS:
                 findings.append(Finding(
                     str(path.relative_to(REPO_ROOT)), node.lineno,
-                    f"wall-clock read `{receiver}.{attr}` reachable from "
+                    f"wall-clock read `{receiver + '.' if receiver else ''}{attr}` reachable from "
                     f"canonical_dict via {' -> '.join(chain)} — canonical "
                     "payloads must be schedule-invariant",
                 ))
@@ -863,6 +879,40 @@ def check_one_spine_and_a_storage_only_serialiser(trees: Dict[Path, ast.Module])
     return findings
 
 
+# ------------------------------------------------------------------ rule 14: one clock
+
+
+#: the one module under src/repro that reads the clock
+CLOCK_MODULE = "clock.py"
+
+#: clock reads of the ``time`` module
+TIME_CLOCK_CALLS = {"perf_counter", "time", "monotonic", "process_time"}
+
+
+def check_durations_come_from_one_clock(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        if path == SRC_ROOT / CLOCK_MODULE:
+            continue
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        for node in ast.walk(tree):
+            receiver, called = _call_name(node) if isinstance(node, ast.Call) else ("", "")
+            if isinstance(node, ast.Import) and any(alias.name == "time" for alias in node.names):
+                read = "`import time`"
+            elif isinstance(node, ast.ImportFrom) and node.module == "time" and not node.level:
+                read = "`from time import ...`"
+            elif receiver == "time" and called in TIME_CLOCK_CALLS:
+                read = f"`time.{called}()`"
+            else:
+                continue
+            findings.append(Finding(
+                relative, node.lineno,
+                f"{read} outside {CLOCK_MODULE} — a duration is a `span` (or a `now()` "
+                "read) from repro.clock, the one clock",
+            ))
+    return findings
+
+
 # ------------------------------------------------------------------------ driver
 
 
@@ -889,6 +939,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_snapshots_serialise_in_one_place(trees))
     findings.extend(check_verdicts_depend_on_logged_reads_only(trees))
     findings.extend(check_one_spine_and_a_storage_only_serialiser(trees))
+    findings.extend(check_durations_come_from_one_clock(trees))
     return findings
 
 
