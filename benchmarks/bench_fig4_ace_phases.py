@@ -7,6 +7,7 @@ dependencies — and reports how many candidate workloads each phase yields.
 
 from repro.ace import (
     AceSynthesizer,
+    DependencySteps,
     build_fileset,
     parameterize,
     resolve_dependencies,
@@ -29,7 +30,9 @@ def test_fig4_phases_for_the_rename_link_skeleton(benchmark):
         with_persistence = []
         for core_ops in parameterized:
             with_persistence.extend(add_persistence_points(core_ops, bounds))
-        final = [ops for ops in (resolve_dependencies(candidate) for candidate in with_persistence)
+        steps = DependencySteps()  # phase 4's transitions, shared by the candidates
+        final = [ops for ops in (resolve_dependencies(candidate, steps)
+                                 for candidate in with_persistence)
                  if ops is not None]
         return parameterized, with_persistence, final
 

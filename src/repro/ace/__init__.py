@@ -15,7 +15,7 @@ from .index import SpaceIndex
 from .phase1 import count_skeletons, generate_skeletons
 from .phase2 import count_parameterizations, parameter_choices, parameterize
 from .phase3 import add_persistence_points, count_persistence_variants, persistence_choices
-from .phase4 import resolve_dependencies
+from .phase4 import DependencySteps, resolve_dependencies
 from .synthesizer import AceSynthesizer, GenerationStats, generate_workloads, group_siblings
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "persistence_choices",
     "count_persistence_variants",
     "resolve_dependencies",
+    "DependencySteps",
     "AceSynthesizer",
     "SpaceIndex",
     "GenerationStats",

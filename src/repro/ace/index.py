@@ -9,7 +9,7 @@ so the workload at a given position of that walk can be built directly.
 
 Whether a choice survives depends on very little of what came before: phase
 4 rejects an operation by looking only at which directories and files exist
-(``DependencyResolver.dirs`` / ``.files``), and phase 2 calls an argument
+(the first two sets of a phase-4 state), and phase 2 calls an argument
 order symmetric by looking only at which paths earlier core operations
 named.  The number of valid completions of a skeleton suffix is therefore a
 function of ``(dirs, files, used paths, suffix)`` and is memoised on exactly
@@ -17,8 +17,9 @@ that; thousands of operation prefixes collapse onto a few hundred keys.
 
 Every rule is the generator's own: parameter and persistence choices come
 from phases 2 and 3, the symmetry test is phase 2's, namespace transitions
-run through phase 4's ``DependencyResolver``, and the workload is built by
-``resolve_dependencies`` from the unranked operation list.
+are phase 4's ``DependencySteps`` table projected onto (dirs, files), and the
+workload is built by ``resolve_dependencies`` folding the unranked operation
+list through that same table.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ from .fileset import FileSet
 from .phase1 import Skeleton, generate_skeletons
 from .phase2 import TWO_PATH_OPS, is_symmetric_half, op_paths, parameter_choices
 from .phase3 import persistence_choices
-from .phase4 import DependencyResolver, resolve_dependencies
+from .phase4 import EMPTY_STATE, DependencySteps, resolve_dependencies
 
-#: What phase-4 validity reads of the resolver: (directories, files).
+#: What phase-4 validity reads of a state: (directories, files).
 Namespace = Tuple[FrozenSet[str], FrozenSet[str]]
 
 _EMPTY: FrozenSet[str] = frozenset()
+#: The rest of a phase-4 state a namespace stands for: no data, no xattrs.
+_NO_CONTENT = (_EMPTY, _EMPTY)
 
 
 class SpaceIndex:
@@ -48,12 +51,10 @@ class SpaceIndex:
     def __init__(self, bounds: Bounds, fileset: FileSet):
         self.bounds = bounds
         self.fileset = fileset
-        fresh = DependencyResolver()
-        self._start: Namespace = (frozenset(fresh.dirs), frozenset(fresh.files))
+        self.steps = DependencySteps()
+        self._start: Namespace = EMPTY_STATE[:2]
         self._choices: Dict[str, List[Operation]] = {}
         self._points: Dict[Tuple[Operation, bool], List[Optional[Operation]]] = {}
-        self._namespaces: Dict[Namespace, Namespace] = {self._start: self._start}
-        self._steps: Dict[Tuple[Namespace, Operation], Optional[Namespace]] = {}
         #: (namespace, used paths, skeleton suffix) -> (size per choice, total)
         self._tables: Dict[Tuple[Namespace, FrozenSet[str], Skeleton],
                            Tuple[Tuple[int, ...], int]] = {}
@@ -77,23 +78,16 @@ class SpaceIndex:
         return points
 
     def _step(self, namespace: Namespace, op: Optional[Operation]) -> Optional[Namespace]:
-        """The namespace after ``op``, or None where phase 4 discards the workload."""
+        """The namespace after ``op``, or None where phase 4 discards the workload.
+
+        The phase-4 table projected onto (dirs, files).  The projection is
+        exact: validity and the dirs / files transitions never read which
+        files hold data or xattrs, so those sets may as well be empty.
+        """
         if op is None:
             return namespace
-        key = (namespace, op)
-        try:
-            return self._steps[key]
-        except KeyError:
-            pass
-        resolver = DependencyResolver()
-        resolver.dirs, resolver.files = set(namespace[0]), set(namespace[1])
-        after = None
-        if resolver.process(op):
-            after = (frozenset(resolver.dirs), frozenset(resolver.files))
-            # Thousands of steps land on a few hundred namespaces: share them.
-            after = self._namespaces.setdefault(after, after)
-        self._steps[key] = after
-        return after
+        step = self.steps.step(namespace + _NO_CONTENT, op)
+        return None if step is None else step[0][:2]
 
     @staticmethod
     def _used_after(used: FrozenSet[str], op: Operation, rest: Skeleton) -> FrozenSet[str]:
@@ -223,7 +217,7 @@ class SpaceIndex:
         """The workload ``generate(required_ops)`` yields at ``position`` (0-based)."""
         label = self.bounds.label or f"seq-{self.bounds.seq_length}"
         return Workload(
-            ops=resolve_dependencies(self.ops_at(position, required_ops)),
+            ops=resolve_dependencies(self.ops_at(position, required_ops), self.steps),
             name=f"{label}-{position + 1:07d}",
             seq_length=self.bounds.seq_length,
             source=f"ace:{label}",

@@ -8,14 +8,32 @@ system — exactly like Figure 4, where ``mkdir A``, ``mkdir B`` and
 
 Workloads that are statically invalid even with dependencies (for example a
 ``link`` whose destination name necessarily already exists) are discarded.
+
+What an operation needs depends only on the state the operations before it
+left — which directories and files exist, which files hold data or an xattr
+— so phase 4 is a transition table over those states
+(:class:`DependencySteps`), and :func:`resolve_dependencies` is a fold over
+it.  Sibling workloads share their transitions, so a table kept across them
+resolves each one once.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+import functools
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..workload.operations import Operation, OpKind
 from .phase2 import BASE_FILE_SIZE
+
+#: A phase-4 state: (directories, files, files with data, files with an xattr).
+State = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str], FrozenSet[str]]
+
+#: One phase-4 transition: the state after an operation and the dependency
+#: operations it prepends, or None where phase 4 discards the workload.
+Step = Optional[Tuple[State, Tuple[Operation, ...]]]
+
+#: An empty file system: only the root directory exists.
+EMPTY_STATE: State = (frozenset({""}), frozenset(), frozenset(), frozenset())
 
 #: Operations that require their (first) path argument to exist as a file.
 _NEEDS_FILE = {
@@ -36,15 +54,30 @@ def _looks_like_directory(path: str) -> bool:
     return path.rsplit("/", 1)[-1] in _DIRECTORY_NAMES
 
 
+@functools.lru_cache(maxsize=4096)
+def _dependency(kind: str, args: Tuple) -> Operation:
+    """A set-up operation phase 4 prepends: equal ones are one shared object.
+
+    ACE's argument set is small, so the workloads of a campaign draw their
+    tens of thousands of dependency operations from a few hundred.
+    """
+    return Operation(kind, args, dependency=True)
+
+
 class DependencyResolver:
     """Tracks namespace state while dependencies are computed."""
 
-    def __init__(self):
-        self.dirs: Set[str] = {""}
-        self.files: Set[str] = set()
-        self.files_with_data: Set[str] = set()
-        self.files_with_xattr: Set[str] = set()
+    def __init__(self, state: State = EMPTY_STATE):
+        dirs, files, files_with_data, files_with_xattr = state
+        self.dirs: Set[str] = set(dirs)
+        self.files: Set[str] = set(files)
+        self.files_with_data: Set[str] = set(files_with_data)
+        self.files_with_xattr: Set[str] = set(files_with_xattr)
         self.dependencies: List[Operation] = []
+
+    def state(self) -> State:
+        return (frozenset(self.dirs), frozenset(self.files),
+                frozenset(self.files_with_data), frozenset(self.files_with_xattr))
 
     # -- helpers -----------------------------------------------------------------
 
@@ -54,38 +87,34 @@ class DependencyResolver:
         for part in parts:
             prefix = f"{prefix}/{part}" if prefix else part
             if prefix not in self.dirs:
-                self.dependencies.append(Operation(OpKind.MKDIR, (prefix,), dependency=True))
+                self.dependencies.append(_dependency(OpKind.MKDIR, (prefix,)))
                 self.dirs.add(prefix)
 
     def _ensure_file(self, path: str) -> None:
         self._ensure_parents(path)
         if path not in self.files and path not in self.dirs:
-            self.dependencies.append(Operation(OpKind.CREAT, (path,), dependency=True))
+            self.dependencies.append(_dependency(OpKind.CREAT, (path,)))
             self.files.add(path)
 
     def _ensure_dir(self, path: str) -> None:
         self._ensure_parents(path)
         if path not in self.dirs:
-            self.dependencies.append(Operation(OpKind.MKDIR, (path,), dependency=True))
+            self.dependencies.append(_dependency(OpKind.MKDIR, (path,)))
             self.dirs.add(path)
 
     def _ensure_data(self, path: str) -> None:
         if path not in self.files_with_data:
-            self.dependencies.append(
-                Operation(OpKind.WRITE, (path, 0, BASE_FILE_SIZE), dependency=True)
-            )
+            self.dependencies.append(_dependency(OpKind.WRITE, (path, 0, BASE_FILE_SIZE)))
             self.files_with_data.add(path)
 
     def _ensure_xattr(self, path: str, name: str) -> None:
         if path not in self.files_with_xattr:
-            self.dependencies.append(
-                Operation(OpKind.SETXATTR, (path, name, "depvalue"), dependency=True)
-            )
+            self.dependencies.append(_dependency(OpKind.SETXATTR, (path, name, "depvalue")))
             self.files_with_xattr.add(path)
 
     # -- per-operation handling -----------------------------------------------------
 
-    def process(self, op: Operation, *, overwrite_needs_data: bool = True) -> bool:
+    def process(self, op: Operation) -> bool:
         """Update state for ``op``; return False if the workload is invalid."""
         name = op.op
         args = op.args
@@ -117,8 +146,7 @@ class DependencyResolver:
             path = str(args[0])
             self._ensure_file(path)
             if name in _NEEDS_DATA or (
-                overwrite_needs_data
-                and name in (OpKind.WRITE, OpKind.DWRITE)
+                name in (OpKind.WRITE, OpKind.DWRITE)
                 and len(args) >= 2
                 and int(args[1]) < BASE_FILE_SIZE
                 and int(args[1]) > 0
@@ -169,14 +197,54 @@ class DependencyResolver:
         return True
 
 
-def resolve_dependencies(ops: Sequence[Operation]) -> Optional[List[Operation]]:
+class DependencySteps:
+    """Phase 4 as a transition table: :meth:`DependencyResolver.process`
+    memoised on ``(state, op)``.
+
+    All of seq-2 reaches 737 states through 12 345 distinct steps, so a
+    table shared by the workloads of one walk resolves each transition once.
+    States and their sets are interned (equal ones are one object), which
+    keeps the table small and its keys cheap to compare.
+    """
+
+    def __init__(self):
+        self._interned: Dict[object, object] = {EMPTY_STATE: EMPTY_STATE}
+        self._steps: Dict[Tuple[State, Operation], Step] = {}
+
+    def step(self, state: State, op: Operation) -> Step:
+        """``op`` applied to ``state``: (state after, dependencies added) or None."""
+        key = (state, op)
+        try:
+            return self._steps[key]
+        except KeyError:
+            pass
+        intern = self._interned.setdefault  # intern(x, x): the first object equal to x
+        resolver = DependencyResolver(state)
+        step = None
+        if resolver.process(op):
+            sets = resolver.state()
+            after = tuple(map(intern, sets, sets))  # states share their sets
+            step = (intern(after, after), tuple(resolver.dependencies))
+        self._steps[intern(state, state), op] = step
+        return step
+
+
+def resolve_dependencies(ops: Sequence[Operation],
+                         steps: Optional[DependencySteps] = None) -> Optional[List[Operation]]:
     """Prepend the dependency operations for a phase-3 workload.
 
     Returns the full operation list, or ``None`` if the workload is invalid
-    (phase 4 discards it).
+    (phase 4 discards it).  ``steps`` is a table to fold through and fill;
+    without one a fresh table serves this call alone.
     """
-    resolver = DependencyResolver()
+    if steps is None:
+        steps = DependencySteps()
+    state = EMPTY_STATE
+    dependencies: List[Operation] = []
     for op in ops:
-        if not resolver.process(op):
+        step = steps.step(state, op)
+        if step is None:
             return None
-    return resolver.dependencies + list(ops)
+        state, added = step
+        dependencies.extend(added)
+    return dependencies + list(ops)

@@ -7,17 +7,19 @@ of the bounded workload space (paper §5.2, Figure 4).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..workload.operations import Operation
 from ..workload.workload import Workload
 from .bounds import Bounds
 from .fileset import FileSet, build_fileset
 from .index import SpaceIndex
 from .phase1 import count_skeletons, generate_skeletons
 from .phase2 import count_parameterizations, parameterize
-from .phase3 import add_persistence_points, count_persistence_variants
-from .phase4 import resolve_dependencies
+from .phase3 import count_persistence_variants, persistence_choices
+from .phase4 import EMPTY_STATE, DependencySteps, State
 
 
 @dataclass
@@ -58,31 +60,36 @@ class AceSynthesizer:
 
     def generate(self, required_ops: Optional[Sequence[str]] = None,
                  limit: Optional[int] = None) -> Iterator[Workload]:
-        """Yield every workload in the bounded space (optionally capped)."""
+        """Yield every workload in the bounded space (optionally capped).
+
+        Phases 3 and 4 run as one depth-first walk per core sequence: a
+        persistence-point prefix is resolved once, through a phase-4
+        transition table shared by the whole walk, for all its completions.
+        """
         stats = GenerationStats()
         self.stats = stats
+        if limit is not None and limit <= 0:
+            return
+        label = self.bounds.label or f"seq-{self.bounds.seq_length}"
+        steps = DependencySteps()
+        points = functools.lru_cache(maxsize=None)(
+            lambda op, final: persistence_choices(op, self.bounds, final=final))
         produced = 0
-        index = 0
         for skeleton in generate_skeletons(self.bounds, required_ops):
             stats.skeletons += 1
+            last = len(skeleton) - 1
             for core_ops in parameterize(skeleton, self.fileset, self.bounds):
                 stats.parameterized += 1
-                for ops_with_persistence in add_persistence_points(core_ops, self.bounds):
-                    stats.with_persistence += 1
-                    full_ops = resolve_dependencies(ops_with_persistence)
-                    if full_ops is None:
-                        stats.discarded_invalid += 1
-                        continue
+                choices = [points(op, depth == last) for depth, op in enumerate(core_ops)]
+                for ops in _walk(steps, core_ops, choices, stats):
+                    produced += 1
                     stats.final += 1
-                    index += 1
-                    label = self.bounds.label or f"seq-{self.bounds.seq_length}"
                     yield Workload(
-                        ops=full_ops,
-                        name=f"{label}-{index:07d}",
+                        ops=ops,
+                        name=f"{label}-{produced:07d}",
                         seq_length=self.bounds.seq_length,
                         source=f"ace:{label}",
                     )
-                    produced += 1
                     if limit is not None and produced >= limit:
                         return
 
@@ -231,6 +238,55 @@ class AceSynthesizer:
             "phase3_with_persistence": with_persistence,
             "phase4_final": self.count(),
         }
+
+
+def _walk(steps: DependencySteps, core_ops: Sequence[Operation],
+          choices: Sequence[Sequence[Optional[Operation]]],
+          stats: GenerationStats) -> Iterator[List[Operation]]:
+    """Phases 3 and 4 of one core sequence: every valid full operation list.
+
+    Depth first over the persistence choices, first operation outermost —
+    ``add_persistence_points``' order — carrying (state, dependencies,
+    operations) down, so each prefix is resolved once for all its
+    completions.  A prefix phase 4 rejects is skipped whole; its completions
+    still count as phase-3 candidates and as discarded, so ``stats`` reads as
+    if every candidate had been resolved on its own.
+    """
+    # below[d]: the phase-3 candidates that complete a prefix of d core operations
+    below = [1] * (len(core_ops) + 1)
+    for depth in reversed(range(len(core_ops))):
+        below[depth] = below[depth + 1] * len(choices[depth])
+    last = len(core_ops) - 1
+
+    def skip(candidates: int) -> None:
+        stats.with_persistence += candidates
+        stats.discarded_invalid += candidates
+
+    def descend(depth: int, state: State, deps: Tuple[Operation, ...],
+                ops: Tuple[Operation, ...]) -> Iterator[List[Operation]]:
+        op = core_ops[depth]
+        step = steps.step(state, op)
+        if step is None:
+            skip(below[depth])
+            return
+        state, added = step
+        deps, ops = deps + added, ops + (op,)
+        for point in choices[depth]:
+            after, more, tail = state, deps, ops
+            if point is not None:
+                step = steps.step(state, point)
+                if step is None:
+                    skip(below[depth + 1])
+                    continue
+                after, added = step
+                more, tail = deps + added, ops + (point,)
+            if depth == last:
+                stats.with_persistence += 1
+                yield [*more, *tail]
+            else:
+                yield from descend(depth + 1, after, more, tail)
+
+    return descend(0, EMPTY_STATE, (), ())
 
 
 def group_siblings(workloads: Iterable[Workload]) -> Iterator[List[Workload]]:

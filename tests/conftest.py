@@ -5,15 +5,52 @@ from __future__ import annotations
 import pytest
 from hypothesis import strategies as st
 
+from repro.ace import Bounds
 from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.replay_cache import _ReplayNode
 from repro.errors import FileSystemError
 from repro.fs import BugConfig, get_fs_class, resolve_fs_name
 from repro.storage import BlockDevice, CowDevice, RecordingDevice
 from repro.workload import parse_workload
+from repro.workload.operations import OpKind, WriteRange
 
 #: Small (sparse) device used throughout the tests: 16 MiB.
 SMALL_DEVICE_BLOCKS = 4096
+
+#: Small seq-3 ACE spaces (<= 250 k workloads) that can be enumerated outright.
+CUSTOM_SEQ3 = {
+    # a persistence point changes later validity: fsync(A/foo) after
+    # unlink(A/foo) re-creates the file as a dependency, sync does not
+    "links": Bounds(seq_length=3, operations=(OpKind.LINK, OpKind.UNLINK, OpKind.RENAME),
+                    num_top_files=2, num_dirs=1, files_per_dir=1, label="links"),
+    "data": Bounds(seq_length=3, operations=(OpKind.WRITE, OpKind.FALLOC, OpKind.TRUNCATE),
+                   num_top_files=1, num_dirs=1, files_per_dir=1,
+                   write_ranges=(WriteRange.APPEND, WriteRange.OVERLAP_START),
+                   persistence_ops=(OpKind.FSYNC, OpKind.FDATASYNC, OpKind.SYNC),
+                   label="data"),
+    "dirs": Bounds(seq_length=3,
+                   operations=(OpKind.CREAT, OpKind.MKDIR, OpKind.RMDIR, OpKind.REMOVE,
+                               OpKind.RENAME),
+                   num_top_files=1, num_dirs=1, files_per_dir=1, nested=True,
+                   allow_unpersisted=False, label="dirs"),
+    "symlinks": Bounds(seq_length=3, operations=(OpKind.SYMLINK, OpKind.CREAT, OpKind.REMOVE),
+                       num_top_files=1, num_dirs=2, files_per_dir=1, label="symlinks"),
+}
+
+#: Random small ACE bounds (seq-1 / seq-2, up to three operations).
+small_bounds = st.builds(
+    Bounds,
+    seq_length=st.integers(min_value=1, max_value=2),
+    operations=st.lists(st.sampled_from(OpKind.ACE_CORE), min_size=1, max_size=3,
+                        unique=True).map(tuple),
+    num_top_files=st.integers(min_value=1, max_value=2),
+    num_dirs=st.integers(min_value=0, max_value=1),
+    files_per_dir=st.just(1),
+    nested=st.booleans(),
+    allow_unpersisted=st.booleans(),
+    persistence_ops=st.sampled_from([(OpKind.FSYNC, OpKind.SYNC), (OpKind.SYNC,),
+                                     (OpKind.FSYNC, OpKind.FDATASYNC)]),
+)
 
 #: Sibling pair sharing the prefix "creat foo; write foo 0 8192; fsync foo".
 SIBLING_A = "creat foo\nwrite foo 0 8192\nfsync foo\ncreat bar\nfsync bar"

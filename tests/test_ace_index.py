@@ -22,29 +22,11 @@ from repro.ace import (
     seq3_metadata_bounds,
     seq3_nested_bounds,
 )
-from repro.workload.operations import OpKind, WriteRange
+from repro.workload.operations import OpKind
+
+from conftest import CUSTOM_SEQ3, small_bounds
 
 SEQ2_SPACE = 305_498
-
-#: Small seq-3 spaces (<= 250 k workloads) that can be enumerated outright.
-CUSTOM_SEQ3 = {
-    # a persistence point changes later validity: fsync(A/foo) after
-    # unlink(A/foo) re-creates the file as a dependency, sync does not
-    "links": Bounds(seq_length=3, operations=(OpKind.LINK, OpKind.UNLINK, OpKind.RENAME),
-                    num_top_files=2, num_dirs=1, files_per_dir=1, label="links"),
-    "data": Bounds(seq_length=3, operations=(OpKind.WRITE, OpKind.FALLOC, OpKind.TRUNCATE),
-                   num_top_files=1, num_dirs=1, files_per_dir=1,
-                   write_ranges=(WriteRange.APPEND, WriteRange.OVERLAP_START),
-                   persistence_ops=(OpKind.FSYNC, OpKind.FDATASYNC, OpKind.SYNC),
-                   label="data"),
-    "dirs": Bounds(seq_length=3,
-                   operations=(OpKind.CREAT, OpKind.MKDIR, OpKind.RMDIR, OpKind.REMOVE,
-                               OpKind.RENAME),
-                   num_top_files=1, num_dirs=1, files_per_dir=1, nested=True,
-                   allow_unpersisted=False, label="dirs"),
-    "symlinks": Bounds(seq_length=3, operations=(OpKind.SYMLINK, OpKind.CREAT, OpKind.REMOVE),
-                       num_top_files=1, num_dirs=2, files_per_dir=1, label="symlinks"),
-}
 
 
 def _first_mismatch(bounds: Bounds, limit=None, every: int = 1, required_ops=None):
@@ -214,20 +196,6 @@ class TestOutOfRange:
 
 
 # --------------------------------------------------------------------- property
-
-small_bounds = st.builds(
-    Bounds,
-    seq_length=st.integers(min_value=1, max_value=2),
-    operations=st.lists(st.sampled_from(OpKind.ACE_CORE), min_size=1, max_size=3,
-                        unique=True).map(tuple),
-    num_top_files=st.integers(min_value=1, max_value=2),
-    num_dirs=st.integers(min_value=0, max_value=1),
-    files_per_dir=st.just(1),
-    nested=st.booleans(),
-    allow_unpersisted=st.booleans(),
-    persistence_ops=st.sampled_from([(OpKind.FSYNC, OpKind.SYNC), (OpKind.SYNC,),
-                                     (OpKind.FSYNC, OpKind.FDATASYNC)]),
-)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,9 +1,13 @@
 """ACE generation phases 1-4."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
 
 from repro.ace import (
-    Bounds,
+    AceSynthesizer,
+    GenerationStats,
     build_fileset,
     count_skeletons,
     generate_skeletons,
@@ -16,7 +20,10 @@ from repro.ace import (
     seq3_nested_bounds,
 )
 from repro.ace.phase3 import add_persistence_points
-from repro.workload import OpKind, ops
+from repro.ace.phase4 import DependencyResolver
+from repro.workload import OpKind, Workload, ops
+
+from conftest import CUSTOM_SEQ3, small_bounds
 
 
 class TestPhase1:
@@ -160,3 +167,70 @@ class TestPhase4:
         full = resolve_dependencies([ops.unlink("A/foo"), ops.sync()])
         assert any(op.dependency for op in full)
         assert full[-1].op == OpKind.SYNC
+
+
+# --------------------------------------------------------------------- the pipeline
+
+
+def _reference(bounds, stats):
+    """The Figure-4 pipeline candidate by candidate, sharing no table with ``generate()``.
+
+    Phases 1-3 are plain products; phase 4 is a fresh
+    ``DependencyResolver().process`` fold over each candidate.
+    """
+    label = bounds.label or f"seq-{bounds.seq_length}"
+    fileset = build_fileset(bounds)
+    for skeleton in generate_skeletons(bounds):
+        stats.skeletons += 1
+        for core_ops in parameterize(skeleton, fileset, bounds):
+            stats.parameterized += 1
+            for candidate in add_persistence_points(core_ops, bounds):
+                stats.with_persistence += 1
+                resolver = DependencyResolver()
+                if not all(resolver.process(op) for op in candidate):
+                    stats.discarded_invalid += 1
+                    continue
+                stats.final += 1
+                yield Workload(ops=resolver.dependencies + candidate,
+                               name=f"{label}-{stats.final:07d}",
+                               seq_length=bounds.seq_length, source=f"ace:{label}")
+
+
+def _assert_generate_is_the_reference(bounds):
+    synthesizer = AceSynthesizer(bounds)
+    expected = GenerationStats()
+    pairs = itertools.zip_longest(synthesizer.generate(), _reference(bounds, expected))
+    for position, (generated, reference) in enumerate(pairs):
+        assert generated == reference, f"{bounds.label}: first difference at {position}"
+    assert synthesizer.stats == expected
+
+
+class TestPipeline:
+    """``generate()``'s memoised walk against the candidate-by-candidate pipeline."""
+
+    def test_seq1(self):
+        _assert_generate_is_the_reference(seq1_bounds())
+
+    @pytest.mark.parametrize("name", list(CUSTOM_SEQ3))
+    def test_custom_seq3_spaces(self, name):
+        # "links" is the space where a persistence point invalidates what follows.
+        _assert_generate_is_the_reference(CUSTOM_SEQ3[name])
+
+    @settings(max_examples=40, deadline=None)
+    @given(bounds=small_bounds)
+    def test_small_bounds(self, bounds):
+        _assert_generate_is_the_reference(bounds)
+
+    def test_full_seq2_funnel(self):
+        synthesizer = AceSynthesizer(seq2_bounds())
+        assert sum(1 for _ in synthesizer.generate()) == 305_498
+        assert synthesizer.stats == GenerationStats(
+            skeletons=196, parameterized=26_076, with_persistence=319_481,
+            final=305_498, discarded_invalid=13_983)
+
+    def test_a_limit_stops_the_funnel_at_the_last_workload(self):
+        synthesizer = AceSynthesizer(CUSTOM_SEQ3["links"])
+        expected = GenerationStats()
+        reference = list(itertools.islice(_reference(CUSTOM_SEQ3["links"], expected), 500))
+        assert list(synthesizer.generate(limit=500)) == reference
+        assert synthesizer.stats == expected

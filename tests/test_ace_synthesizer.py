@@ -11,6 +11,7 @@ from repro.ace import (
     seq2_bounds,
     seq3_metadata_bounds,
 )
+from repro.core import B3Campaign, CampaignConfig
 from repro.errors import WorkloadError
 from repro.workload import OpKind, Workload, parse_workload
 
@@ -81,6 +82,15 @@ class TestCountingAndSampling:
 
     def test_sample_zero_returns_empty(self):
         assert AceSynthesizer(seq1_bounds()).sample(0) == []
+
+    @pytest.mark.parametrize("sample", [False, True], ids=["prefix", "sample"])
+    def test_a_limit_of_zero_tests_nothing(self, sample):
+        synthesizer = AceSynthesizer(seq1_bounds())
+        assert list(synthesizer.stream(0, sample)) == []
+        assert synthesizer.stream_size(0, sample) == 0
+        config = CampaignConfig(fs_name="btrfs", bounds=seq1_bounds(), max_workloads=0,
+                                sample=sample)
+        assert B3Campaign(config).run().workloads_tested == 0
 
     def test_exact_count_matches_generation_for_seq1(self):
         synthesizer = AceSynthesizer(seq1_bounds())

@@ -26,6 +26,11 @@ def test_generate_command_reports_count(capsys):
     assert "generated 25 workloads" in err
 
 
+def test_generate_with_a_zero_limit_generates_nothing(capsys):
+    assert main(["generate", "--preset", "seq-1", "--limit", "0"]) == 0
+    assert "generated 0 workloads" in capsys.readouterr().err
+
+
 def test_generate_can_print_workloads(capsys):
     main(["generate", "--seq-length", "1", "--limit", "2", "--print-workloads"])
     out = capsys.readouterr().out

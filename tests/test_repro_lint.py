@@ -230,6 +230,23 @@ def test_index_building_a_workload_without_phase4_is_caught():
     assert check(_trees(**{"ace/synthesizer.py": hand_rolled})) == []
 
 
+def test_a_resolver_outside_phase4_is_caught():
+    check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
+    hand_driven = (
+        "def _step(self, namespace, op):\n"
+        "    resolver = DependencyResolver()\n"
+        "    resolver.dirs, resolver.files = set(namespace[0]), set(namespace[1])\n"
+        "    return resolver.process(op)\n"
+    )
+    for module in ("index.py", "synthesizer.py"):
+        findings = check(_trees(**{f"ace/{module}": hand_driven}))
+        assert [(f[0], f[1]) for f in findings] == [(f"src/repro/ace/{module}", 2)], module
+        assert "DependencySteps" in findings[0][2]
+    # The table's own home makes them; outside ace/ the rule does not reach.
+    assert check(_trees(**{"ace/phase4.py": hand_driven,
+                           "core/campaign.py": hand_driven})) == []
+
+
 def test_sample_stream_striding_the_generator_is_caught():
     check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
     strided = (

@@ -57,7 +57,10 @@ Fourteen invariants, each protecting a guarantee a past change was built on:
    never strides the space.**  ``ace/index.py`` may construct a ``Workload``
    only with ``ops=resolve_dependencies(...)`` over the operation list it
    unranked — dependency set-up written a second time would drift from
-   ``generate()`` and silently move every pinned sample.  And
+   ``generate()`` and silently move every pinned sample.  Under ``ace/``
+   only ``phase4.py`` instantiates ``DependencyResolver``: the generator and
+   the index both step through its ``DependencySteps`` table, and a
+   hand-driven resolver elsewhere is a second transition table.  And
    ``AceSynthesizer.sample_stream`` must not call ``self.generate(``: the
    index exists so that a sample costs O(sample), not O(space).
 
@@ -496,12 +499,21 @@ def _is_call_to(node: ast.AST, name: str) -> bool:
 def check_ace_index_reuses_phase4_and_sampling_unranks(
         trees: Dict[Path, ast.Module]) -> List[Finding]:
     """``ace/index.py`` builds workloads only via ``resolve_dependencies``;
-    ``sample_stream`` never iterates ``self.generate(``."""
+    only ``phase4.py`` makes a ``DependencyResolver``; ``sample_stream``
+    never iterates ``self.generate(``."""
     findings: List[Finding] = []
     for path, tree in trees.items():
         if path.parent != SRC_ROOT / "ace":
             continue
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        if path.name != "phase4.py":
+            for node in ast.walk(tree):
+                if _is_call_to(node, "DependencyResolver"):
+                    findings.append(Finding(
+                        relative, node.lineno,
+                        "DependencyResolver(...) outside ace/phase4.py — phase 4 is "
+                        "one transition table; step through `DependencySteps`",
+                    ))
         if path.name == "index.py":
             for node in ast.walk(tree):
                 if not _is_call_to(node, "Workload"):
