@@ -80,7 +80,7 @@ def _run(workloads, budget):
         seconds = time.perf_counter() - start
     finally:
         gc.enable()
-    return harness.spine_store, results, seconds
+    return harness.spine_store, results, seconds, harness.replay_cache
 
 
 def test_budgeted_spines_stay_bounded_within_ten_percent_wall_clock():
@@ -97,8 +97,8 @@ def test_budgeted_spines_stay_bounded_within_ten_percent_wall_clock():
         candidate = _run(workloads, SPILL_BUDGET)
         if budgeted is None or candidate[2] < budgeted[2]:
             budgeted = candidate
-    generous_store, generous_results, generous_seconds = generous
-    budget_store, budget_results, budget_seconds = budgeted
+    generous_store, generous_results, generous_seconds, _ = generous
+    budget_store, budget_results, budget_seconds, _ = budgeted
 
     # Parity first: the budget must never change what is found.
     assert _findings(budget_results) == _findings(generous_results)
@@ -137,8 +137,8 @@ def test_budgeted_spines_stay_bounded_within_ten_percent_wall_clock():
 def test_an_order_of_magnitude_tighter_budget_still_holds_and_matches():
     """Boundedness and parity under heavy churn (deliberately not timed)."""
     workloads = _seq2_workloads()[:64]
-    generous_store, generous_results, _ = _run(workloads, None)
-    tight_store, tight_results, _ = _run(workloads, TIGHT_BUDGET)
+    generous_store, generous_results, _, _ = _run(workloads, None)
+    tight_store, tight_results, _, trail = _run(workloads, TIGHT_BUDGET)
 
     print_table(
         f"tight budget ({TIGHT_BUDGET} bytes): {len(workloads)} workloads",
@@ -146,6 +146,7 @@ def test_an_order_of_magnitude_tighter_budget_still_holds_and_matches():
             ("peak resident spine bytes (generous)", generous_store.peak_resident_bytes),
             ("peak resident spine bytes (tight)", tight_store.peak_resident_bytes),
             ("nodes spilled / rehydrated", f"{tight_store.spills} / {tight_store.rehydrations}"),
+            ("trail nodes staged / admitted", f"{trail.nodes_staged} / {trail.nodes_admitted}"),
         ],
         headers=("metric", "value"),
     )

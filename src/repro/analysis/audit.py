@@ -11,7 +11,9 @@ whose claims do not hold.  Demoted evidence moves to
 it into exhaustive (verbatim torn-write) windows, so a wrong claim costs
 scenarios, never bugs.
 
-Four checks per evidence, all recomputed from the raw stream:
+Four checks per evidence, all recomputed from the stream — its raw fence
+edges, and an analysis cursor fed all of it (the replay walk's own, when
+the walk hands it over):
 
 * ``fence-edges-exist`` — every claimed fence edge is an actual fence in the
   stream (a flush request or an FUA write completion).  A reasoner that
@@ -36,7 +38,7 @@ refinement of the reasoners' output.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .mechanisms import (
     AnalysisCursor,
@@ -216,7 +218,8 @@ def _audit_evidence(
     )
 
 
-def audit_report(report: MechanismReport, io_log: Sequence) -> MechanismReport:
+def audit_report(report: MechanismReport, io_log: Sequence,
+                 cursor: Optional[AnalysisCursor] = None) -> MechanismReport:
     """Second static pass: check every claim, demote violated evidence.
 
     Returns a new report whose ``evidence`` holds only the claims that
@@ -224,11 +227,17 @@ def audit_report(report: MechanismReport, io_log: Sequence) -> MechanismReport:
     failed :class:`AuditVerdict` explaining why.  Auditing an already-audited
     report is a no-op refinement (verdicts are recomputed, surviving
     evidence can only shrink).
+
+    ``cursor`` is an :class:`AnalysisCursor` already fed all of ``io_log``
+    (the one the replay walk has just finished); without it the stream is
+    fed into a fresh one.  The fence edges are always recomputed from the
+    raw log.
     """
     if not report.evidence:
         return dataclasses.replace(report, audit_verdicts=(), demoted_evidence=report.demoted_evidence)
     fences = actual_fence_edges(io_log)
-    cursor = AnalysisCursor().feed_all(io_log)
+    if cursor is None:
+        cursor = AnalysisCursor().feed_all(io_log)
     verdicts: List[AuditVerdict] = []
     kept: List[MechanismEvidence] = []
     demoted: List[MechanismEvidence] = list(report.demoted_evidence)

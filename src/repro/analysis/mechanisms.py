@@ -30,8 +30,9 @@ shared replay trie can snapshot it at flush/checkpoint barriers) and
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..fs import layout
 from ..storage.io_request import IORequest
@@ -60,6 +61,19 @@ def _decode_block_json(data) -> Optional[dict]:
     return payload if isinstance(payload, dict) else None
 
 
+#: recorded writes :func:`classify_write` remembers, oldest dropped first;
+#: siblings arrive back to back, so a short window catches almost every repeat
+_CLASSIFIED_CAP = 64
+
+#: id(request) -> (weak reference to the request, answer).  Prefix-shared
+#: recording and the replay trail hand every sibling the same ``IORequest``
+#: objects, which the walk's cursor and the planner each classify, so an
+#: answer is kept per object.  The reference guards against id reuse: an entry
+#: answers only the object it was made for, and pins none of its payload (a
+#: strong reference would keep each request's slab chunk alive).
+_classified: Dict[int, Tuple[weakref.ref, Tuple[str, Optional[dict]]]] = {}
+
+
 def classify_write(request: IORequest) -> Tuple[str, Optional[dict]]:
     """Classify one recorded write by payload content.
 
@@ -69,9 +83,24 @@ def classify_write(request: IORequest) -> Tuple[str, Optional[dict]]:
     ``None`` for data.  Classification requires the payload *and* the target
     region to agree — a data block that happens to contain envelope-shaped
     bytes is not in the log area and stays data.
+
+    Each request object is parsed once (while it stays among the last
+    :data:`_CLASSIFIED_CAP` classified), so ``header`` is shared between
+    callers: read it, never mutate it.
     """
     if not request.is_write or request.block is None or request.data is None:
         return WriteClass.DATA, None
+    entry = _classified.get(id(request))
+    if entry is not None and entry[0]() is request:
+        return entry[1]
+    answer = _classify_payload(request)
+    if len(_classified) >= _CLASSIFIED_CAP:
+        del _classified[next(iter(_classified))]
+    _classified[id(request)] = (weakref.ref(request), answer)
+    return answer
+
+
+def _classify_payload(request: IORequest) -> Tuple[str, Optional[dict]]:
     block = request.block
     if block == layout.SUPERBLOCK_BLOCK or block == layout.REPLICA_SUPERBLOCK_BLOCK:
         payload = _decode_block_json(request.data)

@@ -382,7 +382,7 @@ def cmd_analyze(args) -> int:
     or checked.
     """
     from ..analysis.audit import audit_report
-    from ..analysis.mechanisms import analyze_io_log
+    from ..analysis.mechanisms import AnalysisCursor
     from ..cluster.cost import CostModel
     from ..crashmonkey.replayer import CrashStateGenerator
 
@@ -391,9 +391,8 @@ def cmd_analyze(args) -> int:
     workload = parse_workload(text, name=args.workload)
     harness = CrashMonkey(args.fs_name, bugs=_bugs_from_args(args))
     profile = harness.profile(workload)
-    report = audit_report(
-        analyze_io_log(profile.io_log, fs_name=harness.fs_name), profile.io_log
-    )
+    cursor = AnalysisCursor().feed_all(profile.io_log)
+    report = audit_report(cursor.finish(harness.fs_name), profile.io_log, cursor)
     print(report.summary())
 
     exhaustive = sum(1 for _ in CrashStateGenerator(

@@ -108,13 +108,11 @@ class CrashMonkey:
         static pass behind the ``analyze`` CLI subcommand.
         """
         from ..analysis.audit import audit_report
-        from ..analysis.mechanisms import analyze_io_log
+        from ..analysis.mechanisms import AnalysisCursor
 
         profile = self.profile(workload)
-        report = audit_report(
-            analyze_io_log(profile.io_log, fs_name=self.fs_name),
-            profile.io_log,
-        )
+        cursor = AnalysisCursor().feed_all(profile.io_log)
+        report = audit_report(cursor.finish(self.fs_name), profile.io_log, cursor)
         self.last_mechanism_report = report
         return report
 

@@ -4,9 +4,10 @@ The one-pass crash-state build (:mod:`repro.crashmonkey.replayer`) walks the
 recorded stream with a :class:`_ReplayNode` as its state: the cursor device,
 the stable fork of the last flush barrier, the in-flight window and the
 :class:`_CheckpointRecord` of every marker passed.  At each barrier and
-marker the walk freezes a fork of itself into the :class:`SharedReplayCache`;
-the next sibling's walk starts as a fork of the deepest frozen node on the
-streams' shared prefix.
+marker the walk freezes a fork of itself and stages it on the
+:class:`SharedReplayCache`; the next sibling's ``begin`` admits to the trail
+only the staged forks inside the prefix its stream shares, and its walk starts
+as a fork of the deepest of them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.mechanisms import AnalysisCursor
 from ..storage.cow_device import CowDevice
@@ -180,6 +181,13 @@ class SharedReplayCache:
     depth-first family order; an out-of-order stream merely falls back to
     building from scratch (the cache is an optimization, never a correctness
     requirement).
+
+    A build *stages* its frozen forks instead of pushing them: which of them
+    the next sibling can resume from is known only once its stream is, so
+    :meth:`begin` admits the staged nodes inside the shared prefix to the
+    trail and drops the rest unsized — a node the next build cannot read is
+    never budgeted, spilled or written.  The trail ends up holding exactly
+    the nodes an eager push would have kept after truncating.
     """
 
     def __init__(self, spine_store: Optional[SpineStore] = None):
@@ -201,6 +209,9 @@ class SharedReplayCache:
         #: :meth:`begin`, whose guard has established that the current
         #: build's base is content-identical to that one)
         self._spine = Spine(self.spine_store)
+        #: forks the last build froze, in stream order, awaiting the next
+        #: ``begin``; they pin only devices that build's records already hold
+        self._staged: List[_ReplayNode] = []
         self._log: Tuple[IORequest, ...] = ()
         self._hashed = False
         self._analyzed = False
@@ -211,6 +222,9 @@ class SharedReplayCache:
         self.replay_writes_reused = 0
         #: build seconds saved by resuming instead of re-applying prefixes
         self.replay_seconds_saved = 0.0
+        #: frozen forks staged by builds, and those a next build admitted
+        self.nodes_staged = 0
+        self.nodes_admitted = 0
 
     def clear(self) -> None:
         """Drop the cached trail, restoring the full freshly-constructed state.
@@ -222,6 +236,7 @@ class SharedReplayCache:
         """
         self._spine.truncate(0)
         self._spine.base = None
+        self._staged.clear()
         self._log = ()
         self._hashed = False
         self._analyzed = False
@@ -252,18 +267,28 @@ class SharedReplayCache:
               want_analysis: bool = False) -> Optional[_ReplayNode]:
         """Start a build for ``profile``; returns its resumed walk or None.
 
-        Drops trail nodes past the divergence point (they belong to the
-        previous sibling's suffix, or their spill file was lost) and resets
-        the trail entirely when the base image, digest mode or analysis mode
-        changed — a node frozen without a running digest (or analysis
-        cursor) cannot seed a build that needs one, and vice versa.
+        The one admission point: pushes the previous build's staged nodes
+        that lie inside the shared stream prefix and drops the others
+        unsized.  Then drops trail nodes past the divergence point (they
+        belong to the previous sibling's suffix, or their spill file was
+        lost) and resets the trail entirely when the base image, digest mode
+        or analysis mode changed — a node frozen without a running digest
+        (or analysis cursor) cannot seed a build that needs one, and vice
+        versa.
         """
         spine = self._spine
         shared = 0
-        if (len(spine) and self._hashed == want_hasher
+        if ((len(spine) or self._staged) and self._hashed == want_hasher
                 and self._analyzed == want_analysis
                 and self._base_matches(profile.base_image)):
             shared = self._shared_prefix_len(profile.io_log)
+        for node in self._staged:
+            if node.index > shared:
+                break
+            spine.push(node, node.spine_bytes(),
+                       _ReplayStub(node.index, node.hasher, node.analysis))
+            self.nodes_admitted += 1
+        self._staged.clear()
         keep = len(spine)
         while keep and spine.stubs[keep - 1].index > shared:
             keep -= 1
@@ -283,8 +308,8 @@ class SharedReplayCache:
         return node.fork(node.cursor.snapshot(name="replay-cursor"))
 
     def freeze(self, walk: _ReplayNode, cursor: CowDevice) -> None:
-        """Append a fork of the build in progress, sitting on ``cursor`` (the
-        frozen snapshot of its cursor the walk has just taken)."""
-        node = walk.fork(cursor)
-        self._spine.push(node, node.spine_bytes(),
-                         _ReplayStub(node.index, node.hasher, node.analysis))
+        """Stage a fork of the build in progress, sitting on ``cursor`` (the
+        frozen snapshot of its cursor the walk has just taken), for the next
+        :meth:`begin` to admit or drop."""
+        self._staged.append(walk.fork(cursor))
+        self.nodes_staged += 1

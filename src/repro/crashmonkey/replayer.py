@@ -165,7 +165,8 @@ class CrashStateGenerator:
 
             def freeze(fork: CowDevice) -> None:
                 # ``fork`` *is* a frozen cursor fork (the stable state or the
-                # checkpoint baseline): caching it costs no extra device work.
+                # checkpoint baseline): staging it costs no extra device work,
+                # and the next sibling's ``begin`` decides whether it is kept.
                 walk.index = index + 1
                 walk.elapsed = base_elapsed + clock.seconds
                 cache.freeze(walk, fork)
@@ -210,10 +211,11 @@ class CrashStateGenerator:
             self._records = records
             if analysis is not None:
                 # Second static pass: the contract auditor re-checks every claim
-                # against the stream's actual fence/FUA edges and demotes violated
-                # ones before any planner consumes the report.
+                # against the stream's actual fence/FUA edges and the cursor the
+                # walk has just finished, and demotes violated ones before any
+                # planner consumes the report.
                 report = analysis.finish(self.profile.fs_name)
-                self.mechanism_report = audit_report(report, self.profile.io_log)
+                self.mechanism_report = audit_report(report, self.profile.io_log, analysis)
                 self.audit_demotions = self.mechanism_report.demotions
         return records
 

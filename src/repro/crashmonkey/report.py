@@ -346,7 +346,9 @@ class CrashTestResult:
         "same checkpoint record, under the same oracle and tracker "
         "view objects (included in ``scenarios_tested``: scenarios_tested - memoized_scenarios - "
         "inherited_verdicts states were actually mounted).  Depends on what the replay trail "
-        "still held (spill budget, chunk -> worker assignment), hence session telemetry.",
+        "still held (spill budget, chunk -> worker assignment), hence session telemetry: only a "
+        "trail node still resident when resumed carries verdicts (a thawed node's records start "
+        "without), which under a budget is typically the node its build's begin just admitted.",
         tag=SESSION)
     bug_reports: List[BugReport] = field(default_factory=list)
     # Timing breakdown, the §6.3 phases: profile / replay / mount / fsck / check.
@@ -429,8 +431,9 @@ class CrashTestResult:
     # Spine-spill telemetry (session, not canonical: how much spilled depends
     # on the budget and on which workloads shared a harness).
     spine_resident_bytes: int = counter(
-        "bytes of frozen spine nodes resident in the harness's spill store after this workload",
-        tag=SESSION, rollup=MAX)
+        "bytes of frozen spine nodes resident in the harness's spill store after this workload "
+        "(the replay nodes this workload's build staged are not in the store until the next "
+        "build admits them)", tag=SESSION, rollup=MAX)
     spine_peak_resident_bytes: int = counter(
         "high-water mark of resident spine bytes over the harness's lifetime (bounded by the "
         "configured ``spine_memory_budget`` — per harness, so per worker under a pool backend)",
@@ -438,7 +441,9 @@ class CrashTestResult:
     spine_spilled_bytes: int = counter(
         "bytes of spine nodes written to the spill directory for this workload", tag=SESSION)
     spine_spills: int = counter(
-        "spine nodes spilled to disk while testing this workload", tag=SESSION)
+        "spine nodes spilled to disk while testing this workload (replay-trail nodes are pushed, "
+        "hence spillable, only when this workload's build admits the ones it shares of its "
+        "predecessor's; the rest never reach the store)", tag=SESSION)
     spine_rehydrations: int = counter(
         "spilled spine nodes read back from disk while testing this workload", tag=SESSION)
 

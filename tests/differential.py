@@ -20,7 +20,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds, seq2_bounds
+from repro.ace import AceSynthesizer, group_siblings, seq1_bounds, seq2_bounds, seq3_data_bounds
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine import HarnessSpec, run_campaign
@@ -36,6 +36,9 @@ SPACES = {
     "seq-2": lambda: AceSynthesizer(seq2_bounds()).stream(limit=150),
     "seq-1+seq-2": lambda: space("seq-1") + space("seq-2"),
     "seq-2-sample": lambda: AceSynthesizer(seq2_bounds()).sample(20),
+    #: the first sibling family of seq-3-data (18 workloads)
+    "seq-3-data-family": lambda: next(group_siblings(
+        AceSynthesizer(seq3_data_bounds()).stream(limit=64))),
 }
 
 

@@ -21,6 +21,7 @@ from repro.analysis import (
     analyze_io_log,
     audit_report,
     classify_write,
+    mechanisms,
 )
 from repro.crashmonkey import (
     CrashMonkey,
@@ -84,6 +85,36 @@ class TestClassifyWrite:
     def test_non_writes_classify_as_data(self):
         marker = IORequest(seq=1, kind=IOKind.FLUSH)
         assert classify_write(marker) == (WriteClass.DATA, None)
+
+    def test_a_recorded_write_is_parsed_once_per_object(self, monkeypatch):
+        profile = _profile("flashfs", BOTH_MECHANISMS_WORKLOAD)
+        writes = [r for r in profile.io_log if r.is_write]
+        parsed = []
+        real = mechanisms._classify_payload
+        monkeypatch.setattr(mechanisms, "_classify_payload",
+                            lambda request: parsed.append(request) or real(request))
+        first = [classify_write(r) for r in writes]
+        assert [classify_write(r) for r in writes] == first
+        assert len(parsed) == len(writes)
+        # The memo is on identity: an equal copy is parsed afresh, alike.
+        copy = dataclasses.replace(writes[0])
+        assert classify_write(copy) == first[0] and parsed[-1] is copy
+
+    def test_a_reused_id_never_gets_another_requests_answer(self):
+        profile = _profile("flashfs", BOTH_MECHANISMS_WORKLOAD)
+        journal = next(r for r in profile.io_log
+                       if r.is_write and classify_write(r)[0] == WriteClass.JOURNAL)
+        data = IORequest(seq=1, kind=IOKind.WRITE, block=layout.DATA_START, data=b"x")
+        # As if ``journal`` had been classified under the id ``data`` now has.
+        mechanisms._classified[id(data)] = mechanisms._classified[id(journal)]
+        assert classify_write(data) == (WriteClass.DATA, None)
+
+    def test_the_memo_is_bounded(self):
+        alive = [IORequest(seq=seq, kind=IOKind.WRITE, block=layout.DATA_START, data=b"x")
+                 for seq in range(mechanisms._CLASSIFIED_CAP + 10)]
+        for request in alive:
+            classify_write(request)
+        assert len(mechanisms._classified) == mechanisms._CLASSIFIED_CAP
 
 
 # --------------------------------------------------------------------- cursor
@@ -218,6 +249,26 @@ class TestContractAuditor:
         verdict = report.verdict_for("replicated-metadata")
         assert not verdict.ok
         assert any(c.name == "fence-edges-exist" for c in verdict.failed_checks())
+
+    def test_a_fed_cursor_audits_like_a_fresh_fold_without_refeeding(self, monkeypatch):
+        streams = [(fs_name, _profile(fs_name, BOTH_MECHANISMS_WORKLOAD, bugs).io_log)
+                   for fs_name in ALL_FS for bugs in (None, BugConfig.none())]
+        folded = [(fs_name, log, AnalysisCursor().feed_all(log)) for fs_name, log in streams]
+        expected = [audit_report(cursor.finish(fs_name), log) for fs_name, log, cursor in folded]
+        assert any(report.demotions for report in expected)
+        monkeypatch.setattr(AnalysisCursor, "feed", lambda cursor, request: 1 / 0)
+        assert [audit_report(cursor.finish(fs_name), log, cursor)
+                for fs_name, log, cursor in folded] == expected
+
+    def test_the_analyze_command_folds_the_stream_once(self, monkeypatch):
+        harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS)
+        fed = []
+        real = AnalysisCursor.feed
+        monkeypatch.setattr(AnalysisCursor, "feed",
+                            lambda cursor, request: fed.append(request) or real(cursor, request))
+        report = harness.analyze(parse_workload(BOTH_MECHANISMS_WORKLOAD, name="once"))
+        assert report.audited and report.demotions
+        assert len(fed) == report.total_requests
 
     def test_audited_report_round_trips_with_verdicts(self):
         profile = _profile("logfs", BOTH_MECHANISMS_WORKLOAD,

@@ -568,6 +568,29 @@ def test_a_store_call_outside_the_spill_module_is_caught():
     assert all("Spine" in message for _, _, message in findings)
 
 
+def test_a_trail_push_outside_the_admission_point_is_caught():
+    source = (
+        "class SharedReplayCache:\n"
+        "    def begin(self, profile):\n"
+        "        for node in self._staged:\n"
+        "            self._spine.push(node, node.spine_bytes(), node.index)\n"
+        "    def freeze(self, walk, cursor):\n"
+        "        node = walk.fork(cursor)\n"
+        "        self._spine.push(node, node.spine_bytes(), node.index)\n"
+    )
+    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "crashmonkey/replay_cache.py": source,
+        "crashmonkey/recorder.py": source,
+    }))
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/crashmonkey/replay_cache.py", 7)]
+    assert "SharedReplayCache.begin" in findings[0][2]
+    staged = source.replace("self._spine.push(node, node.spine_bytes(), node.index)\n",
+                            "self._staged.append(node)\n")
+    assert repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "crashmonkey/replay_cache.py": staged})) == []
+
+
 def test_a_serialiser_that_imports_a_node_type_is_caught():
     findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
         "storage/spill.py": (

@@ -14,14 +14,23 @@ Covers the guarantees the replay-trie makes:
   trail, a base-image or digest-mode change resets it, and sharing is
   strictly an optimization (a cold cache builds from scratch and still
   matches).
+* **Trail admission** — a build stages its frozen nodes and the next
+  sibling's ``begin`` admits only those inside the prefix it shares: under a
+  zero budget no other trail node reaches a spill file, and resumes match an
+  eager push exactly.  An admission that keeps the nodes past the prefix is
+  rejected by the parity lanes above.
 """
+
+import sys
 
 import pytest
 
 from repro.cli.main import main
 from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
+from repro.crashmonkey.replay_cache import _ReplayNode, _ReplayStub
 from repro.engine import HarnessSpec, run_campaign
 from repro.fs import BugConfig
+from repro.storage import SpineStore
 from repro.workload import parse_workload
 
 import differential
@@ -187,6 +196,67 @@ def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
     results = differential.assert_campaigns_agree("share_replay", (False, True))
     assert results[(True, 1)].replay_hits > 0
     assert results[(False, 1)].replay_hits == 0
+
+
+# ------------------------------------------------------------------ trail admission
+
+
+def eager_push(patch):
+    """The trail before admission existed: ``freeze`` pushes every fork."""
+    def freeze(cache, walk, cursor):
+        node = walk.fork(cursor)
+        cache._spine.push(node, node.spine_bytes(),
+                          _ReplayStub(node.index, node.hasher, node.analysis))
+
+    patch.setattr(SharedReplayCache, "freeze", freeze)
+
+
+def spilled_trail_nodes(patch):
+    """Observer: ``(index, shared)`` of every replay-trail node written to a
+    spill file, ``shared`` being the stream prefix the sibling whose
+    ``begin`` ran last shares with its predecessor."""
+    seen = {"shared": None, "written": []}
+    real_begin, real_evict = SharedReplayCache.begin, SpineStore._evict
+
+    def begin(cache, profile, *args):
+        seen["shared"] = cache._shared_prefix_len(profile.io_log)
+        return real_begin(cache, profile, *args)
+
+    def evict(store, key, entry):
+        node, unwritten = entry.node, entry.path is None
+        real_evict(store, key, entry)
+        if unwritten and entry.path is not None and isinstance(node, _ReplayNode):
+            seen["written"].append((node.index, seen["shared"]))
+
+    patch.setattr(SharedReplayCache, "begin", begin)
+    patch.setattr(SpineStore, "_evict", evict)
+    yield seen
+
+
+def test_only_trail_nodes_the_next_sibling_shares_reach_a_spill_file():
+    spec = dict(space="seq-3-data-family", spine_memory_budget=0, observe=spilled_trail_nodes)
+    admitted = differential.run("logfs", **spec)
+    eager = differential.run("logfs", variant=eager_push, **spec)
+    written = admitted.seen["written"]
+    assert written and all(index <= shared for index, shared in written), written
+    assert len(written) < len(eager.seen["written"])
+    for counter in ("replay_shared", "replay_writes_reused"):
+        assert admitted.total(counter) == eager.total(counter) > 0, counter
+    differential.assert_same(admitted, eager)
+
+
+def admission_past_the_shared_prefix(patch):
+    """``begin`` taking every stream to share all of the last one: each staged
+    node is admitted and the truncate keeps everything, so a sibling resumes
+    from the previous build's deepest node, past where their streams part."""
+    patch.setattr(SharedReplayCache, "_shared_prefix_len", lambda cache, log: sys.maxsize)
+
+
+def test_an_admission_past_the_shared_prefix_is_caught():
+    differential.rejects(admission_past_the_shared_prefix,
+                         test_shared_builds_match_from_scratch_on_full_seq1_space, "logfs")
+    differential.rejects(admission_past_the_shared_prefix,
+                         test_harness_reports_identical_with_sharing_on_and_off, "logfs")
 
 
 # ------------------------------------------------------------------ accounting

@@ -185,20 +185,32 @@ def test_a_lost_replay_node_costs_one_barrier(tmp_path):
     first, sibling = (recorder.profile(parse_workload(SIBLING_PREFIX + last)) for last in
                       ("creat bar\nfsync bar", "link foo baz\nfsync baz"))
 
-    def build(cache):
+    def build(cache, at_admission=lambda cache: None):
+        """``sibling``'s build after ``first``'s; ``at_admission`` sees the trail
+        as the sibling's ``begin`` has admitted it, just before resuming."""
         CrashStateGenerator(first, replay_cache=cache)._ensure_built()
+        real_deepest = Spine.deepest
+
+        def deepest(spine):
+            if spine is cache._spine:
+                at_admission(cache)
+            return real_deepest(spine)
+
+        generator = CrashStateGenerator(sibling, replay_cache=cache)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Spine, "deepest", deepest)
+            return generator, generator._ensure_built()
+
+    def tear_the_resume_node(cache):
         shared_nodes = sum(stub.index <= cache._shared_prefix_len(sibling.io_log)
                            for stub in cache._spine.stubs)
-        generator = CrashStateGenerator(sibling, replay_cache=cache)
-        return generator, shared_nodes
+        assert shared_nodes >= 3
+        assert shared_nodes == len(cache._spine), "a node past the shared prefix was admitted"
+        tear(tmp_path, key=shared_nodes - 1)    # the node the sibling resumes from
 
-    whole, _ = build(SharedReplayCache(spine_store=SpineStore(memory_budget=0)))
-    whole_records = whole._ensure_built()
+    whole, whole_records = build(SharedReplayCache(spine_store=SpineStore(memory_budget=0)))
     store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
-    damaged, shared_nodes = build(SharedReplayCache(spine_store=store))
-    assert shared_nodes >= 3
-    tear(tmp_path, key=shared_nodes - 1)    # the node the sibling resumes from
-    records = damaged._ensure_built()
+    damaged, records = build(SharedReplayCache(spine_store=store), tear_the_resume_node)
     assert store.lost == 1
     assert damaged.replay_shared
     assert 0 < damaged.replay_writes_reused < whole.replay_writes_reused

@@ -46,7 +46,7 @@ from repro.storage.spill import DEFAULT_SPINE_MEMORY_BUDGET, SPINE_BUDGET_ENV
 from repro.workload import parse_workload
 
 import differential
-from conftest import SIBLING_A, SMALL_DEVICE_BLOCKS, devices_of, topology
+from conftest import SIBLING_A, SIBLING_B, SMALL_DEVICE_BLOCKS, devices_of, topology
 from differential import ALL_FS
 
 
@@ -342,14 +342,17 @@ def test_clear_restores_the_freshly_constructed_state():
     recorder = differential.recorder("logfs")
     cache = SharedReplayCache()
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
-    digesting = CrashStateGenerator(profile, replay_cache=cache,
-                                    cross_cache=CrossWorkloadCache())
-    digesting._ensure_built()
-    assert len(cache._spine) and cache._hashed
+    for built in (profile, recorder.profile(parse_workload(SIBLING_B, name="B"))):
+        # B's ``begin`` admits A's trail on their shared prefix; B stages its own.
+        digesting = CrashStateGenerator(built, replay_cache=cache,
+                                        cross_cache=CrossWorkloadCache())
+        digesting._ensure_built()
+    assert digesting.replay_shared
+    assert len(cache._spine) and cache._staged and cache._hashed
 
     cache.clear()
     fresh = SharedReplayCache()
-    for attr in ("_log", "_hashed", "_analyzed"):
+    for attr in ("_log", "_hashed", "_analyzed", "_staged"):
         assert getattr(cache, attr) == getattr(fresh, attr), attr
     assert (len(cache._spine), cache._spine.stubs, cache._spine.base) == (0, [], None)
     assert len(cache.spine_store) == 0
@@ -372,6 +375,11 @@ def test_rehydrated_nodes_share_no_mutable_state():
     cache = SharedReplayCache(spine_store=SpineStore(memory_budget=0))
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
+    # The trail is admitted by the next build's ``begin``: a rebuild of the
+    # same stream shares all of it.
+    rebuilt = CrashStateGenerator(profile, replay_cache=cache)
+    rebuilt._ensure_built()
+    assert rebuilt.replay_shared
     assert cache.spine_store.spills > 0
     deepest = len(cache._spine) - 1
 

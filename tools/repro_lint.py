@@ -129,7 +129,11 @@ Fourteen invariants, each protecting a guarantee a past change was built on:
     ``src/repro/`` a spine store's ``put`` / ``get`` / ``drop`` are called
     only inside ``storage/spill.py`` — by ``Spine``, the one cached path both
     the recorder and the replay cache hold — so there is one truncate loop
-    and one answer to a lost node.  ``storage/spill.py`` imports nothing from
+    and one answer to a lost node.  In ``crashmonkey/replay_cache.py`` the
+    trail is pushed only inside ``SharedReplayCache.begin``: a build stages
+    its frozen nodes, and only the next ``begin`` knows which of them its
+    stream shares — a push anywhere else sizes, budgets and spills nodes
+    nobody will read.  ``storage/spill.py`` imports nothing from
     ``repro.crashmonkey`` or ``repro.fs``: it pickles whatever node it is
     handed and reduces only ``CowDevice`` and ``IORequest``.  And the name
     ``register_codec`` does not exist: a per-owner freeze / thaw pair is the
@@ -549,15 +553,16 @@ def check_ace_index_reuses_phase4_and_sampling_unranks(
 MOUNT_SITE = ("replayer.py", "CrashStateGenerator", "_construct")
 
 
-def _mount_site_nodes(path: Path, tree: ast.Module) -> Set[ast.AST]:
-    """Every AST node inside the mount site, when ``path`` is its file."""
-    if path.name != MOUNT_SITE[0]:
+def _site_nodes(path: Path, tree: ast.Module, site: Tuple[str, str, str]) -> Set[ast.AST]:
+    """Every AST node inside the ``(file, class, method)`` site, when ``path``
+    is its file."""
+    if path.name != site[0]:
         return set()
     return {sub
             for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == MOUNT_SITE[1]
+            if isinstance(cls, ast.ClassDef) and cls.name == site[1]
             for func in cls.body
-            if isinstance(func, ast.FunctionDef) and func.name == MOUNT_SITE[2]
+            if isinstance(func, ast.FunctionDef) and func.name == site[2]
             for sub in ast.walk(func)}
 
 
@@ -589,7 +594,7 @@ def check_single_mount_site_and_twins_not_rechecked(
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
         parents = {child: parent for parent in ast.walk(tree)
                    for child in ast.iter_child_nodes(parent)}
-        allowed = _mount_site_nodes(path, tree)
+        allowed = _site_nodes(path, tree, MOUNT_SITE)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -817,7 +822,7 @@ def check_verdicts_depend_on_logged_reads_only(trees: Dict[Path, ast.Module]) ->
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
         in_fs = path.parent == SRC_ROOT / "fs"
         in_checks = path.parent == SRC_ROOT / "crashmonkey" / "checks"
-        site = _mount_site_nodes(path, tree)
+        site = _site_nodes(path, tree, MOUNT_SITE)
         for node in ast.walk(tree):
             if (in_checks and path.name not in FS_TOUCHING_CHECKS
                     and isinstance(node, ast.Attribute) and node.attr == "fs"):
@@ -855,13 +860,26 @@ SPINE_STORE_CALLS = {"put", "get", "drop"}
 #: packages the serialiser must not know
 SPILL_FORBIDDEN_IMPORTS = {"crashmonkey", "fs"}
 
+#: the replay trail's one admission point: the only place its module pushes
+TRAIL_ADMISSION = ("replay_cache.py", "SharedReplayCache", "begin")
+
 
 def check_one_spine_and_a_storage_only_serialiser(trees: Dict[Path, ast.Module]) -> List[Finding]:
     findings: List[Finding] = []
     for path, tree in trees.items():
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
         spill = path == SRC_ROOT / PICKLE_MODULE
+        trail = path == SRC_ROOT / "crashmonkey" / TRAIL_ADMISSION[0]
+        admission = _site_nodes(path, tree, TRAIL_ADMISSION)
         for node in ast.walk(tree):
+            if (trail and isinstance(node, ast.Call) and _call_name(node)[1] == "push"
+                    and node not in admission):
+                findings.append(Finding(
+                    relative, node.lineno,
+                    "`push(...)` on the replay trail outside SharedReplayCache.begin — a "
+                    "build stages its nodes; only the next begin, knowing the shared "
+                    "prefix, admits them",
+                ))
             name = getattr(node, "name", None) or getattr(node, "attr", None) \
                 or getattr(node, "id", None)
             if name == "register_codec":
