@@ -18,9 +18,7 @@ This benchmark measures a seq-2 ACE sibling family and asserts:
   without losing a single prefix hit,
 * a sibling family inherits verdicts: the crash states of the shared
   prefix's persistence points are mounted and checked by the first sibling
-  that reaches them, not by every one,
-* cross-workload dedup on top skips the repeat crash states the shared
-  prefix re-reaches, with constructed + skipped == the full enumeration.
+  that reaches them, not by every one.
 
 Runs on tiny bounds so it doubles as the CI regression smoke next to the
 fig3 / crash-plan benchmarks.
@@ -171,39 +169,3 @@ def test_a_sibling_family_inherits_verdicts():
     assert [result.canonical_dict() for result in results] \
         == [result.canonical_dict() for result in expected]
     assert sum(result.inherited_verdicts for result in expected) == 0
-
-
-def test_cross_workload_dedup_skips_repeat_states_of_the_family():
-    family = _seq2_family()
-
-    def run(dedup):
-        harness = CrashMonkey("logfs", device_blocks=BENCH_DEVICE_BLOCKS,
-                              cross_workload_dedup=dedup)
-        return [harness.test_workload(workload) for workload in family], harness
-
-    full_results, _ = run(dedup=False)
-    deduped_results, harness = run(dedup=True)
-
-    constructed = sum(result.scenarios_tested for result in deduped_results)
-    skipped = sum(result.cross_deduped_scenarios for result in deduped_results)
-    enumerated = sum(result.scenarios_tested for result in full_results)
-    print_table(
-        "cross-workload dedup over the family",
-        [
-            ("scenarios enumerated", enumerated),
-            ("constructed with dedup", constructed),
-            ("skipped as repeats", skipped),
-            ("cache hit rate", f"{skipped / enumerated:.0%}"),
-        ],
-        headers=("metric", "value"),
-    )
-    assert constructed + skipped == enumerated, "dedup must account for every scenario"
-    assert skipped > 0, "a sibling family must re-reach shared crash states"
-    assert harness.cross_cache.hits == skipped
-    # Dedup drops only duplicate reports of byte-identical states: the set of
-    # distinct findings (Figure-5 group keys) is preserved.
-    full_groups = {report.group_key()
-                   for result in full_results for report in result.bug_reports}
-    deduped_groups = {report.group_key()
-                      for result in deduped_results for report in result.bug_reports}
-    assert deduped_groups == full_groups

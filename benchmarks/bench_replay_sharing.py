@@ -1,4 +1,4 @@
-"""Shared replay + campaign-global dedup + zero-copy slabs: the PR-6 levers.
+"""Shared replay + zero-copy slabs: the PR-6 levers.
 
 Crash-state construction replays each workload's recorded stream onto the
 base image.  ACE sibling families share long stream prefixes, so from-scratch
@@ -9,9 +9,6 @@ This benchmark measures a seq-2 ACE sibling family and asserts:
 
 * replayed write requests drop >= 1.5x with replay sharing enabled, with
   per-workload findings byte-for-byte identical,
-* a campaign-global (sqlite) dedup cache shared by two worker harnesses
-  skips strictly more repeat states than the same two workers with private
-  in-memory caches (the pool-backend gap the global cache closes),
 * slab-backed payload storage returns block reads without per-read copies
   (read-only views of the shared arena) and stays byte-identical to the
   plain-``bytes`` representation, with read throughput printed for both.
@@ -86,41 +83,6 @@ def test_replayed_writes_drop_at_least_1_5x_for_a_seq2_family():
     # Accounting closes: fresh + inherited covers the from-scratch total for
     # the one-pass builds (scenario re-application is identical either way).
     assert shared_replayed + cache.replay_writes_reused == scratch_replayed
-
-
-def test_global_dedup_cache_skips_more_than_private_worker_caches(tmp_path):
-    family = _seq2_family()
-    # Round-robin split: the unlucky pool schedule where siblings sharing
-    # their persistence points land on different workers.
-    halves = (family[0::2], family[1::2])
-
-    def run_split(paths):
-        skips = 0
-        for half, path in zip(halves, paths):
-            harness = CrashMonkey("logfs", device_blocks=BENCH_DEVICE_BLOCKS,
-                                  cross_workload_dedup=True,
-                                  global_dedup_cache=path)
-            skips += sum(harness.test_workload(w).cross_deduped_scenarios
-                         for w in half)
-        return skips
-
-    # Two private in-memory caches: each worker only ever skips repeats it
-    # saw itself — the family's cross-half repeats are re-tested.
-    private_skips = run_split((None, None))
-    shared_path = str(tmp_path / "sightings.sqlite")
-    global_skips = run_split((shared_path, shared_path))
-
-    print_table(
-        "cross-workload dedup scope: family split across two workers",
-        [
-            ("skips with private per-worker caches", private_skips),
-            ("skips with the shared sqlite cache", global_skips),
-        ],
-        headers=("metric", "value"),
-    )
-    assert global_skips > private_skips, (
-        "the campaign-global cache must catch cross-worker repeats"
-    )
 
 
 def test_slab_reads_are_zero_copy_and_byte_identical():

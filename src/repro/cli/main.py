@@ -249,7 +249,7 @@ def cmd_campaign(args) -> int:
     campaign = B3Campaign(config)
     result = campaign.run(progress=progress)
     # describe() already includes the recording/dedup summary line whenever
-    # prefix sharing or cross-workload dedup actually did something.
+    # prefix sharing or the verdict memo actually did something.
     print(result.describe())
     if campaign.last_run is not None:
         backend = "serial" if config.processes <= 1 else f"{config.processes}-process pool"

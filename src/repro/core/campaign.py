@@ -14,10 +14,6 @@ O(workload space).
 
 from __future__ import annotations
 
-import contextlib
-import os
-import tempfile
-from dataclasses import replace
 from typing import Iterable, Iterator, List, Optional
 
 from ..ace.adapter import CrashMonkeyAdapter
@@ -28,7 +24,7 @@ from ..engine.backends import SerialBackend, make_backend
 from ..engine.engine import DEFAULT_CHUNK_SIZE, CampaignEngine, EngineRun, ProgressCallback
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
-from ..options import CampaignConfig, HarnessSpec
+from ..options import CampaignConfig
 from ..workload.workload import Workload
 from .results import CampaignResult
 
@@ -85,8 +81,7 @@ class B3Campaign:
 
     # ------------------------------------------------------------------ execution
 
-    def _engine(self, progress: Optional[ProgressCallback],
-                spec: Optional[HarnessSpec] = None) -> CampaignEngine:
+    def _engine(self, progress: Optional[ProgressCallback]) -> CampaignEngine:
         if self.config.processes <= 1:
             # Reuse the campaign's own harness across the whole run.
             backend = SerialBackend(harness=self.harness)
@@ -95,29 +90,11 @@ class B3Campaign:
         chunk_size = (self.config.chunk_size if self.config.chunk_size is not None
                       else DEFAULT_CHUNK_SIZE)
         return CampaignEngine(
-            spec if spec is not None else self.spec,
+            self.spec,
             backend=backend,
             chunk_size=chunk_size,
             progress=progress,
         )
-
-    def _run_spec(self, stack: contextlib.ExitStack) -> HarnessSpec:
-        """The spec this run dispatches, with a dedup database provisioned.
-
-        A pool run with cross-workload dedup but no explicit cache path gets
-        a temporary campaign-global sqlite database for the duration of the
-        run: without it each worker's sightings are private, and a sibling
-        family split across workers re-tests states another worker already
-        covered.  Serial runs keep the in-memory cache (same scope, no I/O).
-        """
-        if (self.config.processes <= 1
-                or not self.config.cross_workload_dedup
-                or self.spec.global_dedup_cache is not None):
-            return self.spec
-        tmpdir = stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-dedup-")
-        )
-        return replace(self.spec, global_dedup_cache=os.path.join(tmpdir, "sightings.sqlite"))
 
     def run(self, workloads: Optional[Iterable[Workload]] = None,
             progress: Optional[ProgressCallback] = None) -> CampaignResult:
@@ -137,10 +114,8 @@ class B3Campaign:
                  if progress is not None and workloads is None else None)
         adapter = CrashMonkeyAdapter(self.fs_name)
         label = self.bounds.label or f"seq-{self.bounds.seq_length}"
-        with contextlib.ExitStack() as stack:
-            spec = self._run_spec(stack)
-            run = self._engine(progress, spec).run(adapter.adapt_stream(source), label=label,
-                                                   workloads_total=total)
+        run = self._engine(progress).run(adapter.adapt_stream(source), label=label,
+                                         workloads_total=total)
         run.result.invalid_workloads = adapter.invalid_workloads
         self.last_run = run
         return run.result

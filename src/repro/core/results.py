@@ -59,7 +59,7 @@ class CampaignResult(RollUps):
             "raw_reports": sum(len(group) for group in groups),
             "report_groups": len(groups),
             "deduped_scenarios": self.deduped_scenarios,
-            "cross_deduped_scenarios": self.cross_deduped_scenarios,
+            "cross_deduped_scenarios": self.cross_deduped_scenarios,  # always 0; shape kept
             "memoized_scenarios": self.memoized_scenarios,
         }
         if session:
@@ -212,8 +212,7 @@ class CampaignResult(RollUps):
             f"recording: {self.prefix_hits}/{self.workloads_tested} prefix hits, "
             f"{self.prefix_ops_reused} ops and {self.prefix_writes_reused} writes reused, "
             f"{self.recording_seconds_saved():.2f}s saved; "
-            f"dedup: {self.deduped_scenarios} within-workload + "
-            f"{self.cross_deduped_scenarios} cross-workload scenarios skipped, "
+            f"dedup: {self.deduped_scenarios} repeat-checkpoint scenarios skipped, "
             f"{self.mounted_scenarios} crash states mounted + "
             f"{self.inherited_verdicts} inherited + "
             f"{self.memoized_scenarios} memoized of {self.scenarios_tested} tested"
@@ -240,7 +239,7 @@ class CampaignResult(RollUps):
     def describe(self) -> str:
         groups = self.grouped_reports()
         lines = [self.summary(groups)]
-        if self.prefix_hits or self.cross_deduped_scenarios or self.memoized_scenarios:
+        if self.prefix_hits or self.memoized_scenarios:
             lines.append(self.recording_summary())
         if self.replay_hits:
             lines.append(self.replay_summary())

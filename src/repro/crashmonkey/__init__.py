@@ -26,7 +26,6 @@ from .recorder import WorkloadProfile, WorkloadRecorder
 from .replay_cache import SharedReplayCache
 from .replayer import CrashStateGenerator
 from .report import BugReport, CrashTestResult, Mismatch, Severity
-from .sightings import CrossWorkloadCache, GlobalDedupCache, ScopedDedupCache
 from .tracker import PersistenceTracker, TrackedDir, TrackedFile, TrackerView
 from .verdicts import CrashState, CrashVerdict
 
@@ -48,12 +47,9 @@ __all__ = [
     "SharedReplayCache",
     "CrashPlanner",
     "CrashScenario",
-    "CrossWorkloadCache",
-    "GlobalDedupCache",
     "MechanismPlanner",
     "PrefixPlanner",
     "ReorderPlanner",
-    "ScopedDedupCache",
     "TornWritePlanner",
     "PLAN_NAMES",
     "describe_planners",

@@ -32,7 +32,6 @@ from .recorder import WorkloadProfile, WorkloadRecorder
 from .replay_cache import SharedReplayCache
 from .replayer import CrashStateGenerator
 from .report import GENERATOR, HARNESS_ERROR, PROFILE, BugReport, CrashTestResult, Mismatch
-from .sightings import open_sighting_store
 
 
 class CrashMonkey:
@@ -78,23 +77,9 @@ class CrashMonkey:
         #: replay-trie spine shared by every workload this harness tests
         self.replay_cache = (SharedReplayCache(spine_store=self.spine_store)
                              if spec.share_replay else None)
-        #: store of (crash states, expectations) sightings, None unless
-        #: cross-workload dedup is on.  One fixed fs/bugs/planner per harness
-        #: (and per campaign) keeps its sightings sound.
-        self.cross_cache = open_sighting_store(spec)
         self.checker = CheckPipeline(checks=spec.checks, skip_checks=spec.skip_checks)
 
     # ------------------------------------------------------------------ public API
-
-    def begin_chunk(self, index: int) -> None:
-        """Tell the sighting store which engine chunk is running.
-
-        The durable store stamps sightings with the chunk that produced them
-        so crash recovery can discard the ones from chunks that never completed
-        (:meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash`).
-        """
-        if self.cross_cache is not None:
-            self.cross_cache.set_chunk(index)
 
     def profile(self, workload: Workload) -> WorkloadProfile:
         """Phase 1 only: profile the workload and return the recording."""
@@ -145,7 +130,6 @@ class CrashMonkey:
 
         generator = CrashStateGenerator(profile, planner=self.planner,
                                         dedup_scenarios=self.spec.dedup_scenarios,
-                                        cross_cache=self.cross_cache,
                                         replay_cache=self.replay_cache,
                                         analyze=self.spec.analyze_mechanisms)
         result.checkpoints_tested = len(checkpoints)

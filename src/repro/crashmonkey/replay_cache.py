@@ -12,7 +12,6 @@ as a fork of the deepest of them.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -36,12 +35,6 @@ class _CheckpointRecord:
     stable: CowDevice
     #: writes issued after that barrier, in issue order (FUA included)
     window: Tuple[IORequest, ...]
-    #: running digest of the recorded stream up to the marker (writes and
-    #: flushes; markers excluded — they do not change the storage state).
-    #: Together with the fixed base image this identifies every crash state
-    #: any planner can reach at this checkpoint.  None when no cross-workload
-    #: cache is attached (the digest is only needed for its keys).
-    state_digest: Optional[str] = None
 
     @cached_property
     def memo(self) -> _VerdictMemo:
@@ -54,7 +47,7 @@ class _CheckpointRecord:
         # The memo does not ride through a spill: its verdicts were filed
         # under expectation objects a thawed sibling no longer holds.
         return _CheckpointRecord, (self.checkpoint_id, self.baseline, self.stable,
-                                   self.window, self.state_digest)
+                                   self.window)
 
 
 def _requests_match(a: IORequest, b: IORequest) -> bool:
@@ -101,9 +94,6 @@ class _ReplayNode:
     window: Tuple[IORequest, ...]
     #: checkpoint records completed so far (own dict, shared records)
     records: Dict[int, _CheckpointRecord]
-    #: running cross-workload digest state at ``index`` (None when the build
-    #: runs without a cross-workload cache)
-    hasher: Optional[object]
     #: write requests applied from the start of the stream to reach this node
     replayed_writes: int = 0
     #: build wall-clock seconds a from-scratch run spends reaching this node
@@ -114,18 +104,11 @@ class _ReplayNode:
     analysis: Optional[AnalysisCursor] = None
 
     @classmethod
-    def root(cls, profile: WorkloadProfile, want_hasher: bool,
-             want_analysis: bool) -> "_ReplayNode":
+    def root(cls, profile: WorkloadProfile, want_analysis: bool) -> "_ReplayNode":
         """The walk state before the first request of ``profile``'s stream."""
         cursor = CowDevice(profile.base_image, name="replay-cursor")
-        # Running digest over the storage-changing stream (cross-workload
-        # dedup keys); checkpoint markers are skipped so the flush-free
-        # repeat of a persistence point digests identically to its twin.
-        hasher = hashlib.sha1(
-            f"{profile.fs_name}:{profile.base_image.num_blocks}:".encode("ascii")
-        ) if want_hasher else None
         return cls(index=0, cursor=cursor, stable=cursor.snapshot(name="replay-stable"),
-                   window=(), records={}, hasher=hasher,
+                   window=(), records={},
                    analysis=AnalysisCursor() if want_analysis else None)
 
     def fork(self, cursor: CowDevice) -> "_ReplayNode":
@@ -135,13 +118,12 @@ class _ReplayNode:
         fresh one of a frozen node's (resuming)."""
         return replace(
             self, cursor=cursor, records=dict(self.records),
-            hasher=self.hasher.copy() if self.hasher is not None else None,
             analysis=self.analysis.copy() if self.analysis is not None else None)
 
     def __getstate__(self):
-        # Neither cursor survives pickling; both stay resident in the node's
-        # stub, and ``SharedReplayCache.begin`` reattaches them.
-        return {**self.__dict__, "hasher": None, "analysis": None}
+        # The analysis cursor does not survive pickling; it stays resident in
+        # the node's stub, and ``SharedReplayCache.begin`` reattaches it.
+        return {**self.__dict__, "analysis": None}
 
     def spine_bytes(self) -> int:
         """What the node pins: each distinct device fork once, plus windows."""
@@ -155,10 +137,9 @@ class _ReplayNode:
 
 class _ReplayStub(NamedTuple):
     """What stays resident of a trail node: the stream position prefix
-    matching reads, and the two cursors that cannot be pickled."""
+    matching reads, and the analysis cursor that cannot be pickled."""
 
     index: int
-    hasher: Optional[object]
     analysis: Optional[AnalysisCursor]
 
 
@@ -213,7 +194,6 @@ class SharedReplayCache:
         #: ``begin``; they pin only devices that build's records already hold
         self._staged: List[_ReplayNode] = []
         self._log: Tuple[IORequest, ...] = ()
-        self._hashed = False
         self._analyzed = False
         # -- campaign-lifetime accounting ------------------------------------
         #: builds that resumed from the cache instead of starting from scratch
@@ -231,14 +211,13 @@ class SharedReplayCache:
 
         Every piece of matching state is reset — not just the trail: a
         cleared cache must behave exactly like a new one, so ``begin`` can
-        never seed a resume from a stale digest/analysis mode or a stale
-        base-image reference after a clear.
+        never seed a resume from a stale analysis mode or a stale base-image
+        reference after a clear.
         """
         self._spine.truncate(0)
         self._spine.base = None
         self._staged.clear()
         self._log = ()
-        self._hashed = False
         self._analyzed = False
 
     # ------------------------------------------------------------------ matching
@@ -263,7 +242,7 @@ class SharedReplayCache:
 
     # ------------------------------------------------------------------ build protocol
 
-    def begin(self, profile: WorkloadProfile, want_hasher: bool,
+    def begin(self, profile: WorkloadProfile,
               want_analysis: bool = False) -> Optional[_ReplayNode]:
         """Start a build for ``profile``; returns its resumed walk or None.
 
@@ -271,22 +250,19 @@ class SharedReplayCache:
         that lie inside the shared stream prefix and drops the others
         unsized.  Then drops trail nodes past the divergence point (they
         belong to the previous sibling's suffix, or their spill file was
-        lost) and resets the trail entirely when the base image, digest mode
-        or analysis mode changed — a node frozen without a running digest
-        (or analysis cursor) cannot seed a build that needs one, and vice
-        versa.
+        lost) and resets the trail entirely when the base image or analysis
+        mode changed — a node frozen without an analysis cursor cannot seed
+        a build that needs one, and vice versa.
         """
         spine = self._spine
         shared = 0
-        if ((len(spine) or self._staged) and self._hashed == want_hasher
-                and self._analyzed == want_analysis
+        if ((len(spine) or self._staged) and self._analyzed == want_analysis
                 and self._base_matches(profile.base_image)):
             shared = self._shared_prefix_len(profile.io_log)
         for node in self._staged:
             if node.index > shared:
                 break
-            spine.push(node, node.spine_bytes(),
-                       _ReplayStub(node.index, node.hasher, node.analysis))
+            spine.push(node, node.spine_bytes(), _ReplayStub(node.index, node.analysis))
             self.nodes_admitted += 1
         self._staged.clear()
         keep = len(spine)
@@ -295,7 +271,6 @@ class SharedReplayCache:
         spine.truncate(keep)
         node = spine.deepest()
         self._log = profile.io_log
-        self._hashed = want_hasher
         self._analyzed = want_analysis
         if node is None:
             spine.base = profile.base_image
@@ -303,8 +278,7 @@ class SharedReplayCache:
         self.replay_hits += 1
         self.replay_writes_reused += node.replayed_writes
         self.replay_seconds_saved += node.elapsed
-        stub = spine.stubs[-1]
-        node.hasher, node.analysis = stub.hasher, stub.analysis
+        node.analysis = spine.stubs[-1].analysis
         return node.fork(node.cursor.snapshot(name="replay-cursor"))
 
     def freeze(self, walk: _ReplayNode, cursor: CowDevice) -> None:

@@ -22,7 +22,6 @@ plan additionally explores crashes that lose bounded subsets of the in-flight
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import replace
 from functools import partial
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
@@ -36,10 +35,8 @@ from ..fs.registry import get_fs_class
 from ..storage.cow_device import CowDevice, ReadLog
 from ..storage.io_request import IORequest
 from .crashplan import CrashPlanner, CrashScenario, PrefixPlanner
-from .oracle import Oracle
 from .recorder import WorkloadProfile
 from .replay_cache import SharedReplayCache, _CheckpointRecord, _ReplayNode
-from .sightings import SightingStore
 from .tracker import TrackerView
 from .verdicts import CrashState, CrashVerdict
 
@@ -51,46 +48,12 @@ def _normalized_tracker_view(view: TrackerView) -> Tuple:
     return (files, dirs, view.renames)
 
 
-def _oracle_digest(oracle: Optional[Oracle]) -> str:
-    """Stable content digest of an oracle's expected file-system state."""
-    if oracle is None:
-        return "no-oracle"
-    canonical = repr(sorted(oracle.state.items()))
-    return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
-
-
-def _tracker_view_digest(view: Optional[TrackerView]) -> str:
-    """Stable content digest of a normalized tracker view.
-
-    Set-valued fields are sorted into tuples first: two views that compare
-    equal must digest identically regardless of set iteration order.
-    """
-    if view is None:
-        return "no-view"
-    files = tuple(
-        (
-            ino, f.ftype, tuple(sorted(f.persisted_paths)), f.expected_data,
-            f.size, f.nlink, f.allocated_blocks, tuple(f.xattrs),
-            f.symlink_target, False,  # a retired field; kept so persisted keys do not move
-        )
-        for ino, f in sorted(view.files.items())
-    )
-    dirs = tuple(
-        (ino, d.path, tuple(sorted(d.children.items())), tuple(d.xattrs))
-        for ino, d in sorted(view.dirs.items())
-    )
-    renames = tuple((r.src, r.dst, r.ino, r.op_index) for r in view.renames)
-    canonical = repr((files, dirs, renames))
-    return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
-
-
 class CrashStateGenerator:
     """Builds and mounts crash states from a workload profile."""
 
     def __init__(self, profile: WorkloadProfile, run_fsck_on_failure: bool = True,
                  planner: Optional[CrashPlanner] = None,
                  dedup_scenarios: bool = True,
-                 cross_cache: Optional[SightingStore] = None,
                  replay_cache: Optional[SharedReplayCache] = None,
                  analyze: Optional[bool] = None):
         self.profile = profile
@@ -108,10 +71,6 @@ class CrashStateGenerator:
         #: skip constructing/checking a checkpoint's scenarios when an earlier
         #: checkpoint provably yields the same states and expectations
         self.dedup_scenarios = dedup_scenarios
-        #: campaign-lifetime cache skipping checkpoints whose crash states and
-        #: expectations were already tested by an *earlier workload* (ACE
-        #: siblings sharing a prefix re-reach the same persistence points)
-        self.cross_cache = cross_cache
         #: replay-trie spine resuming the one-pass build from the deepest
         #: cursor fork on the recorded stream's shared sibling prefix
         self.replay_cache = replay_cache
@@ -126,7 +85,6 @@ class CrashStateGenerator:
         self.replay_writes_reused = 0
         self.replay_seconds_saved = 0.0
         self.deduped_scenarios = 0
-        self.cross_deduped_scenarios = 0
         #: wall-clock seconds of the one-pass incremental build
         self.build_seconds = 0.0
         self._records: Optional[Dict[int, _CheckpointRecord]] = None
@@ -149,19 +107,16 @@ class CrashStateGenerator:
         with span(self, "build_seconds") as clock:
             cache = self.replay_cache
             log = self.profile.io_log
-            want_hasher = self.cross_cache is not None
-            walk = cache.begin(self.profile, want_hasher, self.analyze) \
-                if cache is not None else None
+            walk = cache.begin(self.profile, self.analyze) if cache is not None else None
             if walk is None:
-                walk = _ReplayNode.root(self.profile, want_hasher, self.analyze)
+                walk = _ReplayNode.root(self.profile, self.analyze)
             else:
                 self.replay_shared = True
                 self.replay_writes_reused = walk.replayed_writes
                 self.replay_seconds_saved = walk.elapsed
             base_elapsed = walk.elapsed
-            # The walk owns these four for good; everything else it rebinds.
-            cursor, records, hasher, analysis = (
-                walk.cursor, walk.records, walk.hasher, walk.analysis)
+            # The walk owns these three for good; everything else it rebinds.
+            cursor, records, analysis = walk.cursor, walk.records, walk.analysis
 
             def freeze(fork: CowDevice) -> None:
                 # ``fork`` *is* a frozen cursor fork (the stable state or the
@@ -184,17 +139,11 @@ class CrashStateGenerator:
                     self.replayed_write_requests += 1
                     walk.replayed_writes += 1
                     walk.window += (request,)
-                    if hasher is not None:
-                        flags = ",".join(flag.value for flag in request.flags)
-                        hasher.update(f"w:{request.block}:{flags}:{request.tag}:".encode("utf-8"))
-                        hasher.update(request.data)
                 elif request.is_flush:
                     # Everything before the barrier is durable: fork the stable
                     # state and start a fresh in-flight window.
                     walk.stable = cursor.snapshot(name="replay-stable")
                     walk.window = ()
-                    if hasher is not None:
-                        hasher.update(b"f:")
                     if cache is not None:
                         freeze(walk.stable)
                 elif request.is_checkpoint and request.checkpoint_id is not None:
@@ -204,7 +153,6 @@ class CrashStateGenerator:
                         baseline=baseline,
                         stable=walk.stable,
                         window=walk.window,
-                        state_digest=hasher.hexdigest() if hasher is not None else None,
                     )
                     if cache is not None:
                         freeze(baseline)
@@ -368,16 +316,6 @@ class CrashStateGenerator:
         only double-count the same bug reports.  Skipped scenarios are
         counted in :attr:`deduped_scenarios`.
 
-        With a sighting store attached, the same argument is applied
-        *across workloads*: a checkpoint whose recorded stream prefix
-        (hence every reachable crash state), oracle and tracker view all
-        digest-match one tested by an earlier workload — an ACE sibling
-        sharing the prefix — is skipped and counted in
-        :attr:`cross_deduped_scenarios`.  A sibling whose divergent suffix
-        adds new expectations necessarily changes the digest of its *later*
-        checkpoints (new operations mean new recorded writes or a new oracle),
-        so only byte-identical re-tests are ever skipped.
-
         Within one checkpoint, scenarios recovery cannot tell apart — the
         same bytes (a tear inside the zero padding of a short log entry
         equals the baseline), or bytes that differ only in blocks neither
@@ -418,24 +356,9 @@ class CrashStateGenerator:
                 # expectations drift monotonically with the workload, so the
                 # nearest earlier twin is the one a later repeat can match.
                 tested[key] = checkpoint_id
-            if self.cross_cache is not None and not self._first_cross_sighting(
-                record, checkpoint_id
-            ):
-                self.cross_deduped_scenarios += sum(1 for _ in self.planner.scenarios(*plan))
-                continue
             fresh: Set[CrashVerdict] = set()
             for scenario in self.planner.scenarios(*plan):
                 yield self._construct(record, scenario, fresh)
-
-    def _first_cross_sighting(self, record: _CheckpointRecord,
-                              checkpoint_id: int) -> bool:
-        """Register this checkpoint's content key; False when already tested."""
-        key = (
-            record.state_digest,
-            _oracle_digest(self.profile.oracles.get(checkpoint_id)),
-            _tracker_view_digest(self.profile.tracker_views.get(checkpoint_id)),
-        )
-        return self.cross_cache.first_sighting(key)
 
     def _checkpoints_equivalent(self, tested_id: int, candidate_id: int) -> bool:
         """Whether checking ``candidate_id`` could find anything new.

@@ -329,10 +329,9 @@ class CrashTestResult:
         "and double-counted its bug reports); scenarios_tested + deduped_scenarios is the full "
         "planner enumeration", source=GENERATOR)
     cross_deduped_scenarios: int = counter(
-        "scenarios skipped because an earlier *workload* in the campaign (an ACE sibling sharing "
-        "this workload's prefix) already tested the byte-identical crash states against identical "
-        "expectations; scenarios_tested + deduped_scenarios + cross_deduped_scenarios is the full "
-        "planner enumeration", source=GENERATOR)
+        "always 0, nothing skips scenarios across workloads (the verdict memo avoids their "
+        "mounts, report grouping does the counting); kept so stored results and readers of "
+        "the field keep their shape")
     memoized_scenarios: int = counter(
         "tested scenarios whose crash state agreed with an earlier scenario of the same checkpoint "
         "*in this workload's own pass* on every block that state's recovery and checks read "

@@ -102,7 +102,6 @@ class ExecutionBackend(Protocol):
 def _test_chunk(harness: CrashMonkey, indexed_chunk: IndexedChunk, worker: str) -> ChunkOutcome:
     """Test one chunk on ``harness``, timed around the actual testing."""
     index, chunk = indexed_chunk
-    harness.begin_chunk(index)
     with span() as clock:
         results = list(harness.test_stream(chunk))
         return ChunkOutcome(index=index, results=results, seconds=clock.seconds, worker=worker)

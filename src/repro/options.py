@@ -136,22 +136,6 @@ class HarnessSpec:
               "its recorded stream's shared sibling prefix; off replays from scratch "
               "(crash states are byte-for-byte identical either way)",
         tag=EXECUTION, flags=("--share-replay",))
-    cross_workload_dedup: bool = option(
-        False, "skip crash states already tested by an earlier workload with "
-               "byte-identical state and expectations (identical recurring states across "
-               "ACE siblings are counted once; raw report counts drop accordingly)",
-        flags=("--cross-workload-dedup",))
-    global_dedup_cache: Optional[str] = option(
-        None, "disk-backed sighting database shared by every worker, promoting "
-              "--cross-workload-dedup from per-worker to campaign-global under a process "
-              "pool (pool campaigns auto-provision a temporary one when unset; ignored "
-              "without --cross-workload-dedup)",
-        tag=EXECUTION, flags=("--global-dedup-cache",), metavar="PATH")
-    dedup_scope: Optional[str] = option(
-        None, "campaign id scoping the sighting database: sightings are then stored "
-              "durably per campaign, so a resumed run's dedup decisions do not depend on "
-              "its interrupt history (set by the durable runner; ignored without a "
-              "sighting database)", tag=EXECUTION)
     analyze_mechanisms: Optional[bool] = option(
         None, "run the static mechanism analysis over each recorded stream (None = "
               "exactly when the crash plan consumes it; True forces it beside an "

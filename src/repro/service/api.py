@@ -111,7 +111,6 @@ class TenantUsage:
     crash_points: int = 0
     scenarios_tested: int = 0
     deduped_scenarios: int = 0
-    cross_deduped_scenarios: int = 0
     prefix_hits: int = 0
     replay_hits: int = 0
     worker_seconds: float = 0.0
@@ -122,7 +121,7 @@ class TenantUsage:
             f"{self.workloads} workloads ({self.failing_workloads} failing, "
             f"{self.raw_reports} raw reports), {self.crash_points} crash points, "
             f"{self.scenarios_tested} scenarios "
-            f"(+{self.deduped_scenarios + self.cross_deduped_scenarios} deduped), "
+            f"(+{self.deduped_scenarios} deduped), "
             f"{self.worker_seconds:.2f}s worker time"
         )
 

@@ -36,7 +36,6 @@ crash-resume tests and the CI smoke job interrupt real campaigns with it.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -222,73 +221,63 @@ class DurableCampaignRunner:
 
         self._persist_mechanism_report()
 
-        with contextlib.ExitStack() as stack:
-            spec = self._campaign._run_spec(stack)
-            if self.config.cross_workload_dedup:
-                # Durable runs keep the sighting cache in the state store
-                # itself, scoped by campaign id: the sighting set is then
-                # exactly as durable as the chunk ledger, and recovery purges
-                # sightings of chunks that never committed — a resumed
-                # campaign's dedup decisions no longer depend on how many
-                # times it was interrupted.
-                spec = replace(spec, global_dedup_cache=db.path,
-                               dedup_scope=campaign_id)
-            if spec.spine_spill_dir is None and db.path != ":memory:":
-                # Spilled spine nodes live beside the state database so a
-                # resumed session reuses one well-known location.  The files
-                # are session-scoped scratch (every session refreezes its own
-                # spine), so stale ones from a crashed session are purged
-                # rather than trusted.
-                session_dir = os.path.join(f"{db.path}.spine", campaign_id)
-                shutil.rmtree(session_dir, ignore_errors=True)
-                spec = replace(spec, spine_spill_dir=session_dir)
-            engine = self._chunk_engine(progress, spec)
+        spec = self._campaign.spec
+        if spec.spine_spill_dir is None and db.path != ":memory:":
+            # Spilled spine nodes live beside the state database so a
+            # resumed session reuses one well-known location.  The files
+            # are session-scoped scratch (every session refreezes its own
+            # spine), so stale ones from a crashed session are purged
+            # rather than trusted.
+            session_dir = os.path.join(f"{db.path}.spine", campaign_id)
+            shutil.rmtree(session_dir, ignore_errors=True)
+            spec = replace(spec, spine_spill_dir=session_dir)
+        engine = self._chunk_engine(progress, spec)
 
-            def pending_chunks():
-                adapter = CrashMonkeyAdapter(self._campaign.fs_name)
-                chunks, timed = self._workload_chunks(engine, adapter)
-                for index, chunk in enumerate(chunks):
-                    db.register_chunks(
-                        campaign_id, [(index, chunk_identity(chunk), len(chunk))]
-                    )
-                    if index in done:
-                        continue
-                    if max_chunks is not None and session.chunks_executed >= max_chunks:
-                        # Slice quota reached: stop dispatching but keep
-                        # draining the stream so the census completes.
-                        continue
-                    db.claim_chunk(campaign_id, index)
-                    session.chunks_executed += 1
-                    session.workloads_executed += len(chunk)
-                    yield (index, chunk)
-                db.record_enumeration(campaign_id, adapter.invalid_workloads,
-                                      timed.seconds)
-                db.mark_census_complete(campaign_id)
+        def pending_chunks():
+            adapter = CrashMonkeyAdapter(self._campaign.fs_name)
+            chunks, timed = self._workload_chunks(engine, adapter)
+            for index, chunk in enumerate(chunks):
+                db.register_chunks(
+                    campaign_id, [(index, chunk_identity(chunk), len(chunk))]
+                )
+                if index in done:
+                    continue
+                if max_chunks is not None and session.chunks_executed >= max_chunks:
+                    # Slice quota reached: stop dispatching but keep
+                    # draining the stream so the census completes.
+                    continue
+                db.claim_chunk(campaign_id, index)
+                session.chunks_executed += 1
+                session.workloads_executed += len(chunk)
+                yield (index, chunk)
+            db.record_enumeration(campaign_id, adapter.invalid_workloads,
+                                  timed.seconds)
+            db.mark_census_complete(campaign_id)
 
-            ingested = 0
+        ingested = 0
 
-            def on_outcome(outcome: ChunkOutcome) -> None:
-                nonlocal ingested
-                if db.ingest_outcome(campaign_id, outcome):
-                    ingested += 1
-                else:
-                    session.duplicate_ingests += 1
-                if self._selfcrash_after and ingested >= self._selfcrash_after:
-                    # Fault injection: die the hard way, mid-campaign, with
-                    # chunks still in flight — exactly what recovery is for.
-                    os.kill(os.getpid(), signal.SIGKILL)
+        def on_outcome(outcome: ChunkOutcome) -> None:
+            nonlocal ingested
+            if db.ingest_outcome(campaign_id, outcome):
+                ingested += 1
+            else:
+                session.duplicate_ingests += 1
+            if self._selfcrash_after and ingested >= self._selfcrash_after:
+                # Fault injection: die the hard way, mid-campaign, with
+                # chunks still in flight — exactly what recovery is for.
+                os.kill(os.getpid(), signal.SIGKILL)
 
-            run = engine.run_indexed(
-                pending_chunks(),
-                label=self._campaign.bounds.label,
-                on_outcome=on_outcome,
-                chunks_total=chunks_total,
-                workloads_total=workloads_total,
-                chunks_done_offset=len(done),
-                workloads_done_offset=done_workloads,
-                failing_offset=failing_offset,
-            )
-            db.add_testing_seconds(campaign_id, run.wall_clock_seconds)
+        run = engine.run_indexed(
+            pending_chunks(),
+            label=self._campaign.bounds.label,
+            on_outcome=on_outcome,
+            chunks_total=chunks_total,
+            workloads_total=workloads_total,
+            chunks_done_offset=len(done),
+            workloads_done_offset=done_workloads,
+            failing_offset=failing_offset,
+        )
+        db.add_testing_seconds(campaign_id, run.wall_clock_seconds)
 
         if not db.census_complete(campaign_id):  # pragma: no cover - drain
             return None                          # always finishes in-process

@@ -3,12 +3,11 @@
 A crash-recovery tester that loses days of campaign progress to a harness
 crash has missed its own point.  ``CampaignStateDB`` makes campaign runs
 durable the same way the paper's filesystems make data durable: every
-completed chunk of work is committed to a sqlite database (WAL, the same
-discipline as :class:`~repro.crashmonkey.sightings.GlobalDedupCache`) before
-anyone hears about it, and a fresh session recovers by resetting whatever was
-in flight when the previous session died.
+completed chunk of work is committed to a sqlite database (WAL) before anyone
+hears about it, and a fresh session recovers by resetting whatever was in
+flight when the previous session died.
 
-Five tables:
+Four tables:
 
 * ``campaigns`` — one row per submitted campaign: tenant, label, the full
   serialized :class:`~repro.options.CampaignConfig` (so any process can
@@ -25,17 +24,14 @@ Five tables:
   chunk whose status is already ``done`` refuses re-ingest entirely, so a
   chunk retried after a crash (or a late pool worker racing a recovery
   session) can never double-count reports or scenario totals.
-* ``dedup_sightings`` — the durable cross-workload dedup cache, scoped per
-  campaign and stamped with the chunk that registered each sighting (written
-  by :class:`~repro.crashmonkey.sightings.ScopedDedupCache`, same DDL).
-  Keeping it in this file makes the sighting set exactly as durable as the
-  chunk ledger, so resumed ``--cross-workload-dedup`` campaigns stop being
-  history-dependent; :meth:`recover_from_crash` purges sightings from chunks
-  that never committed.
 * ``mechanism_reports`` — one representative serialized
   :class:`~repro.analysis.mechanisms.MechanismReport` per campaign running
   the ``mechanism`` crash plan (the static-analysis summary of the recorded
   family, for post-hoc inspection without re-profiling).
+
+A store written by an older version may also hold a cross-workload dedup
+table and a ``chunks.cross_deduped`` column; neither is read or written, and
+the column's default keeps new chunk rows valid there.
 
 One instance owns one sqlite connection in the process that built it; the
 path, not the object, is what crosses process boundaries.
@@ -45,12 +41,14 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import fields
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core.results import CampaignResult
 from ..crashmonkey.report import CrashTestResult
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError
+from ..options import CampaignConfig
 from . import api
 
 _SCHEMA = """
@@ -80,7 +78,6 @@ CREATE TABLE IF NOT EXISTS chunks (
     crash_points  INTEGER NOT NULL DEFAULT 0,
     scenarios     INTEGER NOT NULL DEFAULT 0,
     deduped       INTEGER NOT NULL DEFAULT 0,
-    cross_deduped INTEGER NOT NULL DEFAULT 0,
     prefix_hits   INTEGER NOT NULL DEFAULT 0,
     replay_hits   INTEGER NOT NULL DEFAULT 0,
     cpu_seconds   REAL NOT NULL DEFAULT 0,
@@ -92,12 +89,6 @@ CREATE TABLE IF NOT EXISTS results (
     position    INTEGER NOT NULL,
     result_json TEXT NOT NULL,
     PRIMARY KEY (campaign_id, chunk_index, position)
-);
-CREATE TABLE IF NOT EXISTS dedup_sightings (
-    scope       TEXT NOT NULL,
-    key         TEXT NOT NULL,
-    chunk_index INTEGER NOT NULL,
-    PRIMARY KEY (scope, key)
 );
 CREATE TABLE IF NOT EXISTS mechanism_reports (
     campaign_id TEXT PRIMARY KEY,
@@ -111,8 +102,8 @@ class CampaignStateDB:
 
     def __init__(self, path: str, timeout: float = 30.0):
         self.path = path
-        # Autocommit mode: short statements commit individually (the
-        # GlobalDedupCache discipline) and the ingest path opens an explicit
+        # Autocommit mode: short statements commit individually and the
+        # ingest path opens an explicit
         # BEGIN IMMEDIATE transaction so results + chunk status land
         # atomically — a crash mid-ingest leaves the chunk `processing`,
         # which recovery resets cleanly.
@@ -153,6 +144,17 @@ class CampaignStateDB:
         if cursor.rowcount == 1:
             return True
         stored = self.load_config(campaign_id)
+        options = {f.name for f in fields(CampaignConfig)}
+        for name, value in stored.items():
+            # The decoder drops a key that names no field, so an option set
+            # under a version that had it is caught here or nowhere: left at
+            # null or false it changed nothing, set it made another campaign.
+            if name not in options and value not in (None, False):
+                raise CampaignDriftError(
+                    f"campaign {campaign_id!r} was created with {name}={value!r}, "
+                    f"an option this version no longer has — a different campaign; "
+                    f"pick another campaign id"
+                )
         if stored != config:
             # Decoded then re-encoded, so a payload written before a field
             # existed (missing key) or by the tri-state era (null) compares
@@ -300,34 +302,16 @@ class CampaignStateDB:
         claimed but never committed is handed back to the scheduler.  Scoped
         to one campaign when given, store-wide otherwise.  Returns the number
         of chunks recovered.
-
-        Dedup sightings registered by chunks that never reached ``done`` are
-        purged in the same pass: the crash threw those chunks' results away,
-        so their sightings would wrongly suppress scenarios the re-run still
-        has to test (campaign scope == campaign id by construction).
         """
         if campaign_id is None:
             cursor = self._conn.execute(
                 "UPDATE chunks SET status = 'pending', worker = '' "
                 "WHERE status = 'processing'"
             )
-            self._conn.execute(
-                "DELETE FROM dedup_sightings WHERE NOT EXISTS ("
-                " SELECT 1 FROM chunks WHERE chunks.campaign_id = dedup_sightings.scope"
-                " AND chunks.chunk_index = dedup_sightings.chunk_index"
-                " AND chunks.status = 'done')"
-            )
         else:
             cursor = self._conn.execute(
                 "UPDATE chunks SET status = 'pending', worker = '' "
                 "WHERE campaign_id = ? AND status = 'processing'",
-                (campaign_id,),
-            )
-            self._conn.execute(
-                "DELETE FROM dedup_sightings WHERE scope = ? AND NOT EXISTS ("
-                " SELECT 1 FROM chunks WHERE chunks.campaign_id = dedup_sightings.scope"
-                " AND chunks.chunk_index = dedup_sightings.chunk_index"
-                " AND chunks.status = 'done')",
                 (campaign_id,),
             )
         return cursor.rowcount
@@ -395,7 +379,7 @@ class CampaignStateDB:
             self._conn.execute(
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
                 "failing = ?, raw_reports = ?, crash_points = ?, scenarios = ?, "
-                "deduped = ?, cross_deduped = ?, prefix_hits = ?, replay_hits = ?, "
+                "deduped = ?, prefix_hits = ?, replay_hits = ?, "
                 "cpu_seconds = ? WHERE campaign_id = ? AND chunk_index = ?",
                 (
                     outcome.seconds,
@@ -405,7 +389,6 @@ class CampaignStateDB:
                     outcome.crash_points_tested,
                     outcome.scenarios_tested,
                     outcome.deduped_scenarios,
-                    outcome.cross_deduped_scenarios,
                     outcome.prefix_hits,
                     outcome.replay_hits,
                     sum(result.total_seconds for result in results),
@@ -544,8 +527,8 @@ class CampaignStateDB:
             "COALESCE(SUM(k.workloads), 0), COALESCE(SUM(k.failing), 0), "
             "COALESCE(SUM(k.raw_reports), 0), COALESCE(SUM(k.crash_points), 0), "
             "COALESCE(SUM(k.scenarios), 0), COALESCE(SUM(k.deduped), 0), "
-            "COALESCE(SUM(k.cross_deduped), 0), COALESCE(SUM(k.prefix_hits), 0), "
-            "COALESCE(SUM(k.replay_hits), 0), COALESCE(SUM(k.cpu_seconds), 0) "
+            "COALESCE(SUM(k.prefix_hits), 0), COALESCE(SUM(k.replay_hits), 0), "
+            "COALESCE(SUM(k.cpu_seconds), 0) "
             "FROM campaigns c "
             "LEFT JOIN chunks k ON k.campaign_id = c.campaign_id AND k.status = 'done' "
             "GROUP BY c.tenant ORDER BY c.tenant",

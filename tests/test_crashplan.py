@@ -497,6 +497,19 @@ class TestCrossCheckpointDedup:
         checked = {r.checkpoint_id for r in result.bug_reports}
         assert 2 in checked, "the no-I/O checkpoint with new expectations must be checked"
 
+    def test_the_verdict_memo_does_not_subsume_the_skip(self):
+        """README's measured row: a repeat checkpoint is its own record with
+        its own memo, so without the skip its states are mounted again and
+        their reports counted twice."""
+        def row(result):
+            mounted = (result.scenarios_tested - result.memoized_scenarios
+                       - result.inherited_verdicts)
+            return (result.deduped_scenarios, result.scenarios_tested, mounted,
+                    len(result.bug_reports))
+
+        assert row(self._run(dedup=True)) == (1, 2, 2, 1)
+        assert row(self._run(dedup=False)) == (0, 3, 3, 2)
+
     def test_dedup_changes_no_outcome_across_plans(self):
         for plan in ("prefix", "reorder", "torn"):
             deduped = self._run(dedup=True, crash_plan=plan)

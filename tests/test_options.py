@@ -46,9 +46,6 @@ VARIANTS = {
     "dedup_scenarios": False,
     "share_prefixes": False,
     "share_replay": False,
-    "cross_workload_dedup": True,
-    "global_dedup_cache": "sightings.sqlite",
-    "dedup_scope": "another-scope",
     "analyze_mechanisms": True,
     "spine_memory_budget": 0,
     "spine_spill_dir": "spill",
@@ -68,7 +65,7 @@ TAGGED = {tag: [f.name for f in ALL if f.metadata["tag"] == tag]
 def _variant(name, tmp_path=None):
     assert name in VARIANTS, f"option {name!r} has no variant value in VARIANTS"
     value = VARIANTS[name]
-    if tmp_path is not None and name in ("global_dedup_cache", "spine_spill_dir"):
+    if tmp_path is not None and name == "spine_spill_dir":
         value = str(tmp_path / value)
     return value
 
@@ -93,12 +90,12 @@ def test_every_option_documents_and_classifies_itself(spec_field):
 
 
 def test_the_execution_options_are_the_ones_parity_is_proven_for():
-    # tests/test_prefix_sharing, test_shared_replay, test_spine_spill and
-    # test_global_dedup prove these cannot change canonical_dict(); tagging
-    # anything else execution needs such a proof first.
+    # tests/test_prefix_sharing, test_shared_replay and test_spine_spill prove
+    # these cannot change canonical_dict(); tagging anything else execution
+    # needs such a proof first.
     assert set(TAGGED[EXECUTION]) == {
         "processes", "share_prefixes", "share_replay", "spine_memory_budget",
-        "spine_spill_dir", "global_dedup_cache", "dedup_scope",
+        "spine_spill_dir",
     }
 
 
@@ -128,7 +125,8 @@ def test_config_round_trips_through_json(values):
 #: config_to_dict(CampaignConfig(fs_name="logfs", bounds=seq1_bounds(),
 #: max_workloads=24, crash_plan="torn", torn_bound=1, skip_checks=("xattr",),
 #: chunk_size=4, processes=2, spine_memory_budget=65536)) as PR 14 wrote it:
-#: tri-state nulls, no kernel_version / dedup_scope keys
+#: tri-state nulls, no kernel_version key, and two options since removed
+#: (cross_workload_dedup, global_dedup_cache) at their defaults
 PR14_PAYLOAD = json.loads(
     '{"analyze_mechanisms": null, "bounds": {"allow_unpersisted": true, '
     '"device_blocks": 25600, "files_per_dir": 2, "label": "seq-1", "nested": false, '
@@ -187,11 +185,12 @@ def test_a_new_field_needs_no_other_edit():
 
 # ------------------------------------------------------------------------------ CLI
 
-#: the flag sets of the commit before the schema — none lost, none gained
+#: the flag sets of the commit before the schema, less the two cross-workload
+#: dedup flags that went with their options — none lost, none gained
 HARNESS_FLAGS = {
     "-h", "--help", "--filesystem", "-f", "--patched", "--crash-plan", "--list-planners",
     "--reorder-bound", "--torn-bound", "--share-prefixes", "--no-share-prefixes",
-    "--share-replay", "--no-share-replay", "--cross-workload-dedup", "--global-dedup-cache",
+    "--share-replay", "--no-share-replay",
     "--spine-memory-budget", "--spine-spill-dir", "--checks", "--skip-checks", "--list-checks",
 }
 CAMPAIGN_FLAGS = HARNESS_FLAGS | {
@@ -224,20 +223,43 @@ def test_every_flagged_option_is_in_campaign_help():
             assert first_words in " ".join(text.split())
 
 
+#: the cross-workload dedup options, removed with their layer: a set value and
+#: the flag, if the option had one
+REMOVED = {
+    "cross_workload_dedup": (True, "--cross-workload-dedup"),
+    "global_dedup_cache": ("sightings.sqlite", "--global-dedup-cache"),
+    "dedup_scope": ("campaign", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED))
+def test_a_removed_option_is_settable_nowhere(name):
+    value, flag = REMOVED[name]
+    assert name not in {f.name for f in fields(HarnessSpec)}
+    for build in (CampaignConfig, HarnessSpec, lambda **kw: CrashMonkey("logfs", **kw)):
+        with pytest.raises(TypeError):
+            build(**{name: value})
+    # A stored payload keeps the key; the decoder drops it (the state store's
+    # drift check is what refuses a campaign created with it set).
+    assert config_from_dict({**config_to_dict(CampaignConfig()), name: value}) == \
+        CampaignConfig()
+    if flag is not None:
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", flag])
+
+
 def test_parsed_arguments_become_the_hand_built_config():
     args = build_parser().parse_args([
         "campaign", "-f", "logfs", "--preset", "seq-2", "--limit", "30", "--sample",
         "--chunk-size", "5", "-j", "2", "--crash-plan", "torn", "--reorder-bound", "3",
-        "--torn-bound", "1", "--no-share-prefixes", "--cross-workload-dedup",
-        "--global-dedup-cache", "g.sqlite", "--spine-memory-budget", "4096",
+        "--torn-bound", "1", "--no-share-prefixes", "--spine-memory-budget", "4096",
         "--spine-spill-dir", "spill", "--checks", "mount,read", "--skip-checks", "read",
     ])
     assert CampaignConfig.from_args(args, bounds=seq2_bounds()) == CampaignConfig(
         fs_name="logfs", bounds=seq2_bounds(), max_workloads=30, sample=True, chunk_size=5,
         processes=2, crash_plan="torn", reorder_bound=3, torn_bound=1, share_prefixes=False,
-        share_replay=True, cross_workload_dedup=True, global_dedup_cache="g.sqlite",
-        spine_memory_budget=4096, spine_spill_dir="spill", checks=("mount", "read"),
-        skip_checks=("read",))
+        share_replay=True, spine_memory_budget=4096, spine_spill_dir="spill",
+        checks=("mount", "read"), skip_checks=("read",))
     defaults = build_parser().parse_args(["campaign"])
     assert CampaignConfig.from_args(defaults) == CampaignConfig()
 

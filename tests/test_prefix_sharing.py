@@ -1,4 +1,4 @@
-"""Prefix-shared recording and cross-workload dedup.
+"""Prefix-shared recording.
 
 Covers the three guarantees the subsystem makes:
 
@@ -9,9 +9,9 @@ Covers the three guarantees the subsystem makes:
 * **Campaign parity** — bug reports are identical with sharing on vs. off,
   under both the serial and the process-pool backend (sharing changes how
   fast profiles are produced, never what they contain).
-* **Cross-workload dedup soundness** — a sibling that adds new expectations
-  after the shared prefix is never skipped, and patched file systems still
-  produce zero reports with dedup + sharing enabled.
+* **Sibling repeat states** — a crash state an earlier sibling reached is
+  tested again and reported again; the verdict memo spares its mounts and
+  report grouping counts it once.
 """
 
 import pytest
@@ -19,7 +19,8 @@ import pytest
 from repro.ace import AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds
 from repro.cli.main import main
 from repro.core import B3Campaign, CampaignConfig
-from repro.crashmonkey import CrashMonkey, CrossWorkloadCache
+from repro.core.dedup import group_reports
+from repro.crashmonkey import CrashMonkey
 from repro.engine import HarnessSpec, chunked_affine, run_campaign
 from repro.fs import BugConfig
 from repro.workload import parse_workload
@@ -179,84 +180,78 @@ def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
     assert results[(False, 1)].prefix_hits == 0
 
 
-# --------------------------------------------------------------------------- cross-workload dedup
+# --------------------------------------------------------------------------- sibling repeat states
 
 
-class TestCrossWorkloadDedup:
-    def _harness(self, fs_name="logfs", bugs=None, dedup=True, **kwargs):
-        kwargs.setdefault("share_prefixes", True)
-        return CrashMonkey(fs_name, bugs=bugs, device_blocks=SMALL_DEVICE_BLOCKS,
-                           cross_workload_dedup=dedup, **kwargs)
+def _harness(fs_name="logfs", bugs=None, **options):
+    # A spilled trail node thaws without its verdict memo, so the budget is
+    # pinned: what a sibling inherits must not depend on REPRO_SPINE_BUDGET.
+    options.setdefault("spine_memory_budget", 1 << 28)
+    return CrashMonkey(fs_name, bugs=bugs, device_blocks=SMALL_DEVICE_BLOCKS, **options)
 
-    def test_sibling_repeat_checkpoints_are_skipped_once(self):
-        harness = self._harness()
-        first = harness.test_workload(parse_workload(SIBLING_A, name="A"))
+
+def _from_scratch(fs_name, text, name, bugs=None):
+    harness = _harness(fs_name, bugs, share_prefixes=False, share_replay=False)
+    return harness.test_workload(parse_workload(text, name=name))
+
+
+class TestSiblingRepeatStates:
+    """A state a sibling already reached is tested again, never skipped: the
+    verdict memo spares its mounts, and report grouping does the counting."""
+
+    @pytest.mark.parametrize("fs_name", ALL_FS)
+    def test_a_sibling_repeat_checkpoint_inherits_its_verdicts(self, fs_name):
+        harness = _harness(fs_name)
+        harness.test_workload(parse_workload(SIBLING_A, name="A"))
         second = harness.test_workload(parse_workload(SIBLING_B, name="B"))
-        assert first.cross_deduped_scenarios == 0
-        # B's checkpoint 1 is byte-identical to A's checkpoint 1 (same prefix,
-        # same expectations): skipped, counted, never re-constructed.
-        assert second.cross_deduped_scenarios == 1
-        assert second.checkpoints_tested == 2
-        assert harness.cross_cache.hits == 1
+        scratch = _from_scratch(fs_name, SIBLING_B, "B")
+        # B's checkpoint 1 repeats A's: tested in full, its verdict inherited.
+        assert second.checkpoints_tested == scratch.checkpoints_tested == 2
+        assert second.scenarios_tested == scratch.scenarios_tested
+        assert second.inherited_verdicts > 0 == scratch.inherited_verdicts
+        assert second.cross_deduped_scenarios == 0
+        assert ([r.to_dict() for r in second.bug_reports]
+                == [r.to_dict() for r in scratch.bug_reports])
 
-    def test_sibling_with_new_expectations_after_the_prefix_is_never_skipped(self):
+    @pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "no-dedup"])
+    def test_sibling_with_new_expectations_after_the_prefix_finds_the_bug(self, dedup):
         # The falloc after the shared prefix changes the oracle without any
         # block I/O (the buggy fdatasync skip path): the sibling's new
         # checkpoint must still be constructed and must still find the bug.
         bugs = BugConfig.only("falloc_keep_size_fdatasync")
         prefix = "creat foo\nwrite foo 0 8192\nfsync foo"
         sibling = prefix + "\nfalloc foo 8192 8192 keep_size\nfdatasync foo"
-        for dedup in (True, False):
-            harness = self._harness("seqfs", bugs=bugs, dedup=dedup)
-            harness.test_workload(parse_workload(prefix, name="prefix"))
-            result = harness.test_workload(parse_workload(sibling, name="sibling"))
-            assert not result.passed, f"dedup={dedup}"
-            assert {r.checkpoint_id for r in result.bug_reports} == {2}
-        # Only the shared checkpoint was skipped, never the new one.
-        assert result.cross_deduped_scenarios == 0
+        harness = _harness("seqfs", bugs, dedup_scenarios=dedup)
+        harness.test_workload(parse_workload(prefix, name="prefix"))
+        result = harness.test_workload(parse_workload(sibling, name="sibling"))
+        assert not result.passed
+        assert {r.checkpoint_id for r in result.bug_reports} == {2}
 
-    def test_dedup_counts_add_up_to_the_full_enumeration(self):
-        with_dedup = self._harness(dedup=True)
-        without = self._harness(dedup=False)
-        texts = [(SIBLING_A, "A"), (SIBLING_B, "B"), (SIBLING_A, "A2")]
-        total_tested = total_skipped = total_full = 0
-        for text, name in texts:
-            result = with_dedup.test_workload(parse_workload(text, name=name))
-            full = without.test_workload(parse_workload(text, name=name))
-            total_tested += result.scenarios_tested
-            total_skipped += result.cross_deduped_scenarios
-            total_full += full.scenarios_tested
-        assert total_skipped > 0
-        assert total_tested + total_skipped == total_full
+    def test_every_workload_is_enumerated_in_full(self):
+        harness = _harness()
+        inherited = 0
+        for text, name in [(SIBLING_A, "A"), (SIBLING_B, "B"), (SIBLING_A, "A2")]:
+            result = harness.test_workload(parse_workload(text, name=name))
+            scratch = _from_scratch("logfs", text, name)
+            assert result.scenarios_tested == scratch.scenarios_tested, name
+            assert result.checkpoints_tested == scratch.checkpoints_tested, name
+            inherited += result.inherited_verdicts
+        assert inherited > 0
 
-    def test_identical_recurring_states_are_counted_once_not_re_reported(self):
-        # A repeated failing workload re-reports every bug without the cache
-        # and reports it exactly once with it.
-        workload_text = "creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar"
-        deduped = self._harness(dedup=True)
-        first = deduped.test_workload(parse_workload(workload_text, name="w1"))
-        second = deduped.test_workload(parse_workload(workload_text, name="w2"))
-        assert not first.passed
-        assert second.scenarios_tested == 0
-        assert not second.bug_reports
-        assert second.cross_deduped_scenarios == first.scenarios_tested
-
-    @pytest.mark.parametrize("fs_name", ALL_FS)
-    def test_patched_full_seq1_space_stays_silent_with_dedup_and_sharing(self, fs_name):
-        """Soundness: dedup + sharing never invent a report on a correct fs."""
-        patched = differential.run(fs_name, bugs=BugConfig.none(), cross_workload_dedup=True,
-                                   crash_plan="torn", reorder_bound=2, torn_bound=2)
-        for result in patched.results:
-            assert result.passed, f"{fs_name}: {result.workload.display_name()}"
-        assert patched.total("prefix_shared") > 0
-
-    def test_cache_cap_degrades_to_fewer_hits_never_to_skipping(self):
-        cache = CrossWorkloadCache(max_entries=1)
-        assert cache.first_sighting(("a",))
-        assert cache.first_sighting(("b",))  # over cap: still tested
-        assert cache.first_sighting(("b",))  # not remembered -> re-tested
-        assert not cache.first_sighting(("a",))
-        assert len(cache) == 1
+    def test_a_repeated_failing_workload_is_reported_again_and_grouped_once(self):
+        text = "creat foo\nlink foo bar\nsync\nunlink bar\ncreat bar\nfsync bar"
+        harness = _harness()
+        first = harness.test_workload(parse_workload(text, name="w1"))
+        second = harness.test_workload(parse_workload(text, name="w2"))
+        assert not first.passed and not second.passed
+        # Every verdict of the repeat is inherited: no state is mounted again.
+        assert second.inherited_verdicts == second.scenarios_tested > 0
+        assert ({r.group_key() for r in second.bug_reports}
+                == {r.group_key() for r in first.bug_reports})
+        groups = group_reports(first.bug_reports + second.bug_reports)
+        assert len(groups) == len(group_reports(first.bug_reports))
+        for group in groups:
+            assert {r.workload.name for r in group.reports} == {"w1", "w2"}
 
 
 # --------------------------------------------------------------------------- engine affinity
@@ -360,7 +355,7 @@ class TestSiblingGrouping:
 
 def test_campaign_result_aggregates_prefix_and_dedup_stats():
     spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                       share_prefixes=True, cross_workload_dedup=True)
+                       share_prefixes=True)
     workloads = [parse_workload(SIBLING_A, name="A"),
                  parse_workload(SIBLING_B, name="B")]
     run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
@@ -368,10 +363,9 @@ def test_campaign_result_aggregates_prefix_and_dedup_stats():
     assert result.prefix_hits == 1
     assert result.prefix_ops_reused > 0
     assert result.prefix_writes_reused > 0
-    assert result.cross_deduped_scenarios == 1
     assert result.recording_seconds_saved() >= 0.0
     assert "prefix hits" in result.recording_summary()
-    assert "cross-workload" in result.describe()
+    assert "repeat-checkpoint scenarios skipped" in result.describe()
 
 
 # --------------------------------------------------------------------------- CLI
@@ -382,7 +376,6 @@ class TestCliFlags:
         code = main([
             "campaign", "--filesystem", "btrfs", "--preset", "seq-1",
             "--limit", "10", "--patched", "--share-prefixes",
-            "--cross-workload-dedup",
         ])
         assert code == 0
         out = capsys.readouterr().out
@@ -401,5 +394,5 @@ class TestCliFlags:
         assert main(["test", str(workload_file), "--filesystem", "btrfs",
                      "--patched", "--no-share-prefixes"]) == 0
         assert main(["test", str(workload_file), "--filesystem", "btrfs",
-                     "--patched", "--cross-workload-dedup"]) == 0
+                     "--patched", "--no-share-replay"]) == 0
 

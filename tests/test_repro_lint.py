@@ -4,6 +4,8 @@ import ast
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 
 import repro_lint  # noqa: E402
@@ -441,7 +443,7 @@ def test_probing_a_device_by_type_error_is_caught():
 
 
 def test_a_second_pickling_module_is_caught():
-    findings = repro_lint.check_snapshots_serialise_in_one_place(_trees(**{
+    findings = repro_lint.check_module_imports_have_one_owner(_trees(**{
         "storage/spill.py": "import pickle\ndef evict(node):\n    return pickle.dumps(node)\n",
         "crashmonkey/recorder.py": (
             "import io\n"
@@ -638,8 +640,7 @@ def test_the_repo_clock_behind_a_call_chain_is_caught():
 
 
 def test_a_clock_read_outside_clock_py_is_caught():
-    check = repro_lint.check_durations_come_from_one_clock
-    findings = check(_trees(**{
+    trees = _trees(**{
         "engine/engine.py": (
             "import time\n"
             "def run(self):\n"
@@ -648,7 +649,9 @@ def test_a_clock_read_outside_clock_py_is_caught():
         ),
         "crashmonkey/checker.py": "from time import perf_counter\n",
         "service/service.py": "from ..clock import now, span\nstart = now()\n",
-    }))
+    })
+    findings = (repro_lint.check_durations_come_from_one_clock(trees)
+                + repro_lint.check_module_imports_have_one_owner(trees))
     assert sorted((path, line) for path, line, _ in findings) == [
         ("src/repro/crashmonkey/checker.py", 1),
         ("src/repro/engine/engine.py", 1), ("src/repro/engine/engine.py", 3)]
@@ -661,5 +664,60 @@ def test_clock_py_itself_lints_clean():
     clock = {path: tree for path, tree in trees.items()
              if path == repro_lint.SRC_ROOT / "clock.py"}
     assert len(clock) == 1
-    assert repro_lint.check_durations_come_from_one_clock(clock) == []
-    assert repro_lint.check_durations_come_from_one_clock(trees) == []
+    for check in (repro_lint.check_durations_come_from_one_clock,
+                  repro_lint.check_module_imports_have_one_owner):
+        assert check(clock) == []
+        assert check(trees) == []
+
+
+# ------------------------------------------------------- rule 15: one owner per import
+
+
+def test_a_second_database_is_caught():
+    source = "import sqlite3\ndef open_store(path):\n    return sqlite3.connect(path)\n"
+    findings = repro_lint.check_module_imports_have_one_owner(_trees(**{
+        "crashmonkey/harness.py": source,
+        "engine/backends.py": "from sqlite3 import connect\n",
+        "service/statedb.py": source,
+    }))
+    assert sorted((path, line) for path, line, _ in findings) == [
+        ("src/repro/crashmonkey/harness.py", 1), ("src/repro/engine/backends.py", 1)]
+    assert all("outside service/statedb.py" in message for _, _, message in findings)
+
+
+OWNED = sorted(repro_lint.IMPORT_OWNERS)
+
+
+@pytest.mark.parametrize("module", OWNED)
+def test_every_spelling_of_an_owned_import_is_caught(module):
+    owner, reason = repro_lint.IMPORT_OWNERS[module]
+    findings = repro_lint.check_module_imports_have_one_owner(_trees(**{
+        "engine/engine.py": (
+            f"import {module}\n"
+            f"import {module} as alias\n"
+            f"from {module} import name\n"
+            f"import os, {module}.sub\n"
+            "def run():\n"
+            f"    from {module}.sub import name\n"
+        ),
+    }))
+    assert [line for _, line, _ in findings] == [1, 2, 3, 4, 6]
+    assert all(f"outside {owner} — {reason}" in message for _, _, message in findings)
+
+
+@pytest.mark.parametrize("module", OWNED)
+def test_the_owner_and_relative_imports_are_not_flagged(module):
+    owner, _ = repro_lint.IMPORT_OWNERS[module]
+    assert repro_lint.check_module_imports_have_one_owner(_trees(**{
+        str(owner): f"import {module}\nfrom {module} import name\n",
+        "engine/engine.py": f"from . import {module}\nfrom .{module} import name\n",
+    })) == []
+
+
+@pytest.mark.parametrize("module", OWNED)
+def test_every_owner_row_names_a_file_that_imports_its_module(module):
+    """A row whose owner no longer imports the module is stale: delete it."""
+    owner, _ = repro_lint.IMPORT_OWNERS[module]
+    tree = repro_lint.parse_tree()[repro_lint.SRC_ROOT / owner]
+    assert any(imported == module for node in ast.walk(tree)
+               for imported, _ in repro_lint._imported_modules(node))

@@ -9,17 +9,20 @@ wall-clock timing and prefix/replay sharing telemetry legitimately differ
 between schedules (see ``CrashTestResult.SESSION_FIELDS``).
 """
 
-import dataclasses
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
+from contextlib import closing
 
 import pytest
 
 from repro.ace import seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
+from repro.errors import CampaignDriftError
 from repro.service import CampaignStateDB, DurableCampaignRunner
+from repro.service.api import config_to_dict
 from repro.service.runner import SELFCRASH_ENV
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -168,83 +171,95 @@ def test_resume_with_changed_config_is_rejected(tmp_path):
         runner.close()
 
 
-# ------------------------------------------------------- durable dedup sightings
+# ------------------------------------------- stores written by an older version
 
 
-def _dedup_config() -> CampaignConfig:
-    # A contiguous seq-2 prefix: sibling families share persistence-point
-    # keys, so the cross-workload cache genuinely skips checkpoints (a
-    # sampled slice scatters the families and never hits the cache).
-    return dataclasses.replace(_config(), sample=False, cross_workload_dedup=True)
-
-
-def test_resumed_dedup_campaign_matches_the_uninterrupted_run(tmp_path):
-    """Sliced sessions see exactly the sightings their committed chunks left.
-
-    Before the sighting cache was persisted through the state store, every
-    resumed session restarted it empty: how many times a campaign was
-    interrupted changed which checkpoints were skipped, so the scenario and
-    dedup counters were history-dependent.  Now they must be identical.
-    """
-    reference = DurableCampaignRunner(_dedup_config(), str(tmp_path / "ref.sqlite"),
-                                      campaign_id="ref")
-    try:
-        uninterrupted = reference.run()
-    finally:
-        reference.close()
-    assert uninterrupted is not None
-    assert sum(r.cross_deduped_scenarios for r in uninterrupted.results) > 0, (
-        "need cross-workload dedup hits for the comparison to mean anything"
-    )
-
-    db_path = str(tmp_path / "sliced.sqlite")
-    sliced = None
-    sessions = 0
-    for _ in range(100):
-        runner = DurableCampaignRunner(_dedup_config(), db_path, campaign_id="sliced")
-        try:
-            sliced = runner.run(max_chunks=2)
-        finally:
-            runner.close()
-        sessions += 1
-        if sliced is not None:
-            break
-    assert sliced is not None and sessions > 2
-    assert sliced.canonical_dict() == uninterrupted.canonical_dict()
-
-
-def test_recovery_purges_sightings_of_uncommitted_chunks(tmp_path):
-    """An in-flight chunk's sightings die with it; a committed chunk's persist."""
-    from repro.crashmonkey import ScopedDedupCache
-    from repro.engine.backends import ChunkOutcome
-    from repro.service.api import config_to_dict
-
-    db_path = str(tmp_path / "state.sqlite")
+def _old_store(db_path: str, **stored) -> None:
+    """A store as an older version left it: a campaign row whose config has
+    keys this version has no option for, a chunks table with a
+    ``cross_deduped`` column, and the cross-workload dedup table."""
+    with closing(sqlite3.connect(db_path)) as conn:
+        conn.executescript(
+            "CREATE TABLE chunks (campaign_id TEXT NOT NULL, chunk_index INTEGER NOT NULL,"
+            " chunk_key TEXT NOT NULL, workloads INTEGER NOT NULL,"
+            " status TEXT NOT NULL DEFAULT 'pending', seconds REAL NOT NULL DEFAULT 0,"
+            " worker TEXT NOT NULL DEFAULT '', failing INTEGER NOT NULL DEFAULT 0,"
+            " raw_reports INTEGER NOT NULL DEFAULT 0, crash_points INTEGER NOT NULL DEFAULT 0,"
+            " scenarios INTEGER NOT NULL DEFAULT 0, deduped INTEGER NOT NULL DEFAULT 0,"
+            " cross_deduped INTEGER NOT NULL DEFAULT 0,"
+            " prefix_hits INTEGER NOT NULL DEFAULT 0, replay_hits INTEGER NOT NULL DEFAULT 0,"
+            " cpu_seconds REAL NOT NULL DEFAULT 0, PRIMARY KEY (campaign_id, chunk_index));"
+            "CREATE TABLE dedup_sightings (scope TEXT NOT NULL, key TEXT NOT NULL,"
+            " chunk_index INTEGER NOT NULL, PRIMARY KEY (scope, key));"
+            "INSERT INTO dedup_sightings VALUES ('old', 'k', 0);"
+        )
     with CampaignStateDB(db_path) as db:
-        db.create_campaign("camp", config_to_dict(_config()), tenant="default",
-                           label="seq-2", fs_name="btrfs", fs_model="logfs")
-        db.register_chunks("camp", [(0, "key0", 1), (1, "key1", 1)])
-        db.claim_chunk("camp", 0)
-        db.claim_chunk("camp", 1)
+        payload = {**config_to_dict(_config()), **stored}
+        db.create_campaign("old", payload, label="seq-2", fs_name="btrfs", fs_model="btrfs")
 
-        cache = ScopedDedupCache(db.path, "camp")
-        cache.set_chunk(0)
-        assert cache.first_sighting(("committed", 1))
-        cache.set_chunk(1)
-        assert cache.first_sighting(("in-flight", 2))
-        cache.close()
 
-        # Chunk 0 commits; chunk 1 is still processing when the session dies.
-        db.ingest_outcome("camp", ChunkOutcome(index=0, results=[], seconds=0.0))
-        assert db.recover_from_crash("camp") == 1
+def test_a_campaign_created_with_cross_workload_dedup_is_refused(tmp_path):
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path, cross_workload_dedup=True, global_dedup_cache=None)
+    runner = DurableCampaignRunner.from_db(db_path, "old")
+    try:
+        with pytest.raises(CampaignDriftError) as refused:
+            runner.run()
+    finally:
+        runner.close()
+    assert str(refused.value) == (
+        "campaign 'old' was created with cross_workload_dedup=True, an option this "
+        "version no longer has — a different campaign; pick another campaign id")
 
-        cache = ScopedDedupCache(db.path, "camp")
-        # The committed chunk's sighting survived recovery ...
-        assert not cache.first_sighting(("committed", 1))
-        # ... the uncommitted chunk's was purged: its re-run must re-test.
-        cache.set_chunk(1)
-        assert cache.first_sighting(("in-flight", 2))
-        cache.close()
+
+@pytest.mark.parametrize("stored, refused", [
+    ({"cross_workload_dedup": True}, True),
+    ({"cross_workload_dedup": False}, False),
+    ({"global_dedup_cache": None}, False),
+    ({"dedup_scope": None}, False),
+], ids=["cross-dedup-on", "cross-dedup-off", "no-sighting-db", "no-scope"])
+def test_only_a_removed_option_that_was_set_is_drift(tmp_path, stored, refused):
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path, **stored)
+    with CampaignStateDB(db_path) as db:
+        def resume():
+            return db.create_campaign("old", config_to_dict(_config()), label="seq-2",
+                                      fs_name="btrfs", fs_model="btrfs")
+        if refused:
+            with pytest.raises(CampaignDriftError, match="no longer has"):
+                resume()
+        else:
+            assert resume() is False
+
+
+def test_recovery_on_an_old_store_leaves_its_dedup_table_alone(tmp_path):
+    """Nothing reads the old sighting table any more, so recovery, which
+    used to purge it, now only hands in-flight chunks back."""
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path)
+    with CampaignStateDB(db_path) as db:
+        db.register_chunks("old", [(0, "key0", 1), (1, "key1", 1)])
+        assert db.claim_chunk("old", 0) and db.claim_chunk("old", 1)
+        assert db.recover_from_crash("old") == 2
+        assert db.status("old").chunks_done == 0
+        assert db.claim_chunk("old", 0)
+    with closing(sqlite3.connect(db_path)) as conn:
+        assert conn.execute("SELECT * FROM dedup_sightings").fetchall() == [("old", "k", 0)]
+
+
+def test_an_old_store_resumes_a_default_campaign(tmp_path, uninterrupted):
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path, cross_workload_dedup=False, global_dedup_cache=None,
+               dedup_scope=None)
+    runner = DurableCampaignRunner.from_db(db_path, "old")
+    try:
+        resumed = runner.run()
+    finally:
+        runner.close()
+    assert resumed.canonical_dict() == uninterrupted.canonical_dict()
+    with CampaignStateDB(db_path) as db:
+        assert db.status("old").complete
+        assert db.tenant_usage()[0].workloads == 40
 
 
 def test_default_campaign_id_is_config_deterministic():

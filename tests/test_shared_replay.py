@@ -4,14 +4,14 @@ Covers the guarantees the replay-trie makes:
 
 * **Construction parity** — crash-state builds resumed from the shared replay
   trail produce checkpoint records (baseline fork, stable fork, in-flight
-  window, cross-workload digest) byte-for-byte identical to from-scratch
+  window) byte-for-byte identical to from-scratch
   construction, proven over the full seq-1 space of all four simulated file
   systems.
 * **Campaign parity** — bug reports are identical with replay sharing on
   vs. off, under both the serial and the process-pool backend (sharing
   changes how fast crash states are built, never what they contain).
 * **Cache discipline** — divergence drops only the stale suffix of the
-  trail, a base-image or digest-mode change resets it, and sharing is
+  trail, a base-image change resets it, and sharing is
   strictly an optimization (a cold cache builds from scratch and still
   matches).
 * **Trail admission** — a build stages its frozen nodes and the next
@@ -26,7 +26,7 @@ import sys
 import pytest
 
 from repro.cli.main import main
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
 from repro.crashmonkey.replay_cache import _ReplayNode, _ReplayStub
 from repro.engine import HarnessSpec, run_campaign
 from repro.fs import BugConfig
@@ -50,7 +50,6 @@ def _assert_records_equal(shared_records, scratch_records, context=""):
         assert (shared.stable._merged_overlay()
                 == scratch.stable._merged_overlay()), f"stable {context}@{checkpoint_id}"
         assert shared.window == scratch.window, f"window {context}@{checkpoint_id}"
-        assert shared.state_digest == scratch.state_digest, f"digest {context}@{checkpoint_id}"
 
 
 # ------------------------------------------------------------------ construction parity
@@ -129,24 +128,22 @@ def test_trail_survives_divergence_and_reconvergence():
     assert not shared.replay_shared
 
 
-def test_digest_mode_change_resets_the_trail():
-    """A node frozen without a running digest cannot seed a digest build."""
+def test_analysis_mode_change_resets_the_trail():
+    """A node frozen without an analysis cursor cannot seed an analysing build."""
     recorder = differential.recorder("logfs")
     cache = SharedReplayCache()
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
 
-    digesting = CrashStateGenerator(profile, replay_cache=cache,
-                                    cross_cache=CrossWorkloadCache())
-    records = digesting._ensure_built()
-    assert not digesting.replay_shared
-    assert all(record.state_digest is not None for record in records.values())
-    # And the digesting trail now seeds further digesting builds.
-    again = CrashStateGenerator(profile, replay_cache=cache,
-                                cross_cache=CrossWorkloadCache())
-    assert all(record.state_digest is not None
-               for record in again._ensure_built().values())
+    analysing = CrashStateGenerator(profile, replay_cache=cache, analyze=True)
+    analysing._ensure_built()
+    assert not analysing.replay_shared
+    assert analysing.mechanism_report is not None
+    # And the analysing trail now seeds further analysing builds.
+    again = CrashStateGenerator(profile, replay_cache=cache, analyze=True)
+    again._ensure_built()
     assert again.replay_shared
+    assert again.mechanism_report.to_dict() == analysing.mechanism_report.to_dict()
 
 
 def test_clear_forces_a_cold_build():
@@ -205,8 +202,7 @@ def eager_push(patch):
     """The trail before admission existed: ``freeze`` pushes every fork."""
     def freeze(cache, walk, cursor):
         node = walk.fork(cursor)
-        cache._spine.push(node, node.spine_bytes(),
-                          _ReplayStub(node.index, node.hasher, node.analysis))
+        cache._spine.push(node, node.spine_bytes(), _ReplayStub(node.index, node.analysis))
 
     patch.setattr(SharedReplayCache, "freeze", freeze)
 

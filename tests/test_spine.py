@@ -9,7 +9,7 @@ so:
   space of all four file systems is tested under a zero budget thaws equal to
   the resident object: devices content-equal and sitting on the spine's base,
   the same identity topology, equal and slab-free logs and windows, no verdict
-  memo, digest and analysis cursors back on the node.
+  memo, the analysis cursor back on the node.
 * **(ii) what a spine costs** — the store never holds more than the two
   cached paths; a lost spill file costs the node it held, not the spine.
 * **(iii) seeded-unsound variants** — a reduce that hands every device
@@ -23,7 +23,7 @@ import os
 import pytest
 
 from repro.ace import AceSynthesizer, seq2_bounds
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
 from repro.crashmonkey.replay_cache import _CheckpointRecord, _ReplayNode
 from repro.fs import BugConfig
 from repro.storage import CowDevice, IORequest, SpineStore
@@ -73,11 +73,10 @@ def assert_thaws_equal(node, base):
         assert copy.records.keys() == node.records.keys()
         for cid, record in copy.records.items():
             assert "memo" not in vars(record)
-            assert (record.checkpoint_id, record.state_digest) == \
-                (node.records[cid].checkpoint_id, node.records[cid].state_digest)
+            assert record.checkpoint_id == node.records[cid].checkpoint_id
         assert (copy.index, copy.replayed_writes, copy.elapsed) == \
             (node.index, node.replayed_writes, node.elapsed)
-        assert copy.hasher is None and copy.analysis is None
+        assert copy.analysis is None
     else:
         plain = {k: v for k, v in vars(node).items() if k not in ("device", "fs", "tracker")}
         assert {k: v for k, v in vars(copy).items() if k in plain} == plain
@@ -94,17 +93,18 @@ def thawed_pushes(patch):
     real_push, real_test = Spine.push, CrashMonkey.test_workload
 
     def push(spine, node, nbytes, stub):
-        pushed.append((spine, node))
+        pushed.append((spine, node, stub))
         real_push(spine, node, nbytes, stub)
 
     def test_workload(harness, workload, upcoming=None):
         result = real_test(harness, workload, upcoming)
-        for spine, node in pushed[:]:   # a copy: the round trip pushes too
+        for spine, node, stub in pushed[:]:   # a copy: the round trip pushes too
             assert_thaws_equal(node, spine.base)
             replay = isinstance(node, _ReplayNode)
             seen["replay" if replay else "prefix"] += 1
             seen["slab views"] += any(isinstance(r.data, memoryview) for r in requests_of(node))
             if replay:
+                assert stub == (node.index, node.analysis)
                 seen["memos"] += any("memo" in vars(r) for r in node.records.values())
                 seen["shared forks"] += len(set(topology(devices_of(node)))) < len(devices_of(node))
         pushed.clear()
@@ -118,27 +118,24 @@ def thawed_pushes(patch):
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_every_node_of_both_spines_thaws_equal_on_full_seq1(fs_name):
     run = differential.run(fs_name, observe=thawed_pushes, crash_plan="torn",
-                           cross_workload_dedup=True, spine_memory_budget=0)
+                           spine_memory_budget=0)
     assert all(run.seen.values()), run.seen
     assert run.total("spine_rehydrations") > 0
 
 
-def test_a_resumed_walk_gets_its_cursors_back_from_the_stub():
-    """The digest and the analysis cursor never reach a spill file; ``begin``
-    hands the resumed walk copies of the ones the stub kept."""
+def test_a_resumed_walk_gets_its_cursor_back_from_the_stub():
+    """The analysis cursor never reaches a spill file; ``begin`` hands the
+    resumed walk a copy of the one the stub kept."""
     recorder = differential.recorder("logfs")
     cache = SharedReplayCache(spine_store=SpineStore(memory_budget=0))
     for text in (SIBLING_PREFIX + "creat bar\nfsync bar", SIBLING_PREFIX + "link foo baz\nsync"):
         generator = CrashStateGenerator(recorder.profile(parse_workload(text)),
-                                        replay_cache=cache, analyze=True,
-                                        cross_cache=CrossWorkloadCache())
+                                        replay_cache=cache, analyze=True)
         generator._ensure_built()
     assert generator.replay_shared and cache.spine_store.rehydrations > 0
     assert generator.mechanism_report is not None
-    spilled = {r.state_digest for r in generator._records.values()}
-    scratch = CrashStateGenerator(generator.profile, analyze=True,
-                                  cross_cache=CrossWorkloadCache())
-    assert spilled == {r.state_digest for r in scratch._ensure_built().values()}
+    scratch = CrashStateGenerator(generator.profile, analyze=True)
+    scratch._ensure_built()
     assert generator.mechanism_report.to_dict() == scratch.mechanism_report.to_dict()
 
 
@@ -252,8 +249,7 @@ def reduce_copying_each_device(patch):
     def reduce(record):
         return _CheckpointRecord, (
             record.checkpoint_id, record.baseline.snapshot(name=record.baseline.name),
-            record.stable.snapshot(name=record.stable.name), record.window,
-            record.state_digest)
+            record.stable.snapshot(name=record.stable.name), record.window)
 
     patch.setattr(_CheckpointRecord, "__reduce__", reduce)
 

@@ -37,7 +37,7 @@ import pytest
 
 from repro.ace import seq2_bounds, seq3_data_bounds
 from repro.cli.main import main
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, CrossWorkloadCache, SharedReplayCache
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.errors import SpillMissError
 from repro.storage import BLOCK_SIZE, SpineStore, default_spine_memory_budget
@@ -333,10 +333,10 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
 
 
 def test_clear_restores_the_freshly_constructed_state():
-    """Regression: ``clear()`` used to leave ``_hashed``/``_analyzed`` stale.
+    """Regression: ``clear()`` used to leave ``_analyzed`` stale.
 
     A cleared cache then refused (or worse, accepted) resumes based on the
-    digest mode of builds it no longer remembered.  Clearing must restore
+    analysis mode of builds it no longer remembered.  Clearing must restore
     every matching field a fresh cache starts with.
     """
     recorder = differential.recorder("logfs")
@@ -344,19 +344,18 @@ def test_clear_restores_the_freshly_constructed_state():
     profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
     for built in (profile, recorder.profile(parse_workload(SIBLING_B, name="B"))):
         # B's ``begin`` admits A's trail on their shared prefix; B stages its own.
-        digesting = CrashStateGenerator(built, replay_cache=cache,
-                                        cross_cache=CrossWorkloadCache())
-        digesting._ensure_built()
-    assert digesting.replay_shared
-    assert len(cache._spine) and cache._staged and cache._hashed
+        analysing = CrashStateGenerator(built, replay_cache=cache, analyze=True)
+        analysing._ensure_built()
+    assert analysing.replay_shared
+    assert len(cache._spine) and cache._staged and cache._analyzed
 
     cache.clear()
     fresh = SharedReplayCache()
-    for attr in ("_log", "_hashed", "_analyzed", "_staged"):
+    for attr in ("_log", "_analyzed", "_staged"):
         assert getattr(cache, attr) == getattr(fresh, attr), attr
     assert (len(cache._spine), cache._spine.stubs, cache._spine.base) == (0, [], None)
     assert len(cache.spine_store) == 0
-    # And a non-digesting build now runs cold instead of matching stale state.
+    # And a non-analysing build now runs cold instead of matching stale state.
     cold = CrashStateGenerator(profile, replay_cache=cache)
     cold._ensure_built()
     assert not cold.replay_shared
@@ -397,7 +396,6 @@ def test_rehydrated_nodes_share_no_mutable_state():
         assert (record.baseline._merged_overlay()
                 == other.baseline._merged_overlay())
         assert record.stable._merged_overlay() == other.stable._merged_overlay()
-        assert record.state_digest == other.state_digest
     # Mutating one rehydration is invisible to the other.
     node1.records.clear()
     assert node2.records

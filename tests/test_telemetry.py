@@ -35,6 +35,7 @@ from repro.engine import CampaignEngine, ChunkOutcome, ChunkStats
 from repro.options import HarnessSpec
 from repro.workload import parse_workload
 
+import differential
 from differential import ALL_FS
 
 #: what was tested on what, and the structured payloads: the only fields
@@ -399,3 +400,17 @@ def test_describe_and_the_payloads_group_reports_once(monkeypatch, seq1_run):
     assert expected.splitlines()[0] == campaign.summary()
     assert f"{len(campaign.all_reports())} raw reports" in campaign.summary()
     assert campaign.to_dict()["derived"]["raw_reports"] == len(campaign.all_reports())
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_cross_deduped_scenarios_stays_declared_and_zero(fs_name):
+    """Nothing skips scenarios across workloads any more; the counter keeps
+    the payloads' shape for their readers and no producer fills it."""
+    assert not any("cross_deduped_scenarios" in gathered
+                   for gathered in CrashTestResult.GATHERED.values())
+    run = differential.reference(fs_name, crash_plan="torn")
+    assert run.results and run.total("cross_deduped_scenarios") == 0
+    campaign = CampaignResult(fs_name, fs_name, results=run.results)
+    assert campaign.canonical_dict()["derived"]["cross_deduped_scenarios"] == 0
+    assert all(result.canonical_dict()["cross_deduped_scenarios"] == 0
+               for result in run.results)

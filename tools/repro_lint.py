@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Fourteen invariants, each protecting a guarantee a past change was built on:
+Fifteen invariants, each protecting a guarantee a past change was built on:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -101,11 +101,9 @@ Fourteen invariants, each protecting a guarantee a past change was built on:
 11. **Snapshots serialise in one place.**  A spine node holds live forks
     (``AbstractFileSystem.fork`` / ``PersistenceTracker.fork``); the only
     bytes are the ones ``storage/spill.py`` writes when a node is evicted —
-    the node object itself, pickled as it is.  So under ``src/repro/`` only
-    that module imports ``pickle`` (a node type says what must not ride
-    along with ``__reduce__`` / ``__getstate__``, which need no import) — a
-    second importer is a snapshot layer paying a serialise-and-parse round
-    trip for a copy that never leaves the process.  And the copies stay the cheap,
+    the node object itself, pickled as it is (the ``pickle`` row of rule
+    15; a node type says what must not ride along with ``__reduce__`` /
+    ``__getstate__``, which need no import).  And the copies stay the cheap,
     explicit ones: no ``copy.deepcopy`` under ``crashmonkey/`` or ``fs/``,
     and ``tracker.py`` clones its records with their ``clone()`` methods,
     never ``dataclasses.replace`` (a full re-``__init__`` per record per
@@ -142,10 +140,18 @@ Fourteen invariants, each protecting a guarantee a past change was built on:
 14. **One clock.**  Every duration ``repro`` reports is read from
     ``repro/clock.py`` — ``now`` or a ``span`` charging a timing field — so
     which clock is read, and whether a raising block is charged, is decided
-    in one place.  Under ``src/repro/`` no other module imports ``time``
-    (``import time`` / ``from time import ...``) or calls
+    in one place.  Under ``src/repro/`` no other module calls
     ``time.perf_counter`` / ``time.time`` / ``time.monotonic`` /
-    ``time.process_time``.
+    ``time.process_time`` (nor imports ``time``: the ``time`` row of rule 15).
+
+15. **One owner per module import.**  Some standard modules are a decision
+    one module makes for the rest: ``pickle`` (only ``storage/spill.py``
+    turns a snapshot into bytes), ``time`` (only ``clock.py`` reads the
+    clock) and ``sqlite3`` (only ``service/statedb.py`` holds durable
+    campaign state — a second database is a second ledger for crash
+    recovery to miss).  ``IMPORT_OWNERS`` is that table, one row per
+    module; an ``import`` / ``from ... import`` of a row's module anywhere
+    else under ``src/repro/`` is flagged with the row's reason.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -776,16 +782,6 @@ def check_snapshots_serialise_in_one_place(trees: Dict[Path, ast.Module]) -> Lis
         forked = not FORKED_PACKAGES.isdisjoint(path.relative_to(SRC_ROOT).parts)
         tracker = path.parent.name == "crashmonkey" and path.name == "tracker.py"
         for node in ast.walk(tree):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
-                           else [node.module or ""])
-                if "pickle" in modules and path != SRC_ROOT / PICKLE_MODULE:
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        f"`pickle` imported outside {PICKLE_MODULE} — snapshots are forks; "
-                        "only a spill file holds one as bytes",
-                    ))
-                continue
             if not isinstance(node, ast.Call):
                 continue
             receiver, name = _call_name(node)
@@ -919,6 +915,10 @@ CLOCK_MODULE = "clock.py"
 TIME_CLOCK_CALLS = {"perf_counter", "time", "monotonic", "process_time"}
 
 
+#: why a duration is read in one place (the call rule here, the import row of rule 15)
+CLOCK_REASON = "a duration is a `span` (or a `now()` read) from repro.clock, the one clock"
+
+
 def check_durations_come_from_one_clock(trees: Dict[Path, ast.Module]) -> List[Finding]:
     findings: List[Finding] = []
     for path, tree in trees.items():
@@ -927,19 +927,47 @@ def check_durations_come_from_one_clock(trees: Dict[Path, ast.Module]) -> List[F
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
         for node in ast.walk(tree):
             receiver, called = _call_name(node) if isinstance(node, ast.Call) else ("", "")
-            if isinstance(node, ast.Import) and any(alias.name == "time" for alias in node.names):
-                read = "`import time`"
-            elif isinstance(node, ast.ImportFrom) and node.module == "time" and not node.level:
-                read = "`from time import ...`"
-            elif receiver == "time" and called in TIME_CLOCK_CALLS:
-                read = f"`time.{called}()`"
-            else:
-                continue
-            findings.append(Finding(
-                relative, node.lineno,
-                f"{read} outside {CLOCK_MODULE} — a duration is a `span` (or a `now()` "
-                "read) from repro.clock, the one clock",
-            ))
+            if receiver == "time" and called in TIME_CLOCK_CALLS:
+                findings.append(Finding(
+                    relative, node.lineno,
+                    f"`time.{called}()` outside {CLOCK_MODULE} — {CLOCK_REASON}",
+                ))
+    return findings
+
+
+# ------------------------------------------------------- rule 15: one owner per import
+
+
+#: module -> (the one file under src/repro that may import it, why)
+IMPORT_OWNERS: Dict[str, Tuple[Path, str]] = {
+    "pickle": (PICKLE_MODULE,
+               "snapshots are forks; only a spill file holds one as bytes"),
+    "time": (Path(CLOCK_MODULE), CLOCK_REASON),
+    "sqlite3": (Path("service") / "statedb.py",
+                "campaign state has one durable store; a second database is a second "
+                "ledger for crash recovery to miss"),
+}
+
+
+def _imported_modules(node: ast.AST) -> List[Tuple[str, str]]:
+    """``(top-level module, how it is spelt)`` of each absolute import in ``node``."""
+    if isinstance(node, ast.Import):
+        return [(alias.name.split(".")[0], f"`import {alias.name}`") for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
+        return [(node.module.split(".")[0], f"`from {node.module} import ...`")]
+    return []
+
+
+def check_module_imports_have_one_owner(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+        for node in ast.walk(tree):
+            for module, spelt in _imported_modules(node):
+                owner, reason = IMPORT_OWNERS.get(module, (None, ""))
+                if owner is not None and path != SRC_ROOT / owner:
+                    findings.append(Finding(
+                        relative, node.lineno, f"{spelt} outside {owner} — {reason}"))
     return findings
 
 
@@ -970,6 +998,7 @@ def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     findings.extend(check_verdicts_depend_on_logged_reads_only(trees))
     findings.extend(check_one_spine_and_a_storage_only_serialiser(trees))
     findings.extend(check_durations_come_from_one_clock(trees))
+    findings.extend(check_module_imports_have_one_owner(trees))
     return findings
 
 
