@@ -19,7 +19,8 @@ Every rule is the generator's own: parameter and persistence choices come
 from phases 2 and 3, the symmetry test is phase 2's, namespace transitions
 are phase 4's ``DependencySteps`` table projected onto (dirs, files), and the
 workload is built by ``resolve_dependencies`` folding the unranked operation
-list through that same table.
+list through that same table.  Operations and states are that table's small
+numbers (:class:`OperationTable`), so every memo here is keyed on ints.
 """
 
 from __future__ import annotations
@@ -35,14 +36,45 @@ from .fileset import FileSet
 from .phase1 import Skeleton, generate_skeletons
 from .phase2 import TWO_PATH_OPS, is_symmetric_half, op_paths, parameter_choices
 from .phase3 import persistence_choices
-from .phase4 import EMPTY_STATE, DependencySteps, resolve_dependencies
-
-#: What phase-4 validity reads of a state: (directories, files).
-Namespace = Tuple[FrozenSet[str], FrozenSet[str]]
+from .phase4 import EMPTY, DependencySteps, resolve_dependencies
 
 _EMPTY: FrozenSet[str] = frozenset()
-#: The rest of a phase-4 state a namespace stands for: no data, no xattrs.
-_NO_CONTENT = (_EMPTY, _EMPTY)
+
+
+class OperationTable:
+    """Phase 2's and phase 3's choices, numbered by one phase-4 table.
+
+    Core choices are built once per operation name and persistence choices
+    once per (operation, final), and each is a number of ``steps`` — the
+    operation itself is ``steps.ops[number]`` — so a walk keys its memos on
+    small ints, never on an ``Operation``.
+    """
+
+    def __init__(self, bounds: Bounds, fileset: FileSet):
+        self.bounds = bounds
+        self.fileset = fileset
+        self.steps = DependencySteps()
+        self._core: Dict[str, List[int]] = {}
+        self._points: Dict[Tuple[int, bool], List[Optional[int]]] = {}
+
+    def core(self, op_name: str) -> List[int]:
+        """Phase 2's parameterizations of ``op_name``, in its order."""
+        choices = self._core.get(op_name)
+        if choices is None:
+            choices = self._core[op_name] = [
+                self.steps.number(op)
+                for op in parameter_choices(op_name, self.fileset, self.bounds)]
+        return choices
+
+    def points(self, op: int, final: bool) -> List[Optional[int]]:
+        """Phase 3's persistence choices after operation ``op`` (None: no point)."""
+        points = self._points.get((op, final))
+        if points is None:
+            points = self._points[op, final] = [
+                None if point is None else self.steps.number(point)
+                for point in persistence_choices(self.steps.ops[op], self.bounds,
+                                                 final=final)]
+        return points
 
 
 class SpaceIndex:
@@ -51,54 +83,54 @@ class SpaceIndex:
     def __init__(self, bounds: Bounds, fileset: FileSet):
         self.bounds = bounds
         self.fileset = fileset
-        self.steps = DependencySteps()
-        self._start: Namespace = EMPTY_STATE[:2]
-        self._choices: Dict[str, List[Operation]] = {}
-        self._points: Dict[Tuple[Operation, bool], List[Optional[Operation]]] = {}
+        self.operations = OperationTable(bounds, fileset)
+        self.steps = self.operations.steps
+        #: state number -> the number of its namespace (see :meth:`_step`)
+        self._namespaces: Dict[int, int] = {EMPTY: EMPTY}
         #: (namespace, used paths, skeleton suffix) -> (size per choice, total)
-        self._tables: Dict[Tuple[Namespace, FrozenSet[str], Skeleton],
+        self._tables: Dict[Tuple[int, FrozenSet[str], Skeleton],
                            Tuple[Tuple[int, ...], int]] = {}
+        #: (open namespaces, used paths, skeleton suffix) -> running sizes per choice
+        self._running: Dict[Tuple[Tuple[int, ...], FrozenSet[str], Skeleton], List[int]] = {}
+        #: (open namespaces, core operation) -> the namespaces open after it
+        self._opened: Dict[Tuple[Tuple[int, ...], int], Tuple[int, ...]] = {}
+        #: (namespace, core suffix) -> running placements per persistence choice
+        self._placed: Dict[Tuple[int, Tuple[int, ...]], List[int]] = {}
         #: required_ops -> (skeletons, running totals of their sub-space sizes)
         self._skeletons: Dict[Tuple[str, ...], Tuple[List[Skeleton], List[int]]] = {}
 
     # ------------------------------------------------------------------ the generator's rules
 
-    def _core_choices(self, op_name: str) -> List[Operation]:
-        choices = self._choices.get(op_name)
-        if choices is None:
-            choices = self._choices[op_name] = parameter_choices(
-                op_name, self.fileset, self.bounds)
-        return choices
+    def _step(self, namespace: int, op: Optional[int]) -> Optional[int]:
+        """The namespace after operation ``op``, or None where phase 4 discards
+        the workload.
 
-    def _persistence(self, op: Operation, final: bool) -> List[Optional[Operation]]:
-        points = self._points.get((op, final))
-        if points is None:
-            points = self._points[op, final] = persistence_choices(
-                op, self.bounds, final=final)
-        return points
-
-    def _step(self, namespace: Namespace, op: Optional[Operation]) -> Optional[Namespace]:
-        """The namespace after ``op``, or None where phase 4 discards the workload.
-
-        The phase-4 table projected onto (dirs, files).  The projection is
-        exact: validity and the dirs / files transitions never read which
-        files hold data or xattrs, so those sets may as well be empty.
+        A namespace is a phase-4 state whose data and xattr sets are empty:
+        the table projected onto (dirs, files).  The projection is exact:
+        validity and the dirs / files transitions never read which files
+        hold data or xattrs, so those sets may as well be empty.
         """
         if op is None:
             return namespace
-        step = self.steps.step(namespace + _NO_CONTENT, op)
-        return None if step is None else step[0][:2]
+        step = self.steps.step(namespace, op)
+        if step is None:
+            return None
+        namespace = self._namespaces.get(step[0])
+        if namespace is None:
+            dirs, files = self.steps.states[step[0]][:2]
+            namespace = self._namespaces[step[0]] = self.steps.state_number(
+                (dirs, files, _EMPTY, _EMPTY))
+        return namespace
 
-    @staticmethod
-    def _used_after(used: FrozenSet[str], op: Operation, rest: Skeleton) -> FrozenSet[str]:
+    def _used_after(self, used: FrozenSet[str], op: int, rest: Skeleton) -> FrozenSet[str]:
         """Paths phase 2's symmetry test will see; dropped once nothing reads them."""
         if TWO_PATH_OPS.isdisjoint(rest):
             return _EMPTY
-        return used | op_paths(op)
+        return used | op_paths(self.steps.ops[op])
 
     # ------------------------------------------------------------------ counting
 
-    def _table(self, namespace: Namespace, used: FrozenSet[str],
+    def _table(self, namespace: int, used: FrozenSet[str],
                suffix: Skeleton) -> Tuple[Tuple[int, ...], int]:
         """Valid completions of ``suffix`` from this namespace and used-path set.
 
@@ -111,12 +143,13 @@ class SpaceIndex:
             return table
         rest = suffix[1:]
         sizes: List[int] = []
-        for op in self._core_choices(suffix[0]):
-            after = None if is_symmetric_half(op, used) else self._step(namespace, op)
+        for op in self.operations.core(suffix[0]):
+            after = (None if is_symmetric_half(self.steps.ops[op], used)
+                     else self._step(namespace, op))
             if after is None:
                 sizes.append(0)
                 continue
-            points = self._persistence(op, not rest)
+            points = self.operations.points(op, not rest)
             if not rest:
                 # A persistence point never invalidates a workload.
                 sizes.append(len(points))
@@ -134,7 +167,7 @@ class SpaceIndex:
         if cached is None:
             skeletons = list(generate_skeletons(self.bounds, required_ops))
             totals = list(itertools.accumulate(
-                self._table(self._start, _EMPTY, skeleton)[1] for skeleton in skeletons))
+                self._table(EMPTY, _EMPTY, skeleton)[1] for skeleton in skeletons))
             cached = self._skeletons[key] = (skeletons, totals)
         return cached
 
@@ -159,58 +192,79 @@ class SpaceIndex:
         # every persistence choice of the operations already fixed is still
         # open: carry one namespace per open combination, and size a choice
         # by summing over them.
-        core: List[Operation] = []
-        open_namespaces: List[Namespace] = [self._start]
+        core: List[int] = []
+        open_namespaces: Tuple[int, ...] = (EMPTY,)
         used = _EMPTY
         for depth in range(len(skeleton)):
             suffix, rest = skeleton[depth:], skeleton[depth + 1:]
-            sizes = map(sum, zip(*(self._table(namespace, used, suffix)[0]
-                                   for namespace in open_namespaces)))
-            for size, op in zip(sizes, self._core_choices(suffix[0])):
-                if rank < size:
-                    break
-                rank -= size
+            running = self._running_sizes(open_namespaces, used, suffix)
+            choice = bisect_right(running, rank)
+            rank -= running[choice - 1] if choice else 0
+            op = self.operations.core(suffix[0])[choice]
             core.append(op)
             if rest:
-                open_namespaces = [
-                    self._step(after, point)
-                    for after in (self._step(namespace, op) for namespace in open_namespaces)
-                    if after is not None
-                    for point in self._persistence(op, False)
-                ]
+                open_namespaces = self._open_after(open_namespaces, op)
                 used = self._used_after(used, op, rest)
 
         # ``rank`` now counts valid persistence combinations of this core
         # sequence, first operation outermost.
         ops: List[Operation] = []
-        namespace = self._start
+        namespace = EMPTY
         for depth, op in enumerate(core):
-            rest = core[depth + 1:]
-            namespace = self._step(namespace, op)
-            for point in self._persistence(op, not rest):
-                after = self._step(namespace, point)
-                size = self._fixed_count(after, rest)
-                if rank < size:
-                    break
-                rank -= size
-            ops.append(op)
+            running = self._placements(namespace, tuple(core[depth:]))
+            choice = bisect_right(running, rank)
+            rank -= running[choice - 1] if choice else 0
+            point = self.operations.points(op, depth == len(core) - 1)[choice]
+            ops.append(self.steps.ops[op])
             if point is not None:
-                ops.append(point)
-            namespace = after
+                ops.append(self.steps.ops[point])
+            namespace = self._step(self._step(namespace, op), point)
         return ops
 
-    def _fixed_count(self, namespace: Namespace, core: Sequence[Operation]) -> int:
-        """Valid persistence combinations of an already-chosen core sequence."""
-        if not core:
-            return 1
+    def _running_sizes(self, open_namespaces: Tuple[int, ...], used: FrozenSet[str],
+                       suffix: Skeleton) -> List[int]:
+        """Running totals, over the core choices of ``suffix[0]``, of the
+        completions from every open namespace."""
+        key = (open_namespaces, used, suffix)
+        running = self._running.get(key)
+        if running is None:
+            running = self._running[key] = list(itertools.accumulate(map(sum, zip(
+                *(self._table(namespace, used, suffix)[0] for namespace in open_namespaces)))))
+        return running
+
+    def _open_after(self, open_namespaces: Tuple[int, ...], op: int) -> Tuple[int, ...]:
+        """The namespaces open once core operation ``op`` and its persistence
+        choice follow each open one."""
+        key = (open_namespaces, op)
+        opened = self._opened.get(key)
+        if opened is None:
+            opened = self._opened[key] = tuple(
+                self._step(after, point)
+                for after in (self._step(namespace, op) for namespace in open_namespaces)
+                if after is not None
+                for point in self.operations.points(op, False))
+        return opened
+
+    def _placements(self, namespace: int, core: Tuple[int, ...]) -> List[int]:
+        """Running totals, over the persistence choices after ``core[0]``, of
+        the valid persistence combinations of an already-chosen core
+        sequence (empty where phase 4 rejects ``core[0]``)."""
+        key = (namespace, core)
+        running = self._placed.get(key)
+        if running is not None:
+            return running
         after = self._step(namespace, core[0])
-        if after is None:
-            return 0
         rest = core[1:]
-        points = self._persistence(core[0], not rest)
-        if not rest:
-            return len(points)
-        return sum(self._fixed_count(self._step(after, point), rest) for point in points)
+        if after is None:
+            running = []
+        elif not rest:
+            running = list(range(1, len(self.operations.points(core[0], True)) + 1))
+        else:
+            running = list(itertools.accumulate(
+                (self._placements(self._step(after, point), rest) or [0])[-1]
+                for point in self.operations.points(core[0], False)))
+        self._placed[key] = running
+        return running
 
     def workload_at(self, position: int,
                     required_ops: Optional[Sequence[str]] = None) -> Workload:
@@ -222,4 +276,3 @@ class SpaceIndex:
             seq_length=self.bounds.seq_length,
             source=f"ace:{label}",
         )
-

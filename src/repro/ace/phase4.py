@@ -28,12 +28,14 @@ from .phase2 import BASE_FILE_SIZE
 #: A phase-4 state: (directories, files, files with data, files with an xattr).
 State = Tuple[FrozenSet[str], FrozenSet[str], FrozenSet[str], FrozenSet[str]]
 
-#: One phase-4 transition: the state after an operation and the dependency
-#: operations it prepends, or None where phase 4 discards the workload.
-Step = Optional[Tuple[State, Tuple[Operation, ...]]]
+#: One phase-4 transition: the number of the state after an operation and the
+#: dependency operations it prepends, or None where phase 4 discards the workload.
+Step = Optional[Tuple[int, Tuple[Operation, ...]]]
 
 #: An empty file system: only the root directory exists.
 EMPTY_STATE: State = (frozenset({""}), frozenset(), frozenset(), frozenset())
+#: The number of :data:`EMPTY_STATE` in every :class:`DependencySteps` table.
+EMPTY = 0
 
 #: Operations that require their (first) path argument to exist as a file.
 _NEEDS_FILE = {
@@ -199,33 +201,57 @@ class DependencyResolver:
 
 class DependencySteps:
     """Phase 4 as a transition table: :meth:`DependencyResolver.process`
-    memoised on ``(state, op)``.
+    memoised on ``(state number, operation number)``.
 
+    Every distinct state and operation the table sees gets a small number
+    (:meth:`state_number`, :meth:`number`), equal ones the same, so a step
+    is keyed on two ints instead of on a state and an ``Operation`` that are
+    equal but not identical.  State :data:`EMPTY` is :data:`EMPTY_STATE`.
     All of seq-2 reaches 737 states through 12 345 distinct steps, so a
     table shared by the workloads of one walk resolves each transition once.
-    States and their sets are interned (equal ones are one object), which
-    keeps the table small and its keys cheap to compare.
     """
 
     def __init__(self):
-        self._interned: Dict[object, object] = {EMPTY_STATE: EMPTY_STATE}
-        self._steps: Dict[Tuple[State, Operation], Step] = {}
+        #: state number -> state, and back
+        self.states: List[State] = []
+        self._state_numbers: Dict[State, int] = {}
+        #: operation number -> operation (the first one numbered), and back
+        self.ops: List[Operation] = []
+        self._op_numbers: Dict[Operation, int] = {}
+        #: per state number: operation number -> step
+        self._rows: List[Dict[int, Step]] = []
+        self.state_number(EMPTY_STATE)
 
-    def step(self, state: State, op: Operation) -> Step:
-        """``op`` applied to ``state``: (state after, dependencies added) or None."""
-        key = (state, op)
+    def number(self, op: Operation) -> int:
+        """The number of ``op`` (and of every operation equal to it)."""
+        number = self._op_numbers.get(op)
+        if number is None:
+            number = self._op_numbers[op] = len(self.ops)
+            self.ops.append(op)
+        return number
+
+    def state_number(self, state: State) -> int:
+        """The number of ``state`` (and of every state equal to it)."""
+        number = self._state_numbers.get(state)
+        if number is None:
+            number = self._state_numbers[state] = len(self.states)
+            self.states.append(state)
+            self._rows.append({})
+        return number
+
+    def step(self, state: int, op: int) -> Step:
+        """Operation ``op`` applied to state ``state``: (state after,
+        dependencies added) or None."""
+        row = self._rows[state]
         try:
-            return self._steps[key]
+            return row[op]
         except KeyError:
             pass
-        intern = self._interned.setdefault  # intern(x, x): the first object equal to x
-        resolver = DependencyResolver(state)
+        resolver = DependencyResolver(self.states[state])
         step = None
-        if resolver.process(op):
-            sets = resolver.state()
-            after = tuple(map(intern, sets, sets))  # states share their sets
-            step = (intern(after, after), tuple(resolver.dependencies))
-        self._steps[intern(state, state), op] = step
+        if resolver.process(self.ops[op]):
+            step = (self.state_number(resolver.state()), tuple(resolver.dependencies))
+        row[op] = step
         return step
 
 
@@ -239,10 +265,10 @@ def resolve_dependencies(ops: Sequence[Operation],
     """
     if steps is None:
         steps = DependencySteps()
-    state = EMPTY_STATE
+    state = EMPTY
     dependencies: List[Operation] = []
     for op in ops:
-        step = steps.step(state, op)
+        step = steps.step(state, steps.number(op))
         if step is None:
             return None
         state, added = step

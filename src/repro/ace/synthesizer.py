@@ -7,19 +7,18 @@ of the bounded workload space (paper §5.2, Figure 4).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..workload.operations import Operation
 from ..workload.workload import Workload
 from .bounds import Bounds
 from .fileset import FileSet, build_fileset
-from .index import SpaceIndex
-from .phase1 import count_skeletons, generate_skeletons
-from .phase2 import count_parameterizations, parameterize
-from .phase3 import count_persistence_variants, persistence_choices
-from .phase4 import EMPTY_STATE, DependencySteps, State
+from .index import OperationTable, SpaceIndex
+from .phase1 import Skeleton, count_skeletons, generate_skeletons
+from .phase2 import count_parameterizations, is_symmetric_half, op_paths, parameterize
+from .phase3 import count_persistence_variants
+from .phase4 import EMPTY
 
 
 @dataclass
@@ -62,36 +61,53 @@ class AceSynthesizer:
                  limit: Optional[int] = None) -> Iterator[Workload]:
         """Yield every workload in the bounded space (optionally capped).
 
-        Phases 3 and 4 run as one depth-first walk per core sequence: a
-        persistence-point prefix is resolved once, through a phase-4
-        transition table shared by the whole walk, for all its completions.
+        Phases 2-4 run as one depth-first walk over numbered operations
+        (:class:`_Walk`): a core prefix and its persistence points are
+        resolved once, through a phase-4 transition table shared by the whole
+        walk, for all their completions, and each last operation's
+        completions from a state are resolved once for every prefix that
+        reaches that state.
         """
         stats = GenerationStats()
         self.stats = stats
         if limit is not None and limit <= 0:
             return
         label = self.bounds.label or f"seq-{self.bounds.seq_length}"
-        steps = DependencySteps()
-        points = functools.lru_cache(maxsize=None)(
-            lambda op, final: persistence_choices(op, self.bounds, final=final))
+        seq_length, source = self.bounds.seq_length, f"ace:{label}"
+        walk = _Walk(OperationTable(self.bounds, self.fileset))
+        completions = walk.completions
+
+        def skip(candidates: int) -> None:
+            # Candidates phase 4 rejected whole still count as phase-3 ones.
+            stats.with_persistence += candidates
+            stats.discarded_invalid += candidates
+
         produced = 0
         for skeleton in generate_skeletons(self.bounds, required_ops):
             stats.skeletons += 1
-            last = len(skeleton) - 1
-            for core_ops in parameterize(skeleton, self.fileset, self.bounds):
+            for last, prefixes, trailing in walk.core_sequences(skeleton):
                 stats.parameterized += 1
-                choices = [points(op, depth == last) for depth, op in enumerate(core_ops)]
-                for ops in _walk(steps, core_ops, choices, stats):
-                    produced += 1
-                    stats.final += 1
-                    yield Workload(
-                        ops=ops,
-                        name=f"{label}-{produced:07d}",
-                        seq_length=self.bounds.seq_length,
-                        source=f"ace:{label}",
-                    )
-                    if limit is not None and produced >= limit:
-                        return
+                width = walk.width(last)
+                for rejected, state, deps, ops in prefixes:
+                    if rejected:
+                        skip(rejected * width)
+                    for completion in completions.get((state, last)) or walk.complete(state, last):
+                        stats.with_persistence += 1
+                        if completion is None:
+                            stats.discarded_invalid += 1
+                            continue
+                        produced += 1
+                        stats.final += 1
+                        yield Workload(
+                            ops=[*deps, *completion[0], *ops, *completion[1]],
+                            name=f"{label}-{produced:07d}",
+                            seq_length=seq_length,
+                            source=source,
+                        )
+                        if limit is not None and produced >= limit:
+                            return
+                if trailing:
+                    skip(trailing * width)
 
     def workload_at(self, position: int,
                     required_ops: Optional[Sequence[str]] = None) -> Workload:
@@ -240,53 +256,111 @@ class AceSynthesizer:
         }
 
 
-def _walk(steps: DependencySteps, core_ops: Sequence[Operation],
-          choices: Sequence[Sequence[Optional[Operation]]],
-          stats: GenerationStats) -> Iterator[List[Operation]]:
-    """Phases 3 and 4 of one core sequence: every valid full operation list.
+#: A placed prefix of a core sequence — every operation but the last, each
+#: with its persistence choice: (candidates phase 4 rejected just before it,
+#: in placements of the prefix; the state number after it; its dependency
+#: operations; its core operations and persistence points).
+Prefix = Tuple[int, int, Tuple[Operation, ...], Tuple[Operation, ...]]
 
-    Depth first over the persistence choices, first operation outermost —
-    ``add_persistence_points``' order — carrying (state, dependencies,
-    operations) down, so each prefix is resolved once for all its
-    completions.  A prefix phase 4 rejects is skipped whole; its completions
-    still count as phase-3 candidates and as discarded, so ``stats`` reads as
-    if every candidate had been resolved on its own.
+#: One persistence choice of a last operation: (the dependency operations the
+#: operation and its point add, the operation and its point), or None where
+#: phase 4 discards the workload.
+Completion = Optional[Tuple[Tuple[Operation, ...], Tuple[Operation, ...]]]
+
+
+class _Walk:
+    """Phases 2-4 of one :meth:`AceSynthesizer.generate` walk over numbered operations.
+
+    Core sequences come depth first in ``parameterize``'s order, each with
+    the placed prefixes of its operations but the last, built once per core
+    prefix for every sequence sharing it.  A prefix phase 4 rejects is not
+    kept; its candidates ride on the next kept prefix (or the trailing
+    count) so the caller's ``stats`` read as if every candidate had been
+    resolved on its own.  The last operation's completions are memoised per
+    (state, operation), so a workload costs one lookup and its construction.
     """
-    # below[d]: the phase-3 candidates that complete a prefix of d core operations
-    below = [1] * (len(core_ops) + 1)
-    for depth in reversed(range(len(core_ops))):
-        below[depth] = below[depth + 1] * len(choices[depth])
-    last = len(core_ops) - 1
 
-    def skip(candidates: int) -> None:
-        stats.with_persistence += candidates
-        stats.discarded_invalid += candidates
+    def __init__(self, operations: OperationTable):
+        self.operations = operations
+        self.steps = operations.steps
+        #: (state number, last operation) -> its completions, in phase 3's order
+        self.completions: Dict[Tuple[int, int], Tuple[Completion, ...]] = {}
 
-    def descend(depth: int, state: State, deps: Tuple[Operation, ...],
-                ops: Tuple[Operation, ...]) -> Iterator[List[Operation]]:
-        op = core_ops[depth]
-        step = steps.step(state, op)
-        if step is None:
-            skip(below[depth])
-            return
-        state, added = step
-        deps, ops = deps + added, ops + (op,)
-        for point in choices[depth]:
-            after, more, tail = state, deps, ops
-            if point is not None:
-                step = steps.step(state, point)
-                if step is None:
-                    skip(below[depth + 1])
+    def width(self, last: int) -> int:
+        """Persistence choices of a last operation."""
+        return len(self.operations.points(last, True))
+
+    def core_sequences(self, skeleton: Skeleton
+                       ) -> Iterator[Tuple[int, List[Prefix], int]]:
+        """Every phase-2 sequence of ``skeleton`` as (last operation, placed
+        prefixes of the others, placements of them rejected after the last
+        kept one)."""
+        choices = [self.operations.core(name) for name in skeleton]
+        ops = self.steps.ops
+        last = len(skeleton) - 1
+
+        def descend(depth: int, prefixes: List[Prefix], trailing: int,
+                    used: FrozenSet[str]) -> Iterator[Tuple[int, List[Prefix], int]]:
+            for op in choices[depth]:
+                if is_symmetric_half(ops[op], used):
                     continue
-                after, added = step
-                more, tail = deps + added, ops + (point,)
-            if depth == last:
-                stats.with_persistence += 1
-                yield [*more, *tail]
-            else:
-                yield from descend(depth + 1, after, more, tail)
+                if depth == last:
+                    yield op, prefixes, trailing
+                else:
+                    yield from descend(depth + 1, *self._place(prefixes, trailing, op),
+                                       used | op_paths(ops[op]))
 
-    return descend(0, EMPTY_STATE, (), ())
+        return descend(0, [(0, EMPTY, (), ())], 0, frozenset())
+
+    def _place(self, prefixes: List[Prefix], trailing: int,
+               op: int) -> Tuple[List[Prefix], int]:
+        """``prefixes`` extended by core operation ``op`` and each of its
+        non-final persistence choices."""
+        step = self.steps.step
+        core = self.steps.ops[op]
+        points = self.operations.points(op, False)
+        placed: List[Prefix] = []
+        rejected = 0
+        for before, state, deps, ops in prefixes:
+            rejected += before * len(points)
+            after = step(state, op)
+            if after is None:
+                rejected += len(points)
+                continue
+            state, added = after
+            deps, ops = deps + added, ops + (core,)
+            for point in points:
+                if point is None:
+                    placed.append((rejected, state, deps, ops))
+                    rejected = 0
+                    continue
+                after = step(state, point)
+                if after is None:
+                    rejected += 1
+                    continue
+                placed.append((rejected, after[0], deps + after[1],
+                               ops + (self.steps.ops[point],)))
+                rejected = 0
+        return placed, rejected + trailing * len(points)
+
+    def complete(self, state: int, last: int) -> Tuple[Completion, ...]:
+        """The completions of last operation ``last`` from state ``state``, memoised."""
+        points = self.operations.points(last, True)
+        after = self.steps.step(state, last)
+        if after is None:
+            completions: Tuple[Completion, ...] = (None,) * len(points)
+        else:
+            # Phase 3 always persists the last operation: no point is None here.
+            after_state, added = after
+            core = self.steps.ops[last]
+            listed: List[Completion] = []
+            for point in points:
+                step = self.steps.step(after_state, point)
+                listed.append(None if step is None
+                              else (added + step[1], (core, self.steps.ops[point])))
+            completions = tuple(listed)
+        self.completions[state, last] = completions
+        return completions
 
 
 def group_siblings(workloads: Iterable[Workload]) -> Iterator[List[Workload]]:

@@ -30,7 +30,8 @@ a campaign survives the death of the process running it:
 
 The runner honours one fault-injection hook, in the spirit of a tester that
 must survive its own medicine: ``REPRO_SELFCRASH_AFTER_CHUNKS=N`` SIGKILLs
-the process after the Nth chunk of the session is durably ingested.  The
+the process, and its pool workers first, after the Nth chunk of the session
+is durably ingested.  The
 crash-resume tests and the CI smoke job interrupt real campaigns with it.
 """
 
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import signal
@@ -264,7 +266,11 @@ class DurableCampaignRunner:
                 session.duplicate_ingests += 1
             if self._selfcrash_after and ingested >= self._selfcrash_after:
                 # Fault injection: die the hard way, mid-campaign, with
-                # chunks still in flight — exactly what recovery is for.
+                # chunks still in flight — exactly what recovery is for.  The
+                # pool's workers die too, as they would with their host:
+                # orphaned, they would idle on forever.
+                for worker in multiprocessing.active_children():
+                    worker.kill()
                 os.kill(os.getpid(), signal.SIGKILL)
 
         run = engine.run_indexed(

@@ -172,23 +172,30 @@ class TestPhase4:
 # --------------------------------------------------------------------- the pipeline
 
 
-def _reference(bounds, stats):
+def _reference(bounds, stats, required_ops=None, prefix_rejections=None):
     """The Figure-4 pipeline candidate by candidate, sharing no table with ``generate()``.
 
     Phases 1-3 are plain products; phase 4 is a fresh
-    ``DependencyResolver().process`` fold over each candidate.
+    ``DependencyResolver().process`` fold over each candidate.  A candidate
+    phase 4 rejects before its last core operation appends the number of
+    workloads yielded so far to ``prefix_rejections``.
     """
     label = bounds.label or f"seq-{bounds.seq_length}"
     fileset = build_fileset(bounds)
-    for skeleton in generate_skeletons(bounds):
+    for skeleton in generate_skeletons(bounds, required_ops):
         stats.skeletons += 1
         for core_ops in parameterize(skeleton, fileset, bounds):
             stats.parameterized += 1
             for candidate in add_persistence_points(core_ops, bounds):
                 stats.with_persistence += 1
                 resolver = DependencyResolver()
-                if not all(resolver.process(op) for op in candidate):
+                resolved = [resolver.process(op) for op in candidate]
+                if not all(resolved):
                     stats.discarded_invalid += 1
+                    # the last core operation is second to last: a point always follows it
+                    if prefix_rejections is not None and \
+                            resolved.index(False) < len(candidate) - 2:
+                        prefix_rejections.append(stats.final)
                     continue
                 stats.final += 1
                 yield Workload(ops=resolver.dependencies + candidate,
@@ -196,12 +203,38 @@ def _reference(bounds, stats):
                                seq_length=bounds.seq_length, source=f"ace:{label}")
 
 
-def _assert_generate_is_the_reference(bounds):
+def _fields(workload):
+    return workload.name, workload.ops, workload.seq_length, workload.source
+
+
+def _assert_generate_is_the_reference(bounds, required_ops=None):
+    """Same workloads as the reference, and the same stats at each of them:
+    a consumer may stop reading anywhere and then read ``stats``."""
     synthesizer = AceSynthesizer(bounds)
     expected = GenerationStats()
-    pairs = itertools.zip_longest(synthesizer.generate(), _reference(bounds, expected))
+    pairs = itertools.zip_longest(synthesizer.generate(required_ops),
+                                  _reference(bounds, expected, required_ops))
     for position, (generated, reference) in enumerate(pairs):
-        assert generated == reference, f"{bounds.label}: first difference at {position}"
+        assert generated is not None and reference is not None, \
+            f"{bounds.label}: lengths differ at {position}"
+        assert _fields(generated) == _fields(reference), \
+            f"{bounds.label}: first difference at {position}"
+        assert synthesizer.stats == expected, f"{bounds.label}: stats differ at {position}"
+    assert synthesizer.stats == expected
+
+
+def _assert_stops_like_the_reference(bounds, limit):
+    """At ``limit`` workloads, ``generate()`` and a consumer that stops
+    reading after as many both leave the reference's partial stats."""
+    expected = GenerationStats()
+    reference = list(itertools.islice(_reference(bounds, expected), limit))
+    synthesizer = AceSynthesizer(bounds)
+    assert [_fields(w) for w in synthesizer.generate(limit=limit)] == \
+        [_fields(w) for w in reference]
+    assert synthesizer.stats == expected
+    stream = synthesizer.generate()
+    assert [_fields(w) for w in itertools.islice(stream, limit)] == \
+        [_fields(w) for w in reference]
     assert synthesizer.stats == expected
 
 
@@ -228,9 +261,28 @@ class TestPipeline:
             skeletons=196, parameterized=26_076, with_persistence=319_481,
             final=305_498, discarded_invalid=13_983)
 
+    def test_required_ops(self):
+        _assert_generate_is_the_reference(CUSTOM_SEQ3["links"], required_ops=("unlink",))
+
     def test_a_limit_stops_the_funnel_at_the_last_workload(self):
-        synthesizer = AceSynthesizer(CUSTOM_SEQ3["links"])
-        expected = GenerationStats()
-        reference = list(itertools.islice(_reference(CUSTOM_SEQ3["links"], expected), 500))
-        assert list(synthesizer.generate(limit=500)) == reference
-        assert synthesizer.stats == expected
+        _assert_stops_like_the_reference(CUSTOM_SEQ3["links"], 500)
+
+    def test_a_limit_inside_one_last_operations_completions(self):
+        # Workloads equal but for their final persistence point are two
+        # completions of one (prefix, last operation): stop between them.
+        bounds = CUSTOM_SEQ3["links"]
+        workloads = list(itertools.islice(_reference(bounds, GenerationStats()), 2000))
+        limit = next(position for position in range(100, len(workloads))
+                     if workloads[position - 1].ops[:-1] == workloads[position].ops[:-1])
+        _assert_stops_like_the_reference(bounds, limit)
+
+    def test_a_limit_just_after_and_before_a_rejected_prefix(self):
+        bounds = CUSTOM_SEQ3["links"]
+        rejections = []
+        for _ in itertools.islice(_reference(bounds, GenerationStats(),
+                                             prefix_rejections=rejections), 5000):
+            pass
+        # a rejection recorded at n falls between the n-th and the next workload
+        yielded = next(n for n in rejections if n > 0)
+        _assert_stops_like_the_reference(bounds, yielded + 1)
+        _assert_stops_like_the_reference(bounds, yielded)

@@ -14,6 +14,7 @@ import signal
 import sqlite3
 import subprocess
 import sys
+import time
 from contextlib import closing
 
 import pytest
@@ -60,12 +61,32 @@ def _run_victim(db_path: str, crash_after: int, processes: int) -> subprocess.Co
                           stderr=subprocess.DEVNULL, timeout=300)
 
 
+def _survivors(db_path: str, wait_s: float = 5.0) -> list:
+    """Pids of live processes whose command line names ``db_path``, once
+    none is left or ``wait_s`` has passed."""
+    deadline = time.monotonic() + wait_s
+    while True:
+        alive = []
+        for pid in filter(str.isdigit, os.listdir("/proc")):
+            try:
+                with open(f"/proc/{pid}/cmdline", "rb") as handle:
+                    if db_path.encode() in handle.read():
+                        alive.append(int(pid))
+            except OSError:
+                continue  # gone while we looked
+        if not alive or time.monotonic() > deadline:
+            return alive
+        time.sleep(0.05)
+
+
 @pytest.mark.parametrize("processes", [1, 2], ids=["serial", "pool"])
 def test_sigkilled_campaign_resumes_to_identical_results(tmp_path, uninterrupted,
                                                          processes):
     db_path = str(tmp_path / "state.sqlite")
     victim = _run_victim(db_path, crash_after=3, processes=processes)
     assert victim.returncode == -signal.SIGKILL
+    # A pool's workers go down with the campaign, not idle on as orphans.
+    assert _survivors(db_path) == []
 
     with CampaignStateDB(db_path) as db:
         status = db.status("victim")
