@@ -13,7 +13,7 @@ This benchmark measures a seq-2 ACE sibling family and asserts:
   cost lever), with every sibling's io_log byte-for-byte identical,
 * fresh writes are sublinear in sibling count: the family's shared prefix is
   paid once, not once per sibling,
-* told each sibling's successor, the recorder freezes at most one spine node
+* handed the family's spine plan, the recorder freezes at most one spine node
   per executed operation — and far fewer than freeze-every-depth recording —
   without losing a single prefix hit,
 * a sibling family inherits verdicts: the crash states of the shared
@@ -28,6 +28,7 @@ from itertools import islice
 
 from repro.ace import AceSynthesizer, group_siblings, seq2_bounds
 from repro.crashmonkey import CrashMonkey, WorkloadRecorder
+from repro.crashmonkey.recorder import plan_spine
 
 from conftest import BENCH_DEVICE_BLOCKS, print_table
 
@@ -51,12 +52,12 @@ def _seq2_family():
     raise AssertionError("no seq-2 link family of the expected size found")
 
 
-def _record_family(family, share_prefixes, lookahead=False):
+def _record_family(family, share_prefixes, planned=False):
     recorder = WorkloadRecorder("logfs", device_blocks=BENCH_DEVICE_BLOCKS,
                                 share_prefixes=share_prefixes)
-    successors = family[1:] + [None] if lookahead else [None] * len(family)
-    profiles = [recorder.profile(workload, upcoming=upcoming)
-                for workload, upcoming in zip(family, successors)]
+    steps = plan_spine(family) if planned else [None] * len(family)
+    profiles = [recorder.profile(workload, step=step)
+                for workload, step in zip(family, steps)]
     fresh = sum(profile.fresh_write_requests for profile in profiles)
     return recorder, profiles, fresh
 
@@ -123,28 +124,28 @@ def test_fresh_writes_are_sublinear_in_sibling_count():
     assert reductions[-1] > reductions[0], "sharing must amortize across siblings"
 
 
-def test_lookahead_freezes_no_more_than_it_executes_and_keeps_every_hit():
+def test_the_plan_freezes_no_more_than_it_executes_and_keeps_every_hit():
     family = _seq2_family()
     every_depth, eager_profiles, _ = _record_family(family, True)
-    lookahead, profiles, _ = _record_family(family, True, lookahead=True)
+    planned, profiles, _ = _record_family(family, True, planned=True)
     executed = sum(len(workload.ops) - profile.prefix_ops_reused
                    for workload, profile in zip(family, profiles))
     print_table(
-        f"one-workload lookahead over the family ({len(family)} siblings)",
+        f"spine plan over the family ({len(family)} siblings)",
         [
             ("operations executed", executed),
             ("spine freezes (every depth)", every_depth.spine_freezes),
-            ("spine freezes (lookahead)", lookahead.spine_freezes),
-            ("prefix hits", f"{lookahead.prefix_hits}/{len(family)}"),
-            ("ops reused", lookahead.prefix_ops_reused),
+            ("spine freezes (planned)", planned.spine_freezes),
+            ("prefix hits", f"{planned.prefix_hits}/{len(family)}"),
+            ("ops reused", planned.prefix_ops_reused),
         ],
         headers=("metric", "value"),
     )
     for told, untold in zip(profiles, eager_profiles):
         assert told.io_log == untold.io_log, told.workload.display_name()
-    assert lookahead.spine_freezes <= executed
-    assert lookahead.spine_freezes < every_depth.spine_freezes
-    assert (lookahead.prefix_hits, lookahead.prefix_ops_reused, lookahead.prefix_writes_reused) \
+    assert planned.spine_freezes <= executed
+    assert planned.spine_freezes < every_depth.spine_freezes
+    assert (planned.prefix_hits, planned.prefix_ops_reused, planned.prefix_writes_reused) \
         == (every_depth.prefix_hits, every_depth.prefix_ops_reused,
             every_depth.prefix_writes_reused)
 

@@ -15,7 +15,6 @@ POSIX-ish API and the block-device write stream.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import replace
 from typing import Iterator, List, Optional
 
@@ -28,7 +27,7 @@ from ..storage.spill import SpineStore
 from ..workload.workload import Workload
 from .checker import CheckPipeline
 from .crashplan import make_planner
-from .recorder import WorkloadProfile, WorkloadRecorder
+from .recorder import PlanStep, WorkloadProfile, WorkloadRecorder, plan_spine
 from .replay_cache import SharedReplayCache
 from .replayer import CrashStateGenerator
 from .report import GENERATOR, HARNESS_ERROR, PROFILE, BugReport, CrashTestResult, Mismatch
@@ -102,13 +101,13 @@ class CrashMonkey:
         return report
 
     def test_workload(self, workload: Workload,
-                      upcoming: Optional[Workload] = None) -> CrashTestResult:
+                      step: Optional[PlanStep] = None) -> CrashTestResult:
         """Run the full record → replay → check pipeline on one workload.
 
-        ``upcoming`` is the workload tested next, when the caller knows it
-        (:meth:`test_stream` does); the recorder uses it to freeze only the
-        prefix snapshots that workload can resume from.  Results do not
-        depend on it.
+        ``step`` is the workload's entry of the spine plan of the stream it
+        is tested in, when the caller knows that stream (:meth:`test_stream`
+        does); both spines then keep only the nodes later workloads resume
+        from.  Results do not depend on it.
         """
         workload.validate()
         result = CrashTestResult(
@@ -119,7 +118,7 @@ class CrashMonkey:
         spilled_bytes_before = store.spilled_bytes
         rehydrations_before = store.rehydrations
 
-        profile = self.recorder.profile(workload, upcoming=upcoming)
+        profile = self.recorder.profile(workload, step=step)
         for name in CrashTestResult.GATHERED[PROFILE]:
             setattr(result, name, getattr(profile, name))
         result.recorded_requests = len(profile.io_log)
@@ -220,21 +219,21 @@ class CrashMonkey:
         )
 
     def test_stream(self, workloads) -> "Iterator[CrashTestResult]":
-        """Lazily test a stream of workloads, yielding one result per workload.
+        """Test a stream of workloads, yielding each result as it is tested.
 
         The harness is safe to reuse across arbitrarily many workloads: each
         profile run copies the recorder's pristine image (the re-mkfs step),
         so no state leaks between workloads.  This is what the execution
         engine's long-lived per-worker harnesses rely on.
 
-        The stream is read one workload ahead: each workload is tested
-        knowing its successor, which is what lets the recorder skip the
-        prefix snapshots the successor would drop unread.
+        The stream is read whole before its first workload is tested (the
+        engine hands over one chunk): :func:`~.recorder.plan_spine` works out
+        from every workload's prefix keys which spine nodes a later workload
+        resumes from, and only those are kept — bar the trie root and the
+        last workload's nodes, which the next stream may resume from.
         """
-        current, ahead = itertools.tee(workloads)
-        next(ahead, None)
-        for workload, upcoming in itertools.zip_longest(current, ahead):
-            yield self.test_workload(workload, upcoming=upcoming)
+        for step in plan_spine(tuple(workloads)):
+            yield self.test_workload(step.workload, step=step)
 
     def test_workloads(self, workloads) -> List[CrashTestResult]:
         """Test a batch of workloads, returning one result per workload."""

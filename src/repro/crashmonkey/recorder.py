@@ -35,17 +35,20 @@ for a prefix-ordered stream; an out-of-order stream merely falls back to
 recording from scratch (the cache is an optimization, never a correctness
 requirement).
 
-A caller that knows the *upcoming* workload (``CrashMonkey.test_stream``
-peeks one ahead) passes it to :meth:`WorkloadRecorder.profile`; nodes are
-then frozen only along the operation prefix the two workloads share — the
-only nodes the upcoming workload's resume does not drop unread.  Without
-that knowledge every depth is frozen.
+A caller that knows the whole stream in advance (``CrashMonkey.test_stream``
+gets one engine chunk) plans it with :func:`plan_spine` and passes each
+workload its :class:`PlanStep`: workload *v* resumes at its shared prefix
+with *v − 1*, so the recorder freezes only nodes some later workload resumes
+from, hands the next workload its resume node in memory (outside the store),
+and pushes to the store only what a workload after the next reads from it.
+Without a plan — the last workload of a stream, a direct call — every depth
+is frozen and pushed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..clock import now, span
 from ..fs.base import AbstractFileSystem
@@ -88,6 +91,8 @@ class WorkloadProfile:
     prefix_ops_reused: int = 0
     prefix_writes_reused: int = 0
     prefix_seconds_saved: float = 0.0
+    #: what the spine plan tells the replay cache (``None``: no plan)
+    trail_plan: Optional[TrailPlan] = None
 
     def checkpoints(self) -> List[int]:
         return sorted(self.oracles)
@@ -97,6 +102,20 @@ class WorkloadProfile:
         """Write requests this profile actually performed (not inherited)."""
         total = sum(1 for request in self.io_log if request.is_write)
         return total - self.prefix_writes_reused
+
+
+class TrailPlan(NamedTuple):
+    """A planned profile's word to the replay cache, in stream positions.
+
+    ``resume`` is the log length of the node the recorder resumed from: a
+    build that resumed deeper keeps the forks there too, for a next
+    workload resuming from that node.  ``stored`` holds the log lengths of
+    the nodes on this path the plan keeps for a workload after the next; the
+    replay cache keeps its forks at the same positions.
+    """
+
+    resume: int
+    stored: FrozenSet[int]
 
 
 @dataclass
@@ -144,6 +163,52 @@ def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
     while depth < limit and keys[depth + 1] == other[depth + 1]:
         depth += 1
     return depth
+
+
+@dataclass(frozen=True)
+class PlanStep:
+    """What one workload of a planned stream leaves on the spine for the rest.
+
+    ``keys`` is the workload's ``prefix_keys()``.  ``hand`` is the key the
+    next workload resumes from: a node with it that this workload freezes or
+    resumes from is handed over in memory.  ``stored`` holds the keys a
+    workload after the next reads from the spine, the only nodes pushed;
+    ``None`` freezes and pushes every depth (the last workload of a stream,
+    and any call made without a plan).
+    """
+
+    workload: Workload
+    keys: Tuple[str, ...]
+    hand: Optional[str] = None
+    stored: Optional[FrozenSet[str]] = None
+
+    def freezes(self, key: str) -> bool:
+        return self.stored is None or key in self.stored or key == self.hand
+
+
+def plan_spine(workloads: Sequence[Workload]) -> List[PlanStep]:
+    """One :class:`PlanStep` per workload of a stream known in advance.
+
+    Workload *v* resumes at its shared prefix with *v − 1*.  It finds that
+    node in hand unless *v − 1* resumed deeper — then *v − 1* neither froze
+    nor resumed from it, and *v* reads it from the spine, so the workload
+    that freezes its key pushes it.
+    """
+    keys = [workload.prefix_keys() for workload in workloads]
+    # the depth each workload resumes at (the first's depends on the spine)
+    depths = [0] + [_shared_depth(a, b) for a, b in zip(keys, keys[1:])]
+    resume = [k[depth] for k, depth in zip(keys, depths)]
+    # key -> the last workload reading it from the spine
+    read_last: Dict[str, int] = {}
+    for v in range(2, len(keys)):
+        if depths[v - 1] > depths[v]:
+            read_last[resume[v]] = v
+    steps = [PlanStep(workload, k, hand=resume[v + 1],
+                      stored=frozenset(key for key in k if read_last.get(key, 0) > v + 1))
+             for v, (workload, k) in enumerate(zip(workloads[:-1], keys))]
+    if keys:
+        steps.append(PlanStep(workloads[-1], keys[-1]))
+    return steps
 
 
 class _LiveRun:
@@ -208,11 +273,9 @@ class WorkloadRecorder:
         #: never writes through to its base, so one copy serves the campaign
         self._spine = Spine(self.spine_store)
         self._spine.base = self._pristine_image.copy(name=f"{self.fs_name}-base")
-        #: the last ``upcoming`` workload and its ``prefix_keys()``, so the
-        #: keys are hashed once when that same object arrives to be profiled
-        #: (one entry here, not a memo on each ``Workload``: the campaign
-        #: retains its inputs, and their keys with them)
-        self._lookahead: Tuple[Optional[Workload], Tuple[str, ...]] = (None, ())
+        #: the node the next workload resumes from, when this one froze or
+        #: resumed from it: handed over in memory, outside the store
+        self._in_hand: Optional[_PrefixNode] = None
         # -- prefix-sharing accounting (campaign-lifetime totals) ------------
         #: profiles that resumed from the cache instead of re-running mkfs
         self.prefix_hits = 0
@@ -222,7 +285,8 @@ class WorkloadRecorder:
         self.prefix_writes_reused = 0
         #: recording seconds saved by resuming instead of re-running prefixes
         self.prefix_seconds_saved = 0.0
-        #: spine nodes frozen (roots included) across all profiles
+        #: spine nodes frozen (roots included) across all profiles, pushed or
+        #: only handed to the next workload
         self.spine_freezes = 0
 
     def _make_pristine_image(self) -> BlockDevice:
@@ -233,17 +297,17 @@ class WorkloadRecorder:
     # ------------------------------------------------------------------ public API
 
     def profile(self, workload: Workload,
-                upcoming: Optional[Workload] = None) -> WorkloadProfile:
+                step: Optional[PlanStep] = None) -> WorkloadProfile:
         """Run ``workload`` once, recording I/O, oracles, and persisted sets.
 
-        ``upcoming`` is the workload the caller will profile next, when it
-        knows: the spine then keeps only the nodes that workload can resume
-        from.  It never changes the returned profile, and a wrong guess
-        costs the next profile its cache hit, nothing else.
+        ``step`` is the workload's entry of a :func:`plan_spine` over the
+        stream the caller profiles: the spine then keeps only the nodes later
+        workloads resume from.  It never changes the returned profile, and a
+        wrong plan costs later profiles their cache hits, nothing else.
         """
         with span() as clock:
             if self.share_prefixes:
-                profile = self._profile_shared(workload, upcoming, clock)
+                profile = self._profile_shared(workload, step, clock)
             else:
                 profile = self._profile_from_scratch(workload)
             profile.profile_seconds = clock.seconds
@@ -252,54 +316,68 @@ class WorkloadRecorder:
     def clear_prefix_cache(self) -> None:
         """Drop the cached trie spine (frees the snapshots it holds)."""
         self._spine.truncate(0)
+        self._in_hand = None
 
     # ------------------------------------------------------------------ from scratch
 
     def _profile_from_scratch(self, workload: Workload) -> WorkloadProfile:
         base_image = self._pristine_image.copy(name=f"{self.fs_name}-base")
+        run = self._mount(base_image)
+        run.executor.run(workload, on_persistence=run.on_persistence,
+                         before_operation=run.tracker.before_operation)
+        return self._finish(run, workload, base_image, resumed=None)
+
+    def _mount(self, base_image: BlockDevice) -> _LiveRun:
+        """A live run on a freshly mounted file system over ``base_image``."""
         recording_device = RecordingDevice(CowDevice(base_image, name="workload-cow"))
         fs = self.fs_class(recording_device, self.bugs)
         fs.mount()
-
-        tracker = PersistenceTracker(fs)
-        oracles: Dict[int, Oracle] = {}
-        executor = WorkloadExecutor(fs, strict=self.strict)
-        run = _LiveRun(recording_device, fs, tracker, oracles, executor)
-        executor.run(workload, on_persistence=run.on_persistence,
-                     before_operation=tracker.before_operation)
-        return self._finish(run, workload, base_image, resumed=None)
+        return _LiveRun(recording_device, fs, PersistenceTracker(fs), {},
+                        WorkloadExecutor(fs, strict=self.strict))
 
     # ------------------------------------------------------------------ prefix shared
 
-    def _profile_shared(self, workload: Workload, upcoming: Optional[Workload],
+    def _profile_shared(self, workload: Workload, step: Optional[PlanStep],
                         clock: span) -> WorkloadProfile:
-        expected, prefix_keys = self._lookahead
-        if workload is not expected:
-            prefix_keys = workload.prefix_keys()
-        # Deepest node worth freezing: the upcoming workload's resume keeps
-        # the spine up to its shared prefix with this one and drops the rest.
-        keep_depth = len(workload.ops)
-        if upcoming is not None:
-            self._lookahead = (upcoming, upcoming.prefix_keys())
-            keep_depth = _shared_depth(prefix_keys, self._lookahead[1])
-        # Nodes past the divergence point belong to the previous workload's
-        # suffix; the spine is a single path, so they are dropped — as is a
-        # node whose spill file is gone or torn, in favour of its parent.
-        self._spine.truncate(_shared_depth(prefix_keys, self._spine.stubs) + 1)
-        resumed = self._spine.deepest()
+        if step is None or step.workload is not workload:
+            step = PlanStep(workload, workload.prefix_keys())
+        keys = step.keys
+        # A node this workload can resume from is one on its path.  The spine
+        # is a single path, so the nodes past the divergence point — the
+        # previous workload's suffix — are dropped, as is a node whose spill
+        # file is gone or torn, in favour of its parent.  The node in hand
+        # is taken unless the spine holds a deeper one.
+        depths = {key: depth for depth, key in enumerate(keys)}
+        spine = self._spine
+        keep = 0
+        while keep < len(spine) and spine.stubs[keep] in depths:
+            keep += 1
+        spine.truncate(keep)
+        hand, self._in_hand = self._in_hand, None
+        if hand is not None and (hand.prefix_key not in depths
+                                 or (keep and depths[spine.stubs[-1]] > hand.depth)):
+            hand = None
+        resumed = hand if hand is not None else spine.deepest()
+        # log lengths of the nodes on this path the plan stores
+        positions: Set[int] = set()
         if resumed is not None:
-            node = resumed
             self.prefix_hits += 1
-            self.prefix_ops_reused += node.depth
-            self.prefix_writes_reused += node.write_requests
-            self.prefix_seconds_saved += node.elapsed
+            self.prefix_ops_reused += resumed.depth
+            self.prefix_writes_reused += resumed.write_requests
+            self.prefix_seconds_saved += resumed.elapsed
+            if resumed.prefix_key == step.hand:
+                self._in_hand = resumed
+            if step.stored is not None and resumed.prefix_key in step.stored:
+                positions.add(len(resumed.log))
+            run = self._resume_from(resumed)
+            base_elapsed = resumed.elapsed
         else:
-            # Cold cache: build the root (mkfs base + mount) and freeze it.
-            node = self._make_root_node(prefix_keys[0], clock)
-            self._remember(node)
-        base_elapsed = node.elapsed
-
-        run = self._resume_from(node)
+            # Cold cache: format-and-mount once over the shared base and
+            # freeze the trie root; the run so far is its ``elapsed``.
+            run = self._mount(spine.base)
+            base_elapsed = clock.seconds
+            self._keep(self._freeze(run, depth=0, op=None, prefix_key=keys[0],
+                                    elapsed=base_elapsed), step, positions)
 
         # Only op execution counts towards a node's `elapsed` (what a resume
         # reports as saved): a from-scratch re-run of the prefix would pay
@@ -315,38 +393,41 @@ class WorkloadRecorder:
         def after_operation(op, index):
             nonlocal exec_seconds
             exec_seconds += now() - op_start
-            if index < keep_depth:
-                self._remember(self._freeze(run, depth=index + 1, op=op,
-                                            prefix_key=prefix_keys[index + 1],
-                                            elapsed=base_elapsed + exec_seconds))
+            if step.freezes(keys[index + 1]):
+                self._keep(self._freeze(run, depth=index + 1, op=op,
+                                        prefix_key=keys[index + 1],
+                                        elapsed=base_elapsed + exec_seconds),
+                           step, positions)
 
         run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
-                         after_operation=after_operation, start_index=node.depth)
-        return self._finish(run, workload, self._spine.base, resumed)
+                         after_operation=after_operation,
+                         start_index=resumed.depth if resumed is not None else 0)
+        profile = self._finish(run, workload, spine.base, resumed)
+        if step.stored is not None:
+            profile.trail_plan = TrailPlan(len(resumed.log) if resumed is not None else 0,
+                                           frozenset(positions))
+        return profile
 
-    def _remember(self, node: _PrefixNode) -> None:
-        """Append a frozen node to the spine, sized by what it pins."""
-        nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
-        self._spine.push(node, nbytes, stub=node.prefix_key)
-        self.spine_freezes += 1
-
-    def _make_root_node(self, prefix_key: str, clock: span) -> _PrefixNode:
-        """Format-and-mount once: the trie root every workload shares;
-        ``clock`` is the profile's, so the root's ``elapsed`` is the run so far."""
-        recording_device = RecordingDevice(CowDevice(self._spine.base, name="workload-cow"))
-        fs = self.fs_class(recording_device, self.bugs)
-        fs.mount()
-        tracker = PersistenceTracker(fs)
-        run = _LiveRun(recording_device, fs, tracker, {},
-                       WorkloadExecutor(fs, strict=self.strict))
-        return self._freeze(run, depth=0, op=None, prefix_key=prefix_key,
-                            elapsed=clock.seconds)
+    def _keep(self, node: _PrefixNode, step: PlanStep, positions: Set[int]) -> None:
+        """The prefix spine's one admission point: push a frozen node the
+        plan stores (sized by what it pins), and hold the one the next
+        workload resumes from.  The root is always pushed: every workload
+        shares it, in this stream or the next."""
+        stored = step.stored is None or node.prefix_key in step.stored
+        if stored or node.depth == 0:
+            nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
+            self._spine.push(node, nbytes, stub=node.prefix_key)
+        if stored:
+            positions.add(len(node.log))
+        if node.prefix_key == step.hand:
+            self._in_hand = node
 
     def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
                 prefix_key: str, elapsed: float) -> _PrefixNode:
         """Capture the live run as an immutable trie node (O(1) device fork)."""
         device = run.recording_device
+        self.spine_freezes += 1
         return _PrefixNode(
             depth=depth,
             op=op,

@@ -5,16 +5,16 @@ recorded stream with a :class:`_ReplayNode` as its state: the cursor device,
 the stable fork of the last flush barrier, the in-flight window and the
 :class:`_CheckpointRecord` of every marker passed.  At each barrier and
 marker the walk freezes a fork of itself and stages it on the
-:class:`SharedReplayCache`; the next sibling's ``begin`` admits to the trail
-only the staged forks inside the prefix its stream shares, and its walk starts
-as a fork of the deepest of them.
+:class:`SharedReplayCache`; the next sibling's ``begin`` starts its walk as a
+fork of the deepest of them inside the prefix its stream shares, held in
+memory, and admits to the trail only the forks a later build will read there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..analysis.mechanisms import AnalysisCursor
 from ..storage.cow_device import CowDevice
@@ -71,6 +71,24 @@ def _requests_match(a: IORequest, b: IORequest) -> bool:
         and (a.data == b.data if (a.data is not None and b.data is not None)
              else a.data is b.data)
     )
+
+
+def _at(forks: Sequence["_ReplayNode"], log: Sequence[IORequest],
+        positions: Iterable[int]) -> Set[int]:
+    """``id`` of the forks a build resuming at one of ``positions`` of
+    ``log`` may read: the deepest at or before it, and those past it up to
+    the next write.  A recorder position is where two workloads' operations
+    part; their streams part there too when the next operation opens with a
+    write, and after the barriers it opens with otherwise."""
+    chosen = set()
+    for position in positions:
+        reach = position
+        while reach < len(log) and not log[reach].is_write:
+            reach += 1
+        below = [fork for fork in forks if fork.index <= position]
+        chosen.update(id(fork) for fork in below[-1:])
+        chosen.update(id(fork) for fork in forks if position < fork.index <= reach)
+    return chosen
 
 
 @dataclass
@@ -165,10 +183,13 @@ class SharedReplayCache:
 
     A build *stages* its frozen forks instead of pushing them: which of them
     the next sibling can resume from is known only once its stream is, so
-    :meth:`begin` admits the staged nodes inside the shared prefix to the
-    trail and drops the rest unsized — a node the next build cannot read is
-    never budgeted, spilled or written.  The trail ends up holding exactly
-    the nodes an eager push would have kept after truncating.
+    :meth:`begin` resumes from the deepest fork the last build holds inside
+    the shared prefix — staged, or the one that build resumed from — without
+    a trip through the store, and drops the rest unsized.  What it pushes to
+    the trail is what a build after the next may read there: the forks at
+    the stream positions the recorder's plan stored
+    (:class:`~.recorder.TrailPlan`), or, with no plan, every fork inside the
+    shared prefix.
     """
 
     def __init__(self, spine_store: Optional[SpineStore] = None):
@@ -193,6 +214,11 @@ class SharedReplayCache:
         #: forks the last build froze, in stream order, awaiting the next
         #: ``begin``; they pin only devices that build's records already hold
         self._staged: List[_ReplayNode] = []
+        #: the frozen fork the last build resumed from, held in memory
+        self._held: Optional[_ReplayNode] = None
+        #: stream positions of the last build's profile a later build reads
+        #: from the trail (``None``: every shared one)
+        self._positions: Optional[FrozenSet[int]] = None
         self._log: Tuple[IORequest, ...] = ()
         self._analyzed = False
         # -- campaign-lifetime accounting ------------------------------------
@@ -202,7 +228,7 @@ class SharedReplayCache:
         self.replay_writes_reused = 0
         #: build seconds saved by resuming instead of re-applying prefixes
         self.replay_seconds_saved = 0.0
-        #: frozen forks staged by builds, and those a next build admitted
+        #: frozen forks staged by builds, and those a next build pushed
         self.nodes_staged = 0
         self.nodes_admitted = 0
 
@@ -217,6 +243,8 @@ class SharedReplayCache:
         self._spine.truncate(0)
         self._spine.base = None
         self._staged.clear()
+        self._held = None
+        self._positions = None
         self._log = ()
         self._analyzed = False
 
@@ -246,30 +274,57 @@ class SharedReplayCache:
               want_analysis: bool = False) -> Optional[_ReplayNode]:
         """Start a build for ``profile``; returns its resumed walk or None.
 
-        The one admission point: pushes the previous build's staged nodes
-        that lie inside the shared stream prefix and drops the others
-        unsized.  Then drops trail nodes past the divergence point (they
-        belong to the previous sibling's suffix, or their spill file was
-        lost) and resets the trail entirely when the base image or analysis
-        mode changed — a node frozen without an analysis cursor cannot seed
-        a build that needs one, and vice versa.
+        The one admission point.  Of the forks the previous build holds
+        inside the shared stream prefix it pushes those a later build reads
+        from the trail, and drops the others unsized.  Then drops trail nodes
+        past the divergence point (they belong to the previous sibling's
+        suffix, or their spill file was lost) and resets the trail entirely
+        when the base image or analysis mode changed — a node frozen without
+        an analysis cursor cannot seed a build that needs one, and vice
+        versa.  The walk resumes from the deepest fork left: in hand when the
+        previous build holds it, otherwise read from the trail.
         """
         spine = self._spine
         shared = 0
-        if ((len(spine) or self._staged) and self._analyzed == want_analysis
+        if ((len(spine) or self._staged or self._held is not None)
+                and self._analyzed == want_analysis
                 and self._base_matches(profile.base_image)):
             shared = self._shared_prefix_len(profile.io_log)
-        for node in self._staged:
-            if node.index > shared:
-                break
-            spine.push(node, node.spine_bytes(), _ReplayStub(node.index, node.analysis))
-            self.nodes_admitted += 1
+        # The forks the last build holds inside the shared prefix, in stream
+        # order: the one it resumed from, then those it staged.
+        owned = [node for node in ([self._held] if self._held is not None else [])
+                 + self._staged if node.index <= shared]
         self._staged.clear()
         keep = len(spine)
         while keep and spine.stubs[keep - 1].index > shared:
             keep -= 1
         spine.truncate(keep)
-        node = spine.deepest()
+        # The trail holds the path up to where the last build resumed, so an
+        # owned fork no deeper than its end is on it already.
+        trail_end = spine.stubs[-1].index if keep else -1
+        if owned and trail_end <= owned[-1].index:
+            node = owned[-1]
+        else:
+            node = spine.deepest()
+            if node is not None:
+                node.analysis = spine.stubs[-1].analysis
+        candidates = [fork for fork in owned if fork.index > trail_end]
+        if self._positions is None:
+            pushed = {id(fork) for fork in candidates}
+        else:
+            pushed = _at(candidates, self._log, self._positions)
+        plan = profile.trail_plan
+        if plan is not None and node is not None and node.index > plan.resume:
+            # A build resuming past its recorder's resume point got there on
+            # requests that merely match; the next sibling resuming at that
+            # point may part sooner, so the forks there are kept too.
+            pushed |= _at(candidates, profile.io_log, (plan.resume,))
+        for fork in candidates:
+            if id(fork) in pushed:
+                spine.push(fork, fork.spine_bytes(), _ReplayStub(fork.index, fork.analysis))
+                self.nodes_admitted += 1
+        self._held = node
+        self._positions = plan.stored if plan is not None else None
         self._log = profile.io_log
         self._analyzed = want_analysis
         if node is None:
@@ -278,7 +333,6 @@ class SharedReplayCache:
         self.replay_hits += 1
         self.replay_writes_reused += node.replayed_writes
         self.replay_seconds_saved += node.elapsed
-        node.analysis = spine.stubs[-1].analysis
         return node.fork(node.cursor.snapshot(name="replay-cursor"))
 
     def freeze(self, walk: _ReplayNode, cursor: CowDevice) -> None:

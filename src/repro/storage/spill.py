@@ -155,6 +155,8 @@ class SpineStore:
         self.name = name
         self._explicit_dir = spill_dir
         self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
+        #: the spill directory, once the first spill has made it
+        self._root: Optional[str] = None
         SpineStore._instances += 1
         self._prefix = f"{os.getpid()}-{SpineStore._instances}-{name}"
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
@@ -243,6 +245,7 @@ class SpineStore:
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
+        self._root = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -250,12 +253,15 @@ class SpineStore:
     # -- spill mechanics -----------------------------------------------------
 
     def _spill_root(self) -> str:
-        if self._explicit_dir is not None:
-            os.makedirs(self._explicit_dir, exist_ok=True)
-            return self._explicit_dir
-        if self._tmpdir is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spine-")
-        return self._tmpdir.name
+        """The spill directory, made by the store's first spill."""
+        if self._root is None:
+            if self._explicit_dir is not None:
+                os.makedirs(self._explicit_dir, exist_ok=True)
+                self._root = self._explicit_dir
+            else:
+                self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-spine-")
+                self._root = self._tmpdir.name
+        return self._root
 
     def _enforce_budget(self) -> None:
         """Evict least-recently-used entries until under budget.
@@ -296,8 +302,21 @@ class SpineStore:
         self.resident_bytes -= entry.nbytes
 
     def _write_spill_file(self, key: int, blob: bytes) -> str:
-        """Write a framed blob so the final name only ever holds a whole file."""
-        path = os.path.join(self._spill_root(), f"{self._prefix}-{key}.node")
+        """Write a framed blob so the final name only ever holds a whole file.
+
+        A spill directory that vanished is made again, so it costs the nodes
+        whose files it held and no later one.
+        """
+        root = self._spill_root()
+        path = os.path.join(root, f"{self._prefix}-{key}.node")
+        try:
+            return self._write_framed(path, blob)
+        except FileNotFoundError:
+            os.makedirs(root, exist_ok=True)
+            return self._write_framed(path, blob)
+
+    @staticmethod
+    def _write_framed(path: str, blob: bytes) -> str:
         scratch = path + ".tmp"
         try:
             with open(scratch, "wb") as handle:
@@ -334,7 +353,8 @@ class SpineStore:
 class Spine:
     """One cached path of frozen nodes over a :class:`SpineStore`.
 
-    Node ``i`` extends node ``i - 1``; the owner matches a new path against
+    Node ``i`` extends node ``i - 1`` by one or more steps (an owner need
+    not push every depth it passes); the owner matches a new path against
     :attr:`stubs` — one small always-resident value per node, of the owner's
     choosing — truncates to the shared prefix and resumes from the deepest
     node that still reads.  The full nodes live in the store under the shared
@@ -375,8 +395,8 @@ class Spine:
     def deepest(self) -> Optional[Any]:
         """The deepest node that reads, truncating past it; ``None`` = cold.
 
-        A lost node costs itself: its parent is one operation (one barrier)
-        shallower and resumes almost as much.
+        A lost node costs itself: its parent on the spine resumes the same
+        path from a little shallower.
         """
         while self._keys:
             node = self.fetch(len(self._keys) - 1)

@@ -25,6 +25,7 @@ from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine import HarnessSpec, run_campaign
 from repro.fs import resolve_fs_name
+from repro.workload import parse_workload
 
 from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
 
@@ -39,6 +40,12 @@ SPACES = {
     #: the first sibling family of seq-3-data (18 workloads)
     "seq-3-data-family": lambda: next(group_siblings(
         AceSynthesizer(seq3_data_bounds()).stream(limit=64))),
+    #: siblings parting after one shared prefix in a namespace operation, so
+    #: each resumes from the very node the one before it resumed from
+    "namespace-siblings": lambda: tuple(
+        parse_workload("creat foo\nwrite foo 0 4096\nfsync foo\n" + suffix, name=suffix)
+        for suffix in ("mkdir d\nsync", "link foo bar\nsync", "rename foo baz\nsync",
+                       "unlink foo\nsync")),
 }
 
 
@@ -64,7 +71,7 @@ class Run:
         return sum(getattr(result, counter) for result in self.results)
 
 
-#: (spec, test, space, limit) -> the session's shared run
+#: (spec, test, stream, space, limit) -> the session's shared run
 _RUNS: Dict[tuple, Run] = {}
 #: (monkeypatch, variant) of every variant :func:`patched` installed
 _INSTALLED: List[tuple] = []
@@ -92,8 +99,9 @@ def run(fs_name: str, variant: Optional[Callable] = None, **spec) -> Run:
     """The side under test: a space tested under ``spec`` with ``variant`` installed.
 
     ``spec`` holds :class:`~repro.options.HarnessSpec` fields plus ``test`` (how
-    one workload is tested: ``harness.test_workload`` unless given), ``observe``,
-    ``space`` and ``limit``.
+    one workload is tested: ``harness.test_workload`` unless given), ``stream``
+    (test the space as one ``harness.test_stream``, which plans the spine),
+    ``observe``, ``space`` and ``limit``.
     """
     if variant is not None:
         with patched(variant):
@@ -113,20 +121,25 @@ def reference(fs_name: str, **spec) -> Run:
     return shared
 
 
-def _key(fs_name, *, test=None, observe=None, space="seq-1", limit=None, **options):
+def _key(fs_name, *, test=None, stream=False, observe=None, space="seq-1", limit=None,
+         **options):
     spec = HarnessSpec(fs_name=resolve_fs_name(fs_name), device_blocks=SMALL_DEVICE_BLOCKS,
                        **options)
-    return (spec, test, space, limit), observe
+    return (spec, test, stream, space, limit), observe
 
 
 def _execute(key, observe) -> Run:
-    spec, test, space_name, limit = key
+    spec, test, stream, space_name, limit = key
     harness = spec.build()
+    workloads = space(space_name, limit)
     with pytest.MonkeyPatch.context() as monkeypatch:
         with (contextlib.contextmanager(observe)(monkeypatch) if observe is not None
               else contextlib.nullcontext()) as seen:
-            results = [harness.test_workload(workload) if test is None else test(harness, workload)
-                       for workload in space(space_name, limit)]
+            if stream:
+                results = harness.test_workloads(workloads)
+            else:
+                results = [harness.test_workload(workload) if test is None
+                           else test(harness, workload) for workload in workloads]
     return Run(results, observe, seen)
 
 
@@ -183,14 +196,14 @@ def assert_profiles_equal(actual, expected, context=""):
 
 
 def assert_profiles_match(recording: WorkloadRecorder, fs_name: str, bugs=None,
-                          space_name: str = "seq-1", upcoming: Optional[Callable] = None):
+                          space_name: str = "seq-1", plan: Optional[Callable] = None):
     """Every profile ``recording`` records over the space is the from-scratch one;
-    ``upcoming(workload, true_next)`` is what the caller claims comes next."""
+    ``plan(workloads)`` is the spine plan the caller hands over, one step per workload."""
     workloads = space(space_name)
-    for workload, true_next, expected in zip(workloads, workloads[1:] + (None,),
-                                             _from_scratch(fs_name, bugs, space_name)):
-        claimed = upcoming(workload, true_next) if upcoming is not None else None
-        assert_profiles_equal(recording.profile(workload, upcoming=claimed), expected,
+    steps = plan(workloads) if plan is not None else [None] * len(workloads)
+    for workload, step, expected in zip(workloads, steps,
+                                        _from_scratch(fs_name, bugs, space_name)):
+        assert_profiles_equal(recording.profile(workload, step=step), expected,
                               context=f"{fs_name} {workload.display_name()}")
 
 

@@ -370,8 +370,8 @@ class TestCorruptStreamIsNeverAPass:
                               crash_plan=crash_plan)
         real_profile = harness.recorder.profile
 
-        def truncated(workload, upcoming=None):
-            profile = real_profile(workload, upcoming=upcoming)
+        def truncated(workload, step=None):
+            profile = real_profile(workload, step=step)
             # Drop the tail of the recording: the last persistence point's
             # marker never made it into the stream, but the oracle for it
             # exists — an internally inconsistent recording.

@@ -21,10 +21,11 @@ from repro.cli.main import main
 from repro.core import B3Campaign, CampaignConfig
 from repro.core.dedup import group_reports
 from repro.crashmonkey import CrashMonkey
+from repro.crashmonkey.recorder import PlanStep, plan_spine
 from repro.engine import HarnessSpec, chunked_affine, run_campaign
 from repro.fs import BugConfig
 from repro.workload import parse_workload
-from repro.workload.operations import creat, sync, write
+from repro.workload.operations import creat, write
 from repro.workload.workload import Workload
 
 import differential
@@ -104,68 +105,90 @@ def test_shared_profiles_are_independent_of_each_other():
     assert first.oracles == oracles_before
 
 
-# --------------------------------------------------------------------------- lookahead
+# --------------------------------------------------------------------------- spine plan
 
 
-def _upcoming(kind, workload, true_next):
-    """What the caller claims comes next: right, wrong, or nothing."""
-    if kind == "next":
-        return true_next
-    if kind == "unrelated":
-        return parse_workload("mkdir lookahead-unrelated\nsync", name="unrelated")
-    if kind == "extension":
-        return Workload(ops=list(workload.ops) + [creat("lookahead-extension"), sync()],
-                        name="extension")
-    return None
+def _plan(kind, workloads):
+    """The steps a caller hands over: the stream's plan, a wrong one, or none."""
+    if kind == "planned":
+        return plan_spine(workloads)
+    if kind == "reversed":
+        # a plan for the stream backwards: right keys, wrong hand and stored sets
+        return plan_spine(workloads[::-1])[::-1]
+    if kind == "empty":
+        return [PlanStep(w, w.prefix_keys(), stored=frozenset()) for w in workloads]
+    return [None] * len(workloads)
 
 
-@pytest.mark.parametrize("kind", ["next", "unrelated", "extension", "none"])
+@pytest.mark.parametrize("kind", ["planned", "reversed", "empty", "none"])
 @pytest.mark.parametrize("fs_name", ALL_FS)
-def test_no_lookahead_can_change_a_profile(fs_name, kind):
-    """Whatever ``upcoming`` claims, the profile is the from-scratch one."""
+def test_no_plan_can_change_a_profile(fs_name, kind):
+    """Whatever plan the caller hands over, the profile is the from-scratch one."""
     shared = differential.recorder(fs_name)
     space = "seq-1+seq-2" if fs_name == "logfs" else "seq-1"
-    differential.assert_profiles_match(
-        shared, fs_name, space_name=space,
-        upcoming=lambda workload, true_next: _upcoming(kind, workload, true_next))
-    if kind != "unrelated":
+    differential.assert_profiles_match(shared, fs_name, space_name=space,
+                                       plan=lambda workloads: _plan(kind, workloads))
+    if kind in ("planned", "none"):
         assert shared.prefix_hits > len(differential.space(space)) // 2
+    if kind == "empty":
+        # nothing is kept but the root every workload resumes from
+        assert shared.prefix_ops_reused == 0 and len(shared._spine) == 1
 
 
 @pytest.mark.parametrize("fs_name", ALL_FS)
-def test_true_lookahead_keeps_every_hit_and_freezes_less(fs_name):
-    """Told the real next workload, the spine drops only nodes nobody reads:
+def test_the_plan_keeps_every_hit_and_freezes_less(fs_name):
+    """Planned, the spine keeps only nodes a later workload resumes from:
     every profile reuses exactly what freeze-every-depth recording reuses."""
     every_depth, _ = _recorders(fs_name)
-    lookahead, _ = _recorders(fs_name)
+    planned, _ = _recorders(fs_name)
     workloads = differential.space("seq-1+seq-2")
-    for workload, true_next in zip(workloads, workloads[1:] + (None,)):
-        told = lookahead.profile(workload, upcoming=true_next)
-        untold = every_depth.profile(workload)
+    for step in plan_spine(workloads):
+        told = planned.profile(step.workload, step=step)
+        untold = every_depth.profile(step.workload)
         assert ((told.prefix_shared, told.prefix_ops_reused, told.prefix_writes_reused)
                 == (untold.prefix_shared, untold.prefix_ops_reused,
-                    untold.prefix_writes_reused)), workload.display_name()
-    assert lookahead.prefix_hits == every_depth.prefix_hits == len(workloads) - 1
+                    untold.prefix_writes_reused)), step.workload.display_name()
+    assert planned.prefix_hits == every_depth.prefix_hits == len(workloads) - 1
     executed = sum(len(w.ops) for w in workloads) - every_depth.prefix_ops_reused
     assert every_depth.spine_freezes == executed + 1   # one per executed op + the root
-    assert lookahead.spine_freezes < every_depth.spine_freezes // 2
+    assert planned.spine_freezes < every_depth.spine_freezes // 2
 
 
-def test_test_stream_hands_each_workload_its_successor(monkeypatch):
+def test_the_plan_resumes_each_workload_at_its_shared_prefix_with_the_last():
+    """Hand-checked on four siblings: ``hand`` is the next resume key, and a
+    key is stored only when a workload after the next reads it from the spine."""
+    texts = ("creat foo\nwrite foo 0 4096\nfsync foo\nsync",
+             "creat foo\nwrite foo 0 4096\nfsync foo\nfsync foo",
+             "creat foo\nmkdir d\nsync",
+             "creat foo\nwrite foo 0 4096\nsync")
+    a, b, c, d = workloads = [parse_workload(text, name=str(n)) for n, text in enumerate(texts)]
+    steps = plan_spine(workloads)
+    assert [step.workload for step in steps] == workloads
+    # b resumes after a's fsync (depth 3), c after creat (1), d after creat (1).
+    assert [step.hand for step in steps] == [
+        a.prefix_key(3), b.prefix_key(1), c.prefix_key(1), None]
+    # c resumed shallower than b, so c reads "after creat" from the spine and a
+    # pushes it; d finds c's resume node in hand.
+    assert [step.stored for step in steps] == [
+        frozenset({a.prefix_key(1)}), frozenset(), frozenset(), None]
+
+
+def test_test_stream_hands_each_workload_its_plan_step(monkeypatch):
     harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS)
     workloads = list(differential.space("seq-2", 12))
     seen = []
     real_profile = harness.recorder.profile
 
-    def spying(workload, upcoming=None):
-        seen.append((workload, upcoming))
-        return real_profile(workload, upcoming=upcoming)
+    def spying(workload, step=None):
+        seen.append((workload, step))
+        return real_profile(workload, step=step)
 
     monkeypatch.setattr(harness.recorder, "profile", spying)
     results = list(harness.test_stream(iter(workloads)))
     assert [r.workload for r in results] == workloads
-    assert seen == list(zip(workloads, workloads[1:] + [None]))
-    # A direct call knows no successor.
+    assert seen == [(step.workload, step) for step in plan_spine(workloads)]
+    assert seen[-1][1].stored is None, "the last workload of a stream freezes every depth"
+    # A direct call knows no plan.
     harness.test_workload(workloads[0])
     assert seen[-1] == (workloads[0], None)
 

@@ -582,7 +582,7 @@ def test_a_trail_push_outside_the_admission_point_is_caught():
     )
     findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
         "crashmonkey/replay_cache.py": source,
-        "crashmonkey/recorder.py": source,
+        "crashmonkey/replayer.py": source,
     }))
     assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/replay_cache.py", 7)]
@@ -591,6 +591,29 @@ def test_a_trail_push_outside_the_admission_point_is_caught():
                             "self._staged.append(node)\n")
     assert repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
         "crashmonkey/replay_cache.py": staged})) == []
+
+
+def test_a_prefix_push_outside_the_admission_point_is_caught():
+    source = (
+        "class WorkloadRecorder:\n"
+        "    def _keep(self, node, step, positions):\n"
+        "        self._spine.push(node, 1, stub=node.prefix_key)\n"
+        "    def _profile_shared(self, workload, step, clock):\n"
+        "        node = self._freeze(run, 0, None, step.keys[0], 0.0)\n"
+        "        self._spine.push(node, 1, stub=node.prefix_key)\n"
+    )
+    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "crashmonkey/recorder.py": source,
+        "crashmonkey/harness.py": source,
+    }))
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/crashmonkey/recorder.py", 6)]
+    assert "WorkloadRecorder._keep" in findings[0][2] and "plan" in findings[0][2]
+    # The trail's admission point is no admission point for the prefix spine.
+    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+        "crashmonkey/recorder.py": source.replace("WorkloadRecorder", "SharedReplayCache")
+                                         .replace("_keep", "begin")}))
+    assert [line for _, line, _ in findings] == [3, 6]
 
 
 def test_a_serialiser_that_imports_a_node_type_is_caught():

@@ -96,8 +96,8 @@ def thawed_pushes(patch):
         pushed.append((spine, node, stub))
         real_push(spine, node, nbytes, stub)
 
-    def test_workload(harness, workload, upcoming=None):
-        result = real_test(harness, workload, upcoming)
+    def test_workload(harness, workload, step=None):
+        result = real_test(harness, workload, step)
         for spine, node, stub in pushed[:]:   # a copy: the round trip pushes too
             assert_thaws_equal(node, spine.base)
             replay = isinstance(node, _ReplayNode)
@@ -123,13 +123,21 @@ def test_every_node_of_both_spines_thaws_equal_on_full_seq1(fs_name):
     assert run.total("spine_rehydrations") > 0
 
 
+#: three siblings: the second resumes past the end of the prefix the third
+#: shares with it, so the third reads its resume node from the trail — the
+#: second's build holds only forks it cannot use
+SIBLING_SUFFIXES = ("creat bar\nfsync bar\nmkdir e\nsync",
+                    "creat bar\nfsync bar\nlink foo baz\nsync",
+                    "write foo 0 4096\nsync")
+
+
 def test_a_resumed_walk_gets_its_cursor_back_from_the_stub():
     """The analysis cursor never reaches a spill file; ``begin`` hands the
     resumed walk a copy of the one the stub kept."""
     recorder = differential.recorder("logfs")
     cache = SharedReplayCache(spine_store=SpineStore(memory_budget=0))
-    for text in (SIBLING_PREFIX + "creat bar\nfsync bar", SIBLING_PREFIX + "link foo baz\nsync"):
-        generator = CrashStateGenerator(recorder.profile(parse_workload(text)),
+    for suffix in SIBLING_SUFFIXES:
+        generator = CrashStateGenerator(recorder.profile(parse_workload(SIBLING_PREFIX + suffix)),
                                         replay_cache=cache, analyze=True)
         generator._ensure_built()
     assert generator.replay_shared and cache.spine_store.rehydrations > 0
@@ -179,13 +187,15 @@ def test_a_lost_prefix_node_costs_one_operation(tmp_path):
 
 def test_a_lost_replay_node_costs_one_barrier(tmp_path):
     recorder = differential.recorder("logfs")
-    first, sibling = (recorder.profile(parse_workload(SIBLING_PREFIX + last)) for last in
-                      ("creat bar\nfsync bar", "link foo baz\nfsync baz"))
+    *earlier, sibling = (recorder.profile(parse_workload(SIBLING_PREFIX + suffix))
+                         for suffix in SIBLING_SUFFIXES)
 
     def build(cache, at_admission=lambda cache: None):
-        """``sibling``'s build after ``first``'s; ``at_admission`` sees the trail
-        as the sibling's ``begin`` has admitted it, just before resuming."""
-        CrashStateGenerator(first, replay_cache=cache)._ensure_built()
+        """``sibling``'s build after the earlier ones'; ``at_admission`` sees
+        the trail as the sibling's ``begin`` has admitted it, just before
+        reading its resume node."""
+        for profile in earlier:
+            CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
         real_deepest = Spine.deepest
 
         def deepest(spine):
@@ -231,8 +241,11 @@ REPEATED_CHECKPOINTS = (
 
 
 def test_spilled_siblings_dedup_the_same_repeated_checkpoints():
+    # The second sibling resumes past the prefix the third shares with it, so
+    # the third reads the three records from the trail: thawed, under a zero budget.
     siblings = [parse_workload(REPEATED_CHECKPOINTS + last, name=last)
-                for last in ("creat bar\nfsync bar", "mkdir d\nsync", "fsync foo")]
+                for last in ("creat bar\nfsync bar\nmkdir e\nsync",
+                             "creat bar\nfsync bar\nmkdir d\nsync", "fsync foo")]
 
     def run(budget):
         harness = CrashMonkey("seqfs", bugs=BugConfig.only("falloc_keep_size_fdatasync"),

@@ -29,6 +29,7 @@ The guarantees this file pins, in the order the spill layer makes them:
 import dataclasses
 import errno
 import os
+import shutil
 import signal
 import sys
 import zlib
@@ -275,6 +276,29 @@ class TestSpillFaults:
         assert store.get(kept_key) == {"n": 2}
         assert (store.lost, store.spills) == (1, 1)
 
+    def test_a_vanished_spill_dir_costs_only_the_nodes_it_held(self, tmp_path, monkeypatch):
+        spill_dir = tmp_path / "spines"
+        made = []
+        real_makedirs = os.makedirs
+
+        def makedirs(path, *args, **kwargs):
+            made.append(path)
+            return real_makedirs(path, *args, **kwargs)
+
+        monkeypatch.setattr(spill_module.os, "makedirs", makedirs)
+        store = SpineStore(memory_budget=0, spill_dir=str(spill_dir))
+        held = [store.put({"n": n}, 100) for n in range(3)]
+        assert made == [str(spill_dir)], "the directory is made by the first spill only"
+        shutil.rmtree(spill_dir)
+        later = store.put({"n": 3}, 100)            # must not raise, nor lose the node
+        assert (store.spills, store.lost) == (4, 0) and len(made) == 2
+        with pytest.raises(SpillMissError):
+            store.get(held[1])
+        assert store.lost == 1
+        assert store.get(later) == {"n": 3}
+        assert store.get(store.put({"n": 4}, 100)) == {"n": 4}
+        assert (store.lost, len(made)) == (1, 2)
+
     def test_spill_files_are_framed_and_written_whole(self, tmp_path):
         store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
         store.put({"n": 1}, 100)
@@ -445,8 +469,6 @@ def _run_spilling_victim(db_path: str, crash_after: int):
 def test_sigkilled_spilling_campaign_resumes_identically(tmp_path, keep_spill_dir,
                                                          uninterrupted_spilling):
     """Spill files are scratch: resume works with or without them on disk."""
-    import shutil
-
     from repro.service import CampaignStateDB, DurableCampaignRunner
 
     db_path = str(tmp_path / "state.sqlite")

@@ -127,11 +127,14 @@ Fifteen invariants, each protecting a guarantee a past change was built on:
     ``src/repro/`` a spine store's ``put`` / ``get`` / ``drop`` are called
     only inside ``storage/spill.py`` — by ``Spine``, the one cached path both
     the recorder and the replay cache hold — so there is one truncate loop
-    and one answer to a lost node.  In ``crashmonkey/replay_cache.py`` the
-    trail is pushed only inside ``SharedReplayCache.begin``: a build stages
-    its frozen nodes, and only the next ``begin`` knows which of them its
-    stream shares — a push anywhere else sizes, budgets and spills nodes
-    nobody will read.  ``storage/spill.py`` imports nothing from
+    and one answer to a lost node.  Each spine has one admission point, a
+    row of ``SPINE_ADMISSION``: in ``crashmonkey/replay_cache.py`` the trail
+    is pushed only inside ``SharedReplayCache.begin`` (a build stages its
+    frozen nodes, and only the next ``begin`` knows which of them its stream
+    shares), in ``crashmonkey/recorder.py`` the prefix spine only inside
+    ``WorkloadRecorder._keep`` (which applies the chunk's spine plan) — a
+    push anywhere else sizes, budgets and spills nodes nobody will read.
+    ``storage/spill.py`` imports nothing from
     ``repro.crashmonkey`` or ``repro.fs``: it pickles whatever node it is
     handed and reduces only ``CowDevice`` and ``IORequest``.  And the name
     ``register_codec`` does not exist: a per-owner freeze / thaw pair is the
@@ -856,8 +859,14 @@ SPINE_STORE_CALLS = {"put", "get", "drop"}
 #: packages the serialiser must not know
 SPILL_FORBIDDEN_IMPORTS = {"crashmonkey", "fs"}
 
-#: the replay trail's one admission point: the only place its module pushes
-TRAIL_ADMISSION = ("replay_cache.py", "SharedReplayCache", "begin")
+#: each spine's one admission point — ``(module, class, method, why)``: the
+#: only place its module pushes
+SPINE_ADMISSION = (
+    ("replay_cache.py", "SharedReplayCache", "begin",
+     "a build stages its nodes; only the next begin, knowing the shared prefix, admits them"),
+    ("recorder.py", "WorkloadRecorder", "_keep",
+     "the chunk's spine plan says which frozen nodes a later workload reads from the store"),
+)
 
 
 def check_one_spine_and_a_storage_only_serialiser(trees: Dict[Path, ast.Module]) -> List[Finding]:
@@ -865,16 +874,17 @@ def check_one_spine_and_a_storage_only_serialiser(trees: Dict[Path, ast.Module])
     for path, tree in trees.items():
         relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
         spill = path == SRC_ROOT / PICKLE_MODULE
-        trail = path == SRC_ROOT / "crashmonkey" / TRAIL_ADMISSION[0]
-        admission = _site_nodes(path, tree, TRAIL_ADMISSION)
+        # (class, method, why, nodes of the site) of this module's spine, if any
+        admission = next(((owner, method, why, _site_nodes(path, tree, (module, owner, method)))
+                          for module, owner, method, why in SPINE_ADMISSION
+                          if path == SRC_ROOT / "crashmonkey" / module), None)
         for node in ast.walk(tree):
-            if (trail and isinstance(node, ast.Call) and _call_name(node)[1] == "push"
-                    and node not in admission):
+            if (admission and isinstance(node, ast.Call) and _call_name(node)[1] == "push"
+                    and node not in admission[3]):
+                owner, method, why, _ = admission
                 findings.append(Finding(
                     relative, node.lineno,
-                    "`push(...)` on the replay trail outside SharedReplayCache.begin — a "
-                    "build stages its nodes; only the next begin, knowing the shared "
-                    "prefix, admits them",
+                    f"`push(...)` on a spine outside {owner}.{method} — {why}",
                 ))
             name = getattr(node, "name", None) or getattr(node, "attr", None) \
                 or getattr(node, "id", None)
