@@ -48,7 +48,7 @@ is frozen and pushed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..clock import now, span
 from ..fs.base import AbstractFileSystem
@@ -108,14 +108,15 @@ class TrailPlan(NamedTuple):
     """A planned profile's word to the replay cache, in stream positions.
 
     ``resume`` is the log length of the node the recorder resumed from: a
-    build that resumed deeper keeps the forks there too, for a next
-    workload resuming from that node.  ``stored`` holds the log lengths of
-    the nodes on this path the plan keeps for a workload after the next; the
-    replay cache keeps its forks at the same positions.
+    build that resumed deeper got there on requests that merely match, and
+    keeps every fork.  ``stored`` holds a window per node on this path the
+    plan keeps for a workload after the next: from the node's log length to
+    the end of the next operation on this path that issues requests.  The
+    replay cache keeps its forks in the same windows.
     """
 
     resume: int
-    stored: FrozenSet[int]
+    stored: FrozenSet[Tuple[int, int]]
 
 
 @dataclass
@@ -154,6 +155,8 @@ class _PrefixNode:
     recorded_bytes: int
     #: recording wall-clock seconds spent from run start to this node
     elapsed: float
+    #: log length at each depth of this node's path, the root's first
+    bounds: Tuple[int, ...]
 
 
 def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
@@ -163,6 +166,13 @@ def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
     while depth < limit and keys[depth + 1] == other[depth + 1]:
         depth += 1
     return depth
+
+
+def _window(bounds: Sequence[int], depth: int) -> Tuple[int, int]:
+    """The stream window of the node at ``depth``: from its log length to
+    the end of the next operation on the path that issues requests."""
+    start = bounds[depth]
+    return start, next((end for end in bounds[depth + 1:] if end > start), start)
 
 
 @dataclass(frozen=True)
@@ -192,17 +202,22 @@ def plan_spine(workloads: Sequence[Workload]) -> List[PlanStep]:
     Workload *v* resumes at its shared prefix with *v − 1*.  It finds that
     node in hand unless *v − 1* resumed deeper — then *v − 1* neither froze
     nor resumed from it, and *v* reads it from the spine, so the workload
-    that freezes its key pushes it.
+    that freezes its key pushes it.  The next stream's first workload
+    resumes on the last one's path, at a depth not known here, and those
+    after it may read any node below that one: every node on the last
+    workload's path is pushed, so a stream finds the path the last left.
     """
     keys = [workload.prefix_keys() for workload in workloads]
     # the depth each workload resumes at (the first's depends on the spine)
     depths = [0] + [_shared_depth(a, b) for a, b in zip(keys, keys[1:])]
     resume = [k[depth] for k, depth in zip(keys, depths)]
-    # key -> the last workload reading it from the spine
+    # key -> the last workload reading it from the spine (past the end: the
+    # next stream)
     read_last: Dict[str, int] = {}
     for v in range(2, len(keys)):
         if depths[v - 1] > depths[v]:
             read_last[resume[v]] = v
+    read_last.update(dict.fromkeys(keys[-1] if keys else (), len(keys) + 1))
     steps = [PlanStep(workload, k, hand=resume[v + 1],
                       stored=frozenset(key for key in k if read_last.get(key, 0) > v + 1))
              for v, (workload, k) in enumerate(zip(workloads[:-1], keys))]
@@ -358,8 +373,6 @@ class WorkloadRecorder:
                                  or (keep and depths[spine.stubs[-1]] > hand.depth)):
             hand = None
         resumed = hand if hand is not None else spine.deepest()
-        # log lengths of the nodes on this path the plan stores
-        positions: Set[int] = set()
         if resumed is not None:
             self.prefix_hits += 1
             self.prefix_ops_reused += resumed.depth
@@ -367,17 +380,17 @@ class WorkloadRecorder:
             self.prefix_seconds_saved += resumed.elapsed
             if resumed.prefix_key == step.hand:
                 self._in_hand = resumed
-            if step.stored is not None and resumed.prefix_key in step.stored:
-                positions.add(len(resumed.log))
             run = self._resume_from(resumed)
             base_elapsed = resumed.elapsed
+            bounds = list(resumed.bounds)
         else:
             # Cold cache: format-and-mount once over the shared base and
             # freeze the trie root; the run so far is its ``elapsed``.
             run = self._mount(spine.base)
             base_elapsed = clock.seconds
+            bounds = [run.recording_device.num_requests]
             self._keep(self._freeze(run, depth=0, op=None, prefix_key=keys[0],
-                                    elapsed=base_elapsed), step, positions)
+                                    elapsed=base_elapsed, bounds=bounds), step)
 
         # Only op execution counts towards a node's `elapsed` (what a resume
         # reports as saved): a from-scratch re-run of the prefix would pay
@@ -393,11 +406,12 @@ class WorkloadRecorder:
         def after_operation(op, index):
             nonlocal exec_seconds
             exec_seconds += now() - op_start
+            bounds.append(run.recording_device.num_requests)
             if step.freezes(keys[index + 1]):
                 self._keep(self._freeze(run, depth=index + 1, op=op,
                                         prefix_key=keys[index + 1],
-                                        elapsed=base_elapsed + exec_seconds),
-                           step, positions)
+                                        elapsed=base_elapsed + exec_seconds,
+                                        bounds=bounds), step)
 
         run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
@@ -405,26 +419,27 @@ class WorkloadRecorder:
                          start_index=resumed.depth if resumed is not None else 0)
         profile = self._finish(run, workload, spine.base, resumed)
         if step.stored is not None:
-            profile.trail_plan = TrailPlan(len(resumed.log) if resumed is not None else 0,
-                                           frozenset(positions))
+            # A window per stored node on this path, resumed past or not: a
+            # build whose trail starts shallower stages those forks again.
+            profile.trail_plan = TrailPlan(
+                len(resumed.log) if resumed is not None else 0,
+                frozenset(_window(bounds, depth)
+                          for depth, key in enumerate(keys) if key in step.stored))
         return profile
 
-    def _keep(self, node: _PrefixNode, step: PlanStep, positions: Set[int]) -> None:
+    def _keep(self, node: _PrefixNode, step: PlanStep) -> None:
         """The prefix spine's one admission point: push a frozen node the
         plan stores (sized by what it pins), and hold the one the next
         workload resumes from.  The root is always pushed: every workload
         shares it, in this stream or the next."""
-        stored = step.stored is None or node.prefix_key in step.stored
-        if stored or node.depth == 0:
+        if step.stored is None or node.prefix_key in step.stored or node.depth == 0:
             nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
             self._spine.push(node, nbytes, stub=node.prefix_key)
-        if stored:
-            positions.add(len(node.log))
         if node.prefix_key == step.hand:
             self._in_hand = node
 
     def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
-                prefix_key: str, elapsed: float) -> _PrefixNode:
+                prefix_key: str, elapsed: float, bounds: List[int]) -> _PrefixNode:
         """Capture the live run as an immutable trie node (O(1) device fork)."""
         device = run.recording_device
         self.spine_freezes += 1
@@ -444,6 +459,7 @@ class WorkloadRecorder:
             write_requests=device.write_requests,
             recorded_bytes=device.recorded_bytes(),
             elapsed=elapsed,
+            bounds=tuple(bounds),
         )
 
     def _resume_from(self, node: _PrefixNode) -> _LiveRun:

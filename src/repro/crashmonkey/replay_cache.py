@@ -73,21 +73,18 @@ def _requests_match(a: IORequest, b: IORequest) -> bool:
     )
 
 
-def _at(forks: Sequence["_ReplayNode"], log: Sequence[IORequest],
-        positions: Iterable[int]) -> Set[int]:
-    """``id`` of the forks a build resuming at one of ``positions`` of
-    ``log`` may read: the deepest at or before it, and those past it up to
-    the next write.  A recorder position is where two workloads' operations
-    part; their streams part there too when the next operation opens with a
-    write, and after the barriers it opens with otherwise."""
+def _at(forks: Sequence["_ReplayNode"], windows: Iterable[Tuple[int, int]]) -> Set[int]:
+    """``id`` of the forks a build resuming in one of ``windows`` may read:
+    for each ``(start, end)`` of stream positions, the deepest fork at or
+    before ``start`` and those past it up to ``end``.  A recorder window runs
+    from a stored node to the end of the next operation on this path: a
+    sibling resuming at that node parts from this path within that
+    operation, and its requests may match this one's up to there."""
     chosen = set()
-    for position in positions:
-        reach = position
-        while reach < len(log) and not log[reach].is_write:
-            reach += 1
-        below = [fork for fork in forks if fork.index <= position]
+    for start, end in windows:
+        below = [fork for fork in forks if fork.index <= start]
         chosen.update(id(fork) for fork in below[-1:])
-        chosen.update(id(fork) for fork in forks if position < fork.index <= reach)
+        chosen.update(id(fork) for fork in forks if start < fork.index <= end)
     return chosen
 
 
@@ -186,10 +183,11 @@ class SharedReplayCache:
     :meth:`begin` resumes from the deepest fork the last build holds inside
     the shared prefix — staged, or the one that build resumed from — without
     a trip through the store, and drops the rest unsized.  What it pushes to
-    the trail is what a build after the next may read there: the forks at
-    the stream positions the recorder's plan stored
-    (:class:`~.recorder.TrailPlan`), or, with no plan, every fork inside the
-    shared prefix.
+    the trail is what a build after the next may read there: the forks in
+    the stream windows of the nodes the recorder's plan stored
+    (:class:`~.recorder.TrailPlan`), or, with no plan or after a build that
+    resumed past its recorder's resume point, every fork inside the shared
+    prefix.
     """
 
     def __init__(self, spine_store: Optional[SpineStore] = None):
@@ -216,9 +214,9 @@ class SharedReplayCache:
         self._staged: List[_ReplayNode] = []
         #: the frozen fork the last build resumed from, held in memory
         self._held: Optional[_ReplayNode] = None
-        #: stream positions of the last build's profile a later build reads
-        #: from the trail (``None``: every shared one)
-        self._positions: Optional[FrozenSet[int]] = None
+        #: stream windows of the last build's profile a later build reads
+        #: from the trail (``None``: every shared fork)
+        self._windows: Optional[FrozenSet[Tuple[int, int]]] = None
         self._log: Tuple[IORequest, ...] = ()
         self._analyzed = False
         # -- campaign-lifetime accounting ------------------------------------
@@ -244,7 +242,7 @@ class SharedReplayCache:
         self._spine.base = None
         self._staged.clear()
         self._held = None
-        self._positions = None
+        self._windows = None
         self._log = ()
         self._analyzed = False
 
@@ -309,22 +307,21 @@ class SharedReplayCache:
             if node is not None:
                 node.analysis = spine.stubs[-1].analysis
         candidates = [fork for fork in owned if fork.index > trail_end]
-        if self._positions is None:
+        plan = profile.trail_plan
+        if self._windows is None or (plan is not None and node is not None
+                                     and node.index > plan.resume):
+            # No plan; or this build resumed past its recorder's resume point
+            # on requests that merely match, and the next siblings, resuming
+            # at that point, may part anywhere below it: every fork is kept.
             pushed = {id(fork) for fork in candidates}
         else:
-            pushed = _at(candidates, self._log, self._positions)
-        plan = profile.trail_plan
-        if plan is not None and node is not None and node.index > plan.resume:
-            # A build resuming past its recorder's resume point got there on
-            # requests that merely match; the next sibling resuming at that
-            # point may part sooner, so the forks there are kept too.
-            pushed |= _at(candidates, profile.io_log, (plan.resume,))
+            pushed = _at(candidates, self._windows)
         for fork in candidates:
             if id(fork) in pushed:
                 spine.push(fork, fork.spine_bytes(), _ReplayStub(fork.index, fork.analysis))
                 self.nodes_admitted += 1
         self._held = node
-        self._positions = plan.stored if plan is not None else None
+        self._windows = plan.stored if plan is not None else None
         self._log = profile.io_log
         self._analyzed = want_analysis
         if node is None:

@@ -152,6 +152,11 @@ class RecordingDevice:
         return tuple(self._log)
 
     @property
+    def num_requests(self) -> int:
+        """Requests recorded so far (``len(log)`` without the copy)."""
+        return len(self._log)
+
+    @property
     def num_checkpoints(self) -> int:
         return self._checkpoints
 

@@ -156,7 +156,8 @@ def test_the_plan_keeps_every_hit_and_freezes_less(fs_name):
 
 def test_the_plan_resumes_each_workload_at_its_shared_prefix_with_the_last():
     """Hand-checked on four siblings: ``hand`` is the next resume key, and a
-    key is stored only when a workload after the next reads it from the spine."""
+    key is stored only when a workload after the next reads it from the spine
+    — or when it lies on the last workload's path, for the next stream."""
     texts = ("creat foo\nwrite foo 0 4096\nfsync foo\nsync",
              "creat foo\nwrite foo 0 4096\nfsync foo\nfsync foo",
              "creat foo\nmkdir d\nsync",
@@ -168,9 +169,11 @@ def test_the_plan_resumes_each_workload_at_its_shared_prefix_with_the_last():
     assert [step.hand for step in steps] == [
         a.prefix_key(3), b.prefix_key(1), c.prefix_key(1), None]
     # c resumed shallower than b, so c reads "after creat" from the spine and a
-    # pushes it; d finds c's resume node in hand.
+    # pushes it; d finds c's resume node in hand.  d's path is the root,
+    # "creat" and "creat write" (all a's, so a pushes them) and its own sync.
+    on_d = {a.prefix_key(0), a.prefix_key(1), a.prefix_key(2)}
     assert [step.stored for step in steps] == [
-        frozenset({a.prefix_key(1)}), frozenset(), frozenset(), None]
+        frozenset(on_d), frozenset(on_d), frozenset(on_d) - {a.prefix_key(2)}, None]
 
 
 def test_test_stream_hands_each_workload_its_plan_step(monkeypatch):

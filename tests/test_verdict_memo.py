@@ -642,19 +642,22 @@ def test_an_unfiled_verdict_is_mounted_again_never_inherited():
 def assert_schedules_agree_on_everything_canonical(tmp_path, plan):
     """Serial, pooled and zero-budget (every spine node spilled, so every
     oracle and record is rebuilt) campaigns inherit different amounts and
-    agree on everything canonical.  The zero-budget campaign runs one workload
-    per chunk: a chunk's plan hands each workload its resume nodes in memory,
-    so only unplanned resumes all read thawed nodes."""
+    agree on everything canonical.  A chunk's plan hands each workload its
+    resume nodes in memory, so the zero-budget campaign runs twice: in the
+    serial chunks, and one workload per chunk, where every resume reads a
+    thawed node."""
     config = CampaignConfig(fs_name="logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan=plan,
                             bounds=seq2_bounds(), max_workloads=120, chunk_size=8, **SHARING)
     serial = B3Campaign(config).run()
     pooled = B3Campaign(replace(config, processes=2)).run()
-    spilled = B3Campaign(replace(config, spine_memory_budget=0, chunk_size=1,
+    spilled = B3Campaign(replace(config, spine_memory_budget=0,
                                  spine_spill_dir=str(tmp_path / "spill"))).run()
+    unplanned = B3Campaign(replace(config, spine_memory_budget=0, chunk_size=1,
+                                   spine_spill_dir=str(tmp_path / "spill-1"))).run()
     assert serial.inherited_verdicts > 0
-    assert spilled.spine_rehydrations > 0
-    assert spilled.inherited_verdicts < serial.inherited_verdicts
-    for name, result in (("pool", pooled), ("spilled", spilled)):
+    assert spilled.spine_rehydrations > 0 and unplanned.spine_rehydrations > 0
+    assert unplanned.inherited_verdicts < serial.inherited_verdicts
+    for name, result in (("pool", pooled), ("spilled", spilled), ("unplanned", unplanned)):
         assert result.canonical_dict() == serial.canonical_dict(), name
         assert _report_dicts(result.results) == _report_dicts(serial.results), name
     assert "inherited_verdicts" in CrashTestResult.SESSION_FIELDS
