@@ -168,8 +168,9 @@ def test_a_sibling_family_inherits_verdicts():
         headers=("metric", "value"),
     )
     assert inherited >= 1, "siblings re-reach the shared prefix's persistence points"
-    # Inheritance changes who mounts a state, never what is reported.
-    reference = CrashMonkey("logfs", device_blocks=BENCH_DEVICE_BLOCKS, share_replay=False)
+    # Inheritance changes who mounts a state, never what is reported.  Each
+    # workload recorded from scratch owns its records, so none inherits.
+    reference = CrashMonkey("logfs", device_blocks=BENCH_DEVICE_BLOCKS, share_prefixes=False)
     expected = reference.test_workloads(family)
     assert [result.canonical_dict() for result in results] \
         == [result.canonical_dict() for result in expected]

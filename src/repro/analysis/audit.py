@@ -12,8 +12,8 @@ it into exhaustive (verbatim torn-write) windows, so a wrong claim costs
 scenarios, never bugs.
 
 Four checks per evidence, all recomputed from the stream — its raw fence
-edges, and an analysis cursor fed all of it (the replay walk's own, when
-the walk hands it over):
+edges, and an analysis cursor fed all of it (the one that built the
+report, when the caller hands it over):
 
 * ``fence-edges-exist`` — every claimed fence edge is an actual fence in the
   stream (a flush request or an FUA write completion).  A reasoner that
@@ -229,7 +229,7 @@ def audit_report(report: MechanismReport, io_log: Sequence,
     evidence can only shrink).
 
     ``cursor`` is an :class:`AnalysisCursor` already fed all of ``io_log``
-    (the one the replay walk has just finished); without it the stream is
+    (the one the report was inferred from); without it the stream is
     fed into a fresh one.  The fence edges are always recomputed from the
     raw log.
     """
@@ -255,3 +255,10 @@ def audit_report(report: MechanismReport, io_log: Sequence,
         audit_verdicts=tuple(verdicts),
         demoted_evidence=tuple(demoted),
     )
+
+
+def audited_analysis(io_log: Sequence, fs_name: str = "") -> MechanismReport:
+    """``io_log``'s mechanism report, audited: one cursor is fed the stream
+    once and serves both the inference and the audit."""
+    cursor = AnalysisCursor().feed_all(io_log)
+    return audit_report(cursor.finish(fs_name), io_log, cursor)

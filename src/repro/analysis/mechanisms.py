@@ -66,8 +66,8 @@ def _decode_block_json(data) -> Optional[dict]:
 _CLASSIFIED_CAP = 64
 
 #: id(request) -> (weak reference to the request, answer).  Prefix-shared
-#: recording and the replay trail hand every sibling the same ``IORequest``
-#: objects, which the walk's cursor and the planner each classify, so an
+#: recording hands every sibling the same ``IORequest`` objects, which the
+#: analysis cursor and the planner each classify, so an
 #: answer is kept per object.  The reference guards against id reuse: an entry
 #: answers only the object it was made for, and pins none of its payload (a
 #: strong reference would keep each request's slab chunk alive).

@@ -381,8 +381,7 @@ def cmd_analyze(args) -> int:
     projected fleet-cost reduction.  No crash state is constructed, mounted
     or checked.
     """
-    from ..analysis.audit import audit_report
-    from ..analysis.mechanisms import AnalysisCursor
+    from ..analysis.audit import audited_analysis
     from ..cluster.cost import CostModel
     from ..crashmonkey.replayer import CrashStateGenerator
 
@@ -391,8 +390,7 @@ def cmd_analyze(args) -> int:
     workload = parse_workload(text, name=args.workload)
     harness = CrashMonkey(args.fs_name, bugs=_bugs_from_args(args))
     profile = harness.profile(workload)
-    cursor = AnalysisCursor().feed_all(profile.io_log)
-    report = audit_report(cursor.finish(harness.fs_name), profile.io_log, cursor)
+    report = audited_analysis(profile.io_log, harness.fs_name)
     print(report.summary())
 
     exhaustive = sum(1 for _ in CrashStateGenerator(

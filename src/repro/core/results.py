@@ -136,14 +136,6 @@ class CampaignResult(RollUps):
         """Recording-phase seconds prefix sharing avoided (summed over workers)."""
         return roll_up(self.results, "prefix_seconds_saved")
 
-    def replay_seconds_saved(self) -> float:
-        """Construction-phase seconds shared replay avoided (summed over workers).
-
-        The trie-hit component of the replay phase; ``phase_seconds()``'s
-        replay component is the fresh-build part actually paid.
-        """
-        return roll_up(self.results, "replay_seconds_saved")
-
     def all_reports(self) -> List[BugReport]:
         reports: List[BugReport] = []
         for result in self.results:
@@ -218,15 +210,6 @@ class CampaignResult(RollUps):
             f"{self.memoized_scenarios} memoized of {self.scenarios_tested} tested"
         )
 
-    def replay_summary(self) -> str:
-        """One line of shared-replay accounting for this campaign."""
-        return (
-            f"replay: {self.replay_hits}/{self.workloads_tested} trail hits, "
-            f"{self.replay_writes_reused} writes reused "
-            f"({self.replayed_write_requests} replayed fresh), "
-            f"{self.replay_seconds_saved():.2f}s saved"
-        )
-
     def spine_summary(self) -> str:
         """One line of spine-spill accounting for this campaign."""
         return (
@@ -241,8 +224,6 @@ class CampaignResult(RollUps):
         lines = [self.summary(groups)]
         if self.prefix_hits or self.memoized_scenarios:
             lines.append(self.recording_summary())
-        if self.replay_hits:
-            lines.append(self.replay_summary())
         if self.spine_spills or self.spine_rehydrations:
             lines.append(self.spine_summary())
         lines.append("report groups:")

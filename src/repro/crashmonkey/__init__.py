@@ -23,7 +23,6 @@ from .crashplan import (
 from .harness import CrashMonkey
 from .oracle import Oracle
 from .recorder import WorkloadProfile, WorkloadRecorder
-from .replay_cache import SharedReplayCache
 from .replayer import CrashStateGenerator
 from .report import BugReport, CrashTestResult, Mismatch, Severity
 from .tracker import PersistenceTracker, TrackedDir, TrackedFile, TrackerView
@@ -44,7 +43,6 @@ __all__ = [
     "CrashState",
     "CrashStateGenerator",
     "CrashVerdict",
-    "SharedReplayCache",
     "CrashPlanner",
     "CrashScenario",
     "MechanismPlanner",

@@ -1,7 +1,7 @@
 """Crash plans: which storage states are tested at each persistence point.
 
-The replay phase walks the recorded write stream once; at every checkpoint
-marker it hands the active :class:`CrashPlanner` the *in-flight window* — the
+For every checkpoint marker the replay phase hands the active
+:class:`CrashPlanner` the *in-flight window* the recording captured — the
 writes issued after the last cache-flush barrier — and the planner enumerates
 :class:`CrashScenario` objects describing the storage states a crash at that
 point could leave behind.

@@ -3,8 +3,9 @@
 Given a workload and a target file system, :class:`CrashMonkey`:
 
 1. profiles the workload (records block I/O, oracles and the persisted set),
-2. constructs a crash state per persistence point by replaying the recorded
-   I/O onto a snapshot of the initial image,
+2. constructs a crash state per persistence point from the forks recording
+   took of the device at that point (plus the in-flight writes a crash plan
+   keeps),
 3. mounts each crash state (running the file system's recovery) and runs the
    check pipeline against the matching oracle,
 4. emits a bug report for every crash point whose checks fail.
@@ -28,7 +29,6 @@ from ..workload.workload import Workload
 from .checker import CheckPipeline
 from .crashplan import make_planner
 from .recorder import PlanStep, WorkloadProfile, WorkloadRecorder, plan_spine
-from .replay_cache import SharedReplayCache
 from .replayer import CrashStateGenerator
 from .report import GENERATOR, HARNESS_ERROR, PROFILE, BugReport, CrashTestResult, Mismatch
 
@@ -64,8 +64,7 @@ class CrashMonkey:
         # scenarios are enumerated.  Building it here fails fast on a bad
         # plan name or bound.
         self.planner = make_planner(spec.crash_plan, spec.reorder_bound, spec.torn_bound)
-        #: one budgeted spill store serves both trie spines, so "resident
-        #: spine bytes" is a single number the budget actually bounds
+        #: the budgeted spill store of the recorder's spine
         self.spine_store = SpineStore(memory_budget=spec.spine_memory_budget,
                                       spill_dir=spec.spine_spill_dir,
                                       name=self.fs_name)
@@ -73,9 +72,6 @@ class CrashMonkey:
                                          device_blocks=spec.device_blocks,
                                          share_prefixes=spec.share_prefixes,
                                          spine_store=self.spine_store)
-        #: replay-trie spine shared by every workload this harness tests
-        self.replay_cache = (SharedReplayCache(spine_store=self.spine_store)
-                             if spec.share_replay else None)
         self.checker = CheckPipeline(checks=spec.checks, skip_checks=spec.skip_checks)
 
     # ------------------------------------------------------------------ public API
@@ -91,12 +87,9 @@ class CrashMonkey:
         No crash state is constructed, mounted or checked — this is the pure
         static pass behind the ``analyze`` CLI subcommand.
         """
-        from ..analysis.audit import audit_report
-        from ..analysis.mechanisms import AnalysisCursor
+        from ..analysis.audit import audited_analysis
 
-        profile = self.profile(workload)
-        cursor = AnalysisCursor().feed_all(profile.io_log)
-        report = audit_report(cursor.finish(self.fs_name), profile.io_log, cursor)
+        report = audited_analysis(self.profile(workload).io_log, self.fs_name)
         self.last_mechanism_report = report
         return report
 
@@ -106,7 +99,7 @@ class CrashMonkey:
 
         ``step`` is the workload's entry of the spine plan of the stream it
         is tested in, when the caller knows that stream (:meth:`test_stream`
-        does); both spines then keep only the nodes later workloads resume
+        does); the spine then keeps only the nodes later workloads resume
         from.  Results do not depend on it.
         """
         workload.validate()
@@ -129,7 +122,6 @@ class CrashMonkey:
 
         generator = CrashStateGenerator(profile, planner=self.planner,
                                         dedup_scenarios=self.spec.dedup_scenarios,
-                                        replay_cache=self.replay_cache,
                                         analyze=self.spec.analyze_mechanisms)
         result.checkpoints_tested = len(checkpoints)
         scenario_iter = generator.generate_scenarios(checkpoints)
@@ -183,7 +175,8 @@ class CrashMonkey:
                         scenario=scenario_id,
                     )
                 )
-        # The one-pass incremental build is replay work shared by every state.
+        # Taking the records (and analysing the stream) is replay work shared
+        # by every state.
         result.replay_seconds += generator.build_seconds
         for name in CrashTestResult.GATHERED[GENERATOR]:
             setattr(result, name, getattr(generator, name))

@@ -8,7 +8,11 @@ need:
 * the recorded block I/O stream with checkpoint markers after every
   persistence operation,
 * an oracle per persistence point,
-* the persisted-set tracker views per persistence point.
+* the persisted-set tracker views per persistence point,
+* a checkpoint record per persistence point: the forks and in-flight window
+  every crash state of that point is built from, taken from the recording
+  device as the stream is recorded (crash-state generation never walks the
+  stream again).
 
 Prefix-shared recording
 -----------------------
@@ -24,7 +28,7 @@ in-memory file system and of the tracker (``AbstractFileSystem.fork`` /
 operations mutate; bytes exist only if the spine store spills the node).  The
 next workload forks the deepest node on its longest shared prefix again and
 records only its own suffix.  The resulting ``io_log`` (and oracles, tracker
-views, checkpoints) is byte-for-byte identical to from-scratch recording —
+views, checkpoint records) is byte-for-byte identical to from-scratch recording —
 execution is deterministic and the forked state *is* the state the from-
 scratch run would have reached — the shared prefix writes are just performed
 once instead of once per sibling.
@@ -48,7 +52,7 @@ is frozen and pushed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..clock import now, span
 from ..fs.base import AbstractFileSystem
@@ -65,6 +69,7 @@ from ..workload.operations import Operation
 from ..workload.workload import Workload
 from .oracle import Oracle
 from .tracker import PersistenceTracker, TrackerView
+from .verdicts import _CheckpointRecord
 
 
 @dataclass
@@ -79,6 +84,9 @@ class WorkloadProfile:
     io_log: tuple
     oracles: Dict[int, Oracle] = field(default_factory=dict)
     tracker_views: Dict[int, TrackerView] = field(default_factory=dict)
+    #: checkpoint id -> what its crash states are built from; a sibling that
+    #: resumed past a checkpoint shares its record (and the record's verdicts)
+    records: Dict[int, _CheckpointRecord] = field(default_factory=dict)
     num_checkpoints: int = 0
     profile_seconds: float = 0.0
     executed_ops: int = 0
@@ -91,8 +99,6 @@ class WorkloadProfile:
     prefix_ops_reused: int = 0
     prefix_writes_reused: int = 0
     prefix_seconds_saved: float = 0.0
-    #: what the spine plan tells the replay cache (``None``: no plan)
-    trail_plan: Optional[TrailPlan] = None
 
     def checkpoints(self) -> List[int]:
         return sorted(self.oracles)
@@ -104,21 +110,6 @@ class WorkloadProfile:
         return total - self.prefix_writes_reused
 
 
-class TrailPlan(NamedTuple):
-    """A planned profile's word to the replay cache, in stream positions.
-
-    ``resume`` is the log length of the node the recorder resumed from: a
-    build that resumed deeper got there on requests that merely match, and
-    keeps every fork.  ``stored`` holds a window per node on this path the
-    plan keeps for a workload after the next: from the node's log length to
-    the end of the next operation on this path that issues requests.  The
-    replay cache keeps its forks in the same windows.
-    """
-
-    resume: int
-    stored: FrozenSet[Tuple[int, int]]
-
-
 @dataclass
 class _PrefixNode:
     """Frozen recording state after executing one more prefix operation.
@@ -127,8 +118,10 @@ class _PrefixNode:
     reaches right after executing ``ops[:i]``: the storage (an O(1) CoW
     fork), the recorded stream so far, and detached forks of every piece of
     mutable in-memory state (file system, tracker records, executor
-    counters).  Oracles and tracker views captured so far are shared, not
-    copied — they are frozen at capture time and never mutated afterwards.
+    counters).  Oracles, tracker views and checkpoint records captured so
+    far are shared, not copied — they are frozen at capture time and never
+    mutated afterwards (a record's verdict memo is how siblings share its
+    verdicts).
     """
 
     depth: int
@@ -141,6 +134,12 @@ class _PrefixNode:
     device: CowDevice
     log: Tuple[IORequest, ...]
     checkpoints: int
+    #: the recording device's fork at the last flush barrier in ``log``
+    stable: CowDevice
+    #: the write requests after that barrier
+    window: Tuple[IORequest, ...]
+    #: checkpoint records captured so far
+    records: Dict[int, _CheckpointRecord]
     #: fork of the mounted fs, attached to no device
     fs: AbstractFileSystem
     #: fork of the tracker, observing no fs
@@ -155,8 +154,6 @@ class _PrefixNode:
     recorded_bytes: int
     #: recording wall-clock seconds spent from run start to this node
     elapsed: float
-    #: log length at each depth of this node's path, the root's first
-    bounds: Tuple[int, ...]
 
 
 def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
@@ -166,13 +163,6 @@ def _shared_depth(keys: Sequence[str], other: Sequence[str]) -> int:
     while depth < limit and keys[depth + 1] == other[depth + 1]:
         depth += 1
     return depth
-
-
-def _window(bounds: Sequence[int], depth: int) -> Tuple[int, int]:
-    """The stream window of the node at ``depth``: from its log length to
-    the end of the next operation on the path that issues requests."""
-    start = bounds[depth]
-    return start, next((end for end in bounds[depth + 1:] if end > start), start)
 
 
 @dataclass(frozen=True)
@@ -230,16 +220,27 @@ class _LiveRun:
     """The mutable state of one in-progress recording run."""
 
     def __init__(self, recording_device: RecordingDevice, fs, tracker: PersistenceTracker,
-                 oracles: Dict[int, Oracle], executor: WorkloadExecutor):
+                 oracles: Dict[int, Oracle], records: Dict[int, _CheckpointRecord],
+                 executor: WorkloadExecutor):
         self.recording_device = recording_device
         self.fs = fs
         self.tracker = tracker
         self.oracles = oracles
+        self.records = records
         self.executor = executor
 
     def on_persistence(self, op: Operation, index: int) -> None:
-        """Mark the checkpoint and capture its expectations from one tree walk."""
-        checkpoint_id = self.recording_device.mark_checkpoint()
+        """Mark the checkpoint, capture its expectations from one tree walk,
+        and record the forks its crash states are built from."""
+        device = self.recording_device
+        checkpoint_id = device.mark_checkpoint()
+        self.records[checkpoint_id] = _CheckpointRecord(
+            checkpoint_id=checkpoint_id,
+            marker=device.num_requests - 1,
+            baseline=device.target.snapshot(name=f"crash-{checkpoint_id}"),
+            stable=device.stable,
+            window=device.window,
+        )
         state = self.fs.logical_state()
         self.tracker.on_persistence(op, index, checkpoint_id, state)
         self.oracles[checkpoint_id] = Oracle(checkpoint_id, op.describe(), state)
@@ -261,10 +262,10 @@ class WorkloadRecorder:
                 either way; disabling trades recording speed for a recorder
                 with no state between ``profile`` calls.
             spine_store: budgeted spill store for the frozen trie spine.
-                Pass the harness-wide store so recorder and replay spines
-                share one resident budget; ``None`` builds a private store
-                with the default budget.  Profiles are byte-for-byte
-                identical whether nodes spill or stay resident.
+                Pass the harness-wide store to share its resident budget;
+                ``None`` builds a private store with the default budget.
+                Profiles are byte-for-byte identical whether nodes spill or
+                stay resident.
         """
         self.fs_name = resolve_fs_name(fs_name)
         self.fs_class = get_fs_class(self.fs_name)
@@ -347,7 +348,7 @@ class WorkloadRecorder:
         recording_device = RecordingDevice(CowDevice(base_image, name="workload-cow"))
         fs = self.fs_class(recording_device, self.bugs)
         fs.mount()
-        return _LiveRun(recording_device, fs, PersistenceTracker(fs), {},
+        return _LiveRun(recording_device, fs, PersistenceTracker(fs), {}, {},
                         WorkloadExecutor(fs, strict=self.strict))
 
     # ------------------------------------------------------------------ prefix shared
@@ -382,15 +383,13 @@ class WorkloadRecorder:
                 self._in_hand = resumed
             run = self._resume_from(resumed)
             base_elapsed = resumed.elapsed
-            bounds = list(resumed.bounds)
         else:
             # Cold cache: format-and-mount once over the shared base and
             # freeze the trie root; the run so far is its ``elapsed``.
             run = self._mount(spine.base)
             base_elapsed = clock.seconds
-            bounds = [run.recording_device.num_requests]
             self._keep(self._freeze(run, depth=0, op=None, prefix_key=keys[0],
-                                    elapsed=base_elapsed, bounds=bounds), step)
+                                    elapsed=base_elapsed), step)
 
         # Only op execution counts towards a node's `elapsed` (what a resume
         # reports as saved): a from-scratch re-run of the prefix would pay
@@ -406,32 +405,26 @@ class WorkloadRecorder:
         def after_operation(op, index):
             nonlocal exec_seconds
             exec_seconds += now() - op_start
-            bounds.append(run.recording_device.num_requests)
             if step.freezes(keys[index + 1]):
                 self._keep(self._freeze(run, depth=index + 1, op=op,
                                         prefix_key=keys[index + 1],
-                                        elapsed=base_elapsed + exec_seconds,
-                                        bounds=bounds), step)
+                                        elapsed=base_elapsed + exec_seconds), step)
 
         run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
                          after_operation=after_operation,
                          start_index=resumed.depth if resumed is not None else 0)
-        profile = self._finish(run, workload, spine.base, resumed)
-        if step.stored is not None:
-            # A window per stored node on this path, resumed past or not: a
-            # build whose trail starts shallower stages those forks again.
-            profile.trail_plan = TrailPlan(
-                len(resumed.log) if resumed is not None else 0,
-                frozenset(_window(bounds, depth)
-                          for depth, key in enumerate(keys) if key in step.stored))
-        return profile
+        return self._finish(run, workload, spine.base, resumed)
 
     def _keep(self, node: _PrefixNode, step: PlanStep) -> None:
         """The prefix spine's one admission point: push a frozen node the
         plan stores (sized by what it pins), and hold the one the next
         workload resumes from.  The root is always pushed: every workload
-        shares it, in this stream or the next."""
+        shares it, in this stream or the next.
+
+        A node's checkpoint records add no size of their own: their forks
+        share the overlay layers ``device`` chains, and their windows are
+        slices of the ``log`` that ``recorded_bytes`` counts."""
         if step.stored is None or node.prefix_key in step.stored or node.depth == 0:
             nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
             self._spine.push(node, nbytes, stub=node.prefix_key)
@@ -439,7 +432,7 @@ class WorkloadRecorder:
             self._in_hand = node
 
     def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
-                prefix_key: str, elapsed: float, bounds: List[int]) -> _PrefixNode:
+                prefix_key: str, elapsed: float) -> _PrefixNode:
         """Capture the live run as an immutable trie node (O(1) device fork)."""
         device = run.recording_device
         self.spine_freezes += 1
@@ -450,6 +443,9 @@ class WorkloadRecorder:
             device=device.target.snapshot(name=f"prefix-{depth}"),
             log=device.log,
             checkpoints=device.num_checkpoints,
+            stable=device.stable,
+            window=device.window,
+            records=dict(run.records),
             fs=run.fs.fork(None),
             tracker=run.tracker.fork(None),
             oracles=dict(run.oracles),
@@ -459,7 +455,6 @@ class WorkloadRecorder:
             write_requests=device.write_requests,
             recorded_bytes=device.recorded_bytes(),
             elapsed=elapsed,
-            bounds=tuple(bounds),
         )
 
     def _resume_from(self, node: _PrefixNode) -> _LiveRun:
@@ -468,14 +463,16 @@ class WorkloadRecorder:
             node.device.snapshot(name="workload-cow"), name="wrapper0"
         )
         recording_device.restore_log(node.log, node.checkpoints,
-                                     node.write_requests, node.recorded_bytes)
+                                     node.write_requests, node.recorded_bytes,
+                                     node.stable, node.window)
         fs = node.fs.fork(recording_device)
         tracker = node.tracker.fork(fs)
         executor = WorkloadExecutor(fs, strict=self.strict)
         executor.executed = node.executed
         executor.skipped = node.skipped
         executor.persistence_count = node.persistence_count
-        return _LiveRun(recording_device, fs, tracker, dict(node.oracles), executor)
+        return _LiveRun(recording_device, fs, tracker, dict(node.oracles), dict(node.records),
+                        executor)
 
     # ------------------------------------------------------------------ finish
 
@@ -495,6 +492,7 @@ class WorkloadRecorder:
             io_log=run.recording_device.log,
             oracles=run.oracles,
             tracker_views=run.tracker.views(),
+            records=run.records,
             num_checkpoints=run.recording_device.num_checkpoints,
             executed_ops=run.executor.executed,
             skipped_ops=run.executor.skipped,

@@ -6,12 +6,13 @@ write stream.  Mounting the crash state runs the file system's own recovery
 code (log/journal replay); if that fails, the crash state is un-mountable and
 ``fsck`` is consulted, exactly as in the paper.
 
-Construction is *incremental*: one cursor walks the recorded stream exactly
-once, applying every write to a chained-overlay :class:`CowDevice` and forking
-an O(1) snapshot at each flush barrier and checkpoint marker.  Each crash
-state then mounts on a private fork, so generating all states of a workload
-replays each recorded write once — linear in the log length — instead of
-re-scanning the prefix per checkpoint.
+Construction starts from what recording left behind: the recording device
+forked its copy-on-write target at every flush barrier and at every
+checkpoint marker, and kept the writes issued since the last barrier
+(:class:`~.verdicts._CheckpointRecord`, one per persistence point, on the
+profile).  Each crash state then mounts on a private fork of those, so no
+recorded write is applied twice to reach a checkpoint: a state re-applies
+only the in-flight window writes its scenario keeps.
 
 Which states exist at a checkpoint is decided by the pluggable crash plan
 (:mod:`repro.crashmonkey.crashplan`): the ``prefix`` plan reproduces the
@@ -26,7 +27,7 @@ from dataclasses import replace
 from functools import partial
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
-from ..analysis.audit import audit_report
+from ..analysis.audit import audited_analysis
 from ..analysis.mechanisms import MechanismReport
 from ..clock import span
 from ..errors import HarnessError, UnmountableError
@@ -36,9 +37,8 @@ from ..storage.cow_device import CowDevice, ReadLog
 from ..storage.io_request import IORequest
 from .crashplan import CrashPlanner, CrashScenario, PrefixPlanner
 from .recorder import WorkloadProfile
-from .replay_cache import SharedReplayCache, _CheckpointRecord, _ReplayNode
 from .tracker import TrackerView
-from .verdicts import CrashState, CrashVerdict
+from .verdicts import CrashState, CrashVerdict, _CheckpointRecord
 
 
 def _normalized_tracker_view(view: TrackerView) -> Tuple:
@@ -54,26 +54,22 @@ class CrashStateGenerator:
     def __init__(self, profile: WorkloadProfile, run_fsck_on_failure: bool = True,
                  planner: Optional[CrashPlanner] = None,
                  dedup_scenarios: bool = True,
-                 replay_cache: Optional[SharedReplayCache] = None,
                  analyze: Optional[bool] = None):
         self.profile = profile
         self.fs_class = get_fs_class(profile.fs_name)
         self.run_fsck_on_failure = run_fsck_on_failure
         self.planner = planner if planner is not None else PrefixPlanner()
-        #: run the static mechanism analysis during the one-pass build.
+        #: run the static mechanism analysis over the recorded stream.
         #: ``None`` = auto: on exactly when the planner consumes reports;
         #: an explicit flag forces it either way (the overhead benchmark and
         #: the ``analyze`` path use this).
         self.analyze = analyze if analyze is not None else self.planner.consumes_report
-        #: the inferred mechanism report (populated by the build when
+        #: the inferred mechanism report (populated by the analysis when
         #: :attr:`analyze` is on)
         self.mechanism_report: Optional[MechanismReport] = None
         #: skip constructing/checking a checkpoint's scenarios when an earlier
         #: checkpoint provably yields the same states and expectations
         self.dedup_scenarios = dedup_scenarios
-        #: replay-trie spine resuming the one-pass build from the deepest
-        #: cursor fork on the recorded stream's shared sibling prefix
-        self.replay_cache = replay_cache
         # Counters the harness gathers by name; each is documented where it is
         # declared, on the ``CrashTestResult`` field of the same name.
         self.mechanism_checkpoints = 0
@@ -81,91 +77,34 @@ class CrashStateGenerator:
         self.mechanism_demoted_checkpoints = 0
         self.audit_demotions = 0
         self.replayed_write_requests = 0
-        self.replay_shared = False
-        self.replay_writes_reused = 0
-        self.replay_seconds_saved = 0.0
         self.deduped_scenarios = 0
-        #: wall-clock seconds of the one-pass incremental build
+        #: wall-clock seconds spent before the first crash state: taking the
+        #: profile's records, and the static analysis when it runs
         self.build_seconds = 0.0
         self._records: Optional[Dict[int, _CheckpointRecord]] = None
 
-    # ------------------------------------------------------------------ one-pass build
+    # ------------------------------------------------------------------ records
 
     def _ensure_built(self) -> Dict[int, _CheckpointRecord]:
-        """Walk the recorded stream once, forking a snapshot per checkpoint.
+        """The profile's checkpoint records, and the mechanism report when
+        :attr:`analyze` is on.
 
-        With a :class:`SharedReplayCache` attached, the walk resumes from the
-        deepest cached cursor fork on the stream's shared sibling prefix:
-        checkpoint records inside the prefix are inherited as-is (they are
-        the same frozen forks the sibling's build produced) and only the
-        suffix's requests are applied.  Either way the records — and every
-        crash state derived from them — are byte-for-byte what a from-scratch
-        walk produces.
+        The records are what the recording run captured (the recording
+        device's fork at each marker, its fork at the last flush barrier and
+        the writes since), so nothing here walks the stream to build a
+        device.  The analysis is fed the finished stream, and the contract
+        auditor demotes every claim the stream's fence/FUA edges violate
+        before any planner consumes the report.
         """
         if self._records is not None:
             return self._records
-        with span(self, "build_seconds") as clock:
-            cache = self.replay_cache
-            log = self.profile.io_log
-            walk = cache.begin(self.profile, self.analyze) if cache is not None else None
-            if walk is None:
-                walk = _ReplayNode.root(self.profile, self.analyze)
-            else:
-                self.replay_shared = True
-                self.replay_writes_reused = walk.replayed_writes
-                self.replay_seconds_saved = walk.elapsed
-            base_elapsed = walk.elapsed
-            # The walk owns these three for good; everything else it rebinds.
-            cursor, records, analysis = walk.cursor, walk.records, walk.analysis
-
-            def freeze(fork: CowDevice) -> None:
-                # ``fork`` *is* a frozen cursor fork (the stable state or the
-                # checkpoint baseline): staging it costs no extra device work,
-                # and the next sibling's ``begin`` decides whether it is kept.
-                walk.index = index + 1
-                walk.elapsed = base_elapsed + clock.seconds
-                cache.freeze(walk, fork)
-
-            for index in range(walk.index, len(log)):
-                request = log[index]
-                if analysis is not None:
-                    analysis.feed(request)
-                if request.is_write:
-                    if request.block is None or request.data is None:
-                        raise HarnessError(
-                            f"malformed write request in recorded stream: {request!r}"
-                        )
-                    cursor.write_block(request.block, request.data)
-                    self.replayed_write_requests += 1
-                    walk.replayed_writes += 1
-                    walk.window += (request,)
-                elif request.is_flush:
-                    # Everything before the barrier is durable: fork the stable
-                    # state and start a fresh in-flight window.
-                    walk.stable = cursor.snapshot(name="replay-stable")
-                    walk.window = ()
-                    if cache is not None:
-                        freeze(walk.stable)
-                elif request.is_checkpoint and request.checkpoint_id is not None:
-                    baseline = cursor.snapshot(name=f"crash-{request.checkpoint_id}")
-                    records[request.checkpoint_id] = _CheckpointRecord(
-                        checkpoint_id=request.checkpoint_id,
-                        baseline=baseline,
-                        stable=walk.stable,
-                        window=walk.window,
-                    )
-                    if cache is not None:
-                        freeze(baseline)
-            self._records = records
-            if analysis is not None:
-                # Second static pass: the contract auditor re-checks every claim
-                # against the stream's actual fence/FUA edges and the cursor the
-                # walk has just finished, and demotes violated ones before any
-                # planner consumes the report.
-                report = analysis.finish(self.profile.fs_name)
-                self.mechanism_report = audit_report(report, self.profile.io_log, analysis)
+        with span(self, "build_seconds"):
+            if self.analyze:
+                self.mechanism_report = audited_analysis(self.profile.io_log,
+                                                         self.profile.fs_name)
                 self.audit_demotions = self.mechanism_report.demotions
-        return records
+            self._records = self.profile.records
+        return self._records
 
     def _attach_planner_report(self) -> None:
         """Hand the inferred report to the planner.
@@ -197,10 +136,13 @@ class CrashStateGenerator:
 
     def _record_for(self, checkpoint_id: int) -> _CheckpointRecord:
         record = self._ensure_built().get(checkpoint_id)
-        if record is None:
+        log = self.profile.io_log
+        if (record is None or record.marker >= len(log)
+                or log[record.marker].checkpoint_id != checkpoint_id):
             # A recorded stream that promises a persistence point (the oracle
-            # exists) but carries no marker is truncated or corrupt: that is
-            # a harness failure to surface, never a checkpoint to skip.
+            # exists) but carries no marker where its record says is
+            # truncated or corrupt: that is a harness failure to surface,
+            # never a checkpoint to skip.
             raise HarnessError(f"recorded stream has no checkpoint {checkpoint_id}")
         return record
 
@@ -331,10 +273,10 @@ class CrashStateGenerator:
         log.
 
         The verdicts are kept on the checkpoint record, so a sibling
-        workload that resumed the replay trail and re-reaches the same
-        record under the same oracle and tracker view objects gets its
-        states back as twins too (``inherited``) — provided the earlier
-        workload's consumer filed what it found.
+        workload whose recording resumed past the checkpoint — it shares the
+        record, the oracle and the tracker view objects — gets its states
+        back as twins too (``inherited``), provided the earlier workload's
+        consumer filed what it found.
         """
         if checkpoint_ids is None:
             checkpoint_ids = self.profile.checkpoints()

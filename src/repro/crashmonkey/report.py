@@ -344,10 +344,10 @@ class CrashTestResult:
         "pass and took the verdict an *earlier workload* filed for a state of that class at the "
         "same checkpoint record, under the same oracle and tracker "
         "view objects (included in ``scenarios_tested``: scenarios_tested - memoized_scenarios - "
-        "inherited_verdicts states were actually mounted).  Depends on what the replay trail "
+        "inherited_verdicts states were actually mounted).  Depends on what the recorder's spine "
         "still held (spill budget, chunk -> worker assignment), hence session telemetry: only a "
-        "trail node still resident when resumed carries verdicts (a thawed node's records start "
-        "without), which under a budget is typically the node its build's begin just admitted.",
+        "prefix node still resident when resumed carries verdicts (a thawed node's records start "
+        "without), which under a budget is typically the node handed over in memory.",
         tag=SESSION)
     bug_reports: List[BugReport] = field(default_factory=list)
     # Timing breakdown, the §6.3 phases: profile / replay / mount / fsck / check.
@@ -355,9 +355,10 @@ class CrashTestResult:
         "seconds spent profiling the workload (recording its block I/O, oracles and persisted "
         "set)", tag=SESSION, source=PROFILE, default=0.0)
     replay_seconds: float = counter(
-        "seconds spent on crash-state *construction* only (the paper's §6.3 replay phase: the "
-        "one-pass incremental build plus each state's own writes); mounting (recovery) and fsck "
-        "are attributed separately instead of being lumped into replay", tag=SESSION, default=0.0)
+        "seconds spent on crash-state *construction* only (the paper's §6.3 replay phase: taking "
+        "the recorded checkpoint records, the static analysis when it runs, and each state's own "
+        "device and writes); mounting (recovery) and fsck are attributed separately instead of "
+        "being lumped into replay", tag=SESSION, default=0.0)
     mount_seconds: float = counter(
         "seconds spent mounting crash states (the file system's recovery)",
         tag=SESSION, default=0.0)
@@ -367,10 +368,10 @@ class CrashTestResult:
         "seconds spent running the consistency checks on mounted crash states",
         tag=SESSION, default=0.0)
     replayed_write_requests: int = counter(
-        "write requests replayed onto crash-state devices for this workload: one per recorded "
-        "write for the single cursor pass, plus the re-applied window writes of each non-baseline "
-        "scenario whose device was really built — a state that took another's verdict builds "
-        "none (linear in the recorded log under the incremental builder)",
+        "in-flight window writes re-applied onto crash-state devices for this workload: those "
+        "each non-baseline scenario keeps, counted only when its device was really built (a "
+        "state that took another's verdict builds none, a baseline state forks the recorded "
+        "device at its marker and applies nothing)",
         tag=SESSION, source=GENERATOR)
     #: per-check wall-clock attribution, check name -> seconds (summed over
     #: every crash point tested for this workload)
@@ -400,17 +401,16 @@ class CrashTestResult:
         "recording seconds the prefix reuse avoided for this workload (the cached wall clock the "
         "original run spent reaching the resume point)", tag=SESSION, source=PROFILE, default=0.0)
     replay_shared: bool = counter(
-        "shared-replay accounting: True when the crash-state build resumed from the replay trail "
-        "instead of re-applying the shared stream prefix",
-        tag=SESSION, rollup=COUNT, aggregate="replay_hits", source=GENERATOR, default=False)
+        "always False, no crash-state build walks the recorded stream or resumes a walk (the "
+        "recording run captures the checkpoint records); kept so stored results and readers of "
+        "the field and its ``replay_hits`` aggregate keep their shape",
+        tag=SESSION, rollup=COUNT, aggregate="replay_hits", default=False)
     replay_writes_reused: int = counter(
-        "write requests inherited from the shared replay trail (``replayed_write_requests`` "
-        "counts only the fresh ones)", tag=SESSION, source=GENERATOR)
+        "always 0, for the same reason as ``replay_shared``; kept so stored results and readers "
+        "of the field keep their shape", tag=SESSION)
     replay_seconds_saved: float = counter(
-        "build seconds the trail resume avoided for this workload (the cached wall clock a "
-        "from-scratch build spends reaching the resume point); together with ``replay_seconds`` "
-        "(the fresh-build component actually paid) this splits construction time into trie-hit vs "
-        "fresh-replay parts", tag=SESSION, source=GENERATOR, default=0.0)
+        "always 0.0, for the same reason as ``replay_shared``; kept so stored results and "
+        "readers of the field keep their shape", tag=SESSION, default=0.0)
     # Mechanism-planner accounting.  Counted from the recorded stream before
     # any dedup decision, so these are schedule-invariant (canonical) rather
     # than session telemetry.
@@ -431,8 +431,8 @@ class CrashTestResult:
     # on the budget and on which workloads shared a harness).
     spine_resident_bytes: int = counter(
         "bytes of frozen spine nodes resident in the harness's spill store after this workload "
-        "(the replay nodes this workload's build staged are not in the store until the next "
-        "build admits them)", tag=SESSION, rollup=MAX)
+        "(the node handed to the next workload in memory is not in the store)",
+        tag=SESSION, rollup=MAX)
     spine_peak_resident_bytes: int = counter(
         "high-water mark of resident spine bytes over the harness's lifetime (bounded by the "
         "configured ``spine_memory_budget`` — per harness, so per worker under a pool backend)",
@@ -440,9 +440,9 @@ class CrashTestResult:
     spine_spilled_bytes: int = counter(
         "bytes of spine nodes written to the spill directory for this workload", tag=SESSION)
     spine_spills: int = counter(
-        "spine nodes spilled to disk while testing this workload (replay-trail nodes are pushed, "
-        "hence spillable, only when this workload's build admits the ones it shares of its "
-        "predecessor's; the rest never reach the store)", tag=SESSION)
+        "spine nodes spilled to disk while testing this workload (under a spine plan only the "
+        "nodes a workload after the next resumes from are pushed, hence spillable)",
+        tag=SESSION)
     spine_rehydrations: int = counter(
         "spilled spine nodes read back from disk while testing this workload", tag=SESSION)
 

@@ -1,16 +1,19 @@
-"""Crash states and the verdicts recovery reaches on them.
+"""Checkpoint records, crash states and the verdicts recovery reaches on them.
 
-A :class:`CrashState` is what the generator yields per crash scenario; a
-:class:`CrashVerdict` is what mounting and checking one concluded, shared by
-every state of the checkpoint that recovery cannot tell from it.  The
-:class:`_VerdictMemo` of a checkpoint record finds those states by content —
-first by every block the checkpoint's states can differ in, then by the
-blocks recovery and the checks actually read.
+A :class:`_CheckpointRecord` is what the recording run captures at one
+persistence point: the forks and the in-flight window every crash state of
+that checkpoint derives from.  A :class:`CrashState` is what the generator
+yields per crash scenario; a :class:`CrashVerdict` is what mounting and
+checking one concluded, shared by every state of the checkpoint that recovery
+cannot tell from it.  The :class:`_VerdictMemo` of a checkpoint record finds
+those states by content — first by every block the checkpoint's states can
+differ in, then by the blocks recovery and the checks actually read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..errors import UnmountableError
@@ -93,7 +96,7 @@ class CrashState:
     is_twin: bool = False
     #: twin whose representative was mounted and checked by an *earlier
     #: workload* sharing this checkpoint's record (how often that happens
-    #: depends on what the replay trail still holds: session telemetry)
+    #: depends on what the recorder's spine still holds: session telemetry)
     inherited: bool = False
     _device: Optional[CowDevice] = field(default=None, init=False, repr=False)
 
@@ -206,13 +209,13 @@ class _VerdictMemo:
     keys and verdicts only, never a scenario device or a mounted fs.
 
     The memo lives on its :class:`_CheckpointRecord`, so it is shared by
-    exactly the workloads that share the record: siblings resuming the
-    replay trail.  A verdict also depends on the checkpoint's oracle and
-    tracker view, so the memo remembers the two *objects* it was filled
-    under and starts over when handed any others (:meth:`verdicts_under`);
-    prefix-shared recording gives siblings the same objects, and anything
-    that rebuilt them — a spilled spine node, from-scratch recording —
-    gives new ones.
+    exactly the workloads that share the record: siblings whose recording
+    resumed from a prefix node past the checkpoint.  A verdict also depends
+    on the checkpoint's oracle and tracker view, so the memo remembers the
+    two *objects* it was filled under and starts over when handed any others
+    (:meth:`verdicts_under`); prefix-shared recording gives siblings the same
+    objects, and anything that rebuilt them — a spilled spine node,
+    from-scratch recording — gives new ones.
     """
 
     def __init__(self, stable: CowDevice, window: Tuple[IORequest, ...]):
@@ -281,3 +284,32 @@ class _VerdictMemo:
             self._oracle, self._view = oracle, view
             self._table = _VerdictTable(self.positions)
         return self._table
+
+
+@dataclass(frozen=True)
+class _CheckpointRecord:
+    """Forks and in-flight window the recording run captured at one
+    checkpoint marker."""
+
+    checkpoint_id: int
+    #: position of the checkpoint's marker in the recorded stream
+    marker: int
+    #: every recorded write up to the marker applied (the prefix state)
+    baseline: CowDevice
+    #: state as of the last flush barrier before the marker
+    stable: CowDevice
+    #: writes issued after that barrier, in issue order (FUA included)
+    window: Tuple[IORequest, ...]
+
+    @cached_property
+    def memo(self) -> _VerdictMemo:
+        """Verdicts of this checkpoint's crash states; born with the record's
+        first scenario and dropped with the record, so a record thawed from
+        a spill starts empty."""
+        return _VerdictMemo(self.stable, self.window)
+
+    def __reduce__(self):
+        # The memo does not ride through a spill: its verdicts were filed
+        # under expectation objects a thawed sibling no longer holds.
+        return _CheckpointRecord, (self.checkpoint_id, self.marker, self.baseline,
+                                   self.stable, self.window)

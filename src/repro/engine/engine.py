@@ -121,8 +121,8 @@ class CampaignEngine:
         """Cut the stream into chunks at ACE sibling-family boundaries.
 
         Runs of equal :meth:`Workload.family_key` stay in one chunk, so a
-        pool worker's prefix and replay spines see a family's shared
-        prefix together instead of split across workers.
+        pool worker's prefix spine sees a family's shared prefix
+        together instead of split across workers.
         The stream is never reordered, and the layout depends on it and
         ``chunk_size`` alone — which is what lets a durable campaign resume
         under any execution options and still find its own chunks.

@@ -30,6 +30,12 @@ from .storage.block import DEFAULT_DEVICE_BLOCKS
 IDENTITY = "identity"
 EXECUTION = "execution"
 
+#: options an earlier version had and this one does not, that were tagged
+#: ``execution``: a stored campaign configuration naming one resumes without
+#: it, whatever its value.  A retired name not listed here is taken to have
+#: been ``identity``, and a stored value other than null or false refuses.
+RETIRED_EXECUTION_OPTIONS = frozenset({"share_replay"})
+
 
 def positive_int(value: str) -> int:
     number = int(value)
@@ -131,18 +137,13 @@ class HarnessSpec:
               "from an O(1) snapshot fork; off records every workload from scratch "
               "(profiles are byte-for-byte identical either way)",
         tag=EXECUTION, flags=("--share-prefixes",))
-    share_replay: bool = option(
-        True, "resume each workload's crash-state build from the cached cursor fork on "
-              "its recorded stream's shared sibling prefix; off replays from scratch "
-              "(crash states are byte-for-byte identical either way)",
-        tag=EXECUTION, flags=("--share-replay",))
     analyze_mechanisms: Optional[bool] = option(
         None, "run the static mechanism analysis over each recorded stream (None = "
               "exactly when the crash plan consumes it; True forces it beside an "
               "exhaustive plan, to measure its overhead)")
     spine_memory_budget: Optional[int] = option(
-        None, "resident-byte budget for the cached trie spines (prefix recording + "
-              "replay trail); frozen nodes beyond it spill to disk and rehydrate "
+        None, "resident-byte budget for the cached trie spine of prefix recording; "
+              "frozen nodes beyond it spill to disk and rehydrate "
               "transparently with byte-identical results (0 spills everything; default: "
               "generous, or the REPRO_SPINE_BUDGET environment variable)",
         tag=EXECUTION, flags=("--spine-memory-budget",), type=nonnegative_int,

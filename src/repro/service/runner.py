@@ -16,7 +16,7 @@ a campaign survives the death of the process running it:
   family-affine and depends on the stream and ``chunk_size`` alone, so a
   session resumed under any execution options (worker count, sharing
   switches, spine budget) finds the same chunks, keeps whole ACE sibling
-  families on one worker and loses none of the prefix/replay sharing.
+  families on one worker and loses none of the prefix sharing.
 * **Crash recovery.**  Every session starts with
   :meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash` (orphaned
   ``processing`` chunks go back to ``pending``), skips chunks already

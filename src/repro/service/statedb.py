@@ -48,7 +48,7 @@ from ..core.results import CampaignResult
 from ..crashmonkey.report import CrashTestResult
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError
-from ..options import CampaignConfig
+from ..options import RETIRED_EXECUTION_OPTIONS, CampaignConfig
 from . import api
 
 _SCHEMA = """
@@ -148,8 +148,10 @@ class CampaignStateDB:
         for name, value in stored.items():
             # The decoder drops a key that names no field, so an option set
             # under a version that had it is caught here or nowhere: left at
-            # null or false it changed nothing, set it made another campaign.
-            if name not in options and value not in (None, False):
+            # null or false it changed nothing, set it made another campaign
+            # — unless it was an execution option, which never changed one.
+            if (name not in options and name not in RETIRED_EXECUTION_OPTIONS
+                    and value not in (None, False)):
                 raise CampaignDriftError(
                     f"campaign {campaign_id!r} was created with {name}={value!r}, "
                     f"an option this version no longer has — a different campaign; "

@@ -9,6 +9,12 @@ correlated with the workload's persistence points.
 ``RecordingDevice`` plays that role here.  The file system under test writes
 through it; the CrashMonkey harness calls :meth:`mark_checkpoint` right after
 every fsync/fdatasync/sync/msync in the workload returns.
+
+It also keeps what a crash state is built from while the stream is recorded:
+an O(1) fork of its copy-on-write target at every flush barrier (the
+:attr:`stable` state, durable whatever the crash) and the write requests
+issued since that barrier (the in-flight :attr:`window`), so nobody walks the
+stream a second time to find them.
 """
 
 from __future__ import annotations
@@ -16,14 +22,15 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from .block import BLOCK_SIZE, Payload, pad_block
+from .cow_device import CowDevice
 from .io_request import IOFlag, IOKind, IORequest
 from .slab import BlockSlab
 
 
 class RecordingDevice:
-    """Wraps any block device and records the write stream issued to it."""
+    """Wraps a copy-on-write device and records the write stream issued to it."""
 
-    def __init__(self, target, name: str = "wrapper0"):
+    def __init__(self, target: CowDevice, name: str = "wrapper0"):
         self.target = target
         self.name = name
         self.num_blocks = target.num_blocks
@@ -36,6 +43,9 @@ class RecordingDevice:
         self._recorded_bytes = 0
         self._slab: Optional[BlockSlab] = None
         self.recording = True
+        #: fork of the target as of the last recorded flush barrier
+        self.stable = target.snapshot(name="stable")
+        self._window: List[IORequest] = []
 
     # -- pass-through I/O ----------------------------------------------------
 
@@ -78,16 +88,10 @@ class RecordingDevice:
         self._seq += 1
         self.write_requests += 1
         self._recorded_bytes += len(payload)
-        self._log.append(
-            IORequest(
-                seq=self._seq,
-                kind=IOKind.WRITE,
-                block=block,
-                data=payload,
-                flags=flags,
-                tag=tag,
-            )
-        )
+        request = IORequest(seq=self._seq, kind=IOKind.WRITE, block=block, data=payload,
+                            flags=flags, tag=tag)
+        self._log.append(request)
+        self._window.append(request)
 
     def discard_block(self, block: int) -> None:
         self.target.discard_block(block)
@@ -100,6 +104,10 @@ class RecordingDevice:
         flags: Tuple[IOFlag, ...] = (IOFlag.SYNC,) if sync else tuple()
         self._seq += 1
         self._log.append(IORequest(seq=self._seq, kind=IOKind.FLUSH, flags=flags))
+        # Everything before the barrier is durable: fork the stable state and
+        # start a fresh in-flight window.
+        self.stable = self.target.snapshot(name="stable")
+        self._window = []
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -130,19 +138,24 @@ class RecordingDevice:
         self.recording = True
 
     def restore_log(self, log: Sequence[IORequest], checkpoints: int,
-                    write_requests: int, recorded_bytes: int) -> None:
+                    write_requests: int, recorded_bytes: int,
+                    stable: CowDevice, window: Sequence[IORequest]) -> None:
         """Seed the recorder with an already-recorded stream.
 
         Used by prefix-shared profiling: a run resumed from a cached prefix
         snapshot inherits the prefix's recorded requests (and continues the
         sequence numbering and checkpoint ids after them), so its final log
         is byte-for-byte what recording from scratch would have produced.
+        ``stable`` and ``window`` are the stream's barrier fork and in-flight
+        writes at its end.
         """
         self._log = list(log)
         self._seq = self._log[-1].seq if self._log else 0
         self._checkpoints = checkpoints
         self.write_requests = write_requests
         self._recorded_bytes = recorded_bytes
+        self.stable = stable
+        self._window = list(window)
 
     # -- introspection -----------------------------------------------------------
 
@@ -155,6 +168,11 @@ class RecordingDevice:
     def num_requests(self) -> int:
         """Requests recorded so far (``len(log)`` without the copy)."""
         return len(self._log)
+
+    @property
+    def window(self) -> Tuple[IORequest, ...]:
+        """Write requests recorded since the last flush barrier, in issue order."""
+        return tuple(self._window)
 
     @property
     def num_checkpoints(self) -> int:

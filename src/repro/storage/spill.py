@@ -1,17 +1,17 @@
 """Cached spines under a resident-memory budget: store, spine, serialiser.
 
-The prefix-shared recorder and the shared replay cache each keep one cached
-path of frozen nodes — one per operation / flush barrier — made of live
-objects: ``CowDevice`` forks, file-system and tracker forks, slices of the
-recorded log.  At seq-1 and seq-2 depths that is cheap; at seq-3 the cached
-spines start competing with live crash states for RAM.
+The prefix-shared recorder keeps one cached path of frozen nodes — one per
+operation — made of live objects: ``CowDevice`` forks, file-system and
+tracker forks, slices of the recorded log and the checkpoint records taken
+so far.  At seq-1 and seq-2 depths that is cheap; at seq-3 the cached
+spine starts competing with live crash states for RAM.
 
-* :class:`SpineStore` keeps the hot tail of every spine resident in an LRU
+* :class:`SpineStore` keeps the hot tail of the spine resident in an LRU
   bounded by a byte budget and spills cold nodes to a per-campaign directory.
   Spilled nodes rehydrate transparently on access and are parity-proven
   identical to never-spilled nodes (the tier-1 suite replays the full seq-1
   space of every simulated file system with a zero budget).
-* :class:`Spine` is the one cached path both owners hold: always-resident
+* :class:`Spine` is the one cached path the owner holds: always-resident
   *stubs* (whatever the owner matches prefixes on) beside the store keys of
   the full nodes, the only caller of the store's ``put`` / ``get`` / ``drop``.
 * The serialiser pickles the node object itself.  It knows two *storage*
@@ -134,10 +134,9 @@ class _Entry:
 class SpineStore:
     """Budgeted LRU of frozen spine nodes with transparent disk spill.
 
-    One store serves both spines of a harness (recorder prefixes and the
-    replay trail); engine pool workers each build their own harness and store
-    but may share one spill directory — file names carry the owning pid and a
-    per-store counter, so they never collide.
+    One store serves a harness's spine; engine pool workers each build their
+    own harness and store but may share one spill directory — file names
+    carry the owning pid and a per-store counter, so they never collide.
 
     Nodes are immutable once stored, which buys two properties: a node
     already on disk re-evicts by just dropping the resident reference (no

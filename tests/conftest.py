@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.ace import Bounds
 from repro.crashmonkey import CrashMonkey
-from repro.crashmonkey.replay_cache import _ReplayNode
 from repro.errors import FileSystemError
 from repro.fs import BugConfig, get_fs_class, resolve_fs_name
 from repro.storage import BlockDevice, CowDevice, RecordingDevice
@@ -126,12 +125,10 @@ def apply_op(fs, op):
 
 
 def devices_of(node):
-    """A spine node's device references, in a fixed order, duplicates included."""
-    if isinstance(node, _ReplayNode):
-        records = node.records.values()
-        return [node.cursor, node.stable, *(r.baseline for r in records),
-                *(r.stable for r in records)]
-    return [node.device]
+    """A prefix node's device references, in a fixed order, duplicates included."""
+    records = node.records.values()
+    return [node.device, node.stable, *(r.baseline for r in records),
+            *(r.stable for r in records)]
 
 
 def topology(devices):

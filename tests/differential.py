@@ -25,6 +25,7 @@ from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine import HarnessSpec, run_campaign
 from repro.fs import resolve_fs_name
+from repro.storage import CowDevice
 from repro.workload import parse_workload
 
 from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
@@ -205,6 +206,45 @@ def assert_profiles_match(recording: WorkloadRecorder, fs_name: str, bugs=None,
                                         _from_scratch(fs_name, bugs, space_name)):
         assert_profiles_equal(recording.profile(workload, step=step), expected,
                               context=f"{fs_name} {workload.display_name()}")
+
+
+def walked_records(profile) -> Dict[int, tuple]:
+    """What the recording run's checkpoint records must equal, the slow way.
+
+    One cursor walks ``profile.io_log`` from the base image, applying every
+    write; the stable state is forked at each flush barrier, where the
+    in-flight window starts over.  Checkpoint id -> ``(marker, baseline,
+    stable, window)``: the marker's log index, the cursor forked there, the
+    stable fork and the writes since it.
+    """
+    cursor = CowDevice(profile.base_image, name="walk")
+    stable, window, records = cursor.snapshot(), (), {}
+    for index, request in enumerate(profile.io_log):
+        if request.is_write:
+            cursor.write_block(request.block, request.data)
+            window += (request,)
+        elif request.is_flush:
+            stable, window = cursor.snapshot(), ()
+        elif request.is_checkpoint:
+            records[request.checkpoint_id] = (index, cursor.snapshot(), stable, window)
+    return records
+
+
+def records_mismatch(profile) -> Optional[str]:
+    """Where ``profile.records`` first differs from :func:`walked_records`, or ``None``."""
+    walked = walked_records(profile)
+    if profile.records.keys() != walked.keys():
+        return f"checkpoints {sorted(profile.records)} != {sorted(walked)}"
+    for checkpoint_id, record in sorted(profile.records.items()):
+        marker, baseline, stable, window = walked[checkpoint_id]
+        for part, mine, theirs in (
+                ("marker", record.marker, marker),
+                ("baseline", record.baseline.overlay_delta(), baseline.overlay_delta()),
+                ("stable", record.stable.overlay_delta(), stable.overlay_delta()),
+                ("window", record.window, window)):
+            if mine != theirs:
+                return f"{part} @ checkpoint {checkpoint_id}"
+    return None
 
 
 @functools.lru_cache(maxsize=1)

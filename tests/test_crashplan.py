@@ -244,19 +244,25 @@ def test_prefix_states_match_from_scratch_replay_on_full_seq1_space(fs_name, bug
     assert compared > 0
 
 
-def test_replayed_write_count_is_linear_in_log_length():
-    """One cursor pass: each recorded write is applied exactly once (prefix)."""
+def test_replayed_writes_are_the_kept_window_writes_of_built_states():
+    """No recorded write is applied again to reach a checkpoint: a baseline
+    state forks the recorded device at its marker and applies nothing, and a
+    non-baseline state applies the window writes its scenario keeps — once
+    its device is built, which a twin's never is."""
     profile = _profile("logfs", "creat a\nfsync a\ncreat b\nfsync b\ncreat c\nsync\ncreat d\nfsync d")
     generator = CrashStateGenerator(profile)
-    list(generator.generate_all())
-    recorded_writes = sum(1 for r in profile.io_log if r.is_write)
-    assert generator.replayed_write_requests == recorded_writes
-    # The old per-checkpoint rescan replayed the prefix again per checkpoint.
-    quadratic = sum(
-        sum(1 for r in profile.io_log if r.is_write and r.seq <= marker.seq)
-        for marker in profile.io_log if marker.is_checkpoint
-    )
-    assert generator.replayed_write_requests < quadratic
+    assert len(list(generator.generate_all())) == len(profile.checkpoints())
+    assert generator.replayed_write_requests == 0
+    torn = CrashStateGenerator(profile, planner=make_planner("torn"))
+    kept = built = 0
+    for state in torn.generate_scenarios():
+        if state.is_twin or state.scenario.is_baseline:
+            continue
+        built += 1
+        window = torn._record_for(state.checkpoint_id).window
+        kept += sum(1 for r in window if r.seq not in state.scenario.dropped_seqs)
+    assert built > 0 and kept > 0
+    assert torn.replayed_write_requests == kept
 
 
 def test_unknown_checkpoint_raises_a_harness_error():
@@ -545,7 +551,7 @@ class TestTimingSplit:
                              ).test_workload(parse_workload("creat foo\nfsync foo"))
         assert result.mount_seconds > 0
         assert result.replay_seconds > 0
-        assert result.replayed_write_requests > 0
+        assert result.replayed_write_requests == 0, "a prefix state applies no write"
         assert result.total_seconds >= (
             result.replay_seconds + result.mount_seconds + result.check_seconds
         )

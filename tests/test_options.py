@@ -45,7 +45,6 @@ VARIANTS = {
     "torn_bound": 1,
     "dedup_scenarios": False,
     "share_prefixes": False,
-    "share_replay": False,
     "analyze_mechanisms": True,
     "spine_memory_budget": 0,
     "spine_spill_dir": "spill",
@@ -90,12 +89,11 @@ def test_every_option_documents_and_classifies_itself(spec_field):
 
 
 def test_the_execution_options_are_the_ones_parity_is_proven_for():
-    # tests/test_prefix_sharing, test_shared_replay and test_spine_spill prove
-    # these cannot change canonical_dict(); tagging anything else execution
-    # needs such a proof first.
+    # tests/test_prefix_sharing and test_spine_spill prove these cannot
+    # change canonical_dict(); tagging anything else execution needs such a
+    # proof first.
     assert set(TAGGED[EXECUTION]) == {
-        "processes", "share_prefixes", "share_replay", "spine_memory_budget",
-        "spine_spill_dir",
+        "processes", "share_prefixes", "spine_memory_budget", "spine_spill_dir",
     }
 
 
@@ -186,11 +184,11 @@ def test_a_new_field_needs_no_other_edit():
 # ------------------------------------------------------------------------------ CLI
 
 #: the flag sets of the commit before the schema, less the two cross-workload
-#: dedup flags that went with their options — none lost, none gained
+#: dedup flags and the ``--share-replay`` pair that went with their options —
+#: none lost, none gained
 HARNESS_FLAGS = {
     "-h", "--help", "--filesystem", "-f", "--patched", "--crash-plan", "--list-planners",
     "--reorder-bound", "--torn-bound", "--share-prefixes", "--no-share-prefixes",
-    "--share-replay", "--no-share-replay",
     "--spine-memory-budget", "--spine-spill-dir", "--checks", "--skip-checks", "--list-checks",
 }
 CAMPAIGN_FLAGS = HARNESS_FLAGS | {
@@ -229,6 +227,7 @@ REMOVED = {
     "cross_workload_dedup": (True, "--cross-workload-dedup"),
     "global_dedup_cache": ("sightings.sqlite", "--global-dedup-cache"),
     "dedup_scope": ("campaign", None),
+    "share_replay": (True, "--share-replay"),
 }
 
 
@@ -240,7 +239,7 @@ def test_a_removed_option_is_settable_nowhere(name):
         with pytest.raises(TypeError):
             build(**{name: value})
     # A stored payload keeps the key; the decoder drops it (the state store's
-    # drift check is what refuses a campaign created with it set).
+    # drift check is what refuses a campaign created with an identity one set).
     assert config_from_dict({**config_to_dict(CampaignConfig()), name: value}) == \
         CampaignConfig()
     if flag is not None:
@@ -258,7 +257,7 @@ def test_parsed_arguments_become_the_hand_built_config():
     assert CampaignConfig.from_args(args, bounds=seq2_bounds()) == CampaignConfig(
         fs_name="logfs", bounds=seq2_bounds(), max_workloads=30, sample=True, chunk_size=5,
         processes=2, crash_plan="torn", reorder_bound=3, torn_bound=1, share_prefixes=False,
-        share_replay=True, spine_memory_budget=4096, spine_spill_dir="spill",
+        spine_memory_budget=4096, spine_spill_dir="spill",
         checks=("mount", "read"), skip_checks=("read",))
     defaults = build_parser().parse_args(["campaign"])
     assert CampaignConfig.from_args(defaults) == CampaignConfig()
@@ -351,7 +350,7 @@ def test_the_cli_resumes_under_execution_flags_and_refuses_identity_drift(tmp_pa
                 "--preset", "seq-1", "--limit", "20", "--chunk-size", "4", "--patched"]
     assert main(["submit", "--state-db", db_path, "--name", "c1", *campaign[6:]]) == 0
     assert main(["serve", "--state-db", db_path, "--slice-chunks", "2", "--max-slices", "1"]) == 0
-    assert main([*campaign, "--spine-memory-budget", "65536", "--no-share-replay"]) == 0
+    assert main([*campaign, "--spine-memory-budget", "65536", "--no-share-prefixes"]) == 0
     capsys.readouterr()
     assert main([*campaign, "--torn-bound", "1"]) == 2
     error = capsys.readouterr().err

@@ -210,14 +210,14 @@ def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
 
 
 def _harness(fs_name="logfs", bugs=None, **options):
-    # A spilled trail node thaws without its verdict memo, so the budget is
+    # A spilled prefix node's records thaw without their verdict memos, so the budget is
     # pinned: what a sibling inherits must not depend on REPRO_SPINE_BUDGET.
     options.setdefault("spine_memory_budget", 1 << 28)
     return CrashMonkey(fs_name, bugs=bugs, device_blocks=SMALL_DEVICE_BLOCKS, **options)
 
 
 def _from_scratch(fs_name, text, name, bugs=None):
-    harness = _harness(fs_name, bugs, share_prefixes=False, share_replay=False)
+    harness = _harness(fs_name, bugs, share_prefixes=False)
     return harness.test_workload(parse_workload(text, name=name))
 
 
@@ -419,6 +419,4 @@ class TestCliFlags:
         workload_file.write_text("creat foo\nfsync foo\n")
         assert main(["test", str(workload_file), "--filesystem", "btrfs",
                      "--patched", "--no-share-prefixes"]) == 0
-        assert main(["test", str(workload_file), "--filesystem", "btrfs",
-                     "--patched", "--no-share-replay"]) == 0
 

@@ -562,35 +562,12 @@ def test_a_store_call_outside_the_spill_module_is_caught():
         "        return self.spine_store.get(key), self.options.get('budget')\n"
     )
     findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/replay_cache.py": source,
+        "crashmonkey/replayer.py": source,
         "storage/spill.py": source,
     }))
     assert sorted((path, line) for path, line, _ in findings) == [
-        ("src/repro/crashmonkey/replay_cache.py", line) for line in (3, 5, 6)]
+        ("src/repro/crashmonkey/replayer.py", line) for line in (3, 5, 6)]
     assert all("Spine" in message for _, _, message in findings)
-
-
-def test_a_trail_push_outside_the_admission_point_is_caught():
-    source = (
-        "class SharedReplayCache:\n"
-        "    def begin(self, profile):\n"
-        "        for node in self._staged:\n"
-        "            self._spine.push(node, node.spine_bytes(), node.index)\n"
-        "    def freeze(self, walk, cursor):\n"
-        "        node = walk.fork(cursor)\n"
-        "        self._spine.push(node, node.spine_bytes(), node.index)\n"
-    )
-    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/replay_cache.py": source,
-        "crashmonkey/replayer.py": source,
-    }))
-    assert [(path, line) for path, line, _ in findings] == [
-        ("src/repro/crashmonkey/replay_cache.py", 7)]
-    assert "SharedReplayCache.begin" in findings[0][2]
-    staged = source.replace("self._spine.push(node, node.spine_bytes(), node.index)\n",
-                            "self._staged.append(node)\n")
-    assert repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/replay_cache.py": staged})) == []
 
 
 def test_a_prefix_push_outside_the_admission_point_is_caught():
@@ -609,9 +586,9 @@ def test_a_prefix_push_outside_the_admission_point_is_caught():
     assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/recorder.py", 6)]
     assert "WorkloadRecorder._keep" in findings[0][2] and "plan" in findings[0][2]
-    # The trail's admission point is no admission point for the prefix spine.
+    # Another class's method is no admission point for the prefix spine.
     findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/recorder.py": source.replace("WorkloadRecorder", "SharedReplayCache")
+        "crashmonkey/recorder.py": source.replace("WorkloadRecorder", "Cache")
                                          .replace("_keep", "begin")}))
     assert [line for _, line, _ in findings] == [3, 6]
 
@@ -621,7 +598,7 @@ def test_a_serialiser_that_imports_a_node_type_is_caught():
         "storage/spill.py": (
             "import pickle\n"
             "from ..errors import SpillMissError\n"
-            "from ..crashmonkey.replay_cache import _ReplayNode\n"
+            "from ..crashmonkey.recorder import _PrefixNode\n"
             "from .. import fs\n"
             "import repro.fs.base\n"
         ),

@@ -233,12 +233,32 @@ def test_a_campaign_created_with_cross_workload_dedup_is_refused(tmp_path):
         "version no longer has — a different campaign; pick another campaign id")
 
 
+def test_a_campaign_created_with_share_replay_resumes_without_it(tmp_path):
+    """``share_replay`` was an execution option, on by default, so every store
+    written while it existed holds ``share_replay: true``.  It never changed
+    a result: such a campaign resumes to the result it would have had, and
+    its row keeps the configuration it was created with."""
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path, share_replay=True)
+    runner = DurableCampaignRunner.from_db(db_path, "old")
+    try:
+        resumed = runner.run()
+    finally:
+        runner.close()
+    assert resumed.canonical_dict() == B3Campaign(_config()).run().canonical_dict()
+    with CampaignStateDB(db_path) as db:
+        assert db.load_config("old")["share_replay"] is True
+
+
 @pytest.mark.parametrize("stored, refused", [
     ({"cross_workload_dedup": True}, True),
     ({"cross_workload_dedup": False}, False),
     ({"global_dedup_cache": None}, False),
     ({"dedup_scope": None}, False),
-], ids=["cross-dedup-on", "cross-dedup-off", "no-sighting-db", "no-scope"])
+    ({"share_replay": True}, False),
+    ({"share_replay": True, "cross_workload_dedup": True}, True),
+], ids=["cross-dedup-on", "cross-dedup-off", "no-sighting-db", "no-scope", "share-replay-on",
+        "share-replay-and-cross-dedup-on"])
 def test_only_a_removed_option_that_was_set_is_drift(tmp_path, stored, refused):
     db_path = str(tmp_path / "state.sqlite")
     _old_store(db_path, **stored)

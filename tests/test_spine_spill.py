@@ -12,11 +12,10 @@ The guarantees this file pins, in the order the spill layer makes them:
   simulated file systems.
 * **Isolation** — a rehydrated node shares no mutable state with other
   rehydrations of the same slot (the aliasing regression), and a cleared
-  replay cache behaves exactly like a freshly built one (the stale-flags
-  regression).
+  prefix cache behaves exactly like a freshly built one.
 * **Fault tolerance** — a truncated, torn or bit-flipped spill file and a
-  failed spill write (full disk) are one typed miss, which both spines
-  answer by resuming from the parent node — from scratch when no node
+  failed spill write (full disk) are one typed miss, which the spine
+  answers by resuming from the parent node — from scratch when no node
   reads: identical results, never an exception.
 * **Durability** — a SIGKILLed spilling campaign resumes to canonically
   identical results whether its spill directory survived the crash or was
@@ -38,7 +37,7 @@ import pytest
 
 from repro.ace import seq2_bounds, seq3_data_bounds
 from repro.cli.main import main
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, SharedReplayCache
+from repro.crashmonkey import CrashMonkey
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.errors import SpillMissError
 from repro.storage import BLOCK_SIZE, SpineStore, default_spine_memory_budget
@@ -317,10 +316,10 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
     """A zero-budget seq-2 family survives its own medicine.
 
     Between two siblings every spill file on disk is damaged (so the next
-    sibling's prefix node *and* replay-trail node are both unreadable), and
-    later one spill write of each spine hits a full disk.  Both spines must
-    answer by rebuilding from scratch: the results are canonically identical
-    to an unspilled run and nothing raises out of ``test_workload``.
+    sibling's prefix node is unreadable), and later three spill writes hit a
+    full disk.  The spine must answer by rebuilding from scratch: the results
+    are canonically identical to an unspilled run and nothing raises out of
+    ``test_workload``.
     """
     family = differential.space("seq-2", 36)
     plain = differential.reference("btrfs", crash_plan="reorder", space="seq-2", limit=36)
@@ -328,8 +327,7 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
 
     spill_dir = tmp_path / "spill"
     faulty = CrashMonkey("btrfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="reorder",
-                         share_prefixes=True, share_replay=True,
-                         spine_memory_budget=0, spine_spill_dir=str(spill_dir))
+                         share_prefixes=True, spine_memory_budget=0, spine_spill_dir=str(spill_dir))
     store = faulty.spine_store
     results = []
     for position, workload in enumerate(family):
@@ -344,10 +342,10 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
 
     differential.assert_same(differential.Run(results), plain)
     assert writes["n"] > 5, "the injected write faults must have been reached"
-    # Both fault kinds were hit, on both spines: the damaged files cost one
-    # recorder miss and one replay miss, the failed writes at least one more.
+    # Both fault kinds were hit: the damaged files cost a miss, and each of
+    # the three failed writes loses the node it held.
     assert store.lost >= 3
-    assert not results[12].prefix_shared and not results[12].replay_shared
+    assert not results[12].prefix_shared
     # ... and the caches recover: siblings after a miss share prefixes again.
     assert results[13].prefix_shared and results[-1].prefix_shared
     assert not [name for name in os.listdir(spill_dir) if name.endswith(".tmp")]
@@ -357,57 +355,39 @@ def test_spill_faults_degrade_to_a_rebuild_with_identical_results(tmp_path, monk
 
 
 def test_clear_restores_the_freshly_constructed_state():
-    """Regression: ``clear()`` used to leave ``_analyzed`` stale.
+    """A cleared prefix cache behaves exactly like a fresh one: no node in
+    the store, none in hand, and the next profile records from scratch."""
+    recorder = differential.recorder("logfs", spine_store=SpineStore(memory_budget=0))
+    recorder.profile(parse_workload(SIBLING_A, name="A"))
+    assert recorder.profile(parse_workload(SIBLING_B, name="B")).prefix_shared
+    assert len(recorder._spine) and recorder.spine_store.spills
 
-    A cleared cache then refused (or worse, accepted) resumes based on the
-    analysis mode of builds it no longer remembered.  Clearing must restore
-    every matching field a fresh cache starts with.
-    """
-    recorder = differential.recorder("logfs")
-    cache = SharedReplayCache()
-    profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
-    for built in (profile, recorder.profile(parse_workload(SIBLING_B, name="B"))):
-        # B's ``begin`` admits A's trail on their shared prefix; B stages its own.
-        analysing = CrashStateGenerator(built, replay_cache=cache, analyze=True)
-        analysing._ensure_built()
-    assert analysing.replay_shared
-    assert len(cache._spine) and cache._staged and cache._analyzed
-
-    cache.clear()
-    fresh = SharedReplayCache()
-    for attr in ("_log", "_analyzed", "_staged"):
-        assert getattr(cache, attr) == getattr(fresh, attr), attr
-    assert (len(cache._spine), cache._spine.stubs, cache._spine.base) == (0, [], None)
-    assert len(cache.spine_store) == 0
-    # And a non-analysing build now runs cold instead of matching stale state.
-    cold = CrashStateGenerator(profile, replay_cache=cache)
-    cold._ensure_built()
-    assert not cold.replay_shared
+    recorder.clear_prefix_cache()
+    assert (len(recorder._spine), recorder._spine.stubs, recorder._in_hand) == (0, [], None)
+    assert len(recorder.spine_store) == 0
+    cold = recorder.profile(parse_workload(SIBLING_B, name="B"))
+    assert not cold.prefix_shared
+    differential.assert_profiles_equal(
+        cold, differential.recorder("logfs", share_prefixes=False).profile(
+            parse_workload(SIBLING_B, name="B")))
 
 
 def test_rehydrated_nodes_share_no_mutable_state():
     """Regression: two fetches of a spilled slot must not alias dicts.
 
     A rehydration that handed back cached mutable containers would let one
-    build's bookkeeping (records snapshot, window tuples) leak into a
+    profile's bookkeeping (records, oracles, window tuples) leak into a
     sibling's resume.  Each fetch rebuilds a fresh object graph — while still
     preserving the *intra-node* device identity topology the scenario dedup
     key relies on.
     """
-    recorder = differential.recorder("logfs")
-    cache = SharedReplayCache(spine_store=SpineStore(memory_budget=0))
-    profile = recorder.profile(parse_workload(SIBLING_A, name="A"))
-    CrashStateGenerator(profile, replay_cache=cache)._ensure_built()
-    # The trail is admitted by the next build's ``begin``: a rebuild of the
-    # same stream shares all of it.
-    rebuilt = CrashStateGenerator(profile, replay_cache=cache)
-    rebuilt._ensure_built()
-    assert rebuilt.replay_shared
-    assert cache.spine_store.spills > 0
-    deepest = len(cache._spine) - 1
+    recorder = differential.recorder("logfs", spine_store=SpineStore(memory_budget=0))
+    recorder.profile(parse_workload(SIBLING_A, name="A"))
+    assert recorder.spine_store.spills > 0
+    deepest = len(recorder._spine) - 1
 
-    node1 = cache._spine.fetch(deepest)
-    node2 = cache._spine.fetch(deepest)
+    node1 = recorder._spine.fetch(deepest)
+    node2 = recorder._spine.fetch(deepest)
     assert node1 is not node2
     assert node1.records is not node2.records
     assert node1.records.keys() == node2.records.keys()
@@ -417,14 +397,13 @@ def test_rehydrated_nodes_share_no_mutable_state():
         assert record is not other
         assert record.baseline is not other.baseline
         assert record.stable is not other.stable
-        assert (record.baseline._merged_overlay()
-                == other.baseline._merged_overlay())
-        assert record.stable._merged_overlay() == other.stable._merged_overlay()
+        assert record.baseline.overlay_delta() == other.baseline.overlay_delta()
+        assert record.stable.overlay_delta() == other.stable.overlay_delta()
     # Mutating one rehydration is invisible to the other.
     node1.records.clear()
     assert node2.records
     # Identity topology (which record forks alias which) is preserved.
-    assert topology(devices_of(node2)) == topology(devices_of(cache._spine.fetch(deepest)))
+    assert topology(devices_of(node2)) == topology(devices_of(recorder._spine.fetch(deepest)))
 
 
 # ------------------------------------------------------------------ durable resume

@@ -47,9 +47,8 @@ from repro.ace import AceSynthesizer, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey import CheckContext, CrashMonkey, CrashStateGenerator
 from repro.crashmonkey.crashplan import CrashScenario, make_planner
-from repro.crashmonkey.replay_cache import _CheckpointRecord
 from repro.crashmonkey.report import BugReport, CrashTestResult
-from repro.crashmonkey.verdicts import _VerdictMemo, _VerdictTable
+from repro.crashmonkey.verdicts import _CheckpointRecord, _VerdictMemo, _VerdictTable
 from repro.errors import FsReadOnlyError, HarnessError
 from repro.fs import fsck, get_fs_class
 from repro.fs.base import AbstractFileSystem
@@ -72,9 +71,9 @@ UNMOUNTABLE_WORKLOAD = "creat foo\ncreat bar\nfsync foo\nrename bar foo\nfsync f
 
 
 #: the inheritance tests assert that verdicts *are* inherited, which needs
-#: both spines on and resident whatever the environment's budget says (the
-#: spill CI lane sets REPRO_SPINE_BUDGET)
-SHARING = dict(share_prefixes=True, share_replay=True, spine_memory_budget=1 << 28)
+#: the prefix spine on and resident whatever the environment's budget says
+#: (the spill CI lane sets REPRO_SPINE_BUDGET)
+SHARING = dict(share_prefixes=True, spine_memory_budget=1 << 28)
 
 
 def _without_counter(result: CrashTestResult) -> dict:
@@ -191,7 +190,7 @@ def test_key_equality_iff_scenario_devices_are_content_equal(data):
     baseline = stable.snapshot(name="cursor")
     for request in window:
         baseline.write_block(request.block, request.data)
-    record = _CheckpointRecord(checkpoint_id=1, baseline=baseline.snapshot(),
+    record = _CheckpointRecord(checkpoint_id=1, marker=0, baseline=baseline.snapshot(),
                                stable=stable.snapshot(), window=window)
     generator = _device_builder()
     memo = record.memo
@@ -230,17 +229,17 @@ def test_folded_key_and_overlay_bytes_are_the_built_devices_on_full_seq1(fs_name
 
 
 def _filed_pass(harness, text, name="filed", *, file_verdicts=True, rebuild=None):
-    """One workload's states through a generator on the harness's own trail,
-    each representative checked and filed at once — what ``test_workload``
-    does — unless ``file_verdicts`` is off; ``rebuild`` swaps checkpoint 1's
-    oracle or tracker view for an equal new object.  Plus the generator."""
+    """One workload's states through a generator over the harness's own
+    recorder, each representative checked and filed at once — what
+    ``test_workload`` does — unless ``file_verdicts`` is off; ``rebuild``
+    swaps checkpoint 1's oracle or tracker view for an equal new object.
+    Plus the generator."""
     profile = harness.recorder.profile(parse_workload(text, name=name))
     if rebuild == "oracle":
         profile.oracles[1] = replace(profile.oracles[1])
     elif rebuild == "view":
         profile.tracker_views[1] = replace(profile.tracker_views[1])
-    generator = CrashStateGenerator(profile, planner=harness.planner,
-                                    replay_cache=harness.replay_cache)
+    generator = CrashStateGenerator(profile, planner=harness.planner)
     states = []
     for state in generator.generate_scenarios():
         if file_verdicts and not state.is_twin:
@@ -270,9 +269,10 @@ def test_a_state_that_differs_only_where_nobody_looked_is_a_twin():
     lost_record = next(s for s in states if s.scenario.dropped_seqs == (segment.seq,))
     assert not lost_record.is_twin and lost_record.verdict is not baseline.verdict
     # Only a *filed* representative is compared on its reads: the same pass
-    # without filing finds byte-identical twins alone.
-    unfiled = list(CrashStateGenerator(generator.profile, planner=harness.planner)
-                   .generate_scenarios())
+    # without filing finds byte-identical twins alone.  (Over a profile of its
+    # own: one that shares these records would inherit their filed verdicts.)
+    fresh = differential.recorder("logfs", share_prefixes=False).profile(generator.profile.workload)
+    unfiled = list(CrashStateGenerator(fresh, planner=harness.planner).generate_scenarios())
     assert sum(s.is_twin for s in unfiled) < sum(s.is_twin for s in states)
     assert not next(s for s in unfiled if s.scenario.dropped_seqs == (summary.seq,)).is_twin
 
@@ -497,7 +497,10 @@ def test_twin_of_an_unmountable_state_reports_under_its_own_id(monkeypatch):
     monkeypatch.setattr(fsck, "repair",
                         lambda *args, **kwargs: repairs.append(1) or original_repair(*args, **kwargs))
     workload = parse_workload(UNMOUNTABLE_WORKLOAD, name="rename-over")
-    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn")
+    # Recorded from scratch each time: ``test_workload`` below must not share
+    # (and inherit from) the records of this first pass.
+    harness = CrashMonkey("logfs", device_blocks=SMALL_DEVICE_BLOCKS, crash_plan="torn",
+                          share_prefixes=False)
     profile = harness.profile(workload)
     generator = CrashStateGenerator(profile, planner=harness.planner)
     states = []
@@ -571,13 +574,13 @@ def _report_dicts(results):
 @pytest.mark.parametrize("plan", ["prefix", "torn"])
 @pytest.mark.parametrize("fs_name", ALL_FS)
 def test_reports_equal_those_of_a_harness_that_cannot_inherit(fs_name, plan):
-    """Without a replay trail no two workloads ever share a record, so
-    ``share_replay=False`` is the no-inheritance reference — and nothing it
-    reports depends on what it tested before: it may come space by space."""
+    """Without prefix-shared recording no two workloads ever share a record,
+    so ``share_prefixes=False`` is the no-inheritance reference — and nothing
+    it reports depends on what it tested before: it may come space by space."""
     spaces = ["seq-1", "seq-2"] if fs_name == "logfs" else ["seq-1"]
     inheriting = differential.run(fs_name, space="+".join(spaces), crash_plan=plan, **SHARING)
     expected = differential.Run([result for space in spaces for result in differential.reference(
-        fs_name, space=space, crash_plan=plan, share_replay=False).results])
+        fs_name, space=space, crash_plan=plan, share_prefixes=False).results])
     assert _report_dicts(inheriting.results) == _report_dicts(expected.results)
     differential.assert_same(inheriting, expected)
     assert expected.total("inherited_verdicts") == 0
@@ -678,7 +681,7 @@ def test_memoized_scenarios_is_the_same_however_much_was_inherited(tmp_path):
     """Under a multi-state plan a pass both inherits and memoizes.  The first
     state of a read-equivalence class in a pass is mounted or inherited,
     every later one is memoized — so the canonical counter does not move with
-    what the trail happened to hold."""
+    what the spine happened to hold."""
     serial = assert_schedules_agree_on_everything_canonical(tmp_path, "torn")
     assert serial.memoized_scenarios > 0
     assert any(r.inherited_verdicts and r.memoized_scenarios for r in serial.results)

@@ -125,15 +125,14 @@ Fifteen invariants, each protecting a guarantee a past change was built on:
 
 13. **One spine, one serialiser that knows storage only.**  Under
     ``src/repro/`` a spine store's ``put`` / ``get`` / ``drop`` are called
-    only inside ``storage/spill.py`` — by ``Spine``, the one cached path both
-    the recorder and the replay cache hold — so there is one truncate loop
-    and one answer to a lost node.  Each spine has one admission point, a
-    row of ``SPINE_ADMISSION``: in ``crashmonkey/replay_cache.py`` the trail
-    is pushed only inside ``SharedReplayCache.begin`` (a build stages its
-    frozen nodes, and only the next ``begin`` knows which of them its stream
-    shares), in ``crashmonkey/recorder.py`` the prefix spine only inside
-    ``WorkloadRecorder._keep`` (which applies the chunk's spine plan) — a
-    push anywhere else sizes, budgets and spills nodes nobody will read.
+    only inside ``storage/spill.py`` — by ``Spine``, the one cached path the
+    recorder holds (crash-state generation keeps none: the recording run
+    captures the checkpoint records) — so there is one truncate loop and one
+    answer to a lost node.  Each spine has one admission point, a row of
+    ``SPINE_ADMISSION``: in ``crashmonkey/recorder.py`` the prefix spine is
+    pushed only inside ``WorkloadRecorder._keep`` (which applies the chunk's
+    spine plan) — a push anywhere else sizes, budgets and spills nodes
+    nobody will read.
     ``storage/spill.py`` imports nothing from
     ``repro.crashmonkey`` or ``repro.fs``: it pickles whatever node it is
     handed and reduces only ``CowDevice`` and ``IORequest``.  And the name
@@ -862,8 +861,6 @@ SPILL_FORBIDDEN_IMPORTS = {"crashmonkey", "fs"}
 #: each spine's one admission point — ``(module, class, method, why)``: the
 #: only place its module pushes
 SPINE_ADMISSION = (
-    ("replay_cache.py", "SharedReplayCache", "begin",
-     "a build stages its nodes; only the next begin, knowing the shared prefix, admits them"),
     ("recorder.py", "WorkloadRecorder", "_keep",
      "the chunk's spine plan says which frozen nodes a later workload reads from the store"),
 )
