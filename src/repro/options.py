@@ -145,7 +145,7 @@ class HarnessSpec:
         None, "resident-byte budget for the cached trie spine of prefix recording; "
               "frozen nodes beyond it spill to disk and rehydrate "
               "transparently with byte-identical results (0 spills everything; default: "
-              "generous, or the REPRO_SPINE_BUDGET environment variable)",
+              "256 MiB)",
         tag=EXECUTION, flags=("--spine-memory-budget",), type=nonnegative_int,
         metavar="BYTES")
     spine_spill_dir: Optional[str] = option(

@@ -36,11 +36,7 @@ from .io_request import (
 from .record_device import RecordingDevice
 from .replay import replay_requests, replay_until_checkpoint
 from .slab import BlockSlab
-from .spill import (
-    DEFAULT_SPINE_MEMORY_BUDGET,
-    SpineStore,
-    default_spine_memory_budget,
-)
+from .spill import DEFAULT_SPINE_MEMORY_BUDGET, SpineStore
 
 __all__ = [
     "BLOCK_SIZE",
@@ -57,7 +53,6 @@ __all__ = [
     "BlockSlab",
     "DEFAULT_SPINE_MEMORY_BUDGET",
     "SpineStore",
-    "default_spine_memory_budget",
     "CowDevice",
     "RecordingDevice",
     "IORequest",

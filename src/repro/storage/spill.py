@@ -52,30 +52,9 @@ from .io_request import IORequest
 #: are unchanged unless a budget is asked for.
 DEFAULT_SPINE_MEMORY_BUDGET = 256 * 1024 * 1024
 
-#: Environment override for the default budget (integer bytes).  Explicit
-#: constructor arguments always win; the variable only moves the default.
-SPINE_BUDGET_ENV = "REPRO_SPINE_BUDGET"
-
 #: Spill-file frame: payload length and crc32, little-endian, then the
 #: pickled payload.  A short, torn or bit-flipped file fails one of the two.
 _FRAME = struct.Struct("<II")
-
-
-def default_spine_memory_budget() -> int:
-    """Resident-byte budget to use when none is passed explicitly.
-
-    Reads ``REPRO_SPINE_BUDGET`` (integer bytes); blank or unparsable values
-    fall back to :data:`DEFAULT_SPINE_MEMORY_BUDGET`, negative values clamp
-    to 0 (spill everything).
-    """
-    raw = os.environ.get(SPINE_BUDGET_ENV, "").strip()
-    if not raw:
-        return DEFAULT_SPINE_MEMORY_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_SPINE_MEMORY_BUDGET
-    return max(0, value)
 
 
 class _BaseImage:
@@ -149,7 +128,7 @@ class SpineStore:
     def __init__(self, memory_budget: Optional[int] = None,
                  spill_dir: Optional[str] = None, name: str = "spine"):
         if memory_budget is None:
-            memory_budget = default_spine_memory_budget()
+            memory_budget = DEFAULT_SPINE_MEMORY_BUDGET
         self.memory_budget = max(0, memory_budget)
         self.name = name
         self._explicit_dir = spill_dir

@@ -210,9 +210,6 @@ def test_campaign_reports_identical_with_sharing_on_and_off_both_backends():
 
 
 def _harness(fs_name="logfs", bugs=None, **options):
-    # A spilled prefix node's records thaw without their verdict memos, so the budget is
-    # pinned: what a sibling inherits must not depend on REPRO_SPINE_BUDGET.
-    options.setdefault("spine_memory_budget", 1 << 28)
     return CrashMonkey(fs_name, bugs=bugs, device_blocks=SMALL_DEVICE_BLOCKS, **options)
 
 

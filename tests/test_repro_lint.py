@@ -17,6 +17,11 @@ def _trees(**sources):
             for name, text in sources.items()}
 
 
+def _sites(**sources):
+    """What the site-owner table flags in name -> source."""
+    return repro_lint.check_site_owners(_trees(**sources))
+
+
 def test_the_tree_is_clean():
     assert repro_lint.run_lint() == []
     assert repro_lint.main([]) == 0
@@ -51,19 +56,14 @@ def test_clock_outside_the_canonical_path_is_fine():
 
 def test_bytes_copy_in_storage_is_caught_but_block_py_is_allowed():
     source = "def replay(view):\n    return bytes(view)\n"
-    flagged = repro_lint.check_storage_stays_zero_copy(
-        _trees(**{"storage/slab.py": source}))
+    flagged = _sites(**{"storage/slab.py": source})
     assert len(flagged) == 1 and "bytes(...)" in flagged[0][2]
-    assert repro_lint.check_storage_stays_zero_copy(
-        _trees(**{"storage/block.py": source})) == []
+    assert _sites(**{"storage/block.py": source}) == []
 
 
 def test_tobytes_in_storage_is_caught():
-    findings = repro_lint.check_storage_stays_zero_copy(
-        _trees(**{"storage/cow_device.py":
-                  "def read(view):\n    return view.tobytes()\n"}))
-    assert len(findings) == 1
-    assert ".tobytes()" in findings[0][2]
+    findings = _sites(**{"storage/cow_device.py": "def read(view):\n    return view.tobytes()\n"})
+    assert len(findings) == 1 and ".tobytes()" in findings[0][2]
 
 
 def test_unaccounted_result_field_is_caught():
@@ -108,54 +108,38 @@ def test_analysis_importing_the_harness_is_caught():
         "from ..crashmonkey import harness\n",
         "import repro.crashmonkey.harness\n",
     ):
-        findings = repro_lint.check_analysis_does_not_import_harness(
-            _trees(**{"analysis/mechanisms.py": source}))
-        assert len(findings) == 1, source
-        assert "crashmonkey.harness" in findings[0][2]
+        findings = _sites(**{"analysis/mechanisms.py": source})
+        assert len(findings) == 1 and "crashmonkey.harness" in findings[0][2], source
 
 
 def test_analysis_importing_elsewhere_is_fine():
-    trees = _trees(**{"analysis/mechanisms.py": (
+    assert _sites(**{"analysis/mechanisms.py": (
         "from ..fs import layout\n"
         "from ..crashmonkey.crashplan import PLAN_NAMES\n"
-    )})
-    assert repro_lint.check_analysis_does_not_import_harness(trees) == []
+    )}) == []
 
 
 def test_spill_touching_slab_chunks_is_caught():
-    source = (
-        "def freeze(node):\n"
-        "    return [bytes(c) for c in node.slab._chunks]\n"
-    )
-    findings = repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/spill.py": source}))
-    assert len(findings) == 1
-    assert "._chunks" in findings[0][2]
+    source = "def freeze(node):\n    return [bytes(c) for c in node.slab._chunks]\n"
+    findings = _sites(**{"storage/spill.py": source})
+    # Rule 2 flags the bytes(c) copy as well.
+    assert [message.split(" ")[0] for _, _, message in findings] == ["bytes(...)", "spill"]
+    assert "._chunks" in findings[1][2]
 
 
 def test_spill_building_a_bytearray_is_caught():
-    findings = repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/spill.py":
-                  "def freeze(view):\n    return bytearray(view)\n"}))
-    assert len(findings) == 1
-    assert "bytearray" in findings[0][2]
+    findings = _sites(**{"storage/spill.py": "def freeze(view):\n    return bytearray(view)\n"})
+    assert len(findings) == 1 and "bytearray" in findings[0][2]
 
 
 def test_spill_unwrapping_a_memoryview_obj_is_caught():
-    findings = repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/spill.py":
-                  "def freeze(view):\n    return view.obj\n"}))
-    assert len(findings) == 1
-    assert "`.obj`" in findings[0][2]
+    findings = _sites(**{"storage/spill.py": "def freeze(view):\n    return view.obj\n"})
+    assert len(findings) == 1 and "`.obj`" in findings[0][2]
 
 
 def test_slab_internals_outside_spill_are_fine():
-    source = (
-        "def grow(self):\n"
-        "    self._chunks.append(bytearray(64))\n"
-    )
-    assert repro_lint.check_spill_never_references_slab_chunks(
-        _trees(**{"storage/slab.py": source})) == []
+    assert _sites(**{"storage/slab.py": "def grow(self):\n"
+                                        "    self._chunks.append(bytearray(64))\n"}) == []
 
 
 _RESULT_CLASS = (
@@ -215,7 +199,7 @@ def test_a_hand_written_roll_up_is_caught():
 
 
 def test_index_building_a_workload_without_phase4_is_caught():
-    check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
+    check = repro_lint.check_index_builds_workloads_through_phase4
     hand_rolled = (
         "def workload_at(self, position):\n"
         "    ops = self.ops_at(position)\n"
@@ -233,7 +217,6 @@ def test_index_building_a_workload_without_phase4_is_caught():
 
 
 def test_a_resolver_outside_phase4_is_caught():
-    check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
     hand_driven = (
         "def _step(self, namespace, op):\n"
         "    resolver = DependencyResolver()\n"
@@ -241,16 +224,14 @@ def test_a_resolver_outside_phase4_is_caught():
         "    return resolver.process(op)\n"
     )
     for module in ("index.py", "synthesizer.py"):
-        findings = check(_trees(**{f"ace/{module}": hand_driven}))
+        findings = _sites(**{f"ace/{module}": hand_driven})
         assert [(f[0], f[1]) for f in findings] == [(f"src/repro/ace/{module}", 2)], module
         assert "DependencySteps" in findings[0][2]
     # The table's own home makes them; outside ace/ the rule does not reach.
-    assert check(_trees(**{"ace/phase4.py": hand_driven,
-                           "core/campaign.py": hand_driven})) == []
+    assert _sites(**{"ace/phase4.py": hand_driven, "core/campaign.py": hand_driven}) == []
 
 
 def test_sample_stream_striding_the_generator_is_caught():
-    check = repro_lint.check_ace_index_reuses_phase4_and_sampling_unranks
     strided = (
         "class AceSynthesizer:\n"
         "    def sample_stream(self, count, stride):\n"
@@ -260,13 +241,12 @@ def test_sample_stream_striding_the_generator_is_caught():
         "    def stream(self, limit=None):\n"
         "        return self.generate(limit=limit)\n"
     )
-    findings = check(_trees(**{"ace/synthesizer.py": strided}))
+    findings = _sites(**{"ace/synthesizer.py": strided})
     assert len(findings) == 1 and "sample_stream" in findings[0][2]
     assert findings[0][1] == 3
 
 
 def test_a_second_mount_site_in_crashmonkey_is_caught():
-    check = repro_lint.check_single_mount_site_and_twins_not_rechecked
     rogue = (
         "class CrashStateGenerator:\n"
         "    def _construct(self, record, scenario, fresh=None):\n"
@@ -276,21 +256,21 @@ def test_a_second_mount_site_in_crashmonkey_is_caught():
         "        fs = self.fs_class(device, bugs)\n"
         "        fs.mount()\n"
     )
-    findings = check(_trees(**{"crashmonkey/replayer.py": rogue}))
+    findings = _sites(**{"crashmonkey/replayer.py": rogue})
     assert [f[1] for f in findings] == [6, 7]
     assert all("_construct" in f[2] for f in findings)
     # A same-named method of another class, or another file, is no mount site.
     elsewhere = "class Helper:\n    def _construct(self, fs):\n        fs.mount()\n"
-    assert len(check(_trees(**{"crashmonkey/checker.py": elsewhere}))) == 1
-    assert len(check(_trees(**{"crashmonkey/replayer.py": elsewhere}))) == 1
+    assert len(_sites(**{"crashmonkey/checker.py": elsewhere})) == 1
+    assert len(_sites(**{"crashmonkey/replayer.py": elsewhere})) == 1
     # The recorder mounts the recording device, never a crash state; other
     # packages (fs/fsck.py repairs by remounting) are out of scope.
-    assert check(_trees(**{"crashmonkey/recorder.py": elsewhere})) == []
-    assert check(_trees(**{"fs/fsck.py": elsewhere})) == []
+    assert _sites(**{"crashmonkey/recorder.py": elsewhere}) == []
+    assert _sites(**{"fs/fsck.py": elsewhere}) == []
 
 
 def test_harness_checking_a_twin_is_caught():
-    check = repro_lint.check_single_mount_site_and_twins_not_rechecked
+    check = repro_lint.check_harness_never_rechecks_twins
     loop = (
         "def test_workload(self, workload):\n"
         "    for crash_state in states:\n"
@@ -373,24 +353,25 @@ def test_an_undeclared_environment_option_is_caught():
         "flag = os.environ['REPRO_NO_SLABS']\n",
         "flag = os.getenv('REPRO_NO_SLABS')\n",
         "GATE = 'REPRO_NO_SLABS'\nflag = os.environ.get(GATE)\n",
+        "flag = os.environ.get('REPRO_SPINE_BUDGET', '')\n",
     ):
-        findings = _options_findings(**{"storage/slab.py": "import os\n" + read})
-        assert len(findings) == 1 and "`REPRO_NO_SLABS`" in findings[0][2], read
+        findings = _sites(**{"storage/slab.py": "import os\n" + read})
+        name = read.split("'")[1]
+        assert len(findings) == 1 and f"`{name}`" in findings[0][2], read
     allowed = (
         "import os\n"
         "SELFCRASH_ENV = 'REPRO_SELFCRASH_AFTER_CHUNKS'\n"
-        "a = os.environ.get('REPRO_SPINE_BUDGET', '')\n"
         "b = os.environ.get(SELFCRASH_ENV, '0')\n"
         "c = os.environ.get('TMPDIR')\n"
     )
-    assert _options_findings(**{"service/runner.py": allowed}) == []
+    assert _sites(**{"service/runner.py": allowed}) == []
 
 
 # ------------------------------------- rule 10: one decode site, one hash site
 
 
 def test_a_second_decode_site_in_fs_is_caught():
-    findings = repro_lint.check_fs_decodes_and_hashes_in_one_place(_trees(**{
+    findings = _sites(**{
         "fs/layout.py": (
             "import json\n"
             "def decode_json(text):\n"
@@ -400,42 +381,38 @@ def test_a_second_decode_site_in_fs_is_caught():
         ),
         "fs/fsck.py": "from json import loads\ndef peek(raw):\n    return loads(raw)\n",
         "service/statedb.py": "import json\ndef load(row):\n    return json.loads(row)\n",
-    }))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    })
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/fs/fsck.py", 3), ("src/repro/fs/layout.py", 5)]
     assert all("json.loads" in message for _, _, message in findings)
 
 
 def test_a_second_hash_site_in_fs_is_caught():
-    findings = repro_lint.check_fs_decodes_and_hashes_in_one_place(_trees(**{
-        "fs/inode.py": (
-            "import hashlib\n"
-            "def content_sha1(data):\n"
-            "    return hashlib.sha1(data).hexdigest()\n"
-            "class Inode:\n"
-            "    def data_hash(self):\n"
-            "        return hashlib.sha1(bytes(self.data)).hexdigest()\n"
-        ),
-    }))
+    findings = _sites(**{"fs/inode.py": (
+        "import hashlib\n"
+        "def content_sha1(data):\n"
+        "    return hashlib.sha1(data).hexdigest()\n"
+        "class Inode:\n"
+        "    def data_hash(self):\n"
+        "        return hashlib.sha1(bytes(self.data)).hexdigest()\n"
+    )})
     assert [(line, "hashlib.sha1" in message) for _, line, message in findings] == [(6, True)]
 
 
 def test_probing_a_device_by_type_error_is_caught():
-    findings = repro_lint.check_fs_decodes_and_hashes_in_one_place(_trees(**{
-        "fs/base.py": (
-            "class Fs:\n"
-            "    def _device_write(self, block, data, tag):\n"
-            "        try:\n"
-            "            self.device.write_block(block, data, tag=tag)\n"
-            "        except TypeError:\n"
-            "            self.device.write_block(block, data)\n"
-            "    def _replay(self, entries):\n"
-            "        try:\n"
-            "            self._apply(entries)\n"
-            "        except (KeyError, TypeError):\n"
-            "            raise RuntimeError('malformed entry')\n"
-        ),
-    }))
+    findings = repro_lint.check_devices_are_never_probed(_trees(**{"fs/base.py": (
+        "class Fs:\n"
+        "    def _device_write(self, block, data, tag):\n"
+        "        try:\n"
+        "            self.device.write_block(block, data, tag=tag)\n"
+        "        except TypeError:\n"
+        "            self.device.write_block(block, data)\n"
+        "    def _replay(self, entries):\n"
+        "        try:\n"
+        "            self._apply(entries)\n"
+        "        except (KeyError, TypeError):\n"
+        "            raise RuntimeError('malformed entry')\n"
+    )}))
     assert [(line, "except TypeError" in message) for _, line, message in findings] == [(4, True)]
 
 
@@ -443,7 +420,7 @@ def test_probing_a_device_by_type_error_is_caught():
 
 
 def test_a_second_pickling_module_is_caught():
-    findings = repro_lint.check_module_imports_have_one_owner(_trees(**{
+    findings = _sites(**{
         "storage/spill.py": "import pickle\ndef evict(node):\n    return pickle.dumps(node)\n",
         "crashmonkey/recorder.py": (
             "import io\n"
@@ -453,8 +430,8 @@ def test_a_second_pickling_module_is_caught():
         ),
         "crashmonkey/tracker.py": "from pickle import dumps, loads\n",
         "engine/backends.py": "import os, pickle\n",
-    }))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    })
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/recorder.py", 2), ("src/repro/crashmonkey/tracker.py", 1),
         ("src/repro/engine/backends.py", 1)]
     assert all("pickle" in message for _, _, message in findings)
@@ -462,12 +439,12 @@ def test_a_second_pickling_module_is_caught():
 
 def test_a_deep_copy_of_forked_state_is_caught():
     source = "import copy\ndef snapshot(fs):\n    return copy.deepcopy(fs)\n"
-    findings = repro_lint.check_snapshots_serialise_in_one_place(_trees(**{
+    findings = _sites(**{
         "fs/base.py": source,
         "crashmonkey/checks/write.py": "from copy import deepcopy\nstate = deepcopy({})\n",
         "core/results.py": source,
-    }))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    })
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/checks/write.py", 2), ("src/repro/fs/base.py", 3)]
     assert all("deepcopy" in message for _, _, message in findings)
 
@@ -482,10 +459,7 @@ def test_tracker_records_copied_through_dataclasses_replace_are_caught():
         "    dirs = {ino: dataclasses.replace(r) for ino, r in dirs.items()}\n"
         "    return files, dirs, path.replace('//', '/')\n"
     )
-    findings = repro_lint.check_snapshots_serialise_in_one_place(_trees(**{
-        "crashmonkey/tracker.py": source,
-        "crashmonkey/crashplan.py": source,
-    }))
+    findings = _sites(**{"crashmonkey/tracker.py": source, "crashmonkey/crashplan.py": source})
     assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/tracker.py", 4), ("src/repro/crashmonkey/tracker.py", 6)]
 
@@ -499,29 +473,20 @@ def test_a_read_only_check_touching_the_file_system_is_caught():
         "    def run(self, ctx):\n"
         "        return [] if ctx.fs.lookup_state('foo') else ['missing']\n"
     )
-    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"crashmonkey/checks/size.py": source}))
+    flagged = _sites(**{"crashmonkey/checks/size.py": source})
     assert len(flagged) == 1 and "ctx.lookup" in flagged[0][2]
     for allowed in ("write.py", "mount.py"):
-        assert repro_lint.check_verdicts_depend_on_logged_reads_only(
-            _trees(**{f"crashmonkey/checks/{allowed}": source})) == []
+        assert _sites(**{f"crashmonkey/checks/{allowed}": source}) == []
     through_the_context = source.replace("ctx.fs.lookup_state", "ctx.lookup")
-    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"crashmonkey/checks/size.py": through_the_context})) == []
+    assert _sites(**{"crashmonkey/checks/size.py": through_the_context}) == []
 
 
 def test_a_device_read_behind_the_read_log_is_caught():
-    source = (
-        "def scan(device):\n"
-        "    return [data for _, data in device.written_blocks()]\n"
-    )
-    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"fs/layout.py": source}))
+    source = "def scan(device):\n    return [data for _, data in device.written_blocks()]\n"
+    flagged = _sites(**{"fs/layout.py": source})
     assert len(flagged) == 1 and "read_block" in flagged[0][2]
-    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"storage/spill.py": source})) == []
-    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"fs/layout.py": "def scan(device):\n    return device.read_block(0)\n"})) == []
+    assert _sites(**{"storage/spill.py": source}) == []
+    assert _sites(**{"fs/layout.py": "def scan(device):\n    return device.read_block(0)\n"}) == []
 
 
 def test_an_inspection_mount_outside_the_mount_site_is_caught():
@@ -531,8 +496,7 @@ def test_an_inspection_mount_outside_the_mount_site_is_caught():
         "    fs.mount(inspect=True)\n"
         "    return fs\n"
     )
-    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"fs/fsck.py": elsewhere}))
+    flagged = _sites(**{"fs/fsck.py": elsewhere})
     assert len(flagged) == 1 and "inspection mount" in flagged[0][2]
     at_the_site = (
         "class CrashStateGenerator:\n"
@@ -542,11 +506,10 @@ def test_an_inspection_mount_outside_the_mount_site_is_caught():
         "    def generate(self, record):\n"
         "        self.fs_class(record).mount(inspect=True)\n"
     )
-    flagged = repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"crashmonkey/replayer.py": at_the_site}))
-    assert [line for _, line, _ in flagged] == [6]
-    assert repro_lint.check_verdicts_depend_on_logged_reads_only(
-        _trees(**{"fs/fsck.py": elsewhere.replace("inspect=True", "")})) == []
+    # Line 6 is a second mount site too (rule 8).
+    flagged = _sites(**{"crashmonkey/replayer.py": at_the_site})
+    assert [line for _, line, message in flagged if "inspection" in message] == [6]
+    assert _sites(**{"fs/fsck.py": elsewhere.replace("inspect=True", "")}) == []
 
 
 # ------------------------------------- rule 13: one spine, a storage-only serialiser
@@ -561,11 +524,8 @@ def test_a_store_call_outside_the_spill_module_is_caught():
         "        store.drop(key)\n"
         "        return self.spine_store.get(key), self.options.get('budget')\n"
     )
-    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/replayer.py": source,
-        "storage/spill.py": source,
-    }))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    findings = _sites(**{"crashmonkey/replayer.py": source, "storage/spill.py": source})
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/replayer.py", line) for line in (3, 5, 6)]
     assert all("Spine" in message for _, _, message in findings)
 
@@ -579,22 +539,42 @@ def test_a_prefix_push_outside_the_admission_point_is_caught():
         "        node = self._freeze(run, 0, None, step.keys[0], 0.0)\n"
         "        self._spine.push(node, 1, stub=node.prefix_key)\n"
     )
-    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/recorder.py": source,
-        "crashmonkey/harness.py": source,
-    }))
+    findings = _sites(**{"crashmonkey/recorder.py": source, "crashmonkey/harness.py": source})
+    # The admission point is one method of one file: a copy elsewhere pushes a second spine.
     assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/crashmonkey/harness.py", 3), ("src/repro/crashmonkey/harness.py", 6),
         ("src/repro/crashmonkey/recorder.py", 6)]
-    assert "WorkloadRecorder._keep" in findings[0][2] and "plan" in findings[0][2]
+    assert all("WorkloadRecorder._keep" in message and "plan" in message
+               for _, _, message in findings)
     # Another class's method is no admission point for the prefix spine.
-    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
-        "crashmonkey/recorder.py": source.replace("WorkloadRecorder", "Cache")
-                                         .replace("_keep", "begin")}))
+    findings = _sites(**{"crashmonkey/recorder.py": source.replace("WorkloadRecorder", "Cache")
+                                                         .replace("_keep", "begin")})
     assert [line for _, line, _ in findings] == [3, 6]
 
 
+def test_a_second_spine_in_the_replayer_is_caught():
+    findings = _sites(**{
+        "crashmonkey/recorder.py": (
+            "class WorkloadRecorder:\n"
+            "    def __init__(self, store):\n"
+            "        self._spine = Spine(store)\n"
+        ),
+        "crashmonkey/replayer.py": (
+            "class CrashStateGenerator:\n"
+            "    def __init__(self, store):\n"
+            "        self._spine = Spine(store)\n"
+            "    def _keep(self, node):\n"
+            "        self._spine.push(node, 1, stub=node.prefix_key)\n"
+        ),
+    })
+    assert [(path, line, message.split(" ")[0]) for path, line, message in findings] == [
+        ("src/repro/crashmonkey/replayer.py", 3, "`Spine(...)`"),
+        ("src/repro/crashmonkey/replayer.py", 5, "`push(...)`")]
+    assert "outside WorkloadRecorder.__init__" in findings[0][2]
+
+
 def test_a_serialiser_that_imports_a_node_type_is_caught():
-    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+    findings = _sites(**{
         "storage/spill.py": (
             "import pickle\n"
             "from ..errors import SpillMissError\n"
@@ -603,18 +583,18 @@ def test_a_serialiser_that_imports_a_node_type_is_caught():
             "import repro.fs.base\n"
         ),
         "storage/replay.py": "from ..fs.base import AbstractFileSystem\n",
-    }))
+    })
     assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/storage/spill.py", line) for line in (3, 4, 5)]
     assert all("storage types only" in message for _, _, message in findings)
 
 
 def test_a_codec_registry_coming_back_is_caught():
-    findings = repro_lint.check_one_spine_and_a_storage_only_serialiser(_trees(**{
+    findings = _sites(**{
         "storage/spill.py": "class SpineStore:\n    def register_codec(self, kind): pass\n",
         "crashmonkey/recorder.py": "def bind(store, codec):\n    store.register_codec(*codec)\n",
-    }))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    })
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/recorder.py", 2), ("src/repro/storage/spill.py", 2)]
     assert all("register_codec" in message for _, _, message in findings)
 
@@ -640,7 +620,7 @@ def test_the_repo_clock_behind_a_call_chain_is_caught():
 
 
 def test_a_clock_read_outside_clock_py_is_caught():
-    trees = _trees(**{
+    findings = _sites(**{
         "engine/engine.py": (
             "import time\n"
             "def run(self):\n"
@@ -650,9 +630,7 @@ def test_a_clock_read_outside_clock_py_is_caught():
         "crashmonkey/checker.py": "from time import perf_counter\n",
         "service/service.py": "from ..clock import now, span\nstart = now()\n",
     })
-    findings = (repro_lint.check_durations_come_from_one_clock(trees)
-                + repro_lint.check_module_imports_have_one_owner(trees))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/checker.py", 1),
         ("src/repro/engine/engine.py", 1), ("src/repro/engine/engine.py", 3)]
     assert all("repro.clock" in message for _, _, message in findings)
@@ -664,10 +642,8 @@ def test_clock_py_itself_lints_clean():
     clock = {path: tree for path, tree in trees.items()
              if path == repro_lint.SRC_ROOT / "clock.py"}
     assert len(clock) == 1
-    for check in (repro_lint.check_durations_come_from_one_clock,
-                  repro_lint.check_module_imports_have_one_owner):
-        assert check(clock) == []
-        assert check(trees) == []
+    assert repro_lint.check_site_owners(clock) == []
+    assert repro_lint.check_site_owners(trees) == []
 
 
 # ------------------------------------------------------- rule 15: one owner per import
@@ -675,23 +651,32 @@ def test_clock_py_itself_lints_clean():
 
 def test_a_second_database_is_caught():
     source = "import sqlite3\ndef open_store(path):\n    return sqlite3.connect(path)\n"
-    findings = repro_lint.check_module_imports_have_one_owner(_trees(**{
+    findings = _sites(**{
         "crashmonkey/harness.py": source,
         "engine/backends.py": "from sqlite3 import connect\n",
         "service/statedb.py": source,
-    }))
-    assert sorted((path, line) for path, line, _ in findings) == [
+    })
+    assert [(path, line) for path, line, _ in findings] == [
         ("src/repro/crashmonkey/harness.py", 1), ("src/repro/engine/backends.py", 1)]
     assert all("outside service/statedb.py" in message for _, _, message in findings)
 
 
-OWNED = sorted(repro_lint.IMPORT_OWNERS)
+#: the standard modules IMPORT_OWNERS gives one importer each
+OWNED = ("pickle", "sqlite3", "time")
+
+
+def _owner_row(module):
+    """The IMPORT_OWNERS row that flags ``import module`` where it is not owned."""
+    probe = _trees(**{"engine/engine.py": f"import {module}\n"})
+    return next(row for row in repro_lint.IMPORT_OWNERS
+                if repro_lint.check_site_owners(probe, (row,)))
 
 
 @pytest.mark.parametrize("module", OWNED)
 def test_every_spelling_of_an_owned_import_is_caught(module):
-    owner, reason = repro_lint.IMPORT_OWNERS[module]
-    findings = repro_lint.check_module_imports_have_one_owner(_trees(**{
+    row = _owner_row(module)
+    reason = row.message.split(" — ", 1)[1]
+    findings = _sites(**{
         "engine/engine.py": (
             f"import {module}\n"
             f"import {module} as alias\n"
@@ -700,24 +685,26 @@ def test_every_spelling_of_an_owned_import_is_caught(module):
             "def run():\n"
             f"    from {module}.sub import name\n"
         ),
-    }))
+    })
     assert [line for _, line, _ in findings] == [1, 2, 3, 4, 6]
-    assert all(f"outside {owner} — {reason}" in message for _, _, message in findings)
+    assert all(f"outside {row.site} — {reason}" in message for _, _, message in findings)
 
 
 @pytest.mark.parametrize("module", OWNED)
 def test_the_owner_and_relative_imports_are_not_flagged(module):
-    owner, _ = repro_lint.IMPORT_OWNERS[module]
-    assert repro_lint.check_module_imports_have_one_owner(_trees(**{
-        str(owner): f"import {module}\nfrom {module} import name\n",
+    assert _sites(**{
+        _owner_row(module).site: f"import {module}\nfrom {module} import name\n",
         "engine/engine.py": f"from . import {module}\nfrom .{module} import name\n",
-    })) == []
+    }) == []
 
 
 @pytest.mark.parametrize("module", OWNED)
 def test_every_owner_row_names_a_file_that_imports_its_module(module):
     """A row whose owner no longer imports the module is stale: delete it."""
-    owner, _ = repro_lint.IMPORT_OWNERS[module]
-    tree = repro_lint.parse_tree()[repro_lint.SRC_ROOT / owner]
-    assert any(imported == module for node in ast.walk(tree)
-               for imported, _ in repro_lint._imported_modules(node))
+    row = _owner_row(module)
+    owner = repro_lint.SRC_ROOT / row.site
+    assert repro_lint.check_site_owners({owner: repro_lint.parse_tree()[owner]},
+                                        (row._replace(site=""),))
+    # Every owned module is one of these.
+    assert {_owner_row(owned) for owned in OWNED} == {
+        row for row in repro_lint.IMPORT_OWNERS if row.site}

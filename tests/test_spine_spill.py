@@ -4,7 +4,7 @@ The guarantees this file pins, in the order the spill layer makes them:
 
 * **Store mechanics** — LRU order, budget enforcement (peak never exceeds
   the budget), spill-file reuse on re-eviction, counter semantics, the
-  ``REPRO_SPINE_BUDGET`` default gate.
+  256 MiB default.
 * **Parity** — a zero budget (every node spilled and rehydrated on every
   access) changes nothing observable: recorded profiles, crash-state
   checkpoint records and full harness results are identical to the
@@ -40,9 +40,8 @@ from repro.cli.main import main
 from repro.crashmonkey import CrashMonkey
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.errors import SpillMissError
-from repro.storage import BLOCK_SIZE, SpineStore, default_spine_memory_budget
+from repro.storage import BLOCK_SIZE, DEFAULT_SPINE_MEMORY_BUDGET, SpineStore
 from repro.storage import spill as spill_module
-from repro.storage.spill import DEFAULT_SPINE_MEMORY_BUDGET, SPINE_BUDGET_ENV
 from repro.workload import parse_workload
 
 import differential
@@ -138,21 +137,10 @@ class TestSpineStore:
         assert a.get(key_a) == {"who": "a"}
         assert b.get(key_b) == {"who": "b"}
 
-
-def test_default_budget_env_gate(monkeypatch):
-    monkeypatch.delenv(SPINE_BUDGET_ENV, raising=False)
-    assert default_spine_memory_budget() == DEFAULT_SPINE_MEMORY_BUDGET
-    for raw, expected in (("", DEFAULT_SPINE_MEMORY_BUDGET),
-                          ("garbage", DEFAULT_SPINE_MEMORY_BUDGET),
-                          ("65536", 65536),
-                          ("0", 0),
-                          ("-5", 0)):
-        monkeypatch.setenv(SPINE_BUDGET_ENV, raw)
-        assert default_spine_memory_budget() == expected, raw
-    # The store follows the gate when no budget is passed; explicit wins.
-    monkeypatch.setenv(SPINE_BUDGET_ENV, "4096")
-    assert SpineStore().memory_budget == 4096
-    assert SpineStore(memory_budget=128).memory_budget == 128
+    def test_no_budget_means_256_mib(self):
+        # What a stored config without a budget resumes under.
+        assert SpineStore().memory_budget == DEFAULT_SPINE_MEMORY_BUDGET == 256 * 1024 * 1024
+        assert SpineStore(memory_budget=128).memory_budget == 128
 
 
 # -------------------------------------------------------------------------- parity
@@ -173,11 +161,16 @@ def test_spilled_harness_results_match_unspilled_on_seq1(fs_name):
     plain = differential.reference(fs_name, limit=40)
     differential.assert_same(spilling, plain)
     assert spilling.total("spine_spills") > 0
-    if default_spine_memory_budget() == DEFAULT_SPINE_MEMORY_BUDGET:
-        # Under the spill-heavy CI lane the env gate tightens the default
-        # budget, so the "plain" harness legitimately spills too; parity
-        # above is what matters there.
-        assert plain.total("spine_spills") == 0, "the default budget must not spill seq-1"
+    assert plain.total("spine_spills") == 0, "the default budget must not spill seq-1"
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_spilled_torn_results_match_unspilled_on_the_seq2_slice(fs_name):
+    """The seq-2 slice the soundness suite prunes, under the torn plan, spilled."""
+    spilling = differential.run(fs_name, space="seq-2", crash_plan="torn", spine_memory_budget=0)
+    differential.assert_same(
+        spilling, differential.reference(fs_name, space="seq-2", crash_plan="torn"))
+    assert spilling.total("spine_rehydrations") > 0
 
 
 def test_spilled_campaign_matches_across_backends():
@@ -504,8 +497,7 @@ def test_bounded_seq3_mechanism_campaign_completes_under_budget():
     assert budgeted.workloads_tested == 12
     assert budgeted.spine_spills > 0
     assert budgeted.spine_peak_resident_bytes <= budget
-    if default_spine_memory_budget() == DEFAULT_SPINE_MEMORY_BUDGET:
-        assert unbudgeted.spine_spills == 0
+    assert unbudgeted.spine_spills == 0
     assert budgeted.canonical_dict() == unbudgeted.canonical_dict()
 
 

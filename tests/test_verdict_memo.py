@@ -71,9 +71,8 @@ UNMOUNTABLE_WORKLOAD = "creat foo\ncreat bar\nfsync foo\nrename bar foo\nfsync f
 
 
 #: the inheritance tests assert that verdicts *are* inherited, which needs
-#: the prefix spine on and resident whatever the environment's budget says
-#: (the spill CI lane sets REPRO_SPINE_BUDGET)
-SHARING = dict(share_prefixes=True, spine_memory_budget=1 << 28)
+#: the prefix spine on
+SHARING = dict(share_prefixes=True)
 
 
 def _without_counter(result: CrashTestResult) -> dict:

@@ -1,7 +1,17 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Fifteen invariants, each protecting a guarantee a past change was built on:
+Fifteen invariants, each protecting a guarantee a past change was built on.
+Most say the same thing — *X may appear only at site Y* — so they are rows of
+one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
+environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
+it matches, the scope it applies to, the one site allowed and its message, and
+:func:`check_site_owners` walks each module once and applies every row.  Scopes
+and sites are named by their path under ``src/repro/``: ``dir/``, ``file``,
+``file:Class.method`` or ``file:function``.  Each row's reason is its comment
+in the table, numbered by invariant; a new "only here" rule is one row.
+
+What cannot be a row keeps a visitor:
 
 1. **No wall-clock reads reachable from ``canonical_dict()``.**  Canonical
    payloads must be schedule-invariant — two runs of the same campaign
@@ -14,13 +24,6 @@ Fifteen invariants, each protecting a guarantee a past change was built on:
    the repo's own clock, ``now`` / ``span`` bare or ``clock.``-qualified
    (the walk follows function names only, so it would step over the
    ``span`` class and the ``now`` alias without them).
-
-2. **No ``bytes(...)`` copies in storage hot paths.**  Crash-state
-   construction is zero-copy: recorded payloads live in shared slabs and
-   flow as read-only memoryviews.  A stray ``bytes(view)`` (or
-   ``view.tobytes()``) on the replay path silently reintroduces a per-block
-   copy.  Only ``block.py`` — the one module whose *job* is materializing
-   padded/torn payloads — may call ``bytes``.
 
 3. **Every ``CrashTestResult`` counter is declared once.**  A field with a
    default is a ``counter(...)`` call carrying its help, a literal
@@ -41,119 +44,26 @@ Fifteen invariants, each protecting a guarantee a past change was built on:
    bugs as exhaustive ones — a planner registered without a reference
    there ships unproven.
 
-5. **``analysis/`` never imports ``crashmonkey.harness``.**  The static
-   pass must stay runnable without the dynamic harness (no device, no
-   mounts): the harness imports analysis, never the reverse.  An import in
-   that direction is a layering cycle waiting to happen.
+7. **Phase-4 output has one definition.**  ``ace/index.py`` may construct a
+   ``Workload`` only with ``ops=resolve_dependencies(...)`` over the
+   operation list it unranked — dependency set-up written a second time
+   would drift from ``generate()`` and silently move every pinned sample.
 
-6. **Spill code never holds slab internals.**  ``storage/spill.py`` writes
-   frozen spine nodes to disk; its two reducers (devices, requests) flatten
-   slab-backed memoryviews through ``materialize_payload`` as the node is
-   pickled.  A reference to a slab chunk (``_chunk``/``_chunks``/``.obj``) or
-   a raw ``bytearray`` in that module means a spill file (or the pickle
-   buffer building it) can capture — or worse, alias — a live slab arena.
-
-7. **The ACE space index has one definition of phase-4 output, and sampling
-   never strides the space.**  ``ace/index.py`` may construct a ``Workload``
-   only with ``ops=resolve_dependencies(...)`` over the operation list it
-   unranked — dependency set-up written a second time would drift from
-   ``generate()`` and silently move every pinned sample.  Under ``ace/``
-   only ``phase4.py`` instantiates ``DependencyResolver``: the generator and
-   the index both step through its ``DependencySteps`` table, and a
-   hand-driven resolver elsewhere is a second transition table.  And
-   ``AceSynthesizer.sample_stream`` must not call ``self.generate(``: the
-   index exists so that a sample costs O(sample), not O(space).
-
-8. **One mount site, and twins are never re-checked.**  Within
-   ``crashmonkey/`` a crash-state device is mounted (``fs_class(...)`` /
-   ``.mount()``) only inside ``CrashStateGenerator._construct`` — the one
-   place that consults the checkpoint record's verdict memo first (filled
-   by this workload's pass or inherited from a sibling that shares the
-   record and its oracle / tracker view objects), so a second mount site
-   would silently re-pay for states already known equal.  (``recorder.py``
-   mounts the live *recording* device while profiling, never a crash
-   state, and is exempt.)  And ``harness.py`` may call ``check_timed`` only
-   on the not-a-twin side of an ``is_twin`` test: a twin has no mounted fs,
-   its verdict is its representative's — whichever workload mounted it.
+8. **Twins are never re-checked.**  ``harness.py`` may call ``check_timed``
+   only on the not-a-twin side of an ``is_twin`` test: a twin has no mounted
+   fs, its verdict is its representative's — whichever workload mounted it.
 
 9. **Options are spelt once.**  ``options.py`` declares every option as one
    dataclass field carrying its default, help, CLI flag and identity /
    execution tag; the harness constructor, the JSON codec, the argparse
    groups and the resume check are derived from the fields.  Outside that
    module nothing may re-spell one: no ``add_argument`` of a schema field's
-   flag, no call copying three or more ``name=<expr>.name`` schema-field
-   keywords (the hand-copy pattern that let five copies drift), and no
-   ``os.environ`` read of a ``REPRO_*`` name beyond the box resource limit
-   and the fault hook — an environment variable is an option with no
-   declaration at all.
+   flag, and no call copying three or more ``name=<expr>.name`` schema-field
+   keywords (the hand-copy pattern that let five copies drift).
 
-10. **One decode site, one hash site, no capability probing.**  Under
-    ``fs/`` on-disk text becomes structure in exactly one function —
-    ``layout.decode_json``, which memoises on a digest of the text — and file
-    content becomes a SHA-1 in exactly one — ``inode.content_sha1``, which
-    memoises on the content.  A second ``json.loads`` or ``hashlib.sha1(``
-    is a path that re-derives per mount what the memo already holds (and a
-    second place to get the read-only contract wrong).  And no ``except
-    TypeError`` may wrap a device call: every device accepts the recording
-    annotations, so a ``TypeError`` there is a bug to surface, not a plain
-    device to retry bare.
-
-11. **Snapshots serialise in one place.**  A spine node holds live forks
-    (``AbstractFileSystem.fork`` / ``PersistenceTracker.fork``); the only
-    bytes are the ones ``storage/spill.py`` writes when a node is evicted —
-    the node object itself, pickled as it is (the ``pickle`` row of rule
-    15; a node type says what must not ride along with ``__reduce__`` /
-    ``__getstate__``, which need no import).  And the copies stay the cheap,
-    explicit ones: no ``copy.deepcopy`` under ``crashmonkey/`` or ``fs/``,
-    and ``tracker.py`` clones its records with their ``clone()`` methods,
-    never ``dataclasses.replace`` (a full re-``__init__`` per record per
-    persistence point).
-
-12. **A verdict depends on exactly what the read log holds.**  A crash
-    state's verdict is shared with every state that agrees with it on the
-    blocks its recovery and checks *read*, so the read log must be complete
-    and the checks must see the state as recovery left it.  Under ``fs/`` a
-    device is read only through ``read_block`` — the one call the log hangs
-    on; ``written_blocks`` / ``overlay_delta`` and friends would read behind
-    its back.  Inside ``crashmonkey/checks/`` only ``write.py`` (which
-    mutates the recovered tree, last) and ``mount.py`` may reach for the
-    file system itself: every other check asks ``ctx.lookup`` /
-    ``ctx.names_of``, which answer from one resolution per state.  And
-    ``mount(inspect=...)`` — the mount that builds no commit tables — is
-    spelt only at the mount site of invariant 8: anywhere else it would hand
-    out a file system on which fsync cannot work.
-
-13. **One spine, one serialiser that knows storage only.**  Under
-    ``src/repro/`` a spine store's ``put`` / ``get`` / ``drop`` are called
-    only inside ``storage/spill.py`` — by ``Spine``, the one cached path the
-    recorder holds (crash-state generation keeps none: the recording run
-    captures the checkpoint records) — so there is one truncate loop and one
-    answer to a lost node.  Each spine has one admission point, a row of
-    ``SPINE_ADMISSION``: in ``crashmonkey/recorder.py`` the prefix spine is
-    pushed only inside ``WorkloadRecorder._keep`` (which applies the chunk's
-    spine plan) — a push anywhere else sizes, budgets and spills nodes
-    nobody will read.
-    ``storage/spill.py`` imports nothing from
-    ``repro.crashmonkey`` or ``repro.fs``: it pickles whatever node it is
-    handed and reduces only ``CowDevice`` and ``IORequest``.  And the name
-    ``register_codec`` does not exist: a per-owner freeze / thaw pair is the
-    hand-written copy of pickle's memo this design deleted.
-
-14. **One clock.**  Every duration ``repro`` reports is read from
-    ``repro/clock.py`` — ``now`` or a ``span`` charging a timing field — so
-    which clock is read, and whether a raising block is charged, is decided
-    in one place.  Under ``src/repro/`` no other module calls
-    ``time.perf_counter`` / ``time.time`` / ``time.monotonic`` /
-    ``time.process_time`` (nor imports ``time``: the ``time`` row of rule 15).
-
-15. **One owner per module import.**  Some standard modules are a decision
-    one module makes for the rest: ``pickle`` (only ``storage/spill.py``
-    turns a snapshot into bytes), ``time`` (only ``clock.py`` reads the
-    clock) and ``sqlite3`` (only ``service/statedb.py`` holds durable
-    campaign state — a second database is a second ledger for crash
-    recovery to miss).  ``IMPORT_OWNERS`` is that table, one row per
-    module; an ``import`` / ``from ... import`` of a row's module anywhere
-    else under ``src/repro/`` is flagged with the row's reason.
+10. **No capability probing.**  Under ``fs/`` no ``except TypeError`` may
+    wrap a device call: every device accepts the recording annotations, so a
+    ``TypeError`` there is a bug to surface, not a plain device to retry bare.
 
 Run from the repo root (CI runs it next to ruff):
 
@@ -163,12 +73,309 @@ Run from the repo root (CI runs it next to ruff):
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO_ROOT / "src" / "repro"
+
+
+class Finding(Tuple[str, int, str]):
+    """(path, line, message) — a plain tuple with a nicer constructor."""
+
+    def __new__(cls, path: str, line: int, message: str):
+        return super().__new__(cls, (path, line, message))
+
+
+def _relative(path: Path) -> str:
+    return str(path.relative_to(REPO_ROOT))
+
+
+def _call_name(node: ast.Call) -> Tuple[str, str]:
+    """Best-effort (receiver, attribute) of a call; ('', name) for bare calls."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        receiver = func.value
+        if isinstance(receiver, ast.Name):
+            return receiver.id, func.attr
+        if isinstance(receiver, ast.Attribute):
+            return receiver.attr, func.attr
+        return "", func.attr
+    if isinstance(func, ast.Name):
+        return "", func.id
+    return "", ""
+
+
+def _is_call_to(node: ast.AST, name: str) -> bool:
+    return isinstance(node, ast.Call) and _call_name(node)[1] == name
+
+
+# ------------------------------------------------------------ the site table
+
+
+class Match(NamedTuple):
+    """What a row looks for: a node of ``types`` for which ``fields(node,
+    path under src/repro/, module)`` returns the message's format fields
+    (``None``: not this node)."""
+
+    types: Tuple[type, ...]
+    fields: Callable[[ast.AST, str, ast.Module], Optional[Dict[str, str]]]
+
+
+class Row(NamedTuple):
+    """``match`` anywhere in ``scope`` (empty: all of src/repro/) but at
+    ``site`` (empty: nowhere) is a finding.  Several places are separated by
+    spaces; ``message`` is formatted with the match's fields and ``site``."""
+
+    match: Match
+    scope: str
+    site: str
+    message: str
+
+
+def call(*names: str, receiver: Optional[str] = None, keyword: Optional[str] = None,
+         args: bool = False) -> Match:
+    """A call of one of ``names``: ``receiver`` is a regex the receiver must
+    match in full (``""``: a bare call), ``keyword`` one it must pass, and
+    ``args`` asks for a positional argument."""
+    def fields(node: ast.Call, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
+        spelt, name = _call_name(node)
+        if (name in names and (receiver is None or re.fullmatch(receiver, spelt))
+                and (keyword is None or any(kw.arg == keyword for kw in node.keywords))
+                and (node.args or not args)):
+            return {"name": name, "receiver": spelt}
+        return None
+    return Match((ast.Call,), fields)
+
+
+def attribute(*names: str) -> Match:
+    """A ``.name`` access of one of ``names``."""
+    return Match((ast.Attribute,),
+                 lambda node, path, module: {"name": node.attr} if node.attr in names else None)
+
+
+def named(*names: str) -> Match:
+    """One of ``names`` defined, imported, read or called."""
+    def fields(node: ast.AST, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
+        name = getattr(node, "name", None) or getattr(node, "attr", None) \
+            or getattr(node, "id", None)
+        return {"name": name} if name in names else None
+    return Match((ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.alias,
+                  ast.Attribute, ast.Name), fields)
+
+
+def _env_var_read(node: ast.AST, module: ast.Module) -> str:
+    """The variable name ``node`` reads from the environment, if it is such a
+    read: spelt literally or through a module-level ``NAME = 'text'``."""
+    key = None
+    if isinstance(node, ast.Call) and node.args:
+        if _call_name(node) in {("environ", "get"), ("os", "getenv")}:
+            key = node.args[0]
+    elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "environ"):
+        key = node.slice
+    if isinstance(key, ast.Name):
+        constants = {target.id: stmt.value.value
+                     for stmt in module.body if isinstance(stmt, ast.Assign)
+                     and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)
+                     for target in stmt.targets if isinstance(target, ast.Name)}
+        return constants.get(key.id, "")
+    if isinstance(key, ast.Constant) and isinstance(key.value, str):
+        return key.value
+    return ""
+
+
+def environ_read(prefix: str, allowed: Tuple[str, ...] = ()) -> Match:
+    """A read of an environment variable named ``prefix...`` but not in
+    ``allowed``, spelt literally or through a module-level constant."""
+    def fields(node: ast.AST, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
+        name = _env_var_read(node, module)
+        return {"name": name} if name.startswith(prefix) and name not in allowed else None
+    return Match((ast.Call, ast.Subscript), fields)
+
+
+def _imported(node: ast.AST, path: str) -> Iterator[Tuple[str, str, str]]:
+    """``(absolute dotted name, statement as spelt, name as spelt)`` of what
+    ``node`` imports; ``from m import a`` imports ``m`` and ``m.a`` (``a`` may
+    be a submodule), relative imports resolved against ``path``."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            yield alias.name, f"`import {alias.name}`", alias.name
+        return
+    package = ["repro", *path.split("/")[:-1]]
+    base = package[:len(package) + 1 - node.level] if node.level else []
+    module = ".".join(base + ([node.module] if node.module else []))
+    spelt = f"`from {'.' * node.level}{node.module or ''} import ...`"
+    yield module, spelt, node.module or ""
+    for alias in node.names:
+        yield f"{module}.{alias.name}", spelt, alias.name
+
+
+def imports(*modules: str) -> Match:
+    """An import of one of ``modules`` or of anything under it: ``..fs.base``
+    in a ``repro`` subpackage imports ``repro.fs``; ``from . import pickle``
+    is no import of ``pickle``."""
+    def fields(node: ast.AST, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
+        for imported, spelt, name in _imported(node, path):
+            if any(imported == owned or imported.startswith(owned + ".")
+                   for owned in modules):
+                return {"spelt": spelt, "name": name}
+        return None
+    return Match((ast.Import, ast.ImportFrom), fields)
+
+
+#: why a duration is read in one place (the call row of 14, the import row of 15)
+CLOCK_REASON = "a duration is a `span` (or a `now()` read) from repro.clock, the one clock"
+
+SITE_OWNERS: Tuple[Row, ...] = (
+    # 2. Crash states are built zero-copy: recorded payloads live in shared slabs and flow
+    #    as read-only memoryviews.  Only block.py, whose job is materializing padded / torn
+    #    payloads, copies them.
+    Row(call("bytes", receiver="", args=True), "storage/", "storage/block.py",
+        "bytes(...) copy in a storage hot path — payloads flow as read-only memoryviews; "
+        "only block.py materializes bytes (padding / tearing)"),
+    Row(call("tobytes"), "storage/", "storage/block.py",
+        ".tobytes() copy in a storage hot path — slice the memoryview instead"),
+    # 6. The spill layer reaches payload bytes only through materialize_payload: a slab's
+    #    chunk list, a memoryview's ``.obj`` or a buffer of its own would let a spill file
+    #    (or the pickle building it) capture or alias a live slab arena.
+    Row(call("bytearray", receiver=""), "storage/spill.py", "",
+        "bytearray(...) in the spill layer — spill codecs flatten payloads via "
+        "materialize_payload, they never build mutable buffers of their own"),
+    Row(attribute("_chunk", "_chunks", "obj"), "storage/spill.py", "",
+        "spill layer reaches into slab internals (`.{name}`) — a spill file must never "
+        "capture or alias a live slab arena; go through materialize_payload"),
+    # 7. Phase 4 is one transition table: the generator and the index both step through
+    #    ``DependencySteps``.  And the index exists so that a sample costs O(sample).
+    Row(call("DependencyResolver"), "ace/", "ace/phase4.py",
+        "DependencyResolver(...) outside ace/phase4.py — phase 4 is one transition table; "
+        "step through `DependencySteps`"),
+    Row(call("generate", receiver="self"), "ace/synthesizer.py:AceSynthesizer.sample_stream",
+        "", "sample_stream iterates self.generate(...) — sampling unranks through the space "
+        "index, it never strides the whole space"),
+    # 8. One mount site: _construct consults the checkpoint record's verdict memo first, so
+    #    a second site would re-pay for states already known equal.  The recorder mounts the
+    #    live recording device, never a crash state.
+    Row(call("mount", "fs_class"), "crashmonkey/",
+        "crashmonkey/replayer.py:CrashStateGenerator._construct crashmonkey/recorder.py",
+        "`{name}(...)` outside CrashStateGenerator._construct — crash states are mounted "
+        "in one place, behind the verdict memo"),
+    # 9. An environment variable is an option with no declaration; the durable runner's
+    #    fault hook is the one left.
+    Row(environ_read("REPRO_", allowed=("REPRO_SELFCRASH_AFTER_CHUNKS",)), "", "",
+        "environment read of `{name}` — an env var is an option with no declaration; "
+        "declare a field in options.py instead"),
+    # 10. On-disk text becomes structure, and content a SHA-1, in one function each, which
+    #     memoises; a second site re-derives per mount what the memo already holds.
+    Row(call("loads", receiver="json|"), "fs/", "fs/layout.py:decode_json",
+        "`json.loads(...)` outside layout.py:decode_json — the file-system model decodes "
+        "and hashes in one memoised place"),
+    Row(call("sha1", receiver="hashlib|"), "fs/", "fs/inode.py:content_sha1",
+        "`hashlib.sha1(...)` outside inode.py:content_sha1 — the file-system model decodes "
+        "and hashes in one memoised place"),
+    # 11. Copies are the cheap explicit ones: spine nodes hold live forks, and the tracker
+    #     clones its records (``replace`` re-runs ``__init__`` per record per checkpoint).
+    Row(call("deepcopy", receiver="copy|"), "crashmonkey/ fs/", "",
+        "`copy.deepcopy(...)` of recorder / file-system state — fork it (copy exactly what "
+        "operations mutate) instead"),
+    Row(call("replace", receiver="dataclasses|"), "crashmonkey/tracker.py", "",
+        "`dataclasses.replace(...)` in the tracker — records are copied with their "
+        "`clone()` methods"),
+    # 12. A verdict is shared by every state that agrees on the blocks recovery and checks
+    #     read, so the read log must be complete (a file system reads through
+    #     ``read_block``), checks ask ``ctx`` (one resolution per state; base.py builds it,
+    #     write.py mutates the tree last), and only the mount site may build no commit
+    #     tables.
+    Row(call("written_blocks", "used_blocks", "content_equal", "overlay_delta",
+             "materialize", "_visible_block", "_merged_overlay"), "fs/", "",
+        "`{name}(...)` under fs/ — a file system reads its device through `read_block` "
+        "only, so a crash state's read log is complete"),
+    Row(attribute("fs"), "crashmonkey/checks/",
+        "crashmonkey/checks/write.py crashmonkey/checks/mount.py crashmonkey/checks/base.py",
+        "a read-only check reaches for `.fs` — ask `ctx.lookup(path)` / `ctx.names_of(ino)`; "
+        "only write.py and mount.py touch the file system"),
+    Row(call("mount", keyword="inspect"), "",
+        "crashmonkey/replayer.py:CrashStateGenerator._construct",
+        "`mount(inspect=...)` outside CrashStateGenerator._construct — an inspection mount "
+        "builds no commit tables; only a crash state that is checked and dropped may have one"),
+    # 13. One spine, held by the recorder and admitted through the chunk's spine plan: one
+    #     truncate loop, one answer to a lost node, no node sized and spilled for nobody.
+    #     Nodes pickle as they are; a codec registry was the hand copy of pickle's memo.
+    Row(call("put", "get", "drop", receiver="(?i).*store.*"), "", "storage/spill.py",
+        "`{receiver}.{name}(...)` outside storage/spill.py — hold a `Spine` "
+        "(push / truncate / fetch / deepest) instead"),
+    Row(call("push"), "", "crashmonkey/recorder.py:WorkloadRecorder._keep",
+        "`push(...)` on a spine outside WorkloadRecorder._keep — the chunk's spine plan says "
+        "which frozen nodes a later workload reads from the store"),
+    Row(call("Spine"), "", "crashmonkey/recorder.py:WorkloadRecorder.__init__",
+        "`Spine(...)` outside WorkloadRecorder.__init__ — the recorder holds the one spine; "
+        "a second one sizes, budgets and spills nodes its own way"),
+    Row(named("register_codec"), "", "",
+        "`register_codec` — the spill layer pickles nodes as they are; a node type declares "
+        "what must not ride with `__reduce__` / `__getstate__`"),
+    # 14. Which clock is read, and whether a raising block is charged, is decided in one place.
+    Row(call("perf_counter", "time", "monotonic", "process_time", receiver="time"), "",
+        "clock.py", "`time.{name}()` outside clock.py — " + CLOCK_REASON),
+)
+
+IMPORT_OWNERS: Tuple[Row, ...] = (
+    # 5. The static pass stays runnable without the dynamic harness (no device, no mounts).
+    Row(imports("repro.crashmonkey.harness"), "analysis/", "",
+        "analysis/ imports crashmonkey.harness — the static pass must stay runnable without "
+        "the dynamic harness (the harness imports analysis, never the reverse)"),
+    # 13. The serialiser pickles whatever node it is handed and reduces storage types only.
+    Row(imports("repro.crashmonkey", "repro.fs"), "storage/spill.py", "",
+        "storage/spill.py imports `{name}` — the serialiser knows storage types only; "
+        "the node's owner declares the rest"),
+    # 15. Some standard modules are a decision one module makes for the rest.
+    Row(imports("pickle"), "", "storage/spill.py",
+        "{spelt} outside {site} — snapshots are forks; only a spill file holds one as bytes"),
+    Row(imports("time"), "", "clock.py", "{spelt} outside {site} — " + CLOCK_REASON),
+    Row(imports("sqlite3"), "", "service/statedb.py",
+        "{spelt} outside {site} — campaign state has one durable store; a second database "
+        "is a second ledger for crash recovery to miss"),
+)
+
+
+def _within(places: str, path: str, qualname: str) -> bool:
+    """Whether the code at ``qualname`` of ``path`` lies in one of ``places``."""
+    for place in places.split():
+        file, _, qual = place.partition(":")
+        if ((path == file or (file.endswith("/") and path.startswith(file)))
+                and (not qual or qualname == qual or qualname.startswith(qual + "."))):
+            return True
+    return False
+
+
+def check_site_owners(trees: Dict[Path, ast.Module],
+                      rows: Tuple[Row, ...] = SITE_OWNERS + IMPORT_OWNERS) -> List[Finding]:
+    """Walk each module once and apply every row to every node."""
+    by_type: Dict[type, List[Row]] = {}
+    for row in rows:
+        for node_type in row.match.types:
+            by_type.setdefault(node_type, []).append(row)
+    findings: List[Finding] = []
+    for path, tree in trees.items():
+        where = path.relative_to(SRC_ROOT).as_posix()
+        stack: List[Tuple[ast.AST, str]] = [(tree, "")]
+        while stack:
+            node, qualname = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = f"{qualname}.{node.name}".lstrip(".")
+            for row in by_type.get(type(node), ()):
+                fields = row.match.fields(node, where, tree)
+                if (fields is not None and (not row.scope or _within(row.scope, where, qualname))
+                        and not _within(row.site, where, qualname)):
+                    findings.append(Finding(_relative(path), node.lineno,
+                                            row.message.format(site=row.site, **fields)))
+            stack.extend((child, qualname) for child in ast.iter_child_nodes(node))
+    return sorted(findings)
+
+
+# --------------------------------------------------------------- rule 1: clocks
+
 
 #: wall-clock callables forbidden on canonical serialization paths, as
 #: (module-ish receiver, attribute) pairs
@@ -189,48 +396,6 @@ WALL_CLOCK_CALLS = {
 
 #: serialization entry points whose transitive callees must be clock-free
 CANONICAL_ROOTS = ("canonical_dict",)
-
-#: the one storage module allowed to materialize bytes (padding / tearing)
-BYTES_ALLOWLIST = {"block.py"}
-
-#: where CrashTestResult declares its counters, how, and with which tags
-RESULT_MODULE = Path("crashmonkey") / "report.py"
-COUNTER_DECLARATOR = "counter"
-COUNTER_TAGS = {"CANONICAL", "SESSION"}
-
-#: CrashTestResult counters that depend on spine residency (spill budget,
-#: chunk -> worker assignment) and therefore must stay out of canonical_dict
-RESIDENCY_DEPENDENT_FIELDS = {"inherited_verdicts"}
-
-#: slab internals the spill module must never reach for (rule 6): the chunk
-#: list of a BlockSlab and the ``.obj`` backdoor from a memoryview to its
-#: backing bytearray
-SLAB_CHUNK_ATTRS = {"_chunk", "_chunks", "obj"}
-
-
-class Finding(Tuple[str, int, str]):
-    """(path, line, message) — a plain tuple with a nicer constructor."""
-
-    def __new__(cls, path: str, line: int, message: str):
-        return super().__new__(cls, (path, line, message))
-
-
-def _call_name(node: ast.Call) -> Tuple[str, str]:
-    """Best-effort (receiver, attribute) of a call; ('', name) for bare calls."""
-    func = node.func
-    if isinstance(func, ast.Attribute):
-        receiver = func.value
-        if isinstance(receiver, ast.Name):
-            return receiver.id, func.attr
-        if isinstance(receiver, ast.Attribute):
-            return receiver.attr, func.attr
-        return "", func.attr
-    if isinstance(func, ast.Name):
-        return "", func.id
-    return "", ""
-
-
-# --------------------------------------------------------------- rule 1: clocks
 
 
 def _function_index(trees: Dict[Path, ast.Module]) -> Dict[str, List[Tuple[Path, ast.FunctionDef]]]:
@@ -271,7 +436,7 @@ def check_canonical_paths_are_clock_free(trees: Dict[Path, ast.Module]) -> List[
             receiver, attr = _call_name(node)
             if (receiver, attr) in WALL_CLOCK_CALLS:
                 findings.append(Finding(
-                    str(path.relative_to(REPO_ROOT)), node.lineno,
+                    _relative(path), node.lineno,
                     f"wall-clock read `{receiver + '.' if receiver else ''}{attr}` reachable from "
                     f"canonical_dict via {' -> '.join(chain)} — canonical "
                     "payloads must be schedule-invariant",
@@ -282,36 +447,17 @@ def check_canonical_paths_are_clock_free(trees: Dict[Path, ast.Module]) -> List[
     return findings
 
 
-# ---------------------------------------------------------- rule 2: byte copies
-
-
-def check_storage_stays_zero_copy(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        if path.parent != SRC_ROOT / "storage" or path.name in BYTES_ALLOWLIST:
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            receiver, attr = _call_name(node)
-            relative = str(path.relative_to(REPO_ROOT))
-            if receiver == "" and attr == "bytes" and node.args:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "bytes(...) copy in a storage hot path — payloads flow "
-                    "as read-only memoryviews; only block.py materializes "
-                    "bytes (padding / tearing)",
-                ))
-            elif attr == "tobytes":
-                findings.append(Finding(
-                    relative, node.lineno,
-                    ".tobytes() copy in a storage hot path — slice the "
-                    "memoryview instead",
-                ))
-    return findings
-
-
 # -------------------------------------------------------- rule 3: result fields
+
+
+#: where CrashTestResult declares its counters, how, and with which tags
+RESULT_MODULE = Path("crashmonkey") / "report.py"
+COUNTER_DECLARATOR = "counter"
+COUNTER_TAGS = {"CANONICAL", "SESSION"}
+
+#: CrashTestResult counters that depend on spine residency (spill budget,
+#: chunk -> worker assignment) and therefore must stay out of canonical_dict
+RESIDENCY_DEPENDENT_FIELDS = {"inherited_verdicts"}
 
 
 def _hand_roll_up(node: ast.AST, counters: Dict[str, Tuple[str, int]]) -> str:
@@ -328,7 +474,7 @@ def _hand_roll_up(node: ast.AST, counters: Dict[str, Tuple[str, int]]) -> str:
 
 def check_result_fields_are_accounted(trees: Dict[Path, ast.Module]) -> List[Finding]:
     path = SRC_ROOT / RESULT_MODULE
-    relative = str(path.relative_to(REPO_ROOT))
+    relative = _relative(path)
     findings: List[Finding] = []
     tags: Dict[str, Tuple[str, int]] = {}  # declared counter -> (tag, line)
     result = next(node for node in ast.walk(trees[path])
@@ -366,7 +512,7 @@ def check_result_fields_are_accounted(trees: Dict[Path, ast.Module]) -> List[Fin
             name = _hand_roll_up(node, tags)
             if name:
                 findings.append(Finding(
-                    str(other.relative_to(REPO_ROOT)), node.lineno,
+                    _relative(other), node.lineno,
                     f"hand-written roll-up of `{name}` — `roll_up` and the RollUps "
                     "attributes apply the rule the counter declares",
                 ))
@@ -408,7 +554,7 @@ def check_planners_have_soundness_coverage(
     against weak assertions.
     """
     path, names, line = _plan_names(trees)
-    relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
+    relative = _relative(path)
     if not soundness_path.exists():
         return [Finding(
             relative, line,
@@ -420,158 +566,35 @@ def check_planners_have_soundness_coverage(
         for node in ast.walk(ast.parse(soundness_path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Constant) and isinstance(node.value, str)
     }
-    findings: List[Finding] = []
-    for name in sorted(names - referenced):
-        findings.append(Finding(
-            relative, line,
-            f"planner `{name}` is registered in PLAN_NAMES but never "
-            f"referenced by {soundness_path.name} — a pruning plan without "
-            "soundness coverage ships unproven",
-        ))
-    return findings
-
-
-# ------------------------------------------------- rule 5: analysis layering
-
-
-def check_analysis_does_not_import_harness(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    """The static pass must not depend on the dynamic harness."""
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        if path.parent != SRC_ROOT / "analysis":
-            continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        for node in ast.walk(tree):
-            offending = False
-            if isinstance(node, ast.Import):
-                offending = any(
-                    "crashmonkey.harness" in alias.name for alias in node.names
-                )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                offending = "crashmonkey.harness" in module or (
-                    module.endswith("crashmonkey")
-                    and any(alias.name == "harness" for alias in node.names)
-                )
-            if offending:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "analysis/ imports crashmonkey.harness — the static pass "
-                    "must stay runnable without the dynamic harness (the "
-                    "harness imports analysis, never the reverse)",
-                ))
-    return findings
-
-
-# -------------------------------------------------- rule 6: spill vs slab guts
-
-
-def check_spill_never_references_slab_chunks(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    """``storage/spill.py`` must not touch slab chunks or raw bytearrays.
-
-    The spill layer serializes frozen spine nodes whose payloads live in
-    shared slab arenas.  Its only sanctioned route to the payload bytes is
-    ``materialize_payload`` (which lives in ``block.py``); reaching for a
-    slab's ``_chunks`` list, a memoryview's ``.obj``, or allocating a
-    ``bytearray`` of its own would let a spill file capture or alias a live
-    arena — exactly the copy/aliasing bugs the zero-copy design rules out.
-    """
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        if path.parent != SRC_ROOT / "storage" or path.name != "spill.py":
-            continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                receiver, attr = _call_name(node)
-                if receiver == "" and attr == "bytearray":
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        "bytearray(...) in the spill layer — spill codecs "
-                        "flatten payloads via materialize_payload, they never "
-                        "build mutable buffers of their own",
-                    ))
-            elif isinstance(node, ast.Attribute) and node.attr in SLAB_CHUNK_ATTRS:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"spill layer reaches into slab internals (`.{node.attr}`) "
-                    "— a spill file must never capture or alias a live slab "
-                    "arena; go through materialize_payload",
-                ))
-    return findings
+    return [Finding(relative, line,
+                    f"planner `{name}` is registered in PLAN_NAMES but never "
+                    f"referenced by {soundness_path.name} — a pruning plan without "
+                    "soundness coverage ships unproven")
+            for name in sorted(names - referenced)]
 
 
 # ------------------------------------------- rule 7: ACE index vs the generator
 
 
-def _is_call_to(node: ast.AST, name: str) -> bool:
-    return isinstance(node, ast.Call) and _call_name(node)[1] == name
-
-
-def check_ace_index_reuses_phase4_and_sampling_unranks(
-        trees: Dict[Path, ast.Module]) -> List[Finding]:
-    """``ace/index.py`` builds workloads only via ``resolve_dependencies``;
-    only ``phase4.py`` makes a ``DependencyResolver``; ``sample_stream``
-    never iterates ``self.generate(``."""
+def check_index_builds_workloads_through_phase4(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    path = SRC_ROOT / "ace" / "index.py"
     findings: List[Finding] = []
-    for path, tree in trees.items():
-        if path.parent != SRC_ROOT / "ace":
+    for node in ast.walk(trees.get(path, ast.Module(body=[]))):
+        if not _is_call_to(node, "Workload"):
             continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        if path.name != "phase4.py":
-            for node in ast.walk(tree):
-                if _is_call_to(node, "DependencyResolver"):
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        "DependencyResolver(...) outside ace/phase4.py — phase 4 is "
-                        "one transition table; step through `DependencySteps`",
-                    ))
-        if path.name == "index.py":
-            for node in ast.walk(tree):
-                if not _is_call_to(node, "Workload"):
-                    continue
-                ops = next((kw.value for kw in node.keywords if kw.arg == "ops"),
-                           node.args[0] if node.args else None)
-                if not _is_call_to(ops, "resolve_dependencies"):
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        "ace/index.py constructs a Workload whose ops are not "
-                        "`resolve_dependencies(...)` of the unranked operation "
-                        "list — phase-4 output has one definition",
-                    ))
-        elif path.name == "synthesizer.py":
-            for func in ast.walk(tree):
-                if not (isinstance(func, ast.FunctionDef) and func.name == "sample_stream"):
-                    continue
-                for node in ast.walk(func):
-                    if _is_call_to(node, "generate") and _call_name(node)[0] == "self":
-                        findings.append(Finding(
-                            relative, node.lineno,
-                            "sample_stream iterates self.generate(...) — "
-                            "sampling unranks through the space index, it "
-                            "never strides the whole space",
-                        ))
+        ops = next((kw.value for kw in node.keywords if kw.arg == "ops"),
+                   node.args[0] if node.args else None)
+        if not _is_call_to(ops, "resolve_dependencies"):
+            findings.append(Finding(
+                _relative(path), node.lineno,
+                "ace/index.py constructs a Workload whose ops are not "
+                "`resolve_dependencies(...)` of the unranked operation "
+                "list — phase-4 output has one definition",
+            ))
     return findings
 
 
-# ------------------------------------- rule 8: one mount site, twins not re-checked
-
-
-#: where crash states are mounted: (file, class, method)
-MOUNT_SITE = ("replayer.py", "CrashStateGenerator", "_construct")
-
-
-def _site_nodes(path: Path, tree: ast.Module, site: Tuple[str, str, str]) -> Set[ast.AST]:
-    """Every AST node inside the ``(file, class, method)`` site, when ``path``
-    is its file."""
-    if path.name != site[0]:
-        return set()
-    return {sub
-            for cls in ast.walk(tree)
-            if isinstance(cls, ast.ClassDef) and cls.name == site[1]
-            for func in cls.body
-            if isinstance(func, ast.FunctionDef) and func.name == site[2]
-            for sub in ast.walk(func)}
+# ------------------------------------------------- rule 8: twins not re-checked
 
 
 def _mentions_is_twin(node: ast.AST) -> bool:
@@ -593,34 +616,16 @@ def _guarded_against_twins(call: ast.Call, parents: Dict[ast.AST, ast.AST]) -> b
     return False
 
 
-def check_single_mount_site_and_twins_not_rechecked(
-        trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        if SRC_ROOT / "crashmonkey" not in path.parents or path.name == "recorder.py":
-            continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        parents = {child: parent for parent in ast.walk(tree)
-                   for child in ast.iter_child_nodes(parent)}
-        allowed = _site_nodes(path, tree, MOUNT_SITE)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)[1]
-            if name in ("mount", "fs_class") and node not in allowed:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"`{name}(...)` outside CrashStateGenerator._construct — crash "
-                    "states are mounted in one place, behind the verdict memo",
-                ))
-            elif (name == "check_timed" and path.name == "harness.py"
-                    and not _guarded_against_twins(node, parents)):
-                findings.append(Finding(
-                    relative, node.lineno,
+def check_harness_never_rechecks_twins(trees: Dict[Path, ast.Module]) -> List[Finding]:
+    path = SRC_ROOT / "crashmonkey" / "harness.py"
+    tree = trees.get(path, ast.Module(body=[]))
+    parents = {child: parent for parent in ast.walk(tree)
+               for child in ast.iter_child_nodes(parent)}
+    return [Finding(_relative(path), node.lineno,
                     "harness calls check_timed without an `is_twin` guard — a twin "
-                    "has no mounted fs; it takes its representative's verdict",
-                ))
-    return findings
+                    "has no mounted fs; it takes its representative's verdict")
+            for node in ast.walk(tree)
+            if _is_call_to(node, "check_timed") and not _guarded_against_twins(node, parents)]
 
 
 # ------------------------------------------------- rule 9: options are spelt once
@@ -629,10 +634,6 @@ def check_single_mount_site_and_twins_not_rechecked(
 #: the module that declares the options, and the call that declares one
 OPTIONS_MODULE = "options.py"
 OPTION_DECLARATOR = "option"
-
-#: environment variables that are not options: a box resource limit and the
-#: durable runner's fault-injection hook
-ALLOWED_ENV_VARS = {"REPRO_SPINE_BUDGET", "REPRO_SELFCRASH_AFTER_CHUNKS"}
 
 #: a call copying this many ``name=<expr>.name`` schema keywords is a hand copy
 HAND_COPY_THRESHOLD = 3
@@ -654,23 +655,6 @@ def _option_schema(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
     return names, flags
 
 
-def _env_var_read(node: ast.AST, constants: Dict[str, str]) -> str:
-    """The variable name ``node`` reads from the environment, if it is such a read."""
-    key = None
-    if isinstance(node, ast.Call) and node.args:
-        receiver, attr = _call_name(node)
-        if (receiver, attr) in {("environ", "get"), ("os", "getenv")}:
-            key = node.args[0]
-    elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "environ"):
-        key = node.slice
-    if isinstance(key, ast.Name):
-        return constants.get(key.id, "")
-    if isinstance(key, ast.Constant) and isinstance(key.value, str):
-        return key.value
-    return ""
-
-
 def check_options_are_spelt_once(trees: Dict[Path, ast.Module]) -> List[Finding]:
     schema_path = SRC_ROOT / OPTIONS_MODULE
     names, flags = _option_schema(trees[schema_path])
@@ -678,28 +662,14 @@ def check_options_are_spelt_once(trees: Dict[Path, ast.Module]) -> List[Finding]
     for path, tree in trees.items():
         if path == schema_path:
             continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        constants = {
-            target.id: node.value.value
-            for node in tree.body if isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
-            for target in node.targets if isinstance(target, ast.Name)
-        }
         for node in ast.walk(tree):
-            variable = _env_var_read(node, constants)
-            if variable.startswith("REPRO_") and variable not in ALLOWED_ENV_VARS:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"environment read of `{variable}` — an env var is an option with "
-                    f"no declaration; declare a field in {OPTIONS_MODULE} instead",
-                ))
             if not isinstance(node, ast.Call):
                 continue
             if _call_name(node)[1] == "add_argument":
                 for arg in node.args:
                     if isinstance(arg, ast.Constant) and arg.value in flags:
                         findings.append(Finding(
-                            relative, node.lineno,
+                            _relative(path), node.lineno,
                             f"add_argument(`{arg.value}`) re-spells a schema flag — derive "
                             f"it with `add_arguments` from {OPTIONS_MODULE}",
                         ))
@@ -708,21 +678,15 @@ def check_options_are_spelt_once(trees: Dict[Path, ast.Module]) -> List[Finding]
                       and kw.value.attr == kw.arg]
             if len(copied) >= HAND_COPY_THRESHOLD:
                 findings.append(Finding(
-                    relative, node.lineno,
+                    _relative(path), node.lineno,
                     f"call hand-copies schema options ({', '.join(copied)}) keyword by "
                     f"keyword — pass the spec, or loop over `dataclasses.fields()`",
                 ))
     return findings
 
 
-# ------------------------------------- rule 10: one decode site, one hash site
+# ------------------------------------------------- rule 10: no capability probing
 
-
-#: under fs/: the call, and the (file, function) that alone may make it
-SINGLE_SITE_CALLS = {
-    ("json", "loads"): ("layout.py", "decode_json"),
-    ("hashlib", "sha1"): ("inode.py", "content_sha1"),
-}
 
 #: the block-device surface a file system drives
 DEVICE_METHODS = {"read_block", "write_block", "write_sectors", "discard_block", "flush"}
@@ -734,279 +698,47 @@ def _catches_type_error(handler: ast.ExceptHandler) -> bool:
     return any(isinstance(name, ast.Name) and name.id == "TypeError" for name in names)
 
 
-def check_fs_decodes_and_hashes_in_one_place(trees: Dict[Path, ast.Module]) -> List[Finding]:
+def check_devices_are_never_probed(trees: Dict[Path, ast.Module]) -> List[Finding]:
     findings: List[Finding] = []
     for path, tree in trees.items():
         if path.parent != SRC_ROOT / "fs":
             continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        for (module, name), (filename, function) in SINGLE_SITE_CALLS.items():
-            site: Set[ast.AST] = set()
-            if path.name == filename:
-                for func in ast.walk(tree):
-                    if isinstance(func, ast.FunctionDef) and func.name == function:
-                        site = set(ast.walk(func))
-            for node in ast.walk(tree):
-                if (isinstance(node, ast.Call) and node not in site
-                        and _call_name(node) in {(module, name), ("", name)}):
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        f"`{module}.{name}(...)` outside {filename}:{function} — the "
-                        "file-system model decodes and hashes in one memoised place",
-                    ))
         for node in ast.walk(tree):
             if not (isinstance(node, ast.Try) and any(map(_catches_type_error, node.handlers))):
                 continue
             for call in (sub for stmt in node.body for sub in ast.walk(stmt)):
                 if isinstance(call, ast.Call) and _call_name(call)[1] in DEVICE_METHODS:
                     findings.append(Finding(
-                        relative, call.lineno,
+                        _relative(path), call.lineno,
                         f"`{_call_name(call)[1]}(...)` inside `except TypeError` — devices "
                         "take one call shape; a TypeError there is a bug, not a capability",
                     ))
     return findings
 
 
-# ---------------------------------------------- rule 11: one serialisation site
-
-
-#: the one module under src/repro that may turn a snapshot into bytes
-PICKLE_MODULE = Path("storage") / "spill.py"
-
-#: packages whose state copies are structural forks, never generic deep copies
-FORKED_PACKAGES = {"crashmonkey", "fs"}
-
-
-def check_snapshots_serialise_in_one_place(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        forked = not FORKED_PACKAGES.isdisjoint(path.relative_to(SRC_ROOT).parts)
-        tracker = path.parent.name == "crashmonkey" and path.name == "tracker.py"
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            receiver, name = _call_name(node)
-            if forked and name == "deepcopy" and receiver in ("", "copy"):
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "`copy.deepcopy(...)` of recorder / file-system state — fork it "
-                    "(copy exactly what operations mutate) instead",
-                ))
-            if tracker and name == "replace" and receiver in ("", "dataclasses"):
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "`dataclasses.replace(...)` in the tracker — records are copied "
-                    "with their `clone()` methods",
-                ))
-    return findings
-
-
-# ------------------------------------- rule 12: verdicts depend on logged reads only
-
-
-#: device calls that read content without passing the read log
-UNLOGGED_DEVICE_READS = {"written_blocks", "used_blocks", "content_equal", "overlay_delta",
-                         "materialize", "_visible_block", "_merged_overlay"}
-
-#: check modules that may use the recovered file system directly; ``base.py``
-#: is where ``CheckContext`` wraps it
-FS_TOUCHING_CHECKS = {"write.py", "mount.py", "base.py"}
-
-
-def check_verdicts_depend_on_logged_reads_only(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        in_fs = path.parent == SRC_ROOT / "fs"
-        in_checks = path.parent == SRC_ROOT / "crashmonkey" / "checks"
-        site = _site_nodes(path, tree, MOUNT_SITE)
-        for node in ast.walk(tree):
-            if (in_checks and path.name not in FS_TOUCHING_CHECKS
-                    and isinstance(node, ast.Attribute) and node.attr == "fs"):
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "a read-only check reaches for `.fs` — ask `ctx.lookup(path)` / "
-                    "`ctx.names_of(ino)`; only write.py and mount.py touch the file system",
-                ))
-            if not isinstance(node, ast.Call):
-                continue
-            name = _call_name(node)[1]
-            if in_fs and name in UNLOGGED_DEVICE_READS:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"`{name}(...)` under fs/ — a file system reads its device through "
-                    "`read_block` only, so a crash state's read log is complete",
-                ))
-            if (name == "mount" and node not in site
-                    and any(keyword.arg == "inspect" for keyword in node.keywords)):
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "`mount(inspect=...)` outside CrashStateGenerator._construct — an "
-                    "inspection mount builds no commit tables; only a crash state that is "
-                    "checked and dropped may have one",
-                ))
-    return findings
-
-
-# ------------------------------------- rule 13: one spine, a storage-only serialiser
-
-
-#: the store calls only ``Spine`` makes
-SPINE_STORE_CALLS = {"put", "get", "drop"}
-
-#: packages the serialiser must not know
-SPILL_FORBIDDEN_IMPORTS = {"crashmonkey", "fs"}
-
-#: each spine's one admission point — ``(module, class, method, why)``: the
-#: only place its module pushes
-SPINE_ADMISSION = (
-    ("recorder.py", "WorkloadRecorder", "_keep",
-     "the chunk's spine plan says which frozen nodes a later workload reads from the store"),
-)
-
-
-def check_one_spine_and_a_storage_only_serialiser(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        spill = path == SRC_ROOT / PICKLE_MODULE
-        # (class, method, why, nodes of the site) of this module's spine, if any
-        admission = next(((owner, method, why, _site_nodes(path, tree, (module, owner, method)))
-                          for module, owner, method, why in SPINE_ADMISSION
-                          if path == SRC_ROOT / "crashmonkey" / module), None)
-        for node in ast.walk(tree):
-            if (admission and isinstance(node, ast.Call) and _call_name(node)[1] == "push"
-                    and node not in admission[3]):
-                owner, method, why, _ = admission
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"`push(...)` on a spine outside {owner}.{method} — {why}",
-                ))
-            name = getattr(node, "name", None) or getattr(node, "attr", None) \
-                or getattr(node, "id", None)
-            if name == "register_codec":
-                findings.append(Finding(
-                    relative, node.lineno,
-                    "`register_codec` — the spill layer pickles nodes as they are; a node "
-                    "type declares what must not ride with `__reduce__` / `__getstate__`",
-                ))
-            if spill and isinstance(node, (ast.Import, ast.ImportFrom)):
-                # ``from .. import fs`` names the package in ``names``, not ``module``
-                modules = [alias.name for alias in node.names] + [getattr(node, "module", "") or ""]
-                for module in modules:
-                    if not SPILL_FORBIDDEN_IMPORTS.isdisjoint(module.split(".")):
-                        findings.append(Finding(
-                            relative, node.lineno,
-                            f"storage/spill.py imports `{module}` — the serialiser knows "
-                            "storage types only; the node's owner declares the rest",
-                        ))
-            if not spill and isinstance(node, ast.Call):
-                receiver, called = _call_name(node)
-                if called in SPINE_STORE_CALLS and "store" in receiver.lower():
-                    findings.append(Finding(
-                        relative, node.lineno,
-                        f"`{receiver}.{called}(...)` outside storage/spill.py — hold a "
-                        "`Spine` (push / truncate / fetch / deepest) instead",
-                    ))
-    return findings
-
-
-# ------------------------------------------------------------------ rule 14: one clock
-
-
-#: the one module under src/repro that reads the clock
-CLOCK_MODULE = "clock.py"
-
-#: clock reads of the ``time`` module
-TIME_CLOCK_CALLS = {"perf_counter", "time", "monotonic", "process_time"}
-
-
-#: why a duration is read in one place (the call rule here, the import row of rule 15)
-CLOCK_REASON = "a duration is a `span` (or a `now()` read) from repro.clock, the one clock"
-
-
-def check_durations_come_from_one_clock(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        if path == SRC_ROOT / CLOCK_MODULE:
-            continue
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        for node in ast.walk(tree):
-            receiver, called = _call_name(node) if isinstance(node, ast.Call) else ("", "")
-            if receiver == "time" and called in TIME_CLOCK_CALLS:
-                findings.append(Finding(
-                    relative, node.lineno,
-                    f"`time.{called}()` outside {CLOCK_MODULE} — {CLOCK_REASON}",
-                ))
-    return findings
-
-
-# ------------------------------------------------------- rule 15: one owner per import
-
-
-#: module -> (the one file under src/repro that may import it, why)
-IMPORT_OWNERS: Dict[str, Tuple[Path, str]] = {
-    "pickle": (PICKLE_MODULE,
-               "snapshots are forks; only a spill file holds one as bytes"),
-    "time": (Path(CLOCK_MODULE), CLOCK_REASON),
-    "sqlite3": (Path("service") / "statedb.py",
-                "campaign state has one durable store; a second database is a second "
-                "ledger for crash recovery to miss"),
-}
-
-
-def _imported_modules(node: ast.AST) -> List[Tuple[str, str]]:
-    """``(top-level module, how it is spelt)`` of each absolute import in ``node``."""
-    if isinstance(node, ast.Import):
-        return [(alias.name.split(".")[0], f"`import {alias.name}`") for alias in node.names]
-    if isinstance(node, ast.ImportFrom) and node.module and not node.level:
-        return [(node.module.split(".")[0], f"`from {node.module} import ...`")]
-    return []
-
-
-def check_module_imports_have_one_owner(trees: Dict[Path, ast.Module]) -> List[Finding]:
-    findings: List[Finding] = []
-    for path, tree in trees.items():
-        relative = str(path.relative_to(REPO_ROOT)) if path.is_absolute() else str(path)
-        for node in ast.walk(tree):
-            for module, spelt in _imported_modules(node):
-                owner, reason = IMPORT_OWNERS.get(module, (None, ""))
-                if owner is not None and path != SRC_ROOT / owner:
-                    findings.append(Finding(
-                        relative, node.lineno, f"{spelt} outside {owner} — {reason}"))
-    return findings
-
-
 # ------------------------------------------------------------------------ driver
 
 
+CHECKS = (
+    check_site_owners,
+    check_canonical_paths_are_clock_free,
+    check_result_fields_are_accounted,
+    check_planners_have_soundness_coverage,
+    check_index_builds_workloads_through_phase4,
+    check_harness_never_rechecks_twins,
+    check_options_are_spelt_once,
+    check_devices_are_never_probed,
+)
+
+
 def parse_tree(root: Path = SRC_ROOT) -> Dict[Path, ast.Module]:
-    trees: Dict[Path, ast.Module] = {}
-    for path in sorted(root.rglob("*.py")):
-        trees[path] = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    return trees
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for path in sorted(root.rglob("*.py"))}
 
 
 def run_lint(root: Path = SRC_ROOT) -> List[Finding]:
     trees = parse_tree(root)
-    findings: List[Finding] = []
-    findings.extend(check_canonical_paths_are_clock_free(trees))
-    findings.extend(check_storage_stays_zero_copy(trees))
-    findings.extend(check_result_fields_are_accounted(trees))
-    findings.extend(check_planners_have_soundness_coverage(trees))
-    findings.extend(check_analysis_does_not_import_harness(trees))
-    findings.extend(check_spill_never_references_slab_chunks(trees))
-    findings.extend(check_ace_index_reuses_phase4_and_sampling_unranks(trees))
-    findings.extend(check_single_mount_site_and_twins_not_rechecked(trees))
-    findings.extend(check_options_are_spelt_once(trees))
-    findings.extend(check_fs_decodes_and_hashes_in_one_place(trees))
-    findings.extend(check_snapshots_serialise_in_one_place(trees))
-    findings.extend(check_verdicts_depend_on_logged_reads_only(trees))
-    findings.extend(check_one_spine_and_a_storage_only_serialiser(trees))
-    findings.extend(check_durations_come_from_one_clock(trees))
-    findings.extend(check_module_imports_have_one_owner(trees))
-    return findings
+    return [finding for check in CHECKS for finding in check(trees)]
 
 
 def main(argv: List[str] | None = None) -> int:
