@@ -70,7 +70,7 @@ _CLASSIFIED_CAP = 64
 #: analysis cursor and the planner each classify, so an
 #: answer is kept per object.  The reference guards against id reuse: an entry
 #: answers only the object it was made for, and pins none of its payload (a
-#: strong reference would keep each request's slab chunk alive).
+#: strong reference would keep each request's block alive).
 _classified: Dict[int, Tuple[weakref.ref, Tuple[str, Optional[dict]]]] = {}
 
 

@@ -56,6 +56,11 @@ class B3Campaign:
             self._harness = self.spec.build()
         return self._harness
 
+    @property
+    def label(self) -> str:
+        """The campaign's name in results: its bounds' label, else ``seq-<n>``."""
+        return self.bounds.label or f"seq-{self.bounds.seq_length}"
+
     # ------------------------------------------------------------------ workload supply
 
     @property
@@ -113,8 +118,7 @@ class B3Campaign:
         total = (self.workloads_total()
                  if progress is not None and workloads is None else None)
         adapter = CrashMonkeyAdapter(self.fs_name)
-        label = self.bounds.label or f"seq-{self.bounds.seq_length}"
-        run = self._engine(progress).run(adapter.adapt_stream(source), label=label,
+        run = self._engine(progress).run(adapter.adapt_stream(source), label=self.label,
                                          workloads_total=total)
         run.result.invalid_workloads = adapter.invalid_workloads
         self.last_run = run

@@ -239,12 +239,12 @@ class _VerdictMemo:
         """Content of the window's blocks as ``device`` exposes them: what the
         key *is*.  The generator never calls this — :meth:`fold` gets the same
         tuple without a device — the tests hold the two against each other."""
-        return tuple([bytes(device.read_block(block)) for block in self.blocks])
+        return tuple([device.read_block(block) for block in self.blocks])
 
     def _prior_content(self, block: int) -> bytes:
         content = self._prior.get(block)
         if content is None:
-            content = self._prior[block] = bytes(self._stable.read_block(block))
+            content = self._prior[block] = self._stable.read_block(block)
         return content
 
     def fold(self, scenario: Optional[CrashScenario]) -> Tuple[ContentKey, int]:
@@ -261,11 +261,11 @@ class _VerdictMemo:
             if sectors is None:
                 payload = self._payloads.get(seq)
                 if payload is None:
-                    payload = self._payloads[seq] = bytes(pad_block(request.data))
+                    payload = self._payloads[seq] = pad_block(request.data)
             else:
                 block = request.block
-                payload = bytes(compose_torn_block(
-                    request.data, content.get(block) or self._prior_content(block), sectors))
+                payload = compose_torn_block(
+                    request.data, content.get(block) or self._prior_content(block), sectors)
             content[request.block] = payload
         key = tuple([content.get(block) or self._prior_content(block) for block in self.blocks])
         overlay_blocks = self._stable.overlay_blocks() + sum(

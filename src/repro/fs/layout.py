@@ -155,10 +155,6 @@ def decode_json(text: bytes) -> Optional[Any]:
 
 def decode_block(raw) -> Optional[Any]:
     """Decode one zero-padded metadata block (``None`` for an empty one)."""
-    if isinstance(raw, memoryview):
-        # Slab-backed devices hand out zero-copy views; finding the end of
-        # the text needs bytes semantics, so materialize just this block.
-        raw = raw.tobytes()
     # ``raw.rstrip(b"\x00")`` without its byte-at-a-time scan of the padding:
     # metadata text holds no NUL, so the first one almost always starts the
     # padding, and a slice compare confirms it.

@@ -195,7 +195,7 @@ class DurableCampaignRunner:
             campaign_id,
             config_to_dict(self.config),
             tenant=self.tenant,
-            label=self._campaign.bounds.label or f"seq-{self._campaign.bounds.seq_length}",
+            label=self._campaign.label,
             fs_name=self._campaign.fs_name,
             fs_model=self._campaign.fs_model,
         )
@@ -275,7 +275,7 @@ class DurableCampaignRunner:
 
         run = engine.run_indexed(
             pending_chunks(),
-            label=self._campaign.bounds.label,
+            label=self._campaign.label,
             on_outcome=on_outcome,
             chunks_total=chunks_total,
             workloads_total=workloads_total,

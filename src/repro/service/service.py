@@ -95,8 +95,7 @@ class CampaignService:
             campaign_id,
             api.config_to_dict(request.config),
             tenant=request.tenant,
-            label=runner._campaign.bounds.label
-            or f"seq-{runner._campaign.bounds.seq_length}",
+            label=runner._campaign.label,
             fs_name=runner._campaign.fs_name,
             fs_model=runner._campaign.fs_model,
         )

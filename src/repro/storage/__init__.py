@@ -8,7 +8,8 @@ Provides the three devices the paper's CrashMonkey relies on:
   checkpoint markers,
 
 plus :class:`IORequest` records and the replay helpers that turn a recorded
-stream into a crash state.
+stream into a crash state.  Every block payload the devices move is one
+block-sized ``bytes`` object, padded once by :func:`pad_block`.
 """
 
 from .block import (
@@ -16,10 +17,8 @@ from .block import (
     DEFAULT_DEVICE_BLOCKS,
     SECTOR_SIZE,
     SECTORS_PER_BLOCK,
-    Payload,
     blocks_needed,
     compose_torn_block,
-    materialize_payload,
     pad_block,
     split_blocks,
 )
@@ -35,7 +34,6 @@ from .io_request import (
 )
 from .record_device import RecordingDevice
 from .replay import replay_requests, replay_until_checkpoint
-from .slab import BlockSlab
 from .spill import DEFAULT_SPINE_MEMORY_BUDGET, SpineStore
 
 __all__ = [
@@ -43,14 +41,11 @@ __all__ = [
     "DEFAULT_DEVICE_BLOCKS",
     "SECTOR_SIZE",
     "SECTORS_PER_BLOCK",
-    "Payload",
     "blocks_needed",
     "compose_torn_block",
-    "materialize_payload",
     "pad_block",
     "split_blocks",
     "BlockDevice",
-    "BlockSlab",
     "DEFAULT_SPINE_MEMORY_BUDGET",
     "SpineStore",
     "CowDevice",

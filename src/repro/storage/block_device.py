@@ -59,11 +59,6 @@ class BlockDevice:
         self.writes += 1
         self._blocks[block] = pad_block(data)
 
-    def discard_block(self, block: int) -> None:
-        """Drop a block's contents (reads return zeroes afterwards)."""
-        self._check_block(block)
-        self._blocks.pop(block, None)
-
     def flush(self, *, sync: bool = False) -> None:
         """Persist outstanding writes.  A no-op for the RAM device."""
         self.flushes += 1
@@ -78,19 +73,11 @@ class BlockDevice:
         """Number of distinct blocks holding data."""
         return len(self._blocks)
 
-    def used_bytes(self) -> int:
-        """Approximate memory footprint of the stored data."""
-        return len(self._blocks) * BLOCK_SIZE
-
     def copy(self, name: Optional[str] = None) -> "BlockDevice":
         """Deep copy of the device (used to freeze base images)."""
         clone = BlockDevice(self.num_blocks, name=name or f"{self.name}-copy")
         clone._blocks = dict(self._blocks)
         return clone
-
-    def clear(self) -> None:
-        """Reset the device to all zeroes."""
-        self._blocks.clear()
 
     def content_equal(self, other: "BlockDevice") -> bool:
         """True if both devices hold identical logical contents."""

@@ -15,9 +15,8 @@ a linear scan of every layer.  This is what makes the replayer's one-pass
 incremental crash-state construction cheap — it forks a snapshot at every
 persistence point of the recorded stream.
 
-Short (sub-block) writes are zero-padded into a per-device :class:`BlockSlab`
-arena, so the overlay holds read-only ``memoryview`` slots of contiguous
-storage instead of one heap-allocated ``bytes`` object per block.
+Every overlay value is a block-sized ``bytes`` object: a write is padded once
+by :func:`~.block.pad_block`, which passes an exact block through uncopied.
 """
 
 from __future__ import annotations
@@ -25,9 +24,8 @@ from __future__ import annotations
 from typing import Container, Dict, Iterator, Optional, Set, Tuple
 
 from ..errors import HarnessError, InvalidBlockError
-from .block import BLOCK_SIZE, ZERO_BLOCK, Payload, compose_torn_block, pad_block
+from .block import BLOCK_SIZE, ZERO_BLOCK, compose_torn_block, pad_block
 from .block_device import BlockDevice
-from .slab import BlockSlab
 
 #: When a snapshot's frozen chain grows past this many layers the next fork
 #: compacts it into a single layer.  Chains only grow by forking, so this
@@ -81,15 +79,14 @@ class CowDevice:
         self.num_blocks = base.num_blocks
         #: immutable, shared overlay layers (oldest → newest); never mutated
         #: after being frozen by :meth:`snapshot`.
-        self._chain: Tuple[Dict[int, Payload], ...] = ()
+        self._chain: Tuple[Dict[int, bytes], ...] = ()
         #: merged view of every frozen layer (newest content wins), rebuilt
         #: incrementally at freeze time and shared with clones (the chain is
         #: immutable), so both the read path and the overlay accounting of a
         #: freshly forked snapshot are O(1) regardless of chain depth.
-        self._chain_index: Dict[int, Payload] = {}
+        self._chain_index: Dict[int, bytes] = {}
         #: this device's private, mutable top overlay.
-        self._overlay: Dict[int, Payload] = {}
-        self._slab: Optional[BlockSlab] = None
+        self._overlay: Dict[int, bytes] = {}
         #: when set, every :meth:`read_block` is noted in it (the base
         #: fall-through included: the read is logged here, not on the base)
         self.read_log: Optional[ReadLog] = None
@@ -111,7 +108,7 @@ class CowDevice:
 
     # -- I/O -----------------------------------------------------------------
 
-    def _visible_block(self, block: int) -> Payload:
+    def _visible_block(self, block: int) -> bytes:
         """Content this snapshot currently exposes for ``block``.
 
         Single lookup path shared by :meth:`read_block` and
@@ -127,16 +124,7 @@ class CowDevice:
             return data
         return self.base.read_block(block)
 
-    def _pad(self, data) -> Payload:
-        """Pad a write payload to one block; a short one goes into the slab."""
-        length = len(data)
-        if length == BLOCK_SIZE or length == 0:
-            return pad_block(data)
-        if self._slab is None:
-            self._slab = BlockSlab()
-        return self._slab.store(data)
-
-    def read_block(self, block: int) -> Payload:
+    def read_block(self, block: int) -> bytes:
         self._check_block(block)
         self.reads += 1
         if self.read_log is not None:
@@ -148,7 +136,7 @@ class CowDevice:
         # Annotations accepted and ignored, as on BlockDevice.
         self._check_block(block)
         self.writes += 1
-        self._overlay[block] = self._pad(data)
+        self._overlay[block] = pad_block(data)
 
     def write_sectors(self, block: int, data, sectors_applied: int) -> None:
         """Apply only the first ``sectors_applied`` sectors of a block write.
@@ -163,21 +151,10 @@ class CowDevice:
         self.writes += 1
         self._overlay[block] = compose_torn_block(data, prior, sectors_applied)
 
-    def discard_block(self, block: int) -> None:
-        """Make the block read as zero in this snapshot (without touching the base)."""
-        self._check_block(block)
-        self._overlay[block] = ZERO_BLOCK
-
     def flush(self, *, sync: bool = False) -> None:
         self.flushes += 1
 
     # -- snapshot management -------------------------------------------------
-
-    def reset(self) -> None:
-        """Drop every overlay layer, reverting the snapshot to the base image."""
-        self._chain = ()
-        self._chain_index = {}
-        self._overlay.clear()
 
     def _freeze(self) -> None:
         """Move the mutable overlay into the immutable chain.
@@ -210,25 +187,24 @@ class CowDevice:
         clone._chain_index = self._chain_index
         return clone
 
-    def _merged_overlay(self) -> Dict[int, Payload]:
+    def _merged_overlay(self) -> Dict[int, bytes]:
         """All blocks modified relative to the base (chain + top overlay)."""
-        merged: Dict[int, Payload] = dict(self._chain_index)
+        merged: Dict[int, bytes] = dict(self._chain_index)
         merged.update(self._overlay)
         return merged
 
-    def overlay_delta(self) -> Dict[int, Payload]:
+    def overlay_delta(self) -> Dict[int, bytes]:
         """Every block this snapshot changed relative to its base, merged.
 
         Public accessor for the spill layer: the returned dict plus the base
         image fully determine the snapshot's visible contents, so serializing
-        it (with payloads flattened via ``materialize_payload``) and replaying
-        it through :meth:`from_overlay` reconstructs a content-identical
-        device.
+        it and replaying it through :meth:`from_overlay` reconstructs a
+        content-identical device.
         """
         return self._merged_overlay()
 
     @classmethod
-    def from_overlay(cls, base: BlockDevice, overlay: Dict[int, Payload],
+    def from_overlay(cls, base: BlockDevice, overlay: Dict[int, bytes],
                      name: str = "cow0") -> "CowDevice":
         """Rebuild a snapshot from a base image and a merged overlay delta.
 
@@ -242,19 +218,6 @@ class CowDevice:
             layer = dict(overlay)
             device._chain = (layer,)
             device._chain_index = dict(layer)
-        return device
-
-    def materialize(self, name: Optional[str] = None) -> BlockDevice:
-        """Flatten base + overlays into an independent :class:`BlockDevice`.
-
-        An explicitly-written zero block is written through (not converted to
-        a discard): it is a block the snapshot modified, and dropping it would
-        make the flattened device's ``used_blocks()`` disagree with the
-        snapshot's own accounting.
-        """
-        device = self.base.copy(name=name or f"{self.name}-flat")
-        for block, data in self._merged_overlay().items():
-            device.write_block(block, data)
         return device
 
     # -- accounting ------------------------------------------------------------
@@ -279,7 +242,7 @@ class CowDevice:
 
     def written_blocks(self) -> Iterator[Tuple[int, bytes]]:
         """Iterate over ``(block, data)`` for the visible (merged) contents."""
-        merged: Dict[int, Payload] = {}
+        merged: Dict[int, bytes] = {}
         for block, data in self.base.written_blocks():
             merged[block] = data
         merged.update(self._merged_overlay())

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Tuple
 
-from .block import Payload
-
 
 class IOKind(str, Enum):
     """Kind of recorded request."""
@@ -43,8 +41,8 @@ class IORequest:
         seq: monotonically increasing sequence number within a recording.
         kind: write, flush, or checkpoint marker.
         block: target block number (``None`` for flush/checkpoint).
-        data: payload for writes (exactly one block, as ``bytes`` or a
-            read-only ``memoryview`` into a payload slab), ``None`` otherwise.
+        data: payload for writes (exactly one block of ``bytes``), ``None``
+            otherwise.
         flags: tuple of :class:`IOFlag` values.
         checkpoint_id: for checkpoint markers, the 1-based persistence-point
             index this marker corresponds to.
@@ -55,7 +53,7 @@ class IORequest:
     seq: int
     kind: IOKind
     block: Optional[int] = None
-    data: Optional[Payload] = None
+    data: Optional[bytes] = None
     flags: Tuple[IOFlag, ...] = field(default_factory=tuple)
     checkpoint_id: Optional[int] = None
     tag: str = ""
@@ -82,7 +80,7 @@ class IORequest:
         return IOFlag.METADATA in self.flags
 
     def size_bytes(self) -> int:
-        """Payload size of the request in bytes (0 for markers and flushes)."""
+        """Size of the request's payload in bytes (0 for markers and flushes)."""
         return len(self.data) if self.data is not None else 0
 
     def describe(self) -> str:

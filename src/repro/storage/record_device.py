@@ -19,12 +19,11 @@ stream a second time to find them.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from .block import BLOCK_SIZE, Payload, pad_block
+from .block import BLOCK_SIZE, pad_block
 from .cow_device import CowDevice
 from .io_request import IOFlag, IOKind, IORequest
-from .slab import BlockSlab
 
 
 class RecordingDevice:
@@ -41,7 +40,6 @@ class RecordingDevice:
         #: log grows so nobody rescans it per operation
         self.write_requests = 0
         self._recorded_bytes = 0
-        self._slab: Optional[BlockSlab] = None
         self.recording = True
         #: fork of the target as of the last recorded flush barrier
         self.stable = target.snapshot(name="stable")
@@ -55,15 +53,6 @@ class RecordingDevice:
 
     def read_block(self, block: int) -> bytes:
         return self.target.read_block(block)
-
-    def _capture(self, data) -> Payload:
-        """Pad a write payload to one block exactly once; a short one goes into the slab."""
-        length = len(data)
-        if length == BLOCK_SIZE or length == 0:
-            return pad_block(data)
-        if self._slab is None:
-            self._slab = BlockSlab()
-        return self._slab.store(data)
 
     def write_block(self, block: int, data, *, metadata: bool = False,
                     fua: bool = False, tag: str = "") -> None:
@@ -80,7 +69,7 @@ class RecordingDevice:
         # the target would issue a spurious device read per recorded write,
         # and padding twice (here and in the CoW overlay) would allocate two
         # block-sized copies per recorded write.
-        payload = self._capture(data)
+        payload = pad_block(data)
         self.target.write_block(block, payload)
         flags: Tuple[IOFlag, ...] = (IOFlag.METADATA,) if metadata else (IOFlag.DATA,)
         if fua:
@@ -92,9 +81,6 @@ class RecordingDevice:
                             flags=flags, tag=tag)
         self._log.append(request)
         self._window.append(request)
-
-    def discard_block(self, block: int) -> None:
-        self.target.discard_block(block)
 
     def flush(self, *, sync: bool = False) -> None:
         """Record a flush/barrier request and forward it to the target."""

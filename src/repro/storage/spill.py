@@ -14,17 +14,14 @@ spine starts competing with live crash states for RAM.
 * :class:`Spine` is the one cached path the owner holds: always-resident
   *stubs* (whatever the owner matches prefixes on) beside the store keys of
   the full nodes, the only caller of the store's ``put`` / ``get`` / ``drop``.
-* The serialiser pickles the node object itself.  It knows two *storage*
-  types and nothing of what a node means: a ``CowDevice`` is written as its
+* The serialiser pickles the node object itself.  It knows one *storage*
+  type and nothing of what a node means: a ``CowDevice`` is written as its
   merged overlay delta and thawed over the base image the owning spine
-  supplies, and an ``IORequest`` is written with its payload flattened
-  through :func:`~.block.materialize_payload` (the one sanctioned copy point
-  — a slab-backed ``memoryview`` can neither be pickled nor allowed to reach
-  disk holding its arena).  Pickle's own memo keeps the node's identity
-  topology: two references to one device thaw as one device.  What must not
-  ride through a spill is declared by the node types themselves
-  (``__reduce__`` / ``__getstate__``).  This module never touches a slab
-  chunk or a raw ``bytearray``, which ``tools/repro_lint.py`` enforces.
+  supplies.  Payloads are plain ``bytes``, so recorded requests pickle as
+  they are.  Pickle's own memo keeps the node's identity topology: two
+  references to one device thaw as one device.  What must not ride through
+  a spill is declared by the node types themselves (``__reduce__`` /
+  ``__getstate__``).
 """
 
 from __future__ import annotations
@@ -38,14 +35,11 @@ import struct
 import tempfile
 import zlib
 from collections import OrderedDict
-from dataclasses import replace
 from typing import Any, List, Optional
 
 from ..errors import SpillMissError
-from .block import materialize_payload
 from .block_device import BlockDevice
 from .cow_device import CowDevice
-from .io_request import IORequest
 
 #: Default resident budget: generous enough that seq-1/seq-2 campaigns never
 #: spill (their whole spines fit comfortably), so behavior and performance
@@ -67,22 +61,13 @@ class _BaseImage:
 
 
 def _reduce_device(device: CowDevice):
-    overlay = {block: materialize_payload(data)
-               for block, data in device.overlay_delta().items()}
-    return CowDevice.from_overlay, (_BaseImage, overlay, device.name)
-
-
-def _reduce_request(request: IORequest):
-    if isinstance(request.data, memoryview):
-        request = replace(request, data=materialize_payload(request.data))
-    return request.__reduce_ex__(pickle.HIGHEST_PROTOCOL)
+    return CowDevice.from_overlay, (_BaseImage, device.overlay_delta(), device.name)
 
 
 class _Freeze(pickle.Pickler):
-    """Pickles a node as it is, bar the two storage types reduced above."""
+    """Pickles a node as it is, bar the storage type reduced above."""
 
-    dispatch_table = {**copyreg.dispatch_table,
-                      CowDevice: _reduce_device, IORequest: _reduce_request}
+    dispatch_table = {**copyreg.dispatch_table, CowDevice: _reduce_device}
 
 
 class _Thaw(pickle.Unpickler):

@@ -16,10 +16,17 @@ import subprocess
 import sys
 import time
 from contextlib import closing
+from dataclasses import replace
 
 import pytest
 
-from repro.ace import seq2_bounds
+from repro.ace import (
+    seq1_bounds,
+    seq2_bounds,
+    seq3_data_bounds,
+    seq3_metadata_bounds,
+    seq3_nested_bounds,
+)
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.errors import CampaignDriftError
 from repro.service import CampaignStateDB, DurableCampaignRunner
@@ -132,6 +139,39 @@ def test_interrupted_slices_in_process(tmp_path, uninterrupted):
     assert len(sessions) > 2  # genuinely ran as many separate sessions
     assert all(s.chunks_executed <= 2 for s in sessions)
     assert result.canonical_dict() == uninterrupted.canonical_dict()
+
+
+def test_an_unlabelled_campaign_is_labelled_alike_fresh_or_resumed(tmp_path):
+    """A fresh durable run and a sliced-then-resumed one both label an
+    unlabelled campaign ``seq-<n>``, as a plain campaign does."""
+    config = CampaignConfig(fs_name="btrfs", bounds=replace(seq1_bounds(), label=""),
+                            max_workloads=12, chunk_size=4)
+    results = {}
+    for campaign_id, max_chunks in (("fresh", None), ("sliced", 1)):
+        result = None
+        while result is None:
+            runner = DurableCampaignRunner(config, str(tmp_path / "state.sqlite"),
+                                           campaign_id=campaign_id)
+            try:
+                result = runner.run(max_chunks=max_chunks)
+            finally:
+                runner.close()
+        results[campaign_id] = result
+    assert results["fresh"].canonical_dict() == results["sliced"].canonical_dict()
+    assert results["fresh"].label == B3Campaign(config).run().label == "seq-1"
+
+
+@pytest.mark.parametrize("bounds", (seq1_bounds, seq2_bounds, seq3_data_bounds,
+                                    seq3_metadata_bounds, seq3_nested_bounds))
+def test_an_unlabelled_campaign_is_named_by_its_sequence_length(bounds):
+    unlabelled = replace(bounds(), label="")
+    campaign = B3Campaign(CampaignConfig(fs_name="btrfs", bounds=unlabelled))
+    assert campaign.label == f"seq-{unlabelled.seq_length}"
+
+
+def test_a_labelled_campaign_keeps_its_label():
+    bounds = replace(seq1_bounds(), label="nightly")
+    assert B3Campaign(CampaignConfig(fs_name="btrfs", bounds=bounds)).label == "nightly"
 
 
 def test_completed_campaign_resumes_without_replaying_chunks(tmp_path, uninterrupted):

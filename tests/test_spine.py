@@ -1,21 +1,20 @@
 """One spine, one serialiser: a thawed node is the resident one, and nothing else.
 
 The recorder holds a ``Spine`` over its ``SpineStore``; ``storage/spill.py``
-pickles the nodes as they are, bar the two storage types it knows.  A
+pickles the nodes as they are, bar the one storage type it knows.  A
 serialiser that cannot be caught losing something proves nothing, so:
 
 * **(i) round trip** — every node the spine pushes while the full seq-1 space
   of all four file systems is tested under a zero budget thaws equal to the
   resident object: devices content-equal and sitting on the spine's base, the
   same identity topology (a record's stable fork is the node's, or another
-  record's), equal and slab-free logs and windows, checkpoint records without
-  their verdict memos.
+  record's), equal logs and windows, checkpoint records without their verdict
+  memos.
 * **(ii) what a spine costs** — the store never holds more than the cached
   path; a lost spill file costs the node it held, not the spine.
 * **(iii) seeded-unsound variants** — a reduce that hands every device
   reference its own copy moves ``deduped_scenarios``; a record whose memo rides
-  fails (i); a ``truncate`` that forgets ``drop`` fails (ii); a request reducer
-  that skips ``materialize_payload`` raises before a byte is written.
+  fails (i); a ``truncate`` that forgets ``drop`` fails (ii).
 """
 
 import os
@@ -26,16 +25,13 @@ from repro.ace import AceSynthesizer, seq2_bounds
 from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.verdicts import _CheckpointRecord
 from repro.fs import BugConfig
-from repro.storage import CowDevice, IORequest, SpineStore
-from repro.storage import spill as spill_module
+from repro.storage import SpineStore
 from repro.storage.spill import Spine
 from repro.workload import parse_workload
 
 import differential
 from conftest import SMALL_DEVICE_BLOCKS, devices_of, topology
 from differential import ALL_FS
-
-SIBLING_PREFIX = "creat foo\nwrite foo 0 8192\nfsync foo\nmkdir d\nsync\n"
 
 
 # ------------------------------------------------------------------ (i) round trip
@@ -67,7 +63,6 @@ def assert_thaws_equal(node, base):
         assert b is not a and b.base is base and b.name == a.name
         assert b.content_equal(a)
     assert requests_of(copy) == requests_of(node)
-    assert not any(isinstance(r.data, memoryview) for r in requests_of(copy))
     assert copy.records.keys() == node.records.keys()
     for cid, record in copy.records.items():
         assert "memo" not in vars(record)
@@ -84,7 +79,7 @@ def thawed_pushes(patch):
     """Observer: after each workload, every node pushed while testing it
     thaws equal — its records carry their verdict memos by then, which is
     the state a node is in when a real budget evicts it."""
-    seen = {"nodes": 0, "slab views": 0, "memos": 0, "shared forks": 0}
+    seen = {"nodes": 0, "memos": 0, "shared forks": 0}
     pushed = []
     real_push, real_test = Spine.push, CrashMonkey.test_workload
 
@@ -98,7 +93,6 @@ def thawed_pushes(patch):
             assert_thaws_equal(node, spine.base)
             assert stub == node.prefix_key
             seen["nodes"] += 1
-            seen["slab views"] += any(isinstance(r.data, memoryview) for r in requests_of(node))
             seen["memos"] += any("memo" in vars(r) for r in node.records.values())
             seen["shared forks"] += len(set(topology(devices_of(node)))) < len(devices_of(node))
         pushed.clear()
@@ -214,19 +208,3 @@ def test_a_truncate_that_forgets_to_drop_is_caught():
     differential.rejects(lambda patch: patch.setattr(Spine, "truncate", truncate),
                          test_the_store_holds_the_cached_path_and_nothing_else)
 
-
-def test_a_request_reducer_that_skips_materialize_payload_writes_nothing(monkeypatch, tmp_path):
-    def reduce(request):
-        return IORequest, (request.seq, request.kind, request.block, request.data,
-                           request.flags, request.checkpoint_id, request.tag)
-
-    recorder = differential.recorder("logfs")
-    log = recorder.profile(parse_workload(SIBLING_PREFIX + "sync")).io_log
-    assert any(isinstance(request.data, memoryview) for request in log)
-    store = SpineStore(memory_budget=0, spill_dir=str(tmp_path))
-    assert store.get(store.put(log, 1)) == log      # the real reducer flattens
-    monkeypatch.setitem(spill_module._Freeze.dispatch_table, IORequest, reduce)
-    with pytest.raises(TypeError, match="memoryview"):
-        store.put(log, 1)
-    assert len(os.listdir(tmp_path)) == 1 and store.spills == 1
-    assert CowDevice in spill_module._Freeze.dispatch_table

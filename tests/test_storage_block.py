@@ -14,6 +14,10 @@ from repro.storage.block import (
     split_blocks,
 )
 
+#: the buffer types a caller may hand a device: the payload it stores is ``bytes``
+BUFFERS = (bytes, bytearray, lambda data: memoryview(bytearray(data)))
+BUFFER_IDS = ("bytes", "bytearray", "memoryview")
+
 
 class TestPadBlock:
     def test_pads_short_payload_with_zeros(self):
@@ -26,12 +30,33 @@ class TestPadBlock:
         payload = bytes(range(256)) * (BLOCK_SIZE // 256)
         assert pad_block(payload) == payload
 
+    def test_exact_size_bytes_are_shared_not_copied(self):
+        data = bytes(BLOCK_SIZE)
+        assert pad_block(data) is data
+
     def test_oversized_payload_is_rejected(self):
         with pytest.raises(ValueError):
             pad_block(bytes(BLOCK_SIZE + 1))
 
     def test_empty_payload_becomes_zero_block(self):
         assert pad_block(b"") == ZERO_BLOCK
+
+    def test_empty_payload_is_the_shared_zero_block(self):
+        assert pad_block(b"") is pad_block(bytearray())
+
+    @pytest.mark.parametrize("wrap", BUFFERS, ids=BUFFER_IDS)
+    def test_any_short_buffer_pads_to_bytes(self, wrap):
+        padded = pad_block(wrap(b"abc"))
+        assert type(padded) is bytes
+        assert padded == b"abc" + bytes(BLOCK_SIZE - 3)
+
+    @pytest.mark.parametrize("wrap", BUFFERS[1:], ids=BUFFER_IDS[1:])
+    def test_exact_size_mutable_buffer_is_copied(self, wrap):
+        buffer = wrap(bytes(BLOCK_SIZE))
+        padded = pad_block(buffer)
+        buffer[0] = 1
+        assert type(padded) is bytes
+        assert padded == ZERO_BLOCK
 
 
 class TestSplitBlocks:
@@ -102,6 +127,12 @@ class TestSectorModel:
         torn = compose_torn_block(b"n", b"", 1)
         assert torn[:1] == b"n"
         assert torn[1:] == bytes(BLOCK_SIZE - 1)
+
+    @pytest.mark.parametrize("sectors", (0, 1, SECTORS_PER_BLOCK - 1, SECTORS_PER_BLOCK))
+    def test_torn_block_of_short_buffers_is_one_block_of_bytes(self, sectors):
+        torn = compose_torn_block(bytearray(b"new"), memoryview(b"prior"), sectors)
+        assert type(torn) is bytes
+        assert len(torn) == BLOCK_SIZE
 
     def test_out_of_range_sector_counts_are_rejected(self):
         with pytest.raises(ValueError):

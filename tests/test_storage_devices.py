@@ -15,6 +15,9 @@ from repro.storage import (
     split_at_checkpoint,
 )
 
+import differential
+from differential import ALL_FS
+
 
 class TestBlockDevice:
     def test_unwritten_blocks_read_as_zero(self):
@@ -36,13 +39,6 @@ class TestBlockDevice:
     def test_requires_at_least_one_block(self):
         with pytest.raises(ValueError):
             BlockDevice(0)
-
-    def test_discard_makes_block_zero_again(self):
-        device = BlockDevice(8)
-        device.write_block(2, b"data")
-        device.discard_block(2)
-        assert device.read_block(2) == bytes(BLOCK_SIZE)
-        assert device.used_blocks() == 0
 
     def test_copy_is_independent(self):
         device = BlockDevice(8)
@@ -69,7 +65,6 @@ class TestBlockDevice:
         assert device.writes == 2
         assert device.reads == 1
         assert device.flushes == 1
-        assert device.used_bytes() == 2 * BLOCK_SIZE
 
 
 class TestCowDevice:
@@ -87,14 +82,6 @@ class TestCowDevice:
         assert base.read_block(3)[:4] == b"base"
         assert snap.read_block(3)[:4] == b"snap"
 
-    def test_reset_reverts_to_base_image(self):
-        base = BlockDevice(8)
-        snap = CowDevice(base)
-        snap.write_block(1, b"tmp")
-        snap.reset()
-        assert snap.read_block(1) == bytes(BLOCK_SIZE)
-        assert snap.overlay_blocks() == 0
-
     def test_snapshot_of_snapshot_is_independent(self):
         base = BlockDevice(8)
         first = CowDevice(base)
@@ -104,16 +91,6 @@ class TestCowDevice:
         assert first.read_block(1)[:5] == b"first"
         assert second.read_block(1)[:6] == b"second"
 
-    def test_materialize_produces_equivalent_plain_device(self):
-        base = BlockDevice(8)
-        base.write_block(0, b"zero")
-        snap = CowDevice(base)
-        snap.write_block(1, b"one")
-        flat = snap.materialize()
-        assert flat.read_block(0)[:4] == b"zero"
-        assert flat.read_block(1)[:3] == b"one"
-        assert snap.content_equal(flat)
-
     def test_overlay_bytes_tracks_modified_blocks_only(self):
         base = BlockDevice(64)
         snap = CowDevice(base)
@@ -121,28 +98,52 @@ class TestCowDevice:
             snap.write_block(block, b"x")
         assert snap.overlay_bytes() == 5 * BLOCK_SIZE
 
-    def test_discard_shadows_base_content(self):
+    def test_reads_return_padded_block_sized_payloads(self):
+        device = CowDevice(BlockDevice(num_blocks=8))
+        device.write_block(3, b"tiny")
+        payload = device.read_block(3)
+        assert len(payload) == BLOCK_SIZE
+        assert payload[:4] == b"tiny"
+        assert payload[4:] == b"\x00" * (BLOCK_SIZE - 4)
+
+    def test_deep_chains_read_through_the_merged_index(self):
+        device = CowDevice(BlockDevice(num_blocks=8))
+        device.write_block(0, b"layer-0")
+        fork = device
+        for n in range(1, 6):
+            fork = fork.snapshot(name=f"layer-{n}")
+            fork.write_block(n % 4, f"layer-{n}".encode())
+        assert fork.read_block(1)[:7] == b"layer-5"
+        assert fork.read_block(0)[:7] == b"layer-4"
+        # Blocks never written still come from the base.
+        assert fork.read_block(7) == b"\x00" * BLOCK_SIZE
+
+    def test_visible_blocks_after_forks_and_a_torn_write(self):
+        from repro.storage import SECTOR_SIZE, pad_block
+
+        device = CowDevice(BlockDevice(num_blocks=16))
+        device.write_block(0, b"first")
+        snap = device.snapshot(name="snap")
+        snap.write_block(1, b"second")
+        snap.write_block(0, b"first-again")
+        deeper = snap.snapshot(name="deeper")
+        deeper.write_sectors(2, b"t" * BLOCK_SIZE, 1)
+        expected = [pad_block(b"")] * 16
+        expected[0] = pad_block(b"first-again")
+        expected[1] = pad_block(b"second")
+        expected[2] = pad_block(b"t" * SECTOR_SIZE)  # one sector of the torn write
+        assert [deeper.read_block(block) for block in range(16)] == expected
+
+    def test_a_written_zero_block_shadows_base_content(self):
+        # An explicit all-zeroes write is a modification, not an absence.
         base = BlockDevice(8)
         base.write_block(2, b"keep")
         snap = CowDevice(base)
-        snap.discard_block(2)
+        snap.write_block(2, b"")
         assert snap.read_block(2) == bytes(BLOCK_SIZE)
         assert base.read_block(2)[:4] == b"keep"
-
-    def test_materialize_keeps_an_explicitly_written_zero_block(self):
-        # A zero block the snapshot wrote is a modification, not an absence:
-        # converting it to a discard would make the flattened device's
-        # used_blocks() disagree with the snapshot's own accounting.
-        base = BlockDevice(8)
-        base.write_block(2, b"old")
-        snap = CowDevice(base)
-        snap.write_block(2, b"")       # explicit all-zeroes write
-        snap.write_block(3, b"")
-        flat = snap.materialize()
-        assert flat.read_block(2) == bytes(BLOCK_SIZE)
-        assert dict(flat.written_blocks()).keys() >= {2, 3}
-        assert flat.used_blocks() == snap.used_blocks()
-        assert snap.content_equal(flat)
+        assert snap.modifies(2)
+        assert snap.overlay_blocks() == 1
 
     def test_chain_compaction_preserves_contents_and_accounting(self):
         from repro.storage.cow_device import CHAIN_COMPACT_THRESHOLD
@@ -306,3 +307,59 @@ class TestReplay:
         recorder.mark_checkpoint()
         snapshot = replay_requests(base, recorder.log)
         assert snapshot.read_block(4)[:1] == b"x"
+
+
+# --------------------------------------------------------------- one payload type
+
+
+def _is_block(data) -> bool:
+    return type(data) is bytes and len(data) == BLOCK_SIZE
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_every_payload_of_full_seq1_is_one_block_of_bytes(fs_name, monkeypatch):
+    """Every recorded write and every overlay value is a block of ``bytes``,
+    and a short write's recorded payload is the object the target then reads."""
+    real_write = RecordingDevice.write_block
+    short = []
+
+    def write_block(device, block, data, **annotations):
+        real_write(device, block, data, **annotations)
+        if len(data) < BLOCK_SIZE:
+            short.append(block)
+            assert device.target.read_block(block) is device.log[-1].data
+
+    monkeypatch.setattr(RecordingDevice, "write_block", write_block)
+    for workload, profile in differential.profiles(fs_name):
+        writes = [request.data for request in profile.io_log if request.is_write]
+        assert all(map(_is_block, writes)), workload.display_name()
+        for record in profile.records.values():
+            for device in (record.baseline, record.stable):
+                assert all(map(_is_block, device.overlay_delta().values()))
+    assert short
+
+
+
+#: every device a file system writes to, each over an 8-block RAM disk
+DEVICES = {
+    "block": lambda: BlockDevice(8),
+    "cow": lambda: CowDevice(BlockDevice(8)),
+    "recording": lambda: RecordingDevice(CowDevice(BlockDevice(8))),
+}
+
+
+@pytest.mark.parametrize("wrap", (bytearray, lambda data: memoryview(bytearray(data))),
+                         ids=("bytearray", "memoryview"))
+@pytest.mark.parametrize("device_name", DEVICES)
+def test_a_mutable_buffer_is_stored_as_its_own_bytes(device_name, wrap):
+    """A device keeps a block of ``bytes`` however the payload came, so a
+    caller that reuses its buffer cannot change what was written."""
+    device = DEVICES[device_name]()
+    buffer = wrap(b"before")
+    device.write_block(3, buffer)
+    buffer[:6] = b"after!"
+    stored = device.read_block(3)
+    assert _is_block(stored)
+    assert stored[:6] == b"before"
+    if device_name == "recording":
+        assert device.log[-1].data is stored

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.storage import IOFlag, IOKind, IORequest, count_checkpoints, split_at_checkpoint
+from repro.storage import (
+    IOFlag,
+    IOKind,
+    IORequest,
+    count_checkpoints,
+    iter_until_checkpoint,
+    split_at_checkpoint,
+)
 
 
 def _write(seq, block, data=b"x", flags=(IOFlag.DATA,)):
@@ -64,3 +71,32 @@ class TestStreamHelpers:
     def test_split_at_missing_checkpoint_raises(self):
         with pytest.raises(ValueError):
             split_at_checkpoint(self._stream(), 9)
+
+
+def _log():
+    return [_write(0, 1, b"a"), _checkpoint(1, 1), _write(2, 2, b"b"), _checkpoint(3, 2)]
+
+
+class TestIterUntilCheckpoint:
+    def test_streams_lazily_without_materializing(self):
+        consumed = []
+
+        def source():
+            for request in _log():
+                consumed.append(request.seq)
+                yield request
+
+        stream = iter_until_checkpoint(source(), 1)
+        assert next(stream).seq == 0
+        assert consumed == [0], "nothing past the cursor is pulled"
+        assert next(stream).seq == 1
+        assert list(stream) == []
+        assert consumed == [0, 1], "entries past the checkpoint are never pulled"
+
+    def test_matches_split_at_checkpoint(self):
+        log = _log()
+        assert list(iter_until_checkpoint(iter(log), 2)) == split_at_checkpoint(log, 2)
+
+    def test_missing_checkpoint_raises(self):
+        with pytest.raises(ValueError):
+            list(iter_until_checkpoint(iter(_log()), 9))

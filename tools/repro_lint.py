@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Fifteen invariants, each protecting a guarantee a past change was built on.
+Thirteen invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -9,7 +9,8 @@ it matches, the scope it applies to, the one site allowed and its message, and
 :func:`check_site_owners` walks each module once and applies every row.  Scopes
 and sites are named by their path under ``src/repro/``: ``dir/``, ``file``,
 ``file:Class.method`` or ``file:function``.  Each row's reason is its comment
-in the table, numbered by invariant; a new "only here" rule is one row.
+in the table, numbered by invariant (numbers 2 and 6 are retired); a new
+"only here" rule is one row.
 
 What cannot be a row keeps a visitor:
 
@@ -230,23 +231,6 @@ def imports(*modules: str) -> Match:
 CLOCK_REASON = "a duration is a `span` (or a `now()` read) from repro.clock, the one clock"
 
 SITE_OWNERS: Tuple[Row, ...] = (
-    # 2. Crash states are built zero-copy: recorded payloads live in shared slabs and flow
-    #    as read-only memoryviews.  Only block.py, whose job is materializing padded / torn
-    #    payloads, copies them.
-    Row(call("bytes", receiver="", args=True), "storage/", "storage/block.py",
-        "bytes(...) copy in a storage hot path — payloads flow as read-only memoryviews; "
-        "only block.py materializes bytes (padding / tearing)"),
-    Row(call("tobytes"), "storage/", "storage/block.py",
-        ".tobytes() copy in a storage hot path — slice the memoryview instead"),
-    # 6. The spill layer reaches payload bytes only through materialize_payload: a slab's
-    #    chunk list, a memoryview's ``.obj`` or a buffer of its own would let a spill file
-    #    (or the pickle building it) capture or alias a live slab arena.
-    Row(call("bytearray", receiver=""), "storage/spill.py", "",
-        "bytearray(...) in the spill layer — spill codecs flatten payloads via "
-        "materialize_payload, they never build mutable buffers of their own"),
-    Row(attribute("_chunk", "_chunks", "obj"), "storage/spill.py", "",
-        "spill layer reaches into slab internals (`.{name}`) — a spill file must never "
-        "capture or alias a live slab arena; go through materialize_payload"),
     # 7. Phase 4 is one transition table: the generator and the index both step through
     #    ``DependencySteps``.  And the index exists so that a sample costs O(sample).
     Row(call("DependencyResolver"), "ace/", "ace/phase4.py",
@@ -289,7 +273,7 @@ SITE_OWNERS: Tuple[Row, ...] = (
     #     write.py mutates the tree last), and only the mount site may build no commit
     #     tables.
     Row(call("written_blocks", "used_blocks", "content_equal", "overlay_delta",
-             "materialize", "_visible_block", "_merged_overlay"), "fs/", "",
+             "_visible_block", "_merged_overlay"), "fs/", "",
         "`{name}(...)` under fs/ — a file system reads its device through `read_block` "
         "only, so a crash state's read log is complete"),
     Row(attribute("fs"), "crashmonkey/checks/",
@@ -689,7 +673,7 @@ def check_options_are_spelt_once(trees: Dict[Path, ast.Module]) -> List[Finding]
 
 
 #: the block-device surface a file system drives
-DEVICE_METHODS = {"read_block", "write_block", "write_sectors", "discard_block", "flush"}
+DEVICE_METHODS = {"read_block", "write_block", "write_sectors", "flush"}
 
 
 def _catches_type_error(handler: ast.ExceptHandler) -> bool:
