@@ -16,8 +16,8 @@ import time
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds
-from repro.engine import HarnessSpec, run_campaign
+from repro.ace import seq1_bounds
+from repro.core import B3Campaign, CampaignConfig
 
 from conftest import BENCH_DEVICE_BLOCKS, print_table
 
@@ -30,12 +30,12 @@ def _cpus() -> int:
 
 
 def _run(processes: int) -> float:
-    spec = HarnessSpec(fs_name="btrfs", device_blocks=BENCH_DEVICE_BLOCKS)
+    config = CampaignConfig(fs_name="btrfs", device_blocks=BENCH_DEVICE_BLOCKS,
+                            bounds=seq1_bounds(), processes=processes, chunk_size=64)
     start = time.perf_counter()
-    run = run_campaign(spec, AceSynthesizer(seq1_bounds()).generate(),
-                       label="seq-1", processes=processes, chunk_size=64)
+    result = B3Campaign(config).run()
     elapsed = time.perf_counter() - start
-    assert run.result.workloads_tested > 0
+    assert result.workloads_tested > 0
     return elapsed
 
 

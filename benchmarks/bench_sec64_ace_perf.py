@@ -7,7 +7,8 @@ model.
 """
 
 from repro.ace import AceSynthesizer, seq2_bounds
-from repro.cluster import ClusterSpec, estimate_deployment, partition
+from repro.cluster import ClusterSpec, estimate_deployment
+from repro.engine import family_chunks
 
 from conftest import print_table
 
@@ -83,7 +84,8 @@ def test_sec64_deployment_model(benchmark):
     def model():
         estimate = estimate_deployment(3_370_000, spec)
         workloads = AceSynthesizer(seq2_bounds()).sample(780)
-        batches = partition(workloads, spec.total_vms)
+        # One batch per VM, sibling families kept whole, as a campaign chunks them.
+        batches = list(family_chunks(workloads, -(-len(workloads) // spec.total_vms)))
         return estimate, batches
 
     estimate, batches = benchmark(model)
@@ -98,4 +100,5 @@ def test_sec64_deployment_model(benchmark):
         ("step", "paper", "model"),
     )
     assert 200 * 60 <= estimate.total_seconds <= 260 * 60
-    assert len(batches) == len([batch for batch in batches if batch])
+    assert all(batches) and len(batches) <= spec.total_vms
+    assert sum(len(batch) for batch in batches) == 780

@@ -23,8 +23,7 @@ Two reasoners ship:
   chunk passes the header check and fails reassembly (unmountable — the
   state the ``missing_flush_before_fua`` class of bugs leaks).
 
-The :class:`AnalysisCursor` is an incremental state machine (copyable, so the
-shared replay trie can snapshot it at flush/checkpoint barriers) and
+The :class:`AnalysisCursor` is an incremental state machine and
 :func:`analyze_io_log` is the one-shot convenience over a full stream.
 """
 
@@ -393,18 +392,13 @@ def _make_replica_reasoner():
     return ReplicatedMetadataReasoner()
 
 
-#: cursor fields that hold mutable/nested state and therefore need explicit
-#: handling in :meth:`AnalysisCursor.copy`
-_CURSOR_NESTED_FIELDS = ("fence_edges", "lsw", "replicas")
-
-
 @dataclass
 class AnalysisCursor:
     """Incremental mechanism inference, fed one recorded request at a time.
 
-    Copyable: the shared replay trie snapshots the cursor at flush and
-    checkpoint barriers so sibling workloads resume the analysis on their
-    shared stream prefix instead of re-parsing it.
+    Feeding a stream in pieces gives the one-shot report.  One cursor fed
+    the whole stream serves both the inference and the contract audit
+    (:func:`~repro.analysis.audit.audited_analysis`).
     """
 
     total_requests: int = 0
@@ -445,16 +439,6 @@ class AnalysisCursor:
     replicas: "ReplicatedMetadataReasoner" = field(default_factory=_make_replica_reasoner)  # noqa: F821
 
     _FENCE_EDGE_CAP = 64
-
-    def copy(self) -> "AnalysisCursor":
-        twin = AnalysisCursor(**{
-            name: value for name, value in self.__dict__.items()
-            if name not in _CURSOR_NESTED_FIELDS
-        })
-        twin.fence_edges = list(self.fence_edges)
-        twin.lsw = self.lsw.copy()
-        twin.replicas = self.replicas.copy()
-        return twin
 
     # ------------------------------------------------------------------ feeding
 

@@ -69,14 +69,6 @@ class LogStructuredWriteReasoner:
     #: because a write index is not a fence edge.
     claimed_fences: List[int] = field(default_factory=list)
 
-    def copy(self) -> "LogStructuredWriteReasoner":
-        twin = LogStructuredWriteReasoner(**{
-            name: value for name, value in self.__dict__.items()
-            if name != "claimed_fences"
-        })
-        twin.claimed_fences = list(self.claimed_fences)
-        return twin
-
     # -- stream events ------------------------------------------------------
 
     def observe_segment(self, index: int, header: dict, block: int) -> None:
@@ -174,14 +166,6 @@ class ReplicatedMetadataReasoner:
     #: a FUA fence edge whether or not the write actually carried FUA (the
     #: contract auditor rejects the claim when it did not).
     claimed_fences: List[int] = field(default_factory=list)
-
-    def copy(self) -> "ReplicatedMetadataReasoner":
-        twin = ReplicatedMetadataReasoner(**{
-            name: value for name, value in self.__dict__.items()
-            if name != "claimed_fences"
-        })
-        twin.claimed_fences = list(self.claimed_fences)
-        return twin
 
     # -- stream events ------------------------------------------------------
 

@@ -1,24 +1,21 @@
-"""Test-cluster simulation: scheduling, parallel execution, and cost models."""
+"""Test-cluster models: deployment, testing time and cost at the paper's
+scale, and tenant-fair scheduling.  The batches themselves are a campaign's
+chunks (``B3Campaign(...).last_run.chunks``)."""
 
 from .cost import CostModel
-from .runner import ClusterRunResult, run_on_cluster
 from .scheduler import (
     ClusterSpec,
     DeploymentEstimate,
     FairScheduler,
     estimate_campaign_hours,
     estimate_deployment,
-    partition,
 )
 
 __all__ = [
     "ClusterSpec",
     "FairScheduler",
-    "partition",
     "DeploymentEstimate",
     "estimate_deployment",
     "estimate_campaign_hours",
-    "run_on_cluster",
-    "ClusterRunResult",
     "CostModel",
 ]

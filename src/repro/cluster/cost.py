@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scheduler import ClusterSpec
+from .scheduler import ClusterSpec, estimate_campaign_hours
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,8 @@ class CostModel:
     def cost_for_workloads(self, num_workloads: int, seconds_per_workload: float,
                            spec: ClusterSpec = ClusterSpec()) -> float:
         """Cost of testing a workload set given a measured per-workload latency."""
-        per_vm = -(-num_workloads // spec.total_vms)
-        hours = per_vm * seconds_per_workload / 3600.0
-        return self.campaign_cost(hours)
+        return self.campaign_cost(
+            estimate_campaign_hours(num_workloads, seconds_per_workload, spec))
 
     def pruned_campaign_cost(self, hours: float, scenario_reduction: float) -> float:
         """Fleet cost after mechanism pruning cuts the crash-state count.

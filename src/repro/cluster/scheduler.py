@@ -1,19 +1,19 @@
-"""Workload scheduling across a (simulated) test cluster.
+"""The test cluster's shape, its time models, and tenant-fair scheduling.
 
 The paper deploys CrashMonkey on 65 Chameleon Cloud nodes running 12 virtual
 machines each — 780 VMs testing workloads in parallel (§6.1).  The cluster
-itself only contributes embarrassing parallelism plus deployment time, so the
-simulation needs two things: a way to partition the generated workloads into
-per-VM batches, and a model of how long generation, deployment and testing
-take at a given scale (§6.4).
+itself only contributes embarrassing parallelism plus deployment time.  The
+parallelism is the engine's: a campaign's family-affine chunks are its
+independent batches, each timed inside the worker that ran it
+(``B3Campaign(...).last_run.chunks``).  What is left here is a model of how
+long deployment and testing take at the paper's scale (§6.4), and the
+least-served round robin that shares one worker fleet between tenants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
-
-from ..workload.workload import Workload
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -36,21 +36,6 @@ class ClusterSpec:
 
     def describe(self) -> str:
         return f"{self.nodes} nodes x {self.vms_per_node} VMs = {self.total_vms} VMs"
-
-
-def partition(workloads: Sequence[Workload], num_partitions: int) -> List[List[Workload]]:
-    """Split workloads into ``num_partitions`` balanced batches (round robin).
-
-    Empty batches are dropped, so fewer workloads than partitions yields one
-    single-workload batch per workload and an empty workload set yields zero
-    batches (no phantom VMs).
-    """
-    if num_partitions <= 0:
-        raise ValueError("num_partitions must be positive")
-    batches: List[List[Workload]] = [[] for _ in range(num_partitions)]
-    for index, workload in enumerate(workloads):
-        batches[index % num_partitions].append(workload)
-    return [batch for batch in batches if batch]
 
 
 @dataclass

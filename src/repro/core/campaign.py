@@ -5,26 +5,35 @@ This is the top of the stack — the equivalent of the paper's testing strategy
 through CrashMonkey against the target file system, and post-process the
 resulting bug reports.
 
-The campaign itself is a thin façade: execution is delegated to the streaming
-engine (:mod:`repro.engine`), which pulls workloads lazily from the
-synthesizer, dispatches them in chunks to a serial or process-pool backend,
-and aggregates results incrementally.  Peak memory is O(in-flight chunk), not
-O(workload space).
+A campaign is the one thing that turns a configuration into chunks and an
+engine (:mod:`repro.engine`); :meth:`B3Campaign.run` and the durable runner
+(:mod:`repro.service.runner`) both drive them.  Each chunk is the paper's
+per-VM batch (§6.1), and peak memory is O(in-flight chunk), not O(workload
+space).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from dataclasses import replace
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..ace.adapter import CrashMonkeyAdapter
 from ..ace.bounds import Bounds, seq1_bounds, seq2_bounds
 from ..ace.synthesizer import AceSynthesizer
 from ..crashmonkey.harness import CrashMonkey
 from ..engine.backends import SerialBackend, make_backend
-from ..engine.engine import DEFAULT_CHUNK_SIZE, CampaignEngine, EngineRun, ProgressCallback
+from ..engine.engine import (
+    DEFAULT_CHUNK_SIZE,
+    CampaignEngine,
+    EngineRun,
+    ProgressCallback,
+    ProgressEvent,
+    family_chunks,
+)
+from ..engine.stream import TimedIterator
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
-from ..options import CampaignConfig
+from ..options import CampaignConfig, HarnessSpec
 from ..workload.workload import Workload
 from .results import CampaignResult
 
@@ -86,20 +95,62 @@ class B3Campaign:
 
     # ------------------------------------------------------------------ execution
 
-    def _engine(self, progress: Optional[ProgressCallback]) -> CampaignEngine:
-        if self.config.processes <= 1:
-            # Reuse the campaign's own harness across the whole run.
-            backend = SerialBackend(harness=self.harness)
-        else:
+    @property
+    def chunk_size(self) -> int:
+        """Workloads per chunk: the configuration's, else the engine default."""
+        size = self.config.chunk_size
+        return size if size is not None else DEFAULT_CHUNK_SIZE
+
+    def chunk_stream(self, adapter: CrashMonkeyAdapter
+                     ) -> Tuple[Iterator[List[Workload]], TimedIterator]:
+        """One pass over the campaign's adapted :func:`family_chunks`.
+
+        ``adapter`` counts the invalid workloads dropped; the returned
+        iterator times the generation.  The layout depends on the stream
+        and :attr:`chunk_size` alone, so every session finds the same chunks.
+        """
+        timed = TimedIterator(adapter.adapt_stream(self.iter_workloads()))
+        return family_chunks(timed, self.chunk_size), timed
+
+    def engine(self, progress: Optional[ProgressCallback] = None,
+               spec: Optional[HarnessSpec] = None) -> CampaignEngine:
+        """The engine that runs this campaign's chunks.
+
+        A serial run reuses :attr:`harness`; ``spec`` replaces the
+        campaign's own (a durable session's spill directory) and gets a
+        harness of its own.
+        """
+        if self.config.processes > 1:
             backend = make_backend(self.config.processes)
-        chunk_size = (self.config.chunk_size if self.config.chunk_size is not None
-                      else DEFAULT_CHUNK_SIZE)
-        return CampaignEngine(
-            self.spec,
-            backend=backend,
-            chunk_size=chunk_size,
-            progress=progress,
-        )
+        else:
+            backend = SerialBackend(harness=self.harness if spec is None else None)
+        return CampaignEngine(spec or self.spec, backend=backend,
+                              chunk_size=self.chunk_size, progress=progress)
+
+    def track_progress(self, progress: Optional[ProgressCallback],
+                       done: Tuple[int, int, int] = (0, 0, 0),
+                       census: Optional[Tuple[int, int]] = None
+                       ) -> Optional[ProgressCallback]:
+        """``progress``, each session-local engine event moved to where the
+        whole campaign stands.
+
+        ``done`` is the ``(chunks, workloads, failing workloads)`` finished
+        by earlier sessions, ``census`` the ``(chunks, workloads)`` totals of
+        a complete durable census; without one the workload total comes from
+        the space index, so the first event already has an ETA.
+        """
+        if progress is None:
+            return None
+        chunks_total, workloads_total = census or (None, self.workloads_total())
+        chunks_done, workloads_done, failing = done
+
+        def report(event: ProgressEvent) -> None:
+            progress(replace(
+                event, chunks_done=event.chunks_done + chunks_done,
+                workloads_done=event.workloads_done + workloads_done,
+                failing_workloads=event.failing_workloads + failing,
+                chunks_total=chunks_total, workloads_total=workloads_total))
+        return report
 
     def run(self, workloads: Optional[Iterable[Workload]] = None,
             progress: Optional[ProgressCallback] = None) -> CampaignResult:
@@ -109,17 +160,16 @@ class B3Campaign:
         ones are dropped from testing but surfaced in the result's
         ``invalid_workloads`` count (never silently swallowed), which also
         keeps a bad hand-supplied workload from aborting the whole run.
+        :attr:`last_run` keeps the chunks' stats: each is one VM batch's.
 
-        With a ``progress`` callback on an ACE-supplied run, events carry
-        ``workloads_total`` (hence an ETA), sized from the space index; runs
-        without a callback never compute it.
+        Progress events of an ACE-supplied run carry ``workloads_total``
+        (hence an ETA), sized from the space index.
         """
-        source = workloads if workloads is not None else self.iter_workloads()
-        total = (self.workloads_total()
-                 if progress is not None and workloads is None else None)
+        if workloads is None:
+            workloads = self.iter_workloads()
+            progress = self.track_progress(progress)
         adapter = CrashMonkeyAdapter(self.fs_name)
-        run = self._engine(progress).run(adapter.adapt_stream(source), label=self.label,
-                                         workloads_total=total)
+        run = self.engine(progress).run(adapter.adapt_stream(workloads), label=self.label)
         run.result.invalid_workloads = adapter.invalid_workloads
         self.last_run = run
         return run.result

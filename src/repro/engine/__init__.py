@@ -1,9 +1,11 @@
 """The streaming, parallel campaign execution engine.
 
-Single execution path shared by campaigns, the cluster runner and the CLI:
-workloads stream from the synthesizer through chunked dispatch onto an
-:class:`ExecutionBackend` (serial or process pool, one long-lived harness per
-worker) and aggregate incrementally into a :class:`CampaignResult`.
+The one execution path behind every campaign: workloads stream from the
+synthesizer through family-affine chunks onto an :class:`ExecutionBackend`
+(serial or process pool, one long-lived harness per worker) and aggregate
+incrementally into a :class:`CampaignResult`.  Engines are built by
+:class:`~repro.core.campaign.B3Campaign`, which both the CLI and the durable
+runner drive; a chunk's :class:`ChunkStats` are the paper's per-VM batch.
 """
 
 from ..options import HarnessSpec
@@ -20,7 +22,7 @@ from .engine import (
     ChunkStats,
     EngineRun,
     ProgressEvent,
-    run_campaign,
+    family_chunks,
 )
 from .stream import TimedIterator, chunked_affine
 
@@ -35,7 +37,7 @@ __all__ = [
     "EngineRun",
     "ChunkStats",
     "ProgressEvent",
-    "run_campaign",
+    "family_chunks",
     "DEFAULT_CHUNK_SIZE",
     "TimedIterator",
     "chunked_affine",

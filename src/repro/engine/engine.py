@@ -1,22 +1,26 @@
 """The campaign execution engine.
 
-One shared generate → dispatch → check → aggregate path for everything that
-tests workloads in bulk: :class:`~repro.core.campaign.B3Campaign`,
-:func:`~repro.cluster.runner.run_on_cluster`, and the CLI are thin façades
-over this module.
+One generate → dispatch → check → aggregate path for everything that tests
+workloads in bulk.  :class:`~repro.core.campaign.B3Campaign` is the one thing
+that builds an engine: it picks the backend and the chunk size from the
+campaign's configuration, and both drivers (a plain campaign and the durable
+runner) go through it.
 
 Workloads flow as a *stream*: the engine pulls from the supplied iterable
 (typically ``AceSynthesizer.generate()``) only as fast as the backend consumes
 chunks, so peak memory is O(in-flight chunk), never O(workload space).
 Results are aggregated incrementally into a :class:`CampaignResult` as chunks
 complete, with a progress callback per chunk and real per-chunk wall-clock
-timing measured inside the worker that ran it.
+timing measured inside the worker that ran it.  A chunk is the paper's VM
+batch (§6.1): its :class:`ChunkStats` are that batch's seconds, worker and
+roll-ups, and :attr:`EngineRun.max_chunk_seconds` the wall clock had the
+batches run side by side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..clock import span
 from ..core.results import CampaignResult
@@ -29,7 +33,6 @@ from .backends import (
     ExecutionBackend,
     IndexedChunk,
     SerialBackend,
-    make_backend,
 )
 from .stream import TimedIterator, chunked_affine
 
@@ -38,9 +41,27 @@ from .stream import TimedIterator, chunked_affine
 DEFAULT_CHUNK_SIZE = 64
 
 
+def family_chunks(workloads: Iterable[Workload], chunk_size: int) -> Iterator[List[Workload]]:
+    """Cut the stream into chunks at ACE sibling-family boundaries.
+
+    Runs of equal :meth:`Workload.family_key` stay in one chunk, so a
+    worker's prefix spine sees a family's shared prefix together instead of
+    split across workers.  The stream is never reordered, and the layout
+    depends on it and ``chunk_size`` alone — which is what lets a durable
+    campaign resume under any execution options and still find its own
+    chunks.
+    """
+    return chunked_affine(workloads, chunk_size, key=lambda workload: workload.family_key())
+
+
 @dataclass
 class ProgressEvent:
-    """Snapshot passed to the progress callback after every completed chunk."""
+    """Snapshot passed to the progress callback after every completed chunk.
+
+    The engine counts this session alone and knows no totals;
+    :meth:`~repro.core.campaign.B3Campaign.track_progress` moves an event to where
+    the whole campaign stands.
+    """
 
     chunks_done: int
     workloads_done: int
@@ -49,11 +70,8 @@ class ProgressEvent:
     generated: int
     elapsed_seconds: float
     chunk: ChunkStats
-    #: total chunks/workloads of the whole campaign, when known upfront: the
-    #: durable runner registers the full chunk census before dispatching; a
-    #: streaming campaign knows only ``workloads_total`` (sized from the ACE
-    #: space index, the space is never materialized) and leaves
-    #: ``chunks_total`` ``None``
+    #: total chunks/workloads of the whole campaign, when known: chunks from
+    #: a complete durable census, workloads from it or the ACE space index
     chunks_total: Optional[int] = None
     workloads_total: Optional[int] = None
     #: workloads completed in this session (== ``workloads_done`` except on a
@@ -117,29 +135,10 @@ class CampaignEngine:
 
     # ------------------------------------------------------------------ running
 
-    def _chunked(self, timed: TimedIterator):
-        """Cut the stream into chunks at ACE sibling-family boundaries.
-
-        Runs of equal :meth:`Workload.family_key` stay in one chunk, so a
-        pool worker's prefix spine sees a family's shared prefix
-        together instead of split across workers.
-        The stream is never reordered, and the layout depends on it and
-        ``chunk_size`` alone — which is what lets a durable campaign resume
-        under any execution options and still find its own chunks.
-        """
-        return chunked_affine(timed, self.chunk_size,
-                              key=lambda workload: workload.family_key())
-
-    def run(self, workloads: Iterable[Workload], label: str = "",
-            workloads_total: Optional[int] = None) -> EngineRun:
-        """Stream ``workloads`` through the backend; chunking is the engine's.
-
-        ``workloads_total``, when the caller knows the stream's length without
-        materializing it, reaches the progress events (done/total and ETA).
-        """
+    def run(self, workloads: Iterable[Workload], label: str = "") -> EngineRun:
+        """Stream ``workloads`` through the backend in :func:`family_chunks`."""
         timed = TimedIterator(workloads)
-        run = self._execute(enumerate(self._chunked(timed)), label, timed,
-                            workloads_total=workloads_total)
+        run = self._execute(enumerate(family_chunks(timed, self.chunk_size)), label, timed)
         run.result.generation_seconds = timed.seconds
         if self.backend.overlaps_generation:
             # Workers keep testing while the dispatch thread pulls from the
@@ -152,45 +151,27 @@ class CampaignEngine:
         return run
 
     def run_indexed(self, chunks: Iterable[IndexedChunk], label: str = "",
-                    on_outcome: Optional[OutcomeCallback] = None,
-                    chunks_total: Optional[int] = None,
-                    workloads_total: Optional[int] = None,
-                    chunks_done_offset: int = 0,
-                    workloads_done_offset: int = 0,
-                    failing_offset: int = 0) -> EngineRun:
+                    on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
         """Run explicitly indexed chunks, observing each outcome as it lands.
 
         This is the durable runner's entry point: chunk indices are assigned
         by the caller (so a resumed campaign dispatches only its pending
         indices and the sparse index set still reassembles in stream order),
-        ``on_outcome`` fires with the full :class:`ChunkOutcome` — results
+        and ``on_outcome`` fires with the full :class:`ChunkOutcome` — results
         included — *before* any progress callback, so the state store commits
-        a chunk before the world hears about it, and the ``*_offset`` /
-        ``*_total`` values let progress events report campaign-wide position
-        (chunks done / total, ETA) instead of session-local counts.
+        a chunk before the world hears about it.
         """
-        run = self._execute(
-            iter(chunks), label, source=None, on_outcome=on_outcome,
-            chunks_total=chunks_total, workloads_total=workloads_total,
-            chunks_done_offset=chunks_done_offset,
-            workloads_done_offset=workloads_done_offset,
-            failing_offset=failing_offset,
-        )
+        run = self._execute(iter(chunks), label, source=None, on_outcome=on_outcome)
         run.result.testing_seconds = run.wall_clock_seconds
         return run
 
     def _execute(self, stream, label: str,
                  source: Optional[TimedIterator],
-                 on_outcome: Optional[OutcomeCallback] = None,
-                 chunks_total: Optional[int] = None,
-                 workloads_total: Optional[int] = None,
-                 chunks_done_offset: int = 0,
-                 workloads_done_offset: int = 0,
-                 failing_offset: int = 0) -> EngineRun:
+                 on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
         result = CampaignResult(fs_name=self.fs_name, fs_model=self.fs_model, label=label)
         run = EngineRun(result=result)
         chunk_results: List[List] = []  # completion-ordered, parallel to run.chunks
-        failing = failing_offset  # running tally: a rescan per event would be quadratic
+        failing = 0  # running tally: a rescan per event would be quadratic
         with span(run, "wall_clock_seconds") as clock:
             for outcome in self.backend.execute(self.spec, stream):
                 if on_outcome is not None:
@@ -204,14 +185,12 @@ class CampaignEngine:
                 chunk_results.append(outcome.results)
                 if self.progress is not None:
                     self.progress(ProgressEvent(
-                        chunks_done=len(run.chunks) + chunks_done_offset,
-                        workloads_done=result.workloads_tested + workloads_done_offset,
+                        chunks_done=len(run.chunks),
+                        workloads_done=result.workloads_tested,
                         failing_workloads=failing,
                         generated=source.count if source is not None else result.workloads_tested,
                         elapsed_seconds=clock.seconds,
                         chunk=stats,
-                        chunks_total=chunks_total,
-                        workloads_total=workloads_total,
                         session_workloads=result.workloads_tested,
                     ))
         order = sorted(range(len(run.chunks)), key=lambda pos: run.chunks[pos].index)
@@ -226,15 +205,3 @@ class CampaignEngine:
         run.chunks = [run.chunks[pos] for pos in order]
         return run
 
-
-def run_campaign(spec: HarnessSpec, workloads: Iterable[Workload], label: str = "",
-                 processes: int = 1, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 progress: Optional[ProgressCallback] = None) -> EngineRun:
-    """One-call engine entry point used by the façades."""
-    engine = CampaignEngine(
-        spec,
-        backend=make_backend(processes),
-        chunk_size=chunk_size,
-        progress=progress,
-    )
-    return engine.run(workloads, label=label)

@@ -3,13 +3,14 @@
 The layers, bottom up:
 
 * :mod:`repro.service.api` — the plain-data surface: requests, status and
-  usage views, and the :class:`~repro.core.campaign.CampaignConfig` codec.
+  usage views (a configuration is stored as
+  :meth:`~repro.options.CampaignConfig.to_dict` writes it).
 * :mod:`repro.service.statedb` — :class:`CampaignStateDB`, the sqlite state
   store with the pending -> processing -> done chunk lifecycle,
   ``recover_from_crash()`` and dedup-at-write result ingest.
-* :mod:`repro.service.runner` — :class:`DurableCampaignRunner`, the engine
-  wrapper that makes one campaign crash-survivable with exactly-once chunks
-  and resume-identical final reports.
+* :mod:`repro.service.runner` — :class:`DurableCampaignRunner`, which drives
+  a campaign's chunks through the store: crash-survivable, exactly-once
+  chunks and resume-identical final reports.
 * :mod:`repro.service.service` — :class:`CampaignService`, tenant-fair
   scheduling of many durable campaigns over one shared worker fleet.
 """
@@ -19,8 +20,6 @@ from .api import (
     CampaignStatus,
     SessionStats,
     TenantUsage,
-    config_from_dict,
-    config_to_dict,
 )
 from .runner import DurableCampaignRunner, chunk_identity, default_campaign_id
 from .service import CampaignService
@@ -31,8 +30,6 @@ __all__ = [
     "CampaignStatus",
     "SessionStats",
     "TenantUsage",
-    "config_to_dict",
-    "config_from_dict",
     "CampaignStateDB",
     "DurableCampaignRunner",
     "chunk_identity",

@@ -1,7 +1,7 @@
 """Plain-data API of the campaign service.
 
 Everything a client (the CLI, a test, a future HTTP layer) exchanges with the
-service is defined here as JSON-friendly dataclasses and converters: campaign
+service is defined here as JSON-friendly dataclasses: campaign
 requests, progress/status views, and per-tenant usage accounting.  Nothing in
 this module touches sqlite or the engine — it is the stable surface the
 stateful layers (:mod:`repro.service.statedb`, :mod:`repro.service.service`)
@@ -28,15 +28,6 @@ PROCESSING = "processing"
 CHUNK_DONE = "done"
 
 CHUNK_STATES = (PENDING, PROCESSING, CHUNK_DONE)
-
-
-# --------------------------------------------------------------------- config codec
-
-#: The state store persists a campaign's configuration as the schema's own
-#: JSON codec writes it, so a resume session (or another process entirely)
-#: rebuilds an identical engine without the submitter still being around.
-config_to_dict = CampaignConfig.to_dict
-config_from_dict = CampaignConfig.from_dict
 
 
 # ------------------------------------------------------------------------- requests

@@ -1,10 +1,11 @@
 """Durable campaign execution.
 
-``DurableCampaignRunner`` wraps the streaming engine with the state store so
-a campaign survives the death of the process running it:
+``DurableCampaignRunner`` drives a :class:`~repro.core.campaign.B3Campaign`'s
+chunk stream and engine through the state store, so a campaign survives the
+death of the process running it:
 
-* **Deterministic chunk census.**  The workload stream (synthesizer ->
-  adapter -> prefix-affine chunker) is deterministic per config, so chunks
+* **Deterministic chunk census.**  The campaign's chunk stream (synthesizer
+  -> adapter -> family-affine chunker) is deterministic per config, so chunks
   can be enumerated identically in every session.  Each chunk's identity is
   a digest over its members' :meth:`~repro.workload.workload.Workload.prefix_key`
   — content-derived, so a drifted config (different bounds, different ops)
@@ -44,21 +45,16 @@ import os
 import shutil
 import signal
 from dataclasses import replace
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 from ..ace.adapter import CrashMonkeyAdapter
 from ..core.campaign import B3Campaign, CampaignConfig
 from ..core.results import CampaignResult
-from ..engine.backends import ChunkOutcome, make_backend
-from ..engine.engine import (
-    DEFAULT_CHUNK_SIZE,
-    CampaignEngine,
-    ProgressCallback,
-)
-from ..engine.stream import TimedIterator
+from ..engine.backends import ChunkOutcome
+from ..engine.engine import ProgressCallback
 from ..workload.workload import Workload
 from . import api
-from .api import SessionStats, config_to_dict
+from .api import SessionStats
 from .statedb import CampaignStateDB
 
 #: Fault-injection hook: SIGKILL the process after this many durable ingests.
@@ -84,6 +80,14 @@ def default_campaign_id(tenant: str, config: CampaignConfig) -> str:
         (tenant + "\x00" + json.dumps(config.identity(), sort_keys=True)).encode("utf-8")
     ).hexdigest()
     return f"dur-{digest[:12]}"
+
+
+def create_campaign(db: CampaignStateDB, campaign_id: str, campaign: B3Campaign,
+                    tenant: str) -> None:
+    """Register ``campaign`` in the store (a no-op when the row exists)."""
+    db.create_campaign(campaign_id, campaign.config.to_dict(), tenant=tenant,
+                       label=campaign.label, fs_name=campaign.fs_name,
+                       fs_model=campaign.fs_model)
 
 
 class DurableCampaignRunner:
@@ -127,7 +131,7 @@ class DurableCampaignRunner:
         """
         db = state_db if isinstance(state_db, CampaignStateDB) else CampaignStateDB(state_db)
         row = db.campaign_row(campaign_id)
-        config = replace(api.config_from_dict(db.load_config(campaign_id)), **execution)
+        config = replace(CampaignConfig.from_dict(db.load_config(campaign_id)), **execution)
         runner = cls(config, db, campaign_id=campaign_id, tenant=row["tenant"])
         runner._owns_db = not isinstance(state_db, CampaignStateDB)
         return runner
@@ -135,25 +139,6 @@ class DurableCampaignRunner:
     def close(self) -> None:
         if self._owns_db:
             self.db.close()
-
-    # ------------------------------------------------------------ enumeration
-
-    def _chunk_engine(self, progress: Optional[ProgressCallback], spec) -> CampaignEngine:
-        chunk_size = (self.config.chunk_size if self.config.chunk_size is not None
-                      else DEFAULT_CHUNK_SIZE)
-        return CampaignEngine(
-            spec,
-            backend=make_backend(self.config.processes),
-            chunk_size=chunk_size,
-            progress=progress,
-        )
-
-    def _workload_chunks(
-        self, engine: CampaignEngine, adapter: CrashMonkeyAdapter,
-    ) -> Tuple[Iterator[List[Workload]], TimedIterator]:
-        """One deterministic pass over the campaign's chunked workload stream."""
-        timed = TimedIterator(adapter.adapt_stream(self._campaign.iter_workloads()))
-        return engine._chunked(timed), timed
 
     # -------------------------------------------------------------- execution
 
@@ -191,14 +176,8 @@ class DurableCampaignRunner:
         session = SessionStats()
         self.last_session = session
 
-        db.create_campaign(
-            campaign_id,
-            config_to_dict(self.config),
-            tenant=self.tenant,
-            label=self._campaign.label,
-            fs_name=self._campaign.fs_name,
-            fs_model=self._campaign.fs_model,
-        )
+        campaign = self._campaign
+        create_campaign(db, campaign_id, campaign, self.tenant)
         session.chunks_recovered = db.recover_from_crash(campaign_id)
         db.set_status(campaign_id, api.RUNNING)
 
@@ -206,24 +185,24 @@ class DurableCampaignRunner:
         # are registered in the store as the stream produces them (the
         # census), and pending ones are claimed and yielded to the engine in
         # the same sweep.  Once any session has drained the full stream the
-        # campaign's totals are durable, so every later session gets
-        # chunk/workload totals (and the CLI an ETA) without re-enumerating.
+        # campaign's totals are durable; until then progress takes the
+        # workload total from the space index, so every session has an ETA.
         done = db.done_chunk_indices(campaign_id)
         session.chunks_skipped = len(done)
-        chunks_total = workloads_total = None
-        if db.census_complete(campaign_id):
-            chunks_total, workloads_total = db.chunk_totals(campaign_id)
-            if len(done) == chunks_total:
-                # Everything already ran; reconstruct without touching the
-                # synthesizer or building a harness.
-                db.set_status(campaign_id, api.DONE)
-                return db.campaign_result(campaign_id)
+        census = db.chunk_totals(campaign_id) if db.census_complete(campaign_id) else None
+        if census is not None and len(done) == census[0]:
+            # Everything already ran; reconstruct without touching the
+            # synthesizer or building a harness.
+            db.set_status(campaign_id, api.DONE)
+            return db.campaign_result(campaign_id)
         done_workloads = db.chunk_states(campaign_id).get(api.CHUNK_DONE, (0, 0))[1]
-        failing_offset = db.status(campaign_id).failing_workloads
+        failing = db.status(campaign_id).failing_workloads
+        progress = campaign.track_progress(progress, (len(done), done_workloads, failing),
+                                           census)
 
         self._persist_mechanism_report()
 
-        spec = self._campaign.spec
+        spec = campaign.spec
         if spec.spine_spill_dir is None and db.path != ":memory:":
             # Spilled spine nodes live beside the state database so a
             # resumed session reuses one well-known location.  The files
@@ -233,11 +212,10 @@ class DurableCampaignRunner:
             session_dir = os.path.join(f"{db.path}.spine", campaign_id)
             shutil.rmtree(session_dir, ignore_errors=True)
             spec = replace(spec, spine_spill_dir=session_dir)
-        engine = self._chunk_engine(progress, spec)
 
         def pending_chunks():
-            adapter = CrashMonkeyAdapter(self._campaign.fs_name)
-            chunks, timed = self._workload_chunks(engine, adapter)
+            adapter = CrashMonkeyAdapter(campaign.fs_name)
+            chunks, timed = campaign.chunk_stream(adapter)
             for index, chunk in enumerate(chunks):
                 db.register_chunks(
                     campaign_id, [(index, chunk_identity(chunk), len(chunk))]
@@ -273,16 +251,8 @@ class DurableCampaignRunner:
                     worker.kill()
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        run = engine.run_indexed(
-            pending_chunks(),
-            label=self._campaign.label,
-            on_outcome=on_outcome,
-            chunks_total=chunks_total,
-            workloads_total=workloads_total,
-            chunks_done_offset=len(done),
-            workloads_done_offset=done_workloads,
-            failing_offset=failing_offset,
-        )
+        run = campaign.engine(progress, spec=spec).run_indexed(
+            pending_chunks(), label=campaign.label, on_outcome=on_outcome)
         db.add_testing_seconds(campaign_id, run.wall_clock_seconds)
 
         if not db.census_complete(campaign_id):  # pragma: no cover - drain

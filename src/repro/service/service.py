@@ -24,11 +24,11 @@ import threading
 from typing import Callable, Dict, List, Optional
 
 from ..cluster.scheduler import FairScheduler
+from ..core.campaign import B3Campaign
 from ..core.results import CampaignResult
 from ..engine.engine import ProgressCallback
-from . import api
 from .api import CampaignRequest, CampaignStatus, TenantUsage
-from .runner import DurableCampaignRunner
+from .runner import DurableCampaignRunner, create_campaign
 from .statedb import CampaignStateDB
 
 #: Called after every scheduled slice: (tenant, campaign_id, completed?).
@@ -88,17 +88,7 @@ class CampaignService:
         campaign_id = request.name or self.db.next_campaign_id(request.tenant)
         # The runner registers the same row on first run; creating it here
         # makes the submission itself durable and visible to `status`.
-        runner = DurableCampaignRunner(
-            request.config, self.db, campaign_id=campaign_id, tenant=request.tenant
-        )
-        self.db.create_campaign(
-            campaign_id,
-            api.config_to_dict(request.config),
-            tenant=request.tenant,
-            label=runner._campaign.label,
-            fs_name=runner._campaign.fs_name,
-            fs_model=runner._campaign.fs_model,
-        )
+        create_campaign(self.db, campaign_id, B3Campaign(request.config), request.tenant)
         return campaign_id
 
     # ------------------------------------------------------------ scheduling

@@ -161,7 +161,7 @@ class CampaignStateDB:
             # Decoded then re-encoded, so a payload written before a field
             # existed (missing key) or by the tri-state era (null) compares
             # as the field's default.
-            created, asked = (api.config_from_dict(payload).identity()
+            created, asked = (CampaignConfig.from_dict(payload).identity()
                               for payload in (stored, config))
             for name, value in created.items():
                 if value != asked[name]:

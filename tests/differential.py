@@ -15,15 +15,16 @@ Patch through these, never with a test's own ``monkeypatch`` around
 import contextlib
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
 import pytest
 
 from repro.ace import AceSynthesizer, group_siblings, seq1_bounds, seq2_bounds, seq3_data_bounds
+from repro.core import B3Campaign, CampaignConfig
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.report import CrashTestResult
-from repro.engine import HarnessSpec, run_campaign
+from repro.engine import EngineRun, HarnessSpec
 from repro.fs import resolve_fs_name
 from repro.storage import CowDevice
 from repro.workload import parse_workload
@@ -260,18 +261,26 @@ def _from_scratch(fs_name: str, bugs, space_name: str) -> tuple:
 # --------------------------------------------------------------- one layer up
 
 
-#: (spec, processes) -> the session's engine run
-_CAMPAIGNS: Dict[tuple, Any] = {}
+def engine_run(config: CampaignConfig, workloads, **execution) -> EngineRun:
+    """``workloads`` tested as a campaign of ``config`` with ``execution``
+    options replaced: its engine run, one :class:`ChunkStats` per chunk."""
+    campaign = B3Campaign(replace(config, **execution))
+    campaign.run(workloads)
+    return campaign.last_run
 
 
-def campaign(processes: int = 1, **options):
-    """The full seq-1 space through the engine on ``btrfs``: one run per spec and
+#: campaign config -> the session's engine run
+_CAMPAIGNS: Dict[CampaignConfig, EngineRun] = {}
+
+
+def campaign(processes: int = 1, **options) -> EngineRun:
+    """The full seq-1 space as a campaign on ``btrfs``: one run per config and
     process count per session."""
-    spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS, **options)
-    if (spec, processes) not in _CAMPAIGNS:
-        _CAMPAIGNS[(spec, processes)] = run_campaign(spec, iter(space()), processes=processes,
-                                                     chunk_size=32)
-    return _CAMPAIGNS[(spec, processes)]
+    config = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
+                            chunk_size=32, processes=processes, **options)
+    if config not in _CAMPAIGNS:
+        _CAMPAIGNS[config] = engine_run(config, space())
+    return _CAMPAIGNS[config]
 
 
 def assert_campaigns_agree(option: str, values) -> dict:

@@ -1,13 +1,10 @@
 """Property-based tests for the analysis cursor and report (hypothesis).
 
-The shared-replay trie snapshots :class:`AnalysisCursor` at flush and
-checkpoint barriers with ``copy()`` (a spilled replay node never pickles
-it: the cursor stays resident in the node's stub), so three invariants
-carry real campaigns:
+The cursor is fed a recorded stream one request at a time, so three
+invariants carry real campaigns:
 
-* a ``copy()`` is independent: feeding the original the rest of the stream
-  never mutates the copy, and feeding both the same suffix converges on
-  the same report;
+* feeding a stream in two pieces, cut anywhere, leaves the cursor and its
+  report exactly as feeding it in one go;
 * ``from_dict(to_dict())`` is the identity for the :class:`MechanismReport`
   the cursor finishes into, including the log-structured-write and
   replicated-metadata families;
@@ -15,11 +12,9 @@ carry real campaigns:
   (family names cannot collide across the four reasoners).
 """
 
-import copy
-
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis import AnalysisCursor, MechanismReport
+from repro.analysis import AnalysisCursor, MechanismReport, analyze_io_log
 from repro.errors import FileSystemError
 from repro.fs import BugConfig
 
@@ -81,18 +76,14 @@ _settings = settings(max_examples=25, deadline=None,
 @given(fs_name=st.sampled_from(FS_NAMES),
        ops=st.lists(_op_strategy, max_size=12),
        cut=st.integers(min_value=0, max_value=200))
-def test_cursor_copy_is_independent_of_further_feeding(fs_name, ops, cut):
+def test_feeding_in_two_pieces_gives_the_one_shot_report(fs_name, ops, cut):
     stream = _recorded_stream(fs_name, ops)
     cut = min(cut, len(stream))
     cursor = AnalysisCursor().feed_all(stream[:cut])
-    twin = cursor.copy()
-    frozen = copy.deepcopy(twin)
     cursor.feed_all(stream[cut:])
-    # Feeding the original never leaks into the copy (no shared mutable
-    # state across fence_edges or the nested reasoners)...
-    assert twin == frozen
-    # ...and the copy converges when fed the same suffix itself.
-    assert twin.feed_all(stream[cut:]).finish(fs_name) == cursor.finish(fs_name)
+    # Where the stream is cut leaves no trace: same cursor state, same report.
+    assert cursor == AnalysisCursor().feed_all(stream)
+    assert cursor.finish(fs_name) == analyze_io_log(stream, fs_name)
 
 
 @_settings

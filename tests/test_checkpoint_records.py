@@ -32,7 +32,7 @@ import pytest
 from repro.crashmonkey import CrashStateGenerator
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.verdicts import _CheckpointRecord
-from repro.engine import HarnessSpec, run_campaign
+from repro.core import CampaignConfig
 from repro.fs import BugConfig
 from repro.storage import RecordingDevice, SpineStore
 from repro.workload import parse_workload
@@ -248,9 +248,9 @@ def test_harness_reports_identical_with_recorded_and_walked_records(fs_name):
 
 
 def _campaign(*texts):
-    spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
+    config = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS, chunk_size=8)
     workloads = [parse_workload(text, name=f"wl-{index}") for index, text in enumerate(texts)]
-    return run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
+    return differential.engine_run(config, iter(workloads))
 
 
 def test_campaign_result_keeps_the_retired_replay_counters_at_zero():

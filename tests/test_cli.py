@@ -283,11 +283,12 @@ class TestCampaignServiceCommands:
         assert main(["campaign", "--durable", "--state-db", db, "--progress",
                      *self.CAMPAIGN]) == 0
         err = capsys.readouterr().err
-        # The first session discovers the census as it streams, so it knows
-        # rates but no totals (and hence no ETA) — like the bare engine.
-        assert "chunk 1:" in err
+        # The first session discovers the chunk census as it streams; its
+        # workload total (hence its ETA) comes from the ACE space index, as
+        # a plain campaign's does.
+        assert "chunk 1: 4/12 workloads" in err
         assert "workloads/s" in err
-        assert "ETA" not in err
+        assert "ETA" in err
 
     def test_progress_totals_and_eta_once_the_census_is_stored(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")

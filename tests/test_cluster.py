@@ -1,19 +1,18 @@
-"""Cluster scheduling, parallel runner, and cost model."""
+"""Cluster models, and a campaign's chunks as the cluster's VM batches."""
 
 from dataclasses import replace
 
 import pytest
 
-from repro.ace import AceSynthesizer, seq1_bounds
+from repro.ace import AceSynthesizer, CrashMonkeyAdapter, seq1_bounds
 from repro.cluster import (
     ClusterSpec,
     CostModel,
     estimate_campaign_hours,
     estimate_deployment,
-    partition,
-    run_on_cluster,
 )
-from repro.engine import ChunkStats, HarnessSpec
+from repro.core import B3Campaign, CampaignConfig
+from repro.engine import ChunkStats
 from repro.fs import BugConfig
 
 from conftest import SMALL_DEVICE_BLOCKS
@@ -26,20 +25,31 @@ class TestScheduler:
         assert spec.vms_per_node == 12
         assert spec.total_vms == 780
 
-    def test_partition_balances_workloads(self):
-        workloads = AceSynthesizer(seq1_bounds()).sample(50)
-        batches = partition(workloads, 7)
-        assert sum(len(batch) for batch in batches) == 50
-        assert max(len(batch) for batch in batches) - min(len(batch) for batch in batches) <= 1
+    def test_batches_are_whole_sibling_families_of_about_chunk_size(self):
+        campaign = B3Campaign(CampaignConfig(bounds=seq1_bounds(), max_workloads=50,
+                                             chunk_size=7))
+        batches, _ = campaign.chunk_stream(CrashMonkeyAdapter())
+        batches = list(batches)
+        assert [w.name for batch in batches for w in batch] == \
+            [w.name for w in campaign.iter_workloads()]
+        assert all(len(batch) >= 7 for batch in batches[:-1])
+        # No sibling family is scattered over two VMs.
+        families = [{w.family_key() for w in batch} for batch in batches]
+        assert all(not (a & b) for a, b in zip(families, families[1:]))
 
-    def test_partition_with_more_vms_than_workloads(self):
-        workloads = AceSynthesizer(seq1_bounds()).sample(3)
-        batches = partition(workloads, 10)
-        assert len(batches) == 3
+    def test_batch_layout_depends_on_the_stream_and_chunk_size_alone(self):
+        def layout(**execution):
+            campaign = B3Campaign(CampaignConfig(bounds=seq1_bounds(), max_workloads=40,
+                                                 chunk_size=5, **execution))
+            batches, _ = campaign.chunk_stream(CrashMonkeyAdapter())
+            return [[w.name for w in batch] for batch in batches]
+        assert layout() == layout(processes=2) == layout(share_prefixes=False)
 
-    def test_partition_requires_positive_count(self):
+    def test_chunk_size_must_be_positive(self):
+        campaign = B3Campaign(CampaignConfig(bounds=seq1_bounds(), chunk_size=0))
+        batches, _ = campaign.chunk_stream(CrashMonkeyAdapter())
         with pytest.raises(ValueError):
-            partition([], 0)
+            next(batches)
 
     def test_deployment_estimate_scales_linearly(self):
         small = estimate_deployment(10_000)
@@ -71,42 +81,52 @@ class TestCostModel:
         assert 50 <= cost <= 200  # pure testing time is a fraction of the 48 h rental
 
 
-PATCHED = HarnessSpec(fs_name="btrfs", bugs=BugConfig.none(), device_blocks=SMALL_DEVICE_BLOCKS)
-BUGGY = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
+PATCHED = CampaignConfig(fs_name="btrfs", bugs=BugConfig.none(),
+                         device_blocks=SMALL_DEVICE_BLOCKS)
+BUGGY = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
 
 
-class TestRunOnCluster:
+def _batches(config, workloads, chunk_size):
+    """Test ``workloads`` as a campaign; its engine run, one chunk per VM batch."""
+    campaign = B3Campaign(replace(config, chunk_size=chunk_size))
+    campaign.run(workloads)
+    return campaign.last_run
+
+
+class TestCampaignBatches:
     def test_serial_run_matches_direct_testing(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(12)
-        result = run_on_cluster(PATCHED, workloads, num_vms=4, label="seq-1-sample")
-        assert result.campaign.workloads_tested == 12
-        assert len(result.vm_stats) == 4
-        assert all(isinstance(stats, ChunkStats) for stats in result.vm_stats)
-        assert [stats.index for stats in result.vm_stats] == [0, 1, 2, 3]
-        assert sum(stats.workloads for stats in result.vm_stats) == 12
-        assert result.wall_clock_seconds > 0
-        assert result.campaign.failing_workloads == 0
+        run = _batches(PATCHED, workloads, chunk_size=3)
+        assert run.result.workloads_tested == 12
+        assert len(run.chunks) == 4
+        assert all(isinstance(stats, ChunkStats) for stats in run.chunks)
+        assert [stats.index for stats in run.chunks] == [0, 1, 2, 3]
+        assert sum(stats.workloads for stats in run.chunks) == 12
+        assert run.max_chunk_seconds > 0
+        assert run.result.failing_workloads == 0
 
-    def test_buggy_fs_failures_surface_in_vm_stats(self):
+    def test_buggy_fs_failures_surface_in_chunk_stats(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(40)
-        result = run_on_cluster(BUGGY, workloads, num_vms=2)
-        assert sum(stats.failing_workloads for stats in result.vm_stats) == \
-            result.campaign.failing_workloads
-        # A VM's statistics are its chunk's: every roll-up, not a hand-picked few.
-        assert sum(stats.crash_points_tested for stats in result.vm_stats) == \
-            result.campaign.crash_points_tested > 0
+        run = _batches(BUGGY, workloads, chunk_size=20)
+        assert sum(stats.failing_workloads for stats in run.chunks) == \
+            run.result.failing_workloads
+        # A batch's statistics are its chunk's: every roll-up, not a hand-picked few.
+        assert sum(stats.crash_points_tested for stats in run.chunks) == \
+            run.result.crash_points_tested > 0
 
-    def test_every_harness_option_reaches_the_vms(self):
+    def test_every_harness_option_reaches_the_batches(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(10)
-        prefix = run_on_cluster(BUGGY, workloads, num_vms=2)
-        torn = run_on_cluster(replace(BUGGY, crash_plan="torn", skip_checks=("write",)),
-                              workloads, num_vms=2)
-        assert torn.campaign.scenarios_tested > prefix.campaign.scenarios_tested
-        assert "write" not in torn.campaign.check_timings()
+        prefix = _batches(BUGGY, workloads, chunk_size=5)
+        torn = _batches(replace(BUGGY, crash_plan="torn", skip_checks=("write",)),
+                        workloads, chunk_size=5)
+        assert torn.result.scenarios_tested > prefix.result.scenarios_tested
+        assert "write" not in torn.result.check_timings()
 
     def test_projection_to_cluster_scale(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(10)
-        result = run_on_cluster(PATCHED, workloads, num_vms=2)
-        projected = result.projected_hours_on_cluster(num_workloads=3_370_000)
+        result = _batches(PATCHED, workloads, chunk_size=5).result
+        per_workload = result.testing_seconds / result.workloads_tested
+        projected = estimate_campaign_hours(3_370_000, per_workload)
         assert projected > 0
-        assert "VM batches" in result.summary()
+        # 4 321 workloads on each of 780 VMs, one after the other.
+        assert projected == pytest.approx(4321 * per_workload / 3600.0)

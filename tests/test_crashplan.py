@@ -31,7 +31,7 @@ from repro.crashmonkey import (
     make_planner,
 )
 from repro.errors import HarnessError, WorkloadError
-from repro.engine import HarnessSpec, run_campaign
+from repro.engine import HarnessSpec
 from repro.fs import BugConfig, Consequence
 from repro.storage import (
     SECTORS_PER_BLOCK,
@@ -571,12 +571,12 @@ class TestCrashPlanThroughTheEngine:
         assert rebuilt.spec.reorder_bound == 3
 
     def test_pool_workers_rebuild_the_reorder_planner(self):
-        spec = HarnessSpec(fs_name="f2fs", bugs=BugConfig.only("fsync_no_flush"),
-                           device_blocks=SMALL_DEVICE_BLOCKS,
-                           crash_plan="reorder", reorder_bound=1)
+        config = CampaignConfig(fs_name="f2fs", bugs=BugConfig.only("fsync_no_flush"),
+                                device_blocks=SMALL_DEVICE_BLOCKS, chunk_size=2,
+                                crash_plan="reorder", reorder_bound=1)
         workloads = [parse_workload(BARRIER_BUG_WORKLOAD, name=f"wl-{i}") for i in range(6)]
-        serial = run_campaign(spec, iter(workloads), processes=1, chunk_size=2)
-        pooled = run_campaign(spec, iter(workloads), processes=2, chunk_size=2)
+        serial = differential.engine_run(config, iter(workloads))
+        pooled = differential.engine_run(config, iter(workloads), processes=2)
 
         def findings(run):
             return [
@@ -608,12 +608,12 @@ class TestCrashPlanThroughTheEngine:
         assert rebuilt.spec.dedup_scenarios is False
 
     def test_pool_workers_rebuild_the_torn_planner(self):
-        spec = HarnessSpec(fs_name="f2fs", bugs=BugConfig.only("missing_flush_before_fua"),
-                           device_blocks=SMALL_DEVICE_BLOCKS,
-                           crash_plan="torn", torn_bound=1)
+        config = CampaignConfig(fs_name="f2fs", bugs=BugConfig.only("missing_flush_before_fua"),
+                                device_blocks=SMALL_DEVICE_BLOCKS, chunk_size=2,
+                                crash_plan="torn", torn_bound=1)
         workloads = [parse_workload(FUA_BUG_WORKLOAD, name=f"wl-{i}") for i in range(6)]
-        serial = run_campaign(spec, iter(workloads), processes=1, chunk_size=2)
-        pooled = run_campaign(spec, iter(workloads), processes=2, chunk_size=2)
+        serial = differential.engine_run(config, iter(workloads))
+        pooled = differential.engine_run(config, iter(workloads), processes=2)
 
         def findings(run):
             return [

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ace import AceSynthesizer, seq1_bounds
-from repro.cluster import partition, run_on_cluster
+from repro.cluster import estimate_campaign_hours
 from repro.core import B3Campaign, CampaignConfig, quick_campaign
 from repro.crashmonkey import CrashMonkey
 from repro.engine import (
@@ -13,7 +13,6 @@ from repro.engine import (
     ProcessPoolBackend,
     SerialBackend,
     TimedIterator,
-    run_campaign,
 )
 
 import differential
@@ -24,6 +23,12 @@ def _spec(**kwargs) -> HarnessSpec:
     kwargs.setdefault("fs_name", "btrfs")
     kwargs.setdefault("device_blocks", SMALL_DEVICE_BLOCKS)
     return HarnessSpec(**kwargs)
+
+
+def _config(**kwargs) -> CampaignConfig:
+    kwargs.setdefault("fs_name", "btrfs")
+    kwargs.setdefault("device_blocks", SMALL_DEVICE_BLOCKS)
+    return CampaignConfig(bounds=seq1_bounds(), **kwargs)
 
 
 def _fingerprint(result):
@@ -106,7 +111,7 @@ class TestSerialEngine:
         assert backend._harness is harness
 
     def test_empty_stream_yields_empty_result(self):
-        run = run_campaign(_spec(), iter(()), label="empty")
+        run = differential.engine_run(_config(), iter(()))
         assert run.result.workloads_tested == 0
         assert run.chunks == []
         assert run.max_chunk_seconds == 0.0
@@ -115,8 +120,8 @@ class TestSerialEngine:
 class TestProcessPoolEngine:
     def test_pool_and_serial_find_identical_bugs_on_full_seq1_space(self):
         serial = differential.campaign()
-        pooled = run_campaign(_spec(), AceSynthesizer(seq1_bounds()).generate(),
-                              label="seq-1", processes=2, chunk_size=48)
+        pooled = differential.engine_run(_config(), AceSynthesizer(seq1_bounds()).generate(),
+                                         processes=2, chunk_size=48)
         assert serial.result.workloads_tested == pooled.result.workloads_tested
         # Identical findings in identical (sorted) order.
         assert [_fingerprint(r) for r in serial.result.results] == \
@@ -160,10 +165,9 @@ class TestProcessPoolEngine:
     def test_check_selection_propagates_to_pool_workers(self):
         """Workers rebuild identical pipelines from the pickled spec."""
         workloads = list(AceSynthesizer(seq1_bounds()).sample(40))
-        mount_only = _spec(checks=("mount",))
-        serial = run_campaign(mount_only, iter(workloads), label="seq-1", processes=1)
-        pooled = run_campaign(mount_only, iter(workloads), label="seq-1",
-                              processes=2, chunk_size=8)
+        mount_only = _config(checks=("mount",))
+        serial = differential.engine_run(mount_only, iter(workloads))
+        pooled = differential.engine_run(mount_only, iter(workloads), processes=2, chunk_size=8)
         assert [_fingerprint(r) for r in serial.result.results] == \
             [_fingerprint(r) for r in pooled.result.results]
         # Every surviving mismatch came from the one selected check, and the
@@ -175,9 +179,9 @@ class TestProcessPoolEngine:
 
     def test_skip_checks_spec_changes_findings(self):
         workloads = list(AceSynthesizer(seq1_bounds()).sample(40))
-        full = run_campaign(_spec(), iter(workloads), label="seq-1", processes=1)
-        skipped = run_campaign(_spec(skip_checks=("write", "read", "directory")),
-                               iter(workloads), label="seq-1", processes=1)
+        full = differential.engine_run(_config(), iter(workloads))
+        skipped = differential.engine_run(_config(skip_checks=("write", "read", "directory")),
+                                          iter(workloads))
         skipped_checks = {m.check
                           for result in skipped.result.results
                           for report in result.bug_reports
@@ -232,32 +236,53 @@ class TestCampaignFacade:
         assert first.name.endswith("0000001")
 
 
-class TestClusterFacade:
-    def test_partition_of_empty_set_has_no_phantom_batches(self):
-        assert partition([], 5) == []
+class TestCampaignChunksAreTheClusterBatches:
+    """A campaign's chunks are the paper's VM batches: each with its own
+    in-worker seconds, worker and roll-ups."""
 
-    def test_cluster_runner_handles_empty_workload_set(self):
-        result = run_on_cluster(_spec(), [])
-        assert result.campaign.workloads_tested == 0
-        assert result.vm_stats == []
-        assert result.wall_clock_seconds == 0.0
-        assert result.projected_hours_on_cluster() == 0.0
+    def test_empty_workload_set_has_no_phantom_batches(self):
+        campaign = B3Campaign(_config())
+        result = campaign.run([])
+        assert result.workloads_tested == 0
+        assert campaign.last_run.chunks == []
+        assert campaign.last_run.max_chunk_seconds == 0.0
 
-    def test_vm_seconds_are_measured_per_batch_not_uniform(self):
+    def test_batch_seconds_are_measured_per_chunk_not_uniform(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(24)
-        result = run_on_cluster(_spec(), workloads, processes=2, num_vms=4)
-        assert len(result.vm_stats) == 4
-        assert all(isinstance(stats, ChunkStats) for stats in result.vm_stats)
-        assert all(stats.seconds > 0 for stats in result.vm_stats)
+        campaign = B3Campaign(_config(processes=2, chunk_size=6))
+        campaign.run(workloads)
+        chunks = campaign.last_run.chunks
+        assert len(chunks) == 4
+        assert all(isinstance(stats, ChunkStats) for stats in chunks)
+        assert all(stats.seconds > 0 for stats in chunks)
         # Real measurements from a pool are wall clocks of distinct batches,
         # not one elapsed time divided evenly.
-        assert len({round(stats.seconds, 9) for stats in result.vm_stats}) > 1
-        assert all(stats.worker.startswith("pid-") for stats in result.vm_stats)
+        assert len({round(stats.seconds, 9) for stats in chunks}) > 1
+        assert all(stats.worker.startswith("pid-") for stats in chunks)
+        assert campaign.last_run.max_chunk_seconds == max(stats.seconds for stats in chunks)
 
-    def test_cluster_matches_serial_campaign_findings(self):
+    def test_batch_roll_ups_sum_to_the_campaign(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(30)
-        clustered = run_on_cluster(_spec(), workloads, num_vms=3)
-        direct = run_campaign(_spec(), iter(workloads))
-        # VM batches are a round-robin split, so compare after sorting.
-        assert sorted(_fingerprint(r) for r in clustered.campaign.results) == \
-            sorted(_fingerprint(r) for r in direct.result.results)
+        campaign = B3Campaign(_config(processes=2, chunk_size=8))
+        result = campaign.run(workloads)
+        chunks = campaign.last_run.chunks
+        assert sum(stats.workloads for stats in chunks) == result.workloads_tested == 30
+        for name in ("failing_workloads", "crash_points_tested", "scenarios_tested"):
+            assert sum(getattr(stats, name) for stats in chunks) == getattr(result, name)
+        assert result.crash_points_tested > 0
+
+    def test_pooled_batches_match_serial_campaign_findings(self):
+        workloads = AceSynthesizer(seq1_bounds()).sample(30)
+        pooled = B3Campaign(_config(processes=2, chunk_size=10)).run(workloads)
+        direct = B3Campaign(_config()).run(workloads)
+        # Chunks never reorder the stream, so findings line up one for one.
+        assert [_fingerprint(r) for r in pooled.results] == \
+            [_fingerprint(r) for r in direct.results]
+
+    def test_projection_to_cluster_scale(self):
+        workloads = AceSynthesizer(seq1_bounds()).sample(10)
+        result = B3Campaign(_config()).run(workloads)
+        per_workload = result.testing_seconds / result.workloads_tested
+        assert estimate_campaign_hours(780, per_workload) == \
+            pytest.approx(per_workload / 3600.0)
+        assert estimate_campaign_hours(3_370_000, per_workload) > 0

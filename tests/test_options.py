@@ -25,8 +25,6 @@ from repro.options import EXECUTION, IDENTITY, CampaignConfig, HarnessSpec, opti
 from repro.service import (
     CampaignStateDB,
     DurableCampaignRunner,
-    config_from_dict,
-    config_to_dict,
     default_campaign_id,
 )
 
@@ -114,13 +112,13 @@ def test_a_misspelt_harness_option_is_a_type_error():
 }))
 def test_config_round_trips_through_json(values):
     config = CampaignConfig(**values)
-    payload = config_to_dict(config)
+    payload = config.to_dict()
     assert set(payload) == {f.name for f in ALL}
     assert json.loads(json.dumps(payload)) == payload
-    assert config_from_dict(json.loads(json.dumps(payload))) == config
+    assert CampaignConfig.from_dict(json.loads(json.dumps(payload))) == config
 
 
-#: config_to_dict(CampaignConfig(fs_name="logfs", bounds=seq1_bounds(),
+#: CampaignConfig.to_dict(CampaignConfig(fs_name="logfs", bounds=seq1_bounds(),
 #: max_workloads=24, crash_plan="torn", torn_bound=1, skip_checks=("xattr",),
 #: chunk_size=4, processes=2, spine_memory_budget=65536)) as PR 14 wrote it:
 #: tri-state nulls, no kernel_version key, and two options since removed
@@ -147,7 +145,7 @@ PR14_CONFIG = CampaignConfig(
 
 
 def test_a_payload_written_by_the_previous_schema_decodes_to_defaults():
-    assert config_from_dict(PR14_PAYLOAD) == PR14_CONFIG
+    assert CampaignConfig.from_dict(PR14_PAYLOAD) == PR14_CONFIG
 
 
 def test_a_campaign_row_written_by_the_previous_schema_is_resumable(tmp_path):
@@ -240,7 +238,7 @@ def test_a_removed_option_is_settable_nowhere(name):
             build(**{name: value})
     # A stored payload keeps the key; the decoder drops it (the state store's
     # drift check is what refuses a campaign created with an identity one set).
-    assert config_from_dict({**config_to_dict(CampaignConfig()), name: value}) == \
+    assert CampaignConfig.from_dict({**CampaignConfig().to_dict(), name: value}) == \
         CampaignConfig()
     if flag is not None:
         with pytest.raises(SystemExit):
@@ -336,12 +334,12 @@ def test_identity_options_name_a_different_campaign(tmp_path, name):
     changed = replace(base, **{name: _variant(name)})
     assert default_campaign_id("t", changed) != default_campaign_id("t", base)
     with CampaignStateDB(str(tmp_path / "s.sqlite")) as db:
-        assert db.create_campaign("c", config_to_dict(base)) is True
-        assert db.create_campaign("c", config_to_dict(replace(base, processes=2))) is False
+        assert db.create_campaign("c", base.to_dict()) is True
+        assert db.create_campaign("c", replace(base, processes=2).to_dict()) is False
         with pytest.raises(CampaignDriftError, match=f"created with {name}="):
-            db.create_campaign("c", config_to_dict(changed))
+            db.create_campaign("c", changed.to_dict())
         # The row is the campaign as created, whatever later sessions asked for.
-        assert db.load_config("c") == config_to_dict(base)
+        assert db.load_config("c") == base.to_dict()
 
 
 def test_the_cli_resumes_under_execution_flags_and_refuses_identity_drift(tmp_path, capsys):

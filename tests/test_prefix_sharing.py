@@ -22,7 +22,7 @@ from repro.core import B3Campaign, CampaignConfig
 from repro.core.dedup import group_reports
 from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.recorder import PlanStep, plan_spine
-from repro.engine import HarnessSpec, chunked_affine, run_campaign
+from repro.engine import chunked_affine
 from repro.fs import BugConfig
 from repro.workload import parse_workload
 from repro.workload.operations import creat, write
@@ -309,9 +309,9 @@ class TestPrefixAffineChunking:
 
     def test_engine_reports_chunk_prefix_hits(self):
         workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=20))
-        spec = HarnessSpec(fs_name="btrfs", bugs=BugConfig.none(),
-                           device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=True)
-        run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
+        config = CampaignConfig(fs_name="btrfs", bugs=BugConfig.none(), chunk_size=8,
+                                device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=True)
+        run = differential.engine_run(config, iter(workloads))
         assert sum(stats.prefix_hits for stats in run.chunks) == run.result.prefix_hits
         assert run.result.prefix_hits > 0
 
@@ -377,11 +377,11 @@ class TestSiblingGrouping:
 
 
 def test_campaign_result_aggregates_prefix_and_dedup_stats():
-    spec = HarnessSpec(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                       share_prefixes=True)
+    config = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
+                            share_prefixes=True, chunk_size=8)
     workloads = [parse_workload(SIBLING_A, name="A"),
                  parse_workload(SIBLING_B, name="B")]
-    run = run_campaign(spec, iter(workloads), processes=1, chunk_size=8)
+    run = differential.engine_run(config, iter(workloads))
     result = run.result
     assert result.prefix_hits == 1
     assert result.prefix_ops_reused > 0

@@ -673,3 +673,40 @@ def test_every_owner_row_names_a_file_that_imports_its_module(module):
     # Every owned module is one of these.
     assert {_owner_row(owned) for owned in OWNED} == {
         row for row in repro_lint.IMPORT_OWNERS if row.site}
+
+
+# ------------------------------------------------------- rule 16: one campaign driver
+
+
+def _driver_row():
+    return next(row for row in repro_lint.SITE_OWNERS
+                if "CampaignEngine" in row.message)
+
+
+def test_a_second_campaign_driver_is_caught():
+    findings = _sites(**{
+        "service/runner.py": (
+            "from ..engine.engine import CampaignEngine\n"
+            "def _chunk_engine(spec):\n"
+            "    return CampaignEngine(spec)\n"
+        ),
+        "cluster/runner.py": "from .. import engine\nrun = engine.CampaignEngine(None).run\n",
+        "core/campaign.py": (
+            "class B3Campaign:\n"
+            "    def engine(self):\n"
+            "        return CampaignEngine(self.spec)\n"
+            "    def run(self):\n"
+            "        return CampaignEngine(self.spec).run(())\n"
+        ),
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/cluster/runner.py", 2), ("src/repro/core/campaign.py", 5),
+        ("src/repro/service/runner.py", 3)]
+    assert all("outside B3Campaign.engine" in message for _, _, message in findings)
+
+
+def test_the_tree_builds_its_engines_at_one_call_site():
+    """Without its site the row flags exactly one call in the tree: the owner's."""
+    findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
+                                            (_driver_row()._replace(site=""),))
+    assert [path for path, _, _ in findings] == ["src/repro/core/campaign.py"]

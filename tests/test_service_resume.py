@@ -30,7 +30,6 @@ from repro.ace import (
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.errors import CampaignDriftError
 from repro.service import CampaignStateDB, DurableCampaignRunner
-from repro.service.api import config_to_dict
 from repro.service.runner import SELFCRASH_ENV
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -139,6 +138,37 @@ def test_interrupted_slices_in_process(tmp_path, uninterrupted):
     assert len(sessions) > 2  # genuinely ran as many separate sessions
     assert all(s.chunks_executed <= 2 for s in sessions)
     assert result.canonical_dict() == uninterrupted.canonical_dict()
+
+
+def test_every_session_reports_where_the_whole_campaign_stands(tmp_path):
+    """A fresh durable session already has the space index's workload total
+    (hence an ETA) from its first event; a resumed one adds what the store
+    holds and the stored census's chunk total."""
+    config = _config()
+    total = B3Campaign(config).workloads_total()
+    db_path = str(tmp_path / "state.sqlite")
+    first, second = [], []
+    runner = DurableCampaignRunner(config, db_path, campaign_id="eta")
+    try:
+        assert runner.run(progress=first.append, max_chunks=3) is None
+    finally:
+        runner.close()
+    assert first[0].workloads_total == total == 40
+    assert first[0].chunks_total is None  # no census stored yet
+    assert first[0].eta_seconds is not None
+    assert [event.chunks_done for event in first] == [1, 2, 3]
+    runner = DurableCampaignRunner(config, db_path, campaign_id="eta")
+    try:
+        result = runner.run(progress=second.append)
+    finally:
+        runner.close()
+    assert [event.chunks_done for event in second] == list(range(4, 4 + len(second)))
+    assert {event.chunks_total for event in second} == {len(first) + len(second)}
+    assert {event.workloads_total for event in second} == {total}
+    assert second[0].workloads_done == \
+        first[-1].workloads_done + second[0].session_workloads
+    assert second[-1].workloads_done == total
+    assert second[-1].failing_workloads == result.failing_workloads
 
 
 def test_an_unlabelled_campaign_is_labelled_alike_fresh_or_resumed(tmp_path):
@@ -255,7 +285,7 @@ def _old_store(db_path: str, **stored) -> None:
             "INSERT INTO dedup_sightings VALUES ('old', 'k', 0);"
         )
     with CampaignStateDB(db_path) as db:
-        payload = {**config_to_dict(_config()), **stored}
+        payload = {**_config().to_dict(), **stored}
         db.create_campaign("old", payload, label="seq-2", fs_name="btrfs", fs_model="btrfs")
 
 
@@ -304,7 +334,7 @@ def test_only_a_removed_option_that_was_set_is_drift(tmp_path, stored, refused):
     _old_store(db_path, **stored)
     with CampaignStateDB(db_path) as db:
         def resume():
-            return db.create_campaign("old", config_to_dict(_config()), label="seq-2",
+            return db.create_campaign("old", _config().to_dict(), label="seq-2",
                                       fs_name="btrfs", fs_model="btrfs")
         if refused:
             with pytest.raises(CampaignDriftError, match="no longer has"):

@@ -527,12 +527,10 @@ class TestCliFlags:
 
 
 def test_config_round_trips_through_the_service_codec(tmp_path):
-    from repro.service.api import config_from_dict, config_to_dict
-
     config = CampaignConfig(fs_name="btrfs", spine_memory_budget=4096,
                             spine_spill_dir=str(tmp_path))
-    payload = config_to_dict(config)
+    payload = config.to_dict()
     assert payload["spine_memory_budget"] == 4096
-    restored = config_from_dict(payload)
+    restored = CampaignConfig.from_dict(payload)
     assert restored.spine_memory_budget == 4096
     assert restored.spine_spill_dir == str(tmp_path)

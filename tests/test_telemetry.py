@@ -375,10 +375,12 @@ def test_progress_events_do_not_rescan_the_campaign(monkeypatch):
 
 def test_a_resumed_tally_starts_from_the_offset():
     events = []
-    engine = CampaignEngine(HarnessSpec(fs_name="btrfs", device_blocks=4096),
-                            progress=events.append)
-    engine.run_indexed([(7, [FIGURE1])], failing_offset=5)
-    assert [event.failing_workloads for event in events] == [6]
+    campaign = B3Campaign(CampaignConfig(fs_name="btrfs", device_blocks=4096))
+    progress = campaign.track_progress(events.append, done=(3, 40, 5), census=(9, 100))
+    campaign.engine(progress).run_indexed([(7, [FIGURE1])])
+    assert [(event.chunks_done, event.workloads_done, event.failing_workloads,
+             event.session_workloads, event.chunks_total, event.workloads_total)
+            for event in events] == [(4, 41, 6, 1, 9, 100)]
 
 
 def test_describe_and_the_payloads_group_reports_once(monkeypatch, seq1_run):

@@ -302,6 +302,11 @@ SITE_OWNERS: Tuple[Row, ...] = (
     # 14. Which clock is read, and whether a raising block is charged, is decided in one place.
     Row(call("perf_counter", "time", "monotonic", "process_time", receiver="time"), "",
         "clock.py", "`time.{name}()` outside clock.py — " + CLOCK_REASON),
+    # 16. One campaign driver: a campaign configuration becomes chunks and an engine in one
+    #     place, which a plain run and the durable runner both go through.
+    Row(call("CampaignEngine"), "", "core/campaign.py:B3Campaign.engine",
+        "`CampaignEngine(...)` outside B3Campaign.engine — drive a `B3Campaign`: it owns the "
+        "chunk stream, the engine set-up and where the campaign's progress stands"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
