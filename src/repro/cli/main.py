@@ -11,13 +11,14 @@ Subcommands mirror how the paper's tools are used:
 * ``repro-b3 reproduce``      — replay a known/new bug from the database,
 * ``repro-b3 list-bugs``      — list the known-bug corpus.
 
-The campaign service (durable, resumable, multi-tenant runs) adds:
+Durable campaigns (``campaign --durable`` writes them to a state store) add:
 
-* ``repro-b3 submit``         — queue a campaign into a state store,
-* ``repro-b3 serve``          — drain the store's queue tenant-fairly,
-* ``repro-b3 status``         — campaign progress and per-tenant usage,
+* ``repro-b3 status``         — campaign progress,
 * ``repro-b3 resume``         — finish an interrupted campaign,
 * ``repro-b3 results``        — print/export a finished campaign's result.
+
+These three only read an existing store: a missing store or an unknown
+campaign id is refused with one ``error:`` line and exit status 2.
 """
 
 from __future__ import annotations
@@ -43,16 +44,11 @@ from ..core.study import analyze
 from ..crashmonkey.checks import DEFAULT_REGISTRY
 from ..crashmonkey.crashplan import PLAN_NAMES, describe_planners, make_planner
 from ..crashmonkey.harness import CrashMonkey
-from ..errors import CampaignDriftError
+from ..errors import CampaignDriftError, UnknownCampaignError
 from ..fs.bugs import BugConfig
 from ..fs.registry import available_filesystems
-from ..options import EXECUTION, CampaignConfig, HarnessSpec, positive_int
-from ..service import (
-    CampaignRequest,
-    CampaignService,
-    CampaignStateDB,
-    DurableCampaignRunner,
-)
+from ..options import EXECUTION, CampaignConfig, HarnessSpec
+from ..service import CampaignStateDB, DurableCampaignRunner
 from ..workload.language import format_workload, parse_workload
 
 _BOUND_PRESETS = {
@@ -62,13 +58,6 @@ _BOUND_PRESETS = {
     "seq-3-metadata": seq3_metadata_bounds,
     "seq-3-nested": seq3_nested_bounds,
 }
-
-
-def _positive_float(value: str) -> float:
-    number = float(value)
-    if number <= 0:
-        raise argparse.ArgumentTypeError("must be a positive number")
-    return number
 
 
 def _bounds_from_args(args) -> Bounds:
@@ -128,14 +117,6 @@ def _add_option_args(parser: argparse.ArgumentParser, schema=CampaignConfig) -> 
                         help="list the registered consistency checks and exit")
 
 
-def _add_campaign_space_args(parser: argparse.ArgumentParser) -> None:
-    """The campaign-shaped argument surface shared by ``campaign`` and ``submit``."""
-    parser.add_argument("--preset", choices=sorted(_BOUND_PRESETS), default="seq-1")
-    parser.add_argument("--seq-length", type=int, default=1)
-    parser.add_argument("--patched", action="store_true")
-    _add_option_args(parser)
-
-
 def cmd_study(args) -> int:
     print(analyze().describe())
     return 0
@@ -192,9 +173,9 @@ def _campaign_config(args) -> CampaignConfig:
 def _print_progress(event) -> None:
     """Chunk-level progress: done/total, throughput, and an ETA when knowable.
 
-    Durable runs register the full chunk census upfront, so their events
-    carry chunk and workload totals; streaming campaigns size their workload
-    total from the ACE space index.  Either way there is an ETA.
+    A durable session whose campaign's census is stored takes chunk and
+    workload totals from the store; any other run sizes its workload total
+    from the ACE space index.  Either way there is an ETA.
     """
     chunks = f"{event.chunks_done}"
     if event.chunks_total is not None:
@@ -232,17 +213,14 @@ def cmd_campaign(args) -> int:
         if not args.state_db:
             print("error: --durable requires --state-db PATH", file=sys.stderr)
             return 2
-        runner = DurableCampaignRunner(
-            config, args.state_db, campaign_id=args.campaign_id, tenant=args.tenant
-        )
+        runner = DurableCampaignRunner(config, args.state_db, campaign_id=args.campaign_id)
         try:
             result = runner.run(progress=progress)
         finally:
             runner.close()
         print(result.describe())
-        if runner.last_session is not None:
-            print(f"{runner.last_session.describe()} "
-                  f"[campaign {runner.campaign_id}]", file=sys.stderr)
+        print(f"{runner.last_session.describe()} [campaign {runner.campaign_id}]",
+              file=sys.stderr)
         _write_json_out(result, args.json_out)
         return 0 if not result.all_reports() else 1
 
@@ -262,69 +240,13 @@ def cmd_campaign(args) -> int:
     return 0 if not result.all_reports() else 1
 
 
-def cmd_submit(args) -> int:
-    config = _campaign_config(args)
-    with CampaignService(args.state_db) as service:
-        campaign_id = service.submit(
-            CampaignRequest(config=config, tenant=args.tenant, name=args.name or "")
-        )
-        status = service.status(campaign_id)
-    print(campaign_id)
-    print(f"queued: {status.describe()}", file=sys.stderr)
-    return 0
-
-
-def cmd_serve(args) -> int:
-    import signal
-
-    def narrate(tenant: str, campaign_id: str, completed: bool) -> None:
-        state = "completed" if completed else "slice done, requeued"
-        print(f"  [{tenant}] {campaign_id}: {state}", file=sys.stderr)
-
-    with CampaignService(
-        args.state_db,
-        processes=args.processes,
-        slice_chunks=args.slice_chunks,
-        progress=_print_progress if args.progress else None,
-        on_slice=narrate,
-    ) as service:
-        previous = {}
-        if args.watch is not None:
-            # Watch mode runs unattended; a supervisor stops it with
-            # SIGTERM.  The handler only requests a stop — the in-flight
-            # slice finishes and commits, so shutdown is never a crash.
-            def _request_stop(signum, frame):
-                print("stop requested; finishing the current slice",
-                      file=sys.stderr)
-                service.request_stop()
-
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                previous[signum] = signal.signal(signum, _request_stop)
-        try:
-            served = service.serve(max_slices=args.max_slices, watch=args.watch)
-        finally:
-            for signum, handler in previous.items():
-                signal.signal(signum, handler)
-        print(f"served {served} slice(s)")
-        for usage in service.tenant_usage().values():
-            print(usage.describe())
-    return 0
-
-
 def cmd_status(args) -> int:
-    with CampaignStateDB(args.state_db) as db:
-        if args.campaign_id:
-            rows = [db.status(args.campaign_id)]
-        else:
-            rows = db.statuses(args.tenant)
-        for status in rows:
-            print(status.describe())
-        if not rows:
-            print("no campaigns in the state store")
-        if args.usage:
-            print("tenant usage:")
-            for usage in db.tenant_usage():
-                print("  " + usage.describe())
+    with CampaignStateDB.existing(args.state_db) as db:
+        rows = [db.status(args.campaign_id)] if args.campaign_id else db.statuses()
+    for status in rows:
+        print(status.describe())
+    if not rows:
+        print("no campaigns in the state store")
     return 0
 
 
@@ -338,17 +260,13 @@ def cmd_resume(args) -> int:
         result = runner.run(progress=_print_progress if args.progress else None)
     finally:
         runner.close()
-    if result is None:  # pragma: no cover - run() without max_chunks completes
-        print(f"campaign {args.campaign_id} still has pending chunks", file=sys.stderr)
-        return 1
     print(result.describe())
-    if runner.last_session is not None:
-        print(runner.last_session.describe(), file=sys.stderr)
+    print(runner.last_session.describe(), file=sys.stderr)
     return 0
 
 
 def cmd_results(args) -> int:
-    with CampaignStateDB(args.state_db) as db:
+    with CampaignStateDB.existing(args.state_db) as db:
         status = db.status(args.campaign_id)
         if not status.complete:
             print(
@@ -474,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_option_args(test, HarnessSpec)
 
     campaign = sub.add_parser("campaign", help="generate and test a bounded workload space")
-    _add_campaign_space_args(campaign)
+    campaign.add_argument("--preset", choices=sorted(_BOUND_PRESETS), default="seq-1")
+    campaign.add_argument("--seq-length", type=int, default=1)
+    campaign.add_argument("--patched", action="store_true")
+    _add_option_args(campaign)
     campaign.add_argument("--progress", action="store_true",
                           help="print a progress line per completed chunk")
     campaign.add_argument("--json-out", metavar="PATH", default=None,
@@ -489,42 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="state-store id of this campaign (default: derived "
                                "from the configuration, so identical invocations resume "
                                "each other)")
-    campaign.add_argument("--tenant", default="default",
-                          help="tenant the durable campaign is accounted to")
-
-    submit = sub.add_parser("submit", help="queue a campaign into a state store "
-                                           "(run it with `serve` or `resume`)")
-    submit.add_argument("--state-db", metavar="PATH", required=True,
-                        help="path of the sqlite campaign state store")
-    submit.add_argument("--tenant", default="default",
-                        help="tenant to account the campaign to")
-    submit.add_argument("--name", default=None,
-                        help="campaign id (default: auto-assigned <tenant>-c<N>)")
-    _add_campaign_space_args(submit)
-
-    serve = sub.add_parser("serve", help="drain a state store's campaign queue, "
-                                         "tenant-fairly, over a shared worker fleet")
-    serve.add_argument("--state-db", metavar="PATH", required=True)
-    CampaignConfig.add_arguments(serve, only=("processes",))
-    serve.add_argument("--slice-chunks", type=positive_int, default=4,
-                       help="chunks per scheduling slice (the fairness quantum)")
-    serve.add_argument("--max-slices", type=positive_int, default=None,
-                       help="stop after N slices (default: drain the queue)")
-    serve.add_argument("--progress", action="store_true",
-                       help="print a progress line per completed chunk")
-    serve.add_argument("--watch", type=_positive_float, default=None,
-                       metavar="SECONDS",
-                       help="keep serving: re-poll an empty queue every "
-                            "SECONDS instead of exiting (SIGTERM finishes "
-                            "the current slice, then stops cleanly)")
 
     status = sub.add_parser("status", help="show campaign progress in a state store")
     status.add_argument("--state-db", metavar="PATH", required=True)
     status.add_argument("campaign_id", nargs="?", default=None,
                         help="show one campaign (default: all)")
-    status.add_argument("--tenant", default=None, help="only this tenant's campaigns")
-    status.add_argument("--usage", action="store_true",
-                        help="also print per-tenant fleet usage accounting")
 
     resume = sub.add_parser("resume", help="recover and finish an interrupted "
                                            "durable campaign")
@@ -574,8 +464,6 @@ _COMMANDS = {
     "generate": cmd_generate,
     "test": cmd_test,
     "campaign": cmd_campaign,
-    "submit": cmd_submit,
-    "serve": cmd_serve,
     "status": cmd_status,
     "resume": cmd_resume,
     "results": cmd_results,
@@ -593,7 +481,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     try:
         return _COMMANDS[args.command](args)
-    except CampaignDriftError as exc:
+    except (CampaignDriftError, UnknownCampaignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,4 @@
-"""The test cluster's shape, its time models, and tenant-fair scheduling.
+"""The test cluster's shape and its time models.
 
 The paper deploys CrashMonkey on 65 Chameleon Cloud nodes running 12 virtual
 machines each — 780 VMs testing workloads in parallel (§6.1).  The cluster
@@ -6,14 +6,12 @@ itself only contributes embarrassing parallelism plus deployment time.  The
 parallelism is the engine's: a campaign's family-affine chunks are its
 independent batches, each timed inside the worker that ran it
 (``B3Campaign(...).last_run.chunks``).  What is left here is a model of how
-long deployment and testing take at the paper's scale (§6.4), and the
-least-served round robin that shares one worker fleet between tenants.
+long deployment and testing take at the paper's scale (§6.4).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -36,43 +34,6 @@ class ClusterSpec:
 
     def describe(self) -> str:
         return f"{self.nodes} nodes x {self.vms_per_node} VMs = {self.total_vms} VMs"
-
-
-@dataclass
-class FairScheduler:
-    """Tenant-fair campaign scheduling over a shared worker fleet.
-
-    The campaign service interleaves many concurrent campaigns from many
-    tenants onto one worker fleet by running them one bounded *slice* of
-    chunks at a time; this scheduler decides whose slice runs next.  The
-    policy is least-served round robin: among tenants with runnable
-    campaigns, pick the one that has received the fewest slices so far
-    (ties broken by submission order), then that tenant's oldest campaign.
-    A tenant with twenty queued campaigns therefore gets the same share of
-    the fleet as a tenant with one, and a newly arrived tenant is served
-    within one rotation — its serve count starts at the current minimum,
-    not at zero, so history does not let it monopolize the fleet either.
-    """
-
-    #: slices served per tenant so far
-    served: Dict[str, int] = field(default_factory=dict)
-
-    def pick(self, runnable: Mapping[str, Sequence[str]]) -> Optional[Tuple[str, str]]:
-        """Choose ``(tenant, campaign_id)`` for the next slice, or ``None``.
-
-        ``runnable`` maps tenant -> campaign ids with work left, iterated in
-        submission order (both levels); empty sequences are skipped.
-        """
-        candidates = [(tenant, ids) for tenant, ids in runnable.items() if ids]
-        if not candidates:
-            return None
-        known = [self.served[tenant] for tenant, _ in candidates if tenant in self.served]
-        floor = min(known) if known else 0
-        for tenant, _ in candidates:
-            self.served.setdefault(tenant, floor)
-        tenant, ids = min(candidates, key=lambda pair: self.served[pair[0]])
-        self.served[tenant] += 1
-        return tenant, ids[0]
 
 
 @dataclass

@@ -109,5 +109,12 @@ class CampaignDriftError(ReproError, ValueError):
     """
 
 
+class UnknownCampaignError(ReproError, KeyError):
+    """A state store holds no campaign under the asked id, or there is no
+    state store at the asked path: a read never creates one."""
+
+    __str__ = ReproError.__str__  # the message, not KeyError's quoted repr
+
+
 class WorkloadError(ReproError):
     """A workload is malformed or cannot be executed."""

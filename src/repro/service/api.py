@@ -1,18 +1,15 @@
-"""Plain-data API of the campaign service.
+"""Plain-data API of durable campaigns.
 
-Everything a client (the CLI, a test, a future HTTP layer) exchanges with the
-service is defined here as JSON-friendly dataclasses: campaign
-requests, progress/status views, and per-tenant usage accounting.  Nothing in
-this module touches sqlite or the engine — it is the stable surface the
-stateful layers (:mod:`repro.service.statedb`, :mod:`repro.service.service`)
-produce and consume.
+What a client (the CLI, a test) reads back from a state store is defined here
+as plain dataclasses: the lifecycle states, a campaign's progress view and a
+runner session's audit trail.  Nothing in this module touches sqlite or the
+engine — it is the surface the stateful layers
+(:mod:`repro.service.statedb`, :mod:`repro.service.runner`) produce.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-from ..options import CampaignConfig
 
 #: Campaign lifecycle states in the state store.
 QUEUED = "queued"
@@ -30,22 +27,6 @@ CHUNK_DONE = "done"
 CHUNK_STATES = (PENDING, PROCESSING, CHUNK_DONE)
 
 
-# ------------------------------------------------------------------------- requests
-
-
-@dataclass
-class CampaignRequest:
-    """One tenant's ask: run this campaign configuration.
-
-    ``name`` pins the campaign id (useful for scripted resume); left empty,
-    the service assigns ``<tenant>-c<N>``.
-    """
-
-    config: CampaignConfig
-    tenant: str = "default"
-    name: str = ""
-
-
 # --------------------------------------------------------------------------- views
 
 
@@ -54,7 +35,6 @@ class CampaignStatus:
     """Progress snapshot of one campaign in the state store."""
 
     campaign_id: str
-    tenant: str
     label: str
     status: str
     chunks_done: int = 0
@@ -74,46 +54,12 @@ class CampaignStatus:
 
     def describe(self) -> str:
         return (
-            f"{self.campaign_id:<16} {self.tenant:<10} {self.status:<8} "
+            f"{self.campaign_id:<16} {self.status:<8} "
             f"chunks {self.chunks_done}/{self.chunks_total}"
             f"{f' (+{self.chunks_processing} in flight)' if self.chunks_processing else ''}, "
             f"{self.workloads_done}/{self.workloads_total} workloads, "
             f"{self.failing_workloads} failing, {self.raw_reports} raw reports "
             f"[{self.label or '-'}]"
-        )
-
-
-@dataclass
-class TenantUsage:
-    """Per-tenant accounting over every chunk the fleet completed.
-
-    Built from the same counters :class:`~repro.core.results.CampaignResult`
-    aggregates (workloads, crash points, scenario/dedup totals, worker CPU
-    seconds), summed across all of a tenant's campaigns — the billing view of
-    the shared fleet.
-    """
-
-    tenant: str
-    campaigns: int = 0
-    chunks: int = 0
-    workloads: int = 0
-    failing_workloads: int = 0
-    raw_reports: int = 0
-    crash_points: int = 0
-    scenarios_tested: int = 0
-    deduped_scenarios: int = 0
-    prefix_hits: int = 0
-    replay_hits: int = 0
-    worker_seconds: float = 0.0
-
-    def describe(self) -> str:
-        return (
-            f"{self.tenant:<10} {self.campaigns} campaign(s), {self.chunks} chunks, "
-            f"{self.workloads} workloads ({self.failing_workloads} failing, "
-            f"{self.raw_reports} raw reports), {self.crash_points} crash points, "
-            f"{self.scenarios_tested} scenarios "
-            f"(+{self.deduped_scenarios} deduped), "
-            f"{self.worker_seconds:.2f}s worker time"
         )
 
 

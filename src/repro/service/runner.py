@@ -11,9 +11,9 @@ death of the process running it:
   — content-derived, so a drifted config (different bounds, different ops)
   is detected as a key mismatch instead of silently mixing result sets.
   Registration happens in the same generation pass that dispatches work
-  (register, then claim-or-skip, chunk by chunk), and a session that hits
-  its slice quota keeps draining the stream so the census still completes —
-  from then on totals are served from the store.  Chunking is always
+  (register, then claim-or-skip, chunk by chunk); once one session has
+  drained the stream the census is complete and later sessions take their
+  totals from the store.  Chunking is always
   family-affine and depends on the stream and ``chunk_size`` alone, so a
   session resumed under any execution options (worker count, sharing
   switches, spine budget) finds the same chunks, keeps whole ACE sibling
@@ -69,32 +69,25 @@ def chunk_identity(chunk: List[Workload]) -> str:
     return hasher.hexdigest()[:16]
 
 
-def default_campaign_id(tenant: str, config: CampaignConfig) -> str:
+def default_campaign_id(config: CampaignConfig) -> str:
     """Deterministic id for ad-hoc durable runs (CLI ``campaign --durable``).
 
-    Derived from tenant + the config's identity options, so re-invoking the
-    same command — under any execution options — resumes the same campaign
-    instead of starting a parallel twin.
+    Derived from the config's identity options, so re-invoking the same
+    command — under any execution options — resumes the same campaign
+    instead of starting a parallel twin.  The ``default\\x00`` prefix keeps
+    the ids that stores written by older versions already hold.
     """
     digest = hashlib.sha1(
-        (tenant + "\x00" + json.dumps(config.identity(), sort_keys=True)).encode("utf-8")
+        ("default\x00" + json.dumps(config.identity(), sort_keys=True)).encode("utf-8")
     ).hexdigest()
     return f"dur-{digest[:12]}"
-
-
-def create_campaign(db: CampaignStateDB, campaign_id: str, campaign: B3Campaign,
-                    tenant: str) -> None:
-    """Register ``campaign`` in the store (a no-op when the row exists)."""
-    db.create_campaign(campaign_id, campaign.config.to_dict(), tenant=tenant,
-                       label=campaign.label, fs_name=campaign.fs_name,
-                       fs_model=campaign.fs_model)
 
 
 class DurableCampaignRunner:
     """Run a campaign against a state store; resumable, exactly-once chunks."""
 
     def __init__(self, config: CampaignConfig, state_db: "CampaignStateDB | str",
-                 campaign_id: Optional[str] = None, tenant: str = "default"):
+                 campaign_id: Optional[str] = None):
         """
         Args:
             config: the campaign to run.  Its identity options must match
@@ -102,18 +95,17 @@ class DurableCampaignRunner:
                 its execution options are this session's own.
             state_db: a :class:`CampaignStateDB` or a path to open one at.
             campaign_id: store key; defaults to a deterministic digest of
-                tenant + config identity so identical invocations resume
-                each other.
+                the config's identity so identical invocations resume each
+                other.
         """
         self.config = config
-        self.tenant = tenant
         if isinstance(state_db, CampaignStateDB):
             self.db = state_db
             self._owns_db = False
         else:
             self.db = CampaignStateDB(state_db)
             self._owns_db = True
-        self.campaign_id = campaign_id or default_campaign_id(tenant, config)
+        self.campaign_id = campaign_id or default_campaign_id(config)
         self._campaign = B3Campaign(config)
         #: audit trail of the most recent :meth:`run` session
         self.last_session: Optional[SessionStats] = None
@@ -122,18 +114,23 @@ class DurableCampaignRunner:
     @classmethod
     def from_db(cls, state_db: "CampaignStateDB | str", campaign_id: str,
                 **execution) -> "DurableCampaignRunner":
-        """Rebuild a runner purely from the store (the resume/service path).
+        """Rebuild a runner purely from the store (the resume path).
 
-        ``execution`` replaces stored execution options for this session
-        (the service puts every campaign on its one shared fleet with
-        ``processes=``); an identity option here is refused when the session
-        runs, like any other drift.
+        ``execution`` replaces stored execution options for this session; an
+        identity option here is refused when the session runs, like any
+        other drift.  A store path that does not exist, or an id the store
+        does not hold, raises :class:`~repro.errors.UnknownCampaignError`.
         """
-        db = state_db if isinstance(state_db, CampaignStateDB) else CampaignStateDB(state_db)
-        row = db.campaign_row(campaign_id)
-        config = replace(CampaignConfig.from_dict(db.load_config(campaign_id)), **execution)
-        runner = cls(config, db, campaign_id=campaign_id, tenant=row["tenant"])
-        runner._owns_db = not isinstance(state_db, CampaignStateDB)
+        owned = not isinstance(state_db, CampaignStateDB)
+        db = CampaignStateDB.existing(state_db) if owned else state_db
+        try:
+            config = replace(CampaignConfig.from_dict(db.load_config(campaign_id)), **execution)
+        except BaseException:
+            if owned:
+                db.close()
+            raise
+        runner = cls(config, db, campaign_id=campaign_id)
+        runner._owns_db = owned
         return runner
 
     def close(self) -> None:
@@ -161,23 +158,24 @@ class DurableCampaignRunner:
             self.db.save_mechanism_report(self.campaign_id, report.to_dict())
             break
 
-    def run(self, progress: Optional[ProgressCallback] = None,
-            max_chunks: Optional[int] = None) -> Optional[CampaignResult]:
-        """Run (or resume) the campaign; returns the result once complete.
+    def run(self, progress: Optional[ProgressCallback] = None) -> CampaignResult:
+        """Run (or resume) the campaign to completion; returns its result.
 
-        ``max_chunks`` bounds this session to a scheduling *slice*: at most
-        that many pending chunks are dispatched and the campaign is left
-        resumable.  Returns ``None`` while work remains, the fully
-        reconstructed :class:`CampaignResult` once every chunk is done —
-        including when a previous session already finished everything (then
-        this session executes zero chunks and just reconstructs).
+        Every chunk not yet ``done`` is dispatched, so the result is the
+        campaign's whole :class:`CampaignResult` — also when a previous
+        session already finished everything (then this session executes
+        zero chunks and just reconstructs).  A session that dies part-way
+        (killed, or an exception out of ``progress``) leaves the chunks it
+        ingested ``done`` and its in-flight ones for the next session's
+        recovery.
         """
         db, campaign_id = self.db, self.campaign_id
         session = SessionStats()
         self.last_session = session
 
         campaign = self._campaign
-        create_campaign(db, campaign_id, campaign, self.tenant)
+        db.create_campaign(campaign_id, campaign.config.to_dict(), label=campaign.label,
+                           fs_name=campaign.fs_name, fs_model=campaign.fs_model)
         session.chunks_recovered = db.recover_from_crash(campaign_id)
         db.set_status(campaign_id, api.RUNNING)
 
@@ -222,10 +220,6 @@ class DurableCampaignRunner:
                 )
                 if index in done:
                     continue
-                if max_chunks is not None and session.chunks_executed >= max_chunks:
-                    # Slice quota reached: stop dispatching but keep
-                    # draining the stream so the census completes.
-                    continue
                 db.claim_chunk(campaign_id, index)
                 session.chunks_executed += 1
                 session.workloads_executed += len(chunk)
@@ -254,16 +248,9 @@ class DurableCampaignRunner:
         run = campaign.engine(progress, spec=spec).run_indexed(
             pending_chunks(), label=campaign.label, on_outcome=on_outcome)
         db.add_testing_seconds(campaign_id, run.wall_clock_seconds)
-
-        if not db.census_complete(campaign_id):  # pragma: no cover - drain
-            return None                          # always finishes in-process
-        states = db.chunk_states(campaign_id)
-        remaining = (states.get(api.PENDING, (0, 0))[0]
-                     + states.get(api.PROCESSING, (0, 0))[0])
-        if remaining:
-            return None
+        # The engine ran every chunk not done at the start, so all are now.
         db.set_status(campaign_id, api.DONE)
-        if not done and session.duplicate_ingests == 0 and max_chunks is None:
+        if not done and session.duplicate_ingests == 0:
             # This session tested every chunk, in stream order: the engine's
             # in-memory aggregate already equals the store reconstruction, so
             # skip the round-trip through JSON (it is the dominant cost of

@@ -9,15 +9,15 @@ flight when the previous session died.
 
 Four tables:
 
-* ``campaigns`` — one row per submitted campaign: tenant, label, the full
+* ``campaigns`` — one row per campaign, keyed by its id: label, the full
   serialized :class:`~repro.options.CampaignConfig` (so any process can
   rebuild an identical engine), lifecycle status and accumulated timing.
 * ``chunks`` — the campaign's deterministic chunk census.  Each chunk moves
   ``pending -> processing -> done``; :meth:`recover_from_crash` moves
   orphaned ``processing`` rows back to ``pending`` so a crashed session's
   in-flight work is re-dispatched, never lost and never double-counted.
-  Completed chunks also carry the aggregate counters per-tenant accounting
-  sums (workloads, reports, scenario/dedup totals, worker seconds).
+  Completed chunks also carry their aggregate counters (workloads, reports,
+  scenario/dedup totals, worker seconds).
 * ``results`` — one row per tested workload, keyed ``(campaign, chunk,
   position)`` with the serialized :class:`CrashTestResult` as payload.
   Ingest is *dedup-at-write*: result inserts use ``INSERT OR IGNORE`` and a
@@ -30,8 +30,9 @@ Four tables:
   family, for post-hoc inspection without re-profiling).
 
 A store written by an older version may also hold a cross-workload dedup
-table and a ``chunks.cross_deduped`` column; neither is read or written, and
-the column's default keeps new chunk rows valid there.
+table, a ``chunks.cross_deduped`` column and a ``campaigns.tenant`` column
+from when one store queued many owners' campaigns; none is read or written,
+and the columns' defaults keep new rows valid there.
 
 One instance owns one sqlite connection in the process that built it; the
 path, not the object, is what crosses process boundaries.
@@ -40,6 +41,7 @@ path, not the object, is what crosses process boundaries.
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 from dataclasses import fields
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
@@ -47,14 +49,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from ..core.results import CampaignResult
 from ..crashmonkey.report import CrashTestResult
 from ..engine.backends import ChunkOutcome
-from ..errors import CampaignDriftError
+from ..errors import CampaignDriftError, UnknownCampaignError
 from ..options import RETIRED_EXECUTION_OPTIONS, CampaignConfig
 from . import api
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS campaigns (
     campaign_id        TEXT PRIMARY KEY,
-    tenant             TEXT NOT NULL DEFAULT 'default',
     label              TEXT NOT NULL DEFAULT '',
     fs_name            TEXT NOT NULL DEFAULT '',
     fs_model           TEXT NOT NULL DEFAULT '',
@@ -112,6 +113,17 @@ class CampaignStateDB:
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
 
+    @classmethod
+    def existing(cls, path: str) -> "CampaignStateDB":
+        """Open a store an earlier session created.
+
+        Reading a campaign must not create a store, so a mistyped path is
+        refused with :class:`~repro.errors.UnknownCampaignError`.
+        """
+        if not os.path.exists(path):
+            raise UnknownCampaignError(f"no campaign state store at {path!r}")
+        return cls(path)
+
     def close(self) -> None:
         self._conn.close()
 
@@ -123,8 +135,8 @@ class CampaignStateDB:
 
     # ------------------------------------------------------------- campaigns
 
-    def create_campaign(self, campaign_id: str, config: dict, tenant: str = "default",
-                        label: str = "", fs_name: str = "", fs_model: str = "") -> bool:
+    def create_campaign(self, campaign_id: str, config: dict, label: str = "",
+                        fs_name: str = "", fs_model: str = "") -> bool:
         """Register a campaign; True when newly created.
 
         Re-registering an existing id is the resume path.  The session may
@@ -137,9 +149,9 @@ class CampaignStateDB:
         config_json = json.dumps(config, sort_keys=True)
         cursor = self._conn.execute(
             "INSERT OR IGNORE INTO campaigns "
-            "(campaign_id, tenant, label, fs_name, fs_model, config_json) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (campaign_id, tenant, label, fs_name, fs_model, config_json),
+            "(campaign_id, label, fs_name, fs_model, config_json) "
+            "VALUES (?, ?, ?, ?, ?)",
+            (campaign_id, label, fs_name, fs_model, config_json),
         )
         if cursor.rowcount == 1:
             return True
@@ -172,29 +184,24 @@ class CampaignStateDB:
                     )
         return False
 
-    def campaign_exists(self, campaign_id: str) -> bool:
-        return self._conn.execute(
-            "SELECT 1 FROM campaigns WHERE campaign_id = ?", (campaign_id,)
-        ).fetchone() is not None
-
     def load_config(self, campaign_id: str) -> dict:
         row = self._conn.execute(
             "SELECT config_json FROM campaigns WHERE campaign_id = ?", (campaign_id,)
         ).fetchone()
         if row is None:
-            raise KeyError(f"unknown campaign {campaign_id!r}")
+            raise UnknownCampaignError(f"unknown campaign {campaign_id!r}")
         return json.loads(row[0])
 
     def campaign_row(self, campaign_id: str) -> dict:
         row = self._conn.execute(
-            "SELECT campaign_id, tenant, label, fs_name, fs_model, status, "
+            "SELECT campaign_id, label, fs_name, fs_model, status, "
             "invalid_workloads, generation_seconds, testing_seconds "
             "FROM campaigns WHERE campaign_id = ?",
             (campaign_id,),
         ).fetchone()
         if row is None:
-            raise KeyError(f"unknown campaign {campaign_id!r}")
-        keys = ("campaign_id", "tenant", "label", "fs_name", "fs_model", "status",
+            raise UnknownCampaignError(f"unknown campaign {campaign_id!r}")
+        keys = ("campaign_id", "label", "fs_name", "fs_model", "status",
                 "invalid_workloads", "generation_seconds", "testing_seconds")
         return dict(zip(keys, row))
 
@@ -224,16 +231,6 @@ class CampaignStateDB:
             "WHERE campaign_id = ?",
             (seconds, campaign_id),
         )
-
-    def next_campaign_id(self, tenant: str) -> str:
-        """An unused ``<tenant>-c<N>`` id (N counts the tenant's campaigns)."""
-        count = self._conn.execute(
-            "SELECT COUNT(*) FROM campaigns WHERE tenant = ?", (tenant,)
-        ).fetchone()[0]
-        number = count + 1
-        while self.campaign_exists(f"{tenant}-c{number}"):
-            number += 1
-        return f"{tenant}-c{number}"
 
     # ----------------------------------------------------------------- chunks
 
@@ -274,9 +271,9 @@ class CampaignStateDB:
     def census_complete(self, campaign_id: str) -> bool:
         """True once some session drained the full workload stream.
 
-        Until then the chunk table is a prefix of the census (a crashed or
-        sliced session registers chunks as it discovers them), so totals and
-        the all-chunks-done check cannot be trusted.
+        Until then the chunk table is a prefix of the census (an interrupted
+        session registers chunks as it discovers them), so totals and the
+        all-chunks-done check cannot be trusted.
         """
         row = self._conn.execute(
             "SELECT census_done FROM campaigns WHERE campaign_id = ?", (campaign_id,)
@@ -297,25 +294,18 @@ class CampaignStateDB:
         ).fetchone()
         return row[0], row[1]
 
-    def recover_from_crash(self, campaign_id: Optional[str] = None) -> int:
-        """Reset in-flight (``processing``) chunks to ``pending``.
+    def recover_from_crash(self, campaign_id: str) -> int:
+        """Reset the campaign's in-flight (``processing``) chunks to ``pending``.
 
         The reset-processing-to-pending idiom: any chunk a dead session
-        claimed but never committed is handed back to the scheduler.  Scoped
-        to one campaign when given, store-wide otherwise.  Returns the number
-        of chunks recovered.
+        claimed but never committed is dispatched again by the next one.
+        Returns the number of chunks recovered.
         """
-        if campaign_id is None:
-            cursor = self._conn.execute(
-                "UPDATE chunks SET status = 'pending', worker = '' "
-                "WHERE status = 'processing'"
-            )
-        else:
-            cursor = self._conn.execute(
-                "UPDATE chunks SET status = 'pending', worker = '' "
-                "WHERE campaign_id = ? AND status = 'processing'",
-                (campaign_id,),
-            )
+        cursor = self._conn.execute(
+            "UPDATE chunks SET status = 'pending', worker = '' "
+            "WHERE campaign_id = ? AND status = 'processing'",
+            (campaign_id,),
+        )
         return cursor.rowcount
 
     def claim_chunk(self, campaign_id: str, chunk_index: int) -> bool:
@@ -480,7 +470,6 @@ class CampaignStateDB:
         ).fetchone()
         return api.CampaignStatus(
             campaign_id=campaign_id,
-            tenant=row["tenant"],
             label=row["label"],
             status=row["status"],
             chunks_done=done_chunks,
@@ -494,46 +483,6 @@ class CampaignStateDB:
             testing_seconds=row["testing_seconds"],
         )
 
-    def statuses(self, tenant: Optional[str] = None) -> List[api.CampaignStatus]:
-        if tenant is None:
-            rows = self._conn.execute(
-                "SELECT campaign_id FROM campaigns ORDER BY rowid"
-            ).fetchall()
-        else:
-            rows = self._conn.execute(
-                "SELECT campaign_id FROM campaigns WHERE tenant = ? ORDER BY rowid",
-                (tenant,),
-            ).fetchall()
+    def statuses(self) -> List[api.CampaignStatus]:
+        rows = self._conn.execute("SELECT campaign_id FROM campaigns ORDER BY rowid").fetchall()
         return [self.status(row[0]) for row in rows]
-
-    def runnable_by_tenant(self) -> "Dict[str, List[str]]":
-        """Tenant -> campaign ids with work left, in submission order.
-
-        The scheduler's input: campaigns not yet ``done``.  A freshly queued
-        campaign has no chunk census yet but still counts — its first slice
-        performs the enumeration.
-        """
-        rows = self._conn.execute(
-            "SELECT tenant, campaign_id FROM campaigns "
-            "WHERE status != 'done' ORDER BY rowid"
-        ).fetchall()
-        runnable: Dict[str, List[str]] = {}
-        for tenant, campaign_id in rows:
-            runnable.setdefault(tenant, []).append(campaign_id)
-        return runnable
-
-    def tenant_usage(self) -> List[api.TenantUsage]:
-        """Fleet accounting per tenant, summed over completed chunks."""
-        rows = self._conn.execute(
-            "SELECT c.tenant, COUNT(DISTINCT c.campaign_id), COUNT(k.chunk_index), "
-            "COALESCE(SUM(k.workloads), 0), COALESCE(SUM(k.failing), 0), "
-            "COALESCE(SUM(k.raw_reports), 0), COALESCE(SUM(k.crash_points), 0), "
-            "COALESCE(SUM(k.scenarios), 0), COALESCE(SUM(k.deduped), 0), "
-            "COALESCE(SUM(k.prefix_hits), 0), COALESCE(SUM(k.replay_hits), 0), "
-            "COALESCE(SUM(k.cpu_seconds), 0) "
-            "FROM campaigns c "
-            "LEFT JOIN chunks k ON k.campaign_id = c.campaign_id AND k.status = 'done' "
-            "GROUP BY c.tenant ORDER BY c.tenant",
-        ).fetchall()
-        # The SELECT lists its columns in ``TenantUsage``'s field order.
-        return [api.TenantUsage(*row) for row in rows]

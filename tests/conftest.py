@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 from hypothesis import strategies as st
 
@@ -167,3 +170,50 @@ def mounted_seqfs():
 def any_patched_fs(request):
     fs, recording, base = make_mounted_fs(request.param, BugConfig.none())
     return fs
+
+
+# ------------------------------------------------------------ durable campaigns
+
+
+class Interrupted(Exception):
+    """Raised out of a durable session's progress callback: an in-process crash."""
+
+
+def run_until(runner, chunks: int, progress=None):
+    """``runner.run()``, crashed in-process once this session has ingested
+    ``chunks`` chunks; the result, or ``None`` when the session crashed.
+
+    The engine commits a chunk before reporting it, so the crash leaves the
+    chunks ingested so far ``done``, the ones in flight for the next
+    session's recovery and, unless the stream was drained, no census.
+    """
+    reported = 0
+
+    def crash(event):
+        nonlocal reported
+        if progress is not None:
+            progress(event)
+        reported += 1
+        if reported >= chunks:
+            raise Interrupted
+
+    try:
+        return runner.run(progress=crash)
+    except Interrupted:
+        return None
+
+
+def reopen_tail(db_path: str, campaign_id: str, first: int) -> None:
+    """Turn a finished store into one killed in its last in-flight window.
+
+    Such a kill leaves the census stored and chunks ``first`` onwards
+    claimed but never ingested; recovery makes them ``pending``, so that is
+    what they become here, without their result rows.
+    """
+    with closing(sqlite3.connect(db_path)) as conn, conn:
+        conn.execute("UPDATE chunks SET status = 'pending', worker = '' "
+                     "WHERE campaign_id = ? AND chunk_index >= ?", (campaign_id, first))
+        conn.execute("DELETE FROM results WHERE campaign_id = ? AND chunk_index >= ?",
+                     (campaign_id, first))
+        conn.execute("UPDATE campaigns SET status = 'running' WHERE campaign_id = ?",
+                     (campaign_id,))

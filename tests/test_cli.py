@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.ace import seq1_bounds
 from repro.cli.main import build_parser, main
+from repro.options import CampaignConfig
+from repro.service import DurableCampaignRunner
+
+from conftest import reopen_tail, run_until
 
 
 def test_study_command_prints_table1(capsys):
@@ -239,8 +244,22 @@ class TestMechanismCli:
         assert bug_lines(torn_out) == bug_lines(mechanism_out)
 
 
-class TestCampaignServiceCommands:
+class TestDurableCampaignCommands:
     CAMPAIGN = ["--preset", "seq-1", "--limit", "12", "--chunk-size", "4"]
+
+    def _durable(self, db, campaign_id):
+        """The CLI's durable campaign, run to completion under ``campaign_id``."""
+        assert main(["campaign", "--durable", "--state-db", db,
+                     "--campaign-id", campaign_id, *self.CAMPAIGN]) == 0
+
+    def _interrupted(self, db, campaign_id, chunks):
+        """A durable campaign crashed in-process after ``chunks`` chunks."""
+        config = CampaignConfig(bounds=seq1_bounds(), max_workloads=12, chunk_size=4)
+        runner = DurableCampaignRunner(config, db, campaign_id=campaign_id)
+        try:
+            assert run_until(runner, chunks) is None
+        finally:
+            runner.close()
 
     def test_durable_requires_state_db(self, capsys):
         assert main(["campaign", "--durable", *self.CAMPAIGN]) == 2
@@ -292,55 +311,45 @@ class TestCampaignServiceCommands:
 
     def test_progress_totals_and_eta_once_the_census_is_stored(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
-        main(["submit", "--state-db", db, "--name", "prog", *self.CAMPAIGN])
-        main(["serve", "--state-db", db, "--slice-chunks", "1", "--max-slices", "1"])
+        self._durable(db, "prog")
+        reopen_tail(db, "prog", 1)
         capsys.readouterr()
-        # The first slice drained the stream, so the stored census gives the
-        # resume session chunk/workload totals and an ETA.
+        # The stored census gives the resume session chunk/workload totals
+        # and an ETA.
         assert main(["resume", "--state-db", db, "prog", "--progress"]) == 0
         err = capsys.readouterr().err
         assert "chunk 2/3" in err
         assert "/12 workloads" in err
         assert "ETA" in err
 
-    def test_submit_serve_status_results_flow(self, tmp_path, capsys):
+    def test_durable_status_results_flow(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
-        assert main(["submit", "--state-db", db, "--tenant", "alice",
-                     *self.CAMPAIGN]) == 0
-        captured = capsys.readouterr()
-        campaign_id = captured.out.strip()
-        assert campaign_id == "alice-c1"
-        assert "queued" in captured.err
+        self._durable(db, "flow")
+        capsys.readouterr()
 
         assert main(["status", "--state-db", db]) == 0
-        assert "alice-c1" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith("flow ")
 
-        assert main(["serve", "--state-db", db, "--slice-chunks", "2"]) == 0
-        captured = capsys.readouterr()
-        assert "completed" in captured.err
-        assert "served" in captured.out
-
-        assert main(["status", "--state-db", db, campaign_id, "--usage"]) == 0
+        assert main(["status", "--state-db", db, "flow"]) == 0
         out = capsys.readouterr().out
         assert "done" in out
-        assert "tenant usage" in out
+        assert "chunks 3/3, 12/12 workloads" in out
 
         json_out = tmp_path / "r.json"
-        assert main(["results", "--state-db", db, campaign_id,
+        assert main(["results", "--state-db", db, "flow",
                      "--json-out", str(json_out)]) == 0
         assert json_out.exists()
 
     def test_results_of_unfinished_campaign_fail(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
-        main(["submit", "--state-db", db, "--name", "pending", *self.CAMPAIGN])
+        self._interrupted(db, "pending", 1)
         capsys.readouterr()
         assert main(["results", "--state-db", db, "pending"]) == 2
         assert "resume" in capsys.readouterr().err
 
-    def test_resume_finishes_a_served_slice(self, tmp_path, capsys):
+    def test_resume_finishes_an_interrupted_campaign(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
-        main(["submit", "--state-db", db, "--name", "halfway", *self.CAMPAIGN])
-        main(["serve", "--state-db", db, "--slice-chunks", "1", "--max-slices", "1"])
+        self._interrupted(db, "halfway", 1)
         capsys.readouterr()
         assert main(["resume", "--state-db", db, "halfway"]) == 0
         captured = capsys.readouterr()
@@ -349,6 +358,26 @@ class TestCampaignServiceCommands:
         assert main(["results", "--state-db", db, "halfway"]) == 0
 
     def test_status_of_empty_store(self, tmp_path, capsys):
-        db = str(tmp_path / "state.sqlite")
-        assert main(["status", "--state-db", db]) == 0
+        db = tmp_path / "state.sqlite"
+        db.touch()  # exists, holds nothing
+        assert main(["status", "--state-db", str(db)]) == 0
         assert "no campaigns" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["status"], ["status", "nope"], ["results", "nope"],
+                                         ["resume", "nope"]],
+                             ids=["status", "status-id", "results", "resume"])
+    def test_a_missing_store_is_refused_not_created(self, tmp_path, capsys, command):
+        db = tmp_path / "typo.sqlite"
+        assert main([command[0], "--state-db", str(db), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: no campaign state store at {str(db)!r}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["status", "results", "resume"])
+    def test_an_unknown_campaign_is_refused_in_one_line(self, tmp_path, capsys, command):
+        db = str(tmp_path / "state.sqlite")
+        self._durable(db, "known")
+        capsys.readouterr()
+        assert main([command, "--state-db", db, "nope"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown campaign 'nope'\n"
+        assert captured.out == ""

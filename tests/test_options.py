@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ace import seq1_bounds, seq2_bounds
+from repro.cli.main import _campaign_config as cli_config
 from repro.cli.main import build_parser, main
 from repro.core import B3Campaign
 from repro.crashmonkey import CrashMonkey
@@ -27,6 +28,8 @@ from repro.service import (
     DurableCampaignRunner,
     default_campaign_id,
 )
+
+from conftest import run_until
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -197,8 +200,7 @@ CAMPAIGN_FLAGS = HARNESS_FLAGS | {
 def test_the_derived_parsers_keep_the_flag_sets():
     assert _flags("test") == HARNESS_FLAGS
     assert _flags("campaign") == CAMPAIGN_FLAGS | {
-        "--progress", "--json-out", "--durable", "--state-db", "--campaign-id", "--tenant"}
-    assert _flags("submit") == CAMPAIGN_FLAGS | {"--state-db", "--tenant", "--name"}
+        "--progress", "--json-out", "--durable", "--state-db", "--campaign-id"}
 
 
 def test_resume_takes_exactly_the_execution_flags():
@@ -295,7 +297,7 @@ def uninterrupted():
 def _interrupt_then_resume(db_path, **execution):
     first = DurableCampaignRunner(_campaign_config(), db_path, campaign_id="c")
     try:
-        assert first.run(max_chunks=3) is None
+        assert run_until(first, 3) is None
     finally:
         first.close()
     runner = DurableCampaignRunner.from_db(db_path, "c", **execution)
@@ -324,15 +326,15 @@ def test_resuming_under_every_execution_option_at_once(tmp_path, uninterrupted):
 @pytest.mark.parametrize("name", TAGGED[EXECUTION])
 def test_execution_options_are_not_campaign_identity(name):
     base = CampaignConfig()
-    assert default_campaign_id("t", replace(base, **{name: _variant(name)})) == \
-        default_campaign_id("t", base)
+    assert default_campaign_id(replace(base, **{name: _variant(name)})) == \
+        default_campaign_id(base)
 
 
 @pytest.mark.parametrize("name", TAGGED[IDENTITY])
 def test_identity_options_name_a_different_campaign(tmp_path, name):
     base = CampaignConfig()
     changed = replace(base, **{name: _variant(name)})
-    assert default_campaign_id("t", changed) != default_campaign_id("t", base)
+    assert default_campaign_id(changed) != default_campaign_id(base)
     with CampaignStateDB(str(tmp_path / "s.sqlite")) as db:
         assert db.create_campaign("c", base.to_dict()) is True
         assert db.create_campaign("c", replace(base, processes=2).to_dict()) is False
@@ -346,10 +348,14 @@ def test_the_cli_resumes_under_execution_flags_and_refuses_identity_drift(tmp_pa
     db_path = str(tmp_path / "s.sqlite")
     campaign = ["campaign", "--durable", "--state-db", db_path, "--campaign-id", "c1",
                 "--preset", "seq-1", "--limit", "20", "--chunk-size", "4", "--patched"]
-    assert main(["submit", "--state-db", db_path, "--name", "c1", *campaign[6:]]) == 0
-    assert main(["serve", "--state-db", db_path, "--slice-chunks", "2", "--max-slices", "1"]) == 0
+    first = DurableCampaignRunner(cli_config(build_parser().parse_args(campaign)),
+                                  db_path, campaign_id="c1")
+    try:
+        assert run_until(first, 2) is None  # the CLI's campaign, crashed part-way
+    finally:
+        first.close()
     assert main([*campaign, "--spine-memory-budget", "65536", "--no-share-prefixes"]) == 0
-    capsys.readouterr()
+    assert "2 already done" in capsys.readouterr().err
     assert main([*campaign, "--torn-bound", "1"]) == 2
     error = capsys.readouterr().err
     assert re.fullmatch(r"error: campaign 'c1' was created with torn_bound=2, "

@@ -9,6 +9,7 @@ wall-clock timing and prefix/replay sharing telemetry legitimately differ
 between schedules (see ``CrashTestResult.SESSION_FIELDS``).
 """
 
+import json
 import os
 import signal
 import sqlite3
@@ -27,10 +28,14 @@ from repro.ace import (
     seq3_metadata_bounds,
     seq3_nested_bounds,
 )
+from repro.cli.main import main
 from repro.core.campaign import B3Campaign, CampaignConfig
+from repro.core.results import CampaignResult
 from repro.errors import CampaignDriftError
-from repro.service import CampaignStateDB, DurableCampaignRunner
+from repro.service import CampaignStateDB, DurableCampaignRunner, default_campaign_id
 from repro.service.runner import SELFCRASH_ENV
+
+from conftest import reopen_tail, run_until
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -120,74 +125,79 @@ def test_sigkilled_campaign_resumes_to_identical_results(tmp_path, uninterrupted
         .startswith("campaign seq-2")
 
 
-def test_interrupted_slices_in_process(tmp_path, uninterrupted):
-    """max_chunks slicing (the service path) is just a voluntary interrupt."""
+def _session(config, db_path, campaign_id, crash_after=None, progress=None):
+    """One durable session; crashed in-process after ``crash_after`` chunks."""
+    runner = DurableCampaignRunner(config, db_path, campaign_id=campaign_id)
+    try:
+        if crash_after is None:
+            return runner.run(progress=progress), runner.last_session
+        return run_until(runner, crash_after, progress), runner.last_session
+    finally:
+        runner.close()
+
+
+def test_interrupted_sessions_in_process(tmp_path, uninterrupted):
+    """Sessions crashed in-process after two chunks each finish the campaign."""
     db_path = str(tmp_path / "state.sqlite")
     sessions = []
     result = None
     for _ in range(100):
-        runner = DurableCampaignRunner(_config(), db_path, campaign_id="sliced")
-        try:
-            result = runner.run(max_chunks=2)
-            sessions.append(runner.last_session)
-        finally:
-            runner.close()
+        result, session = _session(_config(), db_path, "interrupted", crash_after=2)
+        sessions.append(session)
         if result is not None:
             break
     assert result is not None
     assert len(sessions) > 2  # genuinely ran as many separate sessions
     assert all(s.chunks_executed <= 2 for s in sessions)
+    assert sessions[1].chunks_skipped == 2  # each resumes where the last stopped
     assert result.canonical_dict() == uninterrupted.canonical_dict()
 
 
 def test_every_session_reports_where_the_whole_campaign_stands(tmp_path):
     """A fresh durable session already has the space index's workload total
     (hence an ETA) from its first event; a resumed one adds what the store
-    holds and the stored census's chunk total."""
+    holds, and once the census is stored, its chunk total."""
     config = _config()
     total = B3Campaign(config).workloads_total()
     db_path = str(tmp_path / "state.sqlite")
-    first, second = [], []
-    runner = DurableCampaignRunner(config, db_path, campaign_id="eta")
-    try:
-        assert runner.run(progress=first.append, max_chunks=3) is None
-    finally:
-        runner.close()
+    first, second, third = [], [], []
+    assert _session(config, db_path, "eta", 3, first.append)[0] is None
     assert first[0].workloads_total == total == 40
     assert first[0].chunks_total is None  # no census stored yet
     assert first[0].eta_seconds is not None
     assert [event.chunks_done for event in first] == [1, 2, 3]
-    runner = DurableCampaignRunner(config, db_path, campaign_id="eta")
-    try:
-        result = runner.run(progress=second.append)
-    finally:
-        runner.close()
+    result, _ = _session(config, db_path, "eta", progress=second.append)
     assert [event.chunks_done for event in second] == list(range(4, 4 + len(second)))
-    assert {event.chunks_total for event in second} == {len(first) + len(second)}
+    assert {event.chunks_total for event in second} == {None}  # the crash left no census
     assert {event.workloads_total for event in second} == {total}
     assert second[0].workloads_done == \
         first[-1].workloads_done + second[0].session_workloads
     assert second[-1].workloads_done == total
     assert second[-1].failing_workloads == result.failing_workloads
 
+    # Killed in its last in-flight window, a session leaves the census stored.
+    chunks = len(first) + len(second)
+    reopen_tail(db_path, "eta", 3)
+    assert _session(config, db_path, "eta", progress=third.append)[0].canonical_dict() == \
+        result.canonical_dict()
+    assert [event.chunks_done for event in third] == list(range(4, chunks + 1))
+    assert {event.chunks_total for event in third} == {chunks}
+    assert {event.workloads_total for event in third} == {total}
+    assert third[0].workloads_done == \
+        first[-1].workloads_done + third[0].session_workloads
+    assert third[-1].failing_workloads == result.failing_workloads
+
 
 def test_an_unlabelled_campaign_is_labelled_alike_fresh_or_resumed(tmp_path):
-    """A fresh durable run and a sliced-then-resumed one both label an
+    """A fresh durable run and an interrupted-then-resumed one both label an
     unlabelled campaign ``seq-<n>``, as a plain campaign does."""
     config = CampaignConfig(fs_name="btrfs", bounds=replace(seq1_bounds(), label=""),
                             max_workloads=12, chunk_size=4)
-    results = {}
-    for campaign_id, max_chunks in (("fresh", None), ("sliced", 1)):
-        result = None
-        while result is None:
-            runner = DurableCampaignRunner(config, str(tmp_path / "state.sqlite"),
-                                           campaign_id=campaign_id)
-            try:
-                result = runner.run(max_chunks=max_chunks)
-            finally:
-                runner.close()
-        results[campaign_id] = result
-    assert results["fresh"].canonical_dict() == results["sliced"].canonical_dict()
+    db_path = str(tmp_path / "state.sqlite")
+    results = {"fresh": _session(config, db_path, "fresh")[0]}
+    assert _session(config, db_path, "resumed", crash_after=1)[0] is None
+    results["resumed"] = _session(config, db_path, "resumed")[0]
+    assert results["fresh"].canonical_dict() == results["resumed"].canonical_dict()
     assert results["fresh"].label == B3Campaign(config).run().label == "seq-1"
 
 
@@ -247,11 +257,7 @@ def test_recovery_resets_orphaned_chunks(tmp_path):
 
 def test_resume_with_changed_config_is_rejected(tmp_path):
     db_path = str(tmp_path / "state.sqlite")
-    runner = DurableCampaignRunner(_config(), db_path, campaign_id="fixed")
-    try:
-        runner.run(max_chunks=1)
-    finally:
-        runner.close()
+    assert _session(_config(), db_path, "fixed", crash_after=1)[0] is None
     drifted = CampaignConfig(fs_name="btrfs", bounds=seq2_bounds(),
                              max_workloads=12, sample=True, chunk_size=4)
     runner = DurableCampaignRunner(drifted, db_path, campaign_id="fixed")
@@ -266,10 +272,30 @@ def test_resume_with_changed_config_is_rejected(tmp_path):
 
 
 def _old_store(db_path: str, **stored) -> None:
-    """A store as an older version left it: a campaign row whose config has
-    keys this version has no option for, a chunks table with a
+    """A store as an older version left it: a campaigns table with a
+    ``tenant`` column holding two owners' campaigns, ``old`` with a config
+    that has keys this version has no option for, a chunks table with a
     ``cross_deduped`` column, and the cross-workload dedup table."""
-    with closing(sqlite3.connect(db_path)) as conn:
+    payloads = {"old": {**_config().to_dict(), **stored},
+                "other": _config(torn_bound=1).to_dict()}
+    with closing(sqlite3.connect(db_path)) as conn, conn:
+        conn.executescript(
+            "CREATE TABLE campaigns (campaign_id TEXT PRIMARY KEY,"
+            " tenant TEXT NOT NULL DEFAULT 'default', label TEXT NOT NULL DEFAULT '',"
+            " fs_name TEXT NOT NULL DEFAULT '', fs_model TEXT NOT NULL DEFAULT '',"
+            " status TEXT NOT NULL DEFAULT 'queued', config_json TEXT NOT NULL,"
+            " census_done INTEGER NOT NULL DEFAULT 0,"
+            " invalid_workloads INTEGER NOT NULL DEFAULT 0,"
+            " generation_seconds REAL NOT NULL DEFAULT 0,"
+            " testing_seconds REAL NOT NULL DEFAULT 0);"
+        )
+        campaign = B3Campaign(_config())
+        conn.executemany(
+            "INSERT INTO campaigns (campaign_id, tenant, label, fs_name, fs_model, config_json)"
+            " VALUES (?, ?, ?, ?, ?, ?)",
+            [(campaign_id, tenant, campaign.label, campaign.fs_name, campaign.fs_model,
+              json.dumps(payloads[campaign_id], sort_keys=True))
+             for campaign_id, tenant in (("old", "default"), ("other", "alice"))])
         conn.executescript(
             "CREATE TABLE chunks (campaign_id TEXT NOT NULL, chunk_index INTEGER NOT NULL,"
             " chunk_key TEXT NOT NULL, workloads INTEGER NOT NULL,"
@@ -284,9 +310,6 @@ def _old_store(db_path: str, **stored) -> None:
             " chunk_index INTEGER NOT NULL, PRIMARY KEY (scope, key));"
             "INSERT INTO dedup_sightings VALUES ('old', 'k', 0);"
         )
-    with CampaignStateDB(db_path) as db:
-        payload = {**_config().to_dict(), **stored}
-        db.create_campaign("old", payload, label="seq-2", fs_name="btrfs", fs_model="btrfs")
 
 
 def test_a_campaign_created_with_cross_workload_dedup_is_refused(tmp_path):
@@ -358,28 +381,49 @@ def test_recovery_on_an_old_store_leaves_its_dedup_table_alone(tmp_path):
         assert conn.execute("SELECT * FROM dedup_sightings").fetchall() == [("old", "k", 0)]
 
 
-def test_an_old_store_resumes_a_default_campaign(tmp_path, uninterrupted):
+def test_an_old_store_resumes_a_default_campaign(tmp_path, capsys, uninterrupted):
+    """Both of an old store's campaigns are listed, whatever their owner, and
+    one of them resumes to the uninterrupted result."""
     db_path = str(tmp_path / "state.sqlite")
     _old_store(db_path, cross_workload_dedup=False, global_dedup_cache=None,
                dedup_scope=None)
-    runner = DurableCampaignRunner.from_db(db_path, "old")
-    try:
-        resumed = runner.run()
-    finally:
-        runner.close()
+    assert main(["status", "--state-db", db_path]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in listed] == [["old", "queued"], ["other", "queued"]]
+    assert main(["resume", "--state-db", db_path, "old"]) == 0
+    result_json = tmp_path / "old.json"
+    assert main(["results", "--state-db", db_path, "old", "--json-out", str(result_json)]) == 0
+    resumed = CampaignResult.from_dict(json.loads(result_json.read_text()))
     assert resumed.canonical_dict() == uninterrupted.canonical_dict()
     with CampaignStateDB(db_path) as db:
-        assert db.status("old").complete
-        assert db.tenant_usage()[0].workloads == 40
+        assert [(status.campaign_id, status.complete) for status in db.statuses()] == \
+            [("old", True), ("other", False)]
+        assert db.status("old").workloads_done == 40
+
+
+def test_a_runner_leaves_a_borrowed_store_open(tmp_path):
+    with CampaignStateDB(str(tmp_path / "state.sqlite")) as db:
+        runner = DurableCampaignRunner(replace(_config(), max_workloads=8), db,
+                                       campaign_id="borrowed")
+        runner.run()
+        runner.close()  # must not close the borrowed handle
+        assert db.status("borrowed").complete
+        runner = DurableCampaignRunner.from_db(db, "borrowed")
+        runner.close()
+        assert db.status("borrowed").workloads_done == 8
 
 
 def test_default_campaign_id_is_config_deterministic():
-    from repro.service import default_campaign_id
-
-    a = default_campaign_id("alice", _config())
-    assert a == default_campaign_id("alice", _config())
-    assert a != default_campaign_id("bob", _config())
+    a = default_campaign_id(_config())
+    assert a == default_campaign_id(_config())
     # Execution options are not identity: the same campaign under another
     # worker count resumes itself; another bound is another campaign.
-    assert a == default_campaign_id("alice", _config(processes=2))
-    assert a != default_campaign_id("alice", _config(torn_bound=1))
+    assert a == default_campaign_id(_config(processes=2))
+    assert a != default_campaign_id(_config(torn_bound=1))
+
+
+def test_default_campaign_ids_are_the_ones_older_stores_hold():
+    """Re-running an ad-hoc ``campaign --durable`` written by an older version
+    resumes its campaign instead of starting a twin under a new id."""
+    assert default_campaign_id(_config()) == "dur-3d1c60257256"
+    assert default_campaign_id(CampaignConfig()) == "dur-5ad77329fc72"

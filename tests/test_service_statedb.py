@@ -4,6 +4,7 @@ import pytest
 
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine.backends import ChunkOutcome
+from repro.errors import ReproError, UnknownCampaignError
 from repro.service import CampaignStateDB
 from repro.service import api
 from repro.workload import parse_workload
@@ -47,7 +48,6 @@ def _outcome(index: int, names, reports: int = 0) -> ChunkOutcome:
 def test_create_campaign_is_idempotent(db):
     assert db.create_campaign("c1", CONFIG) is True
     assert db.create_campaign("c1", CONFIG) is False
-    assert db.campaign_exists("c1")
     assert db.load_config("c1") == CONFIG
 
 
@@ -58,10 +58,24 @@ def test_create_campaign_rejects_config_drift(db):
 
 
 def test_unknown_campaign_raises(db):
-    with pytest.raises(KeyError):
-        db.load_config("ghost")
-    with pytest.raises(KeyError):
-        db.campaign_row("ghost")
+    for lookup in (db.load_config, db.campaign_row, db.status):
+        with pytest.raises(UnknownCampaignError) as unknown:
+            lookup("ghost")
+        # A KeyError to the library, a one-line refusal to the CLI.
+        assert isinstance(unknown.value, KeyError)
+        assert isinstance(unknown.value, ReproError)
+        assert str(unknown.value) == "unknown campaign 'ghost'"
+
+
+def test_opening_an_existing_store_never_creates_one(tmp_path):
+    path = tmp_path / "typo.sqlite"
+    with pytest.raises(UnknownCampaignError, match="no campaign state store at"):
+        CampaignStateDB.existing(str(path))
+    assert not path.exists()
+    with CampaignStateDB(str(path)) as store:
+        store.create_campaign("c1", CONFIG)
+    with CampaignStateDB.existing(str(path)) as store:
+        assert store.load_config("c1") == CONFIG
 
 
 def test_set_status_validates(db):
@@ -70,17 +84,6 @@ def test_set_status_validates(db):
     assert db.campaign_row("c1")["status"] == api.RUNNING
     with pytest.raises(ValueError):
         db.set_status("c1", "exploded")
-
-
-def test_next_campaign_id_counts_per_tenant(db):
-    assert db.next_campaign_id("alice") == "alice-c1"
-    db.create_campaign("alice-c1", CONFIG, tenant="alice")
-    assert db.next_campaign_id("alice") == "alice-c2"
-    assert db.next_campaign_id("bob") == "bob-c1"
-    # A colliding handed-out name is skipped, not reused.
-    db.create_campaign("alice-c2", CONFIG, tenant="alice")
-    db.create_campaign("alice-c3", CONFIG, tenant="alice")
-    assert db.next_campaign_id("alice") == "alice-c4"
 
 
 # --------------------------------------------------------------------- chunks
@@ -111,17 +114,13 @@ def test_recover_from_crash_resets_processing_chunks(db):
     db.claim_chunk("c1", 0)
     db.claim_chunk("c1", 1)
     db.ingest_outcome("c1", _outcome(1, ["a"]))  # chunk 1 completed before the crash
+    db.create_campaign("c2", CONFIG)
+    db.register_chunks("c2", [(0, "k0", 4)])
+    db.claim_chunk("c2", 0)
     assert db.recover_from_crash("c1") == 1  # only chunk 0 was orphaned
     assert db.claim_chunk("c1", 0) is True  # claimable again
     assert db.done_chunk_indices("c1") == {1}  # done work untouched
-
-
-def test_recover_from_crash_can_sweep_the_whole_store(db):
-    for cid in ("c1", "c2"):
-        db.create_campaign(cid, CONFIG)
-        db.register_chunks(cid, [(0, "k0", 2)])
-        db.claim_chunk(cid, 0)
-    assert db.recover_from_crash() == 2
+    assert db.chunk_states("c2") == {api.PROCESSING: (1, 4)}  # another campaign's
 
 
 def test_ingest_refuses_double_counting(db):
@@ -161,7 +160,7 @@ def test_campaign_result_reconstructs_in_stream_order(db):
 # ---------------------------------------------------------------------- views
 
 def test_status_view(db):
-    db.create_campaign("c1", CONFIG, tenant="alice", label="seq-1")
+    db.create_campaign("c1", CONFIG, label="seq-1")
     db.register_chunks("c1", [(0, "k0", 2), (1, "k1", 2)])
     status = db.status("c1")
     assert (status.chunks_done, status.chunks_total) == (0, 2)
@@ -171,7 +170,7 @@ def test_status_view(db):
     status = db.status("c1")
     assert (status.chunks_done, status.workloads_done) == (1, 2)
     assert status.raw_reports == 2
-    assert "alice" in status.describe()
+    assert status.describe().startswith("c1")
     db.claim_chunk("c1", 1)
     db.ingest_outcome("c1", _outcome(1, ["c", "d"]))
     # `complete` follows the campaign lifecycle flag (the runner flips it
@@ -181,35 +180,10 @@ def test_status_view(db):
     assert db.status("c1").complete
 
 
-def test_statuses_filter_by_tenant(db):
-    db.create_campaign("a1", CONFIG, tenant="alice")
-    db.create_campaign("b1", CONFIG, tenant="bob")
-    assert [s.campaign_id for s in db.statuses()] == ["a1", "b1"]
-    assert [s.campaign_id for s in db.statuses("bob")] == ["b1"]
-
-
-def test_runnable_by_tenant_excludes_done(db):
-    db.create_campaign("a1", CONFIG, tenant="alice")
-    db.create_campaign("a2", CONFIG, tenant="alice")
-    db.create_campaign("b1", CONFIG, tenant="bob")
-    db.set_status("a1", api.DONE)
-    assert db.runnable_by_tenant() == {"alice": ["a2"], "bob": ["b1"]}
-
-
-def test_tenant_usage_sums_done_chunks_only(db):
-    db.create_campaign("a1", CONFIG, tenant="alice")
-    db.register_chunks("a1", [(0, "k0", 2), (1, "k1", 2)])
-    db.claim_chunk("a1", 0)
-    db.ingest_outcome("a1", _outcome(0, ["a", "b"], reports=1))
-    db.create_campaign("b1", CONFIG, tenant="bob")  # no chunks done
-    usage = {u.tenant: u for u in db.tenant_usage()}
-    alice, bob = usage["alice"], usage["bob"]
-    assert (alice.campaigns, alice.chunks, alice.workloads) == (1, 1, 2)
-    assert alice.raw_reports == 2
-    assert alice.scenarios_tested == 4
-    assert alice.worker_seconds > 0
-    assert (bob.campaigns, bob.chunks, bob.workloads) == (1, 0, 0)
-    assert "alice" in alice.describe()
+def test_statuses_list_campaigns_in_creation_order(db):
+    db.create_campaign("b1", CONFIG)
+    db.create_campaign("a1", CONFIG)
+    assert [s.campaign_id for s in db.statuses()] == ["b1", "a1"]
 
 
 def test_store_reopens_from_disk(tmp_path):

@@ -59,7 +59,7 @@ from repro.storage.block import SECTORS_PER_BLOCK
 from repro.workload import parse_workload
 
 import differential
-from conftest import SIBLING_A, SIBLING_B, SMALL_DEVICE_BLOCKS
+from conftest import SIBLING_A, SIBLING_B, SMALL_DEVICE_BLOCKS, run_until
 from differential import ALL_FS
 
 MULTI_STATE_PLANS = ["reorder", "torn", "mechanism"]
@@ -546,7 +546,7 @@ def test_serial_pool_and_resumed_durable_campaigns_agree_on_the_counter(tmp_path
 
     db_path = str(tmp_path / "state.sqlite")
     interrupted = DurableCampaignRunner(config, db_path, campaign_id="memo")
-    interrupted.run(max_chunks=3)
+    assert run_until(interrupted, 3) is None
     interrupted.close()
     resumed_runner = DurableCampaignRunner(config, db_path, campaign_id="memo")
     resumed = resumed_runner.run()
