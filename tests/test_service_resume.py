@@ -31,7 +31,7 @@ from repro.ace import (
 from repro.cli.main import main
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.core.results import CampaignResult
-from repro.errors import CampaignDriftError
+from repro.errors import CampaignDriftError, UnknownCampaignError
 from repro.service import CampaignStateDB, DurableCampaignRunner, default_campaign_id
 from repro.service.runner import SELFCRASH_ENV
 
@@ -411,6 +411,23 @@ def test_a_runner_leaves_a_borrowed_store_open(tmp_path):
         runner = DurableCampaignRunner.from_db(db, "borrowed")
         runner.close()
         assert db.status("borrowed").workloads_done == 8
+
+
+def test_resuming_from_a_missing_store_creates_none(tmp_path):
+    path = tmp_path / "typo.sqlite"
+    with pytest.raises(UnknownCampaignError, match="no campaign state store"):
+        DurableCampaignRunner.from_db(str(path), "victim")
+    assert not path.exists()
+
+
+def test_resuming_an_unknown_campaign_leaves_a_borrowed_store_usable(tmp_path):
+    with CampaignStateDB(str(tmp_path / "state.sqlite")) as db:
+        with pytest.raises(UnknownCampaignError, match="unknown campaign 'ghost'"):
+            DurableCampaignRunner.from_db(db, "ghost")
+        runner = DurableCampaignRunner(replace(_config(), max_workloads=4), db,
+                                       campaign_id="next")
+        runner.run()
+        assert db.status("next").complete
 
 
 def test_default_campaign_id_is_config_deterministic():

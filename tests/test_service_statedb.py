@@ -1,5 +1,8 @@
 """The campaign state store: chunk lifecycle, recovery, dedup-at-write."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.crashmonkey.report import CrashTestResult
@@ -78,6 +81,58 @@ def test_opening_an_existing_store_never_creates_one(tmp_path):
         assert store.load_config("c1") == CONFIG
 
 
+def test_record_enumeration_sets_invalid_count_and_adds_generation_time(db):
+    db.create_campaign("c1", CONFIG)
+    db.record_enumeration("c1", invalid_workloads=3, generation_seconds=1.5)
+    # A second session re-enumerates: the invalid count is the config's,
+    # the generation time is work it paid again.
+    db.record_enumeration("c1", invalid_workloads=3, generation_seconds=0.5)
+    row = db.campaign_row("c1")
+    assert row["invalid_workloads"] == 3
+    assert row["generation_seconds"] == pytest.approx(2.0)
+
+
+def test_testing_seconds_accumulate_across_sessions(db):
+    db.create_campaign("c1", CONFIG)
+    db.add_testing_seconds("c1", 1.25)
+    db.add_testing_seconds("c1", 0.75)
+    assert db.campaign_row("c1")["testing_seconds"] == pytest.approx(2.0)
+    assert db.status("c1").testing_seconds == pytest.approx(2.0)
+
+
+def test_the_first_stored_mechanism_report_wins(db):
+    db.create_campaign("c1", CONFIG)
+    assert db.load_mechanism_report("c1") is None
+    db.save_mechanism_report("c1", {"schema": 2, "evidence": ["first"]})
+    db.save_mechanism_report("c1", {"schema": 2, "evidence": ["second"]})
+    assert db.load_mechanism_report("c1") == {"schema": 2, "evidence": ["first"]}
+
+
+def test_an_old_store_with_a_tenant_column_takes_new_campaigns(tmp_path):
+    path = str(tmp_path / "old.sqlite")
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute(
+            "CREATE TABLE campaigns (campaign_id TEXT PRIMARY KEY,"
+            " tenant TEXT NOT NULL DEFAULT 'default', label TEXT NOT NULL DEFAULT '',"
+            " fs_name TEXT NOT NULL DEFAULT '', fs_model TEXT NOT NULL DEFAULT '',"
+            " status TEXT NOT NULL DEFAULT 'queued', config_json TEXT NOT NULL,"
+            " census_done INTEGER NOT NULL DEFAULT 0,"
+            " invalid_workloads INTEGER NOT NULL DEFAULT 0,"
+            " generation_seconds REAL NOT NULL DEFAULT 0,"
+            " testing_seconds REAL NOT NULL DEFAULT 0)"
+        )
+        conn.execute("INSERT INTO campaigns (campaign_id, tenant, config_json) "
+                     "VALUES ('a1', 'alice', ?)", ('{"fs_name": "btrfs"}',))
+    with CampaignStateDB.existing(path) as store:
+        assert store.create_campaign("c1", CONFIG) is True
+        assert [s.campaign_id for s in store.statuses()] == ["a1", "c1"]
+        assert store.load_config("c1") == CONFIG
+    # The ignored column's default keeps the new row valid.
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("SELECT campaign_id, tenant FROM campaigns ORDER BY rowid"
+                            ).fetchall() == [("a1", "alice"), ("c1", "default")]
+
+
 def test_set_status_validates(db):
     db.create_campaign("c1", CONFIG)
     db.set_status("c1", api.RUNNING)
@@ -99,6 +154,38 @@ def test_chunk_lifecycle(db):
     states = db.chunk_states("c1")
     assert states[api.CHUNK_DONE] == (1, 4)
     assert states[api.PENDING] == (1, 4)
+
+
+def test_only_a_pending_chunk_can_be_claimed(db):
+    db.create_campaign("c1", CONFIG)
+    db.create_campaign("c2", CONFIG)
+    db.register_chunks("c1", [(0, "k0", 2)])
+    db.register_chunks("c2", [(0, "k0", 2)])
+    assert db.claim_chunk("c1", 5) is False  # never registered
+    assert db.claim_chunk("c1", 0) is True
+    db.ingest_outcome("c1", _outcome(0, ["a", "b"]))
+    assert db.claim_chunk("c1", 0) is False  # done stays done
+    # Another campaign's chunk of the same index is its own.
+    assert db.claim_chunk("c2", 0) is True
+
+
+def test_census_is_incomplete_until_a_session_marks_it(db):
+    assert db.census_complete("ghost") is False
+    db.create_campaign("c1", CONFIG)
+    db.register_chunks("c1", [(0, "k0", 4)])
+    assert db.census_complete("c1") is False
+    db.mark_census_complete("c1")
+    assert db.census_complete("c1") is True
+
+
+def test_chunk_totals_count_every_registered_chunk(db):
+    db.create_campaign("c1", CONFIG)
+    assert db.chunk_totals("c1") == (0, 0)
+    db.register_chunks("c1", [(0, "k0", 4), (1, "k1", 3)])
+    db.claim_chunk("c1", 0)
+    db.ingest_outcome("c1", _outcome(0, ["a", "b", "c", "d"]))
+    db.claim_chunk("c1", 1)  # in flight still counts
+    assert db.chunk_totals("c1") == (2, 7)
 
 
 def test_register_chunks_detects_stream_drift(db):
@@ -142,6 +229,28 @@ def test_ingest_of_unregistered_chunk_raises(db):
         db.ingest_outcome("c1", _outcome(7, ["a"]))
 
 
+def test_a_refused_ingest_leaves_no_transaction_open(db):
+    db.create_campaign("c1", CONFIG)
+    db.register_chunks("c1", [(0, "k0", 1)])
+    db.claim_chunk("c1", 0)
+    with pytest.raises(KeyError):
+        db.ingest_outcome("c1", _outcome(7, ["a"]))
+    # The failed ingest rolled back: the next one opens its own transaction.
+    assert db.ingest_outcome("c1", _outcome(0, ["a"])) is True
+    assert db.done_chunk_indices("c1") == {0}
+
+
+def test_results_are_kept_per_campaign(db):
+    for campaign_id, names in (("c1", ["a", "b"]), ("c2", ["x"])):
+        db.create_campaign(campaign_id, CONFIG)
+        db.register_chunks(campaign_id, [(0, "k0", len(names))])
+        db.claim_chunk(campaign_id, 0)
+        db.ingest_outcome(campaign_id, _outcome(0, names))
+    assert [r.workload.name for r in db.campaign_result("c1").results] == ["a", "b"]
+    assert [r.workload.name for r in db.campaign_result("c2").results] == ["x"]
+    assert len(list(db.iter_result_payloads("c2"))) == 1
+
+
 def test_campaign_result_reconstructs_in_stream_order(db):
     db.create_campaign("c1", CONFIG, fs_name="btrfs", fs_model="btrfs-sim",
                        label="seq-1")
@@ -178,6 +287,17 @@ def test_status_view(db):
     assert not db.status("c1").complete
     db.set_status("c1", api.DONE)
     assert db.status("c1").complete
+
+
+def test_status_counts_chunks_in_flight(db):
+    db.create_campaign("c1", CONFIG)
+    db.register_chunks("c1", [(0, "k0", 2), (1, "k1", 2)])
+    assert db.status("c1").chunks_processing == 0
+    assert "in flight" not in db.status("c1").describe()
+    db.claim_chunk("c1", 1)
+    status = db.status("c1")
+    assert status.chunks_processing == 1
+    assert "chunks 0/2 (+1 in flight)," in status.describe()
 
 
 def test_statuses_list_campaigns_in_creation_order(db):
