@@ -9,7 +9,10 @@ sequence tag, and N-way replicated metadata recovered newest-wins.  The
 inferred :class:`MechanismReport` feeds the ``mechanism`` crash planner,
 which collapses the drop/tear cross-product to a few representative states
 per mechanism epoch, and the ``analyze`` CLI subcommand, which prints the
-report without running any crash state.
+report without running any crash state.  Of the crash-testing layers only
+:mod:`repro.crashmonkey.crashplan` imports this package: its
+``MechanismPlanner.for_profile`` runs the audited analysis of one workload
+and binds the plan to it.
 
 A second pass — the cross-mechanism contract auditor in
 :mod:`repro.analysis.audit` — re-checks every claim in the report against

@@ -299,7 +299,6 @@ def cmd_analyze(args) -> int:
     projected fleet-cost reduction.  No crash state is constructed, mounted
     or checked.
     """
-    from ..analysis.audit import audited_analysis
     from ..cluster.cost import CostModel
     from ..crashmonkey.replayer import CrashStateGenerator
 
@@ -308,9 +307,6 @@ def cmd_analyze(args) -> int:
     workload = parse_workload(text, name=args.workload)
     harness = CrashMonkey(args.fs_name, bugs=_bugs_from_args(args))
     profile = harness.profile(workload)
-    report = audited_analysis(profile.io_log, harness.fs_name)
-    print(report.summary())
-
     exhaustive = sum(1 for _ in CrashStateGenerator(
         profile, planner=make_planner("torn", args.reorder_bound, args.torn_bound),
     ).scenario_plan())
@@ -318,7 +314,11 @@ def cmd_analyze(args) -> int:
         profile, planner=make_planner("mechanism", args.reorder_bound, args.torn_bound),
     )
     pruned = sum(1 for _ in mechanism_generator.scenario_plan())
-    window_kinds = mechanism_generator.window_kinds()
+    # The plan the generator enumerated holds the workload's audited report
+    # and counted every checkpoint's window by kind.
+    report = mechanism_generator.plan.report
+    window_kinds = mechanism_generator.plan.window_kinds
+    print(report.summary())
     if window_kinds:
         described = ", ".join(
             f"{kind}: {count}" for kind, count in sorted(window_kinds.items())

@@ -38,12 +38,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..analysis.audit import audited_analysis
 from ..analysis.mechanisms import MechanismReport, WriteClass, classify_write
-from ..errors import WorkloadError
+from ..errors import HarnessError, WorkloadError
 from ..storage.block import SECTORS_PER_BLOCK
 from ..storage.io_request import IORequest
+
+if TYPE_CHECKING:
+    from .recorder import WorkloadProfile
 
 #: Scenario id of the fully-persisted state at a checkpoint (the only state
 #: the prefix plan tests, and the reorder plan's baseline).
@@ -90,6 +94,14 @@ class CrashPlanner:
 
     name = "abstract"
 
+    def for_profile(self, profile: WorkloadProfile) -> CrashPlanner:
+        """The plan whose :meth:`scenarios` enumerate ``profile``'s checkpoints.
+
+        The generator asks once per workload, before the first scenario.
+        Planners that keep no per-workload state are their own plan.
+        """
+        return self
+
     def scenarios(self, checkpoint_id: int,
                   window: Sequence[IORequest]) -> Iterator[CrashScenario]:
         """Yield the scenarios to test at ``checkpoint_id``.
@@ -99,25 +111,6 @@ class CrashPlanner:
         included — planners must never drop those).
         """
         raise NotImplementedError
-
-    #: whether the generator should infer a mechanism report for this planner
-    consumes_report = False
-
-    def attach_report(self, report: Optional[MechanismReport]) -> None:
-        """Take the current workload's inferred report, before enumeration.
-
-        The harness tests workloads sequentially, so a single planner
-        instance carries one workload's report at a time.
-        """
-
-    def classified(self, window: Sequence[IORequest]) -> Optional[Tuple[str, Optional[tuple]]]:
-        """The window's kind and decomposition; ``None`` = does not classify."""
-        return None
-
-    def classify_window(self, window: Sequence[IORequest]) -> Optional[str]:
-        """Which pruning (if any) applies to a checkpoint's in-flight window."""
-        classified = self.classified(window)
-        return classified[0] if classified is not None else None
 
 
 class PrefixPlanner(CrashPlanner):
@@ -286,9 +279,9 @@ class TornWritePlanner(ReorderPlanner):
 class MechanismPlanner(CrashPlanner):
     """Mechanism-epoch pruning: representative states instead of cross-products.
 
-    Uses the statically inferred :class:`~repro.analysis.MechanismReport`
-    (attached per workload via :meth:`attach_report` before enumeration) plus
-    a content classification of each checkpoint's in-flight window to emit
+    Uses the statically inferred :class:`~repro.analysis.MechanismReport` of
+    one workload (:meth:`for_profile` binds a fresh plan to it) plus a
+    content classification of each checkpoint's in-flight window to emit
     only the states that are *distinguishable under the mechanism's recovery
     invariant*.  The droppable writes of a window are decomposed into five
     component kinds (a window may mix them — e.g. flashfs commits a log entry,
@@ -342,29 +335,47 @@ class MechanismPlanner(CrashPlanner):
     never silently under-tested.  Windows whose explaining evidence the
     contract auditor *demoted* are classified ``demoted`` and delegated the
     same way, but counted separately so harness results show when the
-    fallback was audit-driven.  The exhaustive-comparison tests
+    fallback was audit-driven.  A bound plan counts its windows by kind in
+    :attr:`window_kinds` and keeps the ``CrashTestResult`` counters of the
+    same names (``mechanism_checkpoints``, ``mechanism_fallback_checkpoints``,
+    ``mechanism_demoted_checkpoints``, ``audit_demotions``), which the harness
+    gathers from it.  The exhaustive-comparison tests
     (`tests/test_mechanism_soundness.py`) pin the pruned bug set to the
     exhaustive one over the seq-1 space and a seq-2 slice.
     """
 
     name = "mechanism"
-    consumes_report = True
 
-    #: window classifications (``classify_window`` return values)
+    #: window classifications (the keys of :attr:`window_kinds`)
     WINDOW_EMPTY = "empty"
     WINDOW_MECHANISM = "mechanism"
     WINDOW_EXHAUSTIVE = "exhaustive"
     WINDOW_DEMOTED = "demoted"
     WINDOW_REPLICA = "replica-transition"
 
-    def __init__(self, reorder_bound: int = 2, torn_bound: int = 2):
+    def __init__(self, reorder_bound: int = 2, torn_bound: int = 2,
+                 report: Optional[MechanismReport] = None):
         self._fallback = TornWritePlanner(torn_bound=torn_bound, reorder_bound=reorder_bound)
-        self._report: Optional[MechanismReport] = None
+        #: the audited report of the workload this plan is bound to (``None``:
+        #: unbound, enumerates nothing); one with no inferred mechanism
+        #: switches every checkpoint to the exhaustive fallback
+        self.report = report
+        #: window kind -> checkpoints enumerated under it (the ``analyze`` view)
+        self.window_kinds: Dict[str, int] = {}
+        self.mechanism_checkpoints = 0
+        self.mechanism_fallback_checkpoints = 0
+        self.mechanism_demoted_checkpoints = 0
+        self.audit_demotions = report.demotions if report is not None else 0
 
-    def attach_report(self, report: Optional[MechanismReport]) -> None:
-        """``None`` — or a report with no inferred mechanism — switches every
-        checkpoint of the workload to the exhaustive fallback."""
-        self._report = report
+    def for_profile(self, profile: WorkloadProfile) -> MechanismPlanner:
+        """A fresh plan bound to ``profile``'s audited mechanism report.
+
+        The analysis folds the finished recorded stream, and the contract
+        auditor demotes every claim the stream's fence/FUA edges violate
+        before any window is classified.
+        """
+        return MechanismPlanner(self._fallback.bound, self._fallback.torn_bound,
+                                report=audited_analysis(profile.io_log, profile.fs_name))
 
     # ------------------------------------------------------------ classification
 
@@ -378,14 +389,11 @@ class MechanismPlanner(CrashPlanner):
         WriteClass.REPLICA: "replicated-metadata",
     }
 
-    def classified(self, window: Sequence[IORequest]) -> Tuple[str, Optional[tuple]]:
-        """The window's kind and, when that is ``mechanism``, its decomposition.
-
-        What :meth:`scenarios` enumerates from.  A caller that also wants the
-        kind (the generator counts kinds per checkpoint) calls this once and
-        hands the pair to :meth:`scenarios`, so each window's payloads are
-        parsed once.
-        """
+    def _classify(self, window: Sequence[IORequest]) -> Tuple[str, Optional[tuple]]:
+        """The window's kind and, when that is ``mechanism``, its decomposition."""
+        report = self.report
+        if report is None:
+            raise HarnessError("an unbound mechanism plan: enumerate for_profile(profile)")
         by_block = ReorderPlanner._droppable_by_block(window)
         if not by_block:
             if any(
@@ -398,8 +406,7 @@ class MechanismPlanner(CrashPlanner):
                 # is the baseline itself.
                 return self.WINDOW_REPLICA, None
             return self.WINDOW_EMPTY, None
-        report = self._report
-        if report is None or not (report.has_mechanisms or report.demotions):
+        if not (report.has_mechanisms or report.demotions):
             return self.WINDOW_EXHAUSTIVE, None
         parts = self._decompose(by_block)
         if parts is None:
@@ -526,16 +533,20 @@ class MechanismPlanner(CrashPlanner):
 
     # ------------------------------------------------------------ enumeration
 
-    def scenarios(self, checkpoint_id: int, window: Sequence[IORequest],
-                  classified: Optional[Tuple[str, Optional[tuple]]] = None
-                  ) -> Iterator[CrashScenario]:
-        kind, parts = classified if classified is not None else self.classified(window)
+    def scenarios(self, checkpoint_id: int,
+                  window: Sequence[IORequest]) -> Iterator[CrashScenario]:
+        kind, parts = self._classify(window)
+        self.window_kinds[kind] = self.window_kinds.get(kind, 0) + 1
         if kind in (self.WINDOW_EXHAUSTIVE, self.WINDOW_DEMOTED):
             # Never silently under-test: unattributed windows, workloads
             # with no inferred mechanism, and windows whose evidence the
             # contract auditor demoted all get the full exhaustive plan.
+            # Audit-driven fallbacks are counted apart.
+            self.mechanism_fallback_checkpoints += 1
+            self.mechanism_demoted_checkpoints += kind == self.WINDOW_DEMOTED
             yield from self._fallback.scenarios(checkpoint_id, window)
             return
+        self.mechanism_checkpoints += kind != self.WINDOW_EMPTY
         yield CrashScenario(
             checkpoint_id=checkpoint_id,
             plan=self.name,

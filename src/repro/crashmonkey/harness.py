@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator, List, Optional
 
-from ..analysis.mechanisms import MechanismReport
 from ..errors import HarnessError
 from ..fs.bugs import BugConfig
 from ..fs.registry import models, resolve_fs_name
@@ -27,10 +26,10 @@ from ..options import HarnessSpec
 from ..storage.spill import SpineStore
 from ..workload.workload import Workload
 from .checker import CheckPipeline
-from .crashplan import make_planner
+from .crashplan import MechanismPlanner, MechanismReport, make_planner
 from .recorder import PlanStep, WorkloadProfile, WorkloadRecorder, plan_spine
 from .replayer import CrashStateGenerator
-from .report import GENERATOR, HARNESS_ERROR, PROFILE, BugReport, CrashTestResult, Mismatch
+from .report import GENERATOR, HARNESS_ERROR, PLAN, PROFILE, BugReport, CrashTestResult, Mismatch
 
 
 class CrashMonkey:
@@ -55,14 +54,11 @@ class CrashMonkey:
         self.fs_name = resolve_fs_name(spec.fs_name)
         self.fs_model = models(self.fs_name)
         self.bugs = spec.bugs if spec.bugs is not None else BugConfig.all_for(self.fs_name)
-        #: mechanism report inferred for the most recently tested workload
-        #: (None until a workload ran with analysis enabled)
-        self.last_mechanism_report: Optional[MechanismReport] = None
-        # One planner instance serves every workload: prefix/reorder/torn are
-        # stateless, and the mechanism planner's only state (the attached
-        # report) is re-attached by the generator before each workload's
-        # scenarios are enumerated.  Building it here fails fast on a bad
-        # plan name or bound.
+        # One planner serves every workload: each workload's generator
+        # enumerates ``planner.for_profile(profile)``, which is the planner
+        # itself for prefix/reorder/torn and a fresh plan bound to the
+        # workload's analysis for mechanism.  Building it here fails fast on a
+        # bad plan name or bound.
         self.planner = make_planner(spec.crash_plan, spec.reorder_bound, spec.torn_bound)
         #: the budgeted spill store of the recorder's spine
         self.spine_store = SpineStore(memory_budget=spec.spine_memory_budget,
@@ -82,16 +78,12 @@ class CrashMonkey:
         return self.recorder.profile(workload)
 
     def analyze(self, workload: Workload) -> MechanismReport:
-        """Profile the workload and statically analyze its recorded stream.
+        """Profile the workload and return the audited report a mechanism
+        plan of it is bound to.
 
-        No crash state is constructed, mounted or checked — this is the pure
-        static pass behind the ``analyze`` CLI subcommand.
+        No crash state is constructed, mounted or checked.
         """
-        from ..analysis.audit import audited_analysis
-
-        report = audited_analysis(self.profile(workload).io_log, self.fs_name)
-        self.last_mechanism_report = report
-        return report
+        return MechanismPlanner().for_profile(self.profile(workload)).report
 
     def test_workload(self, workload: Workload,
                       step: Optional[PlanStep] = None) -> CrashTestResult:
@@ -121,8 +113,7 @@ class CrashMonkey:
             checkpoints = [checkpoints[-1]]
 
         generator = CrashStateGenerator(profile, planner=self.planner,
-                                        dedup_scenarios=self.spec.dedup_scenarios,
-                                        analyze=self.spec.analyze_mechanisms)
+                                        dedup_scenarios=self.spec.dedup_scenarios)
         result.checkpoints_tested = len(checkpoints)
         scenario_iter = generator.generate_scenarios(checkpoints)
         while True:
@@ -175,11 +166,14 @@ class CrashMonkey:
                         scenario=scenario_id,
                     )
                 )
-        # Taking the records (and analysing the stream) is replay work shared
-        # by every state.
+        # Taking the records and the plan (a mechanism plan analyses the
+        # stream) is replay work shared by every state.
         result.replay_seconds += generator.build_seconds
         for name in CrashTestResult.GATHERED[GENERATOR]:
             setattr(result, name, getattr(generator, name))
+        for name in CrashTestResult.GATHERED[PLAN]:
+            # A plan that keeps no such counter counted nothing.
+            setattr(result, name, getattr(generator.plan, name, 0))
         # Spine-spill telemetry: gauges read the store's current/high-water
         # state, the counters are this workload's deltas.
         result.spine_resident_bytes = store.resident_bytes
@@ -187,8 +181,6 @@ class CrashMonkey:
         result.spine_spilled_bytes = store.spilled_bytes - spilled_bytes_before
         result.spine_spills = store.spills - spills_before
         result.spine_rehydrations = store.rehydrations - rehydrations_before
-        if generator.mechanism_report is not None:
-            self.last_mechanism_report = generator.mechanism_report
         return result
 
     def _harness_error_report(self, workload: Workload, exc: Exception) -> BugReport:

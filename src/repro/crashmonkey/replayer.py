@@ -18,7 +18,9 @@ Which states exist at a checkpoint is decided by the pluggable crash plan
 (:mod:`repro.crashmonkey.crashplan`): the ``prefix`` plan reproduces the
 classic one-state-per-checkpoint model byte for byte, while the ``reorder``
 plan additionally explores crashes that lose bounded subsets of the in-flight
-(post-last-flush, non-FUA) writes.
+(post-last-flush, non-FUA) writes.  The generator enumerates the plan the
+planner returns for its profile (:meth:`CrashPlanner.for_profile`) and knows
+nothing of what that plan needs or counts.
 """
 
 from __future__ import annotations
@@ -27,14 +29,11 @@ from dataclasses import replace
 from functools import partial
 from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
-from ..analysis.audit import audited_analysis
-from ..analysis.mechanisms import MechanismReport
 from ..clock import span
 from ..errors import HarnessError, UnmountableError
 from ..fs import fsck
 from ..fs.registry import get_fs_class
 from ..storage.cow_device import CowDevice, ReadLog
-from ..storage.io_request import IORequest
 from .crashplan import CrashPlanner, CrashScenario, PrefixPlanner
 from .recorder import WorkloadProfile
 from .tracker import TrackerView
@@ -53,86 +52,42 @@ class CrashStateGenerator:
 
     def __init__(self, profile: WorkloadProfile, run_fsck_on_failure: bool = True,
                  planner: Optional[CrashPlanner] = None,
-                 dedup_scenarios: bool = True,
-                 analyze: Optional[bool] = None):
+                 dedup_scenarios: bool = True):
         self.profile = profile
         self.fs_class = get_fs_class(profile.fs_name)
         self.run_fsck_on_failure = run_fsck_on_failure
         self.planner = planner if planner is not None else PrefixPlanner()
-        #: run the static mechanism analysis over the recorded stream.
-        #: ``None`` = auto: on exactly when the planner consumes reports;
-        #: an explicit flag forces it either way (the overhead benchmark and
-        #: the ``analyze`` path use this).
-        self.analyze = analyze if analyze is not None else self.planner.consumes_report
-        #: the inferred mechanism report (populated by the analysis when
-        #: :attr:`analyze` is on)
-        self.mechanism_report: Optional[MechanismReport] = None
+        #: ``planner.for_profile(profile)``, taken by the build: what the
+        #: checkpoints' scenarios are enumerated from
+        self.plan: Optional[CrashPlanner] = None
         #: skip constructing/checking a checkpoint's scenarios when an earlier
         #: checkpoint provably yields the same states and expectations
         self.dedup_scenarios = dedup_scenarios
         # Counters the harness gathers by name; each is documented where it is
         # declared, on the ``CrashTestResult`` field of the same name.
-        self.mechanism_checkpoints = 0
-        self.mechanism_fallback_checkpoints = 0
-        self.mechanism_demoted_checkpoints = 0
-        self.audit_demotions = 0
         self.replayed_write_requests = 0
         self.deduped_scenarios = 0
         #: wall-clock seconds spent before the first crash state: taking the
-        #: profile's records, and the static analysis when it runs
+        #: profile's records and its plan (a mechanism plan analyses the stream)
         self.build_seconds = 0.0
         self._records: Optional[Dict[int, _CheckpointRecord]] = None
 
     # ------------------------------------------------------------------ records
 
     def _ensure_built(self) -> Dict[int, _CheckpointRecord]:
-        """The profile's checkpoint records, and the mechanism report when
-        :attr:`analyze` is on.
+        """The profile's checkpoint records, and :attr:`plan`.
 
         The records are what the recording run captured (the recording
         device's fork at each marker, its fork at the last flush barrier and
         the writes since), so nothing here walks the stream to build a
-        device.  The analysis is fed the finished stream, and the contract
-        auditor demotes every claim the stream's fence/FUA edges violate
-        before any planner consumes the report.
+        device.
         """
         if self._records is not None:
             return self._records
         with span(self, "build_seconds"):
-            if self.analyze:
-                self.mechanism_report = audited_analysis(self.profile.io_log,
-                                                         self.profile.fs_name)
-                self.audit_demotions = self.mechanism_report.demotions
+            self.plan = self.planner.for_profile(self.profile)
             self._records = self.profile.records
         return self._records
-
-    def _attach_planner_report(self) -> None:
-        """Hand the inferred report to the planner.
-
-        Must run after the build and before enumeration.  The harness tests
-        workloads sequentially, so re-attaching per workload keeps one shared
-        planner instance correct across a campaign.
-        """
-        self.planner.attach_report(self.mechanism_report)
-
-    def _count_mechanism_window(self, window: Tuple[IORequest, ...]) -> Optional[tuple]:
-        """Classify ``window`` once: count its kind, and return what the
-        planner's ``scenarios`` enumerates from (``None`` for planners that
-        do not classify)."""
-        classified = self.planner.classified(window)
-        if classified is None:
-            return None
-        kind = classified[0]
-        if kind == "demoted":
-            # Audit-driven fallback: exhaustive coverage, attributed to the
-            # auditor rather than to a failure of attribution.
-            self.mechanism_fallback_checkpoints += 1
-            self.mechanism_demoted_checkpoints += 1
-        elif kind == "exhaustive":
-            self.mechanism_fallback_checkpoints += 1
-        elif kind != "empty":
-            self.mechanism_checkpoints += 1
-        return classified
 
     def _record_for(self, checkpoint_id: int) -> _CheckpointRecord:
         record = self._ensure_built().get(checkpoint_id)
@@ -281,25 +236,22 @@ class CrashStateGenerator:
         if checkpoint_ids is None:
             checkpoint_ids = self.profile.checkpoints()
         self._ensure_built()
-        self._attach_planner_report()
         tested: Dict[Tuple[int, Tuple[int, ...]], int] = {}
         for checkpoint_id in checkpoint_ids:
             record = self._record_for(checkpoint_id)
-            classified = self._count_mechanism_window(record.window)
-            # ``scenarios`` arguments; a planner that classifies takes its answer back
-            plan = (checkpoint_id, record.window) + ((classified,) if classified else ())
+            scenarios = self.plan.scenarios(checkpoint_id, record.window)
             if self.dedup_scenarios:
                 key = (id(record.stable), tuple(r.seq for r in record.window))
                 twin = tested.get(key)
                 if twin is not None and self._checkpoints_equivalent(twin, checkpoint_id):
-                    self.deduped_scenarios += sum(1 for _ in self.planner.scenarios(*plan))
+                    self.deduped_scenarios += sum(1 for _ in scenarios)
                     continue
                 # Remember the *latest* checkpoint tested for this fork/window:
                 # expectations drift monotonically with the workload, so the
                 # nearest earlier twin is the one a later repeat can match.
                 tested[key] = checkpoint_id
             fresh: Set[CrashVerdict] = set()
-            for scenario in self.planner.scenarios(*plan):
+            for scenario in scenarios:
                 yield self._construct(record, scenario, fresh)
 
     def _checkpoints_equivalent(self, tested_id: int, candidate_id: int) -> bool:
@@ -331,22 +283,6 @@ class CrashStateGenerator:
         if checkpoint_ids is None:
             checkpoint_ids = self.profile.checkpoints()
         self._ensure_built()
-        self._attach_planner_report()
         for checkpoint_id in checkpoint_ids:
             record = self._record_for(checkpoint_id)
-            yield from self.planner.scenarios(checkpoint_id, record.window)
-
-    def window_kinds(self) -> Dict[str, int]:
-        """Classify every persistence point's in-flight window, kind → count.
-
-        Empty for planners that do not classify (prefix, reorder, torn).  Like :meth:`scenario_plan`, no crash state is constructed —
-        this is the attribution view the ``analyze`` subcommand prints.
-        """
-        self._ensure_built()
-        self._attach_planner_report()
-        kinds: Dict[str, int] = {}
-        for checkpoint_id in self.profile.checkpoints():
-            kind = self.planner.classify_window(self._record_for(checkpoint_id).window)
-            if kind is not None:
-                kinds[kind] = kinds.get(kind, 0) + 1
-        return kinds
+            yield from self.plan.scenarios(checkpoint_id, record.window)

@@ -256,8 +256,9 @@ _ROLLUPS = {
     COUNT: lambda values: sum(1 for value in values if value),
 }
 
-#: producers the harness gathers same-named attributes from
-PROFILE, GENERATOR = "profile", "generator"
+#: producers the harness gathers same-named attributes from: the workload's
+#: profile, its crash-state generator, and the plan that generator enumerated
+PROFILE, GENERATOR, PLAN = "profile", "generator", "plan"
 
 
 def counter(help: str, *, tag: str = CANONICAL, rollup: str = SUM,
@@ -271,7 +272,7 @@ def counter(help: str, *, tag: str = CANONICAL, rollup: str = SUM,
     it.  ``tag`` says whether ``canonical_dict()`` keeps it, ``rollup`` how a
     chunk or a campaign aggregates it, ``aggregate`` the aggregate's name
     where history chose another than the field's, and ``source`` the producer
-    (``PROFILE`` / ``GENERATOR``) whose attribute of the same name the
+    (``PROFILE`` / ``GENERATOR`` / ``PLAN``) whose attribute of the same name the
     harness copies — none for the counters the harness computes itself.
     """
     if tag not in (CANONICAL, SESSION) or rollup not in _ROLLUPS or not help:
@@ -295,7 +296,7 @@ def counted(cls):
     #: producer -> the counters gathered from it by name
     cls.GATHERED = {
         source: tuple(f.name for f in declared if f.metadata["source"] == source)
-        for source in (PROFILE, GENERATOR)
+        for source in (PROFILE, GENERATOR, PLAN)
     }
     return cls
 
@@ -411,22 +412,23 @@ class CrashTestResult:
     replay_seconds_saved: float = counter(
         "always 0.0, for the same reason as ``replay_shared``; kept so stored results and "
         "readers of the field keep their shape", tag=SESSION, default=0.0)
-    # Mechanism-planner accounting.  Counted from the recorded stream before
-    # any dedup decision, so these are schedule-invariant (canonical) rather
+    # Mechanism-planner accounting, kept by the workload's mechanism plan (0
+    # under any other).  Counted from the recorded stream whether or not dedup
+    # skips a checkpoint, so these are schedule-invariant (canonical) rather
     # than session telemetry.
     mechanism_checkpoints: int = counter(
         "checkpoints whose crash window was collapsed to representative states by an inferred "
-        "mechanism", source=GENERATOR)
+        "mechanism", source=PLAN)
     mechanism_fallback_checkpoints: int = counter(
         "checkpoints where the mechanism planner fell back to the exhaustive torn plan",
-        source=GENERATOR)
+        source=PLAN)
     mechanism_demoted_checkpoints: int = counter(
         "the subset of fallback checkpoints caused by the contract auditor demoting a reasoner's "
-        "claim (exhaustive coverage, audit-attributed)", source=GENERATOR)
+        "claim (exhaustive coverage, audit-attributed)", source=PLAN)
     audit_demotions: int = counter(
         "evidence claims the contract auditor demoted for this workload's report (0 on a correct "
         "file system; >= 1 whenever a reference bug breaks a claimed mechanism contract)",
-        source=GENERATOR)
+        source=PLAN)
     # Spine-spill telemetry (session, not canonical: how much spilled depends
     # on the budget and on which workloads shared a harness).
     spine_resident_bytes: int = counter(

@@ -66,8 +66,6 @@ class ProgressEvent:
     chunks_done: int
     workloads_done: int
     failing_workloads: int
-    #: workloads pulled from the generator so far (>= workloads_done)
-    generated: int
     elapsed_seconds: float
     chunk: ChunkStats
     #: total chunks/workloads of the whole campaign, when known: chunks from
@@ -138,20 +136,13 @@ class CampaignEngine:
     def run(self, workloads: Iterable[Workload], label: str = "") -> EngineRun:
         """Stream ``workloads`` through the backend in :func:`family_chunks`."""
         timed = TimedIterator(workloads)
-        run = self._execute(enumerate(family_chunks(timed, self.chunk_size)), label, timed)
-        run.result.generation_seconds = timed.seconds
-        if self.backend.overlaps_generation:
-            # Workers keep testing while the dispatch thread pulls from the
-            # generator, so generation costs no extra wall clock.
-            run.result.testing_seconds = run.wall_clock_seconds
-        else:
-            run.result.testing_seconds = max(
-                run.wall_clock_seconds - timed.seconds, 0.0
-            )
+        run = self._execute(enumerate(family_chunks(timed, self.chunk_size)), label)
+        self._split_wall_clock(run, timed)
         return run
 
     def run_indexed(self, chunks: Iterable[IndexedChunk], label: str = "",
-                    on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
+                    on_outcome: Optional[OutcomeCallback] = None,
+                    generation: Optional[TimedIterator] = None) -> EngineRun:
         """Run explicitly indexed chunks, observing each outcome as it lands.
 
         This is the durable runner's entry point: chunk indices are assigned
@@ -159,14 +150,26 @@ class CampaignEngine:
         indices and the sparse index set still reassembles in stream order),
         and ``on_outcome`` fires with the full :class:`ChunkOutcome` — results
         included — *before* any progress callback, so the state store commits
-        a chunk before the world hears about it.
+        a chunk before the world hears about it.  ``generation`` times the
+        workload generator ``chunks`` are cut from, when the caller has one.
         """
-        run = self._execute(iter(chunks), label, source=None, on_outcome=on_outcome)
-        run.result.testing_seconds = run.wall_clock_seconds
+        run = self._execute(iter(chunks), label, on_outcome=on_outcome)
+        self._split_wall_clock(run, generation)
         return run
 
+    def _split_wall_clock(self, run: EngineRun, generation: Optional[TimedIterator]) -> None:
+        """Set the result's generation seconds and the testing seconds left of the wall clock."""
+        run.result.generation_seconds = generation.seconds if generation is not None else 0.0
+        if self.backend.overlaps_generation:
+            # Workers keep testing while the dispatch thread pulls from the
+            # generator, so generation costs no extra wall clock.
+            run.result.testing_seconds = run.wall_clock_seconds
+        else:
+            run.result.testing_seconds = max(
+                run.wall_clock_seconds - run.result.generation_seconds, 0.0
+            )
+
     def _execute(self, stream, label: str,
-                 source: Optional[TimedIterator],
                  on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
         result = CampaignResult(fs_name=self.fs_name, fs_model=self.fs_model, label=label)
         run = EngineRun(result=result)
@@ -188,7 +191,6 @@ class CampaignEngine:
                         chunks_done=len(run.chunks),
                         workloads_done=result.workloads_tested,
                         failing_workloads=failing,
-                        generated=source.count if source is not None else result.workloads_tested,
                         elapsed_seconds=clock.seconds,
                         chunk=stats,
                         session_workloads=result.workloads_tested,

@@ -137,10 +137,6 @@ class HarnessSpec:
               "from an O(1) snapshot fork; off records every workload from scratch "
               "(profiles are byte-for-byte identical either way)",
         tag=EXECUTION, flags=("--share-prefixes",))
-    analyze_mechanisms: Optional[bool] = option(
-        None, "run the static mechanism analysis over each recorded stream (None = "
-              "exactly when the crash plan consumes it; True forces it beside an "
-              "exhaustive plan, to measure its overhead)")
     spine_memory_budget: Optional[int] = option(
         None, "resident-byte budget for the cached trie spine of prefix recording; "
               "frozen nodes beyond it spill to disk and rehydrate "

@@ -9,7 +9,7 @@ engine — it is the surface the stateful layers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: Campaign lifecycle states in the state store.
 QUEUED = "queued"
@@ -79,7 +79,6 @@ class SessionStats:
     #: chunk outcomes whose ingest found the chunk already done (late retry
     #: arrivals; their results were discarded by dedup-at-write)
     duplicate_ingests: int = 0
-    extra: dict = field(default_factory=dict)
 
     def describe(self) -> str:
         return (

@@ -69,16 +69,24 @@ def chunk_identity(chunk: List[Workload]) -> str:
     return hasher.hexdigest()[:16]
 
 
+#: identity options removed since these ids were first derived, at the value
+#: every configuration held unless it set one: still hashed, so that an option
+#: nobody set going away does not move the id of a campaign a store holds
+REMOVED_IDENTITY_DEFAULTS = {"analyze_mechanisms": None}
+
+
 def default_campaign_id(config: CampaignConfig) -> str:
     """Deterministic id for ad-hoc durable runs (CLI ``campaign --durable``).
 
     Derived from the config's identity options, so re-invoking the same
     command — under any execution options — resumes the same campaign
-    instead of starting a parallel twin.  The ``default\\x00`` prefix keeps
-    the ids that stores written by older versions already hold.
+    instead of starting a parallel twin.  The ``default\\x00`` prefix and
+    :data:`REMOVED_IDENTITY_DEFAULTS` keep the ids that stores written by
+    older versions already hold.
     """
+    identity = {**REMOVED_IDENTITY_DEFAULTS, **config.identity()}
     digest = hashlib.sha1(
-        ("default\x00" + json.dumps(config.identity(), sort_keys=True)).encode("utf-8")
+        ("default\x00" + json.dumps(identity, sort_keys=True)).encode("utf-8")
     ).hexdigest()
     return f"dur-{digest[:12]}"
 
@@ -211,9 +219,10 @@ class DurableCampaignRunner:
             shutil.rmtree(session_dir, ignore_errors=True)
             spec = replace(spec, spine_spill_dir=session_dir)
 
+        adapter = CrashMonkeyAdapter(campaign.fs_name)
+        chunks, timed = campaign.chunk_stream(adapter)
+
         def pending_chunks():
-            adapter = CrashMonkeyAdapter(campaign.fs_name)
-            chunks, timed = campaign.chunk_stream(adapter)
             for index, chunk in enumerate(chunks):
                 db.register_chunks(
                     campaign_id, [(index, chunk_identity(chunk), len(chunk))]
@@ -246,8 +255,8 @@ class DurableCampaignRunner:
                 os.kill(os.getpid(), signal.SIGKILL)
 
         run = campaign.engine(progress, spec=spec).run_indexed(
-            pending_chunks(), label=campaign.label, on_outcome=on_outcome)
-        db.add_testing_seconds(campaign_id, run.wall_clock_seconds)
+            pending_chunks(), label=campaign.label, on_outcome=on_outcome, generation=timed)
+        db.add_testing_seconds(campaign_id, run.result.testing_seconds)
         # The engine ran every chunk not done at the start, so all are now.
         db.set_status(campaign_id, api.DONE)
         if not done and session.duplicate_ingests == 0:

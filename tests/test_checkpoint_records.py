@@ -29,7 +29,7 @@ retired replay-sharing counters stay zero.
 
 import pytest
 
-from repro.crashmonkey import CrashStateGenerator
+from repro.crashmonkey import CrashStateGenerator, MechanismPlanner
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.verdicts import _CheckpointRecord
 from repro.core import CampaignConfig
@@ -209,10 +209,10 @@ def test_the_analysis_of_a_resumed_profile_is_that_of_a_fresh_one():
     assert resumed.prefix_shared
     reports = []
     for profile in (resumed, fresh):
-        generator = CrashStateGenerator(profile, analyze=True)
+        generator = CrashStateGenerator(profile, planner=MechanismPlanner())
         generator._ensure_built()
-        assert generator.mechanism_report is not None
-        reports.append((generator.mechanism_report.to_dict(), generator.audit_demotions))
+        assert generator.plan.report is not None
+        reports.append((generator.plan.report.to_dict(), generator.plan.audit_demotions))
     assert reports[0] == reports[1]
 
 

@@ -14,6 +14,8 @@ Covers the analysis subsystem's three contracts:
 import collections
 import dataclasses
 
+import pytest
+
 from repro.analysis import (
     AnalysisCursor,
     MechanismReport,
@@ -31,6 +33,7 @@ from repro.crashmonkey import (
     WorkloadRecorder,
 )
 from repro.crashmonkey.report import HARNESS_ERROR, Severity
+from repro.errors import HarnessError
 from repro.fs import BugConfig, layout
 from repro.storage import IOKind, IORequest
 from repro.workload import parse_workload
@@ -281,6 +284,20 @@ class TestContractAuditor:
 # ---------------------------------------------------------- window classification
 
 
+#: a report that inferred nothing: every window it classifies falls back
+NOTHING_INFERRED = MechanismReport(
+    fs_name="", total_requests=0, write_requests=0, checkpoints=0,
+    evidence=(), unattributed_window_writes=0,
+)
+
+
+def _kinds(plan, windows):
+    """The plan's window-kind counts after enumerating ``windows``."""
+    for checkpoint_id, window in enumerate(windows):
+        list(plan.scenarios(checkpoint_id, window))
+    return plan.window_kinds
+
+
 class TestClassifyWindow:
     def _windows(self, fs_name="flashfs", bugs=None):
         profile = _profile(fs_name, BOTH_MECHANISMS_WORKLOAD, bugs=bugs)
@@ -291,29 +308,38 @@ class TestClassifyWindow:
             record.window for _, record in sorted(generator._records.items())
         ]
 
-    def test_without_a_report_every_nonempty_window_is_exhaustive(self):
+    def test_without_an_inferred_mechanism_every_nonempty_window_is_exhaustive(self):
         _, _, windows = self._windows()
-        planner = MechanismPlanner()
-        for window in windows:
-            assert planner.classify_window(window) in (
-                planner.WINDOW_EMPTY, planner.WINDOW_EXHAUSTIVE
-            )
+        plan = MechanismPlanner(report=NOTHING_INFERRED)
+        kinds = _kinds(plan, windows)
+        assert set(kinds) <= {plan.WINDOW_EMPTY, plan.WINDOW_EXHAUSTIVE}
+        assert plan.mechanism_fallback_checkpoints == kinds.get(plan.WINDOW_EXHAUSTIVE) > 0
 
     def test_with_the_report_flashfs_windows_are_attributed(self):
         _, report, windows = self._windows()
-        planner = MechanismPlanner()
-        planner.attach_report(report)
-        kinds = {planner.classify_window(window) for window in windows}
-        assert planner.WINDOW_MECHANISM in kinds
-        assert planner.WINDOW_EXHAUSTIVE not in kinds
+        plan = MechanismPlanner(report=report)
+        kinds = _kinds(plan, windows)
+        assert plan.WINDOW_MECHANISM in kinds
+        assert plan.WINDOW_EXHAUSTIVE not in kinds
+        assert plan.mechanism_checkpoints == kinds[plan.WINDOW_MECHANISM]
 
     def test_windows_with_no_droppable_writes_are_empty(self):
+        plan = MechanismPlanner(report=NOTHING_INFERRED)
+        assert _kinds(plan, [[]]) == {plan.WINDOW_EMPTY: 1}
+        assert plan.mechanism_checkpoints == plan.mechanism_fallback_checkpoints == 0
+
+    def test_each_workload_gets_a_fresh_plan_bound_to_its_own_analysis(self):
+        profile = _profile("flashfs", BOTH_MECHANISMS_WORKLOAD)
         planner = MechanismPlanner()
-        planner.attach_report(MechanismReport(
-            fs_name="", total_requests=0, write_requests=0, checkpoints=0,
-            evidence=(), unattributed_window_writes=0,
-        ))
-        assert planner.classify_window([]) == planner.WINDOW_EMPTY
+        plan = planner.for_profile(profile)
+        assert plan is not planner and plan is not planner.for_profile(profile)
+        assert plan.report == audit_report(analyze_io_log(profile.io_log, "flashfs"),
+                                           profile.io_log)
+        assert plan.window_kinds == {} and plan.audit_demotions == plan.report.demotions
+
+    def test_an_unbound_plan_refuses_to_enumerate(self):
+        with pytest.raises(HarnessError, match="for_profile"):
+            list(MechanismPlanner().scenarios(1, []))
 
 
 # ------------------------------------------------------------------- fallback
@@ -321,34 +347,19 @@ class TestClassifyWindow:
 
 class TestExhaustiveFallback:
     def test_unattributed_windows_get_the_torn_plan_verbatim(self):
-        # No report attached: every window must delegate to the exhaustive
+        # Nothing inferred: every window must delegate to the exhaustive
         # planner — same scenarios, in the same order.
         profile = _profile("flashfs", BOTH_MECHANISMS_WORKLOAD)
         generator = CrashStateGenerator(profile)
         generator._ensure_built()
-        planner = MechanismPlanner(reorder_bound=2, torn_bound=2)
+        plan = MechanismPlanner(reorder_bound=2, torn_bound=2, report=NOTHING_INFERRED)
         torn = TornWritePlanner(torn_bound=2, reorder_bound=2)
         compared = 0
         for checkpoint_id, record in sorted(generator._records.items()):
-            assert (list(planner.scenarios(checkpoint_id, record.window))
+            assert (list(plan.scenarios(checkpoint_id, record.window))
                     == list(torn.scenarios(checkpoint_id, record.window)))
             compared += 1
         assert compared > 0
-
-    def test_unanalyzed_mechanism_harness_reports_the_torn_bug_set(self):
-        # analyze_mechanisms=False leaves the planner report-less, so the
-        # whole workload runs the exhaustive fallback — and says so in the
-        # fallback counter.
-        workload = parse_workload(BOTH_MECHANISMS_WORKLOAD, name="fallback")
-        mech = CrashMonkey("flashfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                           crash_plan="mechanism", analyze_mechanisms=False
-                           ).test_workload(workload)
-        torn = CrashMonkey("flashfs", device_blocks=SMALL_DEVICE_BLOCKS,
-                           crash_plan="torn").test_workload(workload)
-        assert mech.mechanism_fallback_checkpoints > 0
-        assert mech.scenarios_tested == torn.scenarios_tested
-        assert ({r.group_key() for r in mech.bug_reports}
-                == {r.group_key() for r in torn.bug_reports})
 
     def test_analyzed_mechanism_harness_counts_no_fallbacks(self):
         workload = parse_workload(BOTH_MECHANISMS_WORKLOAD, name="analyzed")

@@ -31,6 +31,7 @@ equivalence class — a soundness regression, never an acceptable trade.
 
 import pytest
 
+from repro.ace import AceSynthesizer, seq2_bounds
 from repro.analysis import audit
 from repro.analysis.mechanisms import AuditVerdict
 from repro.crashmonkey import CrashMonkey
@@ -178,6 +179,40 @@ def test_logfs_seq2_slice_identity_and_reduction():
 def test_seq2_exhaustive_only_filesystems_also_agree(fs_name):
     """A broader (mechanism-light) seq-2 sample stays divergence-free."""
     assert_pruned_finds_what_exhaustive_finds(fs_name, space="seq-2-sample")
+
+
+#: campaign totals of the seq-2 slices above under the mechanism plan, default
+#: bugs: the plan's four counters and the generator's scenario counts
+SLICE_TOTALS = {
+    ("flashfs", SEQ2_SLICE): dict(
+        mechanism_checkpoints=100, mechanism_fallback_checkpoints=0,
+        mechanism_demoted_checkpoints=0, audit_demotions=0,
+        scenarios_tested=336, deduped_scenarios=0),
+    ("logfs", LOGFS_SEQ2_SLICE): dict(
+        mechanism_checkpoints=0, mechanism_fallback_checkpoints=28,
+        mechanism_demoted_checkpoints=28, audit_demotions=22,
+        scenarios_tested=526, deduped_scenarios=0),
+}
+
+
+@pytest.mark.parametrize("fs_name,limit", sorted(SLICE_TOTALS))
+def test_seq2_slice_counter_totals_are_pinned(fs_name, limit):
+    pruned = differential.run(fs_name, crash_plan="mechanism", space="seq-2", limit=limit)
+    assert {name: pruned.total(name) for name in SLICE_TOTALS[fs_name, limit]} \
+        == SLICE_TOTALS[fs_name, limit]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known gap, ROADMAP open item 2 (the mechanism fix): at checkpoint 2 torn's "
+    "drop=2,4,8 and drop=3,5,8 find a data inconsistency the mechanism plan never tests"))
+def test_the_mechanism_plan_finds_what_torn_finds_on_seq_2_0192656():
+    workload = AceSynthesizer(seq2_bounds()).workload_at(192655)
+    assert workload.name == "seq-2-0192656"
+    found = {plan: _bug_set(CrashMonkey("flashfs", device_blocks=SMALL_DEVICE_BLOCKS,
+                                        crash_plan=plan).test_workload(workload))
+             for plan in ("torn", "mechanism")}
+    assert (2, "data inconsistency") in found["torn"]
+    assert (2, "data inconsistency") in found["mechanism"]
 
 
 # ------------------------------------------------------------- seeded-unsound variants

@@ -46,7 +46,6 @@ VARIANTS = {
     "torn_bound": 1,
     "dedup_scenarios": False,
     "share_prefixes": False,
-    "analyze_mechanisms": True,
     "spine_memory_budget": 0,
     "spine_spill_dir": "spill",
     "kernel_version": "5.0",
@@ -124,8 +123,8 @@ def test_config_round_trips_through_json(values):
 #: CampaignConfig.to_dict(CampaignConfig(fs_name="logfs", bounds=seq1_bounds(),
 #: max_workloads=24, crash_plan="torn", torn_bound=1, skip_checks=("xattr",),
 #: chunk_size=4, processes=2, spine_memory_budget=65536)) as PR 14 wrote it:
-#: tri-state nulls, no kernel_version key, and two options since removed
-#: (cross_workload_dedup, global_dedup_cache) at their defaults
+#: tri-state nulls, no kernel_version key, and options since removed
+#: (analyze_mechanisms, cross_workload_dedup, global_dedup_cache) at their defaults
 PR14_PAYLOAD = json.loads(
     '{"analyze_mechanisms": null, "bounds": {"allow_unpersisted": true, '
     '"device_blocks": 25600, "files_per_dir": 2, "label": "seq-1", "nested": false, '
@@ -221,9 +220,10 @@ def test_every_flagged_option_is_in_campaign_help():
             assert first_words in " ".join(text.split())
 
 
-#: the cross-workload dedup options, removed with their layer: a set value and
-#: the flag, if the option had one
+#: the options removed with their layers (cross-workload dedup, replay sharing,
+#: the mechanism-analysis switch): a set value and the flag, if the option had one
 REMOVED = {
+    "analyze_mechanisms": (True, None),
     "cross_workload_dedup": (True, "--cross-workload-dedup"),
     "global_dedup_cache": ("sightings.sqlite", "--global-dedup-cache"),
     "dedup_scope": ("campaign", None),

@@ -235,6 +235,30 @@ def test_completed_campaign_resumes_without_replaying_chunks(tmp_path, uninterru
     assert again.canonical_dict() == first.canonical_dict()
 
 
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_session_charges_its_generation_seconds_once(tmp_path, processes):
+    """A serial session pulls its chunks from the generator inside the
+    engine's wall clock, so its testing seconds are what generation left of
+    it; a pool overlaps the two, so its testing seconds are that wall clock."""
+    config = CampaignConfig(fs_name="flashfs", bounds=seq3_data_bounds(), max_workloads=60,
+                            sample=True, processes=processes)
+    runner = DurableCampaignRunner(config, str(tmp_path / "state.sqlite"), campaign_id="timed")
+    try:
+        start = time.perf_counter()
+        result = runner.run()
+        wall = time.perf_counter() - start
+        row = runner.db.campaign_row("timed")
+    finally:
+        runner.close()
+    assert result.generation_seconds > 0
+    assert (row["generation_seconds"], row["testing_seconds"]) == \
+        (result.generation_seconds, result.testing_seconds)
+    if processes == 1:
+        assert result.generation_seconds + result.testing_seconds <= wall
+    else:
+        assert result.generation_seconds <= result.testing_seconds <= wall
+
+
 def test_recovery_resets_orphaned_chunks(tmp_path):
     """A chunk claimed but never committed is re-dispatched on resume."""
     db_path = str(tmp_path / "state.sqlite")
@@ -350,8 +374,10 @@ def test_a_campaign_created_with_share_replay_resumes_without_it(tmp_path):
     ({"dedup_scope": None}, False),
     ({"share_replay": True}, False),
     ({"share_replay": True, "cross_workload_dedup": True}, True),
+    ({"analyze_mechanisms": None}, False),
+    ({"analyze_mechanisms": True}, True),
 ], ids=["cross-dedup-on", "cross-dedup-off", "no-sighting-db", "no-scope", "share-replay-on",
-        "share-replay-and-cross-dedup-on"])
+        "share-replay-and-cross-dedup-on", "analysis-auto", "analysis-forced"])
 def test_only_a_removed_option_that_was_set_is_drift(tmp_path, stored, refused):
     db_path = str(tmp_path / "state.sqlite")
     _old_store(db_path, **stored)

@@ -17,12 +17,13 @@ from repro.ace import seq1_bounds
 from repro.core import results as results_module
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.core.results import CampaignResult
-from repro.crashmonkey import CrashMonkey, CrashStateGenerator, WorkloadProfile
+from repro.crashmonkey import CrashMonkey, CrashStateGenerator, MechanismPlanner, WorkloadProfile
 from repro.crashmonkey.report import (
     CANONICAL,
     COUNT,
     GENERATOR,
     MAX,
+    PLAN,
     PROFILE,
     SESSION,
     SUM,
@@ -165,7 +166,7 @@ def test_every_scalar_field_is_a_declared_counter():
         assert meta["tag"] in (CANONICAL, SESSION), name
         assert meta["rollup"] in (SUM, MAX, COUNT), name
         assert meta["help"].strip(), name
-        assert meta["source"] in (None, PROFILE, GENERATOR), name
+        assert meta["source"] in (None, PROFILE, GENERATOR, PLAN), name
     for name in STRUCTURED:
         assert not declared[name].metadata, name
 
@@ -186,7 +187,13 @@ def test_gathered_counters_exist_on_their_producers():
     profile = CrashMonkey("btrfs", device_blocks=4096).profile(FIGURE1)
     generator = vars(CrashStateGenerator(profile))
     assert set(gathered[GENERATOR]) <= set(generator)
-    assert not set(gathered[PROFILE]) & set(gathered[GENERATOR])
+    # The mechanism plan is the one plan that keeps counters.
+    assert set(gathered[PLAN]) <= set(vars(MechanismPlanner().for_profile(profile)))
+    assert set(gathered[PLAN]) == {
+        "mechanism_checkpoints", "mechanism_fallback_checkpoints",
+        "mechanism_demoted_checkpoints", "audit_demotions"}
+    sources = [set(gathered[source]) for source in (PROFILE, GENERATOR, PLAN)]
+    assert sum(map(len, sources)) == len(set.union(*sources))
 
 
 # ------------------------------------------------------------------ (ii) goldens

@@ -47,7 +47,7 @@ from repro.ace import AceSynthesizer, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey import CheckContext, CrashMonkey, CrashStateGenerator
 from repro.crashmonkey.crashplan import CrashScenario, make_planner
-from repro.crashmonkey.report import BugReport, CrashTestResult
+from repro.crashmonkey.report import PLAN, BugReport, CrashTestResult
 from repro.crashmonkey.verdicts import _CheckpointRecord, _VerdictMemo, _VerdictTable
 from repro.errors import FsReadOnlyError, HarnessError
 from repro.fs import fsck, get_fs_class
@@ -86,8 +86,7 @@ def always_mount_reference(harness: CrashMonkey, workload) -> CrashTestResult:
     """What ``test_workload`` must report, computed the slow way: every
     planner scenario is constructed, mounted and checked on its own."""
     profile = harness.recorder.profile(workload)
-    generator = CrashStateGenerator(profile, planner=harness.planner,
-                                    analyze=harness.spec.analyze_mechanisms)
+    generator = CrashStateGenerator(profile, planner=harness.planner)
     result = CrashTestResult(workload=workload, fs_type=harness.fs_name,
                              fs_model=harness.fs_model)
     result.recorded_requests = len(profile.io_log)
@@ -111,12 +110,9 @@ def always_mount_reference(harness: CrashMonkey, workload) -> CrashTestResult:
                 mismatches=[replace(m, scenario=state.scenario_id) for m in mismatches],
                 kernel_version=harness.spec.kernel_version, scenario=state.scenario_id,
             ))
-    for checkpoint_id in checkpoints:
-        generator._count_mechanism_window(generator._record_for(checkpoint_id).window)
-    result.mechanism_checkpoints = generator.mechanism_checkpoints
-    result.mechanism_fallback_checkpoints = generator.mechanism_fallback_checkpoints
-    result.mechanism_demoted_checkpoints = generator.mechanism_demoted_checkpoints
-    result.audit_demotions = generator.audit_demotions
+    # The plan counted every checkpoint's window while it enumerated them.
+    for name in CrashTestResult.GATHERED[PLAN]:
+        setattr(result, name, getattr(generator.plan, name, 0))
     return result
 
 

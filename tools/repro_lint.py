@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Thirteen invariants, each protecting a guarantee a past change was built on.
+Fifteen invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -314,6 +314,12 @@ IMPORT_OWNERS: Tuple[Row, ...] = (
     Row(imports("repro.crashmonkey.harness"), "analysis/", "",
         "analysis/ imports crashmonkey.harness — the static pass must stay runnable without "
         "the dynamic harness (the harness imports analysis, never the reverse)"),
+    # 17. Mechanism planning has one home: a mechanism plan binds a workload's analysis
+    #     (``MechanismPlanner.for_profile``), and the generic layers ask the plan for it.
+    Row(imports("repro.analysis"), "crashmonkey/ engine/ core/ service/ options.py",
+        "crashmonkey/crashplan.py",
+        "{spelt} outside {site} — mechanism planning has one home; ask the plan "
+        "`for_profile` returns for its report"),
     # 13. The serialiser pickles whatever node it is handed and reduces storage types only.
     Row(imports("repro.crashmonkey", "repro.fs"), "storage/spill.py", "",
         "storage/spill.py imports `{name}` — the serialiser knows storage types only; "
