@@ -11,14 +11,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..crashmonkey.report import (
     PHASE_FIELDS,
     BugReport,
     CrashTestResult,
     RollUps,
-    roll_up,
 )
 from .dedup import KnownBugDatabase, ReportGroup, deduplicate, group_reports
 
@@ -30,22 +29,14 @@ class CampaignResult(RollUps):
     fs_name: str
     fs_model: str
     label: str = ""
-    results: List[CrashTestResult] = field(default_factory=list)
+    #: in stream order: a list, or for a durable campaign a sequence read
+    #: from its state store on demand
+    results: Sequence[CrashTestResult] = field(default_factory=list)
     generation_seconds: float = 0.0
     testing_seconds: float = 0.0
     #: generated workloads dropped by the adapter because validation failed
     #: (surfaced, never silently swallowed: tested + invalid = generated)
     invalid_workloads: int = 0
-
-    # -- incremental aggregation -------------------------------------------------
-
-    def ingest_many(self, results: List[CrashTestResult]) -> None:
-        """Aggregate a completed chunk's outcomes (streamed in as testing runs).
-
-        The execution engine calls this per completed chunk, so every derived
-        quantity below is available mid-campaign for progress reporting.
-        """
-        self.results.extend(results)
 
     # -- serialization (campaign state store / --json-out) -----------------------
 
@@ -134,7 +125,7 @@ class CampaignResult(RollUps):
 
     def recording_seconds_saved(self) -> float:
         """Recording-phase seconds prefix sharing avoided (summed over workers)."""
-        return roll_up(self.results, "prefix_seconds_saved")
+        return self.prefix_seconds_saved
 
     def all_reports(self) -> List[BugReport]:
         reports: List[BugReport] = []
@@ -157,9 +148,8 @@ class CampaignResult(RollUps):
         return dict(counts)
 
     def mean_test_seconds(self) -> float:
-        if not self.results:
-            return 0.0
-        return sum(result.total_seconds for result in self.results) / len(self.results)
+        tested = self.workloads_tested
+        return sum(self.phase_seconds()) / tested if tested else 0.0
 
     def phase_seconds(self) -> Tuple[float, float, float, float, float]:
         """Total (profile, replay, mount, fsck, check) seconds across all
@@ -168,7 +158,7 @@ class CampaignResult(RollUps):
         sum to the CPU time spent testing, summed over workers; under a
         parallel backend that exceeds ``testing_seconds``, which is wall
         clock."""
-        return tuple(roll_up(self.results, name) for name in PHASE_FIELDS)
+        return tuple(getattr(self, name) for name in PHASE_FIELDS)
 
     def check_timings(self) -> Dict[str, float]:
         """Per-check wall-clock attribution summed across every workload.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..fs.bugs import Consequence
 from ..workload.workload import Workload
@@ -255,6 +255,8 @@ _ROLLUPS = {
     MAX: lambda values: max(values, default=0),
     COUNT: lambda values: sum(1 for value in values if value),
 }
+#: how the aggregates of disjoint result sets combine into their union's
+_MERGES = {**_ROLLUPS, COUNT: sum}
 
 #: producers the harness gathers same-named attributes from: the workload's
 #: profile, its crash-state generator, and the plan that generator enumerated
@@ -522,6 +524,25 @@ def roll_up(results: Sequence[CrashTestResult], name: str):
     return _ROLLUPS[rule](map(attrgetter(name), results))
 
 
+def roll_ups_of(results: Sequence[CrashTestResult]) -> Dict[str, Any]:
+    """Every aggregate of ``results`` by name (what a chunk keeps once its results are gone)."""
+    return {aggregate: roll_up(results, name)
+            for aggregate, name in _record_of(results).AGGREGATES.items()}
+
+
+def merge_roll_ups(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """The aggregates of a union of result sets, from each set's :func:`roll_ups_of`.
+
+    Sums and counts add and maxima take the largest.  An aggregate a part
+    lacks (stored before its counter existed) is its counter's 0, as the
+    part's decoded results would say.
+    """
+    parts = list(parts)
+    return {aggregate: _MERGES[CrashTestResult.ROLLUPS[name]](
+                part.get(aggregate, 0) for part in parts)
+            for aggregate, name in CrashTestResult.AGGREGATES.items()}
+
+
 class RollUps:
     """Mixin for a holder of ``results``: every aggregate is an attribute.
 
@@ -548,5 +569,4 @@ class RollUps:
 
     def roll_ups(self) -> Dict[str, Any]:
         """Every aggregate by name (what a chunk keeps once its results are gone)."""
-        return {aggregate: roll_up(self.results, name)
-                for aggregate, name in _record_of(self.results).AGGREGATES.items()}
+        return roll_ups_of(self.results)

@@ -8,10 +8,13 @@ runner) go through it.
 
 Workloads flow as a *stream*: the engine pulls from the supplied iterable
 (typically ``AceSynthesizer.generate()``) only as fast as the backend consumes
-chunks, so peak memory is O(in-flight chunk), never O(workload space).
-Results are aggregated incrementally into a :class:`CampaignResult` as chunks
-complete, with a progress callback per chunk and real per-chunk wall-clock
-timing measured inside the worker that ran it.  A chunk is the paper's VM
+chunks, so only the in-flight chunks' workloads exist at any moment.  Results
+are another matter.  A plain run keeps every chunk's results until it returns
+them, in stream order, in its :class:`CampaignResult`.  A run with an outcome
+sink (the durable runner's state store) hands each chunk's results to the
+sink and keeps only the chunk's :class:`ChunkStats`.  Either way there is a
+progress callback per chunk and real per-chunk wall-clock timing measured
+inside the worker that ran it.  A chunk is the paper's VM
 batch (§6.1): its :class:`ChunkStats` are that batch's seconds, worker and
 roll-ups, and :attr:`EngineRun.max_chunk_seconds` the wall clock had the
 batches run side by side.
@@ -20,7 +23,8 @@ batches run side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..clock import span
 from ..core.results import CampaignResult
@@ -147,11 +151,13 @@ class CampaignEngine:
 
         This is the durable runner's entry point: chunk indices are assigned
         by the caller (so a resumed campaign dispatches only its pending
-        indices and the sparse index set still reassembles in stream order),
-        and ``on_outcome`` fires with the full :class:`ChunkOutcome` — results
-        included — *before* any progress callback, so the state store commits
-        a chunk before the world hears about it.  ``generation`` times the
-        workload generator ``chunks`` are cut from, when the caller has one.
+        indices), and ``on_outcome`` fires with the full :class:`ChunkOutcome`
+        — results included — *before* any progress callback, so the state
+        store commits a chunk before the world hears about it.  The sink owns
+        the results from then on: the run's result holds none, and the run
+        keeps each chunk's :class:`ChunkStats` only.  Without a sink the
+        sparse index set reassembles in stream order.  ``generation`` times
+        the workload generator ``chunks`` are cut from, when the caller has one.
         """
         run = self._execute(iter(chunks), label, on_outcome=on_outcome)
         self._split_wall_clock(run, generation)
@@ -173,37 +179,34 @@ class CampaignEngine:
                  on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
         result = CampaignResult(fs_name=self.fs_name, fs_model=self.fs_model, label=label)
         run = EngineRun(result=result)
-        chunk_results: List[List] = []  # completion-ordered, parallel to run.chunks
-        failing = 0  # running tally: a rescan per event would be quadratic
+        # Results kept to reassemble, when no sink owns them: (index, results)
+        # in completion order.
+        kept: List[Tuple[int, List]] = []
+        workloads = failing = 0  # running tallies: a rescan per event would be quadratic
         with span(run, "wall_clock_seconds") as clock:
             for outcome in self.backend.execute(self.spec, stream):
                 if on_outcome is not None:
-                    # Persistence hook: runs before aggregation and progress so a
-                    # durable campaign commits the chunk before reporting it.
+                    # Persistence hook: runs before progress so a durable
+                    # campaign commits the chunk before reporting it.
                     on_outcome(outcome)
-                result.ingest_many(outcome.results)
+                else:
+                    kept.append((outcome.index, outcome.results))
                 stats = outcome.stats()
+                workloads += stats.workloads
                 failing += stats.failing_workloads
                 run.chunks.append(stats)
-                chunk_results.append(outcome.results)
                 if self.progress is not None:
                     self.progress(ProgressEvent(
                         chunks_done=len(run.chunks),
-                        workloads_done=result.workloads_tested,
+                        workloads_done=workloads,
                         failing_workloads=failing,
                         elapsed_seconds=clock.seconds,
                         chunk=stats,
-                        session_workloads=result.workloads_tested,
+                        session_workloads=workloads,
                     ))
-        order = sorted(range(len(run.chunks)), key=lambda pos: run.chunks[pos].index)
-        # Reassemble completion-ordered chunks back into stream order, so
-        # result.results corresponds positionally to the input workloads
-        # whichever backend ran them.
-        result.results = [
-            test_result
-            for pos in order
-            for test_result in chunk_results[pos]
-        ]
-        run.chunks = [run.chunks[pos] for pos in order]
+        # Back into stream order, so result.results corresponds positionally
+        # to the input workloads whichever backend ran them.
+        kept.sort(key=itemgetter(0))
+        result.results = [test_result for _, results in kept for test_result in results]
+        run.chunks.sort(key=attrgetter("index"))
         return run
-

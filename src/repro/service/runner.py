@@ -24,10 +24,12 @@ death of the process running it:
   ``done``, and dispatches only the remainder.  Completed chunks commit
   atomically before the progress callback fires, so the store never claims
   more than actually happened.
-* **Identical final reports.**  The aggregate result is reconstructed from
-  the store in stream order, so an interrupted-and-resumed campaign yields
-  the same reports, scenario totals and dedup counters as an uninterrupted
-  run — under the serial and the process-pool backend alike.
+* **Identical final reports.**  Every session returns the result the store
+  holds (:meth:`~repro.service.statedb.CampaignStateDB.campaign_result`), read
+  in stream order, so an interrupted-and-resumed campaign yields the same
+  reports, scenario totals and dedup counters as an uninterrupted run —
+  under the serial and the process-pool backend alike.  The session holds
+  no result of its own: each chunk's results go to the store as it lands.
 
 The runner honours one fault-injection hook, in the spirit of a tester that
 must survive its own medicine: ``REPRO_SELFCRASH_AFTER_CHUNKS=N`` SIGKILLs
@@ -101,12 +103,15 @@ class DurableCampaignRunner:
             config: the campaign to run.  Its identity options must match
                 the stored campaign's when ``campaign_id`` already exists;
                 its execution options are this session's own.
-            state_db: a :class:`CampaignStateDB` or a path to open one at.
+            state_db: a :class:`CampaignStateDB` or a path to open one at;
+                not ``':memory:'``, since the result is read back by path.
             campaign_id: store key; defaults to a deterministic digest of
                 the config's identity so identical invocations resume each
                 other.
         """
         self.config = config
+        if getattr(state_db, "path", state_db) == ":memory:":
+            raise ValueError("a durable campaign needs a state store on disk, not ':memory:'")
         if isinstance(state_db, CampaignStateDB):
             self.db = state_db
             self._owns_db = False
@@ -170,9 +175,9 @@ class DurableCampaignRunner:
         """Run (or resume) the campaign to completion; returns its result.
 
         Every chunk not yet ``done`` is dispatched, so the result is the
-        campaign's whole :class:`CampaignResult` — also when a previous
-        session already finished everything (then this session executes
-        zero chunks and just reconstructs).  A session that dies part-way
+        campaign's whole :class:`CampaignResult`, read from the store — also
+        when a previous session already finished everything (then this
+        session executes zero chunks).  A session that dies part-way
         (killed, or an exception out of ``progress``) leaves the chunks it
         ingested ``done`` and its in-flight ones for the next session's
         recovery.
@@ -197,8 +202,7 @@ class DurableCampaignRunner:
         session.chunks_skipped = len(done)
         census = db.chunk_totals(campaign_id) if db.census_complete(campaign_id) else None
         if census is not None and len(done) == census[0]:
-            # Everything already ran; reconstruct without touching the
-            # synthesizer or building a harness.
+            # Everything already ran: no synthesizer, no harness.
             db.set_status(campaign_id, api.DONE)
             return db.campaign_result(campaign_id)
         done_workloads = db.chunk_states(campaign_id).get(api.CHUNK_DONE, (0, 0))[1]
@@ -209,7 +213,7 @@ class DurableCampaignRunner:
         self._persist_mechanism_report()
 
         spec = campaign.spec
-        if spec.spine_spill_dir is None and db.path != ":memory:":
+        if spec.spine_spill_dir is None:
             # Spilled spine nodes live beside the state database so a
             # resumed session reuses one well-known location.  The files
             # are session-scoped scratch (every session refreezes its own
@@ -259,15 +263,4 @@ class DurableCampaignRunner:
         db.add_testing_seconds(campaign_id, run.result.testing_seconds)
         # The engine ran every chunk not done at the start, so all are now.
         db.set_status(campaign_id, api.DONE)
-        if not done and session.duplicate_ingests == 0:
-            # This session tested every chunk, in stream order: the engine's
-            # in-memory aggregate already equals the store reconstruction, so
-            # skip the round-trip through JSON (it is the dominant cost of
-            # durability on fast campaigns).  The crash-resume tests pin the
-            # two payloads to each other.
-            result = run.result
-            row = db.campaign_row(campaign_id)
-            result.generation_seconds = row["generation_seconds"]
-            result.invalid_workloads = row["invalid_workloads"]
-            return result
         return db.campaign_result(campaign_id)

@@ -17,7 +17,8 @@ Four tables:
   orphaned ``processing`` rows back to ``pending`` so a crashed session's
   in-flight work is re-dispatched, never lost and never double-counted.
   Completed chunks also carry their aggregate counters (workloads, reports,
-  scenario/dedup totals, worker seconds).
+  scenario/dedup totals, worker seconds) and every counter's roll-up, from
+  which a campaign's aggregates are merged without decoding a result.
 * ``results`` — one row per tested workload, keyed ``(campaign, chunk,
   position)`` with the serialized :class:`CrashTestResult` as payload.
   Ingest is *dedup-at-write*: result inserts use ``INSERT OR IGNORE`` and a
@@ -32,7 +33,14 @@ Four tables:
 A store written by an older version may also hold a cross-workload dedup
 table, a ``chunks.cross_deduped`` column and a ``campaigns.tenant`` column
 from when one store queued many owners' campaigns; none is read or written,
-and the columns' defaults keep new rows valid there.
+and the columns' defaults keep new rows valid there.  A store from before
+``chunks.roll_ups`` gets the column when opened; the chunks it had done keep
+it empty, and a read computes their roll-ups from their own rows.
+
+A campaign's result (:meth:`CampaignStateDB.campaign_result`) is read from
+the store, not held: its ``results`` is a :class:`StoredResults`, its
+aggregates are the chunks' roll-ups merged, and its reports are decoded from
+the failing workloads' rows alone.
 
 One instance owns one sqlite connection in the process that built it; the
 path, not the object, is what crosses process boundaries.
@@ -43,11 +51,12 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from dataclasses import fields
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from urllib.parse import quote
 
 from ..core.results import CampaignResult
-from ..crashmonkey.report import CrashTestResult
+from ..crashmonkey.report import BugReport, CrashTestResult, merge_roll_ups, roll_ups_of
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError, UnknownCampaignError
 from ..options import RETIRED_EXECUTION_OPTIONS, CampaignConfig
@@ -82,6 +91,7 @@ CREATE TABLE IF NOT EXISTS chunks (
     prefix_hits   INTEGER NOT NULL DEFAULT 0,
     replay_hits   INTEGER NOT NULL DEFAULT 0,
     cpu_seconds   REAL NOT NULL DEFAULT 0,
+    roll_ups      TEXT,
     PRIMARY KEY (campaign_id, chunk_index)
 );
 CREATE TABLE IF NOT EXISTS results (
@@ -98,6 +108,97 @@ CREATE TABLE IF NOT EXISTS mechanism_reports (
 """
 
 
+def _decode(payload: str) -> CrashTestResult:
+    """One stored result row; the one place a durable result is decoded."""
+    return CrashTestResult.from_dict(json.loads(payload))
+
+
+class StoredResults(Sequence[CrashTestResult]):
+    """A campaign's stored results in stream order, read on demand.
+
+    Nothing is cached: ``len`` counts rows, and each pass opens its own
+    read-only connection by path and decodes one row at a time, so the
+    sequence outlives the :class:`CampaignStateDB` (and the runner) that
+    made it.  ``failing=True`` restricts it to workloads with bug reports,
+    selected in SQL.
+    """
+
+    def __init__(self, path: str, campaign_id: str, failing: bool = False):
+        self.path = path
+        self.campaign_id = campaign_id
+        self.failing = failing
+
+    def failing_only(self) -> "StoredResults":
+        return StoredResults(self.path, self.campaign_id, failing=True)
+
+    def _rows(self, columns: str, tail: str = "", *params) -> Iterator[tuple]:
+        where = "WHERE campaign_id = ?"
+        if self.failing:
+            where += " AND json_array_length(result_json, '$.bug_reports') > 0"
+        # ``mode=rw`` opens no store that is not there; ``query_only`` writes
+        # nothing.  (A ``mode=ro`` connection that closes last would leave
+        # the store's -wal and -shm files behind.)
+        conn = sqlite3.connect(f"file:{quote(self.path)}?mode=rw", uri=True)
+        conn.execute("PRAGMA query_only = ON")
+        try:
+            yield from conn.execute(f"SELECT {columns} FROM results {where} {tail}",
+                                    (self.campaign_id, *params))
+        finally:
+            conn.close()
+
+    def __len__(self) -> int:
+        (count,), = self._rows("COUNT(*)")
+        return count
+
+    def __iter__(self) -> Iterator[CrashTestResult]:
+        for (payload,) in self._rows("result_json", "ORDER BY chunk_index, position"):
+            yield _decode(payload)
+
+    def __getitem__(self, index: int) -> CrashTestResult:
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("stored result index out of range")
+        (payload,), = self._rows("result_json", "ORDER BY chunk_index, position "
+                                 "LIMIT 1 OFFSET ?", index % size)
+        return _decode(payload)
+
+
+@dataclass
+class StoredCampaignResult(CampaignResult):
+    """A durable campaign's result, read from its state store.
+
+    ``results`` is a :class:`StoredResults`; every aggregate comes from
+    ``totals``, the roll-ups of the chunks done when it was read, merged;
+    and the reports come from the failing workloads' rows.  So describing
+    the campaign decodes no passing workload, and holding the result holds
+    no row.
+    """
+
+    #: every counter's campaign-wide aggregate, by aggregate name
+    totals: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: workloads with bug reports, from the chunks' tallies
+    failing: int = 0
+
+    def __getattr__(self, name: str):
+        # ``__dict__`` directly: copies probe an instance with no fields yet.
+        try:
+            return self.__dict__["totals"][name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
+
+    @property
+    def failing_workloads(self) -> int:
+        return self.failing
+
+    def roll_ups(self) -> Dict[str, Any]:
+        return dict(self.totals)
+
+    def all_reports(self) -> List[BugReport]:
+        return [report for result in self.results.failing_only()
+                for report in result.bug_reports]
+
+
 class CampaignStateDB:
     """Sqlite-backed store of campaign, chunk and result state."""
 
@@ -112,6 +213,8 @@ class CampaignStateDB:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
+        if "roll_ups" not in {row[1] for row in self._conn.execute("PRAGMA table_info(chunks)")}:
+            self._conn.execute("ALTER TABLE chunks ADD COLUMN roll_ups TEXT")
 
     @classmethod
     def existing(cls, path: str) -> "CampaignStateDB":
@@ -346,6 +449,7 @@ class CampaignStateDB:
         whether this outcome was the one that landed.
         """
         results = outcome.results
+        totals = outcome.roll_ups()
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             row = self._conn.execute(
@@ -372,18 +476,19 @@ class CampaignStateDB:
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
                 "failing = ?, raw_reports = ?, crash_points = ?, scenarios = ?, "
                 "deduped = ?, prefix_hits = ?, replay_hits = ?, "
-                "cpu_seconds = ? WHERE campaign_id = ? AND chunk_index = ?",
+                "cpu_seconds = ?, roll_ups = ? WHERE campaign_id = ? AND chunk_index = ?",
                 (
                     outcome.seconds,
                     outcome.worker,
                     outcome.failing_workloads,
                     sum(len(result.bug_reports) for result in results),
-                    outcome.crash_points_tested,
-                    outcome.scenarios_tested,
-                    outcome.deduped_scenarios,
-                    outcome.prefix_hits,
-                    outcome.replay_hits,
+                    totals["crash_points_tested"],
+                    totals["scenarios_tested"],
+                    totals["deduped_scenarios"],
+                    totals["prefix_hits"],
+                    totals["replay_hits"],
                     sum(result.total_seconds for result in results),
+                    json.dumps(totals, separators=(",", ":")),
                     campaign_id,
                     outcome.index,
                 ),
@@ -422,37 +527,44 @@ class CampaignStateDB:
 
     # ---------------------------------------------------------------- results
 
-    def iter_result_payloads(self, campaign_id: str) -> Iterator[dict]:
-        """Stored results in stream order (chunk index, then position)."""
-        cursor = self._conn.execute(
-            "SELECT result_json FROM results WHERE campaign_id = ? "
-            "ORDER BY chunk_index, position",
-            (campaign_id,),
-        )
-        for (payload,) in cursor:
-            yield json.loads(payload)
+    def campaign_result(self, campaign_id: str) -> StoredCampaignResult:
+        """The campaign's result as the store holds it, over its done chunks.
 
-    def campaign_result(self, campaign_id: str) -> CampaignResult:
-        """Reconstruct the aggregate result from the stored chunk results.
-
-        Results come back in stream order, so a campaign finished across N
-        interrupted sessions reconstructs the same :class:`CampaignResult`
-        (reports, scenario and dedup counters, result ordering) an
-        uninterrupted run returns.
+        Nothing is decoded here: the aggregates are merged from the chunks'
+        stored roll-ups (a chunk ingested before they were stored has its
+        own computed from its rows, and nothing is written back), and the
+        rows are read when the result is read, in stream order, so a
+        campaign finished across N interrupted sessions reads back the same
+        reports, counters and result order an uninterrupted run returns.
         """
         row = self.campaign_row(campaign_id)
-        return CampaignResult(
+        parts: List[Dict[str, Any]] = []
+        failing = 0
+        for index, chunk_failing, stored in self._conn.execute(
+            "SELECT chunk_index, failing, roll_ups FROM chunks "
+            "WHERE campaign_id = ? AND status = 'done' ORDER BY chunk_index",
+            (campaign_id,),
+        ).fetchall():
+            failing += chunk_failing
+            parts.append(json.loads(stored) if stored is not None
+                         else roll_ups_of(self._chunk_results(campaign_id, index)))
+        return StoredCampaignResult(
             fs_name=row["fs_name"],
             fs_model=row["fs_model"],
             label=row["label"],
-            results=[
-                CrashTestResult.from_dict(payload)
-                for payload in self.iter_result_payloads(campaign_id)
-            ],
+            results=StoredResults(os.path.abspath(self.path), campaign_id),
             generation_seconds=row["generation_seconds"],
             testing_seconds=row["testing_seconds"],
             invalid_workloads=row["invalid_workloads"],
+            totals=merge_roll_ups(parts),
+            failing=failing,
         )
+
+    def _chunk_results(self, campaign_id: str, chunk_index: int) -> List[CrashTestResult]:
+        """One chunk's decoded results, in order."""
+        return [_decode(payload) for (payload,) in self._conn.execute(
+            "SELECT result_json FROM results WHERE campaign_id = ? AND chunk_index = ? "
+            "ORDER BY position", (campaign_id, chunk_index))]
 
     # ------------------------------------------------------------------ views
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.ace import Bounds
+from repro.core.results import CampaignResult
 from repro.crashmonkey import CrashMonkey
 from repro.errors import FileSystemError
 from repro.fs import BugConfig, get_fs_class, resolve_fs_name
@@ -217,3 +218,33 @@ def reopen_tail(db_path: str, campaign_id: str, first: int) -> None:
                      (campaign_id, first))
         conn.execute("UPDATE campaigns SET status = 'running' WHERE campaign_id = ?",
                      (campaign_id,))
+
+
+def assert_reads_as_held(result) -> None:
+    """A result read from a state store says what its rows say held in memory.
+
+    The stored result merges per-chunk roll-ups and decodes only failing
+    rows for its reports; a plain :class:`CampaignResult` of the same rows
+    computes everything from the list.  Integer aggregates must agree
+    exactly.  A float sum adds chunk by chunk in the stored result and
+    result by result in the held one, so it agrees up to rounding.
+    """
+    held = CampaignResult(
+        fs_name=result.fs_name, fs_model=result.fs_model, label=result.label,
+        results=list(result.results), generation_seconds=result.generation_seconds,
+        testing_seconds=result.testing_seconds, invalid_workloads=result.invalid_workloads)
+    assert result.to_dict() == held.to_dict()
+    assert result.describe() == held.describe()
+    assert [report.to_dict() for report in result.all_reports()] == \
+        [report.to_dict() for report in held.all_reports()]
+    assert (result.workloads_tested, result.failing_workloads, result.mounted_scenarios) == \
+        (held.workloads_tested, held.failing_workloads, held.mounted_scenarios)
+    totals = held.roll_ups()
+    assert result.roll_ups().keys() == totals.keys()
+    for aggregate, value in totals.items():
+        if isinstance(value, float):
+            assert getattr(result, aggregate) == pytest.approx(value), aggregate
+        else:
+            assert getattr(result, aggregate) == value, aggregate
+    assert result.phase_seconds() == pytest.approx(held.phase_seconds())
+    assert result.mean_test_seconds() == pytest.approx(held.mean_test_seconds())

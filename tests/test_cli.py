@@ -289,6 +289,20 @@ class TestDurableCampaignCommands:
         assert CampaignResult.from_dict(payload).workloads_tested == 12
         assert payload["derived"]["workloads_tested"] == 12
 
+    def test_a_durable_campaign_and_its_results_write_one_json(self, tmp_path, capsys):
+        """Both commands print the result the store holds: the same file."""
+        import json as json_module
+
+        db = str(tmp_path / "state.sqlite")
+        ran, read = tmp_path / "campaign.json", tmp_path / "results.json"
+        assert main(["campaign", "--durable", "--state-db", db, "--campaign-id", "one",
+                     "--preset", "seq-2", "--limit", "24", "--sample", "--chunk-size", "4",
+                     "--json-out", str(ran)]) == 1
+        assert main(["results", "--state-db", db, "one", "--json-out", str(read)]) == 0
+        capsys.readouterr()
+        assert json_module.loads(ran.read_text())["derived"]["failing_workloads"] > 0
+        assert ran.read_bytes() == read.read_bytes()
+
     def test_progress_on_a_plain_campaign_prints_totals_and_eta(self, capsys):
         assert main(["campaign", "--progress", "--patched", *self.CAMPAIGN]) == 0
         err = capsys.readouterr().err

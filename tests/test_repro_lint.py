@@ -731,3 +731,33 @@ def test_the_tree_builds_its_engines_at_one_call_site():
     findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
                                             (_driver_row()._replace(site=""),))
     assert [path for path, _, _ in findings] == ["src/repro/core/campaign.py"]
+
+
+# ------------------------------------------------- rule 18: one durable result reader
+
+
+def _reader_row():
+    return next(row for row in repro_lint.SITE_OWNERS
+                if "CrashTestResult.from_dict" in row.message)
+
+
+def test_a_second_durable_result_decoder_is_caught():
+    decode = "def load(payloads):\n    return [CrashTestResult.from_dict(p) for p in payloads]\n"
+    findings = _sites(**{
+        "service/runner.py": decode,
+        "service/statedb.py": decode + (
+            "def _decode(payload):\n"
+            "    return CrashTestResult.from_dict(json.loads(payload))\n"),
+        # Outside service/ the row has nothing to say.
+        "core/results.py": decode,
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/service/runner.py", 2), ("src/repro/service/statedb.py", 2)]
+    assert all("outside statedb.py:_decode" in message for _, _, message in findings)
+
+
+def test_the_store_decodes_results_at_one_call_site():
+    """Without its site the row flags exactly one call in the tree: the owner's."""
+    findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
+                                            (_reader_row()._replace(site=""),))
+    assert [path for path, _, _ in findings] == ["src/repro/service/statedb.py"]

@@ -35,7 +35,7 @@ from repro.errors import CampaignDriftError, UnknownCampaignError
 from repro.service import CampaignStateDB, DurableCampaignRunner, default_campaign_id
 from repro.service.runner import SELFCRASH_ENV
 
-from conftest import reopen_tail, run_until
+from conftest import assert_reads_as_held, reopen_tail, run_until
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -425,6 +425,38 @@ def test_an_old_store_resumes_a_default_campaign(tmp_path, capsys, uninterrupted
         assert [(status.campaign_id, status.complete) for status in db.statuses()] == \
             [("old", True), ("other", False)]
         assert db.status("old").workloads_done == 40
+
+
+def _unrolled_chunks(db_path: str) -> int:
+    with closing(sqlite3.connect(db_path)) as conn:
+        return conn.execute("SELECT COUNT(*) FROM chunks WHERE roll_ups IS NULL").fetchone()[0]
+
+
+@pytest.mark.parametrize("older", ["every-other-chunk", "whole-store"])
+def test_chunks_done_without_stored_roll_ups_read_back_from_their_rows(tmp_path, uninterrupted,
+                                                                        older):
+    """Chunks an older version ingested carry no roll-ups (a store from before
+    the column has none at all): a read computes theirs from their rows and
+    writes nothing back, and the result reads as the uninterrupted run."""
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path)
+    runner = DurableCampaignRunner.from_db(db_path, "old")
+    try:
+        runner.run()
+    finally:
+        runner.close()
+    with closing(sqlite3.connect(db_path)) as conn, conn:
+        if older == "whole-store":
+            conn.execute("ALTER TABLE chunks DROP COLUMN roll_ups")
+        else:
+            conn.execute("UPDATE chunks SET roll_ups = NULL WHERE chunk_index % 2 = 0")
+    with CampaignStateDB.existing(db_path) as db:
+        unrolled = _unrolled_chunks(db_path)
+        assert unrolled == (10 if older == "whole-store" else 5)
+        result = db.campaign_result("old")
+    assert result.canonical_dict() == uninterrupted.canonical_dict()
+    assert_reads_as_held(result)
+    assert _unrolled_chunks(db_path) == unrolled
 
 
 def test_a_runner_leaves_a_borrowed_store_open(tmp_path):

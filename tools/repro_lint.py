@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Fifteen invariants, each protecting a guarantee a past change was built on.
+Sixteen invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -307,6 +307,12 @@ SITE_OWNERS: Tuple[Row, ...] = (
     Row(call("CampaignEngine"), "", "core/campaign.py:B3Campaign.engine",
         "`CampaignEngine(...)` outside B3Campaign.engine — drive a `B3Campaign`: it owns the "
         "chunk stream, the engine set-up and where the campaign's progress stands"),
+    # 18. A durable campaign's result is read in one place: the state store decodes its
+    #     rows one at a time (the failing ones alone for reports), so nothing else under
+    #     service/ holds a decoded result set.
+    Row(call("from_dict", receiver="CrashTestResult"), "service/", "service/statedb.py:_decode",
+        "`CrashTestResult.from_dict(...)` outside statedb.py:_decode — a durable campaign's "
+        "result is read from its store in one place: `CampaignStateDB.campaign_result`"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
