@@ -11,6 +11,7 @@ with its canonical/session tag and its roll-up rule (see :func:`counter`).
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -471,6 +472,19 @@ class CrashTestResult:
         payload["bug_reports"] = [report.to_dict() for report in self.bug_reports]
         payload["check_timings"] = dict(self.check_timings)
         return payload
+
+    def to_row(self) -> str:
+        """The state store's row text for this result: compact :meth:`to_dict` JSON.
+
+        Encoded where the result was tested (a pool worker, or the serial
+        backend) when a sink owns the chunk; :meth:`from_row` is its inverse.
+        """
+        return json.dumps(self.to_dict(), separators=(",", ":"))
+
+    @classmethod
+    def from_row(cls, row: str) -> "CrashTestResult":
+        """Inverse of :meth:`to_row`: one stored result row, decoded."""
+        return cls.from_dict(json.loads(row))
 
     def canonical_dict(self) -> dict:
         """``to_dict`` minus everything tagged ``SESSION`` (and the timings).

@@ -16,6 +16,11 @@ Two implementations cover the portable and the parallel case:
 Per-chunk seconds are measured *inside* the worker (wall clock around the
 actual testing), which is what the per-VM statistics report — not a uniform
 share of the pool's elapsed time.
+
+``execute(..., pack=True)`` — what the engine asks for when a sink owns the
+chunks — returns each chunk :meth:`~ChunkOutcome.packed` by the code that ran
+it: its results as the state store's row text and its stats computed there,
+so the process collecting outcomes decodes, encodes and rolls up no result.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Set,
 
 from ..clock import span
 from ..crashmonkey.harness import CrashMonkey
-from ..crashmonkey.report import CrashTestResult, RollUps
+from ..crashmonkey.report import CrashTestResult, roll_ups_of
 from ..options import HarnessSpec
 from ..workload.workload import Workload
 
@@ -49,9 +54,12 @@ class ChunkStats:
     failing_workloads: int
     worker: str
     #: every counter's aggregate over the chunk, by aggregate name
-    #: (:meth:`~repro.crashmonkey.report.RollUps.roll_ups`); each reads as an
+    #: (:func:`~repro.crashmonkey.report.roll_ups_of`); each reads as an
     #: attribute too: ``stats.prefix_hits``, ``stats.memoized_scenarios``, ...
     totals: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: bug reports over the chunk's results, and the sum of their phase seconds
+    raw_reports: int = 0
+    cpu_seconds: float = 0.0
 
     def __getattr__(self, name: str):
         # ``__dict__`` directly: unpickling probes an instance with no fields yet.
@@ -63,8 +71,13 @@ class ChunkStats:
 
 
 @dataclass
-class ChunkOutcome(RollUps):
-    """Results and real timing of one tested chunk."""
+class ChunkOutcome:
+    """Results and real timing of one tested chunk.
+
+    Every aggregate reads as an attribute, through :meth:`stats`:
+    ``outcome.prefix_hits``, ``outcome.failing_workloads``, ...  A
+    :meth:`packed` outcome holds no result: ``rows`` and its stats stand in.
+    """
 
     index: int
     results: List[CrashTestResult]
@@ -72,17 +85,46 @@ class ChunkOutcome(RollUps):
     seconds: float
     #: identifier of the worker that ran the chunk ("serial" or "pid-<n>")
     worker: str = "serial"
+    #: once packed: each result's :meth:`~CrashTestResult.to_row`, by position
+    rows: Optional[List[str]] = None
+    #: once packed: the stats computed where the chunk ran
+    packed_stats: Optional[ChunkStats] = field(default=None, repr=False)
+
+    def __getattr__(self, name: str):
+        # ``__dict__`` directly: unpickling probes an instance with no fields yet.
+        if name.startswith("__") or "results" not in self.__dict__:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        return getattr(self.stats(), name)
 
     def stats(self) -> ChunkStats:
         """This outcome without its result payload."""
+        if self.packed_stats is not None:
+            return self.packed_stats
+        results = self.results
         return ChunkStats(
             index=self.index,
-            workloads=len(self.results),
+            workloads=len(results),
             seconds=self.seconds,
-            failing_workloads=self.failing_workloads,
+            failing_workloads=sum(1 for result in results if not result.passed),
             worker=self.worker,
-            totals=self.roll_ups(),
+            totals=roll_ups_of(results),
+            raw_reports=sum(len(result.bug_reports) for result in results),
+            cpu_seconds=sum(result.total_seconds for result in results),
         )
+
+    def roll_ups(self) -> Dict[str, Any]:
+        """Every aggregate by name."""
+        return dict(self.stats().totals)
+
+    def packed(self) -> "ChunkOutcome":
+        """This outcome as its sink stores it: row text and stats, no result."""
+        if self.rows is not None:
+            return self
+        return ChunkOutcome(index=self.index, results=[], seconds=self.seconds,
+                            worker=self.worker,
+                            rows=[result.to_row() for result in self.results],
+                            packed_stats=self.stats())
 
 
 class ExecutionBackend(Protocol):
@@ -93,18 +135,20 @@ class ExecutionBackend(Protocol):
     #: clock and must not be subtracted from the testing time.
     overlaps_generation: bool
 
-    def execute(self, spec: HarnessSpec,
-                chunks: Iterable[IndexedChunk]) -> Iterator[ChunkOutcome]:
-        """Test every chunk, yielding outcomes as they complete."""
+    def execute(self, spec: HarnessSpec, chunks: Iterable[IndexedChunk],
+                pack: bool = False) -> Iterator[ChunkOutcome]:
+        """Test every chunk, yielding outcomes as they complete (packed if ``pack``)."""
         ...
 
 
-def _test_chunk(harness: CrashMonkey, indexed_chunk: IndexedChunk, worker: str) -> ChunkOutcome:
+def _test_chunk(harness: CrashMonkey, indexed_chunk: IndexedChunk, worker: str,
+                pack: bool) -> ChunkOutcome:
     """Test one chunk on ``harness``, timed around the actual testing."""
     index, chunk = indexed_chunk
     with span() as clock:
         results = list(harness.test_stream(chunk))
-        return ChunkOutcome(index=index, results=results, seconds=clock.seconds, worker=worker)
+        outcome = ChunkOutcome(index=index, results=results, seconds=clock.seconds, worker=worker)
+    return outcome.packed() if pack else outcome
 
 
 # --------------------------------------------------------------------------- serial
@@ -123,11 +167,11 @@ class SerialBackend:
             self._harness = spec.build()
         return self._harness
 
-    def execute(self, spec: HarnessSpec,
-                chunks: Iterable[IndexedChunk]) -> Iterator[ChunkOutcome]:
+    def execute(self, spec: HarnessSpec, chunks: Iterable[IndexedChunk],
+                pack: bool = False) -> Iterator[ChunkOutcome]:
         harness = self._harness_for(spec)
         for indexed_chunk in chunks:
-            yield _test_chunk(harness, indexed_chunk, "serial")
+            yield _test_chunk(harness, indexed_chunk, "serial", pack)
 
 
 # --------------------------------------------------------------------------- pool
@@ -141,10 +185,10 @@ def _init_worker(spec: HarnessSpec) -> None:
     _WORKER_HARNESS = spec.build()
 
 
-def _run_chunk(indexed_chunk: IndexedChunk) -> ChunkOutcome:
+def _run_chunk(indexed_chunk: IndexedChunk, pack: bool) -> ChunkOutcome:
     if _WORKER_HARNESS is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker harness was not initialized")
-    return _test_chunk(_WORKER_HARNESS, indexed_chunk, f"pid-{os.getpid()}")
+    return _test_chunk(_WORKER_HARNESS, indexed_chunk, f"pid-{os.getpid()}", pack)
 
 
 class ProcessPoolBackend:
@@ -172,8 +216,8 @@ class ProcessPoolBackend:
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
 
-    def execute(self, spec: HarnessSpec,
-                chunks: Iterable[IndexedChunk]) -> Iterator[ChunkOutcome]:
+    def execute(self, spec: HarnessSpec, chunks: Iterable[IndexedChunk],
+                pack: bool = False) -> Iterator[ChunkOutcome]:
         source = iter(chunks)
         with ProcessPoolExecutor(
             max_workers=self.processes,
@@ -190,7 +234,7 @@ class ProcessPoolBackend:
                     except StopIteration:
                         exhausted = True
                         break
-                    pending.add(executor.submit(_run_chunk, indexed_chunk))
+                    pending.add(executor.submit(_run_chunk, indexed_chunk, pack))
                 if not pending:
                     break
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)

@@ -11,8 +11,9 @@ Workloads flow as a *stream*: the engine pulls from the supplied iterable
 chunks, so only the in-flight chunks' workloads exist at any moment.  Results
 are another matter.  A plain run keeps every chunk's results until it returns
 them, in stream order, in its :class:`CampaignResult`.  A run with an outcome
-sink (the durable runner's state store) hands each chunk's results to the
-sink and keeps only the chunk's :class:`ChunkStats`.  Either way there is a
+sink (the durable runner's state store) has each chunk packed where it ran
+(its results as row text, its stats computed there), hands it to the sink and
+keeps only the chunk's :class:`ChunkStats`.  Either way there is a
 progress callback per chunk and real per-chunk wall-clock timing measured
 inside the worker that ran it.  A chunk is the paper's VM
 batch (§6.1): its :class:`ChunkStats` are that batch's seconds, worker and
@@ -151,11 +152,13 @@ class CampaignEngine:
 
         This is the durable runner's entry point: chunk indices are assigned
         by the caller (so a resumed campaign dispatches only its pending
-        indices), and ``on_outcome`` fires with the full :class:`ChunkOutcome`
-        — results included — *before* any progress callback, so the state
-        store commits a chunk before the world hears about it.  The sink owns
-        the results from then on: the run's result holds none, and the run
-        keeps each chunk's :class:`ChunkStats` only.  Without a sink the
+        indices), and ``on_outcome`` fires with each :class:`ChunkOutcome`
+        *before* any progress callback, so the state store commits a chunk
+        before the world hears about it.  The outcome comes
+        :meth:`~ChunkOutcome.packed` by the backend that ran it — result rows
+        as text, stats computed there — and the sink owns the rows from then
+        on: the run's result holds none, and the run keeps each chunk's
+        :class:`ChunkStats` only.  Without a sink the
         sparse index set reassembles in stream order.  ``generation`` times
         the workload generator ``chunks`` are cut from, when the caller has one.
         """
@@ -184,7 +187,8 @@ class CampaignEngine:
         kept: List[Tuple[int, List]] = []
         workloads = failing = 0  # running tallies: a rescan per event would be quadratic
         with span(run, "wall_clock_seconds") as clock:
-            for outcome in self.backend.execute(self.spec, stream):
+            # A sink stores row text: the chunks come packed where they ran.
+            for outcome in self.backend.execute(self.spec, stream, pack=on_outcome is not None):
                 if on_outcome is not None:
                     # Persistence hook: runs before progress so a durable
                     # campaign commits the chunk before reporting it.

@@ -20,7 +20,11 @@ Four tables:
   scenario/dedup totals, worker seconds) and every counter's roll-up, from
   which a campaign's aggregates are merged without decoding a result.
 * ``results`` — one row per tested workload, keyed ``(campaign, chunk,
-  position)`` with the serialized :class:`CrashTestResult` as payload.
+  position)`` with the serialized :class:`CrashTestResult` as payload: the
+  text of :meth:`~CrashTestResult.to_row`, which the code that tested the
+  chunk encoded (a :meth:`~repro.engine.backends.ChunkOutcome.packed`
+  outcome), so ingest writes strings and decodes, encodes and rolls up
+  nothing; :meth:`~CrashTestResult.from_row` reads a row back.
   Ingest is *dedup-at-write*: result inserts use ``INSERT OR IGNORE`` and a
   chunk whose status is already ``done`` refuses re-ingest entirely, so a
   chunk retried after a crash (or a late pool worker racing a recovery
@@ -43,7 +47,9 @@ aggregates are the chunks' roll-ups merged, and its reports are decoded from
 the failing workloads' rows alone.
 
 One instance owns one sqlite connection in the process that built it; the
-path, not the object, is what crosses process boundaries.
+path, not the object, is what crosses process boundaries.  Every connection
+the module opens, that one and each read pass's, has a page cache of
+:data:`CACHE_KIB` KiB.
 """
 
 from __future__ import annotations
@@ -108,9 +114,23 @@ CREATE TABLE IF NOT EXISTS mechanism_reports (
 """
 
 
+#: Page cache of every connection the store opens, in KiB.  The rows are
+#: written once and read in one sequential pass, so a cache holds nothing a
+#: second read would find; sqlite's default (2 MiB) only lifts the resident
+#: size of the process that writes or reads them.
+CACHE_KIB = 128
+
+
+def _connect(database: str, **kwargs) -> sqlite3.Connection:
+    """A connection with the bounded page cache, :data:`CACHE_KIB`."""
+    conn = sqlite3.connect(database, **kwargs)
+    conn.execute(f"PRAGMA cache_size = -{CACHE_KIB}")
+    return conn
+
+
 def _decode(payload: str) -> CrashTestResult:
     """One stored result row; the one place a durable result is decoded."""
-    return CrashTestResult.from_dict(json.loads(payload))
+    return CrashTestResult.from_row(payload)
 
 
 class StoredResults(Sequence[CrashTestResult]):
@@ -138,7 +158,7 @@ class StoredResults(Sequence[CrashTestResult]):
         # ``mode=rw`` opens no store that is not there; ``query_only`` writes
         # nothing.  (A ``mode=ro`` connection that closes last would leave
         # the store's -wal and -shm files behind.)
-        conn = sqlite3.connect(f"file:{quote(self.path)}?mode=rw", uri=True)
+        conn = _connect(f"file:{quote(self.path)}?mode=rw", uri=True)
         conn.execute("PRAGMA query_only = ON")
         try:
             yield from conn.execute(f"SELECT {columns} FROM results {where} {tail}",
@@ -209,7 +229,7 @@ class CampaignStateDB:
         # BEGIN IMMEDIATE transaction so results + chunk status land
         # atomically — a crash mid-ingest leaves the chunk `processing`,
         # which recovery resets cleanly.
-        self._conn = sqlite3.connect(path, timeout=timeout, isolation_level=None)
+        self._conn = _connect(path, timeout=timeout, isolation_level=None)
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
@@ -448,8 +468,10 @@ class CampaignStateDB:
         refused outright so nothing double-counts; the return value says
         whether this outcome was the one that landed.
         """
-        results = outcome.results
-        totals = outcome.roll_ups()
+        # Packed where the chunk ran, normally; one built from results is packed here.
+        outcome = outcome.packed()
+        stats = outcome.stats()
+        totals = stats.totals
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             row = self._conn.execute(
@@ -466,11 +488,8 @@ class CampaignStateDB:
             self._conn.executemany(
                 "INSERT OR IGNORE INTO results "
                 "(campaign_id, chunk_index, position, result_json) VALUES (?, ?, ?, ?)",
-                [
-                    (campaign_id, outcome.index, position,
-                     json.dumps(result.to_dict(), separators=(",", ":")))
-                    for position, result in enumerate(results)
-                ],
+                [(campaign_id, outcome.index, position, text)
+                 for position, text in enumerate(outcome.rows)],
             )
             self._conn.execute(
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
@@ -478,16 +497,16 @@ class CampaignStateDB:
                 "deduped = ?, prefix_hits = ?, replay_hits = ?, "
                 "cpu_seconds = ?, roll_ups = ? WHERE campaign_id = ? AND chunk_index = ?",
                 (
-                    outcome.seconds,
-                    outcome.worker,
-                    outcome.failing_workloads,
-                    sum(len(result.bug_reports) for result in results),
+                    stats.seconds,
+                    stats.worker,
+                    stats.failing_workloads,
+                    stats.raw_reports,
                     totals["crash_points_tested"],
                     totals["scenarios_tested"],
                     totals["deduped_scenarios"],
                     totals["prefix_hits"],
                     totals["replay_hits"],
-                    sum(result.total_seconds for result in results),
+                    stats.cpu_seconds,
                     json.dumps(totals, separators=(",", ":")),
                     campaign_id,
                     outcome.index,

@@ -72,6 +72,13 @@ def test_crash_test_result_round_trip_of_a_passing_result():
     assert clone.to_dict() == result.to_dict()
 
 
+def test_a_stored_row_is_the_compact_json_of_to_dict():
+    for result in (_failing_result(), run_workload_text("btrfs", "creat foo\nfsync foo\n")):
+        row = result.to_row()
+        assert row == json.dumps(result.to_dict(), separators=(",", ":"))
+        assert CrashTestResult.from_row(row).to_row() == row
+
+
 def test_canonical_dict_drops_session_telemetry():
     result = _failing_result()
     canonical = result.canonical_dict()

@@ -733,31 +733,66 @@ def test_the_tree_builds_its_engines_at_one_call_site():
     assert [path for path, _, _ in findings] == ["src/repro/core/campaign.py"]
 
 
-# ------------------------------------------------- rule 18: one durable result reader
+# ------------------------------- rule 18: one result-row codec, one durable result reader
 
 
-def _reader_row():
-    return next(row for row in repro_lint.SITE_OWNERS
-                if "CrashTestResult.from_dict" in row.message)
+def _row_of(text):
+    return next(row for row in repro_lint.SITE_OWNERS if text in row.message)
+
+
+#: the codec as report.py spells it
+CODEC = (
+    "class CrashTestResult:\n"
+    "    def to_row(self):\n"
+    "        return json.dumps(self.to_dict(), separators=(',', ':'))\n"
+    "    @classmethod\n"
+    "    def from_row(cls, row):\n"
+    "        return cls.from_dict(json.loads(row))\n"
+)
 
 
 def test_a_second_durable_result_decoder_is_caught():
     decode = "def load(payloads):\n    return [CrashTestResult.from_dict(p) for p in payloads]\n"
     findings = _sites(**{
-        "service/runner.py": decode,
+        "crashmonkey/report.py": CODEC + decode,
+        "engine/backends.py": decode,
+        "service/runner.py": decode + "def one(row):\n    return CrashTestResult.from_row(row)\n",
         "service/statedb.py": decode + (
             "def _decode(payload):\n"
-            "    return CrashTestResult.from_dict(json.loads(payload))\n"),
-        # Outside service/ the row has nothing to say.
+            "    return CrashTestResult.from_row(payload)\n"),
+        # Outside the codec's file, engine/ and service/ the rows have nothing to say.
         "core/results.py": decode,
     })
     assert [(path, line) for path, line, _ in findings] == [
-        ("src/repro/service/runner.py", 2), ("src/repro/service/statedb.py", 2)]
-    assert all("outside statedb.py:_decode" in message for _, _, message in findings)
+        ("src/repro/crashmonkey/report.py", 8), ("src/repro/engine/backends.py", 2),
+        ("src/repro/service/runner.py", 2), ("src/repro/service/runner.py", 4),
+        ("src/repro/service/statedb.py", 2)]
+    messages = [message for _, _, message in findings]
+    assert sum("outside CrashTestResult.from_row" in message for message in messages) == 4
+    assert "outside statedb.py:_decode" in messages[3]
+
+
+def test_a_second_result_row_encoder_is_caught():
+    encode = ("def rows(results):\n"
+              "    return [json.dumps(r.to_dict(), separators=(',', ':')) for r in results]\n")
+    findings = _sites(**{
+        "crashmonkey/report.py": CODEC,
+        "engine/backends.py": encode,
+        "service/statedb.py": "import json\n" + encode.replace("json.dumps", "dumps"),
+        # A campaign's --json-out document is not a stored row.
+        "cli/main.py": encode,
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/engine/backends.py", 2), ("src/repro/service/statedb.py", 3)]
+    assert all("outside CrashTestResult.to_row" in message for _, _, message in findings)
 
 
 def test_the_store_decodes_results_at_one_call_site():
-    """Without its site the row flags exactly one call in the tree: the owner's."""
-    findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
-                                            (_reader_row()._replace(site=""),))
-    assert [path for path, _, _ in findings] == ["src/repro/service/statedb.py"]
+    """Without their sites the codec's and the reader's rows each flag exactly
+    one call in the tree: the owner's."""
+    for text, owner in (("outside CrashTestResult.to_row", "src/repro/crashmonkey/report.py"),
+                        ("outside CrashTestResult.from_row", "src/repro/crashmonkey/report.py"),
+                        ("outside statedb.py:_decode", "src/repro/service/statedb.py")):
+        findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
+                                                (_row_of(text)._replace(site=""),))
+        assert [path for path, _, _ in findings] == [owner], text

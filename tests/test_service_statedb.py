@@ -1,5 +1,6 @@
 """The campaign state store: chunk lifecycle, recovery, dedup-at-write."""
 
+import os
 import sqlite3
 from contextlib import closing
 
@@ -9,7 +10,7 @@ from repro.crashmonkey.report import CrashTestResult
 from repro.engine.backends import ChunkOutcome
 from repro.errors import ReproError, UnknownCampaignError
 from repro.service import CampaignStateDB
-from repro.service import api
+from repro.service import api, statedb
 from repro.workload import parse_workload
 
 
@@ -238,6 +239,62 @@ def test_a_refused_ingest_leaves_no_transaction_open(db):
     # The failed ingest rolled back: the next one opens its own transaction.
     assert db.ingest_outcome("c1", _outcome(0, ["a"])) is True
     assert db.done_chunk_indices("c1") == {0}
+
+
+def test_a_chunk_past_the_page_cache_lands_whole_or_not_at_all(db):
+    """Rows past the bounded page cache spill to the WAL mid-transaction; a
+    chunk whose update then fails still leaves no row behind."""
+    db.create_campaign("c1", CONFIG)
+    db.register_chunks("c1", [(0, "k0", 400)])
+    db.claim_chunk("c1", 0)
+    outcome = _outcome(0, [f"w{n}" for n in range(400)], reports=1)
+    cache = statedb.CACHE_KIB * 1024
+    assert sum(len(row) for row in outcome.packed().rows) > 4 * cache
+    wal_before = os.path.getsize(db.path + "-wal")
+    # The chunk's UPDATE is the transaction's last statement: make it fail.
+    db._conn.execute("CREATE TRIGGER refuse BEFORE UPDATE OF status ON chunks "
+                     "BEGIN SELECT RAISE(ABORT, 'disk gone'); END")
+    with pytest.raises(sqlite3.IntegrityError, match="disk gone"):
+        db.ingest_outcome("c1", outcome)
+    assert os.path.getsize(db.path + "-wal") - wal_before > cache  # the cache spilled
+    assert not db._conn.in_transaction
+    assert db._conn.execute("SELECT COUNT(*) FROM results").fetchone() == (0,)
+    assert db.chunk_states("c1") == {api.PROCESSING: (1, 400)}
+    db._conn.execute("DROP TRIGGER refuse")
+    assert db.ingest_outcome("c1", outcome) is True
+    assert len(db.campaign_result("c1").results) == 400
+
+
+def test_every_connection_the_store_opens_has_the_bounded_page_cache(tmp_path, monkeypatch):
+    opened, read_back = [], []
+
+    class Observed(sqlite3.Connection):
+        def close(self):
+            read_back.append(self.execute("PRAGMA cache_size").fetchone()[0])
+            super().close()
+
+    def connect(*args, **kwargs):
+        opened.append(args[0])
+        return sqlite_connect(*args, factory=Observed, **kwargs)
+
+    sqlite_connect = sqlite3.connect
+    monkeypatch.setattr(statedb.sqlite3, "connect", connect)
+    path = str(tmp_path / "state.sqlite")
+    with CampaignStateDB(path) as writer:
+        writer.create_campaign("c1", CONFIG)
+        writer.register_chunks("c1", [(0, "k0", 2)])
+        writer.ingest_outcome("c1", _outcome(0, ["a", "b"], reports=1))
+        results = writer.campaign_result("c1").results
+    with CampaignStateDB.existing(path) as existing:
+        existing.status("c1")
+    # Each pass over the stored results is a connection of its own.
+    assert len(results) == 2
+    assert [test.workload.name for test in results] == ["a", "b"]
+    assert results[-1].workload.name == "b"
+    assert len(results.failing_only()) == 2
+    # The writer, ``existing`` and five passes (``results[-1]`` counts first).
+    assert len(opened) == 7
+    assert read_back == [-statedb.CACHE_KIB] * 7
 
 
 def test_results_are_kept_per_campaign(db):

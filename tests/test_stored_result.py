@@ -4,8 +4,10 @@ The engine hands each chunk's results to the store as it lands and keeps
 only the chunk's stats; the runner returns ``CampaignStateDB.campaign_result``,
 whose ``results`` are read from the store on each pass, whose aggregates are
 the chunks' roll-ups merged, and whose reports come from the failing rows
-alone.  These tests pin that the parent holds no row, and that the stored
-result reads exactly as the plain in-memory run of the same configuration.
+alone.  These tests pin that the parent holds no row and, since each chunk
+arrives packed as row text, encodes or unpickles no result; and that the
+stored result reads exactly as the plain in-memory run of the same
+configuration.
 """
 
 import gc
@@ -18,6 +20,7 @@ import pytest
 from repro.ace import seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey.report import CrashTestResult
+from repro.engine import backends
 from repro.engine.engine import family_chunks
 from repro.service import CampaignStateDB, DurableCampaignRunner
 from repro.service.statedb import StoredResults
@@ -61,7 +64,9 @@ def test_a_sink_owns_each_chunks_results():
     run = campaign.engine(events.append).run_indexed(
         enumerate(family_chunks(workloads, 4)), on_outcome=sunk.append)
     assert run.result.results == []
-    assert sum(len(outcome.results) for outcome in sunk) == len(workloads)
+    # Each chunk reaches the sink packed: row text and stats, no result.
+    assert all(outcome.results == [] for outcome in sunk)
+    assert sum(len(outcome.rows) for outcome in sunk) == len(workloads)
     # The run keeps every chunk's stats, in stream order.
     assert [stats.index for stats in run.chunks] == sorted(outcome.index for outcome in sunk)
     assert [stats.workloads for stats in run.chunks] == \
@@ -72,6 +77,71 @@ def test_a_sink_owns_each_chunks_results():
     assert (events[-1].workloads_done, events[-1].failing_workloads) == (len(workloads), failing)
     assert [event.workloads_done for event in events] == \
         sorted(event.workloads_done for event in events)
+
+
+# ------------------------------------------------------------- the parent's work
+
+
+@pytest.mark.parametrize("processes", [1, 2], ids=["serial", "pool"])
+def test_the_durable_parent_touches_no_passing_result(tmp_path, monkeypatch, processes):
+    """Each chunk is packed by the code that ran it: the parent encodes and
+    unpickles no result, and decodes only the failing rows reports are read from."""
+    calls = {"encoded": 0, "encoded_by_chunks": 0, "unpickled": 0, "decoded": 0}
+    running_a_chunk, old_rows = [], []
+    to_dict, from_dict = CrashTestResult.to_dict, CrashTestResult.from_dict.__func__
+    test_chunk, packed = backends._test_chunk, backends.ChunkOutcome.packed
+
+    def counting_to_dict(self):
+        calls["encoded_by_chunks" if running_a_chunk else "encoded"] += 1
+        return to_dict(self)
+
+    def counting_from_dict(cls, payload):
+        calls["decoded"] += 1
+        return from_dict(cls, payload)
+
+    def unpickling(self, state):
+        calls["unpickled"] += 1
+        self.__dict__.update(state)
+
+    def observed_test_chunk(*args):
+        running_a_chunk.append(True)
+        try:
+            return test_chunk(*args)
+        finally:
+            running_a_chunk.pop()
+
+    def observed_packed(self):
+        # What the store wrote before rows were packed, for the same results.
+        old_rows.extend(json.dumps(to_dict(test), separators=(",", ":"))
+                        for test in self.results)
+        return packed(self)
+
+    monkeypatch.setattr(CrashTestResult, "to_dict", counting_to_dict)
+    monkeypatch.setattr(CrashTestResult, "from_dict", classmethod(counting_from_dict))
+    monkeypatch.setattr(CrashTestResult, "__setstate__", unpickling, raising=False)
+    monkeypatch.setattr(backends, "_test_chunk", observed_test_chunk)
+    monkeypatch.setattr(backends.ChunkOutcome, "packed", observed_packed)
+    path = str(tmp_path / "state.sqlite")
+    runner = DurableCampaignRunner(_config(processes=processes), path)
+    try:
+        result = runner.run()
+    finally:
+        runner.close()
+    # A pool's workers do their own counting, out of the parent's sight.
+    assert calls == {"encoded": 0, "encoded_by_chunks": 40 if processes == 1 else 0,
+                     "unpickled": 0, "decoded": 0}
+    assert result.grouped_reports()
+    assert calls["decoded"] == result.failing_workloads > 0
+
+    with sqlite3.connect(path) as conn:
+        rows = [text for (text,) in conn.execute(
+            "SELECT result_json FROM results ORDER BY chunk_index, position")]
+    conn.close()
+    assert len(rows) == 40
+    if processes == 1:
+        assert rows == old_rows
+    assert rows == [json.dumps(to_dict(CrashTestResult.from_row(text)), separators=(",", ":"))
+                    for text in rows]
 
 
 # --------------------------------------------------------------- the memory bound

@@ -167,6 +167,18 @@ def named(*names: str) -> Match:
                   ast.Attribute, ast.Name), fields)
 
 
+def dumps_of(method: str) -> Match:
+    """A ``json.dumps(<x>.method(...), ...)``: text made on the spot from the
+    payload ``method`` returns."""
+    def fields(node: ast.Call, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
+        if (_call_name(node) in {("json", "dumps"), ("", "dumps")} and node.args
+                and isinstance(node.args[0], ast.Call)
+                and _call_name(node.args[0])[1] == method):
+            return {"name": method, "receiver": _call_name(node.args[0])[0]}
+        return None
+    return Match((ast.Call,), fields)
+
+
 def _env_var_read(node: ast.AST, module: ast.Module) -> str:
     """The variable name ``node`` reads from the environment, if it is such a
     read: spelt literally or through a module-level ``NAME = 'text'``."""
@@ -307,12 +319,23 @@ SITE_OWNERS: Tuple[Row, ...] = (
     Row(call("CampaignEngine"), "", "core/campaign.py:B3Campaign.engine",
         "`CampaignEngine(...)` outside B3Campaign.engine — drive a `B3Campaign`: it owns the "
         "chunk stream, the engine set-up and where the campaign's progress stands"),
-    # 18. A durable campaign's result is read in one place: the state store decodes its
-    #     rows one at a time (the failing ones alone for reports), so nothing else under
-    #     service/ holds a decoded result set.
-    Row(call("from_dict", receiver="CrashTestResult"), "service/", "service/statedb.py:_decode",
-        "`CrashTestResult.from_dict(...)` outside statedb.py:_decode — a durable campaign's "
-        "result is read from its store in one place: `CampaignStateDB.campaign_result`"),
+    # 18. A stored result row has one codec, ``CrashTestResult.to_row`` / ``from_row`` side
+    #     by side: the code that tested a chunk encodes its rows, the store decodes them, and
+    #     a second encoder or decoder would drift from the rows stores already hold.  And a
+    #     durable campaign's result is read in one place: the state store decodes its rows
+    #     one at a time (the failing ones alone for reports), so nothing else under service/
+    #     holds a decoded result set.
+    Row(dumps_of("to_dict"), "crashmonkey/ engine/ service/",
+        "crashmonkey/report.py:CrashTestResult.to_row",
+        "`json.dumps({receiver}.to_dict(...))` outside CrashTestResult.to_row — a result row "
+        "has one encoder, beside its decoder `from_row`"),
+    Row(call("from_dict", receiver="CrashTestResult|cls"), "crashmonkey/report.py engine/ service/",
+        "crashmonkey/report.py:CrashTestResult.from_row",
+        "`{receiver}.from_dict(...)` outside CrashTestResult.from_row — a stored result row has "
+        "one decoder, beside its encoder `to_row`"),
+    Row(call("from_row"), "service/", "service/statedb.py:_decode",
+        "`{receiver}.from_row(...)` outside statedb.py:_decode — a durable campaign's result is "
+        "read from its store in one place: `CampaignStateDB.campaign_result`"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
