@@ -78,7 +78,7 @@ _CONSEQUENCE_TO_SEVERITY: Dict[str, Severity] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mismatch:
     """One failed correctness check."""
 
@@ -128,7 +128,7 @@ class Mismatch:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class BugReport:
     """A crash-consistency violation found at one crash point of one workload."""
 
@@ -286,8 +286,15 @@ def counter(help: str, *, tag: str = CANONICAL, rollup: str = SUM,
 
 
 def counted(cls):
-    """``@dataclass`` plus what its ``counter`` fields derive, computed once."""
-    cls = dataclass(cls)
+    """A slotted ``@dataclass`` plus what its ``counter`` fields derive, computed once.
+
+    Slotted because a held result would otherwise carry an instance dict of
+    its own: with more attributes than CPython shares an instance dict's keys
+    for, each result pays ~1.6 KiB for one.  ``dataclass(slots=True)`` returns
+    a new class, so the derived attributes are set on that one, and no method
+    of a counted class may use zero-argument ``super()``.
+    """
+    cls = dataclass(cls, slots=True)
     declared = [f for f in fields(cls) if "rollup" in f.metadata]
     #: every counter, in declaration order (the codec's scalar keys)
     cls.COUNTERS = tuple(f.name for f in declared)

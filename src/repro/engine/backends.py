@@ -19,8 +19,9 @@ share of the pool's elapsed time.
 
 ``execute(..., pack=True)`` — what the engine asks for when a sink owns the
 chunks — returns each chunk :meth:`~ChunkOutcome.packed` by the code that ran
-it: its results as the state store's row text and its stats computed there,
-so the process collecting outcomes decodes, encodes and rolls up no result.
+it: its results as the state store's row text, its stats computed there and
+the positions of its failing results, so the process collecting outcomes
+decodes, encodes and rolls up no result.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class ChunkOutcome:
     rows: Optional[List[str]] = None
     #: once packed: the stats computed where the chunk ran
     packed_stats: Optional[ChunkStats] = field(default=None, repr=False)
+    #: once packed: the positions of the results with bug reports
+    failing_positions: Optional[Tuple[int, ...]] = None
 
     def __getattr__(self, name: str):
         # ``__dict__`` directly: unpickling probes an instance with no fields yet.
@@ -118,13 +121,16 @@ class ChunkOutcome:
         return dict(self.stats().totals)
 
     def packed(self) -> "ChunkOutcome":
-        """This outcome as its sink stores it: row text and stats, no result."""
+        """This outcome as its sink stores it: rows, stats, failing positions, no result."""
         if self.rows is not None:
             return self
         return ChunkOutcome(index=self.index, results=[], seconds=self.seconds,
                             worker=self.worker,
                             rows=[result.to_row() for result in self.results],
-                            packed_stats=self.stats())
+                            packed_stats=self.stats(),
+                            failing_positions=tuple(
+                                position for position, result in enumerate(self.results)
+                                if not result.passed))
 
 
 class ExecutionBackend(Protocol):

@@ -16,15 +16,18 @@ Four tables:
   ``pending -> processing -> done``; :meth:`recover_from_crash` moves
   orphaned ``processing`` rows back to ``pending`` so a crashed session's
   in-flight work is re-dispatched, never lost and never double-counted.
-  Completed chunks also carry their aggregate counters (workloads, reports,
-  scenario/dedup totals, worker seconds) and every counter's roll-up, from
-  which a campaign's aggregates are merged without decoding a result.
+  Completed chunks also carry their failing-workload and report tallies,
+  worker seconds and every counter's roll-up, from which a campaign's
+  aggregates are merged without decoding a result.
 * ``results`` — one row per tested workload, keyed ``(campaign, chunk,
   position)`` with the serialized :class:`CrashTestResult` as payload: the
   text of :meth:`~CrashTestResult.to_row`, which the code that tested the
   chunk encoded (a :meth:`~repro.engine.backends.ChunkOutcome.packed`
   outcome), so ingest writes strings and decodes, encodes and rolls up
-  nothing; :meth:`~CrashTestResult.from_row` reads a row back.
+  nothing; :meth:`~CrashTestResult.from_row` reads a row back.  Each row's
+  ``failing`` flag (1 when the workload has bug reports) is written at
+  ingest from the packed chunk's failing positions, and the partial index
+  ``results_failing`` over the flagged rows serves the failing-only read.
   Ingest is *dedup-at-write*: result inserts use ``INSERT OR IGNORE`` and a
   chunk whose status is already ``done`` refuses re-ingest entirely, so a
   chunk retried after a crash (or a late pool worker racing a recovery
@@ -37,9 +40,14 @@ Four tables:
 A store written by an older version may also hold a cross-workload dedup
 table, a ``chunks.cross_deduped`` column and a ``campaigns.tenant`` column
 from when one store queued many owners' campaigns; none is read or written,
-and the columns' defaults keep new rows valid there.  A store from before
+and the columns' defaults keep new rows valid there.  So do the defaults of
+the ``chunks`` columns ``crash_points``, ``scenarios``, ``deduped``,
+``prefix_hits`` and ``replay_hits``, which an older version wrote and a new
+store does not have (``roll_ups`` holds all five).  A store from before
 ``chunks.roll_ups`` gets the column when opened; the chunks it had done keep
-it empty, and a read computes their roll-ups from their own rows.
+it empty, and a read computes their roll-ups from their own rows.  A store
+from before ``results.failing`` gets the column when opened too, filled in
+once from each row's bug reports, and then its index.
 
 A campaign's result (:meth:`CampaignStateDB.campaign_result`) is read from
 the store, not held: its ``results`` is a :class:`StoredResults`, its
@@ -91,11 +99,6 @@ CREATE TABLE IF NOT EXISTS chunks (
     worker        TEXT NOT NULL DEFAULT '',
     failing       INTEGER NOT NULL DEFAULT 0,
     raw_reports   INTEGER NOT NULL DEFAULT 0,
-    crash_points  INTEGER NOT NULL DEFAULT 0,
-    scenarios     INTEGER NOT NULL DEFAULT 0,
-    deduped       INTEGER NOT NULL DEFAULT 0,
-    prefix_hits   INTEGER NOT NULL DEFAULT 0,
-    replay_hits   INTEGER NOT NULL DEFAULT 0,
     cpu_seconds   REAL NOT NULL DEFAULT 0,
     roll_ups      TEXT,
     PRIMARY KEY (campaign_id, chunk_index)
@@ -105,6 +108,7 @@ CREATE TABLE IF NOT EXISTS results (
     chunk_index INTEGER NOT NULL,
     position    INTEGER NOT NULL,
     result_json TEXT NOT NULL,
+    failing     INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (campaign_id, chunk_index, position)
 );
 CREATE TABLE IF NOT EXISTS mechanism_reports (
@@ -113,6 +117,12 @@ CREATE TABLE IF NOT EXISTS mechanism_reports (
 );
 """
 
+#: Serves ``StoredResults(failing=True)``; created once ``results.failing``
+#: exists, which a store from before the column gets when opened.
+_FAILING_INDEX = """
+CREATE INDEX IF NOT EXISTS results_failing
+ON results (campaign_id, chunk_index, position) WHERE failing = 1
+"""
 
 #: Page cache of every connection the store opens, in KiB.  The rows are
 #: written once and read in one sequential pass, so a cache holds nothing a
@@ -154,7 +164,7 @@ class StoredResults(Sequence[CrashTestResult]):
     def _rows(self, columns: str, tail: str = "", *params) -> Iterator[tuple]:
         where = "WHERE campaign_id = ?"
         if self.failing:
-            where += " AND json_array_length(result_json, '$.bug_reports') > 0"
+            where += " AND failing = 1"
         # ``mode=rw`` opens no store that is not there; ``query_only`` writes
         # nothing.  (A ``mode=ro`` connection that closes last would leave
         # the store's -wal and -shm files behind.)
@@ -233,8 +243,37 @@ class CampaignStateDB:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
-        if "roll_ups" not in {row[1] for row in self._conn.execute("PRAGMA table_info(chunks)")}:
-            self._conn.execute("ALTER TABLE chunks ADD COLUMN roll_ups TEXT")
+        if not (self._has_column("chunks", "roll_ups") and self._has_column("results", "failing")):
+            self._upgrade()
+        self._conn.execute(_FAILING_INDEX)
+
+    def _has_column(self, table: str, column: str) -> bool:
+        return column in {row[1] for row in self._conn.execute(f"PRAGMA table_info({table})")}
+
+    def _upgrade(self) -> None:
+        """Add the columns a store written by an older version lacks, once.
+
+        ``results.failing`` is backfilled from each row's reports.  Under the
+        write lock, so two sessions opening one old store at once add each
+        column once and neither sees ``failing`` half filled in.
+        """
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            if not self._has_column("chunks", "roll_ups"):
+                self._conn.execute("ALTER TABLE chunks ADD COLUMN roll_ups TEXT")
+            if not self._has_column("results", "failing"):
+                self._conn.execute(
+                    "ALTER TABLE results ADD COLUMN failing INTEGER NOT NULL DEFAULT 0")
+                self._conn.execute(
+                    "UPDATE results SET failing = 1 "
+                    "WHERE json_array_length(result_json, '$.bug_reports') > 0")
+            self._conn.execute("COMMIT")
+        except BaseException:
+            try:
+                self._conn.execute("ROLLBACK")
+            except sqlite3.OperationalError:
+                pass  # no transaction active (COMMIT already failed it away)
+            raise
 
     @classmethod
     def existing(cls, path: str) -> "CampaignStateDB":
@@ -471,7 +510,6 @@ class CampaignStateDB:
         # Packed where the chunk ran, normally; one built from results is packed here.
         outcome = outcome.packed()
         stats = outcome.stats()
-        totals = stats.totals
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             row = self._conn.execute(
@@ -485,29 +523,25 @@ class CampaignStateDB:
             if row[0] == api.CHUNK_DONE:
                 self._conn.execute("ROLLBACK")
                 return False
+            failing = set(outcome.failing_positions)
             self._conn.executemany(
                 "INSERT OR IGNORE INTO results "
-                "(campaign_id, chunk_index, position, result_json) VALUES (?, ?, ?, ?)",
-                [(campaign_id, outcome.index, position, text)
+                "(campaign_id, chunk_index, position, result_json, failing) "
+                "VALUES (?, ?, ?, ?, ?)",
+                [(campaign_id, outcome.index, position, text, int(position in failing))
                  for position, text in enumerate(outcome.rows)],
             )
             self._conn.execute(
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
-                "failing = ?, raw_reports = ?, crash_points = ?, scenarios = ?, "
-                "deduped = ?, prefix_hits = ?, replay_hits = ?, "
-                "cpu_seconds = ?, roll_ups = ? WHERE campaign_id = ? AND chunk_index = ?",
+                "failing = ?, raw_reports = ?, cpu_seconds = ?, roll_ups = ? "
+                "WHERE campaign_id = ? AND chunk_index = ?",
                 (
                     stats.seconds,
                     stats.worker,
                     stats.failing_workloads,
                     stats.raw_reports,
-                    totals["crash_points_tested"],
-                    totals["scenarios_tested"],
-                    totals["deduped_scenarios"],
-                    totals["prefix_hits"],
-                    totals["replay_hits"],
                     stats.cpu_seconds,
-                    json.dumps(totals, separators=(",", ":")),
+                    json.dumps(stats.totals, separators=(",", ":")),
                     campaign_id,
                     outcome.index,
                 ),

@@ -1,13 +1,18 @@
 """JSON round-trips for reports and results (the state store's wire format)."""
 
 import dataclasses
+import gc
 import json
+import pickle
+import tracemalloc
 
 import pytest
 
 from repro.ace import AceSynthesizer, seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
-from repro.crashmonkey.report import BugReport, CrashTestResult, Mismatch
+from repro.crashmonkey.report import (
+    SESSION, BugReport, CrashTestResult, Mismatch, counted, counter, roll_up, roll_ups_of,
+)
 from repro.workload import parse_workload
 
 from conftest import run_workload_text
@@ -88,6 +93,68 @@ def test_canonical_dict_drops_session_telemetry():
     # What was tested stays.
     assert canonical["scenarios_tested"] == result.scenarios_tested
     assert len(canonical["bug_reports"]) == len(result.bug_reports)
+
+
+# ------------------------------------------------------------------ footprint
+
+#: bytes a held tested result may own, its workload aside.  Slotted, a seq-2
+#: result owns ~1.1 KiB, its reports and timings included; with an instance
+#: dict of its own (38 attributes, past what CPython shares a dict's keys
+#: for) it owned ~2.4 KiB.
+HELD_RESULT_BYTES = 1536
+
+
+@counted
+class WithMountRetries(CrashTestResult):
+    mount_retries: int = counter("mount retries (a counter a subclass adds)", tag=SESSION)
+
+
+def test_records_carry_no_instance_dict():
+    result = _failing_result()
+    report = result.bug_reports[0]
+    for record in (result, report, report.mismatches[0]):
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(AttributeError):
+        result.undeclared = 1
+
+
+def test_a_counted_subclass_stays_slotted_and_round_trips():
+    base = _failing_result()
+    fields = {f.name: getattr(base, f.name) for f in dataclasses.fields(CrashTestResult)}
+    results = [WithMountRetries(**fields, mount_retries=retries) for retries in (2, 5)]
+    assert not hasattr(results[0], "__dict__")
+    assert WithMountRetries.COUNTERS == (*CrashTestResult.COUNTERS, "mount_retries")
+    assert "mount_retries" not in CrashTestResult.COUNTERS
+    for result in results:
+        row = result.to_row()
+        assert json.loads(row)["mount_retries"] == result.mount_retries
+        clone = WithMountRetries.from_row(row)
+        assert type(clone) is WithMountRetries and clone.to_row() == row
+        pickled = pickle.loads(pickle.dumps(result))
+        assert type(pickled) is WithMountRetries and pickled.to_row() == row
+        assert "mount_retries" not in result.canonical_dict()
+    assert roll_up(results, "mount_retries") == 7
+    assert roll_ups_of(results)["mount_retries"] == 7
+
+
+def test_a_held_result_costs_under_its_bound():
+    """What holding 200 tested results costs, their workloads held elsewhere."""
+    tracemalloc.start()
+    try:
+        config = CampaignConfig(fs_name="btrfs", bounds=seq2_bounds(), sample=True,
+                                max_workloads=200)
+        results = B3Campaign(config).run().results
+        workloads = [result.workload for result in results]
+        assert len(results) == 200 and not all(result.passed for result in results)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del results
+        gc.collect()
+        freed = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(workloads) == 200
+    assert (held - freed) / 200 < HELD_RESULT_BYTES
 
 
 @pytest.fixture(scope="module")

@@ -14,6 +14,7 @@ import gc
 import json
 import sqlite3
 import tracemalloc
+from contextlib import closing
 
 import pytest
 
@@ -22,10 +23,10 @@ from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine import backends
 from repro.engine.engine import family_chunks
-from repro.service import CampaignStateDB, DurableCampaignRunner
+from repro.service import CampaignStateDB, DurableCampaignRunner, statedb
 from repro.service.statedb import StoredResults
 
-from conftest import assert_reads_as_held
+from conftest import assert_reads_as_held, reopen_tail
 
 
 def _config(**options) -> CampaignConfig:
@@ -100,8 +101,10 @@ def test_the_durable_parent_touches_no_passing_result(tmp_path, monkeypatch, pro
         return from_dict(cls, payload)
 
     def unpickling(self, state):
+        # A slotted instance pickles its state as ``(None, {slot: value})``.
         calls["unpickled"] += 1
-        self.__dict__.update(state)
+        for name, value in state[1].items():
+            setattr(self, name, value)
 
     def observed_test_chunk(*args):
         running_a_chunk.append(True)
@@ -238,6 +241,93 @@ def test_stored_results_read_in_stream_order_and_outlive_the_runner(stored, in_m
     assert next(iter(results)) is not next(iter(results))
     with pytest.raises(TypeError):
         del results[0]
+
+
+# ------------------------------------------------------------ the failing flag
+
+
+def _flags(path: str):
+    """Each stored row's ``failing`` flag, and whether its text holds bug reports."""
+    with closing(sqlite3.connect(path)) as conn:
+        return conn.execute(
+            "SELECT failing, json_array_length(result_json, '$.bug_reports') > 0 "
+            "FROM results ORDER BY campaign_id, chunk_index, position").fetchall()
+
+
+def _traced_statements(monkeypatch):
+    """Every statement the store's connections run from now on, parameters bound."""
+    statements, connect = [], statedb._connect
+
+    def tracing(*args, **kwargs):
+        conn = connect(*args, **kwargs)
+        conn.set_trace_callback(statements.append)
+        return conn
+
+    monkeypatch.setattr(statedb, "_connect", tracing)
+    return statements
+
+
+def test_failing_only_decodes_exactly_the_flagged_rows(stored, monkeypatch):
+    flags = _flags(stored.results.path)
+    assert all(failing == has_reports for failing, has_reports in flags)
+    assert sum(failing for failing, _ in flags) == stored.failing_workloads > 0
+    decoded = []
+    from_dict = CrashTestResult.from_dict.__func__
+
+    def counting(cls, payload):
+        decoded.append(payload)
+        return from_dict(cls, payload)
+
+    monkeypatch.setattr(CrashTestResult, "from_dict", classmethod(counting))
+    failing = list(stored.results.failing_only())
+    assert len(decoded) == len(failing) == stored.failing_workloads
+    assert all(not test.passed for test in failing)
+
+
+def test_the_failing_read_is_served_by_its_partial_index(stored, monkeypatch):
+    statements = _traced_statements(monkeypatch)
+    failing = stored.results.failing_only()
+    assert len(failing) == len(list(failing)) == stored.failing_workloads
+    reads = {sql for sql in statements if sql.startswith("SELECT")}
+    assert len(reads) == 2  # the count and the rows
+    with closing(sqlite3.connect(stored.results.path)) as conn:
+        for sql in reads:
+            plan = " | ".join(row[-1] for row in conn.execute(f"EXPLAIN QUERY PLAN {sql}"))
+            # One search of the index, which also gives the stream order: no
+            # scan of the table and no sort.
+            assert "USING INDEX results_failing (campaign_id=?)" in plan, (sql, plan)
+            assert "|" not in plan and "SCAN" not in plan and "B-TREE" not in plan, (sql, plan)
+
+
+def test_a_store_from_before_the_failing_column_reads_back_the_same(tmp_path, in_memory,
+                                                                     monkeypatch):
+    """An older store's rows get their flags once, from their own reports, when
+    a session opens it; the chunks that session ingests are flagged at ingest."""
+    path = str(tmp_path / "state.sqlite")
+    runner = DurableCampaignRunner(_config(), path, campaign_id="old")
+    try:
+        runner.run()
+    finally:
+        runner.close()
+    reopen_tail(path, "old", 5)
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute("DROP INDEX results_failing")
+        conn.execute("ALTER TABLE results DROP COLUMN failing")
+    runner = DurableCampaignRunner.from_db(path, "old")
+    try:
+        resumed = runner.run()
+    finally:
+        runner.close()
+    assert resumed.canonical_dict() == in_memory.canonical_dict()
+    assert [report.to_dict() for report in resumed.all_reports()] == \
+        [report.to_dict() for report in in_memory.all_reports()]
+    assert_reads_as_held(resumed)
+    flags = _flags(path)
+    assert len(flags) == 40 and all(failing == has_reports for failing, has_reports in flags)
+    # The backfill ran once: opening the store again writes no flag.
+    statements = _traced_statements(monkeypatch)
+    CampaignStateDB.existing(path).close()
+    assert statements and not any("UPDATE results" in sql for sql in statements)
 
 
 def test_a_missing_store_is_not_created_by_a_read(tmp_path):
