@@ -222,7 +222,7 @@ def cmd_campaign(args) -> int:
         print(f"{runner.last_session.describe()} [campaign {runner.campaign_id}]",
               file=sys.stderr)
         _write_json_out(result, args.json_out)
-        return 0 if not result.all_reports() else 1
+        return 0 if not result.failing_workloads else 1
 
     campaign = B3Campaign(config)
     result = campaign.run(progress=progress)
@@ -237,7 +237,7 @@ def cmd_campaign(args) -> int:
             file=sys.stderr,
         )
     _write_json_out(result, args.json_out)
-    return 0 if not result.all_reports() else 1
+    return 0 if not result.failing_workloads else 1
 
 
 def cmd_status(args) -> int:

@@ -11,20 +11,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..crashmonkey.report import (
-    PHASE_FIELDS,
-    BugReport,
-    CrashTestResult,
-    RollUps,
-)
+from ..crashmonkey.report import PHASE_FIELDS, BugReport, CrashTestResult, Totals, roll_ups_of
 from .dedup import KnownBugDatabase, ReportGroup, deduplicate, group_reports
 
 
 @dataclass
-class CampaignResult(RollUps):
-    """Aggregated outcome of one testing campaign."""
+class CampaignResult(Totals):
+    """Aggregated outcome of one testing campaign.
+
+    Its counts are three fields each source fills once: the engine merges
+    its chunks' stats, a state store its chunks' stored roll-ups, and a
+    result built from bare ``results`` (:meth:`from_dict`, a caller's list)
+    computes them from those when it is constructed.  No read of an
+    aggregate looks at a result.
+    """
 
     fs_name: str
     fs_model: str
@@ -37,6 +39,20 @@ class CampaignResult(RollUps):
     #: generated workloads dropped by the adapter because validation failed
     #: (surfaced, never silently swallowed: tested + invalid = generated)
     invalid_workloads: int = 0
+    #: every counter's campaign-wide aggregate, by aggregate name; each reads
+    #: as an attribute too (``campaign.prefix_hits``).  Computed from
+    #: ``results``, with the next two fields, when not given.
+    totals: Optional[Dict[str, Any]] = field(default=None, repr=False)
+    #: workloads with bug reports
+    failing_workloads: Optional[int] = None
+    #: the results with bug reports, in stream order: what the reports are read from
+    failing_results: Optional[Sequence[CrashTestResult]] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.totals is None:
+            self.totals = roll_ups_of(self.results)
+            self.failing_results = [result for result in self.results if not result.passed]
+            self.failing_workloads = len(self.failing_results)
 
     # -- serialization (campaign state store / --json-out) -----------------------
 
@@ -64,7 +80,7 @@ class CampaignResult(RollUps):
         ``results`` round-trips byte-for-byte via
         :meth:`CrashTestResult.to_dict`; the ``derived`` block repeats the
         headline aggregates for consumers that only read the summary (it is
-        ignored by :meth:`from_dict`, which recomputes everything from the
+        ignored by :meth:`from_dict`, which computes everything from the
         raw results).
         """
         return {
@@ -112,7 +128,7 @@ class CampaignResult(RollUps):
     # -- aggregation ------------------------------------------------------------
     # Every counter's campaign-wide aggregate (``crash_points_tested``,
     # ``prefix_hits``, ``spine_spills``, ...) is an attribute through
-    # :class:`RollUps`; seconds are CPU time summed across workers, not wall clock.
+    # :class:`Totals`; seconds are CPU time summed across workers, not wall clock.
 
     @property
     def workloads_tested(self) -> int:
@@ -128,10 +144,7 @@ class CampaignResult(RollUps):
         return self.prefix_seconds_saved
 
     def all_reports(self) -> List[BugReport]:
-        reports: List[BugReport] = []
-        for result in self.results:
-            reports.extend(result.bug_reports)
-        return reports
+        return [report for result in self.failing_results for report in result.bug_reports]
 
     def grouped_reports(self) -> List[ReportGroup]:
         """Figure-5 grouping of every raw report."""

@@ -258,6 +258,8 @@ _ROLLUPS = {
 }
 #: how the aggregates of disjoint result sets combine into their union's
 _MERGES = {**_ROLLUPS, COUNT: sum}
+#: aggregate name -> roll-up rule, of every ``counted`` class (a subclass adds its own)
+_AGGREGATE_RULES: Dict[str, str] = {}
 
 #: producers the harness gathers same-named attributes from: the workload's
 #: profile, its crash-state generator, and the plan that generator enumerated
@@ -303,6 +305,8 @@ def counted(cls):
     #: counter -> roll-up rule, and aggregate name -> counter
     cls.ROLLUPS = {f.name: f.metadata["rollup"] for f in declared}
     cls.AGGREGATES = {f.metadata["aggregate"] or f.name: f.name for f in declared}
+    _AGGREGATE_RULES.update((aggregate, cls.ROLLUPS[name])
+                            for aggregate, name in cls.AGGREGATES.items())
     #: producer -> the counters gathered from it by name
     cls.GATHERED = {
         source: tuple(f.name for f in declared if f.metadata["source"] == source)
@@ -556,38 +560,37 @@ def merge_roll_ups(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 
     Sums and counts add and maxima take the largest.  An aggregate a part
     lacks (stored before its counter existed) is its counter's 0, as the
-    part's decoded results would say.
+    part's decoded results would say; one a ``counted`` subclass declares is
+    kept, and one no counted class declares is dropped.
     """
     parts = list(parts)
-    return {aggregate: _MERGES[CrashTestResult.ROLLUPS[name]](
-                part.get(aggregate, 0) for part in parts)
-            for aggregate, name in CrashTestResult.AGGREGATES.items()}
+    names = dict.fromkeys(CrashTestResult.AGGREGATES)
+    for part in parts:
+        names.update(dict.fromkeys(part))
+    return {name: _MERGES[_AGGREGATE_RULES[name]](part.get(name, 0) for part in parts)
+            for name in names if name in _AGGREGATE_RULES}
 
 
-class RollUps:
-    """Mixin for a holder of ``results``: every aggregate is an attribute.
+class Totals:
+    """Mixin for a holder of ``totals``: each aggregate in it is an attribute.
 
-    ``holder.cross_deduped_scenarios``, ``holder.prefix_hits``, ... — one per
-    declared counter, under its ``aggregate`` name, computed on access.
+    ``holder.crash_points_tested``, ``holder.prefix_hits``, ... — one per
+    declared counter, under its ``aggregate`` name, computed once by whoever
+    built the holder (:func:`roll_ups_of` where the results are, else
+    :func:`merge_roll_ups` of parts), never on access.
     """
 
-    results: List[CrashTestResult]
+    totals: Dict[str, Any]
 
     def __getattr__(self, name: str):
-        # Reached only for names normal lookup missed.  Reads ``__dict__``
-        # directly: pickle and deepcopy probe a half-built instance, where
-        # ``self.results`` would land here again and recurse forever.
-        results = self.__dict__.get("results")
-        if results is not None:
-            counter_name = _record_of(results).AGGREGATES.get(name)
-            if counter_name is not None:
-                return roll_up(results, counter_name)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-
-    @property
-    def failing_workloads(self) -> int:
-        return sum(1 for result in self.results if not result.passed)
+        # Reached only for names normal lookup missed.  ``__dict__`` directly:
+        # unpickling and deepcopy probe an instance with no fields yet.
+        try:
+            return self.__dict__["totals"][name]
+        except KeyError:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}") from None
 
     def roll_ups(self) -> Dict[str, Any]:
-        """Every aggregate by name (what a chunk keeps once its results are gone)."""
-        return roll_ups_of(self.results)
+        """Every aggregate by name."""
+        return dict(self.totals)

@@ -15,25 +15,27 @@ Two implementations cover the portable and the parallel case:
 
 Per-chunk seconds are measured *inside* the worker (wall clock around the
 actual testing), which is what the per-VM statistics report — not a uniform
-share of the pool's elapsed time.
+share of the pool's elapsed time.  The rest of a chunk's :class:`ChunkStats`
+and the positions of its failing results are computed there too, once
+(:meth:`ChunkOutcome.of`), so the process collecting outcomes rolls up no
+result.
 
 ``execute(..., pack=True)`` — what the engine asks for when a sink owns the
 chunks — returns each chunk :meth:`~ChunkOutcome.packed` by the code that ran
-it: its results as the state store's row text, its stats computed there and
-the positions of its failing results, so the process collecting outcomes
-decodes, encodes and rolls up no result.
+it: its results as the state store's row text, so the collecting process
+decodes and encodes no result either.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
 
 from ..clock import span
 from ..crashmonkey.harness import CrashMonkey
-from ..crashmonkey.report import CrashTestResult, roll_ups_of
+from ..crashmonkey.report import CrashTestResult, Totals, roll_ups_of
 from ..options import HarnessSpec
 from ..workload.workload import Workload
 
@@ -42,7 +44,7 @@ IndexedChunk = Tuple[int, List[Workload]]
 
 
 @dataclass
-class ChunkStats:
+class ChunkStats(Totals):
     """Timing and outcome of one completed chunk (one VM batch's worth).
 
     What remains of a :class:`ChunkOutcome` once its results have been
@@ -62,75 +64,44 @@ class ChunkStats:
     raw_reports: int = 0
     cpu_seconds: float = 0.0
 
-    def __getattr__(self, name: str):
-        # ``__dict__`` directly: unpickling probes an instance with no fields yet.
-        try:
-            return self.__dict__["totals"][name]
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}") from None
-
 
 @dataclass
 class ChunkOutcome:
-    """Results and real timing of one tested chunk.
+    """Results, stats and real timing of one tested chunk.
 
-    Every aggregate reads as an attribute, through :meth:`stats`:
-    ``outcome.prefix_hits``, ``outcome.failing_workloads``, ...  A
-    :meth:`packed` outcome holds no result: ``rows`` and its stats stand in.
+    A :meth:`packed` outcome holds no result: ``rows`` stand in.
     """
 
-    index: int
     results: List[CrashTestResult]
-    #: wall-clock seconds measured around the chunk inside the worker
-    seconds: float
-    #: identifier of the worker that ran the chunk ("serial" or "pid-<n>")
-    worker: str = "serial"
+    #: computed once, from the results, where the chunk ran (:meth:`of`)
+    stats: ChunkStats
+    #: the positions of the results with bug reports
+    failing_positions: Tuple[int, ...]
     #: once packed: each result's :meth:`~CrashTestResult.to_row`, by position
     rows: Optional[List[str]] = None
-    #: once packed: the stats computed where the chunk ran
-    packed_stats: Optional[ChunkStats] = field(default=None, repr=False)
-    #: once packed: the positions of the results with bug reports
-    failing_positions: Optional[Tuple[int, ...]] = None
 
-    def __getattr__(self, name: str):
-        # ``__dict__`` directly: unpickling probes an instance with no fields yet.
-        if name.startswith("__") or "results" not in self.__dict__:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        return getattr(self.stats(), name)
-
-    def stats(self) -> ChunkStats:
-        """This outcome without its result payload."""
-        if self.packed_stats is not None:
-            return self.packed_stats
-        results = self.results
-        return ChunkStats(
-            index=self.index,
+    @classmethod
+    def of(cls, index: int, results: List[CrashTestResult], seconds: float,
+           worker: str = "serial") -> "ChunkOutcome":
+        """The outcome of chunk ``index``, tested in ``seconds`` by ``worker``."""
+        failing = tuple(position for position, result in enumerate(results)
+                        if not result.passed)
+        return cls(results=results, failing_positions=failing, stats=ChunkStats(
+            index=index,
             workloads=len(results),
-            seconds=self.seconds,
-            failing_workloads=sum(1 for result in results if not result.passed),
-            worker=self.worker,
+            seconds=seconds,
+            failing_workloads=len(failing),
+            worker=worker,
             totals=roll_ups_of(results),
             raw_reports=sum(len(result.bug_reports) for result in results),
             cpu_seconds=sum(result.total_seconds for result in results),
-        )
-
-    def roll_ups(self) -> Dict[str, Any]:
-        """Every aggregate by name."""
-        return dict(self.stats().totals)
+        ))
 
     def packed(self) -> "ChunkOutcome":
-        """This outcome as its sink stores it: rows, stats, failing positions, no result."""
+        """This outcome as its sink stores it: row text for the results."""
         if self.rows is not None:
             return self
-        return ChunkOutcome(index=self.index, results=[], seconds=self.seconds,
-                            worker=self.worker,
-                            rows=[result.to_row() for result in self.results],
-                            packed_stats=self.stats(),
-                            failing_positions=tuple(
-                                position for position, result in enumerate(self.results)
-                                if not result.passed))
+        return replace(self, results=[], rows=[result.to_row() for result in self.results])
 
 
 class ExecutionBackend(Protocol):
@@ -153,7 +124,7 @@ def _test_chunk(harness: CrashMonkey, indexed_chunk: IndexedChunk, worker: str,
     index, chunk = indexed_chunk
     with span() as clock:
         results = list(harness.test_stream(chunk))
-        outcome = ChunkOutcome(index=index, results=results, seconds=clock.seconds, worker=worker)
+    outcome = ChunkOutcome.of(index, results, clock.seconds, worker)
     return outcome.packed() if pack else outcome
 
 

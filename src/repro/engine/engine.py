@@ -13,22 +13,24 @@ are another matter.  A plain run keeps every chunk's results until it returns
 them, in stream order, in its :class:`CampaignResult`.  A run with an outcome
 sink (the durable runner's state store) has each chunk packed where it ran
 (its results as row text, its stats computed there), hands it to the sink and
-keeps only the chunk's :class:`ChunkStats`.  Either way there is a
-progress callback per chunk and real per-chunk wall-clock timing measured
-inside the worker that ran it.  A chunk is the paper's VM
-batch (§6.1): its :class:`ChunkStats` are that batch's seconds, worker and
-roll-ups, and :attr:`EngineRun.max_chunk_seconds` the wall clock had the
-batches run side by side.
+keeps only the chunk's :class:`ChunkStats`.  Either way the result's counts
+are its chunks' stats merged (each computed where its chunk ran, so the
+engine rolls up no result), there is a progress callback per chunk, and
+real per-chunk wall-clock timing measured inside the worker that ran it.
+A chunk is the paper's VM batch (§6.1): its :class:`ChunkStats` are that
+batch's seconds, worker and roll-ups, and :attr:`EngineRun.max_chunk_seconds`
+the wall clock had the batches run side by side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, List, Optional
 
 from ..clock import span
 from ..core.results import CampaignResult
+from ..crashmonkey.report import merge_roll_ups
 from ..fs.registry import models, resolve_fs_name
 from ..options import HarnessSpec
 from ..workload.workload import Workload
@@ -157,8 +159,8 @@ class CampaignEngine:
         before the world hears about it.  The outcome comes
         :meth:`~ChunkOutcome.packed` by the backend that ran it — result rows
         as text, stats computed there — and the sink owns the rows from then
-        on: the run's result holds none, and the run keeps each chunk's
-        :class:`ChunkStats` only.  Without a sink the
+        on: the run's result holds no result, only the session's counts, and
+        the run keeps each chunk's :class:`ChunkStats`.  Without a sink the
         sparse index set reassembles in stream order.  ``generation`` times
         the workload generator ``chunks`` are cut from, when the caller has one.
         """
@@ -180,13 +182,11 @@ class CampaignEngine:
 
     def _execute(self, stream, label: str,
                  on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
-        result = CampaignResult(fs_name=self.fs_name, fs_model=self.fs_model, label=label)
-        run = EngineRun(result=result)
-        # Results kept to reassemble, when no sink owns them: (index, results)
-        # in completion order.
-        kept: List[Tuple[int, List]] = []
+        chunks: List[ChunkStats] = []
+        # Outcomes kept to reassemble, when no sink owns them, in completion order.
+        kept: List[ChunkOutcome] = []
         workloads = failing = 0  # running tallies: a rescan per event would be quadratic
-        with span(run, "wall_clock_seconds") as clock:
+        with span() as clock:
             # A sink stores row text: the chunks come packed where they ran.
             for outcome in self.backend.execute(self.spec, stream, pack=on_outcome is not None):
                 if on_outcome is not None:
@@ -194,23 +194,30 @@ class CampaignEngine:
                     # campaign commits the chunk before reporting it.
                     on_outcome(outcome)
                 else:
-                    kept.append((outcome.index, outcome.results))
-                stats = outcome.stats()
+                    kept.append(outcome)
+                stats = outcome.stats
                 workloads += stats.workloads
                 failing += stats.failing_workloads
-                run.chunks.append(stats)
+                chunks.append(stats)
                 if self.progress is not None:
                     self.progress(ProgressEvent(
-                        chunks_done=len(run.chunks),
+                        chunks_done=len(chunks),
                         workloads_done=workloads,
                         failing_workloads=failing,
                         elapsed_seconds=clock.seconds,
                         chunk=stats,
                         session_workloads=workloads,
                     ))
+            wall_clock_seconds = clock.seconds
         # Back into stream order, so result.results corresponds positionally
         # to the input workloads whichever backend ran them.
-        kept.sort(key=itemgetter(0))
-        result.results = [test_result for _, results in kept for test_result in results]
-        run.chunks.sort(key=attrgetter("index"))
-        return run
+        chunks.sort(key=attrgetter("index"))
+        kept.sort(key=lambda outcome: outcome.stats.index)
+        result = CampaignResult(
+            fs_name=self.fs_name, fs_model=self.fs_model, label=label,
+            results=[result for outcome in kept for result in outcome.results],
+            totals=merge_roll_ups(stats.totals for stats in chunks),
+            failing_workloads=failing,
+            failing_results=[outcome.results[position] for outcome in kept
+                             for position in outcome.failing_positions])
+        return EngineRun(result=result, chunks=chunks, wall_clock_seconds=wall_clock_seconds)

@@ -47,12 +47,16 @@ store does not have (``roll_ups`` holds all five).  A store from before
 ``chunks.roll_ups`` gets the column when opened; the chunks it had done keep
 it empty, and a read computes their roll-ups from their own rows.  A store
 from before ``results.failing`` gets the column when opened too, filled in
-once from each row's bug reports, and then its index.
+once from each row's bug reports, and then its index.  The store's
+``user_version`` is stamped with :data:`SCHEMA_VERSION` when it is created
+or upgraded, and a store stamped newer is refused before anything is
+written to it.
 
-A campaign's result (:meth:`CampaignStateDB.campaign_result`) is read from
-the store, not held: its ``results`` is a :class:`StoredResults`, its
-aggregates are the chunks' roll-ups merged, and its reports are decoded from
-the failing workloads' rows alone.
+A campaign's result (:meth:`CampaignStateDB.campaign_result`) is a plain
+:class:`CampaignResult` read from the store, not held: its ``results`` and
+``failing_results`` are :class:`StoredResults`, its ``totals`` are the
+chunks' roll-ups merged, and its reports are decoded from the failing
+workloads' rows alone.
 
 One instance owns one sqlite connection in the process that built it; the
 path, not the object, is what crosses process boundaries.  Every connection
@@ -65,12 +69,12 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from urllib.parse import quote
 
 from ..core.results import CampaignResult
-from ..crashmonkey.report import BugReport, CrashTestResult, merge_roll_ups, roll_ups_of
+from ..crashmonkey.report import CrashTestResult, merge_roll_ups, roll_ups_of
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError, UnknownCampaignError
 from ..options import RETIRED_EXECUTION_OPTIONS, CampaignConfig
@@ -123,6 +127,12 @@ _FAILING_INDEX = """
 CREATE INDEX IF NOT EXISTS results_failing
 ON results (campaign_id, chunk_index, position) WHERE failing = 1
 """
+
+#: The schema this version writes, stamped as the store's ``user_version``
+#: when it is created or upgraded (0: unstamped, written before the stamp
+#: existed).  A store stamped newer is refused unopened: an older writer
+#: would add rows without the columns the newer one relies on.
+SCHEMA_VERSION = 1
 
 #: Page cache of every connection the store opens, in KiB.  The rows are
 #: written once and read in one sequential pass, so a cache holds nothing a
@@ -193,42 +203,6 @@ class StoredResults(Sequence[CrashTestResult]):
         return _decode(payload)
 
 
-@dataclass
-class StoredCampaignResult(CampaignResult):
-    """A durable campaign's result, read from its state store.
-
-    ``results`` is a :class:`StoredResults`; every aggregate comes from
-    ``totals``, the roll-ups of the chunks done when it was read, merged;
-    and the reports come from the failing workloads' rows.  So describing
-    the campaign decodes no passing workload, and holding the result holds
-    no row.
-    """
-
-    #: every counter's campaign-wide aggregate, by aggregate name
-    totals: Dict[str, Any] = field(default_factory=dict, repr=False)
-    #: workloads with bug reports, from the chunks' tallies
-    failing: int = 0
-
-    def __getattr__(self, name: str):
-        # ``__dict__`` directly: copies probe an instance with no fields yet.
-        try:
-            return self.__dict__["totals"][name]
-        except KeyError:
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}") from None
-
-    @property
-    def failing_workloads(self) -> int:
-        return self.failing
-
-    def roll_ups(self) -> Dict[str, Any]:
-        return dict(self.totals)
-
-    def all_reports(self) -> List[BugReport]:
-        return [report for result in self.results.failing_only()
-                for report in result.bug_reports]
-
-
 class CampaignStateDB:
     """Sqlite-backed store of campaign, chunk and result state."""
 
@@ -240,12 +214,21 @@ class CampaignStateDB:
         # atomically — a crash mid-ingest leaves the chunk `processing`,
         # which recovery resets cleanly.
         self._conn = _connect(path, timeout=timeout, isolation_level=None)
+        (version,), = self._conn.execute("PRAGMA user_version")
+        if version > SCHEMA_VERSION:
+            # Its rows may mean what this version cannot tell: write nothing.
+            self._conn.close()
+            raise CampaignDriftError(
+                f"state store {path!r} has schema version {version}, newer than this "
+                f"version's {SCHEMA_VERSION}; open it with the version that wrote it")
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
         if not (self._has_column("chunks", "roll_ups") and self._has_column("results", "failing")):
             self._upgrade()
         self._conn.execute(_FAILING_INDEX)
+        if version < SCHEMA_VERSION:
+            self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     def _has_column(self, table: str, column: str) -> bool:
         return column in {row[1] for row in self._conn.execute(f"PRAGMA table_info({table})")}
@@ -509,16 +492,16 @@ class CampaignStateDB:
         """
         # Packed where the chunk ran, normally; one built from results is packed here.
         outcome = outcome.packed()
-        stats = outcome.stats()
+        stats = outcome.stats
         self._conn.execute("BEGIN IMMEDIATE")
         try:
             row = self._conn.execute(
                 "SELECT status FROM chunks WHERE campaign_id = ? AND chunk_index = ?",
-                (campaign_id, outcome.index),
+                (campaign_id, stats.index),
             ).fetchone()
             if row is None:
                 raise KeyError(
-                    f"chunk {outcome.index} of campaign {campaign_id!r} was never registered"
+                    f"chunk {stats.index} of campaign {campaign_id!r} was never registered"
                 )
             if row[0] == api.CHUNK_DONE:
                 self._conn.execute("ROLLBACK")
@@ -528,7 +511,7 @@ class CampaignStateDB:
                 "INSERT OR IGNORE INTO results "
                 "(campaign_id, chunk_index, position, result_json, failing) "
                 "VALUES (?, ?, ?, ?, ?)",
-                [(campaign_id, outcome.index, position, text, int(position in failing))
+                [(campaign_id, stats.index, position, text, int(position in failing))
                  for position, text in enumerate(outcome.rows)],
             )
             self._conn.execute(
@@ -543,7 +526,7 @@ class CampaignStateDB:
                     stats.cpu_seconds,
                     json.dumps(stats.totals, separators=(",", ":")),
                     campaign_id,
-                    outcome.index,
+                    stats.index,
                 ),
             )
             self._conn.execute("COMMIT")
@@ -580,15 +563,17 @@ class CampaignStateDB:
 
     # ---------------------------------------------------------------- results
 
-    def campaign_result(self, campaign_id: str) -> StoredCampaignResult:
+    def campaign_result(self, campaign_id: str) -> CampaignResult:
         """The campaign's result as the store holds it, over its done chunks.
 
         Nothing is decoded here: the aggregates are merged from the chunks'
         stored roll-ups (a chunk ingested before they were stored has its
         own computed from its rows, and nothing is written back), and the
-        rows are read when the result is read, in stream order, so a
-        campaign finished across N interrupted sessions reads back the same
-        reports, counters and result order an uninterrupted run returns.
+        rows are read when the result is read, in stream order — its reports
+        from the failing rows alone — so a campaign finished across N
+        interrupted sessions reads back the same reports, counters and
+        result order an uninterrupted run returns, and holding the result
+        holds no row.
         """
         row = self.campaign_row(campaign_id)
         parts: List[Dict[str, Any]] = []
@@ -601,16 +586,18 @@ class CampaignStateDB:
             failing += chunk_failing
             parts.append(json.loads(stored) if stored is not None
                          else roll_ups_of(self._chunk_results(campaign_id, index)))
-        return StoredCampaignResult(
+        results = StoredResults(os.path.abspath(self.path), campaign_id)
+        return CampaignResult(
             fs_name=row["fs_name"],
             fs_model=row["fs_model"],
             label=row["label"],
-            results=StoredResults(os.path.abspath(self.path), campaign_id),
+            results=results,
             generation_seconds=row["generation_seconds"],
             testing_seconds=row["testing_seconds"],
             invalid_workloads=row["invalid_workloads"],
             totals=merge_roll_ups(parts),
-            failing=failing,
+            failing_workloads=failing,
+            failing_results=results.failing_only(),
         )
 
     def _chunk_results(self, campaign_id: str, chunk_index: int) -> List[CrashTestResult]:

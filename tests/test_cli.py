@@ -1,11 +1,15 @@
 """Command-line interface."""
 
+import sqlite3
+from contextlib import closing
+
 import pytest
 
 from repro.ace import seq1_bounds
 from repro.cli.main import build_parser, main
+from repro.crashmonkey.report import CrashTestResult
 from repro.options import CampaignConfig
-from repro.service import DurableCampaignRunner
+from repro.service import CampaignStateDB, DurableCampaignRunner, statedb
 
 from conftest import reopen_tail, run_until
 
@@ -385,6 +389,47 @@ class TestDurableCampaignCommands:
         assert main([command[0], "--state-db", str(db), *command[1:]]) == 2
         assert capsys.readouterr().err == f"error: no campaign state store at {str(db)!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_durable_campaign_decodes_each_failing_row_once(self, tmp_path, monkeypatch,
+                                                              capsys):
+        """Describing the result reads the failing rows; the exit status reads a count."""
+        db = str(tmp_path / "state.sqlite")
+        decoded = []
+        from_row = CrashTestResult.from_row.__func__
+        monkeypatch.setattr(CrashTestResult, "from_row", classmethod(
+            lambda cls, row: decoded.append(row) or from_row(cls, row)))
+        assert main(["campaign", "--durable", "--state-db", db, "--campaign-id", "one",
+                     "--preset", "seq-2", "--limit", "24", "--sample", "--chunk-size", "4"]) == 1
+        assert "report groups:" in capsys.readouterr().out
+        with CampaignStateDB.existing(db) as store:
+            failing = store.campaign_result("one").failing_workloads
+        assert len(decoded) == failing > 0
+
+    def test_a_store_stamped_newer_is_refused_and_left_as_it_is(self, tmp_path, capsys):
+        db = str(tmp_path / "state.sqlite")
+        self._durable(db, "ahead")
+        capsys.readouterr()
+        ahead = statedb.SCHEMA_VERSION + 1
+
+        def contents():
+            with closing(sqlite3.connect(db)) as conn:
+                (version,), = conn.execute("PRAGMA user_version")
+                return version, list(conn.iterdump())
+
+        with closing(sqlite3.connect(db)) as conn:
+            assert conn.execute("PRAGMA user_version").fetchone() == (statedb.SCHEMA_VERSION,)
+            conn.execute(f"PRAGMA user_version = {ahead}")
+        before = contents()
+        assert before[0] == ahead
+        for command in (["status", "--state-db", db], ["resume", "--state-db", db, "ahead"],
+                        ["results", "--state-db", db, "ahead"]):
+            assert main(command) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: state store {db!r} has schema version {ahead}, newer than this "
+                f"version's {statedb.SCHEMA_VERSION}; open it with the version that wrote it\n")
+            assert contents() == before, command
 
     @pytest.mark.parametrize("command", ["status", "results", "resume"])
     def test_an_unknown_campaign_is_refused_in_one_line(self, tmp_path, capsys, command):

@@ -796,3 +796,61 @@ def test_the_store_decodes_results_at_one_call_site():
         findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
                                                 (_row_of(text)._replace(site=""),))
         assert [path for path, _, _ in findings] == [owner], text
+
+
+# ----------------------------------- rule 19: a count is computed once, where its results are
+
+
+def test_a_roll_up_of_results_outside_where_they_are_is_caught():
+    roll_up = "def totals(results):\n    return roll_ups_of(results)\n"
+    findings = _sites(**{
+        "engine/backends.py": (
+            "class ChunkOutcome:\n"
+            "    @classmethod\n"
+            "    def of(cls, index, results):\n"
+            "        return roll_ups_of(results)\n"
+            "    def stats(self):\n"
+            "        return report.roll_ups_of(self.results)\n"),
+        "engine/engine.py": roll_up,
+        "core/results.py": (
+            "class CampaignResult:\n"
+            "    def __post_init__(self):\n"
+            "        self.totals = roll_ups_of(self.results)\n"
+            "    def roll_ups(self):\n"
+            "        return roll_ups_of(self.results)\n"),
+        "service/statedb.py": (
+            "class CampaignStateDB:\n"
+            "    def campaign_result(self, rows):\n"
+            "        return [roll_ups_of(rows)]\n") + roll_up,
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/core/results.py", 5), ("src/repro/engine/backends.py", 6),
+        ("src/repro/engine/engine.py", 2), ("src/repro/service/statedb.py", 5)]
+    assert all(message.startswith("`roll_ups_of(...)` outside engine/backends.py:ChunkOutcome.of")
+               for _, _, message in findings)
+
+
+def test_a_merge_of_totals_outside_the_engine_and_the_store_is_caught():
+    merge = "def totals(parts):\n    return merge_roll_ups(parts)\n"
+    findings = _sites(**{
+        "engine/engine.py": merge,
+        "service/statedb.py": merge,
+        "service/runner.py": merge,
+        "core/results.py": "from ..crashmonkey import report\n" + merge.replace(
+            "merge_roll_ups", "report.merge_roll_ups"),
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/core/results.py", 3), ("src/repro/service/runner.py", 2)]
+    assert all("outside engine/ and service/statedb.py" in message for _, _, message in findings)
+
+
+def test_the_tree_rolls_up_results_only_at_the_three_sites():
+    """Without their sites the rows flag exactly the owners' calls in the tree."""
+    for text, owners in (
+            ("`roll_ups_of(...)`", ["src/repro/core/results.py", "src/repro/engine/backends.py",
+                                    "src/repro/service/statedb.py"]),
+            ("`merge_roll_ups(...)`", ["src/repro/engine/engine.py",
+                                       "src/repro/service/statedb.py"])):
+        findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
+                                                (_row_of(text)._replace(site=""),))
+        assert [path for path, _, _ in findings] == owners, text

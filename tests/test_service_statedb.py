@@ -43,8 +43,8 @@ def _result(name: str, reports: int = 0) -> CrashTestResult:
 
 
 def _outcome(index: int, names, reports: int = 0) -> ChunkOutcome:
-    return ChunkOutcome(index=index, results=[_result(n, reports) for n in names],
-                        seconds=0.5, worker="test-worker")
+    return ChunkOutcome.of(index, [_result(n, reports) for n in names], 0.5,
+                           worker="test-worker")
 
 
 # ------------------------------------------------------------------ campaigns

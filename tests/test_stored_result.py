@@ -13,6 +13,7 @@ configuration.
 import gc
 import json
 import sqlite3
+import sys
 import tracemalloc
 from contextlib import closing
 
@@ -20,6 +21,8 @@ import pytest
 
 from repro.ace import seq2_bounds
 from repro.core.campaign import B3Campaign, CampaignConfig
+from repro.core.results import CampaignResult
+from repro.crashmonkey import report
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine import backends
 from repro.engine.engine import family_chunks
@@ -69,11 +72,11 @@ def test_a_sink_owns_each_chunks_results():
     assert all(outcome.results == [] for outcome in sunk)
     assert sum(len(outcome.rows) for outcome in sunk) == len(workloads)
     # The run keeps every chunk's stats, in stream order.
-    assert [stats.index for stats in run.chunks] == sorted(outcome.index for outcome in sunk)
+    assert [stats.index for stats in run.chunks] == sorted(outcome.stats.index for outcome in sunk)
     assert [stats.workloads for stats in run.chunks] == \
         [len(chunk) for chunk in family_chunks(workloads, 4)]
     # Progress still counts the session's workloads and failing workloads.
-    failing = sum(outcome.failing_workloads for outcome in sunk)
+    failing = sum(outcome.stats.failing_workloads for outcome in sunk)
     assert failing > 0
     assert (events[-1].workloads_done, events[-1].failing_workloads) == (len(workloads), failing)
     assert [event.workloads_done for event in events] == \
@@ -221,6 +224,56 @@ def test_describing_a_stored_result_decodes_no_passing_row(stored, monkeypatch):
     assert decoded == []
 
 
+# ------------------------------------------------------------ one CampaignResult
+
+
+def _spy(monkeypatch, function):
+    """Count calls of ``function`` from every ``repro`` module that imported it."""
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return function(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("repro")
+                and getattr(module, function.__name__, None) is function):
+            monkeypatch.setattr(module, function.__name__, spy)
+    return calls
+
+
+def test_a_stored_result_is_a_plain_campaign_result(stored):
+    with CampaignStateDB.existing(stored.results.path) as db:
+        assert type(db.campaign_result("parity")) is CampaignResult
+    assert type(stored) is CampaignResult
+
+
+def test_reading_every_aggregate_rolls_up_no_result(stored, in_memory, monkeypatch):
+    calls = _spy(monkeypatch, report.roll_up)
+    for result in (in_memory, stored):
+        for aggregate in CrashTestResult.AGGREGATES:
+            getattr(result, aggregate)
+        result.roll_ups(), result.failing_workloads, result.mounted_scenarios
+        result.phase_seconds(), result.mean_test_seconds(), result.recording_seconds_saved()
+    assert calls == []
+    # A result built from bare results computes its totals, once, there.
+    CampaignResult("btrfs", "btrfs", results=list(in_memory.results))
+    assert len(calls) == len(CrashTestResult.AGGREGATES)
+
+
+@pytest.mark.parametrize("processes", [1, 2], ids=["serial", "pool"])
+def test_a_plain_run_rolls_up_each_chunk_where_it_ran(monkeypatch, processes):
+    """The serial backend runs its chunks in the parent, a pool in its workers:
+    the parent rolls up results only for the chunks it ran itself."""
+    calls = _spy(monkeypatch, report.roll_ups_of)
+    campaign = B3Campaign(_config(processes=processes))
+    result = campaign.run()
+    assert len(campaign.last_run.chunks) > 1 and result.failing_workloads > 0
+    assert len(calls) == (len(campaign.last_run.chunks) if processes == 1 else 0)
+    # The chunks' totals merged: a float sum agrees with the flat one up to rounding.
+    assert result.roll_ups() == pytest.approx(report.roll_ups_of(result.results))
+
+
 # ------------------------------------------------------- the store-backed sequence
 
 
@@ -313,6 +366,7 @@ def test_a_store_from_before_the_failing_column_reads_back_the_same(tmp_path, in
     with closing(sqlite3.connect(path)) as conn, conn:
         conn.execute("DROP INDEX results_failing")
         conn.execute("ALTER TABLE results DROP COLUMN failing")
+        conn.execute("PRAGMA user_version = 0")  # written before the stamp, too
     runner = DurableCampaignRunner.from_db(path, "old")
     try:
         resumed = runner.run()
@@ -324,6 +378,8 @@ def test_a_store_from_before_the_failing_column_reads_back_the_same(tmp_path, in
     assert_reads_as_held(resumed)
     flags = _flags(path)
     assert len(flags) == 40 and all(failing == has_reports for failing, has_reports in flags)
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("PRAGMA user_version").fetchone() == (statedb.SCHEMA_VERSION,)
     # The backfill ran once: opening the store again writes no flag.
     statements = _traced_statements(monkeypatch)
     CampaignStateDB.existing(path).close()

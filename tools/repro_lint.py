@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Sixteen invariants, each protecting a guarantee a past change was built on.
+Seventeen invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -336,6 +336,17 @@ SITE_OWNERS: Tuple[Row, ...] = (
     Row(call("from_row"), "service/", "service/statedb.py:_decode",
         "`{receiver}.from_row(...)` outside statedb.py:_decode — a durable campaign's result is "
         "read from its store in one place: `CampaignStateDB.campaign_result`"),
+    # 19. A count is computed once, where its results are: a chunk's where it ran, a
+    #     result built from a list when it is built, an old store's chunk from its rows.
+    #     Everything else merges those roll-ups, in the engine and the store alone.
+    Row(call("roll_ups_of"), "",
+        "engine/backends.py:ChunkOutcome.of core/results.py:CampaignResult.__post_init__ "
+        "service/statedb.py:CampaignStateDB.campaign_result",
+        "`roll_ups_of(...)` outside {site} — a count is computed once, where its results are; "
+        "merge the chunks' `totals` instead of rolling up results again"),
+    Row(call("merge_roll_ups"), "", "engine/ service/statedb.py",
+        "`merge_roll_ups(...)` outside engine/ and service/statedb.py — a campaign's totals are "
+        "merged by the engine or the store that builds its `CampaignResult`"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
@@ -537,8 +548,8 @@ def check_result_fields_are_accounted(trees: Dict[Path, ast.Module]) -> List[Fin
             if name:
                 findings.append(Finding(
                     _relative(other), node.lineno,
-                    f"hand-written roll-up of `{name}` — `roll_up` and the RollUps "
-                    "attributes apply the rule the counter declares",
+                    f"hand-written roll-up of `{name}` — `roll_up` applies the rule the "
+                    "counter declares, and a holder's `totals` (the Totals mixin) keep it",
                 ))
     return findings
 
