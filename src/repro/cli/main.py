@@ -11,7 +11,7 @@ Subcommands mirror how the paper's tools are used:
 * ``repro-b3 reproduce``      — replay a known/new bug from the database,
 * ``repro-b3 list-bugs``      — list the known-bug corpus.
 
-Durable campaigns (``campaign --durable`` writes them to a state store) add:
+Durable campaigns (``campaign --state-db PATH`` writes them to a state store) add:
 
 * ``repro-b3 status``         — campaign progress,
 * ``repro-b3 resume``         — finish an interrupted campaign,
@@ -92,11 +92,6 @@ def _check_list(value: Optional[str]) -> Optional[List[str]]:
     return names
 
 
-def _print_check_registry() -> int:
-    print(DEFAULT_REGISTRY.describe())
-    return 0
-
-
 def _option_overrides() -> dict:
     """What only this layer knows about the schema's flags: the registries
     their values are validated against."""
@@ -108,13 +103,28 @@ def _option_overrides() -> dict:
     }
 
 
+class _Listed(Exception):
+    """Raised by :class:`_ListPlanners` once it has printed its listing."""
+
+
+class _ListPlanners(argparse.Action):
+    """``--list-planners``: answered while parsing, as ``--help`` is, so it
+    needs none of the command's required arguments."""
+
+    def __init__(self, option_strings, dest, **kwargs):
+        super().__init__(option_strings, dest, nargs=0, **kwargs)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        for line in describe_planners():
+            print(line)
+        raise _Listed
+
+
 def _add_option_args(parser: argparse.ArgumentParser, schema=CampaignConfig) -> None:
-    """The schema's flagged options, plus the switches that list their registries."""
+    """The schema's flagged options, plus the switch that lists the planners."""
     schema.add_arguments(parser, **_option_overrides())
-    parser.add_argument("--list-planners", action="store_true",
+    parser.add_argument("--list-planners", action=_ListPlanners,
                         help="list the registered crash planners and exit")
-    parser.add_argument("--list-checks", action="store_true",
-                        help="list the registered consistency checks and exit")
 
 
 def cmd_study(args) -> int:
@@ -144,15 +154,11 @@ def cmd_generate(args) -> int:
 
 
 def cmd_list_checks(args) -> int:
-    return _print_check_registry()
+    print(DEFAULT_REGISTRY.describe())
+    return 0
 
 
 def cmd_test(args) -> int:
-    if args.list_checks:
-        return _print_check_registry()
-    if args.workload is None:
-        print("error: a workload file is required (or use --list-checks)", file=sys.stderr)
-        return 2
     with open(args.workload, "r", encoding="utf-8") as handle:
         text = handle.read()
     workload = parse_workload(text, name=args.workload)
@@ -204,15 +210,14 @@ def _write_json_out(result, path: Optional[str]) -> None:
 
 
 def cmd_campaign(args) -> int:
-    if args.list_checks:
-        return _print_check_registry()
+    if args.campaign_id and not args.state_db:
+        print("error: --campaign-id names a campaign in a state store; "
+              "give its --state-db PATH", file=sys.stderr)
+        return 2
     config = _campaign_config(args)
     progress = _print_progress if args.progress else None
 
-    if args.durable:
-        if not args.state_db:
-            print("error: --durable requires --state-db PATH", file=sys.stderr)
-            return 2
+    if args.state_db:
         runner = DurableCampaignRunner(config, args.state_db, campaign_id=args.campaign_id)
         try:
             result = runner.run(progress=progress)
@@ -386,8 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-checks", help="list the registered consistency checks")
 
     test = sub.add_parser("test", help="run one workload file through CrashMonkey")
-    test.add_argument("workload", nargs="?", default=None,
-                      help="path to a workload-language file")
+    test.add_argument("workload", help="path to a workload-language file")
     test.add_argument("--patched", action="store_true", help="test the patched (bug-free) file system")
     _add_option_args(test, HarnessSpec)
 
@@ -400,12 +404,11 @@ def build_parser() -> argparse.ArgumentParser:
                           help="print a progress line per completed chunk")
     campaign.add_argument("--json-out", metavar="PATH", default=None,
                           help="also write the full campaign result as JSON to PATH")
-    campaign.add_argument("--durable", action="store_true",
-                          help="run against a campaign state store: completed chunks "
-                               "are committed as they land and an interrupted run "
-                               "resumes from its last completed chunk (see `resume`)")
     campaign.add_argument("--state-db", metavar="PATH", default=None,
-                          help="path of the sqlite campaign state store (with --durable)")
+                          help="run durably against this sqlite campaign state store: "
+                               "completed chunks are committed as they land and an "
+                               "interrupted run resumes from its last completed chunk "
+                               "(see `resume`)")
     campaign.add_argument("--campaign-id", default=None,
                           help="state-store id of this campaign (default: derived "
                                "from the configuration, so identical invocations resume "
@@ -473,11 +476,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "list_planners", False):
-        for line in describe_planners():
-            print(line)
+    try:
+        args = build_parser().parse_args(argv)
+    except _Listed:
         return 0
     try:
         return _COMMANDS[args.command](args)

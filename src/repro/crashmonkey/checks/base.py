@@ -82,7 +82,7 @@ class Check(Protocol):
     #: True when the check needs a mounted crash state; such checks are
     #: skipped (not failed) when recovery could not mount the state
     requires_mount: bool
-    #: one-line human description (shown by ``--list-checks``)
+    #: one-line human description (shown by ``repro-b3 list-checks``)
     description: str
 
     def run(self, ctx: CheckContext) -> List[Mismatch]:
@@ -167,7 +167,7 @@ class CheckRegistry:
                 if check.name in wanted and check.name not in skipped]
 
     def describe(self) -> str:
-        """One line per registered check (the ``--list-checks`` output)."""
+        """One line per registered check (the ``repro-b3 list-checks`` output)."""
         lines = []
         for check in self._checks.values():
             mount = "requires mount" if check.requires_mount else "runs unmounted"

@@ -60,9 +60,8 @@ class ChunkStats(Totals):
     #: (:func:`~repro.crashmonkey.report.roll_ups_of`); each reads as an
     #: attribute too: ``stats.prefix_hits``, ``stats.memoized_scenarios``, ...
     totals: Dict[str, Any] = field(default_factory=dict, repr=False)
-    #: bug reports over the chunk's results, and the sum of their phase seconds
+    #: bug reports over the chunk's results
     raw_reports: int = 0
-    cpu_seconds: float = 0.0
 
 
 @dataclass
@@ -94,7 +93,6 @@ class ChunkOutcome:
             worker=worker,
             totals=roll_ups_of(results),
             raw_reports=sum(len(result.bug_reports) for result in results),
-            cpu_seconds=sum(result.total_seconds for result in results),
         ))
 
     def packed(self) -> "ChunkOutcome":

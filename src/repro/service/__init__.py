@@ -2,8 +2,8 @@
 
 The layers, bottom up:
 
-* :mod:`repro.service.api` — the plain-data surface: lifecycle states, the
-  status view and a session's audit trail.
+* :mod:`repro.service.api` — the plain-data surface: the status view, whose
+  lifecycle word it derives from the chunks, and a session's audit trail.
 * :mod:`repro.service.statedb` — :class:`CampaignStateDB`, the sqlite state
   store with the pending -> processing -> done chunk lifecycle,
   ``recover_from_crash()`` and dedup-at-write result ingest.

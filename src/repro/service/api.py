@@ -1,8 +1,8 @@
 """Plain-data API of durable campaigns.
 
 What a client (the CLI, a test) reads back from a state store is defined here
-as plain dataclasses: the lifecycle states, a campaign's progress view and a
-runner session's audit trail.  Nothing in this module touches sqlite or the
+as plain dataclasses: a campaign's progress view, with the lifecycle word it
+derives, and a runner session's audit trail.  Nothing in this module touches sqlite or the
 engine — it is the surface the stateful layers
 (:mod:`repro.service.statedb`, :mod:`repro.service.runner`) produce.
 """
@@ -11,12 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Campaign lifecycle states in the state store.
+#: Campaign lifecycle words, derived from its chunks (:attr:`CampaignStatus.status`).
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
-
-CAMPAIGN_STATES = (QUEUED, RUNNING, DONE)
 
 #: Chunk lifecycle states (the pending -> processing -> done state machine;
 #: ``recover_from_crash`` moves processing back to pending).
@@ -24,19 +22,24 @@ PENDING = "pending"
 PROCESSING = "processing"
 CHUNK_DONE = "done"
 
-CHUNK_STATES = (PENDING, PROCESSING, CHUNK_DONE)
-
 
 # --------------------------------------------------------------------------- views
 
 
 @dataclass
 class CampaignStatus:
-    """Progress snapshot of one campaign in the state store."""
+    """Progress snapshot of one campaign in the state store.
+
+    The chunks are the one record of progress, so the campaign's lifecycle
+    is read off them, never stored beside them: it is complete once a
+    session has drained the workload stream (the census) and every chunk it
+    registered is done.
+    """
 
     campaign_id: str
     label: str
-    status: str
+    #: some session drained the workload stream, so every chunk is registered
+    census_done: bool = False
     chunks_done: int = 0
     chunks_total: int = 0
     #: chunks currently claimed by a session (in-flight; reset on recovery)
@@ -50,7 +53,15 @@ class CampaignStatus:
 
     @property
     def complete(self) -> bool:
-        return self.status == DONE
+        return self.census_done and self.chunks_done == self.chunks_total
+
+    @property
+    def status(self) -> str:
+        """``done`` when complete, else ``queued`` until a chunk is registered,
+        then ``running``."""
+        if self.complete:
+            return DONE
+        return RUNNING if self.chunks_total else QUEUED
 
     def describe(self) -> str:
         return (

@@ -55,7 +55,6 @@ from ..core.results import CampaignResult
 from ..engine.backends import ChunkOutcome
 from ..engine.engine import ProgressCallback
 from ..workload.workload import Workload
-from . import api
 from .api import SessionStats
 from .statedb import CampaignStateDB
 
@@ -78,7 +77,7 @@ REMOVED_IDENTITY_DEFAULTS = {"analyze_mechanisms": None}
 
 
 def default_campaign_id(config: CampaignConfig) -> str:
-    """Deterministic id for ad-hoc durable runs (CLI ``campaign --durable``).
+    """Deterministic id for ad-hoc durable runs (CLI ``campaign --state-db``).
 
     Derived from the config's identity options, so re-invoking the same
     command — under any execution options — resumes the same campaign
@@ -190,7 +189,6 @@ class DurableCampaignRunner:
         db.create_campaign(campaign_id, campaign.config.to_dict(), label=campaign.label,
                            fs_name=campaign.fs_name, fs_model=campaign.fs_model)
         session.chunks_recovered = db.recover_from_crash(campaign_id)
-        db.set_status(campaign_id, api.RUNNING)
 
         # One generation pass serves both enumeration and dispatch: chunks
         # are registered in the store as the stream produces them (the
@@ -198,17 +196,16 @@ class DurableCampaignRunner:
         # the same sweep.  Once any session has drained the full stream the
         # campaign's totals are durable; until then progress takes the
         # workload total from the space index, so every session has an ETA.
-        done = db.done_chunk_indices(campaign_id)
-        session.chunks_skipped = len(done)
-        census = db.chunk_totals(campaign_id) if db.census_complete(campaign_id) else None
-        if census is not None and len(done) == census[0]:
+        status = db.status(campaign_id)
+        session.chunks_skipped = status.chunks_done
+        if status.complete:
             # Everything already ran: no synthesizer, no harness.
-            db.set_status(campaign_id, api.DONE)
             return db.campaign_result(campaign_id)
-        done_workloads = db.chunk_states(campaign_id).get(api.CHUNK_DONE, (0, 0))[1]
-        failing = db.status(campaign_id).failing_workloads
-        progress = campaign.track_progress(progress, (len(done), done_workloads, failing),
-                                           census)
+        done = db.done_chunk_indices(campaign_id)
+        census = (status.chunks_total, status.workloads_total) if status.census_done else None
+        progress = campaign.track_progress(
+            progress, (status.chunks_done, status.workloads_done, status.failing_workloads),
+            census)
 
         self._persist_mechanism_report()
 
@@ -237,9 +234,7 @@ class DurableCampaignRunner:
                 session.chunks_executed += 1
                 session.workloads_executed += len(chunk)
                 yield (index, chunk)
-            db.record_enumeration(campaign_id, adapter.invalid_workloads,
-                                  timed.seconds)
-            db.mark_census_complete(campaign_id)
+            db.finish_census(campaign_id, adapter.invalid_workloads, timed.seconds)
 
         ingested = 0
 
@@ -261,6 +256,4 @@ class DurableCampaignRunner:
         run = campaign.engine(progress, spec=spec).run_indexed(
             pending_chunks(), label=campaign.label, on_outcome=on_outcome, generation=timed)
         db.add_testing_seconds(campaign_id, run.result.testing_seconds)
-        # The engine ran every chunk not done at the start, so all are now.
-        db.set_status(campaign_id, api.DONE)
         return db.campaign_result(campaign_id)

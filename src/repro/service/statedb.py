@@ -11,9 +11,13 @@ Four tables:
 
 * ``campaigns`` — one row per campaign, keyed by its id: label, the full
   serialized :class:`~repro.options.CampaignConfig` (so any process can
-  rebuild an identical engine), lifecycle status and accumulated timing.
-* ``chunks`` — the campaign's deterministic chunk census.  Each chunk moves
-  ``pending -> processing -> done``; :meth:`recover_from_crash` moves
+  rebuild an identical engine), whether its census is complete
+  (``census_done``, set with the enumeration's outcome in one UPDATE) and
+  accumulated timing.
+* ``chunks`` — the campaign's deterministic chunk census, the one record of
+  its progress: the lifecycle :meth:`CampaignStateDB.status` reports is
+  derived from these rows and ``census_done``, never stored.  Each chunk
+  moves ``pending -> processing -> done``; :meth:`recover_from_crash` moves
   orphaned ``processing`` rows back to ``pending`` so a crashed session's
   in-flight work is re-dispatched, never lost and never double-counted.
   Completed chunks also carry their failing-workload and report tallies,
@@ -37,20 +41,20 @@ Four tables:
   the ``mechanism`` crash plan (the static-analysis summary of the recorded
   family, for post-hoc inspection without re-profiling).
 
-A store written by an older version may also hold a cross-workload dedup
-table, a ``chunks.cross_deduped`` column and a ``campaigns.tenant`` column
-from when one store queued many owners' campaigns; none is read or written,
-and the columns' defaults keep new rows valid there.  So do the defaults of
-the ``chunks`` columns ``crash_points``, ``scenarios``, ``deduped``,
-``prefix_hits`` and ``replay_hits``, which an older version wrote and a new
-store does not have (``roll_ups`` holds all five).  A store from before
-``chunks.roll_ups`` gets the column when opened; the chunks it had done keep
-it empty, and a read computes their roll-ups from their own rows.  A store
-from before ``results.failing`` gets the column when opened too, filled in
-once from each row's bug reports, and then its index.  The store's
-``user_version`` is stamped with :data:`SCHEMA_VERSION` when it is created
-or upgraded, and a store stamped newer is refused before anything is
-written to it.
+The store's ``user_version`` is stamped :data:`SCHEMA_VERSION`.  A store
+stamped older (a new file is stamped 0) is migrated once, when it is opened,
+in one transaction under the write lock that also stamps it: a store from
+before ``chunks.roll_ups`` or ``results.failing`` gets the column, each row's
+``failing`` flag is filled in from its bug reports, the flag's index is
+built, and every done chunk without roll-ups gets them computed from its own
+rows — so a read merges stored roll-ups only.  A store stamped newer is
+refused before anything is written to it.  Columns an older version wrote
+and this one has no use for stay in its store unread, their defaults keeping
+new rows valid: a cross-workload dedup table, ``campaigns.tenant`` and
+``campaigns.status``, and the ``chunks`` columns ``cross_deduped``,
+``crash_points``, ``scenarios``, ``deduped``, ``prefix_hits``,
+``replay_hits`` (``roll_ups`` holds those five) and ``cpu_seconds`` (the
+``PHASE_FIELDS`` sum of ``roll_ups``).
 
 A campaign's result (:meth:`CampaignStateDB.campaign_result`) is a plain
 :class:`CampaignResult` read from the store, not held: its ``results`` and
@@ -86,7 +90,6 @@ CREATE TABLE IF NOT EXISTS campaigns (
     label              TEXT NOT NULL DEFAULT '',
     fs_name            TEXT NOT NULL DEFAULT '',
     fs_model           TEXT NOT NULL DEFAULT '',
-    status             TEXT NOT NULL DEFAULT 'queued',
     config_json        TEXT NOT NULL,
     census_done        INTEGER NOT NULL DEFAULT 0,
     invalid_workloads  INTEGER NOT NULL DEFAULT 0,
@@ -103,7 +106,6 @@ CREATE TABLE IF NOT EXISTS chunks (
     worker        TEXT NOT NULL DEFAULT '',
     failing       INTEGER NOT NULL DEFAULT 0,
     raw_reports   INTEGER NOT NULL DEFAULT 0,
-    cpu_seconds   REAL NOT NULL DEFAULT 0,
     roll_ups      TEXT,
     PRIMARY KEY (campaign_id, chunk_index)
 );
@@ -121,18 +123,12 @@ CREATE TABLE IF NOT EXISTS mechanism_reports (
 );
 """
 
-#: Serves ``StoredResults(failing=True)``; created once ``results.failing``
-#: exists, which a store from before the column gets when opened.
-_FAILING_INDEX = """
-CREATE INDEX IF NOT EXISTS results_failing
-ON results (campaign_id, chunk_index, position) WHERE failing = 1
-"""
-
 #: The schema this version writes, stamped as the store's ``user_version``
-#: when it is created or upgraded (0: unstamped, written before the stamp
-#: existed).  A store stamped newer is refused unopened: an older writer
-#: would add rows without the columns the newer one relies on.
-SCHEMA_VERSION = 1
+#: when it is created or upgraded (0: unstamped, new or written before the
+#: stamp existed; 1: before the campaign status was derived).  A store
+#: stamped newer is refused unopened: an older writer would add rows without
+#: the columns the newer one relies on.
+SCHEMA_VERSION = 2
 
 #: Page cache of every connection the store opens, in KiB.  The rows are
 #: written once and read in one sequential pass, so a cache holds nothing a
@@ -224,32 +220,17 @@ class CampaignStateDB:
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.executescript(_SCHEMA)
-        if not (self._has_column("chunks", "roll_ups") and self._has_column("results", "failing")):
-            self._upgrade()
-        self._conn.execute(_FAILING_INDEX)
         if version < SCHEMA_VERSION:
-            self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+            self._transaction(self._upgrade)
 
     def _has_column(self, table: str, column: str) -> bool:
         return column in {row[1] for row in self._conn.execute(f"PRAGMA table_info({table})")}
 
-    def _upgrade(self) -> None:
-        """Add the columns a store written by an older version lacks, once.
-
-        ``results.failing`` is backfilled from each row's reports.  Under the
-        write lock, so two sessions opening one old store at once add each
-        column once and neither sees ``failing`` half filled in.
-        """
+    def _transaction(self, body) -> Any:
+        """``body()`` in one write transaction: all of it lands or none does."""
         self._conn.execute("BEGIN IMMEDIATE")
         try:
-            if not self._has_column("chunks", "roll_ups"):
-                self._conn.execute("ALTER TABLE chunks ADD COLUMN roll_ups TEXT")
-            if not self._has_column("results", "failing"):
-                self._conn.execute(
-                    "ALTER TABLE results ADD COLUMN failing INTEGER NOT NULL DEFAULT 0")
-                self._conn.execute(
-                    "UPDATE results SET failing = 1 "
-                    "WHERE json_array_length(result_json, '$.bug_reports') > 0")
+            value = body()
             self._conn.execute("COMMIT")
         except BaseException:
             try:
@@ -257,6 +238,37 @@ class CampaignStateDB:
             except sqlite3.OperationalError:
                 pass  # no transaction active (COMMIT already failed it away)
             raise
+        return value
+
+    def _upgrade(self) -> None:
+        """Migrate a store stamped older than this version, and stamp it.
+
+        Under the write lock, so two sessions opening one old store at once
+        add each column once and neither sees a half-done migration; the
+        second finds nothing left to do.
+        """
+        if not self._has_column("chunks", "roll_ups"):
+            self._conn.execute("ALTER TABLE chunks ADD COLUMN roll_ups TEXT")
+        if not self._has_column("results", "failing"):
+            self._conn.execute(
+                "ALTER TABLE results ADD COLUMN failing INTEGER NOT NULL DEFAULT 0")
+            self._conn.execute(
+                "UPDATE results SET failing = 1 "
+                "WHERE json_array_length(result_json, '$.bug_reports') > 0")
+        # Serves ``StoredResults(failing=True)``.
+        self._conn.execute("CREATE INDEX IF NOT EXISTS results_failing "
+                           "ON results (campaign_id, chunk_index, position) WHERE failing = 1")
+        for campaign_id, index in self._conn.execute(
+                "SELECT campaign_id, chunk_index FROM chunks "
+                "WHERE status = 'done' AND roll_ups IS NULL").fetchall():
+            # A chunk an older version ingested: its roll-ups, from its rows, once.
+            results = [_decode(payload) for (payload,) in self._conn.execute(
+                "SELECT result_json FROM results WHERE campaign_id = ? AND chunk_index = ? "
+                "ORDER BY position", (campaign_id, index))]
+            self._conn.execute(
+                "UPDATE chunks SET roll_ups = ? WHERE campaign_id = ? AND chunk_index = ?",
+                (json.dumps(roll_ups_of(results), separators=(",", ":")), campaign_id, index))
+        self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     @classmethod
     def existing(cls, path: str) -> "CampaignStateDB":
@@ -338,34 +350,25 @@ class CampaignStateDB:
         return json.loads(row[0])
 
     def campaign_row(self, campaign_id: str) -> dict:
+        keys = ("campaign_id", "label", "fs_name", "fs_model", "census_done",
+                "invalid_workloads", "generation_seconds", "testing_seconds")
         row = self._conn.execute(
-            "SELECT campaign_id, label, fs_name, fs_model, status, "
-            "invalid_workloads, generation_seconds, testing_seconds "
-            "FROM campaigns WHERE campaign_id = ?",
-            (campaign_id,),
+            f"SELECT {', '.join(keys)} FROM campaigns WHERE campaign_id = ?", (campaign_id,)
         ).fetchone()
         if row is None:
             raise UnknownCampaignError(f"unknown campaign {campaign_id!r}")
-        keys = ("campaign_id", "label", "fs_name", "fs_model", "status",
-                "invalid_workloads", "generation_seconds", "testing_seconds")
         return dict(zip(keys, row))
 
-    def set_status(self, campaign_id: str, status: str) -> None:
-        if status not in api.CAMPAIGN_STATES:
-            raise ValueError(f"unknown campaign status {status!r}")
-        self._conn.execute(
-            "UPDATE campaigns SET status = ? WHERE campaign_id = ?", (status, campaign_id)
-        )
+    def finish_census(self, campaign_id: str, invalid_workloads: int,
+                      generation_seconds: float) -> None:
+        """Store a drained enumeration pass's outcome; the census is complete.
 
-    def record_enumeration(self, campaign_id: str, invalid_workloads: int,
-                           generation_seconds: float) -> None:
-        """Store one enumeration pass's outcome.
-
+        One UPDATE, so the census is never marked without its outcome.
         ``invalid_workloads`` is deterministic per config (set, not added);
         generation time is real work each session pays, so it accumulates.
         """
         self._conn.execute(
-            "UPDATE campaigns SET invalid_workloads = ?, "
+            "UPDATE campaigns SET census_done = 1, invalid_workloads = ?, "
             "generation_seconds = generation_seconds + ? WHERE campaign_id = ?",
             (invalid_workloads, generation_seconds, campaign_id),
         )
@@ -412,32 +415,6 @@ class CampaignStateDB:
                     f"stream is no longer the one the stored results came from"
                 )
         return new
-
-    def census_complete(self, campaign_id: str) -> bool:
-        """True once some session drained the full workload stream.
-
-        Until then the chunk table is a prefix of the census (an interrupted
-        session registers chunks as it discovers them), so totals and the
-        all-chunks-done check cannot be trusted.
-        """
-        row = self._conn.execute(
-            "SELECT census_done FROM campaigns WHERE campaign_id = ?", (campaign_id,)
-        ).fetchone()
-        return bool(row and row[0])
-
-    def mark_census_complete(self, campaign_id: str) -> None:
-        self._conn.execute(
-            "UPDATE campaigns SET census_done = 1 WHERE campaign_id = ?", (campaign_id,)
-        )
-
-    def chunk_totals(self, campaign_id: str) -> Tuple[int, int]:
-        """(chunk count, workload count) over every registered chunk."""
-        row = self._conn.execute(
-            "SELECT COUNT(*), COALESCE(SUM(workloads), 0) "
-            "FROM chunks WHERE campaign_id = ?",
-            (campaign_id,),
-        ).fetchone()
-        return row[0], row[1]
 
     def recover_from_crash(self, campaign_id: str) -> int:
         """Reset the campaign's in-flight (``processing``) chunks to ``pending``.
@@ -493,8 +470,8 @@ class CampaignStateDB:
         # Packed where the chunk ran, normally; one built from results is packed here.
         outcome = outcome.packed()
         stats = outcome.stats
-        self._conn.execute("BEGIN IMMEDIATE")
-        try:
+
+        def ingest() -> bool:
             row = self._conn.execute(
                 "SELECT status FROM chunks WHERE campaign_id = ? AND chunk_index = ?",
                 (campaign_id, stats.index),
@@ -504,7 +481,6 @@ class CampaignStateDB:
                     f"chunk {stats.index} of campaign {campaign_id!r} was never registered"
                 )
             if row[0] == api.CHUNK_DONE:
-                self._conn.execute("ROLLBACK")
                 return False
             failing = set(outcome.failing_positions)
             self._conn.executemany(
@@ -516,27 +492,21 @@ class CampaignStateDB:
             )
             self._conn.execute(
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
-                "failing = ?, raw_reports = ?, cpu_seconds = ?, roll_ups = ? "
+                "failing = ?, raw_reports = ?, roll_ups = ? "
                 "WHERE campaign_id = ? AND chunk_index = ?",
                 (
                     stats.seconds,
                     stats.worker,
                     stats.failing_workloads,
                     stats.raw_reports,
-                    stats.cpu_seconds,
                     json.dumps(stats.totals, separators=(",", ":")),
                     campaign_id,
                     stats.index,
                 ),
             )
-            self._conn.execute("COMMIT")
-        except BaseException:
-            try:
-                self._conn.execute("ROLLBACK")
-            except sqlite3.OperationalError:
-                pass  # no transaction active (COMMIT already failed it away)
-            raise
-        return True
+            return True
+
+        return self._transaction(ingest)
 
     # ----------------------------------------------------- mechanism reports
 
@@ -567,25 +537,19 @@ class CampaignStateDB:
         """The campaign's result as the store holds it, over its done chunks.
 
         Nothing is decoded here: the aggregates are merged from the chunks'
-        stored roll-ups (a chunk ingested before they were stored has its
-        own computed from its rows, and nothing is written back), and the
-        rows are read when the result is read, in stream order — its reports
+        stored roll-ups (every done chunk has them once the store is opened),
+        and the rows are read when the result is read, in stream order — its reports
         from the failing rows alone — so a campaign finished across N
         interrupted sessions reads back the same reports, counters and
         result order an uninterrupted run returns, and holding the result
         holds no row.
         """
         row = self.campaign_row(campaign_id)
-        parts: List[Dict[str, Any]] = []
-        failing = 0
-        for index, chunk_failing, stored in self._conn.execute(
-            "SELECT chunk_index, failing, roll_ups FROM chunks "
+        chunks = self._conn.execute(
+            "SELECT failing, roll_ups FROM chunks "
             "WHERE campaign_id = ? AND status = 'done' ORDER BY chunk_index",
             (campaign_id,),
-        ).fetchall():
-            failing += chunk_failing
-            parts.append(json.loads(stored) if stored is not None
-                         else roll_ups_of(self._chunk_results(campaign_id, index)))
+        ).fetchall()
         results = StoredResults(os.path.abspath(self.path), campaign_id)
         return CampaignResult(
             fs_name=row["fs_name"],
@@ -595,16 +559,10 @@ class CampaignStateDB:
             generation_seconds=row["generation_seconds"],
             testing_seconds=row["testing_seconds"],
             invalid_workloads=row["invalid_workloads"],
-            totals=merge_roll_ups(parts),
-            failing_workloads=failing,
+            totals=merge_roll_ups([json.loads(stored) for _, stored in chunks]),
+            failing_workloads=sum(failing for failing, _ in chunks),
             failing_results=results.failing_only(),
         )
-
-    def _chunk_results(self, campaign_id: str, chunk_index: int) -> List[CrashTestResult]:
-        """One chunk's decoded results, in order."""
-        return [_decode(payload) for (payload,) in self._conn.execute(
-            "SELECT result_json FROM results WHERE campaign_id = ? AND chunk_index = ? "
-            "ORDER BY position", (campaign_id, chunk_index))]
 
     # ------------------------------------------------------------------ views
 
@@ -623,7 +581,7 @@ class CampaignStateDB:
         return api.CampaignStatus(
             campaign_id=campaign_id,
             label=row["label"],
-            status=row["status"],
+            census_done=bool(row["census_done"]),
             chunks_done=done_chunks,
             chunks_total=total_chunks,
             chunks_processing=processing_chunks,

@@ -216,8 +216,6 @@ def reopen_tail(db_path: str, campaign_id: str, first: int) -> None:
                      "WHERE campaign_id = ? AND chunk_index >= ?", (campaign_id, first))
         conn.execute("DELETE FROM results WHERE campaign_id = ? AND chunk_index >= ?",
                      (campaign_id, first))
-        conn.execute("UPDATE campaigns SET status = 'running' WHERE campaign_id = ?",
-                     (campaign_id,))
 
 
 def assert_reads_as_held(result) -> None:

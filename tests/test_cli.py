@@ -93,15 +93,18 @@ class TestCheckSelection:
         for name in ("mount", "read", "directory", "atomicity", "write", "hardlink", "xattr"):
             assert name in out
 
-    def test_list_checks_flag_on_test_and_campaign(self, capsys):
-        assert main(["test", "--list-checks"]) == 0
-        assert "hardlink" in capsys.readouterr().out
-        assert main(["campaign", "--list-checks"]) == 0
-        assert "xattr" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", [["test", "w.wl"], ["campaign"]], ids=["test", "campaign"])
+    def test_the_checks_are_listed_by_their_command_alone(self, capsys, command):
+        with pytest.raises(SystemExit) as refused:
+            main([*command, "--list-checks"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --list-checks" in capsys.readouterr().err
 
-    def test_test_without_workload_or_list_checks_errors(self, capsys):
-        assert main(["test"]) == 2
-        assert "workload file" in capsys.readouterr().err
+    def test_test_without_a_workload_errors(self, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["test"])
+        assert refused.value.code == 2
+        assert "required: workload" in capsys.readouterr().err
 
     def test_checks_flag_restricts_the_pipeline(self, tmp_path, capsys):
         workload_file = tmp_path / "figure1.wl"
@@ -253,7 +256,7 @@ class TestDurableCampaignCommands:
 
     def _durable(self, db, campaign_id):
         """The CLI's durable campaign, run to completion under ``campaign_id``."""
-        assert main(["campaign", "--durable", "--state-db", db,
+        assert main(["campaign", "--state-db", db,
                      "--campaign-id", campaign_id, *self.CAMPAIGN]) == 0
 
     def _interrupted(self, db, campaign_id, chunks):
@@ -265,13 +268,18 @@ class TestDurableCampaignCommands:
         finally:
             runner.close()
 
-    def test_durable_requires_state_db(self, capsys):
-        assert main(["campaign", "--durable", *self.CAMPAIGN]) == 2
-        assert "--state-db" in capsys.readouterr().err
+    def test_a_campaign_id_without_a_state_db_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "--campaign-id", "one", *self.CAMPAIGN]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --campaign-id names a campaign in a state store; "
+                                "give its --state-db PATH\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_durable_campaign_runs_and_reruns(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
-        args = ["campaign", "--durable", "--state-db", db, *self.CAMPAIGN]
+        args = ["campaign", "--state-db", db, *self.CAMPAIGN]
         assert main(args) == 0
         err = capsys.readouterr().err
         assert "0 already done" in err
@@ -299,7 +307,7 @@ class TestDurableCampaignCommands:
 
         db = str(tmp_path / "state.sqlite")
         ran, read = tmp_path / "campaign.json", tmp_path / "results.json"
-        assert main(["campaign", "--durable", "--state-db", db, "--campaign-id", "one",
+        assert main(["campaign", "--state-db", db, "--campaign-id", "one",
                      "--preset", "seq-2", "--limit", "24", "--sample", "--chunk-size", "4",
                      "--json-out", str(ran)]) == 1
         assert main(["results", "--state-db", db, "one", "--json-out", str(read)]) == 0
@@ -317,7 +325,7 @@ class TestDurableCampaignCommands:
 
     def test_progress_flag_reports_throughput_on_a_fresh_run(self, tmp_path, capsys):
         db = str(tmp_path / "state.sqlite")
-        assert main(["campaign", "--durable", "--state-db", db, "--progress",
+        assert main(["campaign", "--state-db", db, "--progress",
                      *self.CAMPAIGN]) == 0
         err = capsys.readouterr().err
         # The first session discovers the chunk census as it streams; its
@@ -398,7 +406,7 @@ class TestDurableCampaignCommands:
         from_row = CrashTestResult.from_row.__func__
         monkeypatch.setattr(CrashTestResult, "from_row", classmethod(
             lambda cls, row: decoded.append(row) or from_row(cls, row)))
-        assert main(["campaign", "--durable", "--state-db", db, "--campaign-id", "one",
+        assert main(["campaign", "--state-db", db, "--campaign-id", "one",
                      "--preset", "seq-2", "--limit", "24", "--sample", "--chunk-size", "4"]) == 1
         assert "report groups:" in capsys.readouterr().out
         with CampaignStateDB.existing(db) as store:

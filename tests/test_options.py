@@ -184,12 +184,12 @@ def test_a_new_field_needs_no_other_edit():
 # ------------------------------------------------------------------------------ CLI
 
 #: the flag sets of the commit before the schema, less the two cross-workload
-#: dedup flags and the ``--share-replay`` pair that went with their options —
-#: none lost, none gained
+#: dedup flags and the ``--share-replay`` pair that went with their options, and
+#: ``--list-checks`` (the ``list-checks`` command lists them) — none lost, none gained
 HARNESS_FLAGS = {
     "-h", "--help", "--filesystem", "-f", "--patched", "--crash-plan", "--list-planners",
     "--reorder-bound", "--torn-bound", "--share-prefixes", "--no-share-prefixes",
-    "--spine-memory-budget", "--spine-spill-dir", "--checks", "--skip-checks", "--list-checks",
+    "--spine-memory-budget", "--spine-spill-dir", "--checks", "--skip-checks",
 }
 CAMPAIGN_FLAGS = HARNESS_FLAGS | {
     "--preset", "--seq-length", "--limit", "--sample", "--processes", "-j", "--chunk-size",
@@ -199,7 +199,7 @@ CAMPAIGN_FLAGS = HARNESS_FLAGS | {
 def test_the_derived_parsers_keep_the_flag_sets():
     assert _flags("test") == HARNESS_FLAGS
     assert _flags("campaign") == CAMPAIGN_FLAGS | {
-        "--progress", "--json-out", "--durable", "--state-db", "--campaign-id"}
+        "--progress", "--json-out", "--state-db", "--campaign-id"}
 
 
 def test_resume_takes_exactly_the_execution_flags():
@@ -346,7 +346,7 @@ def test_identity_options_name_a_different_campaign(tmp_path, name):
 
 def test_the_cli_resumes_under_execution_flags_and_refuses_identity_drift(tmp_path, capsys):
     db_path = str(tmp_path / "s.sqlite")
-    campaign = ["campaign", "--durable", "--state-db", db_path, "--campaign-id", "c1",
+    campaign = ["campaign", "--state-db", db_path, "--campaign-id", "c1",
                 "--preset", "seq-1", "--limit", "20", "--chunk-size", "4", "--patched"]
     first = DurableCampaignRunner(cli_config(build_parser().parse_args(campaign)),
                                   db_path, campaign_id="c1")

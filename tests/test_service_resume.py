@@ -31,6 +31,7 @@ from repro.ace import (
 from repro.cli.main import main
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.core.results import CampaignResult
+from repro.crashmonkey.report import CrashTestResult
 from repro.errors import CampaignDriftError, UnknownCampaignError
 from repro.service import CampaignStateDB, DurableCampaignRunner, default_campaign_id
 from repro.service.runner import SELFCRASH_ENV
@@ -58,7 +59,7 @@ def uninterrupted():
 def _durable_cli_args(db_path: str) -> list:
     return [
         sys.executable, "-m", "repro.cli.main",
-        "campaign", "--durable", "--state-db", db_path,
+        "campaign", "--state-db", db_path,
         "--campaign-id", "victim",
         "--preset", "seq-2", "--limit", "40", "--sample", "--chunk-size", "4",
     ]
@@ -106,8 +107,7 @@ def test_sigkilled_campaign_resumes_to_identical_results(tmp_path, uninterrupted
         # which is exactly why completion requires the census_done flag.
         assert status.chunks_done > 0
         assert not status.complete
-        assert not (db.census_complete("victim")
-                    and status.chunks_done == status.chunks_total)
+        assert not (status.census_done and status.chunks_done == status.chunks_total)
 
     runner = DurableCampaignRunner.from_db(db_path, "victim", processes=processes)
     try:
@@ -123,6 +123,22 @@ def test_sigkilled_campaign_resumes_to_identical_results(tmp_path, uninterrupted
     assert resumed.canonical_dict() == uninterrupted.canonical_dict()
     assert resumed.describe().splitlines()[0].split("generation")[0] \
         .startswith("campaign seq-2")
+
+
+def test_a_campaign_killed_after_its_last_ingest_is_done(tmp_path, uninterrupted):
+    """The chunks are the campaign's one record of progress, so a pool session
+    SIGKILLed right after its last ingest (its census stored while the last
+    chunks were in flight) leaves a finished campaign: readable, no resume."""
+    db_path = str(tmp_path / "state.sqlite")
+    chunks = 10  # the 40 workloads in family-affine chunks of 4
+    victim = _run_victim(db_path, crash_after=chunks, processes=2)
+    assert victim.returncode == -signal.SIGKILL
+    with CampaignStateDB.existing(db_path) as db:
+        status = db.status("victim")
+        assert (status.status, status.chunks_done, status.chunks_total) == ("done", chunks, chunks)
+        assert status.complete
+        result = db.campaign_result("victim")
+    assert result.canonical_dict() == uninterrupted.canonical_dict()
 
 
 def _session(config, db_path, campaign_id, crash_after=None, progress=None):
@@ -434,10 +450,11 @@ def _unrolled_chunks(db_path: str) -> int:
 
 @pytest.mark.parametrize("older", ["every-other-chunk", "whole-store"])
 def test_chunks_done_without_stored_roll_ups_read_back_from_their_rows(tmp_path, uninterrupted,
-                                                                        older):
+                                                                        older, monkeypatch):
     """Chunks an older version ingested carry no roll-ups (a store from before
-    the column has none at all): a read computes theirs from their rows and
-    writes nothing back, and the result reads as the uninterrupted run."""
+    the column has none at all): opening the store computes theirs from their
+    rows and stores them, once, so every read merges stored roll-ups and
+    decodes nothing, and the result reads as the uninterrupted run."""
     db_path = str(tmp_path / "state.sqlite")
     _old_store(db_path)
     runner = DurableCampaignRunner.from_db(db_path, "old")
@@ -448,15 +465,31 @@ def test_chunks_done_without_stored_roll_ups_read_back_from_their_rows(tmp_path,
     with closing(sqlite3.connect(db_path)) as conn, conn:
         if older == "whole-store":
             conn.execute("ALTER TABLE chunks DROP COLUMN roll_ups")
+            unrolled_rows = 40
         else:
             conn.execute("UPDATE chunks SET roll_ups = NULL WHERE chunk_index % 2 = 0")
+            assert conn.execute(
+                "SELECT COUNT(*) FROM chunks WHERE roll_ups IS NULL").fetchone() == (5,)
+            unrolled_rows = conn.execute(
+                "SELECT COUNT(*) FROM results WHERE chunk_index % 2 = 0").fetchone()[0]
+        # Only a version before this schema leaves a done chunk without roll-ups.
+        conn.execute(f"PRAGMA user_version = {0 if older == 'whole-store' else 1}")
+    decoded = []
+    from_row = CrashTestResult.from_row.__func__
+    monkeypatch.setattr(CrashTestResult, "from_row", classmethod(
+        lambda cls, row: decoded.append(row) or from_row(cls, row)))
     with CampaignStateDB.existing(db_path) as db:
-        unrolled = _unrolled_chunks(db_path)
-        assert unrolled == (10 if older == "whole-store" else 5)
+        assert _unrolled_chunks(db_path) == 0
+        assert len(decoded) == unrolled_rows  # each unrolled chunk's rows, once
         result = db.campaign_result("old")
+        for aggregate in CrashTestResult.AGGREGATES:
+            getattr(result, aggregate)
+        result.roll_ups(), result.failing_workloads, result.mounted_scenarios
+        assert len(decoded) == unrolled_rows  # the read decoded nothing
+    with CampaignStateDB.existing(db_path) as db:
+        assert db._conn.total_changes == 0  # the second open finds nothing to migrate
     assert result.canonical_dict() == uninterrupted.canonical_dict()
     assert_reads_as_held(result)
-    assert _unrolled_chunks(db_path) == unrolled
 
 
 def test_a_runner_leaves_a_borrowed_store_open(tmp_path):
@@ -498,7 +531,7 @@ def test_default_campaign_id_is_config_deterministic():
 
 
 def test_default_campaign_ids_are_the_ones_older_stores_hold():
-    """Re-running an ad-hoc ``campaign --durable`` written by an older version
+    """Re-running an ad-hoc durable ``campaign`` written by an older version
     resumes its campaign instead of starting a twin under a new id."""
     assert default_campaign_id(_config()) == "dur-3d1c60257256"
     assert default_campaign_id(CampaignConfig()) == "dur-5ad77329fc72"

@@ -82,15 +82,16 @@ def test_opening_an_existing_store_never_creates_one(tmp_path):
         assert store.load_config("c1") == CONFIG
 
 
-def test_record_enumeration_sets_invalid_count_and_adds_generation_time(db):
+def test_finish_census_sets_invalid_count_and_adds_generation_time(db):
     db.create_campaign("c1", CONFIG)
-    db.record_enumeration("c1", invalid_workloads=3, generation_seconds=1.5)
+    db.finish_census("c1", invalid_workloads=3, generation_seconds=1.5)
     # A second session re-enumerates: the invalid count is the config's,
     # the generation time is work it paid again.
-    db.record_enumeration("c1", invalid_workloads=3, generation_seconds=0.5)
+    db.finish_census("c1", invalid_workloads=3, generation_seconds=0.5)
     row = db.campaign_row("c1")
     assert row["invalid_workloads"] == 3
     assert row["generation_seconds"] == pytest.approx(2.0)
+    assert row["census_done"] == 1
 
 
 def test_testing_seconds_accumulate_across_sessions(db):
@@ -134,12 +135,18 @@ def test_an_old_store_with_a_tenant_column_takes_new_campaigns(tmp_path):
                             ).fetchall() == [("a1", "alice"), ("c1", "default")]
 
 
-def test_set_status_validates(db):
-    db.create_campaign("c1", CONFIG)
-    db.set_status("c1", api.RUNNING)
-    assert db.campaign_row("c1")["status"] == api.RUNNING
-    with pytest.raises(ValueError):
-        db.set_status("c1", "exploded")
+def test_a_new_store_keeps_no_second_record_of_progress(tmp_path):
+    """The chunks are a campaign's one record of progress: a new store has no
+    stored campaign status, no stored CPU seconds, and is stamped with this
+    version's schema."""
+    path = str(tmp_path / "state.sqlite")
+    CampaignStateDB(path).close()
+    with closing(sqlite3.connect(path)) as conn:
+        def columns(table):
+            return {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+        assert "status" not in columns("campaigns")
+        assert "cpu_seconds" not in columns("chunks")
+        assert conn.execute("PRAGMA user_version").fetchone() == (statedb.SCHEMA_VERSION,) == (2,)
 
 
 # --------------------------------------------------------------------- chunks
@@ -170,23 +177,22 @@ def test_only_a_pending_chunk_can_be_claimed(db):
     assert db.claim_chunk("c2", 0) is True
 
 
-def test_census_is_incomplete_until_a_session_marks_it(db):
-    assert db.census_complete("ghost") is False
+def test_census_is_incomplete_until_a_session_finishes_it(db):
     db.create_campaign("c1", CONFIG)
     db.register_chunks("c1", [(0, "k0", 4)])
-    assert db.census_complete("c1") is False
-    db.mark_census_complete("c1")
-    assert db.census_complete("c1") is True
+    assert db.status("c1").census_done is False
+    db.finish_census("c1", invalid_workloads=0, generation_seconds=0.0)
+    assert db.status("c1").census_done is True
 
 
-def test_chunk_totals_count_every_registered_chunk(db):
+def test_the_status_totals_count_every_registered_chunk(db):
     db.create_campaign("c1", CONFIG)
-    assert db.chunk_totals("c1") == (0, 0)
+    assert (db.status("c1").chunks_total, db.status("c1").workloads_total) == (0, 0)
     db.register_chunks("c1", [(0, "k0", 4), (1, "k1", 3)])
     db.claim_chunk("c1", 0)
     db.ingest_outcome("c1", _outcome(0, ["a", "b", "c", "d"]))
     db.claim_chunk("c1", 1)  # in flight still counts
-    assert db.chunk_totals("c1") == (2, 7)
+    assert (db.status("c1").chunks_total, db.status("c1").workloads_total) == (2, 7)
 
 
 def test_register_chunks_detects_stream_drift(db):
@@ -339,11 +345,29 @@ def test_status_view(db):
     assert status.describe().startswith("c1")
     db.claim_chunk("c1", 1)
     db.ingest_outcome("c1", _outcome(1, ["c", "d"]))
-    # `complete` follows the campaign lifecycle flag (the runner flips it
-    # once every chunk is done), not the raw chunk counts.
+    # Every registered chunk done is not yet the campaign done: the table may
+    # hold only a prefix of the census until a session has drained the stream.
     assert not db.status("c1").complete
-    db.set_status("c1", api.DONE)
+    db.finish_census("c1", invalid_workloads=0, generation_seconds=0.0)
     assert db.status("c1").complete
+
+
+def test_the_lifecycle_word_is_derived_from_the_chunks(db):
+    db.create_campaign("c1", CONFIG)
+    assert db.status("c1").status == api.QUEUED
+    db.register_chunks("c1", [(0, "k0", 2), (1, "k1", 2)])
+    assert db.status("c1").status == api.RUNNING
+    db.finish_census("c1", invalid_workloads=0, generation_seconds=0.0)
+    for index in (0, 1):
+        assert db.status("c1").status == api.RUNNING
+        db.claim_chunk("c1", index)
+        db.ingest_outcome("c1", _outcome(index, ["a", "b"]))
+    assert db.status("c1").status == api.DONE
+    assert db.status("c1").describe().startswith("c1               done     chunks 2/2,")
+    # A drained stream with no workload in it is a finished campaign.
+    db.create_campaign("empty", CONFIG)
+    db.finish_census("empty", invalid_workloads=0, generation_seconds=0.0)
+    assert (db.status("empty").status, db.status("empty").complete) == (api.DONE, True)
 
 
 def test_status_counts_chunks_in_flight(db):

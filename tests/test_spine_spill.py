@@ -427,7 +427,7 @@ def _run_spilling_victim(db_path: str, crash_after: int):
     env[SELFCRASH_ENV] = str(crash_after)
     args = [
         sys.executable, "-m", "repro.cli.main",
-        "campaign", "--durable", "--state-db", db_path,
+        "campaign", "--state-db", db_path,
         "--campaign-id", "victim",
         "--preset", "seq-2", "--limit", "40", "--sample", "--chunk-size", "4",
         "--spine-memory-budget", "0",

@@ -337,11 +337,12 @@ SITE_OWNERS: Tuple[Row, ...] = (
         "`{receiver}.from_row(...)` outside statedb.py:_decode — a durable campaign's result is "
         "read from its store in one place: `CampaignStateDB.campaign_result`"),
     # 19. A count is computed once, where its results are: a chunk's where it ran, a
-    #     result built from a list when it is built, an old store's chunk from its rows.
-    #     Everything else merges those roll-ups, in the engine and the store alone.
+    #     result built from a list when it is built, an old store's chunk from its rows
+    #     by the migration on open.  Everything else merges those roll-ups, in the
+    #     engine and the store alone.
     Row(call("roll_ups_of"), "",
         "engine/backends.py:ChunkOutcome.of core/results.py:CampaignResult.__post_init__ "
-        "service/statedb.py:CampaignStateDB.campaign_result",
+        "service/statedb.py:CampaignStateDB._upgrade",
         "`roll_ups_of(...)` outside {site} — a count is computed once, where its results are; "
         "merge the chunks' `totals` instead of rolling up results again"),
     Row(call("merge_roll_ups"), "", "engine/ service/statedb.py",
