@@ -20,6 +20,10 @@ from .phase2 import count_parameterizations, is_symmetric_half, op_paths, parame
 from .phase3 import count_persistence_variants
 from .phase4 import EMPTY
 
+#: the widest stride a sample derives from the space estimate (every pinned
+#: sample was taken with it)
+MAX_SAMPLE_STRIDE = 2000
+
 
 @dataclass
 class GenerationStats:
@@ -120,44 +124,39 @@ class AceSynthesizer:
         return self.index.workload_at(position, required_ops)
 
     def _sample_positions(self, count: int, stride: Optional[int] = None,
-                          required_ops: Optional[Sequence[str]] = None,
-                          max_stride: int = 2000) -> range:
+                          required_ops: Optional[Sequence[str]] = None) -> range:
         """Positions (in :meth:`generate`'s order) a sample of ``count`` takes."""
         if count <= 0:
             return range(0)
         if stride is None:
             estimated = max(self.estimate_count(required_ops), 1)
-            stride = min(max(estimated // count, 1), max(max_stride, 1))
+            stride = min(max(estimated // count, 1), MAX_SAMPLE_STRIDE)
         return range(0, self.count(required_ops), stride)[:count]
 
     def sample_stream(self, count: int, stride: Optional[int] = None,
-                      required_ops: Optional[Sequence[str]] = None,
-                      max_stride: int = 2000) -> Iterator[Workload]:
+                      required_ops: Optional[Sequence[str]] = None) -> Iterator[Workload]:
         """Lazily yield ``count`` workloads deterministically spread over the space.
 
         Sampling takes every ``stride``-th workload of :meth:`generate`'s
         order, unranked directly (:meth:`workload_at`), so the cost follows
         the sample, not the space.  When no stride is given one is derived
-        from :meth:`estimate_count`; ``max_stride`` caps it, which confines
-        the sample of a multi-million-workload seq-3 space to its first
-        ``count * max_stride`` positions (a larger value spreads it wider).
+        from :meth:`estimate_count`, capped at :data:`MAX_SAMPLE_STRIDE`,
+        which confines the sample of a multi-million-workload seq-3 space to
+        its first ``count * MAX_SAMPLE_STRIDE`` positions.
         A space with fewer than ``count`` stride positions yields those it
         has.  ``stats.final`` counts the workloads materialised.
         """
         stats = GenerationStats()
         self.stats = stats
-        for position in self._sample_positions(count, stride, required_ops, max_stride):
+        for position in self._sample_positions(count, stride, required_ops):
             workload = self.workload_at(position, required_ops)
             stats.final += 1
             yield workload
 
     def sample(self, count: int, stride: Optional[int] = None,
-               required_ops: Optional[Sequence[str]] = None,
-               max_stride: int = 2000) -> List[Workload]:
+               required_ops: Optional[Sequence[str]] = None) -> List[Workload]:
         """Materialized :meth:`sample_stream` (kept for convenience)."""
-        return list(self.sample_stream(count, stride=stride,
-                                       required_ops=required_ops,
-                                       max_stride=max_stride))
+        return list(self.sample_stream(count, stride=stride, required_ops=required_ops))
 
     def stream(self, limit: Optional[int] = None, sample: bool = False,
                required_ops: Optional[Sequence[str]] = None) -> Iterator[Workload]:

@@ -168,18 +168,6 @@ class MechanismEvidence:
             "invariant": self.invariant,
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MechanismEvidence":
-        return cls(
-            mechanism=payload["mechanism"],
-            block_ranges=tuple(tuple(pair) for pair in payload.get("block_ranges", [])),
-            fence_edges=tuple(payload.get("fence_edges", [])),
-            epochs=int(payload.get("epochs", 0)),
-            unfenced_epochs=int(payload.get("unfenced_epochs", 0)),
-            confidence=float(payload.get("confidence", 0.0)),
-            invariant=payload.get("invariant", ""),
-        )
-
 
 @dataclass(frozen=True)
 class AuditCheck:
@@ -191,14 +179,6 @@ class AuditCheck:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AuditCheck":
-        return cls(
-            name=payload.get("name", ""),
-            passed=bool(payload.get("passed", False)),
-            detail=payload.get("detail", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -223,14 +203,6 @@ class AuditVerdict:
             "ok": self.ok,
             "checks": [check.to_dict() for check in self.checks],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AuditVerdict":
-        return cls(
-            mechanism=payload.get("mechanism", ""),
-            ok=bool(payload.get("ok", False)),
-            checks=tuple(AuditCheck.from_dict(c) for c in payload.get("checks", [])),
-        )
 
 
 #: schema version of :meth:`MechanismReport.to_dict` payloads.  Version 2
@@ -304,25 +276,6 @@ class MechanismReport:
             "audit_verdicts": [v.to_dict() for v in self.audit_verdicts],
             "demoted_evidence": [e.to_dict() for e in self.demoted_evidence],
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MechanismReport":
-        return cls(
-            fs_name=payload.get("fs_name", ""),
-            total_requests=int(payload.get("total_requests", 0)),
-            write_requests=int(payload.get("write_requests", 0)),
-            checkpoints=int(payload.get("checkpoints", 0)),
-            evidence=tuple(
-                MechanismEvidence.from_dict(e) for e in payload.get("evidence", [])
-            ),
-            unattributed_window_writes=int(payload.get("unattributed_window_writes", 0)),
-            audit_verdicts=tuple(
-                AuditVerdict.from_dict(v) for v in payload.get("audit_verdicts", [])
-            ),
-            demoted_evidence=tuple(
-                MechanismEvidence.from_dict(e) for e in payload.get("demoted_evidence", [])
-            ),
-        )
 
     def summary(self) -> str:
         """Human-readable report (the ``analyze`` subcommand's output)."""

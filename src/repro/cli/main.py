@@ -8,6 +8,8 @@ Subcommands mirror how the paper's tools are used:
 * ``repro-b3 campaign``       — generate-and-test a bounded workload space,
 * ``repro-b3 analyze``        — statically infer a trace's persistence
   mechanisms (no crash states run),
+* ``repro-b3 list-checks`` / ``list-planners`` — list the registered
+  consistency checks / crash planners,
 * ``repro-b3 reproduce``      — replay a known/new bug from the database,
 * ``repro-b3 list-bugs``      — list the known-bug corpus.
 
@@ -103,30 +105,6 @@ def _option_overrides() -> dict:
     }
 
 
-class _Listed(Exception):
-    """Raised by :class:`_ListPlanners` once it has printed its listing."""
-
-
-class _ListPlanners(argparse.Action):
-    """``--list-planners``: answered while parsing, as ``--help`` is, so it
-    needs none of the command's required arguments."""
-
-    def __init__(self, option_strings, dest, **kwargs):
-        super().__init__(option_strings, dest, nargs=0, **kwargs)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        for line in describe_planners():
-            print(line)
-        raise _Listed
-
-
-def _add_option_args(parser: argparse.ArgumentParser, schema=CampaignConfig) -> None:
-    """The schema's flagged options, plus the switch that lists the planners."""
-    schema.add_arguments(parser, **_option_overrides())
-    parser.add_argument("--list-planners", action=_ListPlanners,
-                        help="list the registered crash planners and exit")
-
-
 def cmd_study(args) -> int:
     print(analyze().describe())
     return 0
@@ -155,6 +133,12 @@ def cmd_generate(args) -> int:
 
 def cmd_list_checks(args) -> int:
     print(DEFAULT_REGISTRY.describe())
+    return 0
+
+
+def cmd_list_planners(args) -> int:
+    for line in describe_planners():
+        print(line)
     return 0
 
 
@@ -282,14 +266,14 @@ def cmd_results(args) -> int:
             )
             return 2
         result = db.campaign_result(args.campaign_id)
-        mechanism_report = db.load_mechanism_report(args.campaign_id)
+        config = CampaignConfig.from_dict(db.load_config(args.campaign_id))
     print(result.describe())
+    mechanism_report = (B3Campaign(config).mechanism_report()
+                        if config.crash_plan == "mechanism" else None)
     if mechanism_report is not None:
-        from ..analysis.mechanisms import MechanismReport
-
         print()
         print("mechanism analysis (representative workload):")
-        for line in MechanismReport.from_dict(mechanism_report).summary().splitlines():
+        for line in mechanism_report.summary().splitlines():
             print(f"  {line}")
     _write_json_out(result, args.json_out)
     return 0
@@ -390,16 +374,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-checks", help="list the registered consistency checks")
 
+    sub.add_parser("list-planners", help="list the registered crash planners")
+
     test = sub.add_parser("test", help="run one workload file through CrashMonkey")
     test.add_argument("workload", help="path to a workload-language file")
     test.add_argument("--patched", action="store_true", help="test the patched (bug-free) file system")
-    _add_option_args(test, HarnessSpec)
+    HarnessSpec.add_arguments(test, **_option_overrides())
 
     campaign = sub.add_parser("campaign", help="generate and test a bounded workload space")
     campaign.add_argument("--preset", choices=sorted(_BOUND_PRESETS), default="seq-1")
     campaign.add_argument("--seq-length", type=int, default=1)
     campaign.add_argument("--patched", action="store_true")
-    _add_option_args(campaign)
+    CampaignConfig.add_arguments(campaign, **_option_overrides())
     campaign.add_argument("--progress", action="store_true",
                           help="print a progress line per completed chunk")
     campaign.add_argument("--json-out", metavar="PATH", default=None,
@@ -464,6 +450,7 @@ _COMMANDS = {
     "study": cmd_study,
     "list-bugs": cmd_list_bugs,
     "list-checks": cmd_list_checks,
+    "list-planners": cmd_list_planners,
     "generate": cmd_generate,
     "test": cmd_test,
     "campaign": cmd_campaign,
@@ -476,10 +463,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except _Listed:
-        return 0
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (CampaignDriftError, UnknownCampaignError) as exc:

@@ -93,6 +93,19 @@ class B3Campaign:
         """Materialize the campaign's workloads (prefer :meth:`iter_workloads`)."""
         return list(self.iter_workloads())
 
+    def mechanism_report(self):
+        """The static mechanism analysis of the campaign's first valid workload.
+
+        ACE siblings share their mechanism structure, so this one report
+        summarizes the campaign family; ``None`` when no workload is valid.
+        It is a pure function of the configuration, so it is derived, never
+        stored.
+        """
+        adapter = CrashMonkeyAdapter(self.fs_name)
+        for workload in adapter.adapt_stream(self.iter_workloads()):
+            return self.harness.analyze(workload)
+        return None
+
     # ------------------------------------------------------------------ execution
 
     @property

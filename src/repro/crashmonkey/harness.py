@@ -162,7 +162,6 @@ class CrashMonkey:
                         checkpoint_id=crash_state.checkpoint_id,
                         crash_point=crash_state.crash_point,
                         mismatches=[replace(m, scenario=scenario_id) for m in mismatches],
-                        kernel_version=self.spec.kernel_version,
                         scenario=scenario_id,
                     )
                 )
@@ -199,7 +198,6 @@ class CrashMonkey:
             checkpoint_id=-1,
             crash_point="crash-state generation failed",
             mismatches=[mismatch],
-            kernel_version=self.spec.kernel_version,
             scenario=self.spec.crash_plan,
         )
 

@@ -250,7 +250,7 @@ class WorkloadRecorder:
     """Profiles workloads on a given (simulated) file system."""
 
     def __init__(self, fs_name: str, bugs: Optional[BugConfig] = None,
-                 device_blocks: int = DEFAULT_DEVICE_BLOCKS, strict: bool = False,
+                 device_blocks: int = DEFAULT_DEVICE_BLOCKS,
                  share_prefixes: bool = True,
                  spine_store: Optional[SpineStore] = None):
         """
@@ -272,7 +272,6 @@ class WorkloadRecorder:
         self.fs_model = models(self.fs_name)
         self.bugs = bugs if bugs is not None else BugConfig.all_for(self.fs_name)
         self.device_blocks = device_blocks
-        self.strict = strict
         self.share_prefixes = share_prefixes
         # The initial file-system state is the same for every workload (B3's
         # fourth bound): a small, freshly formatted image, created once and
@@ -349,7 +348,7 @@ class WorkloadRecorder:
         fs = self.fs_class(recording_device, self.bugs)
         fs.mount()
         return _LiveRun(recording_device, fs, PersistenceTracker(fs), {}, {},
-                        WorkloadExecutor(fs, strict=self.strict))
+                        WorkloadExecutor(fs))
 
     # ------------------------------------------------------------------ prefix shared
 
@@ -467,7 +466,7 @@ class WorkloadRecorder:
                                      node.stable, node.window)
         fs = node.fs.fork(recording_device)
         tracker = node.tracker.fork(fs)
-        executor = WorkloadExecutor(fs, strict=self.strict)
+        executor = WorkloadExecutor(fs)
         executor.executed = node.executed
         executor.skipped = node.skipped
         executor.persistence_count = node.persistence_count

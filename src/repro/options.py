@@ -30,11 +30,24 @@ from .storage.block import DEFAULT_DEVICE_BLOCKS
 IDENTITY = "identity"
 EXECUTION = "execution"
 
-#: options an earlier version had and this one does not, that were tagged
-#: ``execution``: a stored campaign configuration naming one resumes without
-#: it, whatever its value.  A retired name not listed here is taken to have
-#: been ``identity``, and a stored value other than null or false refuses.
-RETIRED_EXECUTION_OPTIONS = frozenset({"share_replay"})
+#: options an earlier version had and this one does not, as ``(tag, value)``.
+#: An ``execution`` one never changed a result: a stored campaign naming it
+#: resumes without it, whatever its value.  An ``identity`` one comes with the
+#: value every configuration held: a stored value that is missing, null or
+#: that one is the same campaign, and campaign ids still hash it.  A retired
+#: name not listed here was an identity option every configuration left null
+#: or false.
+RETIRED_OPTIONS: Dict[str, Tuple[str, Any]] = {
+    "share_replay": (EXECUTION, None),
+    "analyze_mechanisms": (IDENTITY, None),
+    "kernel_version": (IDENTITY, "4.16"),
+}
+
+
+def retired_drift(name: str, value: Any) -> bool:
+    """Whether a stored ``value`` of the retired option ``name`` made another campaign."""
+    tag, held = RETIRED_OPTIONS.get(name, (IDENTITY, False))
+    return tag == IDENTITY and value is not None and value != held
 
 
 def positive_int(value: str) -> int:
@@ -149,7 +162,6 @@ class HarnessSpec:
               "private temporary directory per worker; durable campaigns keep one beside "
               "the state database)",
         tag=EXECUTION, flags=("--spine-spill-dir",), metavar="PATH")
-    kernel_version: str = option("4.16", "kernel label attached to bug reports")
 
     def __post_init__(self):
         for spec_field in fields(self):

@@ -10,14 +10,16 @@ death of the process running it:
   a digest over its members' :meth:`~repro.workload.workload.Workload.prefix_key`
   — content-derived, so a drifted config (different bounds, different ops)
   is detected as a key mismatch instead of silently mixing result sets.
-  Registration happens in the same generation pass that dispatches work
-  (register, then claim-or-skip, chunk by chunk); once one session has
-  drained the stream the census is complete and later sessions take their
-  totals from the store.  Chunking is always
-  family-affine and depends on the stream and ``chunk_size`` alone, so a
-  session resumed under any execution options (worker count, sharing
-  switches, spine budget) finds the same chunks, keeps whole ACE sibling
-  families on one worker and loses none of the prefix sharing.
+  A session is one pass over the stream: it registers each chunk, then
+  claims or skips it.  It reads one chunk ahead, so the stream is drained
+  when the last chunk is registered, and the census is completed right
+  there, before that chunk is dispatched: a session's last ingest is its
+  last write of progress, and later sessions take their totals from the
+  store.  Chunking is always family-affine and depends on the stream and
+  ``chunk_size`` alone, so a session resumed under any execution options
+  (worker count, sharing switches, spine budget) finds the same chunks,
+  keeps whole ACE sibling families on one worker and loses none of the
+  prefix sharing.
 * **Crash recovery.**  Every session starts with
   :meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash` (orphaned
   ``processing`` chunks go back to ``pending``), skips chunks already
@@ -54,6 +56,7 @@ from ..core.campaign import B3Campaign, CampaignConfig
 from ..core.results import CampaignResult
 from ..engine.backends import ChunkOutcome
 from ..engine.engine import ProgressCallback
+from ..options import IDENTITY, RETIRED_OPTIONS
 from ..workload.workload import Workload
 from .api import SessionStats
 from .statedb import CampaignStateDB
@@ -70,22 +73,18 @@ def chunk_identity(chunk: List[Workload]) -> str:
     return hasher.hexdigest()[:16]
 
 
-#: identity options removed since these ids were first derived, at the value
-#: every configuration held unless it set one: still hashed, so that an option
-#: nobody set going away does not move the id of a campaign a store holds
-REMOVED_IDENTITY_DEFAULTS = {"analyze_mechanisms": None}
-
-
 def default_campaign_id(config: CampaignConfig) -> str:
     """Deterministic id for ad-hoc durable runs (CLI ``campaign --state-db``).
 
     Derived from the config's identity options, so re-invoking the same
     command — under any execution options — resumes the same campaign
-    instead of starting a parallel twin.  The ``default\\x00`` prefix and
-    :data:`REMOVED_IDENTITY_DEFAULTS` keep the ids that stores written by
-    older versions already hold.
+    instead of starting a parallel twin.  The ``default\\x00`` prefix and the
+    retired identity options, hashed at the value every configuration held
+    (:data:`~repro.options.RETIRED_OPTIONS`), keep the ids that stores
+    written by older versions already hold.
     """
-    identity = {**REMOVED_IDENTITY_DEFAULTS, **config.identity()}
+    retired = {name: held for name, (tag, held) in RETIRED_OPTIONS.items() if tag == IDENTITY}
+    identity = {**retired, **config.identity()}
     digest = hashlib.sha1(
         ("default\x00" + json.dumps(identity, sort_keys=True)).encode("utf-8")
     ).hexdigest()
@@ -151,25 +150,6 @@ class DurableCampaignRunner:
 
     # -------------------------------------------------------------- execution
 
-    def _persist_mechanism_report(self) -> None:
-        """Store the campaign's mechanism-analysis summary, once.
-
-        Only meaningful under the ``mechanism`` crash plan.  The analysis is
-        a pure function of the recorded stream, and ACE siblings share their
-        mechanism structure, so one representative workload's report (the
-        first valid one) summarizes the campaign family.  Idempotent across
-        sessions: the first stored report wins.
-        """
-        if self.config.crash_plan != "mechanism":
-            return
-        if self.db.load_mechanism_report(self.campaign_id) is not None:
-            return
-        adapter = CrashMonkeyAdapter(self._campaign.fs_name)
-        for workload in adapter.adapt_stream(self._campaign.iter_workloads()):
-            report = self._campaign.harness.analyze(workload)
-            self.db.save_mechanism_report(self.campaign_id, report.to_dict())
-            break
-
     def run(self, progress: Optional[ProgressCallback] = None) -> CampaignResult:
         """Run (or resume) the campaign to completion; returns its result.
 
@@ -207,8 +187,6 @@ class DurableCampaignRunner:
             progress, (status.chunks_done, status.workloads_done, status.failing_workloads),
             census)
 
-        self._persist_mechanism_report()
-
         spec = campaign.spec
         if spec.spine_spill_dir is None:
             # Spilled spine nodes live beside the state database so a
@@ -223,18 +201,29 @@ class DurableCampaignRunner:
         adapter = CrashMonkeyAdapter(campaign.fs_name)
         chunks, timed = campaign.chunk_stream(adapter)
 
+        def finish_census() -> None:
+            db.finish_census(campaign_id, adapter.invalid_workloads, timed.seconds)
+
         def pending_chunks():
-            for index, chunk in enumerate(chunks):
+            index, chunk = 0, next(chunks, None)
+            if chunk is None:
+                finish_census()  # no valid workload: the census is complete and empty
+            while chunk is not None:
+                following = next(chunks, None)
                 db.register_chunks(
                     campaign_id, [(index, chunk_identity(chunk), len(chunk))]
                 )
-                if index in done:
-                    continue
-                db.claim_chunk(campaign_id, index)
-                session.chunks_executed += 1
-                session.workloads_executed += len(chunk)
-                yield (index, chunk)
-            db.finish_census(campaign_id, adapter.invalid_workloads, timed.seconds)
+                if following is None:
+                    # The stream is drained: the census completes with its
+                    # last chunk, before that chunk is claimed, so no write
+                    # of progress is left after the session's last ingest.
+                    finish_census()
+                if index not in done:
+                    db.claim_chunk(campaign_id, index)
+                    session.chunks_executed += 1
+                    session.workloads_executed += len(chunk)
+                    yield (index, chunk)
+                index, chunk = index + 1, following
 
         ingested = 0
 

@@ -7,7 +7,7 @@ completed chunk of work is committed to a sqlite database (WAL) before anyone
 hears about it, and a fresh session recovers by resetting whatever was in
 flight when the previous session died.
 
-Four tables:
+Three tables:
 
 * ``campaigns`` — one row per campaign, keyed by its id: label, the full
   serialized :class:`~repro.options.CampaignConfig` (so any process can
@@ -36,10 +36,10 @@ Four tables:
   chunk whose status is already ``done`` refuses re-ingest entirely, so a
   chunk retried after a crash (or a late pool worker racing a recovery
   session) can never double-count reports or scenario totals.
-* ``mechanism_reports`` — one representative serialized
-  :class:`~repro.analysis.mechanisms.MechanismReport` per campaign running
-  the ``mechanism`` crash plan (the static-analysis summary of the recorded
-  family, for post-hoc inspection without re-profiling).
+
+The store holds only what cannot be derived: a ``mechanism`` campaign's
+static-analysis summary is recomputed from its configuration when it is read
+(:meth:`~repro.core.campaign.B3Campaign.mechanism_report`).
 
 The store's ``user_version`` is stamped :data:`SCHEMA_VERSION`.  A store
 stamped older (a new file is stamped 0) is migrated once, when it is opened,
@@ -50,11 +50,11 @@ built, and every done chunk without roll-ups gets them computed from its own
 rows — so a read merges stored roll-ups only.  A store stamped newer is
 refused before anything is written to it.  Columns an older version wrote
 and this one has no use for stay in its store unread, their defaults keeping
-new rows valid: a cross-workload dedup table, ``campaigns.tenant`` and
-``campaigns.status``, and the ``chunks`` columns ``cross_deduped``,
-``crash_points``, ``scenarios``, ``deduped``, ``prefix_hits``,
-``replay_hits`` (``roll_ups`` holds those five) and ``cpu_seconds`` (the
-``PHASE_FIELDS`` sum of ``roll_ups``).
+new rows valid: a cross-workload dedup table, a ``mechanism_reports`` table,
+``campaigns.tenant`` and ``campaigns.status``, and the ``chunks`` columns
+``cross_deduped``, ``crash_points``, ``scenarios``, ``deduped``,
+``prefix_hits``, ``replay_hits`` (``roll_ups`` holds those five) and
+``cpu_seconds`` (the ``PHASE_FIELDS`` sum of ``roll_ups``).
 
 A campaign's result (:meth:`CampaignStateDB.campaign_result`) is a plain
 :class:`CampaignResult` read from the store, not held: its ``results`` and
@@ -74,14 +74,14 @@ import json
 import os
 import sqlite3
 from dataclasses import fields
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
 from urllib.parse import quote
 
 from ..core.results import CampaignResult
 from ..crashmonkey.report import CrashTestResult, merge_roll_ups, roll_ups_of
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError, UnknownCampaignError
-from ..options import RETIRED_EXECUTION_OPTIONS, CampaignConfig
+from ..options import CampaignConfig, retired_drift
 from . import api
 
 _SCHEMA = """
@@ -116,10 +116,6 @@ CREATE TABLE IF NOT EXISTS results (
     result_json TEXT NOT NULL,
     failing     INTEGER NOT NULL DEFAULT 0,
     PRIMARY KEY (campaign_id, chunk_index, position)
-);
-CREATE TABLE IF NOT EXISTS mechanism_reports (
-    campaign_id TEXT PRIMARY KEY,
-    report_json TEXT NOT NULL
 );
 """
 
@@ -316,11 +312,8 @@ class CampaignStateDB:
         options = {f.name for f in fields(CampaignConfig)}
         for name, value in stored.items():
             # The decoder drops a key that names no field, so an option set
-            # under a version that had it is caught here or nowhere: left at
-            # null or false it changed nothing, set it made another campaign
-            # — unless it was an execution option, which never changed one.
-            if (name not in options and name not in RETIRED_EXECUTION_OPTIONS
-                    and value not in (None, False)):
+            # under a version that had it is caught here or nowhere.
+            if name not in options and retired_drift(name, value):
                 raise CampaignDriftError(
                     f"campaign {campaign_id!r} was created with {name}={value!r}, "
                     f"an option this version no longer has — a different campaign; "
@@ -507,29 +500,6 @@ class CampaignStateDB:
             return True
 
         return self._transaction(ingest)
-
-    # ----------------------------------------------------- mechanism reports
-
-    def save_mechanism_report(self, campaign_id: str, report: dict) -> None:
-        """Persist one campaign's representative mechanism-analysis summary.
-
-        Idempotent: the first stored report wins (the analysis is a pure
-        function of the recorded family, so later sessions re-deriving it
-        produce the same payload and need not overwrite).
-        """
-        self._conn.execute(
-            "INSERT OR IGNORE INTO mechanism_reports (campaign_id, report_json) "
-            "VALUES (?, ?)",
-            (campaign_id, json.dumps(report, sort_keys=True)),
-        )
-
-    def load_mechanism_report(self, campaign_id: str) -> Optional[dict]:
-        """The stored mechanism report, or None when never analyzed."""
-        row = self._conn.execute(
-            "SELECT report_json FROM mechanism_reports WHERE campaign_id = ?",
-            (campaign_id,),
-        ).fetchone()
-        return None if row is None else json.loads(row[0])
 
     # ---------------------------------------------------------------- results
 

@@ -141,7 +141,7 @@ class TestSampleStream:
     @pytest.mark.parametrize("count", [25, 400])
     def test_default_stride_matches_striding_the_generator(self, seq2_pass, count):
         synthesizer = AceSynthesizer(seq2_bounds())
-        stride = min(synthesizer.estimate_count() // count, 2000)  # max_stride caps it
+        stride = min(synthesizer.estimate_count() // count, 2000)  # MAX_SAMPLE_STRIDE caps it
         picked = list(synthesizer.sample_stream(count))
         assert picked == seq2_pass["picks"][stride][:count]
         assert len(picked) == count

@@ -1,12 +1,16 @@
 """Command-line interface."""
 
+import json
 import sqlite3
 from contextlib import closing
 
 import pytest
 
 from repro.ace import seq1_bounds
-from repro.cli.main import build_parser, main
+from repro.ace.adapter import CrashMonkeyAdapter
+from repro.cli.main import _campaign_config, build_parser, main
+from repro.core import B3Campaign
+from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.report import CrashTestResult
 from repro.options import CampaignConfig
 from repro.service import CampaignStateDB, DurableCampaignRunner, statedb
@@ -187,15 +191,20 @@ class TestCrashPlanFlags:
 class TestMechanismCli:
     WORKLOAD = "creat foo\nwrite foo 0 4096\nfsync foo\nsync\n"
 
-    def test_list_planners_flag_names_every_registered_plan(self, capsys):
+    def test_list_planners_subcommand_names_every_registered_plan(self, capsys):
         from repro.crashmonkey import PLAN_NAMES
 
-        assert main(["test", "--list-planners"]) == 0
+        assert main(["list-planners"]) == 0
         out = capsys.readouterr().out
         for name in PLAN_NAMES:
             assert name in out
-        assert main(["campaign", "--list-planners"]) == 0
-        assert "mechanism" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [["test", "w.wl"], ["campaign"]], ids=["test", "campaign"])
+    def test_the_planners_are_listed_by_their_command_alone(self, capsys, command):
+        with pytest.raises(SystemExit) as refused:
+            main([*command, "--list-planners"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --list-planners" in capsys.readouterr().err
 
     def test_analyze_prints_the_report_without_running_crash_states(self, tmp_path, capsys):
         workload_file = tmp_path / "both.wl"
@@ -231,10 +240,14 @@ class TestMechanismCli:
         assert payload["scenarios_mechanism"] <= payload["scenarios_exhaustive"]
         assert payload["scenario_reduction"] >= 1.0
         assert sum(payload["window_kinds"].values()) == payload["checkpoints"]
-        # The full MechanismReport schema round-trips from the file.
-        from repro.analysis import MechanismReport
-        restored = MechanismReport.from_dict(payload)
-        assert restored.audited and restored.demotions == 0
+        # The file is the report's own to_dict(), planning counts on top.
+        from repro.workload import parse_workload
+        report = CrashMonkey("f2fs").analyze(parse_workload(self.WORKLOAD))
+        assert report.audited and report.demotions == 0
+        planning = ("scenarios_exhaustive", "scenarios_mechanism", "scenario_reduction",
+                    "window_kinds")
+        assert {key: value for key, value in payload.items() if key not in planning} == \
+            json_module.loads(json_module.dumps(report.to_dict()))
 
     def test_mechanism_campaign_reports_the_torn_bug_set(self, capsys):
         base = ["campaign", "--filesystem", "f2fs", "--preset", "seq-1",
@@ -267,6 +280,40 @@ class TestDurableCampaignCommands:
             assert run_until(runner, chunks) is None
         finally:
             runner.close()
+
+    @pytest.mark.parametrize("older", [False, True], ids=["new-store", "older-store"])
+    def test_results_of_a_mechanism_campaign_print_its_derived_analysis(self, tmp_path, capsys,
+                                                                       older):
+        """`results` profiles the campaign's first valid workload; a report an
+        older version stored is left unread."""
+        db = str(tmp_path / "state.sqlite")
+        args = ["--preset", "seq-1", "--limit", "8", "--chunk-size", "4", "-f", "logfs",
+                "--crash-plan", "mechanism"]
+        assert main(["campaign", "--state-db", db, "--campaign-id", "m", *args]) in (0, 1)
+        config = _campaign_config(build_parser().parse_args(["campaign", *args]))
+        campaign = B3Campaign(config)
+        first = next(CrashMonkeyAdapter(campaign.fs_name).adapt_stream(campaign.iter_workloads()))
+        report = config.harness_spec().build().analyze(first)
+        if older:
+            # The row an older version wrote, marked so that reading it would show.
+            stale = json.dumps({**report.to_dict(), "fs_name": "stale"}, sort_keys=True)
+            with closing(sqlite3.connect(db)) as conn, conn:
+                conn.execute("CREATE TABLE mechanism_reports (campaign_id TEXT PRIMARY KEY, "
+                             "report_json TEXT NOT NULL)")
+                conn.execute("INSERT INTO mechanism_reports VALUES ('m', ?)", (stale,))
+        capsys.readouterr()
+        assert main(["results", "--state-db", db, "m"]) == 0
+        out = capsys.readouterr().out
+        block = "".join(f"  {line}\n" for line in report.summary().splitlines())
+        assert out.endswith(f"\n\nmechanism analysis (representative workload):\n{block}")
+        assert "stale" not in out
+
+    def test_results_of_another_plan_print_no_analysis(self, tmp_path, capsys):
+        db = str(tmp_path / "state.sqlite")
+        self._durable(db, "plain")
+        capsys.readouterr()
+        assert main(["results", "--state-db", db, "plain"]) == 0
+        assert "mechanism analysis" not in capsys.readouterr().out
 
     def test_a_campaign_id_without_a_state_db_is_refused(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -48,7 +48,6 @@ VARIANTS = {
     "share_prefixes": False,
     "spine_memory_budget": 0,
     "spine_spill_dir": "spill",
-    "kernel_version": "5.0",
     "bounds": seq1_bounds(),
     "max_workloads": 7,
     "sample": True,
@@ -185,9 +184,10 @@ def test_a_new_field_needs_no_other_edit():
 
 #: the flag sets of the commit before the schema, less the two cross-workload
 #: dedup flags and the ``--share-replay`` pair that went with their options, and
-#: ``--list-checks`` (the ``list-checks`` command lists them) — none lost, none gained
+#: ``--list-checks`` / ``--list-planners`` (the ``list-checks`` / ``list-planners``
+#: commands list them) — none lost, none gained
 HARNESS_FLAGS = {
-    "-h", "--help", "--filesystem", "-f", "--patched", "--crash-plan", "--list-planners",
+    "-h", "--help", "--filesystem", "-f", "--patched", "--crash-plan",
     "--reorder-bound", "--torn-bound", "--share-prefixes", "--no-share-prefixes",
     "--spine-memory-budget", "--spine-spill-dir", "--checks", "--skip-checks",
 }
@@ -221,9 +221,11 @@ def test_every_flagged_option_is_in_campaign_help():
 
 
 #: the options removed with their layers (cross-workload dedup, replay sharing,
-#: the mechanism-analysis switch): a set value and the flag, if the option had one
+#: the mechanism-analysis switch) and the one-valued report label: a set value
+#: and the flag, if the option had one
 REMOVED = {
     "analyze_mechanisms": (True, None),
+    "kernel_version": ("5.0", None),
     "cross_workload_dedup": (True, "--cross-workload-dedup"),
     "global_dedup_cache": ("sightings.sqlite", "--global-dedup-cache"),
     "dedup_scope": ("campaign", None),

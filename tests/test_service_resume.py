@@ -31,6 +31,7 @@ from repro.ace import (
 from repro.cli.main import main
 from repro.core.campaign import B3Campaign, CampaignConfig
 from repro.core.results import CampaignResult
+from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.report import CrashTestResult
 from repro.errors import CampaignDriftError, UnknownCampaignError
 from repro.service import CampaignStateDB, DurableCampaignRunner, default_campaign_id
@@ -125,13 +126,15 @@ def test_sigkilled_campaign_resumes_to_identical_results(tmp_path, uninterrupted
         .startswith("campaign seq-2")
 
 
-def test_a_campaign_killed_after_its_last_ingest_is_done(tmp_path, uninterrupted):
-    """The chunks are the campaign's one record of progress, so a pool session
-    SIGKILLed right after its last ingest (its census stored while the last
-    chunks were in flight) leaves a finished campaign: readable, no resume."""
+@pytest.mark.parametrize("processes", [1, 2], ids=["serial", "pool"])
+def test_a_campaign_killed_after_its_last_ingest_is_done(tmp_path, uninterrupted, processes):
+    """The chunks are the campaign's one record of progress, and the census
+    completes when the last chunk is registered, before it is dispatched, so
+    a session SIGKILLed right after its last ingest leaves a finished
+    campaign: readable, no resume."""
     db_path = str(tmp_path / "state.sqlite")
     chunks = 10  # the 40 workloads in family-affine chunks of 4
-    victim = _run_victim(db_path, crash_after=chunks, processes=2)
+    victim = _run_victim(db_path, crash_after=chunks, processes=processes)
     assert victim.returncode == -signal.SIGKILL
     with CampaignStateDB.existing(db_path) as db:
         status = db.status("victim")
@@ -139,6 +142,25 @@ def test_a_campaign_killed_after_its_last_ingest_is_done(tmp_path, uninterrupted
         assert status.complete
         result = db.campaign_result("victim")
     assert result.canonical_dict() == uninterrupted.canonical_dict()
+
+
+def test_a_pool_mechanism_session_builds_no_harness_in_the_parent(tmp_path, monkeypatch):
+    """The mechanism summary is derived when a result is read, so a pool
+    session's parent profiles nothing and stores no summary."""
+    built = []
+    init = CrashMonkey.__init__
+    monkeypatch.setattr(CrashMonkey, "__init__",
+                        lambda self, *args, **kwargs: built.append(1) or init(self, *args, **kwargs))
+    db_path = str(tmp_path / "state.sqlite")
+    config = CampaignConfig(fs_name="logfs", bounds=seq1_bounds(), max_workloads=8,
+                            chunk_size=4, crash_plan="mechanism", processes=2)
+    result, _ = _session(config, db_path, "m")
+    assert built == []
+    assert len(result.results) == 8
+    with closing(sqlite3.connect(db_path)) as conn:
+        tables = {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+    assert "mechanism_reports" not in tables
 
 
 def _session(config, db_path, campaign_id, crash_after=None, progress=None):
@@ -392,8 +414,11 @@ def test_a_campaign_created_with_share_replay_resumes_without_it(tmp_path):
     ({"share_replay": True, "cross_workload_dedup": True}, True),
     ({"analyze_mechanisms": None}, False),
     ({"analyze_mechanisms": True}, True),
+    ({"kernel_version": "4.16"}, False),
+    ({"kernel_version": "5.0"}, True),
 ], ids=["cross-dedup-on", "cross-dedup-off", "no-sighting-db", "no-scope", "share-replay-on",
-        "share-replay-and-cross-dedup-on", "analysis-auto", "analysis-forced"])
+        "share-replay-and-cross-dedup-on", "analysis-auto", "analysis-forced",
+        "kernel-as-every-campaign-had-it", "kernel-relabelled"])
 def test_only_a_removed_option_that_was_set_is_drift(tmp_path, stored, refused):
     db_path = str(tmp_path / "state.sqlite")
     _old_store(db_path, **stored)
@@ -406,6 +431,17 @@ def test_only_a_removed_option_that_was_set_is_drift(tmp_path, stored, refused):
                 resume()
         else:
             assert resume() is False
+
+
+def test_a_campaign_created_with_another_kernel_label_is_refused_in_one_line(tmp_path, capsys):
+    """Every configuration held ``kernel_version: "4.16"`` while the option
+    existed; a store naming another label holds another campaign."""
+    db_path = str(tmp_path / "state.sqlite")
+    _old_store(db_path, kernel_version="5.0")
+    assert main(["resume", "--state-db", db_path, "old"]) == 2
+    assert capsys.readouterr().err == (
+        "error: campaign 'old' was created with kernel_version='5.0', an option this "
+        "version no longer has — a different campaign; pick another campaign id\n")
 
 
 def test_recovery_on_an_old_store_leaves_its_dedup_table_alone(tmp_path):

@@ -102,12 +102,38 @@ def test_testing_seconds_accumulate_across_sessions(db):
     assert db.status("c1").testing_seconds == pytest.approx(2.0)
 
 
-def test_the_first_stored_mechanism_report_wins(db):
-    db.create_campaign("c1", CONFIG)
-    assert db.load_mechanism_report("c1") is None
-    db.save_mechanism_report("c1", {"schema": 2, "evidence": ["first"]})
-    db.save_mechanism_report("c1", {"schema": 2, "evidence": ["second"]})
-    assert db.load_mechanism_report("c1") == {"schema": 2, "evidence": ["first"]}
+def _tables(path):
+    with closing(sqlite3.connect(path)) as conn:
+        return {name for (name,) in conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'")}
+
+
+def test_a_new_store_holds_three_tables(tmp_path):
+    """A mechanism campaign's analysis summary is derived when it is read, so
+    a new store has no table for it."""
+    path = str(tmp_path / "state.sqlite")
+    CampaignStateDB(path).close()
+    assert _tables(path) == {"campaigns", "chunks", "results"}
+
+
+def test_an_older_store_keeps_its_mechanism_reports_unread(tmp_path):
+    """An older version's stored summary stays where it is, as its dedup table
+    does: opening, writing and reading the store leave it untouched."""
+    path = str(tmp_path / "state.sqlite")
+    with closing(sqlite3.connect(path)) as conn, conn:
+        conn.execute("CREATE TABLE mechanism_reports (campaign_id TEXT PRIMARY KEY, "
+                      "report_json TEXT NOT NULL)")
+        conn.execute("INSERT INTO mechanism_reports VALUES ('c1', '{\"schema\": 2}')")
+    with CampaignStateDB(path) as store:
+        store.create_campaign("c1", CONFIG)
+        store.register_chunks("c1", [(0, "k0", 2)])
+        store.claim_chunk("c1", 0)
+        store.ingest_outcome("c1", _outcome(0, ["a", "b"]))
+        assert store.status("c1").chunks_done == 1
+    assert "mechanism_reports" in _tables(path)
+    with closing(sqlite3.connect(path)) as conn:
+        assert conn.execute("SELECT * FROM mechanism_reports").fetchall() == \
+            [("c1", '{"schema": 2}')]
 
 
 def test_an_old_store_with_a_tenant_column_takes_new_campaigns(tmp_path):

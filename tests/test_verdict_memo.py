@@ -108,7 +108,7 @@ def always_mount_reference(harness: CrashMonkey, workload) -> CrashTestResult:
                 workload=workload, fs_type=harness.fs_name, fs_model=harness.fs_model,
                 checkpoint_id=state.checkpoint_id, crash_point=state.crash_point,
                 mismatches=[replace(m, scenario=state.scenario_id) for m in mismatches],
-                kernel_version=harness.spec.kernel_version, scenario=state.scenario_id,
+                scenario=state.scenario_id,
             ))
     # The plan counted every checkpoint's window while it enumerated them.
     for name in CrashTestResult.GATHERED[PLAN]:
