@@ -1,5 +1,5 @@
-"""Command-line interface (``repro-b3``)."""
+"""Command-line interface (``repro-b3``): :func:`repro.cli.main.main`.
 
-from .main import build_parser, main
-
-__all__ = ["main", "build_parser"]
+Nothing is imported here, so ``python -m repro.cli.main`` runs the module
+once, as ``__main__``, without importing it first.
+"""

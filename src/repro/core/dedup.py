@@ -10,53 +10,138 @@ paper mitigates this in two ways, both implemented here:
 * **known-bug matching** — ACE keeps a database of already-found bugs (core
   operations + consequence); new reports that match it are filtered out so
   only genuinely new findings reach the user.
+
+A campaign's grouping is a roll-up, like its counts: each chunk's *group
+partial* (:func:`partial_of`) is computed where the chunk ran, from its
+failing results alone, and partials merge by adding counts and keeping the
+earliest first report (:func:`merge_partials`), so the merged groups, their
+order and their representatives are what :func:`group_reports` gives over
+every report in stream order.  A :class:`ReportGroup` holds its count and a
+reader of its representative, not its reports, and known-bug matching reads
+the groups too (:func:`unique_groups`): a report's signature is a function
+of its group key.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..crashmonkey.report import BugReport
+from ..crashmonkey.report import BugReport, CrashTestResult
 from .known_bugs import KnownBug
 
 
 GroupKey = Tuple[Tuple[str, ...], str]
+#: where a report sits in stream order: (chunk index, position in the chunk,
+#: index among its result's reports)
+Position = Tuple[int, int, int]
+#: A Figure-5 group partial: per key, ``[raw report count, first position,
+#: the report there]`` — the report is ``None`` where only its row holds it
+#: (a partial that crossed a process boundary packed, or was read from a store).
+GroupPartial = Dict[GroupKey, list]
 
 
-@dataclass
+def _add(partial: GroupPartial, report: BugReport, position: Position) -> None:
+    key = report.group_key()
+    entry = partial.get(key)
+    if entry is None:
+        partial[key] = [1, position, report]
+    else:
+        entry[0] += 1
+
+
+def partial_of(failing: Iterable[Tuple[int, CrashTestResult]], chunk: int = 0) -> GroupPartial:
+    """The group partial of chunk ``chunk``'s ``(position, result)`` pairs with bug reports.
+
+    Given the failing results alone, so a passing result costs nothing.
+    """
+    partial: GroupPartial = {}
+    for position, result in failing:
+        for index, report in enumerate(result.bug_reports):
+            _add(partial, report, (chunk, position, index))
+    return partial
+
+
+def merge_partials(parts: Iterable[GroupPartial], into: GroupPartial) -> GroupPartial:
+    """``into`` merged with ``parts`` (chunks disjoint from its own), and returned:
+    counts add and the earliest first report wins.
+
+    So the merged groups' order and representatives are what
+    :func:`group_reports` gives over every report in stream order, however
+    the chunks land.
+    """
+    merged = into
+    for part in parts:
+        for key, (count, first, report) in part.items():
+            entry = merged.get(key)
+            if entry is None:
+                merged[key] = [count, first, report]
+            else:
+                entry[0] += count
+                if first < entry[1]:
+                    entry[1], entry[2] = first, report
+    return merged
+
+
 class ReportGroup:
-    """All bug reports that share a skeleton and a consequence."""
+    """All bug reports that share a skeleton and a consequence.
 
-    skeleton: Tuple[str, ...]
-    consequence: str
-    reports: List[BugReport] = field(default_factory=list)
+    A group is its key, its raw report count and a reader of its
+    representative (its first report in stream order): ``len``,
+    :attr:`representative` and :meth:`describe` need nothing else.
+    :attr:`reports` reads the group's reports from ``source`` — every report
+    of its campaign, in stream order — each time it is asked; for a stored
+    result that decodes the failing rows.
+    """
+
+    __slots__ = ("skeleton", "consequence", "count", "_read", "_source")
+
+    def __init__(self, skeleton: Tuple[str, ...], consequence: str, count: int,
+                 read: Callable[[GroupKey], BugReport], source: Iterable[BugReport]):
+        self.skeleton = skeleton
+        self.consequence = consequence
+        self.count = count
+        self._read = read
+        self._source = source
 
     @property
     def representative(self) -> BugReport:
-        return self.reports[0]
+        return self._read((self.skeleton, self.consequence))
+
+    @property
+    def reports(self) -> List[BugReport]:
+        """The group's reports in stream order, read from its source."""
+        key = (self.skeleton, self.consequence)
+        return list(islice((report for report in self._source if report.group_key() == key),
+                           self.count))
 
     def __len__(self) -> int:
-        return len(self.reports)
+        return self.count
 
     def describe(self) -> str:
         ops = ", ".join(self.skeleton) or "<no core ops>"
         return (
-            f"[{self.consequence}] skeleton ({ops}): {len(self.reports)} report(s); "
+            f"[{self.consequence}] skeleton ({ops}): {self.count} report(s); "
             f"representative workload {self.representative.workload.display_name()}"
         )
 
 
+def groups_of(partial: GroupPartial, read: Callable[[GroupKey], BugReport],
+              source: Iterable[BugReport]) -> List[ReportGroup]:
+    """A merged partial's groups, in stream order of their first reports."""
+    ordered = sorted(partial.items(), key=lambda item: item[1][1])
+    return [ReportGroup(skeleton, consequence, count, read, source)
+            for (skeleton, consequence), (count, _, _) in ordered]
+
+
 def group_reports(reports: Iterable[BugReport]) -> List[ReportGroup]:
     """Group bug reports by (skeleton, consequence) — the Figure-5 GROUP BY."""
-    groups: "OrderedDict[GroupKey, ReportGroup]" = OrderedDict()
-    for report in reports:
-        key = report.group_key()
-        if key not in groups:
-            groups[key] = ReportGroup(skeleton=key[0], consequence=key[1])
-        groups[key].reports.append(report)
-    return list(groups.values())
+    reports = list(reports)
+    partial: GroupPartial = {}
+    for index, report in enumerate(reports):
+        _add(partial, report, (0, 0, index))
+    return groups_of(partial, lambda key: partial[key][2], reports)
 
 
 @dataclass
@@ -111,3 +196,25 @@ def deduplicate(reports: Iterable[BugReport],
                 database: Optional[KnownBugDatabase] = None) -> List[ReportGroup]:
     """Full Figure-5 pipeline: filter against the database, then group."""
     return group_reports(filter_new_reports(reports, database))
+
+
+def unique_groups(groups: Sequence[ReportGroup],
+                  database: Optional[KnownBugDatabase] = None) -> List[ReportGroup]:
+    """:func:`deduplicate` of the reports of ``groups`` (in stream order of their
+    first reports), read from the groups alone.
+
+    A report's known-bug signature is the set of its skeleton's operations and
+    its consequence, so the reports of one group share one, and the first
+    report with a signature is the representative of the first group with it:
+    that group survives as that one report, unless the database knows it.
+    """
+    database = database if database is not None else KnownBugDatabase()
+    fresh: List[ReportGroup] = []
+    for group in groups:
+        operations = tuple(sorted(set(group.skeleton)))
+        if (operations, group.consequence) in database.entries:
+            continue
+        database.add_workload_signature(operations, group.consequence)
+        fresh.append(ReportGroup(group.skeleton, group.consequence, 1,
+                                 group._read, group._source))
+    return fresh

@@ -4,28 +4,52 @@ A B3 campaign tests many workloads on one file system; this module aggregates
 the per-workload :class:`CrashTestResult` objects into the quantities the
 paper reports: how many workloads were tested, how long testing took, how
 many bug reports were produced, and (after Figure-5 post-processing) how many
-distinct bugs remain.
+distinct bugs remain.  The counts and the Figure-5 groups are roll-ups merged
+from the chunks that computed them, so a report of G groups reads G
+representatives, not every failing result.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..crashmonkey.report import PHASE_FIELDS, BugReport, CrashTestResult, Totals, roll_ups_of
-from .dedup import KnownBugDatabase, ReportGroup, deduplicate, group_reports
+from .dedup import (
+    GroupKey,
+    GroupPartial,
+    KnownBugDatabase,
+    ReportGroup,
+    groups_of,
+    partial_of,
+    unique_groups,
+)
+
+
+class _ReportsOf:
+    """Every bug report of ``results``, in stream order, read on each pass."""
+
+    __slots__ = ("results",)
+
+    def __init__(self, results: Sequence[CrashTestResult]):
+        self.results = results
+
+    def __iter__(self) -> Iterator[BugReport]:
+        for result in self.results:
+            yield from result.bug_reports
 
 
 @dataclass
 class CampaignResult(Totals):
     """Aggregated outcome of one testing campaign.
 
-    Its counts are three fields each source fills once: the engine merges
-    its chunks' stats, a state store its chunks' stored roll-ups, and a
-    result built from bare ``results`` (:meth:`from_dict`, a caller's list)
-    computes them from those when it is constructed.  No read of an
-    aggregate looks at a result.
+    Its counts and its Figure-5 groups are fields each source fills once:
+    the engine merges its chunks' stats and group partials, a state store
+    its chunks' stored roll-ups and partials, and a result built from bare
+    ``results`` (:meth:`from_dict`, a caller's list) computes them from
+    those when it is constructed.  No read of an aggregate looks at a
+    result, and the grouped report reads one row per group, for its
+    representative, and only when that is asked for.
     """
 
     fs_name: str
@@ -47,12 +71,18 @@ class CampaignResult(Totals):
     failing_workloads: Optional[int] = None
     #: the results with bug reports, in stream order: what the reports are read from
     failing_results: Optional[Sequence[CrashTestResult]] = field(default=None, repr=False)
+    #: the Figure-5 groups, as the merged group partial of every chunk
+    #: (:func:`~repro.core.dedup.merge_partials`); computed from
+    #: ``failing_results`` when not given
+    groups: Optional[GroupPartial] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.totals is None:
             self.totals = roll_ups_of(self.results)
             self.failing_results = [result for result in self.results if not result.passed]
             self.failing_workloads = len(self.failing_results)
+        if self.groups is None:
+            self.groups = partial_of(enumerate(self.failing_results))
 
     # -- serialization (campaign state store / --json-out) -----------------------
 
@@ -144,21 +174,39 @@ class CampaignResult(Totals):
         return self.prefix_seconds_saved
 
     def all_reports(self) -> List[BugReport]:
-        return [report for result in self.failing_results for report in result.bug_reports]
+        """Every raw report, in stream order: decodes every failing row of a stored result."""
+        return list(_ReportsOf(self.failing_results))
 
     def grouped_reports(self) -> List[ReportGroup]:
-        """Figure-5 grouping of every raw report."""
-        return group_reports(self.all_reports())
+        """Figure-5 grouping of every raw report, read from the merged partials.
+
+        No report is read to build it: a group's representative is read when
+        it is first asked for (one row per group for a stored result), and
+        ``group.reports`` reads the failing results each time.
+        """
+        return groups_of(self.groups, self._representative, _ReportsOf(self.failing_results))
+
+    def _representative(self, key: GroupKey) -> BugReport:
+        entry = self.groups[key]
+        if entry[2] is None:
+            # The partials of a stored result hold positions: read every
+            # representative not read yet, one row each, in one pass.
+            missing = [other for other in self.groups.values() if other[2] is None]
+            found = self.failing_results.reports_at(other[1] for other in missing)
+            for other in missing:
+                other[2] = found[other[1]]
+        return entry[2]
 
     def unique_reports(self, database: Optional[KnownBugDatabase] = None) -> List[ReportGroup]:
         """Figure-5 grouping after filtering against a known-bug database."""
-        return deduplicate(self.all_reports(), database)
+        return unique_groups(self.grouped_reports(), database)
 
     def consequences(self) -> Dict[str, int]:
-        counts: Counter = Counter()
-        for report in self.all_reports():
-            counts[report.consequence] += 1
-        return dict(counts)
+        """Raw reports per consequence, in stream order of each one's first report."""
+        counts: Dict[str, int] = {}
+        for group in self.grouped_reports():
+            counts[group.consequence] = counts.get(group.consequence, 0) + len(group)
+        return counts
 
     def mean_test_seconds(self) -> float:
         tested = self.workloads_tested

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..fs.bugs import Consequence
@@ -256,8 +256,8 @@ _ROLLUPS = {
     MAX: lambda values: max(values, default=0),
     COUNT: lambda values: sum(1 for value in values if value),
 }
-#: how the aggregates of disjoint result sets combine into their union's
-_MERGES = {**_ROLLUPS, COUNT: sum}
+#: how the aggregates of two disjoint result sets combine into their union's
+_MERGES = {SUM: add, MAX: max, COUNT: add}
 #: aggregate name -> roll-up rule, of every ``counted`` class (a subclass adds its own)
 _AGGREGATE_RULES: Dict[str, str] = {}
 
@@ -561,14 +561,17 @@ def merge_roll_ups(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     Sums and counts add and maxima take the largest.  An aggregate a part
     lacks (stored before its counter existed) is its counter's 0, as the
     part's decoded results would say; one a ``counted`` subclass declares is
-    kept, and one no counted class declares is dropped.
+    kept, and one no counted class declares is dropped.  The parts are read
+    once, one at a time, so a store's thousands of chunks merge in the memory
+    of one.
     """
-    parts = list(parts)
-    names = dict.fromkeys(CrashTestResult.AGGREGATES)
+    merged = dict.fromkeys(CrashTestResult.AGGREGATES, 0)
     for part in parts:
-        names.update(dict.fromkeys(part))
-    return {name: _MERGES[_AGGREGATE_RULES[name]](part.get(name, 0) for part in parts)
-            for name in names if name in _AGGREGATE_RULES}
+        for name, value in part.items():
+            rule = _AGGREGATE_RULES.get(name)
+            if rule is not None:
+                merged[name] = _MERGES[rule](merged.get(name, 0), value)
+    return merged
 
 
 class Totals:

@@ -5,7 +5,8 @@ synthesizer through family-affine chunks onto an :class:`ExecutionBackend`
 (serial or process pool, one long-lived harness per worker) and aggregate
 incrementally into a :class:`CampaignResult`.  Engines are built by
 :class:`~repro.core.campaign.B3Campaign`, which both the CLI and the durable
-runner drive; a chunk's :class:`ChunkStats` are the paper's per-VM batch.
+runner drive; a chunk's :class:`ChunkStats` (or, when a sink owns the
+chunks, its :class:`ChunkRecord`) are the paper's per-VM batch.
 """
 
 from ..options import HarnessSpec
@@ -19,6 +20,7 @@ from .backends import (
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     CampaignEngine,
+    ChunkRecord,
     ChunkStats,
     EngineRun,
     ProgressEvent,
@@ -36,6 +38,7 @@ __all__ = [
     "CampaignEngine",
     "EngineRun",
     "ChunkStats",
+    "ChunkRecord",
     "ProgressEvent",
     "family_chunks",
     "DEFAULT_CHUNK_SIZE",

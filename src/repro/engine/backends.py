@@ -15,10 +15,10 @@ Two implementations cover the portable and the parallel case:
 
 Per-chunk seconds are measured *inside* the worker (wall clock around the
 actual testing), which is what the per-VM statistics report — not a uniform
-share of the pool's elapsed time.  The rest of a chunk's :class:`ChunkStats`
-and the positions of its failing results are computed there too, once
-(:meth:`ChunkOutcome.of`), so the process collecting outcomes rolls up no
-result.
+share of the pool's elapsed time.  The rest of a chunk's :class:`ChunkStats`,
+the positions of its failing results and its Figure-5 group partial are
+computed there too, once (:meth:`ChunkOutcome.of`), so the process
+collecting outcomes rolls up and groups no result.
 
 ``execute(..., pack=True)`` — what the engine asks for when a sink owns the
 chunks — returns each chunk :meth:`~ChunkOutcome.packed` by the code that ran
@@ -29,11 +29,11 @@ decodes and encodes no result either.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
 
 from ..clock import span
+from ..core.dedup import GroupPartial, partial_of
 from ..crashmonkey.harness import CrashMonkey
 from ..crashmonkey.report import CrashTestResult, Totals, roll_ups_of
 from ..options import HarnessSpec
@@ -43,12 +43,11 @@ from ..workload.workload import Workload
 IndexedChunk = Tuple[int, List[Workload]]
 
 
-@dataclass
-class ChunkStats(Totals):
-    """Timing and outcome of one completed chunk (one VM batch's worth).
+@dataclass(slots=True)
+class ChunkRecord:
+    """Where, how long and with what outcome one chunk (one VM batch) ran.
 
-    What remains of a :class:`ChunkOutcome` once its results have been
-    aggregated — everything but the result payload.
+    What an engine keeps of a chunk whose results and aggregates a sink owns.
     """
 
     index: int
@@ -56,12 +55,27 @@ class ChunkStats(Totals):
     seconds: float
     failing_workloads: int
     worker: str
+
+
+@dataclass
+class ChunkStats(ChunkRecord, Totals):
+    """Timing and outcome of one completed chunk (one VM batch's worth).
+
+    What remains of a :class:`ChunkOutcome` once its results have been
+    aggregated — everything but the result payload.
+    """
+
     #: every counter's aggregate over the chunk, by aggregate name
     #: (:func:`~repro.crashmonkey.report.roll_ups_of`); each reads as an
     #: attribute too: ``stats.prefix_hits``, ``stats.memoized_scenarios``, ...
     totals: Dict[str, Any] = field(default_factory=dict, repr=False)
     #: bug reports over the chunk's results
     raw_reports: int = 0
+
+    def record(self) -> ChunkRecord:
+        """These stats without their aggregates."""
+        return ChunkRecord(self.index, self.workloads, self.seconds, self.failing_workloads,
+                           self.worker)
 
 
 @dataclass
@@ -76,6 +90,9 @@ class ChunkOutcome:
     stats: ChunkStats
     #: the positions of the results with bug reports
     failing_positions: Tuple[int, ...]
+    #: the Figure-5 group partial of the failing results
+    #: (:func:`~repro.core.dedup.partial_of`); once packed it holds positions only
+    groups: GroupPartial = field(default_factory=dict)
     #: once packed: each result's :meth:`~CrashTestResult.to_row`, by position
     rows: Optional[List[str]] = None
 
@@ -85,7 +102,8 @@ class ChunkOutcome:
         """The outcome of chunk ``index``, tested in ``seconds`` by ``worker``."""
         failing = tuple(position for position, result in enumerate(results)
                         if not result.passed)
-        return cls(results=results, failing_positions=failing, stats=ChunkStats(
+        groups = partial_of(((position, results[position]) for position in failing), index)
+        return cls(results=results, failing_positions=failing, groups=groups, stats=ChunkStats(
             index=index,
             workloads=len(results),
             seconds=seconds,
@@ -96,10 +114,13 @@ class ChunkOutcome:
         ))
 
     def packed(self) -> "ChunkOutcome":
-        """This outcome as its sink stores it: row text for the results."""
+        """This outcome as its sink stores it: row text for the results, and
+        the group partial's positions without the reports they point at."""
         if self.rows is not None:
             return self
-        return replace(self, results=[], rows=[result.to_row() for result in self.results])
+        return replace(self, results=[], rows=[result.to_row() for result in self.results],
+                       groups={key: [count, first, None]
+                               for key, (count, first, _) in self.groups.items()})
 
 
 class ExecutionBackend(Protocol):
@@ -193,13 +214,16 @@ class ProcessPoolBackend:
 
     def execute(self, spec: HarnessSpec, chunks: Iterable[IndexedChunk],
                 pack: bool = False) -> Iterator[ChunkOutcome]:
+        # Imported here, where a pool is built: a serial campaign never pays for it.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         source = iter(chunks)
         with ProcessPoolExecutor(
             max_workers=self.processes,
             initializer=_init_worker,
             initargs=(spec,),
         ) as executor:
-            pending: Set[Future] = set()
+            pending = set()
             exhausted = False
             while True:
                 # Refill the submission window from the (lazy) chunk stream.

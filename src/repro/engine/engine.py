@@ -10,32 +10,37 @@ Workloads flow as a *stream*: the engine pulls from the supplied iterable
 (typically ``AceSynthesizer.generate()``) only as fast as the backend consumes
 chunks, so only the in-flight chunks' workloads exist at any moment.  Results
 are another matter.  A plain run keeps every chunk's results until it returns
-them, in stream order, in its :class:`CampaignResult`.  A run with an outcome
-sink (the durable runner's state store) has each chunk packed where it ran
-(its results as row text, its stats computed there), hands it to the sink and
-keeps only the chunk's :class:`ChunkStats`.  Either way the result's counts
-are its chunks' stats merged (each computed where its chunk ran, so the
-engine rolls up no result), there is a progress callback per chunk, and
+them, in stream order, in its :class:`CampaignResult`, and each chunk's
+:class:`ChunkStats`.  A run with an outcome sink (the durable runner's state
+store) has each chunk packed where it ran (its results as row text, its stats
+and group partial computed there), hands it to the sink, merges its totals
+and partial into the session's as it lands and keeps only a
+:class:`ChunkRecord` of it, so the collecting process holds no per-chunk
+aggregates.  Either way the result's counts and Figure-5 groups
+are its chunks' merged (each computed where its chunk ran, so the engine
+rolls up and groups no result), there is a progress callback per chunk, and
 real per-chunk wall-clock timing measured inside the worker that ran it.
-A chunk is the paper's VM batch (§6.1): its :class:`ChunkStats` are that
-batch's seconds, worker and roll-ups, and :attr:`EngineRun.max_chunk_seconds`
-the wall clock had the batches run side by side.
+A chunk is the paper's VM batch (§6.1): its record is that batch's seconds
+and worker, and :attr:`EngineRun.max_chunk_seconds` the wall clock had the
+batches run side by side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional, Union
 
 from ..clock import span
+from ..core.dedup import GroupPartial, merge_partials
 from ..core.results import CampaignResult
-from ..crashmonkey.report import merge_roll_ups
+from ..crashmonkey.report import CrashTestResult, merge_roll_ups
 from ..fs.registry import models, resolve_fs_name
 from ..options import HarnessSpec
 from ..workload.workload import Workload
 from .backends import (
     ChunkOutcome,
+    ChunkRecord,
     ChunkStats,
     ExecutionBackend,
     IndexedChunk,
@@ -108,7 +113,9 @@ class EngineRun:
     """Everything one engine run produced."""
 
     result: CampaignResult
-    chunks: List[ChunkStats] = field(default_factory=list)
+    #: one per chunk, in stream order: its :class:`ChunkStats`, or only its
+    #: :class:`ChunkRecord` when a sink owns the chunks
+    chunks: List[Union[ChunkStats, ChunkRecord]] = field(default_factory=list)
     wall_clock_seconds: float = 0.0
 
     @property
@@ -158,9 +165,11 @@ class CampaignEngine:
         *before* any progress callback, so the state store commits a chunk
         before the world hears about it.  The outcome comes
         :meth:`~ChunkOutcome.packed` by the backend that ran it — result rows
-        as text, stats computed there — and the sink owns the rows from then
-        on: the run's result holds no result, only the session's counts, and
-        the run keeps each chunk's :class:`ChunkStats`.  Without a sink the
+        as text, stats and group partial computed there — and the sink owns
+        the rows from then on: the run's result holds no result, only the
+        session's counts and groups (merged as the chunks land, their
+        representatives left in the rows), and the run keeps each chunk's
+        :class:`ChunkRecord`.  Without a sink the
         sparse index set reassembles in stream order.  ``generation`` times
         the workload generator ``chunks`` are cut from, when the caller has one.
         """
@@ -182,23 +191,30 @@ class CampaignEngine:
 
     def _execute(self, stream, label: str,
                  on_outcome: Optional[OutcomeCallback] = None) -> EngineRun:
-        chunks: List[ChunkStats] = []
+        chunks: List[Union[ChunkStats, ChunkRecord]] = []
         # Outcomes kept to reassemble, when no sink owns them, in completion order.
         kept: List[ChunkOutcome] = []
+        # Every chunk's counts and group partial, merged as it lands (from
+        # every aggregate's 0, what a run of no chunk counts).
+        totals = dict.fromkeys(CrashTestResult.AGGREGATES, 0)
+        groups: GroupPartial = {}
         workloads = failing = 0  # running tallies: a rescan per event would be quadratic
         with span() as clock:
             # A sink stores row text: the chunks come packed where they ran.
             for outcome in self.backend.execute(self.spec, stream, pack=on_outcome is not None):
+                stats = outcome.stats
+                totals = merge_roll_ups([totals, stats.totals])
+                merge_partials([outcome.groups], into=groups)
                 if on_outcome is not None:
                     # Persistence hook: runs before progress so a durable
                     # campaign commits the chunk before reporting it.
                     on_outcome(outcome)
+                    chunks.append(stats.record())
                 else:
                     kept.append(outcome)
-                stats = outcome.stats
+                    chunks.append(stats)
                 workloads += stats.workloads
                 failing += stats.failing_workloads
-                chunks.append(stats)
                 if self.progress is not None:
                     self.progress(ProgressEvent(
                         chunks_done=len(chunks),
@@ -216,8 +232,9 @@ class CampaignEngine:
         result = CampaignResult(
             fs_name=self.fs_name, fs_model=self.fs_model, label=label,
             results=[result for outcome in kept for result in outcome.results],
-            totals=merge_roll_ups(stats.totals for stats in chunks),
+            totals=totals,
             failing_workloads=failing,
             failing_results=[outcome.results[position] for outcome in kept
-                             for position in outcome.failing_positions])
+                             for position in outcome.failing_positions],
+            groups=groups)
         return EngineRun(result=result, chunks=chunks, wall_clock_seconds=wall_clock_seconds)

@@ -31,7 +31,9 @@ death of the process running it:
   in stream order, so an interrupted-and-resumed campaign yields the same
   reports, scenario totals and dedup counters as an uninterrupted run —
   under the serial and the process-pool backend alike.  The session holds
-  no result of its own: each chunk's results go to the store as it lands.
+  no result of its own: each chunk's results go to the store as it lands,
+  with the session's testing time since the previous ingest, so a session
+  killed after its last ingest has stored all of its testing time.
 
 The runner honours one fault-injection hook, in the spirit of a tester that
 must survive its own medicine: ``REPRO_SELFCRASH_AFTER_CHUNKS=N`` SIGKILLs
@@ -44,13 +46,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import os
 import shutil
 import signal
 from dataclasses import replace
 from typing import List, Optional
 
+from .. import clock
 from ..ace.adapter import CrashMonkeyAdapter
 from ..core.campaign import B3Campaign, CampaignConfig
 from ..core.results import CampaignResult
@@ -225,11 +227,23 @@ class DurableCampaignRunner:
                     yield (index, chunk)
                 index, chunk = index + 1, following
 
+        engine = campaign.engine(progress, spec=spec)
         ingested = 0
+        # The session's testing time goes to the store with each ingest: the
+        # wall clock since the previous one, less the generation in it unless
+        # the backend overlaps the two, so a session killed after its last
+        # ingest has stored all of it.
+        overlaps = engine.backend.overlaps_generation
+        last_ingest, last_generated = clock.now(), timed.seconds
 
         def on_outcome(outcome: ChunkOutcome) -> None:
-            nonlocal ingested
-            if db.ingest_outcome(campaign_id, outcome):
+            nonlocal ingested, last_ingest, last_generated
+            now, generated = clock.now(), timed.seconds
+            seconds = now - last_ingest
+            if not overlaps:
+                seconds = max(seconds - (generated - last_generated), 0.0)
+            last_ingest, last_generated = now, generated
+            if db.ingest_outcome(campaign_id, outcome, testing_seconds=seconds):
                 ingested += 1
             else:
                 session.duplicate_ingests += 1
@@ -237,12 +251,14 @@ class DurableCampaignRunner:
                 # Fault injection: die the hard way, mid-campaign, with
                 # chunks still in flight — exactly what recovery is for.  The
                 # pool's workers die too, as they would with their host:
-                # orphaned, they would idle on forever.
+                # orphaned, they would idle on forever.  (Imported only here: a
+                # session that is not killed never loads it.)
+                import multiprocessing
+
                 for worker in multiprocessing.active_children():
                     worker.kill()
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        run = campaign.engine(progress, spec=spec).run_indexed(
-            pending_chunks(), label=campaign.label, on_outcome=on_outcome, generation=timed)
-        db.add_testing_seconds(campaign_id, run.result.testing_seconds)
+        engine.run_indexed(pending_chunks(), label=campaign.label, on_outcome=on_outcome,
+                           generation=timed)
         return db.campaign_result(campaign_id)

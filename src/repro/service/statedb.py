@@ -21,8 +21,10 @@ Three tables:
   orphaned ``processing`` rows back to ``pending`` so a crashed session's
   in-flight work is re-dispatched, never lost and never double-counted.
   Completed chunks also carry their failing-workload and report tallies,
-  worker seconds and every counter's roll-up, from which a campaign's
-  aggregates are merged without decoding a result.
+  worker seconds, every counter's roll-up and their Figure-5 group partial
+  (``groups``: per skeleton and consequence, the raw report count and the
+  first report's position in the chunk), from which a campaign's aggregates
+  and grouped report are merged without decoding a result.
 * ``results`` — one row per tested workload, keyed ``(campaign, chunk,
   position)`` with the serialized :class:`CrashTestResult` as payload: the
   text of :meth:`~CrashTestResult.to_row`, which the code that tested the
@@ -44,10 +46,12 @@ static-analysis summary is recomputed from its configuration when it is read
 The store's ``user_version`` is stamped :data:`SCHEMA_VERSION`.  A store
 stamped older (a new file is stamped 0) is migrated once, when it is opened,
 in one transaction under the write lock that also stamps it: a store from
-before ``chunks.roll_ups`` or ``results.failing`` gets the column, each row's
-``failing`` flag is filled in from its bug reports, the flag's index is
-built, and every done chunk without roll-ups gets them computed from its own
-rows — so a read merges stored roll-ups only.  A store stamped newer is
+before ``chunks.roll_ups``, ``chunks.groups`` (schema 3) or
+``results.failing`` gets the column, each row's ``failing`` flag is filled in
+from its bug reports, the flag's index is built, and every done chunk without
+roll-ups or a group partial gets them computed from its own rows (a partial
+from its failing rows alone) — so a read merges stored roll-ups and
+partials only.  A store stamped newer is
 refused before anything is written to it.  Columns an older version wrote
 and this one has no use for stay in its store unread, their defaults keeping
 new rows valid: a cross-workload dedup table, a ``mechanism_reports`` table,
@@ -59,8 +63,10 @@ new rows valid: a cross-workload dedup table, a ``mechanism_reports`` table,
 A campaign's result (:meth:`CampaignStateDB.campaign_result`) is a plain
 :class:`CampaignResult` read from the store, not held: its ``results`` and
 ``failing_results`` are :class:`StoredResults`, its ``totals`` are the
-chunks' roll-ups merged, and its reports are decoded from the failing
-workloads' rows alone.
+chunks' roll-ups merged, its ``groups`` their partials merged, so its grouped
+report decodes one row per group (the representative's,
+:meth:`StoredResults.reports_at`), and its reports are decoded from the
+failing workloads' rows alone.
 
 One instance owns one sqlite connection in the process that built it; the
 path, not the object, is what crosses process boundaries.  Every connection
@@ -74,11 +80,12 @@ import json
 import os
 import sqlite3
 from dataclasses import fields
-from typing import Any, Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 from urllib.parse import quote
 
+from ..core.dedup import GroupPartial, Position, merge_partials, partial_of
 from ..core.results import CampaignResult
-from ..crashmonkey.report import CrashTestResult, merge_roll_ups, roll_ups_of
+from ..crashmonkey.report import BugReport, CrashTestResult, merge_roll_ups, roll_ups_of
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError, UnknownCampaignError
 from ..options import CampaignConfig, retired_drift
@@ -107,6 +114,7 @@ CREATE TABLE IF NOT EXISTS chunks (
     failing       INTEGER NOT NULL DEFAULT 0,
     raw_reports   INTEGER NOT NULL DEFAULT 0,
     roll_ups      TEXT,
+    groups        TEXT,
     PRIMARY KEY (campaign_id, chunk_index)
 );
 CREATE TABLE IF NOT EXISTS results (
@@ -121,10 +129,10 @@ CREATE TABLE IF NOT EXISTS results (
 
 #: The schema this version writes, stamped as the store's ``user_version``
 #: when it is created or upgraded (0: unstamped, new or written before the
-#: stamp existed; 1: before the campaign status was derived).  A store
-#: stamped newer is refused unopened: an older writer would add rows without
-#: the columns the newer one relies on.
-SCHEMA_VERSION = 2
+#: stamp existed; 1: before the campaign status was derived; 2: before
+#: ``chunks.groups``).  A store stamped newer is refused unopened: an older
+#: writer would add rows without the columns the newer one relies on.
+SCHEMA_VERSION = 3
 
 #: Page cache of every connection the store opens, in KiB.  The rows are
 #: written once and read in one sequential pass, so a cache holds nothing a
@@ -145,6 +153,20 @@ def _decode(payload: str) -> CrashTestResult:
     return CrashTestResult.from_row(payload)
 
 
+def _encode_groups(groups: GroupPartial) -> str:
+    """A chunk's group partial as ``chunks.groups`` text: per key, its count
+    and its first report's position in the chunk, never the report."""
+    return json.dumps([[list(skeleton), consequence, count, position, index]
+                       for (skeleton, consequence), (count, (_, position, index), _)
+                       in groups.items()], separators=(",", ":"))
+
+
+def _decode_groups(chunk: int, text: str) -> GroupPartial:
+    """Inverse of :func:`_encode_groups` for chunk ``chunk``."""
+    return {(tuple(skeleton), consequence): [count, (chunk, position, index), None]
+            for skeleton, consequence, count, position, index in json.loads(text)}
+
+
 class StoredResults(Sequence[CrashTestResult]):
     """A campaign's stored results in stream order, read on demand.
 
@@ -163,15 +185,19 @@ class StoredResults(Sequence[CrashTestResult]):
     def failing_only(self) -> "StoredResults":
         return StoredResults(self.path, self.campaign_id, failing=True)
 
-    def _rows(self, columns: str, tail: str = "", *params) -> Iterator[tuple]:
-        where = "WHERE campaign_id = ?"
-        if self.failing:
-            where += " AND failing = 1"
+    def _connection(self) -> sqlite3.Connection:
         # ``mode=rw`` opens no store that is not there; ``query_only`` writes
         # nothing.  (A ``mode=ro`` connection that closes last would leave
         # the store's -wal and -shm files behind.)
         conn = _connect(f"file:{quote(self.path)}?mode=rw", uri=True)
         conn.execute("PRAGMA query_only = ON")
+        return conn
+
+    def _rows(self, columns: str, tail: str = "", *params) -> Iterator[tuple]:
+        where = "WHERE campaign_id = ?"
+        if self.failing:
+            where += " AND failing = 1"
+        conn = self._connection()
         try:
             yield from conn.execute(f"SELECT {columns} FROM results {where} {tail}",
                                     (self.campaign_id, *params))
@@ -193,6 +219,28 @@ class StoredResults(Sequence[CrashTestResult]):
         (payload,), = self._rows("result_json", "ORDER BY chunk_index, position "
                                  "LIMIT 1 OFFSET ?", index % size)
         return _decode(payload)
+
+    def reports_at(self, positions: Iterable[Position]) -> Dict[Position, BugReport]:
+        """The reports at ``positions`` (chunk, position in it, report index),
+        each row decoded once, over one connection: how a stored result reads
+        its groups' representatives."""
+        wanted: Dict[Tuple[int, int], List[int]] = {}
+        for chunk, position, index in positions:
+            wanted.setdefault((chunk, position), []).append(index)
+        found: Dict[Position, BugReport] = {}
+        conn = self._connection()
+        try:
+            for (chunk, position), indices in sorted(wanted.items()):
+                (payload,), = conn.execute(
+                    "SELECT result_json FROM results "
+                    "WHERE campaign_id = ? AND chunk_index = ? AND position = ?",
+                    (self.campaign_id, chunk, position))
+                reports = _decode(payload).bug_reports
+                for index in indices:
+                    found[chunk, position, index] = reports[index]
+        finally:
+            conn.close()
+        return found
 
 
 class CampaignStateDB:
@@ -243,8 +291,9 @@ class CampaignStateDB:
         add each column once and neither sees a half-done migration; the
         second finds nothing left to do.
         """
-        if not self._has_column("chunks", "roll_ups"):
-            self._conn.execute("ALTER TABLE chunks ADD COLUMN roll_ups TEXT")
+        for column in ("roll_ups", "groups"):
+            if not self._has_column("chunks", column):
+                self._conn.execute(f"ALTER TABLE chunks ADD COLUMN {column} TEXT")
         if not self._has_column("results", "failing"):
             self._conn.execute(
                 "ALTER TABLE results ADD COLUMN failing INTEGER NOT NULL DEFAULT 0")
@@ -254,16 +303,25 @@ class CampaignStateDB:
         # Serves ``StoredResults(failing=True)``.
         self._conn.execute("CREATE INDEX IF NOT EXISTS results_failing "
                            "ON results (campaign_id, chunk_index, position) WHERE failing = 1")
-        for campaign_id, index in self._conn.execute(
-                "SELECT campaign_id, chunk_index FROM chunks "
-                "WHERE status = 'done' AND roll_ups IS NULL").fetchall():
-            # A chunk an older version ingested: its roll-ups, from its rows, once.
-            results = [_decode(payload) for (payload,) in self._conn.execute(
-                "SELECT result_json FROM results WHERE campaign_id = ? AND chunk_index = ? "
-                "ORDER BY position", (campaign_id, index))]
+        for campaign_id, index, unrolled in self._conn.execute(
+                "SELECT campaign_id, chunk_index, roll_ups IS NULL FROM chunks "
+                "WHERE status = 'done' AND (roll_ups IS NULL OR groups IS NULL)").fetchall():
+            # A chunk an older version ingested: what it lacks, from its rows,
+            # once — its roll-ups from every row, its group partial from the
+            # failing ones (all a chunk with roll-ups needs decoded).
+            rows = [(position, _decode(payload)) for position, payload in self._conn.execute(
+                "SELECT position, result_json FROM results "
+                "WHERE campaign_id = ? AND chunk_index = ? "
+                f"{'' if unrolled else 'AND failing = 1 '}ORDER BY position",
+                (campaign_id, index))]
+            roll_ups = roll_ups_of([result for _, result in rows]) if unrolled else None
+            groups = partial_of(((position, result) for position, result in rows
+                                 if not result.passed), index)
             self._conn.execute(
-                "UPDATE chunks SET roll_ups = ? WHERE campaign_id = ? AND chunk_index = ?",
-                (json.dumps(roll_ups_of(results), separators=(",", ":")), campaign_id, index))
+                "UPDATE chunks SET roll_ups = COALESCE(roll_ups, ?), "
+                "groups = COALESCE(groups, ?) WHERE campaign_id = ? AND chunk_index = ?",
+                (None if roll_ups is None else json.dumps(roll_ups, separators=(",", ":")),
+                 _encode_groups(groups), campaign_id, index))
         self._conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
 
     @classmethod
@@ -366,13 +424,6 @@ class CampaignStateDB:
             (invalid_workloads, generation_seconds, campaign_id),
         )
 
-    def add_testing_seconds(self, campaign_id: str, seconds: float) -> None:
-        self._conn.execute(
-            "UPDATE campaigns SET testing_seconds = testing_seconds + ? "
-            "WHERE campaign_id = ?",
-            (seconds, campaign_id),
-        )
-
     # ----------------------------------------------------------------- chunks
 
     def register_chunks(self, campaign_id: str,
@@ -450,15 +501,20 @@ class CampaignStateDB:
 
     # ----------------------------------------------------------------- ingest
 
-    def ingest_outcome(self, campaign_id: str, outcome: ChunkOutcome) -> bool:
+    def ingest_outcome(self, campaign_id: str, outcome: ChunkOutcome,
+                       testing_seconds: float = 0.0) -> bool:
         """Commit one completed chunk atomically; dedup-at-write.
 
-        Result rows, the chunk's ``done`` flip, and its accounting counters
-        land in one transaction: after a crash the chunk is either fully
-        ingested or untouched (still ``processing``, reset by recovery).  A
-        chunk already ``done`` — a retry racing a recovered session — is
-        refused outright so nothing double-counts; the return value says
-        whether this outcome was the one that landed.
+        Result rows, the chunk's ``done`` flip, its accounting counters and
+        group partial, and ``testing_seconds`` — the session's testing time
+        since its previous ingest — land in one transaction: after a crash
+        the chunk is either fully ingested or untouched (still
+        ``processing``, reset by recovery), and the campaign's testing time
+        is what its sessions spent up to their last ingest.  A chunk already
+        ``done`` — a retry racing a recovered session — is refused outright
+        so nothing double-counts (its session's seconds still count: they
+        were spent); the return value says whether this outcome was the one
+        that landed.
         """
         # Packed where the chunk ran, normally; one built from results is packed here.
         outcome = outcome.packed()
@@ -473,6 +529,9 @@ class CampaignStateDB:
                 raise KeyError(
                     f"chunk {stats.index} of campaign {campaign_id!r} was never registered"
                 )
+            self._conn.execute(
+                "UPDATE campaigns SET testing_seconds = testing_seconds + ? "
+                "WHERE campaign_id = ?", (testing_seconds, campaign_id))
             if row[0] == api.CHUNK_DONE:
                 return False
             failing = set(outcome.failing_positions)
@@ -485,7 +544,7 @@ class CampaignStateDB:
             )
             self._conn.execute(
                 "UPDATE chunks SET status = 'done', seconds = ?, worker = ?, "
-                "failing = ?, raw_reports = ?, roll_ups = ? "
+                "failing = ?, raw_reports = ?, roll_ups = ?, groups = ? "
                 "WHERE campaign_id = ? AND chunk_index = ?",
                 (
                     stats.seconds,
@@ -493,6 +552,7 @@ class CampaignStateDB:
                     stats.failing_workloads,
                     stats.raw_reports,
                     json.dumps(stats.totals, separators=(",", ":")),
+                    _encode_groups(outcome.groups),
                     campaign_id,
                     stats.index,
                 ),
@@ -507,19 +567,32 @@ class CampaignStateDB:
         """The campaign's result as the store holds it, over its done chunks.
 
         Nothing is decoded here: the aggregates are merged from the chunks'
-        stored roll-ups (every done chunk has them once the store is opened),
-        and the rows are read when the result is read, in stream order — its reports
-        from the failing rows alone — so a campaign finished across N
-        interrupted sessions reads back the same reports, counters and
-        result order an uninterrupted run returns, and holding the result
-        holds no row.
+        stored roll-ups and the Figure-5 groups from their stored partials
+        (every done chunk has both once the store is opened), and the rows
+        are read when the result is read, in stream order — a group's
+        representative from its one row, the reports from the failing rows
+        alone — so a campaign finished across N interrupted sessions reads
+        back the same groups, reports, counters and result order an
+        uninterrupted run returns, and holding the result holds no row.
         """
         row = self.campaign_row(campaign_id)
         chunks = self._conn.execute(
-            "SELECT failing, roll_ups FROM chunks "
+            "SELECT chunk_index, failing, roll_ups, groups FROM chunks "
             "WHERE campaign_id = ? AND status = 'done' ORDER BY chunk_index",
             (campaign_id,),
-        ).fetchall()
+        )
+        failing, groups = 0, {}
+
+        def roll_ups() -> Iterator[Dict[str, Any]]:
+            # One pass over the done chunks, one at a time: their tallies and
+            # partials are merged on the way.
+            nonlocal failing
+            for index, chunk_failing, stored, partial in chunks:
+                failing += chunk_failing
+                merge_partials([_decode_groups(index, partial)], into=groups)
+                yield json.loads(stored)
+
+        totals = merge_roll_ups(roll_ups())
         results = StoredResults(os.path.abspath(self.path), campaign_id)
         return CampaignResult(
             fs_name=row["fs_name"],
@@ -529,9 +602,10 @@ class CampaignStateDB:
             generation_seconds=row["generation_seconds"],
             testing_seconds=row["testing_seconds"],
             invalid_workloads=row["invalid_workloads"],
-            totals=merge_roll_ups([json.loads(stored) for _, stored in chunks]),
-            failing_workloads=sum(failing for failing, _ in chunks),
+            totals=totals,
+            failing_workloads=failing,
             failing_results=results.failing_only(),
+            groups=groups,
         )
 
     # ------------------------------------------------------------------ views

@@ -855,6 +855,10 @@ def test_the_tree_rolls_up_results_only_at_the_three_sites():
             ("`roll_ups_of(...)`", ["src/repro/core/results.py", "src/repro/engine/backends.py",
                                     "src/repro/service/statedb.py"]),
             ("`merge_roll_ups(...)`", ["src/repro/engine/engine.py",
+                                       "src/repro/service/statedb.py"]),
+            ("`partial_of(...)`", ["src/repro/core/results.py", "src/repro/engine/backends.py",
+                                   "src/repro/service/statedb.py"]),
+            ("`merge_partials(...)`", ["src/repro/engine/engine.py",
                                        "src/repro/service/statedb.py"])):
         findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
                                                 (_row_of(text)._replace(site=""),))

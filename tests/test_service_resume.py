@@ -131,7 +131,8 @@ def test_a_campaign_killed_after_its_last_ingest_is_done(tmp_path, uninterrupted
     """The chunks are the campaign's one record of progress, and the census
     completes when the last chunk is registered, before it is dispatched, so
     a session SIGKILLed right after its last ingest leaves a finished
-    campaign: readable, no resume."""
+    campaign: readable, no resume.  Each ingest stores the session's testing
+    time since the one before, so the victim's time is stored too."""
     db_path = str(tmp_path / "state.sqlite")
     chunks = 10  # the 40 workloads in family-affine chunks of 4
     victim = _run_victim(db_path, crash_after=chunks, processes=processes)
@@ -140,6 +141,7 @@ def test_a_campaign_killed_after_its_last_ingest_is_done(tmp_path, uninterrupted
         status = db.status("victim")
         assert (status.status, status.chunks_done, status.chunks_total) == ("done", chunks, chunks)
         assert status.complete
+        assert status.testing_seconds > 0
         result = db.campaign_result("victim")
     assert result.canonical_dict() == uninterrupted.canonical_dict()
 

@@ -94,12 +94,17 @@ def test_finish_census_sets_invalid_count_and_adds_generation_time(db):
     assert row["census_done"] == 1
 
 
-def test_testing_seconds_accumulate_across_sessions(db):
+def test_testing_seconds_accumulate_with_each_ingest(db):
+    """Each ingest adds its session's testing time since the previous one,
+    in its transaction; a refused re-ingest's session spent its time too."""
     db.create_campaign("c1", CONFIG)
-    db.add_testing_seconds("c1", 1.25)
-    db.add_testing_seconds("c1", 0.75)
+    db.register_chunks("c1", [(0, "k0", 1), (1, "k1", 1)])
+    assert db.ingest_outcome("c1", _outcome(0, ["a"]), testing_seconds=1.25)
+    assert db.ingest_outcome("c1", _outcome(1, ["b"]), testing_seconds=0.5)
+    assert not db.ingest_outcome("c1", _outcome(1, ["b"]), testing_seconds=0.25)
     assert db.campaign_row("c1")["testing_seconds"] == pytest.approx(2.0)
     assert db.status("c1").testing_seconds == pytest.approx(2.0)
+    assert db.campaign_result("c1").testing_seconds == pytest.approx(2.0)
 
 
 def _tables(path):
@@ -172,7 +177,7 @@ def test_a_new_store_keeps_no_second_record_of_progress(tmp_path):
             return {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
         assert "status" not in columns("campaigns")
         assert "cpu_seconds" not in columns("chunks")
-        assert conn.execute("PRAGMA user_version").fetchone() == (statedb.SCHEMA_VERSION,) == (2,)
+        assert conn.execute("PRAGMA user_version").fetchone() == (statedb.SCHEMA_VERSION,) == (3,)
 
 
 # --------------------------------------------------------------------- chunks

@@ -136,8 +136,12 @@ def test_the_durable_parent_touches_no_passing_result(tmp_path, monkeypatch, pro
     # A pool's workers do their own counting, out of the parent's sight.
     assert calls == {"encoded": 0, "encoded_by_chunks": 40 if processes == 1 else 0,
                      "unpickled": 0, "decoded": 0}
-    assert result.grouped_reports()
-    assert calls["decoded"] == result.failing_workloads > 0
+    # The groups are the chunks' partials merged: grouping decodes no row,
+    # and the representatives one row each.
+    groups = result.grouped_reports()
+    assert groups and calls["decoded"] == 0
+    assert all(group.representative.workload for group in groups)
+    assert 0 < calls["decoded"] <= len(groups) <= result.failing_workloads
 
     with sqlite3.connect(path) as conn:
         rows = [text for (text,) in conn.execute(
@@ -215,10 +219,16 @@ def test_describing_a_stored_result_decodes_no_passing_row(stored, monkeypatch):
         return from_dict(cls, payload)
 
     monkeypatch.setattr(CrashTestResult, "from_dict", classmethod(counting))
-    text = stored.describe()
+    with CampaignStateDB.existing(stored.results.path) as db:
+        fresh = db.campaign_result("parity")
+    text = fresh.describe()
     assert "report groups:" in text
-    assert len(decoded) == stored.failing_workloads > 0
+    # One row per group, for its representative: no other failing row either,
+    # and a representative read once is held.
+    assert 0 < len(decoded) <= len(fresh.grouped_reports()) <= stored.failing_workloads
     assert all(payload["bug_reports"] for payload in decoded)
+    assert fresh.describe() == text == stored.describe()
+    assert len(decoded) <= len(fresh.grouped_reports())
     decoded.clear()
     assert stored.workloads_tested == 40 and stored.scenarios_tested > 0
     assert decoded == []

@@ -27,6 +27,7 @@ from repro.crashmonkey.report import (
     PROFILE,
     SESSION,
     SUM,
+    BugReport,
     CrashTestResult,
     counted,
     counter,
@@ -400,18 +401,23 @@ def test_a_resumed_tally_starts_from_the_offset():
             for event in events] == [(4, 41, 6, 1, 9, 100)]
 
 
-def test_describe_and_the_payloads_group_reports_once(monkeypatch, seq1_run):
+def test_describe_and_the_payloads_group_once_from_the_partials(monkeypatch, seq1_run):
+    """Each render orders the merged group partials once, and keys no report:
+    the chunks keyed theirs where they ran."""
     campaign, _ = seq1_run
     expected = campaign.describe()
-    calls = []
-    group_reports = results_module.group_reports
-    monkeypatch.setattr(results_module, "group_reports",
-                        lambda reports: calls.append(1) or group_reports(reports))
+    calls, keyed = [], []
+    groups_of, group_key = results_module.groups_of, BugReport.group_key
+    monkeypatch.setattr(results_module, "groups_of",
+                        lambda *args: calls.append(1) or groups_of(*args))
+    monkeypatch.setattr(BugReport, "group_key",
+                        lambda report: keyed.append(1) or group_key(report))
     for render in (campaign.describe, campaign.summary, campaign.to_dict,
                    campaign.canonical_dict):
         del calls[:]
         render()
         assert len(calls) == 1, render.__name__
+    assert keyed == []
     assert campaign.describe() == expected
     assert expected.splitlines()[0] == campaign.summary()
     assert f"{len(campaign.all_reports())} raw reports" in campaign.summary()

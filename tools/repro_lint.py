@@ -348,6 +348,16 @@ SITE_OWNERS: Tuple[Row, ...] = (
     Row(call("merge_roll_ups"), "", "engine/ service/statedb.py",
         "`merge_roll_ups(...)` outside engine/ and service/statedb.py — a campaign's totals are "
         "merged by the engine or the store that builds its `CampaignResult`"),
+    #     The Figure-5 groups are a roll-up too: a chunk's group partial is computed at the
+    #     same three sites and merged by the same two owners.
+    Row(call("partial_of"), "",
+        "engine/backends.py:ChunkOutcome.of core/results.py:CampaignResult.__post_init__ "
+        "service/statedb.py:CampaignStateDB._upgrade",
+        "`partial_of(...)` outside {site} — a group partial is computed once, where its "
+        "results are; merge the chunks' `groups` instead of grouping results again"),
+    Row(call("merge_partials"), "", "engine/ service/statedb.py",
+        "`merge_partials(...)` outside engine/ and service/statedb.py — a campaign's groups are "
+        "merged by the engine or the store that builds its `CampaignResult`"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
