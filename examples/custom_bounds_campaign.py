@@ -46,9 +46,9 @@ def main() -> int:
 
     run = campaign.last_run
     print(f"\nThe same run as {len(run.chunks)} VM batches on {cluster.describe()}:")
-    print("workloads per VM:", ", ".join(str(stats.workloads) for stats in run.chunks))
+    print("workloads per VM:", ", ".join(str(record.workloads) for record in run.chunks))
     print(f"parallel wall clock {run.max_chunk_seconds:.2f}s "
-          f"(one after the other: {sum(stats.seconds for stats in run.chunks):.2f}s)")
+          f"(one after the other: {sum(record.seconds for record in run.chunks):.2f}s)")
     per_workload = result.testing_seconds / max(result.workloads_tested, 1)
     hours = estimate_campaign_hours(len(workloads), per_workload, cluster)
     print(f"modelled testing time on that cluster: {hours * 3600:.2f}s")

@@ -218,17 +218,23 @@ class AceSynthesizer:
         kept exactly as it is because the sample stride, and with it every
         pinned sample, derives from it; use :meth:`count` for the size.
         """
-        total = 0
+        return self._analytic_counts(required_ops)[1]
+
+    def _analytic_counts(self, required_ops: Optional[Sequence[str]] = None) -> Tuple[int, int]:
+        """Per skeleton, the plain product of per-position parameter choices,
+        and that times the persistence variants of its representative
+        parameterization: both summed over the skeletons."""
+        parameterized = with_persistence = 0
         for skeleton in generate_skeletons(self.bounds, required_ops):
             parameter_count = count_parameterizations(skeleton, self.fileset, self.bounds)
+            parameterized += parameter_count
             # Persistence choices depend only on the operation kinds, so use a
             # representative parameterization to count them.
             representative = next(parameterize(skeleton, self.fileset, self.bounds), None)
-            if representative is None:
-                continue
-            persistence_count = count_persistence_variants(representative, self.bounds)
-            total += parameter_count * persistence_count
-        return total
+            if representative is not None:
+                with_persistence += parameter_count * count_persistence_variants(
+                    representative, self.bounds)
+        return parameterized, with_persistence
 
     def phase_counts(self) -> Dict[str, int]:
         """Per-phase counts for a Figure-4 style funnel.
@@ -238,15 +244,7 @@ class AceSynthesizer:
         exact final count from the space index.
         """
         skeletons = count_skeletons(self.bounds)
-        parameterized = 0
-        with_persistence = 0
-        for skeleton in generate_skeletons(self.bounds):
-            parameter_count = count_parameterizations(skeleton, self.fileset, self.bounds)
-            parameterized += parameter_count
-            representative = next(parameterize(skeleton, self.fileset, self.bounds), None)
-            if representative is None:
-                continue
-            with_persistence += parameter_count * count_persistence_variants(representative, self.bounds)
+        parameterized, with_persistence = self._analytic_counts()
         return {
             "phase1_skeletons": skeletons,
             "phase2_parameterized": parameterized,

@@ -1,6 +1,6 @@
 """Test-cluster models: deployment, testing time and cost at the paper's
-scale.  The batches themselves are a campaign's chunks
-(``B3Campaign(...).last_run.chunks``)."""
+scale.  The batches themselves are a campaign's chunks: the engine keeps a
+:class:`~repro.engine.ChunkRecord` of each (``B3Campaign(...).last_run.chunks``)."""
 
 from .cost import CostModel
 from .scheduler import (

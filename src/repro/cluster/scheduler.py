@@ -4,8 +4,9 @@ The paper deploys CrashMonkey on 65 Chameleon Cloud nodes running 12 virtual
 machines each — 780 VMs testing workloads in parallel (§6.1).  The cluster
 itself only contributes embarrassing parallelism plus deployment time.  The
 parallelism is the engine's: a campaign's family-affine chunks are its
-independent batches, each timed inside the worker that ran it
-(``B3Campaign(...).last_run.chunks``).  What is left here is a model of how
+independent batches, each timed inside the worker that ran it (the
+engine's :class:`~repro.engine.ChunkRecord` of it, in
+``B3Campaign(...).last_run.chunks``).  What is left here is a model of how
 long deployment and testing take at the paper's scale (§6.4).
 """
 

@@ -21,7 +21,7 @@ from ..ace.adapter import CrashMonkeyAdapter
 from ..ace.bounds import Bounds, seq1_bounds, seq2_bounds
 from ..ace.synthesizer import AceSynthesizer
 from ..crashmonkey.harness import CrashMonkey
-from ..engine.backends import SerialBackend, make_backend
+from ..engine.backends import ChunkOutcome, SerialBackend, make_backend
 from ..engine.engine import (
     DEFAULT_CHUNK_SIZE,
     CampaignEngine,
@@ -51,7 +51,7 @@ class B3Campaign:
         self.spec = config.harness_spec()
         self._harness: Optional[CrashMonkey] = None
         self._synthesizer: Optional[AceSynthesizer] = None
-        #: engine bookkeeping of the most recent :meth:`run` (chunk stats, wall clock)
+        #: engine bookkeeping of the most recent :meth:`run` (chunk records, clock)
         self.last_run: Optional[EngineRun] = None
 
     @property
@@ -173,7 +173,9 @@ class B3Campaign:
         ones are dropped from testing but surfaced in the result's
         ``invalid_workloads`` count (never silently swallowed), which also
         keeps a bad hand-supplied workload from aborting the whole run.
-        :attr:`last_run` keeps the chunks' stats: each is one VM batch's.
+        The chunks' outcomes are collected as they land and become the
+        result once the run is over; :attr:`last_run` keeps each chunk's
+        record: each is one VM batch's.
 
         Progress events of an ACE-supplied run carry ``workloads_total``
         (hence an ETA), sized from the space index.
@@ -182,10 +184,14 @@ class B3Campaign:
             workloads = self.iter_workloads()
             progress = self.track_progress(progress)
         adapter = CrashMonkeyAdapter(self.fs_name)
-        run = self.engine(progress).run(adapter.adapt_stream(workloads), label=self.label)
-        run.result.invalid_workloads = adapter.invalid_workloads
+        outcomes: List[ChunkOutcome] = []
+        run = self.engine(progress).run(adapter.adapt_stream(workloads),
+                                        lambda outcome, _: outcomes.append(outcome))
         self.last_run = run
-        return run.result
+        return CampaignResult.of_outcomes(
+            outcomes, fs_name=self.fs_name, fs_model=self.fs_model, label=self.label,
+            generation_seconds=run.generation_seconds, testing_seconds=run.testing_seconds,
+            invalid_workloads=adapter.invalid_workloads)
 
 
 def quick_campaign(fs_name: str = "btrfs", seq_length: int = 1,

@@ -12,76 +12,27 @@ paper mitigates this in two ways, both implemented here:
   only genuinely new findings reach the user.
 
 A campaign's grouping is a roll-up, like its counts: each chunk's *group
-partial* (:func:`partial_of`) is computed where the chunk ran, from its
-failing results alone, and partials merge by adding counts and keeping the
-earliest first report (:func:`merge_partials`), so the merged groups, their
-order and their representatives are what :func:`group_reports` gives over
-every report in stream order.  A :class:`ReportGroup` holds its count and a
-reader of its representative, not its reports, and known-bug matching reads
-the groups too (:func:`unique_groups`): a report's signature is a function
-of its group key.
+partial* is computed where the chunk ran and partials merge by adding counts
+and keeping the earliest first report
+(:func:`~repro.crashmonkey.report.partial_of` /
+:func:`~repro.crashmonkey.report.merge_partials`, beside the chunk's other
+roll-ups), so the merged groups, their order and their representatives are
+what :func:`group_reports` gives over every report in stream order.  This
+module turns a merged partial into :class:`ReportGroup` objects
+(:func:`groups_of`): a group holds its count and a reader of its
+representative, not its reports, and known-bug matching reads the groups
+too (:func:`unique_groups`): a report's signature is a function of its
+group key.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..crashmonkey.report import BugReport, CrashTestResult
+from ..crashmonkey.report import BugReport, GroupKey, GroupPartial
 from .known_bugs import KnownBug
-
-
-GroupKey = Tuple[Tuple[str, ...], str]
-#: where a report sits in stream order: (chunk index, position in the chunk,
-#: index among its result's reports)
-Position = Tuple[int, int, int]
-#: A Figure-5 group partial: per key, ``[raw report count, first position,
-#: the report there]`` — the report is ``None`` where only its row holds it
-#: (a partial that crossed a process boundary packed, or was read from a store).
-GroupPartial = Dict[GroupKey, list]
-
-
-def _add(partial: GroupPartial, report: BugReport, position: Position) -> None:
-    key = report.group_key()
-    entry = partial.get(key)
-    if entry is None:
-        partial[key] = [1, position, report]
-    else:
-        entry[0] += 1
-
-
-def partial_of(failing: Iterable[Tuple[int, CrashTestResult]], chunk: int = 0) -> GroupPartial:
-    """The group partial of chunk ``chunk``'s ``(position, result)`` pairs with bug reports.
-
-    Given the failing results alone, so a passing result costs nothing.
-    """
-    partial: GroupPartial = {}
-    for position, result in failing:
-        for index, report in enumerate(result.bug_reports):
-            _add(partial, report, (chunk, position, index))
-    return partial
-
-
-def merge_partials(parts: Iterable[GroupPartial], into: GroupPartial) -> GroupPartial:
-    """``into`` merged with ``parts`` (chunks disjoint from its own), and returned:
-    counts add and the earliest first report wins.
-
-    So the merged groups' order and representatives are what
-    :func:`group_reports` gives over every report in stream order, however
-    the chunks land.
-    """
-    merged = into
-    for part in parts:
-        for key, (count, first, report) in part.items():
-            entry = merged.get(key)
-            if entry is None:
-                merged[key] = [count, first, report]
-            else:
-                entry[0] += count
-                if first < entry[1]:
-                    entry[1], entry[2] = first, report
-    return merged
 
 
 class ReportGroup:
@@ -140,7 +91,7 @@ def group_reports(reports: Iterable[BugReport]) -> List[ReportGroup]:
     reports = list(reports)
     partial: GroupPartial = {}
     for index, report in enumerate(reports):
-        _add(partial, report, (0, 0, index))
+        partial.setdefault(report.group_key(), [0, (0, 0, index), report])[0] += 1
     return groups_of(partial, lambda key: partial[key][2], reports)
 
 

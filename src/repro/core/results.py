@@ -12,18 +12,23 @@ representatives, not every failing result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..crashmonkey.report import PHASE_FIELDS, BugReport, CrashTestResult, Totals, roll_ups_of
-from .dedup import (
+from ..crashmonkey.report import (
+    PHASE_FIELDS,
+    BugReport,
+    CrashTestResult,
     GroupKey,
     GroupPartial,
-    KnownBugDatabase,
-    ReportGroup,
-    groups_of,
+    Totals,
+    merge_partials,
+    merge_roll_ups,
     partial_of,
-    unique_groups,
+    roll_ups_of,
 )
+from ..engine.backends import ChunkOutcome
+from .dedup import KnownBugDatabase, ReportGroup, groups_of, unique_groups
 
 
 class _ReportsOf:
@@ -44,10 +49,10 @@ class CampaignResult(Totals):
     """Aggregated outcome of one testing campaign.
 
     Its counts and its Figure-5 groups are fields each source fills once:
-    the engine merges its chunks' stats and group partials, a state store
-    its chunks' stored roll-ups and partials, and a result built from bare
-    ``results`` (:meth:`from_dict`, a caller's list) computes them from
-    those when it is constructed.  No read of an aggregate looks at a
+    a plain run merges its chunks' roll-ups and group partials
+    (:meth:`of_outcomes`), a state store its chunks' stored ones, and a
+    result built from bare ``results`` (:meth:`from_dict`, a caller's list)
+    computes them from those when it is constructed.  No read of an aggregate looks at a
     result, and the grouped report reads one row per group, for its
     representative, and only when that is asked for.
     """
@@ -72,7 +77,7 @@ class CampaignResult(Totals):
     #: the results with bug reports, in stream order: what the reports are read from
     failing_results: Optional[Sequence[CrashTestResult]] = field(default=None, repr=False)
     #: the Figure-5 groups, as the merged group partial of every chunk
-    #: (:func:`~repro.core.dedup.merge_partials`); computed from
+    #: (:func:`~repro.crashmonkey.report.merge_partials`); computed from
     #: ``failing_results`` when not given
     groups: Optional[GroupPartial] = field(default=None, repr=False)
 
@@ -83,6 +88,21 @@ class CampaignResult(Totals):
             self.failing_workloads = len(self.failing_results)
         if self.groups is None:
             self.groups = partial_of(enumerate(self.failing_results))
+
+    @classmethod
+    def of_outcomes(cls, outcomes: Iterable[ChunkOutcome], **fields) -> "CampaignResult":
+        """The result of a run whose chunks came out as ``outcomes``, in any
+        order: their results in stream order, their roll-ups and group
+        partials merged once."""
+        outcomes = sorted(outcomes, key=attrgetter("record.index"))
+        return cls(
+            results=[result for outcome in outcomes for result in outcome.results],
+            totals=merge_roll_ups(outcome.totals for outcome in outcomes),
+            failing_workloads=sum(outcome.record.failing_workloads for outcome in outcomes),
+            failing_results=[outcome.results[position] for outcome in outcomes
+                             for position in outcome.failing_positions],
+            groups=merge_partials((outcome.groups for outcome in outcomes), into={}),
+            **fields)
 
     # -- serialization (campaign state store / --json-out) -----------------------
 

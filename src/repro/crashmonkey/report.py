@@ -574,6 +574,54 @@ def merge_roll_ups(parts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
+#: a Figure-5 group: (skeleton, consequence), a report's :meth:`BugReport.group_key`
+GroupKey = Tuple[Tuple[str, ...], str]
+#: where a report sits in stream order: (chunk index, position in the chunk,
+#: index among its result's reports)
+Position = Tuple[int, int, int]
+#: A Figure-5 group partial: per key, ``[raw report count, first position,
+#: the report there]`` — the report is ``None`` where only its row holds it
+#: (a partial that crossed a process boundary packed, or was read from a store).
+GroupPartial = Dict[GroupKey, list]
+
+
+def partial_of(failing: Iterable[Tuple[int, CrashTestResult]], chunk: int = 0) -> GroupPartial:
+    """The group partial of chunk ``chunk``'s ``(position, result)`` pairs with bug reports.
+
+    Given the failing results alone, so a passing result costs nothing.
+    """
+    partial: GroupPartial = {}
+    for position, result in failing:
+        for index, report in enumerate(result.bug_reports):
+            key = report.group_key()
+            entry = partial.get(key)
+            if entry is None:
+                partial[key] = [1, (chunk, position, index), report]
+            else:
+                entry[0] += 1
+    return partial
+
+
+def merge_partials(parts: Iterable[GroupPartial], into: GroupPartial) -> GroupPartial:
+    """``into`` merged with ``parts`` (chunks disjoint from its own), and returned:
+    counts add and the earliest first report wins.
+
+    So the merged groups' order and representatives are what grouping every
+    report in stream order gives (:func:`~repro.core.dedup.group_reports`),
+    however the chunks land.
+    """
+    for part in parts:
+        for key, (count, first, report) in part.items():
+            entry = into.get(key)
+            if entry is None:
+                into[key] = [count, first, report]
+            else:
+                entry[0] += count
+                if first < entry[1]:
+                    entry[1], entry[2] = first, report
+    return into
+
+
 class Totals:
     """Mixin for a holder of ``totals``: each aggregate in it is an attribute.
 

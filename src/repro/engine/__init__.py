@@ -2,16 +2,19 @@
 
 The one execution path behind every campaign: workloads stream from the
 synthesizer through family-affine chunks onto an :class:`ExecutionBackend`
-(serial or process pool, one long-lived harness per worker) and aggregate
-incrementally into a :class:`CampaignResult`.  Engines are built by
+(serial or process pool, one long-lived harness per worker), and each
+chunk's :class:`ChunkOutcome` goes to the run's sink, which owns it: a plain
+campaign's collector or the durable runner's state store.  The engine keeps
+one :class:`ChunkRecord` per chunk, the paper's per-VM batch, and imports
+nothing from the layers above it.  Engines are built by
 :class:`~repro.core.campaign.B3Campaign`, which both the CLI and the durable
-runner drive; a chunk's :class:`ChunkStats` (or, when a sink owns the
-chunks, its :class:`ChunkRecord`) are the paper's per-VM batch.
+runner drive.
 """
 
 from ..options import HarnessSpec
 from .backends import (
     ChunkOutcome,
+    ChunkRecord,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -20,8 +23,6 @@ from .backends import (
 from .engine import (
     DEFAULT_CHUNK_SIZE,
     CampaignEngine,
-    ChunkRecord,
-    ChunkStats,
     EngineRun,
     ProgressEvent,
     family_chunks,
@@ -37,7 +38,6 @@ __all__ = [
     "make_backend",
     "CampaignEngine",
     "EngineRun",
-    "ChunkStats",
     "ChunkRecord",
     "ProgressEvent",
     "family_chunks",

@@ -15,15 +15,16 @@ Two implementations cover the portable and the parallel case:
 
 Per-chunk seconds are measured *inside* the worker (wall clock around the
 actual testing), which is what the per-VM statistics report — not a uniform
-share of the pool's elapsed time.  The rest of a chunk's :class:`ChunkStats`,
-the positions of its failing results and its Figure-5 group partial are
-computed there too, once (:meth:`ChunkOutcome.of`), so the process
-collecting outcomes rolls up and groups no result.
+share of the pool's elapsed time.  The rest of a chunk's
+:class:`ChunkRecord`, its roll-ups, the positions of its failing results and
+its Figure-5 group partial are computed there too, once
+(:meth:`ChunkOutcome.of`), so whoever collects the outcomes rolls up and
+groups no result.
 
-``execute(..., pack=True)`` — what the engine asks for when a sink owns the
-chunks — returns each chunk :meth:`~ChunkOutcome.packed` by the code that ran
-it: its results as the state store's row text, so the collecting process
-decodes and encodes no result either.
+``execute(..., pack=True)`` — what the engine asks for on behalf of a state
+store — returns each chunk :meth:`~ChunkOutcome.packed` by the code that ran
+it: its results as the store's row text, so the collecting process decodes
+and encodes no result either.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Protocol, Tuple
 
 from ..clock import span
-from ..core.dedup import GroupPartial, partial_of
 from ..crashmonkey.harness import CrashMonkey
-from ..crashmonkey.report import CrashTestResult, Totals, roll_ups_of
+from ..crashmonkey.report import CrashTestResult, GroupPartial, Totals, partial_of, roll_ups_of
 from ..options import HarnessSpec
 from ..workload.workload import Workload
 
@@ -45,10 +45,8 @@ IndexedChunk = Tuple[int, List[Workload]]
 
 @dataclass(slots=True)
 class ChunkRecord:
-    """Where, how long and with what outcome one chunk (one VM batch) ran.
-
-    What an engine keeps of a chunk whose results and aggregates a sink owns.
-    """
+    """Where, how long and with what outcome one chunk (one VM batch) ran:
+    what the engine keeps of each chunk."""
 
     index: int
     workloads: int
@@ -58,43 +56,28 @@ class ChunkRecord:
 
 
 @dataclass
-class ChunkStats(ChunkRecord, Totals):
-    """Timing and outcome of one completed chunk (one VM batch's worth).
+class ChunkOutcome(Totals):
+    """One tested chunk: its record, roll-ups, group partial and results.
 
-    What remains of a :class:`ChunkOutcome` once its results have been
-    aggregated — everything but the result payload.
+    Everything but the results is computed once, where the chunk ran
+    (:meth:`of`); a :meth:`packed` outcome holds ``rows`` in their stead.
     """
 
+    record: ChunkRecord
     #: every counter's aggregate over the chunk, by aggregate name
     #: (:func:`~repro.crashmonkey.report.roll_ups_of`); each reads as an
-    #: attribute too: ``stats.prefix_hits``, ``stats.memoized_scenarios``, ...
-    totals: Dict[str, Any] = field(default_factory=dict, repr=False)
+    #: attribute too: ``outcome.prefix_hits``, ``outcome.memoized_scenarios``, ...
+    totals: Dict[str, Any] = field(repr=False)
     #: bug reports over the chunk's results
-    raw_reports: int = 0
-
-    def record(self) -> ChunkRecord:
-        """These stats without their aggregates."""
-        return ChunkRecord(self.index, self.workloads, self.seconds, self.failing_workloads,
-                           self.worker)
-
-
-@dataclass
-class ChunkOutcome:
-    """Results, stats and real timing of one tested chunk.
-
-    A :meth:`packed` outcome holds no result: ``rows`` stand in.
-    """
-
-    results: List[CrashTestResult]
-    #: computed once, from the results, where the chunk ran (:meth:`of`)
-    stats: ChunkStats
+    raw_reports: int
     #: the positions of the results with bug reports
     failing_positions: Tuple[int, ...]
     #: the Figure-5 group partial of the failing results
-    #: (:func:`~repro.core.dedup.partial_of`); once packed it holds positions only
-    groups: GroupPartial = field(default_factory=dict)
+    #: (:func:`~repro.crashmonkey.report.partial_of`); once packed it holds positions only
+    groups: GroupPartial = field(repr=False)
+    results: List[CrashTestResult] = field(repr=False)
     #: once packed: each result's :meth:`~CrashTestResult.to_row`, by position
-    rows: Optional[List[str]] = None
+    rows: Optional[List[str]] = field(default=None, repr=False)
 
     @classmethod
     def of(cls, index: int, results: List[CrashTestResult], seconds: float,
@@ -102,22 +85,17 @@ class ChunkOutcome:
         """The outcome of chunk ``index``, tested in ``seconds`` by ``worker``."""
         failing = tuple(position for position, result in enumerate(results)
                         if not result.passed)
-        groups = partial_of(((position, results[position]) for position in failing), index)
-        return cls(results=results, failing_positions=failing, groups=groups, stats=ChunkStats(
-            index=index,
-            workloads=len(results),
-            seconds=seconds,
-            failing_workloads=len(failing),
-            worker=worker,
+        return cls(
+            record=ChunkRecord(index, len(results), seconds, len(failing), worker),
             totals=roll_ups_of(results),
             raw_reports=sum(len(result.bug_reports) for result in results),
-        ))
+            failing_positions=failing,
+            groups=partial_of(((position, results[position]) for position in failing), index),
+            results=results)
 
     def packed(self) -> "ChunkOutcome":
-        """This outcome as its sink stores it: row text for the results, and
-        the group partial's positions without the reports they point at."""
-        if self.rows is not None:
-            return self
+        """This outcome as a state store keeps it: row text for the results,
+        and the group partial's positions without the reports they point at."""
         return replace(self, results=[], rows=[result.to_row() for result in self.results],
                        groups={key: [count, first, None]
                                for key, (count, first, _) in self.groups.items()})
@@ -190,27 +168,24 @@ def _run_chunk(indexed_chunk: IndexedChunk, pack: bool) -> ChunkOutcome:
 class ProcessPoolBackend:
     """Parallel execution across worker processes with bounded in-flight work.
 
+    At most ``2 * processes`` chunks are submitted but not yet collected:
+    each worker has one chunk running and one queued, which bounds both
+    memory and how far ahead of testing the workload generator is consumed.
+
     Args:
         processes: number of worker processes (defaults to the CPUs this
             process may use).
-        max_inflight: cap on chunks submitted but not yet collected.  Bounds
-            both memory and how far ahead of testing the workload generator is
-            consumed; defaults to ``2 * processes``.
     """
 
     overlaps_generation = True
 
-    def __init__(self, processes: Optional[int] = None,
-                 max_inflight: Optional[int] = None):
+    def __init__(self, processes: Optional[int] = None):
         if processes is None:
             try:
                 processes = len(os.sched_getaffinity(0))
             except AttributeError:  # pragma: no cover - non-Linux
                 processes = os.cpu_count() or 1
         self.processes = max(1, processes)
-        self.max_inflight = max_inflight if max_inflight is not None else 2 * self.processes
-        if self.max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
 
     def execute(self, spec: HarnessSpec, chunks: Iterable[IndexedChunk],
                 pack: bool = False) -> Iterator[ChunkOutcome]:
@@ -227,7 +202,7 @@ class ProcessPoolBackend:
             exhausted = False
             while True:
                 # Refill the submission window from the (lazy) chunk stream.
-                while not exhausted and len(pending) < self.max_inflight:
+                while not exhausted and len(pending) < 2 * self.processes:
                     try:
                         indexed_chunk = next(source)
                     except StopIteration:

@@ -32,8 +32,8 @@ death of the process running it:
   reports, scenario totals and dedup counters as an uninterrupted run —
   under the serial and the process-pool backend alike.  The session holds
   no result of its own: each chunk's results go to the store as it lands,
-  with the session's testing time since the previous ingest, so a session
-  killed after its last ingest has stored all of its testing time.
+  with the testing time the engine gives the chunk, so a session killed
+  after its last ingest has stored all of its testing time.
 
 The runner honours one fault-injection hook, in the spirit of a tester that
 must survive its own medicine: ``REPRO_SELFCRASH_AFTER_CHUNKS=N`` SIGKILLs
@@ -52,7 +52,6 @@ import signal
 from dataclasses import replace
 from typing import List, Optional
 
-from .. import clock
 from ..ace.adapter import CrashMonkeyAdapter
 from ..core.campaign import B3Campaign, CampaignConfig
 from ..core.results import CampaignResult
@@ -227,22 +226,12 @@ class DurableCampaignRunner:
                     yield (index, chunk)
                 index, chunk = index + 1, following
 
-        engine = campaign.engine(progress, spec=spec)
         ingested = 0
-        # The session's testing time goes to the store with each ingest: the
-        # wall clock since the previous one, less the generation in it unless
-        # the backend overlaps the two, so a session killed after its last
-        # ingest has stored all of it.
-        overlaps = engine.backend.overlaps_generation
-        last_ingest, last_generated = clock.now(), timed.seconds
 
-        def on_outcome(outcome: ChunkOutcome) -> None:
-            nonlocal ingested, last_ingest, last_generated
-            now, generated = clock.now(), timed.seconds
-            seconds = now - last_ingest
-            if not overlaps:
-                seconds = max(seconds - (generated - last_generated), 0.0)
-            last_ingest, last_generated = now, generated
+        def on_outcome(outcome: ChunkOutcome, seconds: float) -> None:
+            # The chunk's testing time goes to the store with it, so a session
+            # killed after its last ingest has stored all of its own.
+            nonlocal ingested
             if db.ingest_outcome(campaign_id, outcome, testing_seconds=seconds):
                 ingested += 1
             else:
@@ -259,6 +248,5 @@ class DurableCampaignRunner:
                     worker.kill()
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        engine.run_indexed(pending_chunks(), label=campaign.label, on_outcome=on_outcome,
-                           generation=timed)
+        campaign.engine(progress, spec=spec).run_indexed(pending_chunks(), on_outcome, timed)
         return db.campaign_result(campaign_id)

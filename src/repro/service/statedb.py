@@ -83,9 +83,17 @@ from dataclasses import fields
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 from urllib.parse import quote
 
-from ..core.dedup import GroupPartial, Position, merge_partials, partial_of
 from ..core.results import CampaignResult
-from ..crashmonkey.report import BugReport, CrashTestResult, merge_roll_ups, roll_ups_of
+from ..crashmonkey.report import (
+    BugReport,
+    CrashTestResult,
+    GroupPartial,
+    Position,
+    merge_partials,
+    merge_roll_ups,
+    partial_of,
+    roll_ups_of,
+)
 from ..engine.backends import ChunkOutcome
 from ..errors import CampaignDriftError, UnknownCampaignError
 from ..options import CampaignConfig, retired_drift
@@ -503,11 +511,12 @@ class CampaignStateDB:
 
     def ingest_outcome(self, campaign_id: str, outcome: ChunkOutcome,
                        testing_seconds: float = 0.0) -> bool:
-        """Commit one completed chunk atomically; dedup-at-write.
+        """Commit one completed chunk, :meth:`~ChunkOutcome.packed` by the
+        code that ran it, atomically; dedup-at-write.
 
         Result rows, the chunk's ``done`` flip, its accounting counters and
         group partial, and ``testing_seconds`` — the session's testing time
-        since its previous ingest — land in one transaction: after a crash
+        the engine handed over with the chunk — land in one transaction: after a crash
         the chunk is either fully ingested or untouched (still
         ``processing``, reset by recovery), and the campaign's testing time
         is what its sessions spent up to their last ingest.  A chunk already
@@ -516,18 +525,16 @@ class CampaignStateDB:
         were spent); the return value says whether this outcome was the one
         that landed.
         """
-        # Packed where the chunk ran, normally; one built from results is packed here.
-        outcome = outcome.packed()
-        stats = outcome.stats
+        record = outcome.record
 
         def ingest() -> bool:
             row = self._conn.execute(
                 "SELECT status FROM chunks WHERE campaign_id = ? AND chunk_index = ?",
-                (campaign_id, stats.index),
+                (campaign_id, record.index),
             ).fetchone()
             if row is None:
                 raise KeyError(
-                    f"chunk {stats.index} of campaign {campaign_id!r} was never registered"
+                    f"chunk {record.index} of campaign {campaign_id!r} was never registered"
                 )
             self._conn.execute(
                 "UPDATE campaigns SET testing_seconds = testing_seconds + ? "
@@ -539,7 +546,7 @@ class CampaignStateDB:
                 "INSERT OR IGNORE INTO results "
                 "(campaign_id, chunk_index, position, result_json, failing) "
                 "VALUES (?, ?, ?, ?, ?)",
-                [(campaign_id, stats.index, position, text, int(position in failing))
+                [(campaign_id, record.index, position, text, int(position in failing))
                  for position, text in enumerate(outcome.rows)],
             )
             self._conn.execute(
@@ -547,14 +554,14 @@ class CampaignStateDB:
                 "failing = ?, raw_reports = ?, roll_ups = ?, groups = ? "
                 "WHERE campaign_id = ? AND chunk_index = ?",
                 (
-                    stats.seconds,
-                    stats.worker,
-                    stats.failing_workloads,
-                    stats.raw_reports,
-                    json.dumps(stats.totals, separators=(",", ":")),
+                    record.seconds,
+                    record.worker,
+                    record.failing_workloads,
+                    outcome.raw_reports,
+                    json.dumps(outcome.totals, separators=(",", ":")),
                     _encode_groups(outcome.groups),
                     campaign_id,
-                    stats.index,
+                    record.index,
                 ),
             )
             return True

@@ -16,15 +16,17 @@ import contextlib
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import pytest
 
 from repro.ace import AceSynthesizer, group_siblings, seq1_bounds, seq2_bounds, seq3_data_bounds
-from repro.core import B3Campaign, CampaignConfig
+from repro.ace.adapter import CrashMonkeyAdapter
+from repro.core import B3Campaign, CampaignConfig, CampaignResult
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.report import CrashTestResult
-from repro.engine import EngineRun, HarnessSpec
+from repro.engine import ChunkOutcome, EngineRun, HarnessSpec
 from repro.fs import resolve_fs_name
 from repro.storage import CowDevice
 from repro.workload import parse_workload
@@ -261,19 +263,31 @@ def _from_scratch(fs_name: str, bugs, space_name: str) -> tuple:
 # --------------------------------------------------------------- one layer up
 
 
-def engine_run(config: CampaignConfig, workloads, **execution) -> EngineRun:
+def engine_run(config: CampaignConfig, workloads,
+               **execution) -> Tuple[CampaignResult, EngineRun]:
     """``workloads`` tested as a campaign of ``config`` with ``execution``
-    options replaced: its engine run, one :class:`ChunkStats` per chunk."""
+    options replaced: its result, and its engine run (one :class:`ChunkRecord`
+    per chunk)."""
     campaign = B3Campaign(replace(config, **execution))
-    campaign.run(workloads)
-    return campaign.last_run
+    return campaign.run(workloads), campaign.last_run
 
 
-#: campaign config -> the session's engine run
-_CAMPAIGNS: Dict[CampaignConfig, EngineRun] = {}
+def chunk_outcomes(config: CampaignConfig, workloads, **execution) -> List[ChunkOutcome]:
+    """``workloads``, adapted, through the engine of a campaign of ``config``
+    with ``execution`` options replaced: each chunk's outcome, in stream order
+    (what :meth:`B3Campaign.run` collects into its result)."""
+    campaign = B3Campaign(replace(config, **execution))
+    outcomes: List[ChunkOutcome] = []
+    campaign.engine().run(CrashMonkeyAdapter(campaign.fs_name).adapt_stream(workloads),
+                          lambda outcome, _: outcomes.append(outcome))
+    return sorted(outcomes, key=attrgetter("record.index"))
 
 
-def campaign(processes: int = 1, **options) -> EngineRun:
+#: campaign config -> the session's result and engine run
+_CAMPAIGNS: Dict[CampaignConfig, Tuple[CampaignResult, EngineRun]] = {}
+
+
+def campaign(processes: int = 1, **options) -> Tuple[CampaignResult, EngineRun]:
     """The full seq-1 space as a campaign on ``btrfs``: one run per config and
     process count per session."""
     config = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS,
@@ -286,7 +300,7 @@ def campaign(processes: int = 1, **options) -> EngineRun:
 def assert_campaigns_agree(option: str, values) -> dict:
     """Under each value of ``option``, serial and pooled: every campaign's
     ``canonical_dict()`` is the first's.  Results by (value, processes)."""
-    results = {(value, processes): campaign(processes, **{option: value}).result
+    results = {(value, processes): campaign(processes, **{option: value})[0]
                for value, processes in itertools.product(values, (1, 2))}
     expected = next(iter(results.values())).canonical_dict()
     assert expected["derived"]["raw_reports"] > 0, "the buggy seq-1 space must produce reports"

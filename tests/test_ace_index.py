@@ -125,8 +125,11 @@ class TestExactCount:
         assert synthesizer.count(("link",)) < SEQ2_SPACE
 
     def test_phase_counts_end_in_the_exact_count(self):
-        counts = AceSynthesizer(seq1_bounds()).phase_counts()
+        synthesizer = AceSynthesizer(seq1_bounds())
+        counts = synthesizer.phase_counts()
         assert counts["phase4_final"] == 465
+        # Phase 3 of the funnel is the stride basis: one analytic product.
+        assert counts["phase3_with_persistence"] == synthesizer.estimate_count() == 438
 
     def test_estimate_count_is_only_the_stride_basis(self):
         # Lower-biased: the representative parameterization (top-level foo)
@@ -135,6 +138,7 @@ class TestExactCount:
         synthesizer = AceSynthesizer(seq3_data_bounds())
         assert synthesizer.estimate_count() == 10_668_672
         assert synthesizer.count() == 21_249_536
+        assert synthesizer.phase_counts()["phase3_with_persistence"] == 10_668_672
 
 
 class TestSampleStream:

@@ -32,7 +32,7 @@ import pytest
 from repro.crashmonkey import CrashStateGenerator, MechanismPlanner
 from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.verdicts import _CheckpointRecord
-from repro.core import CampaignConfig
+from repro.core import CampaignConfig, CampaignResult
 from repro.fs import BugConfig
 from repro.storage import RecordingDevice, SpineStore
 from repro.workload import parse_workload
@@ -250,22 +250,23 @@ def test_harness_reports_identical_with_recorded_and_walked_records(fs_name):
 def _campaign(*texts):
     config = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS, chunk_size=8)
     workloads = [parse_workload(text, name=f"wl-{index}") for index, text in enumerate(texts)]
-    return differential.engine_run(config, iter(workloads))
+    return differential.chunk_outcomes(config, iter(workloads))
 
 
 def test_campaign_result_keeps_the_retired_replay_counters_at_zero():
     """Sharing happens while recording now; the replay counters keep their
     shape for stored results and readers, and stay zero."""
-    run = _campaign(SIBLING_A, SIBLING_B)
-    result = run.result
+    outcomes = _campaign(SIBLING_A, SIBLING_B)
+    result = CampaignResult.of_outcomes(outcomes, fs_name="btrfs", fs_model="btrfs")
     assert result.prefix_hits == 1
     assert result.replay_hits == 0
     assert result.replay_writes_reused == 0
     assert all(r.replay_seconds_saved == 0.0 and not r.replay_shared for r in result.results)
-    assert sum(stats.replay_hits for stats in run.chunks) == 0
+    assert sum(outcome.replay_hits for outcome in outcomes) == 0
 
 
 def test_describe_omits_replay_line_without_hits():
-    description = _campaign(SIBLING_A).result.describe()
+    description = CampaignResult.of_outcomes(_campaign(SIBLING_A), fs_name="btrfs",
+                                             fs_model="btrfs").describe()
     assert "replay:" not in description
     assert "trail hits" not in description

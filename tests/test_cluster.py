@@ -12,9 +12,10 @@ from repro.cluster import (
     estimate_deployment,
 )
 from repro.core import B3Campaign, CampaignConfig
-from repro.engine import ChunkStats
+from repro.engine import ChunkRecord
 from repro.fs import BugConfig
 
+import differential
 from conftest import SMALL_DEVICE_BLOCKS
 
 
@@ -87,44 +88,46 @@ BUGGY = CampaignConfig(fs_name="btrfs", device_blocks=SMALL_DEVICE_BLOCKS)
 
 
 def _batches(config, workloads, chunk_size):
-    """Test ``workloads`` as a campaign; its engine run, one chunk per VM batch."""
+    """Test ``workloads`` as a campaign; its result and engine run, one chunk per VM batch."""
     campaign = B3Campaign(replace(config, chunk_size=chunk_size))
-    campaign.run(workloads)
-    return campaign.last_run
+    return campaign.run(workloads), campaign.last_run
 
 
 class TestCampaignBatches:
     def test_serial_run_matches_direct_testing(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(12)
-        run = _batches(PATCHED, workloads, chunk_size=3)
-        assert run.result.workloads_tested == 12
+        result, run = _batches(PATCHED, workloads, chunk_size=3)
+        assert result.workloads_tested == 12
         assert len(run.chunks) == 4
-        assert all(isinstance(stats, ChunkStats) for stats in run.chunks)
-        assert [stats.index for stats in run.chunks] == [0, 1, 2, 3]
-        assert sum(stats.workloads for stats in run.chunks) == 12
+        assert all(type(record) is ChunkRecord for record in run.chunks)
+        assert [record.index for record in run.chunks] == [0, 1, 2, 3]
+        assert sum(record.workloads for record in run.chunks) == 12
         assert run.max_chunk_seconds > 0
-        assert run.result.failing_workloads == 0
+        assert result.failing_workloads == 0
 
-    def test_buggy_fs_failures_surface_in_chunk_stats(self):
+    def test_buggy_fs_failures_surface_in_each_batch(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(40)
-        run = _batches(BUGGY, workloads, chunk_size=20)
-        assert sum(stats.failing_workloads for stats in run.chunks) == \
-            run.result.failing_workloads
-        # A batch's statistics are its chunk's: every roll-up, not a hand-picked few.
-        assert sum(stats.crash_points_tested for stats in run.chunks) == \
-            run.result.crash_points_tested > 0
+        result, run = _batches(BUGGY, workloads, chunk_size=20)
+        assert sum(record.failing_workloads for record in run.chunks) == \
+            result.failing_workloads > 0
+        # A batch's statistics are its chunk's outcome's: every roll-up, not a hand-picked few.
+        outcomes = differential.chunk_outcomes(BUGGY, workloads, chunk_size=20)
+        assert [outcome.record.workloads for outcome in outcomes] == \
+            [record.workloads for record in run.chunks]
+        assert sum(outcome.crash_points_tested for outcome in outcomes) == \
+            result.crash_points_tested > 0
 
     def test_every_harness_option_reaches_the_batches(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(10)
-        prefix = _batches(BUGGY, workloads, chunk_size=5)
-        torn = _batches(replace(BUGGY, crash_plan="torn", skip_checks=("write",)),
-                        workloads, chunk_size=5)
-        assert torn.result.scenarios_tested > prefix.result.scenarios_tested
-        assert "write" not in torn.result.check_timings()
+        prefix, _ = _batches(BUGGY, workloads, chunk_size=5)
+        torn, _ = _batches(replace(BUGGY, crash_plan="torn", skip_checks=("write",)),
+                           workloads, chunk_size=5)
+        assert torn.scenarios_tested > prefix.scenarios_tested
+        assert "write" not in torn.check_timings()
 
     def test_projection_to_cluster_scale(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(10)
-        result = _batches(PATCHED, workloads, chunk_size=5).result
+        result, _ = _batches(PATCHED, workloads, chunk_size=5)
         per_workload = result.testing_seconds / result.workloads_tested
         projected = estimate_campaign_hours(3_370_000, per_workload)
         assert projected > 0

@@ -575,13 +575,13 @@ class TestCrashPlanThroughTheEngine:
                                 device_blocks=SMALL_DEVICE_BLOCKS, chunk_size=2,
                                 crash_plan="reorder", reorder_bound=1)
         workloads = [parse_workload(BARRIER_BUG_WORKLOAD, name=f"wl-{i}") for i in range(6)]
-        serial = differential.engine_run(config, iter(workloads))
-        pooled = differential.engine_run(config, iter(workloads), processes=2)
+        serial, _ = differential.engine_run(config, iter(workloads))
+        pooled, _ = differential.engine_run(config, iter(workloads), processes=2)
 
-        def findings(run):
+        def findings(campaign):
             return [
                 (r.checkpoint_id, r.consequence, r.scenario)
-                for result in run.result.results for r in result.bug_reports
+                for result in campaign.results for r in result.bug_reports
             ]
 
         assert findings(serial) == findings(pooled)
@@ -612,13 +612,13 @@ class TestCrashPlanThroughTheEngine:
                                 device_blocks=SMALL_DEVICE_BLOCKS, chunk_size=2,
                                 crash_plan="torn", torn_bound=1)
         workloads = [parse_workload(FUA_BUG_WORKLOAD, name=f"wl-{i}") for i in range(6)]
-        serial = differential.engine_run(config, iter(workloads))
-        pooled = differential.engine_run(config, iter(workloads), processes=2)
+        serial, _ = differential.engine_run(config, iter(workloads))
+        pooled, _ = differential.engine_run(config, iter(workloads), processes=2)
 
-        def findings(run):
+        def findings(campaign):
             return [
                 (r.checkpoint_id, r.consequence, r.scenario)
-                for result in run.result.results for r in result.bug_reports
+                for result in campaign.results for r in result.bug_reports
             ]
 
         assert findings(serial) == findings(pooled)

@@ -6,13 +6,16 @@ from repro.ace import AceSynthesizer, seq1_bounds
 from repro.cluster import estimate_campaign_hours
 from repro.core import B3Campaign, CampaignConfig, quick_campaign
 from repro.crashmonkey import CrashMonkey
+from repro.core.results import CampaignResult
 from repro.engine import (
     CampaignEngine,
-    ChunkStats,
+    ChunkRecord,
     HarnessSpec,
     ProcessPoolBackend,
     SerialBackend,
     TimedIterator,
+    family_chunks,
+    make_backend,
 )
 
 import differential
@@ -56,13 +59,13 @@ class TestStreamHelpers:
 class TestSerialEngine:
     def test_full_seq1_space_matches_direct_harness_run(self):
         workloads = differential.space()
-        run = differential.campaign()
+        result, run = differential.campaign()
         direct = differential.reference("btrfs").results
-        assert [_fingerprint(r) for r in run.result.results] == \
+        assert [_fingerprint(r) for r in result.results] == \
             [_fingerprint(r) for r in direct]
-        assert run.result.workloads_tested == len(workloads)
-        assert run.result.testing_seconds > 0
-        assert run.result.generation_seconds >= 0
+        assert result.workloads_tested == len(workloads)
+        assert result.testing_seconds == run.testing_seconds > 0
+        assert result.generation_seconds == run.generation_seconds >= 0
 
     def test_generation_is_streamed_not_materialized(self):
         total = AceSynthesizer(seq1_bounds()).count()
@@ -81,7 +84,7 @@ class TestSerialEngine:
 
         engine = CampaignEngine(_spec(), backend=SerialBackend(), chunk_size=32,
                                 progress=on_progress)
-        engine.run(counting_source(), label="seq-1")
+        engine.run(counting_source(), lambda outcome, seconds: None)
 
         # At the first completed chunk, the generator must not be exhausted:
         first_pulled, first_done = pulled_at_event[0]
@@ -95,11 +98,15 @@ class TestSerialEngine:
         events = []
         engine = CampaignEngine(_spec(), chunk_size=10, progress=events.append)
         workloads = AceSynthesizer(seq1_bounds()).sample(25)
-        run = engine.run(iter(workloads))
+        outcomes = []
+        run = engine.run(iter(workloads), lambda outcome, _: outcomes.append(outcome))
         assert [event.chunks_done for event in events] == [1, 2, 3]
         assert [event.workloads_done for event in events] == [10, 20, 25]
-        assert events[-1].failing_workloads == run.result.failing_workloads
+        assert events[-1].failing_workloads == \
+            sum(outcome.record.failing_workloads for outcome in outcomes)
         assert all(event.chunk.seconds > 0 for event in events)
+        # Each event carries the record the run keeps of its chunk.
+        assert [event.chunk for event in events] == run.chunks
 
     def test_a_backend_built_with_a_harness_runs_the_spec_it_is_handed(self):
         harness = CrashMonkey(spec=_spec(fs_name="logfs"))
@@ -111,31 +118,83 @@ class TestSerialEngine:
         assert backend._harness is harness
 
     def test_empty_stream_yields_empty_result(self):
-        run = differential.engine_run(_config(), iter(()))
-        assert run.result.workloads_tested == 0
+        result, run = differential.engine_run(_config(), iter(()))
+        assert result.workloads_tested == 0
         assert run.chunks == []
         assert run.max_chunk_seconds == 0.0
+        assert run.testing_seconds == 0.0
+
+
+@pytest.mark.parametrize("processes", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize("entry", ["run", "run_indexed"])
+def test_the_sink_gets_every_chunk_once_and_all_the_testing_seconds(entry, processes):
+    """Whichever entry and backend: each chunk's outcome reaches the sink once,
+    with seconds that sum to the run's testing time."""
+    workloads = AceSynthesizer(seq1_bounds()).sample(24)
+    engine = CampaignEngine(_spec(), backend=make_backend(processes), chunk_size=4)
+    sunk = []
+
+    def sink(outcome, seconds):
+        sunk.append((outcome, seconds))
+
+    if entry == "run":
+        run = engine.run(iter(workloads), sink)
+    else:
+        timed = TimedIterator(workloads)
+        run = engine.run_indexed(enumerate(family_chunks(timed, 4)), sink, timed)
+        assert run.generation_seconds == timed.seconds
+    assert run.generation_seconds > 0.0
+    expected = [len(chunk) for chunk in family_chunks(workloads, 4)]
+    assert sorted(outcome.record.index for outcome, _ in sunk) == list(range(len(expected)))
+    assert run.chunks == sorted((outcome.record for outcome, _ in sunk),
+                                key=lambda record: record.index)
+    assert [record.workloads for record in run.chunks] == expected
+    # ``run`` hands results over as tested, ``run_indexed`` packed for a store.
+    packed = entry == "run_indexed"
+    assert all((outcome.rows is not None, outcome.results == []) == (packed, packed)
+               for outcome, _ in sunk)
+    seconds = [seconds for _, seconds in sunk]
+    assert all(second >= 0.0 for second in seconds)
+    assert sum(seconds) == run.testing_seconds > 0.0
+    assert run.testing_seconds <= run.wall_clock_seconds
+
+
+def test_a_plain_run_reads_as_the_results_it_collected():
+    """The collected outcomes' merged roll-ups and partials read exactly as the
+    same results rolled up and grouped whole, and as one harness's results."""
+    result, _ = differential.campaign()
+
+    def whole(results):
+        return CampaignResult(result.fs_name, result.fs_model, label=result.label,
+                              results=list(results),
+                              generation_seconds=result.generation_seconds,
+                              testing_seconds=result.testing_seconds)
+
+    assert len(result.grouped_reports()) > 1
+    assert result.describe() == whole(result.results).describe()
+    assert result.canonical_dict() == whole(result.results).canonical_dict() == \
+        whole(differential.reference("btrfs").results).canonical_dict()
 
 
 class TestProcessPoolEngine:
     def test_pool_and_serial_find_identical_bugs_on_full_seq1_space(self):
-        serial = differential.campaign()
-        pooled = differential.engine_run(_config(), AceSynthesizer(seq1_bounds()).generate(),
-                                         processes=2, chunk_size=48)
-        assert serial.result.workloads_tested == pooled.result.workloads_tested
+        serial, _ = differential.campaign()
+        pooled, run = differential.engine_run(_config(), AceSynthesizer(seq1_bounds()).generate(),
+                                              processes=2, chunk_size=48)
+        assert serial.workloads_tested == pooled.workloads_tested
         # Identical findings in identical (sorted) order.
-        assert [_fingerprint(r) for r in serial.result.results] == \
-            [_fingerprint(r) for r in pooled.result.results]
-        assert serial.result.failing_workloads == pooled.result.failing_workloads
-        assert len(serial.result.grouped_reports()) == len(pooled.result.grouped_reports())
+        assert [_fingerprint(r) for r in serial.results] == \
+            [_fingerprint(r) for r in pooled.results]
+        assert serial.failing_workloads == pooled.failing_workloads
+        assert len(serial.grouped_reports()) == len(pooled.grouped_reports())
         # Real per-chunk timing measured inside the workers.
-        assert all(stats.seconds > 0 for stats in pooled.chunks)
-        assert any(stats.worker.startswith("pid-") for stats in pooled.chunks)
+        assert all(record.seconds > 0 for record in run.chunks)
+        assert any(record.worker.startswith("pid-") for record in run.chunks)
 
     def test_pool_consumes_the_stream_lazily(self):
         total = AceSynthesizer(seq1_bounds()).count()
-        chunk_size, max_inflight = 16, 3
-        backend = ProcessPoolBackend(processes=2, max_inflight=max_inflight)
+        chunk_size, processes = 16, 2
+        backend = ProcessPoolBackend(processes=processes)
         pulled = 0
         high_water = []
 
@@ -150,45 +209,43 @@ class TestProcessPoolEngine:
 
         engine = CampaignEngine(_spec(), backend=backend, chunk_size=chunk_size,
                                 progress=on_progress)
-        run = engine.run(counting_source(), label="seq-1")
-        assert run.result.workloads_tested == total
+        run = engine.run(counting_source(), lambda outcome, seconds: None)
+        assert sum(record.workloads for record in run.chunks) == total
         first_pulled, _ = high_water[0]
         assert first_pulled < total
-        # The submission window bounds how far generation runs ahead of testing.
+        # The submission window (two chunks per worker) bounds how far
+        # generation runs ahead of testing.
         for pulled_count, done in high_water:
-            assert pulled_count <= done + chunk_size * (max_inflight + 1)
-
-    def test_backend_requires_sane_inflight_window(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(processes=2, max_inflight=0)
+            assert pulled_count <= done + chunk_size * (2 * processes + 1)
 
     def test_check_selection_propagates_to_pool_workers(self):
         """Workers rebuild identical pipelines from the pickled spec."""
         workloads = list(AceSynthesizer(seq1_bounds()).sample(40))
         mount_only = _config(checks=("mount",))
-        serial = differential.engine_run(mount_only, iter(workloads))
-        pooled = differential.engine_run(mount_only, iter(workloads), processes=2, chunk_size=8)
-        assert [_fingerprint(r) for r in serial.result.results] == \
-            [_fingerprint(r) for r in pooled.result.results]
+        serial, _ = differential.engine_run(mount_only, iter(workloads))
+        pooled, _ = differential.engine_run(mount_only, iter(workloads), processes=2,
+                                            chunk_size=8)
+        assert [_fingerprint(r) for r in serial.results] == \
+            [_fingerprint(r) for r in pooled.results]
         # Every surviving mismatch came from the one selected check, and the
         # per-check attribution only mentions it.
-        for result in pooled.result.results:
+        for result in pooled.results:
             assert set(result.check_timings) <= {"mount"}
             for report in result.bug_reports:
                 assert {m.check for m in report.mismatches} == {"mount"}
 
     def test_skip_checks_spec_changes_findings(self):
         workloads = list(AceSynthesizer(seq1_bounds()).sample(40))
-        full = differential.engine_run(_config(), iter(workloads))
-        skipped = differential.engine_run(_config(skip_checks=("write", "read", "directory")),
-                                          iter(workloads))
+        full, _ = differential.engine_run(_config(), iter(workloads))
+        skipped, _ = differential.engine_run(_config(skip_checks=("write", "read", "directory")),
+                                             iter(workloads))
         skipped_checks = {m.check
-                          for result in skipped.result.results
+                          for result in skipped.results
                           for report in result.bug_reports
                           for m in report.mismatches}
         assert "write" not in skipped_checks
         assert "read" not in skipped_checks
-        assert skipped.result.failing_workloads <= full.result.failing_workloads
+        assert skipped.failing_workloads <= full.failing_workloads
 
 
 class TestCampaignFacade:
@@ -199,8 +256,8 @@ class TestCampaignFacade:
         result = campaign.run()
         assert result.workloads_tested == 40
         assert campaign.last_run is not None
-        assert campaign.last_run.result is result
-        assert sum(stats.workloads for stats in campaign.last_run.chunks) == 40
+        assert result.testing_seconds == campaign.last_run.testing_seconds
+        assert sum(record.workloads for record in campaign.last_run.chunks) == 40
 
     def test_parallel_campaign_matches_serial_findings(self):
         serial = quick_campaign("btrfs", seq_length=1, max_workloads=100)
@@ -253,22 +310,26 @@ class TestCampaignChunksAreTheClusterBatches:
         campaign.run(workloads)
         chunks = campaign.last_run.chunks
         assert len(chunks) == 4
-        assert all(isinstance(stats, ChunkStats) for stats in chunks)
-        assert all(stats.seconds > 0 for stats in chunks)
+        assert all(type(record) is ChunkRecord for record in chunks)
+        assert all(record.seconds > 0 for record in chunks)
         # Real measurements from a pool are wall clocks of distinct batches,
         # not one elapsed time divided evenly.
-        assert len({round(stats.seconds, 9) for stats in chunks}) > 1
-        assert all(stats.worker.startswith("pid-") for stats in chunks)
-        assert campaign.last_run.max_chunk_seconds == max(stats.seconds for stats in chunks)
+        assert len({round(record.seconds, 9) for record in chunks}) > 1
+        assert all(record.worker.startswith("pid-") for record in chunks)
+        assert campaign.last_run.max_chunk_seconds == max(record.seconds for record in chunks)
 
     def test_batch_roll_ups_sum_to_the_campaign(self):
         workloads = AceSynthesizer(seq1_bounds()).sample(30)
-        campaign = B3Campaign(_config(processes=2, chunk_size=8))
-        result = campaign.run(workloads)
-        chunks = campaign.last_run.chunks
-        assert sum(stats.workloads for stats in chunks) == result.workloads_tested == 30
-        for name in ("failing_workloads", "crash_points_tested", "scenarios_tested"):
-            assert sum(getattr(stats, name) for stats in chunks) == getattr(result, name)
+        outcomes = differential.chunk_outcomes(_config(), workloads, processes=2, chunk_size=8)
+        # The campaign of the same results, rolled up from the results themselves.
+        result = CampaignResult("btrfs", "btrfs",
+                                results=[test for outcome in outcomes for test in outcome.results])
+        assert sum(outcome.record.workloads for outcome in outcomes) == \
+            result.workloads_tested == 30
+        assert sum(outcome.record.failing_workloads for outcome in outcomes) == \
+            result.failing_workloads
+        for name in ("crash_points_tested", "scenarios_tested"):
+            assert sum(getattr(outcome, name) for outcome in outcomes) == getattr(result, name)
         assert result.crash_points_tested > 0
 
     def test_pooled_batches_match_serial_campaign_findings(self):

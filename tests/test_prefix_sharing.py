@@ -18,7 +18,7 @@ import pytest
 
 from repro.ace import AceSynthesizer, CrashMonkeyAdapter, group_siblings, seq1_bounds
 from repro.cli.main import main
-from repro.core import B3Campaign, CampaignConfig
+from repro.core import B3Campaign, CampaignConfig, CampaignResult
 from repro.core.dedup import group_reports
 from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.recorder import PlanStep, plan_spine
@@ -311,9 +311,11 @@ class TestPrefixAffineChunking:
         workloads = list(AceSynthesizer(seq1_bounds()).stream(limit=20))
         config = CampaignConfig(fs_name="btrfs", bugs=BugConfig.none(), chunk_size=8,
                                 device_blocks=SMALL_DEVICE_BLOCKS, share_prefixes=True)
-        run = differential.engine_run(config, iter(workloads))
-        assert sum(stats.prefix_hits for stats in run.chunks) == run.result.prefix_hits
-        assert run.result.prefix_hits > 0
+        outcomes = differential.chunk_outcomes(config, iter(workloads))
+        assert len(outcomes) > 1
+        whole = CampaignResult("btrfs", "btrfs",
+                               results=[test for outcome in outcomes for test in outcome.results])
+        assert sum(outcome.prefix_hits for outcome in outcomes) == whole.prefix_hits > 0
 
 
 # --------------------------------------------------------------------------- adapter surfacing
@@ -381,8 +383,7 @@ def test_campaign_result_aggregates_prefix_and_dedup_stats():
                             share_prefixes=True, chunk_size=8)
     workloads = [parse_workload(SIBLING_A, name="A"),
                  parse_workload(SIBLING_B, name="B")]
-    run = differential.engine_run(config, iter(workloads))
-    result = run.result
+    result, _ = differential.engine_run(config, iter(workloads))
     assert result.prefix_hits == 1
     assert result.prefix_ops_reused > 0
     assert result.prefix_writes_reused > 0

@@ -19,15 +19,15 @@ from hypothesis import strategies as st
 
 from repro.ace import seq1_bounds
 from repro.core.campaign import CampaignConfig
-from repro.core.dedup import (
-    KnownBugDatabase,
-    deduplicate,
-    group_reports,
+from repro.core.dedup import KnownBugDatabase, deduplicate, group_reports
+from repro.core.results import CampaignResult
+from repro.crashmonkey.report import (
+    BugReport,
+    CrashTestResult,
+    Mismatch,
     merge_partials,
     partial_of,
 )
-from repro.core.results import CampaignResult
-from repro.crashmonkey.report import BugReport, CrashTestResult, Mismatch
 from repro.service import CampaignStateDB, DurableCampaignRunner, statedb
 from repro.workload import parse_workload
 

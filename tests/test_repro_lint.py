@@ -121,6 +121,27 @@ def test_the_plan_and_the_cli_may_import_the_analysis():
                                         (row._replace(site=""),))
 
 
+def test_the_engine_importing_a_layer_above_it_is_caught():
+    findings = _sites(**{
+        "engine/engine.py": (
+            "from ..core.results import CampaignResult\n"
+            "from ..options import HarnessSpec\n"
+            "from .backends import ChunkOutcome\n"
+            "def run():\n"
+            "    import repro.service.statedb\n"),
+        "engine/backends.py": "from ..core import dedup\nfrom ..crashmonkey import report\n",
+        "engine/stream.py": "from ..service.runner import chunk_identity\n",
+        # the layers above may import the engine, and each other
+        "core/campaign.py": "from ..engine.engine import CampaignEngine\n",
+        "service/runner.py": "from ..core.campaign import B3Campaign\n",
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/engine/backends.py", 1), ("src/repro/engine/engine.py", 1),
+        ("src/repro/engine/engine.py", 5), ("src/repro/engine/stream.py", 1)]
+    assert all("the engine is a dispatcher below core/ and service/" in message
+               for _, _, message in findings)
+
+
 def test_analysis_importing_elsewhere_is_fine():
     assert _sites(**{"analysis/mechanisms.py": (
         "from ..fs import layout\n"
@@ -835,18 +856,19 @@ def test_a_roll_up_of_results_outside_where_they_are_is_caught():
                for _, _, message in findings)
 
 
-def test_a_merge_of_totals_outside_the_engine_and_the_store_is_caught():
+def test_a_merge_of_totals_outside_the_owners_of_outcomes_is_caught():
     merge = "def totals(parts):\n    return merge_roll_ups(parts)\n"
     findings = _sites(**{
-        "engine/engine.py": merge,
+        "engine/engine.py": "from ..crashmonkey import report\n" + merge.replace(
+            "merge_roll_ups", "report.merge_roll_ups"),
         "service/statedb.py": merge,
         "service/runner.py": merge,
-        "core/results.py": "from ..crashmonkey import report\n" + merge.replace(
-            "merge_roll_ups", "report.merge_roll_ups"),
+        "core/results.py": merge,
     })
     assert [(path, line) for path, line, _ in findings] == [
-        ("src/repro/core/results.py", 3), ("src/repro/service/runner.py", 2)]
-    assert all("outside engine/ and service/statedb.py" in message for _, _, message in findings)
+        ("src/repro/engine/engine.py", 3), ("src/repro/service/runner.py", 2)]
+    assert all("outside core/results.py and service/statedb.py" in message
+               for _, _, message in findings)
 
 
 def test_the_tree_rolls_up_results_only_at_the_three_sites():
@@ -854,11 +876,11 @@ def test_the_tree_rolls_up_results_only_at_the_three_sites():
     for text, owners in (
             ("`roll_ups_of(...)`", ["src/repro/core/results.py", "src/repro/engine/backends.py",
                                     "src/repro/service/statedb.py"]),
-            ("`merge_roll_ups(...)`", ["src/repro/engine/engine.py",
+            ("`merge_roll_ups(...)`", ["src/repro/core/results.py",
                                        "src/repro/service/statedb.py"]),
             ("`partial_of(...)`", ["src/repro/core/results.py", "src/repro/engine/backends.py",
                                    "src/repro/service/statedb.py"]),
-            ("`merge_partials(...)`", ["src/repro/engine/engine.py",
+            ("`merge_partials(...)`", ["src/repro/core/results.py",
                                        "src/repro/service/statedb.py"])):
         findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
                                                 (_row_of(text)._replace(site=""),))

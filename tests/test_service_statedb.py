@@ -43,8 +43,9 @@ def _result(name: str, reports: int = 0) -> CrashTestResult:
 
 
 def _outcome(index: int, names, reports: int = 0) -> ChunkOutcome:
+    """Chunk ``index`` of results named ``names``, packed as the code that ran it packs it."""
     return ChunkOutcome.of(index, [_result(n, reports) for n in names], 0.5,
-                           worker="test-worker")
+                           worker="test-worker").packed()
 
 
 # ------------------------------------------------------------------ campaigns
@@ -286,7 +287,7 @@ def test_a_chunk_past_the_page_cache_lands_whole_or_not_at_all(db):
     db.claim_chunk("c1", 0)
     outcome = _outcome(0, [f"w{n}" for n in range(400)], reports=1)
     cache = statedb.CACHE_KIB * 1024
-    assert sum(len(row) for row in outcome.packed().rows) > 4 * cache
+    assert sum(len(row) for row in outcome.rows) > 4 * cache
     wal_before = os.path.getsize(db.path + "-wal")
     # The chunk's UPDATE is the transaction's last statement: make it fail.
     db._conn.execute("CREATE TRIGGER refuse BEFORE UPDATE OF status ON chunks "

@@ -1,7 +1,7 @@
 """A durable campaign's result is read from its state store, not held.
 
 The engine hands each chunk's results to the store as it lands and keeps
-only the chunk's stats; the runner returns ``CampaignStateDB.campaign_result``,
+only the chunk's record; the runner returns ``CampaignStateDB.campaign_result``,
 whose ``results`` are read from the store on each pass, whose aggregates are
 the chunks' roll-ups merged, and whose reports come from the failing rows
 alone.  These tests pin that the parent holds no row and, since each chunk
@@ -66,17 +66,17 @@ def test_a_sink_owns_each_chunks_results():
     workloads = campaign.generate_workloads()
     events, sunk = [], []
     run = campaign.engine(events.append).run_indexed(
-        enumerate(family_chunks(workloads, 4)), on_outcome=sunk.append)
-    assert run.result.results == []
-    # Each chunk reaches the sink packed: row text and stats, no result.
+        enumerate(family_chunks(workloads, 4)), lambda outcome, _: sunk.append(outcome))
+    # Each chunk reaches the sink packed: row text, roll-ups and partial, no result.
     assert all(outcome.results == [] for outcome in sunk)
     assert sum(len(outcome.rows) for outcome in sunk) == len(workloads)
-    # The run keeps every chunk's stats, in stream order.
-    assert [stats.index for stats in run.chunks] == sorted(outcome.stats.index for outcome in sunk)
-    assert [stats.workloads for stats in run.chunks] == \
+    # The run keeps every chunk's record, and nothing else of it, in stream order.
+    assert run.chunks == sorted((outcome.record for outcome in sunk),
+                                key=lambda record: record.index)
+    assert [record.workloads for record in run.chunks] == \
         [len(chunk) for chunk in family_chunks(workloads, 4)]
     # Progress still counts the session's workloads and failing workloads.
-    failing = sum(outcome.stats.failing_workloads for outcome in sunk)
+    failing = sum(outcome.record.failing_workloads for outcome in sunk)
     assert failing > 0
     assert (events[-1].workloads_done, events[-1].failing_workloads) == (len(workloads), failing)
     assert [event.workloads_done for event in events] == \

@@ -35,7 +35,7 @@ from repro.crashmonkey.report import (
     roll_up,
     roll_ups_of,
 )
-from repro.engine import CampaignEngine, ChunkOutcome, ChunkStats
+from repro.engine import CampaignEngine, ChunkOutcome
 from repro.options import HarnessSpec
 from repro.workload import parse_workload
 
@@ -255,10 +255,11 @@ def test_a_counter_the_payload_predates_loads_as_its_default():
 ], ids=lambda param: f"{param[0]}-j{param[1]}")
 def seq1_run(request):
     fs_name, processes = request.param
-    campaign = B3Campaign(CampaignConfig(fs_name=fs_name, bounds=seq1_bounds(),
-                                         processes=processes, chunk_size=64))
-    result = campaign.run()
-    return result, campaign.last_run.chunks
+    config = CampaignConfig(fs_name=fs_name, bounds=seq1_bounds(), processes=processes,
+                            chunk_size=64)
+    # What ``B3Campaign.run`` does with its chunks' outcomes, keeping them.
+    outcomes = differential.chunk_outcomes(config, B3Campaign(config).iter_workloads())
+    return CampaignResult.of_outcomes(outcomes, fs_name=fs_name, fs_model=fs_name), outcomes
 
 
 def test_every_aggregate_equals_its_hand_written_sum(seq1_run):
@@ -274,11 +275,12 @@ def test_every_aggregate_equals_its_hand_written_sum(seq1_run):
         assert roll_up(campaign.results, name) == expected, aggregate
         assert totals[aggregate] == merged, aggregate
         # Chunks partition the campaign: their aggregates combine to its own.
-        per_chunk = [getattr(stats, aggregate) for stats in chunks]
+        per_chunk = [getattr(outcome, aggregate) for outcome in chunks]
         combined = max(per_chunk) if by_hand is highest else sum(per_chunk)
         assert combined == pytest.approx(expected), aggregate
     assert campaign.failing_workloads == sum(1 for r in campaign.results if r.bug_reports)
-    assert campaign.failing_workloads == sum(stats.failing_workloads for stats in chunks)
+    assert campaign.failing_workloads == \
+        sum(outcome.record.failing_workloads for outcome in chunks)
     assert campaign.phase_seconds() == pytest.approx(tuple(
         sum(getattr(result, name) for result in campaign.results)
         for name in ("profile_seconds", "replay_seconds", "mount_seconds",
@@ -319,16 +321,16 @@ def test_adding_a_counter_is_one_field():
     assert WithRetries.from_dict(session[2].to_dict()).retries == 5
     assert CampaignResult("logfs", "btrfs", results=session).retries == 7
     outcome = ChunkOutcome.of(0, session, 0.1)
-    assert outcome.stats.retries == 7 and outcome.stats.roll_ups()["retries"] == 7
+    assert outcome.retries == 7 and outcome.roll_ups()["retries"] == 7
     assert roll_up(session, "retries") == 7
 
     canonical = results(WithDeepest, "deepest_window", (3, 9, 4))
     assert canonical[1].canonical_dict()["deepest_window"] == 9
     assert CampaignResult("logfs", "btrfs", results=canonical).deepest_window == 9
-    assert ChunkOutcome.of(0, canonical, 0.1).stats.deepest_window == 9
+    assert ChunkOutcome.of(0, canonical, 0.1).deepest_window == 9
     # Chunks' totals merge into a campaign's with the subclass's counters and rules kept.
     for chunked, name, expected in ((session, "retries", 7), (canonical, "deepest_window", 9)):
-        parts = [ChunkOutcome.of(index, [result], 0.1).stats.totals
+        parts = [ChunkOutcome.of(index, [result], 0.1).totals
                  for index, result in enumerate(chunked)]
         assert merge_roll_ups(parts)[name] == expected
         assert merge_roll_ups(parts) == roll_ups_of(chunked)
@@ -344,11 +346,13 @@ def test_roll_ups_survive_pickling_and_deep_copies(seq1_run):
     campaign, chunks = seq1_run
     outcome = ChunkOutcome.of(3, campaign.results[:40], 0.5, worker="pid-1")
     for clone in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome)):
-        assert clone.stats.roll_ups() == outcome.stats.roll_ups()
-        assert clone.stats.prefix_hits == outcome.stats.prefix_hits > 0
-        assert clone.stats == outcome.stats
-    stats = pickle.loads(pickle.dumps(chunks[0]))
-    assert stats == chunks[0] and stats.prefix_hits == chunks[0].prefix_hits
+        assert clone.roll_ups() == outcome.roll_ups()
+        assert clone.prefix_hits == outcome.prefix_hits > 0
+        assert clone.record == outcome.record
+    # A packed outcome, as a pool worker ships it to a store, keeps them too.
+    packed = pickle.loads(pickle.dumps(chunks[0].packed()))
+    assert packed.record == chunks[0].record and packed.totals == chunks[0].totals
+    assert packed.prefix_hits == chunks[0].prefix_hits
     duplicate = copy.deepcopy(campaign)
     assert duplicate.to_dict() == campaign.to_dict()
     assert duplicate.crash_points_tested == campaign.crash_points_tested > 0
@@ -357,14 +361,14 @@ def test_roll_ups_survive_pickling_and_deep_copies(seq1_run):
 def test_an_unknown_attribute_is_still_an_attribute_error():
     campaign = CampaignResult("logfs", "btrfs")
     outcome = ChunkOutcome.of(0, [], 0.0)
-    for holder in (campaign, outcome, outcome.stats):
+    for holder in (campaign, outcome, outcome.packed()):
         assert not hasattr(holder, "no_such_counter")
         with pytest.raises(AttributeError, match="no_such_counter"):
             holder.no_such_counter
     # The per-workload flag is not an aggregate: only its declared name is.
     assert not hasattr(campaign, "prefix_shared") and not hasattr(campaign, "checkpoints_tested")
     # A holder that never got its fields (what unpickling starts from) must not recurse.
-    assert not hasattr(ChunkStats.__new__(ChunkStats), "prefix_hits")
+    assert not hasattr(ChunkOutcome.__new__(ChunkOutcome), "prefix_hits")
     assert not hasattr(CampaignResult.__new__(CampaignResult), "prefix_hits")
 
 
@@ -379,12 +383,14 @@ def test_progress_events_do_not_rescan_the_campaign(monkeypatch):
     monkeypatch.setattr(CrashTestResult, "passed", property(
         lambda self: calls.append(1) or passed.fget(self)))
     workloads = list(AceSynthesizer(seq2_bounds()).stream(limit=48))
-    events = []
+    events, sunk = [], []
     engine = CampaignEngine(HarnessSpec(fs_name="btrfs", device_blocks=4096),
                             progress=events.append)
-    run = engine.run_indexed(enumerate([workload] for workload in workloads))
+    engine.run_indexed(enumerate([workload] for workload in workloads),
+                       lambda outcome, _: sunk.append(outcome))
     assert len(events) == len(workloads) >= 20
-    assert [event.failing_workloads for event in events][-1] == run.result.failing_workloads
+    assert [event.failing_workloads for event in events][-1] == \
+        sum(outcome.record.failing_workloads for outcome in sunk)
     tallies = [event.failing_workloads for event in events]
     assert tallies == sorted(tallies)
     # One look per result (when its chunk is summarised), not one per result per event.
@@ -395,7 +401,7 @@ def test_a_resumed_tally_starts_from_the_offset():
     events = []
     campaign = B3Campaign(CampaignConfig(fs_name="btrfs", device_blocks=4096))
     progress = campaign.track_progress(events.append, done=(3, 40, 5), census=(9, 100))
-    campaign.engine(progress).run_indexed([(7, [FIGURE1])])
+    campaign.engine(progress).run_indexed([(7, [FIGURE1])], lambda outcome, seconds: None)
     assert [(event.chunks_done, event.workloads_done, event.failing_workloads,
              event.session_workloads, event.chunks_total, event.workloads_total)
             for event in events] == [(4, 41, 6, 1, 9, 100)]

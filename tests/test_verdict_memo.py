@@ -535,9 +535,10 @@ def test_serial_pool_and_resumed_durable_campaigns_agree_on_the_counter(tmp_path
     serial = B3Campaign(config).run()
     assert serial.memoized_scenarios > 0
 
-    pool_campaign = B3Campaign(replace(config, processes=2))
-    pooled = pool_campaign.run()
-    assert sum(chunk.memoized_scenarios for chunk in pool_campaign.last_run.chunks) \
+    pooled = B3Campaign(replace(config, processes=2)).run()
+    pooled_chunks = differential.chunk_outcomes(config, B3Campaign(config).iter_workloads(),
+                                                 processes=2)
+    assert sum(outcome.memoized_scenarios for outcome in pooled_chunks) \
         == serial.memoized_scenarios
 
     db_path = str(tmp_path / "state.sqlite")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Seventeen invariants, each protecting a guarantee a past change was built on.
+Eighteen invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -338,16 +338,16 @@ SITE_OWNERS: Tuple[Row, ...] = (
         "read from its store in one place: `CampaignStateDB.campaign_result`"),
     # 19. A count is computed once, where its results are: a chunk's where it ran, a
     #     result built from a list when it is built, an old store's chunk from its rows
-    #     by the migration on open.  Everything else merges those roll-ups, in the
-    #     engine and the store alone.
+    #     by the migration on open.  Everything else merges those roll-ups, in the two
+    #     owners of outcomes alone: a plain run's result and the store.
     Row(call("roll_ups_of"), "",
         "engine/backends.py:ChunkOutcome.of core/results.py:CampaignResult.__post_init__ "
         "service/statedb.py:CampaignStateDB._upgrade",
         "`roll_ups_of(...)` outside {site} — a count is computed once, where its results are; "
         "merge the chunks' `totals` instead of rolling up results again"),
-    Row(call("merge_roll_ups"), "", "engine/ service/statedb.py",
-        "`merge_roll_ups(...)` outside engine/ and service/statedb.py — a campaign's totals are "
-        "merged by the engine or the store that builds its `CampaignResult`"),
+    Row(call("merge_roll_ups"), "", "core/results.py service/statedb.py",
+        "`merge_roll_ups(...)` outside core/results.py and service/statedb.py — a campaign's "
+        "totals are merged by the owner of its outcomes that builds its `CampaignResult`"),
     #     The Figure-5 groups are a roll-up too: a chunk's group partial is computed at the
     #     same three sites and merged by the same two owners.
     Row(call("partial_of"), "",
@@ -355,9 +355,9 @@ SITE_OWNERS: Tuple[Row, ...] = (
         "service/statedb.py:CampaignStateDB._upgrade",
         "`partial_of(...)` outside {site} — a group partial is computed once, where its "
         "results are; merge the chunks' `groups` instead of grouping results again"),
-    Row(call("merge_partials"), "", "engine/ service/statedb.py",
-        "`merge_partials(...)` outside engine/ and service/statedb.py — a campaign's groups are "
-        "merged by the engine or the store that builds its `CampaignResult`"),
+    Row(call("merge_partials"), "", "core/results.py service/statedb.py",
+        "`merge_partials(...)` outside core/results.py and service/statedb.py — a campaign's "
+        "groups are merged by the owner of its outcomes that builds its `CampaignResult`"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
@@ -371,6 +371,11 @@ IMPORT_OWNERS: Tuple[Row, ...] = (
         "crashmonkey/crashplan.py",
         "{spelt} outside {site} — mechanism planning has one home; ask the plan "
         "`for_profile` returns for its report"),
+    # 20. The engine only dispatches: it hands each outcome to its owner, so it needs
+    #     nothing from the layers that own results (which import it).
+    Row(imports("repro.core", "repro.service"), "engine/", "",
+        "engine/ imports `{name}` — the engine is a dispatcher below core/ and service/: "
+        "hand the outcome to its sink and let its owner build the result"),
     # 13. The serialiser pickles whatever node it is handed and reduces storage types only.
     Row(imports("repro.crashmonkey", "repro.fs"), "storage/spill.py", "",
         "storage/spill.py imports `{name}` — the serialiser knows storage types only; "
