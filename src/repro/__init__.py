@@ -11,7 +11,6 @@ __version__ = "1.0.0"
 
 from . import errors, storage
 from . import fs as filesystems  # re-exported under a readable name
-from .core.campaign import quick_campaign
 from .crashmonkey.harness import CrashMonkey
 from .engine import CampaignEngine, HarnessSpec, ProcessPoolBackend, SerialBackend
 from .workload.language import parse_workload
@@ -29,3 +28,12 @@ __all__ = [
     "parse_workload",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    """``quick_campaign`` is imported on first use, so importing a layer below
+    ``repro.core`` (a pool worker importing the engine) does not load it."""
+    if name == "quick_campaign":
+        from .core.campaign import quick_campaign
+        return quick_campaign
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

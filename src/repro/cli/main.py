@@ -48,7 +48,7 @@ from ..crashmonkey.crashplan import PLAN_NAMES, describe_planners, make_planner
 from ..crashmonkey.harness import CrashMonkey
 from ..errors import CampaignDriftError, UnknownCampaignError
 from ..fs.bugs import BugConfig
-from ..fs.registry import available_filesystems
+from ..fs.registry import ALIASES, FILESYSTEMS
 from ..options import EXECUTION, CampaignConfig, HarnessSpec
 from ..service import CampaignStateDB, DurableCampaignRunner
 from ..workload.language import format_workload, parse_workload
@@ -441,9 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fs_choices() -> List[str]:
-    choices = list(available_filesystems())
-    choices.extend(["btrfs", "ext4", "f2fs", "xfs", "fscq"])
-    return sorted(set(choices))
+    """Every simulator and every real file system one stands in for."""
+    return sorted({*FILESYSTEMS, *ALIASES})
 
 
 _COMMANDS = {

@@ -22,7 +22,7 @@ summarized in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..fs.bugs import Consequence

@@ -5,17 +5,19 @@ equivalent of the C++ test program ACE's adapter generates for CrashMonkey:
 it performs each operation and gives the harness a hook right after every
 persistence operation (where CrashMonkey inserts its checkpoint request).
 
-The executor synthesizes deterministic data payloads for write operations so
-that file contents are distinguishable (and content comparisons meaningful)
-without the workload having to carry literal bytes around.
+How each operation kind runs is declared in
+:data:`repro.workload.operations.OPERATIONS`, which also synthesizes the
+deterministic data payloads of writes, so that file contents are
+distinguishable (and content comparisons meaningful) without the workload
+having to carry literal bytes around.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..errors import FileSystemError, WorkloadError
-from .operations import Operation, OpKind
+from ..errors import FileSystemError
+from .operations import Operation, spec_of
 from .workload import Workload
 
 #: Callback invoked right after a persistence operation completes.
@@ -23,15 +25,6 @@ from .workload import Workload
 PersistenceCallback = Callable[[Operation, int], None]
 #: Callback invoked right before any operation executes.
 OperationCallback = Callable[[Operation, int], None]
-
-
-def payload_for(op_index: int, length: int) -> bytes:
-    """Deterministic, operation-specific data for write operations."""
-    if length <= 0:
-        return b""
-    pattern = bytes((b + op_index * 7) % 251 + 1 for b in range(min(length, 256)))
-    repeats = length // len(pattern) + 1
-    return (pattern * repeats)[:length]
 
 
 class WorkloadExecutor:
@@ -56,8 +49,9 @@ class WorkloadExecutor:
 
     def run_operation(self, op: Operation, index: int = 0) -> bool:
         """Execute one operation.  Returns True if it ran, False if skipped."""
+        spec = spec_of(op)
         try:
-            self._dispatch(op, index)
+            spec.run(self.fs, spec.bind(op), index)
         except FileSystemError:
             if self.strict:
                 raise
@@ -65,74 +59,6 @@ class WorkloadExecutor:
             return False
         self.executed += 1
         return True
-
-    def _dispatch(self, op: Operation, index: int) -> None:
-        fs = self.fs
-        kwargs = op.kwargs_dict
-        name = op.op
-        args = op.args
-
-        if name == OpKind.CREAT:
-            fs.creat(args[0])
-        elif name == OpKind.MKDIR:
-            fs.mkdir(args[0], parents=True)
-        elif name == OpKind.WRITE:
-            fs.write(args[0], int(args[1]), payload_for(index, int(args[2])))
-        elif name == OpKind.DWRITE:
-            fs.dwrite(args[0], int(args[1]), payload_for(index, int(args[2])))
-        elif name == OpKind.MWRITE:
-            self._mmap_write(args[0], int(args[1]), int(args[2]), index)
-        elif name == OpKind.FALLOC:
-            fs.falloc(args[0], int(args[1]), int(args[2]), keep_size=bool(kwargs.get("keep_size", False)))
-        elif name == OpKind.FZERO:
-            fs.fzero(args[0], int(args[1]), int(args[2]), keep_size=bool(kwargs.get("keep_size", False)))
-        elif name == OpKind.FPUNCH:
-            fs.fpunch(args[0], int(args[1]), int(args[2]))
-        elif name == OpKind.LINK:
-            fs.link(args[0], args[1])
-        elif name == OpKind.SYMLINK:
-            fs.symlink(args[0], args[1])
-        elif name == OpKind.UNLINK:
-            fs.unlink(args[0])
-        elif name == OpKind.RMDIR:
-            fs.rmdir(args[0])
-        elif name == OpKind.REMOVE:
-            fs.remove(args[0])
-        elif name == OpKind.RENAME:
-            fs.rename(args[0], args[1])
-        elif name == OpKind.TRUNCATE:
-            fs.truncate(args[0], int(args[1]))
-        elif name == OpKind.SETXATTR:
-            value = args[2] if len(args) > 2 else "value1"
-            fs.setxattr(args[0], args[1], value.encode("utf-8"))
-        elif name == OpKind.REMOVEXATTR:
-            fs.removexattr(args[0], args[1])
-        elif name == OpKind.DROPCACHES:
-            pass  # the page cache is the in-memory state itself; nothing to drop safely
-        elif name == OpKind.FSYNC:
-            fs.fsync(args[0])
-        elif name == OpKind.FDATASYNC:
-            fs.fdatasync(args[0])
-        elif name == OpKind.MSYNC:
-            if len(args) >= 3:
-                fs.msync(args[0], int(args[1]), int(args[2]))
-            else:
-                fs.msync(args[0])
-        elif name == OpKind.SYNC:
-            fs.sync()
-        else:
-            raise WorkloadError(f"executor does not understand operation {name!r}")
-
-    def _mmap_write(self, path: str, offset: int, length: int, index: int) -> None:
-        """mmap writes require the mapped range to exist; extend the file first."""
-        fs = self.fs
-        if not fs.exists(path):
-            fs.creat(path)
-        state = fs.stat(path)
-        end = offset + length
-        if state.size < end:
-            fs.truncate(path, end)
-        fs.mwrite(path, offset, payload_for(index, length))
 
     # -- whole workloads -------------------------------------------------------------
 

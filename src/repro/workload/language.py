@@ -19,10 +19,10 @@ ignored) so appendix-style listings can be pasted directly.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..errors import WorkloadError
-from .operations import Operation, OpKind
+from .operations import OPERATIONS, Operation
 from .workload import Workload
 
 _BOOL_TRUE = {"1", "true", "yes", "keep", "keep_size", "-k"}
@@ -49,8 +49,18 @@ def _parse_int(token: str, line_no: int) -> int:
         raise WorkloadError(f"line {line_no}: expected an integer, got {token!r}") from None
 
 
+#: every spelling of every operation kind
+_SPELLINGS = {spelling: spec for spec in OPERATIONS.values() for spelling in spec.spellings}
+#: flags, printed by name when set
+_FLAGS = {flag.role for spec in OPERATIONS.values() for flag in spec.flags}
+
+
 def parse_line(line: str, line_no: int = 0) -> Optional[Operation]:
-    """Parse one line of the workload language into an :class:`Operation`."""
+    """Parse one line of the workload language into an :class:`Operation`.
+
+    Positional tokens fill the kind's arguments in order, left-out ones take
+    their defaults, and the token after them sets its flag.
+    """
     stripped = line.split("#", 1)[0].strip()
     if not stripped:
         return None
@@ -59,94 +69,21 @@ def parse_line(line: str, line_no: int = 0) -> Optional[Operation]:
     args = tokens[1:]
     if op in ("crash", "---crash---", "--crash--"):
         return None
-
-    if op in (OpKind.CREAT, "touch"):
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.CREAT, (args[0],))
-    if op == OpKind.MKDIR:
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.MKDIR, (args[0],))
-    if op in (OpKind.WRITE, "pwrite"):
-        _require(args, 3, op, line_no)
-        return Operation(OpKind.WRITE, (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)))
-    if op in (OpKind.DWRITE, "d-write", "direct_write"):
-        _require(args, 3, op, line_no)
-        return Operation(OpKind.DWRITE, (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)))
-    if op in (OpKind.MWRITE, "m-write", "mmapwrite"):
-        _require(args, 3, op, line_no)
-        return Operation(OpKind.MWRITE, (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)))
-    if op in (OpKind.FALLOC, "fallocate"):
-        _require(args, 3, op, line_no)
-        keep = len(args) > 3 and _parse_bool(args[3], line_no)
-        return Operation(
-            OpKind.FALLOC,
-            (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)),
-            (("keep_size", keep),),
-        )
-    if op in (OpKind.FZERO, "zero_range"):
-        _require(args, 3, op, line_no)
-        keep = len(args) > 3 and _parse_bool(args[3], line_no)
-        return Operation(
-            OpKind.FZERO,
-            (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)),
-            (("keep_size", keep),),
-        )
-    if op in (OpKind.FPUNCH, "punch_hole"):
-        _require(args, 3, op, line_no)
-        return Operation(OpKind.FPUNCH, (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)))
-    if op == OpKind.LINK:
-        _require(args, 2, op, line_no)
-        return Operation(OpKind.LINK, (args[0], args[1]))
-    if op == OpKind.SYMLINK:
-        _require(args, 2, op, line_no)
-        return Operation(OpKind.SYMLINK, (args[0], args[1]))
-    if op == OpKind.UNLINK:
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.UNLINK, (args[0],))
-    if op == OpKind.RMDIR:
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.RMDIR, (args[0],))
-    if op in (OpKind.REMOVE, "rm"):
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.REMOVE, (args[0],))
-    if op in (OpKind.RENAME, "mv"):
-        _require(args, 2, op, line_no)
-        return Operation(OpKind.RENAME, (args[0], args[1]))
-    if op == OpKind.TRUNCATE:
-        _require(args, 2, op, line_no)
-        return Operation(OpKind.TRUNCATE, (args[0], _parse_int(args[1], line_no)))
-    if op == OpKind.SETXATTR:
-        _require(args, 1, op, line_no)
-        name = args[1] if len(args) > 1 else "user.attr1"
-        value = args[2] if len(args) > 2 else "value1"
-        return Operation(OpKind.SETXATTR, (args[0], name, value))
-    if op == OpKind.REMOVEXATTR:
-        _require(args, 1, op, line_no)
-        name = args[1] if len(args) > 1 else "user.attr1"
-        return Operation(OpKind.REMOVEXATTR, (args[0], name))
-    if op == OpKind.DROPCACHES:
-        return Operation(OpKind.DROPCACHES, ())
-    if op == OpKind.FSYNC:
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.FSYNC, (args[0],))
-    if op == OpKind.FDATASYNC:
-        _require(args, 1, op, line_no)
-        return Operation(OpKind.FDATASYNC, (args[0],))
-    if op == OpKind.MSYNC:
-        _require(args, 1, op, line_no)
-        if len(args) >= 3:
-            return Operation(OpKind.MSYNC, (args[0], _parse_int(args[1], line_no), _parse_int(args[2], line_no)))
-        return Operation(OpKind.MSYNC, (args[0],))
-    if op == OpKind.SYNC:
-        return Operation(OpKind.SYNC, ())
-    raise WorkloadError(f"line {line_no}: unknown operation {op!r}")
-
-
-def _require(args: List[str], count: int, op: str, line_no: int) -> None:
-    if len(args) < count:
+    spec = _SPELLINGS.get(op)
+    if spec is None:
+        raise WorkloadError(f"line {line_no}: unknown operation {op!r}")
+    if len(args) < spec.min_args:
         raise WorkloadError(
-            f"line {line_no}: {op} needs at least {count} argument(s), got {len(args)}"
+            f"line {line_no}: {op} needs at least {spec.min_args} argument(s), got {len(args)}"
         )
+    flags = args[len(spec.positional):]
+    kwargs = tuple((flag.role, _parse_bool(flags[n], line_no) if n < len(flags) else flag.default)
+                   for n, flag in enumerate(spec.flags))
+    used = spec.arity(len(args))
+    values = [_parse_int(token, line_no) if arg.type is int else token
+              for arg, token in zip(spec.positional[:used], args)]
+    values.extend(arg.default for arg in spec.positional[used:] if arg.default is not None)
+    return Operation(spec.kind, tuple(values), kwargs)
 
 
 def parse_workload(text: str, name: str = "", source: str = "language") -> Workload:
@@ -168,9 +105,9 @@ def format_workload(workload: Workload) -> str:
         parts = [op.op]
         parts.extend(str(arg) for arg in op.args)
         for key, value in op.kwargs:
-            if key == "keep_size" and value:
-                parts.append("keep_size")
-            elif key != "keep_size":
+            if key not in _FLAGS:
                 parts.append(str(value))
+            elif value:
+                parts.append(key)
         lines.append(" ".join(parts))
     return "\n".join(lines)

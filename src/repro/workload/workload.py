@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import WorkloadError
-from .operations import Operation
+from .operations import Operation, spec_of
 
 
 #: canonical payload per operation, keyed on the ``repr`` of its fields.
@@ -177,13 +177,21 @@ class Workload:
     def validate(self) -> None:
         """Raise :class:`WorkloadError` on structural problems.
 
-        B3 requires at least one persistence point (otherwise there is no
-        crash point to test) and that the final operation is a persistence
-        point (otherwise the trailing operations can never affect any tested
-        crash state — ACE's phase 3 enforces the same rule).
+        Every operation must be of a declared kind and carry at least the
+        arguments that kind needs.  B3 requires at least one persistence
+        point (otherwise there is no crash point to test) and that the final
+        operation is a persistence point (otherwise the trailing operations
+        can never affect any tested crash state — ACE's phase 3 enforces the
+        same rule).
         """
         if not self.ops:
             raise WorkloadError("workload has no operations")
+        for index, op in enumerate(self.ops):
+            try:
+                spec_of(op)
+            except WorkloadError as exc:
+                raise WorkloadError(
+                    f"workload {self.display_name()}, operation {index}: {exc}") from None
         if not any(op.is_persistence for op in self.ops):
             raise WorkloadError(
                 f"workload {self.display_name()} has no persistence point; "

@@ -33,6 +33,14 @@ def test_list_bugs_command(capsys):
     assert "outside B3 bounds" in output
 
 
+@pytest.mark.parametrize("command", ["test", "campaign", "analyze"])
+def test_filesystem_choices_are_the_simulators_and_the_file_systems_they_model(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "--filesystem {btrfs,ext4,f2fs,flashfs,fscq,logfs,seqfs,verifs,xfs}" \
+        in capsys.readouterr().out
+
+
 def test_generate_command_reports_count(capsys):
     assert main(["generate", "--preset", "seq-1", "--limit", "25"]) == 0
     err = capsys.readouterr().err

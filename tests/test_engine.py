@@ -1,5 +1,9 @@
 """The streaming, parallel campaign execution engine."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.ace import AceSynthesizer, seq1_bounds
@@ -347,3 +351,16 @@ class TestCampaignChunksAreTheClusterBatches:
         assert estimate_campaign_hours(780, per_workload) == \
             pytest.approx(per_workload / 3600.0)
         assert estimate_campaign_hours(3_370_000, per_workload) > 0
+
+
+def test_importing_the_engine_loads_nothing_from_core():
+    """The engine sits below ``repro.core``: a pool worker that imports it
+    pays for no campaign, result or known-bug module, and the package root
+    still offers ``quick_campaign``."""
+    code = ("import sys, repro.engine.backends; "
+            "print(sorted(m for m in sys.modules if m.startswith('repro.core'))); "
+            "import repro; print(repro.quick_campaign.__module__)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True, timeout=60).stdout
+    assert out.split("\n")[:2] == ["[]", "repro.core.campaign"]

@@ -25,7 +25,7 @@ from repro.crashmonkey.recorder import PlanStep, plan_spine
 from repro.engine import chunked_affine
 from repro.fs import BugConfig
 from repro.workload import parse_workload
-from repro.workload.operations import creat, write
+from repro.workload.operations import Operation, OpKind, creat, sync, write
 from repro.workload.workload import Workload
 
 import differential
@@ -341,6 +341,17 @@ class TestInvalidWorkloadSurfacing:
         assert result.workloads_tested == 2
         assert result.invalid_workloads == 1
         assert "+1 invalid" in result.summary()
+
+    def test_a_malformed_operation_is_dropped_not_fatal(self):
+        good = parse_workload("creat foo\nfsync foo", name="good")
+        unknown = Workload(ops=[Operation("warpdrive", ("foo",)), sync()], name="unknown")
+        short = Workload(ops=[creat("foo"), Operation(OpKind.WRITE, ("foo",)), sync()],
+                         name="short")
+        config = CampaignConfig(fs_name="btrfs", bounds=seq1_bounds(),
+                                device_blocks=SMALL_DEVICE_BLOCKS)
+        result = B3Campaign(config).run(workloads=[good, unknown, short])
+        assert result.invalid_workloads == 2
+        assert [test.workload.name for test in result.results] == ["good"]
 
     def test_ace_streams_have_no_invalid_workloads(self):
         config = CampaignConfig(fs_name="btrfs", bugs=BugConfig.none(),

@@ -885,3 +885,26 @@ def test_the_tree_rolls_up_results_only_at_the_three_sites():
         findings = repro_lint.check_site_owners(repro_lint.parse_tree(),
                                                 (_row_of(text)._replace(site=""),))
         assert [path for path, _, _ in findings] == owners, text
+
+
+# ------------------------------------------------------- rule 21: operations are spelt once
+
+
+def test_an_operation_kind_named_in_the_language_or_executor_is_caught():
+    ladder = ("def run(fs, op):\n"
+              "    if op.op == OpKind.CREAT:\n"
+              "        fs.creat(op.args[0])\n")
+    lookup = ("def run(fs, op):\n"
+              "    spec = spec_of(op)\n"
+              "    spec.run(fs, spec.bind(op), 0)\n")
+    findings = _sites(**{
+        "workload/language.py": "SPELLINGS = {OpKind.RENAME: ('mv',)}\n" + lookup,
+        "workload/executor.py": ladder,
+        # The table and ACE name kinds: that is where they are declared and generated.
+        "workload/operations.py": ladder,
+        "ace/phase2.py": ladder,
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/workload/executor.py", 2), ("src/repro/workload/language.py", 1)]
+    assert "`OpKind.CREAT`" in findings[0][2]
+    assert all("operations are spelt once" in message for _, _, message in findings)

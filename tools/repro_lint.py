@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Eighteen invariants, each protecting a guarantee a past change was built on.
+Nineteen invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -165,6 +165,15 @@ def named(*names: str) -> Match:
         return {"name": name} if name in names else None
     return Match((ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.alias,
                   ast.Attribute, ast.Name), fields)
+
+
+def member_of(owner: str) -> Match:
+    """A ``owner.NAME`` access: a member of the class ``owner`` named."""
+    def fields(node: ast.Attribute, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
+        if isinstance(node.value, ast.Name) and node.value.id == owner:
+            return {"name": f"{owner}.{node.attr}"}
+        return None
+    return Match((ast.Attribute,), fields)
 
 
 def dumps_of(method: str) -> Match:
@@ -358,6 +367,12 @@ SITE_OWNERS: Tuple[Row, ...] = (
     Row(call("merge_partials"), "", "core/results.py service/statedb.py",
         "`merge_partials(...)` outside core/results.py and service/statedb.py — a campaign's "
         "groups are merged by the owner of its outcomes that builds its `CampaignResult`"),
+    # 21. Operations are spelt once: each kind's spellings, argument schema and run are one
+    #     row of ``workload/operations.py:OPERATIONS``, and the parser, the printer and the
+    #     executor look a kind up there.  A kind named in them is a ladder coming back.
+    Row(member_of("OpKind"), "workload/language.py workload/executor.py", "",
+        "`{name}` in the workload language or executor — operations are spelt once; declare "
+        "the kind's spellings, arguments and run in `OPERATIONS` and look it up there"),
 )
 
 IMPORT_OWNERS: Tuple[Row, ...] = (
