@@ -34,12 +34,6 @@ death of the process running it:
   no result of its own: each chunk's results go to the store as it lands,
   with the testing time the engine gives the chunk, so a session killed
   after its last ingest has stored all of its testing time.
-
-The runner honours one fault-injection hook, in the spirit of a tester that
-must survive its own medicine: ``REPRO_SELFCRASH_AFTER_CHUNKS=N`` SIGKILLs
-the process, and its pool workers first, after the Nth chunk of the session
-is durably ingested.  The
-crash-resume tests and the CI smoke job interrupt real campaigns with it.
 """
 
 from __future__ import annotations
@@ -48,7 +42,6 @@ import hashlib
 import json
 import os
 import shutil
-import signal
 from dataclasses import replace
 from typing import List, Optional
 
@@ -61,9 +54,6 @@ from ..options import IDENTITY, RETIRED_OPTIONS
 from ..workload.workload import Workload
 from .api import SessionStats
 from .statedb import CampaignStateDB
-
-#: Fault-injection hook: SIGKILL the process after this many durable ingests.
-SELFCRASH_ENV = "REPRO_SELFCRASH_AFTER_CHUNKS"
 
 
 def chunk_identity(chunk: List[Workload]) -> str:
@@ -121,7 +111,6 @@ class DurableCampaignRunner:
         self._campaign = B3Campaign(config)
         #: audit trail of the most recent :meth:`run` session
         self.last_session: Optional[SessionStats] = None
-        self._selfcrash_after = int(os.environ.get(SELFCRASH_ENV, "0") or "0")
 
     @classmethod
     def from_db(cls, state_db: "CampaignStateDB | str", campaign_id: str,
@@ -226,27 +215,11 @@ class DurableCampaignRunner:
                     yield (index, chunk)
                 index, chunk = index + 1, following
 
-        ingested = 0
-
         def on_outcome(outcome: ChunkOutcome, seconds: float) -> None:
             # The chunk's testing time goes to the store with it, so a session
             # killed after its last ingest has stored all of its own.
-            nonlocal ingested
-            if db.ingest_outcome(campaign_id, outcome, testing_seconds=seconds):
-                ingested += 1
-            else:
+            if not db.ingest_outcome(campaign_id, outcome, testing_seconds=seconds):
                 session.duplicate_ingests += 1
-            if self._selfcrash_after and ingested >= self._selfcrash_after:
-                # Fault injection: die the hard way, mid-campaign, with
-                # chunks still in flight — exactly what recovery is for.  The
-                # pool's workers die too, as they would with their host:
-                # orphaned, they would idle on forever.  (Imported only here: a
-                # session that is not killed never loads it.)
-                import multiprocessing
-
-                for worker in multiprocessing.active_children():
-                    worker.kill()
-                os.kill(os.getpid(), signal.SIGKILL)
 
         campaign.engine(progress, spec=spec).run_indexed(pending_chunks(), on_outcome, timed)
         return db.campaign_result(campaign_id)

@@ -59,7 +59,8 @@ def parse_line(line: str, line_no: int = 0) -> Optional[Operation]:
     """Parse one line of the workload language into an :class:`Operation`.
 
     Positional tokens fill the kind's arguments in order, left-out ones take
-    their defaults, and the token after them sets its flag.
+    their defaults, and the token after them sets its flag.  A token the kind
+    does not declare, or half of msync's range, is a :class:`WorkloadError`.
     """
     stripped = line.split("#", 1)[0].strip()
     if not stripped:
@@ -72,17 +73,19 @@ def parse_line(line: str, line_no: int = 0) -> Optional[Operation]:
     spec = _SPELLINGS.get(op)
     if spec is None:
         raise WorkloadError(f"line {line_no}: unknown operation {op!r}")
-    if len(args) < spec.min_args:
-        raise WorkloadError(
-            f"line {line_no}: {op} needs at least {spec.min_args} argument(s), got {len(args)}"
-        )
-    flags = args[len(spec.positional):]
+    positional, flags = args[:len(spec.positional)], args[len(spec.positional):]
+    try:
+        spec.check(len(positional))
+    except WorkloadError as exc:
+        raise WorkloadError(f"line {line_no}: {exc}") from None
+    if len(flags) > len(spec.flags):
+        raise WorkloadError(f"line {line_no}: {op} takes no argument {flags[len(spec.flags)]!r}")
     kwargs = tuple((flag.role, _parse_bool(flags[n], line_no) if n < len(flags) else flag.default)
                    for n, flag in enumerate(spec.flags))
-    used = spec.arity(len(args))
     values = [_parse_int(token, line_no) if arg.type is int else token
-              for arg, token in zip(spec.positional[:used], args)]
-    values.extend(arg.default for arg in spec.positional[used:] if arg.default is not None)
+              for arg, token in zip(spec.positional, positional)]
+    values.extend(arg.default for arg in spec.positional[len(positional):]
+                  if arg.default is not None)
     return Operation(spec.kind, tuple(values), kwargs)
 
 

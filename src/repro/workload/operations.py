@@ -170,7 +170,7 @@ class OpSpec:
     the data of a write).
     """
 
-    __slots__ = ("kind", "spellings", "positional", "flags", "min_args", "run")
+    __slots__ = ("kind", "spellings", "positional", "flags", "min_args", "counts", "run")
 
     def __init__(self, kind: str, args: Tuple[Arg, ...], run: Callable[..., None],
                  aliases: Tuple[str, ...] = ()):
@@ -179,23 +179,31 @@ class OpSpec:
         self.positional = tuple(arg for arg in args if arg.type is not bool)
         self.flags = tuple(arg for arg in args if arg.type is bool)
         self.min_args = sum(arg.default is REQUIRED for arg in self.positional)
+        #: how many positional arguments the kind takes: any optional one may
+        #: be left out, but an optional range comes whole or not at all
+        self.counts = frozenset(
+            given for given in range(self.min_args, len(self.positional) + 1)
+            if given in (self.min_args, len(self.positional))
+            or self.positional[given].default is not None)
         self.run = run
 
-    def arity(self, given: int) -> int:
-        """How many of ``given`` positional arguments the operation uses: at
-        most those it declares, and an optional range whole or not at all."""
-        used = min(given, len(self.positional))
-        if used < len(self.positional) and self.positional[used].default is None:
-            return self.min_args
-        return used
+    def check(self, given: int) -> None:
+        """A :class:`WorkloadError` unless the kind takes ``given`` positional
+        arguments."""
+        if given < self.min_args:
+            raise WorkloadError(
+                f"{self.kind} needs at least {self.min_args} argument(s), got {given}")
+        if given not in self.counts:
+            raise WorkloadError(f"{self.kind} takes "
+                                f"{' or '.join(map(str, sorted(self.counts)))} "
+                                f"argument(s), got {given}")
 
     def bind(self, op: Operation) -> list:
-        """``op``'s values in schema order: the positional ones it uses, with
-        integers coerced, then the defaults of the rest, then its flags."""
-        used = self.arity(len(op.args))
+        """``op``'s values in schema order: its positional ones, with integers
+        coerced, then the defaults of the rest, then its flags."""
         values = [int(value) if arg.type is int else value
-                  for arg, value in zip(self.positional[:used], op.args)]
-        values.extend(arg.default for arg in self.positional[used:])
+                  for arg, value in zip(self.positional, op.args)]
+        values.extend(arg.default for arg in self.positional[len(op.args):])
         if self.flags:
             kwargs = dict(op.kwargs)
             values.extend(bool(kwargs.get(flag.role, flag.default)) for flag in self.flags)
@@ -263,13 +271,11 @@ OPERATIONS: Dict[str, OpSpec] = {spec.kind: spec for spec in (
 
 def spec_of(op: Operation) -> OpSpec:
     """The declared kind of ``op``; a :class:`WorkloadError` if it has none
-    or fewer arguments than the kind needs."""
+    or arguments the kind does not take."""
     spec = OPERATIONS.get(op.op)
     if spec is None:
         raise WorkloadError(f"unknown operation {op.op!r}")
-    if len(op.args) < spec.min_args:
-        raise WorkloadError(
-            f"{op.op} needs at least {spec.min_args} argument(s), got {len(op.args)}")
+    spec.check(len(op.args))
     return spec
 
 

@@ -36,13 +36,30 @@ def test_validate_names_the_malformed_operation():
         make_workload([Operation("warpdrive", ("foo",)), ops.sync()], name="w").validate()
     with pytest.raises(WorkloadError, match=r"operation 1: rename needs at least 2"):
         make_workload([ops.creat("foo"), Operation(OpKind.RENAME, ("foo",)), ops.sync()]).validate()
+    with pytest.raises(WorkloadError, match=r"operation 1: msync takes 1 or 3 argument"):
+        make_workload([ops.creat("foo"), Operation(OpKind.MSYNC, ("foo", 4096))]).validate()
+    with pytest.raises(WorkloadError, match=r"operation 0: fsync takes 1 argument"):
+        make_workload([Operation(OpKind.FSYNC, ("foo", "bar"))]).validate()
+
+
+@pytest.mark.parametrize("line, error", [
+    ("msync foo 4096", "line 3: msync takes 1 or 3 argument"),
+    ("fsync foo bar", "line 3: fsync takes no argument 'bar'"),
+    ("write foo 0 4096 9", "line 3: write takes no argument '9'"),
+    ("falloc foo 0 4096 keep 9", "line 3: falloc takes no argument '9'"),
+    ("sync now", "line 3: sync takes no argument 'now'"),
+])
+def test_a_token_the_operation_does_not_declare_is_an_error(line, error):
+    with pytest.raises(WorkloadError, match=error):
+        parse_line(line, 3)
 
 
 def test_left_out_arguments_take_their_declared_defaults():
     setxattr = Operation(OpKind.SETXATTR, ("foo",))
     assert spec_of(setxattr).bind(setxattr) == ["foo", "user.attr1", "value1"]
     # msync's range comes whole or not at all
-    assert parse_line("msync foo 4096").args == ("foo",)
+    with pytest.raises(WorkloadError, match="msync takes 1 or 3 argument"):
+        parse_line("msync foo 4096")
     assert OPERATIONS[OpKind.MSYNC].bind(ops.msync("foo")) == ["foo", None, None]
     assert OPERATIONS[OpKind.FALLOC].bind(Operation(OpKind.FALLOC, ("foo", "0", "8"))) \
         == ["foo", 0, 8, False]

@@ -365,13 +365,16 @@ def test_an_undeclared_environment_option_is_caught():
         findings = _sites(**{"storage/cow_device.py": "import os\n" + read})
         name = read.split("'")[1]
         assert len(findings) == 1 and f"`{name}`" in findings[0][2], read
-    allowed = (
+    # Not even a fault hook in the durable runner: crashing it is a test's job.
+    hook = (
         "import os\n"
         "SELFCRASH_ENV = 'REPRO_SELFCRASH_AFTER_CHUNKS'\n"
         "b = os.environ.get(SELFCRASH_ENV, '0')\n"
         "c = os.environ.get('TMPDIR')\n"
     )
-    assert _sites(**{"service/runner.py": allowed}) == []
+    findings = _sites(**{"service/runner.py": hook})
+    assert [(path, line) for path, line, _ in findings] == [("src/repro/service/runner.py", 3)]
+    assert "`REPRO_SELFCRASH_AFTER_CHUNKS`" in findings[0][2]
 
 
 # ------------------------------------- rule 10: one decode site, one hash site

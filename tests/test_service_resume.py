@@ -35,11 +35,11 @@ from repro.crashmonkey import CrashMonkey
 from repro.crashmonkey.report import CrashTestResult
 from repro.errors import CampaignDriftError, UnknownCampaignError
 from repro.service import CampaignStateDB, DurableCampaignRunner, default_campaign_id
-from repro.service.runner import SELFCRASH_ENV
 
 from conftest import assert_reads_as_held, reopen_tail, run_until
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def _config(**options) -> CampaignConfig:
@@ -57,21 +57,19 @@ def uninterrupted():
     return result
 
 
-def _durable_cli_args(db_path: str) -> list:
-    return [
-        sys.executable, "-m", "repro.cli.main",
+def _run_victim(db_path: str, crash_after: int, processes: int) -> subprocess.CompletedProcess:
+    """The durable CLI campaign in its own process, SIGKILLed by
+    ``crashpoints.py`` right after its ``crash_after``-th ingest."""
+    args = [
+        sys.executable, os.path.join(TESTS, "crashpoints.py"),
+        "--after", str(crash_after), "--at", "ingest_outcome", "--",
         "campaign", "--state-db", db_path,
         "--campaign-id", "victim",
         "--preset", "seq-2", "--limit", "40", "--sample", "--chunk-size", "4",
+        "--processes", str(processes),
     ]
-
-
-def _run_victim(db_path: str, crash_after: int, processes: int) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env[SELFCRASH_ENV] = str(crash_after)
-    args = _durable_cli_args(db_path) + ["--processes", str(processes)]
-    return subprocess.run(args, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL, timeout=300)
+    return subprocess.run(args, env=dict(os.environ, PYTHONPATH=SRC),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=300)
 
 
 def _survivors(db_path: str, wait_s: float = 5.0) -> list:
@@ -304,7 +302,7 @@ def test_recovery_resets_orphaned_chunks(tmp_path):
     db_path = str(tmp_path / "state.sqlite")
     # The pool's in-flight window claims chunks ahead of ingest (the serial
     # backend claims one at a time, leaving nothing to orphan), so when the
-    # selfcrash fires after the second commit the store still holds claimed
+    # victim dies after the second commit the store still holds claimed
     # `processing` rows for the recovery path to reset.
     victim = _run_victim(db_path, crash_after=2, processes=2)
     assert victim.returncode == -signal.SIGKILL

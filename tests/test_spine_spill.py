@@ -401,7 +401,8 @@ def test_rehydrated_nodes_share_no_mutable_state():
 
 # ------------------------------------------------------------------ durable resume
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def _spill_config() -> CampaignConfig:
@@ -419,14 +420,14 @@ def uninterrupted_spilling():
 
 
 def _run_spilling_victim(db_path: str, crash_after: int):
+    """The durable CLI campaign in its own process, SIGKILLed by
+    ``crashpoints.py`` right after its ``crash_after``-th ingest."""
     import subprocess
 
-    from repro.service.runner import SELFCRASH_ENV
-
     env = dict(os.environ, PYTHONPATH=SRC)
-    env[SELFCRASH_ENV] = str(crash_after)
     args = [
-        sys.executable, "-m", "repro.cli.main",
+        sys.executable, os.path.join(TESTS, "crashpoints.py"),
+        "--after", str(crash_after), "--at", "ingest_outcome", "--",
         "campaign", "--state-db", db_path,
         "--campaign-id", "victim",
         "--preset", "seq-2", "--limit", "40", "--sample", "--chunk-size", "4",

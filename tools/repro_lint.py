@@ -209,12 +209,12 @@ def _env_var_read(node: ast.AST, module: ast.Module) -> str:
     return ""
 
 
-def environ_read(prefix: str, allowed: Tuple[str, ...] = ()) -> Match:
-    """A read of an environment variable named ``prefix...`` but not in
-    ``allowed``, spelt literally or through a module-level constant."""
+def environ_read(prefix: str) -> Match:
+    """A read of an environment variable named ``prefix...``, spelt literally
+    or through a module-level constant."""
     def fields(node: ast.AST, path: str, module: ast.Module) -> Optional[Dict[str, str]]:
         name = _env_var_read(node, module)
-        return {"name": name} if name.startswith(prefix) and name not in allowed else None
+        return {"name": name} if name.startswith(prefix) else None
     return Match((ast.Call, ast.Subscript), fields)
 
 
@@ -267,9 +267,8 @@ SITE_OWNERS: Tuple[Row, ...] = (
         "crashmonkey/replayer.py:CrashStateGenerator._construct crashmonkey/recorder.py",
         "`{name}(...)` outside CrashStateGenerator._construct — crash states are mounted "
         "in one place, behind the verdict memo"),
-    # 9. An environment variable is an option with no declaration; the durable runner's
-    #    fault hook is the one left.
-    Row(environ_read("REPRO_", allowed=("REPRO_SELFCRASH_AFTER_CHUNKS",)), "", "",
+    # 9. An environment variable is an option with no declaration.
+    Row(environ_read("REPRO_"), "", "",
         "environment read of `{name}` — an env var is an option with no declaration; "
         "declare a field in options.py instead"),
     # 10. On-disk text becomes structure, and content a SHA-1, in one function each, which
