@@ -22,16 +22,18 @@ their last operation or persistence point.  Re-running mkfs and every shared
 prefix operation per sibling makes the recording phase quadratic in the
 family size, so the recorder keeps a **workload trie spine**: after an
 operation of the workload being profiled it freezes a :class:`_PrefixNode` —
-an O(1) chained-overlay :class:`CowDevice` fork plus a *fork* of the
-in-memory file system and of the tracker (``AbstractFileSystem.fork`` /
-``PersistenceTracker.fork``: live objects with private copies of exactly what
-operations mutate; bytes exist only if the spine store spills the node).  The
-next workload forks the deepest node on its longest shared prefix again and
-records only its own suffix.  The resulting ``io_log`` (and oracles, tracker
-views, checkpoint records) is byte-for-byte identical to from-scratch recording —
-execution is deterministic and the forked state *is* the state the from-
-scratch run would have reached — the shared prefix writes are just performed
-once instead of once per sibling.
+a detached fork of the live recording run (:meth:`_LiveRun.fork`): the
+recording device forks itself (an O(1) chained-overlay fork of its
+``CowDevice`` target plus copies of its log), and so do the in-memory file
+system and the tracker (``AbstractFileSystem.fork`` /
+``PersistenceTracker.fork``: live objects with private copies of exactly
+what operations mutate; bytes exist only if the spine store spills the
+node).  The next workload forks the deepest node on its longest shared
+prefix again and records only its own suffix.  The resulting ``io_log`` (and
+oracles, tracker views, checkpoint records) is byte-for-byte identical to
+from-scratch recording — execution is deterministic and the forked state
+*is* the state the from-scratch run would have reached — the shared prefix
+writes are just performed once instead of once per sibling.
 
 Because ACE generates families depth-first, caching the single most recent
 path through the trie is enough to record every shared prefix exactly once
@@ -61,7 +63,6 @@ from ..fs.registry import get_fs_class, models, resolve_fs_name
 from ..storage.block import DEFAULT_DEVICE_BLOCKS
 from ..storage.block_device import BlockDevice
 from ..storage.cow_device import CowDevice
-from ..storage.io_request import IORequest
 from ..storage.record_device import RecordingDevice
 from ..storage.spill import Spine, SpineStore
 from ..workload.executor import WorkloadExecutor
@@ -112,46 +113,19 @@ class WorkloadProfile:
 
 @dataclass
 class _PrefixNode:
-    """Frozen recording state after executing one more prefix operation.
+    """The recording run frozen right after executing one more prefix operation.
 
-    Node ``i`` of the spine captures the complete state a from-scratch run
-    reaches right after executing ``ops[:i]``: the storage (an O(1) CoW
-    fork), the recorded stream so far, and detached forks of every piece of
-    mutable in-memory state (file system, tracker records, executor
-    counters).  Oracles, tracker views and checkpoint records captured so
-    far are shared, not copied — they are frozen at capture time and never
-    mutated afterwards (a record's verdict memo is how siblings share its
-    verdicts).
+    Node ``i`` of the spine holds the complete state a from-scratch run
+    reaches right after executing ``ops[:i]``: a detached fork of the live
+    run (its file system attached to no device), which a resume forks again.
     """
 
     depth: int
-    #: the operation executed to reach this node (None for the root)
-    op: Optional[Operation]
     #: :meth:`Workload.prefix_key` of the operation path to this node — the
     #: content identity the spine is matched on (collision-freedom is pinned
     #: by the property tests in ``tests/test_workload_identity.py``)
     prefix_key: str
-    device: CowDevice
-    log: Tuple[IORequest, ...]
-    checkpoints: int
-    #: the recording device's fork at the last flush barrier in ``log``
-    stable: CowDevice
-    #: the write requests after that barrier
-    window: Tuple[IORequest, ...]
-    #: checkpoint records captured so far
-    records: Dict[int, _CheckpointRecord]
-    #: fork of the mounted fs, attached to no device
-    fs: AbstractFileSystem
-    #: fork of the tracker, observing no fs
-    tracker: PersistenceTracker
-    oracles: Dict[int, Oracle]
-    executed: int
-    skipped: int
-    persistence_count: int
-    #: write requests in ``log`` (what a resume inherits without re-recording)
-    write_requests: int
-    #: payload bytes of those write requests
-    recorded_bytes: int
+    run: "_LiveRun"
     #: recording wall-clock seconds spent from run start to this node
     elapsed: float
 
@@ -216,23 +190,40 @@ def plan_spine(workloads: Sequence[Workload]) -> List[PlanStep]:
     return steps
 
 
+@dataclass
 class _LiveRun:
     """The mutable state of one in-progress recording run."""
 
-    def __init__(self, recording_device: RecordingDevice, fs, tracker: PersistenceTracker,
-                 oracles: Dict[int, Oracle], records: Dict[int, _CheckpointRecord],
-                 executor: WorkloadExecutor):
-        self.recording_device = recording_device
-        self.fs = fs
-        self.tracker = tracker
-        self.oracles = oracles
-        self.records = records
-        self.executor = executor
+    device: RecordingDevice
+    fs: AbstractFileSystem
+    tracker: PersistenceTracker
+    executor: WorkloadExecutor
+    oracles: Dict[int, Oracle] = field(default_factory=dict)
+    records: Dict[int, _CheckpointRecord] = field(default_factory=dict)
+
+    def fork(self, detached: bool = False) -> "_LiveRun":
+        """An independent run continuing from this one's state.
+
+        The recording device forks itself, and the file system and tracker
+        fork onto it — the file system onto no device when ``detached``, the
+        frozen run a spine node holds.  The executor's counters are copied.
+        Oracles and checkpoint records are frozen at capture time (a record's
+        verdict memo is how siblings share its verdicts), so the fork copies
+        only the dicts holding them.
+        """
+        device = self.device.fork()
+        fs = self.fs.fork(None if detached else device)
+        executor = WorkloadExecutor(fs)
+        executor.executed = self.executor.executed
+        executor.skipped = self.executor.skipped
+        executor.persistence_count = self.executor.persistence_count
+        return _LiveRun(device, fs, self.tracker.fork(fs), executor,
+                        dict(self.oracles), dict(self.records))
 
     def on_persistence(self, op: Operation, index: int) -> None:
         """Mark the checkpoint, capture its expectations from one tree walk,
         and record the forks its crash states are built from."""
-        device = self.recording_device
+        device = self.device
         checkpoint_id = device.mark_checkpoint()
         self.records[checkpoint_id] = _CheckpointRecord(
             checkpoint_id=checkpoint_id,
@@ -344,11 +335,10 @@ class WorkloadRecorder:
 
     def _mount(self, base_image: BlockDevice) -> _LiveRun:
         """A live run on a freshly mounted file system over ``base_image``."""
-        recording_device = RecordingDevice(CowDevice(base_image, name="workload-cow"))
-        fs = self.fs_class(recording_device, self.bugs)
+        device = RecordingDevice(CowDevice(base_image, name="workload-cow"))
+        fs = self.fs_class(device, self.bugs)
         fs.mount()
-        return _LiveRun(recording_device, fs, PersistenceTracker(fs), {}, {},
-                        WorkloadExecutor(fs))
+        return _LiveRun(device, fs, PersistenceTracker(fs), WorkloadExecutor(fs))
 
     # ------------------------------------------------------------------ prefix shared
 
@@ -376,19 +366,18 @@ class WorkloadRecorder:
         if resumed is not None:
             self.prefix_hits += 1
             self.prefix_ops_reused += resumed.depth
-            self.prefix_writes_reused += resumed.write_requests
+            self.prefix_writes_reused += resumed.run.device.write_requests
             self.prefix_seconds_saved += resumed.elapsed
             if resumed.prefix_key == step.hand:
                 self._in_hand = resumed
-            run = self._resume_from(resumed)
+            run = resumed.run.fork()
             base_elapsed = resumed.elapsed
         else:
             # Cold cache: format-and-mount once over the shared base and
             # freeze the trie root; the run so far is its ``elapsed``.
             run = self._mount(spine.base)
             base_elapsed = clock.seconds
-            self._keep(self._freeze(run, depth=0, op=None, prefix_key=keys[0],
-                                    elapsed=base_elapsed), step)
+            self._keep(_PrefixNode(0, keys[0], run.fork(detached=True), base_elapsed), step)
 
         # Only op execution counts towards a node's `elapsed` (what a resume
         # reports as saved): a from-scratch re-run of the prefix would pay
@@ -405,9 +394,8 @@ class WorkloadRecorder:
             nonlocal exec_seconds
             exec_seconds += now() - op_start
             if step.freezes(keys[index + 1]):
-                self._keep(self._freeze(run, depth=index + 1, op=op,
-                                        prefix_key=keys[index + 1],
-                                        elapsed=base_elapsed + exec_seconds), step)
+                self._keep(_PrefixNode(index + 1, keys[index + 1], run.fork(detached=True),
+                                       base_elapsed + exec_seconds), step)
 
         run.executor.run(workload, on_persistence=run.on_persistence,
                          before_operation=before_operation,
@@ -416,62 +404,22 @@ class WorkloadRecorder:
         return self._finish(run, workload, spine.base, resumed)
 
     def _keep(self, node: _PrefixNode, step: PlanStep) -> None:
-        """The prefix spine's one admission point: push a frozen node the
-        plan stores (sized by what it pins), and hold the one the next
-        workload resumes from.  The root is always pushed: every workload
-        shares it, in this stream or the next.
+        """The prefix spine's one admission point for a frozen node: push it
+        if the plan stores it (sized by what it pins), and hold it if the
+        next workload resumes from it.  The root is always pushed: every
+        workload shares it, in this stream or the next.
 
         A node's checkpoint records add no size of their own: their forks
-        share the overlay layers ``device`` chains, and their windows are
-        slices of the ``log`` that ``recorded_bytes`` counts."""
+        share the overlay layers the device's target chains, and their
+        windows are slices of the log that ``recorded_bytes`` counts."""
+        self.spine_freezes += 1
         if step.stored is None or node.prefix_key in step.stored or node.depth == 0:
-            nbytes = node.fs.fork_bytes() + node.device.overlay_bytes() + node.recorded_bytes
+            run = node.run
+            nbytes = (run.fs.fork_bytes() + run.device.target.overlay_bytes()
+                      + run.device.recorded_bytes())
             self._spine.push(node, nbytes, stub=node.prefix_key)
         if node.prefix_key == step.hand:
             self._in_hand = node
-
-    def _freeze(self, run: _LiveRun, depth: int, op: Optional[Operation],
-                prefix_key: str, elapsed: float) -> _PrefixNode:
-        """Capture the live run as an immutable trie node (O(1) device fork)."""
-        device = run.recording_device
-        self.spine_freezes += 1
-        return _PrefixNode(
-            depth=depth,
-            op=op,
-            prefix_key=prefix_key,
-            device=device.target.snapshot(name=f"prefix-{depth}"),
-            log=device.log,
-            checkpoints=device.num_checkpoints,
-            stable=device.stable,
-            window=device.window,
-            records=dict(run.records),
-            fs=run.fs.fork(None),
-            tracker=run.tracker.fork(None),
-            oracles=dict(run.oracles),
-            executed=run.executor.executed,
-            skipped=run.executor.skipped,
-            persistence_count=run.executor.persistence_count,
-            write_requests=device.write_requests,
-            recorded_bytes=device.recorded_bytes(),
-            elapsed=elapsed,
-        )
-
-    def _resume_from(self, node: _PrefixNode) -> _LiveRun:
-        """Fork a trie node into a fresh, independent live recording run."""
-        recording_device = RecordingDevice(
-            node.device.snapshot(name="workload-cow"), name="wrapper0"
-        )
-        recording_device.restore_log(node.log, node.checkpoints,
-                                     node.write_requests, node.recorded_bytes,
-                                     node.stable, node.window)
-        fs = node.fs.fork(recording_device)
-        tracker = node.tracker.fork(fs)
-        executor = WorkloadExecutor(fs)
-        executor.executed = node.executed
-        executor.skipped = node.skipped
-        executor.persistence_count = node.persistence_count
-        return _LiveRun(recording_device, fs, tracker, dict(node.oracles), dict(node.records),
-                        executor)
 
     # ------------------------------------------------------------------ finish
 
@@ -482,23 +430,24 @@ class WorkloadRecorder:
         # The run's fork is simply dropped, still mounted: every crash point
         # precedes the end of the workload, so nothing an unmount would write
         # could reach a crash state.
+        device = run.device
         return WorkloadProfile(
             workload=workload,
             fs_name=self.fs_name,
             fs_model=self.fs_model,
             bugs=self.bugs,
             base_image=base_image,
-            io_log=run.recording_device.log,
+            io_log=device.log,
             oracles=run.oracles,
             tracker_views=run.tracker.views(),
             records=run.records,
-            num_checkpoints=run.recording_device.num_checkpoints,
+            num_checkpoints=device.num_checkpoints,
             executed_ops=run.executor.executed,
             skipped_ops=run.executor.skipped,
-            recorded_bytes=run.recording_device.recorded_bytes(),
-            workload_overlay_bytes=run.recording_device.target.overlay_bytes(),
+            recorded_bytes=device.recorded_bytes(),
+            workload_overlay_bytes=device.target.overlay_bytes(),
             prefix_shared=resumed is not None,
             prefix_ops_reused=resumed.depth if resumed else 0,
-            prefix_writes_reused=resumed.write_requests if resumed else 0,
+            prefix_writes_reused=resumed.run.device.write_requests if resumed else 0,
             prefix_seconds_saved=resumed.elapsed if resumed else 0.0,
         )

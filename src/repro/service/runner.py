@@ -11,7 +11,8 @@ death of the process running it:
   — content-derived, so a drifted config (different bounds, different ops)
   is detected as a key mismatch instead of silently mixing result sets.
   A session is one pass over the stream: it registers each chunk, then
-  claims or skips it.  It reads one chunk ahead, so the stream is drained
+  claims it, and dispatches it only when the claim succeeds (the chunk was
+  ``pending``).  It reads one chunk ahead, so the stream is drained
   when the last chunk is registered, and the census is completed right
   there, before that chunk is dispatched: a session's last ingest is its
   last write of progress, and later sessions take their totals from the
@@ -22,10 +23,10 @@ death of the process running it:
   prefix sharing.
 * **Crash recovery.**  Every session starts with
   :meth:`~repro.service.statedb.CampaignStateDB.recover_from_crash` (orphaned
-  ``processing`` chunks go back to ``pending``), skips chunks already
-  ``done``, and dispatches only the remainder.  Completed chunks commit
-  atomically before the progress callback fires, so the store never claims
-  more than actually happened.
+  ``processing`` chunks go back to ``pending``), and a chunk is dispatched
+  only if its claim moves it ``pending -> processing``: one already ``done``
+  is skipped.  Completed chunks commit atomically before the progress
+  callback fires, so the store never claims more than actually happened.
 * **Identical final reports.**  Every session returns the result the store
   holds (:meth:`~repro.service.statedb.CampaignStateDB.campaign_result`), read
   in stream order, so an interrupted-and-resumed campaign yields the same
@@ -171,7 +172,6 @@ class DurableCampaignRunner:
         if status.complete:
             # Everything already ran: no synthesizer, no harness.
             return db.campaign_result(campaign_id)
-        done = db.done_chunk_indices(campaign_id)
         census = (status.chunks_total, status.workloads_total) if status.census_done else None
         progress = campaign.track_progress(
             progress, (status.chunks_done, status.workloads_done, status.failing_workloads),
@@ -208,8 +208,9 @@ class DurableCampaignRunner:
                     # last chunk, before that chunk is claimed, so no write
                     # of progress is left after the session's last ingest.
                     finish_census()
-                if index not in done:
-                    db.claim_chunk(campaign_id, index)
+                # The claim decides: a chunk already done, or one another
+                # live session holds, is not pending.
+                if db.claim_chunk(campaign_id, index):
                     session.chunks_executed += 1
                     session.workloads_executed += len(chunk)
                     yield (index, chunk)

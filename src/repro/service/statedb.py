@@ -80,7 +80,7 @@ import json
 import os
 import sqlite3
 from dataclasses import fields
-from typing import Any, Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 from urllib.parse import quote
 
 from ..core.results import CampaignResult
@@ -490,13 +490,6 @@ class CampaignStateDB:
             (campaign_id, chunk_index),
         )
         return cursor.rowcount == 1
-
-    def done_chunk_indices(self, campaign_id: str) -> Set[int]:
-        rows = self._conn.execute(
-            "SELECT chunk_index FROM chunks WHERE campaign_id = ? AND status = 'done'",
-            (campaign_id,),
-        ).fetchall()
-        return {row[0] for row in rows}
 
     def chunk_states(self, campaign_id: str) -> Dict[str, Tuple[int, int]]:
         """Per chunk status: (chunk count, workload count)."""

@@ -15,6 +15,10 @@ an O(1) fork of its copy-on-write target at every flush barrier (the
 :attr:`stable` state, durable whatever the crash) and the write requests
 issued since that barrier (the in-flight :attr:`window`), so nobody walks the
 stream a second time to find them.
+
+A recorder forks like the file system above it (:meth:`fork`): prefix-shared
+profiling freezes a recording run after an operation and resumes siblings
+from that frozen copy, each continuing the same stream.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ class RecordingDevice:
         #: log grows so nobody rescans it per operation
         self.write_requests = 0
         self._recorded_bytes = 0
-        self.recording = True
         #: fork of the target as of the last recorded flush barrier
         self.stable = target.snapshot(name="stable")
         self._window: List[IORequest] = []
@@ -61,9 +64,6 @@ class RecordingDevice:
         ``fua`` marks a forced-unit-access write: durable when it completes,
         so the crash planners never treat it as in-flight.
         """
-        if not self.recording:
-            self.target.write_block(block, data)
-            return
         # Pad the payload exactly once and share the same object between the
         # target's overlay and the recorded request: re-reading it back from
         # the target would issue a spurious device read per recorded write,
@@ -85,8 +85,6 @@ class RecordingDevice:
     def flush(self, *, sync: bool = False) -> None:
         """Record a flush/barrier request and forward it to the target."""
         self.target.flush()
-        if not self.recording:
-            return
         flags: Tuple[IOFlag, ...] = (IOFlag.SYNC,) if sync else tuple()
         self._seq += 1
         self._log.append(IORequest(seq=self._seq, kind=IOKind.FLUSH, flags=flags))
@@ -114,34 +112,20 @@ class RecordingDevice:
         )
         return self._checkpoints
 
-    # -- recording control ------------------------------------------------------
+    def fork(self) -> "RecordingDevice":
+        """An independent recorder continuing this one's stream.
 
-    def pause(self) -> None:
-        """Stop recording (reads/writes still pass through)."""
-        self.recording = False
-
-    def resume(self) -> None:
-        self.recording = True
-
-    def restore_log(self, log: Sequence[IORequest], checkpoints: int,
-                    write_requests: int, recorded_bytes: int,
-                    stable: CowDevice, window: Sequence[IORequest]) -> None:
-        """Seed the recorder with an already-recorded stream.
-
-        Used by prefix-shared profiling: a run resumed from a cached prefix
-        snapshot inherits the prefix's recorded requests (and continues the
-        sequence numbering and checkpoint ids after them), so its final log
-        is byte-for-byte what recording from scratch would have produced.
-        ``stable`` and ``window`` are the stream's barrier fork and in-flight
-        writes at its end.
+        The target is forked in O(1) (``CowDevice.snapshot``) and the log and
+        window are copied, so requests either side records later are its
+        own; sequence numbers and checkpoint ids carry on from here on both.
+        ``stable`` is a fork nobody writes to, and is shared.
         """
-        self._log = list(log)
-        self._seq = self._log[-1].seq if self._log else 0
-        self._checkpoints = checkpoints
-        self.write_requests = write_requests
-        self._recorded_bytes = recorded_bytes
-        self.stable = stable
-        self._window = list(window)
+        twin = object.__new__(RecordingDevice)
+        twin.__dict__.update(self.__dict__)
+        twin.target = self.target.snapshot(name=self.target.name)
+        twin._log = list(self._log)
+        twin._window = list(self._window)
+        return twin
 
     # -- introspection -----------------------------------------------------------
 
@@ -163,31 +147,6 @@ class RecordingDevice:
     @property
     def num_checkpoints(self) -> int:
         return self._checkpoints
-
-    def writes_between_checkpoints(self) -> List[int]:
-        """Number of write requests preceding each checkpoint marker.
-
-        Contract: exactly one count per checkpoint marker, in marker order —
-        ``counts[i]`` is the number of writes between marker ``i`` and its
-        predecessor (or the start of the log for the first marker).  Zero
-        counts are kept.  Writes after the last marker belong to no
-        persistence point (operations after the last persistence op) and
-        are never counted;
-        previously a *non-empty* tail was appended as a phantom interval
-        while an empty one was silently dropped.
-
-        Used by the resource-accounting benchmarks: it shows how much I/O
-        each persistence point generates.
-        """
-        counts: List[int] = []
-        current = 0
-        for request in self._log:
-            if request.is_checkpoint:
-                counts.append(current)
-                current = 0
-            elif request.is_write:
-                current += 1
-        return counts
 
     def recorded_bytes(self) -> int:
         """Total payload bytes recorded (write requests only)."""

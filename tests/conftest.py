@@ -130,8 +130,9 @@ def apply_op(fs, op):
 
 def devices_of(node):
     """A prefix node's device references, in a fixed order, duplicates included."""
-    records = node.records.values()
-    return [node.device, node.stable, *(r.baseline for r in records),
+    run = node.run
+    records = run.records.values()
+    return [run.device.target, run.device.stable, *(r.baseline for r in records),
             *(r.stable for r in records)]
 
 

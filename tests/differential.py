@@ -28,7 +28,7 @@ from repro.crashmonkey.recorder import WorkloadRecorder
 from repro.crashmonkey.report import CrashTestResult
 from repro.engine import ChunkOutcome, EngineRun, HarnessSpec
 from repro.fs import resolve_fs_name
-from repro.storage import CowDevice
+from repro.storage import CowDevice, RecordingDevice
 from repro.workload import parse_workload
 
 from conftest import SMALL_DEVICE_BLOCKS, make_mounted_fs
@@ -91,6 +91,23 @@ def patched(variant: Callable):
             yield
         finally:
             _INSTALLED.pop()
+
+
+def recording_fork_sharing(attribute: str) -> Callable:
+    """A variant: ``RecordingDevice.fork`` hands its twin its own ``attribute``
+    (``_log`` or ``_window``), so a resumed sibling inherits what the run it
+    was frozen from recorded after the freeze."""
+    def variant(patch):
+        real_fork = RecordingDevice.fork
+
+        def fork(device):
+            twin = real_fork(device)
+            setattr(twin, attribute, getattr(device, attribute))
+            return twin
+
+        patch.setattr(RecordingDevice, "fork", fork)
+
+    return variant
 
 
 def rejects(variant: Callable, check: Callable, *args, match: Optional[str] = None):

@@ -15,7 +15,8 @@ marker position, baseline, stable and window at every checkpoint, over
   spilled and read back) and resident.
 
 Seeded-unsound variants — a window a barrier does not reset, a stable fork
-taken at the marker instead of the barrier — must fail it.
+taken at the marker instead of the barrier, a recording device fork that
+shares its window with the run it was forked from — must fail it.
 
 A resumed profile shares the records of the prefix it resumed from — the
 same objects, so its crash states find the verdicts filed under them — and
@@ -117,6 +118,13 @@ def stable_forked_at_the_marker(patch):
                          ids=lambda variant: variant.__name__)
 def test_the_lane_rejects_records_taken_at_the_wrong_point(variant):
     differential.rejects(variant, test_recorded_records_are_the_walks, "logfs", "seq-1")
+
+
+def test_the_lane_rejects_a_resume_that_inherits_a_sibling_s_window():
+    # On seq-1 a shared window reaches a checkpoint record on flashfs alone:
+    # the other three file systems pass this lane under the variant.
+    differential.rejects(differential.recording_fork_sharing("_window"),
+                         test_recorded_records_are_the_walks, "flashfs", "seq-1", match="window")
 
 
 # ------------------------------------------------------------------ inheritance

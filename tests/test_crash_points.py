@@ -7,7 +7,10 @@ points its store writes and spill writes (``tests/crashpoints.py``).  A
 session is SIGKILLed right after its k-th point, for every k, in a serial
 lane, a ``-j 2`` lane and a serial zero-budget spill lane; each crash is
 resumed under another lane's execution options, and the finished campaign
-must be the uninterrupted run's, canonically and in its grouped report.
+must be the uninterrupted run's, canonically and in its grouped report.  A
+seeded-unsound recovery that resets nothing must fail a lane: a session
+dispatches only the chunks it claims, so a chunk left ``processing`` by the
+crash would never run again.
 """
 
 import collections
@@ -98,3 +101,10 @@ def test_a_session_killed_at_any_persistence_point_resumes_to_the_same_result(
     assert crashed == points
     print(f"{lane}: crashed at each of K={points} points, resumed {resumed_under}, "
           f"{time.monotonic() - started:.1f}s")
+
+
+def test_a_recovery_that_resets_nothing_fails_the_lane(tmp_path, uninterrupted, monkeypatch):
+    monkeypatch.setattr(CampaignStateDB, "recover_from_crash", lambda db, campaign_id: 0)
+    with pytest.raises(AssertionError, match="running"):
+        test_a_session_killed_at_any_persistence_point_resumes_to_the_same_result(
+            tmp_path, "serial", uninterrupted)

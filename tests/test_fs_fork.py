@@ -21,6 +21,13 @@ copy that cannot be caught sharing proves nothing, so:
 * **(v) seeded-unsound variants** — a fork sharing ``_committed_paths``' sets
   fails (ii); one sharing ``Inode`` objects fails the shared-vs-from-scratch
   profile parity too, and so does a tracker clone sharing ``persisted_paths``.
+* **(vi) a recording run** — a spine node is a detached fork of the recorder's
+  live run (``_LiveRun.fork``), and a resume forks it again.  Over the full
+  seq-1 space of all four file systems, every such fork reaches nothing
+  mutable its origin reaches: the two share only what is frozen at capture
+  time (the stable fork, recorded requests, checkpoint records, oracles,
+  tracker views and rename records).  A recording device fork sharing its
+  log or window fails it.
 """
 
 import copy
@@ -31,10 +38,13 @@ from enum import Enum
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.crashmonkey.tracker import PersistenceTracker, TrackedFile
+from repro.crashmonkey.oracle import Oracle
+from repro.crashmonkey.recorder import _LiveRun
+from repro.crashmonkey.tracker import PersistenceTracker, RenameRecord, TrackedFile, TrackerView
+from repro.crashmonkey.verdicts import _CheckpointRecord
 from repro.fs import BugConfig
 from repro.fs.base import AbstractFileSystem
-from repro.storage import RecordingDevice
+from repro.storage import CowDevice, IORequest, RecordingDevice
 from repro.workload import parse_workload
 from repro.workload.executor import WorkloadExecutor
 
@@ -317,3 +327,85 @@ def test_a_tracker_clone_that_shares_persisted_paths_is_caught():
     assert_parity()
     differential.rejects(lambda patch: patch.setattr(TrackedFile, "clone", copy.copy),
                          assert_parity)
+
+
+# ------------------------------------------------------------------ (vi) a recording run
+
+#: what a recording run and its fork may both reach: frozen when captured
+#: (a rename record too: the tracker appends them and never edits one)
+FROZEN = (IORequest, _CheckpointRecord, Oracle, TrackerView, RenameRecord)
+
+
+def run_objects(run) -> dict:
+    """``id -> (where, object)`` of the mutable objects reachable from ``vars(run)``.
+
+    A frozen object is not walked into, nor is a device (snapshots share
+    their frozen overlay layers by design); a file system is walked as
+    :func:`mutable_objects` walks it.
+    """
+    found = {}
+
+    def visit(value, where):
+        if isinstance(value, IMMUTABLE) or id(value) in found:
+            return
+        if isinstance(value, tuple):
+            for item in value:
+                visit(item, where)
+            return
+        found[id(value)] = (where, value)
+        if isinstance(value, AbstractFileSystem):
+            found.update(mutable_objects(value))
+            return
+        if isinstance(value, FROZEN + (CowDevice,)):
+            return
+        if isinstance(value, dict):
+            children = list(value.values())
+        elif isinstance(value, (list, set)):
+            children = list(value)
+        else:
+            children = list(attributes(value).values())
+        for child in children:
+            visit(child, where)
+
+    for name, value in vars(run).items():
+        visit(value, name)
+    return found
+
+
+def assert_run_forks_share_only_frozen_objects(fs_name):
+    seen = {"forks": 0, "detached": 0, "kinds": set()}
+    real_fork = _LiveRun.fork
+
+    def fork(run, detached=False):
+        twin = real_fork(run, detached)
+        mine, theirs = run_objects(run), run_objects(twin)
+        for key in mine.keys() & theirs.keys():
+            where, value = mine[key]
+            assert isinstance(value, FROZEN) or value is run.device.stable, \
+                f"{fs_name}: {where} shares a {type(value).__name__}"
+        assert twin.fs.device is (None if detached else twin.device)
+        assert twin.executor.fs is twin.tracker.fs is twin.fs
+        seen["forks"] += 1
+        seen["detached"] += detached
+        seen["kinds"].update(type(value).__name__ for _, value in theirs.values())
+        return twin
+
+    recording = differential.recorder(fs_name)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_LiveRun, "fork", fork)
+        for workload in differential.space():
+            recording.profile(workload)
+    assert 0 < seen["detached"] < seen["forks"], seen
+    assert {"RecordingDevice", "CowDevice", "list", "dict", "WorkloadExecutor",
+            "PersistenceTracker", "Inode"} <= seen["kinds"], seen["kinds"]
+
+
+@pytest.mark.parametrize("fs_name", ALL_FS)
+def test_a_recording_run_fork_shares_only_frozen_objects_on_full_seq1(fs_name):
+    assert_run_forks_share_only_frozen_objects(fs_name)
+
+
+@pytest.mark.parametrize("attribute", ["_log", "_window"])
+def test_a_recording_device_fork_that_shares_its_log_or_window_is_caught(attribute):
+    differential.rejects(differential.recording_fork_sharing(attribute),
+                         assert_run_forks_share_only_frozen_objects, "logfs", match="shares a list")

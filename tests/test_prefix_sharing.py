@@ -51,6 +51,12 @@ def test_shared_profiles_match_from_scratch_on_full_seq1_space(fs_name, bugs):
     assert shared.prefix_hits > len(differential.space()) // 2
 
 
+def test_a_resume_that_inherits_a_sibling_s_log_is_caught():
+    differential.rejects(differential.recording_fork_sharing("_log"),
+                         test_shared_profiles_match_from_scratch_on_full_seq1_space, "logfs", None,
+                         match="io_log")
+
+
 def test_shared_profile_of_an_exact_prefix_workload_is_fully_inherited():
     """A workload equal to a prefix of the previous one records zero new writes."""
     shared, scratch = _recorders("logfs", BugConfig.none())

@@ -546,7 +546,7 @@ def test_a_prefix_push_outside_the_admission_point_is_caught():
         "    def _keep(self, node, step, positions):\n"
         "        self._spine.push(node, 1, stub=node.prefix_key)\n"
         "    def _profile_shared(self, workload, step, clock):\n"
-        "        node = self._freeze(run, 0, None, step.keys[0], 0.0)\n"
+        "        node = _PrefixNode(0, step.keys[0], run.fork(detached=True), 0.0)\n"
         "        self._spine.push(node, 1, stub=node.prefix_key)\n"
     )
     findings = _sites(**{"crashmonkey/recorder.py": source, "crashmonkey/harness.py": source})
@@ -581,6 +581,27 @@ def test_a_second_spine_in_the_replayer_is_caught():
         ("src/repro/crashmonkey/replayer.py", 3, "`Spine(...)`"),
         ("src/repro/crashmonkey/replayer.py", 5, "`push(...)`")]
     assert "outside WorkloadRecorder.__init__" in findings[0][2]
+
+
+def test_a_recording_device_built_outside_the_mount_is_caught():
+    findings = _sites(**{
+        "crashmonkey/recorder.py": (
+            "class WorkloadRecorder:\n"
+            "    def _mount(self, base_image):\n"
+            "        return RecordingDevice(CowDevice(base_image))\n"
+            "    def _resume_from(self, node):\n"
+            "        device = RecordingDevice(node.device.snapshot())\n"
+            "        device.restore_log(node.log, node.checkpoints)\n"
+        ),
+        "crashmonkey/replayer.py": (
+            "from ..storage import record_device\n"
+            "scratch = record_device.RecordingDevice(None)\n"
+        ),
+    })
+    assert [(path, line) for path, line, _ in findings] == [
+        ("src/repro/crashmonkey/recorder.py", 5), ("src/repro/crashmonkey/replayer.py", 2)]
+    assert all("outside WorkloadRecorder._mount" in message and "forked" in message
+               for _, _, message in findings)
 
 
 def test_a_serialiser_that_imports_a_node_type_is_caught():

@@ -190,7 +190,6 @@ def test_chunk_lifecycle(db):
     assert db.claim_chunk("c1", 0) is True
     assert db.claim_chunk("c1", 0) is False  # already processing
     assert db.ingest_outcome("c1", _outcome(0, ["a", "b"])) is True
-    assert db.done_chunk_indices("c1") == {0}
     states = db.chunk_states("c1")
     assert states[api.CHUNK_DONE] == (1, 4)
     assert states[api.PENDING] == (1, 4)
@@ -245,7 +244,8 @@ def test_recover_from_crash_resets_processing_chunks(db):
     db.claim_chunk("c2", 0)
     assert db.recover_from_crash("c1") == 1  # only chunk 0 was orphaned
     assert db.claim_chunk("c1", 0) is True  # claimable again
-    assert db.done_chunk_indices("c1") == {1}  # done work untouched
+    assert db.chunk_states("c1") == {api.PROCESSING: (1, 4), api.CHUNK_DONE: (1, 4),
+                                     api.PENDING: (1, 4)}  # done work untouched
     assert db.chunk_states("c2") == {api.PROCESSING: (1, 4)}  # another campaign's
 
 
@@ -276,7 +276,7 @@ def test_a_refused_ingest_leaves_no_transaction_open(db):
         db.ingest_outcome("c1", _outcome(7, ["a"]))
     # The failed ingest rolled back: the next one opens its own transaction.
     assert db.ingest_outcome("c1", _outcome(0, ["a"])) is True
-    assert db.done_chunk_indices("c1") == {0}
+    assert db.chunk_states("c1") == {api.CHUNK_DONE: (1, 1)}
 
 
 def test_a_chunk_past_the_page_cache_lands_whole_or_not_at_all(db):
@@ -427,5 +427,5 @@ def test_store_reopens_from_disk(tmp_path):
         store.claim_chunk("c1", 0)
         store.ingest_outcome("c1", _outcome(0, ["a"]))
     with CampaignStateDB(path) as store:
-        assert store.done_chunk_indices("c1") == {0}
+        assert store.chunk_states("c1") == {api.CHUNK_DONE: (1, 1)}
         assert store.campaign_result("c1").workloads_tested == 1

@@ -38,8 +38,14 @@ from differential import ALL_FS
 
 
 def requests_of(node):
-    return [*node.log, *node.window,
-            *(r for record in node.records.values() for r in record.window)]
+    run = node.run
+    return [*run.device.log, *run.device.window,
+            *(r for record in run.records.values() for r in record.window)]
+
+
+def plain(obj, *live):
+    """``vars(obj)`` bar the ``live`` attributes, which hold forks compared apart."""
+    return {k: v for k, v in vars(obj).items() if k not in live}
 
 
 def thawed(node, base):
@@ -63,16 +69,19 @@ def assert_thaws_equal(node, base):
         assert b is not a and b.base is base and b.name == a.name
         assert b.content_equal(a)
     assert requests_of(copy) == requests_of(node)
-    assert copy.records.keys() == node.records.keys()
-    for cid, record in copy.records.items():
+    run, rerun = node.run, copy.run
+    assert rerun.records.keys() == run.records.keys()
+    for cid, record in rerun.records.items():
         assert "memo" not in vars(record)
         assert (record.checkpoint_id, record.marker) == \
-            (node.records[cid].checkpoint_id, node.records[cid].marker)
-    plain = {k: v for k, v in vars(node).items()
-             if k not in ("device", "stable", "records", "fs", "tracker")}
-    assert {k: v for k, v in vars(copy).items() if k in plain} == plain
-    assert copy.fs.device is None and copy.fs.logical_state() == node.fs.logical_state()
-    assert copy.tracker.views() == node.tracker.views()
+            (run.records[cid].checkpoint_id, run.records[cid].marker)
+    assert plain(copy, "run") == plain(node, "run")
+    assert plain(rerun.device, "target", "stable") == plain(run.device, "target", "stable")
+    assert plain(rerun.executor, "fs") == plain(run.executor, "fs")
+    assert rerun.oracles == run.oracles
+    assert rerun.fs.device is None and rerun.fs.logical_state() == run.fs.logical_state()
+    assert rerun.executor.fs is rerun.tracker.fs is rerun.fs
+    assert rerun.tracker.views() == run.tracker.views()
 
 
 def thawed_pushes(patch):
@@ -93,7 +102,7 @@ def thawed_pushes(patch):
             assert_thaws_equal(node, spine.base)
             assert stub == node.prefix_key
             seen["nodes"] += 1
-            seen["memos"] += any("memo" in vars(r) for r in node.records.values())
+            seen["memos"] += any("memo" in vars(r) for r in node.run.records.values())
             seen["shared forks"] += len(set(topology(devices_of(node)))) < len(devices_of(node))
         pushed.clear()
         return result

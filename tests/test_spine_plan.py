@@ -25,7 +25,8 @@ import pytest
 
 from repro.crashmonkey import harness as harness_module
 from repro.crashmonkey.harness import CrashMonkey
-from repro.crashmonkey.recorder import PlanStep, WorkloadRecorder, _shared_depth, plan_spine
+from repro.crashmonkey.recorder import (PlanStep, WorkloadRecorder, _LiveRun, _shared_depth,
+                                        plan_spine)
 from repro.crashmonkey.report import CrashTestResult
 from repro.workload import parse_workload
 
@@ -98,22 +99,22 @@ def resumes_the_hand_without_forking(patch):
     """The node in hand is resumed from as it is: the run's file system and
     tracker are the node's own.  The next workload resuming from the same
     node — it gets it handed on — starts from the suffix this one ran."""
-    real_profile, real_resume = WorkloadRecorder._profile_shared, WorkloadRecorder._resume_from
+    real_profile, real_fork = WorkloadRecorder._profile_shared, _LiveRun.fork
     handed = []
 
     def profile(recorder, *args):
         handed[:] = [recorder._in_hand]
         return real_profile(recorder, *args)
 
-    def resume(recorder, node):
-        run = real_resume(recorder, node)
-        if node is handed[0]:
-            node.fs.__dict__ = run.fs.__dict__
-            node.tracker.__dict__ = run.tracker.__dict__
-        return run
+    def fork(run, detached=False):
+        twin = real_fork(run, detached)
+        if not detached and handed[0] is not None and run is handed[0].run:
+            run.fs.__dict__ = twin.fs.__dict__
+            run.tracker.__dict__ = twin.tracker.__dict__
+        return twin
 
     patch.setattr(WorkloadRecorder, "_profile_shared", profile)
-    patch.setattr(WorkloadRecorder, "_resume_from", resume)
+    patch.setattr(_LiveRun, "fork", fork)
 
 
 def test_resuming_from_the_in_hand_node_without_forking_it_is_caught():

@@ -381,20 +381,22 @@ def test_rehydrated_nodes_share_no_mutable_state():
 
     node1 = recorder._spine.fetch(deepest)
     node2 = recorder._spine.fetch(deepest)
-    assert node1 is not node2
-    assert node1.records is not node2.records
-    assert node1.records.keys() == node2.records.keys()
-    assert node1.records, "need checkpoint records for the aliasing check"
-    for cid, record in node1.records.items():
-        other = node2.records[cid]
+    run1, run2 = node1.run, node2.run
+    assert node1 is not node2 and run1 is not run2
+    assert run1.records is not run2.records
+    assert run1.records.keys() == run2.records.keys()
+    assert run1.records, "need checkpoint records for the aliasing check"
+    for cid, record in run1.records.items():
+        other = run2.records[cid]
         assert record is not other
         assert record.baseline is not other.baseline
         assert record.stable is not other.stable
         assert record.baseline.overlay_delta() == other.baseline.overlay_delta()
         assert record.stable.overlay_delta() == other.stable.overlay_delta()
     # Mutating one rehydration is invisible to the other.
-    node1.records.clear()
-    assert node2.records
+    run1.records.clear()
+    run1.device._log.clear()
+    assert run2.records and run2.device.log
     # Identity topology (which record forks alias which) is preserved.
     assert topology(devices_of(node2)) == topology(devices_of(recorder._spine.fetch(deepest)))
 

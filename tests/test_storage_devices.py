@@ -215,39 +215,28 @@ class TestRecordingDevice:
         assert (first, second) == (1, 2)
         assert count_checkpoints(recorder.log) == 2
 
-    def test_pause_stops_recording_but_not_io(self):
-        recorder = self._recorder()
-        recorder.write_block(1, b"a")
-        recorder.pause()
-        recorder.write_block(2, b"b")
-        assert len(recorder.log) == 1
-        assert recorder.read_block(2)[:1] == b"b"
-
     def test_flush_is_recorded(self):
         recorder = self._recorder()
         recorder.flush(sync=True)
         assert recorder.log[0].kind is IOKind.FLUSH
 
-    def test_writes_between_checkpoints(self):
+    def test_a_fork_continues_the_stream_on_its_own(self):
         recorder = self._recorder()
         recorder.write_block(1, b"a")
+        recorder.flush()
         recorder.write_block(2, b"b")
         recorder.mark_checkpoint()
-        recorder.write_block(3, b"c")
-        recorder.mark_checkpoint()
-        assert recorder.writes_between_checkpoints() == [2, 1]
-
-    def test_writes_between_checkpoints_keeps_zero_intervals_and_drops_the_tail(self):
-        # Contract: one count per marker, in marker order; zero-write
-        # intervals are kept and writes after the last marker belong to no
-        # persistence point (they are never counted as a phantom interval).
-        recorder = self._recorder()
-        recorder.mark_checkpoint()                 # zero writes before marker 1
-        recorder.write_block(1, b"a")
-        recorder.mark_checkpoint()
-        recorder.mark_checkpoint()                 # zero writes between markers
-        recorder.write_block(2, b"b")              # trailing writes: no marker
-        assert recorder.writes_between_checkpoints() == [0, 1, 0]
+        twin = recorder.fork()
+        assert (twin.log, twin.window, twin.num_checkpoints) == \
+            (recorder.log, recorder.window, 1)
+        assert twin.stable is recorder.stable and twin.target is not recorder.target
+        twin.write_block(2, b"c")
+        assert twin.mark_checkpoint() == recorder.mark_checkpoint() == 2
+        assert [r.seq for r in twin.log] == [1, 2, 3, 4, 5, 6]
+        assert [r.seq for r in recorder.log] == [1, 2, 3, 4, 5]
+        assert len(twin.window) == 2 and len(recorder.window) == 1
+        assert (twin.read_block(2)[:1], recorder.read_block(2)[:1]) == (b"c", b"b")
+        assert (twin.write_requests, recorder.write_requests) == (3, 2)
 
     def test_recorded_write_payload_is_captured_without_a_device_read(self):
         recorder = self._recorder()

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo invariant linter: AST checks for rules ruff cannot express.
 
-Nineteen invariants, each protecting a guarantee a past change was built on.
+Twenty invariants, each protecting a guarantee a past change was built on.
 Most say the same thing — *X may appear only at site Y* — so they are rows of
 one table, not visitors: ``SITE_OWNERS`` (calls, attributes, names and
 environment reads) and ``IMPORT_OWNERS`` (imports).  A :class:`Row` holds what
@@ -319,6 +319,12 @@ SITE_OWNERS: Tuple[Row, ...] = (
     Row(named("register_codec"), "", "",
         "`register_codec` — the spill layer pickles nodes as they are; a node type declares "
         "what must not ride with `__reduce__` / `__getstate__`"),
+    # 22. A recording run is mounted once, then forked: a spine node is a detached
+    #     ``_LiveRun.fork`` and a resume forks it again, so a recording device built anywhere
+    #     else is a run's state copied by hand.
+    Row(call("RecordingDevice"), "", "crashmonkey/recorder.py:WorkloadRecorder._mount",
+        "`RecordingDevice(...)` outside WorkloadRecorder._mount — a recording run is mounted "
+        "once, then forked (`_LiveRun.fork`); never rebuild one from copied fields"),
     # 14. Which clock is read, and whether a raising block is charged, is decided in one place.
     Row(call("perf_counter", "time", "monotonic", "process_time", receiver="time"), "",
         "clock.py", "`time.{name}()` outside clock.py — " + CLOCK_REASON),
